@@ -152,16 +152,6 @@ let test_engine_group_charged_once () =
 
 (* ---------- state is independent of throttling ---------- *)
 
-let files_of env =
-  Env.list env
-  |> List.map (fun name ->
-         ( name,
-           Digest.to_hex
-             (Digest.string
-                (Env.read_all env name ~hint:Pdb_simio.Device.Sequential_read))
-         ))
-  |> List.sort compare
-
 let stall_fill engine ~throttle ~clients =
   (* thresholds under the L0 compaction trigger so stalls actually
      fire at this scale (the synchronous drain keeps L0 <= 4) *)
@@ -173,7 +163,7 @@ let stall_fill engine ~throttle ~clients =
   in
   let stats = store.Dyn.d_stats () in
   store.Dyn.d_close ();
-  (files_of env, r.Pdb_kvs.Multi_client.elapsed_ns, stats)
+  (Fingerprint.files env, r.Pdb_kvs.Multi_client.elapsed_ns, stats)
 
 let test_state_invariant_across_throttles engine () =
   let base, _, _ = stall_fill engine ~throttle:O.Unthrottled ~clients:4 in

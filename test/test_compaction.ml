@@ -73,14 +73,6 @@ let test_drain_runs_on_background_lane () =
 (* Final on-storage state must be a pure function of the workload: the
    worker count shapes modeled time only.  Compare the full file set,
    byte for byte. *)
-let env_fingerprint env =
-  Env.list env |> List.sort compare
-  |> List.map (fun f ->
-         f ^ "="
-         ^ Digest.to_hex
-             (Digest.string (Env.read_all env f ~hint:Device.Sequential_read)))
-  |> String.concat "\n"
-
 let pebbles_workload ~threads ~n =
   let env = Env.create () in
   let db = P.open_store (tiny ~threads (O.pebblesdb ())) ~env ~dir:"db" in
@@ -110,13 +102,13 @@ let lsm_workload ~threads ~n =
   env
 
 let test_pebbles_worker_count_invariance () =
-  let a = env_fingerprint (pebbles_workload ~threads:1 ~n:1500) in
-  let b = env_fingerprint (pebbles_workload ~threads:4 ~n:1500) in
+  let a = Fingerprint.text (pebbles_workload ~threads:1 ~n:1500) in
+  let b = Fingerprint.text (pebbles_workload ~threads:4 ~n:1500) in
   check Alcotest.string "1 vs 4 workers: byte-identical files" a b
 
 let test_lsm_worker_count_invariance () =
-  let a = env_fingerprint (lsm_workload ~threads:1 ~n:1500) in
-  let b = env_fingerprint (lsm_workload ~threads:4 ~n:1500) in
+  let a = Fingerprint.text (lsm_workload ~threads:1 ~n:1500) in
+  let b = Fingerprint.text (lsm_workload ~threads:4 ~n:1500) in
   check Alcotest.string "1 vs 4 workers: byte-identical files" a b
 
 (* ---------- invariants after every drained job ---------- *)

@@ -173,14 +173,6 @@ let test_lazy_leveled_last_level () =
 
 (* Final on-storage state must be a pure function of the workload under
    every policy: the worker count shapes modeled time only. *)
-let env_fingerprint env =
-  Env.list env |> List.sort compare
-  |> List.map (fun f ->
-         f ^ "="
-         ^ Digest.to_hex
-             (Digest.string (Env.read_all env f ~hint:Device.Sequential_read)))
-  |> String.concat "\n"
-
 let policy_workload ~policy ~threads ~n =
   let env = Env.create () in
   let engine = Stores.engine_for_policy Stores.Hyperleveldb policy in
@@ -208,8 +200,8 @@ let policy_workload ~policy ~threads ~n =
   env
 
 let test_worker_invariance policy () =
-  let a = env_fingerprint (policy_workload ~policy ~threads:1 ~n:1500) in
-  let b = env_fingerprint (policy_workload ~policy ~threads:4 ~n:1500) in
+  let a = Fingerprint.text (policy_workload ~policy ~threads:1 ~n:1500) in
+  let b = Fingerprint.text (policy_workload ~policy ~threads:4 ~n:1500) in
   Alcotest.(check string) "1 vs 4 workers: byte-identical files" a b
 
 let () =

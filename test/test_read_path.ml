@@ -74,11 +74,7 @@ let run_at_budget budget =
   done;
   let contents = Iter.to_list (store.Dyn.d_iterator ()) in
   let env = store.Dyn.d_env in
-  let disk =
-    Env.list env |> List.sort compare
-    |> List.map (fun f ->
-           (f, Digest.string (Env.read_all env f ~hint:Device.Sequential_read)))
-  in
+  let disk = Fingerprint.files env in
   let elapsed = Clock.elapsed_ns (Clock.snapshot (Env.clock env)) in
   store.Dyn.d_close ();
   (contents, disk, elapsed)
@@ -443,11 +439,7 @@ let observe engine cfg =
   let gets = List.init 400 (fun i -> store.Dyn.d_get (key i)) in
   let scan = Iter.to_list (store.Dyn.d_iterator ()) in
   let env = store.Dyn.d_env in
-  let disk =
-    Env.list env |> List.sort compare
-    |> List.map (fun f ->
-           (f, Digest.string (Env.read_all env f ~hint:Device.Sequential_read)))
-  in
+  let disk = Fingerprint.files env in
   store.Dyn.d_close ();
   (gets, scan, disk)
 

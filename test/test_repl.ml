@@ -43,13 +43,7 @@ let run_workload (db : Dyn.dyn) =
       (Printf.sprintf "value-%05d" i)
   done
 
-(* (name, content digest) of every file in an environment — the
-   byte-identity fingerprint. *)
-let fingerprint env =
-  List.sort compare (Env.list env)
-  |> List.map (fun n ->
-         let len = Env.file_size env n in
-         (n, Digest.to_hex (Digest.string (Env.peek env n ~pos:0 ~len))))
+let fingerprint = Fingerprint.files
 
 let entries_of_dyn (db : Dyn.dyn) =
   let it = db.Dyn.d_iterator () in
