@@ -8,325 +8,184 @@ open Cmdliner
 module Dyn = Pdb_kvs.Store_intf
 module B = Pdb_harness.Bench_util
 module L = Pdb_kvs.Latency
-module Env = Pdb_simio.Env
+module O = Pdb_kvs.Options
 
-let engine_of_string = function
-  | "pebblesdb" -> Ok Pdb_harness.Stores.Pebblesdb
-  | "pebblesdb-1" -> Ok Pdb_harness.Stores.Pebblesdb_one
-  | "hyperleveldb" -> Ok Pdb_harness.Stores.Hyperleveldb
-  | "leveldb" -> Ok Pdb_harness.Stores.Leveldb
-  | "rocksdb" -> Ok Pdb_harness.Stores.Rocksdb
-  | "kyotocabinet" -> Ok Pdb_harness.Stores.Btree
-  | "wiredtiger" -> Ok Pdb_harness.Stores.Wiredtiger
-  | s -> Error (Printf.sprintf "unknown store %S" s)
-
-let policy_of_string = function
-  | None -> Ok None
-  | Some s -> (
-    match Pdb_kvs.Options.compaction_policy_of_string s with
-    | Ok p -> Ok (Some p)
-    | Error msg -> Error msg)
-
-let throttle_of_string = function
-  | None -> Ok None
-  | Some s -> (
-    match Pdb_kvs.Options.throttle_of_string s with
-    | Ok t -> Ok (Some t)
-    | Error msg -> Error msg)
-
-let repl_strategy_of_string = function
-  | None -> Ok None
-  | Some s -> (
-    match Pdb_kvs.Options.repl_strategy_of_string s with
-    | Ok r -> Ok (Some r)
-    | Error msg -> Error msg)
-
-let run store_name policy_name throttle_name l0_slowdown l0_stop benchmarks
-    num value_size seed clients shards elastic replicas repl_strategy_name
-    probe_budget no_seek_filtering table_cache table_cache_bytes trace_file =
-  match
-    match
-      ( engine_of_string store_name,
-        policy_of_string policy_name,
-        throttle_of_string throttle_name,
-        repl_strategy_of_string repl_strategy_name )
-    with
-    | Error msg, _, _, _ | _, Error msg, _, _ | _, _, Error msg, _
-    | _, _, _, Error msg ->
-      Error msg
-    | Ok engine, Ok policy, Ok throttle, Ok repl ->
-      Ok (engine, policy, throttle, repl)
-  with
-  | Error msg ->
-    prerr_endline msg;
-    exit 1
-  | Ok (engine, policy, throttle, repl_strategy) ->
-    (* a policy request may remap the engine (flsm_guarded needs guards,
-       the LSM layouts need the leveled/tiered engine) *)
-    let engine =
-      match policy with
-      | None -> engine
-      | Some p -> Pdb_harness.Stores.engine_for_policy engine p
-    in
-    let env = Env.create () in
-    (match trace_file with
-     | Some _ -> Env.set_tracer env (Pdb_simio.Trace.create ())
-     | None -> ());
-    (* --shards routes the store through the range partitioner with splits
-       matched to the bench keyspace (key%010d over [0, num)) *)
-    let tweak o =
-      let o =
-        match policy with
-        | None -> o
-        | Some p -> { o with Pdb_kvs.Options.compaction_policy = p }
-      in
-      let o =
-        match throttle with
-        | None -> o
-        | Some t -> { o with Pdb_kvs.Options.throttle = t }
-      in
-      let o =
-        match l0_slowdown with
-        | None -> o
-        | Some n -> { o with Pdb_kvs.Options.l0_slowdown = n }
-      in
-      let o =
-        match l0_stop with
-        | None -> o
-        | Some n -> { o with Pdb_kvs.Options.l0_stop = n }
-      in
-      let o =
-        match probe_budget with
-        | None -> o
-        | Some n -> { o with Pdb_kvs.Options.probe_budget_override = Some n }
-      in
-      let o =
-        if no_seek_filtering then
-          { o with Pdb_kvs.Options.seek_filtering = false }
-        else o
-      in
-      let o =
-        match table_cache with
-        | None -> o
-        | Some n -> { o with Pdb_kvs.Options.table_cache_entries = n }
-      in
-      let o =
-        match table_cache_bytes with
-        | None -> o
-        | Some n -> { o with Pdb_kvs.Options.table_cache_bytes = Some n }
-      in
-      (* --replicas routes the store through the replication layer (each
-         shard replicates independently when combined with --shards) *)
-      let o =
-        if replicas > 0 then { o with Pdb_kvs.Options.replicas } else o
-      in
-      let o =
-        match repl_strategy with
-        | None -> o
-        | Some r -> { o with Pdb_kvs.Options.repl_strategy = r }
-      in
-      if shards <= 1 then o
-      else
-        let o =
-          {
-            o with
-            Pdb_kvs.Options.shards;
-            shard_splits =
-              List.init (shards - 1) (fun i ->
-                  B.key_of ((i + 1) * num / shards));
-          }
-        in
-        (* --elastic lets the shard store resplit itself under load *)
-        if elastic then { o with Pdb_kvs.Options.elastic = true } else o
-    in
-    let store =
-      Pdb_harness.Stores.open_engine ~tweak ~env
-        ?shards:(if shards > 1 then Some shards else None)
-        engine
-    in
-    let report name (p : B.phase) =
-      Printf.printf "%-14s : %8.1f KOps/s  (%d ops, %.1f MB written, %.1f MB read)\n%!"
-        name p.B.kops p.B.ops (B.mb p.B.bytes_written) (B.mb p.B.bytes_read)
-    in
-    (* with --clients > 1, report the multi-client phase plus its
-       group-commit accounting *)
-    let report_mc name ((p : B.phase), (r : B.Mc.result)) =
-      report name p;
-      Printf.printf
-        "               clients=%d groups=%d avg-group=%.2f syncs-saved=%d \
-         max-wait=%.1fms\n%!"
-        r.B.Mc.clients r.B.Mc.write_groups r.B.Mc.avg_group_size
-        r.B.Mc.syncs_saved
-        (Array.fold_left Float.max 0.0 r.B.Mc.client_wait_ns /. 1e6)
-    in
-    let ran_fill = ref false in
-    let ensure_fill () =
-      if not !ran_fill then
-        ignore (B.fill_random store ~n:num ~value_bytes:value_size ~seed);
-      ran_fill := true
-    in
-    List.iter
-      (fun bench ->
-        (* per-benchmark latency histograms: serial phases run through an
-           instrumented store (clock-snapshot deltas); multi-client phases
-           collect the lane-placement latencies.  Purely observational —
-           store state is byte-identical with reporting off. *)
-        let lat = L.create () in
-        let timed = L.instrument lat store in
-        (match bench with
-        | "fillseq" -> report bench (B.fill_seq timed ~n:num ~value_bytes:value_size ~seed)
-        | "fillrandom" when clients > 1 ->
-          ran_fill := true;
-          report_mc bench
-            (B.mc_fill_random ~latency:lat store ~clients ~n:num
-               ~value_bytes:value_size ~seed)
-        | "fillrandom" ->
-          ran_fill := true;
-          report bench (B.fill_random timed ~n:num ~value_bytes:value_size ~seed)
-        | "fillbatch" ->
-          (* batched writes: 100 entries per atomic batch *)
-          ran_fill := true;
-          let rng = Pdb_util.Rng.create seed in
-          report bench
-            (B.measure timed num (fun () ->
-                 let i = ref 0 in
-                 while !i < num do
-                   let batch = Pdb_kvs.Write_batch.create () in
-                   for _ = 1 to min 100 (num - !i) do
-                     Pdb_kvs.Write_batch.put batch
-                       (B.key_of (Pdb_util.Rng.int rng num))
-                       (Pdb_util.Rng.alpha rng value_size);
-                     incr i
-                   done;
-                   timed.Dyn.d_write batch
-                 done))
-        | "overwrite" when clients > 1 ->
-          report_mc bench
-            (B.mc_fill_random ~latency:lat store ~clients ~n:num
-               ~value_bytes:value_size ~seed)
-        | "overwrite" ->
-          report bench (B.update_random timed ~n:num ~value_bytes:value_size ~seed)
-        | "readrandom" when clients > 1 ->
-          ensure_fill ();
-          report_mc bench
-            (B.mc_read_random ~latency:lat store ~clients ~n:num ~ops:num ~seed)
-        | "readrandom" ->
-          ensure_fill ();
-          report bench (B.read_random timed ~n:num ~ops:num ~seed)
-        | "mixed" ->
-          (* 50% reads / 50% overwrites through the client lanes *)
-          ensure_fill ();
-          report_mc bench
-            (B.mc_mixed ~latency:lat store ~clients:(max 1 clients) ~n:num
-               ~ops:num ~value_bytes:value_size ~seed)
-        | "readseq" ->
-          (* full forward scan via one iterator *)
-          ensure_fill ();
-          report bench
-            (B.measure timed num (fun () ->
+let run (c : Cli.t) l0_slowdown l0_stop benchmarks num seed probe_budget
+    no_seek_filtering table_cache table_cache_bytes =
+  let value_size = c.Cli.value_size and clients = c.Cli.clients in
+  (* the db_bench-only option flags *)
+  let tweak (o : O.t) =
+    let pick v d = Option.value v ~default:d in
+    let pick_opt v d = if Option.is_some v then v else d in
+    {
+      o with
+      O.l0_slowdown = pick l0_slowdown o.O.l0_slowdown;
+      l0_stop = pick l0_stop o.O.l0_stop;
+      probe_budget_override = pick_opt probe_budget o.O.probe_budget_override;
+      seek_filtering = o.O.seek_filtering && not no_seek_filtering;
+      table_cache_entries = pick table_cache o.O.table_cache_entries;
+      table_cache_bytes = pick_opt table_cache_bytes o.O.table_cache_bytes;
+    }
+  in
+  (* --shards splits match the bench keyspace (key%010d over [0, num)) *)
+  let store, env =
+    Cli.open_store c ~tweak ~splits:(fun shards ->
+        List.init (shards - 1) (fun i -> B.key_of ((i + 1) * num / shards)))
+  in
+  let report name (p : B.phase) =
+    Printf.printf "%-14s : %8.1f KOps/s  (%d ops, %.1f MB written, %.1f MB read)\n%!"
+      name p.B.kops p.B.ops (B.mb p.B.bytes_written) (B.mb p.B.bytes_read)
+  in
+  (* with --clients > 1, report the multi-client phase plus its
+     group-commit accounting *)
+  let report_mc name ((p : B.phase), (r : B.Mc.result)) =
+    report name p;
+    Printf.printf
+      "               clients=%d groups=%d avg-group=%.2f syncs-saved=%d \
+       max-wait=%.1fms\n%!"
+      r.B.Mc.clients r.B.Mc.write_groups r.B.Mc.avg_group_size
+      r.B.Mc.syncs_saved
+      (Array.fold_left Float.max 0.0 r.B.Mc.client_wait_ns /. 1e6)
+  in
+  let ran_fill = ref false in
+  let ensure_fill () =
+    if not !ran_fill then
+      ignore (B.fill_random store ~n:num ~value_bytes:value_size ~seed);
+    ran_fill := true
+  in
+  List.iter
+    (fun bench ->
+      (* per-benchmark latency histograms: serial phases run through an
+         instrumented store (clock-snapshot deltas); multi-client phases
+         collect the lane-placement latencies.  Purely observational —
+         store state is byte-identical with reporting off. *)
+      let lat = L.create () in
+      let timed = L.instrument lat store in
+      (match bench with
+      | "fillseq" -> report bench (B.fill_seq timed ~n:num ~value_bytes:value_size ~seed)
+      | "fillrandom" when clients > 1 ->
+        ran_fill := true;
+        report_mc bench
+          (B.mc_fill_random ~latency:lat store ~clients ~n:num
+             ~value_bytes:value_size ~seed)
+      | "fillrandom" ->
+        ran_fill := true;
+        report bench (B.fill_random timed ~n:num ~value_bytes:value_size ~seed)
+      | "fillbatch" ->
+        (* batched writes: 100 entries per atomic batch *)
+        ran_fill := true;
+        let rng = Pdb_util.Rng.create seed in
+        report bench
+          (B.measure timed num (fun () ->
+               let i = ref 0 in
+               while !i < num do
+                 let batch = Pdb_kvs.Write_batch.create () in
+                 for _ = 1 to min 100 (num - !i) do
+                   Pdb_kvs.Write_batch.put batch
+                     (B.key_of (Pdb_util.Rng.int rng num))
+                     (Pdb_util.Rng.alpha rng value_size);
+                   incr i
+                 done;
+                 timed.Dyn.d_write batch
+               done))
+      | "overwrite" when clients > 1 ->
+        report_mc bench
+          (B.mc_fill_random ~latency:lat store ~clients ~n:num
+             ~value_bytes:value_size ~seed)
+      | "overwrite" ->
+        report bench (B.update_random timed ~n:num ~value_bytes:value_size ~seed)
+      | "readrandom" when clients > 1 ->
+        ensure_fill ();
+        report_mc bench
+          (B.mc_read_random ~latency:lat store ~clients ~n:num ~ops:num ~seed)
+      | "readrandom" ->
+        ensure_fill ();
+        report bench (B.read_random timed ~n:num ~ops:num ~seed)
+      | "mixed" ->
+        (* 50% reads / 50% overwrites through the client lanes *)
+        ensure_fill ();
+        report_mc bench
+          (B.mc_mixed ~latency:lat store ~clients:(max 1 clients) ~n:num
+             ~ops:num ~value_bytes:value_size ~seed)
+      | "readseq" ->
+        (* full forward scan via one iterator *)
+        ensure_fill ();
+        report bench
+          (B.measure timed num (fun () ->
+               let it = timed.Dyn.d_iterator () in
+               it.Pdb_kvs.Iter.seek_to_first ();
+               while it.Pdb_kvs.Iter.valid () do
+                 ignore (it.Pdb_kvs.Iter.key ());
+                 it.Pdb_kvs.Iter.next ()
+               done))
+      | "readmissing" ->
+        (* lookups for keys that are never present: bloom-filter country *)
+        ensure_fill ();
+        let rng = Pdb_util.Rng.create (seed + 21) in
+        report bench
+          (B.measure timed num (fun () ->
+               for _ = 1 to num do
+                 ignore
+                   (timed.Dyn.d_get
+                      (Printf.sprintf "missing%010d" (Pdb_util.Rng.int rng num)))
+               done))
+      | "readhot" ->
+        (* reads concentrated on 1% of the key space *)
+        ensure_fill ();
+        let hot = max 1 (num / 100) in
+        let rng = Pdb_util.Rng.create (seed + 22) in
+        report bench
+          (B.measure timed num (fun () ->
+               for _ = 1 to num do
+                 ignore (timed.Dyn.d_get (B.key_of (Pdb_util.Rng.int rng hot)))
+               done))
+      | "seekrandom" ->
+        ensure_fill ();
+        report bench (B.seek_random timed ~n:num ~ops:(num / 4) ~nexts:0 ~seed)
+      | "seekordered" ->
+        (* seeks at ascending positions (locality-friendly) *)
+        ensure_fill ();
+        let ops = num / 4 in
+        report bench
+          (B.measure timed ops (fun () ->
+               for i = 0 to ops - 1 do
                  let it = timed.Dyn.d_iterator () in
-                 it.Pdb_kvs.Iter.seek_to_first ();
-                 while it.Pdb_kvs.Iter.valid () do
-                   ignore (it.Pdb_kvs.Iter.key ());
-                   it.Pdb_kvs.Iter.next ()
-                 done))
-        | "readmissing" ->
-          (* lookups for keys that are never present: bloom-filter country *)
-          ensure_fill ();
-          let rng = Pdb_util.Rng.create (seed + 21) in
-          report bench
-            (B.measure timed num (fun () ->
-                 for _ = 1 to num do
-                   ignore
-                     (timed.Dyn.d_get
-                        (Printf.sprintf "missing%010d" (Pdb_util.Rng.int rng num)))
-                 done))
-        | "readhot" ->
-          (* reads concentrated on 1% of the key space *)
-          ensure_fill ();
-          let hot = max 1 (num / 100) in
-          let rng = Pdb_util.Rng.create (seed + 22) in
-          report bench
-            (B.measure timed num (fun () ->
-                 for _ = 1 to num do
-                   ignore (timed.Dyn.d_get (B.key_of (Pdb_util.Rng.int rng hot)))
-                 done))
-        | "seekrandom" ->
-          ensure_fill ();
-          report bench (B.seek_random timed ~n:num ~ops:(num / 4) ~nexts:0 ~seed)
-        | "seekordered" ->
-          (* seeks at ascending positions (locality-friendly) *)
-          ensure_fill ();
-          let ops = num / 4 in
-          report bench
-            (B.measure timed ops (fun () ->
-                 for i = 0 to ops - 1 do
-                   let it = timed.Dyn.d_iterator () in
-                   it.Pdb_kvs.Iter.seek (B.key_of (i * (num / max 1 ops)))
-                 done))
-        | "deleterandom" -> report bench (B.delete_random timed ~n:num ~seed)
-        | "compact" ->
-          store.Dyn.d_compact_all ();
-          Printf.printf "%-14s : done\n%!" bench
-        | "stats" ->
-          Printf.printf "%s\n  write-amp: %.2f\n%!" (store.Dyn.d_describe ())
-            (B.write_amp store);
-          (match B.scheduler_summary store with
-           | "" -> ()
-           | s -> Printf.printf "  compaction: %s\n%!" s);
-          (match B.trigger_summary store with
-           | "" -> ()
-           | s -> Printf.printf "  by-trigger: %s\n%!" s);
-          let st = store.Dyn.d_stats () in
-          Printf.printf
-            "  read path: seek-filter checks %d / skips %d, index-summary \
-             hits %d / misses %d\n\
-             %!"
-            st.Pdb_kvs.Engine_stats.seek_bloom_checks
-            st.Pdb_kvs.Engine_stats.seek_bloom_skips
-            st.Pdb_kvs.Engine_stats.summary_hits
-            st.Pdb_kvs.Engine_stats.summary_misses
-        | other -> Printf.printf "unknown benchmark %S (skipped)\n%!" other);
-        L.print_summary ~indent:"               " lat)
-      benchmarks;
-    Printf.printf "final write amplification: %.2f\n" (B.write_amp store);
-    (match B.scheduler_summary store with
-     | "" -> ()
-     | s -> Printf.printf "compaction scheduler: %s\n" s);
-    (match B.trigger_summary store with
-     | "" -> ()
-     | s -> Printf.printf "compaction by trigger: %s\n" s);
-    store.Dyn.d_close ();
-    match (trace_file, Env.tracer env) with
-    | Some path, Some tr ->
-      let oc = open_out path in
-      output_string oc (Pdb_simio.Trace.to_chrome_json tr);
-      close_out oc;
-      Printf.printf "trace: %d events (%d dropped) -> %s\n"
-        (Pdb_simio.Trace.count tr)
-        (Pdb_simio.Trace.dropped tr)
-        path
-    | _ -> ()
-
-let store_arg =
-  Arg.(value & opt string "pebblesdb"
-       & info [ "store" ] ~docv:"STORE"
-           ~doc:"pebblesdb | pebblesdb-1 | hyperleveldb | leveldb | rocksdb \
-                 | kyotocabinet | wiredtiger")
-
-let policy_arg =
-  Arg.(value & opt (some string) None
-       & info [ "compaction-policy" ] ~docv:"POLICY"
-           ~doc:"leveled | tiered | lazy_leveled | flsm_guarded — pin the \
-                 compaction policy, remapping the store to the engine that \
-                 implements it when necessary.")
-
-let throttle_arg =
-  Arg.(value & opt (some string) None
-       & info [ "throttle" ] ~docv:"MODE"
-           ~doc:"off | cliff | token_bucket — write-throttle mode: the \
-                 seed Slowdown/Stop cliff, the debt-keyed token bucket \
-                 (profile default), or no write stalls at all.")
+                 it.Pdb_kvs.Iter.seek (B.key_of (i * (num / max 1 ops)))
+               done))
+      | "deleterandom" -> report bench (B.delete_random timed ~n:num ~seed)
+      | "compact" ->
+        store.Dyn.d_compact_all ();
+        Printf.printf "%-14s : done\n%!" bench
+      | "stats" ->
+        Printf.printf "%s\n  write-amp: %.2f\n%!" (store.Dyn.d_describe ())
+          (B.write_amp store);
+        (match B.scheduler_summary store with
+         | "" -> ()
+         | s -> Printf.printf "  compaction: %s\n%!" s);
+        (match B.trigger_summary store with
+         | "" -> ()
+         | s -> Printf.printf "  by-trigger: %s\n%!" s);
+        let st = store.Dyn.d_stats () in
+        Printf.printf
+          "  read path: seek-filter checks %d / skips %d, index-summary \
+           hits %d / misses %d\n\
+           %!"
+          st.Pdb_kvs.Engine_stats.seek_bloom_checks
+          st.Pdb_kvs.Engine_stats.seek_bloom_skips
+          st.Pdb_kvs.Engine_stats.summary_hits
+          st.Pdb_kvs.Engine_stats.summary_misses
+      | other -> Printf.printf "unknown benchmark %S (skipped)\n%!" other);
+      L.print_summary ~indent:"               " lat)
+    benchmarks;
+  Printf.printf "final write amplification: %.2f\n" (B.write_amp store);
+  (match B.scheduler_summary store with
+   | "" -> ()
+   | s -> Printf.printf "compaction scheduler: %s\n" s);
+  (match B.trigger_summary store with
+   | "" -> ()
+   | s -> Printf.printf "compaction by trigger: %s\n" s);
+  store.Dyn.d_close ();
+  Cli.write_trace c env
 
 let l0_slowdown_arg =
   Arg.(value & opt (some int) None
@@ -352,47 +211,7 @@ let benchmarks_arg =
 let num_arg =
   Arg.(value & opt int 50_000 & info [ "num" ] ~doc:"Number of keys.")
 
-let value_size_arg =
-  Arg.(value & opt int 1024 & info [ "value-size" ] ~doc:"Value bytes.")
-
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.")
-
-let clients_arg =
-  Arg.(value & opt int 1
-       & info [ "clients" ]
-           ~doc:"Foreground client lanes for fillrandom / overwrite / \
-                 readrandom / mixed (round-robin interleave, WAL group \
-                 commit); 1 = serial.")
-
-let shards_arg =
-  Arg.(value & opt int 1
-       & info [ "shards" ]
-           ~doc:"Range-partition the keyspace over N independent engine \
-                 instances (each with its own WAL, memtable and compaction \
-                 scheduler); 1 = plain single store.")
-
-let elastic_arg =
-  Arg.(value & flag
-       & info [ "elastic" ]
-           ~doc:"With --shards, let the store resplit itself under load: \
-                 hot shards split at the sampled median request key, cold \
-                 adjacent pairs merge, and ranges migrate as background \
-                 jobs on the compaction lanes (migrate:* trace spans).")
-
-let replicas_arg =
-  Arg.(value & opt int 0
-       & info [ "replicas" ]
-           ~doc:"Replicate the store to N backups over simulated network \
-                 links (primary-backup); 0 = unreplicated.  Combined with \
-                 --shards, each shard replicates independently.")
-
-let repl_strategy_arg =
-  Arg.(value & opt (some string) None
-       & info [ "repl-strategy" ] ~docv:"STRATEGY"
-           ~doc:"log | file — ship WAL groups (the backup replays and \
-                 compacts itself) or ship sstables and manifest edits as \
-                 flush/compaction installs them (the backup burns no \
-                 compaction CPU, the wire carries the write amplification).")
 
 let probe_budget_arg =
   Arg.(value & opt (some int) None
@@ -421,21 +240,17 @@ let table_cache_bytes_arg =
            ~doc:"Bound the table cache by resident bytes instead of entry \
                  count.")
 
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace-event JSON of compaction / flush / \
-                 WAL / stall activity to $(docv) (load in Perfetto or \
-                 chrome://tracing).")
+let clients_doc =
+  "Foreground client lanes for fillrandom / overwrite / readrandom / mixed \
+   (round-robin interleave, WAL group commit); 1 = serial."
 
 let cmd =
   Cmd.v
     (Cmd.info "db_bench" ~doc:"Micro-benchmarks over the simulated stores")
-    Term.(const run $ store_arg $ policy_arg $ throttle_arg $ l0_slowdown_arg
-          $ l0_stop_arg $ benchmarks_arg $ num_arg $ value_size_arg $ seed_arg
-          $ clients_arg $ shards_arg $ elastic_arg $ replicas_arg
-          $ repl_strategy_arg
+    Term.(const run
+          $ Cli.term ~clients_default:1 ~clients_doc
+          $ l0_slowdown_arg $ l0_stop_arg $ benchmarks_arg $ num_arg $ seed_arg
           $ probe_budget_arg $ no_seek_filtering_arg $ table_cache_arg
-          $ table_cache_bytes_arg $ trace_arg)
+          $ table_cache_bytes_arg)
 
 let () = exit (Cmd.eval cmd)

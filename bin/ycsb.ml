@@ -6,15 +6,6 @@
 open Cmdliner
 module Dyn = Pdb_kvs.Store_intf
 module L = Pdb_kvs.Latency
-module Env = Pdb_simio.Env
-
-let engine_of_string = function
-  | "pebblesdb" -> Some Pdb_harness.Stores.Pebblesdb
-  | "hyperleveldb" -> Some Pdb_harness.Stores.Hyperleveldb
-  | "leveldb" -> Some Pdb_harness.Stores.Leveldb
-  | "rocksdb" -> Some Pdb_harness.Stores.Rocksdb
-  | "wiredtiger" -> Some Pdb_harness.Stores.Wiredtiger
-  | _ -> None
 
 (* YCSB keys are "user%016Lx" of a uniform 64-bit hash, so fixed-width hex
    ordering equals unsigned numeric ordering: evenly spaced splits are the
@@ -24,149 +15,46 @@ let ycsb_splits shards =
   List.init (shards - 1) (fun i ->
       Printf.sprintf "user%016Lx" (Int64.mul step (Int64.of_int (i + 1))))
 
-let run store_name policy_name throttle_name workloads records ops value_size
-    clients shards elastic replicas repl_strategy_name trace_file =
-  let policy =
-    match policy_name with
-    | None -> None
-    | Some s -> (
-      match Pdb_kvs.Options.compaction_policy_of_string s with
-      | Ok p -> Some p
-      | Error msg ->
-        prerr_endline msg;
-        exit 1)
-  in
-  let throttle =
-    match throttle_name with
-    | None -> None
-    | Some s -> (
-      match Pdb_kvs.Options.throttle_of_string s with
-      | Ok t -> Some t
-      | Error msg ->
-        prerr_endline msg;
-        exit 1)
-  in
-  let repl_strategy =
-    match repl_strategy_name with
-    | None -> None
-    | Some s -> (
-      match Pdb_kvs.Options.repl_strategy_of_string s with
-      | Ok r -> Some r
-      | Error msg ->
-        prerr_endline msg;
-        exit 1)
-  in
-  match engine_of_string store_name with
-  | None ->
-    prerr_endline ("unknown store " ^ store_name);
-    exit 1
-  | Some engine ->
-    (* the requested policy may remap the engine (flsm_guarded needs the
-       FLSM engine, the LSM layouts need the leveled/tiered engine) *)
-    let engine =
-      match policy with
-      | None -> engine
-      | Some p -> Pdb_harness.Stores.engine_for_policy engine p
-    in
-    let env = Env.create () in
-    (match trace_file with
-     | Some _ -> Env.set_tracer env (Pdb_simio.Trace.create ())
-     | None -> ());
-    let tweak o =
-      let o =
-        match policy with
-        | None -> o
-        | Some p -> { o with Pdb_kvs.Options.compaction_policy = p }
-      in
-      let o =
-        match throttle with
-        | None -> o
-        | Some t -> { o with Pdb_kvs.Options.throttle = t }
-      in
-      let o =
-        if replicas > 0 then { o with Pdb_kvs.Options.replicas } else o
-      in
-      let o =
-        match repl_strategy with
-        | None -> o
-        | Some r -> { o with Pdb_kvs.Options.repl_strategy = r }
-      in
-      if shards <= 1 then o
-      else
-        let o =
-          { o with Pdb_kvs.Options.shards; shard_splits = ycsb_splits shards }
-        in
-        (* --elastic lets the shard store resplit itself under load *)
-        if elastic then { o with Pdb_kvs.Options.elastic = true } else o
-    in
-    let store =
-      Pdb_harness.Stores.open_engine ~tweak ~env
-        ?shards:(if shards > 1 then Some shards else None)
-        engine
-    in
-    (* clients=0 keeps the legacy serial measurement path *)
-    let clients = if clients <= 0 then None else Some clients in
-    let report (r : Pdb_ycsb.Runner.result) =
+let run (c : Cli.t) workloads records ops =
+  let value_size = c.Cli.value_size in
+  let store, env = Cli.open_store c ~splits:ycsb_splits ~tweak:Fun.id in
+  (* clients=0 keeps the legacy serial measurement path *)
+  let clients = if c.Cli.clients <= 0 then None else Some c.Cli.clients in
+  let report (r : Pdb_ycsb.Runner.result) =
+    Printf.printf
+      "%-8s : %8.1f KOps/s  (ops=%d r=%d u=%d i=%d s=%d rmw=%d; %.1f MB \
+       written)\n%!"
+      r.Pdb_ycsb.Runner.phase r.Pdb_ycsb.Runner.kops_per_s
+      r.Pdb_ycsb.Runner.ops r.Pdb_ycsb.Runner.reads
+      r.Pdb_ycsb.Runner.updates r.Pdb_ycsb.Runner.inserts
+      r.Pdb_ycsb.Runner.scans r.Pdb_ycsb.Runner.rmws
+      (float_of_int r.Pdb_ycsb.Runner.bytes_written /. 1048576.0);
+    if r.Pdb_ycsb.Runner.clients > 1 then
       Printf.printf
-        "%-8s : %8.1f KOps/s  (ops=%d r=%d u=%d i=%d s=%d rmw=%d; %.1f MB \
-         written)\n%!"
-        r.Pdb_ycsb.Runner.phase r.Pdb_ycsb.Runner.kops_per_s
-        r.Pdb_ycsb.Runner.ops r.Pdb_ycsb.Runner.reads
-        r.Pdb_ycsb.Runner.updates r.Pdb_ycsb.Runner.inserts
-        r.Pdb_ycsb.Runner.scans r.Pdb_ycsb.Runner.rmws
-        (float_of_int r.Pdb_ycsb.Runner.bytes_written /. 1048576.0);
-      if r.Pdb_ycsb.Runner.clients > 1 then
-        Printf.printf
-          "           clients=%d groups=%d avg-group=%.2f syncs-saved=%d\n%!"
-          r.Pdb_ycsb.Runner.clients r.Pdb_ycsb.Runner.write_groups
-          r.Pdb_ycsb.Runner.avg_group_size r.Pdb_ycsb.Runner.syncs_saved
-    in
-    (* one latency collector per phase; reporting is purely
-       observational — store state matches a run without it *)
-    let lat = L.create () in
-    report
-      (Pdb_ycsb.Runner.load ?clients ~latency:lat store ~records
-         ~value_bytes:value_size ~seed:42);
-    L.print_summary ~indent:"           " lat;
-    List.iter
-      (fun name ->
-        match Pdb_ycsb.Workload.by_name name with
-        | Some spec ->
-          let lat = L.create () in
-          report
-            (Pdb_ycsb.Runner.run ?clients ~latency:lat store spec ~records
-               ~operations:ops ~value_bytes:value_size ~seed:42);
-          L.print_summary ~indent:"           " lat
-        | None -> Printf.printf "unknown workload %S (skipped)\n%!" name)
-      workloads;
-    store.Dyn.d_close ();
-    match (trace_file, Env.tracer env) with
-    | Some path, Some tr ->
-      let oc = open_out path in
-      output_string oc (Pdb_simio.Trace.to_chrome_json tr);
-      close_out oc;
-      Printf.printf "trace: %d events (%d dropped) -> %s\n"
-        (Pdb_simio.Trace.count tr)
-        (Pdb_simio.Trace.dropped tr)
-        path
-    | _ -> ()
-
-let store_arg =
-  Arg.(value & opt string "pebblesdb" & info [ "store" ] ~docv:"STORE")
-
-let policy_arg =
-  Arg.(value & opt (some string) None
-       & info [ "compaction-policy" ] ~docv:"POLICY"
-           ~doc:"leveled | tiered | lazy_leveled | flsm_guarded — pin the \
-                 compaction policy, remapping the store to the engine that \
-                 implements it when necessary.")
-
-let throttle_arg =
-  Arg.(value & opt (some string) None
-       & info [ "throttle" ] ~docv:"MODE"
-           ~doc:"off | cliff | token_bucket — write-throttle mode: the seed \
-                 Slowdown/Stop cliff, the debt-keyed token bucket (profile \
-                 default), or no write stalls at all.")
+        "           clients=%d groups=%d avg-group=%.2f syncs-saved=%d\n%!"
+        r.Pdb_ycsb.Runner.clients r.Pdb_ycsb.Runner.write_groups
+        r.Pdb_ycsb.Runner.avg_group_size r.Pdb_ycsb.Runner.syncs_saved
+  in
+  (* one latency collector per phase; reporting is purely
+     observational — store state matches a run without it *)
+  let lat = L.create () in
+  report
+    (Pdb_ycsb.Runner.load ?clients ~latency:lat store ~records
+       ~value_bytes:value_size ~seed:42);
+  L.print_summary ~indent:"           " lat;
+  List.iter
+    (fun name ->
+      match Pdb_ycsb.Workload.by_name name with
+      | Some spec ->
+        let lat = L.create () in
+        report
+          (Pdb_ycsb.Runner.run ?clients ~latency:lat store spec ~records
+             ~operations:ops ~value_bytes:value_size ~seed:42);
+        L.print_summary ~indent:"           " lat
+      | None -> Printf.printf "unknown workload %S (skipped)\n%!" name)
+    workloads;
+  store.Dyn.d_close ();
+  Cli.write_trace c env
 
 let workloads_arg =
   Arg.(value & opt (list string) [ "A"; "B"; "C"; "D"; "E"; "F" ]
@@ -178,54 +66,14 @@ let records_arg =
 let ops_arg =
   Arg.(value & opt int 10_000 & info [ "ops" ] ~doc:"Operations per workload.")
 
-let value_size_arg =
-  Arg.(value & opt int 1024 & info [ "value-size" ] ~doc:"Value bytes.")
-
-let clients_arg =
-  Arg.(value & opt int 0
-       & info [ "clients" ]
-           ~doc:"Foreground client lanes (round-robin, WAL group commit); \
-                 0 = legacy serial measurement.")
-
-let shards_arg =
-  Arg.(value & opt int 1
-       & info [ "shards" ]
-           ~doc:"Range-partition the keyspace over N independent engine \
-                 instances; 1 = plain single store.")
-
-let elastic_arg =
-  Arg.(value & flag
-       & info [ "elastic" ]
-           ~doc:"With --shards, let the store resplit itself under load: \
-                 hot shards split at the sampled median request key, cold \
-                 adjacent pairs merge, and ranges migrate as background \
-                 jobs on the compaction lanes (migrate:* trace spans).")
-
-let replicas_arg =
-  Arg.(value & opt int 0
-       & info [ "replicas" ]
-           ~doc:"Replicate the store to N backups over simulated network \
-                 links (primary-backup); 0 = unreplicated.  Combined with \
-                 --shards, each shard replicates independently.")
-
-let repl_strategy_arg =
-  Arg.(value & opt (some string) None
-       & info [ "repl-strategy" ] ~docv:"STRATEGY"
-           ~doc:"log | file — ship WAL groups (the backup replays and \
-                 compacts itself) or ship sstables and manifest edits as \
-                 flush/compaction installs them.")
-
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace-event JSON of compaction / flush / \
-                 WAL / stall activity to $(docv) (load in Perfetto or \
-                 chrome://tracing).")
+let clients_doc =
+  "Foreground client lanes (round-robin, WAL group commit); 0 = legacy \
+   serial measurement."
 
 let cmd =
   Cmd.v (Cmd.info "ycsb" ~doc:"YCSB benchmark over the simulated stores")
-    Term.(const run $ store_arg $ policy_arg $ throttle_arg $ workloads_arg
-          $ records_arg $ ops_arg $ value_size_arg $ clients_arg $ shards_arg
-          $ elastic_arg $ replicas_arg $ repl_strategy_arg $ trace_arg)
+    Term.(const run
+          $ Cli.term ~clients_default:0 ~clients_doc
+          $ workloads_arg $ records_arg $ ops_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -15,7 +15,13 @@
       (label ["guard"]; nested inside an engine seek session it folds into
       the outer one), measuring each surviving table's positioning cost so
       the independent reads overlap up to the device's parallel-probe
-      budget while the modeled CPU stays serialized. *)
+      budget while the modeled CPU stays serialized.
+
+    Compaction moves tables between guards in place, so the iterator walks
+    its own copy of the guard array, taken at every [seek] and
+    [seek_to_first]: another reader's seek compaction cannot shift a
+    positioned iterator, while a seek still sees any compaction it
+    triggered itself. *)
 
 module Ik = Pdb_kvs.Internal_key
 module Iter = Pdb_kvs.Iter
@@ -25,7 +31,18 @@ module Probe = Pdb_simio.Probe
 
 let create ?(filter = Seek_filter.none) ?probe ~(level : Guard.level) ~cache
     ~block_cache ~hint ~on_table () =
-  let nguards () = Array.length level.Guard.guards in
+  (* the guards as of the latest seek; never read before the first one *)
+  let view = ref level in
+  let refresh () =
+    view :=
+      {
+        Guard.guards =
+          Array.map
+            (fun (g : Guard.guard) -> { g with Guard.tables = g.Guard.tables })
+            level.Guard.guards;
+      }
+  in
+  let nguards () = Array.length !view.Guard.guards in
   let cur_guard = ref (-1) in
   let merged = ref None in
   let measure f =
@@ -35,7 +52,7 @@ let create ?(filter = Seek_filter.none) ?probe ~(level : Guard.level) ~cache
      first key. *)
   let position_guard gi target =
     cur_guard := gi;
-    let tables = level.Guard.guards.(gi).Guard.tables in
+    let tables = !view.Guard.guards.(gi).Guard.tables in
     match tables with
     | [] -> merged := None
     | _ ->
@@ -81,7 +98,7 @@ let create ?(filter = Seek_filter.none) ?probe ~(level : Guard.level) ~cache
     match Seek_filter.upper_user filter with
     | None -> false
     | Some up ->
-      gi > 0 && String.compare level.Guard.guards.(gi).Guard.gkey up > 0
+      gi > 0 && String.compare !view.Guard.guards.(gi).Guard.gkey up > 0
   in
   let rec skip_empty_forward () =
     match current () with
@@ -100,6 +117,7 @@ let create ?(filter = Seek_filter.none) ?probe ~(level : Guard.level) ~cache
   {
     Iter.seek_to_first =
       (fun () ->
+        refresh ();
         if nguards () = 0 then merged := None
         else begin
           position_guard 0 None;
@@ -107,8 +125,9 @@ let create ?(filter = Seek_filter.none) ?probe ~(level : Guard.level) ~cache
         end);
     seek =
       (fun target ->
+        refresh ();
         let uk = Ik.user_key target in
-        let gi = Guard.guard_index level uk in
+        let gi = Guard.guard_index !view uk in
         position_guard gi (Some target);
         skip_empty_forward ());
     next =

@@ -18,174 +18,117 @@
       filters (§4.1); seeks merge the guard's tables, with parallel seeks
       on the last level and seek-triggered compaction (§4.2). *)
 
+module S = Pdb_engine.Shell
+open S.Types
 module Ik = Pdb_kvs.Internal_key
-module Iter = Pdb_kvs.Iter
 module O = Pdb_kvs.Options
 module Env = Pdb_simio.Env
 module Clock = Pdb_simio.Clock
 module Device = Pdb_simio.Device
 module Table = Pdb_sstable.Table
-module Wal = Pdb_wal.Wal
 module Manifest = Pdb_manifest.Manifest
 module Stats = Pdb_kvs.Engine_stats
 module Job = Pdb_compaction.Job
 module Scheduler = Pdb_compaction.Scheduler
 module Policy = Pdb_compaction.Policy
 module Sched = Pdb_simio.Sched
-module Bp = Pdb_kvs.Backpressure
 
-type t = {
-  opts : O.t;
-  policy : Policy.t; (* the flsm_guarded policy: triggers consult it *)
-  env : Env.t;
-  dir : string;
-  clock : Clock.t;
-  sched : Scheduler.t; (* shared background-compaction scheduler *)
-  bp : Bp.t; (* shared write-throttling controller (Backpressure) *)
-  stats : Stats.t;
-  probe : Pdb_simio.Probe.ctx; (* parallel-probe budget sessions *)
-  table_cache : Pdb_sstable.Table_cache.t;
-  block_cache : Pdb_sstable.Block_cache.t;
-  mutable mem : Pdb_kvs.Memtable.t;
-  mutable wal : Wal.Writer.t;
-  mutable wal_number : int;
-  mutable manifest : Manifest.t;
-  mutable next_file : int;
-  mutable last_seq : int;
+type levels = {
   mutable l0 : Table.meta list; (* newest first *)
   levels : Guard.level array; (* slots 1 .. max_levels-1 *)
   committed : (string, unit) Hashtbl.t array; (* guard keys per level *)
   uncommitted : (string, unit) Hashtbl.t array;
-  mutable consecutive_seeks : int;
-  mutable obsolete : string list;
-  snapshots : Pdb_kvs.Snapshots.t;
-  mutable closed : bool;
 }
 
-let log_name dir n = Printf.sprintf "%s/%06d.log" dir n
+type t = levels S.t
 
-let new_file_number t =
-  let n = t.next_file in
-  t.next_file <- n + 1;
-  n
-
-let charge_cpu t ns = Clock.advance_cpu t.clock ns
-let last_level t = t.opts.O.max_levels - 1
-
-let user_range_overlap (m : Table.meta) key =
-  String.compare (Ik.user_key m.Table.smallest) key <= 0
-  && String.compare key (Ik.user_key m.Table.largest) <= 0
-
-(* While a snapshot is live, superseded files are pinned (a snapshot
-   iterator may still read them); they are collected at the next mutating
-   operation after the last snapshot is released. *)
-let gc_obsolete t =
-  if Pdb_kvs.Snapshots.is_empty t.snapshots then begin
-    List.iter
-      (fun name ->
-        (* drop the dead file's decoded blocks with it: they can never
-           hit again and would squat in the shared LRU *)
-        Pdb_sstable.Block_cache.evict_file t.block_cache ~file:name;
-        Env.delete t.env name)
-      t.obsolete;
-    t.obsolete <- []
-  end
-
-(* Foreground trace instants (WAL rotations, group commits), stamped at
-   the clock's current modeled time; no-ops without an attached tracer. *)
-let trace_instant t ?(args = []) ~name ~cat () =
-  match Env.tracer t.env with
-  | Some tr ->
-    Pdb_simio.Trace.instant tr ~args ~name ~cat ~lane:"foreground"
-      ~ts_ns:(Clock.elapsed_ns (Clock.snapshot t.clock))
-      ()
-  | None -> ()
+let level_bytes (t : t) level = Guard.bytes t.lv.levels.(level)
 
 (* ---------- guard selection (§3.2) ---------- *)
 
 (* Record [key] as an uncommitted guard for every level where it qualifies
    but is not yet committed.  Deterministic (hash-based), so re-inserting
    the same key is idempotent. *)
-let note_guard_candidate t key =
+let note_guard_candidate (t : t) key =
   match Guard_selector.guard_level t.opts key with
   | None -> ()
   | Some l ->
-    for level = l to last_level t do
+    for level = l to S.last_level t do
       if
-        (not (Hashtbl.mem t.committed.(level) key))
-        && not (Hashtbl.mem t.uncommitted.(level) key)
-      then Hashtbl.replace t.uncommitted.(level) key ()
+        (not (Hashtbl.mem t.lv.committed.(level) key))
+        && not (Hashtbl.mem t.lv.uncommitted.(level) key)
+      then Hashtbl.replace t.lv.uncommitted.(level) key ()
     done
-
-(* ---------- table building ---------- *)
-
-let make_builder t =
-  Table.Builder.create t.env ~dir:t.dir ~number:(new_file_number t)
-    ~prefix_bloom_len:t.opts.O.prefix_bloom_len
-    ~block_bytes:t.opts.O.block_bytes ~bloom:t.opts.O.sstable_bloom
-    ~expected_keys:(max 16 (t.opts.O.sstable_target_bytes / 64))
-
-(* ---------- flush (§3.4 Put) ---------- *)
-
-let rec flush_memtable t =
-  if not (Pdb_kvs.Memtable.is_empty t.mem) then begin
-    let mem = t.mem in
-    (* the flush is a background job: the scheduler runs it immediately
-       (a full memtable gates the triggering write) and places its
-       device time on a worker lane *)
-    let meta = ref None in
-    Scheduler.run_now t.sched
-      {
-        Job.key = "flush";
-        trigger = Job.Memtable_full;
-        estimated_bytes = Pdb_kvs.Memtable.approximate_bytes mem;
-        footprint = Sched.full_range ~level_lo:0 ~level_hi:0;
-        run =
-          (fun () ->
-            let builder = make_builder t in
-            List.iter
-              (fun (ik, v) ->
-                Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
-                Table.Builder.add builder ik v)
-              (Pdb_kvs.Memtable.contents mem);
-            meta := Table.Builder.finish builder);
-      };
-    let meta = !meta in
-    (match meta with
-     | Some meta ->
-       t.l0 <- meta :: t.l0;
-       t.stats.Stats.flushes <- t.stats.Stats.flushes + 1;
-       t.stats.Stats.sstables_built <- t.stats.Stats.sstables_built + 1
-     | None -> ());
-    (* rotate the WAL: the old log may only be deleted once the manifest
-       edit naming its successor (and the flushed table) is durable —
-       deleting first would lose the memtable to a crash in between *)
-    let old_log = t.wal_number in
-    let new_log = new_file_number t in
-    t.wal <- Wal.Writer.create t.env (log_name t.dir new_log);
-    t.wal_number <- new_log;
-    t.mem <- Pdb_kvs.Memtable.create ();
-    let e = Manifest.empty_edit () in
-    e.Manifest.log_number <- Some new_log;
-    e.Manifest.next_file_number <- Some t.next_file;
-    e.Manifest.last_sequence <- Some t.last_seq;
-    (match meta with
-     | Some m -> e.Manifest.added_files <- [ (0, m) ]
-     | None -> ());
-    Manifest.append t.manifest e;
-    Env.delete t.env (log_name t.dir old_log);
-    trace_instant t ~name:"wal-rotate" ~cat:"wal"
-      ~args:
-        [
-          ("old", string_of_int old_log); ("new", string_of_int new_log);
-        ]
-      ();
-    maybe_compact t
-  end
 
 (* ---------- compaction (§3.4) ---------- *)
 
-and level_bytes t level = Guard.bytes t.levels.(level)
+(* Sorted boundary keys of [level]: committed guards plus pending
+   (uncommitted) ones.  Compaction output is always cut at these
+   boundaries, so a pending guard never faces a straddling sstable for
+   long: the next merge through its range dissolves the straddler, after
+   which the guard commits for free. *)
+let partition_boundaries t level =
+  let lvl = t.lv.levels.(level) in
+  let committed =
+    Array.to_list lvl.Guard.guards
+    |> List.filter_map (fun (g : Guard.guard) ->
+           if g.Guard.gkey = "" then None else Some g.Guard.gkey)
+  in
+  let pending = Hashtbl.fold (fun k () acc -> k :: acc) t.lv.uncommitted.(level) [] in
+  Array.of_list (List.sort_uniq String.compare (committed @ pending))
+
+(* index of the boundary interval containing [key]: number of boundaries
+   <= key (0 = before the first boundary, i.e. the sentinel range) *)
+let boundary_index boundaries key =
+  let lo = ref 0 and hi = ref (Array.length boundaries) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if String.compare boundaries.(mid) key <= 0 then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+(* Commit the uncommitted guards of [level] that no resident sstable
+   straddles (the others stay pending and retry at the next compaction —
+   guard insertion is asynchronous, §3.3).  Returns the committed keys. *)
+let prepare_guard_commit t level =
+  let pending =
+    Hashtbl.fold (fun k () acc -> k :: acc) t.lv.uncommitted.(level) []
+    |> List.sort String.compare
+  in
+  if pending = [] then []
+  else begin
+    let lvl = t.lv.levels.(level) in
+    let tables = Guard.all_tables lvl in
+    let committable =
+      List.filter
+        (fun k -> not (List.exists (fun m -> Guard.straddles k m) tables))
+        pending
+    in
+    if committable <> [] then begin
+      Guard.commit_guards lvl committable;
+      List.iter
+        (fun k ->
+          Hashtbl.replace t.lv.committed.(level) k ();
+          Hashtbl.remove t.lv.uncommitted.(level) k)
+        committable;
+      t.stats.Stats.guards_committed <-
+        t.stats.Stats.guards_committed + List.length committable
+    end;
+    committable
+  end
+
+(* Commit whatever pending guards of [level] are now straddle-free and
+   persist them. *)
+let commit_pending_with_edit t level =
+  if Hashtbl.length t.lv.uncommitted.(level) > 0 then begin
+    let new_keys = prepare_guard_commit t level in
+    if new_keys <> [] then begin
+      let e = Manifest.empty_edit () in
+      e.Manifest.added_guards <- List.map (fun k -> (level, k)) new_keys;
+      Manifest.append t.manifest e
+    end
+  end
 
 (* Merge [inputs] and partition the result along the guards of
    [target_level], appending fragments to their guards.
@@ -199,9 +142,9 @@ and level_bytes t level = Guard.bytes t.levels.(level)
    size cutoff, so the rewrite coalesces the guard instead of fragmenting
    it further.  Returns the (attach_level, meta) list for the manifest
    edit. *)
-and run_partition_merge t ~inputs ~source_level ~target_level =
-  let target = t.levels.(target_level) in
-  let bottom = target_level = last_level t in
+let run_partition_merge t ~inputs ~source_level ~target_level =
+  let target = t.lv.levels.(target_level) in
+  let bottom = target_level = S.last_level t in
   let big_cutoff = 16 * t.opts.O.sstable_target_bytes in
   (* per-target-guard redirect decision, fixed for the whole compaction *)
   let redirect =
@@ -209,58 +152,11 @@ and run_partition_merge t ~inputs ~source_level ~target_level =
       Array.map
         (fun (g : Guard.guard) ->
           List.length g.Guard.tables >= t.opts.O.max_sstables_per_guard
-          &&
-          let guard_bytes =
-            List.fold_left
-              (fun a (m : Table.meta) -> a + m.Table.file_size)
-              0 g.Guard.tables
-          in
-          float_of_int guard_bytes
-          >= t.opts.O.last_level_merge_io_factor
-             *. float_of_int t.opts.O.sstable_target_bytes)
+          && float_of_int (S.bytes_of g.Guard.tables)
+             >= t.opts.O.last_level_merge_io_factor
+                *. float_of_int t.opts.O.sstable_target_bytes)
         target.Guard.guards
     else [||]
-  in
-  let scratch =
-    Pdb_sstable.Block_cache.create ~capacity:(8 * t.opts.O.block_bytes)
-  in
-  let children =
-    List.map
-      (fun m ->
-        (* bypass the table cache: compaction streams inputs sequentially *)
-        let reader =
-          Table.open_reader ~hint:Device.Sequential_read t.env ~dir:t.dir m
-        in
-        Table.iterator reader ~cache:scratch ~hint:Device.Sequential_read)
-      inputs
-  in
-  let merged = Pdb_kvs.Merging_iter.create ~compare:Ik.compare children in
-  let outputs = ref [] in
-  let builder = ref None in
-  (* partition token of the open builder: (attach_level, guard_index) *)
-  let builder_token = ref (-1, -1) in
-  let builder_cutoff = ref 0 in
-  let finish_builder () =
-    match !builder with
-    | None -> ()
-    | Some b ->
-      (match Table.Builder.finish b with
-       | Some meta ->
-         outputs := (fst !builder_token, meta) :: !outputs;
-         t.stats.Stats.sstables_built <- t.stats.Stats.sstables_built + 1
-       | None -> ());
-      builder := None
-  in
-  let get_builder token cutoff =
-    match !builder with
-    | Some b when !builder_token = token -> b
-    | Some _ | None ->
-      finish_builder ();
-      let b = make_builder t in
-      builder := Some b;
-      builder_token := token;
-      builder_cutoff := cutoff;
-      b
   in
   (* output is cut at committed AND pending boundaries, so pending guards
      become committable at their next opportunity *)
@@ -268,154 +164,38 @@ and run_partition_merge t ~inputs ~source_level ~target_level =
   let source_bounds =
     if source_level >= 1 then partition_boundaries t source_level else [||]
   in
-  (* previous entry seen for the current user key: (key, its seq) *)
-  let last_entry = ref None in
-  merged.Iter.seek_to_first ();
-  while merged.Iter.valid () do
-    let ikey = merged.Iter.key () in
-    let uk = Ik.user_key ikey in
-    let cur_seq = Ik.seq ikey in
-    Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
-    let drop =
-      match !last_entry with
-      | Some (prev, prev_seq) when String.equal prev uk ->
-        (* superseded version: droppable only when the newer version is
-           visible to every live snapshot *)
-        Pdb_kvs.Snapshots.droppable t.snapshots ~prev_seq:(Some prev_seq)
-          ~last_seq:t.last_seq
-      | _ ->
-        (* freshest version of this key.  A tombstone may die here only if
-           the target guard holds no older sstables — unlike an LSM
-           bottom-level compaction, a partition *append* leaves the guard's
-           resident tables unmerged, so dropping the tombstone would
-           resurrect older versions — and only when no snapshot still
-           needs it. *)
-        bottom
-        && Ik.kind ikey = Ik.Deletion
-        && target.Guard.guards.(Guard.guard_index target uk).Guard.tables = []
-        && Pdb_kvs.Snapshots.tombstone_droppable t.snapshots ~seq:cur_seq
-             ~last_seq:t.last_seq
-    in
-    last_entry := Some (uk, cur_seq);
-    if not drop then begin
+  S.merge_tables t inputs
+    ~tombstone_ok:(fun uk ->
+      (* A tombstone may die here only if the target guard holds no older
+         sstables — unlike an LSM bottom-level compaction, a partition
+         *append* leaves the guard's resident tables unmerged, so dropping
+         the tombstone would resurrect older versions. *)
+      bottom
+      && target.Guard.guards.(Guard.guard_index target uk).Guard.tables = [])
+    ~partition:(fun uk ->
       let tgi = Guard.guard_index target uk in
-      let token, cutoff =
-        if Array.length redirect > tgi && redirect.(tgi) then
-          (* rewrite within the source level at source granularity *)
-          ((source_level, boundary_index source_bounds uk), big_cutoff)
-        else
-          (* a fragment is everything that falls into the guard — FLSM does
-             not re-cut fragments to a target size (PebblesDB's sstables
-             grow much larger than LevelDB's, Table 5.1) *)
-          ((target_level, boundary_index target_bounds uk), max_int)
-      in
-      let b = get_builder token cutoff in
-      Table.Builder.add b ikey (merged.Iter.value ());
-      if Table.Builder.estimated_size b >= !builder_cutoff then
-        finish_builder ()
-    end;
-    merged.Iter.next ()
-  done;
-  finish_builder ();
-  List.rev !outputs
-
-(* Sorted boundary keys of [level]: committed guards plus pending
-   (uncommitted) ones.  Compaction output is always cut at these
-   boundaries, so a pending guard never faces a straddling sstable for
-   long: the next merge through its range dissolves the straddler, after
-   which the guard commits for free. *)
-and partition_boundaries t level =
-  let lvl = t.levels.(level) in
-  let committed =
-    Array.to_list lvl.Guard.guards
-    |> List.filter_map (fun (g : Guard.guard) ->
-           if g.Guard.gkey = "" then None else Some g.Guard.gkey)
-  in
-  let pending = Hashtbl.fold (fun k () acc -> k :: acc) t.uncommitted.(level) [] in
-  Array.of_list (List.sort_uniq String.compare (committed @ pending))
-
-(* index of the boundary interval containing [key]: number of boundaries
-   <= key (0 = before the first boundary, i.e. the sentinel range) *)
-and boundary_index boundaries key =
-  let lo = ref 0 and hi = ref (Array.length boundaries) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if String.compare boundaries.(mid) key <= 0 then lo := mid + 1
-    else hi := mid
-  done;
-  !lo
-
-(* Commit the uncommitted guards of [level] that no resident sstable
-   straddles (the others stay pending and retry at the next compaction —
-   guard insertion is asynchronous, §3.3).  Returns the committed keys. *)
-and prepare_guard_commit t level =
-  let pending =
-    Hashtbl.fold (fun k () acc -> k :: acc) t.uncommitted.(level) []
-    |> List.sort String.compare
-  in
-  if pending = [] then []
-  else begin
-    let lvl = t.levels.(level) in
-    let tables = Guard.all_tables lvl in
-    let committable =
-      List.filter
-        (fun k -> not (List.exists (fun m -> Guard.straddles k m) tables))
-        pending
-    in
-    if committable <> [] then begin
-      Guard.commit_guards lvl committable;
-      List.iter
-        (fun k ->
-          Hashtbl.replace t.committed.(level) k ();
-          Hashtbl.remove t.uncommitted.(level) k)
-        committable;
-      t.stats.Stats.guards_committed <-
-        t.stats.Stats.guards_committed + List.length committable
-    end;
-    committable
-  end
-
-(* Commit whatever pending guards of [level] are now straddle-free and
-   persist them. *)
-and commit_pending_with_edit t level =
-  if Hashtbl.length t.uncommitted.(level) > 0 then begin
-    let new_keys = prepare_guard_commit t level in
-    if new_keys <> [] then begin
-      let e = Manifest.empty_edit () in
-      e.Manifest.added_guards <- List.map (fun k -> (level, k)) new_keys;
-      Manifest.append t.manifest e
-    end
-  end
-
-and retire_tables t inputs =
-  List.iter
-    (fun (m : Table.meta) ->
-      Pdb_sstable.Table_cache.evict t.table_cache m.Table.number;
-      t.obsolete <- Table.file_name ~dir:t.dir m.Table.number :: t.obsolete)
-    inputs
-
-and record_compaction_stats t ~inputs ~outputs =
-  let bytes_of =
-    List.fold_left (fun a (m : Table.meta) -> a + m.Table.file_size) 0
-  in
-  t.stats.Stats.compactions <- t.stats.Stats.compactions + 1;
-  t.stats.Stats.compaction_bytes_read <-
-    t.stats.Stats.compaction_bytes_read + bytes_of inputs;
-  t.stats.Stats.compaction_bytes_written <-
-    t.stats.Stats.compaction_bytes_written
-    + bytes_of (List.map snd outputs)
+      if Array.length redirect > tgi && redirect.(tgi) then
+        (* rewrite within the source level at source granularity *)
+        (source_level, boundary_index source_bounds uk)
+      else (target_level, boundary_index target_bounds uk))
+    ~cutoff:(fun (attach_level, _) ->
+      (* a fragment is everything that falls into the guard — FLSM does
+         not re-cut fragments to a target size (PebblesDB's sstables grow
+         much larger than LevelDB's, Table 5.1) *)
+      if attach_level = target_level then max_int else big_cutoff)
+  |> List.map (fun ((attach_level, _), meta) -> (attach_level, meta))
 
 (* Compact [source_level] into [source_level + 1].  [only_guards] restricts
    the source guards (seek-triggered compaction); default picks guards over
    the sstable trigger, falling back to all non-empty guards. *)
-and compact_level t ?only_guards source_level =
+let compact_level t ?only_guards source_level =
   let target_level = source_level + 1 in
-  assert (target_level <= last_level t);
+  assert (target_level <= S.last_level t);
   (* 1. source tables *)
   let source_tables =
-    if source_level = 0 then t.l0
+    if source_level = 0 then t.lv.l0
     else begin
-      let lvl = t.levels.(source_level) in
+      let lvl = t.lv.levels.(source_level) in
       let chosen =
         match only_guards with
         | Some gs -> gs
@@ -442,22 +222,19 @@ and compact_level t ?only_guards source_level =
     let inputs = source_tables in
     (* 3. detach inputs *)
     if source_level = 0 then
-      t.l0 <-
+      t.lv.l0 <-
         List.filter
           (fun (m : Table.meta) ->
             not
               (List.exists
                  (fun (i : Table.meta) -> i.Table.number = m.Table.number)
                  source_tables))
-          t.l0
+          t.lv.l0
     else
-      Guard.detach t.levels.(source_level)
+      Guard.detach t.lv.levels.(source_level)
         (List.map (fun (m : Table.meta) -> m.Table.number) source_tables);
     (* 4. merge + partition + attach *)
-    let outputs =
-      Clock.with_background t.clock (fun () ->
-          run_partition_merge t ~inputs ~source_level ~target_level)
-    in
+    let outputs = run_partition_merge t ~inputs ~source_level ~target_level in
     List.iter
       (fun (attach_level, (meta : Table.meta)) ->
         Pdb_kvs.Engine_stats.bump_breakdown t.stats
@@ -465,8 +242,8 @@ and compact_level t ?only_guards source_level =
              Printf.sprintf "partition L%d->L%d" source_level target_level
            else Printf.sprintf "rewrite-in-L%d" attach_level)
           meta.Table.file_size;
-        if attach_level = 0 then t.l0 <- meta :: t.l0
-        else Guard.attach t.levels.(attach_level) meta)
+        if attach_level = 0 then t.lv.l0 <- meta :: t.lv.l0
+        else Guard.attach t.lv.levels.(attach_level) meta)
       outputs;
     (* 5. persist *)
     let e = Manifest.empty_edit () in
@@ -479,8 +256,8 @@ and compact_level t ?only_guards source_level =
         source_tables;
     e.Manifest.added_files <- outputs;
     Manifest.append t.manifest e;
-    retire_tables t inputs;
-    record_compaction_stats t ~inputs ~outputs
+    S.retire t inputs;
+    S.note_compaction t ~inputs ~outputs:(List.map snd outputs)
   end
 
 (* Merge sstables within one last-level guard — the only place FLSM
@@ -491,14 +268,12 @@ and compact_level t ?only_guards source_level =
    may survive in the unmerged tail).  Only when the guard has degenerated
    into few large runs does it fall back to a full rewrite, which is also
    when tombstones can finally be dropped. *)
-and compact_last_level_guard ?(force_full = false) t (g : Guard.guard) =
+let compact_last_level_guard ?(force_full = false) t (g : Guard.guard) =
   if List.length g.Guard.tables >= 2 then begin
     let all = g.Guard.tables in
-    let guard_bytes =
-      List.fold_left (fun a (m : Table.meta) -> a + m.Table.file_size) 0 all
+    let small_threshold =
+      max (2 * t.opts.O.sstable_target_bytes) (S.bytes_of all / 4)
     in
-    let small_threshold = max (2 * t.opts.O.sstable_target_bytes)
-        (guard_bytes / 4) in
     let rec newest_small_prefix = function
       | (m : Table.meta) :: rest when m.Table.file_size < small_threshold ->
         m :: newest_small_prefix rest
@@ -513,104 +288,30 @@ and compact_last_level_guard ?(force_full = false) t (g : Guard.guard) =
       then (prefix, false)
       else (all, true)
     in
-    let level_idx = last_level t in
-    let lvl = t.levels.(level_idx) in
+    let level_idx = S.last_level t in
+    let lvl = t.lv.levels.(level_idx) in
     (* detach only the inputs; any remaining (older, larger) runs stay *)
     let input_numbers =
       List.map (fun (m : Table.meta) -> m.Table.number) inputs
     in
     Guard.detach lvl input_numbers;
+    (* guard-merged tables grow large — the source of PebblesDB's bigger
+       sstables (Table 5.1).  The cutoff also guarantees the merged run
+       lands below the per-guard cap, so the merge cannot re-trigger
+       itself. *)
+    let cutoff =
+      max
+        (16 * t.opts.O.sstable_target_bytes)
+        ((S.bytes_of inputs / max 1 (t.opts.O.max_sstables_per_guard - 1)) + 1)
+    in
+    (* cut at pending-guard boundaries too *)
+    let bounds = partition_boundaries t level_idx in
     let outputs =
-      Clock.with_background t.clock (fun () ->
-          let scratch =
-            Pdb_sstable.Block_cache.create
-              ~capacity:(8 * t.opts.O.block_bytes)
-          in
-          let children =
-            List.map
-              (fun m ->
-                let reader =
-                  Table.open_reader ~hint:Device.Sequential_read t.env
-                    ~dir:t.dir m
-                in
-                Table.iterator reader ~cache:scratch
-                  ~hint:Device.Sequential_read)
-              inputs
-          in
-          let merged =
-            Pdb_kvs.Merging_iter.create ~compare:Ik.compare children
-          in
-          (* guard-merged tables grow large — the source of PebblesDB's
-             bigger sstables (Table 5.1).  The cutoff also guarantees the
-             merged run lands below the per-guard cap, so the merge cannot
-             re-trigger itself. *)
-          let total_bytes =
-            List.fold_left
-              (fun a (m : Table.meta) -> a + m.Table.file_size)
-              0 inputs
-          in
-          let cutoff =
-            max
-              (16 * t.opts.O.sstable_target_bytes)
-              ((total_bytes / max 1 (t.opts.O.max_sstables_per_guard - 1)) + 1)
-          in
-          let bounds = partition_boundaries t level_idx in
-          let outputs = ref [] in
-          let builder = ref None in
-          let builder_segment = ref (-1) in
-          let finish () =
-            match !builder with
-            | None -> ()
-            | Some b ->
-              (match Table.Builder.finish b with
-               | Some meta ->
-                 outputs := meta :: !outputs;
-                 t.stats.Stats.sstables_built <-
-                   t.stats.Stats.sstables_built + 1
-               | None -> ());
-              builder := None
-          in
-          let last_entry = ref None in
-          merged.Iter.seek_to_first ();
-          while merged.Iter.valid () do
-            let ikey = merged.Iter.key () in
-            let uk = Ik.user_key ikey in
-            let cur_seq = Ik.seq ikey in
-            Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
-            let drop =
-              (match !last_entry with
-               | Some (prev, prev_seq) when String.equal prev uk ->
-                 Pdb_kvs.Snapshots.droppable t.snapshots
-                   ~prev_seq:(Some prev_seq) ~last_seq:t.last_seq
-               | _ ->
-                 drop_tombstones
-                 && Ik.kind ikey = Ik.Deletion
-                 && Pdb_kvs.Snapshots.tombstone_droppable t.snapshots
-                      ~seq:cur_seq ~last_seq:t.last_seq)
-            in
-            last_entry := Some (uk, cur_seq);
-            if not drop then begin
-              (* cut at pending-guard boundaries too *)
-              let segment = boundary_index bounds uk in
-              if !builder_segment <> segment then begin
-                finish ();
-                builder_segment := segment
-              end;
-              let b =
-                match !builder with
-                | Some b -> b
-                | None ->
-                  let b = make_builder t in
-                  builder := Some b;
-                  b
-              in
-              Table.Builder.add b ikey (merged.Iter.value ());
-              if Table.Builder.estimated_size b >= cutoff then finish ()
-            end;
-            merged.Iter.next ()
-          done;
-          finish ();
-          List.rev !outputs)
+      S.merge_tables t inputs
+        ~tombstone_ok:(fun _ -> drop_tombstones)
+        ~partition:(boundary_index bounds)
+        ~cutoff:(fun _ -> cutoff)
+      |> List.map snd
     in
     List.iter
       (fun (meta : Table.meta) ->
@@ -625,29 +326,25 @@ and compact_last_level_guard ?(force_full = false) t (g : Guard.guard) =
       List.map (fun (m : Table.meta) -> (level_idx, m.Table.number)) inputs;
     e.Manifest.added_files <- List.map (fun m -> (level_idx, m)) outputs;
     Manifest.append t.manifest e;
-    retire_tables t inputs;
-    record_compaction_stats t ~inputs
-      ~outputs:(List.map (fun m -> (level_idx, m)) outputs)
+    S.retire t inputs;
+    S.note_compaction t ~inputs ~outputs
   end
 
 (* Guard-scoped footprint: jobs over disjoint guards get disjoint key
    ranges, which is what lets the scheduler overlap them on separate
    worker timelines (§4.3). *)
-and guard_footprint t level gkey ~level_hi =
-  let lvl = t.levels.(level) in
+let guard_footprint t level gkey ~level_hi =
+  let lvl = t.lv.levels.(level) in
   let key_lo, key_hi = Guard.guard_range lvl (Guard.guard_index lvl gkey) in
   { Sched.level_lo = level; level_hi; key_lo; key_hi }
 
-and guard_bytes (g : Guard.guard) =
-  List.fold_left
-    (fun a (m : Table.meta) -> a + m.Table.file_size)
-    0 g.Guard.tables
+let guard_bytes (g : Guard.guard) = S.bytes_of g.Guard.tables
 
 (* Jobs capture guard *keys*, not guard records: a preceding job in the
    queue may have spliced the guard array (commit_guards recreates
    records), so the closure re-resolves at execution time. *)
-and find_guard t level gkey =
-  Array.to_list t.levels.(level).Guard.guards
+let find_guard t level gkey =
+  Array.to_list t.lv.levels.(level).Guard.guards
   |> List.find_opt (fun (g : Guard.guard) -> g.Guard.gkey = gkey)
 
 (* ---------- policy consultation ---------- *)
@@ -656,34 +353,31 @@ and find_guard t level gkey =
    size are the shared [level_state] scores, guard caps are
    [guard_score].  One [Policy.should_trigger] threshold replaces the
    inline comparisons. *)
-and l0_due t =
+let l0_due t =
   Policy.should_trigger
     (t.policy.Policy.score
        {
          Policy.level = 0;
-         last_level = last_level t;
-         files = List.length t.l0;
-         bytes =
-           List.fold_left
-             (fun a (m : Table.meta) -> a + m.Table.file_size)
-             0 t.l0;
+         last_level = S.last_level t;
+         files = List.length t.lv.l0;
+         bytes = S.bytes_of t.lv.l0;
          max_bytes = O.level_max_bytes t.opts 1;
          file_trigger = t.opts.O.l0_compaction_trigger;
        })
 
-and level_due t level =
+let level_due t level =
   Policy.should_trigger
     (t.policy.Policy.score
        {
          Policy.level;
-         last_level = last_level t;
-         files = Guard.table_count t.levels.(level);
+         last_level = S.last_level t;
+         files = Guard.table_count t.lv.levels.(level);
          bytes = level_bytes t level;
          max_bytes = O.level_max_bytes t.opts level;
          file_trigger = t.opts.O.l0_compaction_trigger;
        })
 
-and guard_due ?cap t (g : Guard.guard) =
+let guard_due ?cap t (g : Guard.guard) =
   let cap =
     match cap with Some c -> c | None -> t.opts.O.max_sstables_per_guard
   in
@@ -691,16 +385,16 @@ and guard_due ?cap t (g : Guard.guard) =
     (t.policy.Policy.guard_score
        { Policy.g_tables = List.length g.Guard.tables; g_cap = cap })
 
-and maybe_compact t =
+let maybe_compact t =
   (* Commit pending guards of still-empty levels up front: with no resident
      sstables there is nothing to split, so the commit is pure metadata.
      This is the cheap common case — guards are selected long before data
      reaches deep levels. *)
   let eager = ref [] in
-  for level = 1 to last_level t do
+  for level = 1 to S.last_level t do
     if
-      Guard.table_count t.levels.(level) = 0
-      && Hashtbl.length t.uncommitted.(level) > 0
+      Guard.table_count t.lv.levels.(level) = 0
+      && Hashtbl.length t.lv.uncommitted.(level) > 0
     then begin
       let new_keys = prepare_guard_commit t level in
       eager := List.map (fun k -> (level, k)) new_keys @ !eager
@@ -745,16 +439,13 @@ and maybe_compact t =
     (* L0 back-pressure *)
     if l0_due t then
       enqueue "l0" Job.L0_files
-        ~estimated_bytes:
-          (List.fold_left
-             (fun a (m : Table.meta) -> a + m.Table.file_size)
-             0 t.l0)
+        ~estimated_bytes:(S.bytes_of t.lv.l0)
         ~footprint:(Sched.full_range ~level_lo:0 ~level_hi:1)
-        ~measure:(fun () -> List.length t.l0)
+        ~measure:(fun () -> List.length t.lv.l0)
         (fun () -> if l0_due t then compact_level t 0);
     (* level size triggers — measured in bytes: 25x-redirected rewrites
        can leave the size unchanged, which must count as no progress *)
-    for level = 1 to last_level t - 1 do
+    for level = 1 to S.last_level t - 1 do
       if level_due t level then
         enqueue
           (Printf.sprintf "size:%d" level)
@@ -766,7 +457,7 @@ and maybe_compact t =
     done;
     (* per-guard caps: one job per full guard — FLSM's unit of compaction
        concurrency *)
-    for level = 1 to last_level t - 1 do
+    for level = 1 to S.last_level t - 1 do
       Array.iter
         (fun (g : Guard.guard) ->
           if guard_due t g then begin
@@ -787,13 +478,13 @@ and maybe_compact t =
                   compact_level t ~only_guards:[ g ] level
                 | Some _ | None -> ())
           end)
-        t.levels.(level).Guard.guards
+        t.lv.levels.(level).Guard.guards
     done;
     (* last-level guard merges; committing pending guards first refines
        the structure (boundary-cut fragments redistribute into their own
        guards) and often removes the need to merge at all *)
-    commit_pending_with_edit t (last_level t);
-    let ll = last_level t in
+    commit_pending_with_edit t (S.last_level t);
+    let ll = S.last_level t in
     let last_cap = max 2 t.opts.O.max_sstables_per_guard in
     Array.iter
       (fun (g : Guard.guard) ->
@@ -823,33 +514,17 @@ and maybe_compact t =
                    | None -> ())
               | Some _ | None -> ())
         end)
-      t.levels.(ll).Guard.guards;
+      t.lv.levels.(ll).Guard.guards;
     if !submitted then begin
       Scheduler.drain t.sched;
       continue_ := true
     end
   done
 
-(* Seek-triggered maintenance (§4.2): compact the most fragmented guard and
-   apply the aggressive level rule.  A rare whole-tree event, reified as a
-   single job and drained synchronously. *)
-and seek_compaction t =
-  t.stats.Stats.seek_compactions <- t.stats.Stats.seek_compactions + 1;
-  ignore
-    (Scheduler.submit t.sched
-       {
-         Job.key = "seek";
-         trigger = Job.Seek;
-         estimated_bytes = 0;
-         footprint = Sched.full_range ~level_lo:1 ~level_hi:(last_level t);
-         run = (fun () -> run_seek_compaction t);
-       });
-  Scheduler.drain t.sched
-
-and run_seek_compaction t =
+let run_seek_compaction t =
   (* most fragmented guard across levels 1 .. last-1 *)
   let best = ref None in
-  for level = 1 to last_level t - 1 do
+  for level = 1 to S.last_level t - 1 do
     Array.iter
       (fun g ->
         let n = List.length g.Guard.tables in
@@ -857,14 +532,14 @@ and run_seek_compaction t =
           match !best with
           | Some (_, _, bn) when bn >= n -> ()
           | _ -> best := Some (level, g, n))
-      t.levels.(level).Guard.guards
+      t.lv.levels.(level).Guard.guards
   done;
   (match !best with
    | Some (level, g, _) -> compact_level t ~only_guards:[ g ] level
    | None -> ());
   (* fragmented last-level guards merge in place *)
-  commit_pending_with_edit t (last_level t);
-  let lvl = t.levels.(last_level t) in
+  commit_pending_with_edit t (S.last_level t);
+  let lvl = t.lv.levels.(S.last_level t) in
   let worst = ref None in
   Array.iter
     (fun g ->
@@ -879,7 +554,7 @@ and run_seek_compaction t =
    | None -> ());
   (* aggressive level rule: level i within 25% of level i+1 *)
   let continue = ref true in
-  for level = 1 to last_level t - 1 do
+  for level = 1 to S.last_level t - 1 do
     if !continue then begin
       let here = level_bytes t level and below = level_bytes t (level + 1) in
       if
@@ -892,85 +567,126 @@ and run_seek_compaction t =
     end
   done
 
-(* ---------- open / close ---------- *)
+(* Seek-triggered maintenance (§4.2): compact the most fragmented guard and
+   apply the aggressive level rule.  A rare whole-tree event, reified as a
+   single job and drained synchronously. *)
+let seek_job t =
+  Some
+    {
+      Job.key = "seek";
+      trigger = Job.Seek;
+      estimated_bytes = 0;
+      footprint = Sched.full_range ~level_lo:1 ~level_hi:(S.last_level t);
+      run = (fun () -> run_seek_compaction t);
+    }
 
-let apply_edit ~l0 ~levels ~committed ~wal_number ~next_file ~last_seq
-    (e : Manifest.edit) =
-  (match e.Manifest.log_number with Some n -> wal_number := n | None -> ());
-  (match e.Manifest.next_file_number with
-   | Some n -> next_file := max !next_file n
-   | None -> ());
-  (match e.Manifest.last_sequence with
-   | Some n -> last_seq := max !last_seq n
-   | None -> ());
+(* ---------- the level structure the shell drives ---------- *)
+
+(* FLSM flush sizes the bloom filter like a compaction output's and
+   charges each entry's merge CPU before adding it. *)
+let build_l0 t mem =
+  let b = S.new_builder t ~sized_for:t.opts.O.sstable_target_bytes in
+  List.iter
+    (fun (ikey, value) ->
+      Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
+      Table.Builder.add b ikey value)
+    (Pdb_kvs.Memtable.contents mem);
+  Table.Builder.finish b
+
+let apply_edit lv (e : Manifest.edit) =
   (* order matters: deletions, guard removals, guard additions, file adds *)
   List.iter
     (fun (level, number) ->
       if level = 0 then
-        l0 :=
-          List.filter (fun (m : Table.meta) -> m.Table.number <> number) !l0
-      else Guard.detach levels.(level) [ number ])
+        lv.l0 <-
+          List.filter (fun (m : Table.meta) -> m.Table.number <> number) lv.l0
+      else Guard.detach lv.levels.(level) [ number ])
     e.Manifest.deleted_files;
   List.iter
     (fun (level, key) ->
-      Guard.delete_guard levels.(level) key;
-      Hashtbl.remove committed.(level) key)
+      Guard.delete_guard lv.levels.(level) key;
+      Hashtbl.remove lv.committed.(level) key)
     e.Manifest.deleted_guards;
   List.iter
     (fun (level, key) ->
-      Guard.commit_guards levels.(level) [ key ];
-      Hashtbl.replace committed.(level) key ())
+      Guard.commit_guards lv.levels.(level) [ key ];
+      Hashtbl.replace lv.committed.(level) key ())
     e.Manifest.added_guards;
   List.iter
     (fun (level, meta) ->
-      if level = 0 then l0 := meta :: !l0
-      else Guard.attach levels.(level) meta)
+      if level = 0 then lv.l0 <- meta :: lv.l0
+      else Guard.attach lv.levels.(level) meta)
     e.Manifest.added_files
 
-(* Component-based so [open_store] can build the snapshot before the
-   store record exists: the snapshot must be part of the fresh MANIFEST at
-   creation time, or a crash between install and a follow-up append would
-   leave an installed MANIFEST describing an empty store. *)
-let snapshot_edit ~(opts : O.t) ~l0 ~levels ~log_number ~next_file ~last_seq =
-  let levels_above = opts.O.max_levels - 1 in
-  let e = Manifest.empty_edit () in
-  e.Manifest.log_number <- Some log_number;
-  e.Manifest.next_file_number <- Some next_file;
-  e.Manifest.last_sequence <- Some last_seq;
-  e.Manifest.added_guards <-
-    List.concat
-      (List.init levels_above (fun i ->
-           let level = i + 1 in
-           Array.to_list levels.(level).Guard.guards
-           |> List.filter_map (fun g ->
-                  if g.Guard.gkey = "" then None
-                  else Some (level, g.Guard.gkey))));
-  e.Manifest.added_files <-
-    List.map (fun m -> (0, m)) (List.rev l0)
-    @ List.concat
-        (List.init levels_above (fun i ->
-             let level = i + 1 in
-             (* oldest-first so recovery prepends back to newest-first *)
-             Array.to_list levels.(level).Guard.guards
-             |> List.concat_map (fun g ->
-                    List.rev_map (fun m -> (level, m)) g.Guard.tables)));
-  e
+let recovered _opts lv =
+  (* L0 newest-first (descending file number) *)
+  lv.l0 <-
+    List.sort
+      (fun (a : Table.meta) (b : Table.meta) ->
+        Int.compare b.Table.number a.Table.number)
+      lv.l0;
+  (* Re-derive pending guard selections: a guard committed at level i is by
+     construction selected at every deeper level; deeper levels that have
+     not committed it yet must carry it as uncommitted again. *)
+  let last = Array.length lv.levels - 1 in
+  for level = 1 to last - 1 do
+    Hashtbl.iter
+      (fun k () ->
+        for deeper = level + 1 to last do
+          if not (Hashtbl.mem lv.committed.(deeper) k) then
+            Hashtbl.replace lv.uncommitted.(deeper) k ()
+        done)
+      lv.committed.(level)
+  done
 
-(* Re-log a recovered memtable into a fresh WAL and sync it: the old log
-   may only be deleted once every record it held is durable again. *)
-let relog_memtable wal mem =
-  if not (Pdb_kvs.Memtable.is_empty mem) then begin
-    List.iter
-      (fun (ik, v) ->
-        let b = Pdb_kvs.Write_batch.create () in
-        (match Ik.kind ik with
-         | Ik.Value -> Pdb_kvs.Write_batch.put b (Ik.user_key ik) v
-         | Ik.Deletion -> Pdb_kvs.Write_batch.delete b (Ik.user_key ik));
-        Wal.Writer.add_record wal
-          (Pdb_kvs.Write_batch.encode b ~base_seq:(Ik.seq ik)))
-      (Pdb_kvs.Memtable.contents mem);
-    Wal.Writer.sync wal
-  end
+(* The snapshot names every committed guard, then every table — L0 and
+   each guard oldest-first, so recovery prepends back to newest-first. *)
+let snapshot_levels lv (e : Manifest.edit) =
+  let deeper = List.init (Array.length lv.levels - 1) (fun i -> i + 1) in
+  e.Manifest.added_guards <-
+    List.concat_map
+      (fun level ->
+        Array.to_list lv.levels.(level).Guard.guards
+        |> List.filter_map (fun g ->
+               if g.Guard.gkey = "" then None else Some (level, g.Guard.gkey)))
+      deeper;
+  e.Manifest.added_files <-
+    List.map (fun m -> (0, m)) (List.rev lv.l0)
+    @ List.concat_map
+        (fun level ->
+          Array.to_list lv.levels.(level).Guard.guards
+          |> List.concat_map (fun g ->
+                 List.rev_map (fun m -> (level, m)) g.Guard.tables))
+        deeper
+
+(* one guard per deeper level (§3.4 Get); its tables newest first *)
+let candidates t level key =
+  let lvl = t.lv.levels.(level) in
+  S.charge_cpu t t.opts.O.cpu_per_block_search_ns (* guard binary search *);
+  lvl.Guard.guards.(Guard.guard_index lvl key).Guard.tables
+
+let level_iters t ~filter ~on_table ~file_iter:_ =
+  List.init (S.last_level t) (fun i ->
+      Flsm_level_iter.create ~filter ~probe:t.probe ~level:t.lv.levels.(i + 1)
+        ~cache:t.table_cache ~block_cache:t.block_cache
+        ~hint:Device.Random_read ~on_table ())
+
+let shape =
+  {
+    apply_edit;
+    recovered;
+    snapshot = snapshot_levels;
+    l0 = (fun lv -> lv.l0);
+    add_l0 = (fun lv m -> lv.l0 <- m :: lv.l0);
+    build_l0;
+    note_put = note_guard_candidate;
+    maybe_compact;
+    candidates;
+    level_iters;
+    seek_job;
+  }
+
+(* ---------- open / close ---------- *)
 
 let open_store ?block_cache (opts : O.t) ~env ~dir =
   (match opts.O.compaction_policy with
@@ -981,475 +697,34 @@ let open_store ?block_cache (opts : O.t) ~env ~dir =
           "Pebbles_store.open_store: policy %s has no guard structure (use \
            the LSM engine)"
           (O.compaction_policy_name p)));
-  let levels = Array.init opts.O.max_levels (fun _ -> Guard.create_level ()) in
-  let committed = Array.init opts.O.max_levels (fun _ -> Hashtbl.create 64) in
-  let l0 = ref [] in
-  let wal_number = ref 0 and next_file = ref 1 and last_seq = ref 0 in
-  let mem = Pdb_kvs.Memtable.create () in
-  let wal_report = ref None in
-  (match Manifest.recover env ~dir with
-   | Some (_, edits) ->
-     List.iter
-       (apply_edit ~l0 ~levels ~committed ~wal_number ~next_file ~last_seq)
-       edits;
-     (* L0 newest-first (descending file number) *)
-     l0 :=
-       List.sort
-         (fun (a : Table.meta) (b : Table.meta) ->
-           Int.compare b.Table.number a.Table.number)
-         !l0;
-     (* replay WAL into the memtable; the old log is deleted only after
-        its records are durable in the fresh WAL and the fresh MANIFEST
-        is installed (see below) *)
-     let name = log_name dir !wal_number in
-     if Env.exists env name then begin
-       let records, report = Wal.Reader.read_all env name in
-       let rejected = ref 0 and rejected_bytes = ref 0 in
-       List.iter
-         (fun record ->
-           match Pdb_kvs.Write_batch.decode record with
-           | exception Invalid_argument _ ->
-             (* well-framed record, undecodable batch: count it, never
-                silently skip it *)
-             incr rejected;
-             rejected_bytes := !rejected_bytes + String.length record
-           | batch, base_seq ->
-             let seq = ref base_seq in
-             Pdb_kvs.Write_batch.iter batch (fun op ->
-                 (match op with
-                  | Pdb_kvs.Write_batch.Put (k, v) ->
-                    Pdb_kvs.Memtable.add mem ~seq:!seq ~kind:Ik.Value
-                      ~user_key:k ~value:v
-                  | Pdb_kvs.Write_batch.Delete k ->
-                    Pdb_kvs.Memtable.add mem ~seq:!seq ~kind:Ik.Deletion
-                      ~user_key:k ~value:"");
-                 incr seq);
-             last_seq := max !last_seq (!seq - 1))
-         records;
-       wal_report := Some (report, !rejected, !rejected_bytes)
-     end
-   | None -> ());
-  let new_log = !next_file in
-  incr next_file;
-  let manifest_number = !next_file in
-  incr next_file;
-  let wal = Wal.Writer.create env (log_name dir new_log) in
-  relog_memtable wal mem;
-  let snap =
-    snapshot_edit ~opts ~l0:!l0 ~levels ~log_number:new_log
-      ~next_file:!next_file ~last_seq:!last_seq
+  let per_level () =
+    Array.init opts.O.max_levels (fun _ -> Hashtbl.create 64)
   in
-  let t =
+  let lv =
     {
-      opts;
-      policy = Policy.of_options opts;
-      env;
-      dir;
-      clock = Env.clock env;
-      sched =
-        Scheduler.create ~env ~clock:(Env.clock env)
-          ~flush_lanes:(if opts.O.flush_reserved_lane then 1 else 0)
-          ~workers:opts.O.compaction_threads ();
-      bp = Bp.create opts;
-      stats = Stats.create ();
-      probe =
-        Pdb_simio.Probe.create_ctx ~clock:(Env.clock env)
-          ~budget:(fun () ->
-            match opts.O.probe_budget_override with
-            | Some b -> b
-            | None -> (Env.device env).Device.parallel_probe_budget)
-          ~tracer:(fun () -> Env.tracer env)
-          ();
-      table_cache =
-        Pdb_sstable.Table_cache.create ?bytes:opts.O.table_cache_bytes
-          ~summary_stride:opts.O.index_summary_stride env ~dir
-          ~entries:opts.O.table_cache_entries;
-      block_cache =
-        (match block_cache with
-         | Some cache -> cache  (* shared with the caller's other shards *)
-         | None ->
-           Pdb_sstable.Block_cache.create ~capacity:opts.O.block_cache_bytes);
-      mem;
-      wal;
-      wal_number = new_log;
-      manifest = Manifest.create env ~dir ~number:manifest_number
-          ~edits:[ snap ];
-      next_file = !next_file;
-      last_seq = !last_seq;
-      l0 = !l0;
-      levels;
-      committed;
-      uncommitted = Array.init opts.O.max_levels (fun _ -> Hashtbl.create 64);
-      consecutive_seeks = 0;
-      obsolete = [];
-      snapshots = Pdb_kvs.Snapshots.create ();
-      closed = false;
+      l0 = [];
+      levels = Array.init opts.O.max_levels (fun _ -> Guard.create_level ());
+      committed = per_level ();
+      uncommitted = per_level ();
     }
   in
-  (* Re-derive pending guard selections: a guard committed at level i is by
-     construction selected at every deeper level; deeper levels that have
-     not committed it yet must carry it as uncommitted again. *)
-  for level = 1 to last_level t - 1 do
-    Hashtbl.iter
-      (fun k () ->
-        for deeper = level + 1 to last_level t do
-          if not (Hashtbl.mem t.committed.(deeper) k) then
-            Hashtbl.replace t.uncommitted.(deeper) k ()
-        done)
-      t.committed.(level)
-  done;
-  (match !wal_report with
-   | Some ((r : Wal.Reader.report), rejected, rejected_bytes) ->
-     t.stats.Stats.wal_records_recovered <-
-       r.Wal.Reader.records_read - rejected;
-     t.stats.Stats.wal_bytes_dropped <-
-       r.Wal.Reader.bytes_dropped + rejected_bytes;
-     t.stats.Stats.wal_batches_rejected <- rejected
-   | None -> ());
-  (* the fresh MANIFEST is installed and the fresh WAL holds every
-     recovered record: the crashed incarnation's files are now garbage *)
-  Manifest.cleanup_stale env ~dir ~live_log_number:new_log
-    ~live_manifest:(Manifest.file_name t.manifest);
-  if Pdb_kvs.Memtable.approximate_bytes t.mem >= t.opts.O.memtable_bytes then
-    flush_memtable t;
-  t
+  S.open_store ~shape ~lv ?block_cache opts ~env ~dir
 
-let close t =
-  t.closed <- true;
-  gc_obsolete t;
-  Wal.Writer.close t.wal
-
-let options t = t.opts
-let env t = t.env
-let compaction_scheduler t = t.sched
-let backpressure t = t.bp
-
-(* mirror the scheduler's counters into the engine stats on read *)
-let stats t =
-  let st = t.stats in
-  let s = Scheduler.stats t.sched in
-  st.Stats.compaction_jobs <- s.Scheduler.jobs_run;
-  st.Stats.compaction_queue_peak <- s.Scheduler.queue_peak;
-  st.Stats.compaction_backlog_peak_bytes <- s.Scheduler.backlog_peak_bytes;
-  st.Stats.compaction_serialized_jobs <- Scheduler.serialized_jobs t.sched;
-  st.Stats.compaction_pending <- Scheduler.pending t.sched;
-  st.Stats.compaction_backlog_bytes <- Scheduler.backlog_bytes t.sched;
-  st.Stats.stall_slowdown_ns <- s.Scheduler.stall_slowdown_ns;
-  st.Stats.stall_stop_ns <- s.Scheduler.stall_stop_ns;
-  st.Stats.worker_busy_ns <- Scheduler.busy_ns t.sched;
-  st.Stats.flush_busy_ns <- Scheduler.flush_busy_ns t.sched;
-  st.Stats.compaction_by_trigger <- (Scheduler.stats t.sched).Scheduler.by_trigger;
-  st.Stats.block_cache_hits <- Pdb_sstable.Block_cache.hits t.block_cache;
-  st.Stats.block_cache_misses <- Pdb_sstable.Block_cache.misses t.block_cache;
-  st.Stats.table_cache_hits <- Pdb_sstable.Table_cache.hits t.table_cache;
-  st.Stats.table_cache_misses <- Pdb_sstable.Table_cache.misses t.table_cache;
-  st.Stats.summary_hits <- Pdb_sstable.Table_cache.summary_hits t.table_cache;
-  st.Stats.summary_misses <-
-    Pdb_sstable.Table_cache.summary_misses t.table_cache;
-  st
-
-(* ---------- writes ---------- *)
-
-(* All writes commit through the group path ({!Pdb_kvs.Write_group}): a
-   solo write is a group of one.  The group's records are framed
-   per-batch (log bytes identical at any group size), appended in one
-   device write and made durable by one sync — batches are acked only
-   when that sync returns. *)
-let write_group t batches =
-  assert (not t.closed);
-  gc_obsolete t;
-  t.consecutive_seeks <- 0;
-  Pdb_kvs.Write_group.commit
-    {
-      Pdb_kvs.Write_group.count = Pdb_kvs.Write_batch.count;
-      encode = Pdb_kvs.Write_batch.encode;
-      alloc_seq =
-        (fun n ->
-          let base = t.last_seq + 1 in
-          t.last_seq <- t.last_seq + n;
-          base);
-      before_group =
-        (fun ~entries ->
-          (* write throttling: the shared controller prices the group
-             against compaction debt — L0 files not yet pushed down plus
-             the scheduler's pending backlog — and the group pays once
-             (it enters the device as one write, so penalizing every
-             record would overcharge the batch it rode in on) *)
-          let debt =
-            {
-              Bp.l0_files = List.length t.l0;
-              pending_jobs = Scheduler.pending t.sched;
-              backlog_bytes = Scheduler.backlog_bytes t.sched;
-            }
-          in
-          let now_ns = Clock.elapsed_ns (Clock.snapshot t.clock) in
-          let v = Bp.throttle t.bp ~now_ns ~debt ~cost:entries in
-          let total = Bp.total_ns v in
-          if total > 0.0 then begin
-            Clock.stall t.clock total;
-            Scheduler.note_stall t.sched ~slowdown_ns:v.Bp.slowdown_ns
-              ~stop_ns:v.Bp.stop_ns;
-            t.stats.Stats.write_stalls <- t.stats.Stats.write_stalls + 1
-          end);
-      before_batch =
-        (fun batch ->
-          let count = Pdb_kvs.Write_batch.count batch in
-          let requests =
-            if Pdb_kvs.Write_batch.is_bulk batch then 1 else count
-          in
-          charge_cpu t
-            (t.opts.O.op_overhead_write_ns *. float_of_int requests);
-          charge_cpu t (t.opts.O.cpu_per_op_ns *. float_of_int count));
-      log_append = (fun records -> Wal.Writer.add_records t.wal records);
-      log_sync = (fun () -> Wal.Writer.sync t.wal);
-      apply =
-        (fun batch ~base_seq ->
-          let seq = ref base_seq in
-          Pdb_kvs.Write_batch.iter batch (fun op ->
-              charge_cpu t t.opts.O.cpu_memtable_op_ns;
-              (match op with
-               | Pdb_kvs.Write_batch.Put (k, v) ->
-                 note_guard_candidate t k;
-                 Pdb_kvs.Memtable.add t.mem ~seq:!seq ~kind:Ik.Value
-                   ~user_key:k ~value:v
-               | Pdb_kvs.Write_batch.Delete k ->
-                 Pdb_kvs.Memtable.add t.mem ~seq:!seq ~kind:Ik.Deletion
-                   ~user_key:k ~value:"");
-              incr seq);
-          t.stats.Stats.user_bytes_written <-
-            t.stats.Stats.user_bytes_written
-            + Pdb_kvs.Write_batch.payload_bytes batch);
-      memtable_full =
-        (fun () ->
-          Pdb_kvs.Memtable.approximate_bytes t.mem >= t.opts.O.memtable_bytes);
-      flush = (fun () -> flush_memtable t);
-      sync_writes = t.opts.O.wal_sync_writes;
-      stats = t.stats;
-    }
-    batches;
-  (match batches with
-   | [] -> ()
-   | _ ->
-     trace_instant t ~name:"group-commit" ~cat:"wal"
-       ~args:[ ("batches", string_of_int (List.length batches)) ]
-       ())
-
-let write t batch = write_group t [ batch ]
-
-let put t k v =
-  t.stats.Stats.puts <- t.stats.Stats.puts + 1;
-  let b = Pdb_kvs.Write_batch.create () in
-  Pdb_kvs.Write_batch.put b k v;
-  write t b
-
-let delete t k =
-  t.stats.Stats.deletes <- t.stats.Stats.deletes + 1;
-  let b = Pdb_kvs.Write_batch.create () in
-  Pdb_kvs.Write_batch.delete b k;
-  write t b
-
-let flush t = flush_memtable t
-
-(* ---------- snapshots ---------- *)
-
-(** [snapshot t] pins the current state; reads and iterators through the
-    returned sequence number see exactly the versions visible now.
-    Compaction keeps whatever pinned snapshots still need; superseded files
-    stay on storage until the last snapshot is released. *)
-let snapshot t =
-  Pdb_kvs.Snapshots.acquire t.snapshots t.last_seq;
-  t.last_seq
-
-(** [release_snapshot t s] unpins [s] (idempotence is the caller's
-    responsibility: release exactly once per acquire). *)
-let release_snapshot t s = Pdb_kvs.Snapshots.release t.snapshots s
-
-(* ---------- reads (§3.4 Get, §4.1) ---------- *)
-
-let table_lookup ?snapshot t (meta : Table.meta) key =
-  (* inside a probe session (multi-table get) each lookup's device time is
-     measured so independent table probes overlap up to the budget *)
-  Pdb_simio.Probe.measure t.probe (fun () ->
-      charge_cpu t t.opts.O.cpu_per_sstable_ns;
-      t.stats.Stats.sstables_examined <- t.stats.Stats.sstables_examined + 1;
-      let reader = Pdb_sstable.Table_cache.find t.table_cache meta in
-      let pass_bloom =
-        if Table.has_filter reader then begin
-          charge_cpu t t.opts.O.cpu_bloom_check_ns;
-          t.stats.Stats.bloom_checks <- t.stats.Stats.bloom_checks + 1;
-          let pass = Table.may_contain reader key in
-          if not pass then
-            t.stats.Stats.bloom_negative <- t.stats.Stats.bloom_negative + 1;
-          pass
-        end
-        else true
-      in
-      if not pass_bloom then None
-      else begin
-        charge_cpu t t.opts.O.cpu_per_block_search_ns;
-        let lookup =
-          match snapshot with
-          | Some seq -> Ik.lookup_at ~user_key:key ~seq
-          | None -> Ik.max_for_lookup key
-        in
-        match
-          Table.get reader ~cache:t.block_cache ~hint:Device.Random_read
-            lookup
-        with
-        | Some (ikey, value) when String.equal (Ik.user_key ikey) key ->
-          Some (Ik.kind ikey, value)
-        | Some _ | None -> None
-      end)
-
-let get ?snapshot t key =
-  assert (not t.closed);
-  t.stats.Stats.gets <- t.stats.Stats.gets + 1;
-  charge_cpu t (t.opts.O.op_overhead_read_ns +. t.opts.O.cpu_per_op_ns);
-  let mem_result =
-    match snapshot with
-    | Some seq -> Pdb_kvs.Memtable.get_at t.mem key ~seq
-    | None -> Pdb_kvs.Memtable.get t.mem key
-  in
-  match mem_result with
-  | Some (Some v) -> Some v
-  | Some None -> None
-  | None ->
-    (* the candidate tables of one lookup are independent random reads:
-       bracket them in a probe session so they overlap up to the budget *)
-    Pdb_simio.Probe.with_session t.probe ~label:"get" (fun () ->
-        let result = ref `NotFound in
-        (* L0: newest first *)
-        List.iter
-          (fun (m : Table.meta) ->
-            if !result = `NotFound && user_range_overlap m key then
-              match table_lookup ?snapshot t m key with
-              | Some (Ik.Value, v) -> result := `Found v
-              | Some (Ik.Deletion, _) -> result := `Deleted
-              | None -> ())
-          t.l0;
-        (* one guard per deeper level; tables newest first *)
-        let level = ref 1 in
-        while !result = `NotFound && !level <= last_level t do
-          let lvl = t.levels.(!level) in
-          charge_cpu t t.opts.O.cpu_per_block_search_ns
-            (* guard binary search *);
-          let gi = Guard.guard_index lvl key in
-          List.iter
-            (fun (m : Table.meta) ->
-              if !result = `NotFound && user_range_overlap m key then
-                match table_lookup ?snapshot t m key with
-                | Some (Ik.Value, v) -> result := `Found v
-                | Some (Ik.Deletion, _) -> result := `Deleted
-                | None -> ())
-            lvl.Guard.guards.(gi).Guard.tables;
-          incr level
-        done;
-        match !result with `Found v -> Some v | `Deleted | `NotFound -> None)
-
-(* ---------- iterators (§3.4 Range Queries, §4.2) ---------- *)
-
-(* [upper_user] is the iterator's inclusive user-key bound: it licenses the
-   seek filter to skip tables past it, and {!iterator} clamps the merged
-   output so skipped tables are unobservable. *)
-let internal_iterator ?upper_user t =
-  let on_table () =
-    charge_cpu t t.opts.O.cpu_per_sstable_ns;
-    t.stats.Stats.sstables_examined <- t.stats.Stats.sstables_examined + 1
-  in
-  let filter =
-    Pdb_sstable.Seek_filter.create ?upper_user
-      ~filtering:t.opts.O.seek_filtering
-      ~peek:(Pdb_sstable.Table_cache.peek t.table_cache)
-      ~on_check:(fun ~skipped ->
-        t.stats.Stats.seek_bloom_checks <- t.stats.Stats.seek_bloom_checks + 1;
-        if skipped then
-          t.stats.Stats.seek_bloom_skips <- t.stats.Stats.seek_bloom_skips + 1)
-      ()
-  in
-  (* L0 tables overlap arbitrarily, so every seek probes all of them:
-     lazy filtered wrappers skip the provably-disjoint ones and measure
-     the rest for the probe session *)
-  let l0_iters =
-    List.map
-      (fun m ->
-        let it =
-          Pdb_sstable.Seek_filter.table_iterator filter ~cache:t.table_cache
-            ~block_cache:t.block_cache ~hint:Device.Random_read ~on_table m
-        in
-        {
-          it with
-          Iter.seek =
-            (fun k ->
-              Pdb_simio.Probe.measure t.probe (fun () -> it.Iter.seek k));
-          seek_to_first =
-            (fun () ->
-              Pdb_simio.Probe.measure t.probe (fun () ->
-                  it.Iter.seek_to_first ()));
-        })
-      t.l0
-  in
-  let level_iters =
-    List.init (last_level t) (fun i ->
-        let level = i + 1 in
-        Flsm_level_iter.create ~filter ~probe:t.probe
-          ~level:t.levels.(level) ~cache:t.table_cache
-          ~block_cache:t.block_cache ~hint:Device.Random_read ~on_table ())
-  in
-  Pdb_kvs.Merging_iter.create ~compare:Ik.compare
-    ((Pdb_kvs.Memtable.iterator t.mem :: l0_iters) @ level_iters)
-
-let note_seek t =
-  t.stats.Stats.seeks <- t.stats.Stats.seeks + 1;
-  charge_cpu t (t.opts.O.op_overhead_read_ns +. t.opts.O.cpu_per_op_ns);
-  if t.opts.O.seek_based_compaction then begin
-    t.consecutive_seeks <- t.consecutive_seeks + 1;
-    if t.consecutive_seeks >= t.opts.O.seek_compaction_threshold then begin
-      t.consecutive_seeks <- 0;
-      seek_compaction t
-    end
-  end
-
-let iterator ?snapshot ?upper_bound t =
-  assert (not t.closed);
-  gc_obsolete t;
-  let db =
-    Pdb_kvs.Db_iter.wrap ?snapshot
-      (internal_iterator ?upper_user:upper_bound t)
-  in
-  (* the bound is semantic: output is clamped to keys <= upper_bound, so
-     tables the seek filter skipped as past-the-bound are unobservable *)
-  let in_bound () =
-    match upper_bound with
-    | None -> true
-    | Some up -> String.compare (db.Iter.key ()) up <= 0
-  in
-  let valid () = db.Iter.valid () && in_bound () in
-  {
-    Iter.seek =
-      (fun k ->
-        note_seek t;
-        Pdb_simio.Probe.with_session t.probe ~label:"seek" (fun () ->
-            db.Iter.seek k));
-    seek_to_first =
-      (fun () ->
-        note_seek t;
-        Pdb_simio.Probe.with_session t.probe ~label:"seek" (fun () ->
-            db.Iter.seek_to_first ()));
-    next =
-      (fun () ->
-        t.stats.Stats.nexts <- t.stats.Stats.nexts + 1;
-        charge_cpu t t.opts.O.cpu_per_op_ns;
-        db.Iter.next ());
-    valid;
-    key =
-      (fun () ->
-        if valid () then db.Iter.key ()
-        else invalid_arg "iterator: iterator is not valid");
-    value =
-      (fun () ->
-        if valid () then db.Iter.value ()
-        else invalid_arg "iterator: iterator is not valid");
-  }
+let close = S.close
+let options = S.options
+let env = S.env
+let compaction_scheduler = S.compaction_scheduler
+let backpressure = S.backpressure
+let stats = S.stats
+let write_group = S.write_group
+let write = S.write
+let put = S.put
+let delete = S.delete
+let flush = S.flush
+let snapshot = S.snapshot
+let release_snapshot = S.release_snapshot
+let get = S.get
+let iterator = S.iterator
 
 (* ---------- maintenance ---------- *)
 
@@ -1458,21 +733,19 @@ let iterator ?snapshot ?upper_bound t =
    as other key-value stores as it seeks to minimize write IO" (§5.2), so
    its fully-compacted state still has multiple sstables per guard. *)
 let compact_all t =
-  flush_memtable t;
-  if t.l0 <> [] then
+  S.flush t;
+  if t.lv.l0 <> [] then
     Scheduler.run_now t.sched
       {
         Job.key = "manual:l0";
         trigger = Job.Manual;
         estimated_bytes =
-          List.fold_left
-            (fun a (m : Table.meta) -> a + m.Table.file_size)
-            0 t.l0;
+          S.bytes_of t.lv.l0;
         footprint = Sched.full_range ~level_lo:0 ~level_hi:1;
         run = (fun () -> compact_level t 0);
       };
   maybe_compact t;
-  gc_obsolete t
+  S.gc_obsolete t
 
 (* PebblesDB keeps every sstable's bloom filter (and effectively its index)
    resident in memory — the memory overhead Table 5.4 quantifies and §7
@@ -1481,8 +754,8 @@ let compact_all t =
 let memory_bytes t =
   let guard_meta =
     let sum = ref 0 in
-    for level = 1 to last_level t do
-      sum := !sum + Guard.metadata_bytes t.levels.(level)
+    for level = 1 to S.last_level t do
+      sum := !sum + Guard.metadata_bytes t.lv.levels.(level)
     done;
     !sum
   in
@@ -1500,22 +773,20 @@ let memory_bytes t =
         + (((m.Table.file_size / t.opts.O.block_bytes) + 1) * 24)
     in
     let sum = ref 0 in
-    List.iter (fun m -> sum := !sum + per_file m) t.l0;
-    for level = 1 to last_level t do
+    List.iter (fun m -> sum := !sum + per_file m) t.lv.l0;
+    for level = 1 to S.last_level t do
       List.iter
         (fun m -> sum := !sum + per_file m)
-        (Guard.all_tables t.levels.(level))
+        (Guard.all_tables t.lv.levels.(level))
     done;
     !sum
   in
-  Pdb_kvs.Memtable.approximate_bytes t.mem
-  + Pdb_sstable.Block_cache.used t.block_cache
-  + filters_and_indexes + guard_meta
+  S.base_memory_bytes t + filters_and_indexes + guard_meta
 
 let refresh_empty_guard_stat t =
   let n = ref 0 in
-  for level = 1 to last_level t do
-    n := !n + Guard.empty_guard_count t.levels.(level)
+  for level = 1 to S.last_level t do
+    n := !n + Guard.empty_guard_count t.lv.levels.(level)
   done;
   t.stats.Stats.guards_empty <- !n
 
@@ -1523,7 +794,7 @@ let describe t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Printf.sprintf "pebblesdb store (%s)\n" t.opts.O.name);
   Buffer.add_string buf
-    (Printf.sprintf "  level 0 (no guards): %d sstables\n" (List.length t.l0));
+    (Printf.sprintf "  level 0 (no guards): %d sstables\n" (List.length t.lv.l0));
   List.iter
     (fun (m : Table.meta) ->
       Buffer.add_string buf
@@ -1531,9 +802,9 @@ let describe t =
            (Ik.user_key m.Table.smallest)
            (Ik.user_key m.Table.largest)
            m.Table.file_size))
-    t.l0;
-  for level = 1 to last_level t do
-    let lvl = t.levels.(level) in
+    t.lv.l0;
+  for level = 1 to S.last_level t do
+    let lvl = t.lv.levels.(level) in
     if Guard.table_count lvl > 0 || Guard.guard_count lvl > 0 then begin
       Buffer.add_string buf
         (Printf.sprintf "  level %d (%d guards, %d sstables, %dB):\n" level
@@ -1567,9 +838,9 @@ let check_invariants t =
       check_l0 (b :: rest)
     | [ _ ] | [] -> ()
   in
-  check_l0 t.l0;
-  for level = 1 to last_level t do
-    let lvl = t.levels.(level) in
+  check_l0 t.lv.l0;
+  for level = 1 to S.last_level t do
+    let lvl = t.lv.levels.(level) in
     let g = lvl.Guard.guards in
     if Array.length g = 0 || g.(0).Guard.gkey <> "" then
       failwith "flsm invariant: missing sentinel guard";
@@ -1581,13 +852,13 @@ let check_invariants t =
     (* skip-list property: a guard committed here is at least *selected*
        (committed or uncommitted) at every deeper level — deeper levels
        commit lazily, at their own next compaction (§3.3) *)
-    if level < last_level t then
+    if level < S.last_level t then
       Array.iter
         (fun (gu : Guard.guard) ->
           if
             gu.Guard.gkey <> ""
-            && (not (Hashtbl.mem t.committed.(level + 1) gu.Guard.gkey))
-            && not (Hashtbl.mem t.uncommitted.(level + 1) gu.Guard.gkey)
+            && (not (Hashtbl.mem t.lv.committed.(level + 1) gu.Guard.gkey))
+            && not (Hashtbl.mem t.lv.uncommitted.(level + 1) gu.Guard.gkey)
           then failwith "flsm invariant: guard not selected in deeper level")
         g;
     (* every table fits inside its guard; files exist *)
@@ -1608,15 +879,15 @@ let check_invariants t =
     (* committed set matches structure *)
     Array.iter
       (fun (gu : Guard.guard) ->
-        if gu.Guard.gkey <> "" && not (Hashtbl.mem t.committed.(level) gu.Guard.gkey)
+        if gu.Guard.gkey <> "" && not (Hashtbl.mem t.lv.committed.(level) gu.Guard.gkey)
         then failwith "flsm invariant: structure guard missing from committed set")
       g;
     (* no guard both committed and uncommitted *)
     Hashtbl.iter
       (fun k () ->
-        if Hashtbl.mem t.committed.(level) k then
+        if Hashtbl.mem t.lv.committed.(level) k then
           failwith "flsm invariant: guard both committed and uncommitted")
-      t.uncommitted.(level)
+      t.lv.uncommitted.(level)
   done
 
 (* ---------- guard deletion (§3.3, §7) ---------- *)
@@ -1635,14 +906,14 @@ let delete_empty_guards t =
   (* a guard key is removable iff every level where it is committed holds
      no sstables under it *)
   let removable = Hashtbl.create 16 in
-  for level = 1 to last_level t do
+  for level = 1 to S.last_level t do
     Array.iter
       (fun (g : Guard.guard) ->
         if g.Guard.gkey <> "" then
           match Hashtbl.find_opt removable g.Guard.gkey with
           | Some false -> ()
           | _ -> Hashtbl.replace removable g.Guard.gkey (g.Guard.tables = []))
-      t.levels.(level).Guard.guards
+      t.lv.levels.(level).Guard.guards
   done;
   let doomed =
     Hashtbl.fold (fun k ok acc -> if ok then k :: acc else acc) removable []
@@ -1651,15 +922,15 @@ let delete_empty_guards t =
     let edit_entries = ref [] in
     List.iter
       (fun key ->
-        for level = 1 to last_level t do
-          if Hashtbl.mem t.committed.(level) key then begin
-            Guard.delete_guard t.levels.(level) key;
-            Hashtbl.remove t.committed.(level) key;
+        for level = 1 to S.last_level t do
+          if Hashtbl.mem t.lv.committed.(level) key then begin
+            Guard.delete_guard t.lv.levels.(level) key;
+            Hashtbl.remove t.lv.committed.(level) key;
             edit_entries := (level, key) :: !edit_entries
           end;
           (* forget any pending selection so the guard is not immediately
              re-committed *)
-          Hashtbl.remove t.uncommitted.(level) key
+          Hashtbl.remove t.lv.uncommitted.(level) key
         done)
       doomed;
     let e = Manifest.empty_edit () in
@@ -1669,33 +940,31 @@ let delete_empty_guards t =
   List.length doomed
 
 (* exposed for tests and experiments *)
-let l0_table_count t = List.length t.l0
+let l0_table_count t = List.length t.lv.l0
 
 let guard_counts t =
   Array.init t.opts.O.max_levels (fun level ->
-      if level = 0 then 0 else Guard.guard_count t.levels.(level))
+      if level = 0 then 0 else Guard.guard_count t.lv.levels.(level))
 
 let empty_guard_count t =
   refresh_empty_guard_stat t;
   t.stats.Stats.guards_empty
 
 let sstable_metas t =
-  t.l0
+  t.lv.l0
   @ List.concat
-      (List.init (last_level t) (fun i -> Guard.all_tables t.levels.(i + 1)))
+      (List.init (S.last_level t) (fun i -> Guard.all_tables t.lv.levels.(i + 1)))
 
 let level_sizes t =
   Array.init t.opts.O.max_levels (fun level ->
-      if level = 0 then
-        List.fold_left (fun a (m : Table.meta) -> a + m.Table.file_size) 0 t.l0
-      else Guard.bytes t.levels.(level))
+      if level = 0 then S.bytes_of t.lv.l0 else level_bytes t level)
 
 let max_tables_in_any_guard t =
   let worst = ref 0 in
-  for level = 1 to last_level t do
+  for level = 1 to S.last_level t do
     Array.iter
       (fun (g : Guard.guard) ->
         worst := max !worst (List.length g.Guard.tables))
-      t.levels.(level).Guard.guards
+      t.lv.levels.(level).Guard.guards
   done;
   !worst

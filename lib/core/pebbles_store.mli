@@ -76,10 +76,13 @@ val flush : t -> unit
 val get : ?snapshot:int -> t -> string -> string option
 
 (** [iterator ?snapshot ?upper_bound t] is a database iterator over live
-    user keys.  Iterators are invalidated by writes (no pinning); seeks
-    feed the seek-triggered compaction heuristic (§4.2) and run inside a
-    parallel-probe session (§4.2's parallel seeks, budgeted by the
-    device).  [upper_bound] is an inclusive user-key bound: output is
+    user keys.  An iterator stays valid until the next write — including
+    across other readers' seeks and the seek compactions they trigger:
+    superseded files are deleted only at mutating operations, and each
+    guarded level is walked as it stood at the iterator's own latest seek.
+    Writes invalidate it (no pinning).  Seeks feed the seek-triggered
+    compaction heuristic (§4.2) and run inside a parallel-probe session
+    (§4.2's parallel seeks, budgeted by the device).  [upper_bound] is an inclusive user-key bound: output is
     clamped to it, and the seek filter may skip any sstable past it. *)
 val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Pdb_kvs.Iter.t
 

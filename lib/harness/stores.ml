@@ -29,6 +29,23 @@ let engine_name = function
   | Btree -> "kyotocabinet-sim"
   | Wiredtiger -> "wiredtiger-sim"
 
+(** The names the command-line front ends accept for [--store]. *)
+let store_names =
+  [
+    ("pebblesdb", Pebblesdb);
+    ("pebblesdb-1", Pebblesdb_one);
+    ("hyperleveldb", Hyperleveldb);
+    ("leveldb", Leveldb);
+    ("rocksdb", Rocksdb);
+    ("kyotocabinet", Btree);
+    ("wiredtiger", Wiredtiger);
+  ]
+
+let engine_of_string s =
+  match List.assoc_opt s store_names with
+  | Some e -> Ok e
+  | None -> Error (Printf.sprintf "unknown store %S" s)
+
 let default_options = function
   | Pebblesdb -> O.pebblesdb ()
   | Pebblesdb_one ->
@@ -70,19 +87,51 @@ let with_policy p tweak o =
    current state, which the serial simulation makes equivalent as long
    as no writes intervene. *)
 
-module Pebbles_engine = struct
-  include Pebblesdb.Pebbles_store
+(* What the two LSM-family engines (both over {!Pdb_engine.Shell}) share
+   beyond {!Dyn.S}: optional snapshot, bound and block-cache arguments,
+   snapshots, and a compaction scheduler. *)
+module type SHELL_ENGINE = sig
+  type t
 
-  let open_store opts ~env ~dir = open_store opts ~env ~dir
-  let get t k = get t k
-  let iterator t = iterator t
+  val open_store :
+    ?block_cache:Pdb_sstable.Block_cache.t ->
+    O.t ->
+    env:Env.t ->
+    dir:string ->
+    t
+
+  val get : ?snapshot:int -> t -> string -> string option
+  val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Pdb_kvs.Iter.t
+  val snapshot : t -> int
+  val release_snapshot : t -> int -> unit
+  val compaction_scheduler : t -> Pdb_compaction.Scheduler.t
+  val close : t -> unit
+  val put : t -> string -> string -> unit
+  val delete : t -> string -> unit
+  val write : t -> Pdb_kvs.Write_batch.t -> unit
+  val write_group : t -> Pdb_kvs.Write_batch.t list -> unit
+  val flush : t -> unit
+  val compact_all : t -> unit
+  val stats : t -> Pdb_kvs.Engine_stats.t
+  val options : t -> O.t
+  val env : t -> Env.t
+  val memory_bytes : t -> int
+  val describe : t -> string
+  val check_invariants : t -> unit
+end
+
+module Shell_engine (E : SHELL_ENGINE) = struct
+  include E
+
+  let open_store opts ~env ~dir = E.open_store opts ~env ~dir
+  let get t k = E.get t k
+  let iterator t = E.iterator t
 
   let open_shard opts ~env ~dir ~shared_block_cache =
-    Pebblesdb.Pebbles_store.open_store ?block_cache:shared_block_cache opts
-      ~env ~dir
+    E.open_store ?block_cache:shared_block_cache opts ~env ~dir
 
-  let get_at t ~snapshot k = Pebblesdb.Pebbles_store.get ~snapshot t k
-  let iterator_at t ~snapshot = Pebblesdb.Pebbles_store.iterator ~snapshot t
+  let get_at t ~snapshot k = E.get ~snapshot t k
+  let iterator_at t ~snapshot = E.iterator ~snapshot t
   let scheduler t = Some (compaction_scheduler t)
 
   let on_job_complete t f =
@@ -90,25 +139,8 @@ module Pebbles_engine = struct
         f ())
 end
 
-module Lsm_engine = struct
-  include Pdb_lsm.Lsm_store
-
-  let open_store opts ~env ~dir = open_store opts ~env ~dir
-  let get t k = get t k
-  let iterator t = iterator t
-
-  let open_shard opts ~env ~dir ~shared_block_cache =
-    Pdb_lsm.Lsm_store.open_store ?block_cache:shared_block_cache opts ~env
-      ~dir
-
-  let get_at t ~snapshot k = Pdb_lsm.Lsm_store.get ~snapshot t k
-  let iterator_at t ~snapshot = Pdb_lsm.Lsm_store.iterator ~snapshot t
-  let scheduler t = Some (compaction_scheduler t)
-
-  let on_job_complete t f =
-    Pdb_compaction.Scheduler.set_observer (compaction_scheduler t) (fun _ ->
-        f ())
-end
+module Pebbles_engine = Shell_engine (Pebblesdb.Pebbles_store)
+module Lsm_engine = Shell_engine (Pdb_lsm.Lsm_store)
 
 module Btree_engine = struct
   include Pdb_btree.Bptree

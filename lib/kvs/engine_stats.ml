@@ -33,7 +33,9 @@ type t = {
   mutable write_stalls : int;
   mutable guards_committed : int;  (** FLSM only *)
   mutable guards_empty : int;  (** FLSM only; refreshed on demand *)
-  mutable seek_compactions : int;  (** FLSM only *)
+  mutable seek_compactions : int;
+      (** seek-triggered compaction jobs submitted (both LSM-family
+          engines); equals the scheduler's [seek]-trigger run count *)
   mutable write_breakdown : (string * int) list;
       (** bytes written per compaction category (diagnostics) *)
   mutable compaction_by_trigger : (string * (int * int)) list;

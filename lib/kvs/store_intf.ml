@@ -28,7 +28,9 @@ module type S = sig
   val write_group : t -> Write_batch.t list -> unit
 
   (** [iterator t] is a database iterator over live user keys (tombstones
-      and stale versions filtered). *)
+      and stale versions filtered).  It stays valid until the next write to
+      the store, including across other readers' seeks and any compaction
+      those seeks trigger; after a write it must not be used again. *)
   val iterator : t -> Iter.t
 
   (** [flush t] persists the active memtable as an sstable. *)

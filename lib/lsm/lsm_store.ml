@@ -19,64 +19,35 @@
     tiered level is strictly newer than any run below it that shares
     keys, so newest-first probing stays correct (the L0 argument,
     generalised).  The [flsm_guarded] policy needs guard state and lives
-    in the FLSM engine. *)
+    in the FLSM engine.
 
+    The memtable, WAL, recovery, group commit and read plumbing are the
+    shared {!Pdb_engine.Shell}; this module supplies the level
+    structure. *)
+
+module S = Pdb_engine.Shell
+open S.Types
 module Ik = Pdb_kvs.Internal_key
-module Iter = Pdb_kvs.Iter
 module O = Pdb_kvs.Options
 module Env = Pdb_simio.Env
 module Clock = Pdb_simio.Clock
 module Device = Pdb_simio.Device
 module Table = Pdb_sstable.Table
-module Wal = Pdb_wal.Wal
 module Manifest = Pdb_manifest.Manifest
 module Job = Pdb_compaction.Job
 module Scheduler = Pdb_compaction.Scheduler
 module Policy = Pdb_compaction.Policy
 module Sched = Pdb_simio.Sched
-module Bp = Pdb_kvs.Backpressure
 
-type t = {
-  opts : O.t;
-  policy : Policy.t;
-  env : Env.t;
-  dir : string;
-  clock : Clock.t;
-  sched : Scheduler.t; (* shared background-compaction scheduler *)
-  bp : Bp.t; (* shared write-throttling controller (Backpressure) *)
-  stats : Pdb_kvs.Engine_stats.t;
-  probe : Pdb_simio.Probe.ctx; (* parallel-probe budget sessions *)
-  table_cache : Pdb_sstable.Table_cache.t;
-  block_cache : Pdb_sstable.Block_cache.t;
-  mutable mem : Pdb_kvs.Memtable.t;
-  mutable wal : Wal.Writer.t;
-  mutable wal_number : int;
-  mutable manifest : Manifest.t;
-  mutable next_file : int;
-  mutable last_seq : int;
+type levels = {
   levels : Table.meta list array;
       (* level 0: newest first (descending file number); levels >= 1:
          leveled layout = ascending by smallest key, disjoint ranges;
          tiered layout = newest first, runs may overlap *)
   compact_pointer : string array; (* round-robin pick cursor per level *)
-  mutable obsolete : string list; (* files awaiting deletion *)
-  snapshots : Pdb_kvs.Snapshots.t;
-  mutable consecutive_seeks : int;
-  mutable closed : bool;
 }
 
-let log_name dir n = Printf.sprintf "%s/%06d.log" dir n
-
-let new_file_number t =
-  let n = t.next_file in
-  t.next_file <- n + 1;
-  n
-
-let charge_cpu t ns = Clock.advance_cpu t.clock ns
-
-let user_range_overlap (m : Table.meta) key =
-  String.compare (Ik.user_key m.Table.smallest) key <= 0
-  && String.compare key (Ik.user_key m.Table.largest) <= 0
+type t = levels S.t
 
 (* ---------- policy-dependent level layout ---------- *)
 
@@ -89,7 +60,8 @@ let tiered_layout ~policy ~opts level =
   && Policy.(
        policy.layout ~level ~last_level:(last_level opts) = Tiered_runs)
 
-let tiered_level t level = tiered_layout ~policy:t.policy ~opts:t.opts level
+let tiered_level (t : t) level =
+  tiered_layout ~policy:t.policy ~opts:t.opts level
 
 let sort_newest_first files =
   List.sort
@@ -109,311 +81,100 @@ let sort_for_level ~policy ~opts level files =
     sort_newest_first files
   else sort_by_smallest files
 
-(* ---------- obsolete-file garbage collection ---------- *)
-
-(* Files are deleted lazily at the next mutating operation, so that open
-   iterators (which are invalidated, not protected, by writes — as
-   documented in Store_intf) never read a vanished file. *)
-(* Superseded files stay pinned while snapshots are live. *)
-let gc_obsolete t =
-  if Pdb_kvs.Snapshots.is_empty t.snapshots then begin
-    List.iter
-      (fun name ->
-        (* drop the dead file's decoded blocks with it: they can never
-           hit again and would squat in the shared LRU *)
-        Pdb_sstable.Block_cache.evict_file t.block_cache ~file:name;
-        Env.delete t.env name)
-      t.obsolete;
-    t.obsolete <- []
-  end
-
-(* Foreground trace instants (WAL rotations, group commits), stamped at
-   the clock's current modeled time; no-ops without an attached tracer. *)
-let trace_instant t ?(args = []) ~name ~cat () =
-  match Env.tracer t.env with
-  | Some tr ->
-    Pdb_simio.Trace.instant tr ~args ~name ~cat ~lane:"foreground"
-      ~ts_ns:(Clock.elapsed_ns (Clock.snapshot t.clock))
-      ()
-  | None -> ()
-
-(* ---------- recovery ---------- *)
-
-(* Replay a list of version edits into mutable local state; shared with the
-   FLSM engine's recovery shape. *)
-let apply_edit ~levels ~wal_number ~next_file ~last_seq (e : Manifest.edit) =
-  (match e.Manifest.log_number with
-   | Some n -> wal_number := n
-   | None -> ());
-  (match e.Manifest.next_file_number with
-   | Some n -> next_file := max !next_file n
-   | None -> ());
-  (match e.Manifest.last_sequence with
-   | Some n -> last_seq := max !last_seq n
-   | None -> ());
-  List.iter
-    (fun (level, number) ->
-      levels.(level) <-
-        List.filter (fun (m : Table.meta) -> m.Table.number <> number)
-          levels.(level))
-    e.Manifest.deleted_files;
-  List.iter
-    (fun (level, meta) -> levels.(level) <- meta :: levels.(level))
-    e.Manifest.added_files
-
-let normalize_levels ~policy ~opts levels =
-  for i = 0 to Array.length levels - 1 do
-    levels.(i) <- sort_for_level ~policy ~opts i levels.(i)
-  done
-
-(* Snapshot the whole state as a single edit (written to a fresh MANIFEST
-   on every open, as LevelDB does).  Built from recovery-local components
-   so the edit can be installed atomically with the MANIFEST itself. *)
-let snapshot_edit ~levels ~log_number ~next_file ~last_seq =
-  let e = Manifest.empty_edit () in
-  e.Manifest.log_number <- Some log_number;
-  e.Manifest.next_file_number <- Some next_file;
-  e.Manifest.last_sequence <- Some last_seq;
-  e.Manifest.added_files <-
-    List.concat
-      (List.mapi
-         (fun level files -> List.map (fun m -> (level, m)) (List.rev files))
-         (Array.to_list levels));
-  e
-
-(* Replay the WAL numbered [wal_number] into [mem]; returns the highest
-   sequence number seen and the reader's recovery report, extended with
-   any well-framed records whose batch payload failed to decode — those
-   are counted as rejected, never silently skipped.  The log file is
-   left in place — it may be deleted only once its contents are durable
-   elsewhere (the re-logged fresh WAL installed by open). *)
-let replay_wal env ~dir ~wal_number ~mem ~last_seq =
-  let name = log_name dir wal_number in
-  let seq_max = ref last_seq in
-  if Env.exists env name then begin
-    let records, report = Wal.Reader.read_all env name in
-    let rejected = ref 0 and rejected_bytes = ref 0 in
-    List.iter
-      (fun record ->
-        match Pdb_kvs.Write_batch.decode record with
-        | exception Invalid_argument _ ->
-          incr rejected;
-          rejected_bytes := !rejected_bytes + String.length record
-        | batch, base_seq ->
-          let seq = ref base_seq in
-          Pdb_kvs.Write_batch.iter batch (fun op ->
-              (match op with
-               | Pdb_kvs.Write_batch.Put (k, v) ->
-                 Pdb_kvs.Memtable.add mem ~seq:!seq ~kind:Ik.Value ~user_key:k
-                   ~value:v
-               | Pdb_kvs.Write_batch.Delete k ->
-                 Pdb_kvs.Memtable.add mem ~seq:!seq ~kind:Ik.Deletion
-                   ~user_key:k ~value:"");
-              incr seq);
-          seq_max := max !seq_max (!seq - 1))
-      records;
-    (!seq_max, Some (report, !rejected, !rejected_bytes))
-  end
-  else (!seq_max, None)
-
-(* Write the recovered memtable back into a fresh WAL, one record per
-   entry so each keeps its original sequence number.  Recovery must never
-   leave a window in which acked data exists only in a file the new
-   MANIFEST no longer names. *)
-let relog_memtable wal mem =
-  if not (Pdb_kvs.Memtable.is_empty mem) then begin
-    List.iter
-      (fun (ik, v) ->
-        let b = Pdb_kvs.Write_batch.create () in
-        (match Ik.kind ik with
-         | Ik.Value -> Pdb_kvs.Write_batch.put b (Ik.user_key ik) v
-         | Ik.Deletion -> Pdb_kvs.Write_batch.delete b (Ik.user_key ik));
-        Wal.Writer.add_record wal
-          (Pdb_kvs.Write_batch.encode b ~base_seq:(Ik.seq ik)))
-      (Pdb_kvs.Memtable.contents mem);
-    Wal.Writer.sync wal
-  end
-
-(* ---------- flush (memtable -> level-0 sstable) ---------- *)
-
-let build_table_from_iter t ~iter ~level:_ =
-  let number = new_file_number t in
-  let builder =
-    Table.Builder.create t.env ~dir:t.dir ~number
-      ~prefix_bloom_len:t.opts.O.prefix_bloom_len
-      ~block_bytes:t.opts.O.block_bytes ~bloom:t.opts.O.sstable_bloom
-      ~expected_keys:
-        (max 16 (t.opts.O.memtable_bytes / 64) (* rough per-key estimate *))
-  in
-  iter (fun ikey value ->
-      Table.Builder.add builder ikey value;
-      Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns);
-  Table.Builder.finish builder
-
-let rec flush_memtable t =
-  if not (Pdb_kvs.Memtable.is_empty t.mem) then begin
-    let mem = t.mem in
-    (* the flush is a background job: the scheduler runs it immediately
-       (a full memtable gates the triggering write) and places its
-       device time on a worker lane *)
-    let meta = ref None in
-    Scheduler.run_now t.sched
-      {
-        Job.key = "flush";
-        trigger = Job.Memtable_full;
-        estimated_bytes = Pdb_kvs.Memtable.approximate_bytes mem;
-        footprint = Sched.full_range ~level_lo:0 ~level_hi:0;
-        run =
-          (fun () ->
-            meta :=
-              build_table_from_iter t ~level:0 ~iter:(fun f ->
-                  List.iter
-                    (fun (ik, v) -> f ik v)
-                    (Pdb_kvs.Memtable.contents mem)));
-      };
-    let meta = !meta in
-    (match meta with
-     | Some meta ->
-       t.levels.(0) <- meta :: t.levels.(0);
-       t.stats.Pdb_kvs.Engine_stats.flushes <-
-         t.stats.Pdb_kvs.Engine_stats.flushes + 1;
-       t.stats.Pdb_kvs.Engine_stats.sstables_built <-
-         t.stats.Pdb_kvs.Engine_stats.sstables_built + 1
-     | None -> ());
-    (* rotate WAL — crash-safe order: open the new log, commit the
-       manifest edit that names it (and the flushed table), and only then
-       retire the old log.  Deleting first would leave a window where the
-       memtable's data exists in no durable file the MANIFEST names. *)
-    let old_log = t.wal_number in
-    let new_log = new_file_number t in
-    t.wal <- Wal.Writer.create t.env (log_name t.dir new_log);
-    t.wal_number <- new_log;
-    t.mem <- Pdb_kvs.Memtable.create ();
-    let e = Manifest.empty_edit () in
-    e.Manifest.log_number <- Some new_log;
-    e.Manifest.next_file_number <- Some t.next_file;
-    e.Manifest.last_sequence <- Some t.last_seq;
-    (match meta with
-     | Some m -> e.Manifest.added_files <- [ (0, m) ]
-     | None -> ());
-    Manifest.append t.manifest e;
-    Env.delete t.env (log_name t.dir old_log);
-    trace_instant t ~name:"wal-rotate" ~cat:"wal"
-      ~args:
-        [
-          ("old", string_of_int old_log); ("new", string_of_int new_log);
-        ]
-      ();
-    maybe_compact t
-  end
-
 (* ---------- compaction ---------- *)
 
-and level_bytes t level =
-  List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.file_size) 0
-    t.levels.(level)
+let level_bytes (t : t) level = S.bytes_of t.lv.levels.(level)
 
-and level_state t level =
+let level_state (t : t) level =
   {
     Policy.level;
     last_level = last_level t.opts;
-    files = List.length t.levels.(level);
+    files = List.length t.lv.levels.(level);
     bytes = level_bytes t level;
     max_bytes = O.level_max_bytes t.opts (max 1 level);
     file_trigger = t.opts.O.l0_compaction_trigger;
   }
 
-and compaction_score t level = t.policy.Policy.score (level_state t level)
+let compaction_score (t : t) level = t.policy.Policy.score (level_state t level)
 
-and pick_inputs t level =
+let overlapping_files (t : t) level ~smallest ~largest =
+  List.filter
+    (fun (m : Table.meta) ->
+      not
+        (String.compare (Ik.user_key m.Table.largest) smallest < 0
+         || String.compare (Ik.user_key m.Table.smallest) largest > 0))
+    t.lv.levels.(level)
+
+let pick_l0_closure (t : t) =
+  (* the oldest L0 file plus every L0 file overlapping it (LevelDB's
+     rule).  On sequential fills the L0 files are disjoint, so this
+     selects a single file and enables the trivial-move fast path. *)
+  match List.rev t.lv.levels.(0) with
+  | [] -> []
+  | oldest :: _ ->
+    let lo = ref (Ik.user_key oldest.Table.smallest)
+    and hi = ref (Ik.user_key oldest.Table.largest) in
+    (* grow the range transitively over overlapping files *)
+    let changed = ref true in
+    let selected = ref [ oldest ] in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (m : Table.meta) ->
+          if
+            not
+              (List.exists
+                 (fun (s : Table.meta) -> s.Table.number = m.Table.number)
+                 !selected)
+            && not
+                 (String.compare (Ik.user_key m.Table.largest) !lo < 0
+                  || String.compare (Ik.user_key m.Table.smallest) !hi > 0)
+          then begin
+            selected := m :: !selected;
+            if String.compare (Ik.user_key m.Table.smallest) !lo < 0 then
+              lo := Ik.user_key m.Table.smallest;
+            if String.compare (Ik.user_key m.Table.largest) !hi > 0 then
+              hi := Ik.user_key m.Table.largest;
+            changed := true
+          end)
+        t.lv.levels.(0)
+    done;
+    !selected
+
+let pick_round_robin (t : t) level =
+  (* round-robin: first [compaction_pick_files] files after the pointer *)
+  let files = t.lv.levels.(level) in
+  let after =
+    List.filter
+      (fun (m : Table.meta) ->
+        String.compare (Ik.user_key m.Table.largest) t.lv.compact_pointer.(level)
+        > 0)
+      files
+  in
+  let pool = if after = [] then files else after in
+  (* a first pick that overlaps nothing below is a trivial move; widening
+     it to [compaction_pick_files] would throw the fast path away *)
+  match pool with
+  | first :: _
+    when overlapping_files t (level + 1)
+           ~smallest:(Ik.user_key first.Table.smallest)
+           ~largest:(Ik.user_key first.Table.largest)
+         = [] ->
+    [ first ]
+  | _ -> List.filteri (fun i _ -> i < t.opts.O.compaction_pick_files) pool
+
+let pick_inputs (t : t) level =
   match t.policy.Policy.victims (level_state t level) with
   | Policy.All_files ->
     (* tiering: the whole level merges wholesale into one new run *)
-    t.levels.(level)
+    t.lv.levels.(level)
   | Policy.Guard_pick ->
     (* guard state lives in the FLSM engine; rejected at open *)
     assert false
   | Policy.Oldest_overlap_closure -> pick_l0_closure t
   | Policy.Round_robin -> pick_round_robin t level
 
-and pick_l0_closure t =
-  begin
-    (* the oldest L0 file plus every L0 file overlapping it (LevelDB's
-       rule).  On sequential fills the L0 files are disjoint, so this
-       selects a single file and enables the trivial-move fast path. *)
-    match List.rev t.levels.(0) with
-    | [] -> []
-    | oldest :: _ ->
-      let lo = ref (Ik.user_key oldest.Table.smallest)
-      and hi = ref (Ik.user_key oldest.Table.largest) in
-      (* grow the range transitively over overlapping files *)
-      let changed = ref true in
-      let selected = ref [ oldest ] in
-      while !changed do
-        changed := false;
-        List.iter
-          (fun (m : Table.meta) ->
-            if
-              not
-                (List.exists
-                   (fun (s : Table.meta) -> s.Table.number = m.Table.number)
-                   !selected)
-              && not
-                   (String.compare (Ik.user_key m.Table.largest) !lo < 0
-                    || String.compare (Ik.user_key m.Table.smallest) !hi > 0)
-            then begin
-              selected := m :: !selected;
-              if String.compare (Ik.user_key m.Table.smallest) !lo < 0 then
-                lo := Ik.user_key m.Table.smallest;
-              if String.compare (Ik.user_key m.Table.largest) !hi > 0 then
-                hi := Ik.user_key m.Table.largest;
-              changed := true
-            end)
-          t.levels.(0)
-      done;
-      !selected
-  end
-
-and pick_round_robin t level =
-  begin
-    (* round-robin: first [compaction_pick_files] files after the pointer *)
-    let files = t.levels.(level) in
-    let after =
-      List.filter
-        (fun (m : Table.meta) ->
-          String.compare
-            (Ik.user_key m.Table.largest)
-            t.compact_pointer.(level)
-          > 0)
-        files
-    in
-    let pool = if after = [] then files else after in
-    (* a first pick that overlaps nothing below is a trivial move; widening
-       it to [compaction_pick_files] would throw the fast path away *)
-    (match pool with
-     | first :: _
-       when overlapping_files t (level + 1)
-              ~smallest:(Ik.user_key first.Table.smallest)
-              ~largest:(Ik.user_key first.Table.largest)
-            = [] ->
-       [ first ]
-     | _ ->
-       let rec take n = function
-         | [] -> []
-         | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-       in
-       take t.opts.O.compaction_pick_files pool)
-  end
-
-and overlapping_files t level ~smallest ~largest =
-  List.filter
-    (fun (m : Table.meta) ->
-      not
-        (String.compare (Ik.user_key m.Table.largest) smallest < 0
-         || String.compare (Ik.user_key m.Table.smallest) largest > 0))
-    t.levels.(level)
-
-and input_user_range inputs =
+let input_user_range inputs =
   let smallest =
     List.fold_left
       (fun acc (m : Table.meta) ->
@@ -441,125 +202,43 @@ and input_user_range inputs =
    [single_output] builds one table regardless of size: a run stacked
    onto a tiered level must stay one file, because tiered levels count
    files as runs (the run-count trigger) and order them by recency. *)
-and run_merge t ~inputs_lo ~inputs_hi ~drop_tombstones ~single_output =
-  let scratch =
-    Pdb_sstable.Block_cache.create ~capacity:(8 * t.opts.O.block_bytes)
+let run_merge (t : t) ~inputs_lo ~inputs_hi ~drop_tombstones ~single_output =
+  let cutoff =
+    if single_output then max_int else t.opts.O.sstable_target_bytes
   in
-  let iter_of_meta m =
-    (* bypass the table cache: compaction streams its inputs sequentially
-       and must not evict hot read-path tables *)
-    let reader =
-      Table.open_reader ~hint:Device.Sequential_read t.env ~dir:t.dir m
-    in
-    Table.iterator reader ~cache:scratch ~hint:Device.Sequential_read
-  in
-  let children = List.map iter_of_meta (inputs_lo @ inputs_hi) in
-  let merged = Pdb_kvs.Merging_iter.create ~compare:Ik.compare children in
-  let outputs = ref [] in
-  let builder = ref None in
-  let expected_keys = max 16 (t.opts.O.sstable_target_bytes / 64) in
-  let get_builder () =
-    match !builder with
-    | Some b -> b
-    | None ->
-      let b =
-        Table.Builder.create t.env ~dir:t.dir ~number:(new_file_number t)
-          ~prefix_bloom_len:t.opts.O.prefix_bloom_len
-          ~block_bytes:t.opts.O.block_bytes ~bloom:t.opts.O.sstable_bloom
-          ~expected_keys
-      in
-      builder := Some b;
-      b
-  in
-  let finish_builder () =
-    match !builder with
-    | None -> ()
-    | Some b ->
-      (match Table.Builder.finish b with
-       | Some meta -> outputs := meta :: !outputs
-       | None -> ());
-      builder := None
-  in
-  (* previous entry seen for the current user key: (key, its seq) *)
-  let last_entry = ref None in
-  merged.Iter.seek_to_first ();
-  while merged.Iter.valid () do
-    let ikey = merged.Iter.key () in
-    let uk = Ik.user_key ikey in
-    let cur_seq = Ik.seq ikey in
-    Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
-    let drop =
-      (match !last_entry with
-       | Some (prev, prev_seq) when String.equal prev uk ->
-         (* superseded version: droppable only when the newer version is
-            visible to every live snapshot *)
-         Pdb_kvs.Snapshots.droppable t.snapshots ~prev_seq:(Some prev_seq)
-           ~last_seq:t.last_seq
-       | _ ->
-         (* tombstones die when they reach the bottom level, unless a
-            snapshot still needs them *)
-         drop_tombstones
-         && Ik.kind ikey = Ik.Deletion
-         && Pdb_kvs.Snapshots.tombstone_droppable t.snapshots ~seq:cur_seq
-              ~last_seq:t.last_seq)
-    in
-    last_entry := Some (uk, cur_seq);
-    if not drop then begin
-      let b = get_builder () in
-      Table.Builder.add b ikey (merged.Iter.value ());
-      if
-        (not single_output)
-        && Table.Builder.estimated_size b >= t.opts.O.sstable_target_bytes
-      then finish_builder ()
-    end;
-    merged.Iter.next ()
-  done;
-  finish_builder ();
-  List.rev !outputs
+  S.merge_tables t (inputs_lo @ inputs_hi)
+    ~tombstone_ok:(fun _ -> drop_tombstones)
+    ~partition:ignore
+    ~cutoff:(fun () -> cutoff)
+  |> List.map snd
 
-and install_compaction t ~level ~inputs_lo ~inputs_hi ~outputs =
+let install_compaction (t : t) ~level ~inputs_lo ~inputs_hi ~outputs =
   let target = level + 1 in
   (* update in-memory levels *)
   let in_lo = List.map (fun (m : Table.meta) -> m.Table.number) inputs_lo in
   let in_hi = List.map (fun (m : Table.meta) -> m.Table.number) inputs_hi in
-  t.levels.(level) <-
+  let levels = t.lv.levels in
+  levels.(level) <-
     List.filter
       (fun (m : Table.meta) -> not (List.mem m.Table.number in_lo))
-      t.levels.(level);
-  t.levels.(target) <-
+      levels.(level);
+  levels.(target) <-
     sort_for_level ~policy:t.policy ~opts:t.opts target
       (outputs
        @ List.filter
            (fun (m : Table.meta) -> not (List.mem m.Table.number in_hi))
-           t.levels.(target));
+           levels.(target));
   (* manifest edit *)
   let e = Manifest.empty_edit () in
   e.Manifest.next_file_number <- Some t.next_file;
   e.Manifest.deleted_files <-
-    List.map (fun n -> (level, n)) in_lo
-    @ List.map (fun n -> (target, n)) in_hi;
+    List.map (fun n -> (level, n)) in_lo @ List.map (fun n -> (target, n)) in_hi;
   e.Manifest.added_files <- List.map (fun m -> (target, m)) outputs;
   Manifest.append t.manifest e;
-  (* retire inputs *)
-  List.iter
-    (fun (m : Table.meta) ->
-      Pdb_sstable.Table_cache.evict t.table_cache m.Table.number;
-      t.obsolete <- Table.file_name ~dir:t.dir m.Table.number :: t.obsolete)
-    (inputs_lo @ inputs_hi);
-  (* stats *)
-  let bytes_of = List.fold_left (fun a (m : Table.meta) -> a + m.Table.file_size) 0 in
-  let st = t.stats in
-  st.Pdb_kvs.Engine_stats.compactions <-
-    st.Pdb_kvs.Engine_stats.compactions + 1;
-  st.Pdb_kvs.Engine_stats.compaction_bytes_read <-
-    st.Pdb_kvs.Engine_stats.compaction_bytes_read
-    + bytes_of inputs_lo + bytes_of inputs_hi;
-  st.Pdb_kvs.Engine_stats.compaction_bytes_written <-
-    st.Pdb_kvs.Engine_stats.compaction_bytes_written + bytes_of outputs;
-  st.Pdb_kvs.Engine_stats.sstables_built <-
-    st.Pdb_kvs.Engine_stats.sstables_built + List.length outputs
+  S.retire t (inputs_lo @ inputs_hi);
+  S.note_compaction t ~inputs:(inputs_lo @ inputs_hi) ~outputs
 
-and compact_level t level =
+let compact_level (t : t) level =
   let inputs_lo = pick_inputs t level in
   if inputs_lo <> [] then begin
     let smallest, largest = input_user_range inputs_lo in
@@ -575,7 +254,7 @@ and compact_level t level =
       else []
     in
     (* record the round-robin cursor *)
-    if level > 0 then t.compact_pointer.(level) <- largest;
+    if level > 0 then t.lv.compact_pointer.(level) <- largest;
     match (inputs_lo, inputs_hi) with
     | [ single ], [] ->
       (* trivial move: sequential workloads produce disjoint sstables that
@@ -583,13 +262,14 @@ and compact_level t level =
          beats FLSM (§5.2 "Sequential Writes").  Safe under tiering too:
          whole-level victims make the single run the entire source level,
          so it is newer than every run already resident in the target. *)
-      t.levels.(level) <-
+      let levels = t.lv.levels in
+      levels.(level) <-
         List.filter
           (fun (m : Table.meta) -> m.Table.number <> single.Table.number)
-          t.levels.(level);
-      t.levels.(target) <-
+          levels.(level);
+      levels.(target) <-
         sort_for_level ~policy:t.policy ~opts:t.opts target
-          (single :: t.levels.(target));
+          (single :: levels.(target));
       let e = Manifest.empty_edit () in
       e.Manifest.deleted_files <- [ (level, single.Table.number) ];
       e.Manifest.added_files <- [ (target, single) ];
@@ -610,8 +290,8 @@ and compact_level t level =
    whole-level range is a sound over-approximation — and an honest one:
    leveled compactions span wide ranges, which is exactly why they
    serialise on the worker timelines where FLSM's guard jobs overlap. *)
-and level_footprint t level =
-  match t.levels.(level) with
+let level_footprint (t : t) level =
+  match t.lv.levels.(level) with
   | [] -> Sched.full_range ~level_lo:level ~level_hi:(level + 1)
   | files ->
     let smallest, largest = input_user_range files in
@@ -622,7 +302,7 @@ and level_footprint t level =
       key_hi = Some (largest ^ "\x00") (* inclusive -> exclusive bound *);
     }
 
-and submit_level_job t ~blocked level =
+let submit_level_job (t : t) ~blocked level =
   let trigger = if level = 0 then Job.L0_files else Job.Level_size in
   ignore
     (Scheduler.submit t.sched
@@ -641,7 +321,7 @@ and submit_level_job t ~blocked level =
              then compact_level t level);
        })
 
-and maybe_compact t =
+let maybe_compact (t : t) =
   (* Round-based: enqueue a job for every level over threshold, drain
      the queue, re-examine.  A level whose job made no progress is
      blocked for the rest of this invocation. *)
@@ -657,7 +337,7 @@ and maybe_compact t =
       then begin
         submit_level_job t ~blocked level;
         submitted :=
-          (level, (List.length t.levels.(level), level_bytes t level))
+          (level, (List.length t.lv.levels.(level), level_bytes t level))
           :: !submitted
       end
     done;
@@ -665,526 +345,159 @@ and maybe_compact t =
       Scheduler.drain t.sched;
       List.iter
         (fun (level, before) ->
-          let now = (List.length t.levels.(level), level_bytes t level) in
+          let now = (List.length t.lv.levels.(level), level_bytes t level) in
           if now = before then Hashtbl.replace blocked level ())
         !submitted;
       continue_ := true
     end
   done
 
+(* ---------- the level structure the shell drives ---------- *)
+
+(* LSM flush sizes the bloom filter for a memtable's worth of keys and
+   charges each entry's merge CPU after adding it. *)
+let build_l0 (t : t) mem =
+  let b = S.new_builder t ~sized_for:t.opts.O.memtable_bytes in
+  List.iter
+    (fun (ikey, value) ->
+      Table.Builder.add b ikey value;
+      Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns)
+    (Pdb_kvs.Memtable.contents mem);
+  Table.Builder.finish b
+
+let apply_edit lv (e : Manifest.edit) =
+  List.iter
+    (fun (level, number) ->
+      lv.levels.(level) <-
+        List.filter
+          (fun (m : Table.meta) -> m.Table.number <> number)
+          lv.levels.(level))
+    e.Manifest.deleted_files;
+  List.iter
+    (fun (level, meta) -> lv.levels.(level) <- meta :: lv.levels.(level))
+    e.Manifest.added_files
+
+let normalize_levels opts lv =
+  let policy = Policy.of_options opts in
+  Array.iteri
+    (fun i files -> lv.levels.(i) <- sort_for_level ~policy ~opts i files)
+    lv.levels
+
+let snapshot_files lv (e : Manifest.edit) =
+  e.Manifest.added_files <-
+    List.concat
+      (List.mapi
+         (fun level files -> List.map (fun m -> (level, m)) (List.rev files))
+         (Array.to_list lv.levels))
+
+(* leveled layout has at most one candidate file per level; tiered layout
+   probes every overlapping run, newest first *)
+let candidates (t : t) level key =
+  let files = t.lv.levels.(level) in
+  if tiered_level t level then files
+  else Option.to_list (List.find_opt (fun m -> S.user_range_overlap m key) files)
+
+let level_iters (t : t) ~filter ~on_table ~file_iter =
+  List.concat_map
+    (fun level ->
+      match t.lv.levels.(level) with
+      | [] -> []
+      | files ->
+        if tiered_level t level then
+          (* overlapping runs need independent cursors; the merging
+             iterator resolves versions by sequence number *)
+          List.map file_iter files
+        else
+          [
+            Pdb_sstable.Level_iter.create ~filter ~probe:t.probe
+              ~cache:t.table_cache ~block_cache:t.block_cache
+              ~hint:Device.Random_read ~on_table (Array.of_list files);
+          ])
+    (List.init (t.opts.O.max_levels - 1) (fun i -> i + 1))
+
+(* LevelDB also compacts in response to repeated seeks (a file's
+   allowed_seeks budget); modeled here as draining level 0 after a run of
+   consecutive seeks, which is where seek cost concentrates. *)
+let seek_job (t : t) =
+  if t.lv.levels.(0) = [] then None
+  else
+    Some
+      {
+        Job.key = "seek:0";
+        trigger = Job.Seek;
+        estimated_bytes = level_bytes t 0;
+        footprint = level_footprint t 0;
+        run = (fun () -> compact_level t 0);
+      }
+
+let shape =
+  {
+    apply_edit;
+    recovered = normalize_levels;
+    snapshot = snapshot_files;
+    l0 = (fun lv -> lv.levels.(0));
+    add_l0 = (fun lv m -> lv.levels.(0) <- m :: lv.levels.(0));
+    build_l0;
+    note_put = (fun _ _ -> ());
+    maybe_compact;
+    candidates;
+    level_iters;
+    seek_job;
+  }
+
 (* ---------- open / close ---------- *)
 
-let open_store ?block_cache (opts : O.t) ~env ~dir =
+let open_store ?block_cache (opts : O.t) ~env ~dir : t =
   (match opts.O.compaction_policy with
    | O.Flsm_guarded ->
      invalid_arg
        "Lsm_store.open_store: the flsm_guarded policy needs guard state \
         (use the pebblesdb engine)"
    | O.Leveled | O.Tiered | O.Lazy_leveled -> ());
-  let policy = Policy.of_options opts in
-  (* recover the previous shape before touching any file *)
-  let levels = Array.make opts.O.max_levels [] in
-  let wal_number = ref 0 and next_file = ref 1 and last_seq = ref 0 in
-  let mem = Pdb_kvs.Memtable.create () in
-  let wal_report = ref None in
-  (match Manifest.recover env ~dir with
-   | Some (_, edits) ->
-     List.iter (apply_edit ~levels ~wal_number ~next_file ~last_seq) edits;
-     normalize_levels ~policy ~opts levels;
-     let seq, report =
-       replay_wal env ~dir ~wal_number:!wal_number ~mem ~last_seq:!last_seq
-     in
-     last_seq := seq;
-     wal_report := report
-   | None -> ());
-  (* Crash-safe install sequence: (1) write the recovered memtable into a
-     fresh WAL, (2) install a fresh MANIFEST whose snapshot edit names that
-     WAL — written before the CURRENT switch, so the install is atomic —
-     then (3) retire the replayed WAL and any stale files.  An injected
-     crash between any two steps recovers to the same state: until CURRENT
-     flips, the old MANIFEST still names the old WAL. *)
-  let new_log = !next_file in
-  incr next_file;
-  let manifest_number = !next_file in
-  incr next_file;
-  let wal = Wal.Writer.create env (log_name dir new_log) in
-  relog_memtable wal mem;
-  let snap =
-    snapshot_edit ~levels ~log_number:new_log ~next_file:!next_file
-      ~last_seq:!last_seq
-  in
-  let manifest = Manifest.create env ~dir ~number:manifest_number ~edits:[ snap ] in
-  let t =
+  let lv =
     {
-      opts;
-      policy;
-      env;
-      dir;
-      clock = Env.clock env;
-      sched =
-        Scheduler.create ~env ~clock:(Env.clock env)
-          ~flush_lanes:(if opts.O.flush_reserved_lane then 1 else 0)
-          ~workers:opts.O.compaction_threads ();
-      bp = Bp.create opts;
-      stats = Pdb_kvs.Engine_stats.create ();
-      probe =
-        Pdb_simio.Probe.create_ctx ~clock:(Env.clock env)
-          ~budget:(fun () ->
-            match opts.O.probe_budget_override with
-            | Some b -> b
-            | None -> (Env.device env).Device.parallel_probe_budget)
-          ~tracer:(fun () -> Env.tracer env)
-          ();
-      table_cache =
-        Pdb_sstable.Table_cache.create ?bytes:opts.O.table_cache_bytes
-          ~summary_stride:opts.O.index_summary_stride env ~dir
-          ~entries:opts.O.table_cache_entries;
-      block_cache =
-        (match block_cache with
-         | Some cache -> cache  (* shared with the caller's other shards *)
-         | None ->
-           Pdb_sstable.Block_cache.create ~capacity:opts.O.block_cache_bytes);
-      mem;
-      wal;
-      wal_number = new_log;
-      manifest;
-      next_file = !next_file;
-      last_seq = !last_seq;
-      levels;
+      levels = Array.make opts.O.max_levels [];
       compact_pointer = Array.make opts.O.max_levels "";
-      obsolete = [];
-      snapshots = Pdb_kvs.Snapshots.create ();
-      consecutive_seeks = 0;
-      closed = false;
     }
   in
-  (match !wal_report with
-   | Some ((r : Wal.Reader.report), rejected, rejected_bytes) ->
-     t.stats.Pdb_kvs.Engine_stats.wal_records_recovered <-
-       r.Wal.Reader.records_read - rejected;
-     t.stats.Pdb_kvs.Engine_stats.wal_bytes_dropped <-
-       r.Wal.Reader.bytes_dropped + rejected_bytes;
-     t.stats.Pdb_kvs.Engine_stats.wal_batches_rejected <- rejected
-   | None -> ());
-  Manifest.cleanup_stale env ~dir ~live_log_number:new_log
-    ~live_manifest:(Manifest.file_name t.manifest);
-  (* a recovered memtable may already exceed its budget *)
-  if Pdb_kvs.Memtable.approximate_bytes t.mem >= t.opts.O.memtable_bytes then
-    flush_memtable t;
-  t
+  S.open_store ~shape ~lv ?block_cache opts ~env ~dir
 
-let close t =
-  t.closed <- true;
-  gc_obsolete t;
-  Wal.Writer.close t.wal
-
-let options t = t.opts
-let env t = t.env
-let compaction_scheduler t = t.sched
-let backpressure t = t.bp
-
-(* mirror the scheduler's counters into the engine stats on read *)
-let stats t =
-  let st = t.stats in
-  let s = Scheduler.stats t.sched in
-  st.Pdb_kvs.Engine_stats.compaction_jobs <- s.Scheduler.jobs_run;
-  st.Pdb_kvs.Engine_stats.compaction_queue_peak <- s.Scheduler.queue_peak;
-  st.Pdb_kvs.Engine_stats.compaction_backlog_peak_bytes <-
-    s.Scheduler.backlog_peak_bytes;
-  st.Pdb_kvs.Engine_stats.compaction_serialized_jobs <-
-    Scheduler.serialized_jobs t.sched;
-  st.Pdb_kvs.Engine_stats.compaction_pending <- Scheduler.pending t.sched;
-  st.Pdb_kvs.Engine_stats.compaction_backlog_bytes <-
-    Scheduler.backlog_bytes t.sched;
-  st.Pdb_kvs.Engine_stats.stall_slowdown_ns <- s.Scheduler.stall_slowdown_ns;
-  st.Pdb_kvs.Engine_stats.stall_stop_ns <- s.Scheduler.stall_stop_ns;
-  st.Pdb_kvs.Engine_stats.worker_busy_ns <- Scheduler.busy_ns t.sched;
-  st.Pdb_kvs.Engine_stats.flush_busy_ns <- Scheduler.flush_busy_ns t.sched;
-  st.Pdb_kvs.Engine_stats.compaction_by_trigger <- s.Scheduler.by_trigger;
-  st.Pdb_kvs.Engine_stats.block_cache_hits <-
-    Pdb_sstable.Block_cache.hits t.block_cache;
-  st.Pdb_kvs.Engine_stats.block_cache_misses <-
-    Pdb_sstable.Block_cache.misses t.block_cache;
-  st.Pdb_kvs.Engine_stats.table_cache_hits <-
-    Pdb_sstable.Table_cache.hits t.table_cache;
-  st.Pdb_kvs.Engine_stats.table_cache_misses <-
-    Pdb_sstable.Table_cache.misses t.table_cache;
-  st.Pdb_kvs.Engine_stats.summary_hits <-
-    Pdb_sstable.Table_cache.summary_hits t.table_cache;
-  st.Pdb_kvs.Engine_stats.summary_misses <-
-    Pdb_sstable.Table_cache.summary_misses t.table_cache;
-  st
-
-(* ---------- writes ---------- *)
-
-let apply_batch_to_memtable t batch base_seq =
-  let seq = ref base_seq in
-  Pdb_kvs.Write_batch.iter batch (fun op ->
-      charge_cpu t t.opts.O.cpu_memtable_op_ns;
-      (match op with
-       | Pdb_kvs.Write_batch.Put (k, v) ->
-         Pdb_kvs.Memtable.add t.mem ~seq:!seq ~kind:Ik.Value ~user_key:k
-           ~value:v
-       | Pdb_kvs.Write_batch.Delete k ->
-         Pdb_kvs.Memtable.add t.mem ~seq:!seq ~kind:Ik.Deletion ~user_key:k
-           ~value:"");
-      incr seq)
-
-(* All writes commit through the group path ({!Pdb_kvs.Write_group}): a
-   solo write is a group of one.  The group's records are framed
-   per-batch (log bytes identical at any group size), appended in one
-   device write and made durable by one sync — batches are acked only
-   when that sync returns. *)
-let write_group t batches =
-  assert (not t.closed);
-  gc_obsolete t;
-  t.consecutive_seeks <- 0;
-  Pdb_kvs.Write_group.commit
-    {
-      Pdb_kvs.Write_group.count = Pdb_kvs.Write_batch.count;
-      encode = Pdb_kvs.Write_batch.encode;
-      alloc_seq =
-        (fun n ->
-          let base = t.last_seq + 1 in
-          t.last_seq <- t.last_seq + n;
-          base);
-      before_group =
-        (fun ~entries ->
-          (* write throttling: the shared controller prices the group
-             against compaction debt — L0 files not yet pushed down plus
-             the scheduler's pending backlog — and the group pays once
-             (it enters the device as one write, so penalizing every
-             record would overcharge the batch it rode in on) *)
-          let debt =
-            {
-              Bp.l0_files = List.length t.levels.(0);
-              pending_jobs = Scheduler.pending t.sched;
-              backlog_bytes = Scheduler.backlog_bytes t.sched;
-            }
-          in
-          let now_ns = Clock.elapsed_ns (Clock.snapshot t.clock) in
-          let v = Bp.throttle t.bp ~now_ns ~debt ~cost:entries in
-          let total = Bp.total_ns v in
-          if total > 0.0 then begin
-            Clock.stall t.clock total;
-            Scheduler.note_stall t.sched ~slowdown_ns:v.Bp.slowdown_ns
-              ~stop_ns:v.Bp.stop_ns;
-            t.stats.Pdb_kvs.Engine_stats.write_stalls <-
-              t.stats.Pdb_kvs.Engine_stats.write_stalls + 1
-          end);
-      before_batch =
-        (fun batch ->
-          let count = Pdb_kvs.Write_batch.count batch in
-          let requests =
-            if Pdb_kvs.Write_batch.is_bulk batch then 1 else count
-          in
-          charge_cpu t
-            (t.opts.O.op_overhead_write_ns *. float_of_int requests);
-          charge_cpu t (t.opts.O.cpu_per_op_ns *. float_of_int count));
-      log_append = (fun records -> Wal.Writer.add_records t.wal records);
-      log_sync = (fun () -> Wal.Writer.sync t.wal);
-      apply =
-        (fun batch ~base_seq ->
-          apply_batch_to_memtable t batch base_seq;
-          t.stats.Pdb_kvs.Engine_stats.user_bytes_written <-
-            t.stats.Pdb_kvs.Engine_stats.user_bytes_written
-            + Pdb_kvs.Write_batch.payload_bytes batch);
-      memtable_full =
-        (fun () ->
-          Pdb_kvs.Memtable.approximate_bytes t.mem >= t.opts.O.memtable_bytes);
-      flush = (fun () -> flush_memtable t);
-      sync_writes = t.opts.O.wal_sync_writes;
-      stats = t.stats;
-    }
-    batches;
-  (match batches with
-   | [] -> ()
-   | _ ->
-     trace_instant t ~name:"group-commit" ~cat:"wal"
-       ~args:[ ("batches", string_of_int (List.length batches)) ]
-       ())
-
-let write t batch = write_group t [ batch ]
-
-let put t k v =
-  t.stats.Pdb_kvs.Engine_stats.puts <- t.stats.Pdb_kvs.Engine_stats.puts + 1;
-  let b = Pdb_kvs.Write_batch.create () in
-  Pdb_kvs.Write_batch.put b k v;
-  write t b
-
-let delete t k =
-  t.stats.Pdb_kvs.Engine_stats.deletes <-
-    t.stats.Pdb_kvs.Engine_stats.deletes + 1;
-  let b = Pdb_kvs.Write_batch.create () in
-  Pdb_kvs.Write_batch.delete b k;
-  write t b
-
-let flush t = flush_memtable t
-
-(* ---------- snapshots ---------- *)
+let close = S.close
+let options = S.options
+let env = S.env
+let compaction_scheduler = S.compaction_scheduler
+let backpressure = S.backpressure
+let stats = S.stats
+let write_group = S.write_group
+let write = S.write
+let put = S.put
+let delete = S.delete
+let flush = S.flush
 
 (** [snapshot t] pins the current state for consistent reads; see
     {!Pebblesdb.Pebbles_store.snapshot} for the shared semantics. *)
-let snapshot t =
-  Pdb_kvs.Snapshots.acquire t.snapshots t.last_seq;
-  t.last_seq
+let snapshot = S.snapshot
 
-let release_snapshot t s = Pdb_kvs.Snapshots.release t.snapshots s
-
-(* ---------- reads ---------- *)
-
-(* Search one table for the freshest version of [key] visible at
-   [snapshot] (or at the latest state). *)
-let table_lookup ?snapshot t (meta : Table.meta) key =
-  (* inside a probe session (L0 pile / tiered-run get) each lookup's
-     device time is measured so independent probes overlap up to the
-     budget *)
-  Pdb_simio.Probe.measure t.probe (fun () ->
-      charge_cpu t t.opts.O.cpu_per_sstable_ns;
-      t.stats.Pdb_kvs.Engine_stats.sstables_examined <-
-        t.stats.Pdb_kvs.Engine_stats.sstables_examined + 1;
-      let reader = Pdb_sstable.Table_cache.find t.table_cache meta in
-      let pass_bloom =
-        if Table.has_filter reader then begin
-          charge_cpu t t.opts.O.cpu_bloom_check_ns;
-          t.stats.Pdb_kvs.Engine_stats.bloom_checks <-
-            t.stats.Pdb_kvs.Engine_stats.bloom_checks + 1;
-          let pass = Table.may_contain reader key in
-          if not pass then
-            t.stats.Pdb_kvs.Engine_stats.bloom_negative <-
-              t.stats.Pdb_kvs.Engine_stats.bloom_negative + 1;
-          pass
-        end
-        else true
-      in
-      if not pass_bloom then None
-      else begin
-        charge_cpu t t.opts.O.cpu_per_block_search_ns;
-        let lookup =
-          match snapshot with
-          | Some seq -> Ik.lookup_at ~user_key:key ~seq
-          | None -> Ik.max_for_lookup key
-        in
-        match
-          Table.get reader ~cache:t.block_cache ~hint:Device.Random_read
-            lookup
-        with
-        | Some (ikey, value) when String.equal (Ik.user_key ikey) key ->
-          Some (Ik.kind ikey, value)
-        | Some _ | None -> None
-      end)
-
-let get ?snapshot t key =
-  assert (not t.closed);
-  t.stats.Pdb_kvs.Engine_stats.gets <- t.stats.Pdb_kvs.Engine_stats.gets + 1;
-  charge_cpu t (t.opts.O.op_overhead_read_ns +. t.opts.O.cpu_per_op_ns);
-  let mem_result =
-    match snapshot with
-    | Some seq -> Pdb_kvs.Memtable.get_at t.mem key ~seq
-    | None -> Pdb_kvs.Memtable.get t.mem key
-  in
-  match mem_result with
-  | Some (Some v) -> Some v
-  | Some None -> None
-  | None ->
-    (* the candidate tables of one lookup (the L0 pile, a tiered level's
-       overlapping runs) are independent random reads: bracket them in a
-       probe session so they overlap up to the device budget *)
-    Pdb_simio.Probe.with_session t.probe ~label:"get" (fun () ->
-        let result = ref `NotFound in
-        (* level 0: newest file first; first hit wins *)
-        let rec search_l0 = function
-          | [] -> ()
-          | (m : Table.meta) :: rest ->
-            if !result = `NotFound then begin
-              if user_range_overlap m key then
-                (match table_lookup ?snapshot t m key with
-                 | Some (Ik.Value, v) -> result := `Found v
-                 | Some (Ik.Deletion, _) -> result := `Deleted
-                 | None -> ());
-              search_l0 rest
-            end
-        in
-        search_l0 t.levels.(0);
-        (* deeper levels: leveled layout has at most one candidate file;
-           tiered layout probes every overlapping run, newest first *)
-        let level = ref 1 in
-        while !result = `NotFound && !level < t.opts.O.max_levels do
-          let candidates =
-            if tiered_level t !level then
-              List.filter (fun m -> user_range_overlap m key) t.levels.(!level)
-            else
-              match
-                List.find_opt
-                  (fun m -> user_range_overlap m key)
-                  t.levels.(!level)
-              with
-              | Some m -> [ m ]
-              | None -> []
-          in
-          List.iter
-            (fun m ->
-              if !result = `NotFound then
-                match table_lookup ?snapshot t m key with
-                | Some (Ik.Value, v) -> result := `Found v
-                | Some (Ik.Deletion, _) -> result := `Deleted
-                | None -> ())
-            candidates;
-          incr level
-        done;
-        match !result with `Found v -> Some v | `Deleted | `NotFound -> None)
-
-(* ---------- iterators ---------- *)
-
-(* [upper_user] is the iterator's inclusive user-key bound: it licenses the
-   seek filter to skip tables past it, and {!iterator} clamps the merged
-   output so skipped tables are unobservable. *)
-let internal_iterator ?upper_user t =
-  let on_table () =
-    charge_cpu t t.opts.O.cpu_per_sstable_ns;
-    t.stats.Pdb_kvs.Engine_stats.sstables_examined <-
-      t.stats.Pdb_kvs.Engine_stats.sstables_examined + 1
-  in
-  let filter =
-    Pdb_sstable.Seek_filter.create ?upper_user
-      ~filtering:t.opts.O.seek_filtering
-      ~peek:(Pdb_sstable.Table_cache.peek t.table_cache)
-      ~on_check:(fun ~skipped ->
-        t.stats.Pdb_kvs.Engine_stats.seek_bloom_checks <-
-          t.stats.Pdb_kvs.Engine_stats.seek_bloom_checks + 1;
-        if skipped then
-          t.stats.Pdb_kvs.Engine_stats.seek_bloom_skips <-
-            t.stats.Pdb_kvs.Engine_stats.seek_bloom_skips + 1)
-      ()
-  in
-  (* one iterator per overlapping file (L0 and tiered levels): lazy
-     filtered wrappers skip the provably-disjoint ones and measure the
-     rest for the probe session *)
-  let file_iter m =
-    let it =
-      Pdb_sstable.Seek_filter.table_iterator filter ~cache:t.table_cache
-        ~block_cache:t.block_cache ~hint:Device.Random_read ~on_table m
-    in
-    {
-      it with
-      Iter.seek =
-        (fun k -> Pdb_simio.Probe.measure t.probe (fun () -> it.Iter.seek k));
-      seek_to_first =
-        (fun () ->
-          Pdb_simio.Probe.measure t.probe (fun () -> it.Iter.seek_to_first ()));
-    }
-  in
-  let l0_iters = List.map file_iter t.levels.(0) in
-  let level_iters =
-    List.concat_map
-      (fun level ->
-        match t.levels.(level) with
-        | [] -> []
-        | files ->
-          if tiered_level t level then
-            (* overlapping runs need independent cursors; the merging
-               iterator resolves versions by sequence number *)
-            List.map file_iter files
-          else
-            [
-              Pdb_sstable.Level_iter.create ~filter ~probe:t.probe
-                ~cache:t.table_cache ~block_cache:t.block_cache
-                ~hint:Device.Random_read ~on_table (Array.of_list files);
-            ])
-      (List.init (t.opts.O.max_levels - 1) (fun i -> i + 1))
-  in
-  Pdb_kvs.Merging_iter.create ~compare:Ik.compare
-    ((Pdb_kvs.Memtable.iterator t.mem :: l0_iters) @ level_iters)
-
-(* LevelDB also compacts in response to repeated seeks (a file's
-   allowed_seeks budget); modeled here as draining level 0 after a run of
-   consecutive seeks, which is where seek cost concentrates. *)
-let note_seek t =
-  t.stats.Pdb_kvs.Engine_stats.seeks <- t.stats.Pdb_kvs.Engine_stats.seeks + 1;
-  charge_cpu t (t.opts.O.op_overhead_read_ns +. t.opts.O.cpu_per_op_ns);
-  if t.opts.O.seek_based_compaction then begin
-    t.consecutive_seeks <- t.consecutive_seeks + 1;
-    if
-      t.consecutive_seeks >= t.opts.O.seek_compaction_threshold
-      && t.levels.(0) <> []
-    then begin
-      t.consecutive_seeks <- 0;
-      ignore
-        (Scheduler.submit t.sched
-           {
-             Job.key = "seek:0";
-             trigger = Job.Seek;
-             estimated_bytes = level_bytes t 0;
-             footprint = level_footprint t 0;
-             run = (fun () -> compact_level t 0);
-           });
-      Scheduler.drain t.sched
-    end
-  end
-
-let iterator ?snapshot ?upper_bound t =
-  assert (not t.closed);
-  let db =
-    Pdb_kvs.Db_iter.wrap ?snapshot
-      (internal_iterator ?upper_user:upper_bound t)
-  in
-  (* the bound is semantic: output is clamped to keys <= upper_bound, so
-     tables the seek filter skipped as past-the-bound are unobservable *)
-  let in_bound () =
-    match upper_bound with
-    | None -> true
-    | Some up -> String.compare (db.Iter.key ()) up <= 0
-  in
-  let valid () = db.Iter.valid () && in_bound () in
-  {
-    Iter.seek =
-      (fun k ->
-        note_seek t;
-        Pdb_simio.Probe.with_session t.probe ~label:"seek" (fun () ->
-            db.Iter.seek k));
-    seek_to_first =
-      (fun () ->
-        note_seek t;
-        Pdb_simio.Probe.with_session t.probe ~label:"seek" (fun () ->
-            db.Iter.seek_to_first ()));
-    next =
-      (fun () ->
-        t.stats.Pdb_kvs.Engine_stats.nexts <-
-          t.stats.Pdb_kvs.Engine_stats.nexts + 1;
-        charge_cpu t t.opts.O.cpu_per_op_ns;
-        db.Iter.next ());
-    valid;
-    key =
-      (fun () ->
-        if valid () then db.Iter.key ()
-        else invalid_arg "iterator: iterator is not valid");
-    value =
-      (fun () ->
-        if valid () then db.Iter.value ()
-        else invalid_arg "iterator: iterator is not valid");
-  }
+let release_snapshot = S.release_snapshot
+let get = S.get
+let iterator = S.iterator
 
 (* ---------- maintenance ---------- *)
 
-let compact_all t =
-  flush_memtable t;
+let compact_all (t : t) =
+  S.flush t;
   (* push every populated level into the next, top-down, as LevelDB's
      manual CompactRange does *)
   for level = 0 to t.opts.O.max_levels - 2 do
-    while t.levels.(level) <> [] do
-      let inputs_lo = t.levels.(level) in
+    while t.lv.levels.(level) <> [] do
+      let inputs_lo = t.lv.levels.(level) in
       let smallest, largest = input_user_range inputs_lo in
       let inputs_hi = overlapping_files t (level + 1) ~smallest ~largest in
-      let bytes =
-        List.fold_left
-          (fun a (m : Table.meta) -> a + m.Table.file_size)
-          0 (inputs_lo @ inputs_hi)
-      in
       Scheduler.run_now t.sched
         {
           Job.key = Printf.sprintf "manual:%d" level;
           trigger = Job.Manual;
-          estimated_bytes = bytes;
+          estimated_bytes = S.bytes_of (inputs_lo @ inputs_hi);
           footprint = level_footprint t level;
           run =
             (fun () ->
@@ -1199,14 +512,13 @@ let compact_all t =
         }
     done
   done;
-  gc_obsolete t
+  S.gc_obsolete t
 
-let memory_bytes t =
-  Pdb_kvs.Memtable.approximate_bytes t.mem
-  + Pdb_sstable.Block_cache.used t.block_cache
+let memory_bytes (t : t) =
+  S.base_memory_bytes t
   + Pdb_sstable.Table_cache.resident_bytes t.table_cache
 
-let describe t =
+let describe (t : t) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "lsm store (%s, policy=%s)\n" t.opts.O.name
@@ -1226,58 +538,48 @@ let describe t =
                  m.Table.file_size))
           files
       end)
-    t.levels;
+    t.lv.levels;
   Buffer.contents buf
 
-let check_invariants t =
-  (* L0 ordered newest-first by file number *)
-  let rec check_l0 = function
-    | (a : Table.meta) :: (b : Table.meta) :: rest ->
-      if a.Table.number <= b.Table.number then
-        failwith "lsm invariant: L0 not newest-first";
-      check_l0 (b :: rest)
-    | [ _ ] | [] -> ()
+let check_invariants (t : t) =
+  (* a pairwise order every adjacent pair of a level must satisfy *)
+  let check_pairs ok msg files =
+    let rec go = function
+      | a :: (b :: _ as rest) ->
+        if not (ok a b) then failwith msg;
+        go rest
+      | [ _ ] | [] -> ()
+    in
+    go files
   in
-  check_l0 t.levels.(0);
+  let newer (a : Table.meta) (b : Table.meta) = a.Table.number > b.Table.number in
+  check_pairs newer "lsm invariant: L0 not newest-first" t.lv.levels.(0);
   (* levels >= 1: leveled layout = sorted and disjoint; tiered layout =
      newest-first (recency order, the property reads rely on) *)
   for level = 1 to t.opts.O.max_levels - 1 do
-    if tiered_level t level then begin
-      let rec check = function
-        | (a : Table.meta) :: (b : Table.meta) :: rest ->
-          if a.Table.number <= b.Table.number then
-            failwith
-              (Printf.sprintf
-                 "lsm invariant: tiered level %d not newest-first" level);
-          check (b :: rest)
-        | [ _ ] | [] -> ()
-      in
-      check t.levels.(level)
-    end
-    else begin
-      let rec check = function
-        | (a : Table.meta) :: (b : Table.meta) :: rest ->
-          if Ik.compare a.Table.largest b.Table.smallest >= 0 then
-            failwith
-              (Printf.sprintf "lsm invariant: level %d files overlap" level);
-          check (b :: rest)
-        | [ _ ] | [] -> ()
-      in
-      check t.levels.(level)
-    end
+    if tiered_level t level then
+      check_pairs newer
+        (Printf.sprintf "lsm invariant: tiered level %d not newest-first" level)
+        t.lv.levels.(level)
+    else
+      check_pairs
+        (fun (a : Table.meta) (b : Table.meta) ->
+          Ik.compare a.Table.largest b.Table.smallest < 0)
+        (Printf.sprintf "lsm invariant: level %d files overlap" level)
+        t.lv.levels.(level)
   done;
   (* every listed file exists *)
   Array.iter
     (List.iter (fun (m : Table.meta) ->
          if not (Env.exists t.env (Table.file_name ~dir:t.dir m.Table.number))
          then failwith "lsm invariant: missing sstable file"))
-    t.levels
+    t.lv.levels
 
 (* number of files per level, for tests and experiments *)
-let level_file_counts t = Array.map List.length t.levels
-let level_sizes t = Array.init t.opts.O.max_levels (level_bytes t)
-let sstable_metas t = Array.to_list t.levels |> List.concat
+let level_file_counts (t : t) = Array.map List.length t.lv.levels
+let level_sizes (t : t) = Array.init t.opts.O.max_levels (level_bytes t)
+let sstable_metas (t : t) = Array.to_list t.lv.levels |> List.concat
 
 (* resident tables of one level, in search order (tests) *)
-let level_tables t level = t.levels.(level)
-let policy t = t.policy
+let level_tables (t : t) level = t.lv.levels.(level)
+let policy (t : t) = t.policy

@@ -304,7 +304,7 @@ let test_cache_files_live () =
   in
   let rng = Pdb_util.Rng.create 3 in
   let key i = Printf.sprintf "key%06d" i in
-  let cache = t.Lsm.block_cache in
+  let cache = t.Pdb_engine.Shell.block_cache in
   let check_no_stale msg =
     let live = Env.list env in
     let stale =
