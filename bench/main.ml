@@ -89,20 +89,17 @@ let run_bechamel () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let json, args = List.partition (fun a -> a = "--json") args in
+  let json, ids = List.partition (fun a -> a = "--json") args in
   if json <> [] then Pdb_harness.Bench_util.Json.enable ();
-  (match args with
-  | [] ->
-    Pdb_harness.Experiments.run_all ();
-    run_bechamel ()
-  | [ "micro" ] -> run_bechamel ()
-  | ids ->
-    List.iter
-      (fun id ->
-        if id = "micro" then run_bechamel ()
-        else Pdb_harness.Experiments.run_by_id id)
-      ids);
+  let result =
+    Pdb_harness.Experiments.run_ids ~extra:[ ("micro", run_bechamel) ] ids
+  in
   if json <> [] then begin
     Pdb_harness.Bench_util.Json.write_file "BENCH.json";
     print_endline "\nwrote BENCH.json"
-  end
+  end;
+  match result with
+  | Ok () -> ()
+  | Error msg ->
+    prerr_endline ("bench: " ^ msg);
+    exit 1

@@ -93,7 +93,7 @@ let run (c : Cli.t) l0_slowdown l0_stop benchmarks num seed probe_budget
           (B.mc_fill_random ~latency:lat store ~clients ~n:num
              ~value_bytes:value_size ~seed)
       | "overwrite" ->
-        report bench (B.update_random timed ~n:num ~value_bytes:value_size ~seed)
+        report bench (B.fill_random timed ~n:num ~value_bytes:value_size ~seed)
       | "readrandom" when clients > 1 ->
         ensure_fill ();
         report_mc bench

@@ -7,19 +7,23 @@
 
 open Cmdliner
 
+module Experiments = Pdb_harness.Experiments
+
 let run ids list_only =
   if list_only then begin
     print_endline "available experiments:";
     List.iter
-      (fun (e : Pdb_harness.Experiments.experiment) ->
-        Printf.printf "  %-10s %s\n" e.Pdb_harness.Experiments.id
-          e.Pdb_harness.Experiments.title)
-      Pdb_harness.Experiments.all
+      (fun (e : Experiments.experiment) ->
+        Printf.printf "  %-10s %s\n" e.Experiments.id e.Experiments.title)
+      Experiments.all;
+    0
   end
   else
-    match ids with
-    | [] | [ "all" ] -> Pdb_harness.Experiments.run_all ()
-    | ids -> List.iter Pdb_harness.Experiments.run_by_id ids
+    match Experiments.run_ids ids with
+    | Ok () -> 0
+    | Error msg ->
+      prerr_endline ("repro: " ^ msg);
+      1
 
 let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
@@ -34,4 +38,4 @@ let cmd =
        ~doc:"Regenerate the PebblesDB paper's tables and figures")
     Term.(const run $ ids $ list_flag)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -237,11 +237,6 @@ let compact_level t ?only_guards source_level =
     let outputs = run_partition_merge t ~inputs ~source_level ~target_level in
     List.iter
       (fun (attach_level, (meta : Table.meta)) ->
-        Pdb_kvs.Engine_stats.bump_breakdown t.stats
-          (if attach_level = target_level then
-             Printf.sprintf "partition L%d->L%d" source_level target_level
-           else Printf.sprintf "rewrite-in-L%d" attach_level)
-          meta.Table.file_size;
         if attach_level = 0 then t.lv.l0 <- meta :: t.lv.l0
         else Guard.attach t.lv.levels.(attach_level) meta)
       outputs;
@@ -313,13 +308,7 @@ let compact_last_level_guard ?(force_full = false) t (g : Guard.guard) =
         ~cutoff:(fun _ -> cutoff)
       |> List.map snd
     in
-    List.iter
-      (fun (meta : Table.meta) ->
-        Pdb_kvs.Engine_stats.bump_breakdown t.stats
-          (if drop_tombstones then "guard-merge-full" else "guard-merge-tier")
-          meta.Table.file_size;
-        Guard.attach lvl meta)
-      outputs;
+    List.iter (fun (meta : Table.meta) -> Guard.attach lvl meta) outputs;
     let e = Manifest.empty_edit () in
     e.Manifest.next_file_number <- Some t.next_file;
     e.Manifest.deleted_files <-

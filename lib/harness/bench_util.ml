@@ -14,35 +14,41 @@ type phase = {
   bytes_read : int;
 }
 
+(* the IO a store's environment did while [f ()] ran *)
+let io_during (store : Dyn.dyn) f =
+  let snap () = Pdb_simio.Io_stats.snapshot (Env.stats store.Dyn.d_env) in
+  let io0 = snap () in
+  let r = f () in
+  (r, Pdb_simio.Io_stats.diff (snap ()) io0)
+
+let phase ~ops ~elapsed_ns (io : Pdb_simio.Io_stats.t) =
+  {
+    ops;
+    elapsed_ns;
+    kops =
+      (if elapsed_ns <= 0.0 then 0.0
+       else float_of_int ops /. (elapsed_ns /. 1e9) /. 1000.0);
+    bytes_written = io.Pdb_simio.Io_stats.bytes_written;
+    bytes_read = io.Pdb_simio.Io_stats.bytes_read;
+  }
+
 (** [measure store ops f] runs [f ()] and reports modeled throughput and IO
     for the phase. *)
 let measure (store : Dyn.dyn) ops f =
   let clock = Env.clock store.Dyn.d_env in
-  let io0 = Pdb_simio.Io_stats.snapshot (Env.stats store.Dyn.d_env) in
   let c0 = Clock.snapshot clock in
-  f ();
-  let c1 = Clock.snapshot clock in
-  let io1 = Pdb_simio.Io_stats.snapshot (Env.stats store.Dyn.d_env) in
-  let delta = Clock.diff c1 c0 in
-  let elapsed = Clock.elapsed_ns delta in
-  let io = Pdb_simio.Io_stats.diff io1 io0 in
-  {
-    ops;
-    elapsed_ns = elapsed;
-    kops =
-      (if elapsed <= 0.0 then 0.0
-       else float_of_int ops /. (elapsed /. 1e9) /. 1000.0);
-    bytes_written = io.Pdb_simio.Io_stats.bytes_written;
-    bytes_read = io.Pdb_simio.Io_stats.bytes_read;
-  }
+  let (), io = io_during store f in
+  let delta = Clock.diff (Clock.snapshot clock) c0 in
+  phase ~ops ~elapsed_ns:(Clock.elapsed_ns delta) io
 
 (* ---------- canonical workload phases (db_bench-style) ---------- *)
 
 let key_of i = Printf.sprintf "key%010d" i
 let value_of rng n = Pdb_util.Rng.alpha rng n
 
-(** [fill_random store ~n ~value_bytes ~seed] inserts [n] keys in random
-    order. *)
+(** [fill_random store ~n ~value_bytes ~seed] puts [n] keys in random
+    order: an insert pass on a fresh store, an overwrite pass (same keys,
+    fresh values under a new seed) on a filled one. *)
 let fill_random (store : Dyn.dyn) ~n ~value_bytes ~seed =
   let rng = Pdb_util.Rng.create seed in
   let perm = Array.init n Fun.id in
@@ -60,17 +66,6 @@ let fill_seq (store : Dyn.dyn) ~n ~value_bytes ~seed =
       for i = 0 to n - 1 do
         store.Dyn.d_put (key_of i) (value_of rng value_bytes)
       done)
-
-(** [update_random store ~n ~value_bytes ~seed] overwrites every existing
-    key once, in random order. *)
-let update_random (store : Dyn.dyn) ~n ~value_bytes ~seed =
-  let rng = Pdb_util.Rng.create seed in
-  let perm = Array.init n Fun.id in
-  Pdb_util.Rng.shuffle rng perm;
-  measure store n (fun () ->
-      Array.iter
-        (fun i -> store.Dyn.d_put (key_of i) (value_of rng value_bytes))
-        perm)
 
 (** [read_random store ~n ~ops ~seed] issues [ops] point lookups over the
     [n]-key space. *)
@@ -120,21 +115,8 @@ module Mc = Pdb_kvs.Multi_client
     executor and reports both the phase (throughput, IO) and the
     executor's group-commit result. *)
 let mc_run ?latency (store : Dyn.dyn) ~clients ops =
-  let io0 = Pdb_simio.Io_stats.snapshot (Env.stats store.Dyn.d_env) in
-  let r = Mc.run ?latency store ~clients ops in
-  let io1 = Pdb_simio.Io_stats.snapshot (Env.stats store.Dyn.d_env) in
-  let io = Pdb_simio.Io_stats.diff io1 io0 in
-  let elapsed = r.Mc.elapsed_ns in
-  ( {
-      ops = r.Mc.ops;
-      elapsed_ns = elapsed;
-      kops =
-        (if elapsed <= 0.0 then 0.0
-         else float_of_int r.Mc.ops /. (elapsed /. 1e9) /. 1000.0);
-      bytes_written = io.Pdb_simio.Io_stats.bytes_written;
-      bytes_read = io.Pdb_simio.Io_stats.bytes_read;
-    },
-    r )
+  let r, io = io_during store (fun () -> Mc.run ?latency store ~clients ops) in
+  (phase ~ops:r.Mc.ops ~elapsed_ns:r.Mc.elapsed_ns io, r)
 
 let put_op key value =
   let b = Pdb_kvs.Write_batch.create () in

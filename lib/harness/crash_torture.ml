@@ -101,24 +101,40 @@ let run_trace db oracle trace =
   in
   go trace
 
-(** [count_events engine ~seed ~trace] runs the whole trace under a plan
-    that never fires, counting every IO event — the number of distinct
-    crash points the sweep can target. *)
-let count_events ?policy ?(shards = 1) ?(keyspace = 48) engine ~seed ~trace =
+(* What a sweep drives: [open_] opens the subject on an environment,
+   [drive] runs the trace through it (acking each op into the oracle)
+   and returns the data op in flight when an injected crash fired. *)
+type 'h subject = {
+  open_ : Env.t -> 'h;
+  drive : 'h -> (string, string) Hashtbl.t -> op option;
+  close : 'h -> unit;
+}
+
+(* How a sweep's subject comes back from a crash.  The recovered store
+   comes with the sweep's own extra failures (checked before the
+   oracle). *)
+type 'h recovery =
+  | Reopen of (Env.t -> Dyn.dyn * string list)
+      (** crash the subject's environment and reopen over it *)
+  | Promote of ('h -> Env.t) * ('h -> Dyn.dyn)
+      (** leave the primary dead and promote a backup: the backup's
+          environment, and the promotion *)
+
+(** [count_events subject ~seed] runs the whole trace under a plan that
+    never fires, counting every IO event — the number of distinct crash
+    points the sweep can target. *)
+let count_events subject ~seed =
   let env = Env.create () in
   let plan = Env.Fault_plan.create ~seed ~crash_after:max_int () in
   Env.set_fault_plan env plan;
-  let db =
-    Stores.open_engine ~tweak:(tweak ?policy ~shards ~keyspace) ~env engine
-  in
-  let oracle = Hashtbl.create 64 in
-  (match run_trace db oracle trace with
+  let h = subject.open_ env in
+  (match subject.drive h (Hashtbl.create 64) with
    | None -> ()
    | Some op -> failwith ("count_events: unexpected crash at " ^ op_name op));
   (* read the count before close: the sweep crashes instead of closing,
      so close-time IO events are not reachable crash points *)
   let ticks = Env.Fault_plan.ticks plan in
-  db.Dyn.d_close ();
+  subject.close h;
   ticks
 
 (* What recovery is allowed to return for [k]: the oracle's view, or — for
@@ -186,6 +202,111 @@ type result = {
   failures : (int * string) list;  (** (crash point, what went wrong) *)
 }
 
+let pp_result ppf r =
+  Fmt.pf ppf
+    "%s: %d/%d crash points (%d double, %d background, %d torn), %d failures"
+    r.engine r.crash_points r.total_events r.double_crashes
+    r.background_crashes r.torn_crashes (List.length r.failures)
+
+(* The sweep skeleton every torture shares.  At each of [max_points]
+   points strided across [total_events], a fresh environment crashes at
+   that IO event while [subject] drives the trace; [recovery] brings the
+   store back and it is verified against the oracle of acked ops.  Every
+   7th point (by index, not point: the stride can share a factor with 7,
+   which would starve the schedule) arms a second plan during recovery
+   itself and recovers again from that crash. *)
+let sweep ~engine ~seed ~keyspace ~max_points ~total_events subject recovery =
+  let stride = max 1 (total_events / max_points) in
+  let crash_points = ref 0 in
+  let double_crashes = ref 0 in
+  let background_crashes = ref 0 in
+  let torn_crashes = ref 0 in
+  let failures = ref [] in
+  let fail point msg = failures := (point, msg) :: !failures in
+  let n = ref 1 in
+  while !n <= total_events do
+    let point = !n in
+    incr crash_points;
+    let env = Env.create () in
+    (* seed varies per point so the torn-write choices differ too *)
+    let plan = Env.Fault_plan.create ~seed:(seed + point) ~crash_after:point () in
+    Env.set_fault_plan env plan;
+    let oracle = Hashtbl.create 64 in
+    let in_flight = ref None in
+    let handle = ref None in
+    (try
+       let h = subject.open_ env in
+       handle := Some h;
+       in_flight := subject.drive h oracle
+     with Env.Injected_crash _ ->
+       (* fired during the initial open (nothing acked yet) or inside a
+          forced topology action (no data op in flight) *)
+       ());
+    if not (Env.Fault_plan.fired plan) then
+      fail point "plan never fired: trace ended before the crash point"
+    else begin
+      if Env.Fault_plan.fired_in_background plan then incr background_crashes;
+      (* where the crash lands: the environment the second plan arms, the
+         recovery, and whether that second crash's torn writes count —
+         a promotion leaves the primary's files alone, so only the
+         backup's crash can tear anything *)
+      let target =
+        match recovery with
+        | Reopen reopen ->
+          Env.crash env;
+          if Env.Fault_plan.torn_files plan > 0 then incr torn_crashes;
+          Some (env, "recovery", (fun () -> reopen env), false)
+        | Promote (backup_env, promote) ->
+          (* no handle: died in the initial open, before any replica set
+             existed — vacuously consistent *)
+          Option.map
+            (fun h -> (backup_env h, "promotion", (fun () -> (promote h, [])), true))
+            !handle
+      in
+      match target with
+      | None -> ()
+      | Some (r_env, what, recover, second_tears) -> (
+        match
+          if !crash_points mod 7 = 0 then begin
+            let plan2 =
+              Env.Fault_plan.create
+                ~seed:((seed * 31) + point)
+                ~crash_after:(1 + (point mod 13))
+                ()
+            in
+            Env.set_fault_plan r_env plan2;
+            match recover () with
+            | r ->
+              Env.clear_fault_plan r_env;
+              Ok r
+            | exception Env.Injected_crash _ ->
+              incr double_crashes;
+              Env.crash r_env;
+              if second_tears && Env.Fault_plan.torn_files plan2 > 0 then
+                incr torn_crashes;
+              Env.clear_fault_plan r_env;
+              (try Ok (recover ()) with e -> Error e)
+          end
+          else try Ok (recover ()) with e -> Error e
+        with
+        | Error e -> fail point (what ^ " raised " ^ Printexc.to_string e)
+        | Ok (db, extra) ->
+          List.iter (fail point) extra;
+          List.iter (fail point) (verify db oracle !in_flight ~keyspace);
+          db.Dyn.d_close ())
+    end;
+    n := !n + stride
+  done;
+  {
+    engine;
+    total_events;
+    crash_points = !crash_points;
+    double_crashes = !double_crashes;
+    background_crashes = !background_crashes;
+    torn_crashes = !torn_crashes;
+    failures = List.rev !failures;
+  }
+
 (** [run ?seed ?ops ?keyspace ?max_points ?shards ?policy engine] sweeps
     crash points across the trace and verifies recovery at each.
     [max_points] bounds the sweep (evenly strided across all events);
@@ -201,95 +322,25 @@ let run ?(seed = 0xFA17) ?(ops = 140) ?(keyspace = 48) ?(max_points = 64)
   in
   let tweak = tweak ?policy ~shards ~keyspace in
   let trace = gen_trace ~seed ~ops ~keyspace in
-  let total_events =
-    count_events ?policy ~shards ~keyspace engine ~seed ~trace
+  let open_ env = Stores.open_engine ~tweak ~env engine in
+  let subject =
+    {
+      open_;
+      drive = (fun db oracle -> run_trace db oracle trace);
+      close = (fun db -> db.Dyn.d_close ());
+    }
   in
-  let stride = max 1 (total_events / max_points) in
-  let crash_points = ref 0 in
-  let double_crashes = ref 0 in
-  let background_crashes = ref 0 in
-  let torn_crashes = ref 0 in
-  let failures = ref [] in
-  let n = ref 1 in
-  while !n <= total_events do
-    let point = !n in
-    incr crash_points;
-    let env = Env.create () in
-    (* seed varies per point so the torn-write choices differ too *)
-    let plan = Env.Fault_plan.create ~seed:(seed + point) ~crash_after:point () in
-    Env.set_fault_plan env plan;
-    let oracle = Hashtbl.create 64 in
-    let in_flight = ref None in
-    (try
-       let db = Stores.open_engine ~tweak ~env engine in
-       in_flight := run_trace db oracle trace
-     with Env.Injected_crash _ ->
-       (* fired during the initial open: nothing acked yet *)
-       ());
-    if not (Env.Fault_plan.fired plan) then
-      failures :=
-        (point, "plan never fired: trace ended before the crash point")
-        :: !failures
-    else begin
-      if Env.Fault_plan.fired_in_background plan then incr background_crashes;
-      Env.crash env;
-      if Env.Fault_plan.torn_files plan > 0 then incr torn_crashes;
-      let reopen () = Stores.open_engine ~tweak ~env engine in
-      match
-        (* index-based, not point-based: the sweep stride can share a
-           factor with 7, which would starve the double-crash schedule *)
-        if !crash_points mod 7 = 0 then begin
-          (* crash during recovery itself, then recover from that *)
-          let plan2 =
-            Env.Fault_plan.create
-              ~seed:((seed * 31) + point)
-              ~crash_after:(1 + (point mod 13))
-              ()
-          in
-          Env.set_fault_plan env plan2;
-          match reopen () with
-          | db ->
-            Env.clear_fault_plan env;
-            Ok db
-          | exception Env.Injected_crash _ ->
-            incr double_crashes;
-            Env.crash env;
-            Env.clear_fault_plan env;
-            (try Ok (reopen ()) with e -> Error e)
-        end
-        else try Ok (reopen ()) with e -> Error e
-      with
-      | Error e ->
-        failures :=
-          (point, "recovery raised " ^ Printexc.to_string e) :: !failures
-      | Ok db ->
-        List.iter
-          (fun msg -> failures := (point, msg) :: !failures)
-          (verify db oracle !in_flight ~keyspace);
-        db.Dyn.d_close ()
-    end;
-    n := !n + stride
-  done;
-  {
-    engine =
-      Stores.engine_name engine
+  sweep
+    ~engine:
+      (Stores.engine_name engine
       ^ (match policy with
         | None -> ""
         | Some p -> "/" ^ O.compaction_policy_name p)
-      ^ (if shards > 1 then Printf.sprintf " x%d shards" shards else "");
-    total_events;
-    crash_points = !crash_points;
-    double_crashes = !double_crashes;
-    background_crashes = !background_crashes;
-    torn_crashes = !torn_crashes;
-    failures = List.rev !failures;
-  }
-
-let pp_result ppf r =
-  Fmt.pf ppf
-    "%s: %d/%d crash points (%d double, %d background, %d torn), %d failures"
-    r.engine r.crash_points r.total_events r.double_crashes
-    r.background_crashes r.torn_crashes (List.length r.failures)
+      ^ if shards > 1 then Printf.sprintf " x%d shards" shards else "")
+    ~seed ~keyspace ~max_points
+    ~total_events:(count_events subject ~seed)
+    subject
+    (Reopen (fun env -> (open_ env, [])))
 
 (* ---------- elastic migration torture ---------- *)
 
@@ -330,16 +381,19 @@ let elastic_schedule ~ops ~keyspace =
     (6 * ops / 7, Merge 0);
   ]
 
-(* Run the trace with the schedule interleaved.  Returns the data op in
+(* Run the trace with the schedule interleaved, calling [installed] with
+   the split vector after each forced action.  Returns the data op in
    flight when an injected crash fired, or None — a crash inside a
    forced topology action propagates to the caller (migrations move
    copies of acked data; they have no data effect of their own). *)
-let run_trace_elastic (sh : Stores.sharded) ~schedule oracle trace =
+let run_trace_elastic (sh : Stores.sharded) ~schedule ~installed oracle trace =
   let rec go i = function
     | [] -> None
     | op :: rest -> (
       (match List.assoc_opt i schedule with
-       | Some a -> apply_action sh a
+       | Some a ->
+         apply_action sh a;
+         installed (sh.Stores.s_splits ())
        | None -> ());
       match apply sh.Stores.s_dyn op with
       | () ->
@@ -352,7 +406,8 @@ let run_trace_elastic (sh : Stores.sharded) ~schedule oracle trace =
 (** [run_elastic ?seed ?ops ?keyspace ?max_points engine] sweeps crash
     points across a trace that live-splits, merges and migrates shards
     at scheduled op indices.  At every crash point the store is
-    reopened (every 7th point crashing again during recovery) and
+    reopened (every 7th point crashing again during recovery — which
+    includes the shard layer's own orphan-directory cleanup) and
     checked two ways: the data must match the oracle exactly, and the
     recovered split vector must be one of the topologies the schedule
     installs — a migration lands wholly old or wholly new, never a
@@ -362,118 +417,39 @@ let run_elastic ?(seed = 0xFA17) ?(ops = 140) ?(keyspace = 48)
   let tweak = elastic_tweak ~keyspace in
   let trace = gen_trace ~seed ~ops ~keyspace in
   let schedule = elastic_schedule ~ops ~keyspace in
-  (* crash-free pass: count the IO events and record the topology
-     lineage — every split vector an install can leave behind *)
-  let total_events, topologies =
-    let env = Env.create () in
-    let plan = Env.Fault_plan.create ~seed ~crash_after:max_int () in
-    Env.set_fault_plan env plan;
-    let sh = Stores.open_sharded ~tweak ~env engine in
-    let topologies = ref [ sh.Stores.s_splits () ] in
-    let oracle = Hashtbl.create 64 in
-    let rec go i = function
-      | [] -> ()
-      | op :: rest ->
-        (match List.assoc_opt i schedule with
-         | Some a ->
-           apply_action sh a;
-           topologies := sh.Stores.s_splits () :: !topologies
-         | None -> ());
-        apply sh.Stores.s_dyn op;
-        oracle_apply oracle op;
-        go (i + 1) rest
-    in
-    go 0 trace;
-    let ticks = Env.Fault_plan.ticks plan in
-    sh.Stores.s_dyn.Dyn.d_close ();
-    (ticks, List.sort_uniq compare !topologies)
+  let open_ env = Stores.open_sharded ~tweak ~env engine in
+  (* the topology lineage: every split vector an install can leave
+     behind, recorded by the crash-free pass *)
+  let lineage = ref [] in
+  let installed splits = lineage := splits :: !lineage in
+  let subject =
+    {
+      open_ =
+        (fun env ->
+          let sh = open_ env in
+          installed (sh.Stores.s_splits ());
+          sh);
+      drive =
+        (fun sh oracle -> run_trace_elastic sh ~schedule ~installed oracle trace);
+      close = (fun sh -> sh.Stores.s_dyn.Dyn.d_close ());
+    }
   in
-  let stride = max 1 (total_events / max_points) in
-  let crash_points = ref 0 in
-  let double_crashes = ref 0 in
-  let background_crashes = ref 0 in
-  let torn_crashes = ref 0 in
-  let failures = ref [] in
-  let n = ref 1 in
-  while !n <= total_events do
-    let point = !n in
-    incr crash_points;
-    let env = Env.create () in
-    let plan =
-      Env.Fault_plan.create ~seed:(seed + point) ~crash_after:point ()
-    in
-    Env.set_fault_plan env plan;
-    let oracle = Hashtbl.create 64 in
-    let in_flight = ref None in
-    (try
-       let sh = Stores.open_sharded ~tweak ~env engine in
-       in_flight := run_trace_elastic sh ~schedule oracle trace
-     with Env.Injected_crash _ ->
-       (* fired during the initial open or inside a forced migration:
-          no data op was in flight *)
-       ());
-    if not (Env.Fault_plan.fired plan) then
-      failures :=
-        (point, "plan never fired: trace ended before the crash point")
-        :: !failures
-    else begin
-      if Env.Fault_plan.fired_in_background plan then incr background_crashes;
-      Env.crash env;
-      if Env.Fault_plan.torn_files plan > 0 then incr torn_crashes;
-      let reopen () = Stores.open_sharded ~tweak ~env engine in
-      match
-        if !crash_points mod 7 = 0 then begin
-          (* crash during recovery itself — which includes the shard
-             layer's own orphan-directory cleanup — then recover again *)
-          let plan2 =
-            Env.Fault_plan.create
-              ~seed:((seed * 31) + point)
-              ~crash_after:(1 + (point mod 13))
-              ()
-          in
-          Env.set_fault_plan env plan2;
-          match reopen () with
-          | sh ->
-            Env.clear_fault_plan env;
-            Ok sh
-          | exception Env.Injected_crash _ ->
-            incr double_crashes;
-            Env.crash env;
-            Env.clear_fault_plan env;
-            (try Ok (reopen ()) with e -> Error e)
-        end
-        else try Ok (reopen ()) with e -> Error e
-      with
-      | Error e ->
-        failures :=
-          (point, "recovery raised " ^ Printexc.to_string e) :: !failures
-      | Ok sh ->
-        (* all-or-nothing topology: the recovered split vector must be
-           one the schedule installed, never a partial mix *)
-        let splits = sh.Stores.s_splits () in
-        if not (List.mem splits topologies) then
-          failures :=
-            ( point,
-              "recovered topology ["
-              ^ String.concat "; " splits
-              ^ "] is not an installed one" )
-            :: !failures;
-        List.iter
-          (fun msg -> failures := (point, msg) :: !failures)
-          (verify sh.Stores.s_dyn oracle !in_flight ~keyspace);
-        sh.Stores.s_dyn.Dyn.d_close ()
-    end;
-    n := !n + stride
-  done;
-  {
-    engine = Stores.engine_name engine ^ " elastic";
-    total_events;
-    crash_points = !crash_points;
-    double_crashes = !double_crashes;
-    background_crashes = !background_crashes;
-    torn_crashes = !torn_crashes;
-    failures = List.rev !failures;
-  }
+  let total_events = count_events subject ~seed in
+  let topologies = List.sort_uniq compare !lineage in
+  sweep ~engine:(Stores.engine_name engine ^ " elastic") ~seed ~keyspace
+    ~max_points ~total_events subject
+    (Reopen
+       (fun env ->
+         let sh = open_ env in
+         let splits = sh.Stores.s_splits () in
+         ( sh.Stores.s_dyn,
+           if List.mem splits topologies then []
+           else
+             [
+               "recovered topology ["
+               ^ String.concat "; " splits
+               ^ "] is not an installed one";
+             ] )))
 
 (* ---------- replication failover torture ---------- *)
 
@@ -503,98 +479,20 @@ let run_failover ?(seed = 0xFA17) ?(ops = 140) ?(keyspace = 48)
     }
   in
   let trace = gen_trace ~seed ~ops ~keyspace in
-  let total_events =
-    let env = Env.create () in
-    let plan = Env.Fault_plan.create ~seed ~crash_after:max_int () in
-    Env.set_fault_plan env plan;
-    let h = Stores.open_repl ~tweak ~env engine in
-    let oracle = Hashtbl.create 64 in
-    (match run_trace h.Stores.rh_dyn oracle trace with
-     | None -> ()
-     | Some op ->
-       failwith ("run_failover: unexpected crash at " ^ op_name op));
-    let ticks = Env.Fault_plan.ticks plan in
-    h.Stores.rh_dyn.Dyn.d_close ();
-    ticks
+  let subject =
+    {
+      open_ = (fun env -> Stores.open_repl ~tweak ~env engine);
+      drive = (fun h oracle -> run_trace h.Stores.rh_dyn oracle trace);
+      close = (fun h -> h.Stores.rh_dyn.Dyn.d_close ());
+    }
   in
-  let stride = max 1 (total_events / max_points) in
-  let crash_points = ref 0 in
-  let double_crashes = ref 0 in
-  let background_crashes = ref 0 in
-  let torn_crashes = ref 0 in
-  let failures = ref [] in
-  let n = ref 1 in
-  while !n <= total_events do
-    let point = !n in
-    incr crash_points;
-    let env = Env.create () in
-    let plan =
-      Env.Fault_plan.create ~seed:(seed + point) ~crash_after:point ()
-    in
-    Env.set_fault_plan env plan;
-    let oracle = Hashtbl.create 64 in
-    let in_flight = ref None in
-    let handle = ref None in
-    (try
-       let h = Stores.open_repl ~tweak ~env engine in
-       handle := Some h;
-       in_flight := run_trace h.Stores.rh_dyn oracle trace
-     with Env.Injected_crash _ -> (* died during the initial open *) ());
-    if not (Env.Fault_plan.fired plan) then
-      failures :=
-        (point, "plan never fired: trace ended before the crash point")
-        :: !failures
-    else begin
-      if Env.Fault_plan.fired_in_background plan then incr background_crashes;
-      match !handle with
-      | None -> () (* no replica set yet: vacuously consistent *)
-      | Some h ->
-        let promote () = h.Stores.rh_promote 0 in
-        (match
-           if !crash_points mod 7 = 0 then begin
-             (* kill the backup mid-promotion, then promote over the
-                torn mirror *)
-             let b_env = h.Stores.rh_backup_env 0 in
-             let plan2 =
-               Env.Fault_plan.create
-                 ~seed:((seed * 31) + point)
-                 ~crash_after:(1 + (point mod 13))
-                 ()
-             in
-             Env.set_fault_plan b_env plan2;
-             match promote () with
-             | db ->
-               Env.clear_fault_plan b_env;
-               Ok db
-             | exception Env.Injected_crash _ ->
-               incr double_crashes;
-               Env.crash b_env;
-               if Env.Fault_plan.torn_files plan2 > 0 then incr torn_crashes;
-               Env.clear_fault_plan b_env;
-               (try Ok (promote ()) with e -> Error e)
-           end
-           else try Ok (promote ()) with e -> Error e
-         with
-         | Error e ->
-           failures :=
-             (point, "promotion raised " ^ Printexc.to_string e) :: !failures
-         | Ok db ->
-           List.iter
-             (fun msg -> failures := (point, msg) :: !failures)
-             (verify db oracle !in_flight ~keyspace);
-           db.Dyn.d_close ())
-    end;
-    n := !n + stride
-  done;
-  {
-    engine =
-      Printf.sprintf "%s/%s K=%d failover" (Stores.engine_name engine)
-        (O.repl_strategy_name strategy)
-        replicas;
-    total_events;
-    crash_points = !crash_points;
-    double_crashes = !double_crashes;
-    background_crashes = !background_crashes;
-    torn_crashes = !torn_crashes;
-    failures = List.rev !failures;
-  }
+  sweep
+    ~engine:
+      (Printf.sprintf "%s/%s K=%d failover" (Stores.engine_name engine)
+         (O.repl_strategy_name strategy)
+         replicas)
+    ~seed ~keyspace ~max_points
+    ~total_events:(count_events subject ~seed)
+    subject
+    (Promote
+       ((fun h -> h.Stores.rh_backup_env 0), fun h -> h.Stores.rh_promote 0))

@@ -33,6 +33,18 @@ let seed = 42
 
 let rel base v = if base = 0.0 then 0.0 else v /. base
 
+(* Printed shape self-checks: [verdict ok miss] is the text an acceptance
+   line ends with — [pass] when the expected shape holds, else [miss],
+   which is also counted so {!run_ids} fails the run. *)
+let shape_misses = ref 0
+
+let verdict ?(pass = "") ok miss =
+  if ok then pass
+  else begin
+    incr shape_misses;
+    miss
+  end
+
 (* ---------------- fig 1.1 / fig 5.1a : write amplification ------------- *)
 
 let run_write_amp () =
@@ -77,7 +89,7 @@ let run_btree_motivation () =
         let store = Stores.open_engine engine in
         ignore (B.fill_random store ~n ~value_bytes:value_small ~seed);
         (* a second pass of random updates shows the in-place rewrite cost *)
-        ignore (B.update_random store ~n ~value_bytes:value_small ~seed);
+        ignore (B.fill_random store ~n ~value_bytes:value_small ~seed);
         store.Dyn.d_flush ();
         let wa = B.write_amp store in
         store.Dyn.d_close ();
@@ -131,8 +143,8 @@ let run_update_throughput () =
       (fun engine ->
         let store = Stores.open_engine engine in
         let insert = B.fill_random store ~n ~value_bytes:value_1k ~seed in
-        let up1 = B.update_random store ~n ~value_bytes:value_1k ~seed:(seed + 1) in
-        let up2 = B.update_random store ~n ~value_bytes:value_1k ~seed:(seed + 2) in
+        let up1 = B.fill_random store ~n ~value_bytes:value_1k ~seed:(seed + 1) in
+        let up2 = B.fill_random store ~n ~value_bytes:value_1k ~seed:(seed + 2) in
         store.Dyn.d_close ();
         [
           Stores.engine_name engine;
@@ -178,21 +190,20 @@ let run_micro_single () =
   let hyper =
     try List.assoc "hyperleveldb" rows with Not_found -> [ 1.; 1.; 1.; 1.; 1. ]
   in
+  let header =
+    [ "store"; "fillseq"; "fillrandom"; "readrandom"; "seekrandom";
+      "deleterandom" ]
+  in
   B.print_table
     ~title:
       "Fig 5.1(b) — db_bench micro-benchmarks, KOps/s (40k x 1KB; seeks after \
        full compaction)"
-    ~header:
-      [ "store"; "fillseq"; "fillrandom"; "readrandom"; "seekrandom";
-        "deleterandom" ]
+    ~header
     (List.map
        (fun (name, vals) ->
          name :: List.map (fun v -> B.fmt_f v) vals)
        rows);
-  B.print_table ~title:"Fig 5.1(b) — relative to HyperLevelDB"
-    ~header:
-      [ "store"; "fillseq"; "fillrandom"; "readrandom"; "seekrandom";
-        "deleterandom" ]
+  B.print_table ~title:"Fig 5.1(b) — relative to HyperLevelDB" ~header
     (List.map
        (fun (name, vals) ->
          name
@@ -242,110 +253,75 @@ let run_micro_multi () =
     ~header:[ "store"; "writes"; "reads"; "mixed" ]
     rows
 
-(* ---------------- fig 5.1d : small cached dataset ----------------------- *)
+(* ------------- fig 5.1d/e, 5.2a/b : writes / reads / seeks ------------- *)
+
+(* One row per store: the write phase ([writes], a random fill of [n]
+   keys by default), then [reads] point lookups and [seeks] seeks over
+   the [n]-key space, in KOps/s.  [open_] opens each store. *)
+let write_read_seek_table ~title ?(open_ = fun e -> Stores.open_engine e)
+    ?(value_bytes = value_1k) ?writes ~n ~reads ~seeks engines =
+  B.print_table ~title ~header:[ "store"; "writes"; "reads"; "seeks" ]
+    (List.map
+       (fun engine ->
+         let store = open_ engine in
+         let w =
+           match writes with
+           | Some f -> f store
+           | None -> B.fill_random store ~n ~value_bytes ~seed
+         in
+         let r = B.read_random store ~n ~ops:reads ~seed in
+         let s = B.seek_random store ~n ~ops:seeks ~nexts:0 ~seed in
+         store.Dyn.d_close ();
+         Stores.engine_name engine
+         :: List.map B.fmt_f [ w.B.kops; r.B.kops; s.B.kops ])
+       engines)
 
 let run_micro_cached () =
-  let n = 4_000 in
-  let rows =
-    List.map
-      (fun engine ->
-        let store = Stores.open_engine engine in
-        let writes = B.fill_random store ~n ~value_bytes:value_1k ~seed in
-        let reads = B.read_random store ~n ~ops:10_000 ~seed in
-        let seeks = B.seek_random store ~n ~ops:5_000 ~nexts:0 ~seed in
-        store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f writes.B.kops;
-          B.fmt_f reads.B.kops;
-          B.fmt_f seeks.B.kops;
-        ])
-      [ Stores.Hyperleveldb; Stores.Pebblesdb; Stores.Pebblesdb_one ]
-  in
-  B.print_table
+  write_read_seek_table
     ~title:
       "Fig 5.1(d) — fully cached dataset (4k x 1KB inside the 8MB block \
        cache): KOps/s"
-    ~header:[ "store"; "writes"; "reads"; "seeks" ]
-    rows
-
-(* ---------------- fig 5.1e : small values ------------------------------ *)
+    ~n:4_000 ~reads:10_000 ~seeks:5_000
+    [ Stores.Hyperleveldb; Stores.Pebblesdb; Stores.Pebblesdb_one ]
 
 let run_micro_small_values () =
-  let n = 100_000 in
-  let rows =
-    List.map
-      (fun engine ->
-        let store = Stores.open_engine engine in
-        let writes = B.fill_random store ~n ~value_bytes:value_small ~seed in
-        let reads = B.read_random store ~n ~ops:20_000 ~seed in
-        let seeks = B.seek_random store ~n ~ops:5_000 ~nexts:0 ~seed in
-        store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f writes.B.kops;
-          B.fmt_f reads.B.kops;
-          B.fmt_f seeks.B.kops;
-        ])
-      Stores.paper_stores
-  in
-  B.print_table
+  write_read_seek_table
     ~title:"Fig 5.1(e) — small key-value pairs (100k x 128B): KOps/s"
-    ~header:[ "store"; "writes"; "reads"; "seeks" ]
-    rows
-
-(* ---------------- fig 5.2a : aged file system and store ----------------- *)
+    ~value_bytes:value_small ~n:100_000 ~reads:20_000 ~seeks:5_000
+    Stores.paper_stores
 
 let run_aged () =
   let n = 30_000 in
-  let rows =
-    List.map
-      (fun engine ->
-        let env = Env.create () in
-        (* file-system aging: degrade the device *)
-        Pdb_simio.Device.set_aging (Env.device env) 2.0;
-        let store = Stores.open_engine ~env engine in
-        (* key-value store aging: inserts + deletes + updates *)
-        ignore (B.fill_random store ~n ~value_bytes:value_1k ~seed);
-        let rng = Pdb_util.Rng.create (seed + 4) in
-        for _ = 1 to n * 2 / 5 do
-          store.Dyn.d_delete (B.key_of (Pdb_util.Rng.int rng n))
-        done;
-        for _ = 1 to n * 2 / 5 do
-          store.Dyn.d_put
-            (B.key_of (Pdb_util.Rng.int rng n))
-            (Pdb_util.Rng.alpha rng value_1k)
-        done;
-        (* now the measured phases *)
-        let writes =
-          B.measure store (n / 2) (fun () ->
-              for _ = 1 to n / 2 do
-                store.Dyn.d_put
-                  (B.key_of (Pdb_util.Rng.int rng n))
-                  (Pdb_util.Rng.alpha rng value_1k)
-              done)
-        in
-        let reads = B.read_random store ~n ~ops:10_000 ~seed in
-        let seeks = B.seek_random store ~n ~ops:3_000 ~nexts:0 ~seed in
-        store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f writes.B.kops;
-          B.fmt_f reads.B.kops;
-          B.fmt_f seeks.B.kops;
-        ])
-      Stores.paper_stores
-  in
-  B.print_table
+  write_read_seek_table
     ~title:
       "Fig 5.2(a) — aged file system (2x fragmentation) + aged store: KOps/s"
-    ~header:[ "store"; "writes"; "reads"; "seeks" ]
-    rows
-
-(* ---------------- fig 5.2b : low memory --------------------------------- *)
+    ~open_:(fun engine ->
+      let env = Env.create () in
+      (* file-system aging: degrade the device *)
+      Pdb_simio.Device.set_aging (Env.device env) 2.0;
+      Stores.open_engine ~env engine)
+    ~writes:(fun store ->
+      (* key-value store aging: inserts + deletes + updates *)
+      ignore (B.fill_random store ~n ~value_bytes:value_1k ~seed);
+      let rng = Pdb_util.Rng.create (seed + 4) in
+      for _ = 1 to n * 2 / 5 do
+        store.Dyn.d_delete (B.key_of (Pdb_util.Rng.int rng n))
+      done;
+      for _ = 1 to n * 2 / 5 do
+        store.Dyn.d_put
+          (B.key_of (Pdb_util.Rng.int rng n))
+          (Pdb_util.Rng.alpha rng value_1k)
+      done;
+      (* now the measured phases *)
+      B.measure store (n / 2) (fun () ->
+          for _ = 1 to n / 2 do
+            store.Dyn.d_put
+              (B.key_of (Pdb_util.Rng.int rng n))
+              (Pdb_util.Rng.alpha rng value_1k)
+          done))
+    ~n ~reads:10_000 ~seeks:3_000 Stores.paper_stores
 
 let run_low_memory () =
-  let n = 50_000 in
   (* dataset ~51MB; cache limited to ~6% of it, as in the paper's 4GB-RAM
      configuration *)
   let tweak (o : O.t) =
@@ -358,80 +334,46 @@ let run_low_memory () =
       l0_stop = 24;
     }
   in
-  let rows =
-    List.map
-      (fun engine ->
-        let store = Stores.open_engine ~tweak engine in
-        let writes = B.fill_random store ~n ~value_bytes:value_1k ~seed in
-        let reads = B.read_random store ~n ~ops:10_000 ~seed in
-        let seeks = B.seek_random store ~n ~ops:3_000 ~nexts:0 ~seed in
-        store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f writes.B.kops;
-          B.fmt_f reads.B.kops;
-          B.fmt_f seeks.B.kops;
-        ])
-      Stores.paper_stores
-  in
-  B.print_table
+  write_read_seek_table
     ~title:"Fig 5.2(b) — low memory (cache ~6% of dataset): KOps/s"
-    ~header:[ "store"; "writes"; "reads"; "seeks" ]
-    rows
+    ~open_:(fun engine -> Stores.open_engine ~tweak engine)
+    ~n:50_000 ~reads:10_000 ~seeks:3_000 Stores.paper_stores
 
 (* ---------------- fig 5.3 : space amplification ------------------------- *)
 
 let run_space_amp () =
-  let unique_rows =
-    List.map
-      (fun engine ->
-        let store = Stores.open_engine engine in
-        let n = 40_000 in
-        ignore (B.fill_random store ~n ~value_bytes:value_1k ~seed);
-        store.Dyn.d_flush ();
-        store.Dyn.d_compact_all ();
-        let live = n * (value_1k + 13) in
-        let used = Env.total_file_bytes store.Dyn.d_env in
-        store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f (B.mb used);
-          B.fmt_f (float_of_int used /. float_of_int live);
-        ])
-      Stores.paper_stores
+  let table title ~n build =
+    B.print_table ~title ~header:[ "store"; "space (MB)"; "space amp" ]
+      (List.map
+         (fun engine ->
+           let store = Stores.open_engine engine in
+           build store n;
+           let live = n * (value_1k + 13) in
+           let used = Env.total_file_bytes store.Dyn.d_env in
+           store.Dyn.d_close ();
+           [
+             Stores.engine_name engine;
+             B.fmt_f (B.mb used);
+             B.fmt_f (float_of_int used /. float_of_int live);
+           ])
+         Stores.paper_stores)
   in
-  B.print_table
-    ~title:"Fig 5.3(i) — space amplification, 40k unique 1KB inserts"
-    ~header:[ "store"; "space (MB)"; "space amp" ]
-    unique_rows;
-  let dup_rows =
-    List.map
-      (fun engine ->
-        let store = Stores.open_engine engine in
-        let n = 4_000 in
-        (* 10 update rounds, uncompacted: the paper's duplicate-keys case *)
-        for round = 0 to 9 do
-          ignore
-            (B.update_random store ~n ~value_bytes:value_1k
-               ~seed:(seed + round))
-        done;
-        store.Dyn.d_flush ();
-        let live = n * (value_1k + 13) in
-        let used = Env.total_file_bytes store.Dyn.d_env in
-        store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f (B.mb used);
-          B.fmt_f (float_of_int used /. float_of_int live);
-        ])
-      Stores.paper_stores
-  in
-  B.print_table
-    ~title:
-      "Fig 5.3(ii) — space amplification, 4k keys x 10 duplicate updates \
-       (uncompacted)"
-    ~header:[ "store"; "space (MB)"; "space amp" ]
-    dup_rows
+  table "Fig 5.3(i) — space amplification, 40k unique 1KB inserts" ~n:40_000
+    (fun store n ->
+      ignore (B.fill_random store ~n ~value_bytes:value_1k ~seed);
+      store.Dyn.d_flush ();
+      store.Dyn.d_compact_all ());
+  table
+    "Fig 5.3(ii) — space amplification, 4k keys x 10 duplicate updates \
+     (uncompacted)"
+    ~n:4_000
+    (fun store n ->
+      (* 10 update rounds, uncompacted: the paper's duplicate-keys case *)
+      for round = 0 to 9 do
+        ignore
+          (B.fill_random store ~n ~value_bytes:value_1k ~seed:(seed + round))
+      done;
+      store.Dyn.d_flush ())
 
 (* ---------------- fig 5.4 : time-series / empty guards ------------------ *)
 
@@ -489,9 +431,6 @@ let run_time_series () =
     (fun (engine, store, per_iteration) ->
       (match engine with
        | Stores.Pebblesdb ->
-         (* measure empty-guard accumulation on the FLSM store *)
-         let st = store.Dyn.d_stats () in
-         ignore st;
          pf "  pebblesdb write KOps/s first -> last iteration: %.1f -> %.1f\n"
            (fst (List.hd per_iteration))
            (fst (List.nth per_iteration (iterations - 1)))
@@ -501,8 +440,25 @@ let run_time_series () =
 
 (* ---------------- fig 5.5 : YCSB ---------------------------------------- *)
 
-let ycsb_engines =
-  [ Stores.Pebblesdb; Stores.Hyperleveldb; Stores.Rocksdb; Stores.Leveldb ]
+module W = Pdb_ycsb.Workload
+
+let kops_of (r : Pdb_ycsb.Runner.result) = r.Pdb_ycsb.Runner.kops_per_s
+
+(* The YCSB load of [records] then workloads A, B, C, D and F ([ops]
+   each) on [store]: KOps/s of the load and A-D, and of F. *)
+let ycsb_load_to_f store ~records ~ops =
+  let load = Pdb_ycsb.Runner.load store ~records ~value_bytes:value_1k ~seed in
+  let phase spec =
+    kops_of
+      (Pdb_ycsb.Runner.run store spec ~records ~operations:ops
+         ~value_bytes:value_1k ~seed)
+  in
+  let a = phase W.workload_a in
+  let b = phase W.workload_b in
+  let c = phase W.workload_c in
+  let d = phase W.workload_d in
+  let f = phase W.workload_f in
+  ([ kops_of load; a; b; c; d ], f)
 
 let run_ycsb () =
   let records = 25_000 in
@@ -511,18 +467,7 @@ let run_ycsb () =
     List.map
       (fun engine ->
         let store = Stores.open_engine ~tweak:rocksdb_params engine in
-        let load_a =
-          Pdb_ycsb.Runner.load store ~records ~value_bytes:value_1k ~seed
-        in
-        let phase spec ops =
-          Pdb_ycsb.Runner.run store spec ~records ~operations:ops
-            ~value_bytes:value_1k ~seed
-        in
-        let a = phase Pdb_ycsb.Workload.workload_a ops in
-        let b = phase Pdb_ycsb.Workload.workload_b ops in
-        let c = phase Pdb_ycsb.Workload.workload_c ops in
-        let d = phase Pdb_ycsb.Workload.workload_d ops in
-        let f = phase Pdb_ycsb.Workload.workload_f ops in
+        let load_to_d, f = ycsb_load_to_f store ~records ~ops in
         (* E runs on a fresh store per the YCSB spec *)
         let store_e = Stores.open_engine ~tweak:rocksdb_params engine in
         let load_e =
@@ -530,7 +475,7 @@ let run_ycsb () =
             ~seed:(seed + 5)
         in
         let e =
-          Pdb_ycsb.Runner.run store_e Pdb_ycsb.Workload.workload_e ~records
+          Pdb_ycsb.Runner.run store_e W.workload_e ~records
             ~operations:(ops / 4) ~value_bytes:value_1k ~seed:(seed + 5)
         in
         let total_io_mb =
@@ -540,19 +485,10 @@ let run_ycsb () =
         in
         store.Dyn.d_close ();
         store_e.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f load_a.Pdb_ycsb.Runner.kops_per_s;
-          B.fmt_f a.Pdb_ycsb.Runner.kops_per_s;
-          B.fmt_f b.Pdb_ycsb.Runner.kops_per_s;
-          B.fmt_f c.Pdb_ycsb.Runner.kops_per_s;
-          B.fmt_f d.Pdb_ycsb.Runner.kops_per_s;
-          B.fmt_f load_e.Pdb_ycsb.Runner.kops_per_s;
-          B.fmt_f e.Pdb_ycsb.Runner.kops_per_s;
-          B.fmt_f f.Pdb_ycsb.Runner.kops_per_s;
-          B.fmt_f total_io_mb;
-        ])
-      ycsb_engines
+        Stores.engine_name engine
+        :: List.map B.fmt_f
+             (load_to_d @ [ kops_of load_e; kops_of e; f; total_io_mb ]))
+      [ Stores.Pebblesdb; Stores.Hyperleveldb; Stores.Rocksdb; Stores.Leveldb ]
   in
   B.print_table
     ~title:
@@ -567,39 +503,22 @@ let run_ycsb () =
 let run_apps () =
   let records = 10_000 in
   let ops = 5_000 in
-  let app_suite shim store_of_engine engines title =
+  let app_suite shim tweak engines title =
     let rows =
       List.map
         (fun engine ->
-          let store = shim (store_of_engine engine) in
-          let load_a =
-            Pdb_ycsb.Runner.load store ~records ~value_bytes:value_1k ~seed
+          let store = shim (Stores.open_engine ~tweak engine) in
+          let load_to_d, f = ycsb_load_to_f store ~records ~ops in
+          let e =
+            Pdb_ycsb.Runner.run store W.workload_e ~records
+              ~operations:(ops / 10) ~value_bytes:value_1k ~seed
           in
-          let phase spec ops =
-            Pdb_ycsb.Runner.run store spec ~records ~operations:ops
-              ~value_bytes:value_1k ~seed
-          in
-          let a = phase Pdb_ycsb.Workload.workload_a ops in
-          let b = phase Pdb_ycsb.Workload.workload_b ops in
-          let c = phase Pdb_ycsb.Workload.workload_c ops in
-          let d = phase Pdb_ycsb.Workload.workload_d ops in
-          let f = phase Pdb_ycsb.Workload.workload_f ops in
-          let e = phase Pdb_ycsb.Workload.workload_e (ops / 10) in
           let io =
             B.mb (Env.stats store.Dyn.d_env).Pdb_simio.Io_stats.bytes_written
           in
           store.Dyn.d_close ();
-          [
-            store.Dyn.d_name;
-            B.fmt_f load_a.Pdb_ycsb.Runner.kops_per_s;
-            B.fmt_f a.Pdb_ycsb.Runner.kops_per_s;
-            B.fmt_f b.Pdb_ycsb.Runner.kops_per_s;
-            B.fmt_f c.Pdb_ycsb.Runner.kops_per_s;
-            B.fmt_f d.Pdb_ycsb.Runner.kops_per_s;
-            B.fmt_f e.Pdb_ycsb.Runner.kops_per_s;
-            B.fmt_f f.Pdb_ycsb.Runner.kops_per_s;
-            B.fmt_f io;
-          ])
+          store.Dyn.d_name
+          :: List.map B.fmt_f (load_to_d @ [ kops_of e; f; io ]))
         engines
     in
     B.print_table ~title
@@ -608,20 +527,16 @@ let run_apps () =
       rows
   in
   (* HyperDex: 16 MB memtables scaled to 256 KB *)
-  let hyperdex_tweak (o : O.t) = { o with O.memtable_bytes = 256 * 1024 } in
   app_suite
     (Pdb_apps.App_shim.wrap Pdb_apps.App_shim.hyperdex)
-    (fun engine -> Stores.open_engine ~tweak:hyperdex_tweak engine)
+    (fun o -> { o with O.memtable_bytes = 256 * 1024 })
     [ Stores.Hyperleveldb; Stores.Pebblesdb ]
     "Fig 5.6(a) — HyperDex-sim (read-before-write + app latency): KOps/s";
   (* MongoDB: 16 MB memtable + 8 MB cache scaled to 256 KB / 128 KB *)
-  let mongo_tweak (o : O.t) =
-    { o with O.memtable_bytes = 256 * 1024;
-      block_cache_bytes = 128 * 1024 }
-  in
   app_suite
     (Pdb_apps.App_shim.wrap Pdb_apps.App_shim.mongodb)
-    (fun engine -> Stores.open_engine ~tweak:mongo_tweak engine)
+    (fun o ->
+      { o with O.memtable_bytes = 256 * 1024; block_cache_bytes = 128 * 1024 })
     [ Stores.Wiredtiger; Stores.Rocksdb; Stores.Pebblesdb ]
     "Fig 5.6(b) — MongoDB-sim (app latency; WiredTiger default): KOps/s"
 
@@ -832,6 +747,20 @@ let run_future_work () =
     before removed;
   P.close db
 
+(* A scaling table: per store, KOps/s ([at per count]) at each of
+   [counts] (clients or shards, suffixed [unit]) and the 4-vs-1 ratio. *)
+let scaling_table ~title ~unit counts results at =
+  B.print_table ~title
+    ~header:
+      (("store" :: List.map (fun c -> Printf.sprintf "%d%s KOps/s" c unit) counts)
+      @ [ Printf.sprintf "4%s/1%s" unit unit ])
+    (List.map
+       (fun (name, per) ->
+         let at = at per in
+         (name :: List.map (fun c -> B.fmt_f ~digits:1 (at c)) counts)
+         @ [ B.fmt_f (rel (at 1) (at 4)) ])
+       results)
+
 (* ---------------- mt : multithreaded clients + group commit ------------- *)
 
 (* The paper's multithreaded-throughput figures (§4.2, ch. 5): N client
@@ -845,9 +774,11 @@ let run_future_work () =
    shared device saturates, and PebblesDB stays ahead of the leveled
    baselines — its foreground is the same, but its guard-parallel
    compaction drains the background horizon faster. *)
-let run_multithreaded_at ~n () =
+let run_multithreaded ~n =
   let client_counts = [ 1; 2; 4; 8 ] in
   let sync_tweak o = { o with O.wal_sync_writes = true } in
+  (* per store: clients -> ((fill, read, mixed) phases, fill's group-commit
+     result) *)
   let results =
     List.map
       (fun engine ->
@@ -862,47 +793,30 @@ let run_multithreaded_at ~n () =
               let read, _ =
                 B.mc_read_random store ~clients ~n ~ops:(n / 2) ~seed
               in
-              let mixed, mr =
+              let mixed, _ =
                 B.mc_mixed store ~clients ~n ~ops:(n / 2)
                   ~value_bytes:value_1k ~seed
               in
               store.Dyn.d_close ();
-              B.Json.metric ~store:name
-                (Printf.sprintf "write_kops_%dc" clients)
-                fill.B.kops;
-              B.Json.metric ~store:name
-                (Printf.sprintf "read_kops_%dc" clients)
-                read.B.kops;
-              B.Json.metric ~store:name
-                (Printf.sprintf "mixed_kops_%dc" clients)
-                mixed.B.kops;
-              B.Json.metric ~store:name
-                (Printf.sprintf "syncs_saved_%dc" clients)
-                (float_of_int fr.B.Mc.syncs_saved);
-              (clients, fill, read, mixed, fr, mr))
+              let metric label v =
+                B.Json.metric ~store:name
+                  (Printf.sprintf "%s_%dc" label clients)
+                  v
+              in
+              metric "write_kops" fill.B.kops;
+              metric "read_kops" read.B.kops;
+              metric "mixed_kops" mixed.B.kops;
+              metric "syncs_saved" (float_of_int fr.B.Mc.syncs_saved);
+              (clients, ((fill, read, mixed), fr)))
             client_counts
         in
         (name, per_clients))
       Stores.paper_stores
   in
+  let kops per pick c = (pick (fst (List.assoc c per))).B.kops in
   let kops_table title pick =
-    B.print_table ~title
-      ~header:
-        ([ "store" ]
-        @ List.map (fun c -> Printf.sprintf "%dc KOps/s" c) client_counts
-        @ [ "4c/1c" ])
-      (List.map
-         (fun (name, per) ->
-           let at c =
-             let _, fill, read, mixed, _, _ =
-               List.find (fun (c', _, _, _, _, _) -> c' = c) per
-             in
-             (pick (fill, read, mixed)).B.kops
-           in
-           [ name ]
-           @ List.map (fun c -> B.fmt_f ~digits:1 (at c)) client_counts
-           @ [ B.fmt_f (rel (at 1) (at 4)) ])
-         results)
+    scaling_table ~title ~unit:"c" client_counts results (fun per ->
+        kops per pick)
   in
   kops_table "Multithreaded write-only (random fill, wal_sync_writes)"
     (fun (f, _, _) -> f);
@@ -918,7 +832,7 @@ let run_multithreaded_at ~n () =
     (List.concat_map
        (fun (name, per) ->
          List.map
-           (fun (clients, _, _, _, (fr : B.Mc.result), _) ->
+           (fun (clients, (_, (fr : B.Mc.result))) ->
              [
                name;
                string_of_int clients;
@@ -934,26 +848,13 @@ let run_multithreaded_at ~n () =
   (* the acceptance shape, stated explicitly *)
   List.iter
     (fun (name, per) ->
-      let kops c =
-        let _, fill, _, _, _, _ =
-          List.find (fun (c', _, _, _, _, _) -> c' = c) per
-        in
-        fill.B.kops
-      in
-      let _, _, _, _, (fr8 : B.Mc.result), _ =
-        List.find (fun (c', _, _, _, _, _) -> c' = 8) per
-      in
+      let write = kops per (fun (f, _, _) -> f) in
       pf "  %s: write 1->4 clients %.1f -> %.1f KOps/s (%.2fx), syncs saved \
           at 8 clients: %d\n"
-        name (kops 1) (kops 4)
-        (rel (kops 1) (kops 4))
-        fr8.B.Mc.syncs_saved)
+        name (write 1) (write 4)
+        (rel (write 1) (write 4))
+        (snd (List.assoc 8 per)).B.Mc.syncs_saved)
     results
-
-let run_multithreaded () = run_multithreaded_at ~n:n_medium ()
-
-(* reduced scale for the CI smoke step *)
-let run_multithreaded_smoke () = run_multithreaded_at ~n:(n_medium / 5) ()
 
 (* ---------------- latency : fig 5.5 latency comparison + stall profile -- *)
 
@@ -965,7 +866,7 @@ module H = Pdb_util.Histogram
    latency-under-load profile: the fill replayed in chunks, sampling
    throughput, compaction backlog and stall time over simulated time —
    the write-stall dynamics where LSM designs differ most (Luo & Carey). *)
-let run_latency_at ~n () =
+let run_latency ~n =
   let lat_row store_name label h =
     [
       store_name;
@@ -1069,9 +970,6 @@ let run_latency_at ~n () =
         sample_rows)
     [ Stores.Pebblesdb; Stores.Hyperleveldb ]
 
-let run_latency () = run_latency_at ~n:n_medium ()
-let run_latency_smoke () = run_latency_at ~n:(n_medium / 5) ()
-
 (* ---------------- shard : range-partitioned scale-out ------------------ *)
 
 (* One level above the guards: the keyspace range-partitioned over N
@@ -1100,7 +998,7 @@ let run_latency_smoke () = run_latency_at ~n:(n_medium / 5) ()
 let shard_splits_for ~n ~shards =
   List.init (shards - 1) (fun i -> B.key_of ((i + 1) * n / shards))
 
-let run_shard_at ~n () =
+let run_shard ~n =
   let shard_counts = [ 1; 2; 4; 8 ] in
   let client_counts = [ 1; 4 ] in
   let results =
@@ -1138,32 +1036,19 @@ let run_shard_at ~n () =
                     B.Json.metric ~store:name
                       (Printf.sprintf "balance_%ds" shards)
                       balance;
-                  (shards, clients, fill, mixed, balance))
+                  ((shards, clients), (fill, mixed, balance)))
                 client_counts)
             shard_counts
         in
         (name, per))
       Stores.paper_stores
   in
-  let cell per ~shards ~clients pick =
-    let _, _, fill, mixed, _ =
-      List.find (fun (s, c, _, _, _) -> s = shards && c = clients) per
-    in
+  let cell ~clients pick per shards =
+    let fill, mixed, _ = List.assoc (shards, clients) per in
     (pick (fill, mixed)).B.kops
   in
   let kops_table title clients pick =
-    B.print_table ~title
-      ~header:
-        ([ "store" ]
-        @ List.map (fun s -> Printf.sprintf "%ds KOps/s" s) shard_counts
-        @ [ "4s/1s" ])
-      (List.map
-         (fun (name, per) ->
-           let at shards = cell per ~shards ~clients pick in
-           [ name ]
-           @ List.map (fun s -> B.fmt_f ~digits:1 (at s)) shard_counts
-           @ [ B.fmt_f (rel (at 1) (at 4)) ])
-         results)
+    scaling_table ~title ~unit:"s" shard_counts results (cell ~clients pick)
   in
   kops_table "Sharded write-only, 4 clients (random fill)" 4 (fun (f, _) -> f);
   kops_table "Sharded mixed 50/50, 4 clients" 4 (fun (_, m) -> m);
@@ -1176,23 +1061,18 @@ let run_shard_at ~n () =
          [ name ]
          @ List.map
              (fun shards ->
-               let _, _, _, _, balance =
-                 List.find (fun (s, c, _, _, _) -> s = shards && c = 1) per
-               in
+               let _, _, balance = List.assoc (shards, 1) per in
                B.fmt_f balance)
              shard_counts)
        results);
   (* the acceptance shape, stated explicitly *)
   List.iter
     (fun (name, per) ->
-      let m shards = cell per ~shards ~clients:4 (fun (_, m) -> m) in
+      let m = cell ~clients:4 (fun (_, m) -> m) per in
       pf "  %s: mixed 1->4 shards at 4 clients %.1f -> %.1f KOps/s (%.2fx)\n"
         name (m 1) (m 4)
         (rel (m 1) (m 4)))
     results
-
-let run_shard () = run_shard_at ~n:n_medium ()
-let run_shard_smoke () = run_shard_at ~n:(n_medium / 5) ()
 
 (* ---------------- elastic : resplit under a shifting hotspot ------------- *)
 
@@ -1217,7 +1097,7 @@ let run_shard_smoke () = run_shard_at ~n:(n_medium / 5) ()
    Keys come from [B.key_of] (ordered, not hashed) so the hot window is
    a contiguous key range — spatial skew, which routing can act on; the
    YCSB runner's hashed keys would spread any hotspot uniformly. *)
-let run_elastic_at ~n () =
+let run_elastic ~n =
   let clients = 4 in
   (* a compact keyspace with many overwrites: resident data stays small
      (cheap migrations) while the op stream is long enough for two full
@@ -1335,9 +1215,6 @@ let run_elastic_at ~n () =
         s_all e_all (rel s_all e_all) splits merges)
     results
 
-let run_elastic () = run_elastic_at ~n:n_medium ()
-let run_elastic_smoke () = run_elastic_at ~n:(n_medium / 5) ()
-
 (* ---------------- policy : compaction policy sweep ---------------------- *)
 
 (* The compaction design space as configuration (lib/compaction/policy.ml):
@@ -1354,7 +1231,7 @@ let run_elastic_smoke () = run_elastic_at ~n:(n_medium / 5) ()
    reaches the last level — that is where lazy_leveled diverges from
    tiered and where space-amp differences live. *)
 
-let run_policy_at ~n () =
+let run_policy ~n =
   let policies = O.all_compaction_policies in
   let rows =
     List.map
@@ -1417,8 +1294,29 @@ let run_policy_at ~n () =
       if triggers <> "" then pf "  %-14s %s\n" name triggers)
     rows
 
-let run_policy () = run_policy_at ~n:n_medium ()
-let run_policy_smoke () = run_policy_at ~n:(n_medium / 5) ()
+(* ---------------- engine x policy grid --------------------------------- *)
+
+(* The engine x compaction-policy combinations the stability and read
+   sweeps cover; each engine implements its policy. *)
+let policy_combos =
+  [
+    (Stores.Pebblesdb, O.Flsm_guarded);
+    (Stores.Hyperleveldb, O.Leveled);
+    (Stores.Hyperleveldb, O.Tiered);
+    (Stores.Hyperleveldb, O.Lazy_leveled);
+    (Stores.Leveldb, O.Leveled);
+    (Stores.Rocksdb, O.Leveled);
+  ]
+
+(* [combo_sweep variants run] runs every combo under each named variant:
+   ("engine/policy", [(variant name, run combo variant)]) per combo. *)
+let combo_sweep variants run =
+  List.map
+    (fun ((engine, policy) as combo) ->
+      ( Printf.sprintf "%s/%s" (Stores.engine_name engine)
+          (O.compaction_policy_name policy),
+        List.map (fun (name, v) -> (name, run combo v)) variants ))
+    policy_combos
 
 (* ---------------- stability : sustained-ingest write stability --------- *)
 
@@ -1435,24 +1333,14 @@ let run_policy_smoke () = run_policy_at ~n:(n_medium / 5) ()
    controller trades the cliff's stall bursts for pacing, lowering both
    the variance and the p99.9 tail at equal or better mean throughput. *)
 
-let run_stability_at ~n ~per_window () =
-  let combos =
-    [
-      (Stores.Pebblesdb, O.Flsm_guarded);
-      (Stores.Hyperleveldb, O.Leveled);
-      (Stores.Hyperleveldb, O.Tiered);
-      (Stores.Hyperleveldb, O.Lazy_leveled);
-      (Stores.Leveldb, O.Leveled);
-      (Stores.Rocksdb, O.Leveled);
-    ]
-  in
+let run_stability ~n =
   (* windows must be shorter than one L0 build-drain cycle (~4 flushes)
      or the cliff's burstiness averages out inside each window instead of
      showing up as inter-window variance *)
+  let per_window = 120 in
   let windows = max 2 (n / per_window) in
   let total = windows * per_window in
-  let run_one engine policy throttle =
-    let engine = Stores.engine_for_policy engine policy in
+  let run_one (engine, policy) throttle =
     (* The simulated scheduler drains synchronously, so L0 never exceeds
        the compaction trigger and the engines' stock slowdown/stop
        thresholds (8/12 files, calibrated for asynchronous real systems)
@@ -1510,32 +1398,22 @@ let run_stability_at ~n ~per_window () =
       H.percentile h 99.9 /. 1e3 )
   in
   let results =
-    List.map
-      (fun (engine, policy) ->
-        let label =
-          Printf.sprintf "%s/%s"
-            (Stores.engine_name (Stores.engine_for_policy engine policy))
-            (O.compaction_policy_name policy)
-        in
-        let per_throttle =
-          List.map
-            (fun throttle ->
-              let r = run_one engine policy throttle in
-              (throttle, r))
-            [ O.Cliff; O.Token_bucket ]
-        in
-        List.iter
-          (fun (throttle, (mean, cv, stall, p99, p999)) ->
-            let store = label ^ "+" ^ O.throttle_name throttle in
-            B.Json.metric ~store "mean_kops" mean;
-            B.Json.metric ~store "window_cv_pct" cv;
-            B.Json.metric ~store "stall_share_pct" stall;
-            B.Json.metric ~store "write_p99_us" p99;
-            B.Json.metric ~store "write_p999_us" p999)
-          per_throttle;
-        (label, per_throttle))
-      combos
+    combo_sweep
+      (List.map (fun t -> (O.throttle_name t, t)) [ O.Cliff; O.Token_bucket ])
+      run_one
   in
+  List.iter
+    (fun (label, per_throttle) ->
+      List.iter
+        (fun (throttle, (mean, cv, stall, p99, p999)) ->
+          let store = label ^ "+" ^ throttle in
+          B.Json.metric ~store "mean_kops" mean;
+          B.Json.metric ~store "window_cv_pct" cv;
+          B.Json.metric ~store "stall_share_pct" stall;
+          B.Json.metric ~store "write_p99_us" p99;
+          B.Json.metric ~store "write_p999_us" p999)
+        per_throttle)
+    results;
   B.print_table
     ~title:
       (Printf.sprintf
@@ -1550,38 +1428,25 @@ let run_stability_at ~n ~per_window () =
        (fun (label, per_throttle) ->
          List.map
            (fun (throttle, (mean, cv, stall, p99, p999)) ->
-             [
-               label;
-               O.throttle_name throttle;
-               B.fmt_f ~digits:1 mean;
-               B.fmt_f ~digits:1 cv;
-               B.fmt_f ~digits:1 stall;
-               B.fmt_f ~digits:1 p99;
-               B.fmt_f ~digits:1 p999;
-             ])
+             label :: throttle
+             :: List.map (B.fmt_f ~digits:1) [ mean; cv; stall; p99; p999 ])
            per_throttle)
        results);
   (* the acceptance shape, stated explicitly: smooth beats cliff on
      variance and tail without giving up mean throughput *)
   List.iter
-    (fun (label, per_throttle) ->
-      match
-        (List.assoc_opt O.Cliff per_throttle,
-         List.assoc_opt O.Token_bucket per_throttle)
-      with
-      | ( Some (c_mean, c_cv, _, _, c_p999),
-          Some (t_mean, t_cv, _, _, t_p999) ) ->
+    (function
+      | ( label,
+          [ (_, (c_mean, c_cv, _, _, c_p999)); (_, (t_mean, t_cv, _, _, t_p999)) ]
+        ) ->
         pf "  %s: cv %.1f%% -> %.1f%% p99.9 %.1f -> %.1fus mean %.1f -> \
             %.1f KOps/s%s\n"
           label c_cv t_cv c_p999 t_p999 c_mean t_mean
-          (if t_cv <= c_cv && t_p999 <= c_p999 && t_mean >= c_mean then ""
-           else "  [CLIFF WINS — investigate]")
+          (verdict
+             (t_cv <= c_cv && t_p999 <= c_p999 && t_mean >= c_mean)
+             "  [CLIFF WINS — investigate]")
       | _ -> ())
     results
-
-let run_stability () = run_stability_at ~n:n_medium ~per_window:120 ()
-let run_stability_smoke () =
-  run_stability_at ~n:(n_medium / 5) ~per_window:120 ()
 
 (* ---------------- read : read-path optimizations ------------------------ *)
 
@@ -1598,17 +1463,7 @@ let run_stability_smoke () =
    rather than widen it.  The table cache is shrunk well below the table
    count so evictions — where index summaries pay — actually happen. *)
 
-let run_read_at ~n () =
-  let combos =
-    [
-      (Stores.Pebblesdb, O.Flsm_guarded);
-      (Stores.Hyperleveldb, O.Leveled);
-      (Stores.Hyperleveldb, O.Tiered);
-      (Stores.Hyperleveldb, O.Lazy_leveled);
-      (Stores.Leveldb, O.Leveled);
-      (Stores.Rocksdb, O.Leveled);
-    ]
-  in
+let run_read ~n =
   let configs =
     [
       ("on", Fun.id);
@@ -1622,20 +1477,7 @@ let run_read_at ~n () =
           } );
     ]
   in
-  (* md5 over sorted (name, content) of every simulated file: the write
-     path must leave identical bytes with the read path on or off *)
-  let fingerprint env =
-    Env.list env
-    |> List.sort compare
-    |> List.map (fun f ->
-           f ^ ":"
-           ^ Digest.to_hex
-               (Digest.string
-                  (Env.read_all env f ~hint:Pdb_simio.Device.Sequential_read)))
-    |> String.concat "\n" |> Digest.string |> Digest.to_hex
-  in
-  let run_one engine policy cfg_tweak =
-    let engine = Stores.engine_for_policy engine policy in
+  let run_one (engine, policy) cfg_tweak =
     let tweak (o : O.t) =
       cfg_tweak
         { o with O.compaction_policy = policy; table_cache_entries = 64 }
@@ -1647,49 +1489,36 @@ let run_read_at ~n () =
     in
     store.Dyn.d_flush ();
     let phase spec ~clients ~operations =
-      Pdb_ycsb.Runner.run ~clients store spec ~records:n ~operations
-        ~value_bytes:value_1k ~seed
+      kops_of
+        (Pdb_ycsb.Runner.run ~clients store spec ~records:n ~operations
+           ~value_bytes:value_1k ~seed)
     in
-    let c4 = phase Pdb_ycsb.Workload.workload_c ~clients:4 ~operations:(n / 2)
-    and c8 = phase Pdb_ycsb.Workload.workload_c ~clients:8 ~operations:(n / 2)
-    and e4 =
-      phase Pdb_ycsb.Workload.workload_e_scan_only ~clients:4
-        ~operations:(n / 10)
-    in
+    let c4 = phase W.workload_c ~clients:4 ~operations:(n / 2) in
+    let c8 = phase W.workload_c ~clients:8 ~operations:(n / 2) in
+    let e4 = phase W.workload_e_scan_only ~clients:4 ~operations:(n / 10) in
     let st = store.Dyn.d_stats () in
-    let fp = fingerprint store.Dyn.d_env in
+    (* the write path must leave identical bytes with the read path on
+       or off *)
+    let disk = Pdb_simio.Fingerprint.md5 store.Dyn.d_env in
     store.Dyn.d_close ();
-    (load, c4, c8, e4, fp, st)
+    (kops_of load, c4, c8, e4, disk, st)
   in
-  let results =
-    List.map
-      (fun (engine, policy) ->
-        let label =
-          Printf.sprintf "%s/%s"
-            (Stores.engine_name (Stores.engine_for_policy engine policy))
-            (O.compaction_policy_name policy)
-        in
-        let per_cfg =
-          List.map
-            (fun (cfg, cfg_tweak) ->
-              let (load, c4, c8, e4, _, st) as r =
-                run_one engine policy cfg_tweak
-              in
-              let store = label ^ "+" ^ cfg in
-              B.Json.metric ~store "load_kops" load.Pdb_ycsb.Runner.kops_per_s;
-              B.Json.metric ~store "c_kops_4c" c4.Pdb_ycsb.Runner.kops_per_s;
-              B.Json.metric ~store "c_kops_8c" c8.Pdb_ycsb.Runner.kops_per_s;
-              B.Json.metric ~store "e_kops_4c" e4.Pdb_ycsb.Runner.kops_per_s;
-              B.Json.metric ~store "seek_bloom_skips"
-                (float_of_int st.Pdb_kvs.Engine_stats.seek_bloom_skips);
-              B.Json.metric ~store "summary_hits"
-                (float_of_int st.Pdb_kvs.Engine_stats.summary_hits);
-              (cfg, r))
-            configs
-        in
-        (label, per_cfg))
-      combos
-  in
+  let results = combo_sweep configs run_one in
+  List.iter
+    (fun (label, per_cfg) ->
+      List.iter
+        (fun (cfg, (load, c4, c8, e4, _, st)) ->
+          let store = label ^ "+" ^ cfg in
+          B.Json.metric ~store "load_kops" load;
+          B.Json.metric ~store "c_kops_4c" c4;
+          B.Json.metric ~store "c_kops_8c" c8;
+          B.Json.metric ~store "e_kops_4c" e4;
+          B.Json.metric ~store "seek_bloom_skips"
+            (float_of_int st.Pdb_kvs.Engine_stats.seek_bloom_skips);
+          B.Json.metric ~store "summary_hits"
+            (float_of_int st.Pdb_kvs.Engine_stats.summary_hits))
+        per_cfg)
+    results;
   B.print_table
     ~title:
       (Printf.sprintf
@@ -1704,47 +1533,38 @@ let run_read_at ~n () =
        (fun (label, per_cfg) ->
          List.map
            (fun (cfg, (load, c4, c8, e4, _, st)) ->
-             [
-               label;
-               cfg;
-               B.fmt_f load.Pdb_ycsb.Runner.kops_per_s;
-               B.fmt_f c4.Pdb_ycsb.Runner.kops_per_s;
-               B.fmt_f c8.Pdb_ycsb.Runner.kops_per_s;
-               B.fmt_f e4.Pdb_ycsb.Runner.kops_per_s;
-               string_of_int st.Pdb_kvs.Engine_stats.seek_bloom_skips;
-               string_of_int st.Pdb_kvs.Engine_stats.summary_hits;
-             ])
+             [ label; cfg ]
+             @ List.map B.fmt_f [ load; c4; c8; e4 ]
+             @ List.map string_of_int
+                 [
+                   st.Pdb_kvs.Engine_stats.seek_bloom_skips;
+                   st.Pdb_kvs.Engine_stats.summary_hits;
+                 ])
            per_cfg)
        results);
   (* the acceptance shape, stated explicitly: reads and scans speed up
      (or hold) with the read path on, the write path is untouched, and
      the bytes on storage are identical either way *)
   List.iter
-    (fun (label, per_cfg) ->
-      match (List.assoc_opt "on" per_cfg, List.assoc_opt "off" per_cfg) with
-      | ( Some (on_load, on_c4, _, on_e4, on_fp, _),
-          Some (off_load, off_c4, _, off_e4, off_fp, _) ) ->
-        let k r = r.Pdb_ycsb.Runner.kops_per_s in
+    (function
+      | ( label,
+          [
+            (_, (on_load, on_c4, _, on_e4, on_disk, _));
+            (_, (off_load, off_c4, _, off_e4, off_disk, _));
+          ] ) ->
         pf
           "  %s: C@4 %.1f -> %.1f (%.2fx) E@4 %.1f -> %.1f (%.2fx) load \
            %.1f -> %.1f, disk %s%s\n"
-          label (k off_c4) (k on_c4)
-          (rel (k off_c4) (k on_c4))
-          (k off_e4) (k on_e4)
-          (rel (k off_e4) (k on_e4))
-          (k off_load) (k on_load)
-          (if on_fp = off_fp then "identical" else "DIVERGED")
-          (if
-             on_fp = off_fp
-             && k on_c4 >= 0.98 *. k off_c4
-             && k on_e4 >= 0.98 *. k off_e4
-           then ""
-           else "  [OFF WINS — investigate]")
+          label off_c4 on_c4 (rel off_c4 on_c4) off_e4 on_e4
+          (rel off_e4 on_e4) off_load on_load
+          (if on_disk = off_disk then "identical" else "DIVERGED")
+          (verdict
+             (on_disk = off_disk
+             && on_c4 >= 0.98 *. off_c4
+             && on_e4 >= 0.98 *. off_e4)
+             "  [OFF WINS — investigate]")
       | _ -> ())
     results
-
-let run_read () = run_read_at ~n:n_medium ()
-let run_read_smoke () = run_read_at ~n:(n_medium / 5) ()
 
 (* ---------------- repl : replication over a simulated network ----------- *)
 
@@ -1759,7 +1579,7 @@ let run_read_smoke () = run_read_at ~n:(n_medium / 5) ()
    carries the engine's full write amplification — which is why the
    FLSM engine, with the lowest WA, ships the fewest file-shipping
    bytes among the LSM stores. *)
-let run_repl_at ~n () =
+let run_repl ~n =
   let strategies = [ O.Log_shipping; O.File_shipping ] in
   let run_one engine strategy k =
     let tweak (o : O.t) = { o with O.replicas = k; repl_strategy = strategy } in
@@ -1857,7 +1677,7 @@ let run_repl_at ~n () =
           (B.mb log_net) (B.mb file_net)
           (rel (B.mb log_net) (B.mb file_net))
           log_cpu file_cpu log_p99 file_p99
-          (if shape_ok then "" else "  [SHAPE MISS — investigate]")
+          (verdict shape_ok "  [SHAPE MISS — investigate]")
       | _ -> ())
     Stores.paper_stores;
   (match
@@ -1871,89 +1691,99 @@ let run_repl_at ~n () =
    | (_, pebbles_net) :: rest when rest <> [] ->
      let fewest = List.for_all (fun (_, net) -> pebbles_net <= net) rest in
      pf "  file-shipping bytes: pebblesdb %.1f MB %s\n" (B.mb pebbles_net)
-       (if fewest then "(fewest — lowest WA replicates least)"
-        else "[NOT fewest — investigate]")
+       (verdict fewest ~pass:"(fewest — lowest WA replicates least)"
+          "[NOT fewest — investigate]")
    | _ -> ())
-
-let run_repl () = run_repl_at ~n:n_medium ()
-let run_repl_smoke () = run_repl_at ~n:(n_medium / 5) ()
 
 (* ---------------- registry ---------------------------------------------- *)
 
-let all : experiment list =
+(* One registry row per experiment.  A [scaled] experiment takes its key
+   count and registers twice: [id] at full scale and [id-smoke] at a
+   fifth of it (the CI smoke set). *)
+let one id title run = [ { id; title; run } ]
+
+let scaled id name detail run =
   [
-    { id = "fig1.1"; title = "Write amplification"; run = run_write_amp };
-    { id = "sec2.2"; title = "B+-tree motivation"; run = run_btree_motivation };
-    { id = "tab5.1"; title = "SSTable sizes"; run = run_sstable_sizes };
-    { id = "tab5.2"; title = "Update throughput"; run = run_update_throughput };
-    { id = "fig5.1b"; title = "Micro-benchmarks"; run = run_micro_single };
-    { id = "fig5.1c"; title = "Multi-threaded micro"; run = run_micro_multi };
-    { id = "fig5.1d"; title = "Cached dataset"; run = run_micro_cached };
-    { id = "fig5.1e"; title = "Small values"; run = run_micro_small_values };
-    { id = "fig5.2a"; title = "Aged file system"; run = run_aged };
-    { id = "fig5.2b"; title = "Low memory"; run = run_low_memory };
-    { id = "fig5.3"; title = "Space amplification"; run = run_space_amp };
-    { id = "fig5.4"; title = "Time-series data"; run = run_time_series };
-    { id = "fig5.5"; title = "YCSB"; run = run_ycsb };
-    { id = "fig5.6"; title = "NoSQL applications"; run = run_apps };
-    { id = "tab5.4"; title = "Memory consumption"; run = run_memory };
-    { id = "sec5.5"; title = "CPU and bloom cost"; run = run_cpu_cost };
-    { id = "ablation"; title = "Optimization ablation"; run = run_ablation };
-    { id = "tuning"; title = "Tuning FLSM (sec 3.5)"; run = run_tuning };
-    { id = "mt"; title = "Multithreaded clients (group commit)";
-      run = run_multithreaded };
-    { id = "mt-smoke"; title = "Multithreaded clients (reduced scale)";
-      run = run_multithreaded_smoke };
-    { id = "latency"; title = "Latency percentiles and stall profile";
-      run = run_latency };
-    { id = "latency-smoke"; title = "Latency percentiles (reduced scale)";
-      run = run_latency_smoke };
-    { id = "shard"; title = "Range-partitioned shards (scale-out)";
-      run = run_shard };
-    { id = "shard-smoke"; title = "Range-partitioned shards (reduced scale)";
-      run = run_shard_smoke };
-    { id = "elastic"; title = "Elastic resplit under a shifting hotspot";
-      run = run_elastic };
-    { id = "elastic-smoke"; title = "Elastic resplit (reduced scale)";
-      run = run_elastic_smoke };
-    { id = "policy"; title = "Compaction policy sweep";
-      run = run_policy };
-    { id = "policy-smoke"; title = "Compaction policy sweep (reduced scale)";
-      run = run_policy_smoke };
-    { id = "stability"; title = "Write stability under sustained ingest";
-      run = run_stability };
-    { id = "stability-smoke"; title = "Write stability (reduced scale)";
-      run = run_stability_smoke };
-    { id = "read"; title = "Read path: filtering, summaries, probe budget";
-      run = run_read };
-    { id = "read-smoke"; title = "Read path (reduced scale)";
-      run = run_read_smoke };
-    { id = "repl"; title = "Replication: log vs file shipping";
-      run = run_repl };
-    { id = "repl-smoke"; title = "Replication (reduced scale)";
-      run = run_repl_smoke };
-    { id = "future"; title = "Future-work features (ch. 7)";
-      run = run_future_work };
+    { id; title = name ^ detail; run = (fun () -> run ~n:n_medium) };
+    {
+      id = id ^ "-smoke";
+      title = name ^ " (reduced scale)";
+      run = (fun () -> run ~n:(n_medium / 5));
+    };
   ]
+
+let all : experiment list =
+  List.concat
+    [
+      one "fig1.1" "Write amplification" run_write_amp;
+      one "sec2.2" "B+-tree motivation" run_btree_motivation;
+      one "tab5.1" "SSTable sizes" run_sstable_sizes;
+      one "tab5.2" "Update throughput" run_update_throughput;
+      one "fig5.1b" "Micro-benchmarks" run_micro_single;
+      one "fig5.1c" "Multi-threaded micro" run_micro_multi;
+      one "fig5.1d" "Cached dataset" run_micro_cached;
+      one "fig5.1e" "Small values" run_micro_small_values;
+      one "fig5.2a" "Aged file system" run_aged;
+      one "fig5.2b" "Low memory" run_low_memory;
+      one "fig5.3" "Space amplification" run_space_amp;
+      one "fig5.4" "Time-series data" run_time_series;
+      one "fig5.5" "YCSB" run_ycsb;
+      one "fig5.6" "NoSQL applications" run_apps;
+      one "tab5.4" "Memory consumption" run_memory;
+      one "sec5.5" "CPU and bloom cost" run_cpu_cost;
+      one "ablation" "Optimization ablation" run_ablation;
+      one "tuning" "Tuning FLSM (sec 3.5)" run_tuning;
+      scaled "mt" "Multithreaded clients" " (group commit)" run_multithreaded;
+      scaled "latency" "Latency percentiles" " and stall profile" run_latency;
+      scaled "shard" "Range-partitioned shards" " (scale-out)" run_shard;
+      scaled "elastic" "Elastic resplit" " under a shifting hotspot" run_elastic;
+      scaled "policy" "Compaction policy sweep" "" run_policy;
+      scaled "stability" "Write stability" " under sustained ingest"
+        run_stability;
+      scaled "read" "Read path" ": filtering, summaries, probe budget" run_read;
+      scaled "repl" "Replication" ": log vs file shipping" run_repl;
+      one "future" "Future-work features (ch. 7)" run_future_work;
+    ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
-let run_by_id id =
-  match find id with
-  | Some e ->
-    B.Json.set_context e.id;
-    pf "\n#### %s — %s\n" e.id e.title;
-    e.run ()
-  | None -> pf "unknown experiment id %s\n" id
+let run_one e =
+  B.Json.set_context e.id;
+  pf "\n#### %s — %s\n%!" e.id e.title;
+  e.run ()
 
 (* the *-smoke ids duplicate full experiments at reduced scale — skip
    them in full runs *)
 let run_all () =
   List.iter
-    (fun e ->
-      if not (String.ends_with ~suffix:"-smoke" e.id) then begin
-        B.Json.set_context e.id;
-        pf "\n#### %s — %s\n%!" e.id e.title;
-        e.run ()
-      end)
+    (fun e -> if not (String.ends_with ~suffix:"-smoke" e.id) then run_one e)
     all
+
+(** [run_ids ?extra ids] runs the experiments named by [ids], in order;
+    [[]] or [["all"]] runs {!run_all} and then every [extra] run.
+    [extra] names runs outside the registry (the bench's [micro]).
+    Every id is resolved before any runs: an unknown id is an [Error]
+    and nothing runs.  A printed shape self-check that misses makes the
+    result an [Error] once everything has run. *)
+let run_ids ?(extra = []) ids =
+  let known id = Option.is_some (find id) || List.mem_assoc id extra in
+  match (ids, List.filter (fun id -> not (known id)) ids) with
+  | ([] | [ "all" ]), _ | _, [] ->
+    shape_misses := 0;
+    (match ids with
+     | [] | [ "all" ] ->
+       run_all ();
+       List.iter (fun (_, run) -> run ()) extra
+     | ids ->
+       List.iter
+         (fun id ->
+           match find id with
+           | Some e -> run_one e
+           | None -> (List.assoc id extra) ())
+         ids);
+    if !shape_misses = 0 then Ok ()
+    else
+      Error
+        (Printf.sprintf "%d shape self-check(s) missed (marked in the output)"
+           !shape_misses)
+  | _, unknown -> Error ("unknown experiment id: " ^ String.concat ", " unknown)

@@ -79,13 +79,11 @@ let engine_for_policy engine (p : O.compaction_policy) =
 let with_policy p tweak o =
   { (tweak o) with O.compaction_policy = p }
 
-(* ---------- shard-aware engine adapters ---------- *)
+(* ---------- the engine modules ---------- *)
 
-(* Each adapter fixes the engines' optional arguments to match
-   {!Dyn.S} and supplies the fenced-read surface the shard store
-   needs.  The page stores have no snapshots: their fenced reads read
-   current state, which the serial simulation makes equivalent as long
-   as no writes intervene. *)
+(* Each engine module fixes the engine's optional arguments to match
+   {!Dyn.S} and supplies the fenced-read surface the shard store and the
+   replication layer need. *)
 
 (* What the two LSM-family engines (both over {!Pdb_engine.Shell}) share
    beyond {!Dyn.S}: optional snapshot, bound and block-cache arguments,
@@ -139,58 +137,62 @@ module Shell_engine (E : SHELL_ENGINE) = struct
         f ())
 end
 
+(* The page stores have no snapshots and no background scheduler: their
+   fenced reads read current state, which the serial simulation makes
+   equivalent as long as no writes intervene. *)
+module Page_engine (P : Dyn.S) = struct
+  include P
+
+  let open_shard opts ~env ~dir ~shared_block_cache:_ = open_store opts ~env ~dir
+  let snapshot _ = 0
+  let release_snapshot _ _ = ()
+  let get_at t ~snapshot:_ k = get t k
+  let iterator_at t ~snapshot:_ = iterator t
+  let scheduler _ = None
+  let on_job_complete _ _ = ()
+end
+
 module Pebbles_engine = Shell_engine (Pebblesdb.Pebbles_store)
 module Lsm_engine = Shell_engine (Pdb_lsm.Lsm_store)
 
-module Btree_engine = struct
+module Btree_engine = Page_engine (struct
   include Pdb_btree.Bptree
 
   (* fix the optional [?mode] so the module matches Store_intf.S *)
   let open_store opts ~env ~dir = open_store opts ~env ~dir
-  let open_shard opts ~env ~dir ~shared_block_cache:_ = open_store opts ~env ~dir
-  let snapshot _ = 0
-  let release_snapshot _ _ = ()
-  let get_at t ~snapshot:_ k = get t k
-  let iterator_at t ~snapshot:_ = iterator t
-  let scheduler _ = None
-  let on_job_complete _ _ = () (* no background scheduler *)
-end
+end)
 
-module Wt_engine = struct
-  include Pdb_btree.Wt_store
+module Wt_engine = Page_engine (Pdb_btree.Wt_store)
 
-  let open_shard opts ~env ~dir ~shared_block_cache:_ = open_store opts ~env ~dir
-  let snapshot _ = 0
-  let release_snapshot _ _ = ()
-  let get_at t ~snapshot:_ k = get t k
-  let iterator_at t ~snapshot:_ = iterator t
-  let scheduler _ = None
-  let on_job_complete _ _ = () (* no background scheduler *)
-end
+let engine_module : engine -> (module Pdb_repl.Repl_store.ENGINE) = function
+  | Pebblesdb | Pebblesdb_one -> (module Pebbles_engine)
+  | Hyperleveldb | Leveldb | Rocksdb -> (module Lsm_engine)
+  | Btree -> (module Btree_engine)
+  | Wiredtiger -> (module Wt_engine)
 
-module Sharded_pebbles = Shard.Make (Pebbles_engine)
-module Sharded_lsm = Shard.Make (Lsm_engine)
-module Sharded_btree = Shard.Make (Btree_engine)
-module Sharded_wt = Shard.Make (Wt_engine)
+(* whether fenced reads can pin a snapshot (false for the page stores) *)
+let snapshots = function
+  | Btree | Wiredtiger -> false
+  | Pebblesdb | Pebblesdb_one | Hyperleveldb | Leveldb | Rocksdb -> true
 
-(* Replicated engines: each wraps the raw engine with a primary + K
-   backups over a simulated network (see Pdb_repl.Repl_store).  The
-   replicated module again satisfies {!Shard.ENGINE}, so a sharded
-   replicated store — [Shard.Make] over a replicated engine — replicates
-   each shard independently: per-shard links, backups and acks. *)
-module Repl_pebbles = Pdb_repl.Repl_store.Make (Pebbles_engine)
-module Repl_lsm = Pdb_repl.Repl_store.Make (Lsm_engine)
-module Repl_btree = Pdb_repl.Repl_store.Make (Btree_engine)
-module Repl_wt = Pdb_repl.Repl_store.Make (Wt_engine)
-module Sharded_repl_pebbles = Shard.Make (Repl_pebbles)
-module Sharded_repl_lsm = Shard.Make (Repl_lsm)
+(* The store module a profile asks for: the engine itself, or — with
+   [O.replicas > 0] — the engine as primary + K backups over a simulated
+   network (see Pdb_repl.Repl_store).  Either one satisfies
+   {!Shard.ENGINE}, so a sharded replicated store replicates each shard
+   independently: per-shard links, backups and acks. *)
+let store_module engine (opts : O.t) : (module Shard.ENGINE) =
+  let (module E) = engine_module engine in
+  if opts.O.replicas > 0 then (module Pdb_repl.Repl_store.Make (E))
+  else (module E)
 
-(* The page stores mutate files in place (positioned writes), which the
+(* The options an open uses: the engine's profile under [tweak].  The
+   page stores mutate files in place (positioned writes), which the
    file-shipping mirror's append-only length diffing cannot track —
    their replication always ships the log. *)
-let normalize_repl engine (opts : O.t) =
-  match (engine, opts.O.repl_strategy) with
-  | (Btree | Wiredtiger), O.File_shipping when opts.O.replicas > 0 ->
+let profile ?(tweak = Fun.id) engine =
+  let opts = tweak (default_options engine) in
+  match engine with
+  | (Btree | Wiredtiger) when opts.O.replicas > 0 ->
     { opts with O.repl_strategy = O.Log_shipping }
   | _ -> opts
 
@@ -218,8 +220,7 @@ type sharded = {
   s_topo_version : unit -> int;  (** installed-topology version *)
 }
 
-let make_sharded (type a) (module E : Shard.ENGINE with type t = a)
-    ~snapshots opts ~env ~dir =
+let make_sharded (module E : Shard.ENGINE) ~snapshots opts ~env ~dir =
   let module S = Shard.Make (E) in
   let t = S.open_store opts ~env ~dir in
   {
@@ -253,33 +254,16 @@ let make_sharded (type a) (module E : Shard.ENGINE with type t = a)
     [O.shards]; split points come from [O.shard_splits] (uniform
     byte-interpolated splits when unset — workloads with a common key
     prefix should set explicit splits). *)
-let open_sharded ?(tweak = Fun.id) ?env ?shards engine =
-  let opts = normalize_repl engine (tweak (default_options engine)) in
+let open_sharded ?tweak ?env ?shards engine =
+  let opts = profile ?tweak engine in
   let opts =
     match shards with
     | Some n -> { opts with O.shards = max 1 n }
     | None -> opts
   in
   let env = match env with Some e -> e | None -> Env.create () in
-  let dir = "db" in
-  if opts.O.replicas > 0 then
-    match engine with
-    | Pebblesdb | Pebblesdb_one ->
-      make_sharded (module Repl_pebbles) ~snapshots:true opts ~env ~dir
-    | Hyperleveldb | Leveldb | Rocksdb ->
-      make_sharded (module Repl_lsm) ~snapshots:true opts ~env ~dir
-    | Btree -> make_sharded (module Repl_btree) ~snapshots:false opts ~env ~dir
-    | Wiredtiger ->
-      make_sharded (module Repl_wt) ~snapshots:false opts ~env ~dir
-  else
-    match engine with
-    | Pebblesdb | Pebblesdb_one ->
-      make_sharded (module Pebbles_engine) ~snapshots:true opts ~env ~dir
-    | Hyperleveldb | Leveldb | Rocksdb ->
-      make_sharded (module Lsm_engine) ~snapshots:true opts ~env ~dir
-    | Btree -> make_sharded (module Btree_engine) ~snapshots:false opts ~env ~dir
-    | Wiredtiger ->
-    make_sharded (module Wt_engine) ~snapshots:false opts ~env ~dir
+  make_sharded (store_module engine opts) ~snapshots:(snapshots engine) opts
+    ~env ~dir:"db"
 
 (** [open_engine ?tweak ?env ?shards engine] opens a fresh store.  [tweak]
     edits the profile (experiment-specific sizes); [env] reuses an
@@ -287,38 +271,14 @@ let open_sharded ?(tweak = Fun.id) ?env ?shards engine =
     setting [O.shards] above 1 — routes the store through the shard
     layer; [~shards:(Some 1)] exercises the shard layer with a single
     shard. *)
-let open_engine ?(tweak = Fun.id) ?env ?shards engine =
-  let sharded_via_opts =
-    shards = None && (tweak (default_options engine)).O.shards > 1
-  in
-  if shards <> None || sharded_via_opts then
-    (open_sharded ~tweak ?env ?shards engine).s_dyn
+let open_engine ?tweak ?env ?shards engine =
+  let opts = profile ?tweak engine in
+  if shards <> None || opts.O.shards > 1 then
+    (open_sharded ?tweak ?env ?shards engine).s_dyn
   else begin
-    let opts = normalize_repl engine (tweak (default_options engine)) in
     let env = match env with Some e -> e | None -> Env.create () in
-    let dir = "db" in
-    if opts.O.replicas > 0 then
-      match engine with
-      | Pebblesdb | Pebblesdb_one ->
-        Dyn.dyn_of (module Repl_pebbles) (Repl_pebbles.open_store opts ~env ~dir)
-      | Hyperleveldb | Leveldb | Rocksdb ->
-        Dyn.dyn_of (module Repl_lsm) (Repl_lsm.open_store opts ~env ~dir)
-      | Btree ->
-        Dyn.dyn_of (module Repl_btree) (Repl_btree.open_store opts ~env ~dir)
-      | Wiredtiger ->
-        Dyn.dyn_of (module Repl_wt) (Repl_wt.open_store opts ~env ~dir)
-    else
-      match engine with
-      | Pebblesdb | Pebblesdb_one ->
-        Dyn.dyn_of
-          (module Pebbles_engine)
-          (Pebbles_engine.open_store opts ~env ~dir)
-      | Hyperleveldb | Leveldb | Rocksdb ->
-        Dyn.dyn_of (module Lsm_engine) (Lsm_engine.open_store opts ~env ~dir)
-      | Btree ->
-        Dyn.dyn_of (module Btree_engine) (Btree_engine.open_store opts ~env ~dir)
-      | Wiredtiger ->
-        Dyn.dyn_of (module Wt_engine) (Wt_engine.open_store opts ~env ~dir)
+    let (module E) = store_module engine opts in
+    Dyn.dyn_of (module E) (E.open_store opts ~env ~dir:"db")
   end
 
 (** A replicated store with its failover surface exposed: promote backup
@@ -338,27 +298,22 @@ type repl_handle = {
     the failover surface is per-store, which is what the crash torture
     drives. *)
 let open_repl ?(tweak = Fun.id) ?env engine =
-  let opts = normalize_repl engine (tweak (default_options engine)) in
-  let opts = { opts with O.replicas = max 1 opts.O.replicas } in
-  let env = match env with Some e -> e | None -> Env.create () in
-  let dir = "db" in
-  let pack (type a)
-      (module R : Pdb_repl.Repl_store.REPL with type t = a) (t : a) =
-    {
-      rh_dyn = Dyn.dyn_of (module R) t;
-      rh_replicas = R.backup_count t;
-      rh_strategy = R.strategy t;
-      rh_promote = R.promote_dyn t;
-      rh_backup_env = R.backup_env t;
-    }
+  let opts =
+    profile engine ~tweak:(fun o ->
+        let o = tweak o in
+        { o with O.replicas = max 1 o.O.replicas })
   in
-  match engine with
-  | Pebblesdb | Pebblesdb_one ->
-    pack (module Repl_pebbles) (Repl_pebbles.open_store opts ~env ~dir)
-  | Hyperleveldb | Leveldb | Rocksdb ->
-    pack (module Repl_lsm) (Repl_lsm.open_store opts ~env ~dir)
-  | Btree -> pack (module Repl_btree) (Repl_btree.open_store opts ~env ~dir)
-  | Wiredtiger -> pack (module Repl_wt) (Repl_wt.open_store opts ~env ~dir)
+  let env = match env with Some e -> e | None -> Env.create () in
+  let (module E) = engine_module engine in
+  let module R = Pdb_repl.Repl_store.Make (E) in
+  let t = R.open_store opts ~env ~dir:"db" in
+  {
+    rh_dyn = Dyn.dyn_of (module R) t;
+    rh_replicas = R.backup_count t;
+    rh_strategy = R.strategy t;
+    rh_promote = R.promote_dyn t;
+    rh_backup_env = R.backup_env t;
+  }
 
 (** The four key-value stores of the paper's main comparisons. *)
 let paper_stores = [ Pebblesdb; Hyperleveldb; Leveldb; Rocksdb ]

@@ -1,7 +1,7 @@
 (** Per-engine operation counters, shared by LSM and FLSM stores.
 
     These are measurement hooks for the evaluation: compaction volume
-    (write amplification breakdown), bloom effectiveness, sstable reads per
+    (per-trigger runs and bytes), bloom effectiveness, sstable reads per
     query (the FLSM read-overhead analysis in §4.1/§4.2), and stall
     accounting. *)
 
@@ -36,8 +36,6 @@ type t = {
   mutable seek_compactions : int;
       (** seek-triggered compaction jobs submitted (both LSM-family
           engines); equals the scheduler's [seek]-trigger run count *)
-  mutable write_breakdown : (string * int) list;
-      (** bytes written per compaction category (diagnostics) *)
   mutable compaction_by_trigger : (string * (int * int)) list;
       (** per-trigger (runs, estimated bytes), keyed by the job trigger
           name ("flush", "l0", "size", "cap", ...), mirrored from the
@@ -92,7 +90,6 @@ type t = {
   mutable table_cache_hits : int;
   mutable table_cache_misses : int;
   (* primary–backup replication, set by the repl layer's stats wrapper *)
-  mutable repl_backups : int;  (** live backups behind this record *)
   mutable repl_log_bytes_shipped : int;
       (** WAL-record bytes forwarded under log shipping *)
   mutable repl_file_bytes_shipped : int;
@@ -111,9 +108,6 @@ type t = {
   mutable shard_resident_bytes : int array;
       (** live on-disk bytes per shard (WAL + sstables + metadata),
           set by the shard store from the environment's file sizes *)
-  mutable shard_ops : int array;
-      (** operations (reads and writes) routed to each shard,
-          cumulative — the elasticity controller's load signal *)
   mutable shard_balance : float;
       (** max/mean of per-shard {e resident} bytes — 1.0 is perfectly
           even.  The aggregate falls back to cumulative user write
@@ -127,16 +121,6 @@ type t = {
   mutable elastic_migrated_bytes : int;
       (** key+value payload moved between shards by migrations *)
 }
-
-let bump_breakdown t category bytes =
-  let current =
-    match List.assoc_opt category t.write_breakdown with
-    | Some v -> v
-    | None -> 0
-  in
-  t.write_breakdown <-
-    (category, current + bytes)
-    :: List.remove_assoc category t.write_breakdown
 
 let bump_trigger t trig ~runs ~bytes =
   let r0, b0 =
@@ -172,7 +156,6 @@ let create () =
     guards_committed = 0;
     guards_empty = 0;
     seek_compactions = 0;
-    write_breakdown = [];
     compaction_by_trigger = [];
     compaction_jobs = 0;
     compaction_queue_peak = 0;
@@ -195,7 +178,6 @@ let create () =
     block_cache_misses = 0;
     table_cache_hits = 0;
     table_cache_misses = 0;
-    repl_backups = 0;
     repl_log_bytes_shipped = 0;
     repl_file_bytes_shipped = 0;
     repl_messages = 0;
@@ -204,7 +186,6 @@ let create () =
     shards = 1;
     shard_user_bytes = [||];
     shard_resident_bytes = [||];
-    shard_ops = [||];
     shard_balance = 1.0;
     elastic_splits = 0;
     elastic_merges = 0;
@@ -228,7 +209,7 @@ let balance_of per_shard =
 (** [aggregate ~shared_cache per_shard] combines the stats of independent
     shard engines into one record: counters and stall times sum,
     per-worker busy arrays concatenate (every shard's scheduler lanes are
-    distinct workers), write-breakdown categories merge, and scheduler
+    distinct workers), per-trigger compaction counters merge, and scheduler
     peaks take the max across shards (each peak is a per-scheduler
     watermark; summing watermarks reached at different times would
     overstate the queue that ever existed at once).
@@ -275,9 +256,6 @@ let aggregate ~shared_cache per_shard =
       t.guards_empty <- t.guards_empty + s.guards_empty;
       t.seek_compactions <- t.seek_compactions + s.seek_compactions;
       List.iter
-        (fun (category, bytes) -> bump_breakdown t category bytes)
-        s.write_breakdown;
-      List.iter
         (fun (trig, (runs, bytes)) -> bump_trigger t trig ~runs ~bytes)
         s.compaction_by_trigger;
       t.compaction_jobs <- t.compaction_jobs + s.compaction_jobs;
@@ -314,7 +292,6 @@ let aggregate ~shared_cache per_shard =
       t.table_cache_hits <- t.table_cache_hits + s.table_cache_hits;
       t.table_cache_misses <- t.table_cache_misses + s.table_cache_misses;
       (* each shard replicates independently: links and backups sum *)
-      t.repl_backups <- t.repl_backups + s.repl_backups;
       t.repl_log_bytes_shipped <-
         t.repl_log_bytes_shipped + s.repl_log_bytes_shipped;
       t.repl_file_bytes_shipped <-
@@ -327,10 +304,3 @@ let aggregate ~shared_cache per_shard =
   t.shard_user_bytes <- shard_bytes;
   t.shard_balance <- balance_of shard_bytes;
   t
-
-let pp ppf t =
-  Fmt.pf ppf
-    "user=%dB flushes=%d compactions=%d cread=%dB cwritten=%dB tables=%d \
-     stalls=%d"
-    t.user_bytes_written t.flushes t.compactions t.compaction_bytes_read
-    t.compaction_bytes_written t.sstables_built t.write_stalls

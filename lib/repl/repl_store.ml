@@ -58,17 +58,6 @@ module type ENGINE = sig
   val on_job_complete : t -> (unit -> unit) -> unit
 end
 
-(** The replicated-store surface {!Make} produces: the uniform store
-    face plus failover — what the harness packs into its repl handle. *)
-module type REPL = sig
-  include Dyn.S
-
-  val backup_count : t -> int
-  val backup_env : t -> int -> Env.t
-  val strategy : t -> O.repl_strategy
-  val promote_dyn : t -> int -> Dyn.dyn
-end
-
 (* Fixed per-message framing overhead (headers, lengths, checksums). *)
 let frame_bytes = 64
 let control_bytes = 16
@@ -466,7 +455,6 @@ module Make (E : ENGINE) = struct
 
   let stats t =
     let st = E.stats t.primary in
-    st.Stats.repl_backups <- Array.length t.backups;
     st.Stats.repl_log_bytes_shipped <- t.log_bytes;
     st.Stats.repl_file_bytes_shipped <- t.file_bytes;
     st.Stats.repl_messages <- Network.messages t.net;

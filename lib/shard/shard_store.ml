@@ -94,7 +94,6 @@ module Make (E : ENGINE) = struct
     dir_id : int;  (** stable directory id; never reused *)
     engine : E.t;
     mutable w_ops : int;  (** ops routed this decision window *)
-    mutable cum_ops : int;  (** ops routed since the slot opened *)
     mutable sample : string array;  (** reservoir of recent request keys *)
     mutable sample_n : int;  (** keys offered to the reservoir *)
   }
@@ -153,7 +152,6 @@ module Make (E : ENGINE) = struct
         E.open_shard t.opts ~env:t.env ~dir:(shard_dir t.dir dir_id)
           ~shared_block_cache:t.shared_cache;
       w_ops = 0;
-      cum_ops = 0;
       sample = Array.make sample_cap "";
       sample_n = 0;
     }
@@ -340,7 +338,6 @@ module Make (E : ENGINE) = struct
   let note_op t i key =
     let s = t.slots.(i) in
     s.w_ops <- s.w_ops + 1;
-    s.cum_ops <- s.cum_ops + 1;
     t.w_total <- t.w_total + 1;
     offer_sample t s key
 
@@ -599,8 +596,6 @@ module Make (E : ENGINE) = struct
             Shard_router.create
               ~splits:(list_remove (Shard_router.splits t.router) at);
           t.slots <- array_remove t.slots (at + 1);
-          (* survivor absorbs the donor's routed-op history *)
-          t.slots.(at).cum_ops <- t.slots.(at).cum_ops + donor.cum_ops;
           t.topo_version <- t.topo_version + 1;
           t.clip <- true;
           install_topology t;
@@ -935,7 +930,6 @@ module Make (E : ENGINE) = struct
      | None -> ());
     let resident = Array.map (fun s -> resident_bytes t s) t.slots in
     agg.Stats.shard_resident_bytes <- resident;
-    agg.Stats.shard_ops <- Array.map (fun s -> s.cum_ops) t.slots;
     (* the stale-balance fix: cumulative user bytes report the
        historical write distribution — a migration cannot change them —
        so balance is recomputed from what is resident right now *)

@@ -1,9 +1,7 @@
-(* Byte-identity fingerprints of a simulated environment, shared by every
-   suite that asserts on-disk bytes.  Files are read with [Env.peek], so
-   taking a fingerprint charges no device time and never perturbs the
-   clock a test goes on to compare. *)
-
-module Env = Pdb_simio.Env
+(** Byte-identity fingerprints of a simulated environment, for every
+    suite and experiment that asserts on-disk bytes.  Files are read with
+    [Env.peek], so taking a fingerprint charges no device time and never
+    perturbs the clock or IO counters a caller goes on to compare. *)
 
 (** [files env] is every file's (name, hex MD5 of its bytes), sorted by
     name. *)

@@ -9,6 +9,7 @@
    keep memtable rotation schedulable under a saturated compaction
    queue. *)
 
+module Fingerprint = Pdb_simio.Fingerprint
 module Bp = Pdb_kvs.Backpressure
 module O = Pdb_kvs.Options
 module L = Pdb_lsm.Lsm_store

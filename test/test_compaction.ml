@@ -2,6 +2,7 @@
    worker-count invariance of store state, invariant preservation after
    every drained job, and the guard-parallelism throughput claim (§4.3). *)
 
+module Fingerprint = Pdb_simio.Fingerprint
 module P = Pebblesdb.Pebbles_store
 module L = Pdb_lsm.Lsm_store
 module O = Pdb_kvs.Options

@@ -5,6 +5,7 @@
    engine internals must leave both unchanged; a pin only moves when a
    change is meant to alter file bytes or simulated time. *)
 
+module Fingerprint = Pdb_simio.Fingerprint
 module P = Pebblesdb.Pebbles_store
 module L = Pdb_lsm.Lsm_store
 module O = Pdb_kvs.Options

@@ -3,6 +3,7 @@
    accumulation in the LSM engine, the lazy-leveled last-level invariant,
    and worker-count byte-invariance under every policy. *)
 
+module Fingerprint = Pdb_simio.Fingerprint
 module Policy = Pdb_compaction.Policy
 module O = Pdb_kvs.Options
 module L = Pdb_lsm.Lsm_store

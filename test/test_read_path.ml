@@ -3,6 +3,7 @@
    budget, and the invariant the whole feature set rests on — reads may
    get faster, but neither results nor on-disk bytes may change. *)
 
+module Fingerprint = Pdb_simio.Fingerprint
 module Env = Pdb_simio.Env
 module Device = Pdb_simio.Device
 module Clock = Pdb_simio.Clock

@@ -2,6 +2,7 @@
    contract, failover torture and net-trace visibility (see
    Pdb_repl.Repl_store and Harness.Crash_torture.run_failover). *)
 
+module Fingerprint = Pdb_simio.Fingerprint
 module Dyn = Pdb_kvs.Store_intf
 module O = Pdb_kvs.Options
 module Stats = Pdb_kvs.Engine_stats

@@ -206,6 +206,29 @@ let test_experiment_registry () =
   Alcotest.(check bool) "unknown id" true
     (Pdb_harness.Experiments.find "nope" = None)
 
+let test_unknown_id_rejected () =
+  let ran = ref false in
+  let r =
+    Pdb_harness.Experiments.run_ids
+      ~extra:[ ("probe", fun () -> ran := true) ]
+      [ "probe"; "nope" ]
+  in
+  Alcotest.(check bool) "a list naming an unknown id is rejected" true
+    (Result.is_error r);
+  Alcotest.(check bool) "nothing ran before the rejection" false !ran
+
+(* the ids of the bench-smoke step in .github/workflows/ci.yml *)
+let ci_smoke_ids =
+  [ "mt-smoke"; "latency-smoke"; "shard-smoke"; "policy-smoke";
+    "stability-smoke"; "read-smoke"; "repl-smoke"; "elastic-smoke" ]
+
+let test_ci_smoke_ids_resolve () =
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " registered") true
+        (Option.is_some (Pdb_harness.Experiments.find id)))
+    ci_smoke_ids
+
 let () =
   Alcotest.run "ycsb-apps-harness"
     [
@@ -243,5 +266,9 @@ let () =
             test_fill_and_read_helpers;
           Alcotest.test_case "experiment registry" `Quick
             test_experiment_registry;
+          Alcotest.test_case "unknown id rejected before any run" `Quick
+            test_unknown_id_rejected;
+          Alcotest.test_case "CI smoke ids resolve" `Quick
+            test_ci_smoke_ids_resolve;
         ] );
     ]
