@@ -654,11 +654,22 @@ let candidates t level key =
   S.charge_cpu t t.opts.O.cpu_per_block_search_ns (* guard binary search *);
   lvl.Guard.guards.(Guard.guard_index lvl key).Guard.tables
 
-let level_iters t ~filter ~on_table ~file_iter:_ =
-  List.init (S.last_level t) (fun i ->
-      Flsm_level_iter.create ~filter ~probe:t.probe ~level:t.lv.levels.(i + 1)
-        ~cache:t.table_cache ~block_cache:t.block_cache
-        ~hint:Device.Random_read ~on_table ())
+(* A guard level read as one partition per guard.  Compaction moves tables
+   between guards in place (guard arrays are replaced, table lists
+   reassigned), so each call snapshots both; an iterator takes a snapshot
+   at every seek. *)
+let guard_view (level : Guard.level) () =
+  let guards = level.Guard.guards in
+  let frozen = { Guard.guards } in
+  {
+    Pdb_sstable.Level_iter.parts =
+      Array.map (fun (g : Guard.guard) -> g.Guard.tables) guards;
+    lower = (fun i -> guards.(i).Guard.gkey);
+    locate = (fun target -> Guard.guard_index frozen (Ik.user_key target));
+  }
+
+let views t =
+  List.init (S.last_level t) (fun i -> guard_view t.lv.levels.(i + 1))
 
 let shape =
   {
@@ -671,7 +682,7 @@ let shape =
     note_put = note_guard_candidate;
     maybe_compact;
     candidates;
-    level_iters;
+    views;
     seek_job;
   }
 

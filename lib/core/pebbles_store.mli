@@ -86,6 +86,11 @@ val get : ?snapshot:int -> t -> string -> string option
     clamped to it, and the seek filter may skip any sstable past it. *)
 val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Pdb_kvs.Iter.t
 
+(** [guard_view level ()] is a guarded level as a {!Pdb_sstable.Level_iter}
+    view, one partition per guard, snapshotted at the call: the level
+    iterator's input for an FLSM level. *)
+val guard_view : Guard.level -> unit -> Pdb_sstable.Level_iter.view
+
 (** {1 Snapshots} *)
 
 (** [snapshot t] pins the current state; reads and iterators through the

@@ -26,6 +26,7 @@ module Table = Pdb_sstable.Table
 module Table_cache = Pdb_sstable.Table_cache
 module Block_cache = Pdb_sstable.Block_cache
 module Seek_filter = Pdb_sstable.Seek_filter
+module Level_iter = Pdb_sstable.Level_iter
 module Wal = Pdb_wal.Wal
 module Manifest = Pdb_manifest.Manifest
 module Stats = Pdb_kvs.Engine_stats
@@ -83,14 +84,9 @@ module Types = struct
     candidates : 'lv t -> int -> string -> Table.meta list;
         (** the tables of level [>= 1] a get of the key probes, in order
             (those whose range misses the key are skipped) *)
-    level_iters :
-      'lv t ->
-      filter:Seek_filter.t ->
-      on_table:(unit -> unit) ->
-      file_iter:(Table.meta -> Iter.t) ->
-      Iter.t list;
-        (** iterators over the levels below 0; [file_iter] is one
-            probe-measured, seek-filtered table *)
+    views : 'lv t -> (unit -> Level_iter.view) list;
+        (** the levels below 0 as {!Level_iter} views, one per level
+            iterator; each is taken afresh at every seek *)
     seek_job : 'lv t -> Job.t option;
         (** the seek-triggered compaction to submit, if any is due *)
   }
@@ -689,25 +685,14 @@ let internal_iterator ?upper_user t =
           t.stats.Stats.seek_bloom_skips <- t.stats.Stats.seek_bloom_skips + 1)
       ()
   in
-  (* one iterator per overlapping table (L0, tiered runs): lazy filtered
-     wrappers skip the provably-disjoint ones and measure the rest for
-     the probe session *)
-  let file_iter m =
-    let it =
-      Seek_filter.table_iterator filter ~cache:t.table_cache
-        ~block_cache:t.block_cache ~hint:Device.Random_read ~on_table m
-    in
-    {
-      it with
-      Iter.seek = (fun k -> Probe.measure t.probe (fun () -> it.Iter.seek k));
-      seek_to_first =
-        (fun () -> Probe.measure t.probe (fun () -> it.Iter.seek_to_first ()));
-    }
+  let level_iter view =
+    Level_iter.create ~filter ~probe:t.probe ~cache:t.table_cache
+      ~block_cache:t.block_cache ~hint:Device.Random_read ~on_table view
   in
-  let l0_iters = List.map file_iter (t.shape.l0 t.lv) in
-  let level_iters = t.shape.level_iters t ~filter ~on_table ~file_iter in
+  let l0 = Level_iter.pile (t.shape.l0 t.lv) in
   Pdb_kvs.Merging_iter.create ~compare:Ik.compare
-    ((Memtable.iterator t.mem :: l0_iters) @ level_iters)
+    (Memtable.iterator t.mem
+    :: List.map level_iter ((fun () -> l0) :: t.shape.views t))
 
 (* Seek-triggered compaction (LevelDB's allowed_seeks budget, PebblesDB
    §4.2): a run of consecutive seeks hands the engine its chance to

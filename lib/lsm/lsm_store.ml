@@ -397,22 +397,20 @@ let candidates (t : t) level key =
   if tiered_level t level then files
   else Option.to_list (List.find_opt (fun m -> S.user_range_overlap m key) files)
 
-let level_iters (t : t) ~filter ~on_table ~file_iter =
-  List.concat_map
+(* tiered runs overlap: one partition, merged by sequence number; a
+   leveled run is one partition per table.  An iterator reads the levels
+   as they were when it was created, like the L0 pile. *)
+let views (t : t) =
+  List.filter_map
     (fun level ->
       match t.lv.levels.(level) with
-      | [] -> []
+      | [] -> None
       | files ->
-        if tiered_level t level then
-          (* overlapping runs need independent cursors; the merging
-             iterator resolves versions by sequence number *)
-          List.map file_iter files
-        else
-          [
-            Pdb_sstable.Level_iter.create ~filter ~probe:t.probe
-              ~cache:t.table_cache ~block_cache:t.block_cache
-              ~hint:Device.Random_read ~on_table (Array.of_list files);
-          ])
+        let view =
+          if tiered_level t level then Pdb_sstable.Level_iter.pile files
+          else Pdb_sstable.Level_iter.run (Array.of_list files)
+        in
+        Some (fun () -> view))
     (List.init (t.opts.O.max_levels - 1) (fun i -> i + 1))
 
 (* LevelDB also compacts in response to repeated seeks (a file's
@@ -441,7 +439,7 @@ let shape =
     note_put = (fun _ _ -> ());
     maybe_compact;
     candidates;
-    level_iters;
+    views;
     seek_job;
   }
 

@@ -1,108 +1,158 @@
-(** Concatenating iterator over a sorted run of disjoint tables (one LSM
-    level >= 1).  Tables are opened lazily through the table cache, so a
-    seek touches exactly one table.
+(** The one level iterator of both engines.
 
-    With a {!Seek_filter} attached, member tables the filter proves
-    disjoint from the probe range are never opened: a bounded scan stops
-    opening successors past its upper bound, and a prefix-bounded seek
-    skips tables whose prefix bloom certifies the prefix absent.  With a
-    {!Pdb_simio.Probe} context, each table positioning is measured so an
-    enclosing probe session can overlap it against the device's budget. *)
+    Seeks are implemented "via merging level iterators" (§3.4): the engine
+    iterator merges the memtable with one of these per level.  A level is
+    read through a {!view}: key-ordered, disjoint partitions, each a
+    newest-first list of tables that may overlap.  A seek examines one
+    partition, merging its tables; a scan concatenates partitions in key
+    order.  Every level shape is a view:
+    - the L0 pile and a tiered level are one partition ({!pile});
+    - a leveled run is one partition per table ({!run});
+    - an FLSM level is one partition per guard (the engine's guard view).
 
-(* [on_table] is called whenever a table is positioned, letting engines
-   charge modeled CPU per sstable examined. *)
-let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
-    ~on_table (files : Table.meta array) =
+    Positioning a partition opens each member table through the table
+    cache, calls [on_table] (the engine's per-sstable charge) and positions
+    it.  With a {!Seek_filter} attached, members the filter proves
+    disjoint from the probe range are never opened, and a bounded scan
+    stops before any partition whose lower bound exceeds the bound.  With
+    a {!Pdb_simio.Probe} context, a partition's positionings form one
+    probe session (label ["guard"]; nested inside an engine seek session it
+    folds into the outer one), each table measured so the independent
+    reads overlap up to the device's budget while modeled CPU stays
+    serialized.
+
+    The view is taken at every [seek] and [seek_to_first]: an engine whose
+    level changes in place (FLSM guards) hands over a fresh copy each time,
+    so another reader's compaction cannot shift a positioned iterator,
+    while a seek still sees a compaction it triggered itself. *)
+
+module Ik = Pdb_kvs.Internal_key
+module Iter = Pdb_kvs.Iter
+module Probe = Pdb_simio.Probe
+
+type view = {
+  parts : Table.meta list array;
+      (** key-ordered, disjoint partitions; each newest first *)
+  lower : int -> string;
+      (** user-key lower bound of partition [i] (the upper-bound stop) *)
+  locate : string -> int;
+      (** internal key -> the first partition a seek to it examines *)
+}
+
+(** [pile tables] is one partition of possibly overlapping tables (L0, a
+    tiered level), newest first. *)
+let pile tables =
+  { parts = [| tables |]; lower = (fun _ -> ""); locate = (fun _ -> 0) }
+
+(** [run files] is a sorted run of disjoint tables, one partition each; a
+    seek starts at the first table whose largest key is >= the target. *)
+let run (files : Table.meta array) =
   let n = Array.length files in
-  let idx = ref n (* invalid *) in
-  let table_it = ref None in
+  {
+    parts = Array.map (fun m -> [ m ]) files;
+    lower = (fun i -> Ik.user_key files.(i).Table.smallest);
+    locate =
+      (fun target ->
+        let lo = ref 0 and hi = ref n in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if Ik.compare files.(mid).Table.largest target < 0 then
+            lo := mid + 1
+          else hi := mid
+        done;
+        !lo);
+  }
+
+let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
+    ~on_table (view_of : unit -> view) =
+  (* the view as of the latest seek; never read before the first one *)
+  let view = ref (pile []) in
+  let cur = ref (-1) in
+  let merged = ref None in
   let measure f =
-    match probe with Some ctx -> Pdb_simio.Probe.measure ctx f | None -> f ()
+    match probe with Some ctx -> Probe.measure ctx f | None -> f ()
   in
-  let open_at i ~position =
-    idx := i;
-    if i >= 0 && i < n then
-      measure (fun () ->
-        let reader = Table_cache.find cache files.(i) in
-        let it = Table.iterator reader ~cache:block_cache ~hint in
-        on_table ();
-        position it;
-        table_it := Some it)
-    else table_it := None
-  in
-  (* first file at-or-after [i] surviving the filter; [n] if none *)
-  let rec surviving i target =
-    if i >= n then n
-    else
+  (* Position every surviving table of partition [i]; [target = None] means
+     first key. *)
+  let position i target =
+    cur := i;
+    let open_member m =
       let skip =
         match target with
-        | Some tgt -> Seek_filter.skip_seek filter files.(i) ~target:tgt
-        | None -> Seek_filter.skip_first filter files.(i)
+        | Some k -> Seek_filter.skip_seek filter m ~target:k
+        | None -> Seek_filter.skip_first filter m
       in
-      if skip then surviving (i + 1) target else i
-  in
-  let skip_exhausted () =
-    let rec go () =
-      match !table_it with
-      | Some it when not (it.Pdb_kvs.Iter.valid ()) ->
-        let j = surviving (!idx + 1) None in
-        if j < n then begin
-          open_at j ~position:(fun it2 -> it2.Pdb_kvs.Iter.seek_to_first ());
-          go ()
-        end
-        else table_it := None
-      | Some _ | None -> ()
+      if skip then None
+      else
+        measure (fun () ->
+          let reader = Table_cache.find cache m in
+          let it = Table.iterator reader ~cache:block_cache ~hint in
+          on_table ();
+          (match target with
+           | Some k -> it.Iter.seek k
+           | None -> it.Iter.seek_to_first ());
+          Some it)
     in
-    go ()
+    let children () = List.filter_map open_member !view.parts.(i) in
+    let children =
+      match probe with
+      | Some ctx -> Probe.with_session ctx ~label:"guard" children
+      | None -> children ()
+    in
+    merged :=
+      match children with
+      | [] -> None
+      | [ it ] -> Some it
+      | cs ->
+        Some
+          (Pdb_kvs.Merging_iter.create ~positioned:true ~compare:Ik.compare cs)
   in
   let current () =
-    match !table_it with
-    | Some it when it.Pdb_kvs.Iter.valid () -> Some it
+    match !merged with
+    | Some it when it.Iter.valid () -> Some it
     | Some _ | None -> None
   in
-  (* first table whose largest key is >= target *)
-  let find_file target =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Pdb_kvs.Internal_key.compare files.(mid).Table.largest target < 0
-      then lo := mid + 1
-      else hi := mid
-    done;
-    !lo
+  let past_end i = i >= Array.length !view.parts in
+  (* a bounded scan stops before a partition whose every key is past the
+     bound: its tables are never even examined *)
+  let past_upper i =
+    match Seek_filter.upper_user filter with
+    | None -> false
+    | Some up -> i > 0 && String.compare (!view.lower i) up > 0
+  in
+  (* position partition [i], then walk successors until a key turns up *)
+  let rec start i target =
+    if past_end i || past_upper i then begin
+      cur := Array.length !view.parts;
+      merged := None
+    end
+    else begin
+      position i target;
+      if Option.is_none (current ()) then start (i + 1) None
+    end
+  in
+  let checked f () =
+    match current () with
+    | Some it -> f it
+    | None -> invalid_arg "Level_iter: iterator is not valid"
   in
   {
-    Pdb_kvs.Iter.seek_to_first =
+    Iter.seek_to_first =
       (fun () ->
-        let i = surviving 0 None in
-        if i >= n then table_it := None
-        else begin
-          open_at i ~position:(fun it -> it.Pdb_kvs.Iter.seek_to_first ());
-          skip_exhausted ()
-        end);
+        view := view_of ();
+        start 0 None);
     seek =
       (fun target ->
-        let i = surviving (find_file target) (Some target) in
-        if i >= n then table_it := None
-        else begin
-          open_at i ~position:(fun it -> it.Pdb_kvs.Iter.seek target);
-          skip_exhausted ()
-        end);
+        view := view_of ();
+        start (!view.locate target) (Some target));
     next =
       (fun () ->
-        (match current () with
-         | Some it -> it.Pdb_kvs.Iter.next ()
-         | None -> ());
-        skip_exhausted ());
+        match current () with
+        | Some it ->
+          it.Iter.next ();
+          if Option.is_none (current ()) then start (!cur + 1) None
+        | None -> ());
     valid = (fun () -> Option.is_some (current ()));
-    key =
-      (fun () ->
-        match current () with
-        | Some it -> it.Pdb_kvs.Iter.key ()
-        | None -> invalid_arg "Level_iter: iterator is not valid");
-    value =
-      (fun () ->
-        match current () with
-        | Some it -> it.Pdb_kvs.Iter.value ()
-        | None -> invalid_arg "Level_iter: iterator is not valid");
+    key = checked (fun it -> it.Iter.key ());
+    value = checked (fun it -> it.Iter.value ());
   }

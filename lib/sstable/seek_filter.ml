@@ -5,7 +5,7 @@
     contribute: their key range ends before the target, starts after the
     scan's upper bound, or — for prefix-bounded scans — their prefix bloom
     proves the probed prefix absent.  This module centralises those three
-    checks so every level iterator applies the same soundness argument
+    checks; {!Level_iter} applies them to every member it positions
     (DESIGN.md "Read path").
 
     Soundness: a table is skipped only when the check proves it disjoint
@@ -91,59 +91,3 @@ let skip_first t (m : Table.meta) =
     t.on_check ~skipped;
     skipped
   end
-
-(** [past_upper t user_key] is [true] once a forward scan has advanced
-    beyond the bound — level iterators use it to stop opening successor
-    tables. *)
-let past_upper t user_key =
-  match t.upper_user with
-  | None -> false
-  | Some up -> String.compare user_key up > 0
-
-(** [table_iterator t ~cache ~block_cache ~hint ~on_table m] is a lazy,
-    filtered iterator over one (possibly overlapping) table — the L0 /
-    tiered-run member wrapper.  The table is not opened until a
-    positioning call survives the filter; a filtered-out positioning
-    leaves the iterator invalid, which is sound per the module contract.
-    [next] on a never-positioned iterator is a no-op (merging iterators
-    only advance children they positioned). *)
-let table_iterator t ~cache ~block_cache ~hint ~on_table (m : Table.meta) =
-  let it = ref None in
-  let force () =
-    match !it with
-    | Some i -> i
-    | None ->
-      let reader = Table_cache.find cache m in
-      let i = Table.iterator reader ~cache:block_cache ~hint in
-      on_table ();
-      it := Some i;
-      i
-  in
-  let current () =
-    match !it with
-    | Some i when i.Pdb_kvs.Iter.valid () -> Some i
-    | Some _ | None -> None
-  in
-  {
-    Pdb_kvs.Iter.seek_to_first =
-      (fun () ->
-        if skip_first t m then it := None
-        else (force ()).Pdb_kvs.Iter.seek_to_first ());
-    seek =
-      (fun target ->
-        if skip_seek t m ~target then it := None
-        else (force ()).Pdb_kvs.Iter.seek target);
-    next =
-      (fun () -> match !it with Some i -> i.Pdb_kvs.Iter.next () | None -> ());
-    valid = (fun () -> Option.is_some (current ()));
-    key =
-      (fun () ->
-        match current () with
-        | Some i -> i.Pdb_kvs.Iter.key ()
-        | None -> invalid_arg "Seek_filter.table_iterator: not valid");
-    value =
-      (fun () ->
-        match current () with
-        | Some i -> i.Pdb_kvs.Iter.value ()
-        | None -> invalid_arg "Seek_filter.table_iterator: not valid");
-  }

@@ -1,7 +1,7 @@
 (* Contracts the two LSM-family engines share through their common shell:
    an iterator stays valid until the next write, even while other readers'
-   seeks fire seek compactions, and every submitted seek compaction is
-   counted. *)
+   seeks fire seek compactions, every submitted seek compaction is
+   counted, and every seek pays for the tables it positions. *)
 
 module P = Pebblesdb.Pebbles_store
 module L = Pdb_lsm.Lsm_store
@@ -112,6 +112,71 @@ let test_seek_compactions_counted name () =
     counted;
   E.close db
 
+module type PILES = sig
+  include ENGINE
+
+  val flush : t -> unit
+  val l0_files : t -> int
+  val deeper_files : t -> int  (** tables below level 0 *)
+end
+
+module P_piles = struct
+  include P
+
+  let l0_files = P.l0_table_count
+  let deeper_files t = List.length (P.sstable_metas t) - l0_files t
+end
+
+module L_piles = struct
+  include L
+
+  let l0_files t = (L.level_file_counts t).(0)
+
+  let deeper_files t =
+    Array.fold_left ( + ) 0 (L.level_file_counts t) - l0_files t
+end
+
+let piles_subjects =
+  [
+    ("pebblesdb", ((module P_piles : PILES), tiny (O.pebblesdb ())));
+    ("leveled", ((module L_piles : PILES), tiny (O.hyperleveldb ())));
+    ( "tiered",
+      ( (module L_piles : PILES),
+        tiny { (O.hyperleveldb ()) with O.compaction_policy = O.Tiered } ) );
+  ]
+
+(* Re-seeking one live iterator opens and charges every table it
+   positions, the L0 pile and tiered runs included: each seek examines as
+   many sstables as the same seek through a fresh iterator. *)
+let test_reseek_charges name () =
+  let (module E : PILES), opts = List.assoc name piles_subjects in
+  let opts = { opts with O.seek_based_compaction = false } in
+  let db = E.open_store opts ~env:(Env.create ()) ~dir:"db" in
+  let rng = Random.State.make [| 3 |] in
+  for i = 0 to 5999 do
+    E.put db (key rng) (Printf.sprintf "value-%06d" i)
+  done;
+  E.put db "key00000" "last";
+  E.flush db;
+  let l0 = E.l0_files db in
+  Alcotest.(check bool) "level 0 holds tables" true (l0 > 0);
+  Alcotest.(check bool) "deeper levels hold tables" true (E.deeper_files db > 0);
+  let examined f =
+    let before = (E.stats db).Pdb_kvs.Engine_stats.sstables_examined in
+    f ();
+    (E.stats db).Pdb_kvs.Engine_stats.sstables_examined - before
+  in
+  let fresh = examined (fun () -> (E.iterator db).Iter.seek "") in
+  Alcotest.(check bool) "a seek examines every L0 table" true (fresh >= l0);
+  let it = E.iterator db in
+  for i = 1 to 3 do
+    Alcotest.(check int)
+      (Printf.sprintf "seek %d on the live iterator" i)
+      fresh
+      (examined (fun () -> it.Iter.seek ""))
+  done;
+  E.close db
+
 let () =
   Alcotest.run "engine_shell"
     [
@@ -128,4 +193,10 @@ let () =
             Alcotest.test_case (name ^ " counted") `Quick
               (test_seek_compactions_counted name))
           engines );
+      ( "seek cost",
+        List.map
+          (fun (name, _) ->
+            Alcotest.test_case (name ^ " re-seek charges every table") `Quick
+              (test_reseek_charges name))
+          piles_subjects );
     ]

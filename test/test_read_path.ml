@@ -180,8 +180,9 @@ let counting_filter ?upper_user ~peek () =
 let iter_of ?filter ?(on_table = fun () -> ()) env level =
   let tc = TC.create env ~dir:"db" ~entries:100 in
   let bc = BC.create ~capacity:(1 lsl 20) in
-  Pebblesdb.Flsm_level_iter.create ?filter ~level ~cache:tc ~block_cache:bc
-    ~hint:Device.Random_read ~on_table ()
+  Pdb_sstable.Level_iter.create ?filter ~cache:tc ~block_cache:bc
+    ~hint:Device.Random_read ~on_table
+    (Pebblesdb.Pebbles_store.guard_view level)
 
 let test_level_iter_skips_dead_member () =
   let env = Env.create () in

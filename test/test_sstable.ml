@@ -275,7 +275,7 @@ let test_level_iter_concat_and_seek () =
     Level_iter.create ~cache:tc ~block_cache:bc
       ~hint:Pdb_simio.Device.Random_read
       ~on_table:(fun () -> incr examined)
-      [| m1; m2 |]
+      (Fun.const (Level_iter.run [| m1; m2 |]))
   in
   (* seek into second table touches only one table *)
   examined := 0;
@@ -305,7 +305,7 @@ let test_level_iter_empty () =
     Level_iter.create ~cache:tc ~block_cache:bc
       ~hint:Pdb_simio.Device.Random_read
       ~on_table:(fun () -> ())
-      [||]
+      (Fun.const (Level_iter.run [||]))
   in
   it.Iter.seek_to_first ();
   Alcotest.(check bool) "empty invalid" false (it.Iter.valid ());

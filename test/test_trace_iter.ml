@@ -130,10 +130,10 @@ let make_level env specs =
 let iter_of env level =
   let tc = Pdb_sstable.Table_cache.create env ~dir:"db" ~entries:100 in
   let bc = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
-  Pebblesdb.Flsm_level_iter.create ~level ~cache:tc ~block_cache:bc
+  Pdb_sstable.Level_iter.create ~cache:tc ~block_cache:bc
     ~hint:Pdb_simio.Device.Random_read
     ~on_table:(fun () -> ())
-    ()
+    (Pebblesdb.Pebbles_store.guard_view level)
 
 let test_level_iter_merges_within_guard () =
   let env = Env.create () in
