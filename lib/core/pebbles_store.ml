@@ -649,7 +649,7 @@ let snapshot_levels lv (e : Manifest.edit) =
         deeper
 
 (* one guard per deeper level (§3.4 Get); its tables newest first *)
-let candidates t level key =
+let candidates t level ~key ~lookup:_ =
   let lvl = t.lv.levels.(level) in
   S.charge_cpu t t.opts.O.cpu_per_block_search_ns (* guard binary search *);
   lvl.Guard.guards.(Guard.guard_index lvl key).Guard.tables

@@ -81,9 +81,11 @@ module Types = struct
         (** write a memtable as one table (the engine's table builder) *)
     note_put : 'lv t -> string -> unit;  (** a user key enters the memtable *)
     maybe_compact : 'lv t -> unit;
-    candidates : 'lv t -> int -> string -> Table.meta list;
-        (** the tables of level [>= 1] a get of the key probes, in order
-            (those whose range misses the key are skipped) *)
+    candidates :
+      'lv t -> int -> key:string -> lookup:string -> Table.meta list;
+        (** the tables of level [>= 1] a get of user [key] probes, in
+            order; [lookup] is its internal lookup key (those whose range
+            misses the key are skipped) *)
     views : 'lv t -> (unit -> Level_iter.view) list;
         (** the levels below 0 as {!Level_iter} views, one per level
             iterator; each is taken afresh at every seek *)
@@ -595,9 +597,9 @@ let release_snapshot t s = Snapshots.release t.snapshots s
 
 (* ---------- reads ---------- *)
 
-(* Search one table for the freshest version of [key] visible at
-   [snapshot] (or at the latest state). *)
-let table_lookup ?snapshot t (meta : Table.meta) key =
+(* Search one table for the freshest version of [key] at or below internal
+   key [lookup] (the latest state or a snapshot). *)
+let table_lookup t (meta : Table.meta) key lookup =
   (* inside a probe session (a multi-table get) each lookup's device time
      is measured so independent probes overlap up to the budget *)
   Probe.measure t.probe (fun () ->
@@ -618,11 +620,6 @@ let table_lookup ?snapshot t (meta : Table.meta) key =
       if not pass_bloom then None
       else begin
         charge_cpu t t.opts.O.cpu_per_block_search_ns;
-        let lookup =
-          match snapshot with
-          | Some seq -> Ik.lookup_at ~user_key:key ~seq
-          | None -> Ik.max_for_lookup key
-        in
         match
           Table.get reader ~cache:t.block_cache ~hint:Device.Random_read lookup
         with
@@ -647,13 +644,18 @@ let get ?snapshot t key =
     (* the candidate tables of one lookup (the L0 pile, a level's
        overlapping runs or guard) are independent random reads: bracket
        them in a probe session so they overlap up to the device budget *)
+    let lookup =
+      match snapshot with
+      | Some seq -> Ik.lookup_at ~user_key:key ~seq
+      | None -> Ik.max_for_lookup key
+    in
     Probe.with_session t.probe ~label:"get" (fun () ->
         let result = ref `NotFound in
         let probe tables =
           List.iter
             (fun m ->
               if !result = `NotFound && user_range_overlap m key then
-                match table_lookup ?snapshot t m key with
+                match table_lookup t m key lookup with
                 | Some (Ik.Value, v) -> result := `Found v
                 | Some (Ik.Deletion, _) -> result := `Deleted
                 | None -> ())
@@ -663,7 +665,7 @@ let get ?snapshot t key =
         probe (t.shape.l0 t.lv);
         let level = ref 1 in
         while !result = `NotFound && !level <= last_level t do
-          probe (t.shape.candidates t !level key);
+          probe (t.shape.candidates t !level ~key ~lookup);
           incr level
         done;
         match !result with `Found v -> Some v | `Deleted | `NotFound -> None)

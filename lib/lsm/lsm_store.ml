@@ -390,12 +390,20 @@ let snapshot_files lv (e : Manifest.edit) =
          (fun level files -> List.map (fun m -> (level, m)) (List.rev files))
          (Array.to_list lv.levels))
 
-(* leveled layout has at most one candidate file per level; tiered layout
-   probes every overlapping run, newest first *)
-let candidates (t : t) level key =
+(* leveled layout has at most one candidate file per level: the first whose
+   largest internal key is >= the lookup key.  Compaction cuts tables by
+   size, so while a snapshot is live one user key's versions can straddle
+   two adjacent tables; the lookup key picks the one holding the visible
+   version (the rule Level_iter seeks by).  Tiered layout probes every
+   overlapping run, newest first. *)
+let candidates (t : t) level ~key:_ ~lookup =
   let files = t.lv.levels.(level) in
   if tiered_level t level then files
-  else Option.to_list (List.find_opt (fun m -> S.user_range_overlap m key) files)
+  else
+    Option.to_list
+      (List.find_opt
+         (fun (m : Table.meta) -> Ik.compare m.Table.largest lookup >= 0)
+         files)
 
 (* tiered runs overlap: one partition, merged by sequence number; a
    leveled run is one partition per table.  An iterator reads the levels

@@ -145,7 +145,7 @@ let pins =
     );
     ( "leveled",
       "b09e7a64fe1ac4bc679001c4a6e10238",
-      "0x1.ebcc5f6p+25 0x1.3ed4716p+26 0x1.04a6b0ap+26 0x0p+0 0x1.d43554p+25" );
+      "0x1.edf11p+25 0x1.3ed4716p+26 0x1.04a6b0ap+26 0x0p+0 0x1.d43554p+25" );
     ( "tiered",
       "a1c919664d8a0b2e7de649aec45f5cdd",
       "0x1.41e3087p+26 0x1.233b784p+25 0x1.ffa1f78p+24 0x0p+0 0x1.f67759p+25" );

@@ -256,6 +256,75 @@ let test_delete_empty_guards_spares_occupied () =
   done;
   P.close db
 
+(* ---------- versions across table boundaries ---------- *)
+
+module type ENGINE = sig
+  type t
+
+  val open_store :
+    ?block_cache:Pdb_sstable.Block_cache.t -> O.t -> env:Env.t -> dir:string -> t
+
+  val put : t -> string -> string -> unit
+  val get : ?snapshot:int -> t -> string -> string option
+  val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Iter.t
+  val snapshot : t -> int
+  val compact_all : t -> unit
+  val close : t -> unit
+end
+
+(* Tables far smaller than a value pair: while a snapshot is live, the
+   compaction merge cuts tables by size, so one user key's two versions
+   can land in adjacent tables of a run. *)
+let straddle_opts (o : O.t) =
+  {
+    o with
+    O.memtable_bytes = 16 * 1024;
+    sstable_target_bytes = 2 * 1024;
+    level_bytes_base = 16 * 1024;
+    block_bytes = 512;
+  }
+
+let straddle_subjects =
+  let lsm policy =
+    ( (module L : ENGINE),
+      straddle_opts { (O.hyperleveldb ()) with O.compaction_policy = policy } )
+  in
+  [
+    ("leveled", lsm O.Leveled);
+    ("lazy_leveled", lsm O.Lazy_leveled);
+    ("tiered", lsm O.Tiered);
+    ("pebblesdb", ((module P : ENGINE), straddle_opts (O.pebblesdb ())));
+  ]
+
+(* Overwrite every key under a snapshot, then compact everything: a get at
+   the snapshot must find the old version and a plain get the new one,
+   wherever the merge cut the tables. *)
+let test_versions_straddle_tables name () =
+  let (module E : ENGINE), opts = List.assoc name straddle_subjects in
+  let db = E.open_store opts ~env:(Env.create ()) ~dir:"db" in
+  let v tag i = Printf.sprintf "%s%02d-%s" tag i (String.make 3000 'x') in
+  for i = 0 to 39 do
+    E.put db (key i) (v "old" i)
+  done;
+  let snap = E.snapshot db in
+  for i = 0 to 39 do
+    E.put db (key i) (v "new" i)
+  done;
+  E.compact_all db;
+  let wrong f = List.length (List.filter f (List.init 40 Fun.id)) in
+  check Alcotest.int "snapshot gets wrong" 0
+    (wrong (fun i -> E.get ~snapshot:snap db (key i) <> Some (v "old" i)));
+  let it = E.iterator ~snapshot:snap db in
+  it.Iter.seek_to_first ();
+  let seen = ref [] in
+  while it.Iter.valid () do
+    seen := it.Iter.value () :: !seen;
+    it.Iter.next ()
+  done;
+  check Alcotest.(list string) "snapshot iterator"
+    (List.init 40 (v "old")) (List.rev !seen);
+  E.close db
+
 let () =
   Alcotest.run "snapshots-guard-deletion"
     [
@@ -274,6 +343,11 @@ let () =
         ] );
       ( "lsm-snapshots",
         [ Alcotest.test_case "roundtrip" `Quick test_lsm_snapshot_roundtrip ] );
+      ( "versions straddling tables",
+        List.map
+          (fun (name, _) ->
+            Alcotest.test_case name `Quick (test_versions_straddle_tables name))
+          straddle_subjects );
       ( "guard-deletion",
         [
           Alcotest.test_case "delete empty guards" `Quick
