@@ -508,11 +508,12 @@ let compact_all (t : t) =
           run =
             (fun () ->
               (* a manual merge consumes every overlapping target file, so
-                 tombstones may drop at the bottom under any policy *)
+                 tombstones may drop at the bottom under any policy; a
+                 tiered target gets one run, which must be one table *)
               let outputs =
                 run_merge t ~inputs_lo ~inputs_hi
                   ~drop_tombstones:(level + 1 >= last_level t.opts)
-                  ~single_output:false
+                  ~single_output:(tiered_level t (level + 1))
               in
               install_compaction t ~level ~inputs_lo ~inputs_hi ~outputs);
         }

@@ -147,11 +147,11 @@ let pins =
       "b09e7a64fe1ac4bc679001c4a6e10238",
       "0x1.edf11p+25 0x1.3ed4716p+26 0x1.04a6b0ap+26 0x0p+0 0x1.d43554p+25" );
     ( "tiered",
-      "a1c919664d8a0b2e7de649aec45f5cdd",
-      "0x1.41e3087p+26 0x1.233b784p+25 0x1.ffa1f78p+24 0x0p+0 0x1.f67759p+25" );
+      "52711a1f144ab6267c1e18be7bbcc0c4",
+      "0x1.41e22f5p+26 0x1.15d7afcp+25 0x1.e4da668p+24 0x0p+0 0x1.f67759p+25" );
     ( "lazy_leveled",
-      "e56f21a330d6985c736f11b522a6926f",
-      "0x1.41e3087p+26 0x1.233b784p+25 0x1.ffa1f78p+24 0x0p+0 0x1.f67759p+25" );
+      "89ee362c9dab2dacd34bafc7d108a29a",
+      "0x1.41e29d9p+26 0x1.1950ea4p+25 0x1.ebccdb8p+24 0x0p+0 0x1.f67759p+25" );
   ]
 
 let test_pin name () =

@@ -314,6 +314,8 @@ let test_versions_straddle_tables name () =
   let wrong f = List.length (List.filter f (List.init 40 Fun.id)) in
   check Alcotest.int "snapshot gets wrong" 0
     (wrong (fun i -> E.get ~snapshot:snap db (key i) <> Some (v "old" i)));
+  check Alcotest.int "latest gets wrong" 0
+    (wrong (fun i -> E.get db (key i) <> Some (v "new" i)));
   let it = E.iterator ~snapshot:snap db in
   it.Iter.seek_to_first ();
   let seen = ref [] in
