@@ -715,7 +715,6 @@ let options = S.options
 let env = S.env
 let compaction_scheduler = S.compaction_scheduler
 let backpressure = S.backpressure
-let stats = S.stats
 let write_group = S.write_group
 let write = S.write
 let put = S.put
@@ -783,12 +782,18 @@ let memory_bytes t =
   in
   S.base_memory_bytes t + filters_and_indexes + guard_meta
 
-let refresh_empty_guard_stat t =
+let empty_guard_count t =
   let n = ref 0 in
   for level = 1 to S.last_level t do
     n := !n + Guard.empty_guard_count t.lv.levels.(level)
   done;
-  t.stats.Stats.guards_empty <- !n
+  !n
+
+(* the empty-guard count is a property of the guard arrays, not an event
+   counter: refresh it whenever the stats are read *)
+let stats t =
+  t.stats.Stats.guards_empty <- empty_guard_count t;
+  S.stats t
 
 let describe t =
   let buf = Buffer.create 512 in
@@ -945,10 +950,6 @@ let l0_table_count t = List.length t.lv.l0
 let guard_counts t =
   Array.init t.opts.O.max_levels (fun level ->
       if level = 0 then 0 else Guard.guard_count t.lv.levels.(level))
-
-let empty_guard_count t =
-  refresh_empty_guard_stat t;
-  t.stats.Stats.guards_empty
 
 let sstable_metas t =
   t.lv.l0

@@ -37,7 +37,7 @@ val env : t -> Pdb_simio.Env.t
 
 (** [stats t] are the engine counters, with the background scheduler's
     counters (jobs, queue peaks, per-worker busy time, stall attribution)
-    mirrored in on every read. *)
+    and the empty-guard count refreshed on every read. *)
 val stats : t -> Pdb_kvs.Engine_stats.t
 
 (** The shared background-compaction scheduler: all non-manual compaction

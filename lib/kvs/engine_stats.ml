@@ -32,7 +32,7 @@ type t = {
       (** full-cost table opens: no summary existed yet *)
   mutable write_stalls : int;
   mutable guards_committed : int;  (** FLSM only *)
-  mutable guards_empty : int;  (** FLSM only; refreshed on demand *)
+  mutable guards_empty : int;  (** FLSM only; refreshed on every read *)
   mutable seek_compactions : int;
       (** seek-triggered compaction jobs submitted (both LSM-family
           engines); equals the scheduler's [seek]-trigger run count *)

@@ -351,6 +351,22 @@ let test_empty_guards_harmless () =
     check Alcotest.(option string) "old keys gone" None (P.get db (key i))
   done
 
+(* The empty-guard count is derived from the guard arrays; reading it
+   through [stats] must agree with the direct count. *)
+let test_stats_count_empty_guards () =
+  let db = open_tiny (Env.create ()) in
+  for i = 0 to 1999 do
+    P.put db (key i) (value i)
+  done;
+  for i = 0 to 1499 do
+    P.delete db (key i)
+  done;
+  P.compact_all db;
+  let via_stats = (P.stats db).Pdb_kvs.Engine_stats.guards_empty in
+  let direct = P.empty_guard_count db in
+  Alcotest.(check bool) "some guards empty" true (direct > 0);
+  check Alcotest.int "stats agree" direct via_stats
+
 let test_pebbles_one_behaves_like_lsm () =
   (* max_sstables_per_guard = 1 is the paper's LSM mode (§3.5): after
      compaction settles, no guard holds more than one sstable. *)
@@ -484,6 +500,8 @@ let () =
             test_flsm_write_amp_lower_than_lsm;
           Alcotest.test_case "empty guards harmless" `Quick
             test_empty_guards_harmless;
+          Alcotest.test_case "stats count empty guards" `Quick
+            test_stats_count_empty_guards;
           Alcotest.test_case "pebblesdb-1 = lsm mode" `Quick
             test_pebbles_one_behaves_like_lsm;
           Alcotest.test_case "describe" `Quick test_describe_shows_guards;
