@@ -10,9 +10,178 @@ module B = Pdb_harness.Bench_util
 module L = Pdb_kvs.Latency
 module O = Pdb_kvs.Options
 
-let run (c : Cli.t) l0_slowdown l0_stop benchmarks num seed probe_budget
+(* What a benchmark body sees: the store, the same store instrumented
+   into [lat] (serial phases run through it; multi-client phases collect
+   lane-placement latencies into [lat] directly), and the sizing flags. *)
+type ctx = {
+  name : string;
+  store : Dyn.dyn;
+  timed : Dyn.dyn;
+  lat : L.t;
+  num : int;
+  value_size : int;
+  clients : int;
+  seed : int;
+  filled : bool ref;  (** a fill has run, so reads need no implicit one *)
+}
+
+let report x (p : B.phase) =
+  Printf.printf
+    "%-14s : %8.1f KOps/s  (%d ops, %.1f MB written, %.1f MB read)\n%!" x.name
+    p.B.kops p.B.ops (B.mb p.B.bytes_written) (B.mb p.B.bytes_read)
+
+(* with --clients > 1, report the multi-client phase plus its group-commit
+   accounting *)
+let report_mc x ((p : B.phase), (r : B.Mc.result)) =
+  report x p;
+  Printf.printf
+    "               clients=%d groups=%d avg-group=%.2f syncs-saved=%d \
+     max-wait=%.1fms\n%!"
+    r.B.Mc.clients r.B.Mc.write_groups r.B.Mc.avg_group_size
+    r.B.Mc.syncs_saved
+    (Array.fold_left Float.max 0.0 r.B.Mc.client_wait_ns /. 1e6)
+
+let ensure_fill x =
+  if not !(x.filled) then
+    ignore
+      (B.fill_random x.store ~n:x.num ~value_bytes:x.value_size ~seed:x.seed);
+  x.filled := true
+
+let fill_random x =
+  if x.clients > 1 then
+    report_mc x
+      (B.mc_fill_random ~latency:x.lat x.store ~clients:x.clients ~n:x.num
+         ~value_bytes:x.value_size ~seed:x.seed)
+  else
+    report x
+      (B.fill_random x.timed ~n:x.num ~value_bytes:x.value_size ~seed:x.seed)
+
+(* [reads x ops f] times [ops] reads issued by [f] after an implicit fill *)
+let reads x ops f =
+  ensure_fill x;
+  report x (B.measure x.timed ops f)
+
+(* every benchmark, by the name --benchmarks takes, in help order *)
+let benchmarks =
+  [
+    ( "fillseq",
+      fun x ->
+        report x
+          (B.fill_seq x.timed ~n:x.num ~value_bytes:x.value_size
+             ~seed:x.seed) );
+    ( "fillrandom",
+      fun x ->
+        x.filled := true;
+        fill_random x );
+    ( "fillbatch",
+      fun x ->
+        (* batched writes: 100 entries per atomic batch *)
+        x.filled := true;
+        let rng = Pdb_util.Rng.create x.seed in
+        report x
+          (B.measure x.timed x.num (fun () ->
+               let i = ref 0 in
+               while !i < x.num do
+                 let batch = Pdb_kvs.Write_batch.create () in
+                 for _ = 1 to min 100 (x.num - !i) do
+                   Pdb_kvs.Write_batch.put batch
+                     (B.key_of (Pdb_util.Rng.int rng x.num))
+                     (Pdb_util.Rng.alpha rng x.value_size);
+                   incr i
+                 done;
+                 x.timed.Dyn.d_write batch
+               done)) );
+    ("overwrite", fill_random);
+    ( "readrandom",
+      fun x ->
+        ensure_fill x;
+        if x.clients > 1 then
+          report_mc x
+            (B.mc_read_random ~latency:x.lat x.store ~clients:x.clients
+               ~n:x.num ~ops:x.num ~seed:x.seed)
+        else
+          report x (B.read_random x.timed ~n:x.num ~ops:x.num ~seed:x.seed) );
+    ( "mixed",
+      fun x ->
+        (* 50% reads / 50% overwrites through the client lanes *)
+        ensure_fill x;
+        report_mc x
+          (B.mc_mixed ~latency:x.lat x.store ~clients:(max 1 x.clients)
+             ~n:x.num ~ops:x.num ~value_bytes:x.value_size ~seed:x.seed) );
+    ( "readseq",
+      fun x ->
+        (* full forward scan via one iterator *)
+        reads x x.num (fun () ->
+            let it = x.timed.Dyn.d_iterator () in
+            it.Pdb_kvs.Iter.seek_to_first ();
+            while it.Pdb_kvs.Iter.valid () do
+              ignore (it.Pdb_kvs.Iter.key ());
+              it.Pdb_kvs.Iter.next ()
+            done) );
+    ( "readmissing",
+      fun x ->
+        (* lookups for keys that are never present: bloom-filter country *)
+        let rng = Pdb_util.Rng.create (x.seed + 21) in
+        reads x x.num (fun () ->
+            for _ = 1 to x.num do
+              ignore
+                (x.timed.Dyn.d_get
+                   (Printf.sprintf "missing%010d" (Pdb_util.Rng.int rng x.num)))
+            done) );
+    ( "readhot",
+      fun x ->
+        (* reads concentrated on 1% of the key space *)
+        let hot = max 1 (x.num / 100) in
+        let rng = Pdb_util.Rng.create (x.seed + 22) in
+        reads x x.num (fun () ->
+            for _ = 1 to x.num do
+              ignore (x.timed.Dyn.d_get (B.key_of (Pdb_util.Rng.int rng hot)))
+            done) );
+    ( "seekrandom",
+      fun x ->
+        ensure_fill x;
+        report x
+          (B.seek_random x.timed ~n:x.num ~ops:(x.num / 4) ~nexts:0
+             ~seed:x.seed) );
+    ( "seekordered",
+      fun x ->
+        (* seeks at ascending positions (locality-friendly) *)
+        let ops = x.num / 4 in
+        reads x ops (fun () ->
+            for i = 0 to ops - 1 do
+              let it = x.timed.Dyn.d_iterator () in
+              it.Pdb_kvs.Iter.seek (B.key_of (i * (x.num / max 1 ops)))
+            done) );
+    ( "deleterandom",
+      fun x -> report x (B.delete_random x.timed ~n:x.num ~seed:x.seed) );
+    ( "compact",
+      fun x ->
+        x.store.Dyn.d_compact_all ();
+        Printf.printf "%-14s : done\n%!" x.name );
+    ( "stats",
+      fun x ->
+        let store = x.store in
+        Printf.printf "%s\n  write-amp: %.2f\n%!" (store.Dyn.d_describe ())
+          (B.write_amp store);
+        (match B.scheduler_summary store with
+         | "" -> ()
+         | s -> Printf.printf "  compaction: %s\n%!" s);
+        (match B.trigger_summary store with
+         | "" -> ()
+         | s -> Printf.printf "  by-trigger: %s\n%!" s);
+        let st = store.Dyn.d_stats () in
+        Printf.printf
+          "  read path: seek-filter checks %d / skips %d, index-summary \
+           hits %d / misses %d\n\
+           %!"
+          st.Pdb_kvs.Engine_stats.seek_bloom_checks
+          st.Pdb_kvs.Engine_stats.seek_bloom_skips
+          st.Pdb_kvs.Engine_stats.summary_hits
+          st.Pdb_kvs.Engine_stats.summary_misses );
+  ]
+
+let run (c : Cli.t) l0_slowdown l0_stop names num seed probe_budget
     no_seek_filtering table_cache table_cache_bytes =
-  let value_size = c.Cli.value_size and clients = c.Cli.clients in
   (* the db_bench-only option flags *)
   let tweak (o : O.t) =
     let pick v d = Option.value v ~default:d in
@@ -32,151 +201,26 @@ let run (c : Cli.t) l0_slowdown l0_stop benchmarks num seed probe_budget
     Cli.open_store c ~tweak ~splits:(fun shards ->
         List.init (shards - 1) (fun i -> B.key_of ((i + 1) * num / shards)))
   in
-  let report name (p : B.phase) =
-    Printf.printf "%-14s : %8.1f KOps/s  (%d ops, %.1f MB written, %.1f MB read)\n%!"
-      name p.B.kops p.B.ops (B.mb p.B.bytes_written) (B.mb p.B.bytes_read)
-  in
-  (* with --clients > 1, report the multi-client phase plus its
-     group-commit accounting *)
-  let report_mc name ((p : B.phase), (r : B.Mc.result)) =
-    report name p;
-    Printf.printf
-      "               clients=%d groups=%d avg-group=%.2f syncs-saved=%d \
-       max-wait=%.1fms\n%!"
-      r.B.Mc.clients r.B.Mc.write_groups r.B.Mc.avg_group_size
-      r.B.Mc.syncs_saved
-      (Array.fold_left Float.max 0.0 r.B.Mc.client_wait_ns /. 1e6)
-  in
-  let ran_fill = ref false in
-  let ensure_fill () =
-    if not !ran_fill then
-      ignore (B.fill_random store ~n:num ~value_bytes:value_size ~seed);
-    ran_fill := true
-  in
+  let filled = ref false in
   List.iter
-    (fun bench ->
-      (* per-benchmark latency histograms: serial phases run through an
-         instrumented store (clock-snapshot deltas); multi-client phases
-         collect the lane-placement latencies.  Purely observational —
-         store state is byte-identical with reporting off. *)
+    (fun name ->
+      (* per-benchmark latency histograms; purely observational — store
+         state is byte-identical with reporting off *)
       let lat = L.create () in
-      let timed = L.instrument lat store in
-      (match bench with
-      | "fillseq" -> report bench (B.fill_seq timed ~n:num ~value_bytes:value_size ~seed)
-      | "fillrandom" when clients > 1 ->
-        ran_fill := true;
-        report_mc bench
-          (B.mc_fill_random ~latency:lat store ~clients ~n:num
-             ~value_bytes:value_size ~seed)
-      | "fillrandom" ->
-        ran_fill := true;
-        report bench (B.fill_random timed ~n:num ~value_bytes:value_size ~seed)
-      | "fillbatch" ->
-        (* batched writes: 100 entries per atomic batch *)
-        ran_fill := true;
-        let rng = Pdb_util.Rng.create seed in
-        report bench
-          (B.measure timed num (fun () ->
-               let i = ref 0 in
-               while !i < num do
-                 let batch = Pdb_kvs.Write_batch.create () in
-                 for _ = 1 to min 100 (num - !i) do
-                   Pdb_kvs.Write_batch.put batch
-                     (B.key_of (Pdb_util.Rng.int rng num))
-                     (Pdb_util.Rng.alpha rng value_size);
-                   incr i
-                 done;
-                 timed.Dyn.d_write batch
-               done))
-      | "overwrite" when clients > 1 ->
-        report_mc bench
-          (B.mc_fill_random ~latency:lat store ~clients ~n:num
-             ~value_bytes:value_size ~seed)
-      | "overwrite" ->
-        report bench (B.fill_random timed ~n:num ~value_bytes:value_size ~seed)
-      | "readrandom" when clients > 1 ->
-        ensure_fill ();
-        report_mc bench
-          (B.mc_read_random ~latency:lat store ~clients ~n:num ~ops:num ~seed)
-      | "readrandom" ->
-        ensure_fill ();
-        report bench (B.read_random timed ~n:num ~ops:num ~seed)
-      | "mixed" ->
-        (* 50% reads / 50% overwrites through the client lanes *)
-        ensure_fill ();
-        report_mc bench
-          (B.mc_mixed ~latency:lat store ~clients:(max 1 clients) ~n:num
-             ~ops:num ~value_bytes:value_size ~seed)
-      | "readseq" ->
-        (* full forward scan via one iterator *)
-        ensure_fill ();
-        report bench
-          (B.measure timed num (fun () ->
-               let it = timed.Dyn.d_iterator () in
-               it.Pdb_kvs.Iter.seek_to_first ();
-               while it.Pdb_kvs.Iter.valid () do
-                 ignore (it.Pdb_kvs.Iter.key ());
-                 it.Pdb_kvs.Iter.next ()
-               done))
-      | "readmissing" ->
-        (* lookups for keys that are never present: bloom-filter country *)
-        ensure_fill ();
-        let rng = Pdb_util.Rng.create (seed + 21) in
-        report bench
-          (B.measure timed num (fun () ->
-               for _ = 1 to num do
-                 ignore
-                   (timed.Dyn.d_get
-                      (Printf.sprintf "missing%010d" (Pdb_util.Rng.int rng num)))
-               done))
-      | "readhot" ->
-        (* reads concentrated on 1% of the key space *)
-        ensure_fill ();
-        let hot = max 1 (num / 100) in
-        let rng = Pdb_util.Rng.create (seed + 22) in
-        report bench
-          (B.measure timed num (fun () ->
-               for _ = 1 to num do
-                 ignore (timed.Dyn.d_get (B.key_of (Pdb_util.Rng.int rng hot)))
-               done))
-      | "seekrandom" ->
-        ensure_fill ();
-        report bench (B.seek_random timed ~n:num ~ops:(num / 4) ~nexts:0 ~seed)
-      | "seekordered" ->
-        (* seeks at ascending positions (locality-friendly) *)
-        ensure_fill ();
-        let ops = num / 4 in
-        report bench
-          (B.measure timed ops (fun () ->
-               for i = 0 to ops - 1 do
-                 let it = timed.Dyn.d_iterator () in
-                 it.Pdb_kvs.Iter.seek (B.key_of (i * (num / max 1 ops)))
-               done))
-      | "deleterandom" -> report bench (B.delete_random timed ~n:num ~seed)
-      | "compact" ->
-        store.Dyn.d_compact_all ();
-        Printf.printf "%-14s : done\n%!" bench
-      | "stats" ->
-        Printf.printf "%s\n  write-amp: %.2f\n%!" (store.Dyn.d_describe ())
-          (B.write_amp store);
-        (match B.scheduler_summary store with
-         | "" -> ()
-         | s -> Printf.printf "  compaction: %s\n%!" s);
-        (match B.trigger_summary store with
-         | "" -> ()
-         | s -> Printf.printf "  by-trigger: %s\n%!" s);
-        let st = store.Dyn.d_stats () in
-        Printf.printf
-          "  read path: seek-filter checks %d / skips %d, index-summary \
-           hits %d / misses %d\n\
-           %!"
-          st.Pdb_kvs.Engine_stats.seek_bloom_checks
-          st.Pdb_kvs.Engine_stats.seek_bloom_skips
-          st.Pdb_kvs.Engine_stats.summary_hits
-          st.Pdb_kvs.Engine_stats.summary_misses
-      | other -> Printf.printf "unknown benchmark %S (skipped)\n%!" other);
+      List.assoc name benchmarks
+        {
+          name;
+          store;
+          timed = L.instrument lat store;
+          lat;
+          num;
+          value_size = c.Cli.value_size;
+          clients = c.Cli.clients;
+          seed;
+          filled;
+        };
       L.print_summary ~indent:"               " lat)
-    benchmarks;
+    names;
   Printf.printf "final write amplification: %.2f\n" (B.write_amp store);
   (match B.scheduler_summary store with
    | "" -> ()
@@ -201,12 +245,14 @@ let l0_stop_arg =
            ~doc:"Override the L0 stop threshold (debt points at which the \
                  full per-entry penalty applies).")
 
+(* an unknown name is a usage error, reported before any benchmark runs *)
 let benchmarks_arg =
+  let names = List.map (fun (n, _) -> (n, n)) benchmarks in
   Arg.(value
-       & opt (list string) [ "fillrandom"; "readrandom"; "seekrandom" ]
+       & opt (list (enum names)) [ "fillrandom"; "readrandom"; "seekrandom" ]
        & info [ "benchmarks" ] ~docv:"LIST"
-           ~doc:"fillseq, fillrandom, overwrite, readrandom, mixed, \
-                 seekrandom, deleterandom, compact, stats")
+           ~doc:("Comma-separated benchmarks, run in order: "
+                 ^ String.concat ", " (List.map fst names)))
 
 let num_arg =
   Arg.(value & opt int 50_000 & info [ "num" ] ~doc:"Number of keys.")
