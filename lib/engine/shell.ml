@@ -3,8 +3,8 @@
     PebblesDB changes HyperLevelDB's level structure and nothing else
     (§4.4): the memtable, WAL, MANIFEST recovery, group commit and read
     plumbing stay the same.  This module owns that machinery once —
-    recovery, flush with WAL rotation, obsolete-file collection, the
-    write-group hooks with their backpressure debt, stats mirroring, the
+    recovery, flush with WAL rotation, obsolete-file collection, group
+    commit with its backpressure debt, stats mirroring, the
     memtable and level-0 halves of reads, the iterator wrapper with seek
     accounting, and the snapshot-aware compaction merge loop.
 
@@ -494,78 +494,102 @@ let stats t =
 
 (* ---------- writes ---------- *)
 
-(* All writes commit through the group path ({!Pdb_kvs.Write_group}): a
-   solo write is a group of one.  The group's records are framed
-   per-batch (log bytes identical at any group size), appended in one
-   device write and made durable by one sync — batches are acked only
-   when that sync returns. *)
+(* WAL group commit, the LevelDB writers-queue protocol: a solo write is a
+   group of one.  The group's batches are framed as individual WAL records
+   — so the log bytes are identical whether the group has one member or
+   eight — but appended in one device write and made durable by one sync;
+   batches are acked only when that sync returns, so the whole group
+   commits or none of it does.  Sequence numbers, memtable inserts and
+   flush triggers happen batch by batch in arrival order, exactly as on
+   the serial write path, so store state is byte-identical across client
+   counts. *)
 let write_group t batches =
   assert (not t.closed);
   gc_obsolete t;
   t.consecutive_seeks <- 0;
-  Pdb_kvs.Write_group.commit
-    {
-      Pdb_kvs.Write_group.count = Wb.count;
-      encode = Wb.encode;
-      alloc_seq =
-        (fun n ->
-          let base = t.last_seq + 1 in
-          t.last_seq <- t.last_seq + n;
-          base);
-      before_group =
-        (fun ~entries ->
-          (* write throttling: the shared controller prices the group
-             against compaction debt — L0 files not yet pushed down plus
-             the scheduler's pending backlog — and the group pays once
-             (it enters the device as one write, so penalizing every
-             record would overcharge the batch it rode in on) *)
-          let debt =
-            {
-              Bp.l0_files = List.length (t.shape.l0 t.lv);
-              pending_jobs = Scheduler.pending t.sched;
-              backlog_bytes = Scheduler.backlog_bytes t.sched;
-            }
-          in
-          let now_ns = Clock.elapsed_ns (Clock.snapshot t.clock) in
-          let v = Bp.throttle t.bp ~now_ns ~debt ~cost:entries in
-          let total = Bp.total_ns v in
-          if total > 0.0 then begin
-            Clock.stall t.clock total;
-            Scheduler.note_stall t.sched ~slowdown_ns:v.Bp.slowdown_ns
-              ~stop_ns:v.Bp.stop_ns;
-            t.stats.Stats.write_stalls <- t.stats.Stats.write_stalls + 1
-          end);
-      before_batch =
-        (fun batch ->
-          let count = Wb.count batch in
-          let requests = if Wb.is_bulk batch then 1 else count in
-          charge_cpu t (t.opts.O.op_overhead_write_ns *. float_of_int requests);
-          charge_cpu t (t.opts.O.cpu_per_op_ns *. float_of_int count));
-      log_append = (fun records -> Wal.Writer.add_records t.wal records);
-      log_sync = (fun () -> Wal.Writer.sync t.wal);
-      apply =
-        (fun batch ~base_seq ->
-          let seq = ref base_seq in
-          Wb.iter batch (fun op ->
-              charge_cpu t t.opts.O.cpu_memtable_op_ns;
-              (match op with
-               | Wb.Put (k, v) ->
-                 t.shape.note_put t k;
-                 Memtable.add t.mem ~seq:!seq ~kind:Ik.Value ~user_key:k
-                   ~value:v
-               | Wb.Delete k ->
-                 Memtable.add t.mem ~seq:!seq ~kind:Ik.Deletion ~user_key:k
-                   ~value:"");
-              incr seq);
-          t.stats.Stats.user_bytes_written <-
-            t.stats.Stats.user_bytes_written + Wb.payload_bytes batch);
-      memtable_full =
-        (fun () -> Memtable.approximate_bytes t.mem >= t.opts.O.memtable_bytes);
-      flush = (fun () -> flush t);
-      sync_writes = t.opts.O.wal_sync_writes;
-      stats = t.stats;
-    }
-    batches;
+  (match List.filter (fun b -> Wb.count b > 0) batches with
+   | [] -> ()
+   | group ->
+     (* write throttling: the shared controller prices the group against
+        compaction debt — L0 files not yet pushed down plus the
+        scheduler's pending backlog — and the group pays once (it enters
+        the device as one write, so penalizing every record would
+        overcharge the batch it rode in on) *)
+     let debt =
+       {
+         Bp.l0_files = List.length (t.shape.l0 t.lv);
+         pending_jobs = Scheduler.pending t.sched;
+         backlog_bytes = Scheduler.backlog_bytes t.sched;
+       }
+     in
+     let entries = List.fold_left (fun acc b -> acc + Wb.count b) 0 group in
+     let now_ns = Clock.elapsed_ns (Clock.snapshot t.clock) in
+     let v = Bp.throttle t.bp ~now_ns ~debt ~cost:entries in
+     let total = Bp.total_ns v in
+     if total > 0.0 then begin
+       Clock.stall t.clock total;
+       Scheduler.note_stall t.sched ~slowdown_ns:v.Bp.slowdown_ns
+         ~stop_ns:v.Bp.stop_ns;
+       t.stats.Stats.write_stalls <- t.stats.Stats.write_stalls + 1
+     end;
+     let pending = ref [] in
+     (* batches whose durability rides on the end-of-group sync; a
+        mid-group flush retires the log holding everything so far (the
+        flushed sstable + manifest install covers those records), so it
+        resets the count — crediting [n - 1] unconditionally would
+        overcount elided syncs *)
+     let covered = ref 0 in
+     let append_pending () =
+       if !pending <> [] then begin
+         Wal.Writer.add_records t.wal (List.rev !pending);
+         pending := []
+       end
+     in
+     List.iter
+       (fun batch ->
+         let count = Wb.count batch in
+         let requests = if Wb.is_bulk batch then 1 else count in
+         charge_cpu t (t.opts.O.op_overhead_write_ns *. float_of_int requests);
+         charge_cpu t (t.opts.O.cpu_per_op_ns *. float_of_int count);
+         let base_seq = t.last_seq + 1 in
+         t.last_seq <- t.last_seq + count;
+         pending := Wb.encode batch ~base_seq :: !pending;
+         let seq = ref base_seq in
+         Wb.iter batch (fun op ->
+             charge_cpu t t.opts.O.cpu_memtable_op_ns;
+             (match op with
+              | Wb.Put (k, v) ->
+                t.shape.note_put t k;
+                Memtable.add t.mem ~seq:!seq ~kind:Ik.Value ~user_key:k
+                  ~value:v
+              | Wb.Delete k ->
+                Memtable.add t.mem ~seq:!seq ~kind:Ik.Deletion ~user_key:k
+                  ~value:"");
+             incr seq);
+         t.stats.Stats.user_bytes_written <-
+           t.stats.Stats.user_bytes_written + Wb.payload_bytes batch;
+         incr covered;
+         if Memtable.approximate_bytes t.mem >= t.opts.O.memtable_bytes
+         then begin
+           (* push this group's records into the log the flush is about
+              to retire before the rotation deletes it: every record a
+              flushed memtable depends on is in that log, never stranded
+              in a deleted file *)
+           append_pending ();
+           flush t;
+           covered := 0
+         end)
+       group;
+     append_pending ();
+     let st = t.stats in
+     st.Stats.write_groups <- st.Stats.write_groups + 1;
+     st.Stats.write_group_batches <-
+       st.Stats.write_group_batches + List.length group;
+     if t.opts.O.wal_sync_writes then begin
+       Wal.Writer.sync t.wal;
+       st.Stats.group_syncs_saved <-
+         st.Stats.group_syncs_saved + max 0 (!covered - 1)
+     end);
   match batches with
   | [] -> ()
   | _ ->

@@ -22,8 +22,9 @@ module type S = sig
   val write : t -> Write_batch.t -> unit
 
   (** [write_group t batches] commits [batches] as one group, in order —
-      engines with a WAL group commit (see {!Write_group}) coalesce the
-      log append and sync; others degrade to writing them one by one.
+      engines with a WAL group commit ([Pdb_engine.Shell.write_group])
+      coalesce the log append and sync; others degrade to writing them
+      one by one.
       Store state is always exactly that of the one-by-one writes. *)
   val write_group : t -> Write_batch.t list -> unit
 
