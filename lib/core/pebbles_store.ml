@@ -24,7 +24,6 @@ module Ik = Pdb_kvs.Internal_key
 module O = Pdb_kvs.Options
 module Env = Pdb_simio.Env
 module Clock = Pdb_simio.Clock
-module Device = Pdb_simio.Device
 module Table = Pdb_sstable.Table
 module Manifest = Pdb_manifest.Manifest
 module Stats = Pdb_kvs.Engine_stats

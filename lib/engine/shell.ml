@@ -87,8 +87,8 @@ module Types = struct
             order; [lookup] is its internal lookup key (those whose range
             misses the key are skipped) *)
     views : 'lv t -> (unit -> Level_iter.view) list;
-        (** the levels below 0 as {!Level_iter} views, one per level
-            iterator; each is taken afresh at every seek *)
+        (** the levels below 0, one {!Level_iter} each: the iterator calls
+            its level's thunk for a view at every seek *)
     seek_job : 'lv t -> Job.t option;
         (** the seek-triggered compaction to submit, if any is due *)
   }

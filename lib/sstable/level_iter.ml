@@ -44,6 +44,8 @@ type view = {
 let pile tables =
   { parts = [| tables |]; lower = (fun _ -> ""); locate = (fun _ -> 0) }
 
+let empty = pile []
+
 (** [run files] is a sorted run of disjoint tables, one partition each; a
     seek starts at the first table whose largest key is >= the target. *)
 let run (files : Table.meta array) =
@@ -65,8 +67,8 @@ let run (files : Table.meta array) =
 
 let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
     ~on_table (view_of : unit -> view) =
-  (* the view as of the latest seek; never read before the first one *)
-  let view = ref (pile []) in
+  (* the view as of the latest seek; empty before the first one *)
+  let view = ref empty in
   let cur = ref (-1) in
   let merged = ref None in
   let measure f =
