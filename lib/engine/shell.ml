@@ -715,6 +715,8 @@ let internal_iterator ?upper_user t =
     Level_iter.create ~filter ~probe:t.probe ~cache:t.table_cache
       ~block_cache:t.block_cache ~hint:Device.Random_read ~on_table view
   in
+  (* the pile as it stands now: its files outlive the iterator's validity
+     (see gc_obsolete) *)
   let l0 = Level_iter.pile (t.shape.l0 t.lv) in
   Pdb_kvs.Merging_iter.create ~compare:Ik.compare
     (Memtable.iterator t.mem

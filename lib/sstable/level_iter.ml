@@ -114,7 +114,6 @@ let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
     | Some it when it.Iter.valid () -> Some it
     | Some _ | None -> None
   in
-  let past_end i = i >= Array.length !view.parts in
   (* a bounded scan stops before a partition whose every key is past the
      bound: its tables are never even examined *)
   let past_upper i =
@@ -124,7 +123,7 @@ let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
   in
   (* position partition [i], then walk successors until a key turns up *)
   let rec start i target =
-    if past_end i || past_upper i then begin
+    if i >= Array.length !view.parts || past_upper i then begin
       cur := Array.length !view.parts;
       merged := None
     end
