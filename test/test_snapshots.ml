@@ -345,7 +345,7 @@ let () =
         ] );
       ( "lsm-snapshots",
         [ Alcotest.test_case "roundtrip" `Quick test_lsm_snapshot_roundtrip ] );
-      ( "versions straddling tables",
+      ( "straddling-runs",
         List.map
           (fun (name, _) ->
             Alcotest.test_case name `Quick (test_versions_straddle_tables name))
