@@ -29,25 +29,30 @@ let get_bit b i =
   let byte = i / 8 and bit = i mod 8 in
   Char.code (Bytes.get b byte) land (1 lsl bit) <> 0
 
-let probes t key =
-  let h1 = Pdb_util.Murmur3.hash32 ~seed:0xbc9f1d34 key in
-  let h2 = Pdb_util.Murmur3.hash32 ~seed:0x7a2d187e key in
-  let rec go i acc =
-    if i = t.k then acc
-    else
-      let h = (h1 + (i * h2)) land max_int in
-      go (i + 1) ((h mod t.nbits) :: acc)
-  in
-  go 0 []
+(* The [k] probe positions of [key] are [(h1 + i * h2) mod nbits] for
+   [i = 0 .. k-1]; [add] sets them and [mem] tests them in a loop, with
+   no list of positions in between. *)
+let hash1 key = Pdb_util.Murmur3.hash32 ~seed:0xbc9f1d34 key
+let hash2 key = Pdb_util.Murmur3.hash32 ~seed:0x7a2d187e key
+let probe t h1 h2 i = ((h1 + (i * h2)) land max_int) mod t.nbits
 
 (** [add t key] inserts a key. *)
 let add t key =
-  List.iter (fun i -> set_bit t.bits i) (probes t key);
+  let h1 = hash1 key and h2 = hash2 key in
+  for i = 0 to t.k - 1 do
+    set_bit t.bits (probe t h1 h2 i)
+  done;
   t.nkeys <- t.nkeys + 1
 
 (** [mem t key] is [false] only if the key was never added; may return
     [true] spuriously (false positive). *)
-let mem t key = List.for_all (fun i -> get_bit t.bits i) (probes t key)
+let mem t key =
+  let h1 = hash1 key and h2 = hash2 key in
+  let i = ref 0 in
+  while !i < t.k && get_bit t.bits (probe t h1 h2 !i) do
+    incr i
+  done;
+  !i >= t.k
 
 (** [size_bytes t] is the in-memory footprint — reported in the Table 5.4
     memory-consumption experiment. *)

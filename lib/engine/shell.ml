@@ -256,26 +256,30 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
        | None -> ());
       current := None
   in
-  (* previous entry seen for the current user key: (key, its seq) *)
-  let last_entry = ref None in
+  (* the user key of the previous entry (copied out once per user key)
+     and that entry's seq; [None] before the first entry *)
+  let last_uk = ref None and last_seq = ref 0 in
   merged.Iter.seek_to_first ();
   while merged.Iter.valid () do
     let ikey = merged.Iter.key () in
-    let uk = Ik.user_key ikey in
     let cur_seq = Ik.seq ikey in
     Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
-    let drop =
-      match !last_entry with
-      | Some (prev, prev_seq) when String.equal prev uk ->
-        Snapshots.droppable t.snapshots ~prev_seq:(Some prev_seq)
-          ~last_seq:t.last_seq
+    let uk, drop =
+      match !last_uk with
+      | Some prev when Ik.user_key_equal ikey prev ->
+        ( prev,
+          Snapshots.droppable t.snapshots ~prev_seq:(Some !last_seq)
+            ~last_seq:t.last_seq )
       | _ ->
-        Ik.kind ikey = Ik.Deletion
-        && tombstone_ok uk
-        && Snapshots.tombstone_droppable t.snapshots ~seq:cur_seq
-             ~last_seq:t.last_seq
+        let uk = Ik.user_key ikey in
+        last_uk := Some uk;
+        ( uk,
+          Ik.kind ikey = Ik.Deletion
+          && tombstone_ok uk
+          && Snapshots.tombstone_droppable t.snapshots ~seq:cur_seq
+               ~last_seq:t.last_seq )
     in
-    last_entry := Some (uk, cur_seq);
+    last_seq := cur_seq;
     if not drop then begin
       let part = partition uk in
       let b =
@@ -647,7 +651,7 @@ let table_lookup t (meta : Table.meta) key lookup =
         match
           Table.get reader ~cache:t.block_cache ~hint:Device.Random_read lookup
         with
-        | Some (ikey, value) when String.equal (Ik.user_key ikey) key ->
+        | Some (ikey, value) when Ik.user_key_equal ikey key ->
           Some (Ik.kind ikey, value)
         | Some _ | None -> None
       end)

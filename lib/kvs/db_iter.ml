@@ -15,54 +15,54 @@ let wrap ?snapshot (internal : Iter.t) =
     | None -> true
     | Some seq -> Internal_key.seq ikey <= seq
   in
-  (* Current exposed entry. *)
-  let cur = ref None in
+  (* The exposed entry: its user key, with [internal] resting on its
+     freshest visible version, whose value is read only when asked for. *)
+  let valid = ref false in
+  let cur_key = ref "" in
   (* Advance [internal] until it rests on the freshest live *visible*
-     version of a user key not equal to [skip]. *)
+     version of a user key other than [!cur_key] (any key when [skip] is
+     false). *)
   let rec find_next_user_entry skip =
-    if not (internal.Iter.valid ()) then cur := None
-    else begin
+    valid := false;
+    if internal.Iter.valid () then begin
       let ikey = internal.Iter.key () in
-      let uk = Internal_key.user_key ikey in
-      match skip with
-      | Some s when String.equal s uk ->
+      if skip && Internal_key.user_key_equal ikey !cur_key then begin
         internal.Iter.next ();
         find_next_user_entry skip
-      | _ ->
-        if not (visible ikey) then begin
+      end
+      else if not (visible ikey) then begin
+        internal.Iter.next ();
+        find_next_user_entry skip
+      end
+      else begin
+        cur_key := Internal_key.user_key ikey;
+        match Internal_key.kind ikey with
+        | Internal_key.Deletion ->
           internal.Iter.next ();
-          find_next_user_entry skip
-        end
-        else (
-          match Internal_key.kind ikey with
-          | Internal_key.Deletion ->
-            internal.Iter.next ();
-            find_next_user_entry (Some uk)
-          | Internal_key.Value -> cur := Some (uk, internal.Iter.value ()))
+          find_next_user_entry true
+        | Internal_key.Value -> valid := true
+      end
     end
   in
-  let entry () =
-    match !cur with
-    | Some e -> e
-    | None -> invalid_arg "Db_iter: iterator is not valid"
+  let checked f () =
+    if !valid then f () else invalid_arg "Db_iter: iterator is not valid"
   in
   {
     Iter.seek_to_first =
       (fun () ->
         internal.Iter.seek_to_first ();
-        find_next_user_entry None);
+        find_next_user_entry false);
     seek =
       (fun user_key ->
         internal.Iter.seek (Internal_key.max_for_lookup user_key);
-        find_next_user_entry None);
+        find_next_user_entry false);
     next =
       (fun () ->
-        match !cur with
-        | None -> ()
-        | Some (uk, _) ->
+        if !valid then begin
           internal.Iter.next ();
-          find_next_user_entry (Some uk));
-    valid = (fun () -> Option.is_some !cur);
-    key = (fun () -> fst (entry ()));
-    value = (fun () -> snd (entry ()));
+          find_next_user_entry true
+        end);
+    valid = (fun () -> !valid);
+    key = checked (fun () -> !cur_key);
+    value = checked internal.Iter.value;
   }

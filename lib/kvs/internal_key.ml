@@ -38,22 +38,53 @@ let user_key ikey =
   assert (n >= trailer_size);
   String.sub ikey 0 (n - trailer_size)
 
+(* The readers below work on the encoded key in place, with bounds-checked
+   reads and no allocation.  The trailer is a little-endian fixed64: byte 0
+   is the kind, bytes 1-7 the 56-bit sequence number. *)
+
 let seq ikey =
-  let n = String.length ikey in
-  let packed = Pdb_util.Varint.get_fixed64 ikey (n - trailer_size) in
-  Int64.to_int (Int64.shift_right_logical packed 8)
+  let p = String.length ikey - trailer_size in
+  String.get_uint16_le ikey (p + 1)
+  lor (String.get_uint16_le ikey (p + 3) lsl 16)
+  lor (String.get_uint16_le ikey (p + 5) lsl 32)
+  lor (Char.code ikey.[p + 7] lsl 48)
 
 let kind ikey =
-  let n = String.length ikey in
-  let packed = Pdb_util.Varint.get_fixed64 ikey (n - trailer_size) in
-  kind_of_int (Int64.to_int (Int64.logand packed 0xffL))
+  kind_of_int (Char.code ikey.[String.length ikey - trailer_size])
+
+(* The first index below [n] at which [a] and [b] differ, or [n]: four
+   bytes per step while they agree, then byte by byte. *)
+let mismatch a b n =
+  let i = ref 0 in
+  while !i + 4 <= n && String.get_int32_ne a !i = String.get_int32_ne b !i do
+    i := !i + 4
+  done;
+  while !i < n && a.[!i] = b.[!i] do
+    incr i
+  done;
+  !i
+
+(* [String.compare] of the user portions [a.[0..na)] and [b.[0..nb)]. *)
+let compare_user a na b nb =
+  let n = Int.min na nb in
+  let i = mismatch a b n in
+  if i < n then if a.[i] < b.[i] then -1 else 1 else Int.compare na nb
+
+(** [user_key_equal ikey uk] is [String.equal (user_key ikey) uk], without
+    the copy. *)
+let user_key_equal ikey uk =
+  let n = String.length ikey - trailer_size in
+  assert (n >= 0);
+  n = String.length uk && mismatch ikey uk n = n
 
 (** Total order over encoded internal keys: user key ascending, sequence
     descending, kind descending — so the freshest entry for a user key sorts
     first. *)
 let compare a b =
-  let ua = user_key a and ub = user_key b in
-  let c = String.compare ua ub in
+  let na = String.length a - trailer_size
+  and nb = String.length b - trailer_size in
+  assert (na >= 0 && nb >= 0);
+  let c = compare_user a na b nb in
   if c <> 0 then c
   else
     let c = Int.compare (seq b) (seq a) in

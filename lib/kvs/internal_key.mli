@@ -24,6 +24,10 @@ val user_key : string -> string
 val seq : string -> int
 val kind : string -> kind
 
+(** [user_key_equal ikey uk] is [String.equal (user_key ikey) uk], read in
+    place without copying the user key out. *)
+val user_key_equal : string -> string -> bool
+
 (** Total order: user key ascending, sequence descending, kind descending —
     the freshest entry for a user key sorts first. *)
 val compare : string -> string -> int

@@ -37,7 +37,7 @@ let add t ~seq ~kind ~user_key ~value =
     when the memtable holds no version of the key. *)
 let get t user_key =
   match Pdb_skiplist.Skiplist.seek t.list (Internal_key.max_for_lookup user_key) with
-  | Some (ikey, value) when String.equal (Internal_key.user_key ikey) user_key
+  | Some (ikey, value) when Internal_key.user_key_equal ikey user_key
     -> (match Internal_key.kind ikey with
         | Internal_key.Value -> Some (Some value)
         | Internal_key.Deletion -> Some None)
@@ -49,7 +49,7 @@ let get_at t user_key ~seq =
   match
     Pdb_skiplist.Skiplist.seek t.list (Internal_key.lookup_at ~user_key ~seq)
   with
-  | Some (ikey, value) when String.equal (Internal_key.user_key ikey) user_key
+  | Some (ikey, value) when Internal_key.user_key_equal ikey user_key
     -> (match Internal_key.kind ikey with
         | Internal_key.Value -> Some (Some value)
         | Internal_key.Deletion -> Some None)

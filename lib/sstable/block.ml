@@ -93,75 +93,97 @@ let size_bytes t = String.length t.data
 let restart_point t i =
   Pdb_util.Varint.get_fixed32 t.data (t.restarts_offset + (4 * i))
 
-(* Decode the entry at [pos]; returns (key, value, next_pos).  [prev_key]
-   supplies the shared prefix. *)
-let decode_entry t ~prev_key pos =
-  let shared, pos = Pdb_util.Varint.get_uvarint t.data pos in
-  let non_shared, pos = Pdb_util.Varint.get_uvarint t.data pos in
-  let value_len, pos = Pdb_util.Varint.get_uvarint t.data pos in
-  let key = String.sub prev_key 0 shared ^ String.sub t.data pos non_shared in
-  let pos = pos + non_shared in
-  let value = String.sub t.data pos value_len in
-  (key, value, pos + value_len)
+(* A position in a block.  The current entry's key is decoded eagerly;
+   its value stays in the block as [value_len] bytes at [value_pos] and is
+   copied out only when asked for.  [next] is the offset of the entry after
+   it, and [pos] is the varint decoder's position. *)
+type cursor = {
+  data : string;
+  mutable valid : bool;
+  mutable key : string;
+  mutable value_pos : int;
+  mutable value_len : int;
+  mutable next : int;
+  pos : int ref;
+}
+
+(* Decode the entry at [p] into [c]; [prev] supplies the shared prefix.
+   Every length is checked against the block before anything is copied,
+   and the entry fields of [c] change only once the whole entry has
+   decoded. *)
+let decode_at c ~prev p =
+  c.pos := p;
+  let shared = Pdb_util.Varint.read_uvarint c.data c.pos in
+  let non_shared = Pdb_util.Varint.read_uvarint c.data c.pos in
+  let value_len = Pdb_util.Varint.read_uvarint c.data c.pos in
+  let key_pos = !(c.pos) in
+  let room = String.length c.data - key_pos in
+  if shared < 0 || shared > String.length prev || non_shared < 0
+     || non_shared > room || value_len < 0
+     || value_len > room - non_shared
+  then invalid_arg "Block: corrupt entry";
+  let key = Bytes.create (shared + non_shared) in
+  Bytes.blit_string prev 0 key 0 shared;
+  Bytes.blit_string c.data key_pos key shared non_shared;
+  (* [key] is fresh and never written again *)
+  c.key <- Bytes.unsafe_to_string key;
+  c.value_pos <- key_pos + non_shared;
+  c.value_len <- value_len;
+  c.next <- key_pos + non_shared + value_len
 
 (** [iterator ~compare t] walks the block's entries.  [compare] orders the
     stored keys (internal-key order for data blocks). *)
-let iterator ~compare t =
-  (* [cur] is the current entry; [next_pos] the offset of the entry after
-     it.  The first entry after a restart point has shared = 0, so decoding
+let iterator ~compare (t : t) =
+  let c =
+    { data = t.data; valid = false; key = ""; value_pos = 0; value_len = 0;
+      next = t.restarts_offset; pos = ref 0 }
+  in
+  (* The first entry after a restart point has shared = 0, so decoding
      with the running previous key is always correct. *)
-  let cur = ref None in
-  let next_pos = ref t.restarts_offset in
   let advance () =
-    if !next_pos >= t.restarts_offset then cur := None
+    if c.next >= t.restarts_offset then c.valid <- false
     else begin
-      let prev_key = match !cur with Some (k, _) -> k | None -> "" in
-      let k, v, next = decode_entry t ~prev_key !next_pos in
-      cur := Some (k, v);
-      next_pos := next
+      decode_at c ~prev:(if c.valid then c.key else "") c.next;
+      c.valid <- true
     end
   in
   let seek_to_restart i =
-    next_pos := restart_point t i;
-    cur := None;
+    c.valid <- false;
+    c.next <- restart_point t i;
     advance ()
   in
   let seek_to_first () =
-    if t.num_restarts = 0 then cur := None else seek_to_restart 0
+    if t.num_restarts = 0 then c.valid <- false else seek_to_restart 0
   in
   let seek target =
-    if t.num_restarts = 0 then cur := None
-    else begin
+    c.valid <- false;
+    if t.num_restarts > 0 then begin
       (* last restart whose first key is < target *)
       let lo = ref 0 and hi = ref (t.num_restarts - 1) in
       while !lo < !hi do
         let mid = (!lo + !hi + 1) / 2 in
-        let k, _, _ = decode_entry t ~prev_key:"" (restart_point t mid) in
-        if compare k target < 0 then lo := mid else hi := mid - 1
+        decode_at c ~prev:"" (restart_point t mid);
+        if compare c.key target < 0 then lo := mid else hi := mid - 1
       done;
       seek_to_restart !lo;
-      let rec scan () =
-        match !cur with
-        | Some (k, _) when compare k target < 0 ->
-          advance ();
-          scan ()
-        | Some _ | None -> ()
-      in
-      scan ()
+      while c.valid && compare c.key target < 0 do
+        advance ()
+      done
     end
   in
-  let entry () =
-    match !cur with
-    | Some e -> e
-    | None -> invalid_arg "Block.iterator: iterator is not valid"
+  let check () =
+    if not c.valid then invalid_arg "Block.iterator: iterator is not valid"
   in
   {
     Pdb_kvs.Iter.seek_to_first;
     seek;
-    next = (fun () -> if Option.is_some !cur then advance ());
-    valid = (fun () -> Option.is_some !cur);
-    key = (fun () -> fst (entry ()));
-    value = (fun () -> snd (entry ()));
+    next = (fun () -> if c.valid then advance ());
+    valid = (fun () -> c.valid);
+    key = (fun () -> check (); c.key);
+    value =
+      (fun () ->
+        check ();
+        String.sub c.data c.value_pos c.value_len);
   }
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)

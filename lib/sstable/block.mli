@@ -35,7 +35,10 @@ val decode : string -> t
 val size_bytes : t -> int
 
 (** [iterator ~compare t] walks the block's entries; [compare] orders the
-    stored keys (internal-key order for data blocks). *)
+    stored keys (internal-key order for data blocks).  Each step decodes
+    the entry's key; its value is copied out of the block only when
+    [value ()] is called.  A corrupt entry raises [Invalid_argument] from
+    the call that reaches it. *)
 val iterator : compare:(string -> string -> int) -> t -> Pdb_kvs.Iter.t
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)

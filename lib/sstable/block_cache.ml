@@ -6,38 +6,31 @@
 
 type key = { file : string; offset : int }
 
-type t = (string, Block.t) Pdb_util.Lru.t
+type t = (key, Block.t) Pdb_util.Lru.t
 
 let create ~capacity : t = Pdb_util.Lru.create ~capacity
-
-let key_string (k : key) = Printf.sprintf "%s:%d" k.file k.offset
 
 (** [find_or_load t env ~file ~offset ~size ~hint] returns the decoded
     block, reading it from the environment (and charging device time) only
     on a miss. *)
 let find_or_load (t : t) env ~file ~offset ~size ~hint =
-  let k = key_string { file; offset } in
+  let k = { file; offset } in
   match Pdb_util.Lru.find t k with
-  | Some block -> (block, `Hit)
+  | Some block -> block
   | None ->
     let raw = Pdb_simio.Env.read env file ~pos:offset ~len:size ~hint in
     let block = Block.decode raw in
     Pdb_util.Lru.insert t k block ~weight:size;
-    (block, `Miss)
+    block
 
 (** [evict_file t ~file] drops every cached block of [file].  Called when
     an sstable is garbage-collected: its decoded blocks must not keep
     occupying LRU capacity (they can never hit again) or skew hit rates,
     mirroring [Table_cache.evict]. *)
 let evict_file (t : t) ~file =
-  let prefix = file ^ ":" in
-  let plen = String.length prefix in
   let doomed =
     Pdb_util.Lru.fold t
-      (fun acc k _ ->
-        if String.length k >= plen && String.sub k 0 plen = prefix then
-          k :: acc
-        else acc)
+      (fun acc k _ -> if String.equal k.file file then k :: acc else acc)
       []
   in
   List.iter (Pdb_util.Lru.remove t) doomed

@@ -109,9 +109,10 @@ let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
         Some
           (Pdb_kvs.Merging_iter.create ~positioned:true ~compare:Ik.compare cs)
   in
+  (* the held option itself, so checking validity allocates nothing *)
   let current () =
     match !merged with
-    | Some it when it.Iter.valid () -> Some it
+    | Some it as m when it.Iter.valid () -> m
     | Some _ | None -> None
   in
   (* a bounded scan stops before a partition whose every key is past the

@@ -18,10 +18,11 @@ let encode_handle buf h =
   Pdb_util.Varint.put_uvarint buf h.offset;
   Pdb_util.Varint.put_uvarint buf h.size
 
-let decode_handle s pos =
-  let offset, pos = Pdb_util.Varint.get_uvarint s pos in
-  let size, pos = Pdb_util.Varint.get_uvarint s pos in
-  ({ offset; size }, pos)
+let decode_handle s =
+  let pos = ref 0 in
+  let offset = Pdb_util.Varint.read_uvarint s pos in
+  let size = Pdb_util.Varint.read_uvarint s pos in
+  { offset; size }
 
 let footer_size = 28
 let magic = 0x50454242 (* "PEBB" *)
@@ -359,7 +360,7 @@ let summarize ~stride r =
   it.Pdb_kvs.Iter.seek_to_first ();
   let entries = ref [] in
   while it.Pdb_kvs.Iter.valid () do
-    let h, _ = decode_handle (it.Pdb_kvs.Iter.value ()) 0 in
+    let h = decode_handle (it.Pdb_kvs.Iter.value ()) in
     entries := (it.Pdb_kvs.Iter.key (), (h.offset, h.size)) :: !entries;
     it.Pdb_kvs.Iter.next ()
   done;
@@ -380,7 +381,7 @@ let find_block_handle r ikey =
   let it = Block.iterator ~compare:ikey_compare r.index in
   it.Pdb_kvs.Iter.seek ikey;
   if it.Pdb_kvs.Iter.valid () then
-    let h, _ = decode_handle (it.Pdb_kvs.Iter.value ()) 0 in
+    let h = decode_handle (it.Pdb_kvs.Iter.value ()) in
     Some h
   else None
 
@@ -390,7 +391,7 @@ let get r ~cache ~hint ikey =
   match find_block_handle r ikey with
   | None -> None
   | Some h ->
-    let block, _ =
+    let block =
       Block_cache.find_or_load cache r.env ~file:r.name ~offset:h.offset
         ~size:h.size ~hint
     in
@@ -406,8 +407,8 @@ let iterator r ~cache ~hint =
   let data_it = ref None in
   let load_block () =
     if index_it.Pdb_kvs.Iter.valid () then begin
-      let h, _ = decode_handle (index_it.Pdb_kvs.Iter.value ()) 0 in
-      let block, _ =
+      let h = decode_handle (index_it.Pdb_kvs.Iter.value ()) in
+      let block =
         Block_cache.find_or_load cache r.env ~file:r.name ~offset:h.offset
           ~size:h.size ~hint
       in
@@ -430,9 +431,10 @@ let iterator r ~cache ~hint =
     in
     go ()
   in
+  (* the held option itself, so checking validity allocates nothing *)
   let current () =
     match !data_it with
-    | Some it when it.Pdb_kvs.Iter.valid () -> Some it
+    | Some it as d when it.Pdb_kvs.Iter.valid () -> d
     | Some _ | None -> None
   in
   {

@@ -16,18 +16,28 @@ let put_uvarint buf n =
   in
   go n
 
+(** [read_uvarint s pos] decodes the varint of [s] at [!pos] and steps
+    [pos] past it, allocating nothing — for decoders that walk many
+    entries.  Raises [Invalid_argument] on truncated input. *)
+let read_uvarint s pos =
+  let len = String.length s in
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    if !pos >= len then invalid_arg "Varint.get_uvarint: truncated";
+    let b = Char.code s.[!pos] in
+    incr pos;
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b >= 0x80
+  done;
+  !acc
+
 (** [get_uvarint s pos] decodes a varint from [s] starting at [pos]; returns
     [(value, next_pos)].  Raises [Invalid_argument] on truncated input. *)
 let get_uvarint s pos =
-  let len = String.length s in
-  let rec go pos shift acc =
-    if pos >= len then invalid_arg "Varint.get_uvarint: truncated"
-    else
-      let b = Char.code s.[pos] in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b < 0x80 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
+  let p = ref pos in
+  let v = read_uvarint s p in
+  (v, !p)
 
 let put_fixed32 buf n =
   Buffer.add_char buf (Char.chr (n land 0xff));

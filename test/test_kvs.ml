@@ -39,21 +39,68 @@ let test_ikey_lookup_key () =
   Alcotest.(check bool) "lookup sorts before any stored version" true
     (Internal_key.compare lookup stored <= 0)
 
+(* Pairs of internal keys drawn to reach every tie-break: user keys of
+   length 0-6 over a small alphabet with both byte extremes, the second
+   often equal to the first, a prefix of it or an extension of it; seqs
+   small, anywhere up to [max_seq], or exactly [max_seq]; both kinds. *)
+let ikey_pair =
+  let open QCheck.Gen in
+  let user =
+    string_size ~gen:(oneofl [ 'a'; 'b'; '\000'; '\255' ]) (int_range 0 6)
+  in
+  let seq =
+    oneof
+      [ small_nat; int_range 0 Internal_key.max_seq;
+        return Internal_key.max_seq ]
+  in
+  let kind = oneofl Internal_key.[ Deletion; Value ] in
+  let gen =
+    user >>= fun k1 ->
+    let k2 =
+      oneof
+        [ user; return k1;
+          map (fun n -> String.sub k1 0 (min n (String.length k1)))
+            (int_range 0 6);
+          map (fun s -> k1 ^ s) user ]
+    in
+    pair (triple (return k1) seq kind) (triple k2 seq kind)
+  in
+  let print (k, s, d) =
+    Printf.sprintf "(%S, %d, %s)" k s
+      (match d with
+       | Internal_key.Deletion -> "del"
+       | Internal_key.Value -> "val")
+  in
+  QCheck.make ~print:(QCheck.Print.pair print print) gen
+
 let prop_ikey_total_order =
-  qtest "compare consistent with decode"
-    QCheck.(
-      pair
-        (pair (string_of_size (QCheck.Gen.return 4)) small_nat)
-        (pair (string_of_size (QCheck.Gen.return 4)) small_nat))
-    (fun ((k1, s1), (k2, s2)) ->
-      let a = Internal_key.encode ~user_key:k1 ~seq:s1 ~kind:Internal_key.Value in
-      let b = Internal_key.encode ~user_key:k2 ~seq:s2 ~kind:Internal_key.Value in
-      let c = Internal_key.compare a b in
-      if String.compare k1 k2 < 0 then c < 0
-      else if String.compare k1 k2 > 0 then c > 0
-      else if s1 > s2 then c < 0
-      else if s1 < s2 then c > 0
-      else c = 0)
+  qtest ~count:1000 "compare consistent with decode" ikey_pair
+    (fun ((k1, s1, d1), (k2, s2, d2)) ->
+      let a = Internal_key.encode ~user_key:k1 ~seq:s1 ~kind:d1 in
+      let b = Internal_key.encode ~user_key:k2 ~seq:s2 ~kind:d2 in
+      (* reference order: user key ascending, seq descending, kind
+         descending *)
+      let expected =
+        let c = String.compare k1 k2 in
+        if c <> 0 then c
+        else
+          let c = Int.compare s2 s1 in
+          if c <> 0 then c
+          else
+            Int.compare (Internal_key.kind_to_int d2)
+              (Internal_key.kind_to_int d1)
+      in
+      let sign x = Int.compare x 0 in
+      let round_trip ikey k s d =
+        Internal_key.user_key ikey = k
+        && Internal_key.seq ikey = s
+        && Internal_key.kind ikey = d
+      in
+      sign (Internal_key.compare a b) = sign expected
+      && sign (Internal_key.compare b a) = - sign expected
+      && round_trip a k1 s1 d1
+      && round_trip b k2 s2 d2
+      && Internal_key.user_key_equal a k2 = String.equal k1 k2)
 
 (* ---------- Write_batch ---------- *)
 

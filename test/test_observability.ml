@@ -285,15 +285,16 @@ let test_evict_file_unit () =
   Block.Builder.add b "k" "v";
   let block = Block.decode (Block.Builder.finish b) in
   let cache = Block_cache.create ~capacity:4096 in
+  let key file offset = { Block_cache.file; offset } in
   List.iter
     (fun k -> Pdb_util.Lru.insert cache k block ~weight:16)
-    [ "db/000001.sst:0"; "db/000001.sst:4096"; "db/000011.sst:0" ];
+    [ key "db/000001.sst" 0; key "db/000001.sst" 4096; key "db/000011.sst" 0 ];
   Block_cache.evict_file cache ~file:"db/000001.sst";
   Alcotest.(check bool) "blocks of deleted file gone" true
-    (Pdb_util.Lru.find cache "db/000001.sst:0" = None
-    && Pdb_util.Lru.find cache "db/000001.sst:4096" = None);
+    (Pdb_util.Lru.find cache (key "db/000001.sst" 0) = None
+    && Pdb_util.Lru.find cache (key "db/000001.sst" 4096) = None);
   Alcotest.(check bool) "other files untouched" true
-    (Pdb_util.Lru.find cache "db/000011.sst:0" <> None)
+    (Pdb_util.Lru.find cache (key "db/000011.sst" 0) <> None)
 
 (* After compactions delete sstables, no cached block may reference a file
    that no longer exists: the regression the GC eviction fix closes. *)
@@ -309,9 +310,8 @@ let test_cache_files_live () =
     let live = Env.list env in
     let stale =
       Pdb_util.Lru.fold cache
-        (fun acc k _ ->
-          let file = String.sub k 0 (String.rindex k ':') in
-          if List.mem file live then acc else file :: acc)
+        (fun acc (k : Pdb_sstable.Block_cache.key) _ ->
+          if List.mem k.file live then acc else k.file :: acc)
         []
     in
     Alcotest.(check (list string)) msg [] stale

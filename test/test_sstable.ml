@@ -91,6 +91,98 @@ let prop_block_roundtrip =
         let blk = build_block entries in
         Block.entries ~compare:String.compare blk = entries)
 
+(* Values are copied out of the block only on demand: at every position,
+   reached by [next] or by [seek], [value ()] must still be exactly what
+   the builder was given. *)
+let prop_block_values =
+  qtest "block value at every position"
+    QCheck.(
+      list
+        (pair (string_of_size (QCheck.Gen.int_range 0 12))
+           (string_of_size (QCheck.Gen.int_range 0 1500))))
+    (fun pairs ->
+      let module M = Map.Make (String) in
+      let entries =
+        M.bindings
+          (List.fold_left (fun m (k, v) -> M.add k v m) M.empty pairs)
+      in
+      entries = []
+      ||
+      let it = Block.iterator ~compare:String.compare (build_block entries) in
+      it.Iter.seek_to_first ();
+      let walked =
+        List.for_all
+          (fun (k, v) ->
+            let ok =
+              it.Iter.valid () && it.Iter.key () = k && it.Iter.value () = v
+              && it.Iter.value () = v
+            in
+            it.Iter.next ();
+            ok)
+          entries
+        && not (it.Iter.valid ())
+      in
+      walked
+      && List.for_all
+           (fun (k, v) ->
+             it.Iter.seek k;
+             it.Iter.valid () && it.Iter.value () = v)
+           entries)
+
+(* A damaged block either decodes or fails with [Invalid_argument] —
+   from [decode], [seek], [next] or [value] — and never with any other
+   exception: every truncation, and every flip of one bit or of a whole
+   byte, of a block that spans several restart intervals. *)
+let test_block_decoder_robust () =
+  let entries =
+    List.init 40 (fun i ->
+        (Printf.sprintf "key/%03d" (i * 3), String.make (i mod 7 * 5) 'v'))
+  in
+  let b = Block.Builder.create () in
+  List.iter (fun (k, v) -> Block.Builder.add b k v) entries;
+  let raw = Block.Builder.finish b in
+  let targets = [ ""; "key/000"; "key/050"; "key/061"; "key/117"; "zzz" ] in
+  let exercise what damaged =
+    let tolerate f = try f () with Invalid_argument _ -> () in
+    try
+      tolerate (fun () ->
+          let it =
+            Block.iterator ~compare:String.compare (Block.decode damaged)
+          in
+          tolerate (fun () ->
+              it.Iter.seek_to_first ();
+              let steps = ref 0 in
+              while it.Iter.valid () && !steps <= List.length entries do
+                ignore (it.Iter.key ());
+                ignore (it.Iter.value ());
+                it.Iter.next ();
+                incr steps
+              done);
+          List.iter
+            (fun target ->
+              tolerate (fun () ->
+                  it.Iter.seek target;
+                  if it.Iter.valid () then ignore (it.Iter.value ())))
+            targets)
+    with e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  for len = 0 to String.length raw - 1 do
+    exercise
+      (Printf.sprintf "truncated to %d bytes" len)
+      (String.sub raw 0 len)
+  done;
+  String.iteri
+    (fun i c ->
+      List.iter
+        (fun mask ->
+          let damaged = Bytes.of_string raw in
+          Bytes.set damaged i (Char.chr (Char.code c lxor mask));
+          exercise
+            (Printf.sprintf "byte %d xor 0x%02x" i mask)
+            (Bytes.to_string damaged))
+        [ 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0xff ])
+    raw
+
 (* ---------- Table ---------- *)
 
 let ikey k seq = Ik.encode ~user_key:k ~seq ~kind:Ik.Value
@@ -343,6 +435,9 @@ let () =
             test_block_seek_across_restarts;
           Alcotest.test_case "single entry" `Quick test_block_single_entry;
           prop_block_roundtrip;
+          prop_block_values;
+          Alcotest.test_case "damaged block raises Invalid_argument" `Quick
+            test_block_decoder_robust;
         ] );
       ( "table",
         [
