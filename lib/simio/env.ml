@@ -63,8 +63,15 @@ module Fault_plan = struct
   let torn_files t = t.torn_files
 end
 
+(* A file's bytes live in chunks of [chunk_bytes], so an append never
+   copies what the file already holds and a file's unused capacity stays
+   under one chunk.  A file starts as one small chunk that doubles up to
+   [chunk_bytes], so small files (CURRENT, MANIFEST) stay small.  Byte [p]
+   is at offset [p mod chunk_bytes] of chunk [p / chunk_bytes]. *)
+let chunk_bytes = 65536
+
 type file = {
-  mutable data : Bytes.t;
+  mutable chunks : Bytes.t array;
   mutable len : int;
   mutable synced : int;
   mutable ever_synced : bool;
@@ -84,6 +91,69 @@ type t = {
 }
 
 type writer = { env : t; name : string; file : file }
+
+let new_file ~ever_synced =
+  { chunks = [| Bytes.create 4096 |]; len = 0; synced = 0; ever_synced }
+
+let capacity f =
+  match f.chunks with
+  | [| c |] -> Bytes.length c
+  | cs -> Array.length cs * chunk_bytes
+
+(* Grow [f] to hold at least [size] bytes. *)
+let reserve f size =
+  if size > capacity f then begin
+    (match f.chunks with
+     | [| c |] when Bytes.length c < chunk_bytes ->
+       let bigger =
+         Bytes.create (min chunk_bytes (max size (2 * Bytes.length c)))
+       in
+       Bytes.blit c 0 bigger 0 (Bytes.length c);
+       f.chunks <- [| bigger |]
+     | _ -> ());
+    while size > capacity f do
+      f.chunks <- Array.append f.chunks [| Bytes.create chunk_bytes |]
+    done
+  end
+
+(* [each_piece f pos n g] calls [g chunk off k done_] for the pieces of
+   [f]'s range [pos, pos + n), in order: [k] bytes at offset [off] of
+   [chunk], after [done_] bytes of the range.  The range must be within
+   capacity. *)
+let each_piece f pos n g =
+  let done_ = ref 0 in
+  while !done_ < n do
+    let p = pos + !done_ in
+    let off = p mod chunk_bytes in
+    let k = min (n - !done_) (chunk_bytes - off) in
+    g f.chunks.(p / chunk_bytes) off k !done_;
+    done_ := !done_ + k
+  done
+
+(* Write [s] at [pos], growing [f] as needed; [len] is not updated. *)
+let write_bytes f pos s =
+  reserve f (pos + String.length s);
+  each_piece f pos (String.length s) (fun c off k d ->
+      Bytes.blit_string s d c off k)
+
+let zero_fill f pos n =
+  reserve f (pos + n);
+  each_piece f pos n (fun c off k _ -> Bytes.fill c off k '\000')
+
+(* The bytes [pos, pos + n) of [f], which must be within [f.len]. *)
+let sub_string f pos n =
+  let off = pos mod chunk_bytes in
+  if n = 0 then ""
+  else if off + n <= chunk_bytes then
+    Bytes.sub_string f.chunks.(pos / chunk_bytes) off n
+  else begin
+    let out = Bytes.create n in
+    each_piece f pos n (fun c off k d -> Bytes.blit c off out d k);
+    Bytes.unsafe_to_string out
+  end
+
+let get_byte f p = Bytes.get f.chunks.(p / chunk_bytes) (p mod chunk_bytes)
+let set_byte f p b = Bytes.set f.chunks.(p / chunk_bytes) (p mod chunk_bytes) b
 
 let create ?(device = Device.ssd ()) () =
   {
@@ -167,7 +237,7 @@ let create_file t name =
     | Some f -> f.ever_synced
     | None -> false
   in
-  let file = { data = Bytes.create 4096; len = 0; synced = 0; ever_synced } in
+  let file = new_file ~ever_synced in
   Hashtbl.replace t.files name file;
   t.stats.files_created <- t.stats.files_created + 1;
   tick t ("create:" ^ name);
@@ -178,14 +248,7 @@ let append w s =
   let n = String.length s in
   if n > 0 then begin
     let f = w.file in
-    let cap = Bytes.length f.data in
-    if f.len + n > cap then begin
-      let newcap = max (f.len + n) (2 * cap) in
-      let bigger = Bytes.create newcap in
-      Bytes.blit f.data 0 bigger 0 f.len;
-      f.data <- bigger
-    end;
-    Bytes.blit_string s 0 f.data f.len n;
+    write_bytes f f.len s;
     f.len <- f.len + n;
     let st = w.env.stats in
     st.bytes_written <- st.bytes_written + n;
@@ -218,25 +281,15 @@ let write_at t name ~pos s =
     match Hashtbl.find_opt t.files name with
     | Some f -> f
     | None ->
-      let f =
-        { data = Bytes.create 4096; len = 0; synced = 0; ever_synced = false }
-      in
+      let f = new_file ~ever_synced:false in
       Hashtbl.replace t.files name f;
       t.stats.files_created <- t.stats.files_created + 1;
       f
   in
   let n = String.length s in
-  let needed = pos + n in
-  let cap = Bytes.length f.data in
-  if needed > cap then begin
-    let bigger = Bytes.create (max needed (2 * cap)) in
-    Bytes.blit f.data 0 bigger 0 f.len;
-    Bytes.fill bigger f.len (max needed (2 * cap) - f.len) '\000';
-    f.data <- bigger
-  end;
-  if pos > f.len then Bytes.fill f.data f.len (pos - f.len) '\000';
-  Bytes.blit_string s 0 f.data pos n;
-  f.len <- max f.len needed;
+  if pos > f.len then zero_fill f f.len (pos - f.len);
+  write_bytes f pos s;
+  f.len <- max f.len (pos + n);
   f.synced <- f.len;
   f.ever_synced <- true;
   t.stats.bytes_written <- t.stats.bytes_written + n;
@@ -261,7 +314,7 @@ let peek t name ~pos ~len =
     invalid_arg
       (Printf.sprintf "Env.peek %s: [%d,%d) out of bounds (size %d)" name pos
          (pos + len) f.len);
-  Bytes.sub_string f.data pos len
+  sub_string f pos len
 
 (** [io_event t label] registers an external IO event (e.g. a replication
     ship) with the fault-injection plan, so crash sweeps land between and
@@ -280,7 +333,7 @@ let read t name ~pos ~len ~hint =
   t.stats.bytes_read <- t.stats.bytes_read + len;
   t.stats.read_ops <- t.stats.read_ops + 1;
   Clock.advance t.clock (Device.read_cost t.device ~hint ~bytes:len);
-  Bytes.sub_string f.data pos len
+  sub_string f pos len
 
 let read_all t name ~hint =
   let f = find t name in
@@ -314,16 +367,16 @@ let list t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
 let total_file_bytes t =
   Hashtbl.fold (fun _ f acc -> acc + f.len) t.files 0
 
-(* Flip a handful of random bits in [data[lo, hi)] — the garbage a torn
-   page leaves behind. *)
-let garble rng data lo hi =
+(* Flip a handful of random bits in bytes [lo, hi) of [f] — the garbage a
+   torn page leaves behind. *)
+let garble rng f lo hi =
   let n = hi - lo in
   if n > 0 then begin
     let flips = 1 + Pdb_util.Rng.int rng (min 8 n) in
     for _ = 1 to flips do
       let i = lo + Pdb_util.Rng.int rng n in
       let bit = 1 lsl Pdb_util.Rng.int rng 8 in
-      Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor bit))
+      set_byte f i (Char.chr (Char.code (get_byte f i) lxor bit))
     done
   end
 
@@ -367,7 +420,7 @@ let crash t =
            if keep > 0 then begin
              p.Fault_plan.torn_files <- p.Fault_plan.torn_files + 1;
              if Pdb_util.Rng.float p.Fault_plan.rng < p.Fault_plan.garbage_tail_prob
-             then garble p.Fault_plan.rng f.data (max base (f.len - block)) f.len
+             then garble p.Fault_plan.rng f (max base (f.len - block)) f.len
            end
          | _ -> f.len <- base);
         (* post-reboot, whatever persisted is by definition durable *)

@@ -57,6 +57,75 @@ let test_stats_accounting () =
   check Alcotest.int "write ops" 2 s.Io_stats.write_ops;
   check Alcotest.int "read ops" 1 s.Io_stats.read_ops
 
+(* File bytes are stored in chunks: appends, positioned writes past the
+   end (which zero the gap), reads and crash truncation must all agree
+   with a flat model of the file, across chunk boundaries. *)
+let test_chunked_matches_flat () =
+  let rng = Random.State.make [| 15 |] in
+  let env = Env.create () in
+  let random_string n =
+    String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  let check_reads name model =
+    let len = Bytes.length model in
+    check Alcotest.int (name ^ " size") len (Env.file_size env name);
+    check Alcotest.string (name ^ " whole") (Bytes.to_string model)
+      (Env.read_all env name ~hint:Device.Sequential_read);
+    for _ = 1 to 50 do
+      let pos = Random.State.int rng (len + 1) in
+      let n = Random.State.int rng (min 70_000 (len - pos) + 1) in
+      check Alcotest.string
+        (Printf.sprintf "%s [%d,+%d)" name pos n)
+        (Bytes.sub_string model pos n)
+        (Env.read env name ~pos ~len:n ~hint:Device.Random_read)
+    done
+  in
+  (* appends of every size up to a few chunks, synced half way *)
+  let w = Env.create_file env "log" in
+  let model = Buffer.create 0 in
+  let synced = ref 0 in
+  while Buffer.length model < 300_000 do
+    let piece = random_string (Random.State.int rng 20_000) in
+    Env.append w piece;
+    Buffer.add_string model piece;
+    if !synced = 0 && Buffer.length model > 150_000 then begin
+      Env.sync w;
+      synced := Buffer.length model
+    end
+  done;
+  let log = Buffer.to_bytes model in
+  check_reads "log" log;
+  (* positioned writes, inside the file and past its end *)
+  let pages = ref Bytes.empty in
+  for _ = 1 to 40 do
+    let len = Bytes.length !pages in
+    let pos = Random.State.int rng (len + 80_000) in
+    let piece = random_string (Random.State.int rng 10_000) in
+    Env.write_at env "pages" ~pos piece;
+    let n = String.length piece in
+    if pos + n > len then begin
+      let grown = Bytes.make (pos + n) '\000' in
+      Bytes.blit !pages 0 grown 0 len;
+      pages := grown
+    end;
+    Bytes.blit_string piece 0 !pages pos n
+  done;
+  check_reads "pages" !pages;
+  (* an empty read at the end of a file that fills its last chunk *)
+  let w = Env.create_file env "full" in
+  Env.append w (String.make 65_536 'f');
+  check Alcotest.string "empty read at the end" ""
+    (Env.read env "full" ~pos:65_536 ~len:0 ~hint:Device.Random_read);
+  (* a crash cuts the log back to its synced prefix; a write past the new
+     end zeroes the gap over the stale bytes the crash cut off *)
+  Env.crash env;
+  check_reads "log" (Bytes.sub log 0 !synced);
+  check_reads "pages" !pages;
+  Env.write_at env "log" ~pos:(!synced + 100) "xyz";
+  check_reads "log"
+    (Bytes.cat (Bytes.sub log 0 !synced)
+       (Bytes.of_string (String.make 100 '\000' ^ "xyz")))
+
 let test_crash_drops_unsynced () =
   let env = Env.create () in
   let w = Env.create_file env "f" in
@@ -341,6 +410,8 @@ let () =
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
           Alcotest.test_case "total bytes" `Quick test_total_file_bytes;
           Alcotest.test_case "truncating create" `Quick test_truncating_create;
+          Alcotest.test_case "chunked contents match a flat file" `Quick
+            test_chunked_matches_flat;
         ] );
       ( "crash",
         [
