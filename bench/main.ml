@@ -9,6 +9,25 @@
      dune exec bench/main.exe -- --json mt-smoke
                                          # also write results to BENCH.json *)
 
+(* Minor-heap words allocated, exactly.  Bechamel's
+   [Toolkit.Instance.minor_allocated] reads [Gc.quick_stat], whose minor
+   count on OCaml 5.1 advances only at minor collections, so short runs
+   read as allocating nothing; [Gc.minor_words] counts every word. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  let open Bechamel in
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let run_bechamel () =
   print_endline "\n#### micro — Bechamel micro-benchmarks (core operations)";
   let open Bechamel in
@@ -65,25 +84,95 @@ let run_bechamel () =
              (Pdb_util.Murmur3.trailing_ones
                 (Pdb_util.Murmur3.hash32 "some-user-key-0042"))))
   in
-  let tests =
-    [ memtable_insert; bloom_check; skiplist_seek; guard_search; murmur ]
+  (* the read path: internal-key compare, a data block of four 1 KB
+     values (a 4 KB block), and a table point lookup whose data block is
+     already in the block cache *)
+  let module Ik = Pdb_kvs.Internal_key in
+  let module Iter = Pdb_kvs.Iter in
+  let ik i seq =
+    Ik.encode ~user_key:(Printf.sprintf "user%016d" i) ~seq ~kind:Ik.Value
   in
+  let ikey_a = ik 4242 7 and ikey_b = ik 4242 9 in
+  let ikey_compare =
+    Test.make ~name:"ikey.compare"
+      (Staged.stage (fun () -> ignore (Ik.compare ikey_a ikey_b)))
+  in
+  let block =
+    let b = Pdb_sstable.Block.Builder.create () in
+    for i = 0 to 3 do
+      Pdb_sstable.Block.Builder.add b (ik i 1) (String.make 1024 'v')
+    done;
+    Pdb_sstable.Block.decode (Pdb_sstable.Block.Builder.finish b)
+  in
+  let block_seek =
+    Test.make ~name:"block.seek (last of 4 x 1 KB)"
+      (Staged.stage (fun () ->
+           let it = Pdb_sstable.Block.iterator ~compare:Ik.compare block in
+           it.Iter.seek (ik 3 1);
+           ignore (it.Iter.value ())))
+  in
+  let block_next =
+    Test.make ~name:"block.next (4 x 1 KB)"
+      (Staged.stage (fun () ->
+           let it = Pdb_sstable.Block.iterator ~compare:Ik.compare block in
+           it.Iter.seek_to_first ();
+           while it.Iter.valid () do
+             ignore (it.Iter.key ());
+             it.Iter.next ()
+           done))
+  in
+  let table_get =
+    let env = Pdb_simio.Env.create () in
+    let b =
+      Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:1
+        ~block_bytes:4096 ~bloom:true ~expected_keys:1000
+    in
+    for i = 0 to 999 do
+      Pdb_sstable.Table.Builder.add b (ik i 1) (String.make 100 'v')
+    done;
+    let meta = Option.get (Pdb_sstable.Table.Builder.finish b) in
+    let reader = Pdb_sstable.Table.open_reader env ~dir:"micro" meta in
+    let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
+    let lookup = Ik.max_for_lookup (Printf.sprintf "user%016d" 424) in
+    let get () =
+      Pdb_sstable.Table.get reader ~cache
+        ~hint:Pdb_simio.Device.Random_read lookup
+    in
+    ignore (get ());
+    Test.make ~name:"table.get (cached block)"
+      (Staged.stage (fun () -> ignore (get ())))
+  in
+  let tests =
+    [ memtable_insert; bloom_check; skiplist_seek; guard_search; murmur;
+      ikey_compare; block_seek; block_next; table_get ]
+  in
+  (* time and minor-heap allocation per run, each an OLS estimate *)
   let benchmark test =
     let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-    let instances = Instance.[ monotonic_clock ] in
+    let instances = [ Instance.monotonic_clock; minor_words ] in
     let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false
-           ~predictors:[| Measure.run |])
-        Instance.monotonic_clock raw
+    let estimate instance =
+      let results =
+        Analyze.all
+          (Analyze.ols ~bootstrap:0 ~r_square:false
+             ~predictors:[| Measure.run |])
+          instance raw
+      in
+      fun name ->
+        match Analyze.OLS.estimates (Hashtbl.find results name) with
+        | Some [ est ] -> Some est
+        | Some _ | None | (exception Not_found) -> None
     in
+    let ns = estimate Instance.monotonic_clock
+    and words = estimate minor_words in
     Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-28s %12.1f ns/run\n%!" name est
-        | Some _ | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
-      results
+      (fun name _ ->
+        match (ns name, words name) with
+        | Some ns, Some words ->
+          Printf.printf "  %-30s %12.1f ns/run %10.1f minor words/run\n%!"
+            name ns words
+        | _ -> Printf.printf "  %-30s (no estimate)\n%!" name)
+      raw
   in
   List.iter benchmark tests
 

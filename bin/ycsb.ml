@@ -43,22 +43,36 @@ let run (c : Cli.t) workloads records ops =
        ~value_bytes:value_size ~seed:42);
   L.print_summary ~indent:"           " lat;
   List.iter
-    (fun name ->
-      match Pdb_ycsb.Workload.by_name name with
-      | Some spec ->
-        let lat = L.create () in
-        report
-          (Pdb_ycsb.Runner.run ?clients ~latency:lat store spec ~records
-             ~operations:ops ~value_bytes:value_size ~seed:42);
-        L.print_summary ~indent:"           " lat
-      | None -> Printf.printf "unknown workload %S (skipped)\n%!" name)
+    (fun spec ->
+      let lat = L.create () in
+      report
+        (Pdb_ycsb.Runner.run ?clients ~latency:lat store spec ~records
+           ~operations:ops ~value_bytes:value_size ~seed:42);
+      L.print_summary ~indent:"           " lat)
     workloads;
   store.Dyn.d_close ();
   Cli.write_trace c env
 
+(* an unknown name is a usage error, reported before the load phase *)
 let workloads_arg =
-  Arg.(value & opt (list string) [ "A"; "B"; "C"; "D"; "E"; "F" ]
-       & info [ "workloads" ] ~docv:"LIST" ~doc:"YCSB workloads (A-F).")
+  let module W = Pdb_ycsb.Workload in
+  let names = List.map (fun (s : W.spec) -> s.W.name) W.all in
+  let parse name =
+    match W.by_name name with
+    | Some spec -> Ok spec
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown workload %S (expected one of %s)" name
+             (String.concat ", " names)))
+  in
+  let print ppf (s : W.spec) = Format.pp_print_string ppf s.W.name in
+  let defaults = List.filter_map W.by_name [ "A"; "B"; "C"; "D"; "E"; "F" ] in
+  Arg.(value
+       & opt (list (conv (parse, print))) defaults
+       & info [ "workloads" ] ~docv:"LIST"
+           ~doc:("Comma-separated YCSB workloads, run in order \
+                  (case-insensitive): " ^ String.concat ", " names))
 
 let records_arg =
   Arg.(value & opt int 25_000 & info [ "records" ] ~doc:"Records to load.")
