@@ -8,7 +8,9 @@
 
 (** [wrap ?snapshot internal] exposes the user-visible view at [snapshot]
     (a sequence number; entries newer than it are invisible) or, without
-    it, the latest state. *)
+    it, the latest state.  [value ()] reads from [internal], which rests
+    on the exposed entry, so [internal] must not be moved by anyone
+    else. *)
 let wrap ?snapshot (internal : Iter.t) =
   let visible ikey =
     match snapshot with
