@@ -1,0 +1,207 @@
+(* [main.exe compare OLD.json NEW.json]: per-metric deltas between two
+   [perf.exe --json] result files.
+
+   Prints old, new and the change in percent for every workload x metric
+   (end-to-end metrics, the attempted/failed counts, then per-layer
+   metrics).  Exits 1 when any simulated metric differs, or when NEW
+   lacks a simulated metric that OLD has; exits 2 on an unreadable file.
+   Simulated metrics repeat exactly for a given seed, so the gate has no
+   noise.  Host metrics (allocation, heap, host time) may differ. *)
+
+(* ---------- a minimal JSON reader, enough for perf.exe's output ---------- *)
+
+type json =
+  | Num of float
+  | Str of string
+  | Bool of bool
+  | Null
+  | List of json list
+  | Obj of (string * json) list
+
+exception Parse_error of string
+
+let parse s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail what = raise (Parse_error (Printf.sprintf "%s at byte %d" what !pos)) in
+  let rec skip_ws () =
+    if !pos < n && String.contains " \t\r\n" s.[!pos] then begin
+      incr pos;
+      skip_ws ()
+    end
+  in
+  let expect c =
+    skip_ws ();
+    if !pos < n && s.[!pos] = c then incr pos
+    else fail (Printf.sprintf "expected %C" c)
+  in
+  let string_lit () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      match s.[!pos] with
+      | '"' -> incr pos
+      | '\\' when !pos + 1 < n ->
+        Buffer.add_char b
+          (match s.[!pos + 1] with 'n' -> '\n' | 't' -> '\t' | c -> c);
+        pos := !pos + 2;
+        go ()
+      | c ->
+        Buffer.add_char b c;
+        incr pos;
+        go ()
+    in
+    go ();
+    Buffer.contents b
+  in
+  (* numbers, and the bare words true/false/null (and nan/inf, which
+     %g may print) *)
+  let atom () =
+    let start = !pos in
+    while
+      !pos < n
+      && (match s.[!pos] with
+          | '0' .. '9' | 'a' .. 'z' | '-' | '+' | '.' | 'E' -> true
+          | _ -> false)
+    do
+      incr pos
+    done;
+    match String.sub s start (!pos - start) with
+    | "true" -> Bool true
+    | "false" -> Bool false
+    | "null" -> Null
+    | w -> (
+      match float_of_string_opt w with
+      | Some f -> Num f
+      | None -> fail "expected a value")
+  in
+  let rec value () =
+    skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | '{' ->
+      incr pos;
+      Obj (members (fun () ->
+          let k = string_lit () in
+          expect ':';
+          (k, value ())) '}')
+    | '[' ->
+      incr pos;
+      List (members value ']')
+    | '"' -> Str (string_lit ())
+    | _ -> atom ()
+  and members : 'a. (unit -> 'a) -> char -> 'a list =
+   fun item close ->
+    skip_ws ();
+    if !pos < n && s.[!pos] = close then begin
+      incr pos;
+      []
+    end
+    else
+      let rec go acc =
+        let acc = item () :: acc in
+        skip_ws ();
+        if !pos < n && s.[!pos] = ',' then begin
+          incr pos;
+          go acc
+        end
+        else begin
+          expect close;
+          List.rev acc
+        end
+      in
+      go []
+  in
+  let v = value () in
+  skip_ws ();
+  if !pos <> n then fail "trailing bytes";
+  v
+
+let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+
+(* ---------- the comparison ---------- *)
+
+(* Metrics of the simulator's host, not of the simulated system. *)
+let is_host name =
+  let prefix p =
+    String.length name >= String.length p
+    && String.sub name 0 (String.length p) = p
+  in
+  List.mem name [ "alloc_words_per_op"; "peak_heap_mb" ]
+  || List.exists prefix
+       [ "host."; "kvs.host_ns_per_op."; "kvs.alloc_words_per_op." ]
+
+(* (metric, value) pairs of one workload, in file order. *)
+let metrics w =
+  let values section =
+    match member section w with
+    | Some (Obj kvs) ->
+      List.filter_map
+        (fun (k, m) ->
+          match member "value" m with Some (Num v) -> Some (k, v) | _ -> None)
+        kvs
+    | _ -> []
+  in
+  let count k =
+    match member k w with Some (Num v) -> [ (k, v) ] | _ -> []
+  in
+  values "metrics"
+  @ List.concat_map count [ "attempted"; "failed"; "failed_frac" ]
+  @ values "per_layer"
+
+let workloads doc =
+  match member "workloads" doc with Some (Obj ws) -> ws | _ -> []
+
+let load path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  try parse s
+  with Parse_error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+
+let delta_pct o n =
+  if o = n then "0.0%"
+  else if o = 0.0 then "n/a"
+  else Printf.sprintf "%+.1f%%" ((n -. o) /. Float.abs o *. 100.0)
+
+(* Print the table; the result is the number of simulated metrics that
+   differ or went missing. *)
+let compare_docs old_doc new_doc =
+  let bad = ref 0 in
+  Printf.printf "%-14s %-34s %18s %18s %9s\n" "workload" "metric" "old"
+    "new" "delta";
+  List.iter
+    (fun (wname, old_w) ->
+      let new_ms =
+        match List.assoc_opt wname (workloads new_doc) with
+        | Some w -> metrics w
+        | None -> []
+      in
+      List.iter
+        (fun (m, o) ->
+          let simulated = not (is_host m) in
+          match List.assoc_opt m new_ms with
+          | None ->
+            if simulated then incr bad;
+            Printf.printf "%-14s %-34s %18.10g %18s %9s  MISSING\n" wname m o
+              "-" "-"
+          | Some n ->
+            let changed = o <> n && not (Float.is_nan o && Float.is_nan n) in
+            if changed && simulated then incr bad;
+            Printf.printf "%-14s %-34s %18.10g %18.10g %9s%s\n" wname m o n
+              (delta_pct o n)
+              (if changed && simulated then "  SIMULATED" else ""))
+        (metrics old_w))
+    (workloads old_doc);
+  !bad
+
+let main old_path new_path =
+  match compare_docs (load old_path) (load new_path) with
+  | exception (Failure msg | Sys_error msg) ->
+    prerr_endline ("compare: " ^ msg);
+    2
+  | 0 ->
+    print_endline "no simulated metric differs";
+    0
+  | bad ->
+    Printf.printf "%d simulated metric(s) differ or are missing\n" bad;
+    1

@@ -7,7 +7,10 @@
      dune exec bench/main.exe fig1.1 ... # selected experiments
      dune exec bench/main.exe micro      # only the bechamel section
      dune exec bench/main.exe -- --json mt-smoke
-                                         # also write results to BENCH.json *)
+                                         # also write results to BENCH.json
+     dune exec bench/main.exe compare OLD.json NEW.json
+                                         # per-metric deltas of two perf.exe
+                                         # --json files (see compare.ml) *)
 
 (* Minor-heap words allocated, exactly.  Bechamel's
    [Toolkit.Instance.minor_allocated] reads [Gc.quick_stat], whose minor
@@ -142,9 +145,48 @@ let run_bechamel () =
     Test.make ~name:"table.get (cached block)"
       (Staged.stage (fun () -> ignore (get ())))
   in
+  (* the write path: a 1 KB put's WAL payload, a four-put group commit
+     into a WAL that rotates every 64 KB as a memtable's log would, and a
+     table of 64 1 KB entries built from start to footer *)
+  let value_1k = String.make 1024 'v' in
+  let wb_encode =
+    let b = Pdb_kvs.Write_batch.create () in
+    Pdb_kvs.Write_batch.put b (Printf.sprintf "user%016d" 4242) value_1k;
+    Test.make ~name:"wb.encode (1 KB put)"
+      (Staged.stage (fun () ->
+           ignore (Pdb_kvs.Write_batch.encode b ~base_seq:4242)))
+  in
+  let wal_add_records =
+    let env = Pdb_simio.Env.create () in
+    let records =
+      List.init 4 (fun i ->
+          let b = Pdb_kvs.Write_batch.create () in
+          Pdb_kvs.Write_batch.put b (Printf.sprintf "user%016d" i) value_1k;
+          Pdb_kvs.Write_batch.encode b ~base_seq:i)
+    in
+    let wal = ref (Pdb_wal.Wal.Writer.create env "micro.log") in
+    Test.make ~name:"wal.add_records (4 x 1 KB)"
+      (Staged.stage (fun () ->
+           if Pdb_wal.Wal.Writer.size !wal >= 65536 then
+             wal := Pdb_wal.Wal.Writer.create env "micro.log";
+           Pdb_wal.Wal.Writer.add_records !wal records))
+  in
+  let table_build =
+    let env = Pdb_simio.Env.create () in
+    let keys = Array.init 64 (fun i -> ik i 1) in
+    Test.make ~name:"table.build (64 x 1 KB)"
+      (Staged.stage (fun () ->
+           let b =
+             Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:2
+               ~block_bytes:4096 ~bloom:true ~expected_keys:64
+           in
+           Array.iter (fun k -> Pdb_sstable.Table.Builder.add b k value_1k) keys;
+           ignore (Pdb_sstable.Table.Builder.finish b)))
+  in
   let tests =
     [ memtable_insert; bloom_check; skiplist_seek; guard_search; murmur;
-      ikey_compare; block_seek; block_next; table_get ]
+      ikey_compare; block_seek; block_next; table_get; wb_encode;
+      wal_add_records; table_build ]
   in
   (* time and minor-heap allocation per run, each an OLS estimate *)
   let benchmark test =
@@ -178,6 +220,12 @@ let run_bechamel () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
+  (match args with
+   | [ "compare"; old_json; new_json ] -> exit (Compare.main old_json new_json)
+   | "compare" :: _ ->
+     prerr_endline "usage: main.exe compare OLD.json NEW.json";
+     exit 2
+   | _ -> ());
   let json, ids = List.partition (fun a -> a = "--json") args in
   if json <> [] then Pdb_harness.Bench_util.Json.enable ();
   let result =

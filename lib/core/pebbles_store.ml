@@ -574,11 +574,9 @@ let seek_job t =
    charges each entry's merge CPU before adding it. *)
 let build_l0 t mem =
   let b = S.new_builder t ~sized_for:t.opts.O.sstable_target_bytes in
-  List.iter
-    (fun (ikey, value) ->
+  Pdb_kvs.Memtable.iter mem (fun ikey value ->
       Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
-      Table.Builder.add b ikey value)
-    (Pdb_kvs.Memtable.contents mem);
+      Table.Builder.add b ikey value);
   Table.Builder.finish b
 
 let apply_edit lv (e : Manifest.edit) =

@@ -341,14 +341,12 @@ let replay_wal env ~dir ~wal_number ~mem ~last_seq =
    MANIFEST no longer names. *)
 let relog_memtable wal mem =
   if not (Memtable.is_empty mem) then begin
-    List.iter
-      (fun (ik, v) ->
+    Memtable.iter mem (fun ik v ->
         let b = Wb.create () in
         (match Ik.kind ik with
          | Ik.Value -> Wb.put b (Ik.user_key ik) v
          | Ik.Deletion -> Wb.delete b (Ik.user_key ik));
-        Wal.Writer.add_record wal (Wb.encode b ~base_seq:(Ik.seq ik)))
-      (Memtable.contents mem);
+        Wal.Writer.add_record wal (Wb.encode b ~base_seq:(Ik.seq ik)));
     Wal.Writer.sync wal
   end
 

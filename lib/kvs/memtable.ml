@@ -71,6 +71,6 @@ let iterator t =
     value = (fun () -> snd (Pdb_skiplist.Skiplist.Cursor.entry cursor));
   }
 
-(** [contents t] lists all (internal key, value) entries in order — used by
-    flush. *)
-let contents t = Pdb_skiplist.Skiplist.to_list t.list
+(** [iter t f] applies [f] to every (internal key, value) entry in order —
+    used by flush and by recovery's relog. *)
+let iter t f = Pdb_skiplist.Skiplist.iter t.list f

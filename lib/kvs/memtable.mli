@@ -30,6 +30,6 @@ val is_empty : t -> bool
 (** [iterator t] ranges over encoded internal keys. *)
 val iterator : t -> Iter.t
 
-(** [contents t] lists all (internal key, value) entries in order — used by
-    flush. *)
-val contents : t -> (string * string) list
+(** [iter t f] applies [f] to every (internal key, value) entry in order —
+    used by flush and by recovery's relog. *)
+val iter : t -> (string -> string -> unit) -> unit

@@ -50,21 +50,34 @@ let iter t f = List.iter f (ops t)
 (** [encode t ~base_seq] serialises the batch; operation [i] carries
     sequence number [base_seq + i]. *)
 let encode t ~base_seq =
-  let buf = Buffer.create (64 + t.payload) in
-  Pdb_util.Varint.put_fixed64 buf (Int64.of_int base_seq);
-  Pdb_util.Varint.put_fixed32 buf t.count;
-  List.iter
-    (fun op ->
-      match op with
-      | Put (k, v) ->
-        Buffer.add_char buf '\001';
-        Pdb_util.Varint.put_length_prefixed buf k;
-        Pdb_util.Varint.put_length_prefixed buf v
-      | Delete k ->
-        Buffer.add_char buf '\000';
-        Pdb_util.Varint.put_length_prefixed buf k)
-    (ops t);
-  Buffer.contents buf
+  let module V = Pdb_util.Varint in
+  let prefixed s = V.uvarint_size (String.length s) + String.length s in
+  let size =
+    List.fold_left
+      (fun n op ->
+        match op with
+        | Put (k, v) -> n + 1 + prefixed k + prefixed v
+        | Delete k -> n + 1 + prefixed k)
+      12 t.ops
+  in
+  let b = Bytes.create size in
+  Bytes.set_int64_le b 0 (Int64.of_int base_seq);
+  Bytes.set_int32_le b 8 (Int32.of_int t.count);
+  let put_prefixed pos s =
+    let pos = V.set_uvarint b pos (String.length s) in
+    Bytes.blit_string s 0 b pos (String.length s);
+    pos + String.length s
+  in
+  let put_op pos = function
+    | Put (k, v) ->
+      Bytes.set b pos '\001';
+      put_prefixed (put_prefixed (pos + 1) k) v
+    | Delete k ->
+      Bytes.set b pos '\000';
+      put_prefixed (pos + 1) k
+  in
+  ignore (List.fold_left put_op 12 (ops t));
+  Bytes.unsafe_to_string b
 
 (** [decode s] recovers [(batch, base_seq)].  Raises [Invalid_argument] on
     malformed input. *)

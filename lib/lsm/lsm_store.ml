@@ -357,11 +357,9 @@ let maybe_compact (t : t) =
    charges each entry's merge CPU after adding it. *)
 let build_l0 (t : t) mem =
   let b = S.new_builder t ~sized_for:t.opts.O.memtable_bytes in
-  List.iter
-    (fun (ikey, value) ->
+  Pdb_kvs.Memtable.iter mem (fun ikey value ->
       Table.Builder.add b ikey value;
-      Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns)
-    (Pdb_kvs.Memtable.contents mem);
+      Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns);
   Table.Builder.finish b
 
 let apply_edit lv (e : Manifest.edit) =

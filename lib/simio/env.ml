@@ -63,12 +63,26 @@ module Fault_plan = struct
   let torn_files t = t.torn_files
 end
 
-(* A file's bytes live in chunks of [chunk_bytes], so an append never
-   copies what the file already holds and a file's unused capacity stays
-   under one chunk.  A file starts as one small chunk that doubles up to
-   [chunk_bytes], so small files (CURRENT, MANIFEST) stay small.  Byte [p]
-   is at offset [p mod chunk_bytes] of chunk [p / chunk_bytes]. *)
+(* A file's bytes live in chunks of 4 KB, 4 KB, 8 KB, 16 KB and 32 KB,
+   then of [chunk_bytes] each, so growing a file never copies what it
+   already holds, small files (CURRENT, MANIFEST) stay small, and a
+   file's unused capacity stays under the size of its last chunk.  Chunk
+   [i >= 1] starts at byte [first_chunk lsl (i - 1)] up to [chunk_bytes],
+   and at [chunk_bytes * (i - 4)] from there on. *)
 let chunk_bytes = 65536
+let first_chunk = 4096
+
+let chunk_start i =
+  if i = 0 then 0
+  else if i <= 5 then first_chunk lsl (i - 1)
+  else chunk_bytes * (i - 4)
+
+(* The index of the chunk holding byte [p]. *)
+let chunk_index p =
+  if p >= chunk_bytes then 4 + (p / chunk_bytes)
+  else
+    let q = p / first_chunk in
+    if q >= 8 then 4 else if q >= 4 then 3 else if q >= 2 then 2 else q
 
 type file = {
   mutable chunks : Bytes.t array;
@@ -93,28 +107,16 @@ type t = {
 type writer = { env : t; name : string; file : file }
 
 let new_file ~ever_synced =
-  { chunks = [| Bytes.create 4096 |]; len = 0; synced = 0; ever_synced }
-
-let capacity f =
-  match f.chunks with
-  | [| c |] -> Bytes.length c
-  | cs -> Array.length cs * chunk_bytes
+  { chunks = [| Bytes.create first_chunk |]; len = 0; synced = 0;
+    ever_synced }
 
 (* Grow [f] to hold at least [size] bytes. *)
 let reserve f size =
-  if size > capacity f then begin
-    (match f.chunks with
-     | [| c |] when Bytes.length c < chunk_bytes ->
-       let bigger =
-         Bytes.create (min chunk_bytes (max size (2 * Bytes.length c)))
-       in
-       Bytes.blit c 0 bigger 0 (Bytes.length c);
-       f.chunks <- [| bigger |]
-     | _ -> ());
-    while size > capacity f do
-      f.chunks <- Array.append f.chunks [| Bytes.create chunk_bytes |]
-    done
-  end
+  while size > chunk_start (Array.length f.chunks) do
+    let i = Array.length f.chunks in
+    let next = Bytes.create (min chunk_bytes (chunk_start i)) in
+    f.chunks <- Array.append f.chunks [| next |]
+  done
 
 (* [each_piece f pos n g] calls [g chunk off k done_] for the pieces of
    [f]'s range [pos, pos + n), in order: [k] bytes at offset [off] of
@@ -124,36 +126,48 @@ let each_piece f pos n g =
   let done_ = ref 0 in
   while !done_ < n do
     let p = pos + !done_ in
-    let off = p mod chunk_bytes in
-    let k = min (n - !done_) (chunk_bytes - off) in
-    g f.chunks.(p / chunk_bytes) off k !done_;
+    let i = chunk_index p in
+    let c = f.chunks.(i) in
+    let off = p - chunk_start i in
+    let k = min (n - !done_) (Bytes.length c - off) in
+    g c off k !done_;
     done_ := !done_ + k
   done
 
-(* Write [s] at [pos], growing [f] as needed; [len] is not updated. *)
+(* Write the [n] bytes [blit] copies at [pos], growing [f] as needed;
+   [len] is not updated.  [blit chunk off k d] copies source bytes
+   [d, d + k) to [chunk] at [off]. *)
+let write_pieces f pos n blit =
+  reserve f (pos + n);
+  each_piece f pos n blit
+
 let write_bytes f pos s =
-  reserve f (pos + String.length s);
-  each_piece f pos (String.length s) (fun c off k d ->
+  write_pieces f pos (String.length s) (fun c off k d ->
       Bytes.blit_string s d c off k)
 
 let zero_fill f pos n =
-  reserve f (pos + n);
-  each_piece f pos n (fun c off k _ -> Bytes.fill c off k '\000')
+  write_pieces f pos n (fun c off k _ -> Bytes.fill c off k '\000')
 
 (* The bytes [pos, pos + n) of [f], which must be within [f.len]. *)
 let sub_string f pos n =
-  let off = pos mod chunk_bytes in
+  let i = chunk_index pos in
+  let off = pos - chunk_start i in
   if n = 0 then ""
-  else if off + n <= chunk_bytes then
-    Bytes.sub_string f.chunks.(pos / chunk_bytes) off n
+  else if off + n <= Bytes.length f.chunks.(i) then
+    Bytes.sub_string f.chunks.(i) off n
   else begin
     let out = Bytes.create n in
     each_piece f pos n (fun c off k d -> Bytes.blit c off out d k);
     Bytes.unsafe_to_string out
   end
 
-let get_byte f p = Bytes.get f.chunks.(p / chunk_bytes) (p mod chunk_bytes)
-let set_byte f p b = Bytes.set f.chunks.(p / chunk_bytes) (p mod chunk_bytes) b
+let get_byte f p =
+  let i = chunk_index p in
+  Bytes.get f.chunks.(i) (p - chunk_start i)
+
+let set_byte f p b =
+  let i = chunk_index p in
+  Bytes.set f.chunks.(i) (p - chunk_start i) b
 
 let create ?(device = Device.ssd ()) () =
   {
@@ -180,15 +194,18 @@ let clear_tracer t = t.tracer <- None
 let tracer t = t.tracer
 
 (* One injection point: decrement the armed plan's countdown and raise
-   {!Injected_crash} when it reaches zero.  Inside an {!with_atomic}
-   section the crash is deferred to the section's end, modelling an
-   operation the device commits atomically (page-store checkpoints). *)
-let tick t label =
+   {!Injected_crash} when it reaches zero.  The event's label is [op ^
+   name] (["append:"] and a file name, say), built only when the crash
+   fires.  Inside an {!with_atomic} section the crash is deferred to the
+   section's end, modelling an operation the device commits atomically
+   (page-store checkpoints). *)
+let tick t op name =
   match t.plan with
   | Some p when p.Fault_plan.armed ->
     p.Fault_plan.ticks <- p.Fault_plan.ticks + 1;
     p.Fault_plan.countdown <- p.Fault_plan.countdown - 1;
     if p.Fault_plan.countdown <= 0 then begin
+      let label = op ^ name in
       p.Fault_plan.armed <- false;
       p.Fault_plan.fired_at <- Some label;
       p.Fault_plan.fired_in_background <-
@@ -240,22 +257,32 @@ let create_file t name =
   let file = new_file ~ever_synced in
   Hashtbl.replace t.files name file;
   t.stats.files_created <- t.stats.files_created + 1;
-  tick t ("create:" ^ name);
+  tick t "create:" name;
   { env = t; name; file }
 
-(** [append w s] appends [s]; charges sequential write cost. *)
-let append w s =
-  let n = String.length s in
+(* Append the [n] bytes [blit] copies (see {!write_pieces}) and charge
+   one sequential write for them. *)
+let append_blit w n blit =
   if n > 0 then begin
     let f = w.file in
-    write_bytes f f.len s;
+    write_pieces f f.len n blit;
     f.len <- f.len + n;
     let st = w.env.stats in
     st.bytes_written <- st.bytes_written + n;
     st.write_ops <- st.write_ops + 1;
     Clock.advance w.env.clock (Device.write_cost w.env.device ~bytes:n);
-    tick w.env ("append:" ^ w.name)
+    tick w.env "append:" w.name
   end
+
+(** [append w s] appends [s]; charges sequential write cost. *)
+let append w s =
+  append_blit w (String.length s) (fun c off k d ->
+      Bytes.blit_string s d c off k)
+
+(** [append_buffer w b] appends the contents of [b], exactly as
+    [append w (Buffer.contents b)] would, without the copy. *)
+let append_buffer w b =
+  append_blit w (Buffer.length b) (fun c off k d -> Buffer.blit b d c off k)
 
 (** [sync w] makes the file contents durable. *)
 let sync w =
@@ -263,7 +290,7 @@ let sync w =
   w.file.ever_synced <- true;
   w.env.stats.syncs <- w.env.stats.syncs + 1;
   Clock.advance w.env.clock (Device.sync_cost w.env.device);
-  tick w.env ("sync:" ^ w.name)
+  tick w.env "sync:" w.name
 
 (** [close w] closes the writer (contents remain; unsynced data stays
     volatile until the next [sync] on a new writer or a crash). *)
@@ -298,7 +325,7 @@ let write_at t name ~pos s =
   Clock.advance t.clock
     (Device.read_cost t.device ~hint:Device.Random_read ~bytes:0
      +. Device.write_cost t.device ~bytes:n);
-  tick t ("write_at:" ^ name)
+  tick t "write_at:" name
 
 let exists t name = Hashtbl.mem t.files name
 
@@ -319,7 +346,7 @@ let peek t name ~pos ~len =
 (** [io_event t label] registers an external IO event (e.g. a replication
     ship) with the fault-injection plan, so crash sweeps land between and
     inside shipping steps exactly as they do between file operations. *)
-let io_event t label = tick t label
+let io_event t label = tick t label ""
 
 (** [read t name ~pos ~len ~hint] reads a range, charging device cost per
     the read [hint].  Cached layers above this module avoid calling it for
@@ -343,7 +370,7 @@ let delete t name =
   if Hashtbl.mem t.files name then begin
     Hashtbl.remove t.files name;
     t.stats.files_deleted <- t.stats.files_deleted + 1;
-    tick t ("delete:" ^ name)
+    tick t "delete:" name
   end
 
 (** [rename t ~src ~dst] atomically renames a file.  Like ext4's
@@ -358,7 +385,7 @@ let rename t ~src ~dst =
   f.ever_synced <- true;
   t.stats.syncs <- t.stats.syncs + 1;
   Clock.advance t.clock (Device.sync_cost t.device);
-  tick t ("rename:" ^ dst)
+  tick t "rename:" dst
 
 let list t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
 

@@ -101,6 +101,11 @@ val create_file : t -> string -> writer
 (** [append w s] appends [s]; charges sequential write cost. *)
 val append : writer -> string -> unit
 
+(** [append_buffer w b] is [append w (Buffer.contents b)] — the same
+    bytes, IO stats, clock charge and fault-plan event — without copying
+    [b]'s contents out first. *)
+val append_buffer : writer -> Buffer.t -> unit
+
 (** [sync w] makes the file contents crash-durable; charges fsync cost. *)
 val sync : writer -> unit
 

@@ -57,12 +57,21 @@ module Builder = struct
 
   let is_empty t = t.entries = 0
 
-  (** [finish t] returns the serialised block. *)
-  let finish t =
-    let restarts = List.rev t.restarts in
-    List.iter (fun off -> Pdb_util.Varint.put_fixed32 t.buf off) restarts;
+  (** [seal t] appends the restart trailer and returns the builder's own
+      buffer, which then holds the serialised block until {!reset}. *)
+  let seal t =
+    let rec put_restarts = function
+      | [] -> ()
+      | off :: earlier ->
+        put_restarts earlier;
+        Pdb_util.Varint.put_fixed32 t.buf off
+    in
+    put_restarts t.restarts;
     Pdb_util.Varint.put_fixed32 t.buf t.num_restarts;
-    Buffer.contents t.buf
+    t.buf
+
+  (** [finish t] returns the serialised block. *)
+  let finish t = Buffer.contents (seal t)
 
   let reset t =
     Buffer.clear t.buf;

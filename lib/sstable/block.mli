@@ -20,7 +20,13 @@ module Builder : sig
   val current_size_estimate : t -> int
   val is_empty : t -> bool
 
-  (** [finish t] returns the serialised block. *)
+  (** [seal t] appends the restart trailer and returns the builder's own
+      buffer, which then holds the serialised block; the buffer is the
+      builder's, so it is valid only until {!reset} or the next {!add}.
+      A sealed builder takes no more entries before {!reset}. *)
+  val seal : t -> Buffer.t
+
+  (** [finish t] returns the serialised block: [Buffer.contents (seal t)]. *)
   val finish : t -> string
 
   val reset : t -> unit

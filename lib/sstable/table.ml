@@ -93,10 +93,10 @@ module Builder = struct
     }
 
   let write_block t builder =
-    let raw = Block.Builder.finish builder in
-    Pdb_simio.Env.append t.writer raw;
-    let h = { offset = t.offset; size = String.length raw } in
-    t.offset <- t.offset + String.length raw;
+    let raw = Block.Builder.seal builder in
+    Pdb_simio.Env.append_buffer t.writer raw;
+    let h = { offset = t.offset; size = Buffer.length raw } in
+    t.offset <- t.offset + Buffer.length raw;
     Block.Builder.reset builder;
     h
 
@@ -181,7 +181,7 @@ module Builder = struct
       Pdb_util.Varint.put_fixed32 buf t.entries;
       Pdb_util.Varint.put_fixed32 buf magic;
       Pdb_util.Varint.put_fixed32 buf t.prefix_bloom_len;
-      Pdb_simio.Env.append t.writer (Buffer.contents buf);
+      Pdb_simio.Env.append_buffer t.writer buf;
       t.offset <- t.offset + footer_size;
       Pdb_simio.Env.sync t.writer;
       Pdb_simio.Env.close t.writer;

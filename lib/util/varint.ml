@@ -5,16 +5,30 @@
 
 (** [put_uvarint buf n] appends the base-128 varint encoding of [n] (which
     must be non-negative) to [buf]. *)
-let put_uvarint buf n =
+let rec put_uvarint buf n =
   assert (n >= 0);
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  if n < 0x80 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+    put_uvarint buf (n lsr 7)
+  end
+
+(** [uvarint_size n] is the length of [n]'s varint encoding. *)
+let uvarint_size n =
+  let rec go n k = if n < 0x80 then k else go (n lsr 7) (k + 1) in
+  go n 1
+
+(** [set_uvarint b pos n] writes the varint encoding of [n] (which must be
+    non-negative) into [b] at [pos] and returns the position after it. *)
+let rec set_uvarint b pos n =
+  if n < 0x80 then begin
+    Bytes.set b pos (Char.chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.chr (0x80 lor (n land 0x7f)));
+    set_uvarint b (pos + 1) (n lsr 7)
+  end
 
 (** [read_uvarint s pos] decodes the varint of [s] at [!pos] and steps
     [pos] past it, allocating nothing — for decoders that walk many

@@ -25,32 +25,38 @@ module Writer = struct
   type t = {
     writer : Pdb_simio.Env.writer;
     mutable block_offset : int;
+    staging : Buffer.t;
+        (* the framed bytes of one append; cleared as each append starts *)
   }
 
   let create env name =
-    { writer = Pdb_simio.Env.create_file env name; block_offset = 0 }
+    { writer = Pdb_simio.Env.create_file env name; block_offset = 0;
+      staging = Buffer.create 4096 }
 
   let of_writer writer ~existing_bytes =
-    { writer; block_offset = existing_bytes mod block_size }
+    { writer; block_offset = existing_bytes mod block_size;
+      staging = Buffer.create 4096 }
 
-  let emit t buf rtype fragment =
-    let body =
-      let b = Buffer.create (1 + String.length fragment) in
-      Buffer.add_char b (Char.chr (type_to_int rtype));
-      Buffer.add_string b fragment;
-      Buffer.contents b
-    in
-    let crc = Pdb_util.Crc32c.masked (Pdb_util.Crc32c.string body) in
-    Pdb_util.Varint.put_fixed32 buf crc;
-    Buffer.add_char buf (Char.chr (String.length fragment land 0xff));
-    Buffer.add_char buf (Char.chr ((String.length fragment lsr 8) land 0xff));
-    Buffer.add_char buf (Char.chr (type_to_int rtype));
-    Buffer.add_string buf fragment;
-    t.block_offset <- t.block_offset + header_size + String.length fragment
+  (* The CRC-32C of each record type's byte, which every checksum starts
+     from: a record's CRC covers its type byte and then its fragment. *)
+  let type_crc =
+    Array.init 5 (fun i -> Pdb_util.Crc32c.string (String.make 1 (Char.chr i)))
 
-  (* Frame one logical record into [buf], fragmenting across block
-     boundaries as needed. *)
-  let emit_record t buf payload =
+  (* Frame the [len] bytes of [payload] at [pos] as one [rtype] fragment. *)
+  let emit t rtype payload pos len =
+    let buf = t.staging in
+    let tbyte = type_to_int rtype in
+    let crc = Pdb_util.Crc32c.update type_crc.(tbyte) payload pos len in
+    Pdb_util.Varint.put_fixed32 buf (Pdb_util.Crc32c.masked crc);
+    Buffer.add_char buf (Char.chr (len land 0xff));
+    Buffer.add_char buf (Char.chr ((len lsr 8) land 0xff));
+    Buffer.add_char buf (Char.chr tbyte);
+    Buffer.add_substring buf payload pos len;
+    t.block_offset <- t.block_offset + header_size + len
+
+  (* Frame one logical record into the staging buffer, fragmenting across
+     block boundaries as needed. *)
+  let emit_record t payload =
     let len = String.length payload in
     let pos = ref 0 in
     let first = ref true in
@@ -59,10 +65,9 @@ module Writer = struct
       let leftover = block_size - t.block_offset in
       if leftover < header_size then begin
         (* pad the block tail with zeroes *)
-        if leftover > 0 then begin
-          Buffer.add_string buf (String.make leftover '\000');
-          t.block_offset <- t.block_offset + leftover
-        end;
+        for _ = 1 to leftover do
+          Buffer.add_char t.staging '\000'
+        done;
         t.block_offset <- 0
       end
       else begin
@@ -76,7 +81,7 @@ module Writer = struct
           | false, true -> Last
           | false, false -> Middle
         in
-        emit t buf rtype (String.sub payload !pos fragment_len);
+        emit t rtype payload !pos fragment_len;
         if t.block_offset >= block_size then t.block_offset <- 0;
         pos := !pos + fragment_len;
         first := false;
@@ -84,24 +89,19 @@ module Writer = struct
       end
     done
 
-  (** [add_record t payload] appends one logical record, fragmenting across
-      block boundaries as needed. *)
-  let add_record t payload =
-    let buf = Buffer.create (header_size + String.length payload) in
-    emit_record t buf payload;
-    Pdb_simio.Env.append t.writer (Buffer.contents buf)
-
   (** [add_records t payloads] appends the records in order as one device
       write — the group-commit leader's coalesced WAL append.  The file
       bytes are exactly those of [List.iter (add_record t) payloads];
       only the device-op accounting (one write instead of N) differs. *)
   let add_records t payloads =
-    match payloads with
-    | [] -> ()
-    | payloads ->
-      let buf = Buffer.create 4096 in
-      List.iter (emit_record t buf) payloads;
-      Pdb_simio.Env.append t.writer (Buffer.contents buf)
+    Buffer.clear t.staging;
+    List.iter (emit_record t) payloads;
+    (* an empty list stages nothing, and an empty append is no IO *)
+    Pdb_simio.Env.append_buffer t.writer t.staging
+
+  (** [add_record t payload] appends one logical record, fragmenting across
+      block boundaries as needed. *)
+  let add_record t payload = add_records t [ payload ]
 
   let sync t = Pdb_simio.Env.sync t.writer
   let close t = Pdb_simio.Env.close t.writer

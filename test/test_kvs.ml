@@ -129,6 +129,66 @@ let test_batch_empty () =
   let decoded, _ = Write_batch.decode (Write_batch.encode b ~base_seq:0) in
   check Alcotest.int "empty roundtrip" 0 (Write_batch.count decoded)
 
+(* [encode] against a [Buffer]-built reference of the same format, and
+   [decode] back: empty keys and values, and values long enough for two-
+   and three-byte varint lengths. *)
+let reference_encode ops ~base_seq =
+  let buf = Buffer.create 64 in
+  Pdb_util.Varint.put_fixed64 buf (Int64.of_int base_seq);
+  Pdb_util.Varint.put_fixed32 buf (List.length ops);
+  List.iter
+    (function
+      | Write_batch.Put (k, v) ->
+        Buffer.add_char buf '\001';
+        Pdb_util.Varint.put_length_prefixed buf k;
+        Pdb_util.Varint.put_length_prefixed buf v
+      | Write_batch.Delete k ->
+        Buffer.add_char buf '\000';
+        Pdb_util.Varint.put_length_prefixed buf k)
+    ops;
+  Buffer.contents buf
+
+let batch_gen =
+  let open QCheck.Gen in
+  let key = string_size ~gen:printable (int_bound 24) in
+  let value =
+    frequency
+      [ (4, string_size ~gen:char (int_bound 200));
+        (1, string_size ~gen:char (int_range 16_000 20_000)) ]
+  in
+  let op =
+    frequency
+      [ (3, map2 (fun k v -> Write_batch.Put (k, v)) key value);
+        (1, map (fun k -> Write_batch.Delete k) key) ]
+  in
+  pair (list_size (int_bound 12) op) (int_bound (1 lsl 40))
+
+let prop_batch_encode =
+  qtest ~count:300 "encode = Buffer reference, decode roundtrips"
+    (QCheck.make
+       ~print:(fun (ops, seq) ->
+         Printf.sprintf "base_seq %d, %d ops: %s" seq (List.length ops)
+           (String.concat "; "
+              (List.map
+                 (function
+                   | Write_batch.Put (k, v) ->
+                     Printf.sprintf "Put (%S, %d bytes)" k (String.length v)
+                   | Write_batch.Delete k -> Printf.sprintf "Delete %S" k)
+                 ops)))
+       batch_gen)
+    (fun (ops, base_seq) ->
+      let b = Write_batch.create () in
+      List.iter
+        (function
+          | Write_batch.Put (k, v) -> Write_batch.put b k v
+          | Write_batch.Delete k -> Write_batch.delete b k)
+        ops;
+      let encoded = Write_batch.encode b ~base_seq in
+      let decoded, seq = Write_batch.decode encoded in
+      encoded = reference_encode ops ~base_seq
+      && seq = base_seq
+      && Write_batch.ops decoded = ops)
+
 (* ---------- Memtable ---------- *)
 
 let test_memtable_get_latest () =
@@ -280,6 +340,7 @@ let () =
           Alcotest.test_case "encode/decode" `Quick test_batch_encode_decode;
           Alcotest.test_case "payload" `Quick test_batch_payload;
           Alcotest.test_case "empty" `Quick test_batch_empty;
+          prop_batch_encode;
         ] );
       ( "memtable",
         [

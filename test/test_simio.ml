@@ -126,6 +126,131 @@ let test_chunked_matches_flat () =
     (Bytes.cat (Bytes.sub log 0 !synced)
        (Bytes.of_string (String.make 100 '\000' ^ "xyz")))
 
+(* [append_buffer] is [append] without the copy: the same bytes, IO
+   stats, clock charge and fault label, for every piece size including
+   an empty buffer (which, like an empty string, is no IO event). *)
+let test_append_buffer_matches_append () =
+  let rng = Random.State.make [| 16 |] in
+  let pieces =
+    List.init 60 (fun i ->
+        let n = if i mod 7 = 0 then 0 else Random.State.int rng 30_000 in
+        String.init n (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  (* crash at the 41st event: create, then the 40th non-empty piece *)
+  let run append =
+    let env = Env.create () in
+    let plan = Env.Fault_plan.create ~seed:3 ~crash_after:41 () in
+    Env.set_fault_plan env plan;
+    let w = Env.create_file env "wal" in
+    let raised =
+      try
+        List.iter (append w) pieces;
+        None
+      with Env.Injected_crash label -> Some label
+    in
+    ( Env.read_all env "wal" ~hint:Device.Sequential_read,
+      Io_stats.snapshot (Env.stats env),
+      Clock.elapsed_ns (Clock.snapshot (Env.clock env)),
+      raised,
+      Env.Fault_plan.fired_at plan )
+  in
+  let bytes_a, stats_a, clock_a, raised_a, fired_a = run Env.append in
+  let bytes_b, stats_b, clock_b, raised_b, fired_b =
+    run (fun w s ->
+        let b = Buffer.create 16 in
+        Buffer.add_string b s;
+        Env.append_buffer w b)
+  in
+  check Alcotest.string "file bytes" bytes_a bytes_b;
+  Alcotest.(check bool) "io stats" true (stats_a = stats_b);
+  check (Alcotest.float 0.0) "clock" clock_a clock_b;
+  check Alcotest.(option string) "raised label" (Some "append:wal") raised_a;
+  check Alcotest.(option string) "same raised label" raised_a raised_b;
+  check Alcotest.(option string) "fired_at" fired_a fired_b
+
+(* Chunk boundaries (4 KB, 8 KB, 16 KB, 32 KB, 64 KB, then every 64 KB):
+   reads across each, a crash that truncates to each, and a torn tail
+   garbled across each must agree with a flat model of the file.  The
+   model applies the torn-write rule of {!Env.crash} with the plan's RNG
+   to a plain [Bytes.t]. *)
+let boundary_positions = [ 4095; 4096; 8191; 16384; 32767; 65535; 65536 ]
+
+let test_chunk_boundaries_match_flat () =
+  let rng = Random.State.make [| 17 |] in
+  let random_string n =
+    String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  let read env name pos n =
+    Env.read env name ~pos ~len:n ~hint:Device.Random_read
+  in
+  List.iter
+    (fun p ->
+      let label what = Printf.sprintf "%s at %d" what p in
+      (* a file of [p] synced bytes then an unsynced tail, written in
+         pieces that do not line up with the chunks *)
+      let model = random_string (p + 20_000) in
+      let env = Env.create () in
+      let w = Env.create_file env "f" in
+      let rec write_from pos =
+        if pos < String.length model then begin
+          let limit = if pos < p then p else String.length model in
+          let stop = min limit (pos + 1 + Random.State.int rng 5_000) in
+          Env.append w (String.sub model pos (stop - pos));
+          if stop = p then Env.sync w;
+          write_from stop
+        end
+      in
+      write_from 0;
+      List.iter
+        (fun (lo, hi) ->
+          let lo = max 0 lo and hi = min (String.length model) hi in
+          check Alcotest.string
+            (label (Printf.sprintf "read [%d,%d)" lo hi))
+            (String.sub model lo (hi - lo))
+            (read env "f" lo (hi - lo)))
+        [ (p - 3, p + 3); (p - 1, p); (p, p + 1); (p - 5000, p + 9000) ];
+      (* a plain crash keeps exactly the synced [p] bytes *)
+      Env.crash env;
+      check Alcotest.string (label "crash truncation") (String.sub model 0 p)
+        (Env.read_all env "f" ~hint:Device.Sequential_read);
+      (* torn tails: sync [p - 3] bytes, append 70 more, and crash under
+         a plan with 10-byte blocks that always garbles; any kept tail
+         crosses the boundary, and with one kept block so does the
+         garbled block *)
+      let garbled = ref false in
+      for seed = 0 to 9 do
+        let base = p - 3 in
+        let env = Env.create () in
+        let w = Env.create_file env "f" in
+        Env.append w (String.sub model 0 base);
+        Env.sync w;
+        Env.append w (String.sub model base 70);
+        Env.set_fault_plan env
+          (Env.Fault_plan.create ~garbage_tail_prob:1.0 ~block_bytes:10 ~seed
+             ~crash_after:max_int ());
+        Env.crash env;
+        (* the flat model: the same RNG draws applied to plain bytes *)
+        let r = Pdb_util.Rng.create seed in
+        let keep = 10 * Pdb_util.Rng.int r 8 in
+        let flat = Bytes.of_string (String.sub model 0 (base + keep)) in
+        if keep > 0 && Pdb_util.Rng.float r < 1.0 then begin
+          let lo = max base (base + keep - 10) and hi = base + keep in
+          let n = hi - lo in
+          for _ = 1 to 1 + Pdb_util.Rng.int r (min 8 n) do
+            let i = lo + Pdb_util.Rng.int r n in
+            let bit = 1 lsl Pdb_util.Rng.int r 8 in
+            Bytes.set flat i (Char.chr (Char.code (Bytes.get flat i) lxor bit))
+          done
+        end;
+        let got = Env.read_all env "f" ~hint:Device.Sequential_read in
+        check Alcotest.string
+          (label (Printf.sprintf "torn tail, seed %d" seed))
+          (Bytes.to_string flat) got;
+        if got <> String.sub model 0 (String.length got) then garbled := true
+      done;
+      Alcotest.(check bool) (label "some tail garbled") true !garbled)
+    boundary_positions
+
 let test_crash_drops_unsynced () =
   let env = Env.create () in
   let w = Env.create_file env "f" in
@@ -412,6 +537,10 @@ let () =
           Alcotest.test_case "truncating create" `Quick test_truncating_create;
           Alcotest.test_case "chunked contents match a flat file" `Quick
             test_chunked_matches_flat;
+          Alcotest.test_case "append_buffer matches append" `Quick
+            test_append_buffer_matches_append;
+          Alcotest.test_case "chunk boundaries match a flat file" `Quick
+            test_chunk_boundaries_match_flat;
         ] );
       ( "crash",
         [

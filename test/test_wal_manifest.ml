@@ -149,6 +149,114 @@ let prop_wal_roundtrip =
       Wal.Writer.close w;
       fst (Wal.Reader.read_all env "log") = records)
 
+(* A reference framer for the log format, written the plain way: each
+   fragment is cut out with [String.sub], and its checksum is taken over a
+   freshly built type-byte-plus-fragment string.  The writer must produce
+   exactly these bytes. *)
+module Ref_framer = struct
+  type t = { out : Buffer.t; mutable block_offset : int }
+
+  let create () = { out = Buffer.create 4096; block_offset = 0 }
+
+  let emit t rtype fragment =
+    let body = String.make 1 (Char.chr (Wal.type_to_int rtype)) ^ fragment in
+    let crc = Pdb_util.Crc32c.masked (Pdb_util.Crc32c.string body) in
+    Pdb_util.Varint.put_fixed32 t.out crc;
+    Buffer.add_char t.out (Char.chr (String.length fragment land 0xff));
+    Buffer.add_char t.out (Char.chr ((String.length fragment lsr 8) land 0xff));
+    Buffer.add_char t.out (Char.chr (Wal.type_to_int rtype));
+    Buffer.add_string t.out fragment;
+    t.block_offset <- t.block_offset + Wal.header_size + String.length fragment
+
+  let add_record t payload =
+    let len = String.length payload in
+    let rec go pos first =
+      let leftover = Wal.block_size - t.block_offset in
+      if leftover < Wal.header_size then begin
+        Buffer.add_string t.out (String.make leftover '\000');
+        t.block_offset <- 0;
+        go pos first
+      end
+      else begin
+        let n = min (leftover - Wal.header_size) (len - pos) in
+        let last = pos + n = len in
+        let rtype : Wal.record_type =
+          match (first, last) with
+          | true, true -> Full
+          | true, false -> First
+          | false, true -> Last
+          | false, false -> Middle
+        in
+        emit t rtype (String.sub payload pos n);
+        if t.block_offset >= Wal.block_size then t.block_offset <- 0;
+        if not last then go (pos + n) false
+      end
+    in
+    go 0 true
+end
+
+(* A record's size: a fixed length, or whatever leaves exactly [k] bytes
+   of the current block once it is framed ([k < 7] forces zero padding
+   before the next record, [k = 7] an empty fragment's worth of room). *)
+type record_size = Fixed of int | Leave of int
+
+let record_size_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun n -> Fixed n) (int_bound 2_000));
+        (1, map (fun n -> Fixed n) (int_range 30_000 80_000));
+        (2, map (fun k -> Leave k) (int_bound 8)) ])
+
+let print_record_size = function
+  | Fixed n -> Printf.sprintf "Fixed %d" n
+  | Leave k -> Printf.sprintf "Leave %d" k
+
+(* Groups of records, each group one [add_records] call (one record
+   through [add_record]), against the reference framer. *)
+let prop_wal_matches_reference_framer =
+  qtest ~count:100 "add_records bytes = reference framer"
+    (QCheck.make
+       ~print:QCheck.Print.(list (list print_record_size))
+       QCheck.Gen.(
+         list_size (int_range 1 12) (list_size (int_range 1 4) record_size_gen)))
+    (fun groups ->
+      let env = Env.create () in
+      let w = Wal.Writer.create env "log" in
+      let r = Ref_framer.create () in
+      let serial = ref 0 in
+      let all = ref [] in
+      List.iter
+        (fun group ->
+          let payloads =
+            List.map
+              (fun size ->
+                let n =
+                  match size with
+                  | Fixed n -> n
+                  | Leave k ->
+                    let off = r.Ref_framer.block_offset in
+                    let off =
+                      if Wal.block_size - off < Wal.header_size then 0 else off
+                    in
+                    max 0 (Wal.block_size - off - Wal.header_size - k)
+                in
+                incr serial;
+                let payload =
+                  String.init n (fun i -> Char.chr (((i * 31) + !serial) land 0xff))
+                in
+                Ref_framer.add_record r payload;
+                payload)
+              group
+          in
+          (match payloads with
+           | [ p ] -> Wal.Writer.add_record w p
+           | ps -> Wal.Writer.add_records w ps);
+          all := List.rev_append payloads !all)
+        groups;
+      let bytes = Env.read_all env "log" ~hint:Pdb_simio.Device.Sequential_read in
+      bytes = Buffer.contents r.Ref_framer.out
+      && fst (Wal.Reader.read_all env "log") = List.rev !all)
+
 (* ---------- Manifest ---------- *)
 
 let meta number : Pdb_sstable.Table.meta =
@@ -295,6 +403,7 @@ let () =
           Alcotest.test_case "orphan fragments" `Quick
             test_wal_orphan_fragments;
           prop_wal_roundtrip;
+          prop_wal_matches_reference_framer;
         ] );
       ( "manifest",
         [
