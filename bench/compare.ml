@@ -1,12 +1,16 @@
-(* [main.exe compare OLD.json NEW.json]: per-metric deltas between two
-   [perf.exe --json] result files.
+(* [main.exe compare [--allow WORKLOAD/METRIC]... OLD.json NEW.json]:
+   per-metric deltas between two [perf.exe --json] result files.
 
    Prints old, new and the change in percent for every workload x metric
    (end-to-end metrics, the attempted/failed counts, then per-layer
    metrics).  Exits 1 when any simulated metric differs, or when NEW
-   lacks a simulated metric that OLD has; exits 2 on an unreadable file.
-   Simulated metrics repeat exactly for a given seed, so the gate has no
-   noise.  Host metrics (allocation, heap, host time) may differ. *)
+   lacks a simulated metric that OLD has; exits 2 on an unreadable file
+   or a malformed [--allow].  Simulated metrics repeat exactly for a
+   given seed, so the gate has no noise.  Host metrics (allocation, heap,
+   host time) may differ.  Each [--allow fill/write_amp] lets that one
+   simulated metric of that one workload move: a change that means to
+   move simulated numbers names each move it makes, and nothing else
+   gets through. *)
 
 (* ---------- a minimal JSON reader, enough for perf.exe's output ---------- *)
 
@@ -164,8 +168,9 @@ let delta_pct o n =
   else Printf.sprintf "%+.1f%%" ((n -. o) /. Float.abs o *. 100.0)
 
 (* Print the table; the result is the number of simulated metrics that
-   differ or went missing. *)
-let compare_docs old_doc new_doc =
+   differ or went missing, other than the [allow]ed (workload, metric)
+   pairs. *)
+let compare_docs ?(allow = []) old_doc new_doc =
   let bad = ref 0 in
   Printf.printf "%-14s %-34s %18s %18s %9s\n" "workload" "metric" "old"
     "new" "delta";
@@ -179,29 +184,62 @@ let compare_docs old_doc new_doc =
       List.iter
         (fun (m, o) ->
           let simulated = not (is_host m) in
+          let allowed = List.mem (wname, m) allow in
+          let flag what =
+            if allowed then "  " ^ what ^ " (allowed)"
+            else begin
+              incr bad;
+              "  " ^ what
+            end
+          in
           match List.assoc_opt m new_ms with
           | None ->
-            if simulated then incr bad;
-            Printf.printf "%-14s %-34s %18.10g %18s %9s  MISSING\n" wname m o
-              "-" "-"
+            Printf.printf "%-14s %-34s %18.10g %18s %9s%s\n" wname m o "-" "-"
+              (if simulated then flag "MISSING" else "  MISSING")
           | Some n ->
             let changed = o <> n && not (Float.is_nan o && Float.is_nan n) in
-            if changed && simulated then incr bad;
             Printf.printf "%-14s %-34s %18.10g %18.10g %9s%s\n" wname m o n
               (delta_pct o n)
-              (if changed && simulated then "  SIMULATED" else ""))
+              (if changed && simulated then flag "SIMULATED" else ""))
         (metrics old_w))
     (workloads old_doc);
   !bad
 
-let main old_path new_path =
-  match compare_docs (load old_path) (load new_path) with
-  | exception (Failure msg | Sys_error msg) ->
-    prerr_endline ("compare: " ^ msg);
+(* "fill/write_amp" -> ("fill", "write_amp") *)
+let parse_allow a =
+  match String.index_opt a '/' with
+  | Some i when i > 0 && i < String.length a - 1 ->
+    Some (String.sub a 0 i, String.sub a (i + 1) (String.length a - i - 1))
+  | Some _ | None -> None
+
+let usage =
+  "usage: main.exe compare [--allow WORKLOAD/METRIC]... OLD.json NEW.json"
+
+(** [main args] runs the comparison on the arguments after [compare] and
+    returns the exit code. *)
+let main args =
+  let rec parse allow = function
+    | "--allow" :: a :: rest -> (
+      match parse_allow a with
+      | Some pair -> parse (pair :: allow) rest
+      | None -> Error ("compare: --allow wants WORKLOAD/METRIC, not " ^ a))
+    | [ old_path; new_path ] -> Ok (List.rev allow, old_path, new_path)
+    | _ -> Error usage
+  in
+  match parse [] args with
+  | Error msg ->
+    prerr_endline msg;
     2
-  | 0 ->
-    print_endline "no simulated metric differs";
-    0
-  | bad ->
-    Printf.printf "%d simulated metric(s) differ or are missing\n" bad;
-    1
+  | Ok (allow, old_path, new_path) -> (
+    match compare_docs ~allow (load old_path) (load new_path) with
+    | exception (Failure msg | Sys_error msg) ->
+      prerr_endline ("compare: " ^ msg);
+      2
+    | 0 ->
+      print_endline
+        (if allow = [] then "no simulated metric differs"
+         else "no simulated metric differs but the allowed ones");
+      0
+    | bad ->
+      Printf.printf "%d simulated metric(s) differ or are missing\n" bad;
+      1)

@@ -8,7 +8,7 @@
      dune exec bench/main.exe micro      # only the bechamel section
      dune exec bench/main.exe -- --json mt-smoke
                                          # also write results to BENCH.json
-     dune exec bench/main.exe compare OLD.json NEW.json
+     dune exec bench/main.exe compare [--allow W/M]... OLD.json NEW.json
                                          # per-metric deltas of two perf.exe
                                          # --json files (see compare.ml) *)
 
@@ -30,6 +30,31 @@ end
 let minor_words =
   let open Bechamel in
   Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
+(* Words allocated directly in the major heap: strings and buffers over
+   256 words (a 4 KB block) skip the minor heap, so [Minor_words] never
+   sees them.  [Gc.counters] gives them as major words less promoted
+   words, as bench/perf/meter.ml reads them. *)
+module Major_direct_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+
+  let get () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+
+  let label () = "major-direct-words"
+  let unit () = "mjw"
+end
+
+let major_direct_words =
+  let open Bechamel in
+  Measure.instance
+    (module Major_direct_words)
+    (Measure.register (module Major_direct_words))
 
 let run_bechamel () =
   print_endline "\n#### micro — Bechamel micro-benchmarks (core operations)";
@@ -183,15 +208,125 @@ let run_bechamel () =
            Array.iter (fun k -> Pdb_sstable.Table.Builder.add b k value_1k) keys;
            ignore (Pdb_sstable.Table.Builder.finish b)))
   in
+  (* compaction and block loads: a scan of a 16-block table whose blocks
+     are cached, the merge of four 32 KB tables into one (readers opened,
+     inputs streamed through a scratch cache, output built and synced,
+     as a compaction does), and one 4 KB block loaded on a cache miss at
+     two offsets *)
+  let scan_env = Pdb_simio.Env.create () in
+  let scan_meta =
+    let b =
+      Pdb_sstable.Table.Builder.create scan_env ~dir:"micro" ~number:3
+        ~block_bytes:4096 ~bloom:true ~expected_keys:64
+    in
+    for i = 0 to 63 do
+      Pdb_sstable.Table.Builder.add b (ik i 1) value_1k
+    done;
+    Option.get (Pdb_sstable.Table.Builder.finish b)
+  in
+  let table_scan =
+    let reader = Pdb_sstable.Table.open_reader scan_env ~dir:"micro" scan_meta in
+    let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
+    let scan () =
+      let it =
+        Pdb_sstable.Table.iterator reader ~cache
+          ~hint:Pdb_simio.Device.Random_read
+      in
+      it.Iter.seek_to_first ();
+      while it.Iter.valid () do
+        ignore (it.Iter.key ());
+        it.Iter.next ()
+      done
+    in
+    scan ();
+    Test.make ~name:"table.scan (64 x 1 KB, 16 blocks)" (Staged.stage scan)
+  in
+  let compaction_merge =
+    let env = Pdb_simio.Env.create () in
+    let inputs =
+      List.init 4 (fun t ->
+          let b =
+            Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:(10 + t)
+              ~block_bytes:4096 ~bloom:true ~expected_keys:32
+          in
+          for i = 0 to 31 do
+            Pdb_sstable.Table.Builder.add b (ik ((4 * i) + t) 1) value_1k
+          done;
+          Option.get (Pdb_sstable.Table.Builder.finish b))
+    in
+    let hint = Pdb_simio.Device.Sequential_read in
+    Test.make ~name:"compaction.merge (4 x 32 KB tables)"
+      (Staged.stage (fun () ->
+           let scratch = Pdb_sstable.Block_cache.create ~capacity:(8 * 4096) in
+           let merged =
+             Pdb_kvs.Merging_iter.create ~compare:Ik.compare
+               (List.map
+                  (fun m ->
+                    Pdb_sstable.Table.iterator ~cache:scratch ~hint
+                      (Pdb_sstable.Table.open_reader ~hint env ~dir:"micro" m))
+                  inputs)
+           in
+           let b =
+             Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:20
+               ~block_bytes:4096 ~bloom:true ~expected_keys:128
+           in
+           merged.Iter.seek_to_first ();
+           while merged.Iter.valid () do
+             merged.Iter.value_slice
+               (Pdb_sstable.Table.Builder.add_slice b (merged.Iter.key ()));
+             merged.Iter.next ()
+           done;
+           ignore (Pdb_sstable.Table.Builder.finish b)))
+  in
+  (* one 4 KB block, sealed as a table seals one (at least [block_bytes]
+     = 4096 bytes), loaded on a cache miss from [offset] of its own file.
+     Every table's first block starts at 0 and crosses the first file
+     chunk's end at 4096, so its load copies; at 64 KB the block sits
+     inside one 64 KB chunk and the load views it. *)
+  let block_raw =
+    let b = Pdb_sstable.Block.Builder.create () in
+    let i = ref 0 in
+    while Pdb_sstable.Block.Builder.current_size_estimate b < 4096 do
+      Pdb_sstable.Block.Builder.add b (ik !i 1) value_1k;
+      incr i
+    done;
+    Pdb_sstable.Block.Builder.finish b
+  in
+  let block_load ~name ~offset =
+    let file = Printf.sprintf "micro/block%d" offset in
+    let w = Pdb_simio.Env.create_file scan_env file in
+    Pdb_simio.Env.append w (String.make offset '\000');
+    Pdb_simio.Env.append w block_raw;
+    Pdb_simio.Env.sync w;
+    let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 16) in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           (* evicting the block the last run loaded makes this one miss *)
+           Pdb_sstable.Block_cache.evict_file cache ~file;
+           ignore
+             (Pdb_sstable.Block_cache.find_or_load cache scan_env ~file ~offset
+                ~size:(String.length block_raw)
+                ~hint:Pdb_simio.Device.Random_read)))
+  in
+  let block_load_first =
+    block_load ~name:"block_cache.load (miss, at 0)" ~offset:0
+  in
+  let block_load_far =
+    block_load ~name:"block_cache.load (miss, at 64 KB)" ~offset:65536
+  in
   let tests =
     [ memtable_insert; bloom_check; skiplist_seek; guard_search; murmur;
       ikey_compare; block_seek; block_next; table_get; wb_encode;
-      wal_add_records; table_build ]
+      wal_add_records; table_build; table_scan; compaction_merge;
+      block_load_first; block_load_far ]
   in
-  (* time and minor-heap allocation per run, each an OLS estimate *)
+  (* time, minor-heap and direct major-heap allocation per run, each an
+     OLS estimate *)
   let benchmark test =
     let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-    let instances = [ Instance.monotonic_clock; minor_words ] in
+    let instances =
+      [ Instance.monotonic_clock; minor_words; major_direct_words ]
+    in
     let raw = Benchmark.all cfg instances test in
     let estimate instance =
       let results =
@@ -206,14 +341,16 @@ let run_bechamel () =
         | Some _ | None | (exception Not_found) -> None
     in
     let ns = estimate Instance.monotonic_clock
-    and words = estimate minor_words in
+    and words = estimate minor_words
+    and major = estimate major_direct_words in
     Hashtbl.iter
       (fun name _ ->
-        match (ns name, words name) with
-        | Some ns, Some words ->
-          Printf.printf "  %-30s %12.1f ns/run %10.1f minor words/run\n%!"
-            name ns words
-        | _ -> Printf.printf "  %-30s (no estimate)\n%!" name)
+        match (ns name, words name, major name) with
+        | Some ns, Some words, Some major ->
+          Printf.printf
+            "  %-36s %12.1f ns/run %10.1f minor %8.1f major words/run\n%!"
+            name ns words major
+        | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
       raw
   in
   List.iter benchmark tests
@@ -221,10 +358,7 @@ let run_bechamel () =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   (match args with
-   | [ "compare"; old_json; new_json ] -> exit (Compare.main old_json new_json)
-   | "compare" :: _ ->
-     prerr_endline "usage: main.exe compare OLD.json NEW.json";
-     exit 2
+   | "compare" :: rest -> exit (Compare.main rest)
    | _ -> ());
   let json, ids = List.partition (fun a -> a = "--json") args in
   if json <> [] then Pdb_harness.Bench_util.Json.enable ();

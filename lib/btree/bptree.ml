@@ -418,6 +418,11 @@ let iterator t =
     entries := remaining;
     refill ()
   in
+  let value () =
+    match !entries with
+    | (_, v) :: _ -> v
+    | [] -> invalid_arg "Bptree.iterator: not valid"
+  in
   {
     Pdb_kvs.Iter.seek_to_first =
       (fun () ->
@@ -445,11 +450,8 @@ let iterator t =
         match !entries with
         | (k, _) :: _ -> k
         | [] -> invalid_arg "Bptree.iterator: not valid");
-    value =
-      (fun () ->
-        match !entries with
-        | (_, v) :: _ -> v
-        | [] -> invalid_arg "Bptree.iterator: not valid");
+    value;
+    value_slice = Pdb_kvs.Iter.whole value;
   }
 
 let flush t = flush_dirty t

@@ -291,7 +291,8 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
           current := Some (part, b);
           b
       in
-      Table.Builder.add b ikey (merged.Iter.value ());
+      (* the value goes from its input block straight into the output *)
+      merged.Iter.value_slice (Table.Builder.add_slice b ikey);
       if Table.Builder.estimated_size b >= cutoff part then finish ()
     end;
     merged.Iter.next ()
@@ -776,6 +777,10 @@ let iterator ?snapshot ?upper_bound t =
     valid;
     key = checked db.Iter.key;
     value = checked db.Iter.value;
+    value_slice =
+      (fun f ->
+        if valid () then db.Iter.value_slice f
+        else invalid_arg "iterator: iterator is not valid");
   }
 
 (** Memtable plus block cache: the resident memory every engine has

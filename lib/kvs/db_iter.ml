@@ -8,9 +8,9 @@
 
 (** [wrap ?snapshot internal] exposes the user-visible view at [snapshot]
     (a sequence number; entries newer than it are invisible) or, without
-    it, the latest state.  [value ()] reads from [internal], which rests
-    on the exposed entry, so [internal] must not be moved by anyone
-    else. *)
+    it, the latest state.  [value ()] and [value_slice] read from
+    [internal], which rests on the exposed entry, so [internal] must not
+    be moved by anyone else. *)
 let wrap ?snapshot (internal : Iter.t) =
   let visible ikey =
     match snapshot with
@@ -67,4 +67,8 @@ let wrap ?snapshot (internal : Iter.t) =
     valid = (fun () -> !valid);
     key = checked (fun () -> !cur_key);
     value = checked internal.Iter.value;
+    value_slice =
+      (fun f ->
+        if !valid then internal.Iter.value_slice f
+        else invalid_arg "Db_iter: iterator is not valid");
   }

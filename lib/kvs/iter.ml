@@ -14,7 +14,18 @@ type t = {
   valid : unit -> bool;
   key : unit -> string;
   value : unit -> string;
+  value_slice : (string -> int -> int -> unit) -> unit;
+      (** [value_slice f] calls [f src pos len] once, where the current
+          value is the [len] bytes of [src] at [pos]: a block-backed
+          iterator hands over its block rather than a copy.  [src] is
+          valid only during the call. *)
 }
+
+(** [whole value] is a [value_slice] that hands over all of [value ()] —
+    for iterators whose values are separate strings already. *)
+let whole value f =
+  let v = value () in
+  f v 0 (String.length v)
 
 let empty =
   let invalid () = invalid_arg "Iter.empty: iterator is not valid" in
@@ -25,6 +36,7 @@ let empty =
     valid = (fun () -> false);
     key = invalid;
     value = invalid;
+    value_slice = (fun _ -> invalid ());
   }
 
 (** [of_sorted_array ?compare entries] iterates over an array pre-sorted by
@@ -33,6 +45,7 @@ let empty =
 let of_sorted_array ?(compare = String.compare) entries =
   let pos = ref 0 in
   let n = Array.length entries in
+  let value () = snd entries.(!pos) in
   {
     seek_to_first = (fun () -> pos := 0);
     seek =
@@ -48,7 +61,8 @@ let of_sorted_array ?(compare = String.compare) entries =
     next = (fun () -> incr pos);
     valid = (fun () -> !pos >= 0 && !pos < n);
     key = (fun () -> fst entries.(!pos));
-    value = (fun () -> snd entries.(!pos));
+    value;
+    value_slice = whole value;
   }
 
 (** [to_list it] drains an iterator from the start — test helper. *)

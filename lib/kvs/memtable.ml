@@ -62,13 +62,15 @@ let is_empty t = t.entries = 0
 (** [iterator t] ranges over encoded internal keys. *)
 let iterator t =
   let cursor = Pdb_skiplist.Skiplist.Cursor.make t.list in
+  let value () = snd (Pdb_skiplist.Skiplist.Cursor.entry cursor) in
   {
     Iter.seek_to_first = (fun () -> Pdb_skiplist.Skiplist.Cursor.seek_to_first cursor);
     seek = (fun target -> Pdb_skiplist.Skiplist.Cursor.seek cursor target);
     next = (fun () -> Pdb_skiplist.Skiplist.Cursor.next cursor);
     valid = (fun () -> Pdb_skiplist.Skiplist.Cursor.valid cursor);
     key = (fun () -> fst (Pdb_skiplist.Skiplist.Cursor.entry cursor));
-    value = (fun () -> snd (Pdb_skiplist.Skiplist.Cursor.entry cursor));
+    value;
+    value_slice = Iter.whole value;
   }
 
 (** [iter t f] applies [f] to every (internal key, value) entry in order —

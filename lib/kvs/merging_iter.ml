@@ -47,4 +47,8 @@ let create ?(positioned = false) ~compare children =
     valid = (fun () -> !current >= 0);
     key = (fun () -> with_current (fun (it : Iter.t) -> it.key ()));
     value = (fun () -> with_current (fun (it : Iter.t) -> it.value ()));
+    value_slice =
+      (fun f ->
+        if !current < 0 then invalid_arg "Merging_iter: iterator is not valid"
+        else children.(!current).Iter.value_slice f);
   }

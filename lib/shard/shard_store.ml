@@ -821,6 +821,7 @@ module Make (E : ENGINE) = struct
         valid = (fun () -> it.Iter.valid () && in_hi ());
         key = it.Iter.key;
         value = it.Iter.value;
+        value_slice = it.Iter.value_slice;
       }
 
   (* A back-to-back capture of every shard's current sequence — the

@@ -348,10 +348,10 @@ let peek t name ~pos ~len =
     inside shipping steps exactly as they do between file operations. *)
 let io_event t label = tick t label ""
 
-(** [read t name ~pos ~len ~hint] reads a range, charging device cost per
-    the read [hint].  Cached layers above this module avoid calling it for
-    cache hits. *)
-let read t name ~pos ~len ~hint =
+(* The accounting of one device read of [pos, pos + len) of [name]: the
+   bounds check, IO stats and clock charge that {!read} and {!read_view}
+   share.  Returns the file. *)
+let charge_read t name ~pos ~len ~hint =
   let f = find t name in
   if pos < 0 || len < 0 || pos + len > f.len then
     invalid_arg
@@ -360,7 +360,26 @@ let read t name ~pos ~len ~hint =
   t.stats.bytes_read <- t.stats.bytes_read + len;
   t.stats.read_ops <- t.stats.read_ops + 1;
   Clock.advance t.clock (Device.read_cost t.device ~hint ~bytes:len);
-  sub_string f pos len
+  f
+
+(** [read t name ~pos ~len ~hint] reads a range, charging device cost per
+    the read [hint].  Cached layers above this module avoid calling it for
+    cache hits. *)
+let read t name ~pos ~len ~hint =
+  sub_string (charge_read t name ~pos ~len ~hint) pos len
+
+(** [read_view t name ~pos ~len ~hint] is [read] without the copy when
+    the range lies inside one chunk: it returns the chunk itself and the
+    range's offset in it, else a copy and 0.  The chunk is handed out as
+    a string, so the caller must only view ranges that never change (see
+    the .mli). *)
+let read_view t name ~pos ~len ~hint =
+  let f = charge_read t name ~pos ~len ~hint in
+  let i = chunk_index pos in
+  let off = pos - chunk_start i in
+  if len > 0 && off + len <= Bytes.length f.chunks.(i) then
+    (Bytes.unsafe_to_string f.chunks.(i), off)
+  else (sub_string f pos len, 0)
 
 let read_all t name ~hint =
   let f = find t name in

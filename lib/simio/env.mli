@@ -127,6 +127,20 @@ val file_size : t -> string -> int
     @raise Sys_error when the file does not exist. *)
 val read : t -> string -> pos:int -> len:int -> hint:Device.read_hint -> string
 
+(** [read_view t name ~pos ~len ~hint] reads the same range as {!read},
+    with the same bounds check, IO stats and clock charge, and returns
+    [(src, off)]: the range is the [len] bytes of [src] at [off].  When
+    the range lies inside one of the file's chunks, [src] is that chunk
+    itself, not a copy, so [src] outside the range may change later.
+    Only view bytes that never change: a synced, finished file's
+    contents.  Appends write only past the file's length, {!create_file}
+    starts fresh chunks, and {!crash} alters only unsynced tails; only
+    {!write_at} overwrites bytes in place.
+    @raise Invalid_argument on an out-of-bounds range.
+    @raise Sys_error when the file does not exist. *)
+val read_view :
+  t -> string -> pos:int -> len:int -> hint:Device.read_hint -> string * int
+
 (** [peek t name ~pos ~len] reads a range without charging device time or
     IO stats — the sendfile-style path replication uses to put freshly
     written (page-cache-resident) bytes on the wire; the {!Network} link

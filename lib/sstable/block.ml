@@ -30,9 +30,10 @@ module Builder = struct
     done;
     !i
 
-  (** [add t key value] appends an entry; keys must arrive in strictly
+  (** [add_slice t key src pos len] appends an entry whose value is the
+      [len] bytes of [src] at [pos]; keys must arrive in strictly
       ascending order under the table's comparator. *)
-  let add t key value =
+  let add_slice t key src pos len =
     let shared =
       if t.counter < restart_interval then shared_prefix_len t.last_key key
       else begin
@@ -45,12 +46,16 @@ module Builder = struct
     let non_shared = String.length key - shared in
     Pdb_util.Varint.put_uvarint t.buf shared;
     Pdb_util.Varint.put_uvarint t.buf non_shared;
-    Pdb_util.Varint.put_uvarint t.buf (String.length value);
+    Pdb_util.Varint.put_uvarint t.buf len;
     Buffer.add_substring t.buf key shared non_shared;
-    Buffer.add_string t.buf value;
+    Buffer.add_substring t.buf src pos len;
     t.last_key <- key;
     t.counter <- t.counter + 1;
     t.entries <- t.entries + 1
+
+  (** [add t key value] appends an entry: [add_slice] over all of
+      [value]. *)
+  let add t key value = add_slice t key value 0 (String.length value)
 
   let current_size_estimate t =
     Buffer.length t.buf + (4 * t.num_restarts) + 4
@@ -82,32 +87,44 @@ module Builder = struct
     t.entries <- 0
 end
 
-(** Decoded view over a serialised block. *)
+(** Decoded view over a serialised block: the [limit - base] bytes of
+    [data] at [base], which may be a range of a larger string (a file
+    chunk).  No decoder reads a byte outside that range. *)
 type t = {
   data : string;
-  restarts_offset : int;
+  base : int;
+  limit : int;
+  restarts_offset : int;  (** absolute offset in [data] *)
   num_restarts : int;
 }
 
-let decode data =
-  let len = String.length data in
+let decode_view data ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length data - len then
+    invalid_arg "Block.decode_view: range out of bounds";
   if len < 4 then invalid_arg "Block.decode: too short";
-  let num_restarts = Pdb_util.Varint.get_fixed32 data (len - 4) in
+  let limit = pos + len in
+  let num_restarts = Pdb_util.Varint.get_fixed32 data (limit - 4) in
   let restarts_offset = len - 4 - (4 * num_restarts) in
   if restarts_offset < 0 then invalid_arg "Block.decode: corrupt restarts";
-  { data; restarts_offset; num_restarts }
+  { data; base = pos; limit; restarts_offset = pos + restarts_offset;
+    num_restarts }
 
-let size_bytes t = String.length t.data
+let decode data = decode_view data ~pos:0 ~len:(String.length data)
+
+let empty = decode "\000\000\000\000"
+
+let size_bytes t = t.limit - t.base
 
 let restart_point t i =
-  Pdb_util.Varint.get_fixed32 t.data (t.restarts_offset + (4 * i))
+  t.base + Pdb_util.Varint.get_fixed32 t.data (t.restarts_offset + (4 * i))
 
 (* A position in a block.  The current entry's key is decoded eagerly;
    its value stays in the block as [value_len] bytes at [value_pos] and is
    copied out only when asked for.  [next] is the offset of the entry after
-   it, and [pos] is the varint decoder's position. *)
+   it, and [pos] is the varint decoder's position.  Offsets are absolute
+   in [block.data]. *)
 type cursor = {
-  data : string;
+  mutable block : t;
   mutable valid : bool;
   mutable key : string;
   mutable value_pos : int;
@@ -117,40 +134,47 @@ type cursor = {
 }
 
 (* Decode the entry at [p] into [c]; [prev] supplies the shared prefix.
-   Every length is checked against the block before anything is copied,
-   and the entry fields of [c] change only once the whole entry has
-   decoded. *)
+   Every length is checked against the block's limit before anything is
+   copied, and the entry fields of [c] change only once the whole entry
+   has decoded. *)
 let decode_at c ~prev p =
+  let data = c.block.data and limit = c.block.limit in
   c.pos := p;
-  let shared = Pdb_util.Varint.read_uvarint c.data c.pos in
-  let non_shared = Pdb_util.Varint.read_uvarint c.data c.pos in
-  let value_len = Pdb_util.Varint.read_uvarint c.data c.pos in
+  let shared = Pdb_util.Varint.read_uvarint_upto data c.pos limit in
+  let non_shared = Pdb_util.Varint.read_uvarint_upto data c.pos limit in
+  let value_len = Pdb_util.Varint.read_uvarint_upto data c.pos limit in
   let key_pos = !(c.pos) in
-  let room = String.length c.data - key_pos in
+  let room = limit - key_pos in
   if shared < 0 || shared > String.length prev || non_shared < 0
      || non_shared > room || value_len < 0
      || value_len > room - non_shared
   then invalid_arg "Block: corrupt entry";
   let key = Bytes.create (shared + non_shared) in
   Bytes.blit_string prev 0 key 0 shared;
-  Bytes.blit_string c.data key_pos key shared non_shared;
+  Bytes.blit_string data key_pos key shared non_shared;
   (* [key] is fresh and never written again *)
   c.key <- Bytes.unsafe_to_string key;
   c.value_pos <- key_pos + non_shared;
   c.value_len <- value_len;
   c.next <- key_pos + non_shared + value_len
 
-(** [iterator ~compare t] walks the block's entries.  [compare] orders the
-    stored keys (internal-key order for data blocks). *)
-let iterator ~compare (t : t) =
-  let c =
-    { data = t.data; valid = false; key = ""; value_pos = 0; value_len = 0;
-      next = t.restarts_offset; pos = ref 0 }
-  in
+let cursor (t : t) =
+  { block = t; valid = false; key = ""; value_pos = 0; value_len = 0;
+    next = t.restarts_offset; pos = ref 0 }
+
+(* Point [c] at block [t], before its first entry. *)
+let retarget c (t : t) =
+  c.block <- t;
+  c.valid <- false;
+  c.next <- t.restarts_offset
+
+(* The iterator over whatever block [c] points at.  [compare] orders the
+   stored keys (internal-key order for data blocks). *)
+let cursor_iterator ~compare c =
   (* The first entry after a restart point has shared = 0, so decoding
      with the running previous key is always correct. *)
   let advance () =
-    if c.next >= t.restarts_offset then c.valid <- false
+    if c.next >= c.block.restarts_offset then c.valid <- false
     else begin
       decode_at c ~prev:(if c.valid then c.key else "") c.next;
       c.valid <- true
@@ -158,20 +182,20 @@ let iterator ~compare (t : t) =
   in
   let seek_to_restart i =
     c.valid <- false;
-    c.next <- restart_point t i;
+    c.next <- restart_point c.block i;
     advance ()
   in
   let seek_to_first () =
-    if t.num_restarts = 0 then c.valid <- false else seek_to_restart 0
+    if c.block.num_restarts = 0 then c.valid <- false else seek_to_restart 0
   in
   let seek target =
     c.valid <- false;
-    if t.num_restarts > 0 then begin
+    if c.block.num_restarts > 0 then begin
       (* last restart whose first key is < target *)
-      let lo = ref 0 and hi = ref (t.num_restarts - 1) in
+      let lo = ref 0 and hi = ref (c.block.num_restarts - 1) in
       while !lo < !hi do
         let mid = (!lo + !hi + 1) / 2 in
-        decode_at c ~prev:"" (restart_point t mid);
+        decode_at c ~prev:"" (restart_point c.block mid);
         if compare c.key target < 0 then lo := mid else hi := mid - 1
       done;
       seek_to_restart !lo;
@@ -192,8 +216,22 @@ let iterator ~compare (t : t) =
     value =
       (fun () ->
         check ();
-        String.sub c.data c.value_pos c.value_len);
+        String.sub c.block.data c.value_pos c.value_len);
+    value_slice =
+      (fun f ->
+        check ();
+        f c.block.data c.value_pos c.value_len);
   }
+
+(** [iterator ~compare t] walks the block's entries. *)
+let iterator ~compare t = cursor_iterator ~compare (cursor t)
+
+(** [retargetable ~compare t] is an iterator over [t] and a function that
+    re-points it at another block, leaving it invalid until the next
+    seek. *)
+let retargetable ~compare t =
+  let c = cursor t in
+  (cursor_iterator ~compare c, retarget c)
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)
 let entries ~compare t = Pdb_kvs.Iter.to_list (iterator ~compare t)

@@ -13,8 +13,12 @@ module Builder : sig
 
   val create : unit -> t
 
-  (** [add t key value] appends an entry; keys must arrive in strictly
+  (** [add_slice t key src pos len] appends an entry whose value is the
+      [len] bytes of [src] at [pos]; keys must arrive in strictly
       ascending order under the table's comparator. *)
+  val add_slice : t -> string -> string -> int -> int -> unit
+
+  (** [add t key value] is [add_slice t key value 0 (String.length value)]. *)
   val add : t -> string -> string -> unit
 
   val current_size_estimate : t -> int
@@ -32,20 +36,39 @@ module Builder : sig
   val reset : t -> unit
 end
 
-(** Decoded view over a serialised block. *)
+(** Decoded view over a serialised block, which may be a range of a
+    larger string: no decoder reads a byte outside the range. *)
 type t
 
-(** @raise Invalid_argument on a corrupt block. *)
+(** [decode_view data ~pos ~len] decodes the block held in the [len]
+    bytes of [data] at [pos], without copying them; [data] must not
+    change while the block is in use.
+    @raise Invalid_argument on a corrupt block or an out-of-bounds range. *)
+val decode_view : string -> pos:int -> len:int -> t
+
+(** [decode s] is [decode_view s ~pos:0 ~len:(String.length s)].
+    @raise Invalid_argument on a corrupt block. *)
 val decode : string -> t
+
+(** A block of no entries. *)
+val empty : t
 
 val size_bytes : t -> int
 
 (** [iterator ~compare t] walks the block's entries; [compare] orders the
     stored keys (internal-key order for data blocks).  Each step decodes
     the entry's key; its value is copied out of the block only when
-    [value ()] is called.  A corrupt entry raises [Invalid_argument] from
-    the call that reaches it. *)
+    [value ()] is called, and [value_slice] hands over the block's own
+    bytes.  A corrupt entry raises [Invalid_argument] from the call that
+    reaches it. *)
 val iterator : compare:(string -> string -> int) -> t -> Pdb_kvs.Iter.t
+
+(** [retargetable ~compare t] is {!iterator} together with a function
+    that re-points the same iterator at another block, leaving it invalid
+    until its next seek: a two-level iterator walks every block of a
+    table through one cursor. *)
+val retargetable :
+  compare:(string -> string -> int) -> t -> Pdb_kvs.Iter.t * (t -> unit)
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)
 val entries : compare:(string -> string -> int) -> t -> (string * string) list

@@ -18,8 +18,10 @@ let find_or_load (t : t) env ~file ~offset ~size ~hint =
   match Pdb_util.Lru.find t k with
   | Some block -> block
   | None ->
-    let raw = Pdb_simio.Env.read env file ~pos:offset ~len:size ~hint in
-    let block = Block.decode raw in
+    (* a finished table's bytes never change, so the block may view the
+       file's chunk instead of a copy of it *)
+    let src, pos = Pdb_simio.Env.read_view env file ~pos:offset ~len:size ~hint in
+    let block = Block.decode_view src ~pos ~len:size in
     Pdb_util.Lru.insert t k block ~weight:size;
     block
 

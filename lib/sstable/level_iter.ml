@@ -157,4 +157,9 @@ let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
     valid = (fun () -> Option.is_some (current ()));
     key = checked (fun it -> it.Iter.key ());
     value = checked (fun it -> it.Iter.value ());
+    value_slice =
+      (fun f ->
+        match current () with
+        | Some it -> it.Iter.value_slice f
+        | None -> invalid_arg "Level_iter: iterator is not valid");
   }

@@ -107,9 +107,10 @@ module Builder = struct
       t.index := (last_key, h) :: !(t.index)
     end
 
-  (** [add t ikey value] appends an entry; internal keys must arrive in
+  (** [add_slice t ikey src pos len] appends an entry whose value is the
+      [len] bytes of [src] at [pos]; internal keys must arrive in
       ascending order. *)
-  let add t ikey value =
+  let add_slice t ikey src pos len =
     if t.smallest = None then t.smallest <- Some ikey;
     t.largest <- ikey;
     t.entries <- t.entries + 1;
@@ -132,9 +133,11 @@ module Builder = struct
          end
        end
      | None -> ());
-    Block.Builder.add t.data ikey value;
+    Block.Builder.add_slice t.data ikey src pos len;
     if Block.Builder.current_size_estimate t.data >= t.block_bytes then
       flush_data_block t
+
+  let add t ikey value = add_slice t ikey value 0 (String.length value)
 
   let estimated_size t =
     t.offset + Block.Builder.current_size_estimate t.data
@@ -401,76 +404,54 @@ let get r ~cache ~hint ikey =
       Some (it.Pdb_kvs.Iter.key (), it.Pdb_kvs.Iter.value ())
     else None
 
-(** [iterator r ~cache ~hint] is a two-level iterator over the table. *)
+(** [iterator r ~cache ~hint] is a two-level iterator over the table.
+    One block cursor walks every data block: entering a block re-points
+    it; past the last block it rests on {!Block.empty}. *)
 let iterator r ~cache ~hint =
   let index_it = Block.iterator ~compare:ikey_compare r.index in
-  let data_it = ref None in
+  let data_it, retarget = Block.retargetable ~compare:ikey_compare Block.empty in
   let load_block () =
-    if index_it.Pdb_kvs.Iter.valid () then begin
-      let h = decode_handle (index_it.Pdb_kvs.Iter.value ()) in
-      let block =
-        Block_cache.find_or_load cache r.env ~file:r.name ~offset:h.offset
-          ~size:h.size ~hint
-      in
-      data_it := Some (Block.iterator ~compare:ikey_compare block)
-    end
-    else data_it := None
+    retarget
+      (if index_it.Pdb_kvs.Iter.valid () then
+         let h = decode_handle (index_it.Pdb_kvs.Iter.value ()) in
+         Block_cache.find_or_load cache r.env ~file:r.name ~offset:h.offset
+           ~size:h.size ~hint
+       else Block.empty)
   in
   let skip_exhausted () =
-    let rec go () =
-      match !data_it with
-      | Some it when not (it.Pdb_kvs.Iter.valid ()) ->
-        index_it.Pdb_kvs.Iter.next ();
-        load_block ();
-        (match !data_it with
-         | Some it2 ->
-           it2.Pdb_kvs.Iter.seek_to_first ();
-           go ()
-         | None -> ())
-      | Some _ | None -> ()
-    in
-    go ()
+    while
+      (not (data_it.Pdb_kvs.Iter.valid ())) && index_it.Pdb_kvs.Iter.valid ()
+    do
+      index_it.Pdb_kvs.Iter.next ();
+      load_block ();
+      data_it.Pdb_kvs.Iter.seek_to_first ()
+    done
   in
-  (* the held option itself, so checking validity allocates nothing *)
-  let current () =
-    match !data_it with
-    | Some it as d when it.Pdb_kvs.Iter.valid () -> d
-    | Some _ | None -> None
+  let check () =
+    if not (data_it.Pdb_kvs.Iter.valid ()) then
+      invalid_arg "Table.iterator: iterator is not valid"
   in
   {
     Pdb_kvs.Iter.seek_to_first =
       (fun () ->
         index_it.Pdb_kvs.Iter.seek_to_first ();
         load_block ();
-        (match !data_it with
-         | Some it -> it.Pdb_kvs.Iter.seek_to_first ()
-         | None -> ());
+        data_it.Pdb_kvs.Iter.seek_to_first ();
         skip_exhausted ());
     seek =
       (fun target ->
         index_it.Pdb_kvs.Iter.seek target;
         load_block ();
-        (match !data_it with
-         | Some it -> it.Pdb_kvs.Iter.seek target
-         | None -> ());
+        data_it.Pdb_kvs.Iter.seek target;
         skip_exhausted ());
     next =
       (fun () ->
-        (match current () with
-         | Some it -> it.Pdb_kvs.Iter.next ()
-         | None -> ());
+        data_it.Pdb_kvs.Iter.next ();
         skip_exhausted ());
-    valid = (fun () -> Option.is_some (current ()));
-    key =
-      (fun () ->
-        match current () with
-        | Some it -> it.Pdb_kvs.Iter.key ()
-        | None -> invalid_arg "Table.iterator: iterator is not valid");
-    value =
-      (fun () ->
-        match current () with
-        | Some it -> it.Pdb_kvs.Iter.value ()
-        | None -> invalid_arg "Table.iterator: iterator is not valid");
+    valid = data_it.Pdb_kvs.Iter.valid;
+    key = (fun () -> check (); data_it.Pdb_kvs.Iter.key ());
+    value = (fun () -> check (); data_it.Pdb_kvs.Iter.value ());
+    value_slice = (fun f -> check (); data_it.Pdb_kvs.Iter.value_slice f);
   }
 
 (** [recover_meta env ~dir ~number] reconstructs a table's metadata from

@@ -43,6 +43,10 @@ module Builder : sig
       ascending order. *)
   val add : t -> string -> string -> unit
 
+  (** [add_slice t ikey src pos len] is [add] of the [len] bytes of [src]
+      at [pos], without copying them out first. *)
+  val add_slice : t -> string -> string -> int -> int -> unit
+
   val estimated_size : t -> int
   val entry_count : t -> int
 

@@ -30,14 +30,15 @@ let rec set_uvarint b pos n =
     set_uvarint b (pos + 1) (n lsr 7)
   end
 
-(** [read_uvarint s pos] decodes the varint of [s] at [!pos] and steps
-    [pos] past it, allocating nothing — for decoders that walk many
-    entries.  Raises [Invalid_argument] on truncated input. *)
-let read_uvarint s pos =
-  let len = String.length s in
+(** [read_uvarint_upto s pos limit] decodes the varint of [s] at [!pos]
+    and steps [pos] past it, reading no byte at or past [limit] and
+    allocating nothing — for decoders that walk many entries of a range
+    of a larger string.  Raises [Invalid_argument] on input truncated at
+    [limit]. *)
+let read_uvarint_upto s pos limit =
   let acc = ref 0 and shift = ref 0 and more = ref true in
   while !more do
-    if !pos >= len then invalid_arg "Varint.get_uvarint: truncated";
+    if !pos >= limit then invalid_arg "Varint.get_uvarint: truncated";
     let b = Char.code s.[!pos] in
     incr pos;
     acc := !acc lor ((b land 0x7f) lsl !shift);
@@ -45,6 +46,9 @@ let read_uvarint s pos =
     more := b >= 0x80
   done;
   !acc
+
+(** [read_uvarint s pos] is [read_uvarint_upto s pos (String.length s)]. *)
+let read_uvarint s pos = read_uvarint_upto s pos (String.length s)
 
 (** [get_uvarint s pos] decodes a varint from [s] starting at [pos]; returns
     [(value, next_pos)].  Raises [Invalid_argument] on truncated input. *)

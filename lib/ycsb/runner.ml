@@ -9,7 +9,10 @@ module Dyn = Pdb_kvs.Store_intf
 module Iter = Pdb_kvs.Iter
 module Clock = Pdb_simio.Clock
 
-(* FNV-64 over the record number, hex-rendered: "user" ^ 16 hex chars. *)
+let hex_digits = "0123456789abcdef"
+
+(* FNV-64 over the record number, hex-rendered: "user" ^ 16 hex chars,
+   the bytes of [Printf.sprintf "user%016Lx"] written into one buffer. *)
 let key_of_record n =
   let open Int64 in
   let h = ref 0xCBF29CE484222325L in
@@ -18,7 +21,13 @@ let key_of_record n =
     h := mul (logxor !h (logand !v 0xffL)) 0x100000001B3L;
     v := shift_right_logical !v 8
   done;
-  Printf.sprintf "user%016Lx" !h
+  let key = Bytes.create 20 in
+  Bytes.blit_string "user" 0 key 0 4;
+  for i = 0 to 15 do
+    let nibble = to_int (logand (shift_right_logical !h (60 - (4 * i))) 0xfL) in
+    Bytes.set key (4 + i) hex_digits.[nibble]
+  done;
+  Bytes.unsafe_to_string key
 
 type result = {
   phase : string;

@@ -177,6 +177,64 @@ let test_reseek_charges name () =
   done;
   E.close db
 
+(* [value_slice] hands over exactly the bytes [value ()] returns, once,
+   at every position of both engines' iterators and of a two-shard
+   store's, over values from empty to over 4 KB that went through
+   flushes and compactions. *)
+let prop_value_slice =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:15 ~name:"value_slice = value"
+       QCheck.(
+         list_of_size (QCheck.Gen.int_range 1 150)
+           (pair (int_bound 500) (oneofl [ 0; 1; 100; 4095; 4096; 5000 ])))
+       (fun ops ->
+         let value k n i = String.init n (fun j -> Char.chr ((k + i + j) land 0xff)) in
+         let ops =
+           List.mapi
+             (fun i (k, n) -> (Printf.sprintf "key%04d" k, value k n i))
+             ops
+         in
+         let module M = Map.Make (String) in
+         let want =
+           M.cardinal (List.fold_left (fun m (k, v) -> M.add k v m) M.empty ops)
+         in
+         let walk what (it : Iter.t) =
+           it.Iter.seek_to_first ();
+           let n = ref 0 in
+           while it.Iter.valid () do
+             let calls = ref 0 and got = ref "" in
+             it.Iter.value_slice (fun src pos len ->
+                 incr calls;
+                 got := String.sub src pos len);
+             if !calls <> 1 || not (String.equal !got (it.Iter.value ())) then
+               QCheck.Test.fail_reportf "%s: the slice at %S differs" what
+                 (it.Iter.key ());
+             incr n;
+             it.Iter.next ()
+           done;
+           if !n <> want then
+             QCheck.Test.fail_reportf "%s: %d entries, not %d" what !n want
+         in
+         List.iter
+           (fun (name, ((module E : ENGINE), opts)) ->
+             let db = E.open_store opts ~env:(Env.create ()) ~dir:"db" in
+             List.iter (fun (k, v) -> E.put db k v) ops;
+             walk name (E.iterator db);
+             E.close db)
+           engines;
+         let module Stores = Pdb_harness.Stores in
+         let sharded =
+           Stores.open_sharded
+             ~tweak:(fun o ->
+               { (tiny o) with O.shards = 2; shard_splits = [ "key0250" ] })
+             Stores.Pebblesdb
+         in
+         let store = sharded.Stores.s_dyn in
+         List.iter (fun (k, v) -> store.Pdb_kvs.Store_intf.d_put k v) ops;
+         walk "two shards" (store.Pdb_kvs.Store_intf.d_iterator ());
+         store.Pdb_kvs.Store_intf.d_close ();
+         true))
+
 let () =
   Alcotest.run "engine_shell"
     [
@@ -199,4 +257,5 @@ let () =
             Alcotest.test_case (name ^ " re-seek charges every table") `Quick
               (test_reseek_charges name))
           piles_subjects );
+      ("value slices", [ prop_value_slice ]);
     ]

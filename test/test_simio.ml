@@ -251,6 +251,85 @@ let test_chunk_boundaries_match_flat () =
       Alcotest.(check bool) (label "some tail garbled") true !garbled)
     boundary_positions
 
+(* [read_view] is [read] without the copy: the same bytes, IO stats,
+   clock and errors, for ranges that start or end at every chunk boundary
+   and ranges that straddle one.  A range inside one chunk comes back as
+   the chunk itself, a straddling one as a copy. *)
+let test_read_view_matches_read () =
+  let rng = Random.State.make [| 18 |] in
+  let size = 140_000 in
+  let model = String.init size (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let open_env () =
+    let env = Env.create () in
+    let w = Env.create_file env "f" in
+    Env.append w model;
+    Env.sync w;
+    env
+  in
+  let by_read = open_env () and by_view = open_env () in
+  let ranges =
+    List.concat_map
+      (fun p ->
+        List.concat_map
+          (fun n -> [ (p, n); (p - n, n); (p - 3, 6) ])
+          [ 0; 1; 100; 4096 ]
+        @ [ (p - 5000, 14_000) ])
+      boundary_positions
+    @ [ (0, size); (0, 0); (size, 0); (size - 1, 1); (70_000, 10) ]
+    |> List.filter (fun (pos, len) -> pos >= 0 && pos + len <= size)
+  in
+  let outcome f =
+    match f () with
+    | s -> Ok s
+    | exception Invalid_argument msg -> Error ("Invalid_argument " ^ msg)
+    | exception Sys_error msg -> Error ("Sys_error " ^ msg)
+  in
+  let same what =
+    check Alcotest.bool (what ^ ": io stats") true
+      (Io_stats.snapshot (Env.stats by_read)
+       = Io_stats.snapshot (Env.stats by_view));
+    check (Alcotest.float 0.0) (what ^ ": clock")
+      (Clock.elapsed_ns (Clock.snapshot (Env.clock by_read)))
+      (Clock.elapsed_ns (Clock.snapshot (Env.clock by_view)))
+  in
+  List.iter
+    (fun (pos, len) ->
+      let what = Printf.sprintf "[%d,%d)" pos (pos + len) in
+      let read = Env.read by_read "f" ~pos ~len ~hint:Device.Random_read in
+      let src, off = Env.read_view by_view "f" ~pos ~len ~hint:Device.Random_read in
+      check Alcotest.string what read (String.sub src off len);
+      check Alcotest.string (what ^ " = model") (String.sub model pos len) read;
+      same what)
+    ranges;
+  (* a range inside the 32 KB chunk at 32768 is that chunk; one across
+     4096 is a copy of just the range *)
+  let src, off = Env.read_view by_view "f" ~pos:40_000 ~len:100 ~hint:Device.Random_read in
+  check Alcotest.(pair int int) "inside a chunk" (32_768, 40_000 - 32_768)
+    (String.length src, off);
+  let src, off = Env.read_view by_view "f" ~pos:4090 ~len:12 ~hint:Device.Random_read in
+  check Alcotest.(pair int int) "across a chunk" (12, 0) (String.length src, off);
+  ignore (Env.read by_read "f" ~pos:40_000 ~len:100 ~hint:Device.Random_read);
+  ignore (Env.read by_read "f" ~pos:4090 ~len:12 ~hint:Device.Random_read);
+  same "after the chunk checks";
+  List.iter
+    (fun (name, pos, len) ->
+      let what = Printf.sprintf "%s [%d,%d)" name pos (pos + len) in
+      let a =
+        outcome (fun () -> Env.read by_read name ~pos ~len ~hint:Device.Random_read)
+      in
+      let b =
+        outcome (fun () ->
+            let src, off =
+              Env.read_view by_view name ~pos ~len ~hint:Device.Random_read
+            in
+            String.sub src off len)
+      in
+      check Alcotest.(result string string) what a b;
+      check Alcotest.bool (what ^ " fails") true (Result.is_error a);
+      same what)
+    [ ("f", size - 2, 5); ("f", -1, 3); ("f", 0, size + 1); ("f", 10, -1);
+      ("missing", 0, 1) ]
+
 let test_crash_drops_unsynced () =
   let env = Env.create () in
   let w = Env.create_file env "f" in
@@ -541,6 +620,8 @@ let () =
             test_append_buffer_matches_append;
           Alcotest.test_case "chunk boundaries match a flat file" `Quick
             test_chunk_boundaries_match_flat;
+          Alcotest.test_case "read_view matches read" `Quick
+            test_read_view_matches_read;
         ] );
       ( "crash",
         [

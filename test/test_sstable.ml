@@ -129,10 +129,51 @@ let prop_block_values =
              it.Iter.valid () && it.Iter.value () = v)
            entries)
 
+(* What a walk over a possibly damaged block observes, as text: every
+   entry [seek_to_first] and [next] reach (the value read both through
+   [value ()] and through [value_slice]), each target's [seek] result, and
+   every [Invalid_argument] message, from [decode] on.  Any other
+   exception fails the test. *)
+let block_walk ~steps ~targets what decode =
+  let out = Buffer.create 1024 in
+  let tolerate f =
+    try f () with Invalid_argument msg -> Printf.bprintf out "!%s\n" msg
+  in
+  (try
+     tolerate (fun () ->
+         let it = Block.iterator ~compare:String.compare (decode ()) in
+         let entry () =
+           let sliced = ref "" in
+           it.Iter.value_slice (fun src pos len ->
+               sliced := String.sub src pos len);
+           Printf.bprintf out "%S=%S/%S\n" (it.Iter.key ()) (it.Iter.value ())
+             !sliced
+         in
+         tolerate (fun () ->
+             it.Iter.seek_to_first ();
+             let n = ref 0 in
+             while it.Iter.valid () && !n <= steps do
+               entry ();
+               it.Iter.next ();
+               incr n
+             done);
+         List.iter
+           (fun target ->
+             tolerate (fun () ->
+                 Printf.bprintf out "seek %S\n" target;
+                 it.Iter.seek target;
+                 if it.Iter.valid () then entry ()))
+           targets)
+   with e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+  Buffer.contents out
+
 (* A damaged block either decodes or fails with [Invalid_argument] —
    from [decode], [seek], [next] or [value] — and never with any other
    exception: every truncation, and every flip of one bit or of a whole
-   byte, of a block that spans several restart intervals. *)
+   byte, of a block that spans several restart intervals.  The same
+   bytes viewed inside a larger string, between seeded random
+   neighbours, must behave exactly as the standalone copy: a view never
+   reads past its range. *)
 let test_block_decoder_robust () =
   let entries =
     List.init 40 (fun i ->
@@ -142,29 +183,29 @@ let test_block_decoder_robust () =
   List.iter (fun (k, v) -> Block.Builder.add b k v) entries;
   let raw = Block.Builder.finish b in
   let targets = [ ""; "key/000"; "key/050"; "key/061"; "key/117"; "zzz" ] in
+  let rng = Random.State.make [| 17 |] in
+  let random_bytes =
+    String.init 8192 (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  (* up to [n] random bytes; the right neighbour is long enough to hold
+     any damaged restart point that lands up to 4 KB past the block *)
+  let noise n =
+    let n = 1 + Random.State.int rng n in
+    String.sub random_bytes (Random.State.int rng (8192 - n)) n
+  in
   let exercise what damaged =
-    let tolerate f = try f () with Invalid_argument _ -> () in
-    try
-      tolerate (fun () ->
-          let it =
-            Block.iterator ~compare:String.compare (Block.decode damaged)
-          in
-          tolerate (fun () ->
-              it.Iter.seek_to_first ();
-              let steps = ref 0 in
-              while it.Iter.valid () && !steps <= List.length entries do
-                ignore (it.Iter.key ());
-                ignore (it.Iter.value ());
-                it.Iter.next ();
-                incr steps
-              done);
-          List.iter
-            (fun target ->
-              tolerate (fun () ->
-                  it.Iter.seek target;
-                  if it.Iter.valid () then ignore (it.Iter.value ())))
-            targets)
-    with e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    let walk = block_walk ~steps:(List.length entries) ~targets in
+    let alone = walk what (fun () -> Block.decode damaged) in
+    let left = noise 64 in
+    let pos = String.length left in
+    let len = String.length damaged in
+    let chunk = left ^ damaged ^ noise 4096 in
+    let viewed =
+      walk (what ^ " (view)") (fun () -> Block.decode_view chunk ~pos ~len)
+    in
+    if not (String.equal alone viewed) then
+      Alcotest.failf "%s: the view at %d of %d bytes differs:\n%s\nvs\n%s"
+        what pos (String.length chunk) alone viewed
   in
   for len = 0 to String.length raw - 1 do
     exercise
@@ -254,6 +295,157 @@ let test_table_iterator_seek () =
   check Alcotest.string "seek mid" "key00150" (Ik.user_key (it.Iter.key ()));
   it.Iter.next ();
   check Alcotest.string "next" "key00151" (Ik.user_key (it.Iter.key ()))
+
+(* The data blocks of a finished table, each decoded on its own, in file
+   order: the index block's handles, read straight from the file. *)
+let table_blocks env ~dir (meta : Table.meta) =
+  let name = Table.file_name ~dir meta.Table.number in
+  let read pos len =
+    Pdb_simio.Env.read env name ~pos ~len ~hint:Pdb_simio.Device.Random_read
+  in
+  let footer = read (meta.Table.file_size - Table.footer_size) Table.footer_size in
+  let fixed = Pdb_util.Varint.get_fixed32 footer in
+  let index = Block.decode (read (fixed 8) (fixed 12)) in
+  List.map
+    (fun (_, handle) ->
+      let offset, p = Pdb_util.Varint.get_uvarint handle 0 in
+      let size, _ = Pdb_util.Varint.get_uvarint handle p in
+      Block.decode (read offset size))
+    (Block.entries ~compare:Ik.compare index)
+
+(* One cursor walks every block: a scan across many blocks yields exactly
+   the blocks' own entries, also after a seek past the last block left
+   the cursor on no block at all. *)
+let test_table_iterator_crosses_blocks () =
+  let env = Pdb_simio.Env.create () in
+  let entries =
+    List.init 64 (fun i ->
+        (ikey (Printf.sprintf "key%05d" i) (i + 1), String.make (i * 37 mod 700) 'v'))
+  in
+  let meta = build_table env ~dir:"db" ~number:9 entries in
+  let blocks = table_blocks env ~dir:"db" meta in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d blocks >= 16" (List.length blocks))
+    true
+    (List.length blocks >= 16);
+  let concatenated =
+    List.concat_map (Block.entries ~compare:Ik.compare) blocks
+  in
+  check Alcotest.(list (pair string string)) "blocks hold the input" entries
+    concatenated;
+  let reader = Table.open_reader env ~dir:"db" meta in
+  let cache = Block_cache.create ~capacity:(1 lsl 20) in
+  let it = Table.iterator reader ~cache ~hint:Pdb_simio.Device.Random_read in
+  check Alcotest.(list (pair string string)) "scan = concatenated blocks"
+    concatenated (Iter.to_list it);
+  it.Iter.seek (Ik.max_for_lookup "zzz");
+  Alcotest.(check bool) "past the last block" false (it.Iter.valid ());
+  Alcotest.check_raises "key past the end"
+    (Invalid_argument "Table.iterator: iterator is not valid") (fun () ->
+      ignore (it.Iter.key ()));
+  check Alcotest.(list (pair string string)) "rescan after the seek"
+    concatenated (Iter.to_list it);
+  it.Iter.seek (fst (List.nth entries 40));
+  check Alcotest.string "seek into a middle block" (fst (List.nth entries 40))
+    (it.Iter.key ())
+
+(* [value_slice] hands over exactly the bytes [value ()] returns, once per
+   call, at every position of every iterator over sstables and memtables:
+   a block, a table of many blocks, a memtable, a merge of the two, a
+   level of two tables, and a database iterator over the merge.  Values
+   range from empty to over 4 KB, so some blocks hold one entry and some
+   straddle a file chunk. *)
+let slices_match (it : Iter.t) =
+  it.Iter.seek_to_first ();
+  let ok = ref true and n = ref 0 in
+  while !ok && it.Iter.valid () do
+    let calls = ref 0 and got = ref "" in
+    it.Iter.value_slice (fun src pos len ->
+        incr calls;
+        got := String.sub src pos len);
+    ok := !calls = 1 && String.equal !got (it.Iter.value ());
+    incr n;
+    it.Iter.next ()
+  done;
+  (!ok, !n)
+
+let prop_value_slice =
+  qtest ~count:40 "value_slice = value on every iterator"
+    QCheck.(
+      list_of_size (QCheck.Gen.int_range 1 80)
+        (pair (int_bound 500)
+           (oneofl [ 0; 1; 17; 300; 1000; 4095; 4096; 4097; 6000 ])))
+    (fun pairs ->
+      let module M = Map.Make (String) in
+      let entries =
+        M.bindings
+          (List.fold_left
+             (fun m (k, n) ->
+               M.add (Printf.sprintf "key%04d" k)
+                 (String.init n (fun i -> Char.chr ((k + i) land 0xff)))
+                 m)
+             M.empty pairs)
+        |> List.mapi (fun i (k, v) -> (ikey k (i + 1), v))
+      in
+      let half = List.length entries / 2 in
+      let low = List.filteri (fun i _ -> i < half) entries
+      and high = List.filteri (fun i _ -> i >= half) entries in
+      let env = Pdb_simio.Env.create () in
+      let cache = Block_cache.create ~capacity:(1 lsl 16) in
+      let hint = Pdb_simio.Device.Random_read in
+      let table number es =
+        Table.iterator
+          (Table.open_reader env ~dir:"db" (build_table env ~dir:"db" ~number es))
+          ~cache ~hint
+      in
+      let block () =
+        let b = Block.Builder.create () in
+        List.iter (fun (k, v) -> Block.Builder.add b k v) entries;
+        let raw = Block.Builder.finish b in
+        let chunk = "noise" ^ raw ^ "more noise" in
+        Block.iterator ~compare:Ik.compare
+          (Block.decode_view chunk ~pos:5 ~len:(String.length raw))
+      in
+      let memtable es =
+        let m = Pdb_kvs.Memtable.create () in
+        List.iter
+          (fun (k, v) ->
+            Pdb_kvs.Memtable.add m ~seq:(Ik.seq k) ~kind:Ik.Value
+              ~user_key:(Ik.user_key k) ~value:v)
+          es;
+        Pdb_kvs.Memtable.iterator m
+      in
+      let merged () =
+        Pdb_kvs.Merging_iter.create ~compare:Ik.compare
+          [ memtable low; table 2 high ]
+      in
+      let level () =
+        let runs =
+          List.filter (fun es -> es <> []) [ low; high ]
+          |> List.mapi (fun i es -> build_table env ~dir:"db" ~number:(3 + i) es)
+          |> Array.of_list
+        in
+        Level_iter.create
+          ~cache:(Table_cache.create env ~dir:"db" ~entries:10)
+          ~block_cache:cache ~hint ~on_table:ignore
+          (Fun.const (Level_iter.run runs))
+      in
+      let n = List.length entries in
+      List.for_all
+        (fun (what, it) ->
+          let ok, seen = slices_match it in
+          if not ok then QCheck.Test.fail_reportf "%s: a slice differs" what;
+          if seen <> n then
+            QCheck.Test.fail_reportf "%s: %d entries, not %d" what seen n;
+          true)
+        [
+          ("block", block ());
+          ("table", table 1 entries);
+          ("memtable", memtable entries);
+          ("merging", merged ());
+          ("level", level ());
+          ("db_iter", Pdb_kvs.Db_iter.wrap (merged ()));
+        ])
 
 let test_table_bloom_filters_absent () =
   let env = Pdb_simio.Env.create () in
@@ -446,6 +638,9 @@ let () =
             test_table_get_absent_lands_on_successor;
           Alcotest.test_case "full scan" `Quick test_table_iterator_full_scan;
           Alcotest.test_case "iterator seek" `Quick test_table_iterator_seek;
+          Alcotest.test_case "iterator crosses 16+ blocks" `Quick
+            test_table_iterator_crosses_blocks;
+          prop_value_slice;
           Alcotest.test_case "bloom rejects absent" `Quick
             test_table_bloom_filters_absent;
           Alcotest.test_case "no bloom" `Quick test_table_no_bloom;

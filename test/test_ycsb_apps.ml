@@ -60,6 +60,29 @@ let test_key_of_record_deterministic_unique () =
     Hashtbl.replace seen k ()
   done
 
+(* The hand-rolled hex rendering writes exactly the bytes of the
+   [Printf] format it replaced. *)
+let test_key_of_record_matches_sprintf () =
+  let reference n =
+    let open Int64 in
+    let h = ref 0xCBF29CE484222325L in
+    let v = ref (of_int n) in
+    for _ = 0 to 7 do
+      h := mul (logxor !h (logand !v 0xffL)) 0x100000001B3L;
+      v := shift_right_logical !v 8
+    done;
+    Printf.sprintf "user%016Lx" !h
+  in
+  let same n =
+    let got = R.key_of_record n and want = reference n in
+    if not (String.equal got want) then
+      Alcotest.failf "key_of_record %d = %S, sprintf gives %S" n got want
+  in
+  for n = 0 to 100_000 do
+    same n
+  done;
+  List.iter same [ max_int; min_int; -1 ]
+
 let test_load_then_read_workloads () =
   let store = small_store () in
   let records = 2_000 in
@@ -242,6 +265,8 @@ let () =
         [
           Alcotest.test_case "key_of_record" `Quick
             test_key_of_record_deterministic_unique;
+          Alcotest.test_case "key_of_record matches sprintf" `Quick
+            test_key_of_record_matches_sprintf;
           Alcotest.test_case "load + C" `Quick test_load_then_read_workloads;
           Alcotest.test_case "D inserts grow" `Quick
             test_workload_d_inserts_grow_keyspace;
