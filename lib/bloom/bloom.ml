@@ -13,13 +13,18 @@ type t = {
   mutable nkeys : int;
 }
 
-(** [create ~bits_per_key n] sizes a filter for [n] expected keys.
-    [bits_per_key = 10] gives ~1 % false positives (LevelDB's default). *)
-let create ?(bits_per_key = 10) n =
+(** Filter bits per expected key: 10 gives ~1 % false positives
+    (LevelDB's default). *)
+let bits_per_key = 10
+
+(* probes per key, ln 2 * bits_per_key *)
+let probes = int_of_float (float_of_int bits_per_key *. 0.69)
+
+(** [create n] sizes a filter for [n] expected keys. *)
+let create n =
   let nbits = max 64 (n * bits_per_key) in
   let nbytes = (nbits + 7) / 8 in
-  let k = max 1 (min 30 (int_of_float (float_of_int bits_per_key *. 0.69))) in
-  { bits = Bytes.make nbytes '\000'; nbits = nbytes * 8; k; nkeys = 0 }
+  { bits = Bytes.make nbytes '\000'; nbits = nbytes * 8; k = probes; nkeys = 0 }
 
 let set_bit b i =
   let byte = i / 8 and bit = i mod 8 in

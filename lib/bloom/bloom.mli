@@ -8,9 +8,11 @@
 
 type t
 
-(** [create ~bits_per_key n] sizes a filter for [n] expected keys.
-    [bits_per_key = 10] (the default) gives ~1% false positives. *)
-val create : ?bits_per_key:int -> int -> t
+(** Filter bits per expected key: 10 gives ~1% false positives. *)
+val bits_per_key : int
+
+(** [create n] sizes a filter for [n] expected keys at {!bits_per_key}. *)
+val create : int -> t
 
 val add : t -> string -> unit
 

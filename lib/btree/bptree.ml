@@ -328,7 +328,7 @@ let put t key value =
     t.stats.Pdb_kvs.Engine_stats.user_bytes_written
     + String.length key + String.length value;
   Clock.advance_cpu t.clock
-    (t.opts.O.op_overhead_write_ns +. t.opts.O.cpu_per_op_ns);
+    (t.opts.O.op_overhead_write_ns +. O.cpu_per_op_ns);
   let path = descend t t.root key [] in
   let lid, leaf = leaf_of_path path in
   let existed = List.mem_assoc key leaf.entries in
@@ -362,7 +362,7 @@ let get t key =
   assert (not t.closed);
   t.stats.Pdb_kvs.Engine_stats.gets <- t.stats.Pdb_kvs.Engine_stats.gets + 1;
   Clock.advance_cpu t.clock
-    (t.opts.O.op_overhead_read_ns +. t.opts.O.cpu_per_op_ns);
+    (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);
   let path = descend t t.root key [] in
   let _, leaf = leaf_of_path path in
   List.assoc_opt key leaf.entries
@@ -372,7 +372,7 @@ let delete t key =
   t.stats.Pdb_kvs.Engine_stats.deletes <-
     t.stats.Pdb_kvs.Engine_stats.deletes + 1;
   Clock.advance_cpu t.clock
-    (t.opts.O.op_overhead_write_ns +. t.opts.O.cpu_per_op_ns);
+    (t.opts.O.op_overhead_write_ns +. O.cpu_per_op_ns);
   let path = descend t t.root key [] in
   let lid, leaf = leaf_of_path path in
   if List.mem_assoc key leaf.entries then begin

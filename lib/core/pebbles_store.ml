@@ -152,7 +152,7 @@ let run_partition_merge t ~inputs ~source_level ~target_level =
         (fun (g : Guard.guard) ->
           List.length g.Guard.tables >= t.opts.O.max_sstables_per_guard
           && float_of_int (S.bytes_of g.Guard.tables)
-             >= t.opts.O.last_level_merge_io_factor
+             >= O.last_level_merge_io_factor
                 *. float_of_int t.opts.O.sstable_target_bytes)
         target.Guard.guards
     else [||]
@@ -202,7 +202,7 @@ let compact_level t ?only_guards source_level =
           let over =
             Array.to_list lvl.Guard.guards
             |> List.filter (fun g ->
-                   List.length g.Guard.tables >= t.opts.O.guard_sstable_trigger)
+                   List.length g.Guard.tables >= O.guard_sstable_trigger)
           in
           if over <> [] then over
           else
@@ -350,7 +350,7 @@ let l0_due t =
          files = List.length t.lv.l0;
          bytes = S.bytes_of t.lv.l0;
          max_bytes = O.level_max_bytes t.opts 1;
-         file_trigger = t.opts.O.l0_compaction_trigger;
+         file_trigger = O.l0_compaction_trigger;
        })
 
 let level_due t level =
@@ -362,7 +362,7 @@ let level_due t level =
          files = Guard.table_count t.lv.levels.(level);
          bytes = level_bytes t level;
          max_bytes = O.level_max_bytes t.opts level;
-         file_trigger = t.opts.O.l0_compaction_trigger;
+         file_trigger = O.l0_compaction_trigger;
        })
 
 let guard_due ?cap t (g : Guard.guard) =
@@ -547,7 +547,7 @@ let run_seek_compaction t =
       let here = level_bytes t level and below = level_bytes t (level + 1) in
       if
         here > 0 && below > 0
-        && float_of_int here >= t.opts.O.aggressive_level_ratio *. float_of_int below
+        && float_of_int here >= O.aggressive_level_ratio *. float_of_int below
       then begin
         compact_level t level;
         continue := false
@@ -575,7 +575,7 @@ let seek_job t =
 let build_l0 t mem =
   let b = S.new_builder t ~sized_for:t.opts.O.sstable_target_bytes in
   Pdb_kvs.Memtable.iter mem (fun ikey value ->
-      Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
+      Clock.advance t.clock O.cpu_per_merge_entry_ns;
       Table.Builder.add b ikey value);
   Table.Builder.finish b
 
@@ -648,7 +648,7 @@ let snapshot_levels lv (e : Manifest.edit) =
 (* one guard per deeper level (§3.4 Get); its tables newest first *)
 let candidates t level ~key ~lookup:_ =
   let lvl = t.lv.levels.(level) in
-  S.charge_cpu t t.opts.O.cpu_per_block_search_ns (* guard binary search *);
+  S.charge_cpu t O.cpu_per_block_search_ns (* guard binary search *);
   lvl.Guard.guards.(Guard.guard_index lvl key).Guard.tables
 
 (* A guard level read as one partition per guard.  Compaction moves tables
@@ -765,7 +765,7 @@ let memory_bytes t =
       match Pdb_sstable.Table_cache.known_resident_bytes t.table_cache m with
       | Some b -> b
       | None ->
-        (m.Table.entries * t.opts.O.bloom_bits_per_key / 8)
+        (m.Table.entries * Pdb_bloom.Bloom.bits_per_key / 8)
         + (((m.Table.file_size / t.opts.O.block_bytes) + 1) * 24)
     in
     let sum = ref 0 in

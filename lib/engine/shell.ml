@@ -263,7 +263,7 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
   while merged.Iter.valid () do
     let ikey = merged.Iter.key () in
     let cur_seq = Ik.seq ikey in
-    Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
+    Clock.advance t.clock O.cpu_per_merge_entry_ns;
     let uk, drop =
       match !last_uk with
       | Some prev when Ik.user_key_equal ikey prev ->
@@ -553,13 +553,13 @@ let write_group t batches =
          let count = Wb.count batch in
          let requests = if Wb.is_bulk batch then 1 else count in
          charge_cpu t (t.opts.O.op_overhead_write_ns *. float_of_int requests);
-         charge_cpu t (t.opts.O.cpu_per_op_ns *. float_of_int count);
+         charge_cpu t (O.cpu_per_op_ns *. float_of_int count);
          let base_seq = t.last_seq + 1 in
          t.last_seq <- t.last_seq + count;
          pending := Wb.encode batch ~base_seq :: !pending;
          let seq = ref base_seq in
          Wb.iter batch (fun op ->
-             charge_cpu t t.opts.O.cpu_memtable_op_ns;
+             charge_cpu t O.cpu_memtable_op_ns;
              (match op with
               | Wb.Put (k, v) ->
                 t.shape.note_put t k;
@@ -630,12 +630,12 @@ let table_lookup t (meta : Table.meta) key lookup =
   (* inside a probe session (a multi-table get) each lookup's device time
      is measured so independent probes overlap up to the budget *)
   Probe.measure t.probe (fun () ->
-      charge_cpu t t.opts.O.cpu_per_sstable_ns;
+      charge_cpu t O.cpu_per_sstable_ns;
       t.stats.Stats.sstables_examined <- t.stats.Stats.sstables_examined + 1;
       let reader = Table_cache.find t.table_cache meta in
       let pass_bloom =
         if Table.has_filter reader then begin
-          charge_cpu t t.opts.O.cpu_bloom_check_ns;
+          charge_cpu t O.cpu_bloom_check_ns;
           t.stats.Stats.bloom_checks <- t.stats.Stats.bloom_checks + 1;
           let pass = Table.may_contain reader key in
           if not pass then
@@ -646,7 +646,7 @@ let table_lookup t (meta : Table.meta) key lookup =
       in
       if not pass_bloom then None
       else begin
-        charge_cpu t t.opts.O.cpu_per_block_search_ns;
+        charge_cpu t O.cpu_per_block_search_ns;
         match
           Table.get reader ~cache:t.block_cache ~hint:Device.Random_read lookup
         with
@@ -658,7 +658,7 @@ let table_lookup t (meta : Table.meta) key lookup =
 let get ?snapshot t key =
   assert (not t.closed);
   t.stats.Stats.gets <- t.stats.Stats.gets + 1;
-  charge_cpu t (t.opts.O.op_overhead_read_ns +. t.opts.O.cpu_per_op_ns);
+  charge_cpu t (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);
   let mem_result =
     match snapshot with
     | Some seq -> Memtable.get_at t.mem key ~seq
@@ -702,7 +702,7 @@ let get ?snapshot t key =
    output so skipped tables are unobservable. *)
 let internal_iterator ?upper_user t =
   let on_table () =
-    charge_cpu t t.opts.O.cpu_per_sstable_ns;
+    charge_cpu t O.cpu_per_sstable_ns;
     t.stats.Stats.sstables_examined <- t.stats.Stats.sstables_examined + 1
   in
   let filter =
@@ -730,10 +730,10 @@ let internal_iterator ?upper_user t =
    compact; every job it actually submits is counted and drained. *)
 let note_seek t =
   t.stats.Stats.seeks <- t.stats.Stats.seeks + 1;
-  charge_cpu t (t.opts.O.op_overhead_read_ns +. t.opts.O.cpu_per_op_ns);
+  charge_cpu t (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);
   if t.opts.O.seek_based_compaction then begin
     t.consecutive_seeks <- t.consecutive_seeks + 1;
-    if t.consecutive_seeks >= t.opts.O.seek_compaction_threshold then
+    if t.consecutive_seeks >= O.seek_compaction_threshold then
       match t.shape.seek_job t with
       | Some job ->
         t.consecutive_seeks <- 0;
@@ -772,7 +772,7 @@ let iterator ?snapshot ?upper_bound t =
     next =
       (fun () ->
         t.stats.Stats.nexts <- t.stats.Stats.nexts + 1;
-        charge_cpu t t.opts.O.cpu_per_op_ns;
+        charge_cpu t O.cpu_per_op_ns;
         db.Iter.next ());
     valid;
     key = checked db.Iter.key;

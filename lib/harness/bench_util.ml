@@ -80,9 +80,9 @@ let read_random (store : Dyn.dyn) ~n ~ops ~seed =
     followed by [nexts] next() calls (a range query).  A short untimed
     warmup first brings the table cache to steady state, as the paper's
     10M-operation runs do implicitly. *)
-let seek_random ?(warmup = 2_000) (store : Dyn.dyn) ~n ~ops ~nexts ~seed =
+let seek_random (store : Dyn.dyn) ~n ~ops ~nexts ~seed =
   let wrng = Pdb_util.Rng.create (seed + 11) in
-  for _ = 1 to warmup do
+  for _ = 1 to 2_000 do
     let it = store.Dyn.d_iterator () in
     it.Iter.seek (key_of (Pdb_util.Rng.int wrng n))
   done;

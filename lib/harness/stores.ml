@@ -209,8 +209,8 @@ type sharded = {
   s_release : int -> unit;
   s_get_at : (int -> string -> string option) option;
   s_iter_at : (int -> Pdb_kvs.Iter.t) option;
-  s_cache_counters : unit -> (int * int) option;
-      (** (hits, misses) of the one shared block cache, when sharing *)
+  s_cache_counters : unit -> int * int;
+      (** (hits, misses) of the one shared block cache *)
   (* the elastic surface: live topology control and inspection *)
   s_split : shard:int -> key:string -> bool;
       (** split shard [shard] at [key] (strictly inside its range) *)
@@ -238,10 +238,8 @@ let make_sharded (module E : Shard.ENGINE) ~snapshots opts ~env ~dir =
        else None);
     s_cache_counters =
       (fun () ->
-        Option.map
-          (fun c ->
-            (Pdb_sstable.Block_cache.hits c, Pdb_sstable.Block_cache.misses c))
-          (S.shared_block_cache t));
+        let c = S.shared_block_cache t in
+        (Pdb_sstable.Block_cache.hits c, Pdb_sstable.Block_cache.misses c));
     s_split = (fun ~shard ~key -> S.split t ~shard ~key);
     s_merge = (fun ~at -> S.merge t ~at);
     s_splits = (fun () -> S.splits t);

@@ -64,22 +64,21 @@ type t = {
   mode : O.throttle;
   slowdown_files : int;
   stop_files : int;
-  stall_ns : float;  (** per-entry delay at the stop threshold *)
-  burst : float;  (** bucket capacity, entries *)
   debt_unit_bytes : int;  (** backlog bytes worth one L0 file of debt *)
   mutable tokens : float;
   mutable last_refill_ns : float;
 }
+
+(* bucket capacity, entries *)
+let burst = float_of_int O.throttle_burst_entries
 
 let create (opts : O.t) =
   {
     mode = opts.O.throttle;
     slowdown_files = opts.O.l0_slowdown;
     stop_files = opts.O.l0_stop;
-    stall_ns = opts.O.slowdown_stall_ns;
-    burst = float_of_int (max 1 opts.O.throttle_burst_entries);
     debt_unit_bytes = max 1 opts.O.memtable_bytes;
-    tokens = float_of_int (max 1 opts.O.throttle_burst_entries);
+    tokens = burst;
     last_refill_ns = 0.0;
   }
 
@@ -97,17 +96,17 @@ let delay_ns t d =
   let s = float_of_int t.slowdown_files
   and p = float_of_int t.stop_files in
   let span = Float.max 1.0 (p -. s) in
-  t.stall_ns *. Float.max 0.0 ((debt_points t d -. s) /. span)
+  O.slowdown_stall_ns *. Float.max 0.0 ((debt_points t d -. s) /. span)
 
-(* of each entry's delay, the first [stall_ns] is slowdown territory;
-   excess only exists past the stop threshold *)
-let split t ~per_entry_ns ~entries =
-  if per_entry_ns <= t.stall_ns then
+(* of each entry's delay, the first [slowdown_stall_ns] is slowdown
+   territory; excess only exists past the stop threshold *)
+let split ~per_entry_ns ~entries =
+  if per_entry_ns <= O.slowdown_stall_ns then
     { slowdown_ns = entries *. per_entry_ns; stop_ns = 0.0 }
   else
     {
-      slowdown_ns = entries *. t.stall_ns;
-      stop_ns = entries *. (per_entry_ns -. t.stall_ns);
+      slowdown_ns = entries *. O.slowdown_stall_ns;
+      stop_ns = entries *. (per_entry_ns -. O.slowdown_stall_ns);
     }
 
 (** [throttle t ~now_ns ~debt ~cost] decides the stall for a write group
@@ -123,19 +122,19 @@ let throttle t ~now_ns ~debt ~cost =
     let points = debt.l0_files + debt.pending_jobs in
     if points < t.slowdown_files then no_stall
     else if points >= t.stop_files then
-      { slowdown_ns = 0.0; stop_ns = t.stall_ns }
-    else { slowdown_ns = t.stall_ns; stop_ns = 0.0 }
+      { slowdown_ns = 0.0; stop_ns = O.slowdown_stall_ns }
+    else { slowdown_ns = O.slowdown_stall_ns; stop_ns = 0.0 }
   | O.Token_bucket ->
     let d = delay_ns t debt in
     if d <= 0.0 then begin
       (* debt below the slowdown threshold: free admission, full bucket *)
-      t.tokens <- t.burst;
+      t.tokens <- burst;
       t.last_refill_ns <- now_ns;
       no_stall
     end
     else begin
       let dt = Float.max 0.0 (now_ns -. t.last_refill_ns) in
-      t.tokens <- Float.min t.burst (t.tokens +. (dt /. d));
+      t.tokens <- Float.min burst (t.tokens +. (dt /. d));
       t.last_refill_ns <- now_ns;
       let cost = float_of_int (max 0 cost) in
       if t.tokens >= cost then begin
@@ -148,6 +147,6 @@ let throttle t ~now_ns ~debt ~cost =
         (* the stall advances the clock; accruing tokens over it would
            hand the next group the time this one already spent waiting *)
         t.last_refill_ns <- now_ns +. (deficit *. d);
-        split t ~per_entry_ns:d ~entries:deficit
+        split ~per_entry_ns:d ~entries:deficit
       end
     end

@@ -206,7 +206,7 @@ let balance_of per_shard =
       float_of_int (Array.fold_left max 0 per_shard) /. mean
   end
 
-(** [aggregate ~shared_cache per_shard] combines the stats of independent
+(** [aggregate per_shard] combines the stats of independent
     shard engines into one record: counters and stall times sum,
     per-worker busy arrays concatenate (every shard's scheduler lanes are
     distinct workers), per-trigger compaction counters merge, and scheduler
@@ -214,16 +214,16 @@ let balance_of per_shard =
     watermark; summing watermarks reached at different times would
     overstate the queue that ever existed at once).
 
-    Cache counters are the exception: with [shared_cache] every shard
-    mirrors the {e same} block-cache counters, so they are taken once —
-    summing them would multiply every hit by the shard count.  Table
-    caches are always per-shard (their keys are per-shard file numbers)
-    and therefore always sum.
+    Block-cache counters are the exception: every shard mirrors the
+    {e same} shared cache, so they are left at zero here and the shard
+    store sets them once from the cache — summing them would multiply
+    every hit by the shard count.  Table caches are always per-shard
+    (their keys are per-shard file numbers) and therefore always sum.
 
     [shards], [shard_user_bytes] and [shard_balance] describe the
     breakdown; [client_wait_ns] is owned by the multi-client driver and
     left empty here. *)
-let aggregate ~shared_cache per_shard =
+let aggregate per_shard =
   let t = create () in
   let shard_bytes =
     Array.of_list (List.map (fun s -> s.user_bytes_written) per_shard)
@@ -280,15 +280,6 @@ let aggregate ~shared_cache per_shard =
       t.write_groups <- t.write_groups + s.write_groups;
       t.write_group_batches <- t.write_group_batches + s.write_group_batches;
       t.group_syncs_saved <- t.group_syncs_saved + s.group_syncs_saved;
-      (if shared_cache then begin
-         (* one cache behind every shard: mirrors are identical, count once *)
-         t.block_cache_hits <- max t.block_cache_hits s.block_cache_hits;
-         t.block_cache_misses <- max t.block_cache_misses s.block_cache_misses
-       end
-       else begin
-         t.block_cache_hits <- t.block_cache_hits + s.block_cache_hits;
-         t.block_cache_misses <- t.block_cache_misses + s.block_cache_misses
-       end);
       t.table_cache_hits <- t.table_cache_hits + s.table_cache_hits;
       t.table_cache_misses <- t.table_cache_misses + s.table_cache_misses;
       (* each shard replicates independently: links and backups sum *)

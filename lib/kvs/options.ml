@@ -12,7 +12,12 @@
     HyperLevelDB's fine-grained locking and parallel compaction) as
     documented calibrated constants — see DESIGN.md §1.  The IO behaviour,
     which drives the paper's headline results, is fully simulated from the
-    data structures themselves. *)
+    data structures themselves.
+
+    A field exists only when a preset, an experiment, a CLI flag or the
+    paper's tuning knob ([max_sstables_per_guard], §3.5) varies it.
+    Thresholds and modeled costs that take one value everywhere are the
+    model constants below, read directly as [Options.x]. *)
 
 (** Which point of the compaction design space (Sarkar et al.) the engine
     runs: how levels lay out their runs, what triggers a compaction, and
@@ -100,16 +105,65 @@ let repl_strategy_of_string = function
 
 let all_repl_strategies = [ Log_shipping; File_shipping ]
 
+(** {2 Model constants}
+
+    Thresholds and modeled costs that every engine and preset shares.
+    They are engineering constants of the model rather than axes of the
+    design space, so they are values here and not fields of {!t}. *)
+
+(** files in L0 that trigger compaction *)
+let l0_compaction_trigger = 4
+
+(** each level below level 1 holds this many times its parent's bytes *)
+let level_bytes_multiplier = 10
+
+(** per-entry delay scale of write throttling: the [Cliff] penalty per
+    stalled group, and the [Token_bucket] per-entry delay at exactly the
+    stop threshold *)
+let slowdown_stall_ns = 100_000.0
+
+(** token-bucket capacity: entries that may land at full speed before
+    debt-keyed pacing kicks in.  About half a scaled memtable's worth of
+    1KB entries: bursts shorter than a flush ride free, sustained
+    overload gets paced. *)
+let throttle_burst_entries = 32
+
+(** sstables in a guard that invite compaction *)
+let guard_sstable_trigger = 3
+
+(** consecutive seeks triggering compaction *)
+let seek_compaction_threshold = 10
+
+(** compact level i when size(i) >= ratio * size(i+1) *)
+let aggressive_level_ratio = 0.25
+
+(** rewrite in second-highest level if merging costs this many times more
+    IO (the paper's 25x heuristic) *)
+let last_level_merge_io_factor = 25.0
+
+(* modeled CPU costs, ns *)
+
+let cpu_per_op_ns = 1_000.0
+
+(** examining one sstable (search/position) *)
+let cpu_per_sstable_ns = 5_000.0
+
+let cpu_per_block_search_ns = 1_000.0
+let cpu_bloom_check_ns = 250.0
+
+(** per entry moved during compaction *)
+let cpu_per_merge_entry_ns = 400.0
+
+let cpu_memtable_op_ns = 1_000.0
+
 type t = {
   name : string;
   compaction_policy : compaction_policy;
   (* memtable / level shape *)
   memtable_bytes : int;
-  l0_compaction_trigger : int;  (** files in L0 that trigger compaction *)
   l0_slowdown : int;  (** L0 files beyond which writes are slowed *)
   l0_stop : int;  (** L0 files beyond which writes stall *)
   level_bytes_base : int;  (** max bytes for level 1 *)
-  level_bytes_multiplier : int;
   max_levels : int;
   sstable_target_bytes : int;
   block_bytes : int;
@@ -126,7 +180,6 @@ type t = {
           footer+index+filter; [0] disables summaries *)
   (* bloom *)
   sstable_bloom : bool;  (** per-sstable filters (PebblesDB §4.1) *)
-  bloom_bits_per_key : int;
   prefix_bloom_len : int;
       (** also add each distinct [prefix_bloom_len]-byte user-key prefix
           to the sstable filter, letting prefix-bounded scans skip tables
@@ -142,15 +195,8 @@ type t = {
           eagerly than LevelDB) *)
   op_overhead_write_ns : float;
   op_overhead_read_ns : float;
-  slowdown_stall_ns : float;
-      (** per-entry delay scale of write throttling: the [Cliff] penalty
-          per stalled group, and the [Token_bucket] per-entry delay at
-          exactly the stop threshold *)
   (* write throttling (Pdb_kvs.Backpressure) *)
   throttle : throttle;
-  throttle_burst_entries : int;
-      (** token-bucket capacity: entries that may land at full speed
-          before debt-keyed pacing kicks in *)
   flush_reserved_lane : bool;
       (** reserve a scheduler lane for memtable flushes so a deep
           compaction queue can never starve memtable rotation *)
@@ -158,10 +204,6 @@ type t = {
   top_level_bits : int;  (** trailing hash bits required for a L1 guard *)
   bit_decrement : int;  (** bits relaxed per deeper level *)
   max_sstables_per_guard : int;  (** hard cap; 1 makes FLSM behave as LSM *)
-  guard_sstable_trigger : int;  (** sstables in a guard that invite compaction *)
-  seek_compaction_threshold : int;  (** consecutive seeks triggering compaction *)
-  aggressive_level_ratio : float;
-      (** compact level i when size(i) >= ratio * size(i+1) (default 0.25) *)
   seek_filtering : bool;
       (** consult per-table range (and prefix-bloom) filters on the seek
           and scan path, skipping tables provably disjoint from the probe
@@ -172,18 +214,12 @@ type t = {
           baseline), [None] uses the device's budget *)
   seek_based_compaction : bool;
       (** compact guards after a run of consecutive seeks (§4.2) *)
-  last_level_merge_io_factor : float;
-      (** rewrite in second-highest level if merging costs this many times
-          more IO (the paper's 25x heuristic) *)
   (* range-partitioned sharding (the scale-out layer over any engine) *)
   shards : int;  (** independent engine instances the keyspace splits over *)
   shard_splits : string list;
       (** [shards - 1] sorted split keys; shard [i] owns
           [[split.(i-1), split.(i))].  When the list does not match the
           shard count, uniform byte-interpolated splits are derived. *)
-  shard_share_block_cache : bool;
-      (** one block cache shared by every shard (memory stays at
-          [block_cache_bytes] total) instead of one cache per shard *)
   (* elastic sharding: live split/merge/migrate driven by per-shard load *)
   elastic : bool;
       (** let the shard store resplit itself: detect hot shards from
@@ -205,13 +241,6 @@ type t = {
   (* primary–backup replication (lib/repl, over any engine or shard) *)
   replicas : int;  (** backups per primary; [0] disables replication *)
   repl_strategy : repl_strategy;
-  (* modeled CPU costs, ns (shared across engines) *)
-  cpu_per_op_ns : float;
-  cpu_per_sstable_ns : float;  (** examining one sstable (search/position) *)
-  cpu_per_block_search_ns : float;
-  cpu_bloom_check_ns : float;
-  cpu_per_merge_entry_ns : float;  (** per entry moved during compaction *)
-  cpu_memtable_op_ns : float;
 }
 
 let base =
@@ -219,11 +248,9 @@ let base =
     name = "base";
     compaction_policy = Leveled;
     memtable_bytes = 64 * 1024;
-    l0_compaction_trigger = 4;
     l0_slowdown = 8;
     l0_stop = 12;
     level_bytes_base = 160 * 1024;
-    level_bytes_multiplier = 10;
     max_levels = 7;
     sstable_target_bytes = 32 * 1024;
     block_bytes = 4 * 1024;
@@ -232,18 +259,13 @@ let base =
     table_cache_bytes = None;
     index_summary_stride = 16;
     sstable_bloom = true;
-    bloom_bits_per_key = 10;
     prefix_bloom_len = 0;
     wal_sync_writes = false;
     compaction_threads = 1;
     compaction_pick_files = 1;
     op_overhead_write_ns = 8_000.0;
     op_overhead_read_ns = 2_000.0;
-    slowdown_stall_ns = 100_000.0;
     throttle = Token_bucket;
-    (* about half a scaled memtable's worth of 1KB entries: bursts
-       shorter than a flush ride free, sustained overload gets paced *)
-    throttle_burst_entries = 32;
     flush_reserved_lane = true;
     (* The paper's default of 27 bits suits ~100M keys; scaled to the
        ~50-200k keys of the scaled experiments this is ~17 bits (guard
@@ -251,16 +273,11 @@ let base =
     top_level_bits = 17;
     bit_decrement = 2;
     max_sstables_per_guard = 8;
-    guard_sstable_trigger = 3;
-    seek_compaction_threshold = 10;
-    aggressive_level_ratio = 0.25;
     seek_filtering = true;
     probe_budget_override = None;
     seek_based_compaction = true;
-    last_level_merge_io_factor = 25.0;
     shards = 1;
     shard_splits = [];
-    shard_share_block_cache = true;
     elastic = false;
     elastic_window_ops = 2048;
     elastic_split_ratio = 1.6;
@@ -268,12 +285,6 @@ let base =
     elastic_max_shards = 16;
     replicas = 0;
     repl_strategy = Log_shipping;
-    cpu_per_op_ns = 1_000.0;
-    cpu_per_sstable_ns = 5_000.0;
-    cpu_per_block_search_ns = 1_000.0;
-    cpu_bloom_check_ns = 250.0;
-    cpu_per_merge_entry_ns = 400.0;
-    cpu_memtable_op_ns = 1_000.0;
   }
 
 (** LevelDB: 4 MB memtable (scaled), block-level blooms only (we model it as
@@ -335,7 +346,7 @@ let pebblesdb () =
 (** [level_max_bytes t level] is the size threshold of [level] (>= 1). *)
 let level_max_bytes t level =
   let rec go l acc =
-    if l <= 1 then acc else go (l - 1) (acc * t.level_bytes_multiplier)
+    if l <= 1 then acc else go (l - 1) (acc * level_bytes_multiplier)
   in
   go level t.level_bytes_base
 

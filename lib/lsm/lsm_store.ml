@@ -91,7 +91,7 @@ let level_state (t : t) level =
     files = List.length t.lv.levels.(level);
     bytes = level_bytes t level;
     max_bytes = O.level_max_bytes t.opts (max 1 level);
-    file_trigger = t.opts.O.l0_compaction_trigger;
+    file_trigger = O.l0_compaction_trigger;
   }
 
 let compaction_score (t : t) level = t.policy.Policy.score (level_state t level)
@@ -359,7 +359,7 @@ let build_l0 (t : t) mem =
   let b = S.new_builder t ~sized_for:t.opts.O.memtable_bytes in
   Pdb_kvs.Memtable.iter mem (fun ikey value ->
       Table.Builder.add b ikey value;
-      Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns);
+      Clock.advance t.clock O.cpu_per_merge_entry_ns);
   Table.Builder.finish b
 
 let apply_edit lv (e : Manifest.edit) =

@@ -62,8 +62,8 @@ module type ENGINE = sig
   include Dyn.S
 
   (** [open_shard opts ~env ~dir ~shared_block_cache] opens one shard;
-      [shared_block_cache] (when the profile shares one cache across
-      shards) replaces the engine's private block cache. *)
+      [shared_block_cache] (the shard store's one cache; [None] for a
+      replica's backups) replaces the engine's private block cache. *)
   val open_shard :
     Pdb_kvs.Options.t ->
     env:Pdb_simio.Env.t ->
@@ -113,7 +113,9 @@ module Make (E : ENGINE) = struct
     dir : string;
     mutable router : Shard_router.t;
     mutable slots : slot array;
-    shared_cache : Pdb_sstable.Block_cache.t option;
+    shared_cache : Pdb_sstable.Block_cache.t;
+        (** one block cache for every shard: memory stays at
+            [block_cache_bytes] total *)
     mutable fences : (int * fence) list;
         (** live snapshot fences: id -> pinned fence *)
     mutable next_fence : int;
@@ -150,7 +152,7 @@ module Make (E : ENGINE) = struct
       dir_id;
       engine =
         E.open_shard t.opts ~env:t.env ~dir:(shard_dir t.dir dir_id)
-          ~shared_block_cache:t.shared_cache;
+          ~shared_block_cache:(Some t.shared_cache);
       w_ops = 0;
       sample = Array.make sample_cap "";
       sample_n = 0;
@@ -227,9 +229,7 @@ module Make (E : ENGINE) = struct
          orphan
      | None -> ());
     let shared_cache =
-      if opts.O.shard_share_block_cache then
-        Some (Pdb_sstable.Block_cache.create ~capacity:opts.O.block_cache_bytes)
-      else None
+      Pdb_sstable.Block_cache.create ~capacity:opts.O.block_cache_bytes
     in
     let t =
       {
@@ -919,16 +919,13 @@ module Make (E : ENGINE) = struct
   let stats t =
     let agg =
       Stats.aggregate
-        ~shared_cache:(t.shared_cache <> None)
         (Array.to_list (Array.map (fun s -> E.stats s.engine) t.slots))
     in
-    (* with one shared cache every shard already mirrors the same global
-       counters; with private caches per shard the sums stand *)
-    (match t.shared_cache with
-     | Some cache ->
-       agg.Stats.block_cache_hits <- Pdb_sstable.Block_cache.hits cache;
-       agg.Stats.block_cache_misses <- Pdb_sstable.Block_cache.misses cache
-     | None -> ());
+    (* every shard mirrors the one shared cache's counters; count them
+       once, from the cache itself *)
+    agg.Stats.block_cache_hits <- Pdb_sstable.Block_cache.hits t.shared_cache;
+    agg.Stats.block_cache_misses <-
+      Pdb_sstable.Block_cache.misses t.shared_cache;
     let resident = Array.map (fun s -> resident_bytes t s) t.slots in
     agg.Stats.shard_resident_bytes <- resident;
     (* the stale-balance fix: cumulative user bytes report the
@@ -944,12 +941,9 @@ module Make (E : ENGINE) = struct
     let sum =
       Array.fold_left (fun acc s -> acc + E.memory_bytes s.engine) 0 t.slots
     in
-    match t.shared_cache with
-    | None -> sum
-    | Some cache ->
-      (* every shard counted the one shared cache; keep one copy *)
-      sum
-      - ((Array.length t.slots - 1) * Pdb_sstable.Block_cache.used cache)
+    (* every shard counted the one shared cache; keep one copy *)
+    sum
+    - ((Array.length t.slots - 1) * Pdb_sstable.Block_cache.used t.shared_cache)
 
   let describe t =
     let st = stats t in

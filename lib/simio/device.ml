@@ -17,7 +17,7 @@ type t = {
   seq_read_setup_ns : float; (* per sequential (compaction) read *)
   sync_ns : float; (* per fsync *)
   mutable aging : float; (* >= 1.0; 1.0 = fresh file system *)
-  mutable parallel_probe_budget : int;
+  parallel_probe_budget : int;
       (* concurrent random reads the device serves before probes queue
          behind each other (internal flash parallelism); 1 = serial.
          Drawn on by {!Probe} sessions. *)
@@ -41,10 +41,6 @@ let ssd () =
 let set_aging t f =
   assert (f >= 1.0);
   t.aging <- f
-
-(** [set_parallel_probe_budget t n] sets the number of probes the device
-    overlaps; [n <= 1] serialises every probe. *)
-let set_parallel_probe_budget t n = t.parallel_probe_budget <- max 1 n
 
 type read_hint = Random_read | Sequential_read
 

@@ -31,7 +31,6 @@ module Fault_plan = struct
     rng : Pdb_util.Rng.t;
     mutable countdown : int;  (** IO events left before the crash fires *)
     mutable armed : bool;
-    torn_writes : bool;
     garbage_tail_prob : float;
     block_bytes : int;
     mutable ticks : int;  (** total IO events observed, fired or not *)
@@ -41,13 +40,12 @@ module Fault_plan = struct
         (** files whose unsynced tail partially persisted at the crash *)
   }
 
-  let create ?(torn_writes = true) ?(garbage_tail_prob = 0.25)
+  let create ?(garbage_tail_prob = 0.25)
       ?(block_bytes = 4096) ~seed ~crash_after () =
     {
       rng = Pdb_util.Rng.create seed;
       countdown = crash_after;
       armed = crash_after > 0;
-      torn_writes;
       garbage_tail_prob;
       block_bytes;
       ticks = 0;
@@ -169,11 +167,11 @@ let set_byte f p b =
   let i = chunk_index p in
   Bytes.set f.chunks.(i) (p - chunk_start i) b
 
-let create ?(device = Device.ssd ()) () =
+let create () =
   {
     files = Hashtbl.create 64;
     stats = Io_stats.create ();
-    device;
+    device = Device.ssd ();
     clock = Clock.create ();
     plan = None;
     atomic_depth = 0;
@@ -428,17 +426,12 @@ let garble rng f lo hi =
 
 (** [crash t] simulates a power failure: every file loses its unsynced
     suffix; files that never reached a sync disappear.  Under an installed
-    {!Fault_plan} with torn writes, the unsynced suffix instead persists up
-    to a block-granular prefix chosen by the plan's RNG (possibly with a
+    {!Fault_plan}, the unsynced suffix instead persists up to a
+    block-granular prefix chosen by the plan's RNG (possibly with a
     garbled tail), and a never-synced file's directory entry itself may or
     may not have persisted.  Whatever survives the crash is durable — it is
     on the platter.  The plan is consumed. *)
 let crash t =
-  let torn =
-    match t.plan with
-    | Some p when p.Fault_plan.torn_writes -> Some p
-    | _ -> None
-  in
   (* iterate in sorted name order so a seeded plan is deterministic *)
   let names = List.sort compare (list t) in
   List.iter
@@ -447,7 +440,7 @@ let crash t =
       let keep_file, base =
         if f.ever_synced then (true, f.synced)
         else
-          match torn with
+          match t.plan with
           | Some p ->
             (* the creating directory update may itself have persisted *)
             (Pdb_util.Rng.bool p.Fault_plan.rng, 0)
@@ -456,7 +449,7 @@ let crash t =
       if not keep_file then Hashtbl.remove t.files name
       else begin
         let unsynced = f.len - base in
-        (match torn with
+        (match t.plan with
          | Some p when unsynced > 0 ->
            let block = p.Fault_plan.block_bytes in
            let nblocks = (unsynced + block - 1) / block in

@@ -31,12 +31,11 @@ module Fault_plan : sig
 
   (** [create ~seed ~crash_after ()] arms a crash at the [crash_after]-th
       subsequent IO event (append/sync/create/rename/delete/positioned
-      write).  [torn_writes] (default true) enables the torn-write model at
-      the next {!crash}; [garbage_tail_prob] (default 0.25) is the chance
-      the surviving torn tail of a file is garbled; [block_bytes] (default
-      4096) is the persistence granularity. *)
+      write), and models torn writes at the next {!crash}:
+      [garbage_tail_prob] (default 0.25) is the chance the surviving torn
+      tail of a file is garbled; [block_bytes] (default 4096) is the
+      persistence granularity. *)
   val create :
-    ?torn_writes:bool ->
     ?garbage_tail_prob:float ->
     ?block_bytes:int ->
     seed:int ->
@@ -69,7 +68,7 @@ type t
 (** An open append handle. *)
 type writer
 
-val create : ?device:Device.t -> unit -> t
+val create : unit -> t
 
 val stats : t -> Io_stats.t
 val device : t -> Device.t

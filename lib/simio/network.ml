@@ -43,8 +43,8 @@ type t = {
   mutable next_id : int;
 }
 
-let create ?(profile = tengig ()) ~clock ~tracer () =
-  { profile; clock; tracer; links = []; next_id = 0 }
+let create ~clock ~tracer () =
+  { profile = tengig (); clock; tracer; links = []; next_id = 0 }
 
 (** [add_link t] opens a fresh link (one per backup). *)
 let add_link t =

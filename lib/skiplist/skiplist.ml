@@ -19,7 +19,6 @@ type ('k, 'v) node = {
 
 type ('k, 'v) t = {
   compare : 'k -> 'k -> int;
-  max_height : int;
   rng : Pdb_util.Rng.t;
   mutable head : ('k, 'v) node; (* sentinel; key/value unused *)
   mutable height : int;
@@ -27,16 +26,16 @@ type ('k, 'v) t = {
 }
 
 let branching = 4
+let max_height = 12
 
-let create ?(max_height = 12) ?(seed = 0x5eed) ~compare dummy_key dummy_value =
+let create ~compare dummy_key dummy_value =
   let head =
     { key = dummy_key; value = dummy_value;
       forward = Array.make max_height None }
   in
   {
     compare;
-    max_height;
-    rng = Pdb_util.Rng.create seed;
+    rng = Pdb_util.Rng.create 0x5eed;
     head;
     height = 1;
     length = 0;
@@ -46,14 +45,14 @@ let length t = t.length
 
 let random_height t =
   let rec go h =
-    if h < t.max_height && Pdb_util.Rng.int t.rng branching = 0 then go (h + 1)
+    if h < max_height && Pdb_util.Rng.int t.rng branching = 0 then go (h + 1)
     else h
   in
   go 1
 
 (* Find, for each list level, the last node whose key is < [key]. *)
 let find_predecessors t key =
-  let prev = Array.make t.max_height t.head in
+  let prev = Array.make max_height t.head in
   let rec descend node level =
     let next = node.forward.(level) in
     match next with

@@ -11,12 +11,10 @@
 
 type ('k, 'v) t
 
-(** [create ?max_height ?seed ~compare dummy_key dummy_value] builds an
-    empty list ordered by [compare].  The dummies populate the sentinel
-    node and are never returned. *)
-val create :
-  ?max_height:int -> ?seed:int -> compare:('k -> 'k -> int) -> 'k -> 'v ->
-  ('k, 'v) t
+(** [create ~compare dummy_key dummy_value] builds an empty list ordered
+    by [compare].  The dummies populate the sentinel node and are never
+    returned. *)
+val create : compare:('k -> 'k -> int) -> 'k -> 'v -> ('k, 'v) t
 
 val length : ('k, 'v) t -> int
 

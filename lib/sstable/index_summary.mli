@@ -45,7 +45,7 @@ val prefix_len : t -> int
 
 (** Actual decoded resident size of the open table (index + filter) as
     captured at first open — exact, unlike size estimates derived from
-    [bloom_bits_per_key]. *)
+    [Bloom.bits_per_key]. *)
 val resident_table_bytes : t -> int
 
 val index_bytes : t -> int

@@ -23,35 +23,32 @@ and hotspot = {
 
 and zipf = {
   zrng : Rng.t;
-  theta : float;
   mutable items : int;
   mutable zetan : float; (* zeta(items, theta) *)
-  mutable alpha : float;
   mutable eta : float;
-  zeta2theta : float;
 }
 
-let default_theta = 0.99
+(** YCSB's zipfian constant: the skew of every zipfian distribution. *)
+let theta = 0.99
 
-let zeta n theta =
+let zeta n =
   let s = ref 0.0 in
   for i = 1 to n do
     s := !s +. (1.0 /. Float.pow (float_of_int i) theta)
   done;
   !s
 
-let make_zipf rng n theta =
-  let zetan = zeta n theta in
-  let zeta2theta = zeta 2 theta in
+let alpha = 1.0 /. (1.0 -. theta)
+let zeta2theta = zeta 2
+
+let make_zipf rng n =
+  let zetan = zeta n in
   {
     zrng = rng;
-    theta;
     items = n;
     zetan;
-    alpha = 1.0 /. (1.0 -. theta);
     eta = (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. theta))
           /. (1.0 -. (zeta2theta /. zetan));
-    zeta2theta;
   }
 
 (* Incrementally extend zeta when the item count grows (YCSB's trick for the
@@ -60,24 +57,24 @@ let grow_zipf z n =
   if n > z.items then begin
     let s = ref z.zetan in
     for i = z.items + 1 to n do
-      s := !s +. (1.0 /. Float.pow (float_of_int i) z.theta)
+      s := !s +. (1.0 /. Float.pow (float_of_int i) theta)
     done;
     z.zetan <- !s;
     z.items <- n;
     z.eta <-
-      (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. z.theta))
-      /. (1.0 -. (z.zeta2theta /. z.zetan))
+      (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. theta))
+      /. (1.0 -. (zeta2theta /. z.zetan))
   end
 
 let next_zipf z =
   let u = Rng.float z.zrng in
   let uz = u *. z.zetan in
   if uz < 1.0 then 0
-  else if uz < 1.0 +. Float.pow 0.5 z.theta then 1
+  else if uz < 1.0 +. Float.pow 0.5 theta then 1
   else
     let v =
       float_of_int z.items
-      *. Float.pow ((z.eta *. u) -. z.eta +. 1.0) z.alpha
+      *. Float.pow ((z.eta *. u) -. z.eta +. 1.0) alpha
     in
     min (z.items - 1) (int_of_float v)
 
@@ -100,17 +97,14 @@ let uniform ~seed n = Uniform { rng = Rng.create seed; n }
 
 (** [zipfian ~seed n] draws keys zipf-distributed with the hot keys at the
     low indices. *)
-let zipfian ?(theta = default_theta) ~seed n =
-  Zipfian (make_zipf (Rng.create seed) n theta)
+let zipfian ~seed n = Zipfian (make_zipf (Rng.create seed) n)
 
 (** [scrambled_zipfian ~seed n] spreads a zipfian hot set uniformly across
     [\[0, n)] — YCSB's default request distribution. *)
-let scrambled_zipfian ?(theta = default_theta) ~seed n =
-  Scrambled (make_zipf (Rng.create seed) n theta)
+let scrambled_zipfian ~seed n = Scrambled (make_zipf (Rng.create seed) n)
 
 (** [latest ~seed n] favours recently inserted keys (key [n-1] hottest). *)
-let latest ?(theta = default_theta) ~seed n =
-  Latest (make_zipf (Rng.create seed) n theta)
+let latest ~seed n = Latest (make_zipf (Rng.create seed) n)
 
 (** [shifting_hotspot ~seed ~period ?span ?hot n] concentrates [hot] of
     the draws on a contiguous window of [span * n] keys whose position

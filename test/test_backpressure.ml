@@ -33,9 +33,9 @@ let test_delay_ramp () =
   check (Alcotest.float 1e-6) "free below slowdown" 0.0 (d 7);
   check (Alcotest.float 1e-6) "zero at slowdown" 0.0 (d 8);
   check (Alcotest.float 1e-6) "full penalty at stop"
-    (O.hyperleveldb ()).O.slowdown_stall_ns (d 12);
+    O.slowdown_stall_ns (d 12);
   check (Alcotest.float 1e-6) "linear midpoint"
-    ((O.hyperleveldb ()).O.slowdown_stall_ns /. 2.0) (d 10);
+    (O.slowdown_stall_ns /. 2.0) (d 10);
   Alcotest.(check bool) "keeps ramping past stop" true (d 16 > d 12);
   (* backlog bytes count in memtable units alongside L0 files *)
   let opts = O.hyperleveldb () in
@@ -45,38 +45,39 @@ let test_delay_ramp () =
 
 let test_boundary_split () =
   let opts = { (O.hyperleveldb ()) with O.throttle = O.Token_bucket;
-               l0_slowdown = 8; l0_stop = 12; throttle_burst_entries = 4 } in
+               l0_slowdown = 8; l0_stop = 12 } in
   let t = Bp.create opts in
   (* debt past the stop threshold: per-entry delay exceeds the slowdown
      penalty, so each stalled entry splits across both counters *)
   let d16 = debt ~l0:16 () in
   let per = Bp.delay_ns t d16 in
   Alcotest.(check bool) "past stop the delay exceeds the slowdown scale"
-    true (per > opts.O.slowdown_stall_ns);
-  (* cost 10 against a full burst of 4: deficit 6 *)
-  let v = Bp.throttle t ~now_ns:0.0 ~debt:d16 ~cost:10 in
+    true (per > O.slowdown_stall_ns);
+  (* cost 38 against a full burst of 32: deficit 6 *)
+  let v = Bp.throttle t ~now_ns:0.0 ~debt:d16 ~cost:38 in
   let deficit = 6.0 in
   check (Alcotest.float 1e-3) "slowdown share caps at the seed penalty"
-    (deficit *. opts.O.slowdown_stall_ns) v.Bp.slowdown_ns;
+    (deficit *. O.slowdown_stall_ns) v.Bp.slowdown_ns;
   check (Alcotest.float 1e-3) "excess past the boundary is stop time"
-    (deficit *. (per -. opts.O.slowdown_stall_ns)) v.Bp.stop_ns;
+    (deficit *. (per -. O.slowdown_stall_ns)) v.Bp.stop_ns;
   Alcotest.(check bool) "one stall, both kinds" true
     (v.Bp.slowdown_ns > 0.0 && v.Bp.stop_ns > 0.0)
 
 let test_no_refill_over_stall () =
   let opts = { (O.hyperleveldb ()) with O.throttle = O.Token_bucket;
-               l0_slowdown = 8; l0_stop = 12; throttle_burst_entries = 4 } in
+               l0_slowdown = 8; l0_stop = 12 } in
   let t = Bp.create opts in
   let d = debt ~l0:12 () in
   let per = Bp.delay_ns t d in
-  let v1 = Bp.throttle t ~now_ns:0.0 ~debt:d ~cost:8 in
+  (* cost 36 against a full burst of 32: deficit 4 *)
+  let v1 = Bp.throttle t ~now_ns:0.0 ~debt:d ~cost:36 in
   check (Alcotest.float 1e-3) "first group pays for the deficit"
     (4.0 *. per) (Bp.total_ns v1);
   (* the clock advanced exactly by the stall; the bucket earned nothing
      over it, so the next group pays full price *)
-  let v2 = Bp.throttle t ~now_ns:(Bp.total_ns v1) ~debt:d ~cost:8 in
+  let v2 = Bp.throttle t ~now_ns:(Bp.total_ns v1) ~debt:d ~cost:36 in
   check (Alcotest.float 1e-3) "stall time earns no tokens"
-    (8.0 *. per) (Bp.total_ns v2)
+    (36.0 *. per) (Bp.total_ns v2)
 
 let test_cliff_charges_once_per_group () =
   let opts = { (O.hyperleveldb ()) with O.throttle = O.Cliff } in
@@ -87,8 +88,8 @@ let test_cliff_charges_once_per_group () =
   check (Alcotest.float 1e-3) "below slowdown: free" 0.0 (at 7 64);
   (* the verdict is per *group*: a 64-entry group pays the same fixed
      penalty as a 1-entry group (the seed charged it per batch) *)
-  check (Alcotest.float 1e-3) "group of 1" opts.O.slowdown_stall_ns (at 8 1);
-  check (Alcotest.float 1e-3) "group of 64" opts.O.slowdown_stall_ns (at 8 64);
+  check (Alcotest.float 1e-3) "group of 1" O.slowdown_stall_ns (at 8 1);
+  check (Alcotest.float 1e-3) "group of 64" O.slowdown_stall_ns (at 8 64);
   let v_slow = Bp.throttle t ~now_ns:0.0 ~debt:(debt ~l0:9 ()) ~cost:1 in
   let v_stop = Bp.throttle t ~now_ns:0.0 ~debt:(debt ~l0:12 ()) ~cost:1 in
   Alcotest.(check bool) "slowdown attribution below stop" true
@@ -138,8 +139,7 @@ let test_engine_group_charged_once () =
   check Alcotest.int "lsm: one stall for the group" 1
     st.Pdb_kvs.Engine_stats.write_stalls;
   check (Alcotest.float 1e-3) "lsm: one penalty charged"
-    (O.hyperleveldb ()).O.slowdown_stall_ns
-    st.Pdb_kvs.Engine_stats.stall_slowdown_ns;
+    O.slowdown_stall_ns st.Pdb_kvs.Engine_stats.stall_slowdown_ns;
   L.close db;
   let db = P.open_store (tweak (O.pebblesdb ())) ~env ~dir:"flsm" in
   P.write_group db (batches 3);
@@ -147,8 +147,7 @@ let test_engine_group_charged_once () =
   check Alcotest.int "flsm: one stall for the group" 1
     st.Pdb_kvs.Engine_stats.write_stalls;
   check (Alcotest.float 1e-3) "flsm: one penalty charged"
-    (O.pebblesdb ()).O.slowdown_stall_ns
-    st.Pdb_kvs.Engine_stats.stall_slowdown_ns;
+    O.slowdown_stall_ns st.Pdb_kvs.Engine_stats.stall_slowdown_ns;
   P.close db
 
 (* ---------- state is independent of throttling ---------- *)

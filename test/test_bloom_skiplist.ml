@@ -19,7 +19,7 @@ let test_bloom_no_false_negatives () =
   done
 
 let test_bloom_false_positive_rate () =
-  let b = Bloom.create ~bits_per_key:10 10_000 in
+  let b = Bloom.create 10_000 in
   for i = 0 to 9_999 do
     Bloom.add b (Printf.sprintf "key%d" i)
   done;
@@ -32,6 +32,15 @@ let test_bloom_false_positive_rate () =
   Alcotest.(check bool)
     (Printf.sprintf "fp rate %.4f < 0.03" rate)
     true (rate < 0.03)
+
+let test_bloom_size_follows_bits_per_key () =
+  List.iter
+    (fun n ->
+      check Alcotest.int
+        (Printf.sprintf "bytes for %d keys" n)
+        (n * Bloom.bits_per_key / 8)
+        (Bloom.size_bytes (Bloom.create n)))
+    [ 8; 100; 1000; 10_000 ]
 
 let test_bloom_encode_roundtrip () =
   let b = Bloom.create 100 in
@@ -156,6 +165,8 @@ let () =
           Alcotest.test_case "no false negatives" `Quick
             test_bloom_no_false_negatives;
           Alcotest.test_case "fp rate" `Quick test_bloom_false_positive_rate;
+          Alcotest.test_case "size follows bits_per_key" `Quick
+            test_bloom_size_follows_bits_per_key;
           Alcotest.test_case "encode roundtrip" `Quick
             test_bloom_encode_roundtrip;
           Alcotest.test_case "empty" `Quick test_bloom_empty;

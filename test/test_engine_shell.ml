@@ -74,7 +74,7 @@ let test_iterator_survives_other_seeks name () =
   a.Iter.seek_to_first ();
   let b = E.iterator db in
   let runs_before = seek_runs (E.compaction_scheduler db) in
-  for _ = 1 to (4 * opts.O.seek_compaction_threshold) + 1 do
+  for _ = 1 to (4 * O.seek_compaction_threshold) + 1 do
     b.Iter.seek (key rng)
   done;
   Alcotest.(check bool)
@@ -100,7 +100,7 @@ let test_seek_compactions_counted name () =
   for round = 0 to 4 do
     fill (module E) db rng ~from:(round * 2000) ~n:2000;
     let it = E.iterator db in
-    for _ = 1 to (3 * opts.O.seek_compaction_threshold) + 1 do
+    for _ = 1 to (3 * O.seek_compaction_threshold) + 1 do
       it.Iter.seek (key rng)
     done
   done;

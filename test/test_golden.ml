@@ -93,7 +93,7 @@ let replay (type a) (module E : ENGINE with type t = a) opts =
   done;
   (* one iterator, well past the seek-compaction threshold *)
   let it = E.iterator db in
-  for _ = 1 to (3 * opts.O.seek_compaction_threshold) + 1 do
+  for _ = 1 to (3 * O.seek_compaction_threshold) + 1 do
     it.Iter.seek (key ());
     for _ = 1 to 5 do
       if it.Iter.valid () then it.Iter.next ()

@@ -31,11 +31,11 @@ let test_level_max_bytes_geometric () =
   let o = O.pebblesdb () in
   check Alcotest.int "L1" o.O.level_bytes_base (O.level_max_bytes o 1);
   check Alcotest.int "L2"
-    (o.O.level_bytes_base * o.O.level_bytes_multiplier)
+    (o.O.level_bytes_base * O.level_bytes_multiplier)
     (O.level_max_bytes o 2);
   check Alcotest.int "L3"
-    (o.O.level_bytes_base * o.O.level_bytes_multiplier
-     * o.O.level_bytes_multiplier)
+    (o.O.level_bytes_base * O.level_bytes_multiplier
+     * O.level_bytes_multiplier)
     (O.level_max_bytes o 3)
 
 let test_guard_bits_decrease_with_depth () =
@@ -83,19 +83,24 @@ let test_sequential_fill_compaction_is_nearly_free () =
   done;
   L.close db
 
-let test_seek_triggered_l0_compaction () =
-  let env = Env.create () in
-  let opts = { (tiny_opts ()) with O.l0_compaction_trigger = 100 } in
-  (* huge trigger: only seeks can drain L0 *)
-  let db = L.open_store opts ~env ~dir:"db" in
-  for i = 0 to 399 do
+(* Few enough entries that L0 stays under the compaction trigger: only
+   seeks can drain it. *)
+let fill_under_l0_trigger db =
+  for i = 0 to 119 do
     L.put db (key i) (value i)
   done;
   L.flush db;
-  let l0_before = (L.level_file_counts db).(0) in
-  Alcotest.(check bool) "L0 populated" true (l0_before > 0);
+  let l0 = (L.level_file_counts db).(0) in
+  Alcotest.(check bool) "L0 populated under the trigger" true
+    (l0 > 0 && l0 < O.l0_compaction_trigger);
+  l0
+
+let test_seek_triggered_l0_compaction () =
+  let env = Env.create () in
+  let db = L.open_store (tiny_opts ()) ~env ~dir:"db" in
+  let l0_before = fill_under_l0_trigger db in
   (* a run of consecutive seeks must trigger the L0 drain *)
-  for _ = 1 to 2 * opts.O.seek_compaction_threshold do
+  for _ = 1 to 2 * O.seek_compaction_threshold do
     let it = L.iterator db in
     it.Iter.seek (key 100)
   done;
@@ -106,16 +111,11 @@ let test_seek_triggered_l0_compaction () =
 
 let test_writes_reset_seek_run () =
   let env = Env.create () in
-  let opts = { (tiny_opts ()) with O.l0_compaction_trigger = 100 } in
-  let db = L.open_store opts ~env ~dir:"db" in
-  for i = 0 to 399 do
-    L.put db (key i) (value i)
-  done;
-  L.flush db;
-  let l0_before = (L.level_file_counts db).(0) in
+  let db = L.open_store (tiny_opts ()) ~env ~dir:"db" in
+  let l0_before = fill_under_l0_trigger db in
   (* interleave writes: the consecutive-seek counter must reset, so no
      seek compaction fires *)
-  for s = 1 to 3 * opts.O.seek_compaction_threshold do
+  for s = 1 to 3 * O.seek_compaction_threshold do
     let it = L.iterator db in
     it.Iter.seek (key 100);
     if s mod 3 = 0 then L.put db (key (10_000 + s)) "x"

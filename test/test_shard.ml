@@ -301,9 +301,7 @@ let test_shared_cache_counters () =
         ignore (B.fill_random store ~n ~value_bytes:256 ~seed:5);
         ignore (B.read_random store ~n ~ops:n ~seed:6);
         let st = store.Dyn.d_stats () in
-        let cache_hits, cache_misses =
-          Option.get (sh.Stores.s_cache_counters ())
-        in
+        let cache_hits, cache_misses = sh.Stores.s_cache_counters () in
         Alcotest.(check int)
           (Printf.sprintf "aggregate hits = shared cache hits at %d shards"
              shards)
@@ -332,25 +330,6 @@ let test_shared_cache_counters () =
       true
       (m4 < 2 * (h1 + m1))
   | _ -> assert false
-
-let test_private_cache_counters_sum () =
-  (* with private caches the aggregate is a genuine sum *)
-  let n = 1_500 in
-  let sh =
-    Stores.open_sharded
-      ~tweak:(fun o ->
-        { (shard_tweak ~n ~shards:4 o) with O.shard_share_block_cache = false })
-      ~env:(Env.create ()) Stores.Pebblesdb
-  in
-  let store = sh.Stores.s_dyn in
-  Alcotest.(check bool) "no shared cache handle" true
-    (sh.Stores.s_cache_counters () = None);
-  ignore (B.fill_random store ~n ~value_bytes:256 ~seed:5);
-  ignore (B.read_random store ~n ~ops:n ~seed:6);
-  let st = store.Dyn.d_stats () in
-  Alcotest.(check bool) "summed cache traffic present" true
-    (st.Stats.block_cache_hits + st.Stats.block_cache_misses > 0);
-  store.Dyn.d_close ()
 
 let test_aggregate_breakdown () =
   let n = 3_000 in
@@ -408,8 +387,6 @@ let () =
         [
           Alcotest.test_case "shared cache counted once" `Quick
             test_shared_cache_counters;
-          Alcotest.test_case "private caches sum" `Quick
-            test_private_cache_counters_sum;
           Alcotest.test_case "per-shard breakdown and balance" `Quick
             test_aggregate_breakdown;
         ] );
