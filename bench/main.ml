@@ -149,7 +149,7 @@ let run_bechamel () =
              it.Iter.next ()
            done))
   in
-  let table_get =
+  let table_get ~name user_key =
     let env = Pdb_simio.Env.create () in
     let b =
       Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:1
@@ -161,14 +161,65 @@ let run_bechamel () =
     let meta = Option.get (Pdb_sstable.Table.Builder.finish b) in
     let reader = Pdb_sstable.Table.open_reader env ~dir:"micro" meta in
     let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
-    let lookup = Ik.max_for_lookup (Printf.sprintf "user%016d" 424) in
+    let lookup = Ik.max_for_lookup user_key in
     let get () =
       Pdb_sstable.Table.get reader ~cache
         ~hint:Pdb_simio.Device.Random_read lookup
     in
     ignore (get ());
-    Test.make ~name:"table.get (cached block)"
-      (Staged.stage (fun () -> ignore (get ())))
+    Test.make ~name (Staged.stage (fun () -> ignore (get ())))
+  in
+  let table_get_absent =
+    table_get ~name:"table.get (cached block, absent key)"
+      (Printf.sprintf "user%016dx" 424)
+  in
+  let table_get =
+    table_get ~name:"table.get (cached block)" (Printf.sprintf "user%016d" 424)
+  in
+  (* a store get that misses the memtable and probes several tables whose
+     blooms all reject the key, and a probe session of eight tables *)
+  let shell_get =
+    let module P = Pebblesdb.Pebbles_store in
+    let module O = Pdb_kvs.Options in
+    let opts =
+      { (O.pebblesdb ()) with O.memtable_bytes = 8 * 1024;
+        sstable_target_bytes = 8 * 1024; block_bytes = 512 }
+    in
+    let db = P.open_store opts ~env:(Pdb_simio.Env.create ()) ~dir:"micro" in
+    for i = 0 to 1999 do
+      P.put db (Printf.sprintf "key%05d" (i * 7919 mod 2000 * 2)) "value"
+    done;
+    P.flush db;
+    let key = "key02001" in
+    let stats = P.stats db in
+    let before = stats.Pdb_kvs.Engine_stats.sstables_examined
+    and negative = stats.Pdb_kvs.Engine_stats.bloom_negative in
+    ignore (P.get db key);
+    let tables = stats.Pdb_kvs.Engine_stats.sstables_examined - before in
+    if tables < 2
+       || stats.Pdb_kvs.Engine_stats.bloom_negative - negative <> tables
+    then failwith "micro: shell.get must probe several bloom-negative tables";
+    Test.make ~name:"shell.get (bloom-negative tables)"
+      (Staged.stage (fun () -> ignore (P.get db key)))
+  in
+  let probe_session =
+    let clock = Pdb_simio.Clock.create () in
+    let ctx =
+      Pdb_simio.Probe.create_ctx ~clock ~budget:(fun () -> 4)
+        ~tracer:(fun () -> None) ()
+    in
+    let costs = List.init 8 (fun i -> float_of_int (100 * (8 - (i mod 3)))) in
+    let advance = Pdb_simio.Clock.advance clock in
+    let rec probe = function
+      | [] -> ()
+      | c :: rest ->
+        Pdb_simio.Probe.measure ctx advance c;
+        probe rest
+    in
+    let session () = probe costs in
+    Test.make ~name:"probe session (8 tables)"
+      (Staged.stage (fun () ->
+           Pdb_simio.Probe.with_session ctx ~label:"get" session))
   in
   (* the write path: a 1 KB put's WAL payload, a four-put group commit
      into a WAL that rotates every 64 KB as a memtable's log would, and a
@@ -316,7 +367,8 @@ let run_bechamel () =
   in
   let tests =
     [ memtable_insert; bloom_check; skiplist_seek; guard_search; murmur;
-      ikey_compare; block_seek; block_next; table_get; wb_encode;
+      ikey_compare; block_seek; block_next; table_get; table_get_absent;
+      shell_get; probe_session; wb_encode;
       wal_add_records; table_build; table_scan; compaction_merge;
       block_load_first; block_load_far ]
   in

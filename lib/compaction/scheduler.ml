@@ -92,9 +92,9 @@ let submit t (job : Job.t) =
   end
 
 let run_one t (job : Job.t) =
-  let before = t.clock.Clock.background_ns in
+  let before = Clock.background_ns t.clock in
   Clock.with_background t.clock job.run;
-  let duration_ns = t.clock.Clock.background_ns -. before in
+  let duration_ns = Clock.background_ns t.clock -. before in
   (* zero-cost jobs (e.g. trivial pointer moves) occupy no lane time *)
   if duration_ns > 0.0 then begin
     (* flushes ride the reserved lane (when configured): memtable

@@ -110,8 +110,8 @@ let bytes_of =
   List.fold_left (fun a (m : Table.meta) -> a + m.Table.file_size) 0
 
 let user_range_overlap (m : Table.meta) key =
-  String.compare (Ik.user_key m.Table.smallest) key <= 0
-  && String.compare key (Ik.user_key m.Table.largest) <= 0
+  Ik.compare_user_key m.Table.smallest key <= 0
+  && Ik.compare_user_key m.Table.largest key >= 0
 
 (** [new_builder t ~sized_for] starts a table whose bloom filter is sized
     for [sized_for] bytes of ~64-byte entries. *)
@@ -624,78 +624,80 @@ let release_snapshot t s = Snapshots.release t.snapshots s
 
 (* ---------- reads ---------- *)
 
-(* Search one table for the freshest version of [key] at or below internal
-   key [lookup] (the latest state or a snapshot). *)
-let table_lookup t (meta : Table.meta) key lookup =
-  (* inside a probe session (a multi-table get) each lookup's device time
-     is measured so independent probes overlap up to the budget *)
-  Probe.measure t.probe (fun () ->
-      charge_cpu t O.cpu_per_sstable_ns;
-      t.stats.Stats.sstables_examined <- t.stats.Stats.sstables_examined + 1;
-      let reader = Table_cache.find t.table_cache meta in
-      let pass_bloom =
-        if Table.has_filter reader then begin
-          charge_cpu t O.cpu_bloom_check_ns;
-          t.stats.Stats.bloom_checks <- t.stats.Stats.bloom_checks + 1;
-          let pass = Table.may_contain reader key in
-          if not pass then
-            t.stats.Stats.bloom_negative <- t.stats.Stats.bloom_negative + 1;
-          pass
-        end
-        else true
-      in
-      if not pass_bloom then None
-      else begin
-        charge_cpu t O.cpu_per_block_search_ns;
-        match
-          Table.get reader ~cache:t.block_cache ~hint:Device.Random_read lookup
-        with
-        | Some (ikey, value) when Ik.user_key_equal ikey key ->
-          Some (Ik.kind ikey, value)
-        | Some _ | None -> None
-      end)
+(* Search one table for the freshest version of user [key] at or below
+   internal key [lookup] (the latest state or a snapshot). *)
+let table_lookup t key lookup (meta : Table.meta) =
+  charge_cpu t O.cpu_per_sstable_ns;
+  t.stats.Stats.sstables_examined <- t.stats.Stats.sstables_examined + 1;
+  let reader = Table_cache.find t.table_cache meta in
+  let pass_bloom =
+    if Table.has_filter reader then begin
+      charge_cpu t O.cpu_bloom_check_ns;
+      t.stats.Stats.bloom_checks <- t.stats.Stats.bloom_checks + 1;
+      let pass = Table.may_contain reader key in
+      if not pass then
+        t.stats.Stats.bloom_negative <- t.stats.Stats.bloom_negative + 1;
+      pass
+    end
+    else true
+  in
+  if not pass_bloom then None
+  else begin
+    charge_cpu t O.cpu_per_block_search_ns;
+    Table.get reader ~cache:t.block_cache ~hint:Device.Random_read lookup
+  end
+
+(* The first of [tables] holding a version of [key] that [search] finds,
+   in order.  Inside a probe session (a multi-table get) each table's
+   device time is measured so independent probes overlap up to the
+   budget. *)
+let rec probe_tables t key search = function
+  | [] -> None
+  | m :: rest -> (
+    if not (user_range_overlap m key) then probe_tables t key search rest
+    else
+      match Probe.measure t.probe search m with
+      | Some _ as found -> found
+      | None -> probe_tables t key search rest)
+
+(* Levels [level ..] below level 0, one at a time. *)
+let rec probe_levels t key lookup search level =
+  if level > last_level t then None
+  else
+    match
+      probe_tables t key search (t.shape.candidates t level ~key ~lookup)
+    with
+    | Some _ as found -> found
+    | None -> probe_levels t key lookup search (level + 1)
 
 let get ?snapshot t key =
   assert (not t.closed);
   t.stats.Stats.gets <- t.stats.Stats.gets + 1;
   charge_cpu t (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);
-  let mem_result =
+  (* one lookup key serves the memtable and every table *)
+  let lookup =
     match snapshot with
-    | Some seq -> Memtable.get_at t.mem key ~seq
-    | None -> Memtable.get t.mem key
+    | Some seq -> Ik.lookup_at ~user_key:key ~seq
+    | None -> Ik.max_for_lookup key
   in
-  match mem_result with
+  match Memtable.get t.mem lookup with
   | Some (Some v) -> Some v
   | Some None -> None
-  | None ->
+  | None -> (
     (* the candidate tables of one lookup (the L0 pile, a level's
        overlapping runs or guard) are independent random reads: bracket
        them in a probe session so they overlap up to the device budget *)
-    let lookup =
-      match snapshot with
-      | Some seq -> Ik.lookup_at ~user_key:key ~seq
-      | None -> Ik.max_for_lookup key
+    let search m = table_lookup t key lookup m in
+    let found =
+      Probe.with_session t.probe ~label:"get" (fun () ->
+          (* level 0: newest file first; first hit wins *)
+          match probe_tables t key search (t.shape.l0 t.lv) with
+          | Some _ as found -> found
+          | None -> probe_levels t key lookup search 1)
     in
-    Probe.with_session t.probe ~label:"get" (fun () ->
-        let result = ref `NotFound in
-        let probe tables =
-          List.iter
-            (fun m ->
-              if !result = `NotFound && user_range_overlap m key then
-                match table_lookup t m key lookup with
-                | Some (Ik.Value, v) -> result := `Found v
-                | Some (Ik.Deletion, _) -> result := `Deleted
-                | None -> ())
-            tables
-        in
-        (* level 0: newest file first; first hit wins *)
-        probe (t.shape.l0 t.lv);
-        let level = ref 1 in
-        while !result = `NotFound && !level <= last_level t do
-          probe (t.shape.candidates t !level ~key ~lookup);
-          incr level
-        done;
-        match !result with `Found v -> Some v | `Deleted | `NotFound -> None)
+    match found with
+    | Some (Ik.Value, v) -> Some v
+    | Some (Ik.Deletion, _) | None -> None)
 
 (* [upper_user] is the iterator's inclusive user-key bound: it licenses the
    seek filter to skip tables past it, and {!iterator} clamps the merged

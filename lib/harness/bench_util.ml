@@ -300,7 +300,7 @@ let scheduler_summary (store : Dyn.dyn) =
   let st = store.Dyn.d_stats () in
   if st.Pdb_kvs.Engine_stats.compaction_jobs = 0 then ""
   else begin
-    let horizon = (Env.clock store.Dyn.d_env).Clock.bg_horizon_ns in
+    let horizon = Clock.bg_horizon_ns (Env.clock store.Dyn.d_env) in
     let util =
       Array.to_list st.Pdb_kvs.Engine_stats.worker_busy_ns
       |> List.map (fun busy ->

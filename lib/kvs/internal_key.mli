@@ -28,9 +28,22 @@ val kind : string -> kind
     place without copying the user key out. *)
 val user_key_equal : string -> string -> bool
 
+(** [compare_user_key ikey uk] is [String.compare (user_key ikey) uk],
+    read in place. *)
+val compare_user_key : string -> string -> int
+
+(** [same_user_key a len b]: the internal key held in the first [len]
+    bytes of [a] has the user key of internal key [b]; read in place. *)
+val same_user_key : string -> int -> string -> bool
+
 (** Total order: user key ascending, sequence descending, kind descending —
     the freshest entry for a user key sorts first. *)
 val compare : string -> string -> int
+
+(** [compare_slice a pos len b] is [compare (String.sub a pos len) b],
+    read in place: a block compares its stored keys without copying
+    them out. *)
+val compare_slice : string -> int -> int -> string -> int
 
 (** The largest representable sequence number. *)
 val max_seq : int

@@ -32,24 +32,14 @@ let add t ~seq ~kind ~user_key ~value =
              + per_entry_overhead;
   t.entries <- t.entries + 1
 
-(** [get t user_key] is the freshest entry for [user_key]:
-    [Some (Some v)] for a live value, [Some None] for a tombstone, [None]
-    when the memtable holds no version of the key. *)
-let get t user_key =
-  match Pdb_skiplist.Skiplist.seek t.list (Internal_key.max_for_lookup user_key) with
-  | Some (ikey, value) when Internal_key.user_key_equal ikey user_key
-    -> (match Internal_key.kind ikey with
-        | Internal_key.Value -> Some (Some value)
-        | Internal_key.Deletion -> Some None)
-  | Some _ | None -> None
-
-(** [get_at t user_key ~seq] is the freshest entry visible at sequence
-    number [seq] (snapshot reads); same result shape as {!get}. *)
-let get_at t user_key ~seq =
-  match
-    Pdb_skiplist.Skiplist.seek t.list (Internal_key.lookup_at ~user_key ~seq)
-  with
-  | Some (ikey, value) when Internal_key.user_key_equal ikey user_key
+(** [get t lookup] is the freshest entry for [lookup]'s user key at or
+    below internal key [lookup]: [Some (Some v)] for a live value,
+    [Some None] for a tombstone, [None] when the memtable holds no such
+    version. *)
+let get t lookup =
+  match Pdb_skiplist.Skiplist.seek t.list lookup with
+  | Some (ikey, value)
+    when Internal_key.same_user_key ikey (String.length ikey) lookup
     -> (match Internal_key.kind ikey with
         | Internal_key.Value -> Some (Some value)
         | Internal_key.Deletion -> Some None)

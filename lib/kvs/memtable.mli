@@ -14,14 +14,12 @@ val add :
   t -> seq:int -> kind:Internal_key.kind -> user_key:string -> value:string ->
   unit
 
-(** [get t user_key] is the freshest entry for [user_key]:
+(** [get t lookup] is the freshest entry for [lookup]'s user key at or
+    below internal key [lookup] ({!Internal_key.max_for_lookup} for the
+    latest state, {!Internal_key.lookup_at} for a snapshot):
     [Some (Some v)] for a live value, [Some None] for a tombstone, [None]
-    when the memtable holds no version of the key. *)
+    when the memtable holds no such version. *)
 val get : t -> string -> string option option
-
-(** [get_at t user_key ~seq] is the freshest entry visible at sequence
-    number [seq] (snapshot reads); same result shape as {!get}. *)
-val get_at : t -> string -> seq:int -> string option option
 
 val approximate_bytes : t -> int
 val entries : t -> int

@@ -393,14 +393,15 @@ let snapshot_files lv (e : Manifest.edit) =
    two adjacent tables; the lookup key picks the one holding the visible
    version (the rule Level_iter seeks by).  Tiered layout probes every
    overlapping run, newest first. *)
+let rec first_reaching lookup = function
+  | [] -> []
+  | (m : Table.meta) :: rest ->
+    if Ik.compare m.Table.largest lookup >= 0 then [ m ]
+    else first_reaching lookup rest
+
 let candidates (t : t) level ~key:_ ~lookup =
   let files = t.lv.levels.(level) in
-  if tiered_level t level then files
-  else
-    Option.to_list
-      (List.find_opt
-         (fun (m : Table.meta) -> Ik.compare m.Table.largest lookup >= 0)
-         files)
+  if tiered_level t level then files else first_reaching lookup files
 
 (* tiered runs overlap: one partition, merged by sequence number; a
    leveled run is one partition per table.  An iterator reads the levels

@@ -20,7 +20,10 @@
 
 type lane = Foreground | Background
 
-type t = {
+(* The five times, apart from [lane]: a record of floats only is stored
+   flat, so charging time writes the double in place instead of boxing a
+   fresh float on every [advance]. *)
+type times = {
   mutable foreground_ns : float;
   mutable background_ns : float;
   mutable bg_horizon_ns : float;
@@ -28,60 +31,69 @@ type t = {
          maintained by Sched.place *)
   mutable stall_ns : float;
   mutable cpu_ns : float; (* modeled CPU work, charged to foreground lane *)
-  mutable lane : lane;
 }
+
+(** [times] is exposed so that a hot reader ({!Probe}) can read the
+    current lane's time in place: a float returned from a function of
+    another module is boxed. *)
+type t = { times : times; mutable lane : lane }
 
 let create () =
   {
-    foreground_ns = 0.0;
-    background_ns = 0.0;
-    bg_horizon_ns = 0.0;
-    stall_ns = 0.0;
-    cpu_ns = 0.0;
+    times =
+      {
+        foreground_ns = 0.0;
+        background_ns = 0.0;
+        bg_horizon_ns = 0.0;
+        stall_ns = 0.0;
+        cpu_ns = 0.0;
+      };
     lane = Foreground;
   }
 
 let reset t =
-  t.foreground_ns <- 0.0;
-  t.background_ns <- 0.0;
-  t.bg_horizon_ns <- 0.0;
-  t.stall_ns <- 0.0;
-  t.cpu_ns <- 0.0;
+  let c = t.times in
+  c.foreground_ns <- 0.0;
+  c.background_ns <- 0.0;
+  c.bg_horizon_ns <- 0.0;
+  c.stall_ns <- 0.0;
+  c.cpu_ns <- 0.0;
   t.lane <- Foreground
 
 (** [advance t ns] charges [ns] of device time to the current lane. *)
 let advance t ns =
+  let c = t.times in
   match t.lane with
-  | Foreground -> t.foreground_ns <- t.foreground_ns +. ns
-  | Background -> t.background_ns <- t.background_ns +. ns
+  | Foreground -> c.foreground_ns <- c.foreground_ns +. ns
+  | Background -> c.background_ns <- c.background_ns +. ns
 
 (** [advance_cpu t ns] charges modeled CPU work (always foreground). *)
-let advance_cpu t ns = t.cpu_ns <- t.cpu_ns +. ns
+let advance_cpu t ns = t.times.cpu_ns <- t.times.cpu_ns +. ns
 
 (** [stall t ns] records write-stall time (compaction-backlog
     slowdown/stop back-pressure). *)
-let stall t ns = t.stall_ns <- t.stall_ns +. ns
+let stall t ns = t.times.stall_ns <- t.times.stall_ns +. ns
 
 (** [note_bg_horizon t ns] raises the background completion horizon to
     [ns]; called by {!Sched} as jobs are placed on worker timelines. *)
 let note_bg_horizon t ns =
-  if ns > t.bg_horizon_ns then t.bg_horizon_ns <- ns
+  if ns > t.times.bg_horizon_ns then t.times.bg_horizon_ns <- ns
 
-(** [lane_time t] is the accumulated device time of the current lane — used
-    to measure the cost of a bracketed operation. *)
-let lane_time t =
-  match t.lane with
-  | Foreground -> t.foreground_ns
-  | Background -> t.background_ns
+(** Accumulated background device time. *)
+let background_ns t = t.times.background_ns
+
+(** The background completion horizon (see {!note_bg_horizon}). *)
+let bg_horizon_ns t = t.times.bg_horizon_ns
 
 (** [refund t ns] gives back device time on the current lane.  PebblesDB's
     parallel seeks overlap the sstable reads of a guard (§4.2): the engine
     measures each table's positioning cost and refunds everything beyond
     the slowest one. *)
 let refund t ns =
+  let c = t.times in
   match t.lane with
-  | Foreground -> t.foreground_ns <- Float.max 0.0 (t.foreground_ns -. ns)
-  | Background -> t.background_ns <- Float.max 0.0 (t.background_ns -. ns)
+  | Foreground -> c.foreground_ns <- Float.max 0.0 (c.foreground_ns -. ns)
+  | Background -> c.background_ns <- Float.max 0.0 (c.background_ns -. ns)
 
 (** [with_background t f] runs [f ()] charging device time to the
     background lane (flush and compaction). *)
@@ -99,12 +111,13 @@ type snapshot = {
 }
 
 let snapshot (t : t) : snapshot =
+  let c = t.times in
   {
-    foreground_ns = t.foreground_ns;
-    background_ns = t.background_ns;
-    bg_horizon_ns = t.bg_horizon_ns;
-    stall_ns = t.stall_ns;
-    cpu_ns = t.cpu_ns;
+    foreground_ns = c.foreground_ns;
+    background_ns = c.background_ns;
+    bg_horizon_ns = c.bg_horizon_ns;
+    stall_ns = c.stall_ns;
+    cpu_ns = c.cpu_ns;
   }
 
 let diff (a : snapshot) (b : snapshot) =
@@ -128,6 +141,16 @@ let diff (a : snapshot) (b : snapshot) =
     compaction becomes higher write throughput.  Engines that never placed
     scheduled work (the B+-tree stores) have a zero horizon and are bound
     by their foreground path alone. *)
+let[@inline] elapsed ~cpu ~fg ~horizon ~stall =
+  Float.max cpu (fg +. Float.max 0.0 horizon) +. stall
+
 let elapsed_ns (s : snapshot) =
-  Float.max s.cpu_ns (s.foreground_ns +. Float.max 0.0 s.bg_horizon_ns)
-  +. s.stall_ns
+  elapsed ~cpu:s.cpu_ns ~fg:s.foreground_ns ~horizon:s.bg_horizon_ns
+    ~stall:s.stall_ns
+
+(** [now_ns t] is [elapsed_ns (snapshot t)] without building the
+    snapshot. *)
+let now_ns t =
+  let c = t.times in
+  elapsed ~cpu:c.cpu_ns ~fg:c.foreground_ns ~horizon:c.bg_horizon_ns
+    ~stall:c.stall_ns

@@ -22,7 +22,10 @@
     Sessions never nest: a probe opened inside an active session folds
     its member costs into the outer session, so a cross-level seek
     overlaps {e all} table positionings of the whole read, not each
-    guard separately. *)
+    guard separately.
+
+    A ctx keeps the open session's costs in a buffer it reuses, so a
+    session allocates nothing per member probe. *)
 
 type ctx
 (** Per-store probe context: clock, budget source, optional tracer. *)
@@ -45,9 +48,11 @@ val create_ctx :
     serial and overlapped costs. *)
 val with_session : ctx -> label:string -> (unit -> 'a) -> 'a
 
-(** [measure ctx f] runs [f], recording its device-lane cost into the
-    active session; outside any session it is just [f ()]. *)
-val measure : ctx -> (unit -> 'a) -> 'a
+(** [measure ctx f x] runs [f x], recording its device-lane cost into the
+    active session; outside any session it is just [f x].  Recording
+    allocates nothing, so a caller that builds [f] once per session probes
+    each member without allocating. *)
+val measure : ctx -> ('a -> 'b) -> 'a -> 'b
 
 (** [makespan ~lanes costs] is the finish time of packing [costs] onto
     [lanes] parallel lanes, longest first (exposed for tests). *)

@@ -59,7 +59,7 @@ let create ?(flush_lanes = 0) ~clock ~workers () =
     n_workers = n;
     (* a fresh scheduler (e.g. a reopened store) starts at the clock's
        current horizon: it cannot pack work into a closed store's past *)
-    free_at = Array.make total clock.Clock.bg_horizon_ns;
+    free_at = Array.make total (Clock.bg_horizon_ns clock);
     busy_ns = Array.make total 0.0;
     placed = [];
     jobs_placed = 0;

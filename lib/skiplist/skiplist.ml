@@ -50,18 +50,20 @@ let random_height t =
   in
   go 1
 
+(* The last node of [level], from [node] on, whose key is < [key]. *)
+let rec last_below t key node level =
+  match node.forward.(level) with
+  | Some n when t.compare n.key key < 0 -> last_below t key n level
+  | _ -> node
+
 (* Find, for each list level, the last node whose key is < [key]. *)
 let find_predecessors t key =
   let prev = Array.make max_height t.head in
-  let rec descend node level =
-    let next = node.forward.(level) in
-    match next with
-    | Some n when t.compare n.key key < 0 -> descend n level
-    | _ ->
-      prev.(level) <- node;
-      if level > 0 then descend node (level - 1)
-  in
-  descend t.head (t.height - 1);
+  let node = ref t.head in
+  for level = t.height - 1 downto 0 do
+    node := last_below t key !node level;
+    prev.(level) <- !node
+  done;
   prev
 
 (** [insert t key value] adds an entry; duplicates are kept (newest is
@@ -83,10 +85,19 @@ let insert t key value =
   done;
   t.length <- t.length + 1
 
-(** [seek t key] is the first entry with key >= [key], or [None]. *)
+(* The first node whose key is >= [key]: [find_predecessors] without the
+   array. *)
+let first_from t key =
+  let node = ref t.head in
+  for level = t.height - 1 downto 0 do
+    node := last_below t key !node level
+  done;
+  !node.forward.(0)
+
+(** [seek t key] is the first entry with key >= [key], or [None]; it
+    allocates only the result. *)
 let seek t key =
-  let prev = find_predecessors t key in
-  match prev.(0).forward.(0) with
+  match first_from t key with
   | Some n -> Some (n.key, n.value)
   | None -> None
 
@@ -142,9 +153,7 @@ module Cursor = struct
 
   let seek_to_first c = c.node <- c.list.head.forward.(0)
 
-  let seek c key =
-    let prev = find_predecessors c.list key in
-    c.node <- prev.(0).forward.(0)
+  let seek c key = c.node <- first_from c.list key
 
   let valid c = Option.is_some c.node
 

@@ -133,10 +133,19 @@ type cursor = {
   pos : int ref;
 }
 
+(* Every length of an entry whose key delta starts at [key_pos] is
+   checked against the block's limit before anything is copied; [prev_len]
+   is the length of the key that supplies the shared prefix. *)
+let check_entry b ~prev_len ~shared ~non_shared ~value_len ~key_pos =
+  let room = b.limit - key_pos in
+  if shared < 0 || shared > prev_len || non_shared < 0
+     || non_shared > room || value_len < 0
+     || value_len > room - non_shared
+  then invalid_arg "Block: corrupt entry"
+
 (* Decode the entry at [p] into [c]; [prev] supplies the shared prefix.
-   Every length is checked against the block's limit before anything is
-   copied, and the entry fields of [c] change only once the whole entry
-   has decoded. *)
+   The entry fields of [c] change only once the whole entry has
+   decoded. *)
 let decode_at c ~prev p =
   let data = c.block.data and limit = c.block.limit in
   c.pos := p;
@@ -144,11 +153,8 @@ let decode_at c ~prev p =
   let non_shared = Pdb_util.Varint.read_uvarint_upto data c.pos limit in
   let value_len = Pdb_util.Varint.read_uvarint_upto data c.pos limit in
   let key_pos = !(c.pos) in
-  let room = limit - key_pos in
-  if shared < 0 || shared > String.length prev || non_shared < 0
-     || non_shared > room || value_len < 0
-     || value_len > room - non_shared
-  then invalid_arg "Block: corrupt entry";
+  check_entry c.block ~prev_len:(String.length prev) ~shared ~non_shared
+    ~value_len ~key_pos;
   let key = Bytes.create (shared + non_shared) in
   Bytes.blit_string prev 0 key 0 shared;
   Bytes.blit_string data key_pos key shared non_shared;
@@ -232,6 +238,99 @@ let iterator ~compare t = cursor_iterator ~compare (cursor t)
 let retargetable ~compare t =
   let c = cursor t in
   (cursor_iterator ~compare c, retarget c)
+
+(* ---------- point search ---------- *)
+
+(* A reusable search position.  [find] leaves the entry it lands on here:
+   its key assembled in the first [len] bytes of [buf], which grows to the
+   longest key and is then reused, and its value as [vlen] bytes of the
+   block at [vpos].  [shared], [delta] and [kpos] hold the header of the
+   entry being read; [at] is the varint decoder's position.  A finder
+   holds no block: one kept by a cached table reader would keep that
+   block's bytes alive after the block cache let them go. *)
+type finder = {
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable shared : int;
+  mutable delta : int;
+  mutable kpos : int;
+  mutable vpos : int;
+  mutable vlen : int;
+  at : int ref;
+}
+
+let finder () =
+  { buf = Bytes.create 32; len = 0; shared = 0; delta = 0;
+    kpos = 0; vpos = 0; vlen = 0; at = ref 0 }
+
+(* Read the header of the entry at [p] of [b]; the key that supplies its
+   shared prefix is [prev_len] bytes long. *)
+let read_header f b ~prev_len p =
+  f.at := p;
+  let shared = Pdb_util.Varint.read_uvarint_upto b.data f.at b.limit in
+  let non_shared = Pdb_util.Varint.read_uvarint_upto b.data f.at b.limit in
+  let value_len = Pdb_util.Varint.read_uvarint_upto b.data f.at b.limit in
+  let key_pos = !(f.at) in
+  check_entry b ~prev_len ~shared ~non_shared ~value_len ~key_pos;
+  f.shared <- shared;
+  f.delta <- non_shared;
+  f.kpos <- key_pos;
+  f.vpos <- key_pos + non_shared;
+  f.vlen <- value_len
+
+(** [find f t target] positions [f] at the first entry of [t] whose key is
+    >= [target] in internal-key order, and is [false] when there is
+    none. *)
+let find f t target =
+  f.len <- 0;
+  t.num_restarts > 0
+  && begin
+    (* last restart whose key is < target; a restart's key is stored
+       whole, so it is compared where it lies *)
+    let lo = ref 0 and hi = ref (t.num_restarts - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      read_header f t ~prev_len:0 (restart_point t mid);
+      if Pdb_kvs.Internal_key.compare_slice t.data f.kpos f.delta target < 0
+      then lo := mid
+      else hi := mid - 1
+    done;
+    (* walk on from it, keeping each key's shared prefix in [buf] *)
+    let next = ref (restart_point t !lo) and found = ref false in
+    while (not !found) && !next < t.restarts_offset do
+      read_header f t ~prev_len:f.len !next;
+      let len = f.shared + f.delta in
+      if Bytes.length f.buf < len then begin
+        let grown = Bytes.create (max len (2 * Bytes.length f.buf)) in
+        Bytes.blit f.buf 0 grown 0 f.shared;
+        f.buf <- grown
+      end;
+      Bytes.blit_string t.data f.kpos f.buf f.shared f.delta;
+      f.len <- len;
+      next := f.vpos + f.vlen;
+      found :=
+        Pdb_kvs.Internal_key.compare_slice (Bytes.unsafe_to_string f.buf) 0
+          len target
+        >= 0
+    done;
+    f.at := f.vpos;
+    !found
+  end
+
+(* The accessors below read the entry the last successful [find] landed
+   on; those that read the value take the block it searched. *)
+
+let found_same_user_key f ikey =
+  Pdb_kvs.Internal_key.same_user_key (Bytes.unsafe_to_string f.buf) f.len ikey
+
+let found_kind f =
+  Pdb_kvs.Internal_key.kind_of_int
+    (Char.code (Bytes.get f.buf (f.len - Pdb_kvs.Internal_key.trailer_size)))
+
+let found_value f t = String.sub t.data f.vpos f.vlen
+
+let next_uvarint f t =
+  Pdb_util.Varint.read_uvarint_upto t.data f.at (f.vpos + f.vlen)
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)
 let entries ~compare t = Pdb_kvs.Iter.to_list (iterator ~compare t)

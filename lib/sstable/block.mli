@@ -70,5 +70,42 @@ val iterator : compare:(string -> string -> int) -> t -> Pdb_kvs.Iter.t
 val retargetable :
   compare:(string -> string -> int) -> t -> Pdb_kvs.Iter.t * (t -> unit)
 
+(** {2 Point search}
+
+    A point lookup finds one entry of a block holding internal keys (data
+    and index blocks alike) without an iterator: restart keys are compared
+    where they lie, and the keys after a restart are assembled in the
+    finder's own buffer.  Once that buffer has grown to the block's
+    longest key, a search allocates nothing. *)
+
+(** A reusable search position. *)
+type finder
+
+val finder : unit -> finder
+
+(** [find f t target] positions [f] at the first entry of [t] whose key is
+    >= [target] in {!Pdb_kvs.Internal_key.compare} order, and is [false]
+    when every key is smaller.  The accessors below read that entry until
+    the next [find]; those that read its value take [t] again, since a
+    finder holds no block.
+    @raise Invalid_argument on a corrupt entry. *)
+val find : finder -> t -> string -> bool
+
+(** [found_same_user_key f ikey]: the entry's key has the user key of
+    internal key [ikey]. *)
+val found_same_user_key : finder -> string -> bool
+
+(** The kind in the entry's key trailer. *)
+val found_kind : finder -> Pdb_kvs.Internal_key.kind
+
+(** [found_value f t] copies the entry's value out of [t]. *)
+val found_value : finder -> t -> string
+
+(** [next_uvarint f t] decodes the next varint of the entry's value in
+    [t]: the first call after {!find} reads at the value's start (an index
+    entry's block handle is two of them).
+    @raise Invalid_argument past the value's end. *)
+val next_uvarint : finder -> t -> int
+
 (** [entries ~compare t] decodes the whole block in order — test helper. *)
 val entries : compare:(string -> string -> int) -> t -> (string * string) list

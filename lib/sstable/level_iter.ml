@@ -72,7 +72,7 @@ let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
   let cur = ref (-1) in
   let merged = ref None in
   let measure f =
-    match probe with Some ctx -> Probe.measure ctx f | None -> f ()
+    match probe with Some ctx -> Probe.measure ctx f () | None -> f ()
   in
   (* Position every surviving table of partition [i]; [target = None] means
      first key. *)

@@ -224,6 +224,7 @@ type reader = {
   mutable on_filter_load : (unit -> unit) option;
       (* notified when a Lazy filter materialises — the table cache
          re-weighs the entry, whose resident footprint just changed *)
+  finder : Block.finder; (* reused by every point lookup *)
 }
 
 let ikey_compare = Pdb_kvs.Internal_key.compare
@@ -269,6 +270,7 @@ let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
     prefix_len;
     filter;
     on_filter_load = None;
+    finder = Block.finder ();
   }
 
 (** [open_via_summary env ~dir meta summary] reopens an evicted table
@@ -304,6 +306,7 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
       (if filter_size = 0 then No_filter
        else Lazy { offset = filter_off; size = filter_size });
     on_filter_load = None;
+    finder = Block.finder ();
   }
 
 (* Materialise a lazy filter, charging the deferred random read. *)
@@ -328,9 +331,12 @@ let set_on_filter_load r f = r.on_filter_load <- Some f
 (** [may_contain r user_key] consults the table's bloom filter; [true] when
     no filter is attached. *)
 let may_contain r user_key =
-  match load_filter r with
-  | Some f -> Pdb_bloom.Bloom.mem f user_key
-  | None -> true
+  match r.filter with
+  | Loaded f -> Pdb_bloom.Bloom.mem f user_key
+  | No_filter | Lazy _ -> (
+    match load_filter r with
+    | Some f -> Pdb_bloom.Bloom.mem f user_key
+    | None -> true)
 
 (** [may_contain_prefix r prefix] is [false] only when the table was built
     with [prefix_bloom_len = String.length prefix] and its filter proves no
@@ -379,30 +385,22 @@ let summarize ~stride r =
        | No_filter -> 0)
     (List.rev !entries)
 
-(* Locate the handle of the block that may contain [ikey]. *)
-let find_block_handle r ikey =
-  let it = Block.iterator ~compare:ikey_compare r.index in
-  it.Pdb_kvs.Iter.seek ikey;
-  if it.Pdb_kvs.Iter.valid () then
-    let h = decode_handle (it.Pdb_kvs.Iter.value ()) in
-    Some h
-  else None
-
-(** [get r ~cache ~hint ikey] returns the first entry with internal key >=
-    [ikey], reading at most one data block. *)
-let get r ~cache ~hint ikey =
-  match find_block_handle r ikey with
-  | None -> None
-  | Some h ->
+(** [get r ~cache ~hint lookup] is the kind and value of the first entry
+    at or after internal key [lookup] when that entry holds [lookup]'s user
+    key, reading at most one data block. *)
+let get r ~cache ~hint lookup =
+  let f = r.finder in
+  if not (Block.find f r.index lookup) then None
+  else begin
+    let offset = Block.next_uvarint f r.index in
+    let size = Block.next_uvarint f r.index in
     let block =
-      Block_cache.find_or_load cache r.env ~file:r.name ~offset:h.offset
-        ~size:h.size ~hint
+      Block_cache.find_or_load cache r.env ~file:r.name ~offset ~size ~hint
     in
-    let it = Block.iterator ~compare:ikey_compare block in
-    it.Pdb_kvs.Iter.seek ikey;
-    if it.Pdb_kvs.Iter.valid () then
-      Some (it.Pdb_kvs.Iter.key (), it.Pdb_kvs.Iter.value ())
+    if Block.find f block lookup && Block.found_same_user_key f lookup then
+      Some (Block.found_kind f, Block.found_value f block)
     else None
+  end
 
 (** [iterator r ~cache ~hint] is a two-level iterator over the table.
     One block cursor walks every data block: entering a block re-points

@@ -106,11 +106,14 @@ val resident_bytes : reader -> int
     capturing its handles and actual resident footprint. *)
 val summarize : stride:int -> reader -> Index_summary.t
 
-(** [get r ~cache ~hint ikey] returns the first entry with internal key >=
-    [ikey], reading at most one data block. *)
+(** [get r ~cache ~hint lookup] is the kind and value of the freshest
+    version of [lookup]'s user key at or below internal key [lookup] (see
+    {!Pdb_kvs.Internal_key.lookup_at}), and [None] when the table holds no
+    such version.  It reads at most one data block; on a cache hit it
+    allocates only the result and the block cache's lookup key. *)
 val get :
   reader -> cache:Block_cache.t -> hint:Pdb_simio.Device.read_hint -> string ->
-  (string * string) option
+  (Pdb_kvs.Internal_key.kind * string) option
 
 (** [iterator r ~cache ~hint] is a two-level iterator over the table. *)
 val iterator :

@@ -19,7 +19,7 @@
 type t = {
   env : Pdb_simio.Env.t;
   dir : string;
-  cache : (string, Table.reader) Pdb_util.Lru.t;
+  cache : (int, Table.reader) Pdb_util.Lru.t; (* by file number *)
   by_bytes : bool;
   summary_stride : int; (* <= 0 disables summaries *)
   summaries : (int, Index_summary.t) Hashtbl.t;
@@ -44,8 +44,6 @@ let create ?bytes ?(summary_stride = 0) env ~dir ~entries =
     summary_misses = 0;
   }
 
-let key number = string_of_int number
-
 let weight_of t reader =
   if t.by_bytes then max 1 (Table.resident_bytes reader) else 1
 
@@ -53,7 +51,7 @@ let weight_of t reader =
     IO for) it if not cached.  With summaries enabled, a reopen of a
     previously-summarized table is summary-guided and cheaper. *)
 let find t (meta : Table.meta) =
-  match Pdb_util.Lru.find t.cache (key meta.Table.number) with
+  match Pdb_util.Lru.find t.cache meta.Table.number with
   | Some reader -> reader
   | None ->
     let reader =
@@ -71,7 +69,7 @@ let find t (meta : Table.meta) =
       end
       else Table.open_reader t.env ~dir:t.dir meta
     in
-    let k = key meta.Table.number in
+    let k = meta.Table.number in
     Pdb_util.Lru.insert t.cache k reader ~weight:(weight_of t reader);
     (* A summary-guided reader defers its filter block: the entry was
        weighed without the decoded bloom, so re-weigh it the moment the
@@ -91,19 +89,19 @@ let find t (meta : Table.meta) =
     hit/miss counters — for opportunistic filter consultation that must
     not open anything or distort statistics. *)
 let peek t (meta : Table.meta) =
-  Pdb_util.Lru.peek t.cache (key meta.Table.number)
+  Pdb_util.Lru.peek t.cache meta.Table.number
 
 (** [evict t number] drops a table (called when its file is deleted after
     compaction), along with its summary — the file is gone. *)
 let evict t number =
-  Pdb_util.Lru.remove t.cache (key number);
+  Pdb_util.Lru.remove t.cache number;
   Hashtbl.remove t.summaries number
 
 (** [known_resident_bytes t meta] is the actual decoded footprint of the
     table if known — from the open reader, else from its summary — and
     [None] for a never-opened table. *)
 let known_resident_bytes t (meta : Table.meta) =
-  match Pdb_util.Lru.peek t.cache (key meta.Table.number) with
+  match Pdb_util.Lru.peek t.cache meta.Table.number with
   | Some reader -> Some (Table.resident_bytes reader)
   | None -> (
     match Hashtbl.find_opt t.summaries meta.Table.number with

@@ -5,19 +5,25 @@
     evicts least-recently-used entries.  Implemented as a hash table over an
     intrusive doubly-linked list. *)
 
-type ('k, 'v) node = {
-  key : 'k;
-  value : 'v;
-  mutable weight : int;
-  mutable prev : ('k, 'v) node option;
-  mutable next : ('k, 'v) node option;
-}
+(* [Nil] ends the list; a [Node] is its own inline record, so linking a
+   node stores it as is, with no [Some] around it.  [hit] is [Some value],
+   built once, so a cache hit allocates nothing. *)
+type ('k, 'v) node =
+  | Nil
+  | Node of {
+      key : 'k;
+      value : 'v;
+      hit : 'v option;
+      mutable weight : int;
+      mutable prev : ('k, 'v) node;
+      mutable next : ('k, 'v) node;
+    }
 
 type ('k, 'v) t = {
   capacity : int;
   table : ('k, ('k, 'v) node) Hashtbl.t;
-  mutable head : ('k, 'v) node option; (* most recently used *)
-  mutable tail : ('k, 'v) node option; (* least recently used *)
+  mutable head : ('k, 'v) node; (* most recently used *)
+  mutable tail : ('k, 'v) node; (* least recently used *)
   mutable used : int;
   mutable hits : int;
   mutable misses : int;
@@ -28,49 +34,67 @@ let create ~capacity =
   {
     capacity;
     table = Hashtbl.create 64;
-    head = None;
-    tail = None;
+    head = Nil;
+    tail = Nil;
     used = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
   }
 
+let set_prev node p = match node with Node n -> n.prev <- p | Nil -> ()
+let set_next node x = match node with Node n -> n.next <- x | Nil -> ()
+
 let unlink t node =
-  (match node.prev with
-   | Some p -> p.next <- node.next
-   | None -> t.head <- node.next);
-  (match node.next with
-   | Some n -> n.prev <- node.prev
-   | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None
+  match node with
+  | Nil -> ()
+  | Node n ->
+    (match n.prev with Nil -> t.head <- n.next | p -> set_next p n.next);
+    (match n.next with Nil -> t.tail <- n.prev | x -> set_prev x n.prev);
+    n.prev <- Nil;
+    n.next <- Nil
 
 let push_front t node =
-  node.next <- t.head;
-  node.prev <- None;
-  (match t.head with Some h -> h.prev <- Some node | None -> ());
-  t.head <- Some node;
-  if t.tail = None then t.tail <- Some node
+  match node with
+  | Nil -> ()
+  | Node n ->
+    n.next <- t.head;
+    n.prev <- Nil;
+    set_prev t.head node;
+    t.head <- node;
+    if t.tail == Nil then t.tail <- node
+
+(* The node under [k], or [Nil]: [Hashtbl.find_opt] would allocate the
+   option. *)
+let lookup t k = try Hashtbl.find t.table k with Not_found -> Nil
+
+let drop t node =
+  match node with
+  | Nil -> ()
+  | Node n ->
+    unlink t node;
+    Hashtbl.remove t.table n.key;
+    t.used <- t.used - n.weight
 
 let evict_one t =
   match t.tail with
-  | None -> ()
-  | Some node ->
-    unlink t node;
-    Hashtbl.remove t.table node.key;
-    t.used <- t.used - node.weight;
+  | Nil -> ()
+  | node ->
+    drop t node;
     t.evictions <- t.evictions + 1
 
-(** [find t k] returns the cached value and promotes it to most recent. *)
+(** [find t k] returns the cached value and promotes it to most recent.
+    A hit allocates nothing. *)
 let find t k =
-  match Hashtbl.find_opt t.table k with
-  | Some node ->
+  match lookup t k with
+  | Node n as node ->
     t.hits <- t.hits + 1;
-    unlink t node;
-    push_front t node;
-    Some node.value
-  | None ->
+    if t.head != node then begin
+      unlink t node;
+      push_front t node
+    end;
+    n.hit
+  | Nil ->
     t.misses <- t.misses + 1;
     None
 
@@ -80,22 +104,16 @@ let mem t k = Hashtbl.mem t.table k
 (** [peek t k] returns the cached value without promoting it or touching
     the hit/miss counters — for accounting and opportunistic reads that
     must not distort cache statistics. *)
-let peek t k =
-  match Hashtbl.find_opt t.table k with
-  | Some node -> Some node.value
-  | None -> None
+let peek t k = match lookup t k with Node n -> n.hit | Nil -> None
 
 (** [insert t k v ~weight] adds or replaces an entry, evicting as needed.
     Entries heavier than the whole capacity are not cached. *)
 let insert t k v ~weight =
   if weight <= t.capacity then begin
-    (match Hashtbl.find_opt t.table k with
-     | Some old ->
-       unlink t old;
-       Hashtbl.remove t.table k;
-       t.used <- t.used - old.weight
-     | None -> ());
-    let node = { key = k; value = v; weight; prev = None; next = None } in
+    drop t (lookup t k);
+    let node =
+      Node { key = k; value = v; hit = Some v; weight; prev = Nil; next = Nil }
+    in
     Hashtbl.replace t.table k node;
     push_front t node;
     t.used <- t.used + weight;
@@ -110,22 +128,16 @@ let insert t k v ~weight =
     capacity evicts from the LRU end as usual (possibly the entry
     itself). *)
 let update_weight t k ~weight =
-  match Hashtbl.find_opt t.table k with
-  | Some node ->
-    t.used <- t.used - node.weight + weight;
-    node.weight <- weight;
+  match lookup t k with
+  | Node n ->
+    t.used <- t.used - n.weight + weight;
+    n.weight <- weight;
     while t.used > t.capacity do
       evict_one t
     done
-  | None -> ()
+  | Nil -> ()
 
-let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | Some node ->
-    unlink t node;
-    Hashtbl.remove t.table k;
-    t.used <- t.used - node.weight
-  | None -> ()
+let remove t k = drop t (lookup t k)
 
 let used t = t.used
 let capacity t = t.capacity
@@ -139,13 +151,13 @@ let evictions t = t.evictions
 let fold t f acc =
   let rec go node acc =
     match node with
-    | None -> acc
-    | Some n -> go n.next (f acc n.key n.value)
+    | Nil -> acc
+    | Node n -> go n.next (f acc n.key n.value)
   in
   go t.head acc
 
 let clear t =
   Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
+  t.head <- Nil;
+  t.tail <- Nil;
   t.used <- 0

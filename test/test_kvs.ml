@@ -196,17 +196,19 @@ let test_memtable_get_latest () =
   Memtable.add m ~seq:1 ~kind:Internal_key.Value ~user_key:"k" ~value:"old";
   Memtable.add m ~seq:2 ~kind:Internal_key.Value ~user_key:"k" ~value:"new";
   Alcotest.(check bool) "latest wins" true
-    (Memtable.get m "k" = Some (Some "new"))
+    (Memtable.get m (Internal_key.max_for_lookup "k") = Some (Some "new"))
 
 let test_memtable_tombstone () =
   let m = Memtable.create () in
   Memtable.add m ~seq:1 ~kind:Internal_key.Value ~user_key:"k" ~value:"v";
   Memtable.add m ~seq:2 ~kind:Internal_key.Deletion ~user_key:"k" ~value:"";
-  Alcotest.(check bool) "tombstone visible" true (Memtable.get m "k" = Some None)
+  Alcotest.(check bool) "tombstone visible" true
+    (Memtable.get m (Internal_key.max_for_lookup "k") = Some None)
 
 let test_memtable_absent () =
   let m = Memtable.create () in
-  Alcotest.(check bool) "absent" true (Memtable.get m "nope" = None)
+  Alcotest.(check bool) "absent" true
+    (Memtable.get m (Internal_key.max_for_lookup "nope") = None)
 
 let test_memtable_bytes_grow () =
   let m = Memtable.create () in

@@ -229,8 +229,8 @@ let test_probe_span_timing () =
       ()
   in
   Pdb_simio.Probe.with_session ctx ~label:"seek" (fun () ->
-      Pdb_simio.Probe.measure ctx (fun () -> Clock.advance clock 1_000.0);
-      Pdb_simio.Probe.measure ctx (fun () -> Clock.advance clock 1_000.0));
+      Pdb_simio.Probe.measure ctx (Clock.advance clock) 1_000.0;
+      Pdb_simio.Probe.measure ctx (Clock.advance clock) 1_000.0);
   (* two 1000ns probes on a budget of 2: serial total 2000, makespan 1000,
      refund 0.5 * (2000 - 1000) = 500.  The session's real window is the
      full 2000ns of measured device time before the refund. *)

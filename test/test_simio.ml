@@ -570,7 +570,7 @@ let test_sched_conflicting_jobs_serialize () =
   check (Alcotest.float 0.001) "second waits for the first" 150.0 f2;
   check Alcotest.int "serialization counted" 1 (Sched.serialized_jobs s);
   check (Alcotest.float 0.001) "clock horizon tracks" 150.0
-    clock.Clock.bg_horizon_ns
+    (Clock.bg_horizon_ns clock)
 
 let test_sched_single_worker_packs_sequentially () =
   let clock = Clock.create () in
@@ -599,6 +599,238 @@ let test_truncating_create () =
   let w2 = Env.create_file env "f" in
   Env.append w2 "b";
   check Alcotest.int "truncated" 1 (Env.file_size env "f")
+
+(* ---------- probe sessions against the list-based model ---------- *)
+
+(* The probe-session model as first written: costs consed onto a list,
+   summed newest first, sorted with [List.sort] and packed longest first.
+   {!Probe} keeps its costs in a reused float buffer instead; both must
+   leave the clock and the trace bit-identical. *)
+module Ref_probe = struct
+  type session = {
+    label : string;
+    start_elapsed : float;
+    mutable costs : float list;
+  }
+
+  type ctx = {
+    clock : Clock.t;
+    budget : unit -> int;
+    tracer : unit -> Trace.t option;
+    mutable active : session option;
+  }
+
+  let create_ctx ~clock ~budget ~tracer () =
+    { clock; budget; tracer; active = None }
+
+  let lane_time (c : Clock.t) =
+    let s = Clock.snapshot c in
+    match c.Clock.lane with
+    | Clock.Foreground -> s.Clock.foreground_ns
+    | Clock.Background -> s.Clock.background_ns
+
+  let measure ctx f =
+    match ctx.active with
+    | None -> f ()
+    | Some s ->
+      let before = lane_time ctx.clock in
+      Fun.protect
+        ~finally:(fun () ->
+          s.costs <- (lane_time ctx.clock -. before) :: s.costs)
+        f
+
+  let makespan ~lanes costs =
+    let lanes = max 1 lanes in
+    let total = List.fold_left ( +. ) 0.0 costs in
+    if lanes = 1 then total
+    else
+      match costs with
+      | [] | [ _ ] -> total
+      | costs ->
+        let loads = Array.make lanes 0.0 in
+        List.iter
+          (fun c ->
+            let least = ref 0 in
+            for i = 1 to lanes - 1 do
+              if loads.(i) < loads.(!least) then least := i
+            done;
+            loads.(!least) <- loads.(!least) +. c)
+          (List.sort (fun a b -> Float.compare b a) costs);
+        Array.fold_left Float.max 0.0 loads
+
+  let now ctx = Clock.elapsed_ns (Clock.snapshot ctx.clock)
+
+  let finish ctx s =
+    let n = List.length s.costs in
+    if n > 1 then begin
+      let total = List.fold_left ( +. ) 0.0 s.costs in
+      let overlapped = makespan ~lanes:(ctx.budget ()) s.costs in
+      let end_elapsed = now ctx in
+      if total > overlapped then
+        Clock.refund ctx.clock (0.5 *. (total -. overlapped));
+      match ctx.tracer () with
+      | Some tr when total > 0.0 ->
+        Trace.span tr ~name:("probe:" ^ s.label) ~cat:"probe"
+          ~lane:"foreground" ~start_ns:s.start_elapsed
+          ~dur_ns:(end_elapsed -. s.start_elapsed)
+          ~args:
+            [
+              ("tables", string_of_int n);
+              ("serial_ns", Printf.sprintf "%.0f" total);
+              ("overlapped_ns", Printf.sprintf "%.0f" overlapped);
+              ("budget", string_of_int (ctx.budget ()));
+            ]
+          ()
+      | Some _ | None -> ()
+    end
+
+  let with_session ctx ~label f =
+    match ctx.active with
+    | Some _ -> f ()
+    | None ->
+      let s = { label; start_elapsed = now ctx; costs = [] } in
+      ctx.active <- Some s;
+      Fun.protect
+        ~finally:(fun () ->
+          ctx.active <- None;
+          finish ctx s)
+        f
+end
+
+module type PROBE = sig
+  type ctx
+
+  val create_ctx :
+    clock:Clock.t ->
+    budget:(unit -> int) ->
+    tracer:(unit -> Trace.t option) ->
+    unit ->
+    ctx
+
+  val with_session : ctx -> label:string -> (unit -> 'a) -> 'a
+  val measure : ctx -> (unit -> unit) -> unit
+end
+
+module New_probe : PROBE = struct
+  include Probe
+
+  let measure ctx f = Probe.measure ctx f ()
+end
+
+type step =
+  | Measured of float  (** a probe that charges the lane *)
+  | Plain of float  (** device time outside any probe *)
+  | Cpu of float  (** modeled CPU, never overlapped *)
+  | Nested of float list  (** a nested session of probes *)
+  | Raising of float  (** a probe that charges the lane, then raises *)
+
+type session = {
+  budget : int;
+  background : bool;  (** run on the background lane *)
+  steps : step list;
+  raises : bool;  (** the session body raises after its steps *)
+}
+
+(* Run [sessions] one after another on one ctx with a tracer attached. *)
+let run_sessions (module P : PROBE) sessions =
+  let clock = Clock.create () and tr = Trace.create () in
+  let budget = ref 1 in
+  let ctx =
+    P.create_ctx ~clock ~budget:(fun () -> !budget)
+      ~tracer:(fun () -> Some tr) ()
+  in
+  let probe c = P.measure ctx (fun () -> Clock.advance clock c) in
+  let step = function
+    | Measured c -> probe c
+    | Plain c -> Clock.advance clock c
+    | Cpu c -> Clock.advance_cpu clock c
+    | Nested cs ->
+      P.with_session ctx ~label:"inner" (fun () -> List.iter probe cs)
+    | Raising c -> (
+      try
+        P.measure ctx (fun () ->
+            Clock.advance clock c;
+            raise Exit)
+      with Exit -> ())
+  in
+  List.iter
+    (fun s ->
+      budget := s.budget;
+      let session () =
+        try
+          P.with_session ctx ~label:"get" (fun () ->
+              List.iter step s.steps;
+              if s.raises then raise Exit)
+        with Exit -> ()
+      in
+      if s.background then Clock.with_background clock session
+      else session ())
+    sessions;
+  (Clock.snapshot clock, Trace.events tr)
+
+let gen_sessions =
+  let open QCheck.Gen in
+  (* a few fixed costs make ties common; the rest make float sums depend
+     on their order *)
+  let cost =
+    oneof [ oneofl [ 0.0; 1.0; 100.0; 250.0; 1000.0 ]; float_range 0.0 5000.0 ]
+  in
+  let step =
+    frequency
+      [
+        (6, map (fun c -> Measured c) cost);
+        (1, map (fun c -> Plain c) cost);
+        (1, map (fun c -> Cpu c) cost);
+        (1, map (fun cs -> Nested cs) (list_size (int_range 0 4) cost));
+        (1, map (fun c -> Raising c) cost);
+      ]
+  in
+  list_size (int_range 1 4)
+    (map4
+       (fun budget background steps raises ->
+         { budget; background; steps; raises })
+       (int_range 1 8) bool
+       (list_size (int_range 0 24) step)
+       bool)
+
+let print_sessions sessions =
+  let step = function
+    | Measured c -> Printf.sprintf "M%h" c
+    | Plain c -> Printf.sprintf "P%h" c
+    | Cpu c -> Printf.sprintf "C%h" c
+    | Nested cs ->
+      "N[" ^ String.concat ";" (List.map (Printf.sprintf "%h") cs) ^ "]"
+    | Raising c -> Printf.sprintf "R%h" c
+  in
+  String.concat " | "
+    (List.map
+       (fun s ->
+         Printf.sprintf "budget %d%s%s: %s" s.budget
+           (if s.background then " bg" else "")
+           (if s.raises then " raises" else "")
+           (String.concat " " (List.map step s.steps)))
+       sessions)
+
+let bits x = Int64.bits_of_float x
+
+let prop_probe_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"probe sessions = list-based model"
+       (QCheck.make ~print:print_sessions gen_sessions)
+       (fun sessions ->
+         let snap, events = run_sessions (module New_probe) sessions
+         and ref_snap, ref_events = run_sessions (module Ref_probe) sessions in
+         let clock_bits (s : Clock.snapshot) =
+           List.map bits
+             [ s.Clock.foreground_ns; s.Clock.background_ns;
+               s.Clock.bg_horizon_ns; s.Clock.stall_ns; s.Clock.cpu_ns ]
+         in
+         let span (e : Trace.event) =
+           (e.Trace.name, e.Trace.lane, bits e.Trace.ts_ns, bits e.Trace.dur_ns,
+            e.Trace.args)
+         in
+         clock_bits snap = clock_bits ref_snap
+         && List.map span events = List.map span ref_events))
 
 let () =
   Alcotest.run "simio"
@@ -650,6 +882,7 @@ let () =
           Alcotest.test_case "aging" `Quick test_device_aging;
           Alcotest.test_case "read hints" `Quick test_device_read_hints;
         ] );
+      ("probe", [ prop_probe_matches_model ]);
       ( "sched",
         [
           Alcotest.test_case "footprint conflicts" `Quick test_sched_conflicts;

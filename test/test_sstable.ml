@@ -253,26 +253,10 @@ let test_table_build_and_get () =
     (fun i ->
       let target = Ik.max_for_lookup (Printf.sprintf "key%05d" i) in
       match Table.get reader ~cache ~hint:Pdb_simio.Device.Random_read target with
-      | Some (ik, v) ->
-        check Alcotest.string "found key" (Printf.sprintf "key%05d" i)
-          (Ik.user_key ik);
+      | Some (Ik.Value, v) ->
         check Alcotest.string "found value" (Printf.sprintf "value-%05d" i) v
-      | None -> Alcotest.fail "expected hit")
+      | Some (Ik.Deletion, _) | None -> Alcotest.fail "expected hit")
     [ 0; 1; 57; 100; 199 ]
-
-let test_table_get_absent_lands_on_successor () =
-  let env = Pdb_simio.Env.create () in
-  let meta = build_table env ~dir:"db" ~number:1 (sorted_entries 50) in
-  let reader = Table.open_reader env ~dir:"db" meta in
-  let cache = Block_cache.create ~capacity:(1 lsl 20) in
-  let target = Ik.max_for_lookup "key00010zzz" in
-  (match Table.get reader ~cache ~hint:Pdb_simio.Device.Random_read target with
-   | Some (ik, _) ->
-     check Alcotest.string "successor" "key00011" (Ik.user_key ik)
-   | None -> Alcotest.fail "expected successor");
-  let past = Ik.max_for_lookup "zzzz" in
-  Alcotest.(check bool) "past end" true
-    (Table.get reader ~cache ~hint:Pdb_simio.Device.Random_read past = None)
 
 let test_table_iterator_full_scan () =
   let env = Pdb_simio.Env.create () in
@@ -312,6 +296,144 @@ let table_blocks env ~dir (meta : Table.meta) =
       let size, _ = Pdb_util.Varint.get_uvarint handle p in
       Block.decode (read offset size))
     (Block.entries ~compare:Ik.compare index)
+
+(* A get answers only for the key it asks about: an absent key is [None]
+   whether its successor sits in the same block, opens the next block, or
+   there is none at all. *)
+let test_table_get_absent () =
+  let env = Pdb_simio.Env.create () in
+  let entries = sorted_entries 200 in
+  let meta = build_table env ~dir:"db" ~number:1 entries in
+  let user_keys block =
+    List.map
+      (fun (ik, _) -> Ik.user_key ik)
+      (Block.entries ~compare:Ik.compare block)
+  in
+  let blocks = List.map user_keys (table_blocks env ~dir:"db" meta) in
+  Alcotest.(check bool) "several blocks" true (List.length blocks >= 3);
+  let reader = Table.open_reader env ~dir:"db" meta in
+  let cache = Block_cache.create ~capacity:(1 lsl 20) in
+  let get uk =
+    Table.get reader ~cache ~hint:Pdb_simio.Device.Random_read
+      (Ik.max_for_lookup uk)
+  in
+  let absent what uk =
+    Alcotest.(check bool) (what ^ ": " ^ uk) true (get uk = None)
+  in
+  let present uk =
+    let i = int_of_string (String.sub uk 3 5) in
+    Alcotest.(check bool) ("present: " ^ uk) true
+      (get uk = Some (Ik.Value, Printf.sprintf "value-%05d" i))
+  in
+  let first = List.nth blocks 0 and second = List.nth blocks 1 in
+  let last_of b = List.nth b (List.length b - 1) in
+  absent "before the first key" "key";
+  absent "successor in the same block" (List.nth first 1 ^ "x");
+  absent "successor opens the next block" (last_of first ^ "x");
+  absent "successor at the next block's second key" (List.hd second ^ "x");
+  absent "past the last key" "zzzz";
+  absent "just past the last key" (last_of (last_of blocks) ^ "x");
+  List.iter present [ List.hd first; last_of first; List.hd second ]
+
+(* Versions of one user key: the freshest visible at the lookup's sequence
+   number answers, a tombstone answers [Deletion], and a lookup older than
+   every version finds nothing. *)
+let test_table_get_versions () =
+  let env = Pdb_simio.Env.create () in
+  let e uk seq kind v = (Ik.encode ~user_key:uk ~seq ~kind, v) in
+  let entries =
+    [ e "a" 3 Ik.Value "a3"; e "b" 9 Ik.Value "b9"; e "b" 7 Ik.Deletion "";
+      e "b" 5 Ik.Value "b5"; e "c" 2 Ik.Value "c2" ]
+  in
+  let meta = build_table env ~dir:"db" ~number:4 entries in
+  let reader = Table.open_reader env ~dir:"db" meta in
+  let cache = Block_cache.create ~capacity:(1 lsl 20) in
+  let get lookup =
+    Table.get reader ~cache ~hint:Pdb_simio.Device.Random_read lookup
+  in
+  let expect what want lookup =
+    Alcotest.(check bool) what true (get lookup = want)
+  in
+  expect "latest" (Some (Ik.Value, "b9")) (Ik.max_for_lookup "b");
+  expect "tombstone" (Some (Ik.Deletion, ""))
+    (Ik.lookup_at ~user_key:"b" ~seq:8);
+  expect "tombstone at its own seq" (Some (Ik.Deletion, ""))
+    (Ik.lookup_at ~user_key:"b" ~seq:7);
+  expect "snapshot skips newer versions" (Some (Ik.Value, "b5"))
+    (Ik.lookup_at ~user_key:"b" ~seq:6);
+  expect "older than every version" None (Ik.lookup_at ~user_key:"b" ~seq:4);
+  expect "older than the last entry" None (Ik.lookup_at ~user_key:"c" ~seq:1)
+
+(* A reader's key buffer starts small: a long key reached after a short
+   one in the same restart run grows it, and the grown buffer keeps the
+   prefix the two keys share. *)
+let test_table_get_long_key () =
+  let env = Pdb_simio.Env.create () in
+  let long = "a" ^ String.make 40 'b' in
+  let entries =
+    [ (ikey "a" 1, "short"); (ikey long 1, "long"); (ikey "b" 1, "last") ]
+  in
+  let meta = build_table env ~dir:"db" ~number:5 entries in
+  let reader = Table.open_reader env ~dir:"db" meta in
+  let cache = Block_cache.create ~capacity:(1 lsl 20) in
+  Alcotest.(check bool) "long key after a short one" true
+    (Table.get reader ~cache ~hint:Pdb_simio.Device.Random_read
+       (Ik.max_for_lookup long)
+    = Some (Ik.Value, "long"))
+
+(* Table.get against a model: the first entry at or after the lookup key,
+   when it holds the lookup's user key.  Tiny blocks put versions of one
+   user key across block and restart boundaries, and every user key
+   starts with the same [pad] bytes, so stored keys share long
+   prefixes. *)
+let prop_table_get_model =
+  qtest ~count:200 "table get = model"
+    QCheck.(
+      triple (int_range 1 48)
+        (list
+           (quad (string_of_size (Gen.int_range 0 3)) (int_bound 20) bool
+              (string_of_size (Gen.int_range 0 40))))
+        (list (pair (string_of_size (Gen.int_range 0 3)) (int_bound 22))))
+    (fun (pad, raw, lookups) ->
+      let module M = Map.Make (String) in
+      let user uk = String.make pad 'k' ^ uk in
+      let sorted =
+        List.fold_left
+          (fun m (uk, seq, live, v) ->
+            let kind = if live then Ik.Value else Ik.Deletion in
+            M.add (Ik.encode ~user_key:(user uk) ~seq ~kind) v m)
+          M.empty raw
+        |> M.bindings
+        |> List.sort (fun (a, _) (b, _) -> Ik.compare a b)
+      in
+      sorted = []
+      ||
+      let env = Pdb_simio.Env.create () in
+      let b =
+        Table.Builder.create env ~dir:"db" ~number:1 ~block_bytes:64
+          ~bloom:false ~expected_keys:(List.length sorted)
+      in
+      List.iter (fun (ik, v) -> Table.Builder.add b ik v) sorted;
+      let meta = Option.get (Table.Builder.finish b) in
+      let reader = Table.open_reader env ~dir:"db" meta in
+      let cache = Block_cache.create ~capacity:(1 lsl 20) in
+      let model lookup =
+        match
+          List.find_opt (fun (ik, _) -> Ik.compare ik lookup >= 0) sorted
+        with
+        | Some (ik, v) when Ik.user_key ik = Ik.user_key lookup ->
+          Some (Ik.kind ik, v)
+        | Some _ | None -> None
+      in
+      (* random lookups, and one at every stored version *)
+      List.map (fun (uk, seq) -> Ik.lookup_at ~user_key:(user uk) ~seq) lookups
+      @ List.map
+          (fun (ik, _) ->
+            Ik.lookup_at ~user_key:(Ik.user_key ik) ~seq:(Ik.seq ik))
+          sorted
+      |> List.for_all (fun lookup ->
+             Table.get reader ~cache ~hint:Pdb_simio.Device.Random_read lookup
+             = model lookup))
 
 (* One cursor walks every block: a scan across many blocks yields exactly
    the blocks' own entries, also after a seek past the last block left
@@ -634,8 +756,12 @@ let () =
       ( "table",
         [
           Alcotest.test_case "build and get" `Quick test_table_build_and_get;
-          Alcotest.test_case "absent -> successor" `Quick
-            test_table_get_absent_lands_on_successor;
+          Alcotest.test_case "absent -> None" `Quick test_table_get_absent;
+          Alcotest.test_case "versions and tombstones" `Quick
+            test_table_get_versions;
+          Alcotest.test_case "long key after a short one" `Quick
+            test_table_get_long_key;
+          prop_table_get_model;
           Alcotest.test_case "full scan" `Quick test_table_iterator_full_scan;
           Alcotest.test_case "iterator seek" `Quick test_table_iterator_seek;
           Alcotest.test_case "iterator crosses 16+ blocks" `Quick
