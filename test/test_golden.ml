@@ -116,6 +116,47 @@ let replay (type a) (module E : ENGINE with type t = a) opts =
   E.close db;
   (Fingerprint.md5 env, clock_bits env)
 
+(* Scan pins: many short range scans, each through a fresh iterator, with
+   about one insert per twenty scans.  Scans between writes run past the
+   seek-compaction threshold, so seek compactions fire and later scans
+   cross the empty guards they leave.  Besides the file bytes and the
+   clock, the pin digests every entry a scan returned. *)
+let scan_replay (type a) (module E : ENGINE with type t = a) opts =
+  let env = Env.create () in
+  let rng = Random.State.make [| 20171029 |] in
+  let key () = Printf.sprintf "k%05d" (Random.State.int rng 2000) in
+  let value i =
+    Printf.sprintf "s%06d-%s" i (String.make (Random.State.int rng 64) 'h')
+  in
+  let db = E.open_store opts ~env ~dir:"db" in
+  for i = 0 to 2999 do
+    if i mod 13 = 0 then E.delete db (key ()) else E.put db (key ()) (value i)
+  done;
+  let entries = Buffer.create 4096 in
+  let scanned = ref 0 in
+  for i = 1 to 1500 do
+    if Random.State.int rng 100 < 5 then E.put db (key ()) (value (3000 + i));
+    let it = E.iterator db in
+    it.Iter.seek (key ());
+    let len = 1 + Random.State.int rng 100 in
+    let n = ref 0 in
+    while !n < len && it.Iter.valid () do
+      Buffer.add_string entries (it.Iter.key ());
+      Buffer.add_char entries '=';
+      Buffer.add_string entries (it.Iter.value ());
+      Buffer.add_char entries '\n';
+      incr n;
+      if !n < len then it.Iter.next ()
+    done;
+    scanned := !scanned + !n
+  done;
+  E.check_invariants db;
+  E.close db;
+  ( Fingerprint.md5 env,
+    clock_bits env,
+    Printf.sprintf "%d %s" !scanned
+      (Digest.to_hex (Digest.string (Buffer.contents entries))) )
+
 let subjects =
   let lsm policy =
     (module L : ENGINE), tiny { (O.hyperleveldb ()) with O.compaction_policy = policy }
@@ -163,6 +204,37 @@ let test_pin name () =
   Alcotest.(check string) (name ^ ": file bytes") want_md5 md5;
   Alcotest.(check string) (name ^ ": clock bits") want_clock clock
 
+(* (subject, file-set MD5, clock bits, entries scanned and their MD5) *)
+let scan_pins =
+  [
+    ( "pebblesdb",
+      "ea44a5e8aaf2af61a20564e38e34466b",
+      "0x1.b85ee4d6p+29 0x1.503e3ep+25 0x1.0e4cdc4p+25 0x0p+0 0x1.1f10c5p+27",
+      "74535 54e5ef760866f957b6afcd8addef6d0a" );
+    ( "pebblesdb-1",
+      "57f0c503543dae00d7e323063d95c706",
+      "0x1.91801e98p+29 0x1.6c564e6p+27 0x1.8b75dcap+26 0x0p+0 0x1.0c361cp+27",
+      "74535 54e5ef760866f957b6afcd8addef6d0a" );
+    ( "leveled",
+      "ed8da27246f23b59cc808418bcf32f91",
+      "0x1.4f0b3cb8p+29 0x1.e9092b8p+24 0x1.a6015a8p+24 0x0p+0 0x1.ba554ep+26",
+      "74535 54e5ef760866f957b6afcd8addef6d0a" );
+    ( "tiered",
+      "c50bae3298d16100770c1652924cdb85",
+      "0x1.22dd72bap+30 0x1.631ad8p+23 0x1.410c4p+23 0x0p+0 0x1.0a133cp+27",
+      "74535 54e5ef760866f957b6afcd8addef6d0a" );
+  ]
+
+let test_scan_pin name () =
+  let (module E : ENGINE), opts = List.assoc name subjects in
+  let md5, clock, scanned = scan_replay (module E) opts in
+  let _, want_md5, want_clock, want_scanned =
+    List.find (fun (n, _, _, _) -> String.equal n name) scan_pins
+  in
+  Alcotest.(check string) (name ^ ": file bytes") want_md5 md5;
+  Alcotest.(check string) (name ^ ": clock bits") want_clock clock;
+  Alcotest.(check string) (name ^ ": entries") want_scanned scanned
+
 let () =
   Alcotest.run "golden"
     [
@@ -170,4 +242,8 @@ let () =
         List.map
           (fun (name, _) -> Alcotest.test_case name `Quick (test_pin name))
           subjects );
+      ( "scan pins",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_scan_pin name))
+          [ "pebblesdb"; "pebblesdb-1"; "leveled"; "tiered" ] );
     ]
