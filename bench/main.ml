@@ -283,10 +283,10 @@ let run_bechamel () =
         Pdb_sstable.Table.iterator reader ~cache
           ~hint:Pdb_simio.Device.Random_read
       in
-      it.Iter.seek_to_first ();
-      while it.Iter.valid () do
-        ignore (it.Iter.key ());
-        it.Iter.next ()
+      Pdb_sstable.Table.seek_to_first it;
+      while Pdb_sstable.Table.valid it do
+        ignore (Pdb_sstable.Table.key it);
+        Pdb_sstable.Table.next it
       done
     in
     scan ();
@@ -313,8 +313,10 @@ let run_bechamel () =
              Pdb_kvs.Merging_iter.create ~compare:Ik.compare
                (List.map
                   (fun m ->
-                    Pdb_sstable.Table.iterator ~cache:scratch ~hint
-                      (Pdb_sstable.Table.open_reader ~hint env ~dir:"micro" m))
+                    Pdb_sstable.Table.to_iter
+                      (Pdb_sstable.Table.iterator ~cache:scratch ~hint
+                         (Pdb_sstable.Table.open_reader ~hint env ~dir:"micro"
+                            m)))
                   inputs)
            in
            let b =
@@ -354,8 +356,10 @@ let run_bechamel () =
       (Staged.stage (fun () ->
            (* evicting the block the last run loaded makes this one miss *)
            Pdb_sstable.Block_cache.evict_file cache ~file;
+           let id = Pdb_sstable.Block_cache.intern cache file in
            ignore
-             (Pdb_sstable.Block_cache.find_or_load cache scan_env ~file ~offset
+             (Pdb_sstable.Block_cache.find_or_load cache scan_env ~id ~file
+                ~offset
                 ~size:(String.length block_raw)
                 ~hint:Pdb_simio.Device.Random_read)))
   in
@@ -365,8 +369,79 @@ let run_bechamel () =
   let block_load_far =
     block_load ~name:"block_cache.load (miss, at 64 KB)" ~offset:65536
   in
+  (* the scan path: a table iterator created and sought in a table whose
+     blocks are cached; a level iterator walking fifty empty guards (a
+     probe context attached, as in an engine); and a whole engine scan, a
+     fresh iterator sought and stepped fifty times over a store whose
+     levels hold several guards and tables *)
+  let table_iterator =
+    let env = Pdb_simio.Env.create () in
+    let b =
+      Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:4
+        ~block_bytes:4096 ~bloom:true ~expected_keys:1000
+    in
+    for i = 0 to 999 do
+      Pdb_sstable.Table.Builder.add b (ik i 1) (String.make 100 'v')
+    done;
+    let meta = Option.get (Pdb_sstable.Table.Builder.finish b) in
+    let reader = Pdb_sstable.Table.open_reader env ~dir:"micro" meta in
+    let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
+    let target = Ik.max_for_lookup (Printf.sprintf "user%016d" 424) in
+    let seek () =
+      let it =
+        Pdb_sstable.Table.iterator reader ~cache
+          ~hint:Pdb_simio.Device.Random_read
+      in
+      Pdb_sstable.Table.seek it target
+    in
+    seek ();
+    Test.make ~name:"table.iterator (create + seek)" (Staged.stage seek)
+  in
+  let level_iter_empty =
+    let env = Pdb_simio.Env.create () in
+    let level = Pebblesdb.Guard.create_level () in
+    Pebblesdb.Guard.commit_guards level
+      (List.init 50 (fun i -> Printf.sprintf "g%03d" i));
+    let probe =
+      Pdb_simio.Probe.create_ctx ~clock:(Pdb_simio.Env.clock env)
+        ~budget:(fun () -> 4) ~tracer:(fun () -> None) ()
+    in
+    let it =
+      Pdb_sstable.Level_iter.create ~probe
+        ~cache:(Pdb_sstable.Table_cache.create env ~dir:"micro" ~entries:10)
+        ~block_cache:(Pdb_sstable.Block_cache.create ~capacity:(1 lsl 16))
+        ~hint:Pdb_simio.Device.Random_read ~on_table:ignore
+        (Pebblesdb.Pebbles_store.guard_view level)
+    in
+    Test.make ~name:"level_iter.seek_to_first (50 empty partitions)"
+      (Staged.stage (fun () -> it.Iter.seek_to_first ()))
+  in
+  let engine_scan =
+    let module P = Pebblesdb.Pebbles_store in
+    let module O = Pdb_kvs.Options in
+    let opts =
+      { (O.pebblesdb ()) with O.memtable_bytes = 16 * 1024;
+        sstable_target_bytes = 16 * 1024; level_bytes_base = 64 * 1024;
+        block_bytes = 1024; seek_based_compaction = false }
+    in
+    let db = P.open_store opts ~env:(Pdb_simio.Env.create ()) ~dir:"micro" in
+    for i = 0 to 7999 do
+      P.put db (Printf.sprintf "key%05d" (i * 7919 mod 4000)) (String.make 100 'v')
+    done;
+    let scan () =
+      let it = P.iterator db in
+      it.Iter.seek "key02000";
+      for _ = 1 to 50 do
+        ignore (it.Iter.key ());
+        ignore (it.Iter.value ());
+        it.Iter.next ()
+      done
+    in
+    scan ();
+    Test.make ~name:"engine scan (create, seek, 50 nexts)" (Staged.stage scan)
+  in
   let tests =
-    [ memtable_insert; bloom_check; skiplist_seek; guard_search; murmur;
+    [ table_iterator; level_iter_empty; engine_scan; memtable_insert; bloom_check; skiplist_seek; guard_search; murmur;
       ikey_compare; block_seek; block_next; table_get; table_get_absent;
       shell_get; probe_session; wb_encode;
       wal_add_records; table_build; table_scan; compaction_merge;

@@ -81,14 +81,14 @@ let () =
        Pdb_sstable.Table.iterator reader ~cache
          ~hint:Pdb_simio.Device.Sequential_read
      in
-     it.Pdb_kvs.Iter.seek_to_first ();
+     Pdb_sstable.Table.seek_to_first it;
      Printf.printf "  first entries:\n";
      for _ = 1 to 5 do
-       if it.Pdb_kvs.Iter.valid () then begin
-         let ik = it.Pdb_kvs.Iter.key () in
+       if Pdb_sstable.Table.valid it then begin
+         let ik = Pdb_sstable.Table.key it in
          Printf.printf "    %s @seq%d -> %S\n" (Ik.user_key ik) (Ik.seq ik)
-           (it.Pdb_kvs.Iter.value ());
-         it.Pdb_kvs.Iter.next ()
+           (Pdb_sstable.Table.value it);
+         Pdb_sstable.Table.next it
        end
      done);
 

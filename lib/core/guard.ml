@@ -13,14 +13,18 @@
     - every table attached to a guard lies entirely inside the guard's
       range (no straddlers — enforced at compaction/commit time);
     - tables are listed newest-first, so a get() can stop at the first
-      bloom-confirmed hit. *)
+      bloom-confirmed hit.
+
+    Guards are copy-on-write: a guard record never changes, and every
+    change to a level installs a fresh guard array.  The array a reader
+    took is therefore a snapshot that later compactions leave alone. *)
 
 module Ik = Pdb_kvs.Internal_key
 module Table = Pdb_sstable.Table
 
 type guard = {
   gkey : string; (* user key; "" for the sentinel *)
-  mutable tables : Table.meta list; (* newest first *)
+  tables : Table.meta list; (* newest first *)
 }
 
 type level = { mutable guards : guard array }
@@ -38,6 +42,17 @@ let guard_index level key =
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
     if String.compare g.(mid).gkey key <= 0 then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(** [locate guards ikey] is the index in [guards] of the guard owning the
+    user key of internal key [ikey], compared in place. *)
+let locate guards ikey =
+  let lo = ref 0 and hi = ref (Array.length guards - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if Ik.compare_user_key ikey guards.(mid).gkey >= 0 then lo := mid
+    else hi := mid - 1
   done;
   !lo
 
@@ -63,23 +78,35 @@ let straddles key (m : Table.meta) =
   String.compare (Ik.user_key m.Table.smallest) key < 0
   && String.compare (Ik.user_key m.Table.largest) key >= 0
 
+(* [place guards m] adds [m] to the newest end of its guard's list in the
+   fresh array [guards]. *)
+let place guards (m : Table.meta) =
+  let level = { guards } in
+  let i = guard_index level (Ik.user_key m.Table.smallest) in
+  if not (table_fits level i m) then
+    failwith "Guard.commit_guards: straddling table";
+  guards.(i) <- { (guards.(i)) with tables = m :: guards.(i).tables }
+
 (** [attach level m] prepends table [m] to its guard (newest first).
     Asserts the no-straddler invariant. *)
 let attach level (m : Table.meta) =
   let i = guard_index level (Ik.user_key m.Table.smallest) in
   assert (table_fits level i m);
-  level.guards.(i).tables <- m :: level.guards.(i).tables
+  let guards = Array.copy level.guards in
+  guards.(i) <- { (guards.(i)) with tables = m :: guards.(i).tables };
+  level.guards <- guards
 
 (** [detach level numbers] removes the tables whose file numbers are in
     [numbers] from every guard. *)
 let detach level numbers =
-  Array.iter
-    (fun g ->
-      g.tables <-
-        List.filter
-          (fun (m : Table.meta) -> not (List.mem m.Table.number numbers))
-          g.tables)
-    level.guards
+  let doomed (m : Table.meta) = List.mem m.Table.number numbers in
+  level.guards <-
+    Array.map
+      (fun g ->
+        if List.exists doomed g.tables then
+          { g with tables = List.filter (fun m -> not (doomed m)) g.tables }
+        else g)
+      level.guards
 
 (** [commit_guards level keys] splices new guard [keys] into the level,
     redistributing each affected guard's tables (which, after straddler
@@ -109,15 +136,9 @@ let commit_guards level keys =
       Array.of_list
         (sentinel () :: List.map (fun k -> { gkey = k; tables = [] }) merged_keys)
     in
-    level.guards <- guards;
     (* reattach preserving newest-first order *)
-    List.iter
-      (fun m ->
-        let i = guard_index level (Ik.user_key m.Table.smallest) in
-        if not (table_fits level i m) then
-          failwith "Guard.commit_guards: straddling table";
-        guards.(i).tables <- m :: guards.(i).tables)
-      (List.rev all_tables)
+    List.iter (place guards) (List.rev all_tables);
+    level.guards <- guards
   end
 
 (** [delete_guard level key] removes guard [key], folding its tables into
@@ -131,14 +152,14 @@ let delete_guard level key =
   | doomed, kept ->
     let kept = Array.of_list kept in
     let orphans = List.concat_map (fun g -> g.tables) doomed in
-    level.guards <- kept;
     (* predecessor guard absorbs the orphans (ranges stay sorted since the
        predecessor's range now extends to the next remaining guard) *)
     List.iter
-      (fun m ->
-        let i = guard_index level (Ik.user_key m.Table.smallest) in
-        kept.(i).tables <- m :: kept.(i).tables)
-      (List.rev orphans)
+      (fun (m : Table.meta) ->
+        let i = guard_index { guards = kept } (Ik.user_key m.Table.smallest) in
+        kept.(i) <- { (kept.(i)) with tables = m :: kept.(i).tables })
+      (List.rev orphans);
+    level.guards <- kept
 
 let all_tables level =
   Array.to_list level.guards |> List.concat_map (fun g -> g.tables)

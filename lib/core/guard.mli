@@ -13,11 +13,15 @@
     - every table attached to a guard lies entirely inside the guard's
       range (no straddlers — enforced at compaction/commit time);
     - tables are listed newest-first, so a get() can stop at the first
-      bloom-confirmed hit. *)
+      bloom-confirmed hit.
+
+    Guards are copy-on-write: a guard record never changes, and every
+    change to a level installs a fresh guard array.  The array a reader
+    took is therefore a snapshot that later compactions leave alone. *)
 
 type guard = {
   gkey : string;  (** user key; [""] for the sentinel *)
-  mutable tables : Pdb_sstable.Table.meta list;  (** newest first *)
+  tables : Pdb_sstable.Table.meta list;  (** newest first *)
 }
 
 type level = { mutable guards : guard array }
@@ -32,6 +36,10 @@ val create_level : unit -> level
     the last guard whose key is <= [key] (always >= 0 thanks to the
     sentinel). *)
 val guard_index : level -> string -> int
+
+(** [locate guards ikey] is the index in [guards] of the guard owning the
+    user key of internal key [ikey], compared in place. *)
+val locate : guard array -> string -> int
 
 (** [guard_range level i] is the key range [lo, hi) of guard [i]; [hi] is
     [None] for the last guard. *)

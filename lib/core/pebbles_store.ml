@@ -651,19 +651,17 @@ let candidates t level ~key ~lookup:_ =
   S.charge_cpu t O.cpu_per_block_search_ns (* guard binary search *);
   lvl.Guard.guards.(Guard.guard_index lvl key).Guard.tables
 
-(* A guard level read as one partition per guard.  Compaction moves tables
-   between guards in place (guard arrays are replaced, table lists
-   reassigned), so each call snapshots both; an iterator takes a snapshot
-   at every seek. *)
-let guard_view (level : Guard.level) () =
-  let guards = level.Guard.guards in
-  let frozen = { Guard.guards } in
+(* A guard level read as one partition per guard.  Guard arrays are
+   copy-on-write, so the level's current array is the snapshot. *)
+let guard_layout =
   {
-    Pdb_sstable.Level_iter.parts =
-      Array.map (fun (g : Guard.guard) -> g.Guard.tables) guards;
-    lower = (fun i -> guards.(i).Guard.gkey);
-    locate = (fun target -> Guard.guard_index frozen (Ik.user_key target));
+    Pdb_sstable.Level_iter.tables = (fun (g : Guard.guard) -> g.Guard.tables);
+    starts_after = (fun g up -> String.compare g.Guard.gkey up > 0);
+    locate = Guard.locate;
   }
+
+let guard_view (level : Guard.level) () =
+  Pdb_sstable.Level_iter.View (guard_layout, level.Guard.guards)
 
 let views t =
   List.init (S.last_level t) (fun i -> guard_view t.lv.levels.(i + 1))

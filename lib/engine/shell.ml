@@ -238,7 +238,8 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
         let reader =
           Table.open_reader ~hint:Device.Sequential_read t.env ~dir:t.dir m
         in
-        Table.iterator reader ~cache:scratch ~hint:Device.Sequential_read)
+        Table.to_iter
+          (Table.iterator reader ~cache:scratch ~hint:Device.Sequential_read))
       inputs
   in
   let merged = Pdb_kvs.Merging_iter.create ~compare:Ik.compare children in
@@ -745,44 +746,53 @@ let note_seek t =
       | None -> ()
   end
 
+(* A database iterator with the engine's seek and next accounting; [up]
+   is the inclusive upper bound ([None] for none). *)
+type 'lv cursor = { store : 'lv t; db : Iter.t; up : string option }
+
+(* the bound is semantic: output is clamped to keys <= the upper bound,
+   so tables the seek filter skipped as past-the-bound are unobservable *)
+let cursor_valid c =
+  c.db.Iter.valid ()
+  && match c.up with
+     | None -> true
+     | Some up -> String.compare (c.db.Iter.key ()) up <= 0
+
+let cursor_checked c =
+  if not (cursor_valid c) then invalid_arg "iterator: iterator is not valid"
+
+let cursor_seek c k =
+  note_seek c.store;
+  Probe.with_session c.store.probe ~label:"seek" (fun () -> c.db.Iter.seek k)
+
+let cursor_seek_to_first c =
+  note_seek c.store;
+  Probe.with_session c.store.probe ~label:"seek" c.db.Iter.seek_to_first
+
+let cursor_next c =
+  c.store.stats.Stats.nexts <- c.store.stats.Stats.nexts + 1;
+  charge_cpu c.store O.cpu_per_op_ns;
+  c.db.Iter.next ()
+
 let iterator ?snapshot ?upper_bound t =
   assert (not t.closed);
-  let db =
-    Pdb_kvs.Db_iter.wrap ?snapshot (internal_iterator ?upper_user:upper_bound t)
-  in
-  (* the bound is semantic: output is clamped to keys <= upper_bound, so
-     tables the seek filter skipped as past-the-bound are unobservable *)
-  let in_bound () =
-    match upper_bound with
-    | None -> true
-    | Some up -> String.compare (db.Iter.key ()) up <= 0
-  in
-  let valid () = db.Iter.valid () && in_bound () in
-  let checked f () =
-    if valid () then f () else invalid_arg "iterator: iterator is not valid"
+  let c =
+    {
+      store = t;
+      db =
+        Pdb_kvs.Db_iter.wrap ?snapshot
+          (internal_iterator ?upper_user:upper_bound t);
+      up = upper_bound;
+    }
   in
   {
-    Iter.seek =
-      (fun k ->
-        note_seek t;
-        Probe.with_session t.probe ~label:"seek" (fun () -> db.Iter.seek k));
-    seek_to_first =
-      (fun () ->
-        note_seek t;
-        Probe.with_session t.probe ~label:"seek" (fun () ->
-            db.Iter.seek_to_first ()));
-    next =
-      (fun () ->
-        t.stats.Stats.nexts <- t.stats.Stats.nexts + 1;
-        charge_cpu t O.cpu_per_op_ns;
-        db.Iter.next ());
-    valid;
-    key = checked db.Iter.key;
-    value = checked db.Iter.value;
-    value_slice =
-      (fun f ->
-        if valid () then db.Iter.value_slice f
-        else invalid_arg "iterator: iterator is not valid");
+    Iter.seek = cursor_seek c;
+    seek_to_first = (fun () -> cursor_seek_to_first c);
+    next = (fun () -> cursor_next c);
+    valid = (fun () -> cursor_valid c);
+    key = (fun () -> cursor_checked c; c.db.Iter.key ());
+    value = (fun () -> cursor_checked c; c.db.Iter.value ());
+    value_slice = (fun f -> cursor_checked c; c.db.Iter.value_slice f);
   }
 
 (** Memtable plus block cache: the resident memory every engine has

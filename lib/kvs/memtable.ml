@@ -49,16 +49,18 @@ let approximate_bytes t = t.bytes
 let entries t = t.entries
 let is_empty t = t.entries = 0
 
-(** [iterator t] ranges over encoded internal keys. *)
+(** [iterator t] ranges over encoded internal keys; reading an entry
+    allocates nothing. *)
 let iterator t =
-  let cursor = Pdb_skiplist.Skiplist.Cursor.make t.list in
-  let value () = snd (Pdb_skiplist.Skiplist.Cursor.entry cursor) in
+  let module C = Pdb_skiplist.Skiplist.Cursor in
+  let cursor = C.make t.list in
+  let value () = C.value cursor in
   {
-    Iter.seek_to_first = (fun () -> Pdb_skiplist.Skiplist.Cursor.seek_to_first cursor);
-    seek = (fun target -> Pdb_skiplist.Skiplist.Cursor.seek cursor target);
-    next = (fun () -> Pdb_skiplist.Skiplist.Cursor.next cursor);
-    valid = (fun () -> Pdb_skiplist.Skiplist.Cursor.valid cursor);
-    key = (fun () -> fst (Pdb_skiplist.Skiplist.Cursor.entry cursor));
+    Iter.seek_to_first = (fun () -> C.seek_to_first cursor);
+    seek = C.seek cursor;
+    next = (fun () -> C.next cursor);
+    valid = (fun () -> C.valid cursor);
+    key = (fun () -> C.key cursor);
     value;
     value_slice = Iter.whole value;
   }

@@ -5,50 +5,52 @@
     the sstable iterators inside the guard of interest.  The merge picks the
     smallest current key among children by the supplied comparator; ties are
     broken by child index, so callers must order children newest-first when
-    duplicate keys across children are possible. *)
+    duplicate keys across children are possible.
 
-let create ?(positioned = false) ~compare children =
-  let children = Array.of_list children in
-  let n = Array.length children in
-  let current = ref (-1) in
-  let find_smallest () =
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      let it : Iter.t = children.(i) in
-      if it.valid () then
-        if !best < 0 then best := i
-        else begin
-          let c = compare (it.key ()) (children.(!best).Iter.key ()) in
-          if c < 0 then best := i
-        end
-    done;
-    current := !best
-  in
-  let with_current f =
-    if !current < 0 then invalid_arg "Merging_iter: iterator is not valid"
-    else f children.(!current)
-  in
-  (* [positioned] children were already individually sought by the caller
-     (e.g. measured parallel seeks); adopt their positions directly. *)
-  if positioned then find_smallest ();
+    Creating a merge allocates its state and its closures, nothing per
+    child; its moves allocate nothing beyond what the children do. *)
+
+type state = {
+  children : Iter.t array;
+  compare : string -> string -> int;
+  mutable current : int;  (** the child on the smallest key; -1 when none *)
+}
+
+let find_smallest s =
+  let best = ref (-1) in
+  for i = 0 to Array.length s.children - 1 do
+    let it = s.children.(i) in
+    if it.Iter.valid () then
+      if !best < 0 then best := i
+      else if s.compare (it.Iter.key ()) (s.children.(!best).Iter.key ()) < 0
+      then best := i
+  done;
+  s.current <- !best
+
+let current s =
+  if s.current < 0 then invalid_arg "Merging_iter: iterator is not valid"
+  else s.children.(s.current)
+
+let seek s target =
+  for i = 0 to Array.length s.children - 1 do
+    s.children.(i).Iter.seek target
+  done;
+  find_smallest s
+
+let create ~compare children =
+  let s = { children = Array.of_list children; compare; current = -1 } in
   {
     Iter.seek_to_first =
       (fun () ->
-        Array.iter (fun (it : Iter.t) -> it.seek_to_first ()) children;
-        find_smallest ());
-    seek =
-      (fun target ->
-        Array.iter (fun (it : Iter.t) -> it.seek target) children;
-        find_smallest ());
+        Array.iter (fun (it : Iter.t) -> it.seek_to_first ()) s.children;
+        find_smallest s);
+    seek = seek s;
     next =
       (fun () ->
-        with_current (fun (it : Iter.t) -> it.next ());
-        find_smallest ());
-    valid = (fun () -> !current >= 0);
-    key = (fun () -> with_current (fun (it : Iter.t) -> it.key ()));
-    value = (fun () -> with_current (fun (it : Iter.t) -> it.value ()));
-    value_slice =
-      (fun f ->
-        if !current < 0 then invalid_arg "Merging_iter: iterator is not valid"
-        else children.(!current).Iter.value_slice f);
+        (current s).Iter.next ();
+        find_smallest s);
+    valid = (fun () -> s.current >= 0);
+    key = (fun () -> (current s).Iter.key ());
+    value = (fun () -> (current s).Iter.value ());
+    value_slice = (fun f -> (current s).Iter.value_slice f);
   }

@@ -49,11 +49,11 @@ let max_seq_of env ~dir ~cache (meta : Table.meta) =
     Table.open_reader ~hint:Pdb_simio.Device.Sequential_read env ~dir meta
   in
   let it = Table.iterator reader ~cache ~hint:Pdb_simio.Device.Sequential_read in
-  it.Pdb_kvs.Iter.seek_to_first ();
+  Table.seek_to_first it;
   let m = ref 0 in
-  while it.Pdb_kvs.Iter.valid () do
-    m := max !m (Pdb_kvs.Internal_key.seq (it.Pdb_kvs.Iter.key ()));
-    it.Pdb_kvs.Iter.next ()
+  while Table.valid it do
+    m := max !m (Pdb_kvs.Internal_key.seq (Table.key it));
+    Table.next it
   done;
   Pdb_sstable.Block_cache.evict_file cache
     ~file:(Table.file_name ~dir meta.Table.number);

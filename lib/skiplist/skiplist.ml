@@ -162,6 +162,16 @@ module Cursor = struct
     | Some n -> (n.key, n.value)
     | None -> invalid_arg "Skiplist.Cursor.entry: invalid cursor"
 
+  let key c =
+    match c.node with
+    | Some n -> n.key
+    | None -> invalid_arg "Skiplist.Cursor.key: invalid cursor"
+
+  let value c =
+    match c.node with
+    | Some n -> n.value
+    | None -> invalid_arg "Skiplist.Cursor.value: invalid cursor"
+
   let next c =
     match c.node with
     | Some n -> c.node <- n.forward.(0)

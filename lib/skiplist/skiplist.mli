@@ -49,5 +49,11 @@ module Cursor : sig
   (** @raise Invalid_argument when the cursor is not valid. *)
   val entry : ('k, 'v) cursor -> 'k * 'v
 
+  (** [key c] and [value c] read the entry in place, without the pair.
+      @raise Invalid_argument when the cursor is not valid. *)
+  val key : ('k, 'v) cursor -> 'k
+
+  val value : ('k, 'v) cursor -> 'v
+
   val next : ('k, 'v) cursor -> unit
 end

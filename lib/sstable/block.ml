@@ -118,20 +118,45 @@ let size_bytes t = t.limit - t.base
 let restart_point t i =
   t.base + Pdb_util.Varint.get_fixed32 t.data (t.restarts_offset + (4 * i))
 
-(* A position in a block.  The current entry's key is decoded eagerly;
-   its value stays in the block as [value_len] bytes at [value_pos] and is
-   copied out only when asked for.  [next] is the offset of the entry after
-   it, and [pos] is the varint decoder's position.  Offsets are absolute
-   in [block.data]. *)
+(* A position in a block, and for a two-level table a position in its
+   index block too; one record, reused across blocks, tables and seeks.
+
+   The data position: [valid] when it rests on an entry of [block], whose
+   key is [key] (a fresh string per entry, never written again) and whose
+   value stays in the block as [vlen] bytes at [vpos].  [next] is the
+   offset of the entry after it.
+
+   The header of the entry read last (by a search, a step or a decode):
+   [shared] and [delta] bytes of key, the delta at [kpos], the value at
+   [vpos]; [len] is that key's length.  A search assembles keys in [buf],
+   which grows to the longest key and is then reused.  [at] is the varint
+   decoder's position.
+
+   The index position: [index_next] is the offset of the index entry after
+   the one whose block the data position walks ([max_int] when there is
+   none), and [index_len] the length of that entry's key.  Offsets are
+   absolute in the block's [data]. *)
 type cursor = {
   mutable block : t;
   mutable valid : bool;
   mutable key : string;
-  mutable value_pos : int;
-  mutable value_len : int;
   mutable next : int;
-  pos : int ref;
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable shared : int;
+  mutable delta : int;
+  mutable kpos : int;
+  mutable vpos : int;
+  mutable vlen : int;
+  at : int ref;
+  mutable index_next : int;
+  mutable index_len : int;
 }
+
+let cursor () =
+  { block = empty; valid = false; key = ""; next = 0; buf = Bytes.create 32;
+    len = 0; shared = 0; delta = 0; kpos = 0; vpos = 0; vlen = 0;
+    at = ref 0; index_next = max_int; index_len = 0 }
 
 (* Every length of an entry whose key delta starts at [key_pos] is
    checked against the block's limit before anything is copied; [prev_len]
@@ -143,146 +168,95 @@ let check_entry b ~prev_len ~shared ~non_shared ~value_len ~key_pos =
      || value_len > room - non_shared
   then invalid_arg "Block: corrupt entry"
 
-(* Decode the entry at [p] into [c]; [prev] supplies the shared prefix.
-   The entry fields of [c] change only once the whole entry has
-   decoded. *)
+(* Read the header of the entry at [p] of [b]; the key that supplies its
+   shared prefix is [prev_len] bytes long.  The header fields of [c]
+   change only once the whole header has been checked. *)
+let read_header c b ~prev_len p =
+  c.at := p;
+  let shared = Pdb_util.Varint.read_uvarint_upto b.data c.at b.limit in
+  let non_shared = Pdb_util.Varint.read_uvarint_upto b.data c.at b.limit in
+  let value_len = Pdb_util.Varint.read_uvarint_upto b.data c.at b.limit in
+  let key_pos = !(c.at) in
+  check_entry b ~prev_len ~shared ~non_shared ~value_len ~key_pos;
+  c.shared <- shared;
+  c.delta <- non_shared;
+  c.kpos <- key_pos;
+  c.vpos <- key_pos + non_shared;
+  c.vlen <- value_len;
+  c.len <- shared + non_shared
+
+(* Decode the entry of [c.block] at [p] as the data position; [prev]
+   supplies the shared prefix.  The first entry after a restart point has
+   shared = 0, so decoding with the running previous key is always
+   correct. *)
 let decode_at c ~prev p =
-  let data = c.block.data and limit = c.block.limit in
-  c.pos := p;
-  let shared = Pdb_util.Varint.read_uvarint_upto data c.pos limit in
-  let non_shared = Pdb_util.Varint.read_uvarint_upto data c.pos limit in
-  let value_len = Pdb_util.Varint.read_uvarint_upto data c.pos limit in
-  let key_pos = !(c.pos) in
-  check_entry c.block ~prev_len:(String.length prev) ~shared ~non_shared
-    ~value_len ~key_pos;
-  let key = Bytes.create (shared + non_shared) in
-  Bytes.blit_string prev 0 key 0 shared;
-  Bytes.blit_string data key_pos key shared non_shared;
+  let b = c.block in
+  read_header c b ~prev_len:(String.length prev) p;
+  let key = Bytes.create c.len in
+  Bytes.blit_string prev 0 key 0 c.shared;
+  Bytes.blit_string b.data c.kpos key c.shared c.delta;
   (* [key] is fresh and never written again *)
   c.key <- Bytes.unsafe_to_string key;
-  c.value_pos <- key_pos + non_shared;
-  c.value_len <- value_len;
-  c.next <- key_pos + non_shared + value_len
+  c.next <- c.vpos + c.vlen
 
-let cursor (t : t) =
-  { block = t; valid = false; key = ""; value_pos = 0; value_len = 0;
-    next = t.restarts_offset; pos = ref 0 }
+let advance c =
+  if c.next >= c.block.restarts_offset then c.valid <- false
+  else begin
+    decode_at c ~prev:(if c.valid then c.key else "") c.next;
+    c.valid <- true
+  end
 
-(* Point [c] at block [t], before its first entry. *)
-let retarget c (t : t) =
-  c.block <- t;
+(* The data position's moves over whatever block [c] rests on; [compare]
+   orders the stored keys. *)
+
+let seek_to_first_in c =
   c.valid <- false;
-  c.next <- t.restarts_offset
+  if c.block.num_restarts > 0 then begin
+    c.next <- restart_point c.block 0;
+    advance c
+  end
 
-(* The iterator over whatever block [c] points at.  [compare] orders the
-   stored keys (internal-key order for data blocks). *)
-let cursor_iterator ~compare c =
-  (* The first entry after a restart point has shared = 0, so decoding
-     with the running previous key is always correct. *)
-  let advance () =
-    if c.next >= c.block.restarts_offset then c.valid <- false
-    else begin
-      decode_at c ~prev:(if c.valid then c.key else "") c.next;
-      c.valid <- true
-    end
-  in
-  let seek_to_restart i =
-    c.valid <- false;
-    c.next <- restart_point c.block i;
-    advance ()
-  in
-  let seek_to_first () =
-    if c.block.num_restarts = 0 then c.valid <- false else seek_to_restart 0
-  in
-  let seek target =
-    c.valid <- false;
-    if c.block.num_restarts > 0 then begin
-      (* last restart whose first key is < target *)
-      let lo = ref 0 and hi = ref (c.block.num_restarts - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        decode_at c ~prev:"" (restart_point c.block mid);
-        if compare c.key target < 0 then lo := mid else hi := mid - 1
-      done;
-      seek_to_restart !lo;
-      while c.valid && compare c.key target < 0 do
-        advance ()
-      done
-    end
-  in
-  let check () =
-    if not c.valid then invalid_arg "Block.iterator: iterator is not valid"
-  in
-  {
-    Pdb_kvs.Iter.seek_to_first;
-    seek;
-    next = (fun () -> if c.valid then advance ());
-    valid = (fun () -> c.valid);
-    key = (fun () -> check (); c.key);
-    value =
-      (fun () ->
-        check ();
-        String.sub c.block.data c.value_pos c.value_len);
-    value_slice =
-      (fun f ->
-        check ();
-        f c.block.data c.value_pos c.value_len);
-  }
+let seek_with ~compare c target =
+  c.valid <- false;
+  if c.block.num_restarts > 0 then begin
+    (* last restart whose first key is < target *)
+    let lo = ref 0 and hi = ref (c.block.num_restarts - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      decode_at c ~prev:"" (restart_point c.block mid);
+      if compare c.key target < 0 then lo := mid else hi := mid - 1
+    done;
+    c.next <- restart_point c.block !lo;
+    advance c;
+    while c.valid && compare c.key target < 0 do
+      advance c
+    done
+  end
+
+let check c =
+  if not c.valid then invalid_arg "Block.iterator: iterator is not valid"
 
 (** [iterator ~compare t] walks the block's entries. *)
-let iterator ~compare t = cursor_iterator ~compare (cursor t)
+let iterator ~compare t =
+  let c = cursor () in
+  c.block <- t;
+  {
+    Pdb_kvs.Iter.seek_to_first = (fun () -> seek_to_first_in c);
+    seek = seek_with ~compare c;
+    next = (fun () -> if c.valid then advance c);
+    valid = (fun () -> c.valid);
+    key = (fun () -> check c; c.key);
+    value = (fun () -> check c; String.sub c.block.data c.vpos c.vlen);
+    value_slice = (fun f -> check c; f c.block.data c.vpos c.vlen);
+  }
 
-(** [retargetable ~compare t] is an iterator over [t] and a function that
-    re-points it at another block, leaving it invalid until the next
-    seek. *)
-let retargetable ~compare t =
-  let c = cursor t in
-  (cursor_iterator ~compare c, retarget c)
+(* ---------- search in place ---------- *)
 
-(* ---------- point search ---------- *)
-
-(* A reusable search position.  [find] leaves the entry it lands on here:
-   its key assembled in the first [len] bytes of [buf], which grows to the
-   longest key and is then reused, and its value as [vlen] bytes of the
-   block at [vpos].  [shared], [delta] and [kpos] hold the header of the
-   entry being read; [at] is the varint decoder's position.  A finder
-   holds no block: one kept by a cached table reader would keep that
-   block's bytes alive after the block cache let them go. *)
-type finder = {
-  mutable buf : Bytes.t;
-  mutable len : int;
-  mutable shared : int;
-  mutable delta : int;
-  mutable kpos : int;
-  mutable vpos : int;
-  mutable vlen : int;
-  at : int ref;
-}
-
-let finder () =
-  { buf = Bytes.create 32; len = 0; shared = 0; delta = 0;
-    kpos = 0; vpos = 0; vlen = 0; at = ref 0 }
-
-(* Read the header of the entry at [p] of [b]; the key that supplies its
-   shared prefix is [prev_len] bytes long. *)
-let read_header f b ~prev_len p =
-  f.at := p;
-  let shared = Pdb_util.Varint.read_uvarint_upto b.data f.at b.limit in
-  let non_shared = Pdb_util.Varint.read_uvarint_upto b.data f.at b.limit in
-  let value_len = Pdb_util.Varint.read_uvarint_upto b.data f.at b.limit in
-  let key_pos = !(f.at) in
-  check_entry b ~prev_len ~shared ~non_shared ~value_len ~key_pos;
-  f.shared <- shared;
-  f.delta <- non_shared;
-  f.kpos <- key_pos;
-  f.vpos <- key_pos + non_shared;
-  f.vlen <- value_len
-
-(** [find f t target] positions [f] at the first entry of [t] whose key is
-    >= [target] in internal-key order, and is [false] when there is
-    none. *)
-let find f t target =
-  f.len <- 0;
+(** [find c t target] positions [c]'s header at the first entry of [t]
+    whose key is >= [target] in internal-key order, and is [false] when
+    there is none.  It leaves the data position alone. *)
+let find c t target =
+  c.len <- 0;
   t.num_restarts > 0
   && begin
     (* last restart whose key is < target; a restart's key is stored
@@ -290,47 +264,114 @@ let find f t target =
     let lo = ref 0 and hi = ref (t.num_restarts - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      read_header f t ~prev_len:0 (restart_point t mid);
-      if Pdb_kvs.Internal_key.compare_slice t.data f.kpos f.delta target < 0
+      read_header c t ~prev_len:0 (restart_point t mid);
+      if Pdb_kvs.Internal_key.compare_slice t.data c.kpos c.delta target < 0
       then lo := mid
       else hi := mid - 1
     done;
     (* walk on from it, keeping each key's shared prefix in [buf] *)
     let next = ref (restart_point t !lo) and found = ref false in
+    c.len <- 0;
     while (not !found) && !next < t.restarts_offset do
-      read_header f t ~prev_len:f.len !next;
-      let len = f.shared + f.delta in
-      if Bytes.length f.buf < len then begin
-        let grown = Bytes.create (max len (2 * Bytes.length f.buf)) in
-        Bytes.blit f.buf 0 grown 0 f.shared;
-        f.buf <- grown
+      read_header c t ~prev_len:c.len !next;
+      if Bytes.length c.buf < c.len then begin
+        let grown = Bytes.create (max c.len (2 * Bytes.length c.buf)) in
+        Bytes.blit c.buf 0 grown 0 c.shared;
+        c.buf <- grown
       end;
-      Bytes.blit_string t.data f.kpos f.buf f.shared f.delta;
-      f.len <- len;
-      next := f.vpos + f.vlen;
+      Bytes.blit_string t.data c.kpos c.buf c.shared c.delta;
+      next := c.vpos + c.vlen;
       found :=
-        Pdb_kvs.Internal_key.compare_slice (Bytes.unsafe_to_string f.buf) 0
-          len target
+        Pdb_kvs.Internal_key.compare_slice (Bytes.unsafe_to_string c.buf) 0
+          c.len target
         >= 0
     done;
-    f.at := f.vpos;
+    c.at := c.vpos;
     !found
   end
 
 (* The accessors below read the entry the last successful [find] landed
    on; those that read the value take the block it searched. *)
 
-let found_same_user_key f ikey =
-  Pdb_kvs.Internal_key.same_user_key (Bytes.unsafe_to_string f.buf) f.len ikey
+let found_same_user_key c ikey =
+  Pdb_kvs.Internal_key.same_user_key (Bytes.unsafe_to_string c.buf) c.len ikey
 
-let found_kind f =
+let found_kind c =
   Pdb_kvs.Internal_key.kind_of_int
-    (Char.code (Bytes.get f.buf (f.len - Pdb_kvs.Internal_key.trailer_size)))
+    (Char.code (Bytes.get c.buf (c.len - Pdb_kvs.Internal_key.trailer_size)))
 
-let found_value f t = String.sub t.data f.vpos f.vlen
+let found_value c t = String.sub t.data c.vpos c.vlen
 
-let next_uvarint f t =
-  Pdb_util.Varint.read_uvarint_upto t.data f.at (f.vpos + f.vlen)
+let next_uvarint c t =
+  Pdb_util.Varint.read_uvarint_upto t.data c.at (c.vpos + c.vlen)
+
+(* ---------- the data position over internal-key blocks ---------- *)
+
+(** [seek c t target] rests [c] on the first entry of [t] whose key is >=
+    [target]: the search runs in place and only the entry it lands on gets
+    a fresh key. *)
+let seek c t target =
+  c.block <- t;
+  c.valid <- false;
+  if find c t target then begin
+    c.key <- Bytes.sub_string c.buf 0 c.len;
+    c.next <- c.vpos + c.vlen;
+    c.valid <- true
+  end
+
+(** [seek_to_first c t] rests [c] on the first entry of [t]. *)
+let seek_to_first c t =
+  c.block <- t;
+  seek_to_first_in c
+
+let next c = if c.valid then advance c
+let valid c = c.valid
+let key c = c.key
+let value c = String.sub c.block.data c.vpos c.vlen
+let value_slice c f = f c.block.data c.vpos c.vlen
+
+(** [release c] drops the block and both positions. *)
+let release c =
+  c.block <- empty;
+  c.valid <- false;
+  c.index_next <- max_int
+
+(* ---------- the index position ---------- *)
+
+let rest_index c =
+  c.index_next <- c.vpos + c.vlen;
+  c.index_len <- c.len;
+  c.at := c.vpos
+
+(** [index_seek c t target]: {!find} in index block [t], kept as the index
+    position; the entry's value is then read with {!next_uvarint}. *)
+let index_seek c t target =
+  if find c t target then begin
+    rest_index c;
+    true
+  end
+  else false
+
+(** [index_first c t] moves the index position to the first entry of
+    [t] without decoding its key. *)
+let index_first c t =
+  t.num_restarts > 0
+  && restart_point t 0 < t.restarts_offset
+  && begin
+    read_header c t ~prev_len:0 (restart_point t 0);
+    rest_index c;
+    true
+  end
+
+(** [index_step c t] moves the index position to the next entry of [t]
+    without decoding its key, and is [false] past the last. *)
+let index_step c t =
+  c.index_next < t.restarts_offset
+  && begin
+    read_header c t ~prev_len:c.index_len c.index_next;
+    rest_index c;
+    true
+  end
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)
 let entries ~compare t = Pdb_kvs.Iter.to_list (iterator ~compare t)

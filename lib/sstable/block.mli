@@ -63,49 +63,94 @@ val size_bytes : t -> int
     reaches it. *)
 val iterator : compare:(string -> string -> int) -> t -> Pdb_kvs.Iter.t
 
-(** [retargetable ~compare t] is {!iterator} together with a function
-    that re-points the same iterator at another block, leaving it invalid
-    until its next seek: a two-level iterator walks every block of a
-    table through one cursor. *)
-val retargetable :
-  compare:(string -> string -> int) -> t -> Pdb_kvs.Iter.t * (t -> unit)
+(** {2 Cursors}
 
-(** {2 Point search}
+    A cursor is a reusable position: a data position over one block,
+    and, for a table, an index position over its index block.  It holds
+    no closure, and it keeps the block its data position rests on (a
+    table cursor belongs to an iterator, never to a cached reader).
 
-    A point lookup finds one entry of a block holding internal keys (data
-    and index blocks alike) without an iterator: restart keys are compared
-    where they lie, and the keys after a restart are assembled in the
-    finder's own buffer.  Once that buffer has grown to the block's
-    longest key, a search allocates nothing. *)
+    Searches run in place on blocks of internal keys (data and index
+    blocks alike): restart keys are compared where they lie, and the
+    keys after a restart are assembled in the cursor's own buffer.  Once
+    that buffer has grown to the block's longest key, a search allocates
+    nothing; a data position allocates one key per entry it rests on. *)
 
-(** A reusable search position. *)
-type finder
+type cursor
 
-val finder : unit -> finder
+val cursor : unit -> cursor
 
-(** [find f t target] positions [f] at the first entry of [t] whose key is
+(** {3 Point search} *)
+
+(** [find c t target] positions [c] at the first entry of [t] whose key is
     >= [target] in {!Pdb_kvs.Internal_key.compare} order, and is [false]
     when every key is smaller.  The accessors below read that entry until
-    the next [find]; those that read its value take [t] again, since a
-    finder holds no block.
+    the next search or move; those that read its value take [t] again.
+    [find] leaves the data position alone.
     @raise Invalid_argument on a corrupt entry. *)
-val find : finder -> t -> string -> bool
+val find : cursor -> t -> string -> bool
 
-(** [found_same_user_key f ikey]: the entry's key has the user key of
+(** [found_same_user_key c ikey]: the entry's key has the user key of
     internal key [ikey]. *)
-val found_same_user_key : finder -> string -> bool
+val found_same_user_key : cursor -> string -> bool
 
 (** The kind in the entry's key trailer. *)
-val found_kind : finder -> Pdb_kvs.Internal_key.kind
+val found_kind : cursor -> Pdb_kvs.Internal_key.kind
 
-(** [found_value f t] copies the entry's value out of [t]. *)
-val found_value : finder -> t -> string
+(** [found_value c t] copies the entry's value out of [t]. *)
+val found_value : cursor -> t -> string
 
-(** [next_uvarint f t] decodes the next varint of the entry's value in
-    [t]: the first call after {!find} reads at the value's start (an index
-    entry's block handle is two of them).
+(** [next_uvarint c t] decodes the next varint of the entry's value in
+    [t]: the first call after {!find} or an index move reads at the
+    value's start (an index entry's block handle is two of them).
     @raise Invalid_argument past the value's end. *)
-val next_uvarint : finder -> t -> int
+val next_uvarint : cursor -> t -> int
+
+(** {3 Data position} *)
+
+(** [seek c t target] rests [c] on the first entry of [t] whose key is >=
+    [target] (internal-key order), or leaves it invalid; only the entry
+    it lands on gets a fresh key. *)
+val seek : cursor -> t -> string -> unit
+
+(** [seek_to_first c t] rests [c] on the first entry of [t]. *)
+val seek_to_first : cursor -> t -> unit
+
+(** [next c] steps to the next entry of the block (no-op when invalid). *)
+val next : cursor -> unit
+
+val valid : cursor -> bool
+
+(** The entry's key; meaningful only while {!valid}. *)
+val key : cursor -> string
+
+(** [value c] copies the entry's value out of the block. *)
+val value : cursor -> string
+
+(** [value_slice c f] calls [f src pos len] on the entry's value in
+    place. *)
+val value_slice : cursor -> (string -> int -> int -> unit) -> unit
+
+(** [release c] drops the block and both positions: [c] is invalid and
+    its index position is past the end. *)
+val release : cursor -> unit
+
+(** {3 Index position}
+
+    Moves over an index block that decode no key, except for the search
+    {!index_seek}; each leaves the entry's value (a block handle) to
+    {!next_uvarint}. *)
+
+(** [index_seek c t target] is {!find} kept as the index position. *)
+val index_seek : cursor -> t -> string -> bool
+
+(** [index_first c t] moves to the first entry of [t]; [false] when [t]
+    is empty. *)
+val index_first : cursor -> t -> bool
+
+(** [index_step c t] moves to the entry after the index position; [false]
+    past the last. *)
+val index_step : cursor -> t -> bool
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)
 val entries : compare:(string -> string -> int) -> t -> (string * string) list

@@ -19,147 +19,238 @@
     probe session (label ["guard"]; nested inside an engine seek session it
     folds into the outer one), each table measured so the independent
     reads overlap up to the device's budget while modeled CPU stays
-    serialized.
+    serialized.  A session of at most one member is unobservable, so a
+    partition of fewer than two members opens none.
 
     The view is taken at every [seek] and [seek_to_first]: an engine whose
-    level changes in place (FLSM guards) hands over a fresh copy each time,
-    so another reader's compaction cannot shift a positioned iterator,
-    while a seek still sees a compaction it triggered itself. *)
+    level changes hands over views that later changes leave alone (FLSM
+    guard arrays are copy-on-write), so another reader's compaction cannot
+    shift a positioned iterator, while a seek still sees a compaction it
+    triggered itself.
+
+    Allocation: the iterator keeps one table cursor per member it has ever
+    positioned at once and re-points them at each positioning, merging a
+    partition's members in place over that array.  Positioning allocates
+    nothing but what the table cursors allocate for the entries they land
+    on; an empty partition costs nothing at all. *)
 
 module Ik = Pdb_kvs.Internal_key
 module Iter = Pdb_kvs.Iter
 module Probe = Pdb_simio.Probe
 
-type view = {
-  parts : Table.meta list array;
-      (** key-ordered, disjoint partitions; each newest first *)
-  lower : int -> string;
-      (** user-key lower bound of partition [i] (the upper-bound stop) *)
-  locate : string -> int;
+(** How a view reads its partitions of type ['p]. *)
+type 'p layout = {
+  tables : 'p -> Table.meta list;  (** the members, newest first *)
+  starts_after : 'p -> string -> bool;
+      (** every key of the partition is past the given user key *)
+  locate : 'p array -> string -> int;
       (** internal key -> the first partition a seek to it examines *)
 }
 
+(** Key-ordered, disjoint partitions and the layout that reads them.  A
+    view is immutable: an engine hands over the partitions as they stand,
+    and later changes to its level leave them alone. *)
+type view = View : 'p layout * 'p array -> view
+
+let pile_layout =
+  {
+    tables = Fun.id;
+    starts_after = (fun _ _ -> false);
+    locate = (fun _ _ -> 0);
+  }
+
 (** [pile tables] is one partition of possibly overlapping tables (L0, a
     tiered level), newest first. *)
-let pile tables =
-  { parts = [| tables |]; lower = (fun _ -> ""); locate = (fun _ -> 0) }
+let pile tables = View (pile_layout, [| tables |])
 
 let empty = pile []
 
-(** [run files] is a sorted run of disjoint tables, one partition each; a
-    seek starts at the first table whose largest key is >= the target. *)
-let run (files : Table.meta array) =
-  let n = Array.length files in
+(* A run's partitions are one-table lists, built once per view. *)
+let run_layout =
+  let first = function
+    | (m : Table.meta) :: _ -> m
+    | [] -> invalid_arg "Level_iter.run: empty partition"
+  in
   {
-    parts = Array.map (fun m -> [ m ]) files;
-    lower = (fun i -> Ik.user_key files.(i).Table.smallest);
+    tables = Fun.id;
+    starts_after =
+      (fun p up -> Ik.compare_user_key (first p).Table.smallest up > 0);
     locate =
-      (fun target ->
-        let lo = ref 0 and hi = ref n in
+      (fun parts target ->
+        let lo = ref 0 and hi = ref (Array.length parts) in
         while !lo < !hi do
           let mid = (!lo + !hi) / 2 in
-          if Ik.compare files.(mid).Table.largest target < 0 then
+          if Ik.compare (first parts.(mid)).Table.largest target < 0 then
             lo := mid + 1
           else hi := mid
         done;
         !lo);
   }
 
+(** [run files] is a sorted run of disjoint tables, one partition each; a
+    seek starts at the first table whose largest key is >= the target. *)
+let run (files : Table.meta array) =
+  View (run_layout, Array.map (fun m -> [ m ]) files)
+
+type t = {
+  filter : Seek_filter.t;
+  probe : Probe.ctx option;
+  cache : Table_cache.t;
+  block_cache : Block_cache.t;
+  hint : Pdb_simio.Device.read_hint;
+  on_table : unit -> unit;
+  view_of : unit -> view;
+  mutable view : view;  (** as of the latest seek *)
+  mutable cur : int;  (** the partition positioned last *)
+  mutable cursors : Table.iter array;
+      (** [0, n) hold the positioned members of partition [cur] *)
+  mutable n : int;
+  mutable best : int;  (** the cursor on the smallest key; -1 when none *)
+  (* the positioning in progress *)
+  mutable seeking : bool;  (** to [target]; to the first key otherwise *)
+  mutable target : string;
+  mutable members : Table.meta list;
+  mutable open_member : Table.meta -> unit;
+  mutable position_members : unit -> unit;
+}
+
+(* A cursor on [reader] in slot [t.n]: the slot's own, re-pointed, or a
+   new one when the partition has more members than any before it. *)
+let cursor_for t reader =
+  if t.n < Array.length t.cursors then begin
+    let it = t.cursors.(t.n) in
+    Table.repoint it reader;
+    it
+  end
+  else begin
+    let it = Table.iterator reader ~cache:t.block_cache ~hint:t.hint in
+    t.cursors <- Array.append t.cursors [| it |];
+    it
+  end
+
+let open_member t m =
+  let it = cursor_for t (Table_cache.find t.cache m) in
+  t.on_table ();
+  if t.seeking then Table.seek it t.target else Table.seek_to_first it;
+  t.n <- t.n + 1
+
+let skip t m =
+  if t.seeking then Seek_filter.skip_seek t.filter m ~target:t.target
+  else Seek_filter.skip_first t.filter m
+
+let rec position_members t = function
+  | [] -> ()
+  | m :: rest ->
+    if not (skip t m) then begin
+      match t.probe with
+      | Some ctx -> Probe.measure ctx t.open_member m
+      | None -> open_member t m
+    end;
+    position_members t rest
+
+(* The cursor on the smallest key; ties go to the lower slot, the newer
+   table. *)
+let pick t =
+  let best = ref (-1) in
+  for i = 0 to t.n - 1 do
+    let it = t.cursors.(i) in
+    if Table.valid it then
+      if !best < 0 || Ik.compare (Table.key it) (Table.key t.cursors.(!best)) < 0
+      then best := i
+  done;
+  t.best <- !best
+
+(* Position every surviving member of partition [i]. *)
+let position t layout parts i =
+  t.cur <- i;
+  t.n <- 0;
+  t.members <- layout.tables parts.(i);
+  (match (t.probe, t.members) with
+   | Some ctx, _ :: _ :: _ ->
+     Probe.with_session ctx ~label:"guard" t.position_members
+   | _ -> position_members t t.members);
+  t.members <- [];
+  pick t
+
+(* A bounded scan stops before a partition whose every key is past the
+   bound: its tables are never even examined. *)
+let past_upper t layout parts i =
+  match Seek_filter.upper_user t.filter with
+  | None -> false
+  | Some up -> i > 0 && layout.starts_after parts.(i) up
+
+(* Position partition [i], then walk successors until a key turns up. *)
+let rec start_in t layout parts i =
+  if i >= Array.length parts || past_upper t layout parts i then begin
+    t.cur <- Array.length parts;
+    t.n <- 0;
+    t.best <- -1
+  end
+  else begin
+    position t layout parts i;
+    if t.best < 0 then begin
+      t.seeking <- false;
+      start_in t layout parts (i + 1)
+    end
+  end
+
+let start t i =
+  match t.view with View (layout, parts) -> start_in t layout parts i
+
+let seek t target =
+  t.view <- t.view_of ();
+  t.seeking <- true;
+  t.target <- target;
+  match t.view with
+  | View (layout, parts) -> start_in t layout parts (layout.locate parts target)
+
+let seek_to_first t =
+  t.view <- t.view_of ();
+  t.seeking <- false;
+  start t 0
+
+let next t =
+  if t.best >= 0 then begin
+    Table.next t.cursors.(t.best);
+    pick t;
+    if t.best < 0 then begin
+      t.seeking <- false;
+      start t (t.cur + 1)
+    end
+  end
+
+let current t =
+  if t.best < 0 then invalid_arg "Level_iter: iterator is not valid"
+  else t.cursors.(t.best)
+
 let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
-    ~on_table (view_of : unit -> view) =
-  (* the view as of the latest seek; empty before the first one *)
-  let view = ref empty in
-  let cur = ref (-1) in
-  let merged = ref None in
-  let measure f =
-    match probe with Some ctx -> Probe.measure ctx f () | None -> f ()
+    ~on_table view_of =
+  let t =
+    {
+      filter; probe; cache; block_cache; hint; on_table; view_of;
+      view = empty; cur = -1; cursors = [||]; n = 0; best = -1;
+      seeking = false; target = ""; members = [];
+      open_member = ignore; position_members = ignore;
+    }
   in
-  (* Position every surviving table of partition [i]; [target = None] means
-     first key. *)
-  let position i target =
-    cur := i;
-    let open_member m =
-      let skip =
-        match target with
-        | Some k -> Seek_filter.skip_seek filter m ~target:k
-        | None -> Seek_filter.skip_first filter m
-      in
-      if skip then None
-      else
-        measure (fun () ->
-          let reader = Table_cache.find cache m in
-          let it = Table.iterator reader ~cache:block_cache ~hint in
-          on_table ();
-          (match target with
-           | Some k -> it.Iter.seek k
-           | None -> it.Iter.seek_to_first ());
-          Some it)
-    in
-    let children () = List.filter_map open_member !view.parts.(i) in
-    let children =
-      match probe with
-      | Some ctx -> Probe.with_session ctx ~label:"guard" children
-      | None -> children ()
-    in
-    merged :=
-      match children with
-      | [] -> None
-      | [ it ] -> Some it
-      | cs ->
-        Some
-          (Pdb_kvs.Merging_iter.create ~positioned:true ~compare:Ik.compare cs)
-  in
-  (* the held option itself, so checking validity allocates nothing *)
-  let current () =
-    match !merged with
-    | Some it as m when it.Iter.valid () -> m
-    | Some _ | None -> None
-  in
-  (* a bounded scan stops before a partition whose every key is past the
-     bound: its tables are never even examined *)
-  let past_upper i =
-    match Seek_filter.upper_user filter with
-    | None -> false
-    | Some up -> i > 0 && String.compare (!view.lower i) up > 0
-  in
-  (* position partition [i], then walk successors until a key turns up *)
-  let rec start i target =
-    if i >= Array.length !view.parts || past_upper i then begin
-      cur := Array.length !view.parts;
-      merged := None
-    end
-    else begin
-      position i target;
-      if Option.is_none (current ()) then start (i + 1) None
-    end
-  in
-  let checked f () =
-    match current () with
-    | Some it -> f it
-    | None -> invalid_arg "Level_iter: iterator is not valid"
-  in
+  (* one closure block for the whole set *)
+  let[@warning "-39"] rec open_member' m = open_member t m
+  and position_members' () = position_members t t.members
+  and seek_to_first' () = seek_to_first t
+  and seek' target = seek t target
+  and next' () = next t
+  and valid () = t.best >= 0
+  and key () = Table.key (current t)
+  and value () = Table.value (current t)
+  and value_slice f = Table.value_slice (current t) f in
+  t.open_member <- open_member';
+  t.position_members <- position_members';
   {
-    Iter.seek_to_first =
-      (fun () ->
-        view := view_of ();
-        start 0 None);
-    seek =
-      (fun target ->
-        view := view_of ();
-        start (!view.locate target) (Some target));
-    next =
-      (fun () ->
-        match current () with
-        | Some it ->
-          it.Iter.next ();
-          if Option.is_none (current ()) then start (!cur + 1) None
-        | None -> ());
-    valid = (fun () -> Option.is_some (current ()));
-    key = checked (fun it -> it.Iter.key ());
-    value = checked (fun it -> it.Iter.value ());
-    value_slice =
-      (fun f ->
-        match current () with
-        | Some it -> it.Iter.value_slice f
-        | None -> invalid_arg "Level_iter: iterator is not valid");
+    Iter.seek_to_first = seek_to_first';
+    seek = seek';
+    next = next';
+    valid;
+    key;
+    value;
+    value_slice;
   }

@@ -50,11 +50,23 @@ let upper_user t = t.upper_user
 let above_upper t (m : Table.meta) =
   match t.upper_user with
   | None -> false
-  | Some up -> String.compare (Ik.user_key m.Table.smallest) up > 0
+  | Some up -> Ik.compare_user_key m.Table.smallest up > 0
+
+(* Whether user key [up] and the user key of internal key [target] both
+   start with the same [pl] bytes, compared in place. *)
+let same_prefix target up pl =
+  String.length target - Ik.trailer_size >= pl
+  && String.length up >= pl
+  &&
+  let i = ref 0 in
+  while !i < pl && target.[!i] = up.[!i] do
+    incr i
+  done;
+  !i = pl
 
 (* Prefix-bloom refinement: only meaningful when the whole probe range
    shares the table's full prefix length. *)
-let prefix_absent t (m : Table.meta) ~target_user =
+let prefix_absent t (m : Table.meta) ~target =
   match t.upper_user with
   | None -> false
   | Some up -> (
@@ -63,20 +75,19 @@ let prefix_absent t (m : Table.meta) ~target_user =
     | Some r ->
       let pl = Table.prefix_len r in
       pl > 0
-      && String.length target_user >= pl
-      && String.length up >= pl
-      && String.sub target_user 0 pl = String.sub up 0 pl
-      && not (Table.may_contain_prefix r (String.sub target_user 0 pl)))
+      && same_prefix target up pl
+      && not (Table.may_contain_prefix r (String.sub up 0 pl)))
 
 (** [skip_seek t m ~target] decides whether a seek to internal key
-    [target] may skip table [m] entirely. *)
+    [target] may skip table [m] entirely.  It allocates nothing, except
+    the filter probe of a prefix-bounded scan. *)
 let skip_seek t (m : Table.meta) ~target =
   if not t.filtering then false
   else begin
     let skipped =
       Ik.compare m.Table.largest target < 0
       || above_upper t m
-      || prefix_absent t m ~target_user:(Ik.user_key target)
+      || prefix_absent t m ~target
     in
     t.on_check ~skipped;
     skipped

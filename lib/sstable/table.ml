@@ -224,8 +224,28 @@ type reader = {
   mutable on_filter_load : (unit -> unit) option;
       (* notified when a Lazy filter materialises — the table cache
          re-weighs the entry, whose resident footprint just changed *)
-  finder : Block.finder; (* reused by every point lookup *)
+  finder : Block.cursor;
+      (* reused by every point lookup; searches only, so it never holds a
+         block *)
+  mutable bound : Block_cache.t; (* the cache [file_id] was interned in *)
+  mutable file_id : int;
 }
+
+(* Stands for "no cache yet" in a fresh reader's [bound]. *)
+let unbound = Block_cache.create ~capacity:0
+
+(* The reader's file id in [cache], interned on the first block load
+   through that cache (a reader is read through one cache at a time). *)
+let file_id r cache =
+  if r.bound != cache then begin
+    r.file_id <- Block_cache.intern cache r.name;
+    r.bound <- cache
+  end;
+  r.file_id
+
+let load_block r ~cache ~hint ~offset ~size =
+  Block_cache.find_or_load cache r.env ~id:(file_id r cache) ~file:r.name
+    ~offset ~size ~hint
 
 let ikey_compare = Pdb_kvs.Internal_key.compare
 
@@ -270,7 +290,9 @@ let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
     prefix_len;
     filter;
     on_filter_load = None;
-    finder = Block.finder ();
+    finder = Block.cursor ();
+    bound = unbound;
+    file_id = 0;
   }
 
 (** [open_via_summary env ~dir meta summary] reopens an evicted table
@@ -306,7 +328,9 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
       (if filter_size = 0 then No_filter
        else Lazy { offset = filter_off; size = filter_size });
     on_filter_load = None;
-    finder = Block.finder ();
+    finder = Block.cursor ();
+    bound = unbound;
+    file_id = 0;
   }
 
 (* Materialise a lazy filter, charging the deferred random read. *)
@@ -394,62 +418,91 @@ let get r ~cache ~hint lookup =
   else begin
     let offset = Block.next_uvarint f r.index in
     let size = Block.next_uvarint f r.index in
-    let block =
-      Block_cache.find_or_load cache r.env ~file:r.name ~offset ~size ~hint
-    in
+    let block = load_block r ~cache ~hint ~offset ~size in
     if Block.find f block lookup && Block.found_same_user_key f lookup then
       Some (Block.found_kind f, Block.found_value f block)
     else None
   end
 
-(** [iterator r ~cache ~hint] is a two-level iterator over the table.
-    One block cursor walks every data block: entering a block re-points
-    it; past the last block it rests on {!Block.empty}. *)
-let iterator r ~cache ~hint =
-  let index_it = Block.iterator ~compare:ikey_compare r.index in
-  let data_it, retarget = Block.retargetable ~compare:ikey_compare Block.empty in
-  let load_block () =
-    retarget
-      (if index_it.Pdb_kvs.Iter.valid () then
-         let h = decode_handle (index_it.Pdb_kvs.Iter.value ()) in
-         Block_cache.find_or_load cache r.env ~file:r.name ~offset:h.offset
-           ~size:h.size ~hint
-       else Block.empty)
-  in
-  let skip_exhausted () =
-    while
-      (not (data_it.Pdb_kvs.Iter.valid ())) && index_it.Pdb_kvs.Iter.valid ()
-    do
-      index_it.Pdb_kvs.Iter.next ();
-      load_block ();
-      data_it.Pdb_kvs.Iter.seek_to_first ()
-    done
-  in
-  let check () =
-    if not (data_it.Pdb_kvs.Iter.valid ()) then
-      invalid_arg "Table.iterator: iterator is not valid"
-  in
+(* A table iterator: the table it reads and one block cursor holding both
+   its index position and its data position.  Past the last block the
+   cursor is released, so an exhausted iterator holds no block. *)
+type iter = {
+  mutable reader : reader;
+  cache : Block_cache.t;
+  hint : Pdb_simio.Device.read_hint;
+  pos : Block.cursor;
+}
+
+let iterator r ~cache ~hint = { reader = r; cache; hint; pos = Block.cursor () }
+
+let repoint it r =
+  it.reader <- r;
+  Block.release it.pos
+
+(* The data block of the index entry the cursor rests on: its handle is
+   the entry's value. *)
+let enter it =
+  let r = it.reader in
+  let offset = Block.next_uvarint it.pos r.index in
+  let size = Block.next_uvarint it.pos r.index in
+  load_block r ~cache:it.cache ~hint:it.hint ~offset ~size
+
+(* Step over exhausted blocks, entering each next one at its first
+   entry. *)
+let rec skip_exhausted it =
+  if not (Block.valid it.pos) then
+    if Block.index_step it.pos it.reader.index then begin
+      Block.seek_to_first it.pos (enter it);
+      skip_exhausted it
+    end
+    else Block.release it.pos
+
+let seek it target =
+  if Block.index_seek it.pos it.reader.index target then begin
+    Block.seek it.pos (enter it) target;
+    skip_exhausted it
+  end
+  else Block.release it.pos
+
+let seek_to_first it =
+  if Block.index_first it.pos it.reader.index then begin
+    Block.seek_to_first it.pos (enter it);
+    skip_exhausted it
+  end
+  else Block.release it.pos
+
+let next it =
+  Block.next it.pos;
+  skip_exhausted it
+
+let valid it = Block.valid it.pos
+
+let checked it =
+  if not (Block.valid it.pos) then
+    invalid_arg "Table.iterator: iterator is not valid"
+
+let key it =
+  checked it;
+  Block.key it.pos
+
+let value it =
+  checked it;
+  Block.value it.pos
+
+let value_slice it f =
+  checked it;
+  Block.value_slice it.pos f
+
+let to_iter it =
   {
-    Pdb_kvs.Iter.seek_to_first =
-      (fun () ->
-        index_it.Pdb_kvs.Iter.seek_to_first ();
-        load_block ();
-        data_it.Pdb_kvs.Iter.seek_to_first ();
-        skip_exhausted ());
-    seek =
-      (fun target ->
-        index_it.Pdb_kvs.Iter.seek target;
-        load_block ();
-        data_it.Pdb_kvs.Iter.seek target;
-        skip_exhausted ());
-    next =
-      (fun () ->
-        data_it.Pdb_kvs.Iter.next ();
-        skip_exhausted ());
-    valid = data_it.Pdb_kvs.Iter.valid;
-    key = (fun () -> check (); data_it.Pdb_kvs.Iter.key ());
-    value = (fun () -> check (); data_it.Pdb_kvs.Iter.value ());
-    value_slice = (fun f -> check (); data_it.Pdb_kvs.Iter.value_slice f);
+    Pdb_kvs.Iter.seek_to_first = (fun () -> seek_to_first it);
+    seek = seek it;
+    next = (fun () -> next it);
+    valid = (fun () -> valid it);
+    key = (fun () -> key it);
+    value = (fun () -> value it);
+    value_slice = value_slice it;
   }
 
 (** [recover_meta env ~dir ~number] reconstructs a table's metadata from
@@ -477,11 +530,8 @@ let recover_meta env ~dir ~number =
     index_it.Pdb_kvs.Iter.next ()
   done;
   let cache = Block_cache.create ~capacity:(1 lsl 16) in
-  let it =
-    iterator reader ~cache ~hint:Pdb_simio.Device.Sequential_read
-  in
-  it.Pdb_kvs.Iter.seek_to_first ();
-  if not (it.Pdb_kvs.Iter.valid ()) then
+  let it = iterator reader ~cache ~hint:Pdb_simio.Device.Sequential_read in
+  seek_to_first it;
+  if not (valid it) then
     failwith (Printf.sprintf "Table.recover_meta %s: empty table" name);
-  { number; file_size; entries; smallest = it.Pdb_kvs.Iter.key ();
-    largest = !largest }
+  { number; file_size; entries; smallest = key it; largest = !largest }

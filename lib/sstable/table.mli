@@ -110,15 +110,57 @@ val summarize : stride:int -> reader -> Index_summary.t
     version of [lookup]'s user key at or below internal key [lookup] (see
     {!Pdb_kvs.Internal_key.lookup_at}), and [None] when the table holds no
     such version.  It reads at most one data block; on a cache hit it
-    allocates only the result and the block cache's lookup key. *)
+    allocates only the result. *)
 val get :
   reader -> cache:Block_cache.t -> hint:Pdb_simio.Device.read_hint -> string ->
   (Pdb_kvs.Internal_key.kind * string) option
 
-(** [iterator r ~cache ~hint] is a two-level iterator over the table. *)
+(** {2 Iterators}
+
+    A table iterator is one mutable cursor over the table's index and data
+    blocks, with no closure inside it: entering a block reads its handle
+    from the index without decoding the index key, and a seek searches the
+    index and the data block in place, so only the entry it lands on gets
+    a fresh key.  Every step onto an entry allocates that entry's key. *)
+
+type iter
+
+(** [iterator r ~cache ~hint] is an unpositioned iterator over [r], whose
+    data blocks are read through [cache] with [hint]. *)
 val iterator :
-  reader -> cache:Block_cache.t -> hint:Pdb_simio.Device.read_hint ->
-  Pdb_kvs.Iter.t
+  reader -> cache:Block_cache.t -> hint:Pdb_simio.Device.read_hint -> iter
+
+(** [repoint it r] re-points [it] at table [r], unpositioned, and drops
+    the block it held. *)
+val repoint : iter -> reader -> unit
+
+(** [seek it target] rests [it] on the first entry >= internal key
+    [target], or leaves it invalid. *)
+val seek : iter -> string -> unit
+
+val seek_to_first : iter -> unit
+
+(** [next it] steps to the next entry, across blocks (no-op when
+    invalid). *)
+val next : iter -> unit
+
+val valid : iter -> bool
+
+(** The entry's internal key.
+    @raise Invalid_argument when [it] is not valid. *)
+val key : iter -> string
+
+(** [value it] copies the entry's value out of its block.
+    @raise Invalid_argument when [it] is not valid. *)
+val value : iter -> string
+
+(** [value_slice it f] calls [f src pos len] on the entry's value in its
+    block.
+    @raise Invalid_argument when [it] is not valid. *)
+val value_slice : iter -> (string -> int -> int -> unit) -> unit
+
+(** [to_iter it] is [it] as a first-class iterator (for merges). *)
+val to_iter : iter -> Pdb_kvs.Iter.t
 
 (** [recover_meta env ~dir ~number] reconstructs a table's metadata from
     the file alone — the repair path when the MANIFEST is lost.

@@ -285,16 +285,26 @@ let test_evict_file_unit () =
   Block.Builder.add b "k" "v";
   let block = Block.decode (Block.Builder.finish b) in
   let cache = Block_cache.create ~capacity:4096 in
-  let key file offset = { Block_cache.file; offset } in
+  let key file offset =
+    Block_cache.key ~id:(Block_cache.intern cache file) ~offset
+  in
   List.iter
-    (fun k -> Pdb_util.Lru.insert cache k block ~weight:16)
+    (fun k -> Pdb_util.Lru.insert cache.Block_cache.lru k block ~weight:16)
     [ key "db/000001.sst" 0; key "db/000001.sst" 4096; key "db/000011.sst" 0 ];
+  let gone = [ key "db/000001.sst" 0; key "db/000001.sst" 4096 ] in
   Block_cache.evict_file cache ~file:"db/000001.sst";
   Alcotest.(check bool) "blocks of deleted file gone" true
-    (Pdb_util.Lru.find cache (key "db/000001.sst" 0) = None
-    && Pdb_util.Lru.find cache (key "db/000001.sst" 4096) = None);
+    (List.for_all
+       (fun k -> Pdb_util.Lru.find cache.Block_cache.lru k = None)
+       gone);
   Alcotest.(check bool) "other files untouched" true
-    (Pdb_util.Lru.find cache (key "db/000011.sst" 0) <> None)
+    (Pdb_util.Lru.find cache.Block_cache.lru (key "db/000011.sst" 0) <> None);
+  Alcotest.(check (list string)) "only the live file is cached"
+    [ "db/000011.sst" ] (Block_cache.cached_files cache);
+  (* a re-interned name gets a fresh id: no block of the evicted file can
+     hit under it *)
+  Alcotest.(check bool) "evicted name gets a fresh id" true
+    (not (List.mem (key "db/000001.sst" 0) gone))
 
 (* After compactions delete sstables, no cached block may reference a file
    that no longer exists: the regression the GC eviction fix closes. *)
@@ -309,10 +319,9 @@ let test_cache_files_live () =
   let check_no_stale msg =
     let live = Env.list env in
     let stale =
-      Pdb_util.Lru.fold cache
-        (fun acc (k : Pdb_sstable.Block_cache.key) _ ->
-          if List.mem k.file live then acc else k.file :: acc)
-        []
+      List.filter
+        (fun file -> not (List.mem file live))
+        (Pdb_sstable.Block_cache.cached_files cache)
     in
     Alcotest.(check (list string)) msg [] stale
   in

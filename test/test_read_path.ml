@@ -317,7 +317,9 @@ let test_open_via_summary_equivalent () =
   check Alcotest.bool "filter loaded on first probe" true (T.filter_resident r2);
   check Alcotest.bool "absent key" true
     (T.may_contain r2 "nope" = T.may_contain r "nope");
-  let dump rd = Iter.to_list (T.iterator rd ~cache:bc ~hint:Device.Random_read) in
+  let dump rd =
+    Iter.to_list (T.to_iter (T.iterator rd ~cache:bc ~hint:Device.Random_read))
+  in
   check Alcotest.bool "iterators agree" true (dump r = dump r2)
 
 let test_table_cache_summary_reopen () =

@@ -264,7 +264,10 @@ let test_table_iterator_full_scan () =
   let meta = build_table env ~dir:"db" ~number:2 entries in
   let reader = Table.open_reader env ~dir:"db" meta in
   let cache = Block_cache.create ~capacity:(1 lsl 20) in
-  let it = Table.iterator reader ~cache ~hint:Pdb_simio.Device.Sequential_read in
+  let it =
+    Table.to_iter
+      (Table.iterator reader ~cache ~hint:Pdb_simio.Device.Sequential_read)
+  in
   check
     Alcotest.(list (pair string string))
     "scan equals input" entries (Iter.to_list it)
@@ -274,7 +277,10 @@ let test_table_iterator_seek () =
   let meta = build_table env ~dir:"db" ~number:3 (sorted_entries 300) in
   let reader = Table.open_reader env ~dir:"db" meta in
   let cache = Block_cache.create ~capacity:(1 lsl 20) in
-  let it = Table.iterator reader ~cache ~hint:Pdb_simio.Device.Random_read in
+  let it =
+    Table.to_iter
+      (Table.iterator reader ~cache ~hint:Pdb_simio.Device.Random_read)
+  in
   it.Iter.seek (Ik.max_for_lookup "key00150");
   check Alcotest.string "seek mid" "key00150" (Ik.user_key (it.Iter.key ()));
   it.Iter.next ();
@@ -457,7 +463,10 @@ let test_table_iterator_crosses_blocks () =
     concatenated;
   let reader = Table.open_reader env ~dir:"db" meta in
   let cache = Block_cache.create ~capacity:(1 lsl 20) in
-  let it = Table.iterator reader ~cache ~hint:Pdb_simio.Device.Random_read in
+  let it =
+    Table.to_iter
+      (Table.iterator reader ~cache ~hint:Pdb_simio.Device.Random_read)
+  in
   check Alcotest.(list (pair string string)) "scan = concatenated blocks"
     concatenated (Iter.to_list it);
   it.Iter.seek (Ik.max_for_lookup "zzz");
@@ -516,9 +525,11 @@ let prop_value_slice =
       let cache = Block_cache.create ~capacity:(1 lsl 16) in
       let hint = Pdb_simio.Device.Random_read in
       let table number es =
-        Table.iterator
-          (Table.open_reader env ~dir:"db" (build_table env ~dir:"db" ~number es))
-          ~cache ~hint
+        Table.to_iter
+          (Table.iterator
+             (Table.open_reader env ~dir:"db"
+                (build_table env ~dir:"db" ~number es))
+             ~cache ~hint)
       in
       let block () =
         let b = Block.Builder.create () in
@@ -732,9 +743,338 @@ let prop_table_roundtrip =
         let reader = Table.open_reader env ~dir:"db" meta in
         let cache = Block_cache.create ~capacity:(1 lsl 20) in
         let it =
-          Table.iterator reader ~cache ~hint:Pdb_simio.Device.Sequential_read
+          Table.to_iter
+            (Table.iterator reader ~cache
+               ~hint:Pdb_simio.Device.Sequential_read)
         in
         Iter.to_list it = entries)
+
+(* ---------- Level_iter against a model ---------- *)
+
+(* A random level: [parts] partitions, many of them empty, each holding up
+   to three tables newest first.  Partition [p] owns the user keys
+   ["pPP-..."], so partitions are disjoint and key-ordered; tables of one
+   partition overlap, each holding one version of its keys at the table's
+   own sequence number (newer tables, higher numbers), so one user key
+   can have a version in several tables. *)
+type level_spec = {
+  parts : (string * string) list list array;  (** per table, its entries *)
+  ops : [ `Seek of string | `First | `Next of int ] list;
+}
+
+let user_of p o = Printf.sprintf "p%02d-%02d" p o
+
+let level_gen =
+  let open QCheck.Gen in
+  let* nparts = int_range 1 10 in
+  let seq = ref 0 in
+  let table p =
+    let* offsets = list_size (int_range 1 25) (int_range 0 39) in
+    let* vlen = int_range 4 60 in
+    incr seq;
+    let s = !seq in
+    return
+      (List.map
+         (fun o ->
+           (ikey (user_of p o) s, Printf.sprintf "v%d-%s" s (String.make vlen 'x')))
+         (List.sort_uniq compare offsets))
+  in
+  let part p =
+    let* empty = bool in
+    if empty then return []
+    else
+      let* n = int_range 1 3 in
+      (* built oldest first, listed newest first *)
+      let* tables = flatten_l (List.init n (fun _ -> table p)) in
+      return (List.rev tables)
+  in
+  let* parts = flatten_l (List.init nparts part) in
+  let op =
+    frequency
+      [
+        ( 3,
+          let* p = int_range 0 nparts in
+          let* o = int_range 0 41 in
+          let* s = int_range 0 (!seq + 1) in
+          return (`Seek (Ik.lookup_at ~user_key:(user_of p o) ~seq:s)) );
+        (1, return `First);
+        (4, map (fun n -> `Next n) (int_range 1 12));
+      ]
+  in
+  let* ops = list_size (int_range 1 25) op in
+  return { parts = Array.of_list parts; ops }
+
+let print_level spec =
+  Printf.sprintf "tables per partition: [%s]; %d ops"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun ts ->
+               String.concat ","
+                 (List.map (fun t -> string_of_int (List.length t)) ts))
+             spec.parts)))
+    (List.length spec.ops)
+
+(* Partitions of tables as a level view: a seek starts at the partition
+   its user key's prefix names. *)
+let partition_layout =
+  {
+    Level_iter.tables = Fun.id;
+    starts_after = (fun _ _ -> false);
+    locate =
+      (fun parts target ->
+        let uk = Ik.user_key target in
+        if String.length uk >= 3 && uk.[0] = 'p' then
+          min (Array.length parts) (int_of_string (String.sub uk 1 2))
+        else 0);
+  }
+
+(* The model: each table a sorted array of (key, value, block number),
+   and the level iterator as plain positions into those arrays. *)
+type model_table = { entries : (string * string * int) array; number : int }
+
+type model = {
+  mparts : model_table list array;
+  mutable cur : int;
+  mutable cursors : (model_table * int ref) list;
+  mutable opened : int;  (** tables positioned *)
+  mutable blocks : int;  (** blocks entered *)
+  tables_seen : (int, unit) Hashtbl.t;
+  blocks_seen : (int * int, unit) Hashtbl.t;
+}
+
+let model_enter m t i =
+  if i < Array.length t.entries then begin
+    let _, _, b = t.entries.(i) in
+    m.blocks <- m.blocks + 1;
+    Hashtbl.replace m.blocks_seen (t.number, b) ()
+  end
+
+let model_best m =
+  List.fold_left
+    (fun best ((t, i) as c) ->
+      if !i >= Array.length t.entries then best
+      else
+        match best with
+        | Some (bt, bi) ->
+          let k, _, _ = t.entries.(!i) and bk, _, _ = bt.entries.(!bi) in
+          if Ik.compare k bk < 0 then Some c else best
+        | None -> Some c)
+    None m.cursors
+
+let rec model_start m i target =
+  if i >= Array.length m.mparts then begin
+    m.cur <- i;
+    m.cursors <- []
+  end
+  else begin
+    m.cur <- i;
+    m.cursors <-
+      List.filter_map
+        (fun t ->
+          let n = Array.length t.entries in
+          let largest, _, _ = t.entries.(n - 1) in
+          match target with
+          | Some k when Ik.compare largest k < 0 -> None (* filtered *)
+          | _ ->
+            m.opened <- m.opened + 1;
+            Hashtbl.replace m.tables_seen t.number ();
+            let pos = ref 0 in
+            (match target with
+             | Some k ->
+               while !pos < n && (let e, _, _ = t.entries.(!pos) in
+                                   Ik.compare e k < 0) do
+                 incr pos
+               done
+             | None -> ());
+            model_enter m t !pos;
+            Some (t, pos))
+        m.mparts.(i);
+    if model_best m = None then model_start m (i + 1) None
+  end
+
+let model_next m =
+  match model_best m with
+  | None -> ()
+  | Some (t, i) ->
+    let _, _, b = t.entries.(!i) in
+    incr i;
+    (if !i < Array.length t.entries then
+       let _, _, b' = t.entries.(!i) in
+       if b' <> b then model_enter m t !i);
+    if model_best m = None then model_start m (m.cur + 1) None
+
+let model_current m =
+  match model_best m with
+  | Some (t, i) ->
+    let k, v, _ = t.entries.(!i) in
+    Some (k, v)
+  | None -> None
+
+(* Build the spec's tables; [metas] and [model] partitions in the same
+   shape. *)
+let build_level env spec =
+  let number = ref 100 in
+  let built =
+    Array.map
+      (List.map (fun entries ->
+           incr number;
+           let meta = build_table env ~dir:"db" ~number:!number entries in
+           let blocks = table_blocks env ~dir:"db" meta in
+           let entries =
+             List.concat
+               (List.mapi
+                  (fun b block ->
+                    List.map
+                      (fun (k, v) -> (k, v, b))
+                      (Block.entries ~compare:Ik.compare block))
+                  blocks)
+           in
+           (meta, { entries = Array.of_list entries; number = !number })))
+      spec.parts
+  in
+  (Array.map (List.map fst) built, Array.map (List.map snd) built)
+
+(* Run [spec] on a level iterator (seek filter and probe context
+   attached, as in an engine) and on the model, comparing the entry after
+   every move, then the cache traffic: one table-cache lookup and
+   [on_table] per positioned table, one block-cache lookup per block
+   entered, a miss the first time each is seen. *)
+let prop_level_iter_model =
+  qtest ~count:200 "level iterator = model, entries and cache traffic"
+    (QCheck.make ~print:print_level level_gen)
+    (fun spec ->
+      let env = Pdb_simio.Env.create () in
+      let metas, mparts = build_level env spec in
+      let tc = Table_cache.create env ~dir:"db" ~entries:1000 in
+      let bc = Block_cache.create ~capacity:(1 lsl 24) in
+      let on_table = ref 0 in
+      let filter =
+        Seek_filter.create ~filtering:true ~peek:(Table_cache.peek tc)
+          ~on_check:(fun ~skipped:_ -> ())
+          ()
+      in
+      let probe =
+        Pdb_simio.Probe.create_ctx ~clock:(Pdb_simio.Env.clock env)
+          ~budget:(fun () -> 4) ~tracer:(fun () -> None) ()
+      in
+      let it =
+        Level_iter.create ~filter ~probe ~cache:tc ~block_cache:bc
+          ~hint:Pdb_simio.Device.Random_read
+          ~on_table:(fun () -> incr on_table)
+          (fun () -> Level_iter.View (partition_layout, metas))
+      in
+      let m =
+        { mparts; cur = 0; cursors = []; opened = 0; blocks = 0;
+          tables_seen = Hashtbl.create 16; blocks_seen = Hashtbl.create 64 }
+      in
+      let same what =
+        let got = if it.Iter.valid () then Some (it.Iter.key (), it.Iter.value ()) else None in
+        if got <> model_current m then
+          QCheck.Test.fail_reportf "%s: iterator at %s, model at %s" what
+            (match got with Some (k, _) -> Ik.user_key k | None -> "end")
+            (match model_current m with
+             | Some (k, _) -> Ik.user_key k
+             | None -> "end")
+      in
+      List.iter
+        (function
+          | `Seek k ->
+            it.Iter.seek k;
+            model_start m (partition_layout.locate metas k) (Some k);
+            same ("seek " ^ Ik.user_key k)
+          | `First ->
+            it.Iter.seek_to_first ();
+            model_start m 0 None;
+            same "seek_to_first"
+          | `Next n ->
+            for _ = 1 to n do
+              if it.Iter.valid () then begin
+                it.Iter.next ();
+                model_next m;
+                same "next"
+              end
+            done)
+        spec.ops;
+      let counts what got want =
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: %d, model %d" what got want
+      in
+      counts "on_table calls" !on_table m.opened;
+      counts "table-cache lookups"
+        (Table_cache.hits tc + Table_cache.misses tc)
+        m.opened;
+      counts "table-cache misses" (Table_cache.misses tc)
+        (Hashtbl.length m.tables_seen);
+      counts "block-cache lookups"
+        (Block_cache.hits bc + Block_cache.misses bc)
+        m.blocks;
+      counts "block-cache misses" (Block_cache.misses bc)
+        (Hashtbl.length m.blocks_seen);
+      true)
+
+(* One table iterator re-pointed between two tables yields, after each
+   re-point and seek, what a fresh iterator over that table yields. *)
+let prop_table_iter_repoint =
+  let gen =
+    let open QCheck.Gen in
+    let table =
+      list_size (int_range 1 60) (int_range 0 99)
+      >|= List.sort_uniq compare
+    in
+    let target = int_range 0 105 >|= fun o -> Ik.max_for_lookup (user_of 0 o) in
+    quad table table (list_size (int_range 1 8) (pair target (int_range 0 20)))
+      bool
+  in
+  let print (a, b, steps, _) =
+    Printf.sprintf "%d and %d entries, %d re-points" (List.length a)
+      (List.length b) (List.length steps)
+  in
+  qtest ~count:200 "re-pointed table iterator = fresh iterators"
+    (QCheck.make ~print gen)
+    (fun (a, b, steps, first) ->
+      let env = Pdb_simio.Env.create () in
+      let cache = Block_cache.create ~capacity:(1 lsl 20) in
+      let hint = Pdb_simio.Device.Random_read in
+      let reader number offsets =
+        Table.open_reader env ~dir:"db"
+          (build_table env ~dir:"db" ~number
+             (List.map
+                (fun o ->
+                  (ikey (user_of 0 o) number, Printf.sprintf "%d:%d%s" number o (String.make 40 'v')))
+                offsets))
+      in
+      let readers = [| reader 1 a; reader 2 b |] in
+      (* up to [n] entries from where [it] rests *)
+      let take it n =
+        let acc = ref [] in
+        let k = ref 0 in
+        while !k < n && Table.valid it do
+          acc := (Table.key it, Table.value it) :: !acc;
+          Table.next it;
+          incr k
+        done;
+        List.rev !acc
+      in
+      let it = Table.iterator readers.(0) ~cache ~hint in
+      List.iteri
+        (fun i (target, n) ->
+          let r = readers.(i mod 2) in
+          Table.repoint it r;
+          let fresh = Table.iterator r ~cache ~hint in
+          if first && i = 0 then begin
+            Table.seek_to_first it;
+            Table.seek_to_first fresh
+          end
+          else begin
+            Table.seek it target;
+            Table.seek fresh target
+          end;
+          if take it n <> take fresh n then
+            QCheck.Test.fail_reportf "re-point %d differs from a fresh iterator"
+              i)
+        steps;
+      true)
 
 let () =
   Alcotest.run "sstable"
@@ -787,5 +1127,7 @@ let () =
           Alcotest.test_case "concat and seek" `Quick
             test_level_iter_concat_and_seek;
           Alcotest.test_case "empty" `Quick test_level_iter_empty;
+          prop_level_iter_model;
+          prop_table_iter_repoint;
         ] );
     ]
