@@ -748,28 +748,28 @@ let note_seek t =
 
 (* A database iterator with the engine's seek and next accounting; [up]
    is the inclusive upper bound ([None] for none). *)
-type 'lv cursor = { store : 'lv t; db : Iter.t; up : string option }
+type 'lv user_iter = { store : 'lv t; db : Iter.t; up : string option }
 
 (* the bound is semantic: output is clamped to keys <= the upper bound,
    so tables the seek filter skipped as past-the-bound are unobservable *)
-let cursor_valid c =
+let user_valid c =
   c.db.Iter.valid ()
   && match c.up with
      | None -> true
      | Some up -> String.compare (c.db.Iter.key ()) up <= 0
 
-let cursor_checked c =
-  if not (cursor_valid c) then invalid_arg "iterator: iterator is not valid"
+let user_checked c =
+  if not (user_valid c) then invalid_arg "iterator: iterator is not valid"
 
-let cursor_seek c k =
+let user_seek c k =
   note_seek c.store;
   Probe.with_session c.store.probe ~label:"seek" (fun () -> c.db.Iter.seek k)
 
-let cursor_seek_to_first c =
+let user_seek_to_first c =
   note_seek c.store;
   Probe.with_session c.store.probe ~label:"seek" c.db.Iter.seek_to_first
 
-let cursor_next c =
+let user_next c =
   c.store.stats.Stats.nexts <- c.store.stats.Stats.nexts + 1;
   charge_cpu c.store O.cpu_per_op_ns;
   c.db.Iter.next ()
@@ -786,13 +786,13 @@ let iterator ?snapshot ?upper_bound t =
     }
   in
   {
-    Iter.seek = cursor_seek c;
-    seek_to_first = (fun () -> cursor_seek_to_first c);
-    next = (fun () -> cursor_next c);
-    valid = (fun () -> cursor_valid c);
-    key = (fun () -> cursor_checked c; c.db.Iter.key ());
-    value = (fun () -> cursor_checked c; c.db.Iter.value ());
-    value_slice = (fun f -> cursor_checked c; c.db.Iter.value_slice f);
+    Iter.seek = user_seek c;
+    seek_to_first = (fun () -> user_seek_to_first c);
+    next = (fun () -> user_next c);
+    valid = (fun () -> user_valid c);
+    key = (fun () -> user_checked c; c.db.Iter.key ());
+    value = (fun () -> user_checked c; c.db.Iter.value ());
+    value_slice = (fun f -> user_checked c; c.db.Iter.value_slice f);
   }
 
 (** Memtable plus block cache: the resident memory every engine has
