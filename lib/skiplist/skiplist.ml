@@ -157,11 +157,6 @@ module Cursor = struct
 
   let valid c = Option.is_some c.node
 
-  let entry c =
-    match c.node with
-    | Some n -> (n.key, n.value)
-    | None -> invalid_arg "Skiplist.Cursor.entry: invalid cursor"
-
   let key c =
     match c.node with
     | Some n -> n.key

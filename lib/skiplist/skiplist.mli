@@ -46,10 +46,7 @@ module Cursor : sig
   val seek : ('k, 'v) cursor -> 'k -> unit
   val valid : ('k, 'v) cursor -> bool
 
-  (** @raise Invalid_argument when the cursor is not valid. *)
-  val entry : ('k, 'v) cursor -> 'k * 'v
-
-  (** [key c] and [value c] read the entry in place, without the pair.
+  (** [key c] and [value c] read the entry the cursor rests on.
       @raise Invalid_argument when the cursor is not valid. *)
   val key : ('k, 'v) cursor -> 'k
 

@@ -63,25 +63,6 @@ let evict_file t ~file =
     in
     List.iter (Pdb_util.Lru.remove t.lru) doomed
 
-(** [cached_files t] names every file with a block in the cache, most
-    recently used first; a block left under an evicted file's id shows as
-    ["<evicted file ID>"]. *)
-let cached_files t =
-  let name id =
-    Hashtbl.fold (fun file i acc -> if i = id then Some file else acc) t.ids
-      None
-  in
-  List.rev
-    (Pdb_util.Lru.fold t.lru
-       (fun acc k _ ->
-         let file =
-           match name (k lsr 32) with
-           | Some file -> file
-           | None -> Printf.sprintf "<evicted file %d>" (k lsr 32)
-         in
-         if List.mem file acc then acc else file :: acc)
-       [])
-
 let used t = Pdb_util.Lru.used t.lru
 let hits t = Pdb_util.Lru.hits t.lru
 let misses t = Pdb_util.Lru.misses t.lru

@@ -132,11 +132,12 @@ let test_skiplist_cursor () =
   let c = Skiplist.Cursor.make sl in
   Skiplist.Cursor.seek_to_first c;
   Alcotest.(check bool) "valid" true (Skiplist.Cursor.valid c);
-  check Alcotest.string "first" "a" (fst (Skiplist.Cursor.entry c));
+  check Alcotest.string "first" "a" (Skiplist.Cursor.key c);
+  check Alcotest.string "its value" "a" (Skiplist.Cursor.value c);
   Skiplist.Cursor.next c;
-  check Alcotest.string "second" "b" (fst (Skiplist.Cursor.entry c));
+  check Alcotest.string "second" "b" (Skiplist.Cursor.key c);
   Skiplist.Cursor.seek c "bz";
-  check Alcotest.string "seek lands on c" "c" (fst (Skiplist.Cursor.entry c));
+  check Alcotest.string "seek lands on c" "c" (Skiplist.Cursor.key c);
   Skiplist.Cursor.next c;
   Alcotest.(check bool) "exhausted" false (Skiplist.Cursor.valid c)
 
