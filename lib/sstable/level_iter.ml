@@ -28,11 +28,11 @@
     shift a positioned iterator, while a seek still sees a compaction it
     triggered itself.
 
-    Allocation: the iterator keeps one table cursor per member it has ever
-    positioned at once and re-points them at each positioning, merging a
-    partition's members in place over that array.  Positioning allocates
-    nothing but what the table cursors allocate for the entries they land
-    on; an empty partition costs nothing at all. *)
+    Allocation: the iterator keeps one table cursor per member slot and
+    re-points them at each positioning, merging a partition's members in
+    place over that array.  Positioning allocates only the keys of the
+    entries the cursors land on, and a cursor the first time a slot is
+    needed; an empty partition costs nothing at all. *)
 
 module Ik = Pdb_kvs.Internal_key
 module Iter = Pdb_kvs.Iter
