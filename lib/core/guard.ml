@@ -78,22 +78,20 @@ let straddles key (m : Table.meta) =
   String.compare (Ik.user_key m.Table.smallest) key < 0
   && String.compare (Ik.user_key m.Table.largest) key >= 0
 
-(* [place guards m] adds [m] to the newest end of its guard's list in the
-   fresh array [guards]. *)
-let place guards (m : Table.meta) =
-  let level = { guards } in
-  let i = guard_index level (Ik.user_key m.Table.smallest) in
-  if not (table_fits level i m) then
-    failwith "Guard.commit_guards: straddling table";
-  guards.(i) <- { (guards.(i)) with tables = m :: guards.(i).tables }
+(* [prepend guards m] puts [m] at the newest end of the guard owning its
+   smallest key, in [guards], a fresh array not yet installed; it returns
+   that guard's index. *)
+let prepend guards (m : Table.meta) =
+  let i = guard_index { guards } (Ik.user_key m.Table.smallest) in
+  guards.(i) <- { (guards.(i)) with tables = m :: guards.(i).tables };
+  i
 
 (** [attach level m] prepends table [m] to its guard (newest first).
     Asserts the no-straddler invariant. *)
 let attach level (m : Table.meta) =
-  let i = guard_index level (Ik.user_key m.Table.smallest) in
-  assert (table_fits level i m);
   let guards = Array.copy level.guards in
-  guards.(i) <- { (guards.(i)) with tables = m :: guards.(i).tables };
+  let i = prepend guards m in
+  assert (table_fits level i m);
   level.guards <- guards
 
 (** [detach level numbers] removes the tables whose file numbers are in
@@ -137,7 +135,11 @@ let commit_guards level keys =
         (sentinel () :: List.map (fun k -> { gkey = k; tables = [] }) merged_keys)
     in
     (* reattach preserving newest-first order *)
-    List.iter (place guards) (List.rev all_tables);
+    List.iter
+      (fun m ->
+        if not (table_fits { guards } (prepend guards m) m) then
+          failwith "Guard.commit_guards: straddling table")
+      (List.rev all_tables);
     level.guards <- guards
   end
 
@@ -154,11 +156,7 @@ let delete_guard level key =
     let orphans = List.concat_map (fun g -> g.tables) doomed in
     (* predecessor guard absorbs the orphans (ranges stay sorted since the
        predecessor's range now extends to the next remaining guard) *)
-    List.iter
-      (fun (m : Table.meta) ->
-        let i = guard_index { guards = kept } (Ik.user_key m.Table.smallest) in
-        kept.(i) <- { (kept.(i)) with tables = m :: kept.(i).tables })
-      (List.rev orphans);
+    List.iter (fun m -> ignore (prepend kept m)) (List.rev orphans);
     level.guards <- kept
 
 let all_tables level =

@@ -87,7 +87,8 @@ val get : ?snapshot:int -> t -> string -> string option
 val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Pdb_kvs.Iter.t
 
 (** [guard_view level ()] is a guarded level as a {!Pdb_sstable.Level_iter}
-    view, one partition per guard, snapshotted at the call: the level
+    view, one partition per guard: the level's guard array at the call,
+    which later changes leave alone (guards are copy-on-write).  The level
     iterator's input for an FLSM level. *)
 val guard_view : Guard.level -> unit -> Pdb_sstable.Level_iter.view
 

@@ -233,23 +233,6 @@ let seek_with ~compare c target =
     done
   end
 
-let check c =
-  if not c.valid then invalid_arg "Block.iterator: iterator is not valid"
-
-(** [iterator ~compare t] walks the block's entries. *)
-let iterator ~compare t =
-  let c = cursor () in
-  c.block <- t;
-  {
-    Pdb_kvs.Iter.seek_to_first = (fun () -> seek_to_first_in c);
-    seek = seek_with ~compare c;
-    next = (fun () -> if c.valid then advance c);
-    valid = (fun () -> c.valid);
-    key = (fun () -> check c; c.key);
-    value = (fun () -> check c; String.sub c.block.data c.vpos c.vlen);
-    value_slice = (fun f -> check c; f c.block.data c.vpos c.vlen);
-  }
-
 (* ---------- search in place ---------- *)
 
 (** [find c t target] positions [c]'s header at the first entry of [t]
@@ -329,6 +312,23 @@ let valid c = c.valid
 let key c = c.key
 let value c = String.sub c.block.data c.vpos c.vlen
 let value_slice c f = f c.block.data c.vpos c.vlen
+
+let check c =
+  if not c.valid then invalid_arg "Block.iterator: iterator is not valid"
+
+(** [iterator ~compare t] walks the block's entries. *)
+let iterator ~compare t =
+  let c = cursor () in
+  c.block <- t;
+  {
+    Pdb_kvs.Iter.seek_to_first = (fun () -> seek_to_first_in c);
+    seek = seek_with ~compare c;
+    next = (fun () -> next c);
+    valid = (fun () -> c.valid);
+    key = (fun () -> check c; c.key);
+    value = (fun () -> check c; value c);
+    value_slice = (fun f -> check c; value_slice c f);
+  }
 
 (** [release c] drops the block and both positions. *)
 let release c =
