@@ -3,14 +3,16 @@
 
    Prints old, new and the change in percent for every workload x metric
    (end-to-end metrics, the attempted/failed counts, then per-layer
-   metrics).  Exits 1 when any simulated metric differs, or when NEW
-   lacks a simulated metric that OLD has; exits 2 on an unreadable file
-   or a malformed [--allow].  Simulated metrics repeat exactly for a
-   given seed, so the gate has no noise.  Host metrics (allocation, heap,
-   host time) may differ.  Each [--allow fill/write_amp] lets that one
-   simulated metric of that one workload move: a change that means to
-   move simulated numbers names each move it makes, and nothing else
-   gets through. *)
+   metrics).  Exits 1 when any simulated metric differs, when an
+   allocation metric ([alloc_words_per_op], [kvs.alloc_words_per_op.*])
+   grows by more than 0.5%, or when NEW lacks one of these that OLD has;
+   exits 2 on an unreadable file or a malformed [--allow].  Simulated
+   metrics repeat exactly for a given seed, and so does allocation, so
+   the gate has no noise.  Other host metrics (heap, host time) may
+   differ, and allocation may fall.  Each [--allow fill/write_amp] lets
+   that one gated metric of that one workload move: a change that means
+   to move simulated numbers or to allocate more names each move it
+   makes, and nothing else gets through. *)
 
 (* ---------- a minimal JSON reader, enough for perf.exe's output ---------- *)
 
@@ -126,15 +128,23 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 (* ---------- the comparison ---------- *)
 
+let has_prefix p name =
+  String.length name >= String.length p
+  && String.sub name 0 (String.length p) = p
+
 (* Metrics of the simulator's host, not of the simulated system. *)
 let is_host name =
-  let prefix p =
-    String.length name >= String.length p
-    && String.sub name 0 (String.length p) = p
-  in
   List.mem name [ "alloc_words_per_op"; "peak_heap_mb" ]
-  || List.exists prefix
+  || List.exists
+       (fun p -> has_prefix p name)
        [ "host."; "kvs.host_ns_per_op."; "kvs.alloc_words_per_op." ]
+
+(* Host metrics that are deterministic and ratcheted: words allocated. *)
+let is_alloc name =
+  name = "alloc_words_per_op" || has_prefix "kvs.alloc_words_per_op." name
+
+(* The growth an allocation metric may show, as a fraction. *)
+let alloc_slack = 0.005
 
 (* (metric, value) pairs of one workload, in file order. *)
 let metrics w =
@@ -168,8 +178,9 @@ let delta_pct o n =
   else Printf.sprintf "%+.1f%%" ((n -. o) /. Float.abs o *. 100.0)
 
 (* Print the table; the result is the number of simulated metrics that
-   differ or went missing, other than the [allow]ed (workload, metric)
-   pairs. *)
+   differ, allocation metrics that grew past [alloc_slack], and gated
+   metrics that went missing, other than the [allow]ed (workload,
+   metric) pairs. *)
 let compare_docs ?(allow = []) old_doc new_doc =
   let bad = ref 0 in
   Printf.printf "%-14s %-34s %18s %18s %9s\n" "workload" "metric" "old"
@@ -184,6 +195,7 @@ let compare_docs ?(allow = []) old_doc new_doc =
       List.iter
         (fun (m, o) ->
           let simulated = not (is_host m) in
+          let gated = simulated || is_alloc m in
           let allowed = List.mem (wname, m) allow in
           let flag what =
             if allowed then "  " ^ what ^ " (allowed)"
@@ -195,12 +207,15 @@ let compare_docs ?(allow = []) old_doc new_doc =
           match List.assoc_opt m new_ms with
           | None ->
             Printf.printf "%-14s %-34s %18.10g %18s %9s%s\n" wname m o "-" "-"
-              (if simulated then flag "MISSING" else "  MISSING")
+              (if gated then flag "MISSING" else "  MISSING")
           | Some n ->
             let changed = o <> n && not (Float.is_nan o && Float.is_nan n) in
             Printf.printf "%-14s %-34s %18.10g %18.10g %9s%s\n" wname m o n
               (delta_pct o n)
-              (if changed && simulated then flag "SIMULATED" else ""))
+              (if changed && simulated then flag "SIMULATED"
+               else if is_alloc m && n > o +. (alloc_slack *. Float.abs o)
+               then flag "ALLOC UP"
+               else ""))
         (metrics old_w))
     (workloads old_doc);
   !bad
@@ -237,9 +252,12 @@ let main args =
       2
     | 0 ->
       print_endline
-        (if allow = [] then "no simulated metric differs"
-         else "no simulated metric differs but the allowed ones");
+        (if allow = [] then "no gated metric moved"
+         else "no gated metric moved but the allowed ones");
       0
     | bad ->
-      Printf.printf "%d simulated metric(s) differ or are missing\n" bad;
+      Printf.printf
+        "%d gated metric(s) moved or are missing (simulated: any change; \
+         allocation: growth over %.1f%%)\n"
+        bad (alloc_slack *. 100.0);
       1)

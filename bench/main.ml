@@ -332,10 +332,10 @@ let run_bechamel () =
            ignore (Pdb_sstable.Table.Builder.finish b)))
   in
   (* one 4 KB block, sealed as a table seals one (at least [block_bytes]
-     = 4096 bytes), loaded on a cache miss from [offset] of its own file.
-     Every table's first block starts at 0 and crosses the first file
-     chunk's end at 4096, so its load copies; at 64 KB the block sits
-     inside one 64 KB chunk and the load views it. *)
+     = 4096 bytes), appended after [offset] bytes of its own file and
+     loaded from there on a cache miss.  A file's chunks follow its
+     appends, so the block is one chunk at either offset and the load
+     views it. *)
   let block_raw =
     let b = Pdb_sstable.Block.Builder.create () in
     let i = ref 0 in
@@ -368,6 +368,23 @@ let run_bechamel () =
   in
   let block_load_far =
     block_load ~name:"block_cache.load (miss, at 64 KB)" ~offset:65536
+  in
+  (* a fresh file grown as a table grows: eight 4 KB blocks, then a
+     1 KB tail *)
+  let env_append =
+    let env = Pdb_simio.Env.create () in
+    let block = String.make 4096 'b' and tail = String.make 1024 't' in
+    Test.make ~name:"env.append (8 x 4 KB blocks + 1 KB)"
+      (Staged.stage (fun () ->
+           let w = Pdb_simio.Env.create_file env "micro/append" in
+           for _ = 1 to 8 do
+             Pdb_simio.Env.append w block
+           done;
+           Pdb_simio.Env.append w tail))
+  in
+  let crc_1k =
+    Test.make ~name:"crc32c.update (1 KB)"
+      (Staged.stage (fun () -> ignore (Pdb_util.Crc32c.update 0 value_1k 0 1024)))
   in
   (* the scan path: a table iterator created and sought in a table whose
      blocks are cached; a level iterator walking fifty empty guards (a
@@ -445,7 +462,7 @@ let run_bechamel () =
       ikey_compare; block_seek; block_next; table_get; table_get_absent;
       shell_get; probe_session; wb_encode;
       wal_add_records; table_build; table_scan; compaction_merge;
-      block_load_first; block_load_far ]
+      block_load_first; block_load_far; env_append; crc_1k ]
   in
   (* time, minor-heap and direct major-heap allocation per run, each an
      OLS estimate *)

@@ -65,17 +65,34 @@ let size_bytes t = Bytes.length t.bits
 
 let nkeys t = t.nkeys
 
-(** [encode t] serialises the filter (bit array + probe count), for storing
+(** [encode_to buf t] appends the serialised filter (probe count, key
+    count, then the length-prefixed bit array) to [buf], for storing
     filters alongside sstables. *)
-let encode t =
-  let buf = Buffer.create (Bytes.length t.bits + 8) in
+let encode_to buf t =
   Pdb_util.Varint.put_uvarint buf t.k;
   Pdb_util.Varint.put_uvarint buf t.nkeys;
-  Pdb_util.Varint.put_length_prefixed buf (Bytes.to_string t.bits);
+  Pdb_util.Varint.put_uvarint buf (Bytes.length t.bits);
+  Buffer.add_bytes buf t.bits
+
+(** [encode t] is the serialised filter as a string. *)
+let encode t =
+  let buf = Buffer.create (Bytes.length t.bits + 8) in
+  encode_to buf t;
   Buffer.contents buf
 
-let decode s =
-  let k, pos = Pdb_util.Varint.get_uvarint s 0 in
-  let nkeys, pos = Pdb_util.Varint.get_uvarint s pos in
-  let bits, _ = Pdb_util.Varint.get_length_prefixed s pos in
-  { bits = Bytes.of_string bits; nbits = String.length bits * 8; k; nkeys }
+(** [decode_range s ~pos ~len] decodes the filter serialised in the
+    [len] bytes of [s] at [pos], copying its bits once. *)
+let decode_range s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Bloom.decode_range: range out of bounds";
+  let limit = pos + len in
+  let p = ref pos in
+  let k = Pdb_util.Varint.read_uvarint_upto s p limit in
+  let nkeys = Pdb_util.Varint.read_uvarint_upto s p limit in
+  let n = Pdb_util.Varint.read_uvarint_upto s p limit in
+  if n > limit - !p then invalid_arg "Bloom.decode: truncated";
+  let bits = Bytes.create n in
+  Bytes.blit_string s !p bits 0 n;
+  { bits; nbits = n * 8; k; nkeys }
+
+let decode s = decode_range s ~pos:0 ~len:(String.length s)

@@ -25,7 +25,20 @@ val size_bytes : t -> int
 
 val nkeys : t -> int
 
-(** Serialise the filter for storing alongside an sstable. *)
+(** [encode_to buf t] appends the serialised filter to [buf], for
+    storing alongside an sstable. *)
+val encode_to : Buffer.t -> t -> unit
+
+(** [encode t] is the serialised filter: [encode_to] into a fresh
+    buffer, as a string. *)
 val encode : t -> string
 
+(** [decode_range s ~pos ~len] decodes the filter serialised in the
+    [len] bytes of [s] at [pos] (a range of a file chunk, say), copying
+    its bits once.
+    @raise Invalid_argument on an out-of-bounds range or a truncated
+    filter. *)
+val decode_range : string -> pos:int -> len:int -> t
+
+(** [decode s] is [decode_range s ~pos:0 ~len:(String.length s)]. *)
 val decode : string -> t

@@ -61,29 +61,18 @@ module Fault_plan = struct
   let torn_files t = t.torn_files
 end
 
-(* A file's bytes live in chunks of 4 KB, 4 KB, 8 KB, 16 KB and 32 KB,
-   then of [chunk_bytes] each, so growing a file never copies what it
-   already holds, small files (CURRENT, MANIFEST) stay small, and a
-   file's unused capacity stays under the size of its last chunk.  Chunk
-   [i >= 1] starts at byte [first_chunk lsl (i - 1)] up to [chunk_bytes],
-   and at [chunk_bytes * (i - 4)] from there on. *)
-let chunk_bytes = 65536
-let first_chunk = 4096
-
-let chunk_start i =
-  if i = 0 then 0
-  else if i <= 5 then first_chunk lsl (i - 1)
-  else chunk_bytes * (i - 4)
-
-(* The index of the chunk holding byte [p]. *)
-let chunk_index p =
-  if p >= chunk_bytes then 4 + (p / chunk_bytes)
-  else
-    let q = p / first_chunk in
-    if q >= 8 then 4 else if q >= 4 then 3 else if q >= 2 then 2 else q
-
+(* A file's bytes live in chunks that follow its appends: an append that
+   runs past the file's capacity adds one chunk holding exactly the bytes
+   that do not fit.  Growing a file never copies what it already holds,
+   its capacity equals its length (until a crash truncates the length; a
+   later append fills the spare capacity first), and the bytes of one
+   append past the capacity lie in one chunk.  Chunk [i] starts at byte
+   [starts.(i)]; the first [n] slots of [chunks] and [starts] are in use,
+   and the arrays double when full. *)
 type file = {
   mutable chunks : Bytes.t array;
+  mutable starts : int array;
+  mutable n : int;
   mutable len : int;
   mutable synced : int;
   mutable ever_synced : bool;
@@ -105,67 +94,95 @@ type t = {
 type writer = { env : t; name : string; file : file }
 
 let new_file ~ever_synced =
-  { chunks = [| Bytes.create first_chunk |]; len = 0; synced = 0;
-    ever_synced }
+  { chunks = [||]; starts = [||]; n = 0; len = 0; synced = 0; ever_synced }
 
-(* Grow [f] to hold at least [size] bytes. *)
+let capacity f =
+  if f.n = 0 then 0 else f.starts.(f.n - 1) + Bytes.length f.chunks.(f.n - 1)
+
+(* The index of the chunk holding byte [p], which must be within
+   capacity: the last chunk starting at or before [p]. *)
+let chunk_index f p =
+  let lo = ref 0 and hi = ref (f.n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if f.starts.(mid) <= p then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* Grow [f] to hold at least [size] bytes, by one chunk of exactly the
+   missing bytes. *)
 let reserve f size =
-  while size > chunk_start (Array.length f.chunks) do
-    let i = Array.length f.chunks in
-    let next = Bytes.create (min chunk_bytes (chunk_start i)) in
-    f.chunks <- Array.append f.chunks [| next |]
-  done
+  let cap = capacity f in
+  if size > cap then begin
+    if f.n = Array.length f.chunks then begin
+      let grow a empty =
+        let b = Array.make (max 4 (2 * f.n)) empty in
+        Array.blit a 0 b 0 f.n;
+        b
+      in
+      f.chunks <- grow f.chunks Bytes.empty;
+      f.starts <- grow f.starts 0
+    end;
+    f.chunks.(f.n) <- Bytes.create (size - cap);
+    f.starts.(f.n) <- cap;
+    f.n <- f.n + 1
+  end
 
-(* [each_piece f pos n g] calls [g chunk off k done_] for the pieces of
-   [f]'s range [pos, pos + n), in order: [k] bytes at offset [off] of
-   [chunk], after [done_] bytes of the range.  The range must be within
-   capacity. *)
-let each_piece f pos n g =
-  let done_ = ref 0 in
-  while !done_ < n do
-    let p = pos + !done_ in
-    let i = chunk_index p in
-    let c = f.chunks.(i) in
-    let off = p - chunk_start i in
-    let k = min (n - !done_) (Bytes.length c - off) in
-    g c off k !done_;
-    done_ := !done_ + k
-  done
+(* [each_piece f pos n g src] calls [g src chunk off k done_] for the
+   pieces of [f]'s range [pos, pos + n), in order: [k] bytes at offset
+   [off] of [chunk], after [done_] bytes of the range.  The range must be
+   within capacity.  [g] takes its data as [src], so a closed [g] costs
+   no closure per call. *)
+let each_piece f pos n g src =
+  if n > 0 then begin
+    let i = ref (chunk_index f pos) in
+    let off = ref (pos - f.starts.(!i)) in
+    let done_ = ref 0 in
+    while !done_ < n do
+      let c = f.chunks.(!i) in
+      let k = min (n - !done_) (Bytes.length c - !off) in
+      g src c !off k !done_;
+      done_ := !done_ + k;
+      incr i;
+      off := 0
+    done
+  end
 
-(* Write the [n] bytes [blit] copies at [pos], growing [f] as needed;
-   [len] is not updated.  [blit chunk off k d] copies source bytes
-   [d, d + k) to [chunk] at [off]. *)
-let write_pieces f pos n blit =
+(* Piece copiers for {!each_piece}: [blit_string s c off k d] copies
+   bytes [d, d + k) of [s] to [c] at [off]. *)
+let blit_string s c off k d = Bytes.blit_string s d c off k
+let blit_buffer b c off k d = Buffer.blit b d c off k
+let blit_zeroes () c off k _ = Bytes.fill c off k '\000'
+let blit_out out c off k d = Bytes.blit c off out d k
+
+(* Write the [n] bytes [blit src] copies at [pos], growing [f] as
+   needed; [len] is not updated. *)
+let write_pieces f pos n blit src =
   reserve f (pos + n);
-  each_piece f pos n blit
-
-let write_bytes f pos s =
-  write_pieces f pos (String.length s) (fun c off k d ->
-      Bytes.blit_string s d c off k)
-
-let zero_fill f pos n =
-  write_pieces f pos n (fun c off k _ -> Bytes.fill c off k '\000')
+  each_piece f pos n blit src
 
 (* The bytes [pos, pos + n) of [f], which must be within [f.len]. *)
 let sub_string f pos n =
-  let i = chunk_index pos in
-  let off = pos - chunk_start i in
   if n = 0 then ""
-  else if off + n <= Bytes.length f.chunks.(i) then
-    Bytes.sub_string f.chunks.(i) off n
   else begin
-    let out = Bytes.create n in
-    each_piece f pos n (fun c off k d -> Bytes.blit c off out d k);
-    Bytes.unsafe_to_string out
+    let i = chunk_index f pos in
+    let off = pos - f.starts.(i) in
+    if off + n <= Bytes.length f.chunks.(i) then
+      Bytes.sub_string f.chunks.(i) off n
+    else begin
+      let out = Bytes.create n in
+      each_piece f pos n blit_out out;
+      Bytes.unsafe_to_string out
+    end
   end
 
 let get_byte f p =
-  let i = chunk_index p in
-  Bytes.get f.chunks.(i) (p - chunk_start i)
+  let i = chunk_index f p in
+  Bytes.get f.chunks.(i) (p - f.starts.(i))
 
 let set_byte f p b =
-  let i = chunk_index p in
-  Bytes.set f.chunks.(i) (p - chunk_start i) b
+  let i = chunk_index f p in
+  Bytes.set f.chunks.(i) (p - f.starts.(i)) b
 
 let create () =
   {
@@ -258,12 +275,12 @@ let create_file t name =
   tick t "create:" name;
   { env = t; name; file }
 
-(* Append the [n] bytes [blit] copies (see {!write_pieces}) and charge
-   one sequential write for them. *)
-let append_blit w n blit =
+(* Append the [n] bytes [blit src] copies (see {!write_pieces}) and
+   charge one sequential write for them. *)
+let append_blit w n blit src =
   if n > 0 then begin
     let f = w.file in
-    write_pieces f f.len n blit;
+    write_pieces f f.len n blit src;
     f.len <- f.len + n;
     let st = w.env.stats in
     st.bytes_written <- st.bytes_written + n;
@@ -273,14 +290,11 @@ let append_blit w n blit =
   end
 
 (** [append w s] appends [s]; charges sequential write cost. *)
-let append w s =
-  append_blit w (String.length s) (fun c off k d ->
-      Bytes.blit_string s d c off k)
+let append w s = append_blit w (String.length s) blit_string s
 
 (** [append_buffer w b] appends the contents of [b], exactly as
     [append w (Buffer.contents b)] would, without the copy. *)
-let append_buffer w b =
-  append_blit w (Buffer.length b) (fun c off k d -> Buffer.blit b d c off k)
+let append_buffer w b = append_blit w (Buffer.length b) blit_buffer b
 
 (** [sync w] makes the file contents durable. *)
 let sync w =
@@ -312,8 +326,8 @@ let write_at t name ~pos s =
       f
   in
   let n = String.length s in
-  if pos > f.len then zero_fill f f.len (pos - f.len);
-  write_bytes f pos s;
+  if pos > f.len then write_pieces f f.len (pos - f.len) blit_zeroes ();
+  write_pieces f pos n blit_string s;
   f.len <- max f.len (pos + n);
   f.synced <- f.len;
   f.ever_synced <- true;
@@ -367,17 +381,21 @@ let read t name ~pos ~len ~hint =
   sub_string (charge_read t name ~pos ~len ~hint) pos len
 
 (** [read_view t name ~pos ~len ~hint] is [read] without the copy when
-    the range lies inside one chunk: it returns the chunk itself and the
+    the range lies inside one chunk, as every range one append wrote
+    past the file's capacity does: it returns the chunk itself and the
     range's offset in it, else a copy and 0.  The chunk is handed out as
     a string, so the caller must only view ranges that never change (see
     the .mli). *)
 let read_view t name ~pos ~len ~hint =
   let f = charge_read t name ~pos ~len ~hint in
-  let i = chunk_index pos in
-  let off = pos - chunk_start i in
-  if len > 0 && off + len <= Bytes.length f.chunks.(i) then
-    (Bytes.unsafe_to_string f.chunks.(i), off)
-  else (sub_string f pos len, 0)
+  if len = 0 then ("", 0)
+  else begin
+    let i = chunk_index f pos in
+    let off = pos - f.starts.(i) in
+    if off + len <= Bytes.length f.chunks.(i) then
+      (Bytes.unsafe_to_string f.chunks.(i), off)
+    else (sub_string f pos len, 0)
+  end
 
 let read_all t name ~hint =
   let f = find t name in

@@ -128,9 +128,14 @@ val read : t -> string -> pos:int -> len:int -> hint:Device.read_hint -> string
 
 (** [read_view t name ~pos ~len ~hint] reads the same range as {!read},
     with the same bounds check, IO stats and clock charge, and returns
-    [(src, off)]: the range is the [len] bytes of [src] at [off].  When
-    the range lies inside one of the file's chunks, [src] is that chunk
-    itself, not a copy, so [src] outside the range may change later.
+    [(src, off)]: the range is the [len] bytes of [src] at [off].  A
+    file's chunks follow its appends: an append past the file's capacity
+    adds one chunk of exactly the bytes that do not fit, so the range one
+    such append wrote is a whole chunk, and capacity equals length until
+    a {!crash} truncates the file.  When the range lies inside one chunk,
+    [src] is that chunk itself, not a copy, so [src] outside the range
+    may change later; a range across chunks comes back as a copy at
+    [off = 0].
     Only view bytes that never change: a synced, finished file's
     contents.  Appends write only past the file's length, {!create_file}
     starts fresh chunks, and {!crash} alters only unsynced tails; only

@@ -159,10 +159,11 @@ module Builder = struct
       let filter_handle =
         match t.filter with
         | Some f ->
-          let raw = Pdb_bloom.Bloom.encode f in
-          Pdb_simio.Env.append t.writer raw;
-          let h = { offset = t.offset; size = String.length raw } in
-          t.offset <- t.offset + String.length raw;
+          let buf = Buffer.create (Pdb_bloom.Bloom.size_bytes f + 16) in
+          Pdb_bloom.Bloom.encode_to buf f;
+          Pdb_simio.Env.append_buffer t.writer buf;
+          let h = { offset = t.offset; size = Buffer.length buf } in
+          t.offset <- t.offset + Buffer.length buf;
           h
         | None -> { offset = 0; size = 0 }
       in
@@ -249,6 +250,17 @@ let load_block r ~cache ~hint ~offset ~size =
 
 let ikey_compare = Pdb_kvs.Internal_key.compare
 
+(* The index block and the filter, read without a copy of the range
+   (see {!Pdb_simio.Env.read_view}): the index views the file's chunk,
+   the filter copies its bits once. *)
+let read_index env name ~pos ~len ~hint =
+  let src, off = Pdb_simio.Env.read_view env name ~pos ~len ~hint in
+  Block.decode_view src ~pos:off ~len
+
+let read_filter env name ~pos ~len ~hint =
+  let src, off = Pdb_simio.Env.read_view env name ~pos ~len ~hint in
+  Pdb_bloom.Bloom.decode_range src ~pos:off ~len
+
 (** [open_reader ?hint env ~dir meta] opens a table, reading footer, index
     and filter.  Cold point-lookups pay three random reads; compaction
     passes [~hint:Sequential_read] since it streams its freshly-written
@@ -256,29 +268,20 @@ let ikey_compare = Pdb_kvs.Internal_key.compare
 let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
   let name = file_name ~dir meta.number in
   let size = Pdb_simio.Env.file_size env name in
-  let footer =
-    Pdb_simio.Env.read env name ~pos:(size - footer_size) ~len:footer_size
-      ~hint
+  let footer, at =
+    Pdb_simio.Env.read_view env name ~pos:(size - footer_size)
+      ~len:footer_size ~hint
   in
-  let filter_off = Pdb_util.Varint.get_fixed32 footer 0 in
-  let filter_size = Pdb_util.Varint.get_fixed32 footer 4 in
-  let index_off = Pdb_util.Varint.get_fixed32 footer 8 in
-  let index_size = Pdb_util.Varint.get_fixed32 footer 12 in
-  let stored_magic = Pdb_util.Varint.get_fixed32 footer 20 in
-  let prefix_len = Pdb_util.Varint.get_fixed32 footer 24 in
+  let field i = Pdb_util.Varint.get_fixed32 footer (at + (4 * i)) in
+  let filter_off = field 0 and filter_size = field 1 in
+  let index_off = field 2 and index_size = field 3 in
+  let stored_magic = field 5 and prefix_len = field 6 in
   if stored_magic <> magic then
     failwith (Printf.sprintf "Table.open_reader %s: bad magic" name);
-  let index =
-    Block.decode
-      (Pdb_simio.Env.read env name ~pos:index_off ~len:index_size ~hint)
-  in
+  let index = read_index env name ~pos:index_off ~len:index_size ~hint in
   let filter =
     if filter_size = 0 then No_filter
-    else
-      Loaded
-        (Pdb_bloom.Bloom.decode
-           (Pdb_simio.Env.read env name ~pos:filter_off ~len:filter_size
-              ~hint))
+    else Loaded (read_filter env name ~pos:filter_off ~len:filter_size ~hint)
   in
   {
     env;
@@ -305,10 +308,7 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
     (meta : meta) summary =
   let name = file_name ~dir meta.number in
   let index_off, index_size = Index_summary.index_handle summary in
-  let index =
-    Block.decode
-      (Pdb_simio.Env.read env name ~pos:index_off ~len:index_size ~hint)
-  in
+  let index = read_index env name ~pos:index_off ~len:index_size ~hint in
   let slice = Index_summary.slice_bytes summary in
   let excess = index_size - slice in
   if excess > 0 then
@@ -340,9 +340,8 @@ let load_filter r =
   | Loaded f -> Some f
   | Lazy h ->
     let f =
-      Pdb_bloom.Bloom.decode
-        (Pdb_simio.Env.read r.env r.name ~pos:h.offset ~len:h.size
-           ~hint:Pdb_simio.Device.Random_read)
+      read_filter r.env r.name ~pos:h.offset ~len:h.size
+        ~hint:Pdb_simio.Device.Random_read
     in
     r.filter <- Loaded f;
     (match r.on_filter_load with Some notify -> notify () | None -> ());

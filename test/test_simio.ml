@@ -168,11 +168,59 @@ let test_append_buffer_matches_append () =
   check Alcotest.(option string) "same raised label" raised_a raised_b;
   check Alcotest.(option string) "fired_at" fired_a fired_b
 
-(* Chunk boundaries (4 KB, 8 KB, 16 KB, 32 KB, 64 KB, then every 64 KB):
-   reads across each, a crash that truncates to each, and a torn tail
-   garbled across each must agree with a flat model of the file.  The
-   model applies the torn-write rule of {!Env.crash} with the plan's RNG
-   to a plain [Bytes.t]. *)
+(* The flat model of one file: its bytes, its synced prefix, and whether
+   it was ever synced (and so survives a crash). *)
+type flat = {
+  mutable data : Bytes.t;
+  mutable len : int;
+  mutable synced : int;
+  mutable durable : bool;
+}
+
+let flat_write m pos s =
+  let n = String.length s in
+  if pos + n > Bytes.length m.data then begin
+    let grown = Bytes.make (max (pos + n) (2 * Bytes.length m.data)) '\000' in
+    Bytes.blit m.data 0 grown 0 m.len;
+    m.data <- grown
+  end;
+  if pos > m.len then Bytes.fill m.data m.len (pos - m.len) '\000';
+  Bytes.blit_string s 0 m.data pos n;
+  m.len <- max m.len (pos + n)
+
+(* {!Env.crash} of a one-file environment, drawing from [r] as the
+   installed plan's RNG would; false when the file vanishes. *)
+let flat_crash m r ~block ~garbage =
+  let keep_file, base =
+    if m.durable then (true, m.synced) else (Pdb_util.Rng.bool r, 0)
+  in
+  if keep_file then begin
+    let unsynced = m.len - base in
+    if unsynced > 0 then begin
+      let nblocks = (unsynced + block - 1) / block in
+      let keep = min unsynced (block * Pdb_util.Rng.int r (nblocks + 1)) in
+      m.len <- base + keep;
+      if keep > 0 && Pdb_util.Rng.float r < garbage then begin
+        let lo = max base (m.len - block) in
+        let n = m.len - lo in
+        for _ = 1 to 1 + Pdb_util.Rng.int r (min 8 n) do
+          let i = lo + Pdb_util.Rng.int r n in
+          let bit = 1 lsl Pdb_util.Rng.int r 8 in
+          Bytes.set m.data i
+            (Char.chr (Char.code (Bytes.get m.data i) lxor bit))
+        done
+      end
+    end;
+    m.synced <- m.len;
+    m.durable <- true
+  end;
+  keep_file
+
+(* Positions near powers of two, in files written in pieces that do not
+   line up with them: reads across each, a crash that truncates to each,
+   and a torn tail garbled across each must agree with a flat model of
+   the file.  The model applies the torn-write rule of {!Env.crash} with
+   the plan's RNG to a plain [Bytes.t]. *)
 let boundary_positions = [ 4095; 4096; 8191; 16384; 32767; 65535; 65536 ]
 
 let test_chunk_boundaries_match_flat () =
@@ -230,31 +278,26 @@ let test_chunk_boundaries_match_flat () =
              ~crash_after:max_int ());
         Env.crash env;
         (* the flat model: the same RNG draws applied to plain bytes *)
-        let r = Pdb_util.Rng.create seed in
-        let keep = 10 * Pdb_util.Rng.int r 8 in
-        let flat = Bytes.of_string (String.sub model 0 (base + keep)) in
-        if keep > 0 && Pdb_util.Rng.float r < 1.0 then begin
-          let lo = max base (base + keep - 10) and hi = base + keep in
-          let n = hi - lo in
-          for _ = 1 to 1 + Pdb_util.Rng.int r (min 8 n) do
-            let i = lo + Pdb_util.Rng.int r n in
-            let bit = 1 lsl Pdb_util.Rng.int r 8 in
-            Bytes.set flat i (Char.chr (Char.code (Bytes.get flat i) lxor bit))
-          done
-        end;
+        let m =
+          { data = Bytes.of_string (String.sub model 0 (base + 70));
+            len = base + 70; synced = base; durable = true }
+        in
+        ignore
+          (flat_crash m (Pdb_util.Rng.create seed) ~block:10 ~garbage:1.0);
         let got = Env.read_all env "f" ~hint:Device.Sequential_read in
         check Alcotest.string
           (label (Printf.sprintf "torn tail, seed %d" seed))
-          (Bytes.to_string flat) got;
+          (Bytes.sub_string m.data 0 m.len) got;
         if got <> String.sub model 0 (String.length got) then garbled := true
       done;
       Alcotest.(check bool) (label "some tail garbled") true !garbled)
     boundary_positions
 
 (* [read_view] is [read] without the copy: the same bytes, IO stats,
-   clock and errors, for ranges that start or end at every chunk boundary
-   and ranges that straddle one.  A range inside one chunk comes back as
-   the chunk itself, a straddling one as a copy. *)
+   clock and errors, for ranges that start or end at each position of
+   [boundary_positions], ranges that straddle one, and ranges across the
+   end of the file's first append.  A range inside one append's chunk
+   comes back as that chunk itself, a straddling one as a copy. *)
 let test_read_view_matches_read () =
   let rng = Random.State.make [| 18 |] in
   let size = 140_000 in
@@ -262,7 +305,8 @@ let test_read_view_matches_read () =
   let open_env () =
     let env = Env.create () in
     let w = Env.create_file env "f" in
-    Env.append w model;
+    Env.append w (String.sub model 0 70_000);
+    Env.append w (String.sub model 70_000 (size - 70_000));
     Env.sync w;
     env
   in
@@ -274,7 +318,7 @@ let test_read_view_matches_read () =
           (fun n -> [ (p, n); (p - n, n); (p - 3, 6) ])
           [ 0; 1; 100; 4096 ]
         @ [ (p - 5000, 14_000) ])
-      boundary_positions
+      (70_000 :: boundary_positions)
     @ [ (0, size); (0, 0); (size, 0); (size - 1, 1); (70_000, 10) ]
     |> List.filter (fun (pos, len) -> pos >= 0 && pos + len <= size)
   in
@@ -301,15 +345,15 @@ let test_read_view_matches_read () =
       check Alcotest.string (what ^ " = model") (String.sub model pos len) read;
       same what)
     ranges;
-  (* a range inside the 32 KB chunk at 32768 is that chunk; one across
-     4096 is a copy of just the range *)
+  (* a range inside the first append is that append's 70,000-byte
+     chunk; one across its end is a copy of just the range *)
   let src, off = Env.read_view by_view "f" ~pos:40_000 ~len:100 ~hint:Device.Random_read in
-  check Alcotest.(pair int int) "inside a chunk" (32_768, 40_000 - 32_768)
+  check Alcotest.(pair int int) "inside a chunk" (70_000, 40_000)
     (String.length src, off);
-  let src, off = Env.read_view by_view "f" ~pos:4090 ~len:12 ~hint:Device.Random_read in
+  let src, off = Env.read_view by_view "f" ~pos:69_994 ~len:12 ~hint:Device.Random_read in
   check Alcotest.(pair int int) "across a chunk" (12, 0) (String.length src, off);
   ignore (Env.read by_read "f" ~pos:40_000 ~len:100 ~hint:Device.Random_read);
-  ignore (Env.read by_read "f" ~pos:4090 ~len:12 ~hint:Device.Random_read);
+  ignore (Env.read by_read "f" ~pos:69_994 ~len:12 ~hint:Device.Random_read);
   same "after the chunk checks";
   List.iter
     (fun (name, pos, len) ->
@@ -329,6 +373,166 @@ let test_read_view_matches_read () =
       same what)
     [ ("f", size - 2, 5); ("f", -1, 3); ("f", 0, size + 1); ("f", 10, -1);
       ("missing", 0, 1) ]
+
+(* The chunk model under random operation sequences on one file:
+   appends of sizes around a 4 KB block and past a 64 KB memtable,
+   syncs, crashes under a seeded fault plan (torn and garbled tails),
+   appends after the truncation a crash leaves, and positioned writes
+   that overwrite or leave a zeroed gap.  After every operation the
+   file's size, random reads and their views match a flat model, which
+   applies {!Env.crash}'s torn-write rule with the plan's RNG.  While
+   the file was never truncated, the range each append wrote is one
+   chunk of its own: [read_view] returns it whole, at offset 0, and the
+   same string each time, so not a copy. *)
+type chunk_op =
+  | Append of int
+  | Sync
+  | Crash of int  (** the fault plan's seed *)
+  | Write_at of int * int
+      (** at [where] past the end (overwriting [-where] bytes before it
+          when negative), [n] bytes *)
+
+let chunk_sizes = [ 0; 1; 100; 4095; 4096; 4097; 70_000 ]
+
+let gen_chunk_ops =
+  let open QCheck.Gen in
+  let size = oneofl chunk_sizes in
+  let op =
+    frequency
+      [
+        (6, map (fun n -> Append n) size);
+        (2, return Sync);
+        (1, map (fun seed -> Crash seed) (int_bound 1_000_000));
+        ( 1,
+          map2
+            (fun where n -> Write_at (where, n))
+            (oneofl [ -5000; -1; 0; 1; 100; 5000 ])
+            size );
+      ]
+  in
+  pair (int_bound 1_000_000) (list_size (int_range 1 24) op)
+
+let print_chunk_ops (seed, ops) =
+  let op = function
+    | Append n -> Printf.sprintf "append %d" n
+    | Sync -> "sync"
+    | Crash seed -> Printf.sprintf "crash %d" seed
+    | Write_at (where, n) -> Printf.sprintf "write_at %+d %d" where n
+  in
+  Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map op ops))
+
+let prop_chunks_match_flat =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150 ~name:"chunks = flat model under random ops"
+       (QCheck.make ~print:print_chunk_ops gen_chunk_ops)
+       (fun (seed, ops) ->
+         let rng = Random.State.make [| seed |] in
+         let random_string n =
+           String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+         in
+         let env = Env.create () in
+         let w = ref (Env.create_file env "f") in
+         let m = { data = Bytes.empty; len = 0; synced = 0; durable = false } in
+         (* ranges appended while the file was never truncated *)
+         let whole = ref [] and truncated = ref false in
+         let view pos len =
+           Env.read_view env "f" ~pos ~len ~hint:Device.Random_read
+         in
+         let check_file step =
+           let what fmt = Printf.ksprintf (fun s -> step ^ ": " ^ s) fmt in
+           check Alcotest.int (what "size") m.len (Env.file_size env "f");
+           for _ = 1 to 4 do
+             let pos = Random.State.int rng (m.len + 1) in
+             let len = Random.State.int rng (min 80_000 (m.len - pos) + 1) in
+             let expect = Bytes.sub_string m.data pos len in
+             check Alcotest.string (what "read [%d,+%d)" pos len) expect
+               (Env.read env "f" ~pos ~len ~hint:Device.Random_read);
+             let src, off = view pos len in
+             check Alcotest.string (what "view [%d,+%d)" pos len) expect
+               (String.sub src off len)
+           done;
+           List.iter
+             (fun (pos, len) ->
+               let src, off = view pos len in
+               check Alcotest.(pair int int)
+                 (what "one chunk [%d,+%d)" pos len)
+                 (len, 0) (String.length src, off);
+               check Alcotest.bool (what "viewed [%d,+%d)" pos len) true
+                 (fst (view pos len) == src))
+             !whole
+         in
+         List.iteri
+           (fun i op ->
+             let step = Printf.sprintf "op %d" i in
+             (match op with
+              | Append n ->
+                let s = random_string n in
+                if n > 0 && not !truncated then whole := (m.len, n) :: !whole;
+                Env.append !w s;
+                flat_write m m.len s
+              | Sync ->
+                Env.sync !w;
+                m.synced <- m.len;
+                m.durable <- true
+              | Write_at (where, n) ->
+                let pos = max 0 (m.len + where) in
+                let s = random_string n in
+                if n > 0 && pos >= m.len && not !truncated then
+                  whole := (pos, n) :: !whole;
+                Env.write_at env "f" ~pos s;
+                flat_write m pos s;
+                m.synced <- m.len;
+                m.durable <- true
+              | Crash plan_seed ->
+                let garbage = 0.5 in
+                Env.set_fault_plan env
+                  (Env.Fault_plan.create ~garbage_tail_prob:garbage
+                     ~seed:plan_seed ~crash_after:max_int ());
+                Env.crash env;
+                let r = Pdb_util.Rng.create plan_seed in
+                whole := [];
+                if flat_crash m r ~block:4096 ~garbage then truncated := true
+                else begin
+                  check Alcotest.bool (step ^ ": vanished") false
+                    (Env.exists env "f");
+                  w := Env.create_file env "f";
+                  m.len <- 0;
+                  m.synced <- 0;
+                  truncated := false
+                end);
+             check_file step)
+           ops;
+         check Alcotest.string "whole file" (Bytes.sub_string m.data 0 m.len)
+           (Env.read_all env "f" ~hint:Device.Sequential_read);
+         true))
+
+(* A file's chunks hold what was appended and little more: 64 appends of
+   4,100 bytes (a 4 KB block and a bit) allocate within 2% of the bytes
+   appended, counting minor and direct major-heap words as the perf
+   benchmark does. *)
+let test_append_allocates_its_bytes () =
+  let env = Env.create () in
+  let w = Env.create_file env "f" in
+  let block = String.make 4100 'b' in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  (* what reading the counters allocates *)
+  let t0 = words () in
+  let overhead = words () -. t0 in
+  let before = words () in
+  for _ = 1 to 64 do
+    Env.append w block
+  done;
+  let bytes =
+    (words () -. before -. overhead) *. float_of_int (Sys.word_size / 8)
+  in
+  let appended = float_of_int (64 * String.length block) in
+  if bytes > 1.02 *. appended then
+    Alcotest.failf "allocated %.0f bytes for %.0f appended (+%.1f%%)" bytes
+      appended
+      ((bytes /. appended -. 1.0) *. 100.0)
 
 let test_crash_drops_unsynced () =
   let env = Env.create () in
@@ -854,6 +1058,9 @@ let () =
             test_chunk_boundaries_match_flat;
           Alcotest.test_case "read_view matches read" `Quick
             test_read_view_matches_read;
+          prop_chunks_match_flat;
+          Alcotest.test_case "appends allocate their bytes" `Quick
+            test_append_allocates_its_bytes;
         ] );
       ( "crash",
         [

@@ -92,6 +92,58 @@ let prop_crc_differs =
       Bytes.set s' 0 (Char.chr ((Char.code s.[0] + 1) land 0xff));
       Crc32c.string s <> Crc32c.string (Bytes.to_string s'))
 
+(* The byte-at-a-time CRC-32C, the reference for the sliced one. *)
+let crc_reference =
+  let table =
+    Array.init 256 (fun i ->
+        let c = ref i in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
+        done;
+        !c)
+  in
+  fun crc s pos len ->
+    let crc = ref (crc lxor 0xFFFFFFFF) in
+    for i = pos to pos + len - 1 do
+      crc := table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
+    done;
+    !crc lxor 0xFFFFFFFF
+
+let prop_crc_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      string_size (int_bound 4096) >>= fun s ->
+      let n = String.length s in
+      int_bound n >>= fun pos ->
+      int_bound (n - pos) >>= fun len ->
+      map (fun crc -> (crc, s, pos, len)) (int_bound 0xFFFFFFFF))
+  in
+  let print (crc, s, pos, len) =
+    Printf.sprintf "crc %#x, %d-byte string, pos %d, len %d" crc
+      (String.length s) pos len
+  in
+  qtest ~count:500 "crc = byte-wise reference (random ranges, seeds)"
+    (QCheck.make ~print gen)
+    (fun (crc, s, pos, len) ->
+      Crc32c.update crc s pos len = crc_reference crc s pos len)
+
+let test_crc_allocates_nothing () =
+  let s = String.init 1024 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let crc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    crc := Crc32c.update !crc s 3 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "same as the reference"
+    (let c = ref 0 in
+     for _ = 1 to 100 do
+       c := crc_reference !c s 3 1000
+     done;
+     !c)
+    !crc;
+  check (Alcotest.float 0.0) "minor words" 0.0 words
+
 (* ---------- Murmur3 ---------- *)
 
 let test_murmur_deterministic () =
@@ -325,6 +377,9 @@ let () =
           Alcotest.test_case "slice" `Quick test_crc_slice;
           Alcotest.test_case "mask roundtrip" `Quick test_crc_mask_roundtrip;
           prop_crc_differs;
+          prop_crc_matches_reference;
+          Alcotest.test_case "allocates nothing" `Quick
+            test_crc_allocates_nothing;
         ] );
       ( "murmur3",
         [
