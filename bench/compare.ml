@@ -12,7 +12,13 @@
    differ, and allocation may fall.  Each [--allow fill/write_amp] lets
    that one gated metric of that one workload move: a change that means
    to move simulated numbers or to allocate more names each move it
-   makes, and nothing else gets through. *)
+   makes, and nothing else gets through.
+
+   [main.exe trajectory DIR] applies that gate along the committed
+   trajectory: at each seed, every [BENCH_<n>.seed<s>.json] in DIR
+   against the point before it, with the moves that [BENCH_<n>.allow]
+   names (one [WORKLOAD/METRIC reason] per line) allowed.  Exits 1 when
+   a step fails, 2 on an unreadable file or a malformed allow line. *)
 
 (* ---------- a minimal JSON reader, enough for perf.exe's output ---------- *)
 
@@ -227,8 +233,83 @@ let parse_allow a =
     Some (String.sub a 0 i, String.sub a (i + 1) (String.length a - i - 1))
   | Some _ | None -> None
 
+(* ---------- the trajectory: each point against the one before ---------- *)
+
+(* "BENCH_21.seed42.json" -> Some (21, 42) *)
+let point_of_file name =
+  try Scanf.sscanf name "BENCH_%u.seed%u.json%!" (fun n seed -> Some (n, seed))
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
+(* The moves [BENCH_<n>.allow] excuses in [dir]: one [WORKLOAD/METRIC
+   reason] per line (blank lines skipped); none when there is no file. *)
+let allow_file dir n =
+  let path = Filename.concat dir (Printf.sprintf "BENCH_%d.allow" n) in
+  if not (Sys.file_exists path) then []
+  else
+    In_channel.with_open_text path In_channel.input_lines
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' (String.trim line) with
+           | [ "" ] -> None
+           | first :: _ -> (
+             match parse_allow first with
+             | Some pair -> Some pair
+             | None -> failwith (Printf.sprintf "%s: bad line %S" path line))
+           | [] -> None)
+
+(** [trajectory dir] compares, at each seed, every [BENCH_<n>] point in
+    [dir] with the point before it, under the allowances of
+    [BENCH_<n>.allow]; returns the steps that fail, as
+    [(old, new, seed)]. *)
+let trajectory dir =
+  let points =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter_map point_of_file
+    |> List.sort compare
+  in
+  let file n seed =
+    Filename.concat dir (Printf.sprintf "BENCH_%d.seed%d.json" n seed)
+  in
+  let rec steps seed = function
+    | a :: (b :: _ as rest) ->
+      Printf.printf "\n== BENCH_%d -> BENCH_%d, seed %d\n" a b seed;
+      let bad =
+        compare_docs ~allow:(allow_file dir b) (load (file a seed))
+          (load (file b seed))
+      in
+      (if bad > 0 then [ (a, b, seed) ] else []) @ steps seed rest
+    | [ _ ] | [] -> []
+  in
+  List.sort_uniq compare (List.map snd points)
+  |> List.concat_map (fun seed ->
+         steps seed
+           (List.filter_map
+              (fun (n, s) -> if s = seed then Some n else None)
+              points))
+
 let usage =
-  "usage: main.exe compare [--allow WORKLOAD/METRIC]... OLD.json NEW.json"
+  "usage: main.exe compare [--allow WORKLOAD/METRIC]... OLD.json NEW.json\n\
+  \       main.exe trajectory DIR"
+
+(** [trajectory_main args] runs {!trajectory} on the directory after
+    [trajectory] and returns the exit code. *)
+let trajectory_main = function
+  | [ dir ] -> (
+    match trajectory dir with
+    | exception (Failure msg | Sys_error msg) ->
+      prerr_endline ("trajectory: " ^ msg);
+      2
+    | [] ->
+      print_endline "\nevery step of the trajectory passes";
+      0
+    | failed ->
+      List.iter
+        (fun (a, b, seed) ->
+          Printf.printf "step BENCH_%d -> BENCH_%d at seed %d fails\n" a b seed)
+        failed;
+      1)
+  | _ ->
+    prerr_endline usage;
+    2
 
 (** [main args] runs the comparison on the arguments after [compare] and
     returns the exit code. *)

@@ -10,7 +10,10 @@
                                          # also write results to BENCH.json
      dune exec bench/main.exe compare [--allow W/M]... OLD.json NEW.json
                                          # per-metric deltas of two perf.exe
-                                         # --json files (see compare.ml) *)
+                                         # --json files (see compare.ml)
+     dune exec bench/main.exe trajectory bench/trajectory
+                                         # each committed point against the
+                                         # one before it, at each seed *)
 
 (* Minor-heap words allocated, exactly.  Bechamel's
    [Toolkit.Instance.minor_allocated] reads [Gc.quick_stat], whose minor
@@ -503,6 +506,7 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   (match args with
    | "compare" :: rest -> exit (Compare.main rest)
+   | "trajectory" :: rest -> exit (Compare.trajectory_main rest)
    | _ -> ());
   let json, ids = List.partition (fun a -> a = "--json") args in
   if json <> [] then Pdb_harness.Bench_util.Json.enable ();

@@ -20,6 +20,8 @@ module Env = Pdb_simio.Env
 module Clock = Pdb_simio.Clock
 module Device = Pdb_simio.Device
 module O = Pdb_kvs.Options
+module Stats = Pdb_kvs.Engine_stats
+module Wb = Pdb_kvs.Write_batch
 
 type leaf = { mutable entries : (string * string) list; mutable next : int }
 
@@ -35,7 +37,7 @@ type t = {
   env : Env.t;
   dir : string;
   clock : Clock.t;
-  stats : Pdb_kvs.Engine_stats.t;
+  counters : Stats.counters;
   mode : mode;
   page_file : string;
   slot_bytes : int; (* on-file slot per page *)
@@ -181,7 +183,7 @@ let open_store ?(mode = Write_through) (opts : O.t) ~env ~dir =
       env;
       dir;
       clock = Env.clock env;
-      stats = Pdb_kvs.Engine_stats.create ();
+      counters = Stats.counters ();
       mode;
       page_file;
       slot_bytes;
@@ -230,7 +232,10 @@ let close t =
 
 let options t = t.opts
 let env t = t.env
-let stats t = t.stats
+let counters t = t.counters
+
+let stats t =
+  Stats.view [ t.counters ] ~busy:[||] ~flush_busy:0.0 ~cache:(0, 0)
 
 (* ---------- descent ---------- *)
 
@@ -321,12 +326,10 @@ let rec insert_into_parent t path sep_key new_page =
 
 (* ---------- operations ---------- *)
 
-let put t key value =
+(* [insert] and [remove] change the tree; [put] and [delete] also count
+   a client's operation *)
+let insert t key value =
   assert (not t.closed);
-  t.stats.Pdb_kvs.Engine_stats.puts <- t.stats.Pdb_kvs.Engine_stats.puts + 1;
-  t.stats.Pdb_kvs.Engine_stats.user_bytes_written <-
-    t.stats.Pdb_kvs.Engine_stats.user_bytes_written
-    + String.length key + String.length value;
   Clock.advance_cpu t.clock
     (t.opts.O.op_overhead_write_ns +. O.cpu_per_op_ns);
   let path = descend t t.root key [] in
@@ -360,17 +363,15 @@ let put t key value =
 
 let get t key =
   assert (not t.closed);
-  t.stats.Pdb_kvs.Engine_stats.gets <- t.stats.Pdb_kvs.Engine_stats.gets + 1;
+  Stats.incr t.counters Stats.gets;
   Clock.advance_cpu t.clock
     (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);
   let path = descend t t.root key [] in
   let _, leaf = leaf_of_path path in
   List.assoc_opt key leaf.entries
 
-let delete t key =
+let remove t key =
   assert (not t.closed);
-  t.stats.Pdb_kvs.Engine_stats.deletes <-
-    t.stats.Pdb_kvs.Engine_stats.deletes + 1;
   Clock.advance_cpu t.clock
     (t.opts.O.op_overhead_write_ns +. O.cpu_per_op_ns);
   let path = descend t t.root key [] in
@@ -382,11 +383,22 @@ let delete t key =
     mark_dirty t lid
   end
 
+let put t key value =
+  Stats.incr t.counters Stats.puts;
+  Stats.add t.counters Stats.user_bytes_written
+    (String.length key + String.length value);
+  insert t key value
+
+let delete t key =
+  Stats.incr t.counters Stats.deletes;
+  remove t key
+
+(* a bulk batch (a shard migration) moves data no client wrote *)
 let write t batch =
-  Pdb_kvs.Write_batch.iter batch (fun op ->
-      match op with
-      | Pdb_kvs.Write_batch.Put (k, v) -> put t k v
-      | Pdb_kvs.Write_batch.Delete k -> delete t k)
+  let bulk = Wb.is_bulk batch in
+  Wb.iter batch (function
+    | Wb.Put (k, v) -> if bulk then insert t k v else put t k v
+    | Wb.Delete k -> if bulk then remove t k else delete t k)
 
 (* no WAL to coalesce: a group degrades to the one-by-one writes *)
 let write_group t batches = List.iter (write t) batches

@@ -9,6 +9,7 @@
 
 module Env = Pdb_simio.Env
 module O = Pdb_kvs.Options
+module Stats = Pdb_kvs.Engine_stats
 
 type t = {
   opts : O.t;
@@ -53,19 +54,17 @@ let surviving_journals env ~dir =
 let open_store (opts : O.t) ~env ~dir =
   let tree = Bptree.open_store ~mode:Bptree.Buffered opts ~env ~dir in
   let journals, max_n = surviving_journals env ~dir in
-  let stats = Bptree.stats tree in
+  let c = Bptree.counters tree in
   (* replay surviving journals oldest-first (crash recovery) *)
   List.iter
     (fun name ->
       let records, (report : Pdb_wal.Wal.Reader.report) =
         Pdb_wal.Wal.Reader.read_all env name
       in
-      stats.Pdb_kvs.Engine_stats.wal_records_recovered <-
-        stats.Pdb_kvs.Engine_stats.wal_records_recovered
-        + report.Pdb_wal.Wal.Reader.records_read;
-      stats.Pdb_kvs.Engine_stats.wal_bytes_dropped <-
-        stats.Pdb_kvs.Engine_stats.wal_bytes_dropped
-        + report.Pdb_wal.Wal.Reader.bytes_dropped;
+      Stats.add c Stats.wal_records_recovered
+        report.Pdb_wal.Wal.Reader.records_read;
+      Stats.add c Stats.wal_bytes_dropped
+        report.Pdb_wal.Wal.Reader.bytes_dropped;
       List.iter
         (fun record ->
           match Pdb_kvs.Write_batch.decode record with
@@ -128,15 +127,11 @@ let write_group t batches =
     (* without the sync, an acked write is lost whenever a crash beats
        the next checkpoint *)
     if t.opts.O.wal_sync_writes then Pdb_wal.Wal.Writer.sync t.journal;
-    let st = Bptree.stats t.tree in
-    let n = List.length batches in
-    st.Pdb_kvs.Engine_stats.write_groups <-
-      st.Pdb_kvs.Engine_stats.write_groups + 1;
-    st.Pdb_kvs.Engine_stats.write_group_batches <-
-      st.Pdb_kvs.Engine_stats.write_group_batches + n;
+    let c = Bptree.counters t.tree in
+    Stats.incr c Stats.write_groups;
+    Stats.add c Stats.write_group_batches (List.length batches);
     if t.opts.O.wal_sync_writes then
-      st.Pdb_kvs.Engine_stats.group_syncs_saved <-
-        st.Pdb_kvs.Engine_stats.group_syncs_saved + max 0 (!covered - 1)
+      Stats.add c Stats.group_syncs_saved (max 0 (!covered - 1))
 
 let write t batch = write_group t [ batch ]
 

@@ -14,20 +14,7 @@
 
 module Clock = Pdb_simio.Clock
 module Sched = Pdb_simio.Sched
-
-type stats = {
-  mutable jobs_run : int;
-  mutable queue_peak : int;  (** max pending jobs observed *)
-  mutable backlog_peak_bytes : int;
-      (** max sum of pending jobs' estimated bytes *)
-  mutable stall_slowdown_ns : float;
-      (** stall time attributed to the slowdown threshold *)
-  mutable stall_stop_ns : float;
-      (** stall time attributed to the hard stop threshold *)
-  mutable by_trigger : (string * (int * int)) list;
-      (** per-{!Job.trigger} (runs, estimated bytes), keyed by
-          [Job.trigger_name]; flushes via [run_now] count too *)
-}
+module Stats = Pdb_kvs.Engine_stats
 
 type t = {
   clock : Clock.t;
@@ -35,8 +22,9 @@ type t = {
   env : Pdb_simio.Env.t option;  (** for the environment's tracer, if any *)
   queue : Job.t Queue.t;
   keys : (string, unit) Hashtbl.t; (* pending-job identity, for dedup *)
-  mutable backlog_bytes : int;
-  stats : stats;
+  counters : Stats.counters;
+      (** jobs run, queue and backlog (gauges and peaks), stall time,
+          serialized jobs and the per-trigger tally *)
   mutable observer : (Job.t -> unit) option;
 }
 
@@ -47,32 +35,18 @@ let create ?env ?(flush_lanes = 0) ~clock ~workers () =
     env;
     queue = Queue.create ();
     keys = Hashtbl.create 16;
-    backlog_bytes = 0;
-    stats =
-      {
-        jobs_run = 0;
-        queue_peak = 0;
-        backlog_peak_bytes = 0;
-        stall_slowdown_ns = 0.0;
-        stall_stop_ns = 0.0;
-        by_trigger = [];
-      };
+    counters = Stats.counters ();
     observer = None;
   }
 
 let tracer t =
   match t.env with None -> None | Some env -> Pdb_simio.Env.tracer env
 
-let workers t = Sched.workers t.lanes
-let flush_lanes t = Sched.flush_lanes t.lanes
-let pending t = Queue.length t.queue
-let backlog_bytes t = t.backlog_bytes
-let stats t = t.stats
+let pending t = Stats.get t.counters Stats.compaction_pending
+let backlog_bytes t = Stats.get t.counters Stats.compaction_backlog_bytes
+let counters t = t.counters
 let busy_ns t = Sched.busy_ns t.lanes
 let flush_busy_ns t = Sched.flush_busy_ns t.lanes
-let jobs_placed t = Sched.jobs_placed t.lanes
-let serialized_jobs t = Sched.serialized_jobs t.lanes
-let horizon_ns t = Sched.horizon_ns t.lanes
 
 let set_observer t f = t.observer <- Some f
 
@@ -83,11 +57,11 @@ let submit t (job : Job.t) =
   else begin
     Hashtbl.add t.keys job.key ();
     Queue.push job t.queue;
-    t.backlog_bytes <- t.backlog_bytes + job.estimated_bytes;
-    if Queue.length t.queue > t.stats.queue_peak then
-      t.stats.queue_peak <- Queue.length t.queue;
-    if t.backlog_bytes > t.stats.backlog_peak_bytes then
-      t.stats.backlog_peak_bytes <- t.backlog_bytes;
+    let c = t.counters in
+    Stats.incr c Stats.compaction_pending;
+    Stats.add c Stats.compaction_backlog_bytes job.estimated_bytes;
+    Stats.peak c Stats.compaction_queue_peak (pending t);
+    Stats.peak c Stats.compaction_backlog_peak_bytes (backlog_bytes t);
     true
   end
 
@@ -105,6 +79,8 @@ let run_one t (job : Job.t) =
       | _ -> `Worker
     in
     let p = Sched.place_span ~cls t.lanes job.footprint ~duration_ns in
+    if Sched.serialized t.lanes then
+      Stats.incr t.counters Stats.compaction_serialized_jobs;
     let lane_name =
       if p.Sched.lane >= Sched.workers t.lanes then "flush"
       else Printf.sprintf "worker-%d" p.Sched.lane
@@ -125,16 +101,10 @@ let run_one t (job : Job.t) =
         ()
     | None -> ()
   end;
-  t.stats.jobs_run <- t.stats.jobs_run + 1;
-  let trig = Job.trigger_name job.trigger in
-  let runs, bytes =
-    match List.assoc_opt trig t.stats.by_trigger with
-    | Some rb -> rb
-    | None -> (0, 0)
-  in
-  t.stats.by_trigger <-
-    (trig, (runs + 1, bytes + job.estimated_bytes))
-    :: List.remove_assoc trig t.stats.by_trigger;
+  Stats.incr t.counters Stats.compaction_jobs;
+  Stats.bump_trigger t.counters
+    (Job.trigger_name job.trigger)
+    ~runs:1 ~bytes:job.estimated_bytes;
   match t.observer with Some f -> f job | None -> ()
 
 (** [drain t] executes every pending job, FIFO. *)
@@ -142,7 +112,9 @@ let drain t =
   while not (Queue.is_empty t.queue) do
     let job = Queue.pop t.queue in
     Hashtbl.remove t.keys job.Job.key;
-    t.backlog_bytes <- t.backlog_bytes - job.Job.estimated_bytes;
+    Stats.add t.counters Stats.compaction_pending (-1);
+    Stats.add t.counters Stats.compaction_backlog_bytes
+      (-job.Job.estimated_bytes);
     run_one t job
   done
 
@@ -157,8 +129,8 @@ let run_now t job = run_one t job
     traced as two adjacent spans — slowdown first, then stop — instead of
     one span of whichever kind held at stall start. *)
 let note_stall t ~slowdown_ns ~stop_ns =
-  t.stats.stall_slowdown_ns <- t.stats.stall_slowdown_ns +. slowdown_ns;
-  t.stats.stall_stop_ns <- t.stats.stall_stop_ns +. stop_ns;
+  Stats.add_ns t.counters Stats.stall_slowdown_ns slowdown_ns;
+  Stats.add_ns t.counters Stats.stall_stop_ns stop_ns;
   match tracer t with
   | Some tr ->
     let now = Clock.elapsed_ns (Clock.snapshot t.clock) in

@@ -111,8 +111,7 @@ let prepare_guard_commit t level =
           Hashtbl.replace t.lv.committed.(level) k ();
           Hashtbl.remove t.lv.uncommitted.(level) k)
         committable;
-      t.stats.Stats.guards_committed <-
-        t.stats.Stats.guards_committed + List.length committable
+      Stats.add t.counters Stats.guards_committed (List.length committable)
     end;
     committable
   end
@@ -784,10 +783,10 @@ let empty_guard_count t =
   done;
   !n
 
-(* the empty-guard count is a property of the guard arrays, not an event
-   counter: refresh it whenever the stats are read *)
+(* the empty-guard count is a gauge of the guard arrays, not an event
+   counter: it is counted when the view is built *)
 let stats t =
-  t.stats.Stats.guards_empty <- empty_guard_count t;
+  Stats.set t.counters Stats.guards_empty (empty_guard_count t);
   S.stats t
 
 let describe t =

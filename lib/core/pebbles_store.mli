@@ -35,9 +35,10 @@ val close : t -> unit
 val options : t -> Pdb_kvs.Options.t
 val env : t -> Pdb_simio.Env.t
 
-(** [stats t] are the engine counters, with the background scheduler's
-    counters (jobs, queue peaks, per-worker busy time, stall attribution)
-    and the empty-guard count refreshed on every read. *)
+(** [stats t] is a view of the engine's counters, its background
+    scheduler's (jobs, queue peaks, per-worker busy time, stall
+    attribution) and its table cache's, with the empty-guard count taken
+    at the read. *)
 val stats : t -> Pdb_kvs.Engine_stats.t
 
 (** The shared background-compaction scheduler: all non-manual compaction

@@ -4,7 +4,7 @@
     (§4.4): the memtable, WAL, MANIFEST recovery, group commit and read
     plumbing stay the same.  This module owns that machinery once —
     recovery, flush with WAL rotation, obsolete-file collection, group
-    commit with its backpressure debt, stats mirroring, the
+    commit with its backpressure debt, the engine's counters, the
     memtable and level-0 halves of reads, the iterator wrapper with seek
     accounting, and the snapshot-aware compaction merge loop.
 
@@ -47,7 +47,7 @@ module Types = struct
     clock : Clock.t;
     sched : Scheduler.t; (* shared background-compaction scheduler *)
     bp : Bp.t; (* shared write-throttling controller (Backpressure) *)
-    stats : Stats.t;
+    counters : Stats.counters; (* the shell's own; see {!stats} *)
     probe : Probe.ctx; (* parallel-probe budget sessions *)
     table_cache : Table_cache.t;
     block_cache : Block_cache.t;
@@ -150,11 +150,9 @@ let retire t inputs =
     inputs
 
 let note_compaction t ~inputs ~outputs =
-  t.stats.Stats.compactions <- t.stats.Stats.compactions + 1;
-  t.stats.Stats.compaction_bytes_read <-
-    t.stats.Stats.compaction_bytes_read + bytes_of inputs;
-  t.stats.Stats.compaction_bytes_written <-
-    t.stats.Stats.compaction_bytes_written + bytes_of outputs
+  Stats.incr t.counters Stats.compactions;
+  Stats.add t.counters Stats.compaction_bytes_read (bytes_of inputs);
+  Stats.add t.counters Stats.compaction_bytes_written (bytes_of outputs)
 
 (* Foreground trace instants (WAL rotations, group commits), stamped at
    the clock's current modeled time; no-ops without an attached tracer. *)
@@ -187,8 +185,8 @@ let flush t =
     (match meta with
      | Some meta ->
        t.shape.add_l0 t.lv meta;
-       t.stats.Stats.flushes <- t.stats.Stats.flushes + 1;
-       t.stats.Stats.sstables_built <- t.stats.Stats.sstables_built + 1
+       Stats.incr t.counters Stats.flushes;
+       Stats.incr t.counters Stats.sstables_built
      | None -> ());
     (* rotate WAL — crash-safe order: open the new log, commit the
        manifest edit that names it (and the flushed table), and only then
@@ -253,7 +251,7 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
       (match Table.Builder.finish b with
        | Some meta ->
          outputs := (part, meta) :: !outputs;
-         t.stats.Stats.sstables_built <- t.stats.Stats.sstables_built + 1
+         Stats.incr t.counters Stats.sstables_built
        | None -> ());
       current := None
   in
@@ -416,7 +414,7 @@ let open_store ~shape ~lv ?block_cache (opts : O.t) ~env ~dir =
           ~flush_lanes:(if opts.O.flush_reserved_lane then 1 else 0)
           ~workers:opts.O.compaction_threads ();
       bp = Bp.create opts;
-      stats = Stats.create ();
+      counters = Stats.counters ();
       probe =
         Probe.create_ctx ~clock
           ~budget:(fun () ->
@@ -449,10 +447,12 @@ let open_store ~shape ~lv ?block_cache (opts : O.t) ~env ~dir =
   in
   (match !wal_report with
    | Some ((r : Wal.Reader.report), rejected, rejected_bytes) ->
-     t.stats.Stats.wal_records_recovered <- r.Wal.Reader.records_read - rejected;
-     t.stats.Stats.wal_bytes_dropped <-
-       r.Wal.Reader.bytes_dropped + rejected_bytes;
-     t.stats.Stats.wal_batches_rejected <- rejected
+     let c = t.counters in
+     Stats.set c Stats.wal_records_recovered
+       (r.Wal.Reader.records_read - rejected);
+     Stats.set c Stats.wal_bytes_dropped
+       (r.Wal.Reader.bytes_dropped + rejected_bytes);
+     Stats.set c Stats.wal_batches_rejected rejected
    | None -> ());
   (* the fresh MANIFEST is installed and the fresh WAL holds every
      recovered record: the crashed incarnation's files are now garbage *)
@@ -472,29 +472,19 @@ let env t = t.env
 let compaction_scheduler t = t.sched
 let backpressure t = t.bp
 
-(* mirror the scheduler's and caches' counters into the engine stats on
-   read *)
+(* The engine's view: the shell's own counters, its scheduler's and its
+   table cache's, folded by their rules, with the block cache's own
+   counts. *)
 let stats t =
-  let st = t.stats in
-  let s = Scheduler.stats t.sched in
-  st.Stats.compaction_jobs <- s.Scheduler.jobs_run;
-  st.Stats.compaction_queue_peak <- s.Scheduler.queue_peak;
-  st.Stats.compaction_backlog_peak_bytes <- s.Scheduler.backlog_peak_bytes;
-  st.Stats.compaction_serialized_jobs <- Scheduler.serialized_jobs t.sched;
-  st.Stats.compaction_pending <- Scheduler.pending t.sched;
-  st.Stats.compaction_backlog_bytes <- Scheduler.backlog_bytes t.sched;
-  st.Stats.stall_slowdown_ns <- s.Scheduler.stall_slowdown_ns;
-  st.Stats.stall_stop_ns <- s.Scheduler.stall_stop_ns;
-  st.Stats.worker_busy_ns <- Scheduler.busy_ns t.sched;
-  st.Stats.flush_busy_ns <- Scheduler.flush_busy_ns t.sched;
-  st.Stats.compaction_by_trigger <- s.Scheduler.by_trigger;
-  st.Stats.block_cache_hits <- Block_cache.hits t.block_cache;
-  st.Stats.block_cache_misses <- Block_cache.misses t.block_cache;
-  st.Stats.table_cache_hits <- Table_cache.hits t.table_cache;
-  st.Stats.table_cache_misses <- Table_cache.misses t.table_cache;
-  st.Stats.summary_hits <- Table_cache.summary_hits t.table_cache;
-  st.Stats.summary_misses <- Table_cache.summary_misses t.table_cache;
-  st
+  Stats.view
+    [
+      t.counters;
+      Scheduler.counters t.sched;
+      Table_cache.counters t.table_cache;
+    ]
+    ~busy:(Scheduler.busy_ns t.sched)
+    ~flush_busy:(Scheduler.flush_busy_ns t.sched)
+    ~cache:(Block_cache.hits t.block_cache, Block_cache.misses t.block_cache)
 
 (* ---------- writes ---------- *)
 
@@ -534,7 +524,7 @@ let write_group t batches =
        Clock.stall t.clock total;
        Scheduler.note_stall t.sched ~slowdown_ns:v.Bp.slowdown_ns
          ~stop_ns:v.Bp.stop_ns;
-       t.stats.Stats.write_stalls <- t.stats.Stats.write_stalls + 1
+       Stats.incr t.counters Stats.write_stalls
      end;
      let pending = ref [] in
      (* batches whose durability rides on the end-of-group sync; a
@@ -570,8 +560,10 @@ let write_group t batches =
                 Memtable.add t.mem ~seq:!seq ~kind:Ik.Deletion ~user_key:k
                   ~value:"");
              incr seq);
-         t.stats.Stats.user_bytes_written <-
-           t.stats.Stats.user_bytes_written + Wb.payload_bytes batch;
+         (* a bulk batch (a shard migration) moves data no client wrote *)
+         if not (Wb.is_bulk batch) then
+           Stats.add t.counters Stats.user_bytes_written
+             (Wb.payload_bytes batch);
          incr covered;
          if Memtable.approximate_bytes t.mem >= t.opts.O.memtable_bytes
          then begin
@@ -585,14 +577,11 @@ let write_group t batches =
          end)
        group;
      append_pending ();
-     let st = t.stats in
-     st.Stats.write_groups <- st.Stats.write_groups + 1;
-     st.Stats.write_group_batches <-
-       st.Stats.write_group_batches + List.length group;
+     Stats.incr t.counters Stats.write_groups;
+     Stats.add t.counters Stats.write_group_batches (List.length group);
      if t.opts.O.wal_sync_writes then begin
        Wal.Writer.sync t.wal;
-       st.Stats.group_syncs_saved <-
-         st.Stats.group_syncs_saved + max 0 (!covered - 1)
+       Stats.add t.counters Stats.group_syncs_saved (max 0 (!covered - 1))
      end);
   match batches with
   | [] -> ()
@@ -604,13 +593,13 @@ let write_group t batches =
 let write t batch = write_group t [ batch ]
 
 let put t k v =
-  t.stats.Stats.puts <- t.stats.Stats.puts + 1;
+  Stats.incr t.counters Stats.puts;
   let b = Wb.create () in
   Wb.put b k v;
   write t b
 
 let delete t k =
-  t.stats.Stats.deletes <- t.stats.Stats.deletes + 1;
+  Stats.incr t.counters Stats.deletes;
   let b = Wb.create () in
   Wb.delete b k;
   write t b
@@ -629,15 +618,14 @@ let release_snapshot t s = Snapshots.release t.snapshots s
    internal key [lookup] (the latest state or a snapshot). *)
 let table_lookup t key lookup (meta : Table.meta) =
   charge_cpu t O.cpu_per_sstable_ns;
-  t.stats.Stats.sstables_examined <- t.stats.Stats.sstables_examined + 1;
+  Stats.incr t.counters Stats.sstables_examined;
   let reader = Table_cache.find t.table_cache meta in
   let pass_bloom =
     if Table.has_filter reader then begin
       charge_cpu t O.cpu_bloom_check_ns;
-      t.stats.Stats.bloom_checks <- t.stats.Stats.bloom_checks + 1;
+      Stats.incr t.counters Stats.bloom_checks;
       let pass = Table.may_contain reader key in
-      if not pass then
-        t.stats.Stats.bloom_negative <- t.stats.Stats.bloom_negative + 1;
+      if not pass then Stats.incr t.counters Stats.bloom_negative;
       pass
     end
     else true
@@ -673,7 +661,7 @@ let rec probe_levels t key lookup search level =
 
 let get ?snapshot t key =
   assert (not t.closed);
-  t.stats.Stats.gets <- t.stats.Stats.gets + 1;
+  Stats.incr t.counters Stats.gets;
   charge_cpu t (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);
   (* one lookup key serves the memtable and every table *)
   let lookup =
@@ -706,15 +694,14 @@ let get ?snapshot t key =
 let internal_iterator ?upper_user t =
   let on_table () =
     charge_cpu t O.cpu_per_sstable_ns;
-    t.stats.Stats.sstables_examined <- t.stats.Stats.sstables_examined + 1
+    Stats.incr t.counters Stats.sstables_examined
   in
   let filter =
     Seek_filter.create ?upper_user ~filtering:t.opts.O.seek_filtering
       ~peek:(Table_cache.peek t.table_cache)
       ~on_check:(fun ~skipped ->
-        t.stats.Stats.seek_bloom_checks <- t.stats.Stats.seek_bloom_checks + 1;
-        if skipped then
-          t.stats.Stats.seek_bloom_skips <- t.stats.Stats.seek_bloom_skips + 1)
+        Stats.incr t.counters Stats.seek_bloom_checks;
+        if skipped then Stats.incr t.counters Stats.seek_bloom_skips)
       ()
   in
   let level_iter view =
@@ -732,7 +719,7 @@ let internal_iterator ?upper_user t =
    §4.2): a run of consecutive seeks hands the engine its chance to
    compact; every job it actually submits is counted and drained. *)
 let note_seek t =
-  t.stats.Stats.seeks <- t.stats.Stats.seeks + 1;
+  Stats.incr t.counters Stats.seeks;
   charge_cpu t (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);
   if t.opts.O.seek_based_compaction then begin
     t.consecutive_seeks <- t.consecutive_seeks + 1;
@@ -741,12 +728,12 @@ let note_seek t =
       | Some job ->
         t.consecutive_seeks <- 0;
         if Scheduler.submit t.sched job then
-          t.stats.Stats.seek_compactions <- t.stats.Stats.seek_compactions + 1;
+          Stats.incr t.counters Stats.seek_compactions;
         Scheduler.drain t.sched
       | None -> ()
   end
 
-(* A database iterator with the engine's seek and next accounting; [up]
+(* A database iterator with the engine's seek accounting; [up]
    is the inclusive upper bound ([None] for none). *)
 type 'lv user_iter = { store : 'lv t; db : Iter.t; up : string option }
 
@@ -770,7 +757,6 @@ let user_seek_to_first c =
   Probe.with_session c.store.probe ~label:"seek" c.db.Iter.seek_to_first
 
 let user_next c =
-  c.store.stats.Stats.nexts <- c.store.stats.Stats.nexts + 1;
   charge_cpu c.store O.cpu_per_op_ns;
   c.db.Iter.next ()
 

@@ -205,6 +205,7 @@ type sharded = {
   s_shards : int;  (** shard count at open (splits/merges change it live) *)
   s_shard_of_key : string -> int;
   s_shard_iter : int -> Pdb_kvs.Iter.t;  (** one shard's database iterator *)
+  s_shard_stats : int -> Pdb_kvs.Engine_stats.t;  (** one shard's view *)
   s_snapshot : (unit -> int) option;  (** pin a cross-shard fence *)
   s_release : int -> unit;
   s_get_at : (int -> string -> string option) option;
@@ -228,6 +229,7 @@ let make_sharded (module E : Shard.ENGINE) ~snapshots opts ~env ~dir =
     s_shards = S.shard_count t;
     s_shard_of_key = (fun k -> S.shard_of_key t k);
     s_shard_iter = (fun i -> E.iterator (S.shard_stores t).(i));
+    s_shard_stats = (fun i -> E.stats (S.shard_stores t).(i));
     s_snapshot = (if snapshots then Some (fun () -> S.snapshot t) else None);
     s_release = S.release_snapshot t;
     s_get_at =

@@ -129,7 +129,6 @@ let run ?latency (store : Store_intf.dyn) ~clients ops =
   let write_groups = stats.Engine_stats.write_groups - groups0 in
   let grouped_batches = stats.Engine_stats.write_group_batches - batches0 in
   let client_wait_ns = Fg.wait_ns lanes in
-  stats.Engine_stats.client_wait_ns <- Array.copy client_wait_ns;
   {
     clients;
     ops = n;

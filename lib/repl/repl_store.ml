@@ -81,9 +81,7 @@ module Make (E : ENGINE) = struct
     strategy : O.repl_strategy;
     backups : backup array;
     net : Network.t;
-    mutable log_bytes : int;
-    mutable file_bytes : int;
-    mutable ack_wait_ns : float;
+    counters : Stats.counters;  (** bytes and messages shipped, ack waits *)
     mutable shipping : bool; (* re-entrancy guard for ship passes *)
     mutable op_ack : float; (* latest WAL-ship finish inside current op *)
   }
@@ -97,8 +95,15 @@ module Make (E : ENGINE) = struct
     let wait = ack -. now_ns t in
     if wait > 0.0 then begin
       Clock.advance (Env.clock t.env) wait;
-      t.ack_wait_ns <- t.ack_wait_ns +. wait
+      Stats.add_ns t.counters Stats.repl_ack_wait_ns wait
     end
+
+  (* One message to backup [b], counted with its bytes under [shipped]
+     (log or file shipping); returns its delivery time. *)
+  let send t b shipped ~bytes ~label =
+    Stats.incr t.counters Stats.repl_messages;
+    Stats.add t.counters shipped bytes;
+    Network.send t.net b.b_link ~bytes ~label
 
   (* Foreground time a thunk costs on a backup's own clock — the
      backup-side durable-append (or replay) latency the ack includes. *)
@@ -127,9 +132,9 @@ module Make (E : ENGINE) = struct
         (fun b ->
           Env.io_event t.env "repl:ship-wal-group";
           let deliver =
-            Network.send t.net b.b_link ~bytes:payload ~label:"wal-group"
+            send t b Stats.repl_log_bytes_shipped ~bytes:payload
+              ~label:"wal-group"
           in
-          t.log_bytes <- t.log_bytes + payload;
           match b.b_store with
           | Some store ->
             let d = backup_fg_time b.b_env (fun () ->
@@ -154,8 +159,9 @@ module Make (E : ENGINE) = struct
         match b.b_store with
         | Some store ->
           Env.io_event t.env ("repl:" ^ label);
-          ignore (Network.send t.net b.b_link ~bytes:control_bytes ~label);
-          t.log_bytes <- t.log_bytes + control_bytes;
+          ignore
+            (send t b Stats.repl_log_bytes_shipped ~bytes:control_bytes
+               ~label);
           f store
         | None -> ())
       t.backups
@@ -202,9 +208,9 @@ module Make (E : ENGINE) = struct
       Env.io_event t.env ("repl:ship:" ^ name);
       let bytes = frame_bytes + String.length delta in
       let deliver =
-        Network.send t.net b.b_link ~bytes ~label:(category ^ "-ship")
+        send t b Stats.repl_file_bytes_shipped ~bytes
+          ~label:(category ^ "-ship")
       in
-      t.file_bytes <- t.file_bytes + bytes;
       let d = backup_fg_time b.b_env (fun () ->
           if fresh then Hashtbl.remove b.b_writers name (* reopen truncates *);
           let w = mirror_writer b name in
@@ -225,8 +231,8 @@ module Make (E : ENGINE) = struct
     | _ ->
       Env.io_event t.env ("repl:ship:" ^ name);
       let bytes = frame_bytes + String.length content in
-      ignore (Network.send t.net b.b_link ~bytes ~label:"meta-ship");
-      t.file_bytes <- t.file_bytes + bytes;
+      ignore
+        (send t b Stats.repl_file_bytes_shipped ~bytes ~label:"meta-ship");
       ignore
         (backup_fg_time b.b_env (fun () ->
              Hashtbl.remove b.b_writers name;
@@ -253,8 +259,9 @@ module Make (E : ENGINE) = struct
     List.iter
       (fun name ->
         Env.io_event t.env ("repl:delete:" ^ name);
-        ignore (Network.send t.net b.b_link ~bytes:frame_bytes ~label:"delete");
-        t.file_bytes <- t.file_bytes + frame_bytes;
+        ignore
+          (send t b Stats.repl_file_bytes_shipped ~bytes:frame_bytes
+             ~label:"delete");
         Hashtbl.remove b.b_shipped name;
         Hashtbl.remove b.b_other name;
         Hashtbl.remove b.b_writers name;
@@ -357,9 +364,7 @@ module Make (E : ENGINE) = struct
         strategy = opts.O.repl_strategy;
         backups;
         net;
-        log_bytes = 0;
-        file_bytes = 0;
-        ack_wait_ns = 0.0;
+        counters = Stats.counters ();
         shipping = false;
         op_ack = 0.0;
       }
@@ -453,22 +458,22 @@ module Make (E : ENGINE) = struct
         match b.b_store with Some s -> E.check_invariants s | None -> ())
       t.backups
 
+  (* The primary's view with the replication counters folded in; backup
+     busy time is read from the backups' views at the read. *)
   let stats t =
-    let st = E.stats t.primary in
-    st.Stats.repl_log_bytes_shipped <- t.log_bytes;
-    st.Stats.repl_file_bytes_shipped <- t.file_bytes;
-    st.Stats.repl_messages <- Network.messages t.net;
-    st.Stats.repl_ack_wait_ns <- t.ack_wait_ns;
-    st.Stats.repl_backup_busy_ns <-
-      Array.fold_left
-        (fun acc b ->
-          match b.b_store with
-          | Some s ->
-            acc
-            +. Array.fold_left ( +. ) 0.0 (E.stats s).Stats.worker_busy_ns
-          | None -> acc)
-        0.0 t.backups;
-    st
+    let p = E.stats t.primary in
+    Stats.set_ns t.counters Stats.repl_backup_busy_ns
+      (Array.fold_left
+         (fun acc b ->
+           match b.b_store with
+           | Some s ->
+             acc
+             +. Array.fold_left ( +. ) 0.0 (E.stats s).Stats.worker_busy_ns
+           | None -> acc)
+         0.0 t.backups);
+    Stats.view [ p.Stats.counters; t.counters ] ~busy:p.Stats.worker_busy_ns
+      ~flush_busy:p.Stats.flush_busy_ns
+      ~cache:(p.Stats.block_cache_hits, p.Stats.block_cache_misses)
 
   let describe t =
     Printf.sprintf "replicated(%s, K=%d) %s"

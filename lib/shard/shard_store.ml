@@ -134,9 +134,9 @@ module Make (E : ENGINE) = struct
     mutable w_total : int;  (** ops this decision window, all shards *)
     rng : Pdb_util.Rng.t;  (** reservoir-sampling randomness (own seed) *)
     mutable in_migration : bool;  (** re-entrancy guard *)
-    mutable splits_done : int;
-    mutable merges_done : int;
-    mutable migrated_bytes : int;
+    counters : Stats.counters;
+        (** splits, merges and migrated bytes, and the counters of every
+            engine a merge retired *)
   }
 
   let router t = t.router
@@ -249,9 +249,7 @@ module Make (E : ENGINE) = struct
         w_total = 0;
         rng = Pdb_util.Rng.create 0x5e1a57;
         in_migration = false;
-        splits_done = 0;
-        merges_done = 0;
-        migrated_bytes = 0;
+        counters = Stats.counters ();
       }
     in
     t.slots <- Array.map (fun id -> new_slot t id) dirs;
@@ -529,8 +527,8 @@ module Make (E : ENGINE) = struct
             t.clip <- true;
             install_topology t;
             clean_range t ~src:src.engine ~lo:(Some key) ~hi keys;
-            t.splits_done <- t.splits_done + 1;
-            t.migrated_bytes <- t.migrated_bytes + bytes;
+            Stats.incr t.counters Stats.elastic_splits;
+            Stats.add t.counters Stats.elastic_migrated_bytes bytes;
             true)
       end
     end
@@ -599,6 +597,8 @@ module Make (E : ENGINE) = struct
           t.topo_version <- t.topo_version + 1;
           t.clip <- true;
           install_topology t;
+          (* what the donor counted stays in the store's totals *)
+          Stats.retire ~into:t.counters (E.stats donor.engine).Stats.counters;
           (* the donor leaves the topology whole: no tombstones — its
              directory is deleted once no fence pins it *)
           if slot_pinned t donor.dir_id then
@@ -607,8 +607,8 @@ module Make (E : ENGINE) = struct
             E.close donor.engine;
             delete_shard_files t.env ~dir:t.dir ~dir_id:donor.dir_id
           end;
-          t.merges_done <- t.merges_done + 1;
-          t.migrated_bytes <- t.migrated_bytes + bytes;
+          Stats.incr t.counters Stats.elastic_merges;
+          Stats.add t.counters Stats.elastic_migrated_bytes bytes;
           true)
     end
 
@@ -917,25 +917,12 @@ module Make (E : ENGINE) = struct
       0 (Env.list t.env)
 
   let stats t =
-    let agg =
-      Stats.aggregate
-        (Array.to_list (Array.map (fun s -> E.stats s.engine) t.slots))
-    in
-    (* every shard mirrors the one shared cache's counters; count them
-       once, from the cache itself *)
-    agg.Stats.block_cache_hits <- Pdb_sstable.Block_cache.hits t.shared_cache;
-    agg.Stats.block_cache_misses <-
-      Pdb_sstable.Block_cache.misses t.shared_cache;
-    let resident = Array.map (fun s -> resident_bytes t s) t.slots in
-    agg.Stats.shard_resident_bytes <- resident;
-    (* the stale-balance fix: cumulative user bytes report the
-       historical write distribution — a migration cannot change them —
-       so balance is recomputed from what is resident right now *)
-    agg.Stats.shard_balance <- Stats.balance_of resident;
-    agg.Stats.elastic_splits <- t.splits_done;
-    agg.Stats.elastic_merges <- t.merges_done;
-    agg.Stats.elastic_migrated_bytes <- t.migrated_bytes;
-    agg
+    let cache = t.shared_cache in
+    Stats.aggregate t.counters
+      ~cache:(Pdb_sstable.Block_cache.hits cache,
+              Pdb_sstable.Block_cache.misses cache)
+      ~resident:(Array.map (fun s -> resident_bytes t s) t.slots)
+      (Array.to_list (Array.map (fun s -> E.stats s.engine) t.slots))
 
   let memory_bytes t =
     let sum =
@@ -951,7 +938,8 @@ module Make (E : ENGINE) = struct
                     merges)\n%s"
       t.opts.O.name
       (Shard_router.describe t.router)
-      st.Stats.shard_balance t.topo_version t.splits_done t.merges_done
+      st.Stats.shard_balance t.topo_version st.Stats.elastic_splits
+      st.Stats.elastic_merges
       (String.concat "\n"
          (Array.to_list
             (Array.mapi

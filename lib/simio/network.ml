@@ -31,28 +31,22 @@ let message_cost p ~bytes = p.latency_ns +. (float_of_int bytes *. p.byte_ns)
 type link = {
   id : int;
   mutable frontier_ns : float; (* finish time of the last queued message *)
-  mutable bytes_sent : int;
-  mutable messages : int;
 }
 
 type t = {
   profile : profile;
   clock : Clock.t; (* the primary's clock: defines "now" for sends *)
   tracer : unit -> Trace.t option;
-  mutable links : link list; (* newest first *)
   mutable next_id : int;
 }
 
 let create ~clock ~tracer () =
-  { profile = tengig (); clock; tracer; links = []; next_id = 0 }
+  { profile = tengig (); clock; tracer; next_id = 0 }
 
 (** [add_link t] opens a fresh link (one per backup). *)
 let add_link t =
-  let link =
-    { id = t.next_id; frontier_ns = 0.0; bytes_sent = 0; messages = 0 }
-  in
+  let link = { id = t.next_id; frontier_ns = 0.0 } in
   t.next_id <- t.next_id + 1;
-  t.links <- link :: t.links;
   link
 
 (** [send t link ~bytes ~label] queues a [bytes]-sized message on [link]
@@ -64,8 +58,6 @@ let send t link ~bytes ~label =
   let start = Float.max link.frontier_ns now in
   let dur = message_cost t.profile ~bytes in
   link.frontier_ns <- start +. dur;
-  link.bytes_sent <- link.bytes_sent + bytes;
-  link.messages <- link.messages + 1;
   (match t.tracer () with
    | Some tr ->
      Trace.span tr ~name:("net:" ^ label) ~cat:"net"
@@ -76,7 +68,4 @@ let send t link ~bytes ~label =
    | None -> ());
   link.frontier_ns
 
-(** Totals across every link of this network. *)
-let bytes_sent t = List.fold_left (fun acc l -> acc + l.bytes_sent) 0 t.links
-let messages t = List.fold_left (fun acc l -> acc + l.messages) 0 t.links
 let profile t = t.profile

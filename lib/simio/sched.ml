@@ -46,9 +46,8 @@ type t = {
   free_at : float array; (* per-lane timeline frontier, flush lanes last *)
   busy_ns : float array; (* per-lane cumulative busy time *)
   mutable placed : (footprint * float) list; (* recent jobs: finish times *)
-  mutable jobs_placed : int;
-  mutable serialized_jobs : int;
-      (* jobs whose start was delayed by a conflicting predecessor *)
+  mutable serialized : bool;
+      (* the latest job's start was delayed by a conflicting predecessor *)
 }
 
 let create ?(flush_lanes = 0) ~clock ~workers () =
@@ -62,12 +61,10 @@ let create ?(flush_lanes = 0) ~clock ~workers () =
     free_at = Array.make total (Clock.bg_horizon_ns clock);
     busy_ns = Array.make total 0.0;
     placed = [];
-    jobs_placed = 0;
-    serialized_jobs = 0;
+    serialized = false;
   }
 
 let workers t = t.n_workers
-let flush_lanes t = Array.length t.free_at - t.n_workers
 let busy_ns t = Array.copy t.busy_ns
 
 let flush_busy_ns t =
@@ -77,8 +74,7 @@ let flush_busy_ns t =
   done;
   !acc
 
-let jobs_placed t = t.jobs_placed
-let serialized_jobs t = t.serialized_jobs
+let serialized t = t.serialized
 
 let horizon_ns t = Array.fold_left Float.max 0.0 t.free_at
 
@@ -122,12 +118,10 @@ let place_span ?(cls = `Worker) t fp ~duration_ns =
   for i = lo to hi - 1 do
     earliest_free := Float.min !earliest_free t.free_at.(i)
   done;
-  if blocked_until > !earliest_free then
-    t.serialized_jobs <- t.serialized_jobs + 1;
+  t.serialized <- blocked_until > !earliest_free;
   let finish = !start +. duration_ns in
   t.free_at.(!lane) <- finish;
   t.busy_ns.(!lane) <- t.busy_ns.(!lane) +. duration_ns;
-  t.jobs_placed <- t.jobs_placed + 1;
   (* a past job finishing at or before every lane frontier can no longer
      delay anything: each new job starts at or after its lane's frontier *)
   let floor = Array.fold_left Float.min infinity t.free_at in

@@ -35,9 +35,6 @@ val create : ?flush_lanes:int -> clock:Clock.t -> workers:int -> unit -> t
 val workers : t -> int
 (** General (compaction-eligible) lane count, excluding flush lanes. *)
 
-val flush_lanes : t -> int
-(** Lanes reserved for [`Flush] placements. *)
-
 val busy_ns : t -> float array
 (** Per-lane cumulative busy time (copy); general lanes first, then
     flush lanes. *)
@@ -45,10 +42,9 @@ val busy_ns : t -> float array
 val flush_busy_ns : t -> float
 (** Cumulative busy time across the reserved flush lanes. *)
 
-val jobs_placed : t -> int
-val serialized_jobs : t -> int
-(** Jobs whose start was delayed past their lane frontier by a
-    conflicting predecessor. *)
+val serialized : t -> bool
+(** Whether the latest placement's start was delayed past the earliest
+    free lane of its class by a conflicting predecessor. *)
 
 val horizon_ns : t -> float
 (** Max finish time over all lanes. *)

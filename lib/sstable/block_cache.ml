@@ -13,10 +13,18 @@ type t = {
   lru : (int, Block.t) Pdb_util.Lru.t;
   ids : (string, int) Hashtbl.t;  (** file name -> id *)
   mutable next_id : int;  (** ids are never reused *)
+  mutable hits : int;
+  mutable misses : int;
 }
 
 let create ~capacity =
-  { lru = Pdb_util.Lru.create ~capacity; ids = Hashtbl.create 64; next_id = 0 }
+  {
+    lru = Pdb_util.Lru.create ~capacity;
+    ids = Hashtbl.create 64;
+    next_id = 0;
+    hits = 0;
+    misses = 0;
+  }
 
 (** [intern t file] is [file]'s id in [t], assigned on first use. *)
 let intern t file =
@@ -38,8 +46,11 @@ let key ~id ~offset = (id lsl 32) lor offset
 let find_or_load t env ~id ~file ~offset ~size ~hint =
   let k = key ~id ~offset in
   match Pdb_util.Lru.find t.lru k with
-  | Some block -> block
+  | Some block ->
+    t.hits <- t.hits + 1;
+    block
   | None ->
+    t.misses <- t.misses + 1;
     (* a finished table's bytes never change, so the block may view the
        file's chunk instead of a copy of it *)
     let src, pos = Pdb_simio.Env.read_view env file ~pos:offset ~len:size ~hint in
@@ -64,5 +75,5 @@ let evict_file t ~file =
     List.iter (Pdb_util.Lru.remove t.lru) doomed
 
 let used t = Pdb_util.Lru.used t.lru
-let hits t = Pdb_util.Lru.hits t.lru
-let misses t = Pdb_util.Lru.misses t.lru
+let hits t = t.hits
+let misses t = t.misses

@@ -16,6 +16,8 @@
       then summary-guided ({!Table.open_via_summary}): no footer read,
       one index slice, filter deferred. *)
 
+module Stats = Pdb_kvs.Engine_stats
+
 type t = {
   env : Pdb_simio.Env.t;
   dir : string;
@@ -23,8 +25,8 @@ type t = {
   by_bytes : bool;
   summary_stride : int; (* <= 0 disables summaries *)
   summaries : (int, Index_summary.t) Hashtbl.t;
-  mutable summary_hits : int;
-  mutable summary_misses : int;
+  counters : Stats.counters;
+      (** table-cache hits and misses, summary hits and misses *)
 }
 
 (** [create ?bytes ?summary_stride env ~dir ~entries] — [bytes = Some b]
@@ -40,8 +42,7 @@ let create ?bytes ?(summary_stride = 0) env ~dir ~entries =
     by_bytes;
     summary_stride;
     summaries = Hashtbl.create 64;
-    summary_hits = 0;
-    summary_misses = 0;
+    counters = Stats.counters ();
   }
 
 let weight_of t reader =
@@ -52,16 +53,19 @@ let weight_of t reader =
     previously-summarized table is summary-guided and cheaper. *)
 let find t (meta : Table.meta) =
   match Pdb_util.Lru.find t.cache meta.Table.number with
-  | Some reader -> reader
+  | Some reader ->
+    Stats.incr t.counters Stats.table_cache_hits;
+    reader
   | None ->
+    Stats.incr t.counters Stats.table_cache_misses;
     let reader =
       if t.summary_stride > 0 then begin
         match Hashtbl.find_opt t.summaries meta.Table.number with
         | Some summary ->
-          t.summary_hits <- t.summary_hits + 1;
+          Stats.incr t.counters Stats.summary_hits;
           Table.open_via_summary t.env ~dir:t.dir meta summary
         | None ->
-          t.summary_misses <- t.summary_misses + 1;
+          Stats.incr t.counters Stats.summary_misses;
           let reader = Table.open_reader t.env ~dir:t.dir meta in
           Hashtbl.replace t.summaries meta.Table.number
             (Table.summarize ~stride:t.summary_stride reader);
@@ -126,8 +130,4 @@ let resident_bytes t =
 let accounted_bytes t = Pdb_util.Lru.used t.cache
 
 let open_tables t = Pdb_util.Lru.length t.cache
-let hits t = Pdb_util.Lru.hits t.cache
-let misses t = Pdb_util.Lru.misses t.cache
-let summary_hits t = t.summary_hits
-let summary_misses t = t.summary_misses
-let summaries t = Hashtbl.length t.summaries
+let counters t = t.counters

@@ -25,9 +25,6 @@ type ('k, 'v) t = {
   mutable head : ('k, 'v) node; (* most recently used *)
   mutable tail : ('k, 'v) node; (* least recently used *)
   mutable used : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
 }
 
 let create ~capacity =
@@ -37,9 +34,6 @@ let create ~capacity =
     head = Nil;
     tail = Nil;
     used = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
   }
 
 let set_prev node p = match node with Node n -> n.prev <- p | Nil -> ()
@@ -76,34 +70,26 @@ let drop t node =
     Hashtbl.remove t.table n.key;
     t.used <- t.used - n.weight
 
-let evict_one t =
-  match t.tail with
-  | Nil -> ()
-  | node ->
-    drop t node;
-    t.evictions <- t.evictions + 1
+let evict_one t = drop t t.tail
 
 (** [find t k] returns the cached value and promotes it to most recent.
     A hit allocates nothing. *)
 let find t k =
   match lookup t k with
   | Node n as node ->
-    t.hits <- t.hits + 1;
     if t.head != node then begin
       unlink t node;
       push_front t node
     end;
     n.hit
-  | Nil ->
-    t.misses <- t.misses + 1;
-    None
+  | Nil -> None
 
-(** [mem t k] tests presence without affecting recency or hit counters. *)
+(** [mem t k] tests presence without affecting recency. *)
 let mem t k = Hashtbl.mem t.table k
 
-(** [peek t k] returns the cached value without promoting it or touching
-    the hit/miss counters — for accounting and opportunistic reads that
-    must not distort cache statistics. *)
+(** [peek t k] returns the cached value without promoting it — for
+    accounting and opportunistic reads that must not distort recency or
+    the caller's hit counts. *)
 let peek t k = match lookup t k with Node n -> n.hit | Nil -> None
 
 (** [insert t k v ~weight] adds or replaces an entry, evicting as needed.
@@ -140,11 +126,7 @@ let update_weight t k ~weight =
 let remove t k = drop t (lookup t k)
 
 let used t = t.used
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
-let hits t = t.hits
-let misses t = t.misses
-let evictions t = t.evictions
 
 (** [fold t f acc] folds over entries from most to least recently used
     without affecting recency. *)
@@ -155,9 +137,3 @@ let fold t f acc =
     | Node n -> go n.next (f acc n.key n.value)
   in
   go t.head acc
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- Nil;
-  t.tail <- Nil;
-  t.used <- 0

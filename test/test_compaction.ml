@@ -67,7 +67,8 @@ let test_drain_runs_on_background_lane () =
     snap.Clock.background_ns;
   check (Alcotest.float 0.001) "placed on a worker lane" 500.0
     snap.Clock.bg_horizon_ns;
-  check Alcotest.int "job counted" 1 (Scheduler.stats s).Scheduler.jobs_run
+  check Alcotest.int "job counted" 1
+    Pdb_kvs.Engine_stats.(get (Scheduler.counters s) compaction_jobs)
 
 (* ---------- worker-count invariance ---------- *)
 

@@ -457,6 +457,74 @@ let test_migrate_spans_on_worker_lanes () =
   check_matches "traced split" sh oracle;
   sh.Stores.s_dyn.Dyn.d_close ()
 
+(* ---------- counters across migrations ---------- *)
+
+(* What clients did; a migration moves data and serves no client. *)
+let client_counters (st : Stats.t) =
+  [
+    ("user_bytes_written", st.Stats.user_bytes_written);
+    ("puts", st.Stats.puts);
+    ("gets", st.Stats.gets);
+    ("deletes", st.Stats.deletes);
+  ]
+
+(* A merge retires the donor's engine, not what it counted: the client
+   counters stay, and no cumulative counter or peak falls. *)
+let test_merge_keeps_donor_counters () =
+  let sh =
+    Stores.open_sharded ~tweak:(manual_elastic ~shards:2)
+      ~env:(Env.create ()) Stores.Pebblesdb
+  in
+  let d = sh.Stores.s_dyn in
+  for i = 0 to keyspace - 1 do
+    d.Dyn.d_put (key i) (Printf.sprintf "v%d" i)
+  done;
+  for i = 0 to keyspace - 1 do
+    ignore (d.Dyn.d_get (key i))
+  done;
+  let before = d.Dyn.d_stats () in
+  Alcotest.(check bool) "merge accepted" true (sh.Stores.s_merge ~at:0);
+  let after = d.Dyn.d_stats () in
+  Alcotest.(check (list (pair string int)))
+    "client counters kept" (client_counters before) (client_counters after);
+  let kept name rule b a =
+    if (rule = Stats.Sum || rule = Stats.Max) && a < b then
+      Alcotest.failf "%s fell across the merge: %g -> %g" name b a
+  in
+  List.iter
+    (function
+      | Stats.Count k ->
+        kept k.Stats.name k.Stats.rule
+          (float_of_int (Stats.get before.Stats.counters k))
+          (float_of_int (Stats.get after.Stats.counters k))
+      | Stats.Ns k ->
+        kept k.Stats.name k.Stats.rule
+          (Stats.get_ns before.Stats.counters k)
+          (Stats.get_ns after.Stats.counters k))
+    (Stats.registry ());
+  d.Dyn.d_close ()
+
+(* Migrated bytes are no client's payload: with no client operation in
+   between, a split and a merge leave the client counters as they were
+   and count the moved bytes as migrated. *)
+let test_migration_is_not_user_payload engine () =
+  let sh =
+    Stores.open_sharded ~tweak:(manual_elastic ~shards:2)
+      ~env:(Env.create ()) engine
+  in
+  fill sh (Hashtbl.create 256) ~seed:21 ~n:800;
+  let before = sh.Stores.s_dyn.Dyn.d_stats () in
+  Alcotest.(check bool) "split accepted" true
+    (sh.Stores.s_split ~shard:0 ~key:(key (keyspace / 4)));
+  Alcotest.(check bool) "merge accepted" true (sh.Stores.s_merge ~at:0);
+  let after = sh.Stores.s_dyn.Dyn.d_stats () in
+  Alcotest.(check (list (pair string int)))
+    "client counters unchanged" (client_counters before)
+    (client_counters after);
+  Alcotest.(check bool) "moved bytes counted as migrated" true
+    (after.Stats.elastic_migrated_bytes > before.Stats.elastic_migrated_bytes);
+  sh.Stores.s_dyn.Dyn.d_close ()
+
 let () =
   Alcotest.run "elastic"
     [
@@ -506,5 +574,15 @@ let () =
         [
           Alcotest.test_case "migrate spans on worker lanes" `Quick
             test_migrate_spans_on_worker_lanes;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "merge keeps the donor's counters" `Quick
+            test_merge_keeps_donor_counters;
+          Alcotest.test_case "pebblesdb migration is not user payload" `Quick
+            (test_migration_is_not_user_payload Stores.Pebblesdb);
+          Alcotest.test_case "kyotocabinet-sim migration is not user payload"
+            `Quick
+            (test_migration_is_not_user_payload Stores.Btree);
         ] );
     ]

@@ -58,7 +58,10 @@ let walk (it : Iter.t) =
   List.rev !acc
 
 let seek_runs sched =
-  match List.assoc_opt "seek" (Scheduler.stats sched).Scheduler.by_trigger with
+  match
+    List.assoc_opt "seek"
+      (Scheduler.counters sched).Pdb_kvs.Engine_stats.by_trigger
+  with
   | Some (runs, _) -> runs
   | None -> 0
 

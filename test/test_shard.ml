@@ -356,6 +356,62 @@ let test_aggregate_breakdown () =
     (Array.for_all (fun b -> b > 0) st.Stats.shard_user_bytes);
   store.Dyn.d_close ()
 
+(* Every declared counter's aggregate is its rule applied to the live
+   shards' views: their sum, their max, or the one shared cache's own
+   count.  The test walks the registry, so a counter declared later is
+   covered without editing it. *)
+let test_registry_rules () =
+  let n = 3_000 and shards = 4 in
+  let sh =
+    Stores.open_sharded
+      ~tweak:(fun o ->
+        { (shard_tweak ~n ~shards o) with O.memtable_bytes = 16 * 1024 })
+      ~env:(Env.create ()) Stores.Pebblesdb
+  in
+  let store = sh.Stores.s_dyn in
+  ignore (B.fill_random store ~n ~value_bytes:256 ~seed:21);
+  ignore (B.read_random store ~n ~ops:n ~seed:22);
+  ignore (B.seek_random store ~n ~ops:200 ~nexts:10 ~seed:23);
+  for i = 0 to (n / 10) - 1 do
+    store.Dyn.d_delete (B.key_of (i * 10))
+  done;
+  let agg = store.Dyn.d_stats () in
+  let per = List.init shards sh.Stores.s_shard_stats in
+  let hits, misses = sh.Stores.s_cache_counters () in
+  Alcotest.(check (pair int int))
+    "shared counters are the cache's own" (hits, misses)
+    (agg.Stats.block_cache_hits, agg.Stats.block_cache_misses);
+  let rule_of ~sum ~max ~zero rule values =
+    match (rule : Stats.rule) with
+    | Stats.Sum | Stats.Now -> List.fold_left sum zero values
+    | Stats.Max -> List.fold_left max zero values
+    | Stats.Shared -> List.hd values
+  in
+  List.iter
+    (function
+      | Stats.Count k ->
+        let values = List.map (fun v -> Stats.get v.Stats.counters k) per in
+        if k.Stats.rule = Stats.Shared then
+          List.iter
+            (Alcotest.(check int) (k.Stats.name ^ ": one cache per shard")
+               (List.hd values))
+            values;
+        if k.Stats.rule = Stats.Max then
+          Alcotest.(check bool) (k.Stats.name ^ ": a peak was reached") true
+            (List.exists (fun v -> v > 0) values);
+        Alcotest.(check int) k.Stats.name
+          (rule_of ~sum:( + ) ~max ~zero:0 k.Stats.rule values)
+          (Stats.get agg.Stats.counters k)
+      | Stats.Ns k ->
+        let values = List.map (fun v -> Stats.get_ns v.Stats.counters k) per in
+        Alcotest.(check (float 0.0)) k.Stats.name
+          (rule_of ~sum:( +. ) ~max:Float.max ~zero:0.0 k.Stats.rule values)
+          (Stats.get_ns agg.Stats.counters k))
+    (Stats.registry ());
+  Alcotest.(check bool) "the workload moved the counters" true
+    (agg.Stats.gets = n && agg.Stats.deletes = n / 10 && agg.Stats.seeks > 0);
+  store.Dyn.d_close ()
+
 let () =
   Alcotest.run "shard"
     [
@@ -389,5 +445,7 @@ let () =
             test_shared_cache_counters;
           Alcotest.test_case "per-shard breakdown and balance" `Quick
             test_aggregate_breakdown;
+          Alcotest.test_case "registry merges by its rules" `Quick
+            test_registry_rules;
         ] );
     ]

@@ -1001,10 +1001,11 @@ let prop_level_iter_model =
           QCheck.Test.fail_reportf "%s: %d, model %d" what got want
       in
       counts "on_table calls" !on_table m.opened;
-      counts "table-cache lookups"
-        (Table_cache.hits tc + Table_cache.misses tc)
-        m.opened;
-      counts "table-cache misses" (Table_cache.misses tc)
+      let tc_count k = Pdb_kvs.Engine_stats.get (Table_cache.counters tc) k in
+      let tc_hits = tc_count Pdb_kvs.Engine_stats.table_cache_hits
+      and tc_misses = tc_count Pdb_kvs.Engine_stats.table_cache_misses in
+      counts "table-cache lookups" (tc_hits + tc_misses) m.opened;
+      counts "table-cache misses" tc_misses
         (Hashtbl.length m.tables_seen);
       counts "block-cache lookups"
         (Block_cache.hits bc + Block_cache.misses bc)
