@@ -42,7 +42,7 @@ let create ?env ?(flush_lanes = 0) ~clock ~workers () =
 let tracer t =
   match t.env with None -> None | Some env -> Pdb_simio.Env.tracer env
 
-let pending t = Stats.get t.counters Stats.compaction_pending
+let pending t = Queue.length t.queue
 let backlog_bytes t = Stats.get t.counters Stats.compaction_backlog_bytes
 let counters t = t.counters
 let busy_ns t = Sched.busy_ns t.lanes
@@ -58,7 +58,7 @@ let submit t (job : Job.t) =
     Hashtbl.add t.keys job.key ();
     Queue.push job t.queue;
     let c = t.counters in
-    Stats.incr c Stats.compaction_pending;
+    Stats.set c Stats.compaction_pending (pending t);
     Stats.add c Stats.compaction_backlog_bytes job.estimated_bytes;
     Stats.peak c Stats.compaction_queue_peak (pending t);
     Stats.peak c Stats.compaction_backlog_peak_bytes (backlog_bytes t);
@@ -112,7 +112,7 @@ let drain t =
   while not (Queue.is_empty t.queue) do
     let job = Queue.pop t.queue in
     Hashtbl.remove t.keys job.Job.key;
-    Stats.add t.counters Stats.compaction_pending (-1);
+    Stats.set t.counters Stats.compaction_pending (pending t);
     Stats.add t.counters Stats.compaction_backlog_bytes
       (-job.Job.estimated_bytes);
     run_one t job

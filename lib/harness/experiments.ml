@@ -935,7 +935,6 @@ let run_latency ~n =
                   done)
             in
             let st = store.Dyn.d_stats () in
-            (* capture floats now: d_stats returns one mutable record *)
             let stall =
               st.Pdb_kvs.Engine_stats.stall_slowdown_ns
               +. st.Pdb_kvs.Engine_stats.stall_stop_ns

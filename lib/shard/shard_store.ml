@@ -136,7 +136,7 @@ module Make (E : ENGINE) = struct
     mutable in_migration : bool;  (** re-entrancy guard *)
     counters : Stats.counters;
         (** splits, merges and migrated bytes, and the counters of every
-            engine a merge retired *)
+            donor a merge retired and closed *)
   }
 
   let router t = t.router
@@ -278,6 +278,14 @@ module Make (E : ENGINE) = struct
         | Some f -> fence_pins_dir f dir_id
         | None -> false)
 
+  (* Close and delete a donor that left the topology.  What it counted
+     stays in the store's totals; a pinned donor counts on (a fenced read
+     still reaches it) until it gets here. *)
+  let drop_donor t s =
+    Stats.retire ~into:t.counters (E.stats s.engine).Stats.counters;
+    E.close s.engine;
+    delete_shard_files t.env ~dir:t.dir ~dir_id:s.dir_id
+
   (* Close and GC retired engines no fence can reach any more.  Deleting
      the files is the space-reclamation half of a merge; a crash mid-
      delete leaves an orphan directory that open-time cleanup removes. *)
@@ -286,11 +294,7 @@ module Make (E : ENGINE) = struct
       List.partition (fun s -> slot_pinned t s.dir_id) t.retired
     in
     t.retired <- keep;
-    List.iter
-      (fun s ->
-        E.close s.engine;
-        delete_shard_files t.env ~dir:t.dir ~dir_id:s.dir_id)
-      drop
+    List.iter (drop_donor t) drop
 
   let release_fence t (f : fence) =
     Array.iter
@@ -597,16 +601,11 @@ module Make (E : ENGINE) = struct
           t.topo_version <- t.topo_version + 1;
           t.clip <- true;
           install_topology t;
-          (* what the donor counted stays in the store's totals *)
-          Stats.retire ~into:t.counters (E.stats donor.engine).Stats.counters;
           (* the donor leaves the topology whole: no tombstones — its
              directory is deleted once no fence pins it *)
           if slot_pinned t donor.dir_id then
             t.retired <- donor :: t.retired
-          else begin
-            E.close donor.engine;
-            delete_shard_files t.env ~dir:t.dir ~dir_id:donor.dir_id
-          end;
+          else drop_donor t donor;
           Stats.incr t.counters Stats.elastic_merges;
           Stats.add t.counters Stats.elastic_migrated_bytes bytes;
           true)
@@ -918,7 +917,12 @@ module Make (E : ENGINE) = struct
 
   let stats t =
     let cache = t.shared_cache in
-    Stats.aggregate t.counters
+    (* donors a fence still pins fold in as if retired now *)
+    let own = Stats.counters () in
+    List.iter (fun c -> Stats.retire ~into:own c)
+      (t.counters
+      :: List.map (fun s -> (E.stats s.engine).Stats.counters) t.retired);
+    Stats.aggregate own
       ~cache:(Pdb_sstable.Block_cache.hits cache,
               Pdb_sstable.Block_cache.misses cache)
       ~resident:(Array.map (fun s -> resident_bytes t s) t.slots)

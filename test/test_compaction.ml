@@ -70,6 +70,31 @@ let test_drain_runs_on_background_lane () =
   check Alcotest.int "job counted" 1
     Pdb_kvs.Engine_stats.(get (Scheduler.counters s) compaction_jobs)
 
+(* Two jobs through the scheduler: the second is counted as serialized
+   only when its footprint conflicts with the first's. *)
+let serialized_jobs ~conflicting =
+  let clock = Clock.create () in
+  let s = Scheduler.create ~clock ~workers:2 () in
+  let job key key_lo key_hi =
+    {
+      (manual_job ~key (fun () -> Clock.advance clock 100.0)) with
+      Job.footprint =
+        { Sched.level_lo = 1; level_hi = 1; key_lo; key_hi = Some key_hi };
+    }
+  in
+  ignore (Scheduler.submit s (job "a" "a" "m"));
+  ignore
+    (Scheduler.submit s
+       (if conflicting then job "b" "g" "z" else job "b" "m" "z"));
+  Scheduler.drain s;
+  Pdb_kvs.Engine_stats.(get (Scheduler.counters s) compaction_serialized_jobs)
+
+let test_serialized_jobs_counted () =
+  check Alcotest.int "conflicting pair: one serialized" 1
+    (serialized_jobs ~conflicting:true);
+  check Alcotest.int "disjoint pair: none serialized" 0
+    (serialized_jobs ~conflicting:false)
+
 (* ---------- worker-count invariance ---------- *)
 
 (* Final on-storage state must be a pure function of the workload: the
@@ -204,6 +229,8 @@ let () =
           Alcotest.test_case "dedup and FIFO" `Quick test_submit_dedup_and_fifo;
           Alcotest.test_case "background lane + placement" `Quick
             test_drain_runs_on_background_lane;
+          Alcotest.test_case "serialized jobs counted" `Quick
+            test_serialized_jobs_counted;
         ] );
       ( "determinism",
         [

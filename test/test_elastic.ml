@@ -504,6 +504,34 @@ let test_merge_keeps_donor_counters () =
     (Stats.registry ());
   d.Dyn.d_close ()
 
+(* A donor a fence still pins serves fenced reads after the merge: they
+   count, in the view while it is pinned and in the totals once the
+   release closes it. *)
+let test_pinned_donor_keeps_counting () =
+  let sh =
+    Stores.open_sharded ~tweak:(manual_elastic ~shards:2)
+      ~env:(Env.create ()) Stores.Pebblesdb
+  in
+  let d = sh.Stores.s_dyn in
+  for i = 0 to keyspace - 1 do
+    d.Dyn.d_put (key i) (Printf.sprintf "v%d" i)
+  done;
+  let snap = (Option.get sh.Stores.s_snapshot) () in
+  Alcotest.(check bool) "merge under pin" true (sh.Stores.s_merge ~at:0);
+  let gets () = (d.Dyn.d_stats ()).Stats.gets in
+  let before = gets () in
+  let get_at = Option.get sh.Stores.s_get_at in
+  (* the donor held the upper half of the keys *)
+  for i = keyspace / 2 to keyspace - 1 do
+    ignore (get_at snap (key i))
+  done;
+  let reads = keyspace - (keyspace / 2) in
+  Alcotest.(check int) "fenced reads on the donor counted" (before + reads)
+    (gets ());
+  sh.Stores.s_release snap;
+  Alcotest.(check int) "kept when the donor closes" (before + reads) (gets ());
+  d.Dyn.d_close ()
+
 (* Migrated bytes are no client's payload: with no client operation in
    between, a split and a merge leave the client counters as they were
    and count the moved bytes as migrated. *)
@@ -579,6 +607,8 @@ let () =
         [
           Alcotest.test_case "merge keeps the donor's counters" `Quick
             test_merge_keeps_donor_counters;
+          Alcotest.test_case "pinned donor keeps counting" `Quick
+            test_pinned_donor_keeps_counting;
           Alcotest.test_case "pebblesdb migration is not user payload" `Quick
             (test_migration_is_not_user_payload Stores.Pebblesdb);
           Alcotest.test_case "kyotocabinet-sim migration is not user payload"

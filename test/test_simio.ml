@@ -756,12 +756,13 @@ let test_sched_disjoint_jobs_overlap () =
   let clock = Clock.create () in
   let s = Sched.create ~clock ~workers:2 () in
   let f1 = Sched.place s (fp 2 ~key_lo:"a" ~key_hi:"g") ~duration_ns:100.0 in
+  check Alcotest.bool "first not serialized" false (Sched.serialized s);
   let f2 = Sched.place s (fp 2 ~key_lo:"g" ~key_hi:"p") ~duration_ns:100.0 in
+  check Alcotest.bool "second not serialized" false (Sched.serialized s);
   check (Alcotest.float 0.001) "first lane" 100.0 f1;
   check (Alcotest.float 0.001) "second lane runs concurrently" 100.0 f2;
   check (Alcotest.float 0.001) "horizon is the max finish" 100.0
-    (Sched.horizon_ns s);
-  check Alcotest.bool "no serialization" false (Sched.serialized s)
+    (Sched.horizon_ns s)
 
 let test_sched_conflicting_jobs_serialize () =
   let clock = Clock.create () in
@@ -769,10 +770,15 @@ let test_sched_conflicting_jobs_serialize () =
   (* overlapping guard ranges on the same level must serialise even though
      a second worker lane is idle *)
   let f1 = Sched.place s (fp 2 ~key_lo:"a" ~key_hi:"m") ~duration_ns:100.0 in
+  check Alcotest.bool "first not serialized" false (Sched.serialized s);
   let f2 = Sched.place s (fp 2 ~key_lo:"g" ~key_hi:"z") ~duration_ns:50.0 in
+  check Alcotest.bool "second serialized" true (Sched.serialized s);
   check (Alcotest.float 0.001) "first finishes" 100.0 f1;
   check (Alcotest.float 0.001) "second waits for the first" 150.0 f2;
-  check Alcotest.bool "serialization flagged" true (Sched.serialized s);
+  let f3 = Sched.place s (fp 3 ~key_lo:"a" ~key_hi:"m") ~duration_ns:10.0 in
+  check Alcotest.bool "flag resets on a free placement" false
+    (Sched.serialized s);
+  check (Alcotest.float 0.001) "third runs on the idle lane" 10.0 f3;
   check (Alcotest.float 0.001) "clock horizon tracks" 150.0
     (Clock.bg_horizon_ns clock)
 
