@@ -194,13 +194,14 @@ let run_bechamel () =
     done;
     P.flush db;
     let key = "key02001" in
-    let stats = P.stats db in
-    let before = stats.Pdb_kvs.Engine_stats.sstables_examined
-    and negative = stats.Pdb_kvs.Engine_stats.bloom_negative in
+    (* a stats view is a snapshot: take one before the get and one after *)
+    let before = P.stats db in
     ignore (P.get db key);
-    let tables = stats.Pdb_kvs.Engine_stats.sstables_examined - before in
+    let after = P.stats db in
+    let delta f = f after - f before in
+    let tables = delta (fun s -> s.Pdb_kvs.Engine_stats.sstables_examined) in
     if tables < 2
-       || stats.Pdb_kvs.Engine_stats.bloom_negative - negative <> tables
+       || delta (fun s -> s.Pdb_kvs.Engine_stats.bloom_negative) <> tables
     then failwith "micro: shell.get must probe several bloom-negative tables";
     Test.make ~name:"shell.get (bloom-negative tables)"
       (Staged.stage (fun () -> ignore (P.get db key)))
@@ -264,9 +265,9 @@ let run_bechamel () =
   in
   (* compaction and block loads: a scan of a 16-block table whose blocks
      are cached, the merge of four 32 KB tables into one (readers opened,
-     inputs streamed through a scratch cache, output built and synced,
-     as a compaction does), and one 4 KB block loaded on a cache miss at
-     two offsets *)
+     inputs streamed through a compaction view of a cache that holds none
+     of them, output built and synced, as a compaction does), and one
+     4 KB block loaded on a cache miss at two offsets *)
   let scan_env = Pdb_simio.Env.create () in
   let scan_meta =
     let b =
@@ -309,15 +310,16 @@ let run_bechamel () =
           Option.get (Pdb_sstable.Table.Builder.finish b))
     in
     let hint = Pdb_simio.Device.Sequential_read in
+    let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
     Test.make ~name:"compaction.merge (4 x 32 KB tables)"
       (Staged.stage (fun () ->
-           let scratch = Pdb_sstable.Block_cache.create ~capacity:(8 * 4096) in
+           let view = Pdb_sstable.Block_cache.for_compaction cache in
            let merged =
              Pdb_kvs.Merging_iter.create ~compare:Ik.compare
                (List.map
                   (fun m ->
                     Pdb_sstable.Table.to_iter
-                      (Pdb_sstable.Table.iterator ~cache:scratch ~hint
+                      (Pdb_sstable.Table.iterator ~cache:view ~hint
                          (Pdb_sstable.Table.open_reader ~hint env ~dir:"micro"
                             m)))
                   inputs)

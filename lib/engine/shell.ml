@@ -219,28 +219,37 @@ let flush t =
 
 (** [merge_tables t inputs ~tombstone_ok ~place] is the compaction merge
     every engine runs.  It streams [inputs] merged — sequential reads
-    through a private scratch cache, bypassing the table cache so
-    compaction never evicts hot read-path tables — and drops a superseded
-    version once the newer one is visible to every live snapshot, and the
-    freshest version of a key when it is a tombstone, [tombstone_ok] holds
-    for its user key, and no snapshot still needs it.  Survivors are cut
-    into tables: [partition uk] names user key [uk]'s output partition, and
-    a new table starts whenever the partition changes or the open table
-    reaches its partition's [cutoff] size.  Returns each table with its
-    partition, in output order. *)
+    through a compaction view of the block cache, bypassing the table
+    cache so compaction never evicts hot read-path tables — and drops a
+    superseded version once the newer one is visible to every live
+    snapshot, and the freshest version of a key when it is a tombstone,
+    [tombstone_ok] holds for its user key, and no snapshot still needs it.
+    Survivors are cut into tables: [partition uk] names user key [uk]'s
+    output partition, and a new table starts whenever the partition
+    changes or the open table reaches its partition's [cutoff] size.
+    Returns each table with its partition, in output order.
+
+    The merge keeps the block cache warm (DESIGN "Compaction and the
+    block cache"): an input block the cache holds is read from it,
+    uncharged and uncounted ({!Block_cache.for_compaction}), and an
+    output data block holding an entry of such a block is hot, and enters
+    the cache once its table is synced. *)
 let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
-  let scratch = Block_cache.create ~capacity:(8 * t.opts.O.block_bytes) in
-  let children =
-    List.map
+  let view = Block_cache.for_compaction t.block_cache in
+  let tables =
+    Array.map
       (fun m ->
         let reader =
           Table.open_reader ~hint:Device.Sequential_read t.env ~dir:t.dir m
         in
-        Table.to_iter
-          (Table.iterator reader ~cache:scratch ~hint:Device.Sequential_read))
-      inputs
+        Table.iterator reader ~cache:view ~hint:Device.Sequential_read)
+      (Array.of_list inputs)
   in
-  let merged = Pdb_kvs.Merging_iter.create ~compare:Ik.compare children in
+  let merge =
+    Pdb_kvs.Merging_iter.merge ~compare:Ik.compare
+      (Array.map Table.to_iter tables)
+  in
+  let merged = Pdb_kvs.Merging_iter.to_iter merge in
   let outputs = ref [] in
   (* the open table: (partition, builder) *)
   let current = ref None in
@@ -250,6 +259,7 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
     | Some (part, b) ->
       (match Table.Builder.finish b with
        | Some meta ->
+         Table.Builder.admit_hot b t.block_cache;
          outputs := (part, meta) :: !outputs;
          Stats.incr t.counters Stats.sstables_built
        | None -> ());
@@ -290,6 +300,8 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
           current := Some (part, b);
           b
       in
+      if Table.resident tables.(Pdb_kvs.Merging_iter.current_index merge)
+      then Table.Builder.mark_hot b;
       (* the value goes from its input block straight into the output *)
       merged.Iter.value_slice (Table.Builder.add_slice b ikey);
       if Table.Builder.estimated_size b >= cutoff part then finish ()

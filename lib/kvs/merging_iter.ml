@@ -37,8 +37,16 @@ let seek s target =
   done;
   find_smallest s
 
-let create ~compare children =
-  let s = { children = Array.of_list children; compare; current = -1 } in
+(** [merge ~compare children] is the state of a merge over [children];
+    {!to_iter} moves it, and {!current_index} names the child it rests
+    on. *)
+let merge ~compare children = { children; compare; current = -1 }
+
+(** [current_index s] is the index in [children] of the child on the
+    merge's current entry; -1 when the merge is not valid. *)
+let current_index s = s.current
+
+let to_iter s =
   {
     Iter.seek_to_first =
       (fun () ->
@@ -54,3 +62,6 @@ let create ~compare children =
     value = (fun () -> (current s).Iter.value ());
     value_slice = (fun f -> (current s).Iter.value_slice f);
   }
+
+let create ~compare children =
+  to_iter (merge ~compare (Array.of_list children))

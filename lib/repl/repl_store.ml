@@ -459,16 +459,17 @@ module Make (E : ENGINE) = struct
       t.backups
 
   (* The primary's view with the replication counters folded in; backup
-     busy time is read from the backups' views at the read. *)
+     busy time is read from the backups' schedulers at the read. *)
   let stats t =
     let p = E.stats t.primary in
     Stats.set_ns t.counters Stats.repl_backup_busy_ns
       (Array.fold_left
          (fun acc b ->
-           match b.b_store with
-           | Some s ->
+           match Option.bind b.b_store E.scheduler with
+           | Some sched ->
              acc
-             +. Array.fold_left ( +. ) 0.0 (E.stats s).Stats.worker_busy_ns
+             +. Array.fold_left ( +. ) 0.0
+                  (Pdb_compaction.Scheduler.busy_ns sched)
            | None -> acc)
          0.0 t.backups);
     Stats.view [ p.Stats.counters; t.counters ] ~busy:p.Stats.worker_busy_ns

@@ -343,17 +343,22 @@ let exists t name = Hashtbl.mem t.files name
 
 let file_size t name = (find t name).len
 
+(* The file [name], once [pos, pos + len) is checked to lie inside it;
+   [op] names the caller in the error. *)
+let find_range t op name ~pos ~len =
+  let f = find t name in
+  if pos < 0 || len < 0 || pos + len > f.len then
+    invalid_arg
+      (Printf.sprintf "Env.%s %s: [%d,%d) out of bounds (size %d)" op name pos
+         (pos + len) f.len);
+  f
+
 (** [peek t name ~pos ~len] reads a range without charging device time or
     IO stats — the sendfile-style path replication shipping uses, where
     the primary streams file bytes it just wrote (still page-cache
     resident) onto the wire.  The network link charges the transfer. *)
 let peek t name ~pos ~len =
-  let f = find t name in
-  if pos < 0 || len < 0 || pos + len > f.len then
-    invalid_arg
-      (Printf.sprintf "Env.peek %s: [%d,%d) out of bounds (size %d)" name pos
-         (pos + len) f.len);
-  sub_string f pos len
+  sub_string (find_range t "peek" name ~pos ~len) pos len
 
 (** [io_event t label] registers an external IO event (e.g. a replication
     ship) with the fault-injection plan, so crash sweeps land between and
@@ -364,11 +369,7 @@ let io_event t label = tick t label ""
    bounds check, IO stats and clock charge that {!read} and {!read_view}
    share.  Returns the file. *)
 let charge_read t name ~pos ~len ~hint =
-  let f = find t name in
-  if pos < 0 || len < 0 || pos + len > f.len then
-    invalid_arg
-      (Printf.sprintf "Env.read %s: [%d,%d) out of bounds (size %d)" name pos
-         (pos + len) f.len);
+  let f = find_range t "read" name ~pos ~len in
   t.stats.bytes_read <- t.stats.bytes_read + len;
   t.stats.read_ops <- t.stats.read_ops + 1;
   Clock.advance t.clock (Device.read_cost t.device ~hint ~bytes:len);
@@ -386,8 +387,7 @@ let read t name ~pos ~len ~hint =
     range's offset in it, else a copy and 0.  The chunk is handed out as
     a string, so the caller must only view ranges that never change (see
     the .mli). *)
-let read_view t name ~pos ~len ~hint =
-  let f = charge_read t name ~pos ~len ~hint in
+let view f ~pos ~len =
   if len = 0 then ("", 0)
   else begin
     let i = chunk_index f pos in
@@ -396,6 +396,14 @@ let read_view t name ~pos ~len ~hint =
       (Bytes.unsafe_to_string f.chunks.(i), off)
     else (sub_string f pos len, 0)
   end
+
+let read_view t name ~pos ~len ~hint =
+  view (charge_read t name ~pos ~len ~hint) ~pos ~len
+
+(** [peek_view t name ~pos ~len] is [read_view] without the IO stats and
+    clock charge, as {!peek} is [read] without them. *)
+let peek_view t name ~pos ~len =
+  view (find_range t "peek_view" name ~pos ~len) ~pos ~len
 
 let read_all t name ~hint =
   let f = find t name in

@@ -153,6 +153,15 @@ val read_view :
     @raise Sys_error when the file does not exist. *)
 val peek : t -> string -> pos:int -> len:int -> string
 
+(** [peek_view t name ~pos ~len] is {!read_view} without the IO stats and
+    clock charge, as {!peek} is {!read} without them: compaction uses it
+    to cache blocks of a table it has just written and synced, whose
+    bytes are still in memory (the paper's page cache).  The same rule
+    holds: only view bytes that never change.
+    @raise Invalid_argument on an out-of-bounds range.
+    @raise Sys_error when the file does not exist. *)
+val peek_view : t -> string -> pos:int -> len:int -> string * int
+
 (** [io_event t label] registers an external IO event (e.g. one
     replication shipping step) with any installed {!Fault_plan}, so crash
     sweeps can fire between and inside shipping steps. *)

@@ -7,12 +7,20 @@
     Keys are ints: the cache interns each file name once, as a small id,
     and a block's key is [id lsl 32 lor offset].  A table reader keeps its
     file's id, so a lookup allocates nothing; shards sharing one cache hold
-    distinct names, hence distinct ids. *)
+    distinct names, hence distinct ids.
+
+    A compaction reads its inputs through {!for_compaction}, a view of the
+    store's cache that leaves it as it was (DESIGN "Compaction and the
+    block cache"). *)
 
 type t = {
   lru : (int, Block.t) Pdb_util.Lru.t;
   ids : (string, int) Hashtbl.t;  (** file name -> id *)
   mutable next_id : int;  (** ids are never reused *)
+  compaction : bool;  (** a view from {!for_compaction} *)
+  mutable resident : bool;
+      (** the last {!find_or_load} through a compaction view returned a
+          block of the cache *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -22,41 +30,97 @@ let create ~capacity =
     lru = Pdb_util.Lru.create ~capacity;
     ids = Hashtbl.create 64;
     next_id = 0;
+    compaction = false;
+    resident = false;
     hits = 0;
     misses = 0;
   }
 
-(** [intern t file] is [file]'s id in [t], assigned on first use. *)
+(** [for_compaction t] is a view of [t] for one compaction's reads.  A
+    block [t] holds comes from [t], with no device read, no promotion and
+    no hit or miss counted, so [t]'s counters keep measuring the read
+    path alone; any other block is read from the device and cached
+    nowhere: a compaction enters each input block once, so a block it
+    loaded would never be looked up again.  The view interns no name in
+    [t]. *)
+let for_compaction t =
+  {
+    lru = t.lru;
+    ids = t.ids;
+    next_id = 0;
+    compaction = true;
+    resident = false;
+    hits = 0;
+    misses = 0;
+  }
+
+(** [intern t file] is [file]'s id in [t], assigned on first use.  Through
+    a compaction view, a file [t] has no id for gets -1, which no key of
+    [t] holds. *)
 let intern t file =
   match Hashtbl.find t.ids file with
   | id -> id
   | exception Not_found ->
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    Hashtbl.replace t.ids file id;
-    id
+    if t.compaction then -1
+    else begin
+      let id = t.next_id in
+      t.next_id <- id + 1;
+      Hashtbl.replace t.ids file id;
+      id
+    end
 
 (** [key ~id ~offset] is the cache key of the block at [offset] of the file
     interned as [id]. *)
 let key ~id ~offset = (id lsl 32) lor offset
 
+(* The block in the [len] bytes of [src] at [pos]: a finished table's
+   bytes never change, so the block may view the file's chunk instead of
+   a copy of it. *)
+let decode (src, pos) ~size = Block.decode_view src ~pos ~len:size
+
+let load env ~file ~offset ~size ~hint =
+  decode (Pdb_simio.Env.read_view env file ~pos:offset ~len:size ~hint) ~size
+
 (** [find_or_load t env ~id ~file ~offset ~size ~hint] returns the decoded
     block at [offset] of [file] (interned in [t] as [id]), reading it from
-    the environment (and charging device time) only on a miss. *)
+    the environment (and charging device time) only on a miss.  Through a
+    compaction view, a cached block is only peeked at, a missing one is
+    not cached, and {!resident} tells which happened. *)
 let find_or_load t env ~id ~file ~offset ~size ~hint =
   let k = key ~id ~offset in
-  match Pdb_util.Lru.find t.lru k with
-  | Some block ->
-    t.hits <- t.hits + 1;
-    block
-  | None ->
-    t.misses <- t.misses + 1;
-    (* a finished table's bytes never change, so the block may view the
-       file's chunk instead of a copy of it *)
-    let src, pos = Pdb_simio.Env.read_view env file ~pos:offset ~len:size ~hint in
-    let block = Block.decode_view src ~pos ~len:size in
-    Pdb_util.Lru.insert t.lru k block ~weight:size;
-    block
+  if t.compaction then begin
+    match if id < 0 then None else Pdb_util.Lru.peek t.lru k with
+    | Some block ->
+      t.resident <- true;
+      block
+    | None ->
+      t.resident <- false;
+      load env ~file ~offset ~size ~hint
+  end
+  else
+    match Pdb_util.Lru.find t.lru k with
+    | Some block ->
+      t.hits <- t.hits + 1;
+      block
+    | None ->
+      t.misses <- t.misses + 1;
+      let block = load env ~file ~offset ~size ~hint in
+      Pdb_util.Lru.insert t.lru k block ~weight:size;
+      block
+
+(** [resident t] is whether the last {!find_or_load} through compaction
+    view [t] returned a block the cache held. *)
+let resident t = t.resident
+
+(** [admit t env ~file ~offset ~size] caches the block at [offset] of
+    [file] as a view of the file, with no device read and no clock
+    charge: for a block compaction has just written and synced, whose
+    bytes are in memory. *)
+let admit t env ~file ~offset ~size =
+  Pdb_util.Lru.insert t.lru
+    (key ~id:(intern t file) ~offset)
+    (decode (Pdb_simio.Env.peek_view env file ~pos:offset ~len:size) ~size)
+    ~weight:size
 
 (** [evict_file t ~file] drops every cached block of [file], and its name.
     Called when an sstable is garbage-collected: its decoded blocks must

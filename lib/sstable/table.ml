@@ -60,6 +60,8 @@ module Builder = struct
     mutable entries : int;
     mutable last_user_key : string option;
     mutable last_prefix : string option;
+    mutable open_hot : bool; (* the open data block is hot *)
+    mutable hot : handle list; (* hot data blocks written, reversed *)
   }
 
   (** [create env ~dir ~number ~block_bytes ~bloom ~expected_keys] starts a
@@ -90,6 +92,8 @@ module Builder = struct
       entries = 0;
       last_user_key = None;
       last_prefix = None;
+      open_hot = false;
+      hot = [];
     }
 
   let write_block t builder =
@@ -104,8 +108,15 @@ module Builder = struct
     if not (Block.Builder.is_empty t.data) then begin
       let last_key = t.largest in
       let h = write_block t t.data in
-      t.index := (last_key, h) :: !(t.index)
+      t.index := (last_key, h) :: !(t.index);
+      if t.open_hot then begin
+        t.hot <- h :: t.hot;
+        t.open_hot <- false
+      end
     end
+
+  (** [mark_hot t] marks the data block the next entry lands in as hot. *)
+  let mark_hot t = t.open_hot <- true
 
   (** [add_slice t ikey src pos len] appends an entry whose value is the
       [len] bytes of [src] at [pos]; internal keys must arrive in
@@ -143,6 +154,17 @@ module Builder = struct
     t.offset + Block.Builder.current_size_estimate t.data
 
   let entry_count t = t.entries
+
+  (** [admit_hot t cache] puts each hot data block of finished table [t]
+      into [cache] as a view of the file, in file order, with no device
+      charge: the table was just written and synced, so its bytes are in
+      memory. *)
+  let admit_hot t cache =
+    List.iter
+      (fun (h : handle) ->
+        Block_cache.admit cache t.env ~file:t.file ~offset:h.offset
+          ~size:h.size)
+      (List.rev t.hot)
 
   (** [finish t] writes filter, index and footer, syncs the file, and
       returns the table's metadata.  Empty builders produce no file and
@@ -431,9 +453,12 @@ type iter = {
   cache : Block_cache.t;
   hint : Pdb_simio.Device.read_hint;
   pos : Block.cursor;
+  mutable resident : bool;
+      (* the block entered last was one a compaction view's cache held *)
 }
 
-let iterator r ~cache ~hint = { reader = r; cache; hint; pos = Block.cursor () }
+let iterator r ~cache ~hint =
+  { reader = r; cache; hint; pos = Block.cursor (); resident = false }
 
 let repoint it r =
   it.reader <- r;
@@ -445,7 +470,9 @@ let enter it =
   let r = it.reader in
   let offset = Block.next_uvarint it.pos r.index in
   let size = Block.next_uvarint it.pos r.index in
-  load_block r ~cache:it.cache ~hint:it.hint ~offset ~size
+  let block = load_block r ~cache:it.cache ~hint:it.hint ~offset ~size in
+  it.resident <- Block_cache.resident it.cache;
+  block
 
 (* Step over exhausted blocks, entering each next one at its first
    entry. *)
@@ -476,6 +503,7 @@ let next it =
   skip_exhausted it
 
 let valid it = Block.valid it.pos
+let resident it = it.resident
 
 let checked it =
   if not (Block.valid it.pos) then

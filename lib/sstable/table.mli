@@ -47,6 +47,11 @@ module Builder : sig
       at [pos], without copying them out first. *)
   val add_slice : t -> string -> string -> int -> int -> unit
 
+  (** [mark_hot t] marks the data block the next entry lands in as hot:
+      compaction calls it before adding an entry read from a block the
+      block cache held. *)
+  val mark_hot : t -> unit
+
   val estimated_size : t -> int
   val entry_count : t -> int
 
@@ -54,6 +59,12 @@ module Builder : sig
       returns the table's metadata; an empty builder deletes its file and
       returns [None]. *)
   val finish : t -> meta option
+
+  (** [admit_hot t cache] puts each hot data block of [t], once {!finish}
+      has synced it, into [cache] as a view of the file (see
+      {!Pdb_simio.Env.peek_view}), with no device read and no clock
+      charge. *)
+  val admit_hot : t -> Block_cache.t -> unit
 end
 
 (** An open table: index block resident in memory (the paper's cached
@@ -145,6 +156,11 @@ val seek_to_first : iter -> unit
 val next : iter -> unit
 
 val valid : iter -> bool
+
+(** [resident it] is whether the block [it] rests on was one its cache
+    held, for an iterator over a compaction view
+    ({!Block_cache.for_compaction}); always [false] over a cache itself. *)
+val resident : iter -> bool
 
 (** The entry's internal key.
     @raise Invalid_argument when [it] is not valid. *)

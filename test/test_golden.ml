@@ -179,20 +179,20 @@ let pins =
   [
     ( "pebblesdb",
       "1961e32ff0f3dccde667359940233b0a",
-      "0x1.7eacb3p+26 0x1.9ec5c1ap+26 0x1.467f58p+26 0x0p+0 0x1.01bcb68p+26" );
+      "0x1.7f22472p+26 0x1.9e6ee9ap+26 0x1.46288p+26 0x0p+0 0x1.01bcb68p+26" );
     ( "pebblesdb-1",
       "2217cb8e6d41fae91716b628ec55ef1e",
-      "0x1.11aaea6p+26 0x1.0deabb24p+29 0x1.2822f668p+28 0x0p+0 0x1.dc9465p+25"
+      "0x1.11aaea6p+26 0x1.0dca692p+29 0x1.27fb57e8p+28 0x0p+0 0x1.dc9465p+25"
     );
     ( "leveled",
       "b09e7a64fe1ac4bc679001c4a6e10238",
-      "0x1.edf11p+25 0x1.3ed4716p+26 0x1.04a6b0ap+26 0x0p+0 0x1.d43554p+25" );
+      "0x1.ee3f71cp+25 0x1.3e475bcp+26 0x1.0429186p+26 0x0p+0 0x1.d43554p+25" );
     ( "tiered",
       "52711a1f144ab6267c1e18be7bbcc0c4",
-      "0x1.41e22f5p+26 0x1.15d7afcp+25 0x1.e4da668p+24 0x0p+0 0x1.f67759p+25" );
+      "0x1.4257bf8p+26 0x1.14c6fep+25 0x1.e2b903p+24 0x0p+0 0x1.f67759p+25" );
     ( "lazy_leveled",
       "89ee362c9dab2dacd34bafc7d108a29a",
-      "0x1.41e29d9p+26 0x1.1950ea4p+25 0x1.ebccdb8p+24 0x0p+0 0x1.f67759p+25" );
+      "0x1.42582dcp+26 0x1.1840388p+25 0x1.e9ab78p+24 0x0p+0 0x1.f67759p+25" );
   ]
 
 let test_pin name () =
@@ -209,7 +209,7 @@ let scan_pins =
   [
     ( "pebblesdb",
       "ea44a5e8aaf2af61a20564e38e34466b",
-      "0x1.b85ee4d6p+29 0x1.503e3ep+25 0x1.0e4cdc4p+25 0x0p+0 0x1.1f10c5p+27",
+      "0x1.b8813854p+29 0x1.4fb41dp+25 0x1.0dc2bb4p+25 0x0p+0 0x1.1f10c5p+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "pebblesdb-1",
       "57f0c503543dae00d7e323063d95c706",
@@ -217,7 +217,7 @@ let scan_pins =
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "leveled",
       "ed8da27246f23b59cc808418bcf32f91",
-      "0x1.4f0b3cb8p+29 0x1.e9092b8p+24 0x1.a6015a8p+24 0x0p+0 0x1.ba554ep+26",
+      "0x1.4f0b3ef4p+29 0x1.e833328p+24 0x1.a52b618p+24 0x0p+0 0x1.ba554ep+26",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "tiered",
       "c50bae3298d16100770c1652924cdb85",

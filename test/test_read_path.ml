@@ -411,6 +411,184 @@ let test_memory_accounting_actual () =
   check Alcotest.bool "prefix blooms show up in memory accounting" true
     (prefixed - plain >= 500 * 10 / 8 / 2)
 
+(* ---------- compaction and the block cache ---------- *)
+
+module type CACHED_ENGINE = sig
+  type t
+
+  val open_store :
+    ?block_cache:BC.t -> O.t -> env:Env.t -> dir:string -> t
+
+  val put : t -> string -> string -> unit
+  val flush : t -> unit
+  val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Iter.t
+  val compact_all : t -> unit
+  val close : t -> unit
+end
+
+let cache_engines =
+  [
+    ("pebblesdb", (module P : CACHED_ENGINE), O.pebblesdb ());
+    ("hyperleveldb", (module Pdb_lsm.Lsm_store : CACHED_ENGINE),
+     O.hyperleveldb ());
+  ]
+
+let cache_key i = Printf.sprintf "key%04d" i
+
+(* A store over [bc] holding keys 0-299 in three level-0 tables: no
+   compaction has run, and nothing has been read.  With two levels, a
+   full compaction is one merge of the three into level 1. *)
+let three_l0_tables (type a) (module E : CACHED_ENGINE with type t = a) opts
+    bc =
+  let env = Env.create () in
+  let opts =
+    {
+      opts with
+      O.memtable_bytes = 1 lsl 20;
+      block_bytes = 512;
+      block_cache_bytes = 1 lsl 20;
+      max_levels = 2;
+    }
+  in
+  let db = E.open_store ~block_cache:bc opts ~env ~dir:"db" in
+  for t = 0 to 2 do
+    for i = 0 to 99 do
+      let k = (i * 3) + t in
+      E.put db (cache_key k)
+        (Printf.sprintf "value-%04d-%s" k (String.make 80 'v'))
+    done;
+    E.flush db
+  done;
+  (env, db)
+
+(* Scan user keys [lo, hi) through the store's iterator. *)
+let scan_range (it : Iter.t) ~lo ~hi =
+  it.Iter.seek (cache_key lo);
+  let n = ref 0 in
+  while it.Iter.valid () && it.Iter.key () < cache_key hi do
+    incr n;
+    it.Iter.next ()
+  done;
+  !n
+
+let read_ops env = (Env.stats env).Pdb_simio.Io_stats.read_ops
+let bytes_read env = (Env.stats env).Pdb_simio.Io_stats.bytes_read
+let tables env =
+  List.filter (fun n -> Filename.check_suffix n ".sst") (Env.list env)
+
+(* Readers over the store's live tables, opened (and charged) now. *)
+let live_readers env =
+  List.map
+    (fun name ->
+      let number =
+        int_of_string (Filename.chop_suffix (Filename.basename name) ".sst")
+      in
+      T.open_reader env ~dir:"db" (T.recover_meta env ~dir:"db" ~number))
+    (List.sort compare (tables env))
+
+(* Every entry of [readers], each with whether its block is resident in
+   [bc] (read through a compaction view, which leaves [bc] as it was). *)
+let residency bc readers =
+  let view = BC.for_compaction bc in
+  List.concat_map
+    (fun r ->
+      let it = T.iterator r ~cache:view ~hint:Device.Sequential_read in
+      T.seek_to_first it;
+      let acc = ref [] in
+      while T.valid it do
+        acc := (Ik.user_key (T.key it), T.resident it) :: !acc;
+        T.next it
+      done;
+      List.rev !acc)
+    readers
+
+(* (a) A range read until cached stays cached across its compaction:
+   re-reading the compacted range reads nothing from the device. *)
+let test_compaction_keeps_hot_range (module E : CACHED_ENGINE) opts () =
+  let bc = BC.create ~capacity:(1 lsl 20) in
+  let env, db = three_l0_tables (module E) opts bc in
+  for _ = 1 to 2 do
+    check Alcotest.int "scanned" 300 (scan_range (E.iterator db) ~lo:0 ~hi:300)
+  done;
+  let inputs = tables env in
+  E.compact_all db;
+  check Alcotest.bool "the compaction rewrote every table" true
+    (List.for_all (fun n -> not (Env.exists env n)) inputs);
+  let readers = live_readers env in
+  let ops = read_ops env in
+  let entries =
+    List.fold_left
+      (fun n r ->
+        let it = T.iterator r ~cache:bc ~hint:Device.Random_read in
+        T.seek_to_first it;
+        let n = ref n in
+        while T.valid it do
+          incr n;
+          T.next it
+        done;
+        !n)
+      0 readers
+  in
+  check Alcotest.int "entries re-read" 300 entries;
+  check Alcotest.int "re-reading the compacted range reads nothing" 0
+    (read_ops env - ops);
+  E.close db
+
+(* (b) A compaction admits only hot blocks: never-read tables leave the
+   cache as it was, and a half-read store caches its read half and not
+   the other. *)
+let test_compaction_leaves_cold_out (module E : CACHED_ENGINE) opts () =
+  let bc = BC.create ~capacity:(1 lsl 20) in
+  let env, db = three_l0_tables (module E) opts bc in
+  let used = BC.used bc and hits = BC.hits bc and misses = BC.misses bc in
+  E.compact_all db;
+  check Alcotest.int "never-read tables admit nothing" used (BC.used bc);
+  check Alcotest.(pair int int) "hits and misses unchanged" (hits, misses)
+    (BC.hits bc, BC.misses bc);
+  check Alcotest.bool "no output block is resident" true
+    (List.for_all (fun (_, hot) -> not hot) (residency bc (live_readers env)));
+  E.close db;
+  let bc = BC.create ~capacity:(1 lsl 20) in
+  let env, db = three_l0_tables (module E) opts bc in
+  check Alcotest.int "scanned" 100 (scan_range (E.iterator db) ~lo:0 ~hi:100);
+  E.compact_all db;
+  let entries = residency bc (live_readers env) in
+  check Alcotest.bool "the read half is cached" true
+    (List.for_all (fun (uk, hot) -> hot || uk >= cache_key 100) entries);
+  check Alcotest.bool "the last key is not" false
+    (List.assoc (cache_key 299) entries);
+  E.close db
+
+(* (c) A compaction of fully resident inputs reads from the device only
+   their footers, indexes and filters, and moves no cache counter. *)
+let test_compaction_reads_resident_inputs (module E : CACHED_ENGINE) opts () =
+  let bc = BC.create ~capacity:(1 lsl 20) in
+  let env, db = three_l0_tables (module E) opts bc in
+  check Alcotest.int "scanned" 300 (scan_range (E.iterator db) ~lo:0 ~hi:300);
+  (* the bytes after each input's data blocks: filter, index and footer;
+     the footer's first fields are the filter's and the index's handles *)
+  let inputs = tables env in
+  let metadata_bytes =
+    List.fold_left
+      (fun acc name ->
+        let size = Env.file_size env name in
+        let footer =
+          Env.peek env name ~pos:(size - T.footer_size) ~len:T.footer_size
+        in
+        let field i = Pdb_util.Varint.get_fixed32 footer (4 * i) in
+        acc + size - if field 1 > 0 then field 0 else field 2)
+      0 inputs
+  in
+  let bytes = bytes_read env and hits = BC.hits bc and misses = BC.misses bc in
+  E.compact_all db;
+  check Alcotest.bool "the compaction rewrote every table" true
+    (List.for_all (fun n -> not (Env.exists env n)) inputs);
+  check Alcotest.int "no data block read from the device" metadata_bytes
+    (bytes_read env - bytes);
+  check Alcotest.(pair int int) "hits and misses unchanged" (hits, misses)
+    (BC.hits bc, BC.misses bc);
+  E.close db
+
 (* ---------- differential: read path on vs off ---------- *)
 
 let read_path_off (o : O.t) =
@@ -491,6 +669,19 @@ let () =
           Alcotest.test_case "memory accounting actual" `Quick
             test_memory_accounting_actual;
         ] );
+      ( "compaction cache",
+        List.concat_map
+          (fun (name, e, opts) ->
+            [
+              Alcotest.test_case (name ^ " hot range stays cached") `Quick
+                (test_compaction_keeps_hot_range e opts);
+              Alcotest.test_case (name ^ " cold tables admit nothing") `Quick
+                (test_compaction_leaves_cold_out e opts);
+              Alcotest.test_case (name ^ " resident inputs read no data")
+                `Quick
+                (test_compaction_reads_resident_inputs e opts);
+            ])
+          cache_engines );
       ( "differential",
         [
           Alcotest.test_case "pebblesdb on=off" `Quick

@@ -124,6 +124,24 @@ let test_file_shipping_convergence engine () =
     0.0 st.Stats.repl_backup_busy_ns;
   h.Stores.rh_dyn.Dyn.d_close ()
 
+(* The backups' busy time is the sum of their lanes' busy time, which
+   each backup's own view reports as [worker_busy_ns]. *)
+let test_backup_busy engine () =
+  let h =
+    Stores.open_repl ~tweak:(tweak ~replicas:2 ~strategy:O.Log_shipping) engine
+  in
+  run_workload h.Stores.rh_dyn;
+  let lanes = ref 0.0 in
+  for i = 0 to h.Stores.rh_replicas - 1 do
+    let st = (h.Stores.rh_promote i).Dyn.d_stats () in
+    lanes := !lanes +. Array.fold_left ( +. ) 0.0 st.Stats.worker_busy_ns
+  done;
+  let st = h.Stores.rh_dyn.Dyn.d_stats () in
+  Alcotest.(check bool) "backups were busy" true (!lanes > 0.0);
+  Alcotest.(check (float 0.0)) "backup busy time = backups' lane time" !lanes
+    st.Stats.repl_backup_busy_ns;
+  h.Stores.rh_dyn.Dyn.d_close ()
+
 (* ---------- the ack contract, differentially vs an oracle ---------- *)
 
 let test_ack_differential strategy engine () =
@@ -230,6 +248,10 @@ let () =
             (test_file_shipping_convergence Stores.Leveldb);
           Alcotest.test_case "pebblesdb file shipping" `Quick
             (test_file_shipping_convergence Stores.Pebblesdb);
+          Alcotest.test_case "leveldb backup busy time" `Quick
+            (test_backup_busy Stores.Leveldb);
+          Alcotest.test_case "pebblesdb backup busy time" `Quick
+            (test_backup_busy Stores.Pebblesdb);
         ] );
       ( "ack contract",
         [
