@@ -60,7 +60,6 @@ let major_direct_words =
     (Measure.register (module Major_direct_words))
 
 let run_bechamel () =
-  print_endline "\n#### micro — Bechamel micro-benchmarks (core operations)";
   let open Bechamel in
   let open Toolkit in
   let memtable_insert =
@@ -492,17 +491,18 @@ let run_bechamel () =
     let ns = estimate Instance.monotonic_clock
     and words = estimate minor_words
     and major = estimate major_direct_words in
-    Hashtbl.iter
-      (fun name _ ->
-        match (ns name, words name, major name) with
-        | Some ns, Some words, Some major ->
-          Printf.printf
-            "  %-36s %12.1f ns/run %10.1f minor %8.1f major words/run\n%!"
-            name ns words major
-        | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
-      raw
+    List.map
+      (fun name ->
+        Pdb_harness.Bench_util.Note
+          (match (ns name, words name, major name) with
+           | Some ns, Some words, Some major ->
+             Printf.sprintf
+               "%-36s %12.1f ns/run %10.1f minor %8.1f major words/run" name ns
+               words major
+           | _ -> Printf.sprintf "%-36s (no estimate)" name))
+      (List.of_seq (Hashtbl.to_seq_keys raw))
   in
-  List.iter benchmark tests
+  Pdb_harness.Bench_util.lines (List.concat_map benchmark tests)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -511,12 +511,13 @@ let () =
    | "trajectory" :: rest -> exit (Compare.trajectory_main rest)
    | _ -> ());
   let json, ids = List.partition (fun a -> a = "--json") args in
-  if json <> [] then Pdb_harness.Bench_util.Json.enable ();
-  let result =
-    Pdb_harness.Experiments.run_ids ~extra:[ ("micro", run_bechamel) ] ids
+  let micro = "Bechamel micro-benchmarks (core operations)" in
+  let reports, result =
+    Pdb_harness.Experiments.(
+      run_ids ~extra:[ { id = "micro"; title = micro; run = run_bechamel } ] ids)
   in
   if json <> [] then begin
-    Pdb_harness.Bench_util.Json.write_file "BENCH.json";
+    Pdb_harness.Bench_util.Json.write_file "BENCH.json" reports;
     print_endline "\nwrote BENCH.json"
   end;
   match result with

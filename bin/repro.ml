@@ -19,7 +19,7 @@ let run ids list_only =
     0
   end
   else
-    match Experiments.run_ids ids with
+    match snd (Experiments.run_ids ids) with
     | Ok () -> 0
     | Error msg ->
       prerr_endline ("repro: " ^ msg);

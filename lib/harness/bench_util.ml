@@ -167,130 +167,139 @@ let mc_mixed ?latency (store : Dyn.dyn) ~clients ~n ~ops ~value_bytes ~seed =
 
 let mb bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 
-(** Machine-readable results collector behind [bench/main.exe --json]:
-    every printed table is mirrored here structurally, and experiments
-    push named numeric metrics (ops/s, write-amp, group-commit stats);
-    {!Json.write_file} dumps everything as BENCH.json so the perf
-    trajectory is trackable across PRs. *)
-module Json = struct
-  type table = {
-    title : string;
-    header : string list;
-    rows : string list list;
+(** A named result in BENCH.json: the store (or configuration) it
+    measures and the metric's name. *)
+type key = { store : string; name : string }
+
+(** A table cell: text, or a number printed with [digits] decimals and a
+    [suffix].  A number that is also a named result carries its [key]. *)
+type cell =
+  | Text of string
+  | Num of { value : float; digits : int; suffix : string; key : key option }
+
+type table = { title : string; header : string list; rows : cell list list }
+
+(** A line printed under the tables: a note, or a shape self-check and
+    whether the expected shape held. *)
+type line = Note of string | Check of bool * string
+
+(** What an experiment returns: its tables, the lines printed under them,
+    and the named results that appear in no table.  {!print_report}
+    prints it and {!Json.write_file} records it, so each number is
+    produced once. *)
+type report = {
+  tables : table list;
+  lines : line list;
+  metrics : (key * float) list;
+}
+
+(** Reports are built from parts: [table] is a report of one table,
+    [lines] and [metrics] of lines or named results alone, and [concat]
+    joins reports in order. *)
+let table ~title ~header rows =
+  { tables = [ { title; header; rows } ]; lines = []; metrics = [] }
+
+let lines lines = { tables = []; lines; metrics = [] }
+let metrics metrics = { tables = []; lines = []; metrics }
+
+let concat rs =
+  let all f = List.concat_map f rs in
+  {
+    tables = all (fun r -> r.tables);
+    lines = all (fun r -> r.lines);
+    metrics = all (fun r -> r.metrics);
   }
 
-  let enabled = ref false
-  let current = ref "global"
+let num digits value = Num { value; digits; suffix = ""; key = None }
+let int n = num 0 (float_of_int n)
+let ratio value = Num { value; digits = 2; suffix = "x"; key = None }
+let pct value = Num { value; digits = 0; suffix = "%"; key = None }
 
-  (* accumulated in reverse arrival order, tagged with the experiment id
-     that was current when they were recorded *)
-  let tables : (string * table) list ref = ref []
-  let metrics : (string * (string * string * float)) list ref = ref []
+(** [metric ~store name digits value] is a number cell that is also the
+    named result [name] of [store]. *)
+let metric ~store name digits value =
+  Num { value; digits; suffix = ""; key = Some { store; name } }
 
-  let enable () = enabled := true
-  let set_context id = current := id
+let cell_text = function
+  | Text s -> s
+  | Num n -> Printf.sprintf "%.*f%s" n.digits n.value n.suffix
 
-  let record_table ~title ~header rows =
-    if !enabled then tables := (!current, { title; header; rows }) :: !tables
+(** [missed r] counts the shape self-checks of [r] that did not hold. *)
+let missed r =
+  List.length
+    (List.filter (function Check (ok, _) -> not ok | Note _ -> false) r.lines)
 
-  (** [metric ~store name value] attaches one numeric result to the
-      current experiment. *)
-  let metric ~store name value =
-    if !enabled then metrics := (!current, (store, name, value)) :: !metrics
+(** [render r] is the report's text: each table as aligned columns under
+    its title, then each line indented. *)
+let render r =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun t ->
+      let rows = t.header :: List.map (List.map cell_text) t.rows in
+      let width c =
+        List.fold_left (fun acc row -> max acc (String.length (List.nth row c)))
+          0 rows
+      in
+      let widths = List.mapi (fun c _ -> width c) t.header in
+      let add_row row =
+        List.iter2 (fun w cell -> Printf.bprintf b "%-*s  " w cell) widths row;
+        Buffer.add_char b '\n'
+      in
+      Printf.bprintf b "\n== %s ==\n" t.title;
+      add_row t.header;
+      add_row (List.map (fun w -> String.make w '-') widths);
+      List.iter add_row (List.tl rows))
+    r.tables;
+  List.iter
+    (function Note s | Check (_, s) -> Printf.bprintf b "  %s\n" s)
+    r.lines;
+  Buffer.contents b
 
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+(** Prints the line that opens an experiment's output. *)
+let print_heading ~id ~title = Printf.printf "\n#### %s — %s\n%!" id title
 
-  let write_file path =
-    let tables = List.rev !tables and metrics = List.rev !metrics in
-    (* experiment ids in first-appearance order *)
-    let ids = ref [] in
-    List.iter
-      (fun id -> if not (List.mem id !ids) then ids := id :: !ids)
-      (List.map fst tables @ List.map fst metrics);
-    let ids = List.rev !ids in
-    let b = Buffer.create 65536 in
-    let str s = Buffer.add_string b (Printf.sprintf "\"%s\"" (escape s)) in
-    let strings sep f xs =
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_string b sep;
-          f x)
-        xs
-    in
-    Buffer.add_string b "{\n  \"experiments\": [";
-    strings ","
-      (fun id ->
-        Buffer.add_string b "\n    {\n      \"id\": ";
-        str id;
-        Buffer.add_string b ",\n      \"tables\": [";
-        strings ","
-          (fun (_, t) ->
-            Buffer.add_string b "\n        {\"title\": ";
-            str t.title;
-            Buffer.add_string b ", \"header\": [";
-            strings ", " str t.header;
-            Buffer.add_string b "], \"rows\": [";
-            strings ", "
-              (fun row ->
-                Buffer.add_char b '[';
-                strings ", " str row;
-                Buffer.add_char b ']')
-              t.rows;
-            Buffer.add_string b "]}")
-          (List.filter (fun (i, _) -> i = id) tables);
-        Buffer.add_string b "],\n      \"metrics\": [";
-        strings ","
-          (fun (_, (store, name, value)) ->
-            Buffer.add_string b "\n        {\"store\": ";
-            str store;
-            Buffer.add_string b ", \"name\": ";
-            str name;
-            Buffer.add_string b
-              (Printf.sprintf ", \"value\": %.6g}" value))
-          (List.filter (fun (i, _) -> i = id) metrics);
-        Buffer.add_string b "]\n    }")
-      ids;
-    Buffer.add_string b "\n  ]\n}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc
-end
-
-(** Render rows as an aligned table with a header (mirrored into the
-    {!Json} collector when enabled). *)
-let print_table ~title ~header rows =
-  Json.record_table ~title ~header rows;
-  let all = header :: rows in
-  let cols = List.length header in
-  let width c =
-    List.fold_left (fun acc row -> max acc (String.length (List.nth row c))) 0 all
-  in
-  let widths = List.init cols width in
-  Printf.printf "\n== %s ==\n" title;
-  let print_row row =
-    List.iteri
-      (fun c cell -> Printf.printf "%-*s  " (List.nth widths c) cell)
-      row;
-    print_newline ()
-  in
-  print_row header;
-  print_row (List.map (fun w -> String.make w '-') widths);
-  List.iter print_row rows;
+let print_report r =
+  print_string (render r);
   flush stdout
 
-let fmt_f ?(digits = 2) v = Printf.sprintf "%.*f" digits v
+(** BENCH.json, the machine-readable record behind [bench/main.exe
+    --json]: per experiment, every table (cells as printed) and every
+    named result, from table cells and from the report's own metrics. *)
+module Json = struct
+  let str s = "\"" ^ Pdb_simio.Trace.json_escape s ^ "\""
+  let list f xs = "[" ^ String.concat ", " (List.map f xs) ^ "]"
+
+  let metrics r =
+    List.filter_map
+      (function Num { value; key = Some k; _ } -> Some (k, value) | _ -> None)
+      (List.concat_map (fun t -> List.concat t.rows) r.tables)
+    @ r.metrics
+
+  (** [write_file path reports] writes [(experiment id, report)] pairs,
+      in order, to [path]. *)
+  let write_file path reports =
+    let table t =
+      Printf.sprintf "\n        {\"title\": %s, \"header\": %s, \"rows\": %s}"
+        (str t.title) (list str t.header)
+        (list (list (fun c -> str (cell_text c))) t.rows)
+    in
+    let metric (k, value) =
+      Printf.sprintf "\n        {\"store\": %s, \"name\": %s, \"value\": %.6g}"
+        (str k.store) (str k.name) value
+    in
+    let experiment (id, r) =
+      Printf.sprintf
+        "\n    {\n      \"id\": %s,\n      \"tables\": [%s],\n      \"metrics\": \
+         [%s]\n    }"
+        (str id)
+        (String.concat "," (List.map table r.tables))
+        (String.concat "," (List.map metric (metrics r)))
+    in
+    let oc = open_out path in
+    Printf.fprintf oc "{\n  \"experiments\": [%s\n  ]\n}\n"
+      (String.concat "," (List.map experiment reports));
+    close_out oc
+end
 
 (** One-line background-scheduler summary for a store: jobs drained, peak
     queue depth and backlog, footprint conflicts, per-worker utilization

@@ -5,7 +5,9 @@
     sizes (DESIGN.md §1), same comparisons, printed as rows.  Absolute
     numbers are simulated-device throughputs; the paper's *shape* — who
     wins, by roughly what factor — is the reproduction target recorded in
-    EXPERIMENTS.md. *)
+    EXPERIMENTS.md.  Each experiment returns its tables, summary lines,
+    shape self-checks and named results as a {!Bench_util.report};
+    {!run_ids} prints and collects them. *)
 
 module Dyn = Pdb_kvs.Store_intf
 module O = Pdb_kvs.Options
@@ -16,10 +18,8 @@ module Iter = Pdb_kvs.Iter
 type experiment = {
   id : string;
   title : string;
-  run : unit -> unit;
+  run : unit -> B.report;
 }
-
-let pf = Printf.printf
 
 (* Default scaled workload sizes.  The paper's runs use 50-500M keys; the
    scaled stores (64 KB memtables, 160 KB level-1) keep the same
@@ -32,18 +32,15 @@ let value_small = 128
 let seed = 42
 
 let rel base v = if base = 0.0 then 0.0 else v /. base
+let note fmt = Printf.ksprintf (fun s -> B.Note s) fmt
 
-(* Printed shape self-checks: [verdict ok miss] is the text an acceptance
-   line ends with — [pass] when the expected shape holds, else [miss],
-   which is also counted so {!run_ids} fails the run. *)
-let shape_misses = ref 0
+(* A shape self-check line; [miss] marks it when the shape did not hold. *)
+let check ok ~miss fmt =
+  Printf.ksprintf (fun s -> B.Check (ok, if ok then s else s ^ miss)) fmt
 
-let verdict ?(pass = "") ok miss =
-  if ok then pass
-  else begin
-    incr shape_misses;
-    miss
-  end
+(* Number cells that are also [store]'s named results. *)
+let named ~store digits =
+  List.map (fun (name, v) -> B.metric ~store name digits v)
 
 (* ---------------- fig 1.1 / fig 5.1a : write amplification ------------- *)
 
@@ -63,21 +60,27 @@ let run_write_amp () =
         (Stores.engine_name engine, written, wa))
       Stores.paper_stores
   in
-  B.print_table ~title:"Fig 1.1 — write IO for random inserts (100k x 128B)"
-    ~header:[ "store"; "write IO (MB)"; "write amp" ]
-    (List.map
-       (fun (name, written, wa) ->
-         [ name; B.fmt_f (B.mb written); B.fmt_f wa ])
-       rows);
-  match rows with
-  | (_, _, pebbles_wa) :: _ ->
-    List.iter
-      (fun (name, _, wa) ->
-        if name <> "pebblesdb" then
-          pf "  %s / pebblesdb write-amp ratio: %.2fx\n" name
-            (wa /. pebbles_wa))
-      rows
-  | [] -> ()
+  B.concat
+    [
+      B.table ~title:"Fig 1.1 — write IO for random inserts (100k x 128B)"
+        ~header:[ "store"; "write IO (MB)"; "write amp" ]
+        (List.map
+           (fun (name, written, wa) ->
+             [ B.Text name; B.num 2 (B.mb written); B.num 2 wa ])
+           rows);
+      B.lines
+        (match rows with
+         | (_, _, pebbles_wa) :: _ ->
+           List.filter_map
+             (fun (name, _, wa) ->
+               if name = "pebblesdb" then None
+               else
+                 Some
+                   (note "%s / pebblesdb write-amp ratio: %.2fx" name
+                      (wa /. pebbles_wa)))
+             rows
+         | [] -> []);
+    ]
 
 (* ---------------- sec 2.2 : B+-tree motivation ------------------------- *)
 
@@ -93,10 +96,10 @@ let run_btree_motivation () =
         store.Dyn.d_flush ();
         let wa = B.write_amp store in
         store.Dyn.d_close ();
-        [ Stores.engine_name engine; B.fmt_f wa ])
+        [ B.Text (Stores.engine_name engine); B.num 2 wa ])
       [ Stores.Btree; Stores.Hyperleveldb; Stores.Pebblesdb ]
   in
-  B.print_table
+  B.table
     ~title:"Sec 2.2 — B+-tree vs LSM write amplification (insert+update)"
     ~header:[ "store"; "write amp" ]
     rows
@@ -119,17 +122,18 @@ let run_sstable_sizes () =
                 (float_of_int (Env.file_size env name) /. 1024.0))
           (Env.list env);
         store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          string_of_int (Pdb_util.Histogram.count h);
-          B.fmt_f (Pdb_util.Histogram.mean h);
-          B.fmt_f (Pdb_util.Histogram.median h);
-          B.fmt_f (Pdb_util.Histogram.percentile h 90.0);
-          B.fmt_f (Pdb_util.Histogram.percentile h 95.0);
-        ])
+        B.Text (Stores.engine_name engine)
+        :: B.int (Pdb_util.Histogram.count h)
+        :: List.map (B.num 2)
+             [
+               Pdb_util.Histogram.mean h;
+               Pdb_util.Histogram.median h;
+               Pdb_util.Histogram.percentile h 90.0;
+               Pdb_util.Histogram.percentile h 95.0;
+             ])
       [ Stores.Pebblesdb; Stores.Hyperleveldb ]
   in
-  B.print_table
+  B.table
     ~title:"Table 5.1 — sstable size distribution (KB) after 60k x 1KB inserts"
     ~header:[ "store"; "sstables"; "mean"; "median"; "p90"; "p95" ]
     rows
@@ -146,16 +150,12 @@ let run_update_throughput () =
         let up1 = B.fill_random store ~n ~value_bytes:value_1k ~seed:(seed + 1) in
         let up2 = B.fill_random store ~n ~value_bytes:value_1k ~seed:(seed + 2) in
         store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f insert.B.kops;
-          B.fmt_f up1.B.kops;
-          B.fmt_f up2.B.kops;
-          B.fmt_f ~digits:0 (100.0 *. up2.B.kops /. insert.B.kops) ^ "%";
-        ])
+        (B.Text (Stores.engine_name engine)
+        :: List.map (B.num 2) [ insert.B.kops; up1.B.kops; up2.B.kops ])
+        @ [ B.pct (100.0 *. up2.B.kops /. insert.B.kops) ])
       Stores.paper_stores
   in
-  B.print_table
+  B.table
     ~title:
       "Table 5.2 — insert + two update rounds, KOps/s (30k x 1KB per round)"
     ~header:[ "store"; "insert"; "update-1"; "update-2"; "retained" ]
@@ -194,21 +194,22 @@ let run_micro_single () =
     [ "store"; "fillseq"; "fillrandom"; "readrandom"; "seekrandom";
       "deleterandom" ]
   in
-  B.print_table
-    ~title:
-      "Fig 5.1(b) — db_bench micro-benchmarks, KOps/s (40k x 1KB; seeks after \
-       full compaction)"
-    ~header
-    (List.map
-       (fun (name, vals) ->
-         name :: List.map (fun v -> B.fmt_f v) vals)
-       rows);
-  B.print_table ~title:"Fig 5.1(b) — relative to HyperLevelDB" ~header
-    (List.map
-       (fun (name, vals) ->
-         name
-         :: List.map2 (fun v h -> B.fmt_f (rel h v) ^ "x") vals hyper)
-       rows)
+  B.concat
+    [
+      B.table
+        ~title:
+          "Fig 5.1(b) — db_bench micro-benchmarks, KOps/s (40k x 1KB; seeks \
+           after full compaction)"
+        ~header
+        (List.map
+           (fun (name, vals) -> B.Text name :: List.map (B.num 2) vals)
+           rows);
+      B.table ~title:"Fig 5.1(b) — relative to HyperLevelDB" ~header
+        (List.map
+           (fun (name, vals) ->
+             B.Text name :: List.map2 (fun v h -> B.ratio (rel h v)) vals hyper)
+           rows);
+    ]
 
 (* ---------------- fig 5.1c : multi-threaded + mixed -------------------- *)
 
@@ -238,15 +239,11 @@ let run_micro_multi () =
               done)
         in
         store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f writes.B.kops;
-          B.fmt_f reads.B.kops;
-          B.fmt_f mixed.B.kops;
-        ])
+        B.Text (Stores.engine_name engine)
+        :: List.map (B.num 2) [ writes.B.kops; reads.B.kops; mixed.B.kops ])
       Stores.paper_stores
   in
-  B.print_table
+  B.table
     ~title:
       "Fig 5.1(c) — concurrent-style workload with RocksDB params (64MB-class \
        memtable): writes / reads / mixed KOps/s"
@@ -260,7 +257,7 @@ let run_micro_multi () =
    the [n]-key space, in KOps/s.  [open_] opens each store. *)
 let write_read_seek_table ~title ?(open_ = fun e -> Stores.open_engine e)
     ?(value_bytes = value_1k) ?writes ~n ~reads ~seeks engines =
-  B.print_table ~title ~header:[ "store"; "writes"; "reads"; "seeks" ]
+  B.table ~title ~header:[ "store"; "writes"; "reads"; "seeks" ]
     (List.map
        (fun engine ->
          let store = open_ engine in
@@ -272,8 +269,8 @@ let write_read_seek_table ~title ?(open_ = fun e -> Stores.open_engine e)
          let r = B.read_random store ~n ~ops:reads ~seed in
          let s = B.seek_random store ~n ~ops:seeks ~nexts:0 ~seed in
          store.Dyn.d_close ();
-         Stores.engine_name engine
-         :: List.map B.fmt_f [ w.B.kops; r.B.kops; s.B.kops ])
+         B.Text (Stores.engine_name engine)
+         :: List.map (B.num 2) [ w.B.kops; r.B.kops; s.B.kops ])
        engines)
 
 let run_micro_cached () =
@@ -343,7 +340,7 @@ let run_low_memory () =
 
 let run_space_amp () =
   let table title ~n build =
-    B.print_table ~title ~header:[ "store"; "space (MB)"; "space amp" ]
+    B.table ~title ~header:[ "store"; "space (MB)"; "space amp" ]
       (List.map
          (fun engine ->
            let store = Stores.open_engine engine in
@@ -351,29 +348,32 @@ let run_space_amp () =
            let live = n * (value_1k + 13) in
            let used = Env.total_file_bytes store.Dyn.d_env in
            store.Dyn.d_close ();
-           [
-             Stores.engine_name engine;
-             B.fmt_f (B.mb used);
-             B.fmt_f (float_of_int used /. float_of_int live);
-           ])
+           B.Text (Stores.engine_name engine)
+           :: List.map (B.num 2)
+                [ B.mb used; float_of_int used /. float_of_int live ])
          Stores.paper_stores)
   in
-  table "Fig 5.3(i) — space amplification, 40k unique 1KB inserts" ~n:40_000
-    (fun store n ->
-      ignore (B.fill_random store ~n ~value_bytes:value_1k ~seed);
-      store.Dyn.d_flush ();
-      store.Dyn.d_compact_all ());
-  table
-    "Fig 5.3(ii) — space amplification, 4k keys x 10 duplicate updates \
-     (uncompacted)"
-    ~n:4_000
-    (fun store n ->
-      (* 10 update rounds, uncompacted: the paper's duplicate-keys case *)
-      for round = 0 to 9 do
-        ignore
-          (B.fill_random store ~n ~value_bytes:value_1k ~seed:(seed + round))
-      done;
-      store.Dyn.d_flush ())
+  let unique =
+    table "Fig 5.3(i) — space amplification, 40k unique 1KB inserts"
+      ~n:40_000 (fun store n ->
+        ignore (B.fill_random store ~n ~value_bytes:value_1k ~seed);
+        store.Dyn.d_flush ();
+        store.Dyn.d_compact_all ())
+  in
+  let duplicates =
+    table
+      "Fig 5.3(ii) — space amplification, 4k keys x 10 duplicate updates \
+       (uncompacted)"
+      ~n:4_000
+      (fun store n ->
+        (* 10 update rounds, uncompacted: the paper's duplicate-keys case *)
+        for round = 0 to 9 do
+          ignore
+            (B.fill_random store ~n ~value_bytes:value_1k ~seed:(seed + round))
+        done;
+        store.Dyn.d_flush ())
+  in
+  B.concat [ unique; duplicates ]
 
 (* ---------------- fig 5.4 : time-series / empty guards ------------------ *)
 
@@ -415,28 +415,34 @@ let run_time_series () =
         (engine, store, per_iteration))
       engines
   in
-  B.print_table
-    ~title:
-      "Fig 5.4 — time-series pattern (insert range / read / delete-all, 8 \
-       iterations): read KOps/s per iteration"
-    ~header:
-      ("store"
-       :: List.init iterations (fun i -> Printf.sprintf "it%d" (i + 1)))
-    (List.map
-       (fun (engine, _, per_iteration) ->
-         Stores.engine_name engine
-         :: List.map (fun (_, r) -> B.fmt_f r) per_iteration)
-       results);
-  List.iter
-    (fun (engine, store, per_iteration) ->
-      (match engine with
-       | Stores.Pebblesdb ->
-         pf "  pebblesdb write KOps/s first -> last iteration: %.1f -> %.1f\n"
-           (fst (List.hd per_iteration))
-           (fst (List.nth per_iteration (iterations - 1)))
-       | _ -> ());
-      store.Dyn.d_close ())
-    results
+  List.iter (fun (_, store, _) -> store.Dyn.d_close ()) results;
+  B.concat
+    [
+      B.table
+        ~title:
+          "Fig 5.4 — time-series pattern (insert range / read / delete-all, 8 \
+           iterations): read KOps/s per iteration"
+        ~header:
+          ("store"
+          :: List.init iterations (fun i -> Printf.sprintf "it%d" (i + 1)))
+        (List.map
+           (fun (engine, _, per_iteration) ->
+             B.Text (Stores.engine_name engine)
+             :: List.map (fun (_, r) -> B.num 2 r) per_iteration)
+           results);
+      B.lines
+        (List.filter_map
+           (fun (engine, _, per_iteration) ->
+             match engine with
+             | Stores.Pebblesdb ->
+               Some
+                 (note
+                    "pebblesdb write KOps/s first -> last iteration: %.1f -> %.1f"
+                    (fst (List.hd per_iteration))
+                    (fst (List.nth per_iteration (iterations - 1))))
+             | _ -> None)
+           results);
+    ]
 
 (* ---------------- fig 5.5 : YCSB ---------------------------------------- *)
 
@@ -485,12 +491,12 @@ let run_ycsb () =
         in
         store.Dyn.d_close ();
         store_e.Dyn.d_close ();
-        Stores.engine_name engine
-        :: List.map B.fmt_f
+        B.Text (Stores.engine_name engine)
+        :: List.map (B.num 2)
              (load_to_d @ [ kops_of load_e; kops_of e; f; total_io_mb ]))
       [ Stores.Pebblesdb; Stores.Hyperleveldb; Stores.Rocksdb; Stores.Leveldb ]
   in
-  B.print_table
+  B.table
     ~title:
       "Fig 5.5 — YCSB suite (25k records, 10k ops/workload, 1KB values): \
        KOps/s and total write IO"
@@ -517,28 +523,32 @@ let run_apps () =
             B.mb (Env.stats store.Dyn.d_env).Pdb_simio.Io_stats.bytes_written
           in
           store.Dyn.d_close ();
-          store.Dyn.d_name
-          :: List.map B.fmt_f (load_to_d @ [ kops_of e; f; io ]))
+          B.Text store.Dyn.d_name
+          :: List.map (B.num 2) (load_to_d @ [ kops_of e; f; io ]))
         engines
     in
-    B.print_table ~title
-      ~header:
-        [ "engine"; "LoadA"; "A"; "B"; "C"; "D"; "E"; "F"; "IO(MB)" ]
+    B.table ~title
+      ~header:[ "engine"; "LoadA"; "A"; "B"; "C"; "D"; "E"; "F"; "IO(MB)" ]
       rows
   in
   (* HyperDex: 16 MB memtables scaled to 256 KB *)
-  app_suite
-    (Pdb_apps.App_shim.wrap Pdb_apps.App_shim.hyperdex)
-    (fun o -> { o with O.memtable_bytes = 256 * 1024 })
-    [ Stores.Hyperleveldb; Stores.Pebblesdb ]
-    "Fig 5.6(a) — HyperDex-sim (read-before-write + app latency): KOps/s";
+  let hyperdex =
+    app_suite
+      (Pdb_apps.App_shim.wrap Pdb_apps.App_shim.hyperdex)
+      (fun o -> { o with O.memtable_bytes = 256 * 1024 })
+      [ Stores.Hyperleveldb; Stores.Pebblesdb ]
+      "Fig 5.6(a) — HyperDex-sim (read-before-write + app latency): KOps/s"
+  in
   (* MongoDB: 16 MB memtable + 8 MB cache scaled to 256 KB / 128 KB *)
-  app_suite
-    (Pdb_apps.App_shim.wrap Pdb_apps.App_shim.mongodb)
-    (fun o ->
-      { o with O.memtable_bytes = 256 * 1024; block_cache_bytes = 128 * 1024 })
-    [ Stores.Wiredtiger; Stores.Rocksdb; Stores.Pebblesdb ]
-    "Fig 5.6(b) — MongoDB-sim (app latency; WiredTiger default): KOps/s"
+  let mongodb =
+    app_suite
+      (Pdb_apps.App_shim.wrap Pdb_apps.App_shim.mongodb)
+      (fun o ->
+        { o with O.memtable_bytes = 256 * 1024; block_cache_bytes = 128 * 1024 })
+      [ Stores.Wiredtiger; Stores.Rocksdb; Stores.Pebblesdb ]
+      "Fig 5.6(b) — MongoDB-sim (app latency; WiredTiger default): KOps/s"
+  in
+  B.concat [ hyperdex; mongodb ]
 
 (* ---------------- table 5.4 : memory consumption ------------------------ *)
 
@@ -555,15 +565,13 @@ let run_memory () =
         ignore (B.seek_random store ~n ~ops:5_000 ~nexts:0 ~seed);
         let after_seeks = store.Dyn.d_memory_bytes () in
         store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f (B.mb after_writes);
-          B.fmt_f (B.mb after_reads);
-          B.fmt_f (B.mb after_seeks);
-        ])
+        B.Text (Stores.engine_name engine)
+        :: List.map
+             (fun bytes -> B.num 2 (B.mb bytes))
+             [ after_writes; after_reads; after_seeks ])
       [ Stores.Hyperleveldb; Stores.Rocksdb; Stores.Pebblesdb ]
   in
-  B.print_table
+  B.table
     ~title:"Table 5.4 — modeled memory consumption (MB) after each phase"
     ~header:[ "store"; "writes"; "reads"; "seeks" ]
     rows
@@ -582,20 +590,11 @@ let run_cpu_cost () =
         let fg = snap.Pdb_simio.Clock.foreground_ns +. snap.Pdb_simio.Clock.cpu_ns in
         let bg = snap.Pdb_simio.Clock.background_ns in
         store.Dyn.d_close ();
-        [
-          Stores.engine_name engine;
-          B.fmt_f (bg /. 1e9);
-          B.fmt_f (fg /. 1e9);
-          B.fmt_f ~digits:0 (100.0 *. bg /. (fg +. bg)) ^ "%";
-        ])
+        (B.Text (Stores.engine_name engine)
+        :: List.map (B.num 2) [ bg /. 1e9; fg /. 1e9 ])
+        @ [ B.pct (100.0 *. bg /. (fg +. bg)) ])
       Stores.paper_stores
   in
-  B.print_table
-    ~title:
-      "Sec 5.5 — compaction (background) vs foreground time during 30k x 1KB \
-       inserts (simulated seconds)"
-    ~header:[ "store"; "compaction s"; "foreground s"; "compaction share" ]
-    rows;
   (* bloom construction cost: real wall-clock, scaled to per-GB-of-sstable *)
   let keys = 200_000 in
   let t0 = Unix.gettimeofday () in
@@ -605,11 +604,23 @@ let run_cpu_cost () =
   done;
   let dt = Unix.gettimeofday () -. t0 in
   let bytes_covered = keys * (16 + value_1k) in
-  pf
-    "  bloom construction: %.3fs for %d keys (~%.2f s per GB of sstable \
-     data; paper: 1.2 s/GB)\n"
-    dt keys
-    (dt *. (1024.0 *. 1024.0 *. 1024.0) /. float_of_int bytes_covered)
+  B.concat
+    [
+      B.table
+        ~title:
+          "Sec 5.5 — compaction (background) vs foreground time during 30k x \
+           1KB inserts (simulated seconds)"
+        ~header:[ "store"; "compaction s"; "foreground s"; "compaction share" ]
+        rows;
+      B.lines
+        [
+          note
+            "bloom construction: %.3fs for %d keys (~%.2f s per GB of sstable \
+             data; paper: 1.2 s/GB)"
+            dt keys
+            (dt *. (1024.0 *. 1024.0 *. 1024.0) /. float_of_int bytes_covered);
+        ];
+    ]
 
 (* ---------------- ablation : §5.2 impact of optimizations --------------- *)
 
@@ -625,7 +636,7 @@ let run_ablation () =
     store.Dyn.d_compact_all ();
     let seeks = B.seek_random store ~n ~ops:3_000 ~nexts:0 ~seed in
     store.Dyn.d_close ();
-    [ label; B.fmt_f seeks.B.kops; B.fmt_f reads.B.kops ]
+    [ B.Text label; B.num 2 seeks.B.kops; B.num 2 reads.B.kops ]
   in
   let rows =
     [
@@ -644,7 +655,7 @@ let run_ablation () =
       variant "no sstable blooms" (fun o -> { o with O.sstable_bloom = false });
     ]
   in
-  B.print_table
+  B.table
     ~title:
       "Sec 5.2 ablation — PebblesDB seek/read throughput under optimization \
        subsets (KOps/s)"
@@ -671,15 +682,10 @@ let run_tuning () =
         store.Dyn.d_compact_all ();
         let seeks = B.seek_random store ~n ~ops:3_000 ~nexts:0 ~seed in
         store.Dyn.d_close ();
-        [
-          string_of_int cap;
-          B.fmt_f fill.B.kops;
-          B.fmt_f wa;
-          B.fmt_f seeks.B.kops;
-        ])
+        B.int cap :: List.map (B.num 2) [ fill.B.kops; wa; seeks.B.kops ])
       [ 1; 2; 4; 8; 16 ]
   in
-  B.print_table
+  B.table
     ~title:
       "Sec 3.5 — tuning max_sstables_per_guard: write IO vs read/range        latency (cap=1 is the paper's LSM mode)"
     ~header:[ "cap"; "fillrandom KOps/s"; "write amp"; "seekrandom KOps/s" ]
@@ -710,20 +716,11 @@ let run_future_work () =
         let name = Stores.engine_name engine in
         let k1, s1 = fill_at engine 1 in
         let k4, s4 = fill_at engine 4 in
-        ( [ name; B.fmt_f k1; B.fmt_f k4; B.fmt_f ~digits:2 (rel k1 k4) ],
+        ( [ B.Text name; B.num 2 k1; B.num 2 k4; B.num 2 (rel k1 k4) ],
           [ (name ^ " @1", s1); (name ^ " @4", s4) ] ))
       [ Stores.Pebblesdb; Stores.Hyperleveldb ]
     |> List.split
   in
-  B.print_table
-    ~title:
-      "Sec 7 (future work) — guard-parallel compaction: fillrandom vs        compaction workers (speedup = 4w / 1w)"
-    ~header:
-      [ "store"; "KOps/s (1 worker)"; "KOps/s (4 workers)"; "speedup" ]
-    rows;
-  List.iter
-    (fun (label, s) -> if s <> "" then pf "  %-16s %s\n" label s)
-    (List.concat summaries);
   (* guard deletion: time-series churn accumulates empty guards; deleting
      them trims the metadata without disturbing data *)
   let env = Env.create () in
@@ -742,23 +739,41 @@ let run_future_work () =
   let before = P.empty_guard_count db in
   let removed = P.delete_empty_guards db in
   P.check_invariants db;
-  pf
-    "  guard deletion (§3.3): %d empty guards accumulated by time-series      churn; delete_empty_guards removed %d; invariants hold\n"
-    before removed;
-  P.close db
+  P.close db;
+  B.concat
+    [
+      B.table
+        ~title:
+          "Sec 7 (future work) — guard-parallel compaction: fillrandom vs        compaction workers (speedup = 4w / 1w)"
+        ~header:
+          [ "store"; "KOps/s (1 worker)"; "KOps/s (4 workers)"; "speedup" ]
+        rows;
+      B.lines
+        (List.filter_map
+           (fun (label, s) ->
+             if s = "" then None else Some (note "%-16s %s" label s))
+           (List.concat summaries)
+        @ [
+            note
+              "guard deletion (§3.3): %d empty guards accumulated by time-series      churn; delete_empty_guards removed %d; invariants hold"
+              before removed;
+          ]);
+    ]
 
 (* A scaling table: per store, KOps/s ([at per count]) at each of
-   [counts] (clients or shards, suffixed [unit]) and the 4-vs-1 ratio. *)
-let scaling_table ~title ~unit counts results at =
-  B.print_table ~title
+   [counts] (clients or shards, suffixed [unit]), each the store's
+   result [metric count], and the 4-vs-1 ratio. *)
+let scaling_table ~title ~unit ~metric counts results at =
+  B.table ~title
     ~header:
       (("store" :: List.map (fun c -> Printf.sprintf "%d%s KOps/s" c unit) counts)
       @ [ Printf.sprintf "4%s/1%s" unit unit ])
     (List.map
        (fun (name, per) ->
          let at = at per in
-         (name :: List.map (fun c -> B.fmt_f ~digits:1 (at c)) counts)
-         @ [ B.fmt_f (rel (at 1) (at 4)) ])
+         (B.Text name
+         :: List.map (fun c -> B.metric ~store:name (metric c) 1 (at c)) counts)
+         @ [ B.num 2 (rel (at 1) (at 4)) ])
        results)
 
 (* ---------------- mt : multithreaded clients + group commit ------------- *)
@@ -798,15 +813,6 @@ let run_multithreaded ~n =
                   ~value_bytes:value_1k ~seed
               in
               store.Dyn.d_close ();
-              let metric label v =
-                B.Json.metric ~store:name
-                  (Printf.sprintf "%s_%dc" label clients)
-                  v
-              in
-              metric "write_kops" fill.B.kops;
-              metric "read_kops" read.B.kops;
-              metric "mixed_kops" mixed.B.kops;
-              metric "syncs_saved" (float_of_int fr.B.Mc.syncs_saved);
               (clients, ((fill, read, mixed), fr)))
             client_counts
         in
@@ -814,47 +820,53 @@ let run_multithreaded ~n =
       Stores.paper_stores
   in
   let kops per pick c = (pick (fst (List.assoc c per))).B.kops in
-  let kops_table title pick =
-    scaling_table ~title ~unit:"c" client_counts results (fun per ->
-        kops per pick)
+  let kops_table title label pick =
+    scaling_table ~title ~unit:"c"
+      ~metric:(Printf.sprintf "%s_kops_%dc" label)
+      client_counts results
+      (fun per -> kops per pick)
   in
-  kops_table "Multithreaded write-only (random fill, wal_sync_writes)"
-    (fun (f, _, _) -> f);
-  kops_table "Multithreaded read-only (random point lookups)"
-    (fun (_, r, _) -> r);
-  kops_table "Multithreaded mixed (50% reads / 50% writes)"
-    (fun (_, _, m) -> m);
-  (* group-commit accounting for the write-only phase *)
-  B.print_table ~title:"Group commit (write-only phase)"
-    ~header:
-      [ "store"; "clients"; "groups"; "avg group"; "syncs saved";
-        "max wait (ms)" ]
-    (List.concat_map
-       (fun (name, per) ->
-         List.map
-           (fun (clients, (_, (fr : B.Mc.result))) ->
-             [
-               name;
-               string_of_int clients;
-               string_of_int fr.B.Mc.write_groups;
-               B.fmt_f fr.B.Mc.avg_group_size;
-               string_of_int fr.B.Mc.syncs_saved;
-               B.fmt_f
-                 (Array.fold_left Float.max 0.0 fr.B.Mc.client_wait_ns
-                 /. 1e6);
-             ])
-           per)
-       results);
-  (* the acceptance shape, stated explicitly *)
-  List.iter
-    (fun (name, per) ->
-      let write = kops per (fun (f, _, _) -> f) in
-      pf "  %s: write 1->4 clients %.1f -> %.1f KOps/s (%.2fx), syncs saved \
-          at 8 clients: %d\n"
-        name (write 1) (write 4)
-        (rel (write 1) (write 4))
-        (snd (List.assoc 8 per)).B.Mc.syncs_saved)
-    results
+  B.concat
+    [
+      kops_table "Multithreaded write-only (random fill, wal_sync_writes)"
+        "write" (fun (f, _, _) -> f);
+      kops_table "Multithreaded read-only (random point lookups)" "read"
+        (fun (_, r, _) -> r);
+      kops_table "Multithreaded mixed (50% reads / 50% writes)" "mixed"
+        (fun (_, _, m) -> m);
+      (* group-commit accounting for the write-only phase *)
+      B.table ~title:"Group commit (write-only phase)"
+        ~header:
+          [ "store"; "clients"; "groups"; "avg group"; "syncs saved";
+            "max wait (ms)" ]
+        (List.concat_map
+           (fun (name, per) ->
+             List.map
+               (fun (clients, (_, (fr : B.Mc.result))) ->
+                 [ B.Text name; B.int clients; B.int fr.B.Mc.write_groups;
+                   B.num 2 fr.B.Mc.avg_group_size;
+                   B.metric ~store:name
+                     (Printf.sprintf "syncs_saved_%dc" clients)
+                     0
+                     (float_of_int fr.B.Mc.syncs_saved);
+                   B.num 2
+                     (Array.fold_left Float.max 0.0 fr.B.Mc.client_wait_ns
+                     /. 1e6) ])
+               per)
+           results);
+      (* the acceptance shape, stated explicitly *)
+      B.lines
+        (List.map
+           (fun (name, per) ->
+             let write = kops per (fun (f, _, _) -> f) in
+             note
+               "%s: write 1->4 clients %.1f -> %.1f KOps/s (%.2fx), syncs saved \
+                at 8 clients: %d"
+               name (write 1) (write 4)
+               (rel (write 1) (write 4))
+               (snd (List.assoc 8 per)).B.Mc.syncs_saved)
+           results);
+    ]
 
 (* ---------------- latency : fig 5.5 latency comparison + stall profile -- *)
 
@@ -868,15 +880,11 @@ module H = Pdb_util.Histogram
    the write-stall dynamics where LSM designs differ most (Luo & Carey). *)
 let run_latency ~n =
   let lat_row store_name label h =
-    [
-      store_name;
-      label;
-      B.fmt_f ~digits:1 (H.mean h /. 1e3);
-      B.fmt_f ~digits:1 (H.percentile h 50.0 /. 1e3);
-      B.fmt_f ~digits:1 (H.percentile h 90.0 /. 1e3);
-      B.fmt_f ~digits:1 (H.percentile h 99.0 /. 1e3);
-      B.fmt_f ~digits:1 (H.percentile h 99.9 /. 1e3);
-    ]
+    let us p = H.percentile h p /. 1e3 in
+    (B.Text store_name :: B.Text label
+    :: List.map (B.num 1) [ H.mean h /. 1e3; us 50.0; us 90.0 ])
+    @ [ B.metric ~store:store_name (label ^ "_p99_us") 1 (us 99.0);
+        B.num 1 (us 99.9) ]
   in
   let rows =
     List.concat_map
@@ -889,13 +897,6 @@ let run_latency ~n =
         ignore (B.read_random timed ~n ~ops:(n / 2) ~seed);
         ignore (B.seek_random timed ~n ~ops:(n / 10) ~nexts:0 ~seed);
         store.Dyn.d_close ();
-        List.iter
-          (fun (kind, label) ->
-            let h = L.hist lat kind in
-            if H.count h > 0 then
-              B.Json.metric ~store:name (label ^ "_p99_us")
-                (H.percentile h 99.0 /. 1e3))
-          L.kinds;
         List.filter_map
           (fun (kind, label) ->
             let h = L.hist lat kind in
@@ -903,71 +904,70 @@ let run_latency ~n =
           L.kinds)
       Stores.paper_stores
   in
-  B.print_table
-    ~title:
-      (Printf.sprintf
-         "Fig 5.5 latency — per-op modeled latency, us (%dk x 1KB fill, then \
-          reads and seeks)"
-         (n / 1000))
-    ~header:[ "store"; "op"; "mean"; "p50"; "p90"; "p99"; "p99.9" ]
-    rows;
+  let latency =
+    B.table
+      ~title:
+        (Printf.sprintf
+           "Fig 5.5 latency — per-op modeled latency, us (%dk x 1KB fill, then \
+            reads and seeks)"
+           (n / 1000))
+      ~header:[ "store"; "op"; "mean"; "p50"; "p90"; "p99"; "p99.9" ]
+      rows
+  in
   (* stall profile: chunked fill sampled over simulated time *)
   let chunks = 10 in
   let per_chunk = max 1 (n / chunks) in
-  List.iter
-    (fun engine ->
-      let name = Stores.engine_name engine in
-      let store = Stores.open_engine engine in
-      let clock = Env.clock store.Dyn.d_env in
-      let rng = Pdb_util.Rng.create seed in
-      let perm = Array.init (chunks * per_chunk) Fun.id in
-      Pdb_util.Rng.shuffle rng perm;
-      let prev_stall = ref 0.0 in
-      let sample_rows =
-        List.init chunks (fun c ->
-            let lat = L.create () in
-            let timed = L.instrument lat store in
-            let phase =
-              B.measure timed per_chunk (fun () ->
-                  for i = c * per_chunk to ((c + 1) * per_chunk) - 1 do
-                    timed.Dyn.d_put (B.key_of perm.(i))
-                      (Pdb_util.Rng.alpha rng value_1k)
-                  done)
-            in
-            let st = store.Dyn.d_stats () in
-            let stall =
-              st.Pdb_kvs.Engine_stats.stall_slowdown_ns
-              +. st.Pdb_kvs.Engine_stats.stall_stop_ns
-            in
-            let pending = st.Pdb_kvs.Engine_stats.compaction_pending in
-            let backlog = st.Pdb_kvs.Engine_stats.compaction_backlog_bytes in
-            let stall_delta = stall -. !prev_stall in
-            prev_stall := stall;
-            let t_ms =
-              Pdb_simio.Clock.elapsed_ns (Pdb_simio.Clock.snapshot clock)
-              /. 1e6
-            in
-            [
-              B.fmt_f ~digits:1 t_ms;
-              B.fmt_f ~digits:1 phase.B.kops;
-              string_of_int pending;
-              B.fmt_f (B.mb backlog);
-              B.fmt_f ~digits:1 (stall_delta /. 1e6);
-              B.fmt_f ~digits:1 (H.percentile (L.hist lat L.Write) 99.0 /. 1e3);
-            ])
-      in
-      store.Dyn.d_close ();
-      B.print_table
-        ~title:
-          (Printf.sprintf
-             "Stall profile — %s: chunked fill over simulated time (%d \
-              chunks x %d ops)"
-             name chunks per_chunk)
-        ~header:
-          [ "t (ms)"; "KOps/s"; "pending"; "backlog MB"; "stall ms";
-            "write p99 us" ]
-        sample_rows)
-    [ Stores.Pebblesdb; Stores.Hyperleveldb ]
+  let stall_profile engine =
+    let name = Stores.engine_name engine in
+    let store = Stores.open_engine engine in
+    let clock = Env.clock store.Dyn.d_env in
+    let rng = Pdb_util.Rng.create seed in
+    let perm = Array.init (chunks * per_chunk) Fun.id in
+    Pdb_util.Rng.shuffle rng perm;
+    let prev_stall = ref 0.0 in
+    let sample_rows =
+      List.init chunks (fun c ->
+          let lat = L.create () in
+          let timed = L.instrument lat store in
+          let phase =
+            B.measure timed per_chunk (fun () ->
+                for i = c * per_chunk to ((c + 1) * per_chunk) - 1 do
+                  timed.Dyn.d_put (B.key_of perm.(i))
+                    (Pdb_util.Rng.alpha rng value_1k)
+                done)
+          in
+          let st = store.Dyn.d_stats () in
+          let stall =
+            st.Pdb_kvs.Engine_stats.stall_slowdown_ns
+            +. st.Pdb_kvs.Engine_stats.stall_stop_ns
+          in
+          let pending = st.Pdb_kvs.Engine_stats.compaction_pending in
+          let backlog = st.Pdb_kvs.Engine_stats.compaction_backlog_bytes in
+          let stall_delta = stall -. !prev_stall in
+          prev_stall := stall;
+          let t_ms =
+            Pdb_simio.Clock.elapsed_ns (Pdb_simio.Clock.snapshot clock)
+            /. 1e6
+          in
+          [ B.num 1 t_ms; B.num 1 phase.B.kops; B.int pending;
+            B.num 2 (B.mb backlog); B.num 1 (stall_delta /. 1e6);
+            B.num 1 (H.percentile (L.hist lat L.Write) 99.0 /. 1e3) ])
+    in
+    store.Dyn.d_close ();
+    B.table
+      ~title:
+        (Printf.sprintf
+           "Stall profile — %s: chunked fill over simulated time (%d chunks x \
+            %d ops)"
+           name chunks per_chunk)
+      ~header:
+        [ "t (ms)"; "KOps/s"; "pending"; "backlog MB"; "stall ms";
+          "write p99 us" ]
+      sample_rows
+  in
+  B.concat
+    (latency
+    :: List.map stall_profile [ Stores.Pebblesdb; Stores.Hyperleveldb ])
 
 (* ---------------- shard : range-partitioned scale-out ------------------ *)
 
@@ -1025,16 +1025,6 @@ let run_shard ~n =
                   let st = store.Dyn.d_stats () in
                   let balance = st.Pdb_kvs.Engine_stats.shard_balance in
                   store.Dyn.d_close ();
-                  B.Json.metric ~store:name
-                    (Printf.sprintf "write_kops_%ds_%dc" shards clients)
-                    fill.B.kops;
-                  B.Json.metric ~store:name
-                    (Printf.sprintf "mixed_kops_%ds_%dc" shards clients)
-                    mixed.B.kops;
-                  if clients = List.hd client_counts then
-                    B.Json.metric ~store:name
-                      (Printf.sprintf "balance_%ds" shards)
-                      balance;
                   ((shards, clients), (fill, mixed, balance)))
                 client_counts)
             shard_counts
@@ -1046,32 +1036,54 @@ let run_shard ~n =
     let fill, mixed, _ = List.assoc (shards, clients) per in
     (pick (fill, mixed)).B.kops
   in
-  let kops_table title clients pick =
-    scaling_table ~title ~unit:"s" shard_counts results (cell ~clients pick)
+  let kops_name label clients shards =
+    Printf.sprintf "%s_kops_%ds_%dc" label shards clients
   in
-  kops_table "Sharded write-only, 4 clients (random fill)" 4 (fun (f, _) -> f);
-  kops_table "Sharded mixed 50/50, 4 clients" 4 (fun (_, m) -> m);
-  kops_table "Sharded mixed 50/50, 1 client" 1 (fun (_, m) -> m);
-  B.print_table ~title:"Shard balance (max/mean user bytes written per shard)"
-    ~header:
-      ([ "store" ] @ List.map (fun s -> Printf.sprintf "%ds" s) shard_counts)
-    (List.map
-       (fun (name, per) ->
-         [ name ]
-         @ List.map
-             (fun shards ->
-               let _, _, balance = List.assoc (shards, 1) per in
-               B.fmt_f balance)
-             shard_counts)
-       results);
-  (* the acceptance shape, stated explicitly *)
-  List.iter
-    (fun (name, per) ->
-      let m = cell ~clients:4 (fun (_, m) -> m) per in
-      pf "  %s: mixed 1->4 shards at 4 clients %.1f -> %.1f KOps/s (%.2fx)\n"
-        name (m 1) (m 4)
-        (rel (m 1) (m 4)))
-    results
+  let kops_table title label clients pick =
+    scaling_table ~title ~unit:"s" ~metric:(kops_name label clients)
+      shard_counts results (cell ~clients pick)
+  in
+  B.concat
+    [
+      kops_table "Sharded write-only, 4 clients (random fill)" "write" 4
+        (fun (f, _) -> f);
+      kops_table "Sharded mixed 50/50, 4 clients" "mixed" 4 (fun (_, m) -> m);
+      kops_table "Sharded mixed 50/50, 1 client" "mixed" 1 (fun (_, m) -> m);
+      B.table ~title:"Shard balance (max/mean user bytes written per shard)"
+        ~header:
+          ("store" :: List.map (fun s -> Printf.sprintf "%ds" s) shard_counts)
+        (List.map
+           (fun (name, per) ->
+             B.Text name
+             :: List.map
+                  (fun shards ->
+                    let _, _, balance = List.assoc (shards, 1) per in
+                    B.metric ~store:name
+                      (Printf.sprintf "balance_%ds" shards)
+                      2 balance)
+                  shard_counts)
+           results);
+      (* the acceptance shape, stated explicitly *)
+      B.lines
+        (List.map
+           (fun (name, per) ->
+             let m = cell ~clients:4 (fun (_, m) -> m) per in
+             note
+               "%s: mixed 1->4 shards at 4 clients %.1f -> %.1f KOps/s (%.2fx)"
+               name (m 1) (m 4)
+               (rel (m 1) (m 4)))
+           results);
+      (* the single-client write-only sweep is in no table *)
+      B.metrics
+        (List.concat_map
+           (fun (name, per) ->
+             List.map
+               (fun shards ->
+                 ( { B.store = name; name = kops_name "write" 1 shards },
+                   cell ~clients:1 (fun (f, _) -> f) per shards ))
+               shard_counts)
+           results);
+    ]
 
 (* ---------------- elastic : resplit under a shifting hotspot ------------- *)
 
@@ -1169,50 +1181,56 @@ let run_elastic ~n =
         let ea, ec, es, e_all, splits, merges, shards =
           run_one engine ~elastic:true
         in
-        B.Json.metric ~store:name "steady_kops_static" ss.B.kops;
-        B.Json.metric ~store:name "steady_kops_elastic" es.B.kops;
-        B.Json.metric ~store:name "recovered_ratio" (rel ss.B.kops es.B.kops);
-        B.Json.metric ~store:name "overall_kops_static" s_all;
-        B.Json.metric ~store:name "overall_kops_elastic" e_all;
-        B.Json.metric ~store:name "elastic_splits" (float_of_int splits);
-        B.Json.metric ~store:name "elastic_merges" (float_of_int merges);
         (name, (sa, sc, ss, s_all), (ea, ec, es, e_all), splits, merges,
          shards))
       Stores.paper_stores
   in
-  B.print_table
-    ~title:
-      (Printf.sprintf
-         "Shifting hotspot (span 6%%, hop at midpoint), mixed 50/50, %d \
-          clients"
-         clients)
-    ~header:
-      [ "store"; "topology"; "phase-A"; "shift+conv"; "steady"; "overall";
-        "splits"; "merges"; "shards" ]
-    (List.concat_map
-       (fun (name, (sa, sc, ss, s_all), (ea, ec, es, e_all), splits, merges,
-             shards) ->
-         [
-           [ name; "static"; B.fmt_f ~digits:1 sa.B.kops;
-             B.fmt_f ~digits:1 sc.B.kops; B.fmt_f ~digits:1 ss.B.kops;
-             B.fmt_f ~digits:1 s_all; "0"; "0"; string_of_int shards0 ];
-           [ ""; "elastic"; B.fmt_f ~digits:1 ea.B.kops;
-             B.fmt_f ~digits:1 ec.B.kops; B.fmt_f ~digits:1 es.B.kops;
-             B.fmt_f ~digits:1 e_all; string_of_int splits;
-             string_of_int merges; string_of_int shards ];
-         ])
-       results);
-  (* the acceptance shape, stated explicitly *)
-  List.iter
-    (fun (name, (_, _, ss, s_all), (_, _, es, e_all), splits, merges, _) ->
-      pf
-        "  %s: steady shifted-phase mixed static %.1f -> elastic %.1f \
-         KOps/s (%.2fx, target >=1.3x); overall %.1f -> %.1f (%.2fx); \
-         %d splits, %d merges\n"
-        name ss.B.kops es.B.kops
-        (rel ss.B.kops es.B.kops)
-        s_all e_all (rel s_all e_all) splits merges)
-    results
+  B.concat
+    [
+      B.table
+        ~title:
+          (Printf.sprintf
+             "Shifting hotspot (span 6%%, hop at midpoint), mixed 50/50, %d \
+              clients"
+             clients)
+        ~header:
+          [ "store"; "topology"; "phase-A"; "shift+conv"; "steady"; "overall";
+            "splits"; "merges"; "shards" ]
+        (List.concat_map
+           (fun (name, (sa, sc, ss, s_all), (ea, ec, es, e_all), splits, merges,
+                 shards) ->
+             let m = B.metric ~store:name in
+             [
+               [ B.Text name; B.Text "static"; B.num 1 sa.B.kops;
+                 B.num 1 sc.B.kops; m "steady_kops_static" 1 ss.B.kops;
+                 m "overall_kops_static" 1 s_all; B.Text "0"; B.Text "0";
+                 B.int shards0 ];
+               [ B.Text ""; B.Text "elastic"; B.num 1 ea.B.kops;
+                 B.num 1 ec.B.kops; m "steady_kops_elastic" 1 es.B.kops;
+                 m "overall_kops_elastic" 1 e_all;
+                 m "elastic_splits" 0 (float_of_int splits);
+                 m "elastic_merges" 0 (float_of_int merges); B.int shards ];
+             ])
+           results);
+      (* the acceptance shape, stated explicitly *)
+      B.lines
+        (List.map
+           (fun (name, (_, _, ss, s_all), (_, _, es, e_all), splits, merges, _) ->
+             note
+               "%s: steady shifted-phase mixed static %.1f -> elastic %.1f \
+                KOps/s (%.2fx, target >=1.3x); overall %.1f -> %.1f (%.2fx); \
+                %d splits, %d merges"
+               name ss.B.kops es.B.kops
+               (rel ss.B.kops es.B.kops)
+               s_all e_all (rel s_all e_all) splits merges)
+           results);
+      B.metrics
+        (List.map
+           (fun (name, (_, _, ss, _), (_, _, es, _), _, _, _) ->
+             ( { B.store = name; name = "recovered_ratio" },
+               rel ss.B.kops es.B.kops ))
+           results);
+    ]
 
 (* ---------------- policy : compaction policy sweep ---------------------- *)
 
@@ -1262,36 +1280,32 @@ let run_policy ~n =
         in
         let triggers = B.trigger_summary store in
         store.Dyn.d_close ();
-        B.Json.metric ~store:name "write_amp" wa;
-        B.Json.metric ~store:name "space_amp" space_amp;
-        B.Json.metric ~store:name "fill_kops" fill.B.kops;
-        B.Json.metric ~store:name "read_kops" reads.B.kops;
-        B.Json.metric ~store:name "scan_kops" scan.B.kops;
-        ( [
-            name;
-            B.fmt_f fill.B.kops;
-            B.fmt_f wa;
-            B.fmt_f reads.B.kops;
-            B.fmt_f scan.B.kops;
-            B.fmt_f space_amp;
-          ],
+        ( B.Text name
+          :: named ~store:name 2
+               [ ("fill_kops", fill.B.kops); ("write_amp", wa);
+                 ("read_kops", reads.B.kops); ("scan_kops", scan.B.kops);
+                 ("space_amp", space_amp) ],
           (name, triggers) ))
       policies
   in
-  B.print_table
-    ~title:
-      (Printf.sprintf
-         "Compaction policy sweep — %dk x 1KB random fill, then reads and a \
-          full scan (max_levels=4)"
-         (n / 1000))
-    ~header:
-      [ "policy"; "fill KOps/s"; "write amp"; "read KOps/s"; "scan KOps/s";
-        "space amp" ]
-    (List.map fst rows);
-  List.iter
-    (fun (_, (name, triggers)) ->
-      if triggers <> "" then pf "  %-14s %s\n" name triggers)
-    rows
+  B.concat
+    [
+      B.table
+        ~title:
+          (Printf.sprintf
+             "Compaction policy sweep — %dk x 1KB random fill, then reads and a \
+              full scan (max_levels=4)"
+             (n / 1000))
+        ~header:
+          [ "policy"; "fill KOps/s"; "write amp"; "read KOps/s"; "scan KOps/s";
+            "space amp" ]
+        (List.map fst rows);
+      B.lines
+        (List.filter_map
+           (fun (_, (name, triggers)) ->
+             if triggers = "" then None else Some (note "%-14s %s" name triggers))
+           rows);
+    ]
 
 (* ---------------- engine x policy grid --------------------------------- *)
 
@@ -1401,51 +1415,47 @@ let run_stability ~n =
       (List.map (fun t -> (O.throttle_name t, t)) [ O.Cliff; O.Token_bucket ])
       run_one
   in
-  List.iter
-    (fun (label, per_throttle) ->
-      List.iter
-        (fun (throttle, (mean, cv, stall, p99, p999)) ->
-          let store = label ^ "+" ^ throttle in
-          B.Json.metric ~store "mean_kops" mean;
-          B.Json.metric ~store "window_cv_pct" cv;
-          B.Json.metric ~store "stall_share_pct" stall;
-          B.Json.metric ~store "write_p99_us" p99;
-          B.Json.metric ~store "write_p999_us" p999)
-        per_throttle)
-    results;
-  B.print_table
-    ~title:
-      (Printf.sprintf
-         "Write stability — sustained ingest, %d windows x %d x 1KB puts: \
-          windowed throughput variance and write tail, Slowdown/Stop cliff \
-          vs debt-keyed token bucket"
-         windows per_window)
-    ~header:
-      [ "engine/policy"; "throttle"; "KOps/s"; "cv %"; "stall %"; "p99 us";
-        "p99.9 us" ]
-    (List.concat_map
-       (fun (label, per_throttle) ->
-         List.map
-           (fun (throttle, (mean, cv, stall, p99, p999)) ->
-             label :: throttle
-             :: List.map (B.fmt_f ~digits:1) [ mean; cv; stall; p99; p999 ])
-           per_throttle)
-       results);
-  (* the acceptance shape, stated explicitly: smooth beats cliff on
-     variance and tail without giving up mean throughput *)
-  List.iter
-    (function
-      | ( label,
-          [ (_, (c_mean, c_cv, _, _, c_p999)); (_, (t_mean, t_cv, _, _, t_p999)) ]
-        ) ->
-        pf "  %s: cv %.1f%% -> %.1f%% p99.9 %.1f -> %.1fus mean %.1f -> \
-            %.1f KOps/s%s\n"
-          label c_cv t_cv c_p999 t_p999 c_mean t_mean
-          (verdict
-             (t_cv <= c_cv && t_p999 <= c_p999 && t_mean >= c_mean)
-             "  [CLIFF WINS — investigate]")
-      | _ -> ())
-    results
+  B.concat
+    [
+      B.table
+        ~title:
+          (Printf.sprintf
+             "Write stability — sustained ingest, %d windows x %d x 1KB puts: \
+              windowed throughput variance and write tail, Slowdown/Stop cliff \
+              vs debt-keyed token bucket"
+             windows per_window)
+        ~header:
+          [ "engine/policy"; "throttle"; "KOps/s"; "cv %"; "stall %"; "p99 us";
+            "p99.9 us" ]
+        (List.concat_map
+           (fun (label, per_throttle) ->
+             List.map
+               (fun (throttle, (mean, cv, stall, p99, p999)) ->
+                 B.Text label :: B.Text throttle
+                 :: named ~store:(label ^ "+" ^ throttle) 1
+                      [ ("mean_kops", mean); ("window_cv_pct", cv);
+                        ("stall_share_pct", stall); ("write_p99_us", p99);
+                        ("write_p999_us", p999) ])
+               per_throttle)
+           results);
+      (* the acceptance shape, stated explicitly: smooth beats cliff on
+         variance and tail without giving up mean throughput *)
+      B.lines
+        (List.filter_map
+           (function
+             | ( label,
+                 [ (_, (c_mean, c_cv, _, _, c_p999)); (_, (t_mean, t_cv, _, _, t_p999)) ]
+               ) ->
+               Some
+                 (check
+                    (t_cv <= c_cv && t_p999 <= c_p999 && t_mean >= c_mean)
+                    ~miss:"  [CLIFF WINS — investigate]"
+                    "%s: cv %.1f%% -> %.1f%% p99.9 %.1f -> %.1fus mean %.1f -> \
+                     %.1f KOps/s"
+                    label c_cv t_cv c_p999 t_p999 c_mean t_mean)
+             | _ -> None)
+           results);
+    ]
 
 (* ---------------- read : read-path optimizations ------------------------ *)
 
@@ -1503,67 +1513,59 @@ let run_read ~n =
     (kops_of load, c4, c8, e4, disk, st)
   in
   let results = combo_sweep configs run_one in
-  List.iter
-    (fun (label, per_cfg) ->
-      List.iter
-        (fun (cfg, (load, c4, c8, e4, _, st)) ->
-          let store = label ^ "+" ^ cfg in
-          B.Json.metric ~store "load_kops" load;
-          B.Json.metric ~store "c_kops_4c" c4;
-          B.Json.metric ~store "c_kops_8c" c8;
-          B.Json.metric ~store "e_kops_4c" e4;
-          B.Json.metric ~store "seek_bloom_skips"
-            (float_of_int st.Pdb_kvs.Engine_stats.seek_bloom_skips);
-          B.Json.metric ~store "summary_hits"
-            (float_of_int st.Pdb_kvs.Engine_stats.summary_hits))
-        per_cfg)
-    results;
-  B.print_table
-    ~title:
-      (Printf.sprintf
-         "Read path — %dk x 1KB YCSB load (4 clients), then workload C \
-          (reads) at 4/8 clients and scan-only E at 4 clients, read-path \
-          optimizations on vs off"
-         (n / 1000))
-    ~header:
-      [ "engine/policy"; "read path"; "load KOps/s"; "C@4 KOps/s";
-        "C@8 KOps/s"; "E@4 KOps/s"; "filter skips"; "summary hits" ]
-    (List.concat_map
-       (fun (label, per_cfg) ->
-         List.map
-           (fun (cfg, (load, c4, c8, e4, _, st)) ->
-             [ label; cfg ]
-             @ List.map B.fmt_f [ load; c4; c8; e4 ]
-             @ List.map string_of_int
+  B.concat
+    [
+      B.table
+        ~title:
+          (Printf.sprintf
+             "Read path — %dk x 1KB YCSB load (4 clients), then workload C \
+              (reads) at 4/8 clients and scan-only E at 4 clients, read-path \
+              optimizations on vs off"
+             (n / 1000))
+        ~header:
+          [ "engine/policy"; "read path"; "load KOps/s"; "C@4 KOps/s";
+            "C@8 KOps/s"; "E@4 KOps/s"; "filter skips"; "summary hits" ]
+        (List.concat_map
+           (fun (label, per_cfg) ->
+             List.map
+               (fun (cfg, (load, c4, c8, e4, _, st)) ->
+                 let store = label ^ "+" ^ cfg in
+                 (B.Text label :: B.Text cfg
+                 :: named ~store 2
+                      [ ("load_kops", load); ("c_kops_4c", c4);
+                        ("c_kops_8c", c8); ("e_kops_4c", e4) ])
+                 @ named ~store 0
+                     [ ("seek_bloom_skips",
+                        float_of_int st.Pdb_kvs.Engine_stats.seek_bloom_skips);
+                       ("summary_hits",
+                        float_of_int st.Pdb_kvs.Engine_stats.summary_hits) ])
+               per_cfg)
+           results);
+      (* the acceptance shape, stated explicitly: reads and scans speed up
+         (or hold) with the read path on, the write path is untouched, and
+         the bytes on storage are identical either way *)
+      B.lines
+        (List.filter_map
+           (function
+             | ( label,
                  [
-                   st.Pdb_kvs.Engine_stats.seek_bloom_skips;
-                   st.Pdb_kvs.Engine_stats.summary_hits;
-                 ])
-           per_cfg)
-       results);
-  (* the acceptance shape, stated explicitly: reads and scans speed up
-     (or hold) with the read path on, the write path is untouched, and
-     the bytes on storage are identical either way *)
-  List.iter
-    (function
-      | ( label,
-          [
-            (_, (on_load, on_c4, _, on_e4, on_disk, _));
-            (_, (off_load, off_c4, _, off_e4, off_disk, _));
-          ] ) ->
-        pf
-          "  %s: C@4 %.1f -> %.1f (%.2fx) E@4 %.1f -> %.1f (%.2fx) load \
-           %.1f -> %.1f, disk %s%s\n"
-          label off_c4 on_c4 (rel off_c4 on_c4) off_e4 on_e4
-          (rel off_e4 on_e4) off_load on_load
-          (if on_disk = off_disk then "identical" else "DIVERGED")
-          (verdict
-             (on_disk = off_disk
-             && on_c4 >= 0.98 *. off_c4
-             && on_e4 >= 0.98 *. off_e4)
-             "  [OFF WINS — investigate]")
-      | _ -> ())
-    results
+                   (_, (on_load, on_c4, _, on_e4, on_disk, _));
+                   (_, (off_load, off_c4, _, off_e4, off_disk, _));
+                 ] ) ->
+               Some
+                 (check
+                    (on_disk = off_disk
+                    && on_c4 >= 0.98 *. off_c4
+                    && on_e4 >= 0.98 *. off_e4)
+                    ~miss:"  [OFF WINS — investigate]"
+                    "%s: C@4 %.1f -> %.1f (%.2fx) E@4 %.1f -> %.1f (%.2fx) load \
+                     %.1f -> %.1f, disk %s"
+                    label off_c4 on_c4 (rel off_c4 on_c4) off_e4 on_e4
+                    (rel off_e4 on_e4) off_load on_load
+                    (if on_disk = off_disk then "identical" else "DIVERGED"))
+             | _ -> None)
+           results);
+    ]
 
 (* ---------------- repl : replication over a simulated network ----------- *)
 
@@ -1607,52 +1609,34 @@ let run_repl ~n =
         List.concat_map
           (fun strategy ->
             List.map
-              (fun k ->
-                let r = run_one engine strategy k in
-                let (kops, net_bytes, _, backup_cpu_ms, ack_wait_ms, p99_us) =
-                  r
-                in
-                let store =
-                  Printf.sprintf "%s+%s+k%d"
-                    (Stores.engine_name engine)
-                    (O.repl_strategy_name strategy)
-                    k
-                in
-                B.Json.metric ~store "fill_kops" kops;
-                B.Json.metric ~store "net_mb" (B.mb net_bytes);
-                B.Json.metric ~store "backup_cpu_ms" backup_cpu_ms;
-                B.Json.metric ~store "ack_wait_ms" ack_wait_ms;
-                B.Json.metric ~store "write_ack_p99_us" p99_us;
-                ((engine, strategy, k), r))
+              (fun k -> ((engine, strategy, k), run_one engine strategy k))
               [ 1; 2 ])
           strategies)
       Stores.paper_stores
   in
-  B.print_table
-    ~title:
-      (Printf.sprintf
-         "Replication — %dk x 1KB fill, log vs file shipping to K backups \
-          over 10GbE links"
-         (n / 1000))
-    ~header:
-      [ "store"; "strategy"; "K"; "fill KOps/s"; "net MB"; "messages";
-        "backup CPU ms"; "ack wait ms"; "write p99 us" ]
-    (List.map
-       (fun ((engine, strategy, k),
-             (kops, net_bytes, messages, backup_cpu_ms, ack_wait_ms, p99_us))
-       ->
-         [
-           Stores.engine_name engine;
-           O.repl_strategy_name strategy;
-           string_of_int k;
-           B.fmt_f ~digits:1 kops;
-           B.fmt_f (B.mb net_bytes);
-           string_of_int messages;
-           B.fmt_f ~digits:1 backup_cpu_ms;
-           B.fmt_f ~digits:1 ack_wait_ms;
-           B.fmt_f ~digits:1 p99_us;
-         ])
-       results);
+  let table =
+    B.table
+      ~title:
+        (Printf.sprintf
+           "Replication — %dk x 1KB fill, log vs file shipping to K backups \
+            over 10GbE links"
+           (n / 1000))
+      ~header:
+        [ "store"; "strategy"; "K"; "fill KOps/s"; "net MB"; "messages";
+          "backup CPU ms"; "ack wait ms"; "write p99 us" ]
+      (List.map
+         (fun ((engine, strategy, k),
+               (kops, net_bytes, messages, backup_cpu_ms, ack_wait_ms, p99_us))
+         ->
+           let name = Stores.engine_name engine in
+           let strategy = O.repl_strategy_name strategy in
+           let m = B.metric ~store:(Printf.sprintf "%s+%s+k%d" name strategy k) in
+           [ B.Text name; B.Text strategy; B.int k; m "fill_kops" 1 kops;
+             m "net_mb" 2 (B.mb net_bytes); B.int messages;
+             m "backup_cpu_ms" 1 backup_cpu_ms; m "ack_wait_ms" 1 ack_wait_ms;
+             m "write_ack_p99_us" 1 p99_us ])
+         results)
+  in
   (* the acceptance shape, stated explicitly: per engine (at K=1), file
      shipping puts more bytes on the wire but relieves the backup of
      (at least 5x) the compaction CPU; and across engines, the FLSM
@@ -1661,38 +1645,47 @@ let run_repl ~n =
   let find engine strategy =
     List.assoc_opt (engine, strategy, 1) results
   in
-  List.iter
-    (fun engine ->
-      match (find engine O.Log_shipping, find engine O.File_shipping) with
-      | ( Some (_, log_net, _, log_cpu, _, log_p99),
-          Some (_, file_net, _, file_cpu, _, file_p99) ) ->
-        let shape_ok =
-          file_net > log_net && file_cpu *. 5.0 <= log_cpu
-        in
-        pf
-          "  %s: net MB log %.1f file %.1f (%.2fx), backup CPU ms log %.1f \
-           file %.1f, write p99 us log %.1f file %.1f%s\n"
-          (Stores.engine_name engine)
-          (B.mb log_net) (B.mb file_net)
-          (rel (B.mb log_net) (B.mb file_net))
-          log_cpu file_cpu log_p99 file_p99
-          (verdict shape_ok "  [SHAPE MISS — investigate]")
-      | _ -> ())
-    Stores.paper_stores;
-  (match
-     List.filter_map
-       (fun engine ->
-         Option.map
-           (fun (_, net, _, _, _, _) -> (engine, net))
-           (find engine O.File_shipping))
-       Stores.paper_stores
-   with
-   | (_, pebbles_net) :: rest when rest <> [] ->
-     let fewest = List.for_all (fun (_, net) -> pebbles_net <= net) rest in
-     pf "  file-shipping bytes: pebblesdb %.1f MB %s\n" (B.mb pebbles_net)
-       (verdict fewest ~pass:"(fewest — lowest WA replicates least)"
-          "[NOT fewest — investigate]")
-   | _ -> ())
+  let per_engine =
+    List.filter_map
+      (fun engine ->
+        match (find engine O.Log_shipping, find engine O.File_shipping) with
+        | ( Some (_, log_net, _, log_cpu, _, log_p99),
+            Some (_, file_net, _, file_cpu, _, file_p99) ) ->
+          Some
+            (check
+               (file_net > log_net && file_cpu *. 5.0 <= log_cpu)
+               ~miss:"  [SHAPE MISS — investigate]"
+               "%s: net MB log %.1f file %.1f (%.2fx), backup CPU ms log %.1f \
+                file %.1f, write p99 us log %.1f file %.1f"
+               (Stores.engine_name engine)
+               (B.mb log_net) (B.mb file_net)
+               (rel (B.mb log_net) (B.mb file_net))
+               log_cpu file_cpu log_p99 file_p99)
+        | _ -> None)
+      Stores.paper_stores
+  in
+  let fewest =
+    match
+      List.filter_map
+        (fun engine ->
+          Option.map
+            (fun (_, net, _, _, _, _) -> (engine, net))
+            (find engine O.File_shipping))
+        Stores.paper_stores
+    with
+    | (_, pebbles_net) :: rest when rest <> [] ->
+      let ok = List.for_all (fun (_, net) -> pebbles_net <= net) rest in
+      [
+        B.Check
+          ( ok,
+            Printf.sprintf "file-shipping bytes: pebblesdb %.1f MB %s"
+              (B.mb pebbles_net)
+              (if ok then "(fewest — lowest WA replicates least)"
+               else "[NOT fewest — investigate]") );
+      ]
+    | _ -> []
+  in
+  B.concat [ table; B.lines (per_engine @ fewest) ]
 
 (* ---------------- registry ---------------------------------------------- *)
 
@@ -1746,43 +1739,36 @@ let all : experiment list =
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
-let run_one e =
-  B.Json.set_context e.id;
-  pf "\n#### %s — %s\n%!" e.id e.title;
-  e.run ()
-
-(* the *-smoke ids duplicate full experiments at reduced scale — skip
-   them in full runs *)
-let run_all () =
-  List.iter
-    (fun e -> if not (String.ends_with ~suffix:"-smoke" e.id) then run_one e)
-    all
-
-(** [run_ids ?extra ids] runs the experiments named by [ids], in order;
-    [[]] or [["all"]] runs {!run_all} and then every [extra] run.
+(** [run_ids ?extra ids] runs the experiments named by [ids], in order,
+    printing each report as it completes; [[]] or [["all"]] runs every
+    registry row except the [-smoke] duplicates, then every [extra].
     [extra] names runs outside the registry (the bench's [micro]).
     Every id is resolved before any runs: an unknown id is an [Error]
-    and nothing runs.  A printed shape self-check that misses makes the
-    result an [Error] once everything has run. *)
+    and nothing runs.  Returns the [(id, report)] pairs run and an
+    [Error] if any report's shape self-check missed. *)
 let run_ids ?(extra = []) ids =
-  let known id = Option.is_some (find id) || List.mem_assoc id extra in
-  match (ids, List.filter (fun id -> not (known id)) ids) with
-  | ([] | [ "all" ]), _ | _, [] ->
-    shape_misses := 0;
-    (match ids with
-     | [] | [ "all" ] ->
-       run_all ();
-       List.iter (fun (_, run) -> run ()) extra
-     | ids ->
-       List.iter
-         (fun id ->
-           match find id with
-           | Some e -> run_one e
-           | None -> (List.assoc id extra) ())
-         ids);
-    if !shape_misses = 0 then Ok ()
-    else
-      Error
-        (Printf.sprintf "%d shape self-check(s) missed (marked in the output)"
-           !shape_misses)
-  | _, unknown -> Error ("unknown experiment id: " ^ String.concat ", " unknown)
+  let known = all @ extra in
+  let lookup id = List.find_opt (fun e -> e.id = id) known in
+  let selected =
+    match (ids, List.filter (fun id -> lookup id = None) ids) with
+    | ([] | [ "all" ]), _ ->
+      Ok (List.filter (fun e -> not (String.ends_with ~suffix:"-smoke" e.id)) known)
+    | _, [] -> Ok (List.filter_map lookup ids)
+    | _, unknown -> Error ("unknown experiment id: " ^ String.concat ", " unknown)
+  in
+  let run e =
+    B.print_heading ~id:e.id ~title:e.title;
+    let r = e.run () in
+    B.print_report r;
+    (e.id, r)
+  in
+  match Result.map (List.map run) selected with
+  | Error msg -> ([], Error msg)
+  | Ok reports -> (
+    match List.fold_left (fun acc (_, r) -> acc + B.missed r) 0 reports with
+    | 0 -> (reports, Ok ())
+    | n ->
+      ( reports,
+        Error
+          (Printf.sprintf "%d shape self-check(s) missed (marked in the output)" n)
+      ))

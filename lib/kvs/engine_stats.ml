@@ -338,22 +338,29 @@ let balance_of per_shard =
       float_of_int (Array.fold_left max 0 per_shard) /. mean
   end
 
-(** [aggregate own ~cache ~resident per_shard] is a sharded store's view:
-    its own counters [own] (migrations, and the retired shards folded in
-    by {!retire}) and its live shards' views, folded by the rules.
-    Per-lane busy arrays concatenate (every shard's lanes are distinct
-    workers) and flush-lane time sums; like the lanes, they are live
-    only.  [cache] is the one shared block cache's own counts, and
-    [resident] the live on-disk bytes per shard, the basis of the
-    balance (cumulative user bytes keep the historical write
-    distribution, which a migration cannot change). *)
-let aggregate own ~cache ~resident per_shard =
+(** [aggregate own ~donors ~cache ~resident per_shard] is a sharded
+    store's view: its own counters [own] (migrations, and the retired
+    shards folded in by {!retire}) and its live shards' views, folded by
+    the rules.  Per-lane busy arrays concatenate (every shard's lanes are
+    distinct workers) and flush-lane time sums; [donors] is the lane time
+    of the shards a merge retired — (per lane, flush lanes) — appended
+    and added so lane time stays cumulative across a merge.  [cache] is
+    the one shared block cache's own counts, and [resident] the live
+    on-disk bytes per shard, the basis of the balance (cumulative user
+    bytes keep the historical write distribution, which a migration
+    cannot change). *)
+let aggregate own ~donors:(donor_busy, donor_flush_busy) ~cache ~resident
+    per_shard =
   let v =
     view
       (own :: List.map (fun s -> s.counters) per_shard)
-      ~busy:(Array.concat (List.map (fun s -> s.worker_busy_ns) per_shard))
+      ~busy:
+        (Array.concat
+           (List.map (fun s -> s.worker_busy_ns) per_shard @ [ donor_busy ]))
       ~flush_busy:
-        (List.fold_left (fun acc s -> acc +. s.flush_busy_ns) 0.0 per_shard)
+        (List.fold_left
+           (fun acc s -> acc +. s.flush_busy_ns)
+           donor_flush_busy per_shard)
       ~cache
   in
   {

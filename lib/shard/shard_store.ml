@@ -137,6 +137,11 @@ module Make (E : ENGINE) = struct
     counters : Stats.counters;
         (** splits, merges and migrated bytes, and the counters of every
             donor a merge retired and closed *)
+    mutable donor_busy : float array;
+    mutable donor_flush_busy : float;
+        (** lane busy time of every donor a merge closed, per lane and on
+            its reserved flush lanes: those workers ran, so the store's
+            lane totals keep them *)
   }
 
   let router t = t.router
@@ -250,6 +255,8 @@ module Make (E : ENGINE) = struct
         rng = Pdb_util.Rng.create 0x5e1a57;
         in_migration = false;
         counters = Stats.counters ();
+        donor_busy = [||];
+        donor_flush_busy = 0.0;
       }
     in
     t.slots <- Array.map (fun id -> new_slot t id) dirs;
@@ -278,11 +285,14 @@ module Make (E : ENGINE) = struct
         | Some f -> fence_pins_dir f dir_id
         | None -> false)
 
-  (* Close and delete a donor that left the topology.  What it counted
-     stays in the store's totals; a pinned donor counts on (a fenced read
-     still reaches it) until it gets here. *)
+  (* Close and delete a donor that left the topology.  What it counted,
+     and its lanes' busy time, stay in the store's totals; a pinned donor
+     counts on (a fenced read still reaches it) until it gets here. *)
   let drop_donor t s =
-    Stats.retire ~into:t.counters (E.stats s.engine).Stats.counters;
+    let st = E.stats s.engine in
+    Stats.retire ~into:t.counters st.Stats.counters;
+    t.donor_busy <- Array.append t.donor_busy st.Stats.worker_busy_ns;
+    t.donor_flush_busy <- t.donor_flush_busy +. st.Stats.flush_busy_ns;
     E.close s.engine;
     delete_shard_files t.env ~dir:t.dir ~dir_id:s.dir_id
 
@@ -918,11 +928,17 @@ module Make (E : ENGINE) = struct
   let stats t =
     let cache = t.shared_cache in
     (* donors a fence still pins fold in as if retired now *)
+    let pinned = List.map (fun s -> E.stats s.engine) t.retired in
     let own = Stats.counters () in
     List.iter (fun c -> Stats.retire ~into:own c)
-      (t.counters
-      :: List.map (fun s -> (E.stats s.engine).Stats.counters) t.retired);
+      (t.counters :: List.map (fun v -> v.Stats.counters) pinned);
     Stats.aggregate own
+      ~donors:
+        ( Array.concat
+            (t.donor_busy :: List.map (fun v -> v.Stats.worker_busy_ns) pinned),
+          List.fold_left
+            (fun acc v -> acc +. v.Stats.flush_busy_ns)
+            t.donor_flush_busy pinned )
       ~cache:(Pdb_sstable.Block_cache.hits cache,
               Pdb_sstable.Block_cache.misses cache)
       ~resident:(Array.map (fun s -> resident_bytes t s) t.slots)

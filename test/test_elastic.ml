@@ -504,6 +504,41 @@ let test_merge_keeps_donor_counters () =
     (Stats.registry ());
   d.Dyn.d_close ()
 
+(* A merge closes the donor's lanes, not the time they ran: neither the
+   flush-lane time nor the summed worker-lane time falls across it. *)
+let test_merge_keeps_donor_lane_time () =
+  let n = 4_000 in
+  let sh =
+    Stores.open_sharded
+      ~tweak:(fun o ->
+        { (manual_elastic ~shards:2 o) with
+          O.wal_sync_writes = false;
+          memtable_bytes = (O.pebblesdb ()).O.memtable_bytes;
+          shard_splits = [ key (n / 2) ] })
+      ~env:(Env.create ()) Stores.Pebblesdb
+  in
+  let d = sh.Stores.s_dyn in
+  for i = 0 to n - 1 do
+    d.Dyn.d_put (key i) (String.make 100 'v')
+  done;
+  d.Dyn.d_flush ();
+  let lanes () =
+    let st = d.Dyn.d_stats () in
+    ( st.Stats.flush_busy_ns,
+      Array.fold_left ( +. ) 0.0 st.Stats.worker_busy_ns )
+  in
+  let flush0, busy0 = lanes () in
+  Alcotest.(check bool) "the donor's lanes ran" true (flush0 > 0.0);
+  Alcotest.(check bool) "merge accepted" true (sh.Stores.s_merge ~at:0);
+  let flush1, busy1 = lanes () in
+  if flush1 < flush0 then
+    Alcotest.failf "flush_busy_ns fell across the merge: %.0f -> %.0f" flush0
+      flush1;
+  if busy1 < busy0 then
+    Alcotest.failf "summed worker_busy_ns fell across the merge: %.0f -> %.0f"
+      busy0 busy1;
+  d.Dyn.d_close ()
+
 (* A donor a fence still pins serves fenced reads after the merge: they
    count, in the view while it is pinned and in the totals once the
    release closes it. *)
@@ -607,6 +642,8 @@ let () =
         [
           Alcotest.test_case "merge keeps the donor's counters" `Quick
             test_merge_keeps_donor_counters;
+          Alcotest.test_case "merge keeps the donor's lane time" `Quick
+            test_merge_keeps_donor_lane_time;
           Alcotest.test_case "pinned donor keeps counting" `Quick
             test_pinned_donor_keeps_counting;
           Alcotest.test_case "pebblesdb migration is not user payload" `Quick

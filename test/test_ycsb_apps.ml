@@ -231,14 +231,63 @@ let test_experiment_registry () =
 
 let test_unknown_id_rejected () =
   let ran = ref false in
-  let r =
-    Pdb_harness.Experiments.run_ids
-      ~extra:[ ("probe", fun () -> ran := true) ]
-      [ "probe"; "nope" ]
+  let probe =
+    {
+      Pdb_harness.Experiments.id = "probe";
+      title = "probe";
+      run =
+        (fun () ->
+          ran := true;
+          Pdb_harness.Bench_util.lines []);
+    }
   in
+  let _, r = Pdb_harness.Experiments.run_ids ~extra:[ probe ] [ "probe"; "nope" ] in
   Alcotest.(check bool) "a list naming an unknown id is rejected" true
     (Result.is_error r);
   Alcotest.(check bool) "nothing ran before the rejection" false !ran
+
+(* A run fails exactly when a report it returned holds a missed shape
+   check; a report whose checks hold passes. *)
+let test_missed_check_fails_run () =
+  let module B = Pdb_harness.Bench_util in
+  let run_with ok =
+    let checked =
+      {
+        Pdb_harness.Experiments.id = "checked";
+        title = "one shape check";
+        run = (fun () -> B.lines [ B.Check (ok, "shape") ]);
+      }
+    in
+    snd (Pdb_harness.Experiments.run_ids ~extra:[ checked ] [ "checked" ])
+  in
+  Alcotest.(check bool) "a held check passes" true (Result.is_ok (run_with true));
+  Alcotest.(check bool) "a missed check fails" true
+    (Result.is_error (run_with false))
+
+(* The renderer's text for a small report, pinned: aligned columns, two
+   spaces after every cell, then the indented lines. *)
+let test_render_pinned () =
+  let module B = Pdb_harness.Bench_util in
+  let report =
+    B.concat
+      [
+        B.table ~title:"Sample" ~header:[ "store"; "KOps/s"; "share" ]
+          [
+            [ B.Text "pebblesdb"; B.num 2 12.5; B.pct 41.6 ];
+            [ B.Text "leveldb"; B.ratio 1.5; B.int 7 ];
+          ];
+        B.lines [ B.Note "a note"; B.Check (false, "a check [missed]") ];
+      ]
+  in
+  Alcotest.(check string) "rendered"
+    "\n== Sample ==\n\
+     store      KOps/s  share  \n\
+     ---------  ------  -----  \n\
+     pebblesdb  12.50   42%    \n\
+     leveldb    1.50x   7      \n\
+    \  a note\n\
+    \  a check [missed]\n"
+    (B.render report)
 
 (* the ids of the bench-smoke step in .github/workflows/ci.yml *)
 let ci_smoke_ids =
@@ -293,6 +342,10 @@ let () =
             test_experiment_registry;
           Alcotest.test_case "unknown id rejected before any run" `Quick
             test_unknown_id_rejected;
+          Alcotest.test_case "a missed shape check fails the run" `Quick
+            test_missed_check_fails_run;
+          Alcotest.test_case "report renders as pinned" `Quick
+            test_render_pinned;
           Alcotest.test_case "CI smoke ids resolve" `Quick
             test_ci_smoke_ids_resolve;
         ] );
