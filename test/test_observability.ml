@@ -321,6 +321,39 @@ let test_evict_file_unit () =
   Alcotest.(check bool) "evicted name gets a fresh id" true
     (not (List.mem (key "db/000001.sst" 0) gone))
 
+(* Blocks of five files inserted, evicted by capacity and re-inserted in
+   a churned order: evicting one file drops its blocks and keeps every
+   block of the others, whatever their order in the LRU. *)
+let test_evict_file_keeps_others () =
+  let open Pdb_sstable in
+  let b = Block.Builder.create () in
+  Block.Builder.add b "k" "v";
+  let block = Block.decode (Block.Builder.finish b) in
+  let cache = Block_cache.create ~capacity:(40 * 16) in
+  let lru = cache.Block_cache.lru in
+  let file i = Printf.sprintf "db/%06d.sst" i in
+  let rng = Pdb_util.Rng.create 11 in
+  for _ = 1 to 400 do
+    let f = file (Pdb_util.Rng.int rng 5) in
+    let k =
+      Block_cache.key ~id:(Block_cache.intern cache f)
+        ~offset:(4096 * Pdb_util.Rng.int rng 20)
+    in
+    Pdb_util.Lru.insert lru k block ~weight:16
+  done;
+  let id f = Block_cache.intern cache f in
+  let cached () = Pdb_util.Lru.fold lru (fun acc k _ -> k :: acc) [] in
+  let before = cached () in
+  let victim = id (file 2) in
+  Alcotest.(check bool) "the victim has cached blocks" true
+    (List.exists (fun k -> k lsr 32 = victim) before);
+  Block_cache.evict_file cache ~file:(file 2);
+  Alcotest.(check (list int)) "exactly the other files' blocks remain"
+    (List.sort compare (List.filter (fun k -> k lsr 32 <> victim) before))
+    (List.sort compare (cached ()));
+  Alcotest.(check int) "used bytes follow" (16 * List.length (cached ()))
+    (Block_cache.used cache)
+
 (* After compactions delete sstables, no cached block may reference a file
    that no longer exists: the regression the GC eviction fix closes. *)
 let test_cache_files_live () =
@@ -377,6 +410,8 @@ let () =
         [
           Alcotest.test_case "evict_file drops only that file" `Quick
             test_evict_file_unit;
+          Alcotest.test_case "evict_file keeps other files' blocks" `Quick
+            test_evict_file_keeps_others;
           Alcotest.test_case "no stale blocks after GC" `Quick
             test_cache_files_live;
         ] );
