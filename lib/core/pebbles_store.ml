@@ -576,7 +576,7 @@ let build_l0 t mem =
   Pdb_kvs.Memtable.iter mem (fun ikey value ->
       Clock.advance t.clock O.cpu_per_merge_entry_ns;
       Table.Builder.add b ikey value);
-  Table.Builder.finish b
+  S.finish_table t b
 
 let apply_edit lv (e : Manifest.edit) =
   (* order matters: deletions, guard removals, guard additions, file adds *)

@@ -121,6 +121,21 @@ let new_builder t ~sized_for =
     ~block_bytes:t.opts.O.block_bytes ~bloom:t.opts.O.sstable_bloom
     ~expected_keys:(max 16 (sized_for / 64))
 
+(** [finish_table t b] finishes builder [b] and, when it wrote a table,
+    makes the table ready to read as LevelDB's "verify that the table is
+    usable" open does, with no device charge: its hot data blocks enter
+    the block cache (only a compaction marks any, see {!merge_tables})
+    and its open reader enters the table cache (DESIGN "New tables and
+    the table cache").  Counts the table built. *)
+let finish_table t b =
+  let meta = Table.Builder.finish b in
+  if Option.is_some meta then begin
+    Table.Builder.admit_hot b t.block_cache;
+    Table_cache.admit t.table_cache (Table.Builder.reader b);
+    Stats.incr t.counters Stats.sstables_built
+  end;
+  meta
+
 (* ---------- obsolete-file garbage collection ---------- *)
 
 (* Files are deleted lazily, and only at mutating operations (write group,
@@ -185,8 +200,7 @@ let flush t =
     (match meta with
      | Some meta ->
        t.shape.add_l0 t.lv meta;
-       Stats.incr t.counters Stats.flushes;
-       Stats.incr t.counters Stats.sstables_built
+       Stats.incr t.counters Stats.flushes
      | None -> ());
     (* rotate WAL — crash-safe order: open the new log, commit the
        manifest edit that names it (and the flushed table), and only then
@@ -217,17 +231,23 @@ let flush t =
 
 (* ---------- compaction merge loop ---------- *)
 
-(** [merge_tables t inputs ~tombstone_ok ~place] is the compaction merge
-    every engine runs.  It streams [inputs] merged — sequential reads
-    through a compaction view of the block cache, bypassing the table
-    cache so compaction never evicts hot read-path tables — and drops a
-    superseded version once the newer one is visible to every live
-    snapshot, and the freshest version of a key when it is a tombstone,
-    [tombstone_ok] holds for its user key, and no snapshot still needs it.
+(** [merge_tables t inputs ~tombstone_ok ~partition ~cutoff] is the
+    compaction merge every engine runs.  It streams [inputs] merged —
+    sequential reads through a compaction view of the block cache — and
+    drops a superseded version once the newer one is visible to every
+    live snapshot, and the freshest version of a key when it is a
+    tombstone, [tombstone_ok] holds for its user key, and no snapshot
+    still needs it.
     Survivors are cut into tables: [partition uk] names user key [uk]'s
     output partition, and a new table starts whenever the partition
     changes or the open table reaches its partition's [cutoff] size.
-    Returns each table with its partition, in output order.
+    Returns each table with its partition, in output order; each enters
+    the table cache as it is finished ({!finish_table}).
+
+    An input's reader is the one the table cache holds, taken without
+    promoting it or counting a hit ({!Table_cache.peek}); only an input
+    the cache does not hold is opened from its file, and that reader is
+    not cached: compaction evicts no read-path table to open its inputs.
 
     The merge keeps the block cache warm (DESIGN "Compaction and the
     block cache"): an input block the cache holds is read from it,
@@ -240,7 +260,10 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
     Array.map
       (fun m ->
         let reader =
-          Table.open_reader ~hint:Device.Sequential_read t.env ~dir:t.dir m
+          match Table_cache.peek t.table_cache m with
+          | Some reader -> reader
+          | None ->
+            Table.open_reader ~hint:Device.Sequential_read t.env ~dir:t.dir m
         in
         Table.iterator reader ~cache:view ~hint:Device.Sequential_read)
       (Array.of_list inputs)
@@ -257,12 +280,9 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
     match !current with
     | None -> ()
     | Some (part, b) ->
-      (match Table.Builder.finish b with
-       | Some meta ->
-         Table.Builder.admit_hot b t.block_cache;
-         outputs := (part, meta) :: !outputs;
-         Stats.incr t.counters Stats.sstables_built
-       | None -> ());
+      Option.iter
+        (fun meta -> outputs := (part, meta) :: !outputs)
+        (finish_table t b);
       current := None
   in
   (* the user key of the previous entry (copied out once per user key)

@@ -360,7 +360,7 @@ let build_l0 (t : t) mem =
   Pdb_kvs.Memtable.iter mem (fun ikey value ->
       Table.Builder.add b ikey value;
       Clock.advance t.clock O.cpu_per_merge_entry_ns);
-  Table.Builder.finish b
+  S.finish_table t b
 
 let apply_edit lv (e : Manifest.edit) =
   List.iter

@@ -43,6 +43,66 @@ type meta = {
 
 let file_name ~dir number = Printf.sprintf "%s/%06d.sst" dir number
 
+(** The bloom filter of an open table.  Eager opens decode it immediately;
+    summary-guided opens defer the read until the first probe actually
+    needs it, so tables touched only by filtered-out seeks never pay it. *)
+type filter_slot =
+  | No_filter
+  | Loaded of Pdb_bloom.Bloom.t
+  | Lazy of handle
+
+(** An open table: index block resident in memory (the paper's cached
+    index blocks); data blocks go through the shared block cache. *)
+type reader = {
+  env : Pdb_simio.Env.t;
+  name : string;
+  meta : meta;
+  index : Block.t;
+  index_handle : handle;
+  filter_handle : handle;
+  prefix_len : int;
+  mutable filter : filter_slot;
+  mutable on_filter_load : (unit -> unit) option;
+      (* notified when a Lazy filter materialises — the table cache
+         re-weighs the entry, whose resident footprint just changed *)
+  finder : Block.cursor;
+      (* reused by every point lookup; searches only, so it never holds a
+         block *)
+  mutable bound : Block_cache.t; (* the cache [file_id] was interned in *)
+  mutable file_id : int;
+}
+
+(* Stands for "no cache yet" in a fresh reader's [bound]. *)
+let unbound = Block_cache.create ~capacity:0
+
+(* An open table over [index], with nothing yet read through a cache. *)
+let make_reader env name meta ~index ~index_handle ~filter_handle ~prefix_len
+    filter =
+  {
+    env;
+    name;
+    meta;
+    index;
+    index_handle;
+    filter_handle;
+    prefix_len;
+    filter;
+    on_filter_load = None;
+    finder = Block.cursor ();
+    bound = unbound;
+    file_id = 0;
+  }
+
+(* The reader's file id in [cache], interned when a block load goes
+   through a different cache than the one before: the read path and a
+   compaction's view of the same cache take turns on one reader. *)
+let file_id r cache =
+  if r.bound != cache then begin
+    r.file_id <- Block_cache.intern cache r.name;
+    r.bound <- cache
+  end;
+  r.file_id
+
 module Builder = struct
   type t = {
     env : Pdb_simio.Env.t;
@@ -62,6 +122,8 @@ module Builder = struct
     mutable last_prefix : string option;
     mutable open_hot : bool; (* the open data block is hot *)
     mutable hot : handle list; (* hot data blocks written, reversed *)
+    mutable finished : (meta * handle * handle) option;
+        (* set by [finish]: the table, its filter and its index handles *)
   }
 
   (** [create env ~dir ~number ~block_bytes ~bloom ~expected_keys] starts a
@@ -94,6 +156,7 @@ module Builder = struct
       last_prefix = None;
       open_hot = false;
       hot = [];
+      finished = None;
     }
 
   let write_block t builder =
@@ -214,7 +277,7 @@ module Builder = struct
       match t.smallest with
       | None -> assert false
       | Some smallest ->
-        Some
+        let meta =
           {
             number = t.number;
             file_size = t.offset;
@@ -222,49 +285,29 @@ module Builder = struct
             smallest;
             largest = t.largest;
           }
+        in
+        t.finished <- Some (meta, filter_handle, index_handle);
+        Some meta
     end
+
+  (** [reader t] opens the table [finish] wrote from what [t] holds: the
+      index as a view of the file (see {!Pdb_simio.Env.peek_view}), the
+      filter it built and the footer's fields, with no device read and no
+      clock charge.  The table was just written and synced, so its bytes
+      are in memory. *)
+  let reader t =
+    match t.finished with
+    | None -> invalid_arg "Table.Builder.reader: no finished table"
+    | Some (meta, filter_handle, index_handle) ->
+      let src, pos =
+        Pdb_simio.Env.peek_view t.env t.file ~pos:index_handle.offset
+          ~len:index_handle.size
+      in
+      make_reader t.env t.file meta
+        ~index:(Block.decode_view src ~pos ~len:index_handle.size)
+        ~index_handle ~filter_handle ~prefix_len:t.prefix_bloom_len
+        (match t.filter with Some f -> Loaded f | None -> No_filter)
 end
-
-(** The bloom filter of an open table.  Eager opens decode it immediately;
-    summary-guided opens defer the read until the first probe actually
-    needs it, so tables touched only by filtered-out seeks never pay it. *)
-type filter_slot =
-  | No_filter
-  | Loaded of Pdb_bloom.Bloom.t
-  | Lazy of handle
-
-(** An open table: index block resident in memory (the paper's cached
-    index blocks); data blocks go through the shared block cache. *)
-type reader = {
-  env : Pdb_simio.Env.t;
-  name : string;
-  meta : meta;
-  index : Block.t;
-  index_handle : handle;
-  filter_handle : handle;
-  prefix_len : int;
-  mutable filter : filter_slot;
-  mutable on_filter_load : (unit -> unit) option;
-      (* notified when a Lazy filter materialises — the table cache
-         re-weighs the entry, whose resident footprint just changed *)
-  finder : Block.cursor;
-      (* reused by every point lookup; searches only, so it never holds a
-         block *)
-  mutable bound : Block_cache.t; (* the cache [file_id] was interned in *)
-  mutable file_id : int;
-}
-
-(* Stands for "no cache yet" in a fresh reader's [bound]. *)
-let unbound = Block_cache.create ~capacity:0
-
-(* The reader's file id in [cache], interned on the first block load
-   through that cache (a reader is read through one cache at a time). *)
-let file_id r cache =
-  if r.bound != cache then begin
-    r.file_id <- Block_cache.intern cache r.name;
-    r.bound <- cache
-  end;
-  r.file_id
 
 let load_block r ~cache ~hint ~offset ~size =
   Block_cache.find_or_load cache r.env ~id:(file_id r cache) ~file:r.name
@@ -283,10 +326,12 @@ let read_filter env name ~pos ~len ~hint =
   let src, off = Pdb_simio.Env.read_view env name ~pos ~len ~hint in
   Pdb_bloom.Bloom.decode_range src ~pos:off ~len
 
-(** [open_reader ?hint env ~dir meta] opens a table, reading footer, index
-    and filter.  Cold point-lookups pay three random reads; compaction
-    passes [~hint:Sequential_read] since it streams its freshly-written
-    inputs. *)
+(** [open_reader ?hint env ~dir meta] opens a table from its file,
+    reading footer, index and filter: three random reads on the read path
+    (a table the store did not write since it opened, or one the table
+    cache evicted with no summary kept); a compaction input no cache
+    holds passes [~hint:Sequential_read].  A table a store writes is
+    opened from its builder instead ({!Builder.reader}). *)
 let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
   let name = file_name ~dir meta.number in
   let size = Pdb_simio.Env.file_size env name in
@@ -305,20 +350,10 @@ let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
     if filter_size = 0 then No_filter
     else Loaded (read_filter env name ~pos:filter_off ~len:filter_size ~hint)
   in
-  {
-    env;
-    name;
-    meta;
-    index;
-    index_handle = { offset = index_off; size = index_size };
-    filter_handle = { offset = filter_off; size = filter_size };
-    prefix_len;
-    filter;
-    on_filter_load = None;
-    finder = Block.cursor ();
-    bound = unbound;
-    file_id = 0;
-  }
+  make_reader env name meta ~index
+    ~index_handle:{ offset = index_off; size = index_size }
+    ~filter_handle:{ offset = filter_off; size = filter_size }
+    ~prefix_len filter
 
 (** [open_via_summary env ~dir meta summary] reopens an evicted table
     guided by its {!Index_summary}: the footer read is skipped entirely
@@ -338,22 +373,11 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
       (Pdb_simio.Env.clock env)
       (float_of_int excess *. (Pdb_simio.Env.device env).Pdb_simio.Device.read_byte_ns);
   let filter_off, filter_size = Index_summary.filter_handle summary in
-  {
-    env;
-    name;
-    meta;
-    index;
-    index_handle = { offset = index_off; size = index_size };
-    filter_handle = { offset = filter_off; size = filter_size };
-    prefix_len = Index_summary.prefix_len summary;
-    filter =
-      (if filter_size = 0 then No_filter
-       else Lazy { offset = filter_off; size = filter_size });
-    on_filter_load = None;
-    finder = Block.cursor ();
-    bound = unbound;
-    file_id = 0;
-  }
+  let filter_handle = { offset = filter_off; size = filter_size } in
+  make_reader env name meta ~index
+    ~index_handle:{ offset = index_off; size = index_size }
+    ~filter_handle ~prefix_len:(Index_summary.prefix_len summary)
+    (if filter_size = 0 then No_filter else Lazy filter_handle)
 
 (* Materialise a lazy filter, charging the deferred random read. *)
 let load_filter r =
@@ -393,6 +417,7 @@ let may_contain_prefix r prefix =
     | Some f -> Pdb_bloom.Bloom.mem f (prefix_tag ^ prefix)
     | None -> true
 
+let number r = r.meta.number
 let has_filter r = match r.filter with No_filter -> false | _ -> true
 let filter_resident r = match r.filter with Loaded _ -> true | _ -> false
 let prefix_len r = r.prefix_len

@@ -27,6 +27,10 @@ type meta = {
 
 val file_name : dir:string -> int -> string
 
+(** An open table: index block resident in memory (the paper's cached
+    index blocks); data blocks go through the shared block cache. *)
+type reader
+
 module Builder : sig
   type t
 
@@ -65,16 +69,22 @@ module Builder : sig
       {!Pdb_simio.Env.peek_view}), with no device read and no clock
       charge. *)
   val admit_hot : t -> Block_cache.t -> unit
+
+  (** [reader t] opens the table {!finish} wrote from what [t] holds: the
+      index as a view of the file (see {!Pdb_simio.Env.peek_view}), the
+      filter it built and the footer's fields, with no device read and no
+      clock charge.  It answers every query as {!open_reader} on the same
+      file does.
+      @raise Invalid_argument when [finish] wrote no table. *)
+  val reader : t -> reader
 end
 
-(** An open table: index block resident in memory (the paper's cached
-    index blocks); data blocks go through the shared block cache. *)
-type reader
-
-(** [open_reader ?hint env ~dir meta] opens a table, reading footer, index
-    and filter.  Cold point-lookups pay three random reads; compaction
-    passes [~hint:Sequential_read] since it streams its freshly-written
-    inputs.
+(** [open_reader ?hint env ~dir meta] opens a table from its file,
+    reading footer, index and filter: three random reads on the read path
+    (a table the store did not write since it opened, or one the table
+    cache evicted with no summary kept); a compaction input no cache
+    holds passes [~hint:Sequential_read].  A table a store writes is
+    opened from its builder instead ({!Builder.reader}).
     @raise Failure on a bad magic number. *)
 val open_reader :
   ?hint:Pdb_simio.Device.read_hint -> Pdb_simio.Env.t -> dir:string -> meta ->
@@ -96,6 +106,9 @@ val may_contain : reader -> string -> bool
     with [prefix_bloom_len = String.length prefix] and its filter proves no
     stored user key starts with [prefix]. *)
 val may_contain_prefix : reader -> string -> bool
+
+(** The table's file number. *)
+val number : reader -> int
 
 val has_filter : reader -> bool
 

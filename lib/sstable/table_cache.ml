@@ -5,7 +5,10 @@
     "cache a limited number of sstable index blocks (default: 1000)", so a
     store with many small files suffers index-block cache misses.  This
     cache models exactly that: opening an evicted table re-reads its
-    footer, index and filter from storage.
+    footer, index and filter from storage.  A table the store writes
+    enters the cache as it is written ({!admit}), so only tables evicted
+    since, or written before the store opened, are ever opened from
+    storage (DESIGN "New tables and the table cache").
 
     Two production-scale refinements layer on top:
     - [?bytes] switches the cache from entry-bounded to byte-bounded, so
@@ -88,6 +91,19 @@ let find t (meta : Table.meta) =
             Pdb_util.Lru.update_weight t.cache k ~weight:(weight_of t reader)
           | Some _ | None -> ());
     reader
+
+(** [admit t reader] caches [reader], a table the store has just written
+    and opened from its builder ({!Table.Builder.reader}), as LevelDB
+    opens every new table before installing it.  Like a first open it
+    records the table's summary; unlike one it reads nothing and counts
+    neither a hit nor a miss.  The reader's filter is resident, so the
+    entry is weighed once. *)
+let admit t reader =
+  let k = Table.number reader in
+  if t.summary_stride > 0 && not (Hashtbl.mem t.summaries k) then
+    Hashtbl.replace t.summaries k
+      (Table.summarize ~stride:t.summary_stride reader);
+  Pdb_util.Lru.insert t.cache k reader ~weight:(weight_of t reader)
 
 (** [peek t meta] returns the cached reader without affecting recency or
     hit/miss counters — for opportunistic filter consultation that must

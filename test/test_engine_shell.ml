@@ -17,6 +17,9 @@ module type ENGINE = sig
     ?block_cache:Pdb_sstable.Block_cache.t -> O.t -> env:Env.t -> dir:string -> t
 
   val put : t -> string -> string -> unit
+  val get : ?snapshot:int -> t -> string -> string option
+  val flush : t -> unit
+  val compact_all : t -> unit
   val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Iter.t
   val stats : t -> Pdb_kvs.Engine_stats.t
   val compaction_scheduler : t -> Scheduler.t
@@ -113,6 +116,41 @@ let test_seek_compactions_counted name () =
     "counter = seek-trigger runs"
     (seek_runs (E.compaction_scheduler db))
     counted;
+  E.close db
+
+(* A table a flush or a compaction writes enters the table cache as it
+   is written: the first get on it counts no table-cache miss and reads
+   from the device only data blocks (each device read is a block-cache
+   miss), never its footer, index or filter. *)
+let test_new_tables_cached name () =
+  let (module E : ENGINE), opts = List.assoc name engines in
+  let env = Env.create () in
+  let db = E.open_store opts ~env ~dir:"db" in
+  let k i = Printf.sprintf "key%05d" i in
+  let get_on_new_table what i want =
+    let module S = Pdb_kvs.Engine_stats in
+    let before = E.stats db and ops = (Env.stats env).Pdb_simio.Io_stats.read_ops in
+    Alcotest.(check (option string)) (what ^ ": value") (Some want) (E.get db (k i));
+    let after = E.stats db in
+    Alcotest.(check int)
+      (what ^ ": no table-cache miss")
+      before.S.table_cache_misses after.S.table_cache_misses;
+    Alcotest.(check int)
+      (what ^ ": device reads are data blocks")
+      (after.S.block_cache_misses - before.S.block_cache_misses)
+      ((Env.stats env).Pdb_simio.Io_stats.read_ops - ops)
+  in
+  for i = 0 to 99 do
+    E.put db (k i) (Printf.sprintf "flushed-%d" i)
+  done;
+  E.flush db;
+  get_on_new_table "after a flush" 42 "flushed-42";
+  for i = 0 to 599 do
+    E.put db (k i) (Printf.sprintf "compacted-%d" i)
+  done;
+  E.compact_all db;
+  get_on_new_table "after a compaction" 42 "compacted-42";
+  get_on_new_table "after a compaction, another table" 577 "compacted-577";
   E.close db
 
 module type PILES = sig
@@ -260,5 +298,11 @@ let () =
             Alcotest.test_case (name ^ " re-seek charges every table") `Quick
               (test_reseek_charges name))
           piles_subjects );
+      ( "new tables",
+        List.map
+          (fun (name, _) ->
+            Alcotest.test_case (name ^ " first get opens nothing") `Quick
+              (test_new_tables_cached name))
+          engines );
       ("value slices", [ prop_value_slice ]);
     ]

@@ -179,20 +179,20 @@ let pins =
   [
     ( "pebblesdb",
       "1961e32ff0f3dccde667359940233b0a",
-      "0x1.7f22472p+26 0x1.9e6ee9ap+26 0x1.46288p+26 0x0p+0 0x1.01bcb68p+26" );
+      "0x1.129cbe2p+26 0x1.8cf767ap+26 0x1.384ccfp+26 0x0p+0 0x1.01bcb68p+26" );
     ( "pebblesdb-1",
       "2217cb8e6d41fae91716b628ec55ef1e",
-      "0x1.11aaea6p+26 0x1.0dca692p+29 0x1.27fb57e8p+28 0x0p+0 0x1.dc9465p+25"
+      "0x1.baec466p+25 0x1.027d3af8p+29 0x1.1bbe0b2p+28 0x0p+0 0x1.dc9465p+25"
     );
     ( "leveled",
       "b09e7a64fe1ac4bc679001c4a6e10238",
-      "0x1.ee3f71cp+25 0x1.3e475bcp+26 0x1.0429186p+26 0x0p+0 0x1.d43554p+25" );
+      "0x1.b65f0d4p+25 0x1.33b4c14p+26 0x1.f43245p+25 0x0p+0 0x1.d43554p+25" );
     ( "tiered",
       "52711a1f144ab6267c1e18be7bbcc0c4",
-      "0x1.4257bf8p+26 0x1.14c6fep+25 0x1.e2b903p+24 0x0p+0 0x1.f67759p+25" );
+      "0x1.3e1064ap+26 0x1.0e2ab64p+25 0x1.d5ce84p+24 0x0p+0 0x1.f67759p+25" );
     ( "lazy_leveled",
       "89ee362c9dab2dacd34bafc7d108a29a",
-      "0x1.42582dcp+26 0x1.1840388p+25 0x1.e9ab78p+24 0x0p+0 0x1.f67759p+25" );
+      "0x1.3e10d2ep+26 0x1.11a3f0cp+25 0x1.dcc0f9p+24 0x0p+0 0x1.f67759p+25" );
   ]
 
 let test_pin name () =
@@ -209,19 +209,19 @@ let scan_pins =
   [
     ( "pebblesdb",
       "ea44a5e8aaf2af61a20564e38e34466b",
-      "0x1.b8813854p+29 0x1.4fb41dp+25 0x1.0dc2bb4p+25 0x0p+0 0x1.1f10c5p+27",
+      "0x1.a3a1c75cp+29 0x1.41994ccp+25 0x1.021aa84p+25 0x0p+0 0x1.1f10c5p+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "pebblesdb-1",
       "57f0c503543dae00d7e323063d95c706",
-      "0x1.91801e98p+29 0x1.6c564e6p+27 0x1.8b75dcap+26 0x0p+0 0x1.0c361cp+27",
+      "0x1.86915b2ep+29 0x1.5d115f6p+27 0x1.7b2df7ap+26 0x0p+0 0x1.0c361cp+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "leveled",
       "ed8da27246f23b59cc808418bcf32f91",
-      "0x1.4f0b3ef4p+29 0x1.e833328p+24 0x1.a52b618p+24 0x0p+0 0x1.ba554ep+26",
+      "0x1.4a1ed31ep+29 0x1.d7facd8p+24 0x1.94f2fc8p+24 0x0p+0 0x1.ba554ep+26",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "tiered",
       "c50bae3298d16100770c1652924cdb85",
-      "0x1.22dd72bap+30 0x1.631ad8p+23 0x1.410c4p+23 0x0p+0 0x1.0a133cp+27",
+      "0x1.2291aea4p+30 0x1.5a0b8ap+23 0x1.37fcf2p+23 0x0p+0 0x1.0a133cp+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
   ]
 

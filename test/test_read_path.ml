@@ -559,35 +559,103 @@ let test_compaction_leaves_cold_out (module E : CACHED_ENGINE) opts () =
     (List.assoc (cache_key 299) entries);
   E.close db
 
-(* (c) A compaction of fully resident inputs reads from the device only
-   their footers, indexes and filters, and moves no cache counter. *)
+(* (c) A compaction of fully resident inputs reads nothing from the
+   device: their data blocks come from the block cache, and their readers
+   (footer, index and filter) from the table cache, which admitted each
+   table as it was flushed.  No cache counter moves. *)
 let test_compaction_reads_resident_inputs (module E : CACHED_ENGINE) opts () =
   let bc = BC.create ~capacity:(1 lsl 20) in
   let env, db = three_l0_tables (module E) opts bc in
   check Alcotest.int "scanned" 300 (scan_range (E.iterator db) ~lo:0 ~hi:300);
-  (* the bytes after each input's data blocks: filter, index and footer;
-     the footer's first fields are the filter's and the index's handles *)
   let inputs = tables env in
-  let metadata_bytes =
-    List.fold_left
-      (fun acc name ->
-        let size = Env.file_size env name in
-        let footer =
-          Env.peek env name ~pos:(size - T.footer_size) ~len:T.footer_size
-        in
-        let field i = Pdb_util.Varint.get_fixed32 footer (4 * i) in
-        acc + size - if field 1 > 0 then field 0 else field 2)
-      0 inputs
-  in
   let bytes = bytes_read env and hits = BC.hits bc and misses = BC.misses bc in
   E.compact_all db;
   check Alcotest.bool "the compaction rewrote every table" true
     (List.for_all (fun n -> not (Env.exists env n)) inputs);
-  check Alcotest.int "no data block read from the device" metadata_bytes
-    (bytes_read env - bytes);
+  check Alcotest.int "nothing read from the device" 0 (bytes_read env - bytes);
   check Alcotest.(pair int int) "hits and misses unchanged" (hits, misses)
     (BC.hits bc, BC.misses bc);
   E.close db
+
+(* ---------- new tables: the builder's reader ---------- *)
+
+(* Over random tables — with a filter, with a prefix filter, with none;
+   some keys in two versions, the older a tombstone — the reader a
+   builder opens reads nothing from the device and answers every get,
+   filter probe, seek and full scan exactly as [open_reader] on the same
+   file. *)
+let prop_builder_reader =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"builder reader = opened reader"
+       QCheck.(
+         triple
+           (list_of_size (Gen.int_range 1 400) (int_bound 3000))
+           (oneofl [ 0; 2; 4 ])
+           bool)
+       (fun (ids, prefix_bloom_len, bloom) ->
+         let env = Env.create () in
+         let key i = Printf.sprintf "k%05d" i in
+         let ids = List.sort_uniq compare ids in
+         let b =
+           T.Builder.create ~prefix_bloom_len env ~dir:"db" ~number:1
+             ~block_bytes:256 ~bloom ~expected_keys:(List.length ids)
+         in
+         List.iter
+           (fun i ->
+             T.Builder.add b (ikey ~seq:5 (key i)) (Printf.sprintf "v%d" i);
+             if i mod 3 = 0 then
+               T.Builder.add b
+                 (Ik.encode ~user_key:(key i) ~seq:2 ~kind:Ik.Deletion)
+                 "")
+           ids;
+         let meta = Option.get (T.Builder.finish b) in
+         let ops = read_ops env in
+         let built = T.Builder.reader b in
+         if read_ops env <> ops then QCheck.Test.fail_report "reader read";
+         let opened = T.open_reader env ~dir:"db" meta in
+         let cache () = BC.create ~capacity:(1 lsl 20) in
+         let bc_built = cache () and bc_opened = cache () in
+         let same what f =
+           if f built bc_built <> f opened bc_opened then
+             QCheck.Test.fail_reportf "%s differs" what
+         in
+         same "shape" (fun r _ ->
+             ( T.number r,
+               T.has_filter r,
+               T.filter_resident r,
+               T.prefix_len r,
+               T.resident_bytes r ));
+         for i = 0 to 3010 do
+           let k = key i in
+           same ("get " ^ k) (fun r cache ->
+               T.get r ~cache ~hint:Device.Random_read (Ik.max_for_lookup k));
+           same ("snapshot get " ^ k) (fun r cache ->
+               T.get r ~cache ~hint:Device.Random_read
+                 (Ik.lookup_at ~user_key:k ~seq:3));
+           same ("may_contain " ^ k) (fun r _ -> T.may_contain r k);
+           if prefix_bloom_len > 0 then begin
+             let p = String.sub k 0 prefix_bloom_len in
+             same ("may_contain_prefix " ^ p) (fun r _ ->
+                 T.may_contain_prefix r p)
+           end
+         done;
+         let walk r cache ~from =
+           let it = T.iterator r ~cache ~hint:Device.Sequential_read in
+           (match from with
+            | None -> T.seek_to_first it
+            | Some k -> T.seek it (Ik.max_for_lookup k));
+           let acc = ref [] in
+           while T.valid it do
+             acc := (T.key it, T.value it) :: !acc;
+             T.next it
+           done;
+           List.rev !acc
+         in
+         same "scan" (walk ~from:None);
+         List.iter
+           (fun i -> same "seek" (walk ~from:(Some (key i))))
+           [ 0; 1; 17; 1500; 2999; 3001 ];
+         true))
 
 (* ---------- differential: read path on vs off ---------- *)
 
@@ -682,6 +750,7 @@ let () =
                 (test_compaction_reads_resident_inputs e opts);
             ])
           cache_engines );
+      ("new tables", [ prop_builder_reader ]);
       ( "differential",
         [
           Alcotest.test_case "pebblesdb on=off" `Quick
