@@ -155,7 +155,7 @@ let run_bechamel () =
     let env = Pdb_simio.Env.create () in
     let b =
       Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:1
-        ~block_bytes:4096 ~bloom:true ~expected_keys:1000
+        ~block_bytes:4096 ~bloom:true
     in
     for i = 0 to 999 do
       Pdb_sstable.Table.Builder.add b (ik i 1) (String.make 100 'v')
@@ -257,7 +257,7 @@ let run_bechamel () =
       (Staged.stage (fun () ->
            let b =
              Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:2
-               ~block_bytes:4096 ~bloom:true ~expected_keys:64
+               ~block_bytes:4096 ~bloom:true
            in
            Array.iter (fun k -> Pdb_sstable.Table.Builder.add b k value_1k) keys;
            ignore (Pdb_sstable.Table.Builder.finish b)))
@@ -271,7 +271,7 @@ let run_bechamel () =
   let scan_meta =
     let b =
       Pdb_sstable.Table.Builder.create scan_env ~dir:"micro" ~number:3
-        ~block_bytes:4096 ~bloom:true ~expected_keys:64
+        ~block_bytes:4096 ~bloom:true
     in
     for i = 0 to 63 do
       Pdb_sstable.Table.Builder.add b (ik i 1) value_1k
@@ -301,7 +301,7 @@ let run_bechamel () =
       List.init 4 (fun t ->
           let b =
             Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:(10 + t)
-              ~block_bytes:4096 ~bloom:true ~expected_keys:32
+              ~block_bytes:4096 ~bloom:true
           in
           for i = 0 to 31 do
             Pdb_sstable.Table.Builder.add b (ik ((4 * i) + t) 1) value_1k
@@ -325,7 +325,7 @@ let run_bechamel () =
            in
            let b =
              Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:20
-               ~block_bytes:4096 ~bloom:true ~expected_keys:128
+               ~block_bytes:4096 ~bloom:true
            in
            merged.Iter.seek_to_first ();
            while merged.Iter.valid () do
@@ -399,7 +399,7 @@ let run_bechamel () =
     let env = Pdb_simio.Env.create () in
     let b =
       Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:4
-        ~block_bytes:4096 ~bloom:true ~expected_keys:1000
+        ~block_bytes:4096 ~bloom:true
     in
     for i = 0 to 999 do
       Pdb_sstable.Table.Builder.add b (ik i 1) (String.make 100 'v')

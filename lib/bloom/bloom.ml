@@ -41,13 +41,44 @@ let hash1 key = Pdb_util.Murmur3.hash32 ~seed:0xbc9f1d34 key
 let hash2 key = Pdb_util.Murmur3.hash32 ~seed:0x7a2d187e key
 let probe t h1 h2 i = ((h1 + (i * h2)) land max_int) mod t.nbits
 
-(** [add t key] inserts a key. *)
-let add t key =
-  let h1 = hash1 key and h2 = hash2 key in
+let set_probes t h1 h2 =
   for i = 0 to t.k - 1 do
     set_bit t.bits (probe t h1 h2 i)
-  done;
+  done
+
+(** [add t key] inserts a key. *)
+let add t key =
+  set_probes t (hash1 key) (hash2 key);
   t.nkeys <- t.nkeys + 1
+
+(* Keys noted before the filter is sized: the two hashes of each, as
+   32-bit words in native byte order, 8 bytes a key. *)
+type pending = { mutable hashes : Bytes.t; mutable n : int }
+
+let pending () = { hashes = Bytes.create 512; n = 0 }
+
+(** [note p key] records [key] for the filter {!of_pending} builds. *)
+let note p key =
+  let at = 8 * p.n in
+  if at + 8 > Bytes.length p.hashes then begin
+    let grown = Bytes.create (2 * Bytes.length p.hashes) in
+    Bytes.blit p.hashes 0 grown 0 at;
+    p.hashes <- grown
+  end;
+  Bytes.set_int32_ne p.hashes at (Int32.of_int (hash1 key));
+  Bytes.set_int32_ne p.hashes (at + 4) (Int32.of_int (hash2 key));
+  p.n <- p.n + 1
+
+(** [of_pending p] is the filter sized for the keys noted in [p] and
+    holding them all: {!create} of their count, then {!add} of each. *)
+let of_pending p =
+  let t = create p.n in
+  let word at = Int32.to_int (Bytes.get_int32_ne p.hashes at) land 0xffff_ffff in
+  for j = 0 to p.n - 1 do
+    set_probes t (word (8 * j)) (word ((8 * j) + 4))
+  done;
+  t.nkeys <- p.n;
+  t
 
 (** [mem t key] is [false] only if the key was never added; may return
     [true] spuriously (false positive). *)

@@ -20,6 +20,24 @@ val add : t -> string -> unit
     [true] spuriously (false positive), never a false negative. *)
 val mem : t -> string -> bool
 
+(** {2 Filters sized to their keys}
+
+    A table builder does not know how many keys its table will hold until
+    it is complete.  It notes each key as it arrives and builds the
+    filter at the end, sized to the real count. *)
+
+(** The hashes of keys noted for a filter not built yet. *)
+type pending
+
+val pending : unit -> pending
+
+(** [note p key] records [key]; noting a key twice counts it twice. *)
+val note : pending -> string -> unit
+
+(** [of_pending p] is [create n] holding the [n] keys noted in [p]:
+    equal, bit for bit, to adding them one by one. *)
+val of_pending : pending -> t
+
 (** In-memory footprint — reported in the Table 5.4 memory experiment. *)
 val size_bytes : t -> int
 

@@ -569,10 +569,9 @@ let seek_job t =
 
 (* ---------- the level structure the shell drives ---------- *)
 
-(* FLSM flush sizes the bloom filter like a compaction output's and
-   charges each entry's merge CPU before adding it. *)
+(* FLSM flush charges each entry's merge CPU before adding it. *)
 let build_l0 t mem =
-  let b = S.new_builder t ~sized_for:t.opts.O.sstable_target_bytes in
+  let b = S.new_builder t in
   Pdb_kvs.Memtable.iter mem (fun ikey value ->
       Clock.advance t.clock O.cpu_per_merge_entry_ns;
       Table.Builder.add b ikey value);

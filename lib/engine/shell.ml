@@ -113,13 +113,12 @@ let user_range_overlap (m : Table.meta) key =
   Ik.compare_user_key m.Table.smallest key <= 0
   && Ik.compare_user_key m.Table.largest key >= 0
 
-(** [new_builder t ~sized_for] starts a table whose bloom filter is sized
-    for [sized_for] bytes of ~64-byte entries. *)
-let new_builder t ~sized_for =
+(** [new_builder t] starts a table under the store's options; its bloom
+    filter is sized to the keys it ends up holding. *)
+let new_builder t =
   Table.Builder.create t.env ~dir:t.dir ~number:(new_file_number t)
     ~prefix_bloom_len:t.opts.O.prefix_bloom_len
     ~block_bytes:t.opts.O.block_bytes ~bloom:t.opts.O.sstable_bloom
-    ~expected_keys:(max 16 (sized_for / 64))
 
 (** [finish_table t b] finishes builder [b] and, when it wrote a table,
     makes the table ready to read as LevelDB's "verify that the table is
@@ -316,7 +315,7 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
         | Some (p, b) when p = part -> b
         | Some _ | None ->
           finish ();
-          let b = new_builder t ~sized_for:t.opts.O.sstable_target_bytes in
+          let b = new_builder t in
           current := Some (part, b);
           b
       in

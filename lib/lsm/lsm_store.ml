@@ -353,10 +353,9 @@ let maybe_compact (t : t) =
 
 (* ---------- the level structure the shell drives ---------- *)
 
-(* LSM flush sizes the bloom filter for a memtable's worth of keys and
-   charges each entry's merge CPU after adding it. *)
+(* LSM flush charges each entry's merge CPU after adding it. *)
 let build_l0 (t : t) mem =
-  let b = S.new_builder t ~sized_for:t.opts.O.memtable_bytes in
+  let b = S.new_builder t in
   Pdb_kvs.Memtable.iter mem (fun ikey value ->
       Table.Builder.add b ikey value;
       Clock.advance t.clock O.cpu_per_merge_entry_ns);

@@ -114,7 +114,8 @@ module Builder = struct
     mutable offset : int;
     data : Block.Builder.t;
     index : (string * handle) list ref; (* reversed *)
-    filter : Pdb_bloom.Bloom.t option;
+    keys : Pdb_bloom.Bloom.pending option;
+        (* the filter's keys, noted until [finish] sizes it to them *)
     mutable smallest : string option;
     mutable largest : string;
     mutable entries : int;
@@ -122,22 +123,18 @@ module Builder = struct
     mutable last_prefix : string option;
     mutable open_hot : bool; (* the open data block is hot *)
     mutable hot : handle list; (* hot data blocks written, reversed *)
-    mutable finished : (meta * handle * handle) option;
-        (* set by [finish]: the table, its filter and its index handles *)
+    mutable finished : (meta * filter_slot * handle * handle) option;
+        (* set by [finish]: the table, its filter, and the filter's and the
+           index's handles *)
   }
 
-  (** [create env ~dir ~number ~block_bytes ~bloom ~expected_keys] starts a
-      new table file.  [bloom = true] attaches a per-table filter sized for
-      [expected_keys]; [prefix_bloom_len > 0] also records user-key
-      prefixes of that length in the same filter (sized for the extra
-      probes). *)
-  let create ?(prefix_bloom_len = 0) env ~dir ~number ~block_bytes ~bloom
-      ~expected_keys =
+  (** [create env ~dir ~number ~block_bytes ~bloom] starts a new table
+      file.  [bloom = true] attaches a per-table filter, sized at [finish]
+      to the table's distinct user keys; [prefix_bloom_len > 0] also
+      records user-key prefixes of that length in the same filter, each
+      distinct prefix counting as one more key. *)
+  let create ?(prefix_bloom_len = 0) env ~dir ~number ~block_bytes ~bloom =
     let name = file_name ~dir number in
-    let expected =
-      if prefix_bloom_len > 0 then 2 * max 16 expected_keys
-      else max 16 expected_keys
-    in
     {
       env;
       writer = Pdb_simio.Env.create_file env name;
@@ -148,7 +145,7 @@ module Builder = struct
       offset = 0;
       data = Block.Builder.create ();
       index = ref [];
-      filter = (if bloom then Some (Pdb_bloom.Bloom.create expected) else None);
+      keys = (if bloom then Some (Pdb_bloom.Bloom.pending ()) else None);
       smallest = None;
       largest = "";
       entries = 0;
@@ -188,12 +185,12 @@ module Builder = struct
     if t.smallest = None then t.smallest <- Some ikey;
     t.largest <- ikey;
     t.entries <- t.entries + 1;
-    (match t.filter with
-     | Some f ->
+    (match t.keys with
+     | Some keys ->
        (* one filter probe key per distinct user key *)
        let uk = Pdb_kvs.Internal_key.user_key ikey in
        if t.last_user_key <> Some uk then begin
-         Pdb_bloom.Bloom.add f uk;
+         Pdb_bloom.Bloom.note keys uk;
          t.last_user_key <- Some uk;
          (* keys arrive sorted, so consecutive dedupe covers all repeats
             of a prefix *)
@@ -201,7 +198,7 @@ module Builder = struct
          then begin
            let p = String.sub uk 0 t.prefix_bloom_len in
            if t.last_prefix <> Some p then begin
-             Pdb_bloom.Bloom.add f (prefix_tag ^ p);
+             Pdb_bloom.Bloom.note keys (prefix_tag ^ p);
              t.last_prefix <- Some p
            end
          end
@@ -240,9 +237,10 @@ module Builder = struct
     end
     else begin
       flush_data_block t;
-      (* filter block *)
+      (* filter block, sized to the keys noted *)
+      let filter = Option.map Pdb_bloom.Bloom.of_pending t.keys in
       let filter_handle =
-        match t.filter with
+        match filter with
         | Some f ->
           let buf = Buffer.create (Pdb_bloom.Bloom.size_bytes f + 16) in
           Pdb_bloom.Bloom.encode_to buf f;
@@ -286,7 +284,12 @@ module Builder = struct
             largest = t.largest;
           }
         in
-        t.finished <- Some (meta, filter_handle, index_handle);
+        t.finished <-
+          Some
+            ( meta,
+              (match filter with Some f -> Loaded f | None -> No_filter),
+              filter_handle,
+              index_handle );
         Some meta
     end
 
@@ -298,15 +301,14 @@ module Builder = struct
   let reader t =
     match t.finished with
     | None -> invalid_arg "Table.Builder.reader: no finished table"
-    | Some (meta, filter_handle, index_handle) ->
+    | Some (meta, filter, filter_handle, index_handle) ->
       let src, pos =
         Pdb_simio.Env.peek_view t.env t.file ~pos:index_handle.offset
           ~len:index_handle.size
       in
       make_reader t.env t.file meta
         ~index:(Block.decode_view src ~pos ~len:index_handle.size)
-        ~index_handle ~filter_handle ~prefix_len:t.prefix_bloom_len
-        (match t.filter with Some f -> Loaded f | None -> No_filter)
+        ~index_handle ~filter_handle ~prefix_len:t.prefix_bloom_len filter
 end
 
 let load_block r ~cache ~hint ~offset ~size =

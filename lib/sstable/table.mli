@@ -34,14 +34,16 @@ type reader
 module Builder : sig
   type t
 
-  (** [create env ~dir ~number ~block_bytes ~bloom ~expected_keys] starts a
-      new table file.  [bloom = true] attaches a per-table filter sized for
-      [expected_keys]; [prefix_bloom_len > 0] also records user-key
-      prefixes of that length in the same filter. *)
+  (** [create env ~dir ~number ~block_bytes ~bloom] starts a new table
+      file.  [bloom = true] attaches a per-table filter, sized when
+      {!finish} writes it to {!Pdb_bloom.Bloom.bits_per_key} bits for each
+      distinct user key; [prefix_bloom_len > 0] also records user-key
+      prefixes of that length in the same filter, each distinct prefix
+      counting as one more key. *)
   val create :
     ?prefix_bloom_len:int ->
     Pdb_simio.Env.t -> dir:string -> number:int -> block_bytes:int ->
-    bloom:bool -> expected_keys:int -> t
+    bloom:bool -> t
 
   (** [add t ikey value] appends an entry; internal keys must arrive in
       ascending order. *)

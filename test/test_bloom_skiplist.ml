@@ -63,6 +63,19 @@ let prop_bloom_membership =
       List.iter (Bloom.add b) keys;
       List.for_all (Bloom.mem b) keys)
 
+(* Keys noted, then built into a filter sized to their count, give the
+   filter [create] of that count and [add] of each would: the same
+   bytes.  Past 64 keys the note buffer has grown. *)
+let prop_bloom_of_pending =
+  qtest "of_pending = create + add"
+    QCheck.(list_of_size (Gen.int_range 0 300) string)
+    (fun keys ->
+      let p = Bloom.pending () in
+      List.iter (Bloom.note p) keys;
+      let b = Bloom.create (List.length keys) in
+      List.iter (Bloom.add b) keys;
+      String.equal (Bloom.encode (Bloom.of_pending p)) (Bloom.encode b))
+
 (* ---------- Skiplist ---------- *)
 
 module Skiplist = Pdb_skiplist.Skiplist
@@ -172,6 +185,7 @@ let () =
             test_bloom_encode_roundtrip;
           Alcotest.test_case "empty" `Quick test_bloom_empty;
           prop_bloom_membership;
+          prop_bloom_of_pending;
         ] );
       ( "skiplist",
         [

@@ -153,6 +153,82 @@ let test_new_tables_cached name () =
   get_on_new_table "after a compaction, another table" 577 "compacted-577";
   E.close db
 
+(* Every table's bloom filter is sized to the keys it holds, whatever
+   the table's size: over tables of 16 to 20,000 small entries, written
+   by a flush and then by a full compaction, at most 2% of probes for
+   absent keys are false positives — in each table of 1,000 entries or
+   more, and over the smaller ones together (a small filter's rate
+   varies with how its few bits fall).  A table under 16 entries gets
+   the 64-bit minimum filter, as in LevelDB, and is left out. *)
+let test_bloom_sized_to_keys name () =
+  let (module E : ENGINE), opts = List.assoc name engines in
+  let opts =
+    {
+      opts with
+      O.memtable_bytes = 4 lsl 20;
+      sstable_target_bytes = 64 * 1024;
+      block_bytes = 4096;
+    }
+  in
+  let module T = Pdb_sstable.Table in
+  let probes = 10_000 in
+  let false_positives r =
+    let n = ref 0 in
+    for i = 1 to probes do
+      if T.may_contain r (Printf.sprintf "absent%07d" i) then incr n
+    done;
+    !n
+  in
+  let at_most_2pct what positives tries =
+    let rate = float_of_int positives /. float_of_int tries in
+    if rate > 0.02 then
+      Alcotest.failf "%s: %.2f%% false positives" what (100.0 *. rate)
+  in
+  let large = ref 0 in
+  let check_tables env what =
+    let small = ref 0 and small_tables = ref 0 in
+    List.iter
+      (fun file ->
+        let number =
+          int_of_string (Filename.chop_suffix (Filename.basename file) ".sst")
+        in
+        let meta = T.recover_meta env ~dir:"db" ~number in
+        let entries = meta.T.entries in
+        if entries >= 16 then begin
+          let fp = false_positives (T.open_reader env ~dir:"db" meta) in
+          if entries >= 1_000 then begin
+            incr large;
+            at_most_2pct
+              (Printf.sprintf "%s: table %d of %d entries" what number entries)
+              fp probes
+          end
+          else begin
+            small := !small + fp;
+            incr small_tables
+          end
+        end)
+      (List.filter (fun f -> Filename.check_suffix f ".sst") (Env.list env));
+    if !small_tables > 0 then
+      at_most_2pct
+        (Printf.sprintf "%s: %d tables under 1,000 entries" what !small_tables)
+        !small (!small_tables * probes)
+  in
+  List.iter
+    (fun n ->
+      let env = Env.create () in
+      let db = E.open_store opts ~env ~dir:"db" in
+      for i = 0 to n - 1 do
+        E.put db (Printf.sprintf "k%07d" (i * 7)) (Printf.sprintf "v%d" i)
+      done;
+      E.flush db;
+      check_tables env (Printf.sprintf "%d keys, flushed" n);
+      E.compact_all db;
+      check_tables env (Printf.sprintf "%d keys, compacted" n);
+      E.close db)
+    [ 16; 200; 2_000; 20_000 ];
+  Alcotest.(check bool) "tables of 1,000 entries or more checked" true
+    (!large >= 2)
+
 module type PILES = sig
   include ENGINE
 
@@ -303,6 +379,12 @@ let () =
           (fun (name, _) ->
             Alcotest.test_case (name ^ " first get opens nothing") `Quick
               (test_new_tables_cached name))
+          engines );
+      ( "bloom sizing",
+        List.map
+          (fun (name, _) ->
+            Alcotest.test_case (name ^ " at most 2% false positives") `Quick
+              (test_bloom_sized_to_keys name))
           engines );
       ("value slices", [ prop_value_slice ]);
     ]

@@ -178,21 +178,21 @@ let subjects =
 let pins =
   [
     ( "pebblesdb",
-      "1961e32ff0f3dccde667359940233b0a",
-      "0x1.129cbe2p+26 0x1.8cf767ap+26 0x1.384ccfp+26 0x0p+0 0x1.01bcb68p+26" );
+      "5ac50e5d84003ab95b53886a45ea14f2",
+      "0x1.13fcd37p+26 0x1.905d24ep+26 0x1.36b0eacp+26 0x0p+0 0x1.01cb5c8p+26" );
     ( "pebblesdb-1",
-      "2217cb8e6d41fae91716b628ec55ef1e",
-      "0x1.baec466p+25 0x1.027d3af8p+29 0x1.1bbe0b2p+28 0x0p+0 0x1.dc9465p+25"
+      "d525d693ef207bfdf3c85da7b746a2fe",
+      "0x1.baec54p+25 0x1.0254abb8p+29 0x1.1b8f945p+28 0x0p+0 0x1.dc9e29p+25"
     );
     ( "leveled",
-      "b09e7a64fe1ac4bc679001c4a6e10238",
-      "0x1.b65f0d4p+25 0x1.33b4c14p+26 0x1.f43245p+25 0x0p+0 0x1.d43554p+25" );
+      "1a1cc7ddb4817541c9ac1b4544ad442c",
+      "0x1.b7e71b4p+25 0x1.33ab76ap+26 0x1.f6b87a8p+25 0x0p+0 0x1.d421ccp+25" );
     ( "tiered",
-      "52711a1f144ab6267c1e18be7bbcc0c4",
-      "0x1.3e1064ap+26 0x1.0e2ab64p+25 0x1.d5ce84p+24 0x0p+0 0x1.f67759p+25" );
+      "26633b9df33e70fceb4d4d00034beaf1",
+      "0x1.12955efp+26 0x1.0e49d64p+25 0x1.d6095bp+24 0x0p+0 0x1.f3f2d1p+25" );
     ( "lazy_leveled",
-      "89ee362c9dab2dacd34bafc7d108a29a",
-      "0x1.3e10d2ep+26 0x1.11a3f0cp+25 0x1.dcc0f9p+24 0x0p+0 0x1.f67759p+25" );
+      "d3c39995753537cd7c893c7d13d97101",
+      "0x1.1295cd3p+26 0x1.11c1d24p+25 0x1.dcf953p+24 0x0p+0 0x1.f3f2d1p+25" );
   ]
 
 let test_pin name () =
@@ -208,20 +208,20 @@ let test_pin name () =
 let scan_pins =
   [
     ( "pebblesdb",
-      "ea44a5e8aaf2af61a20564e38e34466b",
-      "0x1.a3a1c75cp+29 0x1.41994ccp+25 0x1.021aa84p+25 0x0p+0 0x1.1f10c5p+27",
+      "2a9b850b3b4de8708ea7a6b18b5a9c61",
+      "0x1.a3a1c75cp+29 0x1.416973cp+25 0x1.01edb3cp+25 0x0p+0 0x1.1f10c5p+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "pebblesdb-1",
-      "57f0c503543dae00d7e323063d95c706",
-      "0x1.86915b2ep+29 0x1.5d115f6p+27 0x1.7b2df7ap+26 0x0p+0 0x1.0c361cp+27",
+      "3a37b6ffd98bc3a36e0b61f0e54457d8",
+      "0x1.86915b2ep+29 0x1.5cdbp+27 0x1.7af13fep+26 0x0p+0 0x1.0c361cp+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "leveled",
-      "ed8da27246f23b59cc808418bcf32f91",
-      "0x1.4a1ed31ep+29 0x1.d7facd8p+24 0x1.94f2fc8p+24 0x0p+0 0x1.ba554ep+26",
+      "01fa04cb9af906492a179eb3cff89349",
+      "0x1.4a1ed1f6p+29 0x1.d8036b8p+24 0x1.94fd9d8p+24 0x0p+0 0x1.ba554ep+26",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "tiered",
-      "c50bae3298d16100770c1652924cdb85",
-      "0x1.2291aea4p+30 0x1.5a0b8ap+23 0x1.37fcf2p+23 0x0p+0 0x1.0a133cp+27",
+      "a986064b2e3dafc753bd9b5897933ed2",
+      "0x1.2291aea4p+30 0x1.5a2d16p+23 0x1.381fap+23 0x0p+0 0x1.0a133cp+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
   ]
 

@@ -29,7 +29,7 @@ let build_table ?(prefix_bloom_len = 0) ?(block_bytes = 512) env ~number
     entries =
   let b =
     T.Builder.create ~prefix_bloom_len env ~dir:"db" ~number ~block_bytes
-      ~bloom:true ~expected_keys:(List.length entries)
+      ~bloom:true
   in
   List.iter (fun (k, v) -> T.Builder.add b (ikey k) v) entries;
   Option.get (T.Builder.finish b)
@@ -598,7 +598,7 @@ let prop_builder_reader =
          let ids = List.sort_uniq compare ids in
          let b =
            T.Builder.create ~prefix_bloom_len env ~dir:"db" ~number:1
-             ~block_bytes:256 ~bloom ~expected_keys:(List.length ids)
+             ~block_bytes:256 ~bloom
          in
          List.iter
            (fun i ->

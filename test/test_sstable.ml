@@ -231,7 +231,6 @@ let ikey k seq = Ik.encode ~user_key:k ~seq ~kind:Ik.Value
 let build_table ?(bloom = true) env ~dir ~number entries =
   let b =
     Table.Builder.create env ~dir ~number ~block_bytes:512 ~bloom
-      ~expected_keys:(List.length entries)
   in
   List.iter (fun (ik, v) -> Table.Builder.add b ik v) entries;
   match Table.Builder.finish b with
@@ -417,7 +416,7 @@ let prop_table_get_model =
       let env = Pdb_simio.Env.create () in
       let b =
         Table.Builder.create env ~dir:"db" ~number:1 ~block_bytes:64
-          ~bloom:false ~expected_keys:(List.length sorted)
+          ~bloom:false
       in
       List.iter (fun (ik, v) -> Table.Builder.add b ik v) sorted;
       let meta = Option.get (Table.Builder.finish b) in
@@ -605,7 +604,6 @@ let test_table_empty_builder () =
   let env = Pdb_simio.Env.create () in
   let b =
     Table.Builder.create env ~dir:"db" ~number:6 ~block_bytes:512 ~bloom:true
-      ~expected_keys:0
   in
   Alcotest.(check bool) "empty finish yields None" true
     (Table.Builder.finish b = None);

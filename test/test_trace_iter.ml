@@ -105,7 +105,7 @@ let ikey k = Ik.encode ~user_key:k ~seq:1 ~kind:Ik.Value
 let build_table env ~number entries =
   let b =
     Pdb_sstable.Table.Builder.create env ~dir:"db" ~number ~block_bytes:512
-      ~bloom:true ~expected_keys:(List.length entries)
+      ~bloom:true
   in
   List.iter (fun (k, v) -> Pdb_sstable.Table.Builder.add b (ikey k) v) entries;
   Option.get (Pdb_sstable.Table.Builder.finish b)
