@@ -235,6 +235,16 @@ let seek_with ~compare c target =
 
 (* ---------- search in place ---------- *)
 
+(* Complete the key of the entry whose header [c] holds in [c.buf]: its
+   shared prefix is already there, from the key before it. *)
+let assemble c t =
+  if Bytes.length c.buf < c.len then begin
+    let grown = Bytes.create (max c.len (2 * Bytes.length c.buf)) in
+    Bytes.blit c.buf 0 grown 0 c.shared;
+    c.buf <- grown
+  end;
+  Bytes.blit_string t.data c.kpos c.buf c.shared c.delta
+
 (** [find c t target] positions [c]'s header at the first entry of [t]
     whose key is >= [target] in internal-key order, and is [false] when
     there is none.  It leaves the data position alone. *)
@@ -257,12 +267,7 @@ let find c t target =
     c.len <- 0;
     while (not !found) && !next < t.restarts_offset do
       read_header c t ~prev_len:c.len !next;
-      if Bytes.length c.buf < c.len then begin
-        let grown = Bytes.create (max c.len (2 * Bytes.length c.buf)) in
-        Bytes.blit c.buf 0 grown 0 c.shared;
-        c.buf <- grown
-      end;
-      Bytes.blit_string t.data c.kpos c.buf c.shared c.delta;
+      assemble c t;
       next := c.vpos + c.vlen;
       found :=
         Pdb_kvs.Internal_key.compare_slice (Bytes.unsafe_to_string c.buf) 0
@@ -372,6 +377,21 @@ let index_step c t =
     rest_index c;
     true
   end
+
+(** [iter_index t f] calls [f key len offset size] on each entry of
+    index block [t] in order: the entry's key is the first [len] bytes of
+    [key], valid during the call only, and its value the block handle
+    ([offset], [size]).  Allocates nothing per entry. *)
+let iter_index t f =
+  let c = cursor () in
+  let rec go () =
+    assemble c t;
+    let offset = next_uvarint c t in
+    let size = next_uvarint c t in
+    f c.buf c.len offset size;
+    if index_step c t then go ()
+  in
+  if index_first c t then go ()
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)
 let entries ~compare t = Pdb_kvs.Iter.to_list (iterator ~compare t)

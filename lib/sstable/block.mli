@@ -152,5 +152,11 @@ val index_first : cursor -> t -> bool
     past the last. *)
 val index_step : cursor -> t -> bool
 
+(** [iter_index t f] calls [f key len offset size] on each entry of
+    index block [t] in order: the entry's key is the first [len] bytes of
+    [key], valid during the call only, and its value the block handle
+    ([offset], [size]).  Allocates nothing per entry. *)
+val iter_index : t -> (Bytes.t -> int -> int -> int -> unit) -> unit
+
 (** [entries ~compare t] decodes the whole block in order — test helper. *)
 val entries : compare:(string -> string -> int) -> t -> (string * string) list

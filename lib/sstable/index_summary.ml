@@ -46,35 +46,58 @@ let get_varint s pos =
   done;
   (!n, !p)
 
-let shared_prefix a b =
-  let n = min (String.length a) (String.length b) in
+(* The length of the prefix the first [la] bytes of [a] share with the
+   first [lb] of [b]. *)
+let shared_prefix a la b lb =
+  let n = min la lb in
   let i = ref 0 in
-  while !i < n && a.[!i] = b.[!i] do
+  while !i < n && Bytes.get a !i = Bytes.get b !i do
     incr i
   done;
   !i
 
+(* A key kept across entries: its bytes are the first [len] of [bytes],
+   which grows to the longest key copied in. *)
+type scratch = { mutable bytes : Bytes.t; mutable len : int }
+
+let keep s key len =
+  if Bytes.length s.bytes < len then
+    s.bytes <- Bytes.create (max len (2 * Bytes.length s.bytes));
+  Bytes.blit key 0 s.bytes 0 len;
+  s.len <- len
+
 let build ~stride ~number ~entries ~index_handle ~filter_handle ~prefix_len
-    ~index_bytes ~filter_bytes index_entries =
+    ~index_bytes ~filter_bytes index =
   let stride = max 1 stride in
   let buf = Buffer.create 128 in
-  let prev = ref "" in
-  let nsamples = ref 0 in
-  let total = List.length index_entries in
-  List.iteri
-    (fun i (key, (off, size)) ->
-      if i mod stride = 0 || i = total - 1 then begin
-        let shared = shared_prefix !prev key in
-        let suffix = String.sub key shared (String.length key - shared) in
-        put_varint buf shared;
-        put_varint buf (String.length suffix);
-        Buffer.add_string buf suffix;
-        put_varint buf off;
-        put_varint buf size;
-        prev := key;
-        incr nsamples
-      end)
-    index_entries;
+  (* the previous sample's key, and the last entry's while unsampled *)
+  let prev = { bytes = Bytes.create 32; len = 0 } in
+  let last = { bytes = Bytes.create 32; len = 0 } in
+  let last_off = ref 0 and last_size = ref 0 and last_sampled = ref true in
+  let nsamples = ref 0 and i = ref 0 in
+  let sample key len off size =
+    let shared = shared_prefix prev.bytes prev.len key len in
+    put_varint buf shared;
+    put_varint buf (len - shared);
+    Buffer.add_subbytes buf key shared (len - shared);
+    put_varint buf off;
+    put_varint buf size;
+    keep prev key len;
+    incr nsamples
+  in
+  index (fun key len off size ->
+      if !i mod stride = 0 then begin
+        sample key len off size;
+        last_sampled := true
+      end
+      else begin
+        keep last key len;
+        last_off := off;
+        last_size := size;
+        last_sampled := false
+      end;
+      incr i);
+  if not !last_sampled then sample last.bytes last.len !last_off !last_size;
   {
     number;
     entries;

@@ -16,12 +16,14 @@
 type t
 
 (** [build ~stride ~number ~entries ~index_handle ~filter_handle
-    ~prefix_len ~index_bytes ~filter_bytes index_entries] digests a
-    decoded index block.  [index_entries] are the index's
-    [(last_key, (offset, size))] pairs in order; every [stride]-th entry
-    (and the last) is retained.  [index_bytes]/[filter_bytes] record the
-    table's actual decoded resident footprint, making the summary the
-    source of truth for memory accounting of evicted tables. *)
+    ~prefix_len ~index_bytes ~filter_bytes index] digests a decoded index
+    block.  [index f] calls [f key len offset size] on each of the
+    index's entries in order, its last key as the first [len] bytes of
+    [key] (see {!Block.iter_index}); every [stride]-th entry (and the
+    last) is retained, and only those keys are copied.
+    [index_bytes]/[filter_bytes] record the table's actual decoded
+    resident footprint, making the summary the source of truth for
+    memory accounting of evicted tables. *)
 val build :
   stride:int ->
   number:int ->
@@ -31,7 +33,7 @@ val build :
   prefix_len:int ->
   index_bytes:int ->
   filter_bytes:int ->
-  (string * (int * int)) list ->
+  ((Bytes.t -> int -> int -> int -> unit) -> unit) ->
   t
 
 val number : t -> int

@@ -18,12 +18,6 @@ let encode_handle buf h =
   Pdb_util.Varint.put_uvarint buf h.offset;
   Pdb_util.Varint.put_uvarint buf h.size
 
-let decode_handle s =
-  let pos = ref 0 in
-  let offset = Pdb_util.Varint.read_uvarint s pos in
-  let size = Pdb_util.Varint.read_uvarint s pos in
-  { offset; size }
-
 let footer_size = 28
 let magic = 0x50454242 (* "PEBB" *)
 
@@ -435,16 +429,9 @@ let resident_bytes r =
      | No_filter -> 0)
 
 (** [summarize ~stride r] digests an open table into an {!Index_summary}
-    capturing its handles and actual resident footprint. *)
+    capturing its handles and actual resident footprint.  The index is
+    walked in place: only the sampled keys are copied. *)
 let summarize ~stride r =
-  let it = Block.iterator ~compare:ikey_compare r.index in
-  it.Pdb_kvs.Iter.seek_to_first ();
-  let entries = ref [] in
-  while it.Pdb_kvs.Iter.valid () do
-    let h = decode_handle (it.Pdb_kvs.Iter.value ()) in
-    entries := (it.Pdb_kvs.Iter.key (), (h.offset, h.size)) :: !entries;
-    it.Pdb_kvs.Iter.next ()
-  done;
   Index_summary.build ~stride ~number:r.meta.number ~entries:r.meta.entries
     ~index_handle:(r.index_handle.offset, r.index_handle.size)
     ~filter_handle:(r.filter_handle.offset, r.filter_handle.size)
@@ -455,7 +442,7 @@ let summarize ~stride r =
        | Loaded f -> Pdb_bloom.Bloom.size_bytes f
        | Lazy h -> h.size
        | No_filter -> 0)
-    (List.rev !entries)
+    (Block.iter_index r.index)
 
 (** [get r ~cache ~hint lookup] is the kind and value of the first entry
     at or after internal key [lookup] when that entry holds [lookup]'s user
