@@ -51,6 +51,11 @@ let create ?bytes ?(summary_stride = 0) env ~dir ~entries =
 let weight_of t reader =
   if t.by_bytes then max 1 (Table.resident_bytes reader) else 1
 
+(* Keep [reader]'s summary, as every table's first open does. *)
+let keep_summary t reader =
+  Hashtbl.replace t.summaries (Table.number reader)
+    (Table.summarize ~stride:t.summary_stride reader)
+
 (** [find t meta] returns the open reader for [meta], opening (and charging
     IO for) it if not cached.  With summaries enabled, a reopen of a
     previously-summarized table is summary-guided and cheaper. *)
@@ -70,8 +75,7 @@ let find t (meta : Table.meta) =
         | None ->
           Stats.incr t.counters Stats.summary_misses;
           let reader = Table.open_reader t.env ~dir:t.dir meta in
-          Hashtbl.replace t.summaries meta.Table.number
-            (Table.summarize ~stride:t.summary_stride reader);
+          keep_summary t reader;
           reader
       end
       else Table.open_reader t.env ~dir:t.dir meta
@@ -99,11 +103,9 @@ let find t (meta : Table.meta) =
     neither a hit nor a miss.  The reader's filter is resident, so the
     entry is weighed once. *)
 let admit t reader =
-  let k = Table.number reader in
-  if t.summary_stride > 0 && not (Hashtbl.mem t.summaries k) then
-    Hashtbl.replace t.summaries k
-      (Table.summarize ~stride:t.summary_stride reader);
-  Pdb_util.Lru.insert t.cache k reader ~weight:(weight_of t reader)
+  if t.summary_stride > 0 then keep_summary t reader;
+  Pdb_util.Lru.insert t.cache (Table.number reader) reader
+    ~weight:(weight_of t reader)
 
 (** [peek t meta] returns the cached reader without affecting recency or
     hit/miss counters — for opportunistic filter consultation that must
