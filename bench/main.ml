@@ -160,7 +160,7 @@ let run_bechamel () =
     for i = 0 to 999 do
       Pdb_sstable.Table.Builder.add b (ik i 1) (String.make 100 'v')
     done;
-    let meta = Option.get (Pdb_sstable.Table.Builder.finish b) in
+    let meta = fst (Option.get (Pdb_sstable.Table.Builder.finish b)) in
     let reader = Pdb_sstable.Table.open_reader env ~dir:"micro" meta in
     let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
     let lookup = Ik.max_for_lookup user_key in
@@ -276,7 +276,7 @@ let run_bechamel () =
     for i = 0 to 63 do
       Pdb_sstable.Table.Builder.add b (ik i 1) value_1k
     done;
-    Option.get (Pdb_sstable.Table.Builder.finish b)
+    fst (Option.get (Pdb_sstable.Table.Builder.finish b))
   in
   let table_scan =
     let reader = Pdb_sstable.Table.open_reader scan_env ~dir:"micro" scan_meta in
@@ -306,7 +306,7 @@ let run_bechamel () =
           for i = 0 to 31 do
             Pdb_sstable.Table.Builder.add b (ik ((4 * i) + t) 1) value_1k
           done;
-          Option.get (Pdb_sstable.Table.Builder.finish b))
+          fst (Option.get (Pdb_sstable.Table.Builder.finish b)))
     in
     let hint = Pdb_simio.Device.Sequential_read in
     let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
@@ -404,7 +404,7 @@ let run_bechamel () =
     for i = 0 to 999 do
       Pdb_sstable.Table.Builder.add b (ik i 1) (String.make 100 'v')
     done;
-    let meta = Option.get (Pdb_sstable.Table.Builder.finish b) in
+    let meta = fst (Option.get (Pdb_sstable.Table.Builder.finish b)) in
     let reader = Pdb_sstable.Table.open_reader env ~dir:"micro" meta in
     let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
     let target = Ik.max_for_lookup (Printf.sprintf "user%016d" 424) in

@@ -127,13 +127,13 @@ let new_builder t =
     and its open reader enters the table cache (DESIGN "New tables and
     the table cache").  Counts the table built. *)
 let finish_table t b =
-  let meta = Table.Builder.finish b in
-  if Option.is_some meta then begin
+  match Table.Builder.finish b with
+  | Some (meta, reader) ->
     Table.Builder.admit_hot b t.block_cache;
-    Table_cache.admit t.table_cache (Table.Builder.reader b);
-    Stats.incr t.counters Stats.sstables_built
-  end;
-  meta
+    Table_cache.admit t.table_cache reader;
+    Stats.incr t.counters Stats.sstables_built;
+    Some meta
+  | None -> None
 
 (* ---------- obsolete-file garbage collection ---------- *)
 

@@ -117,9 +117,6 @@ module Builder = struct
     mutable last_prefix : string option;
     mutable open_hot : bool; (* the open data block is hot *)
     mutable hot : handle list; (* hot data blocks written, reversed *)
-    mutable finished : (meta * filter_slot * handle * handle) option;
-        (* set by [finish]: the table, its filter, and the filter's and the
-           index's handles *)
   }
 
   (** [create env ~dir ~number ~block_bytes ~bloom] starts a new table
@@ -147,7 +144,6 @@ module Builder = struct
       last_prefix = None;
       open_hot = false;
       hot = [];
-      finished = None;
     }
 
   let write_block t builder =
@@ -221,8 +217,12 @@ module Builder = struct
       (List.rev t.hot)
 
   (** [finish t] writes filter, index and footer, syncs the file, and
-      returns the table's metadata.  Empty builders produce no file and
-      return [None]. *)
+      returns the table's metadata with the table opened from what [t]
+      holds: the index as a view of the file (see
+      {!Pdb_simio.Env.peek_view}), the filter it built and the footer's
+      fields, with no device read and no clock charge, since the table
+      was just written and synced and its bytes are in memory.  Empty
+      builders produce no file and return [None]. *)
   let finish t =
     if t.entries = 0 then begin
       Pdb_simio.Env.close t.writer;
@@ -278,31 +278,18 @@ module Builder = struct
             largest = t.largest;
           }
         in
-        t.finished <-
-          Some
-            ( meta,
-              (match filter with Some f -> Loaded f | None -> No_filter),
-              filter_handle,
-              index_handle );
-        Some meta
+        let src, pos =
+          Pdb_simio.Env.peek_view t.env t.file ~pos:index_handle.offset
+            ~len:index_handle.size
+        in
+        let reader =
+          make_reader t.env t.file meta
+            ~index:(Block.decode_view src ~pos ~len:index_handle.size)
+            ~index_handle ~filter_handle ~prefix_len:t.prefix_bloom_len
+            (match filter with Some f -> Loaded f | None -> No_filter)
+        in
+        Some (meta, reader)
     end
-
-  (** [reader t] opens the table [finish] wrote from what [t] holds: the
-      index as a view of the file (see {!Pdb_simio.Env.peek_view}), the
-      filter it built and the footer's fields, with no device read and no
-      clock charge.  The table was just written and synced, so its bytes
-      are in memory. *)
-  let reader t =
-    match t.finished with
-    | None -> invalid_arg "Table.Builder.reader: no finished table"
-    | Some (meta, filter, filter_handle, index_handle) ->
-      let src, pos =
-        Pdb_simio.Env.peek_view t.env t.file ~pos:index_handle.offset
-          ~len:index_handle.size
-      in
-      make_reader t.env t.file meta
-        ~index:(Block.decode_view src ~pos ~len:index_handle.size)
-        ~index_handle ~filter_handle ~prefix_len:t.prefix_bloom_len filter
 end
 
 let load_block r ~cache ~hint ~offset ~size =
@@ -327,7 +314,7 @@ let read_filter env name ~pos ~len ~hint =
     (a table the store did not write since it opened, or one the table
     cache evicted with no summary kept); a compaction input no cache
     holds passes [~hint:Sequential_read].  A table a store writes is
-    opened from its builder instead ({!Builder.reader}). *)
+    opened by its builder instead ({!Builder.finish}). *)
 let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
   let name = file_name ~dir meta.number in
   let size = Pdb_simio.Env.file_size env name in

@@ -62,23 +62,19 @@ module Builder : sig
   val entry_count : t -> int
 
   (** [finish t] writes filter, index and footer, syncs the file, and
-      returns the table's metadata; an empty builder deletes its file and
-      returns [None]. *)
-  val finish : t -> meta option
+      returns the table's metadata with the table open: the index as a
+      view of the file (see {!Pdb_simio.Env.peek_view}), the filter it
+      built and the footer's fields, with no device read and no clock
+      charge.  The reader answers every query as {!open_reader} on the
+      same file does.  An empty builder deletes its file and returns
+      [None]. *)
+  val finish : t -> (meta * reader) option
 
   (** [admit_hot t cache] puts each hot data block of [t], once {!finish}
       has synced it, into [cache] as a view of the file (see
       {!Pdb_simio.Env.peek_view}), with no device read and no clock
       charge. *)
   val admit_hot : t -> Block_cache.t -> unit
-
-  (** [reader t] opens the table {!finish} wrote from what [t] holds: the
-      index as a view of the file (see {!Pdb_simio.Env.peek_view}), the
-      filter it built and the footer's fields, with no device read and no
-      clock charge.  It answers every query as {!open_reader} on the same
-      file does.
-      @raise Invalid_argument when [finish] wrote no table. *)
-  val reader : t -> reader
 end
 
 (** [open_reader ?hint env ~dir meta] opens a table from its file,
@@ -86,7 +82,7 @@ end
     (a table the store did not write since it opened, or one the table
     cache evicted with no summary kept); a compaction input no cache
     holds passes [~hint:Sequential_read].  A table a store writes is
-    opened from its builder instead ({!Builder.reader}).
+    opened by its builder instead ({!Builder.finish}).
     @raise Failure on a bad magic number. *)
 val open_reader :
   ?hint:Pdb_simio.Device.read_hint -> Pdb_simio.Env.t -> dir:string -> meta ->

@@ -97,7 +97,7 @@ let find t (meta : Table.meta) =
     reader
 
 (** [admit t reader] caches [reader], a table the store has just written
-    and opened from its builder ({!Table.Builder.reader}), as LevelDB
+    and opened from its builder ({!Table.Builder.finish}), as LevelDB
     opens every new table before installing it.  Like a first open it
     records the table's summary; unlike one it reads nothing and counts
     neither a hit nor a miss.  The reader's filter is resident, so the

@@ -32,7 +32,7 @@ let build_table ?(prefix_bloom_len = 0) ?(block_bytes = 512) env ~number
       ~bloom:true
   in
   List.iter (fun (k, v) -> T.Builder.add b (ikey k) v) entries;
-  Option.get (T.Builder.finish b)
+  fst (Option.get (T.Builder.finish b))
 
 (* ---------- probe budget: makespan and determinism ---------- *)
 
@@ -580,8 +580,8 @@ let test_compaction_reads_resident_inputs (module E : CACHED_ENGINE) opts () =
 (* ---------- new tables: the builder's reader ---------- *)
 
 (* Over random tables — with a filter, with a prefix filter, with none;
-   some keys in two versions, the older a tombstone — the reader a
-   builder opens reads nothing from the device and answers every get,
+   some keys in two versions, the older a tombstone — the reader
+   [Builder.finish] returns costs no device read and answers every get,
    filter probe, seek and full scan exactly as [open_reader] on the same
    file. *)
 let prop_builder_reader =
@@ -608,10 +608,9 @@ let prop_builder_reader =
                  (Ik.encode ~user_key:(key i) ~seq:2 ~kind:Ik.Deletion)
                  "")
            ids;
-         let meta = Option.get (T.Builder.finish b) in
          let ops = read_ops env in
-         let built = T.Builder.reader b in
-         if read_ops env <> ops then QCheck.Test.fail_report "reader read";
+         let meta, built = Option.get (T.Builder.finish b) in
+         if read_ops env <> ops then QCheck.Test.fail_report "finish read";
          let opened = T.open_reader env ~dir:"db" meta in
          let cache () = BC.create ~capacity:(1 lsl 20) in
          let bc_built = cache () and bc_opened = cache () in

@@ -234,7 +234,7 @@ let build_table ?(bloom = true) env ~dir ~number entries =
   in
   List.iter (fun (ik, v) -> Table.Builder.add b ik v) entries;
   match Table.Builder.finish b with
-  | Some meta -> meta
+  | Some (meta, _) -> meta
   | None -> Alcotest.fail "table should not be empty"
 
 let sorted_entries n =
@@ -419,7 +419,7 @@ let prop_table_get_model =
           ~bloom:false
       in
       List.iter (fun (ik, v) -> Table.Builder.add b ik v) sorted;
-      let meta = Option.get (Table.Builder.finish b) in
+      let meta = fst (Option.get (Table.Builder.finish b)) in
       let reader = Table.open_reader env ~dir:"db" meta in
       let cache = Block_cache.create ~capacity:(1 lsl 20) in
       let model lookup =
@@ -606,7 +606,7 @@ let test_table_empty_builder () =
     Table.Builder.create env ~dir:"db" ~number:6 ~block_bytes:512 ~bloom:true
   in
   Alcotest.(check bool) "empty finish yields None" true
-    (Table.Builder.finish b = None);
+    (Table.Builder.finish b |> Option.is_none);
   Alcotest.(check bool) "file deleted" false
     (Pdb_simio.Env.exists env (Table.file_name ~dir:"db" 6))
 

@@ -108,7 +108,7 @@ let build_table env ~number entries =
       ~bloom:true
   in
   List.iter (fun (k, v) -> Pdb_sstable.Table.Builder.add b (ikey k) v) entries;
-  Option.get (Pdb_sstable.Table.Builder.finish b)
+  fst (Option.get (Pdb_sstable.Table.Builder.finish b))
 
 let make_level env specs =
   (* specs: (guard_keys, tables per guard as key lists) *)
