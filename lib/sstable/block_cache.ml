@@ -25,12 +25,9 @@ type t = {
   mutable misses : int;
 }
 
-(* The file id of a block's key (see {!key}). *)
-let file_of_key k = k lsr 32
-
 let create ~capacity =
   {
-    lru = Pdb_util.Lru.create_grouped ~group:file_of_key ~capacity;
+    lru = Pdb_util.Lru.create ~capacity;
     ids = Hashtbl.create 64;
     next_id = 0;
     compaction = false;
@@ -128,14 +125,18 @@ let admit t env ~file ~offset ~size =
 (** [evict_file t ~file] drops every cached block of [file], and its name.
     Called when an sstable is garbage-collected: its decoded blocks must
     not keep occupying LRU capacity (they can never hit again) or skew hit
-    rates, mirroring [Table_cache.evict].  The cache chains each file's
-    blocks, so this costs the file's cached blocks alone. *)
+    rates, mirroring [Table_cache.evict]. *)
 let evict_file t ~file =
   match Hashtbl.find_opt t.ids file with
   | None -> ()
   | Some id ->
     Hashtbl.remove t.ids file;
-    Pdb_util.Lru.remove_group t.lru id
+    let doomed =
+      Pdb_util.Lru.fold t.lru
+        (fun acc k _ -> if k lsr 32 = id then k :: acc else acc)
+        []
+    in
+    List.iter (Pdb_util.Lru.remove t.lru) doomed
 
 let used t = Pdb_util.Lru.used t.lru
 let hits t = t.hits

@@ -3,26 +3,20 @@
     Backs the block cache and table cache in the sstable substrate.  Each
     entry carries an integer weight (bytes); inserting past [capacity]
     evicts least-recently-used entries.  Implemented as a hash table over an
-    intrusive doubly-linked list.
-
-    A cache made by {!create_grouped} also chains the entries of each
-    group (a file's blocks, say) through their nodes, so {!remove_group}
-    drops one group's entries without walking the others. *)
+    intrusive doubly-linked list. *)
 
 (* [Nil] ends the list; a [Node] is its own inline record, so linking a
    node stores it as is, with no [Some] around it.  [hit] is [Some value],
-   built once, so a cache hit allocates nothing.  [gprev] and [gnext]
-   chain the node's group; [Nil] both in an ungrouped cache. *)
+   built once, so a cache hit allocates nothing. *)
 type ('k, 'v) node =
   | Nil
   | Node of {
       key : 'k;
+      value : 'v;
       hit : 'v option;
       mutable weight : int;
       mutable prev : ('k, 'v) node;
       mutable next : ('k, 'v) node;
-      mutable gprev : ('k, 'v) node;
-      mutable gnext : ('k, 'v) node;
     }
 
 type ('k, 'v) t = {
@@ -31,64 +25,19 @@ type ('k, 'v) t = {
   mutable head : ('k, 'v) node; (* most recently used *)
   mutable tail : ('k, 'v) node; (* least recently used *)
   mutable used : int;
-  group : ('k -> int) option;
-  groups : (int, ('k, 'v) node) Hashtbl.t; (* group -> its first node *)
 }
 
-let make group ~capacity =
+let create ~capacity =
   {
     capacity;
     table = Hashtbl.create 64;
     head = Nil;
     tail = Nil;
     used = 0;
-    group;
-    groups = Hashtbl.create (if group = None then 1 else 64);
   }
-
-let create ~capacity = make None ~capacity
-
-(** [create_grouped ~group ~capacity] is an empty cache whose key [k]
-    belongs to group [group k]. *)
-let create_grouped ~group ~capacity = make (Some group) ~capacity
 
 let set_prev node p = match node with Node n -> n.prev <- p | Nil -> ()
 let set_next node x = match node with Node n -> n.next <- x | Nil -> ()
-let set_gprev node p = match node with Node n -> n.gprev <- p | Nil -> ()
-
-(* Chain [node] into its group, right after the group's first node, so
-   the group table changes only when a group gains its first entry. *)
-let group_link t node =
-  match (t.group, node) with
-  | Some group, Node n -> (
-    let g = group n.key in
-    match Hashtbl.find t.groups g with
-    | Node first as f ->
-      n.gprev <- f;
-      n.gnext <- first.gnext;
-      set_gprev first.gnext node;
-      first.gnext <- node
-    | Nil -> ()
-    | exception Not_found -> Hashtbl.add t.groups g node)
-  | _ -> ()
-
-let group_unlink t node =
-  match (t.group, node) with
-  | Some group, Node n ->
-    (match n.gprev with
-     | Node p ->
-       p.gnext <- n.gnext;
-       set_gprev n.gnext n.gprev
-     | Nil -> (
-       (* the group's first node *)
-       match n.gnext with
-       | Nil -> Hashtbl.remove t.groups (group n.key)
-       | next ->
-         set_gprev next Nil;
-         Hashtbl.replace t.groups (group n.key) next));
-    n.gprev <- Nil;
-    n.gnext <- Nil
-  | _ -> ()
 
 let unlink t node =
   match node with
@@ -118,7 +67,6 @@ let drop t node =
   | Nil -> ()
   | Node n ->
     unlink t node;
-    group_unlink t node;
     Hashtbl.remove t.table n.key;
     t.used <- t.used - n.weight
 
@@ -150,20 +98,10 @@ let insert t k v ~weight =
   if weight <= t.capacity then begin
     drop t (lookup t k);
     let node =
-      Node
-        {
-          key = k;
-          hit = Some v;
-          weight;
-          prev = Nil;
-          next = Nil;
-          gprev = Nil;
-          gnext = Nil;
-        }
+      Node { key = k; value = v; hit = Some v; weight; prev = Nil; next = Nil }
     in
     Hashtbl.replace t.table k node;
     push_front t node;
-    group_link t node;
     t.used <- t.used + weight;
     while t.used > t.capacity do
       evict_one t
@@ -187,18 +125,6 @@ let update_weight t k ~weight =
 
 let remove t k = drop t (lookup t k)
 
-(** [remove_group t g] drops every entry of group [g], at a cost in
-    those entries alone; a no-op in an ungrouped cache. *)
-let remove_group t g =
-  let rec go () =
-    match Hashtbl.find t.groups g with
-    | first ->
-      drop t first;
-      go ()
-    | exception Not_found -> ()
-  in
-  go ()
-
 let used t = t.used
 let length t = Hashtbl.length t.table
 
@@ -208,6 +134,6 @@ let fold t f acc =
   let rec go node acc =
     match node with
     | Nil -> acc
-    | Node n -> go n.next (f acc n.key (Option.get n.hit))
+    | Node n -> go n.next (f acc n.key n.value)
   in
   go t.head acc

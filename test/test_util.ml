@@ -281,32 +281,6 @@ let prop_lru_capacity =
         ops;
       Lru.used c <= 50)
 
-(* Random inserts into a small grouped cache (so evictions and
-   re-inserts break and re-form group chains), then one group removed:
-   exactly that group's entries leave, every other entry stays, and the
-   removed group can fill again. *)
-let prop_lru_remove_group =
-  qtest "lru remove_group drops exactly its group"
-    QCheck.(pair (list (pair (int_bound 40) (int_bound 4))) (int_bound 4))
-    (fun (ops, g) ->
-      let group k = k mod 5 in
-      let c = Lru.create_grouped ~group ~capacity:30 in
-      List.iter (fun (k, w) -> Lru.insert c k k ~weight:(1 + w)) ops;
-      let entries () = List.sort compare (Lru.fold c (fun a k _ -> k :: a) []) in
-      let before = entries () and used = Lru.used c in
-      Lru.remove_group c g;
-      let kept = List.filter (fun k -> group k <> g) before in
-      let dropped = List.filter (fun k -> group k = g) before in
-      let weight k =
-        List.fold_left (fun w (k', w') -> if k' = k then 1 + w' else w) 0 ops
-      in
-      let exact =
-        entries () = kept
-        && Lru.used c = used - List.fold_left (fun a k -> a + weight k) 0 dropped
-      in
-      Lru.insert c g g ~weight:1;
-      exact && Lru.find c g = Some g)
-
 (* ---------- Rng / Dist ---------- *)
 
 let test_rng_deterministic () =
@@ -432,7 +406,6 @@ let () =
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "fold" `Quick test_lru_fold;
           prop_lru_capacity;
-          prop_lru_remove_group;
         ] );
       ( "rng-dist",
         [
