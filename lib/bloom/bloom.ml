@@ -69,10 +69,17 @@ let note p key =
   Bytes.set_int32_ne p.hashes (at + 4) (Int32.of_int (hash2 key));
   p.n <- p.n + 1
 
-(** [of_pending p] is the filter sized for the keys noted in [p] and
-    holding them all: {!create} of their count, then {!add} of each. *)
+(** The fewest keys {!of_pending} sizes a filter for.  A filter of a few
+    hundred bits leaves its false-positive rate to chance: over 400 random
+    key sets, 16 keys in 160 bits answered up to 2.7% of absent keys and
+    24 keys in 240 bits up to 2.5%, against the ~1% that 10 bits a key
+    give a large filter; from 64 keys on, at most 1.6%. *)
+let min_keys = 64
+
+(** [of_pending p] is the filter sized for the keys noted in [p], and at
+    least {!min_keys}, holding them all: {!create}, then {!add} of each. *)
 let of_pending p =
-  let t = create p.n in
+  let t = create (max min_keys p.n) in
   let word at = Int32.to_int (Bytes.get_int32_ne p.hashes at) land 0xffff_ffff in
   for j = 0 to p.n - 1 do
     set_probes t (word (8 * j)) (word ((8 * j) + 4))

@@ -24,7 +24,8 @@ val mem : t -> string -> bool
 
     A table builder does not know how many keys its table will hold until
     it is complete.  It notes each key as it arrives and builds the
-    filter at the end, sized to the real count. *)
+    filter at the end, sized to the real count (but not below
+    {!min_keys}). *)
 
 (** The hashes of keys noted for a filter not built yet. *)
 type pending
@@ -34,8 +35,12 @@ val pending : unit -> pending
 (** [note p key] records [key]; noting a key twice counts it twice. *)
 val note : pending -> string -> unit
 
-(** [of_pending p] is [create n] holding the [n] keys noted in [p]:
-    equal, bit for bit, to adding them one by one. *)
+(** The fewest keys {!of_pending} sizes a filter for (64): a filter of
+    fewer bits answers well over 1% of absent keys by chance. *)
+val min_keys : int
+
+(** [of_pending p] is [create (max min_keys n)] holding the [n] keys
+    noted in [p]: equal, bit for bit, to adding them one by one. *)
 val of_pending : pending -> t
 
 (** In-memory footprint — reported in the Table 5.4 memory experiment. *)

@@ -63,16 +63,16 @@ let prop_bloom_membership =
       List.iter (Bloom.add b) keys;
       List.for_all (Bloom.mem b) keys)
 
-(* Keys noted, then built into a filter sized to their count, give the
-   filter [create] of that count and [add] of each would: the same
-   bytes.  Past 64 keys the note buffer has grown. *)
+(* Keys noted, then built into a filter sized to their count (and at
+   least [min_keys]), give the filter [create] of that count and [add] of
+   each would: the same bytes.  Past 64 keys the note buffer has grown. *)
 let prop_bloom_of_pending =
   qtest "of_pending = create + add"
     QCheck.(list_of_size (Gen.int_range 0 300) string)
     (fun keys ->
       let p = Bloom.pending () in
       List.iter (Bloom.note p) keys;
-      let b = Bloom.create (List.length keys) in
+      let b = Bloom.create (max Bloom.min_keys (List.length keys)) in
       List.iter (Bloom.add b) keys;
       String.equal (Bloom.encode (Bloom.of_pending p)) (Bloom.encode b))
 

@@ -154,12 +154,10 @@ let test_new_tables_cached name () =
   E.close db
 
 (* Every table's bloom filter is sized to the keys it holds, whatever
-   the table's size: over tables of 16 to 20,000 small entries, written
-   by a flush and then by a full compaction, at most 2% of probes for
-   absent keys are false positives — in each table of 1,000 entries or
-   more, and over the smaller ones together (a small filter's rate
-   varies with how its few bits fall).  A table under 16 entries gets
-   the 64-bit minimum filter, as in LevelDB, and is left out. *)
+   the table's size: over tables of up to 20,000 small entries, written
+   by a flush and then by a full compaction, each table answers at most
+   2% of probes for absent keys with a false positive.  A table of fewer
+   than [Bloom.min_keys] keys gets a filter sized for that many. *)
 let test_bloom_sized_to_keys name () =
   let (module E : ENGINE), opts = List.assoc name engines in
   let opts =
@@ -172,46 +170,25 @@ let test_bloom_sized_to_keys name () =
   in
   let module T = Pdb_sstable.Table in
   let probes = 10_000 in
-  let false_positives r =
-    let n = ref 0 in
-    for i = 1 to probes do
-      if T.may_contain r (Printf.sprintf "absent%07d" i) then incr n
-    done;
-    !n
-  in
-  let at_most_2pct what positives tries =
-    let rate = float_of_int positives /. float_of_int tries in
-    if rate > 0.02 then
-      Alcotest.failf "%s: %.2f%% false positives" what (100.0 *. rate)
-  in
-  let large = ref 0 in
+  let checked = ref [] in
   let check_tables env what =
-    let small = ref 0 and small_tables = ref 0 in
     List.iter
       (fun file ->
         let number =
           int_of_string (Filename.chop_suffix (Filename.basename file) ".sst")
         in
         let meta = T.recover_meta env ~dir:"db" ~number in
-        let entries = meta.T.entries in
-        if entries >= 16 then begin
-          let fp = false_positives (T.open_reader env ~dir:"db" meta) in
-          if entries >= 1_000 then begin
-            incr large;
-            at_most_2pct
-              (Printf.sprintf "%s: table %d of %d entries" what number entries)
-              fp probes
-          end
-          else begin
-            small := !small + fp;
-            incr small_tables
-          end
-        end)
-      (List.filter (fun f -> Filename.check_suffix f ".sst") (Env.list env));
-    if !small_tables > 0 then
-      at_most_2pct
-        (Printf.sprintf "%s: %d tables under 1,000 entries" what !small_tables)
-        !small (!small_tables * probes)
+        let r = T.open_reader env ~dir:"db" meta in
+        let fp = ref 0 in
+        for i = 1 to probes do
+          if T.may_contain r (Printf.sprintf "absent%07d" i) then incr fp
+        done;
+        checked := meta.T.entries :: !checked;
+        let rate = float_of_int !fp /. float_of_int probes in
+        if rate > 0.02 then
+          Alcotest.failf "%s: table %d of %d entries: %.2f%% false positives"
+            what number meta.T.entries (100.0 *. rate))
+      (List.filter (fun f -> Filename.check_suffix f ".sst") (Env.list env))
   in
   List.iter
     (fun n ->
@@ -226,8 +203,9 @@ let test_bloom_sized_to_keys name () =
       check_tables env (Printf.sprintf "%d keys, compacted" n);
       E.close db)
     [ 16; 200; 2_000; 20_000 ];
-  Alcotest.(check bool) "tables of 1,000 entries or more checked" true
-    (!large >= 2)
+  Alcotest.(check bool) "tables of 16 and of 1,000 entries or more checked"
+    true
+    (List.mem 16 !checked && List.exists (fun e -> e >= 1_000) !checked)
 
 module type PILES = sig
   include ENGINE

@@ -178,21 +178,21 @@ let subjects =
 let pins =
   [
     ( "pebblesdb",
-      "5ac50e5d84003ab95b53886a45ea14f2",
-      "0x1.13fcd37p+26 0x1.905d24ep+26 0x1.36b0eacp+26 0x0p+0 0x1.01cb5c8p+26" );
+      "730c2df1fbcf40ba40838c977eef074c",
+      "0x1.129cbe2p+26 0x1.8cf8914p+26 0x1.384dad6p+26 0x0p+0 0x1.01bcb68p+26" );
     ( "pebblesdb-1",
-      "d525d693ef207bfdf3c85da7b746a2fe",
-      "0x1.baec54p+25 0x1.0254abb8p+29 0x1.1b8f945p+28 0x0p+0 0x1.dc9e29p+25"
+      "718c30ceefcd28a300f87d6f1310eae1",
+      "0x1.baec466p+25 0x1.027d75bcp+29 0x1.1bbe58ap+28 0x0p+0 0x1.dc9465p+25"
     );
     ( "leveled",
-      "1a1cc7ddb4817541c9ac1b4544ad442c",
-      "0x1.b7e71b4p+25 0x1.33ab76ap+26 0x1.f6b87a8p+25 0x0p+0 0x1.d421ccp+25" );
+      "029684a69155dafab3b291e5ffe6b574",
+      "0x1.b65f0d4p+25 0x1.33bdf38p+26 0x1.f443f5p+25 0x0p+0 0x1.d43554p+25" );
     ( "tiered",
-      "26633b9df33e70fceb4d4d00034beaf1",
-      "0x1.12955efp+26 0x1.0e49d64p+25 0x1.d6095bp+24 0x0p+0 0x1.f3f2d1p+25" );
+      "4bd3b07684ba77081e17cc56f8e51024",
+      "0x1.126e2fdp+26 0x1.0e4b364p+25 0x1.d60b74p+24 0x0p+0 0x1.f3e90dp+25" );
     ( "lazy_leveled",
-      "d3c39995753537cd7c893c7d13d97101",
-      "0x1.1295cd3p+26 0x1.11c1d24p+25 0x1.dcf953p+24 0x0p+0 0x1.f3f2d1p+25" );
+      "fb0f83d14eea42377e44d94f317f1229",
+      "0x1.126e9e1p+26 0x1.11c3324p+25 0x1.dcfb6cp+24 0x0p+0 0x1.f3e90dp+25" );
   ]
 
 let test_pin name () =
@@ -208,20 +208,20 @@ let test_pin name () =
 let scan_pins =
   [
     ( "pebblesdb",
-      "2a9b850b3b4de8708ea7a6b18b5a9c61",
-      "0x1.a3a1c75cp+29 0x1.416973cp+25 0x1.01edb3cp+25 0x0p+0 0x1.1f10c5p+27",
+      "ffa5083de950aea8bbffd5827e8a3af2",
+      "0x1.a3a1c75cp+29 0x1.419c21cp+25 0x1.021ce94p+25 0x0p+0 0x1.1f10c5p+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "pebblesdb-1",
-      "3a37b6ffd98bc3a36e0b61f0e54457d8",
-      "0x1.86915b2ep+29 0x1.5cdbp+27 0x1.7af13fep+26 0x0p+0 0x1.0c361cp+27",
+      "c3a0a085d48f985e69fb56af8fca8775",
+      "0x1.86915b2ep+29 0x1.5d122ep+27 0x1.7b2f382p+26 0x0p+0 0x1.0c361cp+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "leveled",
-      "01fa04cb9af906492a179eb3cff89349",
-      "0x1.4a1ed1f6p+29 0x1.d8036b8p+24 0x1.94fd9d8p+24 0x0p+0 0x1.ba554ep+26",
+      "93d75d891ca9d11afaaa84fc5516ac45",
+      "0x1.4a1ed31ep+29 0x1.d80a0b8p+24 0x1.95023a8p+24 0x0p+0 0x1.ba554ep+26",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "tiered",
-      "a986064b2e3dafc753bd9b5897933ed2",
-      "0x1.2291aea4p+30 0x1.5a2d16p+23 0x1.381fap+23 0x0p+0 0x1.0a133cp+27",
+      "bc82c8c93ad1bd92bed1e84f67a3a714",
+      "0x1.2291aea4p+30 0x1.5a31d2p+23 0x1.38233ap+23 0x0p+0 0x1.0a133cp+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
   ]
 
