@@ -181,19 +181,19 @@ let benchmarks =
   ]
 
 let run (c : Cli.t) l0_slowdown l0_stop names num seed probe_budget
-    no_seek_filtering table_cache table_cache_bytes =
+    no_seek_filtering table_cache =
   (* the db_bench-only option flags *)
   let tweak (o : O.t) =
     let pick v d = Option.value v ~default:d in
-    let pick_opt v d = if Option.is_some v then v else d in
     {
       o with
       O.l0_slowdown = pick l0_slowdown o.O.l0_slowdown;
       l0_stop = pick l0_stop o.O.l0_stop;
-      probe_budget_override = pick_opt probe_budget o.O.probe_budget_override;
+      probe_budget_override =
+        (if Option.is_some probe_budget then probe_budget
+         else o.O.probe_budget_override);
       seek_filtering = o.O.seek_filtering && not no_seek_filtering;
       table_cache_entries = pick table_cache o.O.table_cache_entries;
-      table_cache_bytes = pick_opt table_cache_bytes o.O.table_cache_bytes;
     }
   in
   (* --shards splits match the bench keyspace (key%010d over [0, num)) *)
@@ -269,9 +269,8 @@ let probe_budget_arg =
 let no_seek_filtering_arg =
   Arg.(value & flag
        & info [ "no-seek-filtering" ]
-           ~doc:"Disable read-path seek filtering (per-table range and \
-                 prefix-bloom checks); on-disk state is unaffected either \
-                 way.")
+           ~doc:"Disable read-path seek filtering (per-table key-range \
+                 checks); on-disk state is unaffected either way.")
 
 let table_cache_arg =
   Arg.(value & opt (some int) None
@@ -279,12 +278,6 @@ let table_cache_arg =
            ~doc:"Cap the table cache at N open sstables (index + filter \
                  resident); evicted tables reopen through their index \
                  summaries.")
-
-let table_cache_bytes_arg =
-  Arg.(value & opt (some int) None
-       & info [ "table-cache-bytes" ] ~docv:"BYTES"
-           ~doc:"Bound the table cache by resident bytes instead of entry \
-                 count.")
 
 let clients_doc =
   "Foreground client lanes for fillrandom / overwrite / readrandom / mixed \
@@ -296,7 +289,6 @@ let cmd =
     Term.(const run
           $ Cli.term ~clients_default:1 ~clients_doc
           $ l0_slowdown_arg $ l0_stop_arg $ benchmarks_arg $ num_arg $ seed_arg
-          $ probe_budget_arg $ no_seek_filtering_arg $ table_cache_arg
-          $ table_cache_bytes_arg)
+          $ probe_budget_arg $ no_seek_filtering_arg $ table_cache_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -754,9 +754,9 @@ let memory_bytes t =
   let filters_and_indexes =
     (* prefer the actual decoded footprint (open reader or summary) over
        the bits-per-key estimate: the estimate drifts from reality when
-       tables are smaller than sstable_target_bytes or carry prefix
-       probes, and stats should not disagree with the cache's own
-       accounting *)
+       tables are smaller than sstable_target_bytes, and a table under
+       Bloom.min_keys keys carries a filter sized for min_keys; stats
+       should not disagree with the cache's own accounting *)
     let per_file (m : Table.meta) =
       match Pdb_sstable.Table_cache.known_resident_bytes t.table_cache m with
       | Some b -> b

@@ -117,7 +117,6 @@ let user_range_overlap (m : Table.meta) key =
     filter is sized to the keys it ends up holding. *)
 let new_builder t =
   Table.Builder.create t.env ~dir:t.dir ~number:(new_file_number t)
-    ~prefix_bloom_len:t.opts.O.prefix_bloom_len
     ~block_bytes:t.opts.O.block_bytes ~bloom:t.opts.O.sstable_bloom
 
 (** [finish_table t b] finishes builder [b] and, when it wrote a table,
@@ -455,8 +454,8 @@ let open_store ~shape ~lv ?block_cache (opts : O.t) ~env ~dir =
           ~tracer:(fun () -> Env.tracer env)
           ();
       table_cache =
-        Table_cache.create ?bytes:opts.O.table_cache_bytes
-          ~summary_stride:opts.O.index_summary_stride env ~dir
+        Table_cache.create ~summary_stride:opts.O.index_summary_stride env
+          ~dir
           ~entries:opts.O.table_cache_entries;
       block_cache =
         (match block_cache with
@@ -729,7 +728,6 @@ let internal_iterator ?upper_user t =
   in
   let filter =
     Seek_filter.create ?upper_user ~filtering:t.opts.O.seek_filtering
-      ~peek:(Table_cache.peek t.table_cache)
       ~on_check:(fun ~skipped ->
         Stats.incr t.counters Stats.seek_bloom_checks;
         if skipped then Stats.incr t.counters Stats.seek_bloom_skips)

@@ -170,9 +170,6 @@ type t = {
   (* caching *)
   block_cache_bytes : int;
   table_cache_entries : int;  (** open tables whose index/filter stay cached *)
-  table_cache_bytes : int option;
-      (** when set, the table cache is bounded by the resident bytes
-          (index + filter) of its open tables instead of the entry count *)
   index_summary_stride : int;
       (** keep a compressed in-memory summary (every Nth index entry,
           shared-prefix truncated) per table above the table cache, so an
@@ -180,12 +177,6 @@ type t = {
           footer+index+filter; [0] disables summaries *)
   (* bloom *)
   sstable_bloom : bool;  (** per-sstable filters (PebblesDB §4.1) *)
-  prefix_bloom_len : int;
-      (** also add each distinct [prefix_bloom_len]-byte user-key prefix
-          to the sstable filter, letting prefix-bounded scans skip tables
-          that provably hold no key with the scan's prefix; [0] disables.
-          Recorded in the table footer, so mixed-configuration stores stay
-          sound.  Requires [sstable_bloom]. *)
   (* durability *)
   wal_sync_writes : bool;  (** fsync the WAL on every batch *)
   (* engineering constants (see module doc) *)
@@ -205,9 +196,9 @@ type t = {
   bit_decrement : int;  (** bits relaxed per deeper level *)
   max_sstables_per_guard : int;  (** hard cap; 1 makes FLSM behave as LSM *)
   seek_filtering : bool;
-      (** consult per-table range (and prefix-bloom) filters on the seek
-          and scan path, skipping tables provably disjoint from the probe
-          range; read-path only — never changes on-disk bytes *)
+      (** consult per-table key ranges on the seek and scan path,
+          skipping tables provably disjoint from the probe range;
+          read-path only — never changes on-disk bytes *)
   probe_budget_override : int option;
       (** override the device profile's [parallel_probe_budget] for this
           store; [Some 1] serialises multi-table probes (the measurement
@@ -256,10 +247,8 @@ let base =
     block_bytes = 4 * 1024;
     block_cache_bytes = 8 * 1024 * 1024;
     table_cache_entries = 4000;
-    table_cache_bytes = None;
     index_summary_stride = 16;
     sstable_bloom = true;
-    prefix_bloom_len = 0;
     wal_sync_writes = false;
     compaction_threads = 1;
     compaction_pick_files = 1;

@@ -19,7 +19,6 @@ type t = {
   entries : int;
   index_handle : int * int;
   filter_handle : int * int;
-  prefix_len : int;
   index_bytes : int;
   filter_bytes : int;
   nsamples : int;
@@ -66,8 +65,8 @@ let keep s key len =
   Bytes.blit key 0 s.bytes 0 len;
   s.len <- len
 
-let build ~stride ~number ~entries ~index_handle ~filter_handle ~prefix_len
-    ~index_bytes ~filter_bytes index =
+let build ~stride ~number ~entries ~index_handle ~filter_handle ~index_bytes
+    ~filter_bytes index =
   let stride = max 1 stride in
   let buf = Buffer.create 128 in
   (* the previous sample's key, and the last entry's while unsampled *)
@@ -103,7 +102,6 @@ let build ~stride ~number ~entries ~index_handle ~filter_handle ~prefix_len
     entries;
     index_handle;
     filter_handle;
-    prefix_len;
     index_bytes;
     filter_bytes;
     nsamples = !nsamples;
@@ -114,7 +112,6 @@ let number t = t.number
 let entries t = t.entries
 let index_handle t = t.index_handle
 let filter_handle t = t.filter_handle
-let prefix_len t = t.prefix_len
 let index_bytes t = t.index_bytes
 let filter_bytes t = t.filter_bytes
 let resident_table_bytes t = t.index_bytes + t.filter_bytes

@@ -16,7 +16,7 @@
 type t
 
 (** [build ~stride ~number ~entries ~index_handle ~filter_handle
-    ~prefix_len ~index_bytes ~filter_bytes index] digests a decoded index
+    ~index_bytes ~filter_bytes index] digests a decoded index
     block.  [index f] calls [f key len offset size] on each of the
     index's entries in order, its last key as the first [len] bytes of
     [key] (see {!Block.iter_index}); every [stride]-th entry (and the
@@ -30,7 +30,6 @@ val build :
   entries:int ->
   index_handle:int * int ->
   filter_handle:int * int ->
-  prefix_len:int ->
   index_bytes:int ->
   filter_bytes:int ->
   ((Bytes.t -> int -> int -> int -> unit) -> unit) ->
@@ -43,7 +42,6 @@ val entries : t -> int
 val index_handle : t -> int * int
 
 val filter_handle : t -> int * int
-val prefix_len : t -> int
 
 (** Actual decoded resident size of the open table (index + filter) as
     captured at first open — exact, unlike size estimates derived from

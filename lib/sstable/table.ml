@@ -6,11 +6,8 @@
     footer.  Entries are written once, in internal-key order, and never
     updated in place.
 
-    When [prefix_bloom_len > 0] the filter block additionally records a
-    tagged probe per distinct [prefix_bloom_len]-byte user-key prefix, so
-    prefix-bounded scans can skip tables whose filter proves the prefix
-    absent.  The length is recorded in the footer's padding word, making
-    build-time and probe-time prefix lengths agree by construction. *)
+    The footer is seven 32-bit words: filter offset and size, index
+    offset and size, entry count, magic number, and a zero padding word. *)
 
 type handle = { offset : int; size : int }
 
@@ -20,11 +17,6 @@ let encode_handle buf h =
 
 let footer_size = 28
 let magic = 0x50454242 (* "PEBB" *)
-
-(* Namespaces prefix probes away from whole-key probes within the shared
-   bloom.  A collision with a real user key only risks a false positive,
-   which filters tolerate by design. *)
-let prefix_tag = "\x01pfx\x01"
 
 (** Summary of a finished table, recorded in the MANIFEST. *)
 type meta = {
@@ -54,11 +46,7 @@ type reader = {
   index : Block.t;
   index_handle : handle;
   filter_handle : handle;
-  prefix_len : int;
   mutable filter : filter_slot;
-  mutable on_filter_load : (unit -> unit) option;
-      (* notified when a Lazy filter materialises — the table cache
-         re-weighs the entry, whose resident footprint just changed *)
   finder : Block.cursor;
       (* reused by every point lookup; searches only, so it never holds a
          block *)
@@ -70,8 +58,7 @@ type reader = {
 let unbound = Block_cache.create ~capacity:0
 
 (* An open table over [index], with nothing yet read through a cache. *)
-let make_reader env name meta ~index ~index_handle ~filter_handle ~prefix_len
-    filter =
+let make_reader env name meta ~index ~index_handle ~filter_handle filter =
   {
     env;
     name;
@@ -79,9 +66,7 @@ let make_reader env name meta ~index ~index_handle ~filter_handle ~prefix_len
     index;
     index_handle;
     filter_handle;
-    prefix_len;
     filter;
-    on_filter_load = None;
     finder = Block.cursor ();
     bound = unbound;
     file_id = 0;
@@ -104,7 +89,6 @@ module Builder = struct
     file : string;
     number : int;
     block_bytes : int;
-    prefix_bloom_len : int;
     mutable offset : int;
     data : Block.Builder.t;
     index : (string * handle) list ref; (* reversed *)
@@ -114,17 +98,14 @@ module Builder = struct
     mutable largest : string;
     mutable entries : int;
     mutable last_user_key : string option;
-    mutable last_prefix : string option;
     mutable open_hot : bool; (* the open data block is hot *)
     mutable hot : handle list; (* hot data blocks written, reversed *)
   }
 
   (** [create env ~dir ~number ~block_bytes ~bloom] starts a new table
       file.  [bloom = true] attaches a per-table filter, sized at [finish]
-      to the table's distinct user keys; [prefix_bloom_len > 0] also
-      records user-key prefixes of that length in the same filter, each
-      distinct prefix counting as one more key. *)
-  let create ?(prefix_bloom_len = 0) env ~dir ~number ~block_bytes ~bloom =
+      to the table's distinct user keys. *)
+  let create env ~dir ~number ~block_bytes ~bloom =
     let name = file_name ~dir number in
     {
       env;
@@ -132,7 +113,6 @@ module Builder = struct
       file = name;
       number;
       block_bytes;
-      prefix_bloom_len = (if bloom then max 0 prefix_bloom_len else 0);
       offset = 0;
       data = Block.Builder.create ();
       index = ref [];
@@ -141,7 +121,6 @@ module Builder = struct
       largest = "";
       entries = 0;
       last_user_key = None;
-      last_prefix = None;
       open_hot = false;
       hot = [];
     }
@@ -181,17 +160,7 @@ module Builder = struct
        let uk = Pdb_kvs.Internal_key.user_key ikey in
        if t.last_user_key <> Some uk then begin
          Pdb_bloom.Bloom.note keys uk;
-         t.last_user_key <- Some uk;
-         (* keys arrive sorted, so consecutive dedupe covers all repeats
-            of a prefix *)
-         if t.prefix_bloom_len > 0 && String.length uk >= t.prefix_bloom_len
-         then begin
-           let p = String.sub uk 0 t.prefix_bloom_len in
-           if t.last_prefix <> Some p then begin
-             Pdb_bloom.Bloom.note keys (prefix_tag ^ p);
-             t.last_prefix <- Some p
-           end
-         end
+         t.last_user_key <- Some uk
        end
      | None -> ());
     Block.Builder.add_slice t.data ikey src pos len;
@@ -261,7 +230,7 @@ module Builder = struct
       Pdb_util.Varint.put_fixed32 buf index_handle.size;
       Pdb_util.Varint.put_fixed32 buf t.entries;
       Pdb_util.Varint.put_fixed32 buf magic;
-      Pdb_util.Varint.put_fixed32 buf t.prefix_bloom_len;
+      Pdb_util.Varint.put_fixed32 buf 0;
       Pdb_simio.Env.append_buffer t.writer buf;
       t.offset <- t.offset + footer_size;
       Pdb_simio.Env.sync t.writer;
@@ -285,7 +254,7 @@ module Builder = struct
         let reader =
           make_reader t.env t.file meta
             ~index:(Block.decode_view src ~pos ~len:index_handle.size)
-            ~index_handle ~filter_handle ~prefix_len:t.prefix_bloom_len
+            ~index_handle ~filter_handle
             (match filter with Some f -> Loaded f | None -> No_filter)
         in
         Some (meta, reader)
@@ -309,6 +278,40 @@ let read_filter env name ~pos ~len ~hint =
   let src, off = Pdb_simio.Env.read_view env name ~pos ~len ~hint in
   Pdb_bloom.Bloom.decode_range src ~pos:off ~len
 
+(* The footer's fields: the filter and index handles and the entry
+   count. *)
+type footer = { filter_at : handle; index_at : handle; count : int }
+
+(* Read and check [name]'s footer, the last [footer_size] bytes. *)
+let read_footer env name ~hint =
+  let size = Pdb_simio.Env.file_size env name in
+  let src, at =
+    Pdb_simio.Env.read_view env name ~pos:(size - footer_size)
+      ~len:footer_size ~hint
+  in
+  let field i = Pdb_util.Varint.get_fixed32 src (at + (4 * i)) in
+  if field 5 <> magic then
+    failwith (Printf.sprintf "Table %s: bad magic" name);
+  {
+    filter_at = { offset = field 0; size = field 1 };
+    index_at = { offset = field 2; size = field 3 };
+    count = field 4;
+  }
+
+(* Open [name] past its footer: read its index and filter. *)
+let open_past_footer env name meta { filter_at; index_at; count = _ } ~hint =
+  let index =
+    read_index env name ~pos:index_at.offset ~len:index_at.size ~hint
+  in
+  let filter =
+    if filter_at.size = 0 then No_filter
+    else
+      Loaded
+        (read_filter env name ~pos:filter_at.offset ~len:filter_at.size ~hint)
+  in
+  make_reader env name meta ~index ~index_handle:index_at
+    ~filter_handle:filter_at filter
+
 (** [open_reader ?hint env ~dir meta] opens a table from its file,
     reading footer, index and filter: three random reads on the read path
     (a table the store did not write since it opened, or one the table
@@ -317,26 +320,7 @@ let read_filter env name ~pos ~len ~hint =
     opened by its builder instead ({!Builder.finish}). *)
 let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
   let name = file_name ~dir meta.number in
-  let size = Pdb_simio.Env.file_size env name in
-  let footer, at =
-    Pdb_simio.Env.read_view env name ~pos:(size - footer_size)
-      ~len:footer_size ~hint
-  in
-  let field i = Pdb_util.Varint.get_fixed32 footer (at + (4 * i)) in
-  let filter_off = field 0 and filter_size = field 1 in
-  let index_off = field 2 and index_size = field 3 in
-  let stored_magic = field 5 and prefix_len = field 6 in
-  if stored_magic <> magic then
-    failwith (Printf.sprintf "Table.open_reader %s: bad magic" name);
-  let index = read_index env name ~pos:index_off ~len:index_size ~hint in
-  let filter =
-    if filter_size = 0 then No_filter
-    else Loaded (read_filter env name ~pos:filter_off ~len:filter_size ~hint)
-  in
-  make_reader env name meta ~index
-    ~index_handle:{ offset = index_off; size = index_size }
-    ~filter_handle:{ offset = filter_off; size = filter_size }
-    ~prefix_len filter
+  open_past_footer env name meta (read_footer env name ~hint) ~hint
 
 (** [open_via_summary env ~dir meta summary] reopens an evicted table
     guided by its {!Index_summary}: the footer read is skipped entirely
@@ -359,7 +343,7 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
   let filter_handle = { offset = filter_off; size = filter_size } in
   make_reader env name meta ~index
     ~index_handle:{ offset = index_off; size = index_size }
-    ~filter_handle ~prefix_len:(Index_summary.prefix_len summary)
+    ~filter_handle
     (if filter_size = 0 then No_filter else Lazy filter_handle)
 
 (* Materialise a lazy filter, charging the deferred random read. *)
@@ -373,12 +357,7 @@ let load_filter r =
         ~hint:Pdb_simio.Device.Random_read
     in
     r.filter <- Loaded f;
-    (match r.on_filter_load with Some notify -> notify () | None -> ());
     Some f
-
-(** [set_on_filter_load r f] registers a one-per-reader hook run when a
-    deferred filter materialises (no-op if already resident or absent). *)
-let set_on_filter_load r f = r.on_filter_load <- Some f
 
 (** [may_contain r user_key] consults the table's bloom filter; [true] when
     no filter is attached. *)
@@ -390,20 +369,9 @@ let may_contain r user_key =
     | Some f -> Pdb_bloom.Bloom.mem f user_key
     | None -> true)
 
-(** [may_contain_prefix r prefix] is [false] only when the table was built
-    with [prefix_bloom_len = String.length prefix] and its filter proves no
-    stored user key starts with [prefix]. *)
-let may_contain_prefix r prefix =
-  if r.prefix_len <= 0 || String.length prefix <> r.prefix_len then true
-  else
-    match load_filter r with
-    | Some f -> Pdb_bloom.Bloom.mem f (prefix_tag ^ prefix)
-    | None -> true
-
 let number r = r.meta.number
 let has_filter r = match r.filter with No_filter -> false | _ -> true
 let filter_resident r = match r.filter with Loaded _ -> true | _ -> false
-let prefix_len r = r.prefix_len
 
 (** In-memory footprint of the open table (index + filter), for Table 5.4.
     A still-lazy filter is counted at its on-disk size — the decoded bloom
@@ -422,7 +390,6 @@ let summarize ~stride r =
   Index_summary.build ~stride ~number:r.meta.number ~entries:r.meta.entries
     ~index_handle:(r.index_handle.offset, r.index_handle.size)
     ~filter_handle:(r.filter_handle.offset, r.filter_handle.size)
-    ~prefix_len:r.prefix_len
     ~index_bytes:(Block.size_bytes r.index)
     ~filter_bytes:
       (match r.filter with
@@ -535,21 +502,17 @@ let to_iter it =
 
 (** [recover_meta env ~dir ~number] reconstructs a table's metadata from
     the file alone — the repair path when the MANIFEST is lost.  Reads the
-    footer and index, and the first data block for the smallest key; the
-    largest key is the index's final entry. *)
+    footer (once: it holds the entry count), index and filter, and the
+    first data block for the smallest key; the largest key is the index's
+    final entry. *)
 let recover_meta env ~dir ~number =
   let name = file_name ~dir number in
   let file_size = Pdb_simio.Env.file_size env name in
-  let probe =
-    { number; file_size; entries = 0; smallest = ""; largest = "" }
-  in
-  let reader = open_reader ~hint:Pdb_simio.Device.Sequential_read env ~dir probe in
-  (* entry count lives in the footer *)
-  let footer =
-    Pdb_simio.Env.read env name ~pos:(file_size - footer_size)
-      ~len:footer_size ~hint:Pdb_simio.Device.Sequential_read
-  in
-  let entries = Pdb_util.Varint.get_fixed32 footer 16 in
+  let hint = Pdb_simio.Device.Sequential_read in
+  let footer = read_footer env name ~hint in
+  let entries = footer.count in
+  let probe = { number; file_size; entries; smallest = ""; largest = "" } in
+  let reader = open_past_footer env name probe footer ~hint in
   let index_it = Block.iterator ~compare:ikey_compare reader.index in
   index_it.Pdb_kvs.Iter.seek_to_first ();
   let largest = ref "" in
@@ -558,7 +521,7 @@ let recover_meta env ~dir ~number =
     index_it.Pdb_kvs.Iter.next ()
   done;
   let cache = Block_cache.create ~capacity:(1 lsl 16) in
-  let it = iterator reader ~cache ~hint:Pdb_simio.Device.Sequential_read in
+  let it = iterator reader ~cache ~hint in
   seek_to_first it;
   if not (valid it) then
     failwith (Printf.sprintf "Table.recover_meta %s: empty table" name);

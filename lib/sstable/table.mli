@@ -6,11 +6,8 @@
     footer.  Entries are written once, in internal-key order, and never
     updated in place.
 
-    When [prefix_bloom_len > 0] the filter block additionally records a
-    tagged probe per distinct [prefix_bloom_len]-byte user-key prefix, so
-    prefix-bounded scans can skip tables whose filter proves the prefix
-    absent.  The length is recorded in the footer's padding word, making
-    build-time and probe-time prefix lengths agree by construction. *)
+    The footer is seven 32-bit words: filter offset and size, index
+    offset and size, entry count, magic number, and a zero padding word. *)
 
 type handle = { offset : int; size : int }
 
@@ -37,11 +34,8 @@ module Builder : sig
   (** [create env ~dir ~number ~block_bytes ~bloom] starts a new table
       file.  [bloom = true] attaches a per-table filter, sized when
       {!finish} writes it to {!Pdb_bloom.Bloom.bits_per_key} bits for each
-      distinct user key; [prefix_bloom_len > 0] also records user-key
-      prefixes of that length in the same filter, each distinct prefix
-      counting as one more key. *)
+      distinct user key. *)
   val create :
-    ?prefix_bloom_len:int ->
     Pdb_simio.Env.t -> dir:string -> number:int -> block_bytes:int ->
     bloom:bool -> t
 
@@ -100,11 +94,6 @@ val open_via_summary :
     no filter is attached.  Loads a deferred filter on first use. *)
 val may_contain : reader -> string -> bool
 
-(** [may_contain_prefix r prefix] is [false] only when the table was built
-    with [prefix_bloom_len = String.length prefix] and its filter proves no
-    stored user key starts with [prefix]. *)
-val may_contain_prefix : reader -> string -> bool
-
 (** The table's file number. *)
 val number : reader -> int
 
@@ -112,14 +101,6 @@ val has_filter : reader -> bool
 
 (** Whether the filter is decoded in memory (false while still lazy). *)
 val filter_resident : reader -> bool
-
-(** [set_on_filter_load r f] registers a hook run when a deferred filter
-    materialises — {!resident_bytes} changes at that moment, and the
-    byte-bounded table cache re-weighs its entry. *)
-val set_on_filter_load : reader -> (unit -> unit) -> unit
-
-(** The [prefix_bloom_len] this table was built with; 0 = none. *)
-val prefix_len : reader -> int
 
 (** In-memory footprint of the open table (index + filter), for Table 5.4. *)
 val resident_bytes : reader -> int
@@ -190,6 +171,7 @@ val value_slice : iter -> (string -> int -> int -> unit) -> unit
 val to_iter : iter -> Pdb_kvs.Iter.t
 
 (** [recover_meta env ~dir ~number] reconstructs a table's metadata from
-    the file alone — the repair path when the MANIFEST is lost.
+    the file alone — the repair path when the MANIFEST is lost.  Reads
+    the footer once, the index and filter, and the first data block.
     @raise Failure on an empty or unreadable table. *)
 val recover_meta : Pdb_simio.Env.t -> dir:string -> number:int -> meta

@@ -1,8 +1,9 @@
 (** Weighted LRU cache.
 
     Backs the block cache and table cache in the sstable substrate.  Each
-    entry carries an integer weight (bytes); inserting past [capacity]
-    evicts least-recently-used entries.  Implemented as a hash table over an
+    entry carries a fixed integer weight (bytes in the block cache, 1 in
+    the table cache); inserting past [capacity] evicts least-recently-used
+    entries.  Implemented as a hash table over an
     intrusive doubly-linked list. *)
 
 (* [Nil] ends the list; a [Node] is its own inline record, so linking a
@@ -14,7 +15,7 @@ type ('k, 'v) node =
       key : 'k;
       value : 'v;
       hit : 'v option;
-      mutable weight : int;
+      weight : int;
       mutable prev : ('k, 'v) node;
       mutable next : ('k, 'v) node;
     }
@@ -107,21 +108,6 @@ let insert t k v ~weight =
       evict_one t
     done
   end
-
-(** [update_weight t k weight] re-weighs a resident entry in place —
-    for cached values whose footprint changes after insertion (a lazily
-    decoded part materialising).  Recency is unchanged; growing past
-    capacity evicts from the LRU end as usual (possibly the entry
-    itself). *)
-let update_weight t k ~weight =
-  match lookup t k with
-  | Node n ->
-    t.used <- t.used - n.weight + weight;
-    n.weight <- weight;
-    while t.used > t.capacity do
-      evict_one t
-    done
-  | Nil -> ()
 
 let remove t k = drop t (lookup t k)
 

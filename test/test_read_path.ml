@@ -25,12 +25,8 @@ let checkf = Alcotest.(check (float 1e-9))
 
 let ikey ?(seq = 1) k = Ik.encode ~user_key:k ~seq ~kind:Ik.Value
 
-let build_table ?(prefix_bloom_len = 0) ?(block_bytes = 512) env ~number
-    entries =
-  let b =
-    T.Builder.create ~prefix_bloom_len env ~dir:"db" ~number ~block_bytes
-      ~bloom:true
-  in
+let build_table ?(block_bytes = 512) env ~number entries =
+  let b = T.Builder.create env ~dir:"db" ~number ~block_bytes ~bloom:true in
   List.iter (fun (k, v) -> T.Builder.add b (ikey k) v) entries;
   fst (Option.get (T.Builder.finish b))
 
@@ -95,10 +91,7 @@ let test_probe_budget_determinism () =
 (* ---------- seek filter: boundary decisions ---------- *)
 
 let null_filter ?upper_user () =
-  SF.create ?upper_user ~filtering:true
-    ~peek:(fun _ -> None)
-    ~on_check:(fun ~skipped:_ -> ())
-    ()
+  SF.create ?upper_user ~filtering:true ~on_check:(fun ~skipped:_ -> ()) ()
 
 let test_skip_seek_boundaries () =
   let env = Env.create () in
@@ -119,35 +112,6 @@ let test_skip_seek_boundaries () =
     (SF.skip_first (null_filter ~upper_user:"g" ()) meta);
   check Alcotest.bool "no upper keeps" false (SF.skip_first f meta)
 
-let test_prefix_bloom () =
-  let env = Env.create () in
-  let meta =
-    build_table ~prefix_bloom_len:4 env ~number:1
-      [ ("aaaa1", "v"); ("aaaa2", "v"); ("cccc1", "v") ]
-  in
-  let r = T.open_reader env ~dir:"db" meta in
-  check Alcotest.int "prefix length recorded" 4 (T.prefix_len r);
-  check Alcotest.bool "present prefix" true (T.may_contain_prefix r "aaaa");
-  check Alcotest.bool "absent prefix" false (T.may_contain_prefix r "bbbb");
-  check Alcotest.bool "wrong-length probe passes" true
-    (T.may_contain_prefix r "bb");
-  check Alcotest.bool "point probes still work" true (T.may_contain r "aaaa1");
-  (* integration: a prefix-bounded scan over an absent prefix skips the
-     table; over a present one it does not *)
-  let filter upper =
-    SF.create ~upper_user:upper ~filtering:true
-      ~peek:(fun _ -> Some r)
-      ~on_check:(fun ~skipped:_ -> ())
-      ()
-  in
-  check Alcotest.bool "absent prefix range skipped" true
-    (SF.skip_seek (filter "bbbb9") meta ~target:(Ik.max_for_lookup "bbbb0"));
-  check Alcotest.bool "present prefix range kept" false
-    (SF.skip_seek (filter "aaaa9") meta ~target:(Ik.max_for_lookup "aaaa0"));
-  (* bounds spanning two prefixes: the certificate does not apply *)
-  check Alcotest.bool "mixed-prefix range kept" false
-    (SF.skip_seek (filter "cccc9") meta ~target:(Ik.max_for_lookup "bbbb0"))
-
 (* ---------- FLSM level iterator at guard boundaries ---------- *)
 
 let make_level env specs =
@@ -166,10 +130,10 @@ let make_level env specs =
     specs;
   level
 
-let counting_filter ?upper_user ~peek () =
+let counting_filter ?upper_user () =
   let checks = ref 0 and skips = ref 0 in
   let f =
-    SF.create ?upper_user ~filtering:true ~peek
+    SF.create ?upper_user ~filtering:true
       ~on_check:(fun ~skipped ->
         incr checks;
         if skipped then incr skips)
@@ -192,8 +156,7 @@ let test_level_iter_skips_dead_member () =
     make_level env
       [ (None, [ [ "a"; "c" ] ]); (Some "g", [ [ "g"; "m" ]; [ "h"; "k" ] ]) ]
   in
-  let tc = TC.create env ~dir:"db" ~entries:100 in
-  let f, checks, skips = counting_filter ~peek:(TC.peek tc) () in
+  let f, checks, skips = counting_filter () in
   let it = iter_of ~filter:f env level in
   it.Iter.seek (Ik.max_for_lookup "l");
   check Alcotest.string "answer unchanged" "m" (Ik.user_key (it.Iter.key ()));
@@ -210,7 +173,7 @@ let test_level_iter_boundary_seeks () =
     make_level env
       [ (None, [ [ "a"; "c" ] ]); (Some "g", [ [ "g"; "m" ]; [ "h"; "k" ] ]) ]
   in
-  let f, _, _ = counting_filter ~peek:(fun _ -> None) () in
+  let f, _, _ = counting_filter () in
   let it = iter_of ~filter:f env level in
   (* exactly at a member's largest key: the member must survive *)
   it.Iter.seek (Ik.max_for_lookup "k");
@@ -230,7 +193,7 @@ let test_level_iter_upper_bound_stops () =
     make_level env
       [ (None, [ [ "a"; "b" ] ]); (Some "m", [ [ "m"; "z" ] ]) ]
   in
-  let f, _, _ = counting_filter ~upper_user:"c" ~peek:(fun _ -> None) () in
+  let f, _, _ = counting_filter ~upper_user:"c" () in
   let opened = ref 0 in
   let it = iter_of ~filter:f ~on_table:(fun () -> incr opened) env level in
   it.Iter.seek_to_first ();
@@ -354,62 +317,46 @@ let test_table_cache_summary_reopen () =
   check Alcotest.int "every table summarized once" 5
     (count Pdb_kvs.Engine_stats.summary_misses)
 
-let test_table_cache_byte_bound () =
-  let env = Env.create () in
-  let metas =
-    List.init 6 (fun t ->
-        build_table env ~number:(t + 1)
-          (List.init 40 (fun i -> (Printf.sprintf "t%d-%02d" t i, "value"))))
-  in
-  let w =
-    T.resident_bytes (T.open_reader env ~dir:"db" (List.hd metas))
-  in
-  let budget = (2 * w) + (w / 2) in
-  let tc = TC.create ~bytes:budget env ~dir:"db" ~entries:1_000_000 in
-  List.iter (fun m -> ignore (TC.find tc m)) metas;
-  check Alcotest.bool "byte budget respected" true
-    (TC.resident_bytes tc <= budget);
-  check Alcotest.bool "cache not emptied" true (TC.open_tables tc >= 1);
-  (* reads through the bounded cache still work *)
-  let bc = BC.create ~capacity:(1 lsl 20) in
-  let r = TC.find tc (List.nth metas 0) in
-  check Alcotest.bool "read-through after eviction" true
-    (T.get r ~cache:bc ~hint:Device.Random_read (Ik.max_for_lookup "t0-07")
-    <> None)
-
 (* ---------- memory accounting uses actual resident bytes ---------- *)
 
+(* Tables under [Bloom.min_keys] keys carry a filter sized for
+   [min_keys] keys, bigger than the bits-per-key estimate.  A reopened
+   store has opened none of its tables, so [memory_bytes] counts each by
+   that estimate; once gets have opened them all, it must count their
+   actual footprint, and grow by at least the filters' gap. *)
 let test_memory_accounting_actual () =
-  (* two identical stores, one with prefix blooms (which double the
-     filter): memory_bytes must reflect the decoded filters' actual
-     size, not the bits-per-key estimate (which is blind to prefixes) *)
-  let mb_with prefix_len =
-    let env = Env.create () in
-    let opts =
-      { (O.pebblesdb ()) with O.memtable_bytes = 256 * 1024;
-        prefix_bloom_len = prefix_len }
-    in
-    let t = P.open_store opts ~env ~dir:"db" in
-    let key i = Printf.sprintf "user%04d" i in
-    for i = 0 to 499 do
-      P.put t (key i) (String.make 64 'v')
-    done;
-    P.flush t;
-    (* touch the data so every sstable's reader is resident *)
-    for i = 0 to 499 do
-      ignore (P.get t (key i))
-    done;
-    let mb = P.memory_bytes t in
-    P.close t;
-    mb
+  let module Bloom = Pdb_bloom.Bloom in
+  let env = Env.create () in
+  (* no block cache: the gets' data blocks add nothing to memory *)
+  let opts = { (O.pebblesdb ()) with O.block_cache_bytes = 0 } in
+  let key i = Printf.sprintf "user%04d" i in
+  let t = P.open_store opts ~env ~dir:"db" in
+  (* three level-0 tables of 30 keys: too few to trigger a compaction *)
+  for i = 0 to 89 do
+    P.put t (key i) (String.make 64 'v');
+    if i mod 30 = 29 then P.flush t
+  done;
+  P.close t;
+  let t = P.open_store opts ~env ~dir:"db" in
+  let metas = P.sstable_metas t in
+  check Alcotest.bool "every table under min_keys keys" true
+    (metas <> []
+    && List.for_all (fun (m : T.meta) -> m.T.entries < Bloom.min_keys) metas);
+  let estimated = P.memory_bytes t in
+  for i = 0 to 89 do
+    ignore (P.get t (key i))
+  done;
+  check Alcotest.bool "gets change no table" true (P.sstable_metas t = metas);
+  let actual = P.memory_bytes t in
+  P.close t;
+  let filter_gap =
+    List.fold_left
+      (fun acc (m : T.meta) ->
+        acc + ((Bloom.min_keys - m.T.entries) * Bloom.bits_per_key / 8))
+      0 metas
   in
-  let plain = mb_with 0 and prefixed = mb_with 8 in
-  check Alcotest.bool "positive" true (plain > 0);
-  (* 500 keys at 10 bits/key: prefix probes roughly double the filter,
-     so actual-bytes accounting must differ by at least half a plain
-     filter; the old estimate differed by at most a few index entries *)
-  check Alcotest.bool "prefix blooms show up in memory accounting" true
-    (prefixed - plain >= 500 * 10 / 8 / 2)
+  check Alcotest.bool "filters counted at their actual size" true
+    (actual - estimated >= filter_gap)
 
 (* ---------- compaction and the block cache ---------- *)
 
@@ -579,26 +526,21 @@ let test_compaction_reads_resident_inputs (module E : CACHED_ENGINE) opts () =
 
 (* ---------- new tables: the builder's reader ---------- *)
 
-(* Over random tables — with a filter, with a prefix filter, with none;
-   some keys in two versions, the older a tombstone — the reader
-   [Builder.finish] returns costs no device read and answers every get,
-   filter probe, seek and full scan exactly as [open_reader] on the same
-   file. *)
+(* Over random tables — with a filter and with none; some keys in two
+   versions, the older a tombstone — the reader [Builder.finish] returns
+   costs no device read and answers every get, filter probe, seek and
+   full scan exactly as [open_reader] on the same file. *)
 let prop_builder_reader =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:60 ~name:"builder reader = opened reader"
        QCheck.(
-         triple
-           (list_of_size (Gen.int_range 1 400) (int_bound 3000))
-           (oneofl [ 0; 2; 4 ])
-           bool)
-       (fun (ids, prefix_bloom_len, bloom) ->
+         pair (list_of_size (Gen.int_range 1 400) (int_bound 3000)) bool)
+       (fun (ids, bloom) ->
          let env = Env.create () in
          let key i = Printf.sprintf "k%05d" i in
          let ids = List.sort_uniq compare ids in
          let b =
-           T.Builder.create ~prefix_bloom_len env ~dir:"db" ~number:1
-             ~block_bytes:256 ~bloom
+           T.Builder.create env ~dir:"db" ~number:1 ~block_bytes:256 ~bloom
          in
          List.iter
            (fun i ->
@@ -622,7 +564,6 @@ let prop_builder_reader =
              ( T.number r,
                T.has_filter r,
                T.filter_resident r,
-               T.prefix_len r,
                T.resident_bytes r ));
          for i = 0 to 3010 do
            let k = key i in
@@ -631,12 +572,7 @@ let prop_builder_reader =
            same ("snapshot get " ^ k) (fun r cache ->
                T.get r ~cache ~hint:Device.Random_read
                  (Ik.lookup_at ~user_key:k ~seq:3));
-           same ("may_contain " ^ k) (fun r _ -> T.may_contain r k);
-           if prefix_bloom_len > 0 then begin
-             let p = String.sub k 0 prefix_bloom_len in
-             same ("may_contain_prefix " ^ p) (fun r _ ->
-                 T.may_contain_prefix r p)
-           end
+           same ("may_contain " ^ k) (fun r _ -> T.may_contain r k)
          done;
          let walk r cache ~from =
            let it = T.iterator r ~cache ~hint:Device.Sequential_read in
@@ -714,7 +650,6 @@ let () =
         [
           Alcotest.test_case "skip decisions at boundaries" `Quick
             test_skip_seek_boundaries;
-          Alcotest.test_case "prefix blooms" `Quick test_prefix_bloom;
           Alcotest.test_case "level iter skips dead member" `Quick
             test_level_iter_skips_dead_member;
           Alcotest.test_case "level iter boundary seeks" `Quick
@@ -731,8 +666,6 @@ let () =
             test_open_via_summary_equivalent;
           Alcotest.test_case "table cache summary reopens" `Quick
             test_table_cache_summary_reopen;
-          Alcotest.test_case "table cache byte bound" `Quick
-            test_table_cache_byte_bound;
           Alcotest.test_case "memory accounting actual" `Quick
             test_memory_accounting_actual;
         ] );

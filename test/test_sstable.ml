@@ -636,42 +636,6 @@ let test_table_cache_eviction_reopens () =
   Alcotest.(check bool) "reopen costs reads" true (reads_after > reads_before);
   check Alcotest.int "cache holds 1" 1 (Table_cache.open_tables tc)
 
-(* Regression: in a byte-bounded cache, a summary-guided reopen defers
-   its filter block; when a probe later materialises it, the reader's
-   resident footprint changes but its insert-time LRU weight used to stay
-   stale — the accounted byte budget silently diverged from what the
-   cache actually held. *)
-let test_table_cache_reweigh_on_filter_load () =
-  let env = Pdb_simio.Env.create () in
-  let m1 = build_table env ~dir:"db" ~number:12 (sorted_entries 200) in
-  let m2 = build_table env ~dir:"db" ~number:13 (sorted_entries 200) in
-  (* size the byte budget to hold exactly one of these tables *)
-  let one = Table.resident_bytes (Table.open_reader env ~dir:"db" m1) in
-  let tc =
-    Table_cache.create ~bytes:(one + (one / 2)) ~summary_stride:4 env
-      ~dir:"db" ~entries:1000
-  in
-  let check_accounting msg =
-    let actual =
-      Pdb_util.Lru.fold tc.Table_cache.cache
-        (fun acc _ r -> acc + Table.resident_bytes r)
-        0
-    in
-    check Alcotest.int msg actual (Table_cache.accounted_bytes tc)
-  in
-  ignore (Table_cache.find tc m1);
-  check_accounting "accounted = actual after eager open";
-  ignore (Table_cache.find tc m2);
-  (* m1 evicted; reopening it is summary-guided, filter deferred *)
-  let r1 = Table_cache.find tc m1 in
-  Alcotest.(check bool) "reopened filter is lazy" false
-    (Table.filter_resident r1);
-  check_accounting "accounted = actual while filter lazy";
-  Alcotest.(check bool) "probe loads the filter" true
-    (Table.may_contain r1 "key00050");
-  Alcotest.(check bool) "filter now resident" true (Table.filter_resident r1);
-  check_accounting "accounted = actual after filter materialises"
-
 (* ---------- Level_iter ---------- *)
 
 let test_level_iter_concat_and_seek () =
@@ -948,7 +912,7 @@ let prop_level_iter_model =
       let bc = Block_cache.create ~capacity:(1 lsl 24) in
       let on_table = ref 0 in
       let filter =
-        Seek_filter.create ~filtering:true ~peek:(Table_cache.peek tc)
+        Seek_filter.create ~filtering:true
           ~on_check:(fun ~skipped:_ -> ())
           ()
       in
@@ -1118,8 +1082,6 @@ let () =
             test_block_cache_hit_avoids_io;
           Alcotest.test_case "table cache eviction" `Quick
             test_table_cache_eviction_reopens;
-          Alcotest.test_case "byte cache re-weighs on filter load" `Quick
-            test_table_cache_reweigh_on_filter_load;
         ] );
       ( "level-iter",
         [
