@@ -18,7 +18,8 @@ let ycsb_splits shards =
 let run (c : Cli.t) workloads records ops =
   let value_size = c.Cli.value_size in
   let store, env = Cli.open_store c ~splits:ycsb_splits ~tweak:Fun.id in
-  (* clients=0 keeps the legacy serial measurement path *)
+  (* clients=0 is the serial path: ops applied as drawn, phase time
+     from the clock delta, the timing fig5.5 and fig5.6 record *)
   let clients = if c.Cli.clients <= 0 then None else Some c.Cli.clients in
   let report (r : Pdb_ycsb.Runner.result) =
     Printf.printf
@@ -81,8 +82,8 @@ let ops_arg =
   Arg.(value & opt int 10_000 & info [ "ops" ] ~doc:"Operations per workload.")
 
 let clients_doc =
-  "Foreground client lanes (round-robin, WAL group commit); 0 = legacy \
-   serial measurement."
+  "Foreground client lanes (round-robin, WAL group commit); 0 = the \
+   serial path, timed per phase as fig5.5 and fig5.6 record it."
 
 let cmd =
   Cmd.v (Cmd.info "ycsb" ~doc:"YCSB benchmark over the simulated stores")

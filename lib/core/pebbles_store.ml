@@ -949,10 +949,6 @@ let sstable_metas t =
   @ List.concat
       (List.init (S.last_level t) (fun i -> Guard.all_tables t.lv.levels.(i + 1)))
 
-let level_sizes t =
-  Array.init t.opts.O.max_levels (fun level ->
-      if level = 0 then S.bytes_of t.lv.l0 else level_bytes t level)
-
 let max_tables_in_any_guard t =
   let worst = ref 0 in
   for level = 1 to S.last_level t do

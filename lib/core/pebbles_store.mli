@@ -139,7 +139,4 @@ val guard_counts : t -> int array
 val empty_guard_count : t -> int
 val sstable_metas : t -> Pdb_sstable.Table.meta list
 
-(** Resident bytes per level (level 0 first). *)
-val level_sizes : t -> int array
-
 val max_tables_in_any_guard : t -> int

@@ -202,12 +202,6 @@ type result = {
   failures : (int * string) list;  (** (crash point, what went wrong) *)
 }
 
-let pp_result ppf r =
-  Fmt.pf ppf
-    "%s: %d/%d crash points (%d double, %d background, %d torn), %d failures"
-    r.engine r.crash_points r.total_events r.double_crashes
-    r.background_crashes r.torn_crashes (List.length r.failures)
-
 (* The sweep skeleton every torture shares.  At each of [max_points]
    points strided across [total_events], a fresh environment crashes at
    that IO event while [subject] drives the trace; [recovery] brings the

@@ -75,10 +75,6 @@ let engine_for_policy engine (p : O.compaction_policy) =
      | Pebblesdb | Pebblesdb_one -> Hyperleveldb
      | (Hyperleveldb | Leveldb | Rocksdb | Btree | Wiredtiger) as e -> e)
 
-(* tweak composer: pin the policy on top of an existing tweak *)
-let with_policy p tweak o =
-  { (tweak o) with O.compaction_policy = p }
-
 (* ---------- the engine modules ---------- *)
 
 (* Each engine module fixes the engine's optional arguments to match

@@ -78,8 +78,6 @@ let throttle_of_string = function
       (Printf.sprintf
          "unknown throttle %S (expected off | cliff | token_bucket)" s)
 
-let all_throttles = [ Unthrottled; Cliff; Token_bucket ]
-
 (** What a primary ships to its backups (Vardoulakis et al.'s design
     axis).  [Log_shipping] forwards WAL records at group-commit
     granularity and the backup re-runs its own flush/compaction — few
@@ -102,8 +100,6 @@ let repl_strategy_of_string = function
     Error
       (Printf.sprintf "unknown replication strategy %S (expected log | file)"
          s)
-
-let all_repl_strategies = [ Log_shipping; File_shipping ]
 
 (** {2 Model constants}
 

@@ -581,7 +581,6 @@ let check_invariants (t : t) =
 
 (* number of files per level, for tests and experiments *)
 let level_file_counts (t : t) = Array.map List.length t.lv.levels
-let level_sizes (t : t) = Array.init t.opts.O.max_levels (level_bytes t)
 let sstable_metas (t : t) = Array.to_list t.lv.levels |> List.concat
 
 (* resident tables of one level, in search order (tests) *)

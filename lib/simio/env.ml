@@ -202,10 +202,8 @@ let clock t = t.clock
 
 let set_fault_plan t plan = t.plan <- Some plan
 let clear_fault_plan t = t.plan <- None
-let fault_plan t = t.plan
 
 let set_tracer t tr = t.tracer <- Some tr
-let clear_tracer t = t.tracer <- None
 let tracer t = t.tracer
 
 (* One injection point: decrement the armed plan's countdown and raise

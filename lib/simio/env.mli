@@ -76,14 +76,12 @@ val clock : t -> Clock.t
 
 val set_fault_plan : t -> Fault_plan.t -> unit
 val clear_fault_plan : t -> unit
-val fault_plan : t -> Fault_plan.t option
 
 (** Attach a {!Trace.t} to record spans/instants (compaction jobs, flushes,
     WAL rotations, stalls, injected faults) against the simulated clock.
     Purely observational: store bytes and clock charges are unchanged. *)
 val set_tracer : t -> Trace.t -> unit
 
-val clear_tracer : t -> unit
 val tracer : t -> Trace.t option
 
 (** [with_atomic t f] runs [f] deferring any injected crash to the end of

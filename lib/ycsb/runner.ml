@@ -8,6 +8,7 @@
 module Dyn = Pdb_kvs.Store_intf
 module Iter = Pdb_kvs.Iter
 module Clock = Pdb_simio.Clock
+module Multi_client = Pdb_kvs.Multi_client
 
 let hex_digits = "0123456789abcdef"
 
@@ -50,25 +51,82 @@ type result = {
 
 let make_value rng n = Pdb_util.Rng.alpha rng n
 
-(* Measure a phase: simulated elapsed via the clock lanes (background
-   completion = per-worker timeline horizon), IO via the env counters. *)
-let measure (store : Dyn.dyn) name f =
-  let clock = Pdb_simio.Env.clock store.Dyn.d_env in
-  let io0 = Pdb_simio.Io_stats.snapshot (Pdb_simio.Env.stats store.Dyn.d_env) in
-  let c0 = Clock.snapshot clock in
-  let ops, reads, updates, inserts, scans, rmws = f () in
-  let c1 = Clock.snapshot clock in
-  let io1 = Pdb_simio.Io_stats.snapshot (Pdb_simio.Env.stats store.Dyn.d_env) in
-  let delta = Clock.diff c1 c0 in
-  let elapsed = Clock.elapsed_ns delta in
-  let io = Pdb_simio.Io_stats.diff io1 io0 in
+(* One drawn YCSB operation.  Keys and values are fixed when it is
+   drawn, so the serial path and the client lanes apply one stream. *)
+type op =
+  | Get of string
+  | Put of string * string  (** an update or an insert *)
+  | Scan of string * int  (** start key, records to step over *)
+  | Rmw of string * string
+
+let apply (store : Dyn.dyn) = function
+  | Get key -> ignore (store.Dyn.d_get key)
+  | Put (key, value) -> store.Dyn.d_put key value
+  | Scan (start, len) ->
+    let it = store.Dyn.d_iterator () in
+    it.Iter.seek start;
+    let steps = ref 0 in
+    while it.Iter.valid () && !steps < len do
+      ignore (it.Iter.key ());
+      ignore (it.Iter.value ());
+      it.Iter.next ();
+      incr steps
+    done
+  | Rmw (key, value) ->
+    ignore (store.Dyn.d_get key);
+    store.Dyn.d_put key value
+
+let client_op store op =
+  match op with
+  | Get _ -> Multi_client.Read (fun () -> apply store op)
+  | Put (key, value) ->
+    let b = Pdb_kvs.Write_batch.create () in
+    Pdb_kvs.Write_batch.put b key value;
+    Multi_client.Write b
+  | Scan _ -> Multi_client.Seek (fun () -> apply store op)
+  | Rmw _ -> Multi_client.Other (fun () -> apply store op)
+
+(* Run [n] ops from [draw] as one phase; IO comes from the env counters.
+   Serially, each op is applied as it is drawn and the phase takes the
+   clock delta (background completion = per-worker timeline horizon).
+   With [~clients], the ops are drawn first and replayed round-robin on
+   the client lanes, writes group-committing; elapsed comes from the lane
+   placement.  [counts ()] is read once every op is drawn. *)
+let drive ?clients ?latency (store : Dyn.dyn) phase ~n draw ~counts =
+  let io () =
+    Pdb_simio.Io_stats.snapshot (Pdb_simio.Env.stats store.Dyn.d_env)
+  in
+  let io0 = io () in
+  let elapsed_ns, clients, write_groups, avg_group_size, syncs_saved =
+    match clients with
+    | None ->
+      let store =
+        match latency with
+        | Some lat -> Pdb_kvs.Latency.instrument lat store
+        | None -> store
+      in
+      let clock = Pdb_simio.Env.clock store.Dyn.d_env in
+      let c0 = Clock.snapshot clock in
+      for _ = 1 to n do
+        apply store (draw ())
+      done;
+      (Clock.elapsed_ns (Clock.diff (Clock.snapshot clock) c0), 1, 0, 0.0, 0)
+    | Some clients ->
+      let ops = List.init n (fun _ -> client_op store (draw ())) in
+      let r = Multi_client.run ?latency store ~clients ops in
+      Multi_client.
+        (r.elapsed_ns, r.clients, r.write_groups, r.avg_group_size,
+         r.syncs_saved)
+  in
+  let io = Pdb_simio.Io_stats.diff (io ()) io0 in
+  let reads, updates, inserts, scans, rmws = counts () in
   {
-    phase = name;
-    ops;
-    elapsed_ns = elapsed;
+    phase;
+    ops = n;
+    elapsed_ns;
     kops_per_s =
-      (if elapsed <= 0.0 then 0.0
-       else float_of_int ops /. (elapsed /. 1e9) /. 1000.0);
+      (if elapsed_ns <= 0.0 then 0.0
+       else float_of_int n /. (elapsed_ns /. 1e9) /. 1000.0);
     bytes_written = io.Pdb_simio.Io_stats.bytes_written;
     bytes_read = io.Pdb_simio.Io_stats.bytes_read;
     reads;
@@ -76,48 +134,11 @@ let measure (store : Dyn.dyn) name f =
     inserts;
     scans;
     rmws;
-    clients = 1;
-    write_groups = 0;
-    avg_group_size = 0.0;
-    syncs_saved = 0;
+    clients;
+    write_groups;
+    avg_group_size;
+    syncs_saved;
   }
-
-(* Measure a phase driven through the multi-client executor: ops
-   interleave round-robin across [clients] foreground lanes and writes
-   group-commit; elapsed comes from the lane placement. *)
-let measure_clients ?latency (store : Dyn.dyn) name ~clients ops
-    ~counts:(nops, reads, updates, inserts, scans, rmws) =
-  let io0 = Pdb_simio.Io_stats.snapshot (Pdb_simio.Env.stats store.Dyn.d_env) in
-  let r = Pdb_kvs.Multi_client.run ?latency store ~clients ops in
-  let io1 = Pdb_simio.Io_stats.snapshot (Pdb_simio.Env.stats store.Dyn.d_env) in
-  let io = Pdb_simio.Io_stats.diff io1 io0 in
-  {
-    phase = name;
-    ops = nops;
-    elapsed_ns = r.Pdb_kvs.Multi_client.elapsed_ns;
-    kops_per_s =
-      (if r.Pdb_kvs.Multi_client.elapsed_ns <= 0.0 then 0.0
-       else
-         float_of_int nops
-         /. (r.Pdb_kvs.Multi_client.elapsed_ns /. 1e9)
-         /. 1000.0);
-    bytes_written = io.Pdb_simio.Io_stats.bytes_written;
-    bytes_read = io.Pdb_simio.Io_stats.bytes_read;
-    reads;
-    updates;
-    inserts;
-    scans;
-    rmws;
-    clients = r.Pdb_kvs.Multi_client.clients;
-    write_groups = r.Pdb_kvs.Multi_client.write_groups;
-    avg_group_size = r.Pdb_kvs.Multi_client.avg_group_size;
-    syncs_saved = r.Pdb_kvs.Multi_client.syncs_saved;
-  }
-
-let put_op key value =
-  let b = Pdb_kvs.Write_batch.create () in
-  Pdb_kvs.Write_batch.put b key value;
-  Pdb_kvs.Multi_client.Write b
 
 (** [load ?clients ?latency store ~records ~value_bytes ~seed] is the
     YCSB load phase: insert [records] fresh records.  With [~clients:n]
@@ -128,25 +149,14 @@ let put_op key value =
     lane placement on the client path) without changing store state. *)
 let load ?clients ?latency (store : Dyn.dyn) ~records ~value_bytes ~seed =
   let rng = Pdb_util.Rng.create seed in
-  match clients with
-  | None ->
-    let store =
-      match latency with
-      | Some lat -> Pdb_kvs.Latency.instrument lat store
-      | None -> store
-    in
-    measure store "load" (fun () ->
-        for n = 0 to records - 1 do
-          store.Dyn.d_put (key_of_record n) (make_value rng value_bytes)
-        done;
-        (records, 0, 0, records, 0, 0))
-  | Some clients ->
-    let ops = ref [] in
-    for n = 0 to records - 1 do
-      ops := put_op (key_of_record n) (make_value rng value_bytes) :: !ops
-    done;
-    measure_clients ?latency store "load" ~clients (List.rev !ops)
-      ~counts:(records, 0, 0, records, 0, 0)
+  let next = ref 0 in
+  let draw () =
+    let key = key_of_record !next in
+    incr next;
+    Put (key, make_value rng value_bytes)
+  in
+  drive ?clients ?latency store "load" ~n:records draw
+    ~counts:(fun () -> (0, 0, records, 0, 0))
 
 (** [run ?clients ?latency store spec ~records ~operations ~value_bytes
     ~seed] executes the transaction phase of [spec] against a store
@@ -178,90 +188,30 @@ let run ?clients ?latency (store : Dyn.dyn) (spec : Workload.spec) ~records
   and inserts = ref 0
   and scans = ref 0
   and rmws = ref 0 in
-  let scan_op (st : Dyn.dyn) start len =
-    let it = st.Dyn.d_iterator () in
-    it.Iter.seek (key_of_record start);
-    let steps = ref 0 in
-    while it.Iter.valid () && !steps < len do
-      ignore (it.Iter.key ());
-      ignore (it.Iter.value ());
-      it.Iter.next ();
-      incr steps
-    done
+  let existing () = key_of_record (Pdb_util.Dist.next dist) in
+  let draw () =
+    match Workload.draw_op spec rng with
+    | Workload.Read ->
+      incr reads;
+      Get (existing ())
+    | Workload.Update ->
+      incr updates;
+      let key = existing () in
+      Put (key, make_value rng value_bytes)
+    | Workload.Insert ->
+      incr inserts;
+      let key = key_of_record !record_count in
+      incr record_count;
+      Pdb_util.Dist.set_item_count dist !record_count;
+      Put (key, make_value rng value_bytes)
+    | Workload.Scan ->
+      incr scans;
+      let start = existing () in
+      Scan (start, 1 + Pdb_util.Rng.int rng spec.Workload.max_scan_len)
+    | Workload.Read_modify_write ->
+      incr rmws;
+      let key = existing () in
+      Rmw (key, make_value rng value_bytes)
   in
-  match clients with
-  | None ->
-    let store =
-      match latency with
-      | Some lat -> Pdb_kvs.Latency.instrument lat store
-      | None -> store
-    in
-    measure store ("run-" ^ spec.Workload.name) (fun () ->
-        for _ = 1 to operations do
-          match Workload.draw_op spec rng with
-          | Workload.Read ->
-            incr reads;
-            ignore (store.Dyn.d_get (key_of_record (Pdb_util.Dist.next dist)))
-          | Workload.Update ->
-            incr updates;
-            store.Dyn.d_put
-              (key_of_record (Pdb_util.Dist.next dist))
-              (make_value rng value_bytes)
-          | Workload.Insert ->
-            incr inserts;
-            let n = !record_count in
-            incr record_count;
-            store.Dyn.d_put (key_of_record n) (make_value rng value_bytes);
-            Pdb_util.Dist.set_item_count dist !record_count
-          | Workload.Scan ->
-            incr scans;
-            let start = Pdb_util.Dist.next dist in
-            let len = 1 + Pdb_util.Rng.int rng spec.Workload.max_scan_len in
-            scan_op store start len
-          | Workload.Read_modify_write ->
-            incr rmws;
-            let n = Pdb_util.Dist.next dist in
-            ignore (store.Dyn.d_get (key_of_record n));
-            store.Dyn.d_put (key_of_record n) (make_value rng value_bytes)
-        done;
-        (operations, !reads, !updates, !inserts, !scans, !rmws))
-  | Some clients ->
-    (* draw the whole op sequence first (rng/dist state advances exactly
-       as in the serial path), then replay it across the client lanes *)
-    let ops = ref [] in
-    let push op = ops := op :: !ops in
-    for _ = 1 to operations do
-      match Workload.draw_op spec rng with
-      | Workload.Read ->
-        incr reads;
-        let key = key_of_record (Pdb_util.Dist.next dist) in
-        push (Pdb_kvs.Multi_client.Read (fun () -> ignore (store.Dyn.d_get key)))
-      | Workload.Update ->
-        incr updates;
-        let key = key_of_record (Pdb_util.Dist.next dist) in
-        push (put_op key (make_value rng value_bytes))
-      | Workload.Insert ->
-        incr inserts;
-        let n = !record_count in
-        incr record_count;
-        push (put_op (key_of_record n) (make_value rng value_bytes));
-        Pdb_util.Dist.set_item_count dist !record_count
-      | Workload.Scan ->
-        incr scans;
-        let start = Pdb_util.Dist.next dist in
-        let len = 1 + Pdb_util.Rng.int rng spec.Workload.max_scan_len in
-        push (Pdb_kvs.Multi_client.Seek (fun () -> scan_op store start len))
-      | Workload.Read_modify_write ->
-        incr rmws;
-        let key = key_of_record (Pdb_util.Dist.next dist) in
-        let value = make_value rng value_bytes in
-        push
-          (Pdb_kvs.Multi_client.Other
-             (fun () ->
-               ignore (store.Dyn.d_get key);
-               store.Dyn.d_put key value))
-    done;
-    measure_clients ?latency store
-      ("run-" ^ spec.Workload.name)
-      ~clients (List.rev !ops)
-      ~counts:(operations, !reads, !updates, !inserts, !scans, !rmws)
+  drive ?clients ?latency store ("run-" ^ spec.Workload.name) ~n:operations
+    draw ~counts:(fun () -> (!reads, !updates, !inserts, !scans, !rmws))

@@ -1,7 +1,6 @@
-(* Tests for workload traces and the FLSM level iterator. *)
+(* Tests for the FLSM level iterator: one iterator over a guarded level,
+   merging the overlapping tables inside each guard. *)
 
-module Trace = Pdb_ycsb.Trace
-module Dyn = Pdb_kvs.Store_intf
 module Env = Pdb_simio.Env
 module Iter = Pdb_kvs.Iter
 module Ik = Pdb_kvs.Internal_key
@@ -11,94 +10,6 @@ let check = Alcotest.check
 
 let qtest ?(count = 20) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
-
-(* ---------- trace encode/decode ---------- *)
-
-let test_trace_op_roundtrip () =
-  let ops =
-    [
-      Trace.Put ("key1", "value1");
-      Trace.Delete "key2";
-      Trace.Get "key3";
-      Trace.Scan ("key4", 42);
-      Trace.Put ("", "");
-    ]
-  in
-  let env = Env.create () in
-  let r = Trace.Recorder.create env "trace" in
-  List.iter (Trace.Recorder.add r) ops;
-  check Alcotest.int "op count" (List.length ops) (Trace.Recorder.close r);
-  let back = Trace.read env "trace" in
-  Alcotest.(check bool) "roundtrip" true (back = ops)
-
-let prop_trace_roundtrip =
-  qtest "trace roundtrip (random ops)"
-    QCheck.(list (pair (string_of_size (QCheck.Gen.return 8)) small_int))
-    (fun pairs ->
-      let ops =
-        List.map
-          (fun (k, n) ->
-            match n mod 4 with
-            | 0 -> Trace.Put (k, string_of_int n)
-            | 1 -> Trace.Delete k
-            | 2 -> Trace.Get k
-            | _ -> Trace.Scan (k, n))
-          pairs
-      in
-      let env = Env.create () in
-      let r = Trace.Recorder.create env "t" in
-      List.iter (Trace.Recorder.add r) ops;
-      ignore (Trace.Recorder.close r);
-      Trace.read env "t" = ops)
-
-let test_trace_replay_counts () =
-  let env = Env.create () in
-  let r = Trace.Recorder.create env "trace" in
-  Trace.Recorder.add r (Trace.Put ("a", "1"));
-  Trace.Recorder.add r (Trace.Put ("b", "2"));
-  Trace.Recorder.add r (Trace.Get "a");
-  Trace.Recorder.add r (Trace.Get "missing");
-  Trace.Recorder.add r (Trace.Delete "a");
-  Trace.Recorder.add r (Trace.Scan ("a", 5));
-  ignore (Trace.Recorder.close r);
-  let store =
-    Pdb_harness.Stores.open_engine Pdb_harness.Stores.Pebblesdb
-  in
-  let res = Trace.replay env "trace" store in
-  check Alcotest.int "ops" 6 res.Trace.ops;
-  check Alcotest.int "puts" 2 res.Trace.puts;
-  check Alcotest.int "gets" 2 res.Trace.gets;
-  check Alcotest.int "hits" 1 res.Trace.hits;
-  check Alcotest.int "deletes" 1 res.Trace.deletes;
-  check Alcotest.int "scans" 1 res.Trace.scans;
-  check Alcotest.(option string) "final state" None (store.Dyn.d_get "a");
-  check Alcotest.(option string) "b survives" (Some "2") (store.Dyn.d_get "b");
-  store.Dyn.d_close ()
-
-let test_ycsb_trace_replay_identical_across_engines () =
-  let trace_env = Env.create () in
-  let n =
-    Trace.record_ycsb trace_env "trace" Pdb_ycsb.Workload.workload_a
-      ~records:500 ~operations:500 ~value_bytes:64 ~seed:3
-  in
-  Alcotest.(check bool) "trace recorded" true (n >= 1000);
-  let final_state engine =
-    let store =
-      Pdb_harness.Stores.open_engine
-        ~tweak:(fun o -> { o with Pdb_kvs.Options.memtable_bytes = 8 * 1024 })
-        engine
-    in
-    let res = Trace.replay trace_env "trace" store in
-    let contents = Iter.to_list (store.Dyn.d_iterator ()) in
-    store.Dyn.d_close ();
-    (res, contents)
-  in
-  let res_p, state_p = final_state Pdb_harness.Stores.Pebblesdb in
-  let res_h, state_h = final_state Pdb_harness.Stores.Hyperleveldb in
-  Alcotest.(check bool) "same op counts" true (res_p = res_h);
-  Alcotest.(check bool) "same final contents" true (state_p = state_h)
-
-(* ---------- flsm level iterator ---------- *)
 
 let ikey k = Ik.encode ~user_key:k ~seq:1 ~kind:Ik.Value
 
@@ -211,16 +122,8 @@ let prop_level_iter_equals_sorted_union =
         got = keys)
 
 let () =
-  Alcotest.run "trace-leveliter"
+  Alcotest.run "flsm-level-iter"
     [
-      ( "trace",
-        [
-          Alcotest.test_case "op roundtrip" `Quick test_trace_op_roundtrip;
-          prop_trace_roundtrip;
-          Alcotest.test_case "replay counts" `Quick test_trace_replay_counts;
-          Alcotest.test_case "identical across engines" `Quick
-            test_ycsb_trace_replay_identical_across_engines;
-        ] );
       ( "flsm-level-iter",
         [
           Alcotest.test_case "merges within guard" `Quick

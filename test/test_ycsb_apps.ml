@@ -136,6 +136,52 @@ let test_workload_f_rmw () =
     (st.Pdb_kvs.Engine_stats.gets > 0 && st.Pdb_kvs.Engine_stats.puts > 0);
   store.Dyn.d_close ()
 
+(* Serial and client paths apply one drawn op stream: the same counts
+   and the same store files at any client count, and both engines end
+   with the same contents. *)
+let test_serial_and_clients_same_ops () =
+  let phases ?clients engine =
+    let store =
+      Pdb_harness.Stores.open_engine
+        ~tweak:(fun o -> { o with Pdb_kvs.Options.memtable_bytes = 8 * 1024 })
+        engine
+    in
+    let records = 2_000 and value_bytes = 64 and seed = 5 in
+    let counts (r : R.result) =
+      (r.R.reads, r.R.updates, r.R.inserts, r.R.scans, r.R.rmws)
+    in
+    let load = R.load ?clients store ~records ~value_bytes ~seed in
+    let runs =
+      List.map
+        (fun spec ->
+          counts
+            (R.run ?clients store spec ~records ~operations:1_000 ~value_bytes
+               ~seed))
+        W.[ workload_a; workload_d; workload_e; workload_f ]
+    in
+    let md5 = Pdb_simio.Fingerprint.md5 store.Dyn.d_env in
+    let contents = Pdb_kvs.Iter.to_list (store.Dyn.d_iterator ()) in
+    store.Dyn.d_close ();
+    (counts load :: runs, md5, contents)
+  in
+  let same_paths engine =
+    let counts, md5, contents = phases engine in
+    List.iter
+      (fun clients ->
+        let counts', md5', _ = phases ~clients engine in
+        let what = Printf.sprintf "%d client(s)" clients in
+        Alcotest.(check bool) (what ^ ": same counts") true (counts = counts');
+        check Alcotest.string (what ^ ": same files") md5 md5')
+      [ 1; 4 ];
+    (counts, contents)
+  in
+  let counts_p, contents_p = same_paths Pdb_harness.Stores.Pebblesdb in
+  let counts_h, contents_h = same_paths Pdb_harness.Stores.Hyperleveldb in
+  Alcotest.(check bool) "same counts on both engines" true
+    (counts_p = counts_h);
+  Alcotest.(check bool) "same contents on both engines" true
+    (contents_p = contents_h)
+
 (* ---------- app shims ---------- *)
 
 let test_hyperdex_read_before_write () =
@@ -321,6 +367,8 @@ let () =
             test_workload_d_inserts_grow_keyspace;
           Alcotest.test_case "E scans" `Quick test_workload_e_scans;
           Alcotest.test_case "F rmw" `Quick test_workload_f_rmw;
+          Alcotest.test_case "serial and client paths run the same ops" `Quick
+            test_serial_and_clients_same_ops;
         ] );
       ( "app-shims",
         [
