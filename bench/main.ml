@@ -208,7 +208,7 @@ let run_bechamel () =
   let probe_session =
     let clock = Pdb_simio.Clock.create () in
     let ctx =
-      Pdb_simio.Probe.create_ctx ~clock ~budget:(fun () -> 4)
+      Pdb_simio.Probe.create_ctx ~clock ~budget:4
         ~tracer:(fun () -> None) ()
     in
     let costs = List.init 8 (fun i -> float_of_int (100 * (8 - (i mod 3)))) in
@@ -425,7 +425,7 @@ let run_bechamel () =
       (List.init 50 (fun i -> Printf.sprintf "g%03d" i));
     let probe =
       Pdb_simio.Probe.create_ctx ~clock:(Pdb_simio.Env.clock env)
-        ~budget:(fun () -> 4) ~tracer:(fun () -> None) ()
+        ~budget:4 ~tracer:(fun () -> None) ()
     in
     let it =
       Pdb_sstable.Level_iter.create ~probe

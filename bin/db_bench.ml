@@ -7,12 +7,14 @@
 open Cmdliner
 module Dyn = Pdb_kvs.Store_intf
 module B = Pdb_harness.Bench_util
+module P = Pdb_kvs.Phase
+module Mc = Pdb_kvs.Multi_client
 module L = Pdb_kvs.Latency
 module O = Pdb_kvs.Options
 
 (* What a benchmark body sees: the store, the same store instrumented
-   into [lat] (serial phases run through it; multi-client phases collect
-   lane-placement latencies into [lat] directly), and the sizing flags. *)
+   into [lat] (ad-hoc loops and seekrandom, warmup included, run through
+   it; op-stream phases hand [lat] to the driver), and the sizing flags. *)
 type ctx = {
   name : string;
   store : Dyn.dyn;
@@ -25,21 +27,20 @@ type ctx = {
   filled : bool ref;  (** a fill has run, so reads need no implicit one *)
 }
 
-let report x (p : B.phase) =
+(* the phase, plus its group-commit accounting when it ran on client
+   lanes *)
+let report x (p : P.result) =
   Printf.printf
     "%-14s : %8.1f KOps/s  (%d ops, %.1f MB written, %.1f MB read)\n%!" x.name
-    p.B.kops p.B.ops (B.mb p.B.bytes_written) (B.mb p.B.bytes_read)
-
-(* with --clients > 1, report the multi-client phase plus its group-commit
-   accounting *)
-let report_mc x ((p : B.phase), (r : B.Mc.result)) =
-  report x p;
-  Printf.printf
-    "               clients=%d groups=%d avg-group=%.2f syncs-saved=%d \
-     max-wait=%.1fms\n%!"
-    r.B.Mc.clients r.B.Mc.write_groups r.B.Mc.avg_group_size
-    r.B.Mc.syncs_saved
-    (Array.fold_left Float.max 0.0 r.B.Mc.client_wait_ns /. 1e6)
+    p.P.kops p.P.ops (B.mb p.P.bytes_written) (B.mb p.P.bytes_read);
+  Option.iter
+    (fun (r : Mc.result) ->
+      Printf.printf
+        "               clients=%d groups=%d avg-group=%.2f syncs-saved=%d \
+         max-wait=%.1fms\n%!"
+        r.Mc.clients r.Mc.write_groups r.Mc.avg_group_size r.Mc.syncs_saved
+        (Array.fold_left Float.max 0.0 r.Mc.client_wait_ns /. 1e6))
+    p.P.lanes
 
 let ensure_fill x =
   if not !(x.filled) then
@@ -47,19 +48,18 @@ let ensure_fill x =
       (B.fill_random x.store ~n:x.num ~value_bytes:x.value_size ~seed:x.seed);
   x.filled := true
 
-let fill_random x =
-  if x.clients > 1 then
-    report_mc x
-      (B.mc_fill_random ~latency:x.lat x.store ~clients:x.clients ~n:x.num
-         ~value_bytes:x.value_size ~seed:x.seed)
-  else
-    report x
-      (B.fill_random x.timed ~n:x.num ~value_bytes:x.value_size ~seed:x.seed)
+(* fill and read phases run on client lanes only with --clients > 1 *)
+let lanes x = if x.clients > 1 then Some x.clients else None
 
-(* [reads x ops f] times [ops] reads issued by [f] after an implicit fill *)
-let reads x ops f =
+let fill_random x =
+  report x
+    (B.fill_random ?clients:(lanes x) ~latency:x.lat x.store ~n:x.num
+       ~value_bytes:x.value_size ~seed:x.seed)
+
+(* [reads x ops draw] runs [ops] drawn reads after an implicit fill *)
+let reads x ops draw =
   ensure_fill x;
-  report x (B.measure x.timed ops f)
+  report x (P.drive ~latency:x.lat x.store ~n:ops draw)
 
 (* every benchmark, by the name --benchmarks takes, in help order *)
 let benchmarks =
@@ -67,8 +67,8 @@ let benchmarks =
     ( "fillseq",
       fun x ->
         report x
-          (B.fill_seq x.timed ~n:x.num ~value_bytes:x.value_size
-             ~seed:x.seed) );
+          (B.fill_seq ~latency:x.lat x.store ~n:x.num
+             ~value_bytes:x.value_size ~seed:x.seed) );
     ( "fillrandom",
       fun x ->
         x.filled := true;
@@ -95,48 +95,41 @@ let benchmarks =
     ( "readrandom",
       fun x ->
         ensure_fill x;
-        if x.clients > 1 then
-          report_mc x
-            (B.mc_read_random ~latency:x.lat x.store ~clients:x.clients
-               ~n:x.num ~ops:x.num ~seed:x.seed)
-        else
-          report x (B.read_random x.timed ~n:x.num ~ops:x.num ~seed:x.seed) );
+        report x
+          (B.read_random ?clients:(lanes x) ~latency:x.lat x.store ~n:x.num
+             ~ops:x.num ~seed:x.seed) );
     ( "mixed",
       fun x ->
         (* 50% reads / 50% overwrites through the client lanes *)
         ensure_fill x;
-        report_mc x
-          (B.mc_mixed ~latency:x.lat x.store ~clients:(max 1 x.clients)
-             ~n:x.num ~ops:x.num ~value_bytes:x.value_size ~seed:x.seed) );
+        report x
+          (B.mixed ~clients:(max 1 x.clients) ~latency:x.lat x.store ~n:x.num
+             ~ops:x.num ~value_bytes:x.value_size ~seed:x.seed) );
     ( "readseq",
       fun x ->
         (* full forward scan via one iterator *)
-        reads x x.num (fun () ->
-            let it = x.timed.Dyn.d_iterator () in
-            it.Pdb_kvs.Iter.seek_to_first ();
-            while it.Pdb_kvs.Iter.valid () do
-              ignore (it.Pdb_kvs.Iter.key ());
-              it.Pdb_kvs.Iter.next ()
-            done) );
+        ensure_fill x;
+        report x
+          (B.measure x.timed x.num (fun () ->
+               let it = x.timed.Dyn.d_iterator () in
+               it.Pdb_kvs.Iter.seek_to_first ();
+               while it.Pdb_kvs.Iter.valid () do
+                 ignore (it.Pdb_kvs.Iter.key ());
+                 it.Pdb_kvs.Iter.next ()
+               done)) );
     ( "readmissing",
       fun x ->
         (* lookups for keys that are never present: bloom-filter country *)
         let rng = Pdb_util.Rng.create (x.seed + 21) in
         reads x x.num (fun () ->
-            for _ = 1 to x.num do
-              ignore
-                (x.timed.Dyn.d_get
-                   (Printf.sprintf "missing%010d" (Pdb_util.Rng.int rng x.num)))
-            done) );
+            P.Get (Printf.sprintf "missing%010d" (Pdb_util.Rng.int rng x.num)))
+    );
     ( "readhot",
       fun x ->
         (* reads concentrated on 1% of the key space *)
         let hot = max 1 (x.num / 100) in
         let rng = Pdb_util.Rng.create (x.seed + 22) in
-        reads x x.num (fun () ->
-            for _ = 1 to x.num do
-              ignore (x.timed.Dyn.d_get (B.key_of (Pdb_util.Rng.int rng hot)))
-            done) );
+        reads x x.num (fun () -> P.Get (B.key_of (Pdb_util.Rng.int rng hot))) );
     ( "seekrandom",
       fun x ->
         ensure_fill x;
@@ -147,13 +140,12 @@ let benchmarks =
       fun x ->
         (* seeks at ascending positions (locality-friendly) *)
         let ops = x.num / 4 in
-        reads x ops (fun () ->
-            for i = 0 to ops - 1 do
-              let it = x.timed.Dyn.d_iterator () in
-              it.Pdb_kvs.Iter.seek (B.key_of (i * (x.num / max 1 ops)))
-            done) );
+        reads x ops
+          (B.each (fun i -> P.Scan (B.key_of (i * (x.num / max 1 ops)), 0))) );
     ( "deleterandom",
-      fun x -> report x (B.delete_random x.timed ~n:x.num ~seed:x.seed) );
+      fun x ->
+        report x (B.delete_random ~latency:x.lat x.store ~n:x.num ~seed:x.seed)
+    );
     ( "compact",
       fun x ->
         x.store.Dyn.d_compact_all ();
@@ -189,9 +181,7 @@ let run (c : Cli.t) l0_slowdown l0_stop names num seed probe_budget
       o with
       O.l0_slowdown = pick l0_slowdown o.O.l0_slowdown;
       l0_stop = pick l0_stop o.O.l0_stop;
-      probe_budget_override =
-        (if Option.is_some probe_budget then probe_budget
-         else o.O.probe_budget_override);
+      probe_budget = pick probe_budget o.O.probe_budget;
       seek_filtering = o.O.seek_filtering && not no_seek_filtering;
       table_cache_entries = pick table_cache o.O.table_cache_entries;
     }
@@ -262,9 +252,9 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.")
 let probe_budget_arg =
   Arg.(value & opt (some int) None
        & info [ "probe-budget" ] ~docv:"N"
-           ~doc:"Override the device's parallel-probe budget: concurrent \
-                 sstable probes a multi-table seek or get may overlap; 1 \
-                 serialises every probe.")
+           ~doc:"Override the parallel-probe budget (default 4): \
+                 concurrent sstable probes a multi-table seek or get may \
+                 overlap; 1 serialises every probe.")
 
 let no_seek_filtering_arg =
   Arg.(value & flag

@@ -6,6 +6,8 @@
 open Cmdliner
 module Dyn = Pdb_kvs.Store_intf
 module L = Pdb_kvs.Latency
+module P = Pdb_kvs.Phase
+module Mc = Pdb_kvs.Multi_client
 
 (* YCSB keys are "user%016Lx" of a uniform 64-bit hash, so fixed-width hex
    ordering equals unsigned numeric ordering: evenly spaced splits are the
@@ -22,19 +24,20 @@ let run (c : Cli.t) workloads records ops =
      from the clock delta, the timing fig5.5 and fig5.6 record *)
   let clients = if c.Cli.clients <= 0 then None else Some c.Cli.clients in
   let report (r : Pdb_ycsb.Runner.result) =
+    let p = r.Pdb_ycsb.Runner.run in
     Printf.printf
       "%-8s : %8.1f KOps/s  (ops=%d r=%d u=%d i=%d s=%d rmw=%d; %.1f MB \
        written)\n%!"
-      r.Pdb_ycsb.Runner.phase r.Pdb_ycsb.Runner.kops_per_s
-      r.Pdb_ycsb.Runner.ops r.Pdb_ycsb.Runner.reads
+      r.Pdb_ycsb.Runner.phase p.P.kops p.P.ops r.Pdb_ycsb.Runner.reads
       r.Pdb_ycsb.Runner.updates r.Pdb_ycsb.Runner.inserts
       r.Pdb_ycsb.Runner.scans r.Pdb_ycsb.Runner.rmws
-      (float_of_int r.Pdb_ycsb.Runner.bytes_written /. 1048576.0);
-    if r.Pdb_ycsb.Runner.clients > 1 then
+      (float_of_int p.P.bytes_written /. 1048576.0);
+    match p.P.lanes with
+    | Some l when l.Mc.clients > 1 ->
       Printf.printf
         "           clients=%d groups=%d avg-group=%.2f syncs-saved=%d\n%!"
-        r.Pdb_ycsb.Runner.clients r.Pdb_ycsb.Runner.write_groups
-        r.Pdb_ycsb.Runner.avg_group_size r.Pdb_ycsb.Runner.syncs_saved
+        l.Mc.clients l.Mc.write_groups l.Mc.avg_group_size l.Mc.syncs_saved
+    | _ -> ()
   in
   (* one latency collector per phase; reporting is purely
      observational — store state matches a run without it *)

@@ -10,8 +10,9 @@ let () =
   let records = 10_000 and ops = 4_000 in
   let report (r : Pdb_ycsb.Runner.result) =
     Printf.printf "%-10s %8.1f KOps/s  (%.1f MB written)\n%!"
-      r.Pdb_ycsb.Runner.phase r.Pdb_ycsb.Runner.kops_per_s
-      (float_of_int r.Pdb_ycsb.Runner.bytes_written /. 1048576.0)
+      r.Pdb_ycsb.Runner.phase r.Pdb_ycsb.Runner.run.Pdb_kvs.Phase.kops
+      (float_of_int r.Pdb_ycsb.Runner.run.Pdb_kvs.Phase.bytes_written
+       /. 1048576.0)
   in
   report (Pdb_ycsb.Runner.load store ~records ~value_bytes:1024 ~seed:1);
   List.iter

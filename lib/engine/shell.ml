@@ -446,11 +446,7 @@ let open_store ~shape ~lv ?block_cache (opts : O.t) ~env ~dir =
       bp = Bp.create opts;
       counters = Stats.counters ();
       probe =
-        Probe.create_ctx ~clock
-          ~budget:(fun () ->
-            match opts.O.probe_budget_override with
-            | Some b -> b
-            | None -> (Env.device env).Device.parallel_probe_budget)
+        Probe.create_ctx ~clock ~budget:opts.O.probe_budget
           ~tracer:(fun () -> Env.tracer env)
           ();
       table_cache =

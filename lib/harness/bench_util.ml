@@ -5,163 +5,90 @@ module Dyn = Pdb_kvs.Store_intf
 module Clock = Pdb_simio.Clock
 module Env = Pdb_simio.Env
 module Iter = Pdb_kvs.Iter
+module Phase = Pdb_kvs.Phase
+module Rng = Pdb_util.Rng
 
-type phase = {
-  ops : int;
-  elapsed_ns : float;
-  kops : float;
-  bytes_written : int;
-  bytes_read : int;
-}
+(** [measure store ops f] runs an ad-hoc loop [f ()] as a phase of [ops]
+    operations: the same result {!Phase.drive} builds for an op stream. *)
+let measure = Phase.measure
 
-(* the IO a store's environment did while [f ()] ran *)
-let io_during (store : Dyn.dyn) f =
-  let snap () = Pdb_simio.Io_stats.snapshot (Env.stats store.Dyn.d_env) in
-  let io0 = snap () in
-  let r = f () in
-  (r, Pdb_simio.Io_stats.diff (snap ()) io0)
+(* ---------- canonical workload phases (db_bench-style) ----------
 
-let phase ~ops ~elapsed_ns (io : Pdb_simio.Io_stats.t) =
-  {
-    ops;
-    elapsed_ns;
-    kops =
-      (if elapsed_ns <= 0.0 then 0.0
-       else float_of_int ops /. (elapsed_ns /. 1e9) /. 1000.0);
-    bytes_written = io.Pdb_simio.Io_stats.bytes_written;
-    bytes_read = io.Pdb_simio.Io_stats.bytes_read;
-  }
-
-(** [measure store ops f] runs [f ()] and reports modeled throughput and IO
-    for the phase. *)
-let measure (store : Dyn.dyn) ops f =
-  let clock = Env.clock store.Dyn.d_env in
-  let c0 = Clock.snapshot clock in
-  let (), io = io_during store f in
-  let delta = Clock.diff (Clock.snapshot clock) c0 in
-  phase ~ops ~elapsed_ns:(Clock.elapsed_ns delta) io
-
-(* ---------- canonical workload phases (db_bench-style) ---------- *)
+   Each phase draws one op stream and {!Phase.drive} runs it: serially
+   by default, on [~clients] foreground lanes (WAL group commit)
+   otherwise.  The stream — and so the store's final state — is the same
+   either way. *)
 
 let key_of i = Printf.sprintf "key%010d" i
-let value_of rng n = Pdb_util.Rng.alpha rng n
+let value_of rng n = Rng.alpha rng n
+
+(* a draw whose [i]-th op is [f i], or [f order.(i)] with [~order] *)
+let each ?order f =
+  let next = ref 0 in
+  fun () ->
+    let i = !next in
+    incr next;
+    f (match order with Some perm -> perm.(i) | None -> i)
+
+let shuffled rng n =
+  let perm = Array.init n Fun.id in
+  Rng.shuffle rng perm;
+  perm
 
 (** [fill_random store ~n ~value_bytes ~seed] puts [n] keys in random
     order: an insert pass on a fresh store, an overwrite pass (same keys,
     fresh values under a new seed) on a filled one. *)
-let fill_random (store : Dyn.dyn) ~n ~value_bytes ~seed =
-  let rng = Pdb_util.Rng.create seed in
-  let perm = Array.init n Fun.id in
-  Pdb_util.Rng.shuffle rng perm;
-  measure store n (fun () ->
-      Array.iter
-        (fun i -> store.Dyn.d_put (key_of i) (value_of rng value_bytes))
-        perm)
+let fill_random ?clients ?latency (store : Dyn.dyn) ~n ~value_bytes ~seed =
+  let rng = Rng.create seed in
+  let order = shuffled rng n in
+  Phase.drive ?clients ?latency store ~n
+    (each ~order (fun i -> Phase.Put (key_of i, value_of rng value_bytes)))
 
 (** [fill_seq store ~n ~value_bytes ~seed] inserts [n] keys in ascending
     order — LSM's trivial-move fast path, FLSM's worst case (§5.2). *)
-let fill_seq (store : Dyn.dyn) ~n ~value_bytes ~seed =
-  let rng = Pdb_util.Rng.create seed in
-  measure store n (fun () ->
-      for i = 0 to n - 1 do
-        store.Dyn.d_put (key_of i) (value_of rng value_bytes)
-      done)
+let fill_seq ?clients ?latency (store : Dyn.dyn) ~n ~value_bytes ~seed =
+  let rng = Rng.create seed in
+  Phase.drive ?clients ?latency store ~n
+    (each (fun i -> Phase.Put (key_of i, value_of rng value_bytes)))
 
 (** [read_random store ~n ~ops ~seed] issues [ops] point lookups over the
     [n]-key space. *)
-let read_random (store : Dyn.dyn) ~n ~ops ~seed =
-  let rng = Pdb_util.Rng.create (seed + 1) in
-  measure store ops (fun () ->
-      for _ = 1 to ops do
-        ignore (store.Dyn.d_get (key_of (Pdb_util.Rng.int rng n)))
-      done)
+let read_random ?clients ?latency (store : Dyn.dyn) ~n ~ops ~seed =
+  let rng = Rng.create (seed + 1) in
+  Phase.drive ?clients ?latency store ~n:ops (fun () ->
+      Phase.Get (key_of (Rng.int rng n)))
 
 (** [seek_random store ~n ~ops ~nexts ~seed] issues [ops] seeks, each
     followed by [nexts] next() calls (a range query).  A short untimed
     warmup first brings the table cache to steady state, as the paper's
     10M-operation runs do implicitly. *)
-let seek_random (store : Dyn.dyn) ~n ~ops ~nexts ~seed =
-  let wrng = Pdb_util.Rng.create (seed + 11) in
+let seek_random ?clients ?latency (store : Dyn.dyn) ~n ~ops ~nexts ~seed =
+  let wrng = Rng.create (seed + 11) in
   for _ = 1 to 2_000 do
     let it = store.Dyn.d_iterator () in
-    it.Iter.seek (key_of (Pdb_util.Rng.int wrng n))
+    it.Iter.seek (key_of (Rng.int wrng n))
   done;
-  let rng = Pdb_util.Rng.create (seed + 2) in
-  measure store ops (fun () ->
-      for _ = 1 to ops do
-        let it = store.Dyn.d_iterator () in
-        it.Iter.seek (key_of (Pdb_util.Rng.int rng n));
-        let steps = ref 0 in
-        while it.Iter.valid () && !steps < nexts do
-          ignore (it.Iter.key ());
-          it.Iter.next ();
-          incr steps
-        done
-      done)
+  let rng = Rng.create (seed + 2) in
+  Phase.drive ?clients ?latency store ~n:ops (fun () ->
+      Phase.Scan (key_of (Rng.int rng n), nexts))
 
 (** [delete_random store ~n ~seed] deletes every key once, random order. *)
-let delete_random (store : Dyn.dyn) ~n ~seed =
-  let rng = Pdb_util.Rng.create (seed + 3) in
-  let perm = Array.init n Fun.id in
-  Pdb_util.Rng.shuffle rng perm;
-  measure store n (fun () ->
-      Array.iter (fun i -> store.Dyn.d_delete (key_of i)) perm)
+let delete_random ?clients ?latency (store : Dyn.dyn) ~n ~seed =
+  let rng = Rng.create (seed + 3) in
+  let order = shuffled rng n in
+  Phase.drive ?clients ?latency store ~n
+    (each ~order (fun i -> Phase.Delete (key_of i)))
 
-(* ---------- multi-client phases (foreground lanes + group commit) ------ *)
-
-module Mc = Pdb_kvs.Multi_client
-
-(** [mc_run store ~clients ops] drives [ops] through the multi-client
-    executor and reports both the phase (throughput, IO) and the
-    executor's group-commit result. *)
-let mc_run ?latency (store : Dyn.dyn) ~clients ops =
-  let r, io = io_during store (fun () -> Mc.run ?latency store ~clients ops) in
-  (phase ~ops:r.Mc.ops ~elapsed_ns:r.Mc.elapsed_ns io, r)
-
-let put_op key value =
-  let b = Pdb_kvs.Write_batch.create () in
-  Pdb_kvs.Write_batch.put b key value;
-  Mc.Write b
-
-(** [mc_fill_random] — the write-only multithreaded workload: [n] puts in
-    random key order across [clients] lanes. *)
-let mc_fill_random ?latency (store : Dyn.dyn) ~clients ~n ~value_bytes ~seed =
-  let rng = Pdb_util.Rng.create seed in
-  let perm = Array.init n Fun.id in
-  Pdb_util.Rng.shuffle rng perm;
-  let ops =
-    Array.to_list
-      (Array.map (fun i -> put_op (key_of i) (value_of rng value_bytes)) perm)
-  in
-  mc_run ?latency store ~clients ops
-
-(** [mc_read_random] — the read-only multithreaded workload: [ops] point
-    lookups across [clients] lanes. *)
-let mc_read_random ?latency (store : Dyn.dyn) ~clients ~n ~ops ~seed =
-  let rng = Pdb_util.Rng.create (seed + 1) in
-  let acc = ref [] in
-  for _ = 1 to ops do
-    let key = key_of (Pdb_util.Rng.int rng n) in
-    acc := Mc.Read (fun () -> ignore (store.Dyn.d_get key)) :: !acc
-  done;
-  mc_run ?latency store ~clients (List.rev !acc)
-
-(** [mc_mixed] — the mixed multithreaded workload: 50% reads / 50%
+(** [mixed store ~n ~ops ~value_bytes ~seed] — 50% reads / 50%
     overwrites, uniform over the [n]-key space. *)
-let mc_mixed ?latency (store : Dyn.dyn) ~clients ~n ~ops ~value_bytes ~seed =
-  let rng = Pdb_util.Rng.create (seed + 2) in
-  let acc = ref [] in
-  for _ = 1 to ops do
-    let op =
-      if Pdb_util.Rng.int rng 2 = 0 then begin
-        let key = key_of (Pdb_util.Rng.int rng n) in
-        Mc.Read (fun () -> ignore (store.Dyn.d_get key))
-      end
-      else put_op (key_of (Pdb_util.Rng.int rng n)) (value_of rng value_bytes)
-    in
-    acc := op :: !acc
-  done;
-  mc_run ?latency store ~clients (List.rev !acc)
+let mixed ?clients ?latency (store : Dyn.dyn) ~n ~ops ~value_bytes ~seed =
+  let rng = Rng.create (seed + 2) in
+  Phase.drive ?clients ?latency store ~n:ops (fun () ->
+      if Rng.int rng 2 = 0 then Phase.Get (key_of (Rng.int rng n))
+      else
+        (* an overwrite draws its value before its key *)
+        let value = value_of rng value_bytes in
+        Phase.Put (key_of (Rng.int rng n), value))
 
 (* ---------- reporting ---------- *)
 

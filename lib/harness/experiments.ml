@@ -13,6 +13,8 @@ module Dyn = Pdb_kvs.Store_intf
 module O = Pdb_kvs.Options
 module Env = Pdb_simio.Env
 module B = Bench_util
+module P = Pdb_kvs.Phase
+module Mc = Pdb_kvs.Multi_client
 module Iter = Pdb_kvs.Iter
 
 type experiment = {
@@ -151,8 +153,8 @@ let run_update_throughput () =
         let up2 = B.fill_random store ~n ~value_bytes:value_1k ~seed:(seed + 2) in
         store.Dyn.d_close ();
         (B.Text (Stores.engine_name engine)
-        :: List.map (B.num 2) [ insert.B.kops; up1.B.kops; up2.B.kops ])
-        @ [ B.pct (100.0 *. up2.B.kops /. insert.B.kops) ])
+        :: List.map (B.num 2) [ insert.P.kops; up1.P.kops; up2.P.kops ])
+        @ [ B.pct (100.0 *. up2.P.kops /. insert.P.kops) ])
       Stores.paper_stores
   in
   B.table
@@ -183,8 +185,8 @@ let run_micro_single () =
         let deletes = B.delete_random store ~n ~seed in
         store.Dyn.d_close ();
         ( Stores.engine_name engine,
-          [ fillseq.B.kops; fillrand.B.kops; reads.B.kops; seeks.B.kops;
-            deletes.B.kops ] ))
+          [ fillseq.P.kops; fillrand.P.kops; reads.P.kops; seeks.P.kops;
+            deletes.P.kops ] ))
       Stores.paper_stores
   in
   let hyper =
@@ -240,7 +242,7 @@ let run_micro_multi () =
         in
         store.Dyn.d_close ();
         B.Text (Stores.engine_name engine)
-        :: List.map (B.num 2) [ writes.B.kops; reads.B.kops; mixed.B.kops ])
+        :: List.map (B.num 2) [ writes.P.kops; reads.P.kops; mixed.P.kops ])
       Stores.paper_stores
   in
   B.table
@@ -270,7 +272,7 @@ let write_read_seek_table ~title ?(open_ = fun e -> Stores.open_engine e)
          let s = B.seek_random store ~n ~ops:seeks ~nexts:0 ~seed in
          store.Dyn.d_close ();
          B.Text (Stores.engine_name engine)
-         :: List.map (B.num 2) [ w.B.kops; r.B.kops; s.B.kops ])
+         :: List.map (B.num 2) [ w.P.kops; r.P.kops; s.P.kops ])
        engines)
 
 let run_micro_cached () =
@@ -410,7 +412,7 @@ let run_time_series () =
                   done)
               |> ignore;
               store.Dyn.d_compact_all ();
-              (writes.B.kops, reads.B.kops))
+              (writes.P.kops, reads.P.kops))
         in
         (engine, store, per_iteration))
       engines
@@ -448,7 +450,7 @@ let run_time_series () =
 
 module W = Pdb_ycsb.Workload
 
-let kops_of (r : Pdb_ycsb.Runner.result) = r.Pdb_ycsb.Runner.kops_per_s
+let kops_of (r : Pdb_ycsb.Runner.result) = r.Pdb_ycsb.Runner.run.P.kops
 
 (* The YCSB load of [records] then workloads A, B, C, D and F ([ops]
    each) on [store]: KOps/s of the load and A-D, and of F. *)
@@ -636,20 +638,20 @@ let run_ablation () =
     store.Dyn.d_compact_all ();
     let seeks = B.seek_random store ~n ~ops:3_000 ~nexts:0 ~seed in
     store.Dyn.d_close ();
-    [ B.Text label; B.num 2 seeks.B.kops; B.num 2 reads.B.kops ]
+    [ B.Text label; B.num 2 seeks.P.kops; B.num 2 reads.P.kops ]
   in
   let rows =
     [
       variant "all optimizations" Fun.id;
       variant "no parallel seeks"
-        (fun o -> { o with O.probe_budget_override = Some 1 });
+        (fun o -> { o with O.probe_budget = 1 });
       variant "no seek compaction"
         (fun o -> { o with O.seek_based_compaction = false });
       variant "neither seek optimization"
         (fun o ->
           {
             o with
-            O.probe_budget_override = Some 1;
+            O.probe_budget = 1;
             seek_based_compaction = false;
           });
       variant "no sstable blooms" (fun o -> { o with O.sstable_bloom = false });
@@ -682,7 +684,7 @@ let run_tuning () =
         store.Dyn.d_compact_all ();
         let seeks = B.seek_random store ~n ~ops:3_000 ~nexts:0 ~seed in
         store.Dyn.d_close ();
-        B.int cap :: List.map (B.num 2) [ fill.B.kops; wa; seeks.B.kops ])
+        B.int cap :: List.map (B.num 2) [ fill.P.kops; wa; seeks.P.kops ])
       [ 1; 2; 4; 8; 16 ]
   in
   B.table
@@ -708,7 +710,7 @@ let run_future_work () =
     let fill = B.fill_random store ~n ~value_bytes:value_1k ~seed in
     let sched = B.scheduler_summary store in
     store.Dyn.d_close ();
-    (fill.B.kops, sched)
+    (fill.P.kops, sched)
   in
   let rows, summaries =
     List.map
@@ -802,24 +804,22 @@ let run_multithreaded ~n =
           List.map
             (fun clients ->
               let store = Stores.open_engine ~tweak:sync_tweak engine in
-              let fill, fr =
-                B.mc_fill_random store ~clients ~n ~value_bytes:value_1k ~seed
+              let fill =
+                B.fill_random ~clients store ~n ~value_bytes:value_1k ~seed
               in
-              let read, _ =
-                B.mc_read_random store ~clients ~n ~ops:(n / 2) ~seed
-              in
-              let mixed, _ =
-                B.mc_mixed store ~clients ~n ~ops:(n / 2)
-                  ~value_bytes:value_1k ~seed
+              let read = B.read_random ~clients store ~n ~ops:(n / 2) ~seed in
+              let mixed =
+                B.mixed ~clients store ~n ~ops:(n / 2) ~value_bytes:value_1k
+                  ~seed
               in
               store.Dyn.d_close ();
-              (clients, ((fill, read, mixed), fr)))
+              (clients, ((fill, read, mixed), Option.get fill.P.lanes)))
             client_counts
         in
         (name, per_clients))
       Stores.paper_stores
   in
-  let kops per pick c = (pick (fst (List.assoc c per))).B.kops in
+  let kops per pick c = (pick (fst (List.assoc c per))).P.kops in
   let kops_table title label pick =
     scaling_table ~title ~unit:"c"
       ~metric:(Printf.sprintf "%s_kops_%dc" label)
@@ -842,15 +842,15 @@ let run_multithreaded ~n =
         (List.concat_map
            (fun (name, per) ->
              List.map
-               (fun (clients, (_, (fr : B.Mc.result))) ->
-                 [ B.Text name; B.int clients; B.int fr.B.Mc.write_groups;
-                   B.num 2 fr.B.Mc.avg_group_size;
+               (fun (clients, (_, (fr : Mc.result))) ->
+                 [ B.Text name; B.int clients; B.int fr.Mc.write_groups;
+                   B.num 2 fr.Mc.avg_group_size;
                    B.metric ~store:name
                      (Printf.sprintf "syncs_saved_%dc" clients)
                      0
-                     (float_of_int fr.B.Mc.syncs_saved);
+                     (float_of_int fr.Mc.syncs_saved);
                    B.num 2
-                     (Array.fold_left Float.max 0.0 fr.B.Mc.client_wait_ns
+                     (Array.fold_left Float.max 0.0 fr.Mc.client_wait_ns
                      /. 1e6) ])
                per)
            results);
@@ -864,7 +864,7 @@ let run_multithreaded ~n =
                 at 8 clients: %d"
                name (write 1) (write 4)
                (rel (write 1) (write 4))
-               (snd (List.assoc 8 per)).B.Mc.syncs_saved)
+               (snd (List.assoc 8 per)).Mc.syncs_saved)
            results);
     ]
 
@@ -949,7 +949,7 @@ let run_latency ~n =
             Pdb_simio.Clock.elapsed_ns (Pdb_simio.Clock.snapshot clock)
             /. 1e6
           in
-          [ B.num 1 t_ms; B.num 1 phase.B.kops; B.int pending;
+          [ B.num 1 t_ms; B.num 1 phase.P.kops; B.int pending;
             B.num 2 (B.mb backlog); B.num 1 (stall_delta /. 1e6);
             B.num 1 (H.percentile (L.hist lat L.Write) 99.0 /. 1e3) ])
     in
@@ -1014,12 +1014,12 @@ let run_shard ~n =
                 (fun clients ->
                   let sh = Stores.open_sharded ~tweak engine in
                   let store = sh.Stores.s_dyn in
-                  let fill, _ =
-                    B.mc_fill_random store ~clients ~n ~value_bytes:value_1k
+                  let fill =
+                    B.fill_random ~clients store ~n ~value_bytes:value_1k
                       ~seed
                   in
-                  let mixed, _ =
-                    B.mc_mixed store ~clients ~n ~ops:(n / 2)
+                  let mixed =
+                    B.mixed ~clients store ~n ~ops:(n / 2)
                       ~value_bytes:value_1k ~seed
                   in
                   let st = store.Dyn.d_stats () in
@@ -1034,7 +1034,7 @@ let run_shard ~n =
   in
   let cell ~clients pick per shards =
     let fill, mixed, _ = List.assoc (shards, clients) per in
-    (pick (fill, mixed)).B.kops
+    (pick (fill, mixed)).P.kops
   in
   let kops_name label clients shards =
     Printf.sprintf "%s_kops_%ds_%dc" label shards clients
@@ -1116,25 +1116,19 @@ let run_elastic ~n =
   let keyspace = max 1500 (n / 15) in
   let ops = 16 * keyspace in
   let shards0 = 4 in
-  (* one shifting-hotspot mixed op list per store: identical key/RW
-     sequence (same seeds), only the read closures differ *)
-  let mixed_ops (store : Dyn.dyn) =
+  (* one shifting-hotspot mixed op stream per store: identical key/RW
+     sequence (same seeds) *)
+  let mixed_draw () =
     let dist =
       Pdb_util.Dist.shifting_hotspot ~span:0.06 ~hot:0.98 ~seed
         ~period:(ops / 2) keyspace
     in
     let rng = Pdb_util.Rng.create (seed + 11) in
-    List.init ops (fun _ ->
-        let key = B.key_of (Pdb_util.Dist.next dist) in
-        if Pdb_util.Rng.int rng 2 = 0 then
-          B.Mc.Read (fun () -> ignore (store.Dyn.d_get key))
-        else B.put_op key (B.value_of rng value_1k))
+    fun () ->
+      let key = B.key_of (Pdb_util.Dist.next dist) in
+      if Pdb_util.Rng.int rng 2 = 0 then P.Get key
+      else P.Put (key, B.value_of rng value_1k)
   in
-  let rec take k = function
-    | x :: tl when k > 0 -> x :: take (k - 1) tl
-    | _ -> []
-  in
-  let rec drop k = function _ :: tl when k > 0 -> drop (k - 1) tl | l -> l in
   let run_one engine ~elastic =
     let tweak o =
       let o =
@@ -1152,24 +1146,22 @@ let run_elastic ~n =
     in
     let sh = Stores.open_sharded ~tweak engine in
     let store = sh.Stores.s_dyn in
-    let _fill, _ =
-      B.mc_fill_random store ~clients ~n:keyspace ~value_bytes:128 ~seed
-    in
-    let all = mixed_ops store in
-    let phase_a = take (ops / 2) all in
-    let conv = take (ops / 6) (drop (ops / 2) all) in
-    let steady = drop (ops / 2 + ops / 6) all in
-    let ra, _ = B.mc_run store ~clients phase_a in
-    let rc, _ = B.mc_run store ~clients conv in
-    let rs, _ = B.mc_run store ~clients steady in
+    ignore (B.fill_random ~clients store ~n:keyspace ~value_bytes:128 ~seed);
+    (* the stream in three slices: the first hotspot phase, the
+       convergence right after the hop, and the steady remainder *)
+    let draw = mixed_draw () in
+    let slice n = P.drive ~clients store ~n draw in
+    let ra = slice (ops / 2) in
+    let rc = slice (ops / 6) in
+    let rs = slice (ops - (ops / 2) - (ops / 6)) in
     let st = store.Dyn.d_stats () in
     let splits = st.Pdb_kvs.Engine_stats.elastic_splits in
     let merges = st.Pdb_kvs.Engine_stats.elastic_merges in
     let shard_count = sh.Stores.s_shard_count () in
     store.Dyn.d_close ();
     let overall_kops =
-      let t = ra.B.elapsed_ns +. rc.B.elapsed_ns +. rs.B.elapsed_ns in
-      if t <= 0.0 then 0.0 else float_of_int ops /. (t /. 1e9) /. 1000.0
+      P.kops ~ops
+        ~elapsed_ns:(ra.P.elapsed_ns +. rc.P.elapsed_ns +. rs.P.elapsed_ns)
     in
     (ra, rc, rs, overall_kops, splits, merges, shard_count)
   in
@@ -1201,12 +1193,12 @@ let run_elastic ~n =
                  shards) ->
              let m = B.metric ~store:name in
              [
-               [ B.Text name; B.Text "static"; B.num 1 sa.B.kops;
-                 B.num 1 sc.B.kops; m "steady_kops_static" 1 ss.B.kops;
+               [ B.Text name; B.Text "static"; B.num 1 sa.P.kops;
+                 B.num 1 sc.P.kops; m "steady_kops_static" 1 ss.P.kops;
                  m "overall_kops_static" 1 s_all; B.Text "0"; B.Text "0";
                  B.int shards0 ];
-               [ B.Text ""; B.Text "elastic"; B.num 1 ea.B.kops;
-                 B.num 1 ec.B.kops; m "steady_kops_elastic" 1 es.B.kops;
+               [ B.Text ""; B.Text "elastic"; B.num 1 ea.P.kops;
+                 B.num 1 ec.P.kops; m "steady_kops_elastic" 1 es.P.kops;
                  m "overall_kops_elastic" 1 e_all;
                  m "elastic_splits" 0 (float_of_int splits);
                  m "elastic_merges" 0 (float_of_int merges); B.int shards ];
@@ -1220,15 +1212,15 @@ let run_elastic ~n =
                "%s: steady shifted-phase mixed static %.1f -> elastic %.1f \
                 KOps/s (%.2fx, target >=1.3x); overall %.1f -> %.1f (%.2fx); \
                 %d splits, %d merges"
-               name ss.B.kops es.B.kops
-               (rel ss.B.kops es.B.kops)
+               name ss.P.kops es.P.kops
+               (rel ss.P.kops es.P.kops)
                s_all e_all (rel s_all e_all) splits merges)
            results);
       B.metrics
         (List.map
            (fun (name, (_, _, ss, _), (_, _, es, _), _, _, _) ->
              ( { B.store = name; name = "recovered_ratio" },
-               rel ss.B.kops es.B.kops ))
+               rel ss.P.kops es.P.kops ))
            results);
     ]
 
@@ -1282,8 +1274,8 @@ let run_policy ~n =
         store.Dyn.d_close ();
         ( B.Text name
           :: named ~store:name 2
-               [ ("fill_kops", fill.B.kops); ("write_amp", wa);
-                 ("read_kops", reads.B.kops); ("scan_kops", scan.B.kops);
+               [ ("fill_kops", fill.P.kops); ("write_amp", wa);
+                 ("read_kops", reads.P.kops); ("scan_kops", scan.P.kops);
                  ("space_amp", space_amp) ],
           (name, triggers) ))
       policies
@@ -1386,7 +1378,7 @@ let run_stability ~n =
                 (Pdb_util.Rng.alpha rng value_1k)
             done)
       in
-      kops.(w) <- phase.B.kops
+      kops.(w) <- phase.P.kops
     done;
     let st = store.Dyn.d_stats () in
     let stall_ns =
@@ -1465,7 +1457,7 @@ let run_stability ~n =
    scan-heavy (YCSB E, scans only) mix at 4 and 8 clients.  Each engine x
    policy combo runs twice — "on" is the default read path, "off"
    disables all three optimizations (seek_filtering=false,
-   index_summary_stride=0, probe_budget_override=1).  Two invariants are
+   index_summary_stride=0, probe_budget=1).  Two invariants are
    checked explicitly: the read path must be invisible to the write path
    (load throughput unchanged, bytes on storage byte-identical between
    configs), and with it on PebblesDB must close its scan/read gap
@@ -1482,7 +1474,7 @@ let run_read ~n =
             o with
             O.seek_filtering = false;
             index_summary_stride = 0;
-            probe_budget_override = Some 1;
+            probe_budget = 1;
           } );
     ]
   in
@@ -1601,7 +1593,7 @@ let run_repl ~n =
     let p99_us = H.percentile (L.hist lat L.Write) 99.0 /. 1e3 in
     let messages = st.Pdb_kvs.Engine_stats.repl_messages in
     store.Dyn.d_close ();
-    (fill.B.kops, net_bytes, messages, backup_cpu_ms, ack_wait_ms, p99_us)
+    (fill.P.kops, net_bytes, messages, backup_cpu_ms, ack_wait_ms, p99_us)
   in
   let results =
     List.concat_map

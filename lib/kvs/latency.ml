@@ -36,7 +36,8 @@ let hist t = function
 let record t kind ns = H.add (hist t kind) ns
 
 (** Kinds with display labels, in reporting order. *)
-let kinds = [ (Write, "write"); (Read, "read"); (Seek, "seek") ]
+let kinds =
+  [ (Write, "write"); (Read, "read"); (Seek, "seek"); (Other, "other") ]
 
 module Clock = Pdb_simio.Clock
 

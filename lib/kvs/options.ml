@@ -195,10 +195,10 @@ type t = {
       (** consult per-table key ranges on the seek and scan path,
           skipping tables provably disjoint from the probe range;
           read-path only — never changes on-disk bytes *)
-  probe_budget_override : int option;
-      (** override the device profile's [parallel_probe_budget] for this
-          store; [Some 1] serialises multi-table probes (the measurement
-          baseline), [None] uses the device's budget *)
+  probe_budget : int;
+      (** concurrent sstable probes a multi-table get or seek may overlap
+          (the device's internal read parallelism, {!Pdb_simio.Probe});
+          1 serialises every probe (the measurement baseline) *)
   seek_based_compaction : bool;
       (** compact guards after a run of consecutive seeks (§4.2) *)
   (* range-partitioned sharding (the scale-out layer over any engine) *)
@@ -259,7 +259,7 @@ let base =
     bit_decrement = 2;
     max_sstables_per_guard = 8;
     seek_filtering = true;
-    probe_budget_override = None;
+    probe_budget = 4;
     seek_based_compaction = true;
     shards = 1;
     shard_splits = [];

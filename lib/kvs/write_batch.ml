@@ -68,7 +68,7 @@ let encode t ~base_seq =
     Bytes.blit_string s 0 b pos (String.length s);
     pos + String.length s
   in
-  let put_op pos = function
+  let set_op pos = function
     | Put (k, v) ->
       Bytes.set b pos '\001';
       put_prefixed (put_prefixed (pos + 1) k) v
@@ -76,7 +76,7 @@ let encode t ~base_seq =
       Bytes.set b pos '\000';
       put_prefixed (pos + 1) k
   in
-  ignore (List.fold_left put_op 12 (ops t));
+  ignore (List.fold_left set_op 12 (ops t));
   Bytes.unsafe_to_string b
 
 (** [decode s] recovers [(batch, base_seq)].  Raises [Invalid_argument] on

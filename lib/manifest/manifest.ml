@@ -39,15 +39,15 @@ let tag_deleted_guard = 7
 
 let encode_edit e =
   let buf = Buffer.create 128 in
-  let put_opt tag = function
+  let add_field tag = function
     | Some v ->
       Pdb_util.Varint.put_uvarint buf tag;
       Pdb_util.Varint.put_uvarint buf v
     | None -> ()
   in
-  put_opt tag_log_number e.log_number;
-  put_opt tag_next_file e.next_file_number;
-  put_opt tag_last_seq e.last_sequence;
+  add_field tag_log_number e.log_number;
+  add_field tag_next_file e.next_file_number;
+  add_field tag_last_seq e.last_sequence;
   List.iter
     (fun (level, (m : Pdb_sstable.Table.meta)) ->
       Pdb_util.Varint.put_uvarint buf tag_added_file;

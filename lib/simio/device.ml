@@ -17,14 +17,10 @@ type t = {
   seq_read_setup_ns : float; (* per sequential (compaction) read *)
   sync_ns : float; (* per fsync *)
   mutable aging : float; (* >= 1.0; 1.0 = fresh file system *)
-  parallel_probe_budget : int;
-      (* concurrent random reads the device serves before probes queue
-         behind each other (internal flash parallelism); 1 = serial.
-         Drawn on by {!Probe} sessions. *)
 }
 
 (** Flash-SSD-like defaults: ~1 GB/s sequential writes, ~2 GB/s reads,
-    ~80 us random-read latency, 4 concurrently-served probes. *)
+    ~80 us random-read latency. *)
 let ssd () =
   {
     write_byte_ns = 1.0;
@@ -34,7 +30,6 @@ let ssd () =
     seq_read_setup_ns = 1_500.0;
     sync_ns = 50_000.0;
     aging = 1.0;
-    parallel_probe_budget = 4;
   }
 
 (** [set_aging t f] ages the device; [f = 1.0] is fresh, larger is older. *)

@@ -11,7 +11,7 @@ type stamp = { mutable start_elapsed : float }
 
 type ctx = {
   clock : Clock.t;
-  budget : unit -> int;
+  budget : int;
   tracer : unit -> Trace.t option;
   mutable active : bool;  (** a session is open *)
   mutable label : string;  (** the open session's label *)
@@ -107,7 +107,7 @@ let makespan ~lanes costs =
 let finish ctx =
   let n = ctx.n in
   if n > 1 then begin
-    let lanes = ctx.budget () in
+    let lanes = ctx.budget in
     if Array.length ctx.loads < lanes then ctx.loads <- Array.make lanes 0.0;
     let total = total ctx.costs n in
     let overlapped = pack ~lanes ~total ctx.costs n ctx.loads in

@@ -7,8 +7,8 @@
     first positioning of a merged iterator — can issue those probes in
     parallel up to the device's internal queue depth.  PebblesDB's
     parallel seeks (§4.2) are the special case of one guard on the last
-    level; this module generalises it into a per-device budget any
-    multi-table probe can draw from.
+    level; this module generalises it into a per-store budget
+    ([Options.probe_budget]) any multi-table probe can draw from.
 
     Model: a probe {e session} brackets one logical multi-table probe.
     Each member probe runs serially in the simulation and its device
@@ -28,15 +28,15 @@
     session allocates nothing per member probe. *)
 
 type ctx
-(** Per-store probe context: clock, budget source, optional tracer. *)
+(** Per-store probe context: clock, budget, optional tracer. *)
 
-(** [create_ctx ~clock ~budget ~tracer ()] builds a context.  [budget]
-    and [tracer] are read at session-finish time so device-profile
-    changes and late tracer attachment take effect immediately;
-    [budget () <= 1] disables overlap (serial probes). *)
+(** [create_ctx ~clock ~budget ~tracer ()] builds a context whose
+    sessions overlap up to [budget] probes; [budget <= 1] disables
+    overlap (serial probes).  [tracer] is read at session-finish time so
+    a late tracer attachment takes effect immediately. *)
 val create_ctx :
   clock:Clock.t ->
-  budget:(unit -> int) ->
+  budget:int ->
   tracer:(unit -> Trace.t option) ->
   unit ->
   ctx

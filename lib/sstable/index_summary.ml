@@ -25,26 +25,6 @@ type t = {
   packed : string;
 }
 
-let put_varint buf n =
-  let n = ref n in
-  while !n >= 0x80 do
-    Buffer.add_char buf (Char.chr (0x80 lor (!n land 0x7f)));
-    n := !n lsr 7
-  done;
-  Buffer.add_char buf (Char.chr !n)
-
-let get_varint s pos =
-  let n = ref 0 and shift = ref 0 and p = ref pos in
-  let continue = ref true in
-  while !continue do
-    let b = Char.code s.[!p] in
-    incr p;
-    n := !n lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if b < 0x80 then continue := false
-  done;
-  (!n, !p)
-
 (* The length of the prefix the first [la] bytes of [a] share with the
    first [lb] of [b]. *)
 let shared_prefix a la b lb =
@@ -76,11 +56,11 @@ let build ~stride ~number ~entries ~index_handle ~filter_handle ~index_bytes
   let nsamples = ref 0 and i = ref 0 in
   let sample key len off size =
     let shared = shared_prefix prev.bytes prev.len key len in
-    put_varint buf shared;
-    put_varint buf (len - shared);
+    Pdb_util.Varint.put_uvarint buf shared;
+    Pdb_util.Varint.put_uvarint buf (len - shared);
     Buffer.add_subbytes buf key shared (len - shared);
-    put_varint buf off;
-    put_varint buf size;
+    Pdb_util.Varint.put_uvarint buf off;
+    Pdb_util.Varint.put_uvarint buf size;
     keep prev key len;
     incr nsamples
   in
@@ -131,12 +111,12 @@ let samples t =
   let rec go pos prev acc =
     if pos >= len then List.rev acc
     else
-      let shared, pos = get_varint s pos in
-      let slen, pos = get_varint s pos in
+      let shared, pos = Pdb_util.Varint.get_uvarint s pos in
+      let slen, pos = Pdb_util.Varint.get_uvarint s pos in
       let suffix = String.sub s pos slen in
       let pos = pos + slen in
-      let off, pos = get_varint s pos in
-      let size, pos = get_varint s pos in
+      let off, pos = Pdb_util.Varint.get_uvarint s pos in
+      let size, pos = Pdb_util.Varint.get_uvarint s pos in
       let key = String.sub prev 0 shared ^ suffix in
       go pos key ((key, (off, size)) :: acc)
   in

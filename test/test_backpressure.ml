@@ -158,12 +158,10 @@ let stall_fill engine ~throttle ~clients =
   let tweak o = { o with O.throttle; l0_slowdown = 2; l0_stop = 4 } in
   let env = Env.create () in
   let store = Stores.open_engine ~tweak ~env engine in
-  let _, r =
-    B.mc_fill_random store ~clients ~n:2_000 ~value_bytes:256 ~seed:11
-  in
+  let r = B.fill_random ~clients store ~n:2_000 ~value_bytes:256 ~seed:11 in
   let stats = store.Dyn.d_stats () in
   store.Dyn.d_close ();
-  (Fingerprint.files env, r.Pdb_kvs.Multi_client.elapsed_ns, stats)
+  (Fingerprint.files env, r.Pdb_kvs.Phase.elapsed_ns, stats)
 
 let test_state_invariant_across_throttles engine () =
   let base, _, _ = stall_fill engine ~throttle:O.Unthrottled ~clients:4 in
@@ -219,7 +217,7 @@ let test_flush_lane_never_starved () =
 let test_engine_reports_flush_lane () =
   let env = Env.create () in
   let store = Stores.open_engine ~env Stores.Pebblesdb in
-  let _, _ = B.mc_fill_random store ~clients:1 ~n:2_000 ~value_bytes:256 ~seed:3 in
+  ignore (B.fill_random ~clients:1 store ~n:2_000 ~value_bytes:256 ~seed:3);
   let st = store.Dyn.d_stats () in
   Alcotest.(check bool) "flushes ran on the reserved lane" true
     (st.Pdb_kvs.Engine_stats.flush_busy_ns > 0.0);

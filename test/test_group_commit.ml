@@ -36,17 +36,21 @@ let all_entries (store : Dyn.dyn) =
 
 (* ---------- client-count invariance ---------- *)
 
-let run_fill engine ~clients =
+(* fill serially (no [~clients]) or on client lanes; the lane-group
+   result is [None] for the serial run *)
+let run_fill ?clients engine =
   let env = Env.create () in
   let store = Stores.open_engine ~tweak:sync_tweak ~env engine in
-  let _, r = B.mc_fill_random store ~clients ~n:3_000 ~value_bytes:128 ~seed:7 in
+  let p = B.fill_random ?clients store ~n:3_000 ~value_bytes:128 ~seed:7 in
   let entries = all_entries store in
-  (env, store, entries, r)
+  (env, store, entries, p.Pdb_kvs.Phase.lanes)
 
 let test_state_invariance engine () =
+  let env0, s0, entries0, _ = run_fill engine in
   let env1, s1, entries1, r1 = run_fill engine ~clients:1 in
   let env4, s4, entries4, r4 = run_fill engine ~clients:4 in
   let env8, s8, entries8, r8 = run_fill engine ~clients:8 in
+  let r1 = Option.get r1 and r4 = Option.get r4 and r8 = Option.get r8 in
   Alcotest.(check int) "8-client run formed multi-batch groups" 8
     (int_of_float r8.Mc.avg_group_size);
   (* the lane scheduler and the engine must agree on how many commit
@@ -58,27 +62,27 @@ let test_state_invariance engine () =
         (Printf.sprintf "lane groups = engine write groups at %dc" clients)
         r.Mc.write_groups r.Mc.lane_groups)
     [ (1, r1); (4, r4); (8, r8) ];
+  Alcotest.(check bool) "iteration results identical serial vs 1c" true
+    (entries0 = entries1);
   Alcotest.(check bool) "iteration results identical 1c vs 4c" true
     (entries1 = entries4);
   Alcotest.(check bool) "iteration results identical 1c vs 8c" true
     (entries1 = entries8);
-  s1.Dyn.d_close ();
-  s4.Dyn.d_close ();
-  s8.Dyn.d_close ();
+  List.iter (fun s -> s.Dyn.d_close ()) [ s0; s1; s4; s8 ];
   let f1 = files_of env1 in
   List.iter
-    (fun (clients, fn) ->
+    (fun (run, fn) ->
       Alcotest.(check (list string))
-        (Printf.sprintf "same file set at 1 vs %d clients" clients)
+        (Printf.sprintf "same file set at 1 client vs %s" run)
         (List.map fst f1) (List.map fst fn);
       List.iter2
         (fun (name, b1) (_, bn) ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s byte-identical at 1 vs %d clients" name
-               clients)
+            (Printf.sprintf "%s byte-identical at 1 client vs %s" name run)
             true (String.equal b1 bn))
         f1 fn)
-    [ (4, files_of env4); (8, files_of env8) ]
+    [ ("serial", files_of env0); ("4 clients", files_of env4);
+      ("8 clients", files_of env8) ]
 
 (* ---------- group-formation determinism ---------- *)
 
@@ -86,8 +90,10 @@ let test_determinism () =
   let once () =
     let env = Env.create () in
     let store = Stores.open_engine ~tweak:sync_tweak ~env Stores.Pebblesdb in
-    let _, r = B.mc_mixed store ~clients:4 ~n:2_000 ~ops:4_000
-                 ~value_bytes:128 ~seed:11 in
+    let p =
+      B.mixed ~clients:4 store ~n:2_000 ~ops:4_000 ~value_bytes:128 ~seed:11
+    in
+    let r = Option.get p.Pdb_kvs.Phase.lanes in
     store.Dyn.d_close ();
     r
   in

@@ -200,8 +200,8 @@ let test_ycsb_on_every_kv_engine () =
       Alcotest.(check bool)
         ("ycsb sane on " ^ store.Dyn.d_name)
         true
-        (r1.Pdb_ycsb.Runner.kops_per_s > 0.0
-         && r2.Pdb_ycsb.Runner.kops_per_s > 0.0
+        (r1.Pdb_ycsb.Runner.run.Pdb_kvs.Phase.kops > 0.0
+         && r2.Pdb_ycsb.Runner.run.Pdb_kvs.Phase.kops > 0.0
          && r2.Pdb_ycsb.Runner.reads + r2.Pdb_ycsb.Runner.updates = 500);
       store.Dyn.d_check_invariants ();
       store.Dyn.d_close ())

@@ -49,7 +49,7 @@ let run_at_budget budget =
       o with
       O.memtable_bytes = 8 * 1024;
       table_cache_entries = 8;
-      probe_budget_override = Some budget;
+      probe_budget = budget;
     }
   in
   let store = Stores.open_engine ~tweak Stores.Pebblesdb in
@@ -599,7 +599,7 @@ let read_path_off (o : O.t) =
     o with
     O.seek_filtering = false;
     index_summary_stride = 0;
-    probe_budget_override = Some 1;
+    probe_budget = 1;
   }
 
 let observe engine cfg =

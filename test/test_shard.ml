@@ -16,6 +16,7 @@ module O = Pdb_kvs.Options
 module Stats = Pdb_kvs.Engine_stats
 module Router = Pdb_shard.Shard_router
 module Iter = Pdb_kvs.Iter
+module Mc = Pdb_kvs.Multi_client
 
 (* ---------- router units ---------- *)
 
@@ -113,9 +114,9 @@ let test_state_invariance engine () =
     let store =
       Stores.open_engine ~tweak:(shard_tweak ~n ~shards:4) ~env engine
     in
-    let _, r = B.mc_fill_random store ~clients ~n ~value_bytes:128 ~seed:7 in
+    let p = B.fill_random ~clients store ~n ~value_bytes:128 ~seed:7 in
     store.Dyn.d_close ();
-    (files_of env, r)
+    (files_of env, Option.get p.Pdb_kvs.Phase.lanes)
   in
   let f1, _ = run ~clients:1 in
   let f4, r4 = run ~clients:4 in
@@ -130,10 +131,10 @@ let test_state_invariance engine () =
   (* one lane group fans out to at most shards engine-level groups *)
   Alcotest.(check bool)
     (Printf.sprintf "lane groups <= engine groups <= 4x (lanes=%d engine=%d)"
-       r4.B.Mc.lane_groups r4.B.Mc.write_groups)
+       r4.Mc.lane_groups r4.Mc.write_groups)
     true
-    (r4.B.Mc.write_groups >= r4.B.Mc.lane_groups
-    && r4.B.Mc.write_groups <= 4 * r4.B.Mc.lane_groups)
+    (r4.Mc.write_groups >= r4.Mc.lane_groups
+    && r4.Mc.write_groups <= 4 * r4.Mc.lane_groups)
 
 (* ---------- cross-shard scans at a fence ---------- *)
 

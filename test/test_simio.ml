@@ -825,7 +825,7 @@ module Ref_probe = struct
 
   type ctx = {
     clock : Clock.t;
-    budget : unit -> int;
+    budget : int;
     tracer : unit -> Trace.t option;
     mutable active : session option;
   }
@@ -874,7 +874,7 @@ module Ref_probe = struct
     let n = List.length s.costs in
     if n > 1 then begin
       let total = List.fold_left ( +. ) 0.0 s.costs in
-      let overlapped = makespan ~lanes:(ctx.budget ()) s.costs in
+      let overlapped = makespan ~lanes:ctx.budget s.costs in
       let end_elapsed = now ctx in
       if total > overlapped then
         Clock.refund ctx.clock (0.5 *. (total -. overlapped));
@@ -888,7 +888,7 @@ module Ref_probe = struct
               ("tables", string_of_int n);
               ("serial_ns", Printf.sprintf "%.0f" total);
               ("overlapped_ns", Printf.sprintf "%.0f" overlapped);
-              ("budget", string_of_int (ctx.budget ()));
+              ("budget", string_of_int ctx.budget);
             ]
           ()
       | Some _ | None -> ()
@@ -912,7 +912,7 @@ module type PROBE = sig
 
   val create_ctx :
     clock:Clock.t ->
-    budget:(unit -> int) ->
+    budget:int ->
     tracer:(unit -> Trace.t option) ->
     unit ->
     ctx
@@ -941,41 +941,45 @@ type session = {
   raises : bool;  (** the session body raises after its steps *)
 }
 
-(* Run [sessions] one after another on one ctx with a tracer attached. *)
+(* Run [sessions] one after another on one clock with a tracer attached;
+   sessions of equal budget share one ctx, so its buffers are reused. *)
 let run_sessions (module P : PROBE) sessions =
   let clock = Clock.create () and tr = Trace.create () in
-  let budget = ref 1 in
-  let ctx =
-    P.create_ctx ~clock ~budget:(fun () -> !budget)
-      ~tracer:(fun () -> Some tr) ()
+  let ctxs = Hashtbl.create 8 in
+  let ctx_for budget =
+    match Hashtbl.find_opt ctxs budget with
+    | Some ctx -> ctx
+    | None ->
+      let ctx = P.create_ctx ~clock ~budget ~tracer:(fun () -> Some tr) () in
+      Hashtbl.add ctxs budget ctx;
+      ctx
   in
-  let probe c = P.measure ctx (fun () -> Clock.advance clock c) in
-  let step = function
-    | Measured c -> probe c
-    | Plain c -> Clock.advance clock c
-    | Cpu c -> Clock.advance_cpu clock c
-    | Nested cs ->
-      P.with_session ctx ~label:"inner" (fun () -> List.iter probe cs)
-    | Raising c -> (
-      try
-        P.measure ctx (fun () ->
-            Clock.advance clock c;
-            raise Exit)
-      with Exit -> ())
-  in
-  List.iter
-    (fun s ->
-      budget := s.budget;
-      let session () =
+  let run_session s =
+    let ctx = ctx_for s.budget in
+    let probe c = P.measure ctx (fun () -> Clock.advance clock c) in
+    let step = function
+      | Measured c -> probe c
+      | Plain c -> Clock.advance clock c
+      | Cpu c -> Clock.advance_cpu clock c
+      | Nested cs ->
+        P.with_session ctx ~label:"inner" (fun () -> List.iter probe cs)
+      | Raising c -> (
         try
-          P.with_session ctx ~label:"get" (fun () ->
-              List.iter step s.steps;
-              if s.raises then raise Exit)
-        with Exit -> ()
-      in
-      if s.background then Clock.with_background clock session
-      else session ())
-    sessions;
+          P.measure ctx (fun () ->
+              Clock.advance clock c;
+              raise Exit)
+        with Exit -> ())
+    in
+    let session () =
+      try
+        P.with_session ctx ~label:"get" (fun () ->
+            List.iter step s.steps;
+            if s.raises then raise Exit)
+      with Exit -> ()
+    in
+    if s.background then Clock.with_background clock session else session ()
+  in
+  List.iter run_session sessions;
   (Clock.snapshot clock, Trace.events tr)
 
 let gen_sessions =

@@ -918,7 +918,7 @@ let prop_level_iter_model =
       in
       let probe =
         Pdb_simio.Probe.create_ctx ~clock:(Pdb_simio.Env.clock env)
-          ~budget:(fun () -> 4) ~tracer:(fun () -> None) ()
+          ~budget:4 ~tracer:(fun () -> None) ()
       in
       let it =
         Level_iter.create ~filter ~probe ~cache:tc ~block_cache:bc

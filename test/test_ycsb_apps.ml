@@ -2,6 +2,7 @@
 
 module W = Pdb_ycsb.Workload
 module R = Pdb_ycsb.Runner
+module P = Pdb_kvs.Phase
 module Dyn = Pdb_kvs.Store_intf
 
 let check = Alcotest.check
@@ -87,8 +88,9 @@ let test_load_then_read_workloads () =
   let store = small_store () in
   let records = 2_000 in
   let load = R.load store ~records ~value_bytes:64 ~seed:7 in
-  check Alcotest.int "load ops" records load.R.ops;
-  Alcotest.(check bool) "load throughput positive" true (load.R.kops_per_s > 0.0);
+  check Alcotest.int "load ops" records load.R.run.P.ops;
+  Alcotest.(check bool) "load throughput positive" true
+    (load.R.run.P.kops > 0.0);
   (* workload C is pure reads over loaded records: every read must hit *)
   let missing = ref 0 in
   for i = 0 to records - 1 do
@@ -258,13 +260,13 @@ let test_write_amp_helper () =
 let test_fill_and_read_helpers () =
   let store = small_store () in
   let fill = Pdb_harness.Bench_util.fill_random store ~n:500 ~value_bytes:64 ~seed:1 in
-  check Alcotest.int "fill ops" 500 fill.Pdb_harness.Bench_util.ops;
+  check Alcotest.int "fill ops" 500 fill.P.ops;
   let reads = Pdb_harness.Bench_util.read_random store ~n:500 ~ops:200 ~seed:1 in
   Alcotest.(check bool) "read throughput positive" true
-    (reads.Pdb_harness.Bench_util.kops > 0.0);
+    (reads.P.kops > 0.0);
   let seeks = Pdb_harness.Bench_util.seek_random store ~n:500 ~ops:50 ~nexts:5 ~seed:1 in
   Alcotest.(check bool) "seek throughput positive" true
-    (seeks.Pdb_harness.Bench_util.kops > 0.0);
+    (seeks.P.kops > 0.0);
   store.Dyn.d_close ()
 
 let test_experiment_registry () =
