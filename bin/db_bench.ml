@@ -79,7 +79,7 @@ let benchmarks =
         x.filled := true;
         let rng = Pdb_util.Rng.create x.seed in
         report x
-          (B.measure x.timed x.num (fun () ->
+          (P.measure x.timed x.num (fun () ->
                let i = ref 0 in
                while !i < x.num do
                  let batch = Pdb_kvs.Write_batch.create () in
@@ -110,7 +110,7 @@ let benchmarks =
         (* full forward scan via one iterator *)
         ensure_fill x;
         report x
-          (B.measure x.timed x.num (fun () ->
+          (P.measure x.timed x.num (fun () ->
                let it = x.timed.Dyn.d_iterator () in
                it.Pdb_kvs.Iter.seek_to_first ();
                while it.Pdb_kvs.Iter.valid () do

@@ -8,16 +8,13 @@ module Iter = Pdb_kvs.Iter
 module Phase = Pdb_kvs.Phase
 module Rng = Pdb_util.Rng
 
-(** [measure store ops f] runs an ad-hoc loop [f ()] as a phase of [ops]
-    operations: the same result {!Phase.drive} builds for an op stream. *)
-let measure = Phase.measure
-
 (* ---------- canonical workload phases (db_bench-style) ----------
 
    Each phase draws one op stream and {!Phase.drive} runs it: serially
-   by default, on [~clients] foreground lanes (WAL group commit)
-   otherwise.  The stream — and so the store's final state — is the same
-   either way. *)
+   by default, on [~clients] foreground lanes (WAL group commit) for the
+   phases that take them.  The stream — and so the store's final state —
+   is the same either way.  An ad-hoc loop is timed with
+   {!Phase.measure}. *)
 
 let key_of i = Printf.sprintf "key%010d" i
 let value_of rng n = Rng.alpha rng n
@@ -46,9 +43,9 @@ let fill_random ?clients ?latency (store : Dyn.dyn) ~n ~value_bytes ~seed =
 
 (** [fill_seq store ~n ~value_bytes ~seed] inserts [n] keys in ascending
     order — LSM's trivial-move fast path, FLSM's worst case (§5.2). *)
-let fill_seq ?clients ?latency (store : Dyn.dyn) ~n ~value_bytes ~seed =
+let fill_seq ?latency (store : Dyn.dyn) ~n ~value_bytes ~seed =
   let rng = Rng.create seed in
-  Phase.drive ?clients ?latency store ~n
+  Phase.drive ?latency store ~n
     (each (fun i -> Phase.Put (key_of i, value_of rng value_bytes)))
 
 (** [read_random store ~n ~ops ~seed] issues [ops] point lookups over the
@@ -62,21 +59,21 @@ let read_random ?clients ?latency (store : Dyn.dyn) ~n ~ops ~seed =
     followed by [nexts] next() calls (a range query).  A short untimed
     warmup first brings the table cache to steady state, as the paper's
     10M-operation runs do implicitly. *)
-let seek_random ?clients ?latency (store : Dyn.dyn) ~n ~ops ~nexts ~seed =
+let seek_random (store : Dyn.dyn) ~n ~ops ~nexts ~seed =
   let wrng = Rng.create (seed + 11) in
   for _ = 1 to 2_000 do
     let it = store.Dyn.d_iterator () in
     it.Iter.seek (key_of (Rng.int wrng n))
   done;
   let rng = Rng.create (seed + 2) in
-  Phase.drive ?clients ?latency store ~n:ops (fun () ->
+  Phase.drive store ~n:ops (fun () ->
       Phase.Scan (key_of (Rng.int rng n), nexts))
 
 (** [delete_random store ~n ~seed] deletes every key once, random order. *)
-let delete_random ?clients ?latency (store : Dyn.dyn) ~n ~seed =
+let delete_random ?latency (store : Dyn.dyn) ~n ~seed =
   let rng = Rng.create (seed + 3) in
   let order = shuffled rng n in
-  Phase.drive ?clients ?latency store ~n
+  Phase.drive ?latency store ~n
     (each ~order (fun i -> Phase.Delete (key_of i)))
 
 (** [mixed store ~n ~ops ~value_bytes ~seed] — 50% reads / 50%

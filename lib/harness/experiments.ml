@@ -232,7 +232,7 @@ let run_micro_multi () =
         (* mixed: interleave reads and writes 50/50 *)
         let rng = Pdb_util.Rng.create (seed + 9) in
         let mixed =
-          B.measure store 20_000 (fun () ->
+          P.measure store 20_000 (fun () ->
               for _ = 1 to 10_000 do
                 ignore (store.Dyn.d_get (B.key_of (Pdb_util.Rng.int rng n)));
                 store.Dyn.d_put
@@ -312,7 +312,7 @@ let run_aged () =
           (Pdb_util.Rng.alpha rng value_1k)
       done;
       (* now the measured phases *)
-      B.measure store (n / 2) (fun () ->
+      P.measure store (n / 2) (fun () ->
           for _ = 1 to n / 2 do
             store.Dyn.d_put
               (B.key_of (Pdb_util.Rng.int rng n))
@@ -392,21 +392,21 @@ let run_time_series () =
           List.init iterations (fun it ->
               let base = it * per_iter in
               let writes =
-                B.measure store per_iter (fun () ->
+                P.measure store per_iter (fun () ->
                     for i = base to base + per_iter - 1 do
                       store.Dyn.d_put (B.key_of i)
                         (Pdb_util.Rng.alpha rng 512)
                     done)
               in
               let reads =
-                B.measure store per_iter (fun () ->
+                P.measure store per_iter (fun () ->
                     for _ = 1 to per_iter do
                       ignore
                         (store.Dyn.d_get
                            (B.key_of (base + Pdb_util.Rng.int rng per_iter)))
                     done)
               in
-              B.measure store per_iter (fun () ->
+              P.measure store per_iter (fun () ->
                   for i = base to base + per_iter - 1 do
                     store.Dyn.d_delete (B.key_of i)
                   done)
@@ -930,7 +930,7 @@ let run_latency ~n =
           let lat = L.create () in
           let timed = L.instrument lat store in
           let phase =
-            B.measure timed per_chunk (fun () ->
+            P.measure timed per_chunk (fun () ->
                 for i = c * per_chunk to ((c + 1) * per_chunk) - 1 do
                   timed.Dyn.d_put (B.key_of perm.(i))
                     (Pdb_util.Rng.alpha rng value_1k)
@@ -1262,7 +1262,7 @@ let run_policy ~n =
         (* scan cost: full forward iteration; tiered pays one iterator per
            run where leveled pays one per level *)
         let scan =
-          B.measure store n (fun () ->
+          P.measure store n (fun () ->
               let it = store.Dyn.d_iterator () in
               it.Iter.seek_to_first ();
               while it.Iter.valid () do
@@ -1372,7 +1372,7 @@ let run_stability ~n =
     let kops = Array.make windows 0.0 in
     for w = 0 to windows - 1 do
       let phase =
-        B.measure timed per_window (fun () ->
+        P.measure timed per_window (fun () ->
             for i = w * per_window to ((w + 1) * per_window) - 1 do
               timed.Dyn.d_put (B.key_of perm.(i))
                 (Pdb_util.Rng.alpha rng value_1k)

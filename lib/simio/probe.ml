@@ -19,13 +19,13 @@ type ctx = {
   mutable costs : float array;
       (** the open session's member costs, oldest first, in [0, n) *)
   mutable n : int;
-  mutable loads : float array;  (** lane loads for the LPT packing *)
+  loads : float array;  (** lane loads for the LPT packing *)
 }
 
 let create_ctx ~clock ~budget ~tracer () =
   { clock; budget; tracer; active = false; label = "";
     stamp = { start_elapsed = 0.0 }; costs = Array.make 16 0.0; n = 0;
-    loads = Array.make 8 0.0 }
+    loads = Array.make (max 1 budget) 0.0 }
 
 (* The current lane's device time, read in place: a float returned by a
    function of another module would be boxed. *)
@@ -108,7 +108,6 @@ let finish ctx =
   let n = ctx.n in
   if n > 1 then begin
     let lanes = ctx.budget in
-    if Array.length ctx.loads < lanes then ctx.loads <- Array.make lanes 0.0;
     let total = total ctx.costs n in
     let overlapped = pack ~lanes ~total ctx.costs n ctx.loads in
     (* snapshot the end time before refunding: the refund rewinds the
