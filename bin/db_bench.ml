@@ -13,8 +13,8 @@ module L = Pdb_kvs.Latency
 module O = Pdb_kvs.Options
 
 (* What a benchmark body sees: the store, the same store instrumented
-   into [lat] (ad-hoc loops and seekrandom, warmup included, run through
-   it; op-stream phases hand [lat] to the driver), and the sizing flags. *)
+   into [lat] (ad-hoc loops run through it; op-stream phases hand [lat]
+   to the driver), and the sizing flags. *)
 type ctx = {
   name : string;
   store : Dyn.dyn;
@@ -134,8 +134,8 @@ let benchmarks =
       fun x ->
         ensure_fill x;
         report x
-          (B.seek_random x.timed ~n:x.num ~ops:(x.num / 4) ~nexts:0
-             ~seed:x.seed) );
+          (B.seek_random ~latency:x.lat x.store ~n:x.num ~ops:(x.num / 4)
+             ~nexts:0 ~seed:x.seed) );
     ( "seekordered",
       fun x ->
         (* seeks at ascending positions (locality-friendly) *)
