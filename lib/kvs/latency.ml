@@ -41,20 +41,22 @@ let kinds =
 
 module Clock = Pdb_simio.Clock
 
+(** [timed lat clock kind f x] is [f x], recording its modeled latency —
+    the simulated-clock elapsed delta across the call — into [lat] as one
+    [kind] observation. *)
+let timed lat clock kind f x =
+  let before = Clock.snapshot clock in
+  let r = f x in
+  record lat kind (Clock.elapsed_ns (Clock.diff (Clock.snapshot clock) before));
+  r
+
 (** [instrument lat store] wraps the serial foreground entry points of
     [store] so each put/delete/write (Write), get (Read) and iterator
     seek (Seek) records its modeled latency — the simulated-clock elapsed
     delta across the call — into [lat].  The store's behaviour and state
     are unchanged. *)
 let instrument lat (store : Store_intf.dyn) =
-  let clock = Pdb_simio.Env.clock store.Store_intf.d_env in
-  let timed kind f =
-    fun x ->
-      let before = Clock.snapshot clock in
-      let r = f x in
-      record lat kind (Clock.elapsed_ns (Clock.diff (Clock.snapshot clock) before));
-      r
-  in
+  let timed kind f = timed lat (Pdb_simio.Env.clock store.Store_intf.d_env) kind f in
   let instrument_iter (it : Iter.t) =
     { it with
       Iter.seek = timed Seek it.Iter.seek;

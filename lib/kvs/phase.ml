@@ -106,14 +106,21 @@ let measure (store : Store_intf.dyn) ops f =
 let drive ?clients ?latency (store : Store_intf.dyn) ~n draw =
   match clients with
   | None ->
-    let store =
+    let run =
       match latency with
-      | Some lat -> Latency.instrument lat store
-      | None -> store
+      | None -> apply store
+      | Some lat -> (
+        let timed = Latency.instrument lat store in
+        let clock = Pdb_simio.Env.clock store.Store_intf.d_env in
+        function
+        (* one observation, as on the client lanes, not a read and a
+           write *)
+        | Rmw _ as op -> Latency.timed lat clock Other (apply store) op
+        | op -> apply timed op)
     in
     measure store n (fun () ->
         for _ = 1 to n do
-          apply store (draw ())
+          run (draw ())
         done)
   | Some clients ->
     let io0 = io_stats store in
