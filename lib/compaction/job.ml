@@ -2,8 +2,9 @@
 
     Following Sarkar et al.'s decomposition of the LSM compaction design
     space, a compaction is described by {e why} it was picked (the
-    trigger), {e what} it touches (the footprint: level span and key
-    range, which drives worker-timeline conflict detection), and {e how
+    trigger), {e what} it touches (the footprint: the levels it reads and
+    writes and its key range, which decide the earlier jobs it waits for
+    on the worker timelines), and {e how
     much} data it is expected to move.  The [run] closure performs the
     actual state mutation when the scheduler drains the job; it captures
     stable identifiers (level numbers, guard keys) rather than live

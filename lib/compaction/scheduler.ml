@@ -5,8 +5,9 @@
     queue backlog.  Draining executes jobs FIFO — one at a time, so
     store mutation order (and hence final state) never depends on the
     worker count — while each job's measured background device time is
-    placed on the {!Pdb_simio.Sched} worker timelines, where
-    footprint-disjoint jobs overlap and conflicting jobs serialise.
+    placed on the {!Pdb_simio.Sched} worker timelines, where a job waits
+    only for the earlier jobs that wrote a level it reads or writes over
+    overlapping keys, and overlaps every other.
     Worker count therefore shapes only the modeled clock, which is the
     whole point: guard-parallel FLSM compaction (many small disjoint
     jobs) packs N lanes densely, leveled compaction (few wide jobs)
@@ -28,10 +29,10 @@ type t = {
   mutable observer : (Job.t -> unit) option;
 }
 
-let create ?env ?(flush_lanes = 0) ~clock ~workers () =
+let create ?env ~clock ~workers () =
   {
     clock;
-    lanes = Sched.create ~flush_lanes ~clock ~workers ();
+    lanes = Sched.create ~clock ~workers ();
     env;
     queue = Queue.create ();
     keys = Hashtbl.create 16;
@@ -71,8 +72,8 @@ let run_one t (job : Job.t) =
   let duration_ns = Clock.background_ns t.clock -. before in
   (* zero-cost jobs (e.g. trivial pointer moves) occupy no lane time *)
   if duration_ns > 0.0 then begin
-    (* flushes ride the reserved lane (when configured): memtable
-       rotation must never wait behind a deep compaction queue *)
+    (* flushes ride the reserved lane: memtable rotation must never wait
+       behind a deep compaction queue *)
     let cls =
       match job.Job.trigger with
       | Job.Memtable_full -> `Flush

@@ -317,13 +317,27 @@ let compact_last_level_guard ?(force_full = false) t (g : Guard.guard) =
     S.note_compaction t ~inputs ~outputs
   end
 
-(* Guard-scoped footprint: jobs over disjoint guards get disjoint key
-   ranges, which is what lets the scheduler overlap them on separate
-   worker timelines (§4.3). *)
-let guard_footprint t level gkey ~level_hi =
+(* Footprint of a compaction of [level] into [level + 1]: it reads its
+   source and appends fragments to the target's guards without reading or
+   rewriting what is there (§3.4), so it need not wait for an earlier job
+   still reading the target — only for jobs that wrote its source or its
+   target.  A job into the last level also writes its source, where the
+   25x redirect may rewrite. *)
+let merge_footprint t level =
+  let target = level + 1 in
+  {
+    (Sched.full_range ~level_lo:level ~level_hi:level) with
+    Sched.write_lo = (if target = S.last_level t then level else target);
+    write_hi = target;
+  }
+
+(* [fp] narrowed to one guard of [level]: jobs over disjoint guards get
+   disjoint key ranges, which is what lets the scheduler overlap them on
+   separate worker timelines (§4.3). *)
+let guard_footprint t level gkey fp =
   let lvl = t.lv.levels.(level) in
   let key_lo, key_hi = Guard.guard_range lvl (Guard.guard_index lvl gkey) in
-  { Sched.level_lo = level; level_hi; key_lo; key_hi }
+  { fp with Sched.key_lo; key_hi }
 
 let guard_bytes (g : Guard.guard) = S.bytes_of g.Guard.tables
 
@@ -427,7 +441,7 @@ let maybe_compact t =
     if l0_due t then
       enqueue "l0" Job.L0_files
         ~estimated_bytes:(S.bytes_of t.lv.l0)
-        ~footprint:(Sched.full_range ~level_lo:0 ~level_hi:1)
+        ~footprint:(merge_footprint t 0)
         ~measure:(fun () -> List.length t.lv.l0)
         (fun () -> if l0_due t then compact_level t 0);
     (* level size triggers — measured in bytes: 25x-redirected rewrites
@@ -438,7 +452,7 @@ let maybe_compact t =
           (Printf.sprintf "size:%d" level)
           Job.Level_size
           ~estimated_bytes:(level_bytes t level)
-          ~footprint:(Sched.full_range ~level_lo:level ~level_hi:(level + 1))
+          ~footprint:(merge_footprint t level)
           ~measure:(fun () -> level_bytes t level)
           (fun () -> if level_due t level then compact_level t level)
     done;
@@ -457,7 +471,8 @@ let maybe_compact t =
             enqueue
               (Printf.sprintf "cap:%d:%s" level gkey)
               Job.Guard_cap ~estimated_bytes:(guard_bytes g)
-              ~footprint:(guard_footprint t level gkey ~level_hi:(level + 1))
+              ~footprint:
+                (guard_footprint t level gkey (merge_footprint t level))
               ~measure:tables_of
               (fun () ->
                 match find_guard t level gkey with
@@ -485,7 +500,9 @@ let maybe_compact t =
           enqueue
             (Printf.sprintf "last:%s" gkey)
             Job.Guard_merge ~estimated_bytes:(guard_bytes g)
-            ~footprint:(guard_footprint t ll gkey ~level_hi:ll)
+            ~footprint:
+              (guard_footprint t ll gkey
+                 (Sched.full_range ~level_lo:ll ~level_hi:ll))
             ~measure:tables_of
             (fun () ->
               match find_guard t ll gkey with

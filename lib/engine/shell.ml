@@ -191,7 +191,13 @@ let flush t =
         Job.key = "flush";
         trigger = Job.Memtable_full;
         estimated_bytes = Memtable.approximate_bytes mem;
-        footprint = Sched.full_range ~level_lo:0 ~level_hi:0;
+        footprint =
+          (* a flush reads no level and writes L0: it waits only for the
+             jobs that wrote L0, not for one still reading it *)
+          {
+            (Sched.full_range ~level_lo:0 ~level_hi:0) with
+            Sched.read_hi = -1;
+          };
         run = (fun () -> meta := t.shape.build_l0 t mem);
       };
     let meta = !meta in
@@ -440,9 +446,7 @@ let open_store ~shape ~lv ?block_cache (opts : O.t) ~env ~dir =
       dir;
       clock;
       sched =
-        Scheduler.create ~env ~clock
-          ~flush_lanes:(if opts.O.flush_reserved_lane then 1 else 0)
-          ~workers:opts.O.compaction_threads ();
+        Scheduler.create ~env ~clock ~workers:opts.O.compaction_threads ();
       bp = Bp.create opts;
       counters = Stats.counters ();
       probe =

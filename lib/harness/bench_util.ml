@@ -227,7 +227,8 @@ module Json = struct
 end
 
 (** One-line background-scheduler summary for a store: jobs drained, peak
-    queue depth and backlog, footprint conflicts, per-worker utilization
+    queue depth and backlog, jobs delayed by their dependencies
+    ("conflicts"), per-worker utilization
     (busy time over the background completion horizon), and stall-time
     attribution.  Empty for engines without scheduled background work. *)
 let scheduler_summary (store : Dyn.dyn) =

@@ -698,8 +698,10 @@ let run_tuning () =
 let run_future_work () =
   (* guard-parallel compaction: FLSM compaction is "trivially
      parallelizable" per guard (§3.4, §7).  Jobs over disjoint guards
-     land on separate worker lanes; the leveled baseline's wide
-     compactions conflict and serialise, so extra workers help it less. *)
+     land on separate worker lanes, and a job appending to a level need
+     not wait for one still reading it; the leveled baseline's wide
+     compactions rewrite what they read and serialise, so extra workers
+     help it less. *)
   let n = n_medium in
   let fill_at engine threads =
     let store =
@@ -712,16 +714,31 @@ let run_future_work () =
     store.Dyn.d_close ();
     (fill.P.kops, sched)
   in
-  let rows, summaries =
+  let scaling =
     List.map
       (fun engine ->
         let name = Stores.engine_name engine in
         let k1, s1 = fill_at engine 1 in
         let k4, s4 = fill_at engine 4 in
-        ( [ B.Text name; B.num 2 k1; B.num 2 k4; B.num 2 (rel k1 k4) ],
-          [ (name ^ " @1", s1); (name ^ " @4", s4) ] ))
+        (name, k1, k4, [ (name ^ " @1", s1); (name ^ " @4", s4) ]))
       [ Stores.Pebblesdb; Stores.Hyperleveldb ]
-    |> List.split
+  in
+  let rows =
+    List.map
+      (fun (name, k1, k4, _) ->
+        [ B.Text name; B.num 2 k1; B.num 2 k4; B.num 2 (rel k1 k4) ])
+      scaling
+  in
+  let summaries = List.concat_map (fun (_, _, _, s) -> s) scaling in
+  let speedup_check =
+    match scaling with
+    | [ (p, p1, p4, _); (h, h1, h4, _) ] ->
+      let sp = rel p1 p4 and sh = rel h1 h4 in
+      [
+        check (sp > sh) ~miss:"  [NOT above — investigate]"
+          "1->4-worker speedup: %s %.2fx above %s %.2fx" p sp h sh;
+      ]
+    | _ -> []
   in
   (* guard deletion: time-series churn accumulates empty guards; deleting
      them trims the metadata without disturbing data *)
@@ -754,7 +771,8 @@ let run_future_work () =
         (List.filter_map
            (fun (label, s) ->
              if s = "" then None else Some (note "%-16s %s" label s))
-           (List.concat summaries)
+           summaries
+        @ speedup_check
         @ [
             note
               "guard deletion (§3.3): %d empty guards accumulated by time-series      churn; delete_empty_guards removed %d; invariants hold"

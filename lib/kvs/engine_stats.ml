@@ -199,7 +199,7 @@ type t = {
   compaction_queue_peak : int;  (** max pending jobs observed *)
   compaction_backlog_peak_bytes : int;
   compaction_serialized_jobs : int;
-      (** jobs delayed by a conflicting footprint *)
+      (** jobs delayed by an earlier job they depend on *)
   compaction_pending : int;  (** jobs queued but not yet run *)
   compaction_backlog_bytes : int;
       (** estimated bytes across currently pending jobs *)

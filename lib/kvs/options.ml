@@ -184,9 +184,6 @@ type t = {
   op_overhead_read_ns : float;
   (* write throttling (Pdb_kvs.Backpressure) *)
   throttle : throttle;
-  flush_reserved_lane : bool;
-      (** reserve a scheduler lane for memtable flushes so a deep
-          compaction queue can never starve memtable rotation *)
   (* FLSM / PebblesDB parameters (§3.5, §4.4) *)
   top_level_bits : int;  (** trailing hash bits required for a L1 guard *)
   bit_decrement : int;  (** bits relaxed per deeper level *)
@@ -251,7 +248,6 @@ let base =
     op_overhead_write_ns = 8_000.0;
     op_overhead_read_ns = 2_000.0;
     throttle = Token_bucket;
-    flush_reserved_lane = true;
     (* The paper's default of 27 bits suits ~100M keys; scaled to the
        ~50-200k keys of the scaled experiments this is ~17 bits (guard
        density per key is what matters). *)

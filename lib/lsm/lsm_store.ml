@@ -288,16 +288,18 @@ let compact_level (t : t) level =
    level's files.  The actual inputs are picked when the job runs; the
    whole-level range is a sound over-approximation — and an honest one:
    leveled compactions span wide ranges, which is exactly why they
-   serialise on the worker timelines where FLSM's guard jobs overlap. *)
+   serialise on the worker timelines where FLSM's guard jobs overlap.  A
+   leveled merge rewrites the target files it overlaps, so it reads and
+   writes both levels. *)
 let level_footprint (t : t) level =
+  let fp = Sched.full_range ~level_lo:level ~level_hi:(level + 1) in
   match t.lv.levels.(level) with
-  | [] -> Sched.full_range ~level_lo:level ~level_hi:(level + 1)
+  | [] -> fp
   | files ->
     let smallest, largest = input_user_range files in
     {
-      Sched.level_lo = level;
-      level_hi = level + 1;
-      key_lo = smallest;
+      fp with
+      Sched.key_lo = smallest;
       key_hi = Some (largest ^ "\x00") (* inclusive -> exclusive bound *);
     }
 

@@ -395,9 +395,11 @@ module Make (E : ENGINE) = struct
                  estimated_bytes = bytes;
                  footprint =
                    {
-                     Pdb_simio.Sched.level_lo = 0;
-                     level_hi = t.opts.O.max_levels;
-                     key_lo = (match lo with None -> "" | Some l -> l);
+                     (Pdb_simio.Sched.full_range ~level_lo:0
+                        ~level_hi:t.opts.O.max_levels)
+                     with
+                     Pdb_simio.Sched.key_lo =
+                       (match lo with None -> "" | Some l -> l);
                      key_hi = hi;
                    };
                  run = (fun () -> E.write engine batch);

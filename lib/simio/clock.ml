@@ -9,8 +9,8 @@
     Background work is additionally *placed* on per-worker timelines by
     {!Sched} (one timeline per modeled compaction thread): each job starts
     no earlier than its worker is free and no earlier than the finish of
-    any previously placed job whose guard/key-range footprint it conflicts
-    with.  The clock records the resulting completion horizon
+    any previously placed job that wrote a level it reads or writes over
+    overlapping keys.  The clock records the resulting completion horizon
     ([bg_horizon_ns]), and the reported elapsed time for a workload is
     [max(cpu, foreground + bg_horizon) + stalls]: a store is write-bound
     either by its own foreground path or by the compaction drain rate of
@@ -135,9 +135,9 @@ let diff (a : snapshot) (b : snapshot) =
     compaction IO serialise on it, while modeled CPU work overlaps with
     IO.  Background completion is the advance of the per-worker timeline
     horizon during the phase: stores whose compaction decomposes into many
-    small jobs over disjoint guards pack their worker lanes densely
-    (horizon ≈ total/N), while stores whose jobs conflict on overlapping
-    key ranges serialise (horizon ≈ total) — how FLSM's guard-parallel
+    small jobs over disjoint guards, appending to their target level, pack
+    their worker lanes densely (horizon ≈ total/N), while stores whose
+    jobs rewrite overlapping key ranges serialise (horizon ≈ total) — how FLSM's guard-parallel
     compaction becomes higher write throughput.  Engines that never placed
     scheduled work (the B+-tree stores) have a zero horizon and are bound
     by their foreground path alone. *)

@@ -7,10 +7,13 @@
     one of [workers] timelines.  A job starts no earlier than
 
     - its worker lane is free, and
-    - every previously placed job whose {!footprint} conflicts with it has
-      finished (jobs over disjoint guards / key ranges overlap freely;
-      jobs touching the same levels and overlapping key ranges
-      serialise).
+    - every previously placed job it {!depends} on has finished: one that
+      wrote a level this job reads (read-after-write) or writes
+      (write-after-write), over overlapping key ranges.  Jobs over
+      disjoint guards / key ranges overlap freely, and so does a job that
+      only writes a level an earlier job is still reading: an FLSM
+      compaction appends fragments to its target's guards without reading
+      or rewriting what is already there (§3.4).
 
     The max over lanes of the last finish time is the background
     completion horizon, pushed into {!Clock.note_bg_horizon} so that
@@ -20,39 +23,60 @@
     worker count. *)
 
 type footprint = {
-  level_lo : int;
-  level_hi : int;  (** inclusive level span the job reads or writes *)
+  read_lo : int;
+  read_hi : int;
+      (** inclusive level span the job reads; empty when
+          [read_lo > read_hi] *)
+  write_lo : int;
+  write_hi : int;  (** inclusive level span the job writes *)
   key_lo : string;
   key_hi : string option;
       (** exclusive user-key upper bound; [None] is +infinity *)
 }
 
 let full_range ~level_lo ~level_hi =
-  { level_lo; level_hi; key_lo = ""; key_hi = None }
+  {
+    read_lo = level_lo;
+    read_hi = level_hi;
+    write_lo = level_lo;
+    write_hi = level_hi;
+    key_lo = "";
+    key_hi = None;
+  }
 
-(** [conflicts a b] — same-level contact and overlapping key ranges. *)
-let conflicts a b =
-  a.level_lo <= b.level_hi && b.level_lo <= a.level_hi
-  && (match a.key_hi with
+(* inclusive spans [alo, ahi] and [blo, bhi] share a level *)
+let spans_meet alo ahi blo bhi =
+  alo <= ahi && blo <= bhi && alo <= bhi && blo <= ahi
+
+(** [depends fp ~on] — [on] writes a level [fp] reads or writes, and the
+    key ranges overlap. *)
+let depends fp ~on =
+  (spans_meet on.write_lo on.write_hi fp.read_lo fp.read_hi
+  || spans_meet on.write_lo on.write_hi fp.write_lo fp.write_hi)
+  && (match fp.key_hi with
      | None -> true
-     | Some hi -> String.compare b.key_lo hi < 0)
-  && (match b.key_hi with
+     | Some hi -> String.compare on.key_lo hi < 0)
+  && match on.key_hi with
      | None -> true
-     | Some hi -> String.compare a.key_lo hi < 0)
+     | Some hi -> String.compare fp.key_lo hi < 0
 
 type t = {
   clock : Clock.t;
   n_workers : int; (* general lanes: indices [0, n_workers) *)
-  free_at : float array; (* per-lane timeline frontier, flush lanes last *)
+  free_at : float array; (* per-lane timeline frontier, flush lane last *)
   busy_ns : float array; (* per-lane cumulative busy time *)
-  mutable placed : (footprint * float) list; (* recent jobs: finish times *)
+  (* placed jobs that may still delay a new one, [0, n_placed), with their
+     finish times; compacted in place so placement allocates nothing *)
+  mutable placed : footprint array;
+  mutable placed_fin : float array;
+  mutable n_placed : int;
   mutable serialized : bool;
-      (* the latest job's start was delayed by a conflicting predecessor *)
+      (* the latest job's start was delayed by a job it depends on *)
 }
 
-let create ?(flush_lanes = 0) ~clock ~workers () =
+let create ~clock ~workers () =
   let n = max 1 workers in
-  let total = n + max 0 flush_lanes in
+  let total = n + 1 in
   {
     clock;
     n_workers = n;
@@ -60,19 +84,16 @@ let create ?(flush_lanes = 0) ~clock ~workers () =
        current horizon: it cannot pack work into a closed store's past *)
     free_at = Array.make total (Clock.bg_horizon_ns clock);
     busy_ns = Array.make total 0.0;
-    placed = [];
+    placed = [||];
+    placed_fin = [||];
+    n_placed = 0;
     serialized = false;
   }
 
 let workers t = t.n_workers
 let busy_ns t = Array.copy t.busy_ns
 
-let flush_busy_ns t =
-  let acc = ref 0.0 in
-  for i = t.n_workers to Array.length t.busy_ns - 1 do
-    acc := !acc +. t.busy_ns.(i)
-  done;
-  !acc
+let flush_busy_ns t = t.busy_ns.(t.n_workers)
 
 let serialized t = t.serialized
 
@@ -81,28 +102,26 @@ let horizon_ns t = Array.fold_left Float.max 0.0 t.free_at
 type placement = { lane : int; start_ns : float; finish_ns : float }
 
 (** Which lanes a job may occupy: [`Worker] work (compactions) uses the
-    general lanes; [`Flush] work uses the reserved flush lanes when the
-    scheduler has any, falling back to the general lanes otherwise.  The
-    reservation is one-way — compactions can never occupy a flush lane —
+    general lanes; [`Flush] work uses the reserved flush lane.  The
+    reservation is one-way — compactions can never occupy the flush lane —
     which is the fairness invariant: however deep the compaction queue
-    packs the worker lanes, a flush starts no later than its footprint
-    conflicts allow. *)
+    packs the worker lanes, a flush starts no later than the jobs it
+    depends on allow. *)
 let lane_range t = function
   | `Worker -> (0, t.n_workers)
-  | `Flush ->
-    let total = Array.length t.free_at in
-    if total > t.n_workers then (t.n_workers, total) else (0, t.n_workers)
+  | `Flush -> (t.n_workers, t.n_workers + 1)
 
 (** [place_span t fp ~duration_ns] puts a completed unit of work on the
-    lane (within its class) that lets it finish earliest, honouring
-    footprint conflicts; returns the full placement (lane, modeled start
-    and finish) — the tracer uses it to draw per-worker timelines. *)
+    lane (within its class) that lets it finish earliest, after every
+    placed job it depends on; returns the full placement (lane, modeled
+    start and finish) — the tracer uses it to draw per-worker timelines. *)
 let place_span ?(cls = `Worker) t fp ~duration_ns =
-  let blocked_until =
-    List.fold_left
-      (fun acc (g, fin) -> if conflicts fp g then Float.max acc fin else acc)
-      0.0 t.placed
-  in
+  let blocked = ref 0.0 in
+  for i = 0 to t.n_placed - 1 do
+    if depends fp ~on:t.placed.(i) then
+      blocked := Float.max !blocked t.placed_fin.(i)
+  done;
+  let blocked_until = !blocked in
   let lo, hi = lane_range t cls in
   let lane = ref lo and start = ref infinity in
   for i = lo to hi - 1 do
@@ -112,7 +131,7 @@ let place_span ?(cls = `Worker) t fp ~duration_ns =
       start := s
     end
   done;
-  (* serialized = the conflict pushed the start past the earliest free
+  (* serialized = a dependency pushed the start past the earliest free
      eligible lane, i.e. an idle worker could not be used *)
   let earliest_free = ref infinity in
   for i = lo to hi - 1 do
@@ -124,8 +143,27 @@ let place_span ?(cls = `Worker) t fp ~duration_ns =
   t.busy_ns.(!lane) <- t.busy_ns.(!lane) +. duration_ns;
   (* a past job finishing at or before every lane frontier can no longer
      delay anything: each new job starts at or after its lane's frontier *)
-  let floor = Array.fold_left Float.min infinity t.free_at in
-  t.placed <- (fp, finish) :: List.filter (fun (_, f) -> f > floor) t.placed;
+  let floor = ref infinity in
+  for i = 0 to Array.length t.free_at - 1 do
+    floor := Float.min !floor t.free_at.(i)
+  done;
+  let kept = ref 0 in
+  for i = 0 to t.n_placed - 1 do
+    if t.placed_fin.(i) > !floor then begin
+      t.placed.(!kept) <- t.placed.(i);
+      t.placed_fin.(!kept) <- t.placed_fin.(i);
+      incr kept
+    end
+  done;
+  if !kept = Array.length t.placed then begin
+    let cap = max 16 (2 * !kept) in
+    let grow a fill = Array.append a (Array.make (cap - !kept) fill) in
+    t.placed <- grow t.placed fp;
+    t.placed_fin <- grow t.placed_fin 0.0
+  end;
+  t.placed.(!kept) <- fp;
+  t.placed_fin.(!kept) <- finish;
+  t.n_placed <- !kept + 1;
   Clock.note_bg_horizon t.clock finish;
   { lane = !lane; start_ns = !start; finish_ns = finish }
 

@@ -194,7 +194,7 @@ let fp_level l = Sched.full_range ~level_lo:l ~level_hi:l
 
 let test_flush_lane_never_starved () =
   let clock = Clock.create () in
-  let s = Sched.create ~flush_lanes:1 ~clock ~workers:1 () in
+  let s = Sched.create ~clock ~workers:1 () in
   (* saturate the single worker lane with a deep compaction queue *)
   for _ = 1 to 4 do
     ignore (Sched.place_span s (fp_level 1) ~duration_ns:1_000.0)
@@ -202,17 +202,7 @@ let test_flush_lane_never_starved () =
   let p = Sched.place_span ~cls:`Flush s (fp_level 0) ~duration_ns:100.0 in
   check (Alcotest.float 1e-6) "flush starts immediately" 0.0 p.Sched.start_ns;
   check (Alcotest.float 1e-6) "flush lane carries it" 100.0
-    (Sched.flush_busy_ns s);
-  (* same queue without the reserved lane: the flush waits behind all
-     four compactions — the starvation the lane exists to prevent *)
-  let clock = Clock.create () in
-  let s = Sched.create ~clock ~workers:1 () in
-  for _ = 1 to 4 do
-    ignore (Sched.place_span s (fp_level 1) ~duration_ns:1_000.0)
-  done;
-  let p = Sched.place_span ~cls:`Flush s (fp_level 0) ~duration_ns:100.0 in
-  check (Alcotest.float 1e-6) "without the lane the flush is starved"
-    4_000.0 p.Sched.start_ns
+    (Sched.flush_busy_ns s)
 
 let test_engine_reports_flush_lane () =
   let env = Env.create () in

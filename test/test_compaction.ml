@@ -79,7 +79,11 @@ let serialized_jobs ~conflicting =
     {
       (manual_job ~key (fun () -> Clock.advance clock 100.0)) with
       Job.footprint =
-        { Sched.level_lo = 1; level_hi = 1; key_lo; key_hi = Some key_hi };
+        {
+          (Sched.full_range ~level_lo:1 ~level_hi:1) with
+          Sched.key_lo;
+          key_hi = Some key_hi;
+        };
     }
   in
   ignore (Scheduler.submit s (job "a" "a" "m"));
@@ -169,14 +173,11 @@ let test_lsm_invariants_after_every_job () =
 
 (* ---------- guard-parallelism shows up in modeled time (§4.3) ---------- *)
 
-(* Random fill, modeled elapsed.  FLSM's compaction decomposes into many
-   jobs over disjoint guards, so extra worker lanes shorten its background
-   completion horizon more than they shorten the leveled LSM's few wide
-   serialized jobs.  The reserved flush lane is disabled so flushes
-   contend with compactions on the worker lanes as in the classical
-   engines — this test isolates how *compaction* packs the lanes as the
-   worker count grows, and the flush lane would hand both engines part of
-   that benefit already at one worker. *)
+(* Random fill, modeled elapsed, in the stores' own lane layout (worker
+   lanes plus the reserved flush lane).  FLSM's compaction decomposes into
+   many jobs over disjoint guards that append to their target level, so
+   extra worker lanes shorten its background completion horizon more than
+   they shorten the leveled LSM's few wide serialized jobs. *)
 let modeled_fill_ns ~pebbles ~threads ~n =
   let env = Env.create () in
   let clock = Env.clock env in
@@ -188,25 +189,42 @@ let modeled_fill_ns ~pebbles ~threads ~n =
     flush ();
     Clock.elapsed_ns (Clock.diff (Clock.snapshot clock) c0)
   in
-  let shared_lanes o = { o with O.flush_reserved_lane = false } in
   if pebbles then begin
-    let db =
-      P.open_store (shared_lanes (tiny ~threads (O.pebblesdb ()))) ~env
-        ~dir:"db"
-    in
+    let db = P.open_store (tiny ~threads (O.pebblesdb ())) ~env ~dir:"db" in
     let e = fill (P.put db) (fun () -> P.flush db) in
     P.close db;
     e
   end
   else begin
-    let db =
-      L.open_store (shared_lanes (tiny ~threads (O.hyperleveldb ()))) ~env
-        ~dir:"db"
-    in
+    let db = L.open_store (tiny ~threads (O.hyperleveldb ())) ~env ~dir:"db" in
     let e = fill (L.put db) (fun () -> L.flush db) in
     L.close db;
     e
   end
+
+(* An FLSM compaction appends to its target level, so it need not wait for
+   the job still reading that level: a second worker lane lowers a
+   PebblesDB fill's background horizon (with the symmetric rule, where
+   any two jobs touching one level serialise, it does not at this size),
+   and the files stay byte-identical. *)
+let pebbles_fill ~threads ~n =
+  let env = Env.create () in
+  let db = P.open_store (tiny ~threads (O.pebblesdb ())) ~env ~dir:"db" in
+  for i = 0 to n - 1 do
+    P.put db (key (i * 7919 mod n)) (value i)
+  done;
+  P.flush db;
+  let horizon = Clock.bg_horizon_ns (Env.clock env) in
+  P.close db;
+  (horizon, Fingerprint.text env)
+
+let test_pebbles_second_worker_lowers_horizon () =
+  let h1, files1 = pebbles_fill ~threads:1 ~n:1500 in
+  let h2, files2 = pebbles_fill ~threads:2 ~n:1500 in
+  check Alcotest.string "1 vs 2 workers: byte-identical files" files1 files2;
+  Alcotest.(check bool)
+    (Printf.sprintf "horizon at 2 workers %.0f < at 1 %.0f" h2 h1)
+    true (h2 < h1)
 
 let test_guard_parallelism_beats_leveled_scaling () =
   let n = 3000 in
@@ -250,5 +268,7 @@ let () =
         [
           Alcotest.test_case "guard parallelism beats leveled scaling" `Quick
             test_guard_parallelism_beats_leveled_scaling;
+          Alcotest.test_case "second worker lowers pebbles horizon" `Quick
+            test_pebbles_second_worker_lowers_horizon;
         ] );
     ]

@@ -179,7 +179,7 @@ let pins =
   [
     ( "pebblesdb",
       "730c2df1fbcf40ba40838c977eef074c",
-      "0x1.129cbe2p+26 0x1.8cf8914p+26 0x1.384dad6p+26 0x0p+0 0x1.01bcb68p+26" );
+      "0x1.129cbe2p+26 0x1.8cf8914p+26 0x1.04c5398p+26 0x0p+0 0x1.01bcb68p+26" );
     ( "pebblesdb-1",
       "718c30ceefcd28a300f87d6f1310eae1",
       "0x1.baec466p+25 0x1.027d75bcp+29 0x1.1bbe58ap+28 0x0p+0 0x1.dc9465p+25"
@@ -209,7 +209,7 @@ let scan_pins =
   [
     ( "pebblesdb",
       "ffa5083de950aea8bbffd5827e8a3af2",
-      "0x1.a3a1c75cp+29 0x1.419c21cp+25 0x1.021ce94p+25 0x0p+0 0x1.1f10c5p+27",
+      "0x1.a3a1c75cp+29 0x1.419c21cp+25 0x1.b9aa748p+24 0x0p+0 0x1.1f10c5p+27",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "pebblesdb-1",
       "c3a0a085d48f985e69fb56af8fca8775",

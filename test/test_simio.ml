@@ -732,25 +732,51 @@ let test_clock_elapsed_model () =
 (* ---------- worker-lane scheduler (Sched) ---------- *)
 
 let fp ?(key_lo = "") ?key_hi level =
-  { Sched.level_lo = level; level_hi = level; key_lo; key_hi }
+  { (Sched.full_range ~level_lo:level ~level_hi:level) with key_lo; key_hi }
 
-let test_sched_conflicts () =
-  (* same level, overlapping key ranges -> conflict *)
+(* an FLSM-style merge: reads [level], appends to [level + 1] *)
+let merge level =
+  { (fp level) with Sched.write_lo = level + 1; write_hi = level + 1 }
+
+let test_sched_depends () =
+  (* same level, overlapping key ranges -> dependency *)
   Alcotest.(check bool) "overlap same level" true
-    (Sched.conflicts
+    (Sched.depends
        (fp 1 ~key_lo:"a" ~key_hi:"m")
-       (fp 1 ~key_lo:"g" ~key_hi:"z"));
-  (* disjoint key ranges -> no conflict *)
+       ~on:(fp 1 ~key_lo:"g" ~key_hi:"z"));
+  (* disjoint key ranges -> none *)
   Alcotest.(check bool) "disjoint ranges" false
-    (Sched.conflicts
+    (Sched.depends
        (fp 1 ~key_lo:"a" ~key_hi:"g")
-       (fp 1 ~key_lo:"g" ~key_hi:"z"));
-  (* disjoint levels -> no conflict *)
+       ~on:(fp 1 ~key_lo:"g" ~key_hi:"z"));
+  (* disjoint levels -> none *)
   Alcotest.(check bool) "disjoint levels" false
-    (Sched.conflicts (fp 1 ~key_lo:"a") (fp 2 ~key_lo:"a"));
+    (Sched.depends (fp 1 ~key_lo:"a") ~on:(fp 2 ~key_lo:"a"));
   (* None upper bound = +infinity *)
   Alcotest.(check bool) "open upper bound" true
-    (Sched.conflicts (fp 1 ~key_lo:"a") (fp 1 ~key_lo:"zzz"))
+    (Sched.depends (fp 1 ~key_lo:"a") ~on:(fp 1 ~key_lo:"zzz"));
+  (* read-after-write: L1->L2 waits for the L0->L1 job that wrote L1 *)
+  Alcotest.(check bool) "read after write" true
+    (Sched.depends (merge 1) ~on:(merge 0));
+  (* write-after-read: L0->L1 appends to L1 without waiting for the
+     L1->L2 job still reading it *)
+  Alcotest.(check bool) "write after read" false
+    (Sched.depends (merge 0) ~on:(merge 1));
+  (* write-after-write *)
+  Alcotest.(check bool) "write after write" true
+    (Sched.depends (merge 0) ~on:(fp 1));
+  (* a flush reads nothing: it does not wait for the L0 job that reads
+     L0, while the next L0 job waits for the flush *)
+  let flush = { (fp 0) with Sched.read_hi = -1 } in
+  Alcotest.(check bool) "flush after L0 job" false
+    (Sched.depends flush ~on:(merge 0));
+  Alcotest.(check bool) "L0 job after flush" true
+    (Sched.depends (merge 0) ~on:flush);
+  (* an empty read span meets no level, even one between its bounds *)
+  Alcotest.(check bool) "empty read span" false
+    (Sched.depends
+       { (fp 3) with Sched.read_lo = 1; read_hi = 0 }
+       ~on:(Sched.full_range ~level_lo:0 ~level_hi:1))
 
 let test_sched_disjoint_jobs_overlap () =
   let clock = Clock.create () in
@@ -788,6 +814,148 @@ let test_sched_single_worker_packs_sequentially () =
   ignore (Sched.place s (fp 1 ~key_lo:"a" ~key_hi:"b") ~duration_ns:100.0);
   let f = Sched.place s (fp 1 ~key_lo:"x" ~key_hi:"y") ~duration_ns:100.0 in
   check (Alcotest.float 0.001) "disjoint jobs still queue on one lane" 200.0 f
+
+(* Greedy placement against a list model: lanes are a list of frontiers
+   (the workers, then the flush lane), every placed job is kept (the
+   scheduler prunes its list), and a job starts after each earlier job
+   [waits_for] names, on the eligible lane where it starts earliest, ties
+   to the lowest index.  The model's dependency rule works on level
+   lists instead of span arithmetic. *)
+type sched_job = { flush : bool; jfp : Sched.footprint; dur : float }
+
+let model_placement ~waits_for ~workers jobs =
+  let place (lanes, placed, out) j =
+    let ready =
+      List.fold_left
+        (fun acc (on, fin) ->
+          if waits_for j.jfp on then Float.max acc fin else acc)
+        0.0 placed
+    in
+    let eligible =
+      List.filteri
+        (fun i _ -> if j.flush then i = workers else i < workers)
+        (List.mapi (fun i free -> (i, free)) lanes)
+    in
+    let lane, start =
+      List.fold_left
+        (fun (bl, bs) (i, free) ->
+          let s = Float.max free ready in
+          if s < bs then (i, s) else (bl, bs))
+        (-1, infinity) eligible
+    in
+    let earliest =
+      List.fold_left (fun a (_, f) -> Float.min a f) infinity eligible
+    in
+    let finish = start +. j.dur in
+    let lanes = List.mapi (fun i f -> if i = lane then finish else f) lanes in
+    ( lanes,
+      (j.jfp, finish) :: placed,
+      (lane, start, finish, ready > earliest) :: out )
+  in
+  let _, _, out =
+    List.fold_left place (List.init (workers + 1) (fun _ -> 0.0), [], []) jobs
+  in
+  List.rev out
+
+let levels lo hi = List.init (max 0 (hi - lo + 1)) (fun i -> lo + i)
+
+(* some range's start key lies in both half-open ranges *)
+let keys_overlap (a : Sched.footprint) (b : Sched.footprint) =
+  let within k (f : Sched.footprint) =
+    f.key_lo <= k && match f.key_hi with None -> true | Some hi -> k < hi
+  in
+  List.exists (fun k -> within k a && within k b) [ a.key_lo; b.key_lo ]
+
+(* the dependency rule: [on] wrote a level [fp] reads or writes *)
+let model_depends (fp : Sched.footprint) (on : Sched.footprint) =
+  let touched =
+    levels fp.read_lo fp.read_hi @ levels fp.write_lo fp.write_hi
+  in
+  List.exists (fun l -> List.mem l touched) (levels on.write_lo on.write_hi)
+  && keys_overlap fp on
+
+(* the symmetric rule the dependency rule replaced: the spans touch *)
+let model_symmetric (a : Sched.footprint) (b : Sched.footprint) =
+  List.exists
+    (fun l -> List.mem l (levels b.read_lo b.read_hi))
+    (levels a.read_lo a.read_hi)
+  && keys_overlap a b
+
+let sched_placement ~workers jobs =
+  let s = Sched.create ~clock:(Clock.create ()) ~workers () in
+  List.map
+    (fun j ->
+      let cls = if j.flush then `Flush else `Worker in
+      let p = Sched.place_span ~cls s j.jfp ~duration_ns:j.dur in
+      (p.Sched.lane, p.Sched.start_ns, p.Sched.finish_ns, Sched.serialized s))
+    jobs
+
+let gen_sched_jobs ~same_span =
+  let open QCheck.Gen in
+  let key = oneofl [ ""; "c"; "f"; "k"; "p" ] in
+  let footprint =
+    map3
+      (fun (rlo, rlen) (wlo, wlen) (klo, khi) ->
+        let key_hi =
+          match khi with Some k when k > klo -> Some k | _ -> None
+        in
+        if same_span then
+          {
+            (Sched.full_range ~level_lo:rlo ~level_hi:(rlo + max 0 rlen)) with
+            Sched.key_lo = klo;
+            key_hi;
+          }
+        else
+          {
+            Sched.read_lo = rlo;
+            read_hi = rlo + rlen;
+            write_lo = wlo;
+            write_hi = wlo + wlen;
+            key_lo = klo;
+            key_hi;
+          })
+      (pair (int_bound 3) (int_range (-1) 1))
+      (pair (int_bound 3) (int_range 0 1))
+      (pair key (opt key))
+  in
+  let dur = oneof [ oneofl [ 1.0; 10.0; 100.0 ]; float_range 1.0 500.0 ] in
+  let job =
+    map3
+      (fun flush jfp dur -> { flush; jfp; dur })
+      (frequencyl [ (1, true); (4, false) ])
+      footprint dur
+  in
+  pair (int_range 1 4) (list_size (int_range 1 30) job)
+
+let print_sched_jobs (workers, jobs) =
+  let job j =
+    let f = j.jfp in
+    Printf.sprintf "%sr%d-%d w%d-%d [%S,%s) %g"
+      (if j.flush then "F " else "")
+      f.read_lo f.read_hi f.write_lo f.write_hi f.key_lo
+      (match f.key_hi with None -> "inf" | Some k -> Printf.sprintf "%S" k)
+      j.dur
+  in
+  Printf.sprintf "%d workers: %s" workers
+    (String.concat "; " (List.map job jobs))
+
+let prop_sched_matches_model ~name ~same_span ~waits_for =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name
+       (QCheck.make ~print:print_sched_jobs (gen_sched_jobs ~same_span))
+       (fun (workers, jobs) ->
+         sched_placement ~workers jobs
+         = model_placement ~waits_for ~workers jobs))
+
+let prop_sched_dependency_rule =
+  prop_sched_matches_model ~name:"placement = dependency-rule list model"
+    ~same_span:false ~waits_for:model_depends
+
+(* reads = writes everywhere (leveled jobs, shard migration): the
+   dependency rule places exactly as the symmetric rule did *)
+let prop_sched_symmetric_when_spans_equal =
+  prop_sched_matches_model ~name:"reads = writes: placement = symmetric rule"
+    ~same_span:true ~waits_for:model_symmetric
 
 let test_device_aging () =
   let d = Device.ssd () in
@@ -1102,12 +1270,14 @@ let () =
       ("probe", [ prop_probe_matches_model ]);
       ( "sched",
         [
-          Alcotest.test_case "footprint conflicts" `Quick test_sched_conflicts;
+          Alcotest.test_case "footprint conflicts" `Quick test_sched_depends;
           Alcotest.test_case "disjoint jobs overlap" `Quick
             test_sched_disjoint_jobs_overlap;
           Alcotest.test_case "conflicting jobs serialize" `Quick
             test_sched_conflicting_jobs_serialize;
           Alcotest.test_case "single worker packs sequentially" `Quick
             test_sched_single_worker_packs_sequentially;
+          prop_sched_dependency_rule;
+          prop_sched_symmetric_when_spans_equal;
         ] );
     ]
