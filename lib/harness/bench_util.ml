@@ -244,8 +244,8 @@ let scheduler_summary (store : Dyn.dyn) =
       |> String.concat " "
     in
     let flush =
-      (* busy time on the reserved flush lane(s), when the engines run
-         one — it is also the last entry of [util] *)
+      (* busy time on the reserved flush lane — also the last entry of
+         [util] for a single store *)
       if st.Pdb_kvs.Engine_stats.flush_busy_ns > 0.0 then
         Printf.sprintf " flush=%.1fms"
           (st.Pdb_kvs.Engine_stats.flush_busy_ns /. 1e6)

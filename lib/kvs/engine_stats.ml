@@ -206,11 +206,11 @@ type t = {
   stall_slowdown_ns : float;
   stall_stop_ns : float;
   worker_busy_ns : float array;
-      (** per-lane busy time; general lanes first, then any reserved
-          flush lanes; shards' lanes concatenate *)
+      (** per-lane busy time; general lanes first, then the reserved
+          flush lane; shards' lanes concatenate *)
   flush_busy_ns : float;
-      (** busy time on the reserved flush lane(s); 0 when flushes share
-          the general lanes *)
+      (** busy time on the reserved flush lanes (one per scheduler); 0
+          for engines without scheduled background work *)
   wal_records_recovered : int;
       (** complete WAL records replayed at the last open *)
   wal_bytes_dropped : int;
