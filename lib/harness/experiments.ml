@@ -910,7 +910,8 @@ let run_latency ~n =
         let name = Stores.engine_name engine in
         let store = Stores.open_engine engine in
         let lat = L.create () in
-        ignore (B.fill_random ~latency:lat store ~n ~value_bytes:value_1k ~seed);
+        ignore
+          (B.fill_random ~latency:lat store ~n ~value_bytes:value_1k ~seed);
         ignore (B.read_random ~latency:lat store ~n ~ops:(n / 2) ~seed);
         ignore
           (B.seek_random ~latency:lat store ~n ~ops:(n / 10) ~nexts:0 ~seed);

@@ -56,7 +56,8 @@ let timed lat clock kind f x =
     delta across the call — into [lat].  The store's behaviour and state
     are unchanged. *)
 let instrument lat (store : Store_intf.dyn) =
-  let timed kind f = timed lat (Pdb_simio.Env.clock store.Store_intf.d_env) kind f in
+  let clock = Pdb_simio.Env.clock store.Store_intf.d_env in
+  let timed kind f = timed lat clock kind f in
   let instrument_iter (it : Iter.t) =
     { it with
       Iter.seek = timed Seek it.Iter.seek;

@@ -137,8 +137,8 @@ let diff (a : snapshot) (b : snapshot) =
     horizon during the phase: stores whose compaction decomposes into many
     small jobs over disjoint guards, appending to their target level, pack
     their worker lanes densely (horizon ≈ total/N), while stores whose
-    jobs rewrite overlapping key ranges serialise (horizon ≈ total) — how FLSM's guard-parallel
-    compaction becomes higher write throughput.  Engines that never placed
+    jobs rewrite overlapping key ranges serialise (horizon ≈ total) — how
+    FLSM's guard-parallel compaction becomes higher write throughput.  Engines that never placed
     scheduled work (the B+-tree stores) have a zero horizon and are bound
     by their foreground path alone. *)
 let[@inline] elapsed ~cpu ~fg ~horizon ~stall =
