@@ -12,13 +12,13 @@ module Mc = Pdb_kvs.Multi_client
 module L = Pdb_kvs.Latency
 module O = Pdb_kvs.Options
 
-(* What a benchmark body sees: the store, the same store instrumented
-   into [lat] (ad-hoc loops run through it; op-stream phases hand [lat]
-   to the driver), and the sizing flags. *)
+(* What a benchmark body sees: the store, its latency histograms (an
+   op-stream phase hands [lat] to the driver; fillbatch and readseq,
+   where one call is many ops, record each call), and the sizing
+   flags. *)
 type ctx = {
   name : string;
   store : Dyn.dyn;
-  timed : Dyn.dyn;
   lat : L.t;
   num : int;
   value_size : int;
@@ -47,6 +47,8 @@ let ensure_fill x =
     ignore
       (B.fill_random x.store ~n:x.num ~value_bytes:x.value_size ~seed:x.seed);
   x.filled := true
+
+let clock x = Pdb_simio.Env.clock x.store.Dyn.d_env
 
 (* fill and read phases run on client lanes only with --clients > 1 *)
 let lanes x = if x.clients > 1 then Some x.clients else None
@@ -78,8 +80,9 @@ let benchmarks =
         (* batched writes: 100 entries per atomic batch *)
         x.filled := true;
         let rng = Pdb_util.Rng.create x.seed in
+        let write = L.timed x.lat (clock x) L.Write x.store.Dyn.d_write in
         report x
-          (P.measure x.timed x.num (fun () ->
+          (P.measure x.store x.num (fun () ->
                let i = ref 0 in
                while !i < x.num do
                  let batch = Pdb_kvs.Write_batch.create () in
@@ -89,7 +92,7 @@ let benchmarks =
                      (Pdb_util.Rng.alpha rng x.value_size);
                    incr i
                  done;
-                 x.timed.Dyn.d_write batch
+                 write batch
                done)) );
     ("overwrite", fill_random);
     ( "readrandom",
@@ -107,16 +110,17 @@ let benchmarks =
              ~ops:x.num ~value_bytes:x.value_size ~seed:x.seed) );
     ( "readseq",
       fun x ->
-        (* full forward scan via one iterator *)
+        (* full forward scan via one iterator: one seek observation *)
         ensure_fill x;
         report x
-          (P.measure x.timed x.num (fun () ->
-               let it = x.timed.Dyn.d_iterator () in
-               it.Pdb_kvs.Iter.seek_to_first ();
-               while it.Pdb_kvs.Iter.valid () do
-                 ignore (it.Pdb_kvs.Iter.key ());
-                 it.Pdb_kvs.Iter.next ()
-               done)) );
+          (P.measure x.store x.num
+             (L.timed x.lat (clock x) L.Seek (fun () ->
+                  let it = x.store.Dyn.d_iterator () in
+                  it.Pdb_kvs.Iter.seek_to_first ();
+                  while it.Pdb_kvs.Iter.valid () do
+                    ignore (it.Pdb_kvs.Iter.key ());
+                    it.Pdb_kvs.Iter.next ()
+                  done))) );
     ( "readmissing",
       fun x ->
         (* lookups for keys that are never present: bloom-filter country *)
@@ -201,7 +205,6 @@ let run (c : Cli.t) l0_slowdown l0_stop names num seed probe_budget
         {
           name;
           store;
-          timed = L.instrument lat store;
           lat;
           num;
           value_size = c.Cli.value_size;

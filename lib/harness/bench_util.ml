@@ -4,7 +4,6 @@
 module Dyn = Pdb_kvs.Store_intf
 module Clock = Pdb_simio.Clock
 module Env = Pdb_simio.Env
-module Iter = Pdb_kvs.Iter
 module Phase = Pdb_kvs.Phase
 module Rng = Pdb_util.Rng
 
@@ -13,8 +12,9 @@ module Rng = Pdb_util.Rng
    Each phase draws one op stream and {!Phase.drive} runs it: serially
    by default, on [~clients] foreground lanes (WAL group commit) for the
    phases that take them.  The stream — and so the store's final state —
-   is the same either way.  An ad-hoc loop is timed with
-   {!Phase.measure}. *)
+   is the same either way, and with [?latency] each drawn op is one
+   latency observation.  An experiment that samples a phase as it runs
+   drives the same draw in slices. *)
 
 let key_of i = Printf.sprintf "key%010d" i
 let value_of rng n = Rng.alpha rng n
@@ -32,14 +32,18 @@ let shuffled rng n =
   Rng.shuffle rng perm;
   perm
 
+(** [random_puts ~n ~value_bytes ~seed] draws puts of the [n] keys in
+    random order, each with a fresh value. *)
+let random_puts ~n ~value_bytes ~seed =
+  let rng = Rng.create seed in
+  let order = shuffled rng n in
+  each ~order (fun i -> Phase.Put (key_of i, value_of rng value_bytes))
+
 (** [fill_random store ~n ~value_bytes ~seed] puts [n] keys in random
     order: an insert pass on a fresh store, an overwrite pass (same keys,
     fresh values under a new seed) on a filled one. *)
 let fill_random ?clients ?latency (store : Dyn.dyn) ~n ~value_bytes ~seed =
-  let rng = Rng.create seed in
-  let order = shuffled rng n in
-  Phase.drive ?clients ?latency store ~n
-    (each ~order (fun i -> Phase.Put (key_of i, value_of rng value_bytes)))
+  Phase.drive ?clients ?latency store ~n (random_puts ~n ~value_bytes ~seed)
 
 (** [fill_seq store ~n ~value_bytes ~seed] inserts [n] keys in ascending
     order — LSM's trivial-move fast path, FLSM's worst case (§5.2). *)
@@ -56,16 +60,15 @@ let read_random ?clients ?latency (store : Dyn.dyn) ~n ~ops ~seed =
       Phase.Get (key_of (Rng.int rng n)))
 
 (** [seek_random store ~n ~ops ~nexts ~seed] issues [ops] seeks, each
-    followed by [nexts] next() calls (a range query).  A short warmup
-    first brings the table cache to steady state, as the paper's
-    10M-operation runs do implicitly; it is neither timed nor recorded
-    into [?latency]. *)
+    followed by [nexts] next() calls (a range query).  A warm-up of
+    2,000 bare seeks first brings the table cache to steady state, as
+    the paper's 10M-operation runs do implicitly; it is neither reported
+    nor recorded into [?latency]. *)
 let seek_random ?latency (store : Dyn.dyn) ~n ~ops ~nexts ~seed =
   let wrng = Rng.create (seed + 11) in
-  for _ = 1 to 2_000 do
-    let it = store.Dyn.d_iterator () in
-    it.Iter.seek (key_of (Rng.int wrng n))
-  done;
+  ignore
+    (Phase.drive store ~n:2_000 (fun () ->
+         Phase.Scan (key_of (Rng.int wrng n), 0)));
   let rng = Rng.create (seed + 2) in
   Phase.drive ?latency store ~n:ops (fun () ->
       Phase.Scan (key_of (Rng.int rng n), nexts))

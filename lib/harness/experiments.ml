@@ -15,7 +15,6 @@ module Env = Pdb_simio.Env
 module B = Bench_util
 module P = Pdb_kvs.Phase
 module Mc = Pdb_kvs.Multi_client
-module Iter = Pdb_kvs.Iter
 
 type experiment = {
   id : string;
@@ -229,16 +228,16 @@ let run_micro_multi () =
         let store = Stores.open_engine ~tweak:rocksdb_params engine in
         let writes = B.fill_random store ~n ~value_bytes:value_1k ~seed in
         let reads = B.read_random store ~n ~ops:20_000 ~seed in
-        (* mixed: interleave reads and writes 50/50 *)
+        (* mixed: alternate reads and writes; a write draws its value
+           before its key *)
         let rng = Pdb_util.Rng.create (seed + 9) in
         let mixed =
-          P.measure store 20_000 (fun () ->
-              for _ = 1 to 10_000 do
-                ignore (store.Dyn.d_get (B.key_of (Pdb_util.Rng.int rng n)));
-                store.Dyn.d_put
-                  (B.key_of (Pdb_util.Rng.int rng n))
-                  (Pdb_util.Rng.alpha rng value_1k)
-              done)
+          P.drive store ~n:20_000
+            (B.each (fun i ->
+                 if i mod 2 = 0 then P.Get (B.key_of (Pdb_util.Rng.int rng n))
+                 else
+                   let value = Pdb_util.Rng.alpha rng value_1k in
+                   P.Put (B.key_of (Pdb_util.Rng.int rng n), value)))
         in
         store.Dyn.d_close ();
         B.Text (Stores.engine_name engine)
@@ -303,21 +302,16 @@ let run_aged () =
       (* key-value store aging: inserts + deletes + updates *)
       ignore (B.fill_random store ~n ~value_bytes:value_1k ~seed);
       let rng = Pdb_util.Rng.create (seed + 4) in
-      for _ = 1 to n * 2 / 5 do
-        store.Dyn.d_delete (B.key_of (Pdb_util.Rng.int rng n))
-      done;
-      for _ = 1 to n * 2 / 5 do
-        store.Dyn.d_put
-          (B.key_of (Pdb_util.Rng.int rng n))
-          (Pdb_util.Rng.alpha rng value_1k)
-      done;
+      let key () = B.key_of (Pdb_util.Rng.int rng n) in
+      (* a put draws its value before its key *)
+      let put () =
+        let value = Pdb_util.Rng.alpha rng value_1k in
+        P.Put (key (), value)
+      in
+      ignore (P.drive store ~n:(n * 2 / 5) (fun () -> P.Delete (key ())));
+      ignore (P.drive store ~n:(n * 2 / 5) put);
       (* now the measured phases *)
-      P.measure store (n / 2) (fun () ->
-          for _ = 1 to n / 2 do
-            store.Dyn.d_put
-              (B.key_of (Pdb_util.Rng.int rng n))
-              (Pdb_util.Rng.alpha rng value_1k)
-          done))
+      P.drive store ~n:(n / 2) put)
     ~n ~reads:10_000 ~seeks:3_000 Stores.paper_stores
 
 let run_low_memory () =
@@ -391,26 +385,16 @@ let run_time_series () =
         let per_iteration =
           List.init iterations (fun it ->
               let base = it * per_iter in
+              let range f = P.drive store ~n:per_iter (B.each f) in
               let writes =
-                P.measure store per_iter (fun () ->
-                    for i = base to base + per_iter - 1 do
-                      store.Dyn.d_put (B.key_of i)
-                        (Pdb_util.Rng.alpha rng 512)
-                    done)
+                range (fun i ->
+                    P.Put (B.key_of (base + i), Pdb_util.Rng.alpha rng 512))
               in
               let reads =
-                P.measure store per_iter (fun () ->
-                    for _ = 1 to per_iter do
-                      ignore
-                        (store.Dyn.d_get
-                           (B.key_of (base + Pdb_util.Rng.int rng per_iter)))
-                    done)
+                range (fun _ ->
+                    P.Get (B.key_of (base + Pdb_util.Rng.int rng per_iter)))
               in
-              P.measure store per_iter (fun () ->
-                  for i = base to base + per_iter - 1 do
-                    store.Dyn.d_delete (B.key_of i)
-                  done)
-              |> ignore;
+              ignore (range (fun i -> P.Delete (B.key_of (base + i))));
               store.Dyn.d_compact_all ();
               (writes.P.kops, reads.P.kops))
         in
@@ -689,7 +673,8 @@ let run_tuning () =
   in
   B.table
     ~title:
-      "Sec 3.5 — tuning max_sstables_per_guard: write IO vs read/range        latency (cap=1 is the paper's LSM mode)"
+      "Sec 3.5 — tuning max_sstables_per_guard: write IO vs read/range \
+         latency (cap=1 is the paper's LSM mode)"
     ~header:[ "cap"; "fillrandom KOps/s"; "write amp"; "seekrandom KOps/s" ]
     rows
 
@@ -763,7 +748,8 @@ let run_future_work () =
     [
       B.table
         ~title:
-          "Sec 7 (future work) — guard-parallel compaction: fillrandom vs        compaction workers (speedup = 4w / 1w)"
+          "Sec 7 (future work) — guard-parallel compaction: fillrandom vs \
+           compaction workers (speedup = 4w / 1w)"
         ~header:
           [ "store"; "KOps/s (1 worker)"; "KOps/s (4 workers)"; "speedup" ]
         rows;
@@ -775,7 +761,8 @@ let run_future_work () =
         @ speedup_check
         @ [
             note
-              "guard deletion (§3.3): %d empty guards accumulated by time-series      churn; delete_empty_guards removed %d; invariants hold"
+              "guard deletion (§3.3): %d empty guards accumulated by time-series \
+               churn; delete_empty_guards removed %d; invariants hold"
               before removed;
           ]);
     ]
@@ -940,21 +927,14 @@ let run_latency ~n =
     let name = Stores.engine_name engine in
     let store = Stores.open_engine engine in
     let clock = Env.clock store.Dyn.d_env in
-    let rng = Pdb_util.Rng.create seed in
-    let perm = Array.init (chunks * per_chunk) Fun.id in
-    Pdb_util.Rng.shuffle rng perm;
+    let draw =
+      B.random_puts ~n:(chunks * per_chunk) ~value_bytes:value_1k ~seed
+    in
     let prev_stall = ref 0.0 in
     let sample_rows =
-      List.init chunks (fun c ->
+      List.init chunks (fun _ ->
           let lat = L.create () in
-          let timed = L.instrument lat store in
-          let phase =
-            P.measure timed per_chunk (fun () ->
-                for i = c * per_chunk to ((c + 1) * per_chunk) - 1 do
-                  timed.Dyn.d_put (B.key_of perm.(i))
-                    (Pdb_util.Rng.alpha rng value_1k)
-                done)
-          in
+          let phase = P.drive ~latency:lat store ~n:per_chunk draw in
           let st = store.Dyn.d_stats () in
           let stall =
             st.Pdb_kvs.Engine_stats.stall_slowdown_ns
@@ -1278,23 +1258,17 @@ let run_policy ~n =
         let used = Env.total_file_bytes store.Dyn.d_env in
         let space_amp = float_of_int used /. float_of_int live in
         let reads = B.read_random store ~n ~ops:(n / 2) ~seed in
-        (* scan cost: full forward iteration; tiered pays one iterator per
-           run where leveled pays one per level *)
-        let scan =
-          P.measure store n (fun () ->
-              let it = store.Dyn.d_iterator () in
-              it.Iter.seek_to_first ();
-              while it.Iter.valid () do
-                ignore (it.Iter.key ());
-                it.Iter.next ()
-              done)
-        in
+        (* scan cost: one full forward scan, over the [n] keys it steps;
+           tiered pays one iterator per run where leveled pays one per
+           level *)
+        let scan = P.drive store ~n:1 (fun () -> P.Scan ("", max_int)) in
+        let scan_kops = P.kops ~ops:n ~elapsed_ns:scan.P.elapsed_ns in
         let triggers = B.trigger_summary store in
         store.Dyn.d_close ();
         ( B.Text name
           :: named ~store:name 2
                [ ("fill_kops", fill.P.kops); ("write_amp", wa);
-                 ("read_kops", reads.P.kops); ("scan_kops", scan.P.kops);
+                 ("read_kops", reads.P.kops); ("scan_kops", scan_kops);
                  ("space_amp", space_amp) ],
           (name, triggers) ))
       policies
@@ -1383,22 +1357,12 @@ let run_stability ~n =
     in
     let store = Stores.open_engine ~tweak engine in
     let clock = Env.clock store.Dyn.d_env in
-    let rng = Pdb_util.Rng.create seed in
-    let perm = Array.init total Fun.id in
-    Pdb_util.Rng.shuffle rng perm;
+    let draw = B.random_puts ~n:total ~value_bytes:value_1k ~seed in
     let lat = L.create () in
-    let timed = L.instrument lat store in
-    let kops = Array.make windows 0.0 in
-    for w = 0 to windows - 1 do
-      let phase =
-        P.measure timed per_window (fun () ->
-            for i = w * per_window to ((w + 1) * per_window) - 1 do
-              timed.Dyn.d_put (B.key_of perm.(i))
-                (Pdb_util.Rng.alpha rng value_1k)
-            done)
-      in
-      kops.(w) <- phase.P.kops
-    done;
+    let kops =
+      Array.init windows (fun _ ->
+          (P.drive ~latency:lat store ~n:per_window draw).P.kops)
+    in
     let st = store.Dyn.d_stats () in
     let stall_ns =
       st.Pdb_kvs.Engine_stats.stall_slowdown_ns
@@ -1597,8 +1561,7 @@ let run_repl ~n =
     let tweak (o : O.t) = { o with O.replicas = k; repl_strategy = strategy } in
     let store = Stores.open_engine ~tweak engine in
     let lat = L.create () in
-    let timed = L.instrument lat store in
-    let fill = B.fill_random timed ~n ~value_bytes:value_1k ~seed in
+    let fill = B.fill_random ~latency:lat store ~n ~value_bytes:value_1k ~seed in
     store.Dyn.d_flush ();
     let st = store.Dyn.d_stats () in
     let net_bytes =

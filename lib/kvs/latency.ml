@@ -4,12 +4,12 @@
     the quantities behind the paper's Figure 5.5 (average and 99th
     percentile read/write latency per engine).
 
-    Two producers feed it: {!instrument} wraps a {!Store_intf.dyn} so the
-    serial foreground path measures each call as a clock-snapshot delta
-    (elapsed simulated time including stalls and background horizon
-    movement), and the multi-client driver records lane-placement
-    latencies from [Fg_lanes] directly.  Both are purely observational:
-    collecting latencies never changes IO, clock charges or store bytes. *)
+    Each drawn op of a {!Phase.drive} phase is one observation under its
+    kind.  Serially it is the clock-snapshot delta across the whole op
+    ({!timed}: elapsed simulated time including stalls and background
+    horizon movement); on client lanes it is the op's lane placement
+    from [Fg_lanes].  Both are purely observational: collecting latencies
+    never changes IO, clock charges or store bytes. *)
 
 module H = Pdb_util.Histogram
 
@@ -49,31 +49,6 @@ let timed lat clock kind f x =
   let r = f x in
   record lat kind (Clock.elapsed_ns (Clock.diff (Clock.snapshot clock) before));
   r
-
-(** [instrument lat store] wraps the serial foreground entry points of
-    [store] so each put/delete/write (Write), get (Read) and iterator
-    seek (Seek) records its modeled latency — the simulated-clock elapsed
-    delta across the call — into [lat].  The store's behaviour and state
-    are unchanged. *)
-let instrument lat (store : Store_intf.dyn) =
-  let clock = Pdb_simio.Env.clock store.Store_intf.d_env in
-  let timed kind f = timed lat clock kind f in
-  let instrument_iter (it : Iter.t) =
-    { it with
-      Iter.seek = timed Seek it.Iter.seek;
-      seek_to_first = timed Seek it.Iter.seek_to_first;
-    }
-  in
-  { store with
-    Store_intf.d_put =
-      (fun k v -> (timed Write (fun () -> store.Store_intf.d_put k v)) ());
-    d_get = timed Read store.Store_intf.d_get;
-    d_delete = timed Write store.Store_intf.d_delete;
-    d_write = timed Write store.Store_intf.d_write;
-    d_write_group = timed Write store.Store_intf.d_write_group;
-    d_iterator =
-      (fun () -> instrument_iter (store.Store_intf.d_iterator ()));
-  }
 
 (* --- reporting ------------------------------------------------------ *)
 

@@ -95,28 +95,31 @@ let measure (store : Store_intf.dyn) ops f =
   let elapsed_ns = Clock.elapsed_ns (Clock.diff (Clock.snapshot clock) c0) in
   finish store io0 ~ops ~elapsed_ns None
 
+(** [kind op] is the latency kind [op] records under, serially and on
+    client lanes alike: one observation per drawn op. *)
+let kind = function
+  | Get _ -> Latency.Read
+  | Put _ | Delete _ -> Latency.Write
+  | Scan _ -> Latency.Seek
+  | Rmw _ -> Latency.Other
+
 (** [drive ?clients ?latency store ~n draw] runs [n] ops from [draw] as
     one phase.  Serially, each op is applied as it is drawn and the phase
     is {!measure}d.  With [~clients], the ops are drawn first and replayed
     round-robin on the client lanes ({!Multi_client.run}), writes
     group-committing; elapsed comes from the lane placement.  With
-    [?latency], per-operation modeled latencies are recorded (clock deltas
-    serially, lane placement on client lanes) without changing store
-    state. *)
+    [?latency], each op records one modeled latency under its {!kind}
+    (the clock delta across the whole op serially, its lane placement on
+    client lanes) without changing store state. *)
 let drive ?clients ?latency (store : Store_intf.dyn) ~n draw =
   match clients with
   | None ->
     let run =
       match latency with
       | None -> apply store
-      | Some lat -> (
-        let timed = Latency.instrument lat store in
+      | Some lat ->
         let clock = Pdb_simio.Env.clock store.Store_intf.d_env in
-        function
-        (* one observation, as on the client lanes, not a read and a
-           write *)
-        | Rmw _ as op -> Latency.timed lat clock Other (apply store) op
-        | op -> apply timed op)
+        fun op -> Latency.timed lat clock (kind op) (apply store) op
     in
     measure store n (fun () ->
         for _ = 1 to n do

@@ -45,11 +45,23 @@ let run_fill ?clients engine =
   let entries = all_entries store in
   (env, store, entries, p.Pdb_kvs.Phase.lanes)
 
+(* the same fill's draw, driven serially in ten slices, as the stall
+   profile and the stability windows drive it *)
+let run_sliced_fill engine =
+  let env = Env.create () in
+  let store = Stores.open_engine ~tweak:sync_tweak ~env engine in
+  let draw = B.random_puts ~n:3_000 ~value_bytes:128 ~seed:7 in
+  for _ = 1 to 10 do
+    ignore (Pdb_kvs.Phase.drive store ~n:300 draw)
+  done;
+  (env, store, all_entries store)
+
 let test_state_invariance engine () =
   let env0, s0, entries0, _ = run_fill engine in
   let env1, s1, entries1, r1 = run_fill engine ~clients:1 in
   let env4, s4, entries4, r4 = run_fill engine ~clients:4 in
   let env8, s8, entries8, r8 = run_fill engine ~clients:8 in
+  let env_sl, s_sl, entries_sl = run_sliced_fill engine in
   let r1 = Option.get r1 and r4 = Option.get r4 and r8 = Option.get r8 in
   Alcotest.(check int) "8-client run formed multi-batch groups" 8
     (int_of_float r8.Mc.avg_group_size);
@@ -68,7 +80,9 @@ let test_state_invariance engine () =
     (entries1 = entries4);
   Alcotest.(check bool) "iteration results identical 1c vs 8c" true
     (entries1 = entries8);
-  List.iter (fun s -> s.Dyn.d_close ()) [ s0; s1; s4; s8 ];
+  Alcotest.(check bool) "iteration results identical 1c vs sliced" true
+    (entries1 = entries_sl);
+  List.iter (fun s -> s.Dyn.d_close ()) [ s0; s1; s4; s8; s_sl ];
   let f1 = files_of env1 in
   List.iter
     (fun (run, fn) ->
@@ -82,7 +96,7 @@ let test_state_invariance engine () =
             true (String.equal b1 bn))
         f1 fn)
     [ ("serial", files_of env0); ("4 clients", files_of env4);
-      ("8 clients", files_of env8) ]
+      ("8 clients", files_of env8); ("serial slices", files_of env_sl) ]
 
 (* ---------- group-formation determinism ---------- *)
 

@@ -86,6 +86,33 @@ let test_latency_observational () =
         off on)
     [ None; Some 4 ]
 
+(* One observation per drawn op: a scan-only phase on a filled store
+   records each [Scan], its seek and its nexts, as one seek latency,
+   serially as on one client lane.  With no background work (seek
+   compaction off) the serial clock delta and the lane placement of an
+   op are the same time, so the two histograms agree. *)
+let test_scan_one_observation () =
+  let seek_hist clients =
+    let tweak o = { o with Pdb_kvs.Options.seek_based_compaction = false } in
+    let store = Stores.open_engine ~tweak Stores.Pebblesdb in
+    ignore (B.fill_random store ~n:2_000 ~value_bytes:128 ~seed:5);
+    let lat = L.create () in
+    let rng = Pdb_util.Rng.create 9 in
+    ignore
+      (Pdb_kvs.Phase.drive ?clients ~latency:lat store ~n:300 (fun () ->
+           Pdb_kvs.Phase.Scan (B.key_of (Pdb_util.Rng.int rng 2_000), 20)));
+    store.Dyn.d_close ();
+    let h = L.hist lat L.Seek in
+    (H.count h, H.mean h, H.percentile h 50.0, H.percentile h 99.0)
+  in
+  let n, mean, p50, p99 = seek_hist None in
+  let n1, mean1, p50_1, p99_1 = seek_hist (Some 1) in
+  Alcotest.(check int) "one seek observation per scan" 300 n;
+  Alcotest.(check int) "count serial = 1 client" n n1;
+  Alcotest.(check (float 0.0)) "mean serial = 1 client" mean mean1;
+  Alcotest.(check (float 0.0)) "p50 serial = 1 client" p50 p50_1;
+  Alcotest.(check (float 0.0)) "p99 serial = 1 client" p99 p99_1
+
 (* ---------- trace smoke ---------- *)
 
 (* minimal JSON validator (recursive descent); we only need "is this
@@ -389,6 +416,8 @@ let () =
             test_latency_deterministic;
           Alcotest.test_case "byte-identical state on/off" `Quick
             test_latency_observational;
+          Alcotest.test_case "scan is one observation, serial = 1 client"
+            `Quick test_scan_one_observation;
         ] );
       ( "trace",
         [
