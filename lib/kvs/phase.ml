@@ -95,8 +95,8 @@ let measure (store : Store_intf.dyn) ops f =
   let elapsed_ns = Clock.elapsed_ns (Clock.diff (Clock.snapshot clock) c0) in
   finish store io0 ~ops ~elapsed_ns None
 
-(** [kind op] is the latency kind [op] records under, serially and on
-    client lanes alike: one observation per drawn op. *)
+(** [kind op] is the latency kind [op] records under serially, the one
+    {!client_op} gives it on client lanes. *)
 let kind = function
   | Get _ -> Latency.Read
   | Put _ | Delete _ -> Latency.Write
