@@ -1,9 +1,10 @@
 (* Golden pins: one fixed, seeded, single-iterator op sequence replayed on
    every LSM-family engine configuration, asserting the exact on-disk bytes
-   (one MD5 over every file name and its contents) and the exact clock bits
-   (the five [Clock.snapshot] fields printed with [%h]).  Refactors of the
-   engine internals must leave both unchanged; a pin only moves when a
-   change is meant to alter file bytes or simulated time. *)
+   (one MD5 over every file name and its contents), the exact clock bits
+   (the five [Clock.snapshot] fields printed with [%h]) and the device IO
+   counts (bytes written and read, write and read ops).  Refactors of the
+   engine internals must leave all three unchanged; a pin only moves when
+   a change is meant to alter file bytes, simulated time or device IO. *)
 
 module Fingerprint = Pdb_simio.Fingerprint
 module P = Pebblesdb.Pebbles_store
@@ -52,6 +53,12 @@ let clock_bits env =
   let s = Clock.snapshot (Env.clock env) in
   Printf.sprintf "%h %h %h %h %h" s.Clock.foreground_ns s.Clock.background_ns
     s.Clock.bg_horizon_ns s.Clock.stall_ns s.Clock.cpu_ns
+
+let io_counts env =
+  let s = Env.stats env in
+  Printf.sprintf "%d %d %d %d" s.Pdb_simio.Io_stats.bytes_written
+    s.Pdb_simio.Io_stats.bytes_read s.Pdb_simio.Io_stats.write_ops
+    s.Pdb_simio.Io_stats.read_ops
 
 (* Iterators are created only while the snapshot pins every file, or after
    [compact_all]: the sequence never depends on when obsolete files are
@@ -114,7 +121,7 @@ let replay (type a) (module E : ENGINE with type t = a) opts =
   writes db ~from:5300 ~n:900;
   E.check_invariants db;
   E.close db;
-  (Fingerprint.md5 env, clock_bits env)
+  (Fingerprint.md5 env, clock_bits env, io_counts env)
 
 (* Scan pins: many short range scans, each through a fresh iterator, with
    about one insert per twenty scans.  Scans between writes run past the
@@ -154,6 +161,7 @@ let scan_replay (type a) (module E : ENGINE with type t = a) opts =
   E.close db;
   ( Fingerprint.md5 env,
     clock_bits env,
+    io_counts env,
     Printf.sprintf "%d %s" !scanned
       (Digest.to_hex (Digest.string (Buffer.contents entries))) )
 
@@ -173,66 +181,77 @@ let subjects =
     ("lazy_leveled", lsm O.Lazy_leveled);
   ]
 
-(* (subject, file-set MD5, clock bits); CHANGES.md records every move of a
-   pin and its cause *)
+(* (subject, file-set MD5, clock bits, IO counts); CHANGES.md records
+   every move of a pin and its cause *)
 let pins =
   [
     ( "pebblesdb",
       "730c2df1fbcf40ba40838c977eef074c",
-      "0x1.129cbe2p+26 0x1.8cf8914p+26 0x1.04c5398p+26 0x0p+0 0x1.01bcb68p+26" );
+      "0x1.129cbe2p+26 0x1.8cf8914p+26 0x1.04c5398p+26 0x0p+0 0x1.01bcb68p+26",
+      "2088673 1581137 13445 3758" );
     ( "pebblesdb-1",
       "718c30ceefcd28a300f87d6f1310eae1",
-      "0x1.baec466p+25 0x1.027d75bcp+29 0x1.1bbe58ap+28 0x0p+0 0x1.dc9465p+25"
-    );
+      "0x1.baec466p+25 0x1.027d75bcp+29 0x1.1bbe58ap+28 0x0p+0 0x1.dc9465p+25",
+      "5095504 3910721 35198 10047" );
     ( "leveled",
       "029684a69155dafab3b291e5ffe6b574",
-      "0x1.b65f0d4p+25 0x1.33bdf38p+26 0x1.f443f5p+25 0x0p+0 0x1.d43554p+25" );
+      "0x1.b65f0d4p+25 0x1.33bdf38p+26 0x1.f443f5p+25 0x0p+0 0x1.d43554p+25",
+      "2806254 2320857 12537 4502" );
     ( "tiered",
       "4bd3b07684ba77081e17cc56f8e51024",
-      "0x1.126e2fdp+26 0x1.0e4b364p+25 0x1.d60b74p+24 0x0p+0 0x1.f3e90dp+25" );
+      "0x1.126e2fdp+26 0x1.0e4b364p+25 0x1.d60b74p+24 0x0p+0 0x1.f3e90dp+25",
+      "1677328 1444828 9136 2755" );
     ( "lazy_leveled",
       "fb0f83d14eea42377e44d94f317f1229",
-      "0x1.126e9e1p+26 0x1.11c3324p+25 0x1.dcfb6cp+24 0x0p+0 0x1.f3e90dp+25" );
+      "0x1.126e9e1p+26 0x1.11c3324p+25 0x1.dcfb6cp+24 0x0p+0 0x1.f3e90dp+25",
+      "1678270 1445122 9163 2755" );
   ]
 
 let test_pin name () =
   let (module E : ENGINE), opts = List.assoc name subjects in
-  let md5, clock = replay (module E) opts in
-  let _, want_md5, want_clock =
-    List.find (fun (n, _, _) -> String.equal n name) pins
+  let md5, clock, io = replay (module E) opts in
+  let _, want_md5, want_clock, want_io =
+    List.find (fun (n, _, _, _) -> String.equal n name) pins
   in
   Alcotest.(check string) (name ^ ": file bytes") want_md5 md5;
-  Alcotest.(check string) (name ^ ": clock bits") want_clock clock
+  Alcotest.(check string) (name ^ ": clock bits") want_clock clock;
+  Alcotest.(check string) (name ^ ": IO counts") want_io io
 
-(* (subject, file-set MD5, clock bits, entries scanned and their MD5) *)
+(* (subject, file-set MD5, clock bits, IO counts, entries scanned and
+   their MD5) *)
 let scan_pins =
   [
     ( "pebblesdb",
       "ffa5083de950aea8bbffd5827e8a3af2",
       "0x1.a3a1c75cp+29 0x1.419c21cp+25 0x1.b9aa748p+24 0x0p+0 0x1.1f10c5p+27",
+      "926273 5293050 6184 12878",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "pebblesdb-1",
       "c3a0a085d48f985e69fb56af8fca8775",
       "0x1.86915b2ep+29 0x1.5d122ep+27 0x1.7b2f382p+26 0x0p+0 0x1.0c361cp+27",
+      "1897752 5678772 13293 13882",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "leveled",
       "93d75d891ca9d11afaaa84fc5516ac45",
       "0x1.4a1ed31ep+29 0x1.d80a0b8p+24 0x1.95023a8p+24 0x0p+0 0x1.ba554ep+26",
+      "1164978 5381984 5685 10530",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "tiered",
       "bc82c8c93ad1bd92bed1e84f67a3a714",
       "0x1.2291aea4p+30 0x1.5a31d2p+23 0x1.38233ap+23 0x0p+0 0x1.0a133cp+27",
+      "629072 9516648 4151 17895",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
   ]
 
 let test_scan_pin name () =
   let (module E : ENGINE), opts = List.assoc name subjects in
-  let md5, clock, scanned = scan_replay (module E) opts in
-  let _, want_md5, want_clock, want_scanned =
-    List.find (fun (n, _, _, _) -> String.equal n name) scan_pins
+  let md5, clock, io, scanned = scan_replay (module E) opts in
+  let _, want_md5, want_clock, want_io, want_scanned =
+    List.find (fun (n, _, _, _, _) -> String.equal n name) scan_pins
   in
   Alcotest.(check string) (name ^ ": file bytes") want_md5 md5;
   Alcotest.(check string) (name ^ ": clock bits") want_clock clock;
+  Alcotest.(check string) (name ^ ": IO counts") want_io io;
   Alcotest.(check string) (name ^ ": entries") want_scanned scanned
 
 let () =
