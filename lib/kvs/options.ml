@@ -137,6 +137,13 @@ let aggressive_level_ratio = 0.25
     IO (the paper's 25x heuristic) *)
 let last_level_merge_io_factor = 25.0
 
+(** the device IO size of background table IO: a table builder writes
+    its staged blocks in units of this many bytes, and a compaction reads
+    up to this many bytes of consecutive uncached input blocks in one
+    read (RocksDB's write buffer and [compaction_readahead_size]).  WAL
+    and MANIFEST writes stay one device write per record or group. *)
+let io_coalesce_bytes = 64 * 1024
+
 (* modeled CPU costs, ns *)
 
 let cpu_per_op_ns = 1_000.0

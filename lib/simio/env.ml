@@ -91,7 +91,9 @@ type t = {
   mutable tracer : Trace.t option;
 }
 
-type writer = { env : t; name : string; file : file }
+(* [staged] counts bytes {!append_coalesced} has put in the file and not
+   yet charged as a device write. *)
+type writer = { env : t; name : string; file : file; mutable staged : int }
 
 let new_file ~ever_synced =
   { chunks = [||]; starts = [||]; n = 0; len = 0; synced = 0; ever_synced }
@@ -271,19 +273,27 @@ let create_file t name =
   Hashtbl.replace t.files name file;
   t.stats.files_created <- t.stats.files_created + 1;
   tick t "create:" name;
-  { env = t; name; file }
+  { env = t; name; file; staged = 0 }
 
-(* Append the [n] bytes [blit src] copies (see {!write_pieces}) and
-   charge one sequential write for them. *)
+(* Put the [n] bytes [blit src] copies (see {!write_pieces}) at the end
+   of [w]'s file and count them written. *)
+let put_blit w n blit src =
+  let f = w.file in
+  write_pieces f f.len n blit src;
+  f.len <- f.len + n;
+  w.env.stats.bytes_written <- w.env.stats.bytes_written + n
+
+(* Charge one sequential device write of [n] bytes. *)
+let charge_write t n =
+  t.stats.write_ops <- t.stats.write_ops + 1;
+  Clock.advance t.clock (Device.write_cost t.device ~bytes:n)
+
+(* Append the [n] bytes [blit src] copies and charge one sequential write
+   for them. *)
 let append_blit w n blit src =
   if n > 0 then begin
-    let f = w.file in
-    write_pieces f f.len n blit src;
-    f.len <- f.len + n;
-    let st = w.env.stats in
-    st.bytes_written <- st.bytes_written + n;
-    st.write_ops <- st.write_ops + 1;
-    Clock.advance w.env.clock (Device.write_cost w.env.device ~bytes:n);
+    put_blit w n blit src;
+    charge_write w.env n;
     tick w.env "append:" w.name
   end
 
@@ -294,17 +304,44 @@ let append w s = append_blit w (String.length s) blit_string s
     [append w (Buffer.contents b)] would, without the copy. *)
 let append_buffer w b = append_blit w (Buffer.length b) blit_buffer b
 
+(** [append_coalesced w ~unit b] appends the contents of [b] as
+    [append_buffer] does, but charges the device one write of [unit]
+    bytes each time that many bytes are staged, the write buffer of a
+    file written in large units; [sync] and [close] charge what is left.
+    The bytes land in the file now, and the fault plan ticks once per
+    call. *)
+let append_coalesced w ~unit b =
+  let n = Buffer.length b in
+  if n > 0 then begin
+    put_blit w n blit_buffer b;
+    w.staged <- w.staged + n;
+    while w.staged >= unit do
+      charge_write w.env unit;
+      w.staged <- w.staged - unit
+    done;
+    tick w.env "append:" w.name
+  end
+
+(* Charge the bytes [w] has staged as one device write. *)
+let write_staged w =
+  if w.staged > 0 then begin
+    charge_write w.env w.staged;
+    w.staged <- 0
+  end
+
 (** [sync w] makes the file contents durable. *)
 let sync w =
+  write_staged w;
   w.file.synced <- w.file.len;
   w.file.ever_synced <- true;
   w.env.stats.syncs <- w.env.stats.syncs + 1;
   Clock.advance w.env.clock (Device.sync_cost w.env.device);
   tick w.env "sync:" w.name
 
-(** [close w] closes the writer (contents remain; unsynced data stays
-    volatile until the next [sync] on a new writer or a crash). *)
-let close (_ : writer) = ()
+(** [close w] closes the writer, charging any staged bytes (contents
+    remain; unsynced data stays volatile until the next [sync] on a new
+    writer or a crash). *)
+let close w = write_staged w
 
 let writer_size w = w.file.len
 
@@ -364,8 +401,8 @@ let peek t name ~pos ~len =
 let io_event t label = tick t label ""
 
 (* The accounting of one device read of [pos, pos + len) of [name]: the
-   bounds check, IO stats and clock charge that {!read} and {!read_view}
-   share.  Returns the file. *)
+   bounds check, IO stats and clock charge that {!read}, {!read_view} and
+   {!prefetch} share.  Returns the file. *)
 let charge_read t name ~pos ~len ~hint =
   let f = find_range t "read" name ~pos ~len in
   t.stats.bytes_read <- t.stats.bytes_read + len;
@@ -402,6 +439,12 @@ let read_view t name ~pos ~len ~hint =
     clock charge, as {!peek} is [read] without them. *)
 let peek_view t name ~pos ~len =
   view (find_range t "peek_view" name ~pos ~len) ~pos ~len
+
+(** [prefetch t name ~pos ~len ~hint] charges one device read of the
+    range and returns nothing: the caller views its bytes with
+    {!peek_view}, as from a readahead buffer. *)
+let prefetch t name ~pos ~len ~hint =
+  ignore (charge_read t name ~pos ~len ~hint : file)
 
 let read_all t name ~hint =
   let f = find t name in

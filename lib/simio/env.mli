@@ -103,9 +103,20 @@ val append : writer -> string -> unit
     [b]'s contents out first. *)
 val append_buffer : writer -> Buffer.t -> unit
 
-(** [sync w] makes the file contents crash-durable; charges fsync cost. *)
+(** [append_coalesced w ~unit b] appends the contents of [b] as
+    {!append_buffer} does — the same bytes, at once, and one fault-plan
+    event — but charges the device one write of [unit] bytes each time
+    that many bytes are staged, as a write buffer flushing full units
+    does; {!sync} or {!close} charges what is left as one more write.  A
+    file of [n] bytes written this way costs [ceil (n / unit)] device
+    writes. *)
+val append_coalesced : writer -> unit:int -> Buffer.t -> unit
+
+(** [sync w] charges any staged bytes as one write, then makes the file
+    contents crash-durable; charges fsync cost. *)
 val sync : writer -> unit
 
+(** [close w] charges any staged bytes as one write. *)
 val close : writer -> unit
 val writer_size : writer -> int
 
@@ -164,6 +175,15 @@ val peek_view : t -> string -> pos:int -> len:int -> string * int
     replication shipping step) with any installed {!Fault_plan}, so crash
     sweeps can fire between and inside shipping steps. *)
 val io_event : t -> string -> unit
+
+(** [prefetch t name ~pos ~len ~hint] charges one device read of the
+    range, with {!read}'s bounds check, IO stats and clock charge, and
+    returns nothing: a compaction's readahead, whose blocks the caller
+    then views with {!peek_view}.
+    @raise Invalid_argument on an out-of-bounds range.
+    @raise Sys_error when the file does not exist. *)
+val prefetch :
+  t -> string -> pos:int -> len:int -> hint:Device.read_hint -> unit
 
 val read_all : t -> string -> hint:Device.read_hint -> string
 val delete : t -> string -> unit

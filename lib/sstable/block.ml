@@ -378,6 +378,11 @@ let index_step c t =
     true
   end
 
+(** [index_copy c ~into] gives [into] [c]'s index position. *)
+let index_copy c ~into =
+  into.index_next <- c.index_next;
+  into.index_len <- c.index_len
+
 (** [iter_index t f] calls [f key len offset size] on each entry of
     index block [t] in order: the entry's key is the first [len] bytes of
     [key], valid during the call only, and its value the block handle

@@ -152,6 +152,11 @@ val index_first : cursor -> t -> bool
     past the last. *)
 val index_step : cursor -> t -> bool
 
+(** [index_copy c ~into] gives [into] [c]'s index position, so that
+    {!index_step} on [into] walks on from there and leaves [c] where it
+    is. *)
+val index_copy : cursor -> into:cursor -> unit
+
 (** [iter_index t f] calls [f key len offset size] on each entry of
     index block [t] in order: the entry's key is the first [len] bytes of
     [key], valid during the call only, and its value the block handle

@@ -18,9 +18,6 @@ type t = {
   ids : (string, int) Hashtbl.t;  (** file name -> id *)
   mutable next_id : int;  (** ids are never reused *)
   compaction : bool;  (** a view from {!for_compaction} *)
-  mutable resident : bool;
-      (** the last {!find_or_load} through a compaction view returned a
-          block of the cache *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -31,28 +28,28 @@ let create ~capacity =
     ids = Hashtbl.create 64;
     next_id = 0;
     compaction = false;
-    resident = false;
     hits = 0;
     misses = 0;
   }
 
 (** [for_compaction t] is a view of [t] for one compaction's reads.  A
-    block [t] holds comes from [t], with no device read, no promotion and
-    no hit or miss counted, so [t]'s counters keep measuring the read
-    path alone; any other block is read from the device and cached
-    nowhere: a compaction enters each input block once, so a block it
-    loaded would never be looked up again.  The view interns no name in
-    [t]. *)
+    block [t] holds comes from [t] ({!held}), with no device read, no
+    promotion and no hit or miss counted, so [t]'s counters keep
+    measuring the read path alone; any other block is read from the
+    device with readahead (see {!Table.iterator}) and cached nowhere: a
+    compaction enters each input block once, so a block it loaded would
+    never be looked up again.  The view interns no name in [t]. *)
 let for_compaction t =
   {
     lru = t.lru;
     ids = t.ids;
     next_id = 0;
     compaction = true;
-    resident = false;
     hits = 0;
     misses = 0;
   }
+
+let is_compaction t = t.compaction
 
 (** [intern t file] is [file]'s id in [t], assigned on first use.  Through
     a compaction view, a file [t] has no id for gets -1, which no key of
@@ -78,48 +75,46 @@ let key ~id ~offset = (id lsl 32) lor offset
    a copy of it. *)
 let decode (src, pos) ~size = Block.decode_view src ~pos ~len:size
 
-let load env ~file ~offset ~size ~hint =
-  decode (Pdb_simio.Env.read_view env file ~pos:offset ~len:size ~hint) ~size
-
 (** [find_or_load t env ~id ~file ~offset ~size ~hint] returns the decoded
     block at [offset] of [file] (interned in [t] as [id]), reading it from
-    the environment (and charging device time) only on a miss.  Through a
-    compaction view, a cached block is only peeked at, a missing one is
-    not cached, and {!resident} tells which happened. *)
+    the environment (and charging device time) only on a miss.  [t] is a
+    read-path cache, not a compaction view. *)
 let find_or_load t env ~id ~file ~offset ~size ~hint =
   let k = key ~id ~offset in
-  if t.compaction then begin
-    match if id < 0 then None else Pdb_util.Lru.peek t.lru k with
-    | Some block ->
-      t.resident <- true;
-      block
-    | None ->
-      t.resident <- false;
-      load env ~file ~offset ~size ~hint
-  end
-  else
-    match Pdb_util.Lru.find t.lru k with
-    | Some block ->
-      t.hits <- t.hits + 1;
-      block
-    | None ->
-      t.misses <- t.misses + 1;
-      let block = load env ~file ~offset ~size ~hint in
-      Pdb_util.Lru.insert t.lru k block ~weight:size;
-      block
+  match Pdb_util.Lru.find t.lru k with
+  | Some block ->
+    t.hits <- t.hits + 1;
+    block
+  | None ->
+    t.misses <- t.misses + 1;
+    let block =
+      decode
+        (Pdb_simio.Env.read_view env file ~pos:offset ~len:size ~hint)
+        ~size
+    in
+    Pdb_util.Lru.insert t.lru k block ~weight:size;
+    block
 
-(** [resident t] is whether the last {!find_or_load} through compaction
-    view [t] returned a block the cache held. *)
-let resident t = t.resident
+(** [held t ~id ~offset] is the block at [offset] of the file interned
+    in [t] as [id] when [t] holds it, without promoting it or counting a
+    hit: a compaction view's lookup. *)
+let held t ~id ~offset =
+  if id < 0 then None else Pdb_util.Lru.peek t.lru (key ~id ~offset)
+
+(** [in_memory env ~file ~offset ~size] is the block at [offset] of
+    [file] as a view of the file, with no device read and no clock
+    charge: for a block whose bytes are in memory, because compaction has
+    just written and synced it or has read it ahead. *)
+let in_memory env ~file ~offset ~size =
+  decode (Pdb_simio.Env.peek_view env file ~pos:offset ~len:size) ~size
 
 (** [admit t env ~file ~offset ~size] caches the block at [offset] of
     [file] as a view of the file, with no device read and no clock
-    charge: for a block compaction has just written and synced, whose
-    bytes are in memory. *)
+    charge (see {!in_memory}). *)
 let admit t env ~file ~offset ~size =
   Pdb_util.Lru.insert t.lru
     (key ~id:(intern t file) ~offset)
-    (decode (Pdb_simio.Env.peek_view env file ~pos:offset ~len:size) ~size)
+    (in_memory env ~file ~offset ~size)
     ~weight:size
 
 (** [evict_file t ~file] drops every cached block of [file], and its name.

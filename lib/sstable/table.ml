@@ -125,9 +125,15 @@ module Builder = struct
       hot = [];
     }
 
+  (* Every append of a table is staged: the device sees one write per
+     {!Pdb_kvs.Options.io_coalesce_bytes} of the file. *)
+  let append t buf =
+    Pdb_simio.Env.append_coalesced t.writer
+      ~unit:Pdb_kvs.Options.io_coalesce_bytes buf
+
   let write_block t builder =
     let raw = Block.Builder.seal builder in
-    Pdb_simio.Env.append_buffer t.writer raw;
+    append t raw;
     let h = { offset = t.offset; size = Buffer.length raw } in
     t.offset <- t.offset + Buffer.length raw;
     Block.Builder.reset builder;
@@ -207,7 +213,7 @@ module Builder = struct
         | Some f ->
           let buf = Buffer.create (Pdb_bloom.Bloom.size_bytes f + 16) in
           Pdb_bloom.Bloom.encode_to buf f;
-          Pdb_simio.Env.append_buffer t.writer buf;
+          append t buf;
           let h = { offset = t.offset; size = Buffer.length buf } in
           t.offset <- t.offset + Buffer.length buf;
           h
@@ -231,7 +237,7 @@ module Builder = struct
       Pdb_util.Varint.put_fixed32 buf t.entries;
       Pdb_util.Varint.put_fixed32 buf magic;
       Pdb_util.Varint.put_fixed32 buf 0;
-      Pdb_simio.Env.append_buffer t.writer buf;
+      append t buf;
       t.offset <- t.offset + footer_size;
       Pdb_simio.Env.sync t.writer;
       Pdb_simio.Env.close t.writer;
@@ -415,7 +421,9 @@ let get r ~cache ~hint lookup =
 
 (* A table iterator: the table it reads and one block cursor holding both
    its index position and its data position.  Past the last block the
-   cursor is released, so an exhausted iterator holds no block. *)
+   cursor is released, so an exhausted iterator holds no block.  Through
+   a compaction view, [ahead_from, ahead_to) is the reader's byte range
+   the last readahead charged. *)
 type iter = {
   mutable reader : reader;
   cache : Block_cache.t;
@@ -423,14 +431,70 @@ type iter = {
   pos : Block.cursor;
   mutable resident : bool;
       (* the block entered last was one a compaction view's cache held *)
+  mutable ahead_from : int;
+  mutable ahead_to : int;
 }
 
 let iterator r ~cache ~hint =
-  { reader = r; cache; hint; pos = Block.cursor (); resident = false }
+  {
+    reader = r;
+    cache;
+    hint;
+    pos = Block.cursor ();
+    resident = false;
+    ahead_from = 0;
+    ahead_to = 0;
+  }
 
 let repoint it r =
   it.reader <- r;
+  it.ahead_to <- 0;
   Block.release it.pos
+
+(* The bytes of one readahead from the data block [offset, offset +
+   size), which the cache does not hold: that block and the consecutive
+   data blocks after it, up to the first block the cache holds, the end
+   of the data blocks or {!Pdb_kvs.Options.io_coalesce_bytes} in all.
+   The index is walked with the reader's [finder], which holds nothing
+   between calls. *)
+let readahead_bytes it ~id ~offset ~size =
+  let r = it.reader and c = it.reader.finder in
+  Block.index_copy it.pos ~into:c;
+  let rec grow len =
+    if not (Block.index_step c r.index) then len
+    else begin
+      let next = Block.next_uvarint c r.index in
+      let next_size = Block.next_uvarint c r.index in
+      if next <> offset + len
+         || len + next_size > Pdb_kvs.Options.io_coalesce_bytes
+         || Option.is_some (Block_cache.held it.cache ~id ~offset:next)
+      then len
+      else grow (len + next_size)
+    end
+  in
+  grow size
+
+(* A data block through a compaction view: from the cache when it holds
+   the block, else from the last readahead, charging a new one when the
+   block lies outside it.  Every block of a readahead is one the merge
+   goes on to enter, so the bytes read are those of the uncached blocks,
+   and only the device ops fall. *)
+let enter_compacting it ~offset ~size =
+  let r = it.reader in
+  let id = file_id r it.cache in
+  match Block_cache.held it.cache ~id ~offset with
+  | Some block ->
+    it.resident <- true;
+    block
+  | None ->
+    it.resident <- false;
+    if offset < it.ahead_from || offset + size > it.ahead_to then begin
+      let len = readahead_bytes it ~id ~offset ~size in
+      Pdb_simio.Env.prefetch r.env r.name ~pos:offset ~len ~hint:it.hint;
+      it.ahead_from <- offset;
+      it.ahead_to <- offset + len
+    end;
+    Block_cache.in_memory r.env ~file:r.name ~offset ~size
 
 (* The data block of the index entry the cursor rests on: its handle is
    the entry's value. *)
@@ -438,9 +502,8 @@ let enter it =
   let r = it.reader in
   let offset = Block.next_uvarint it.pos r.index in
   let size = Block.next_uvarint it.pos r.index in
-  let block = load_block r ~cache:it.cache ~hint:it.hint ~offset ~size in
-  it.resident <- Block_cache.resident it.cache;
-  block
+  if Block_cache.is_compaction it.cache then enter_compacting it ~offset ~size
+  else load_block r ~cache:it.cache ~hint:it.hint ~offset ~size
 
 (* Step over exhausted blocks, entering each next one at its first
    entry. *)

@@ -129,7 +129,14 @@ val get :
 type iter
 
 (** [iterator r ~cache ~hint] is an unpositioned iterator over [r], whose
-    data blocks are read through [cache] with [hint]. *)
+    data blocks are read through [cache] with [hint].  Through a
+    compaction view ({!Block_cache.for_compaction}) a block the cache
+    does not hold is read ahead: one device read covers it and the
+    consecutive data blocks after it, up to the first block the cache
+    holds, the end of the data blocks or
+    {!Pdb_kvs.Options.io_coalesce_bytes} in all.  The readahead charges
+    blocks before they are entered, so walk such an iterator to its end,
+    as a compaction does. *)
 val iterator :
   reader -> cache:Block_cache.t -> hint:Pdb_simio.Device.read_hint -> iter
 

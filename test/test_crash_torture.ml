@@ -113,6 +113,66 @@ let test_background_crashes_covered () =
   in
   Alcotest.(check bool) "background crash points reached" true (total > 0)
 
+(* A table's blocks are staged and reach the device in 64 KB writes, but
+   each lands in the file, and ticks the fault plan, as it is appended.
+   A crash at every append of the first flushed table (a few KB: before
+   its first 64 KB write and before its sync) recovers to the oracle. *)
+let test_crash_between_staged_blocks () =
+  let tweak (o : Pdb_kvs.Options.t) =
+    {
+      o with
+      Pdb_kvs.Options.memtable_bytes = 8 * 1024;
+      block_bytes = 512;
+      wal_sync_writes = true;
+    }
+  in
+  let keyspace = 48 in
+  let trace =
+    List.init 150 (fun i ->
+        Torture.Put (Torture.key (i mod keyspace), Printf.sprintf "v%04d-%s" i
+          (String.make 80 'x')))
+  in
+  (* the trace up to the [n]th IO event, where the crash fired, the
+     crashing file's size, the acked ops and the op in flight *)
+  let crash_at n =
+    let env = Env.create () in
+    let plan = Env.Fault_plan.create ~seed:n ~crash_after:n () in
+    Env.set_fault_plan env plan;
+    let oracle = Hashtbl.create 64 in
+    let in_flight =
+      match Stores.open_engine ~tweak ~env Stores.Pebblesdb with
+      | db -> Torture.run_trace db oracle trace
+      | exception Env.Injected_crash _ -> None
+    in
+    let at = Option.value ~default:"" (Env.Fault_plan.fired_at plan) in
+    let file = String.sub at 7 (max 0 (String.length at - 7)) in
+    let size = if Env.exists env file then Env.file_size env file else 0 in
+    (env, at, size, oracle, in_flight)
+  in
+  let is_sst_append at =
+    String.starts_with ~prefix:"append:" at && Filename.check_suffix at ".sst"
+  in
+  let rec first n =
+    let _, at, _, _, _ = crash_at n in
+    if is_sst_append at then n else first (n + 1)
+  in
+  let rec sweep n crashes =
+    let env, at, size, oracle, in_flight = crash_at n in
+    if not (is_sst_append at) then crashes
+    else begin
+      Alcotest.(check bool) (at ^ ": under one 64 KB write") true
+        (size < Pdb_kvs.Options.io_coalesce_bytes);
+      Env.crash env;
+      let db = Stores.open_engine ~tweak ~env Stores.Pebblesdb in
+      Alcotest.(check (list string)) (at ^ ": recovers to the oracle") []
+        (Torture.verify db oracle in_flight ~keyspace);
+      db.Pdb_kvs.Store_intf.d_close ();
+      sweep (n + 1) (crashes + 1)
+    end
+  in
+  Alcotest.(check bool) "crashed between several blocks" true
+    (sweep (first 1) 0 > 4)
+
 let test_recovery_report_surfaces () =
   (* an unsynced WAL tail lost to a crash shows up in the reopened
      engine's stats rather than vanishing silently *)
@@ -184,6 +244,8 @@ let () =
         [
           Alcotest.test_case "background jobs crashed" `Slow
             test_background_crashes_covered;
+          Alcotest.test_case "crash between staged blocks" `Quick
+            test_crash_between_staged_blocks;
           Alcotest.test_case "recovery report surfaces" `Quick
             test_recovery_report_surfaces;
         ] );

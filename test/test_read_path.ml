@@ -524,6 +524,58 @@ let test_compaction_reads_resident_inputs (module E : CACHED_ENGINE) opts () =
     (BC.hits bc, BC.misses bc);
   E.close db
 
+(* The bytes of [file]'s data blocks that [bc] does not hold, and how
+   many such blocks there are: the index's handles, read from the file
+   without a device charge. *)
+let uncached_data env bc file =
+  let size = Env.file_size env file in
+  let footer = Env.peek env file ~pos:(size - T.footer_size) ~len:T.footer_size in
+  let field i = Pdb_util.Varint.get_fixed32 footer (4 * i) in
+  let index =
+    Pdb_sstable.Block.decode (Env.peek env file ~pos:(field 2) ~len:(field 3))
+  in
+  let id = BC.intern (BC.for_compaction bc) file in
+  let bytes = ref 0 and blocks = ref 0 in
+  Pdb_sstable.Block.iter_index index (fun _ _ offset size ->
+      if BC.held bc ~id ~offset = None then begin
+        bytes := !bytes + size;
+        incr blocks
+      end);
+  (!bytes, !blocks)
+
+(* (d) A compaction reads its inputs with readahead: the device reads
+   exactly the bytes of the input blocks the cache does not hold, in
+   fewer reads than there are such blocks.  A readahead stops at a block
+   the cache holds, so a cached middle range splits each input into two
+   reads. *)
+let test_compaction_reads_ahead (module E : CACHED_ENGINE) opts () =
+  List.iter
+    (fun (what, lo, hi, reads_per_input) ->
+      let bc = BC.create ~capacity:(1 lsl 20) in
+      let env, db = three_l0_tables (module E) opts bc in
+      if hi > lo then
+        check Alcotest.int "scanned" (hi - lo) (scan_range (E.iterator db) ~lo ~hi);
+      let inputs = tables env in
+      let bytes, blocks =
+        List.fold_left
+          (fun (b, n) file ->
+            let b', n' = uncached_data env bc file in
+            (b + b', n + n'))
+          (0, 0) inputs
+      in
+      let before = bytes_read env and ops = read_ops env in
+      E.compact_all db;
+      check Alcotest.bool (what ^ ": every table rewritten") true
+        (List.for_all (fun n -> not (Env.exists env n)) inputs);
+      check Alcotest.int (what ^ ": bytes read") bytes (bytes_read env - before);
+      check Alcotest.int (what ^ ": device reads")
+        (reads_per_input * List.length inputs)
+        (read_ops env - ops);
+      check Alcotest.bool (what ^ ": fewer reads than blocks") true
+        (read_ops env - ops < blocks);
+      E.close db)
+    [ ("cold", 0, 0, 1); ("middle cached", 100, 200, 2) ]
+
 (* ---------- new tables: the builder's reader ---------- *)
 
 (* Over random tables — with a filter and with none; some keys in two
@@ -677,6 +729,8 @@ let () =
                 (test_compaction_keeps_hot_range e opts);
               Alcotest.test_case (name ^ " cold tables admit nothing") `Quick
                 (test_compaction_leaves_cold_out e opts);
+              Alcotest.test_case (name ^ " cold inputs read ahead") `Quick
+                (test_compaction_reads_ahead e opts);
               Alcotest.test_case (name ^ " resident inputs read no data")
                 `Quick
                 (test_compaction_reads_resident_inputs e opts);

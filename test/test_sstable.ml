@@ -302,6 +302,30 @@ let table_blocks env ~dir (meta : Table.meta) =
       Block.decode (read offset size))
     (Block.entries ~compare:Ik.compare index)
 
+(* A table's appends are staged: its data blocks, filter, index and
+   footer cost one device write per [io_coalesce_bytes] of the file,
+   rounded up, and one sync, and every byte is written once. *)
+let test_table_coalesced_writes () =
+  let env = Pdb_simio.Env.create () in
+  let unit = Pdb_kvs.Options.io_coalesce_bytes in
+  let stats () = Pdb_simio.Io_stats.snapshot (Pdb_simio.Env.stats env) in
+  let before = stats () in
+  let entries =
+    List.init 2000 (fun i ->
+        (ikey (Printf.sprintf "key%05d" i) (i + 1), String.make 100 'v'))
+  in
+  let meta = build_table env ~dir:"db" ~number:1 entries in
+  let d = Pdb_simio.Io_stats.diff (stats ()) before in
+  let blocks = List.length (table_blocks env ~dir:"db" meta) in
+  check Alcotest.bool "several units, far more blocks" true
+    (meta.Table.file_size > 3 * unit && blocks > 100);
+  check Alcotest.int "bytes written" meta.Table.file_size
+    d.Pdb_simio.Io_stats.bytes_written;
+  check Alcotest.int "device writes"
+    ((meta.Table.file_size + unit - 1) / unit)
+    d.Pdb_simio.Io_stats.write_ops;
+  check Alcotest.int "syncs" 1 d.Pdb_simio.Io_stats.syncs
+
 (* A get answers only for the key it asks about: an absent key is [None]
    whether its successor sits in the same block, opens the next block, or
    there is none at all. *)
@@ -1074,6 +1098,8 @@ let () =
             test_table_bloom_filters_absent;
           Alcotest.test_case "no bloom" `Quick test_table_no_bloom;
           Alcotest.test_case "empty builder" `Quick test_table_empty_builder;
+          Alcotest.test_case "coalesced writes" `Quick
+            test_table_coalesced_writes;
           prop_table_roundtrip;
         ] );
       ( "caches",
