@@ -2,8 +2,8 @@
 
     The table cache bounds how many open tables keep their index block
     and bloom filter resident; at production scale the working set of
-    tables exceeds it and every reopen pays three random reads (footer,
-    index, filter).  A summary is the Cassandra-style middle tier: for
+    tables exceeds it and every reopen pays two random reads (the footer,
+    then the filter and index together).  A summary is the Cassandra-style middle tier: for
     each table ever opened, keep a small always-resident digest — the
     footer's handles plus every [stride]-th index entry, shared-prefix
     truncated — so a later reopen skips the footer read, bounds its index

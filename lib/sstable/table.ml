@@ -273,16 +273,11 @@ let load_block r ~cache ~hint ~offset ~size =
 
 let ikey_compare = Pdb_kvs.Internal_key.compare
 
-(* The index block and the filter, read without a copy of the range
-   (see {!Pdb_simio.Env.read_view}): the index views the file's chunk,
-   the filter copies its bits once. *)
-let read_index env name ~pos ~len ~hint =
-  let src, off = Pdb_simio.Env.read_view env name ~pos ~len ~hint in
-  Block.decode_view src ~pos:off ~len
-
-let read_filter env name ~pos ~len ~hint =
-  let src, off = Pdb_simio.Env.read_view env name ~pos ~len ~hint in
-  Pdb_bloom.Bloom.decode_range src ~pos:off ~len
+(* The index block and the filter in the [len] bytes of [src] at [off],
+   a view of the file (see {!Pdb_simio.Env.read_view}): the index views
+   the file's chunk, the filter copies its bits once. *)
+let index_of (src, off) ~len = Block.decode_view src ~pos:off ~len
+let filter_of (src, off) ~len = Pdb_bloom.Bloom.decode_range src ~pos:off ~len
 
 (* The footer's fields: the filter and index handles and the entry
    count. *)
@@ -304,22 +299,27 @@ let read_footer env name ~hint =
     count = field 4;
   }
 
-(* Open [name] past its footer: read its index and filter. *)
+(* Open [name] past its footer: read its filter and index, which lie
+   next to each other, in one device read. *)
 let open_past_footer env name meta { filter_at; index_at; count = _ } ~hint =
-  let index =
-    read_index env name ~pos:index_at.offset ~len:index_at.size ~hint
+  let pos = if filter_at.size = 0 then index_at.offset else filter_at.offset in
+  Pdb_simio.Env.prefetch env name ~pos
+    ~len:(index_at.offset + index_at.size - pos)
+    ~hint;
+  let peek { offset; size } =
+    Pdb_simio.Env.peek_view env name ~pos:offset ~len:size
   in
+  let index = index_of (peek index_at) ~len:index_at.size in
   let filter =
     if filter_at.size = 0 then No_filter
-    else
-      Loaded
-        (read_filter env name ~pos:filter_at.offset ~len:filter_at.size ~hint)
+    else Loaded (filter_of (peek filter_at) ~len:filter_at.size)
   in
   make_reader env name meta ~index ~index_handle:index_at
     ~filter_handle:filter_at filter
 
 (** [open_reader ?hint env ~dir meta] opens a table from its file,
-    reading footer, index and filter: three random reads on the read path
+    reading the footer, then the filter and index in one read: two random
+    reads on the read path
     (a table the store did not write since it opened, or one the table
     cache evicted with no summary kept); a compaction input no cache
     holds passes [~hint:Sequential_read].  A table a store writes is
@@ -338,7 +338,11 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
     (meta : meta) summary =
   let name = file_name ~dir meta.number in
   let index_off, index_size = Index_summary.index_handle summary in
-  let index = read_index env name ~pos:index_off ~len:index_size ~hint in
+  let index =
+    index_of
+      (Pdb_simio.Env.read_view env name ~pos:index_off ~len:index_size ~hint)
+      ~len:index_size
+  in
   let slice = Index_summary.slice_bytes summary in
   let excess = index_size - slice in
   if excess > 0 then
@@ -359,8 +363,10 @@ let load_filter r =
   | Loaded f -> Some f
   | Lazy h ->
     let f =
-      read_filter r.env r.name ~pos:h.offset ~len:h.size
-        ~hint:Pdb_simio.Device.Random_read
+      filter_of
+        (Pdb_simio.Env.read_view r.env r.name ~pos:h.offset ~len:h.size
+           ~hint:Pdb_simio.Device.Random_read)
+        ~len:h.size
     in
     r.filter <- Loaded f;
     Some f
@@ -565,9 +571,9 @@ let to_iter it =
 
 (** [recover_meta env ~dir ~number] reconstructs a table's metadata from
     the file alone — the repair path when the MANIFEST is lost.  Reads the
-    footer (once: it holds the entry count), index and filter, and the
-    first data block for the smallest key; the largest key is the index's
-    final entry. *)
+    footer (once: it holds the entry count), the filter and index (one
+    read), and the first data block for the smallest key; the largest key
+    is the index's final entry. *)
 let recover_meta env ~dir ~number =
   let name = file_name ~dir number in
   let file_size = Pdb_simio.Env.file_size env name in

@@ -72,7 +72,8 @@ module Builder : sig
 end
 
 (** [open_reader ?hint env ~dir meta] opens a table from its file,
-    reading footer, index and filter: three random reads on the read path
+    reading the footer, then the filter and index, which lie next to each
+    other, in one read: two random reads on the read path
     (a table the store did not write since it opened, or one the table
     cache evicted with no summary kept); a compaction input no cache
     holds passes [~hint:Sequential_read].  A table a store writes is
@@ -179,6 +180,7 @@ val to_iter : iter -> Pdb_kvs.Iter.t
 
 (** [recover_meta env ~dir ~number] reconstructs a table's metadata from
     the file alone — the repair path when the MANIFEST is lost.  Reads
-    the footer once, the index and filter, and the first data block.
+    the footer once, the filter and index in one read, and the first data
+    block: three reads.
     @raise Failure on an empty or unreadable table. *)
 val recover_meta : Pdb_simio.Env.t -> dir:string -> number:int -> meta

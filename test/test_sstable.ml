@@ -660,6 +660,34 @@ let test_table_cache_eviction_reopens () =
   Alcotest.(check bool) "reopen costs reads" true (reads_after > reads_before);
   check Alcotest.int "cache holds 1" 1 (Table_cache.open_tables tc)
 
+(* Opening a table from its file reads the footer, then the filter and
+   index, which lie next to each other, in one read: two reads of every
+   byte past the data blocks.  Recovering its metadata reads the first
+   data block too. *)
+let test_table_open_reads () =
+  let env = Pdb_simio.Env.create () in
+  let meta = build_table env ~dir:"db" ~number:8 (sorted_entries 300) in
+  let name = Table.file_name ~dir:"db" 8 in
+  let size = meta.Table.file_size in
+  let footer = Pdb_simio.Env.peek env name ~pos:(size - Table.footer_size)
+      ~len:Table.footer_size in
+  let data_end = Pdb_util.Varint.get_fixed32 footer 0 in
+  let first_block =
+    Block.size_bytes (List.hd (table_blocks env ~dir:"db" meta))
+  in
+  let reads f =
+    let stats () = Pdb_simio.Io_stats.snapshot (Pdb_simio.Env.stats env) in
+    let before = stats () in
+    f ();
+    let d = Pdb_simio.Io_stats.diff (stats ()) before in
+    (d.Pdb_simio.Io_stats.read_ops, d.Pdb_simio.Io_stats.bytes_read)
+  in
+  check Alcotest.(pair int int) "open_reader" (2, size - data_end)
+    (reads (fun () -> ignore (Table.open_reader env ~dir:"db" meta)));
+  check Alcotest.(pair int int) "recover_meta"
+    (3, size - data_end + first_block)
+    (reads (fun () -> ignore (Table.recover_meta env ~dir:"db" ~number:8)))
+
 (* ---------- Level_iter ---------- *)
 
 let test_level_iter_concat_and_seek () =
@@ -1108,6 +1136,7 @@ let () =
             test_block_cache_hit_avoids_io;
           Alcotest.test_case "table cache eviction" `Quick
             test_table_cache_eviction_reopens;
+          Alcotest.test_case "open reads" `Quick test_table_open_reads;
         ] );
       ( "level-iter",
         [
