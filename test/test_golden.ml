@@ -187,24 +187,24 @@ let pins =
   [
     ( "pebblesdb",
       "730c2df1fbcf40ba40838c977eef074c",
-      "0x1.129cbe2p+26 0x1.8cf8914p+26 0x1.04c5398p+26 0x0p+0 0x1.01bcb68p+26",
-      "2088673 1581137 13445 3758" );
+      "0x1.129cbe2p+26 0x1.57e4ad4p+26 0x1.c6b565cp+25 0x0p+0 0x1.01bcb68p+26",
+      "2088673 1581137 7766 2054" );
     ( "pebblesdb-1",
       "718c30ceefcd28a300f87d6f1310eae1",
-      "0x1.baec466p+25 0x1.027d75bcp+29 0x1.1bbe58ap+28 0x0p+0 0x1.dc9465p+25",
-      "5095504 3910721 35198 10047" );
+      "0x1.baec466p+25 0x1.d8488978p+28 0x1.02554d9p+28 0x0p+0 0x1.dc9465p+25",
+      "5095504 3910721 14947 5803" );
     ( "leveled",
       "029684a69155dafab3b291e5ffe6b574",
-      "0x1.b65f0d4p+25 0x1.33bdf38p+26 0x1.f443f5p+25 0x0p+0 0x1.d43554p+25",
-      "2806254 2320857 12537 4502" );
+      "0x1.b574ad4p+25 0x1.ed15ebp+25 0x1.8c6fe1p+25 0x0p+0 0x1.d43554p+25",
+      "2806254 2320857 7073 1090" );
     ( "tiered",
       "4bd3b07684ba77081e17cc56f8e51024",
-      "0x1.126e2fdp+26 0x1.0e4b364p+25 0x1.d60b74p+24 0x0p+0 0x1.f3e90dp+25",
-      "1677328 1444828 9136 2755" );
+      "0x1.11f8ffdp+26 0x1.a6fb008p+24 0x1.6e376p+24 0x0p+0 0x1.f3e90dp+25",
+      "1677328 1444828 6597 1000" );
     ( "lazy_leveled",
       "fb0f83d14eea42377e44d94f317f1229",
-      "0x1.126e9e1p+26 0x1.11c3324p+25 0x1.dcfb6cp+24 0x0p+0 0x1.f3e90dp+25",
-      "1678270 1445122 9163 2755" );
+      "0x1.11f96e1p+26 0x1.ad56888p+24 0x1.7492e8p+24 0x0p+0 0x1.f3e90dp+25",
+      "1678270 1445122 6605 1000" );
   ]
 
 let test_pin name () =
@@ -223,23 +223,23 @@ let scan_pins =
   [
     ( "pebblesdb",
       "ffa5083de950aea8bbffd5827e8a3af2",
-      "0x1.a3a1c75cp+29 0x1.419c21cp+25 0x1.b9aa748p+24 0x0p+0 0x1.1f10c5p+27",
-      "926273 5293050 6184 12878",
+      "0x1.a3a1c75cp+29 0x1.130b3bcp+25 0x1.7ed3f48p+24 0x0p+0 0x1.1f10c5p+27",
+      "926273 5293050 3730 12081",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "pebblesdb-1",
       "c3a0a085d48f985e69fb56af8fca8775",
-      "0x1.86915b2ep+29 0x1.5d122ep+27 0x1.7b2f382p+26 0x0p+0 0x1.0c361cp+27",
-      "1897752 5678772 13293 13882",
+      "0x1.86915b2ep+29 0x1.3d03648p+27 0x1.56bdf14p+26 0x0p+0 0x1.0c361cp+27",
+      "1897752 5678772 6072 12305",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "leveled",
       "93d75d891ca9d11afaaa84fc5516ac45",
-      "0x1.4a1ed31ep+29 0x1.d80a0b8p+24 0x1.95023a8p+24 0x0p+0 0x1.ba554ep+26",
-      "1164978 5381984 5685 10530",
+      "0x1.49f7c31ep+29 0x1.74375b8p+24 0x1.3c5aea8p+24 0x0p+0 0x1.ba554ep+26",
+      "1164978 5381984 3416 9189",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "tiered",
       "bc82c8c93ad1bd92bed1e84f67a3a714",
-      "0x1.2291aea4p+30 0x1.5a31d2p+23 0x1.38233ap+23 0x0p+0 0x1.0a133cp+27",
-      "629072 9516648 4151 17895",
+      "0x1.2291aea4p+30 0x1.0af4aap+23 0x1.dd8424p+22 0x0p+0 0x1.0a133cp+27",
+      "629072 9516648 3218 17408",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
   ]
 
