@@ -307,7 +307,7 @@ let append_buffer w b = append_blit w (Buffer.length b) blit_buffer b
 (** [append_coalesced w ~unit b] appends the contents of [b] as
     [append_buffer] does, but charges the device one write of [unit]
     bytes each time that many bytes are staged, the write buffer of a
-    file written in large units; [sync] and [close] charge what is left.
+    file written in large units; [sync] charges what is left.
     The bytes land in the file now, and the fault plan ticks once per
     call. *)
 let append_coalesced w ~unit b =
@@ -322,26 +322,22 @@ let append_coalesced w ~unit b =
     tick w.env "append:" w.name
   end
 
-(* Charge the bytes [w] has staged as one device write. *)
-let write_staged w =
+(** [sync w] charges the bytes [w] has staged as one device write, then
+    makes the file contents durable. *)
+let sync w =
   if w.staged > 0 then begin
     charge_write w.env w.staged;
     w.staged <- 0
-  end
-
-(** [sync w] makes the file contents durable. *)
-let sync w =
-  write_staged w;
+  end;
   w.file.synced <- w.file.len;
   w.file.ever_synced <- true;
   w.env.stats.syncs <- w.env.stats.syncs + 1;
   Clock.advance w.env.clock (Device.sync_cost w.env.device);
   tick w.env "sync:" w.name
 
-(** [close w] closes the writer, charging any staged bytes (contents
-    remain; unsynced data stays volatile until the next [sync] on a new
-    writer or a crash). *)
-let close w = write_staged w
+(** [close w] closes the writer (contents remain; unsynced data stays
+    volatile until the next [sync] on a new writer or a crash). *)
+let close (_ : writer) = ()
 
 let writer_size w = w.file.len
 

@@ -107,8 +107,8 @@ val append_buffer : writer -> Buffer.t -> unit
     {!append_buffer} does — the same bytes, at once, and one fault-plan
     event — but charges the device one write of [unit] bytes each time
     that many bytes are staged, as a write buffer flushing full units
-    does; {!sync} or {!close} charges what is left as one more write.  A
-    file of [n] bytes written this way costs [ceil (n / unit)] device
+    does; {!sync} charges what is left as one more write.  A file of [n]
+    bytes written this way and synced costs [ceil (n / unit)] device
     writes. *)
 val append_coalesced : writer -> unit:int -> Buffer.t -> unit
 
@@ -116,7 +116,6 @@ val append_coalesced : writer -> unit:int -> Buffer.t -> unit
     contents crash-durable; charges fsync cost. *)
 val sync : writer -> unit
 
-(** [close w] charges any staged bytes as one write. *)
 val close : writer -> unit
 val writer_size : writer -> int
 

@@ -3,12 +3,13 @@
     The table cache bounds how many open tables keep their index block
     and bloom filter resident; at production scale the working set of
     tables exceeds it and every reopen pays two random reads (the footer,
-    then the filter and index together).  A summary is the Cassandra-style middle tier: for
-    each table ever opened, keep a small always-resident digest — the
-    footer's handles plus every [stride]-th index entry, shared-prefix
-    truncated — so a later reopen skips the footer read, bounds its index
-    read to one inter-sample slice, and defers the filter until a bloom
-    probe actually needs it (see {!Table.open_via_summary}).
+    then the filter and index together).  A summary is the
+    Cassandra-style middle tier: for each table ever opened, keep a small
+    always-resident digest — the footer's handles plus every [stride]-th
+    index entry, shared-prefix truncated — so a later reopen skips the
+    footer read, bounds its index read to one inter-sample slice, and
+    defers the filter until a bloom probe actually needs it (see
+    {!Table.open_via_summary}).
 
     Summaries are pure read-path state derived from the on-disk table;
     building or dropping them never changes file bytes. *)
