@@ -154,7 +154,9 @@ let test_crash_between_staged_blocks () =
   in
   let rec first n =
     let _, at, _, _, _ = crash_at n in
-    if is_sst_append at then n else first (n + 1)
+    if is_sst_append at then n
+    else if at = "" then Alcotest.fail "the trace appended no table"
+    else first (n + 1)
   in
   let rec sweep n crashes =
     let env, at, size, oracle, in_flight = crash_at n in
