@@ -48,8 +48,8 @@ type reader = {
   filter_handle : handle;
   mutable filter : filter_slot;
   finder : Block.cursor;
-      (* reused by every point lookup; searches only, so it never holds a
-         block *)
+      (* reused by every point lookup and readahead walk; searches only,
+         so it never holds a block *)
   mutable bound : Block_cache.t; (* the cache [file_id] was interned in *)
   mutable file_id : int;
 }
