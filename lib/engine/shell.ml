@@ -579,19 +579,22 @@ let write_group t batches =
          t.last_seq <- t.last_seq + count;
          pending := Wb.encode batch ~base_seq :: !pending;
          let seq = ref base_seq in
+         (* a bulk batch (a shard migration) moves data no client wrote *)
+         let client = not (Wb.is_bulk batch) in
          Wb.iter batch (fun op ->
              charge_cpu t O.cpu_memtable_op_ns;
              (match op with
               | Wb.Put (k, v) ->
+                if client then Stats.incr t.counters Stats.puts;
                 t.shape.note_put t k;
                 Memtable.add t.mem ~seq:!seq ~kind:Ik.Value ~user_key:k
                   ~value:v
               | Wb.Delete k ->
+                if client then Stats.incr t.counters Stats.deletes;
                 Memtable.add t.mem ~seq:!seq ~kind:Ik.Deletion ~user_key:k
                   ~value:"");
              incr seq);
-         (* a bulk batch (a shard migration) moves data no client wrote *)
-         if not (Wb.is_bulk batch) then
+         if client then
            Stats.add t.counters Stats.user_bytes_written
              (Wb.payload_bytes batch);
          incr covered;
@@ -623,13 +626,11 @@ let write_group t batches =
 let write t batch = write_group t [ batch ]
 
 let put t k v =
-  Stats.incr t.counters Stats.puts;
   let b = Wb.create () in
   Wb.put b k v;
   write t b
 
 let delete t k =
-  Stats.incr t.counters Stats.deletes;
   let b = Wb.create () in
   Wb.delete b k;
   write t b

@@ -69,11 +69,15 @@ let test_state_invariance engine () =
      groups formed — every group placed on a lane is one engine-side
      write_group call, and vice versa *)
   List.iter
-    (fun (clients, (r : Mc.result)) ->
+    (fun (clients, (r : Mc.result), (s : Dyn.dyn)) ->
       Alcotest.(check int)
         (Printf.sprintf "lane groups = engine write groups at %dc" clients)
-        r.Mc.write_groups r.Mc.lane_groups)
-    [ (1, r1); (4, r4); (8, r8) ];
+        r.Mc.write_groups r.Mc.lane_groups;
+      (* a put committed through a group counts like a solo put *)
+      Alcotest.(check int)
+        (Printf.sprintf "puts counted at %dc" clients)
+        3_000 (s.Dyn.d_stats ()).Pdb_kvs.Engine_stats.puts)
+    [ (1, r1, s1); (4, r4, s4); (8, r8, s8) ];
   Alcotest.(check bool) "iteration results identical serial vs 1c" true
     (entries0 = entries1);
   Alcotest.(check bool) "iteration results identical 1c vs 4c" true
