@@ -1,7 +1,6 @@
 (* The command-line surface db_bench and ycsb share: the store, policy,
    throttle, sizing, client, shard, replication and trace flags, the
-   option tweaks they imply, and the trace writer.  Each front end keeps
-   its own defaults where they differ ([--clients]). *)
+   option tweaks they imply, and the trace writer. *)
 
 open Cmdliner
 module O = Pdb_kvs.Options
@@ -51,8 +50,20 @@ let throttle_arg =
 let value_size_arg =
   Arg.(value & opt int 1024 & info [ "value-size" ] ~doc:"Value bytes.")
 
-let clients_arg ~default ~doc =
-  Arg.(value & opt int default & info [ "clients" ] ~doc)
+(* a client count below 1 is a usage error *)
+let clients_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "invalid client count %S (expected 1 or more)" s))
+  in
+  Arg.(value
+       & opt (conv (parse, Format.pp_print_int)) 1
+       & info [ "clients" ] ~docv:"N"
+           ~doc:"Run every operation stream on N round-robin client lanes \
+                 (writes group-commit); 1 = one synchronous client.")
 
 let shards_arg =
   Arg.(value & opt int 1
@@ -92,8 +103,8 @@ let trace_arg =
                  WAL / stall activity to $(docv) (load in Perfetto or \
                  chrome://tracing).")
 
-(** [term ~clients_default ~clients_doc] parses the shared flags. *)
-let term ~clients_default ~clients_doc =
+(** [term] parses the shared flags. *)
+let term =
   Term.(
     const
       (fun engine policy throttle value_size clients shards elastic replicas
@@ -111,7 +122,7 @@ let term ~clients_default ~clients_doc =
           trace;
         })
     $ store_arg $ policy_arg $ throttle_arg $ value_size_arg
-    $ clients_arg ~default:clients_default ~doc:clients_doc
+    $ clients_arg
     $ shards_arg $ elastic_arg $ replicas_arg $ repl_strategy_arg $ trace_arg)
 
 (** [open_store c ~splits ~tweak] opens the requested store in a fresh

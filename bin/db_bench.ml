@@ -12,10 +12,8 @@ module Mc = Pdb_kvs.Multi_client
 module L = Pdb_kvs.Latency
 module O = Pdb_kvs.Options
 
-(* What a benchmark body sees: the store, its latency histograms (an
-   op-stream phase hands [lat] to the driver; fillbatch and readseq,
-   where one call is many ops, record each call), and the sizing
-   flags. *)
+(* What a benchmark body sees: the store, its latency histograms (every
+   phase hands [lat] to the driver), and the sizing flags. *)
 type ctx = {
   name : string;
   store : Dyn.dyn;
@@ -27,20 +25,25 @@ type ctx = {
   filled : bool ref;  (** a fill has run, so reads need no implicit one *)
 }
 
-(* the phase, plus its group-commit accounting when it ran on client
-   lanes *)
+(* the phase, plus its group-commit accounting when it ran on more than
+   one client lane *)
 let report x (p : P.result) =
   Printf.printf
     "%-14s : %8.1f KOps/s  (%d ops, %.1f MB written, %.1f MB read)\n%!" x.name
     p.P.kops p.P.ops (B.mb p.P.bytes_written) (B.mb p.P.bytes_read);
-  Option.iter
-    (fun (r : Mc.result) ->
-      Printf.printf
-        "               clients=%d groups=%d avg-group=%.2f syncs-saved=%d \
-         max-wait=%.1fms\n%!"
-        r.Mc.clients r.Mc.write_groups r.Mc.avg_group_size r.Mc.syncs_saved
-        (Array.fold_left Float.max 0.0 r.Mc.client_wait_ns /. 1e6))
-    p.P.lanes
+  let r = p.P.lanes in
+  if r.Mc.clients > 1 then
+    Printf.printf
+      "               clients=%d groups=%d avg-group=%.2f syncs-saved=%d \
+       max-wait=%.1fms\n%!"
+      r.Mc.clients r.Mc.write_groups r.Mc.avg_group_size r.Mc.syncs_saved
+      (Array.fold_left Float.max 0.0 r.Mc.client_wait_ns /. 1e6)
+
+(* a phase of [x.num] entries drawn as fewer ops (batches, one scan)
+   reports entries per second, as LevelDB's db_bench does *)
+let report_entries x (p : P.result) =
+  let kops = P.kops ~ops:x.num ~elapsed_ns:p.P.elapsed_ns in
+  report x { p with P.ops = x.num; kops }
 
 let ensure_fill x =
   if not !(x.filled) then
@@ -48,20 +51,15 @@ let ensure_fill x =
       (B.fill_random x.store ~n:x.num ~value_bytes:x.value_size ~seed:x.seed);
   x.filled := true
 
-let clock x = Pdb_simio.Env.clock x.store.Dyn.d_env
-
-(* fill and read phases run on client lanes only with --clients > 1 *)
-let lanes x = if x.clients > 1 then Some x.clients else None
-
 let fill_random x =
   report x
-    (B.fill_random ?clients:(lanes x) ~latency:x.lat x.store ~n:x.num
+    (B.fill_random ~clients:x.clients ~latency:x.lat x.store ~n:x.num
        ~value_bytes:x.value_size ~seed:x.seed)
 
 (* [reads x ops draw] runs [ops] drawn reads after an implicit fill *)
 let reads x ops draw =
   ensure_fill x;
-  report x (P.drive ~latency:x.lat x.store ~n:ops draw)
+  report x (P.drive ~clients:x.clients ~latency:x.lat x.store ~n:ops draw)
 
 (* every benchmark, by the name --benchmarks takes, in help order *)
 let benchmarks =
@@ -69,7 +67,7 @@ let benchmarks =
     ( "fillseq",
       fun x ->
         report x
-          (B.fill_seq ~latency:x.lat x.store ~n:x.num
+          (B.fill_seq ~clients:x.clients ~latency:x.lat x.store ~n:x.num
              ~value_bytes:x.value_size ~seed:x.seed) );
     ( "fillrandom",
       fun x ->
@@ -80,47 +78,38 @@ let benchmarks =
         (* batched writes: 100 entries per atomic batch *)
         x.filled := true;
         let rng = Pdb_util.Rng.create x.seed in
-        let write = L.timed x.lat (clock x) L.Write x.store.Dyn.d_write in
-        report x
-          (P.measure x.store x.num (fun () ->
-               let i = ref 0 in
-               while !i < x.num do
-                 let batch = Pdb_kvs.Write_batch.create () in
-                 for _ = 1 to min 100 (x.num - !i) do
-                   Pdb_kvs.Write_batch.put batch
-                     (B.key_of (Pdb_util.Rng.int rng x.num))
-                     (Pdb_util.Rng.alpha rng x.value_size);
-                   incr i
-                 done;
-                 write batch
-               done)) );
+        let batches = (x.num + 99) / 100 in
+        report_entries x
+          (P.drive ~clients:x.clients ~latency:x.lat x.store ~n:batches
+             (B.each (fun i ->
+                  let batch = Pdb_kvs.Write_batch.create () in
+                  for _ = 1 to min 100 (x.num - (i * 100)) do
+                    Pdb_kvs.Write_batch.put batch
+                      (B.key_of (Pdb_util.Rng.int rng x.num))
+                      (Pdb_util.Rng.alpha rng x.value_size)
+                  done;
+                  P.Write batch))) );
     ("overwrite", fill_random);
     ( "readrandom",
       fun x ->
         ensure_fill x;
         report x
-          (B.read_random ?clients:(lanes x) ~latency:x.lat x.store ~n:x.num
+          (B.read_random ~clients:x.clients ~latency:x.lat x.store ~n:x.num
              ~ops:x.num ~seed:x.seed) );
     ( "mixed",
       fun x ->
         (* 50% reads / 50% overwrites through the client lanes *)
         ensure_fill x;
         report x
-          (B.mixed ~clients:(max 1 x.clients) ~latency:x.lat x.store ~n:x.num
+          (B.mixed ~clients:x.clients ~latency:x.lat x.store ~n:x.num
              ~ops:x.num ~value_bytes:x.value_size ~seed:x.seed) );
     ( "readseq",
       fun x ->
         (* full forward scan via one iterator: one seek observation *)
         ensure_fill x;
-        report x
-          (P.measure x.store x.num
-             (L.timed x.lat (clock x) L.Seek (fun () ->
-                  let it = x.store.Dyn.d_iterator () in
-                  it.Pdb_kvs.Iter.seek_to_first ();
-                  while it.Pdb_kvs.Iter.valid () do
-                    ignore (it.Pdb_kvs.Iter.key ());
-                    it.Pdb_kvs.Iter.next ()
-                  done))) );
+        report_entries x
+          (P.drive ~latency:x.lat x.store ~n:1 (fun () -> P.Scan ("", max_int)))
+    );
     ( "readmissing",
       fun x ->
         (* lookups for keys that are never present: bloom-filter country *)
@@ -138,8 +127,8 @@ let benchmarks =
       fun x ->
         ensure_fill x;
         report x
-          (B.seek_random ~latency:x.lat x.store ~n:x.num ~ops:(x.num / 4)
-             ~nexts:0 ~seed:x.seed) );
+          (B.seek_random ~clients:x.clients ~latency:x.lat x.store ~n:x.num
+             ~ops:(x.num / 4) ~nexts:0 ~seed:x.seed) );
     ( "seekordered",
       fun x ->
         (* seeks at ascending positions (locality-friendly) *)
@@ -148,7 +137,9 @@ let benchmarks =
           (B.each (fun i -> P.Scan (B.key_of (i * (x.num / max 1 ops)), 0))) );
     ( "deleterandom",
       fun x ->
-        report x (B.delete_random ~latency:x.lat x.store ~n:x.num ~seed:x.seed)
+        report x
+          (B.delete_random ~clients:x.clients ~latency:x.lat x.store ~n:x.num
+             ~seed:x.seed)
     );
     ( "compact",
       fun x ->
@@ -272,15 +263,11 @@ let table_cache_arg =
                  resident); evicted tables reopen through their index \
                  summaries.")
 
-let clients_doc =
-  "Foreground client lanes for fillrandom / overwrite / readrandom / mixed \
-   (round-robin interleave, WAL group commit); 1 = serial."
-
 let cmd =
   Cmd.v
     (Cmd.info "db_bench" ~doc:"Micro-benchmarks over the simulated stores")
     Term.(const run
-          $ Cli.term ~clients_default:1 ~clients_doc
+          $ Cli.term
           $ l0_slowdown_arg $ l0_stop_arg $ benchmarks_arg $ num_arg $ seed_arg
           $ probe_budget_arg $ no_seek_filtering_arg $ table_cache_arg)
 

@@ -20,9 +20,7 @@ let ycsb_splits shards =
 let run (c : Cli.t) workloads records ops =
   let value_size = c.Cli.value_size in
   let store, env = Cli.open_store c ~splits:ycsb_splits ~tweak:Fun.id in
-  (* clients=0 is the serial path: ops applied as drawn, phase time
-     from the clock delta, the timing fig5.5 and fig5.6 record *)
-  let clients = if c.Cli.clients <= 0 then None else Some c.Cli.clients in
+  let clients = c.Cli.clients in
   let report (r : Pdb_ycsb.Runner.result) =
     let p = r.Pdb_ycsb.Runner.run in
     Printf.printf
@@ -32,25 +30,24 @@ let run (c : Cli.t) workloads records ops =
       r.Pdb_ycsb.Runner.updates r.Pdb_ycsb.Runner.inserts
       r.Pdb_ycsb.Runner.scans r.Pdb_ycsb.Runner.rmws
       (float_of_int p.P.bytes_written /. 1048576.0);
-    match p.P.lanes with
-    | Some l when l.Mc.clients > 1 ->
+    let l = p.P.lanes in
+    if l.Mc.clients > 1 then
       Printf.printf
         "           clients=%d groups=%d avg-group=%.2f syncs-saved=%d\n%!"
         l.Mc.clients l.Mc.write_groups l.Mc.avg_group_size l.Mc.syncs_saved
-    | _ -> ()
   in
   (* one latency collector per phase; reporting is purely
      observational — store state matches a run without it *)
   let lat = L.create () in
   report
-    (Pdb_ycsb.Runner.load ?clients ~latency:lat store ~records
+    (Pdb_ycsb.Runner.load ~clients ~latency:lat store ~records
        ~value_bytes:value_size ~seed:42);
   L.print_summary ~indent:"           " lat;
   List.iter
     (fun spec ->
       let lat = L.create () in
       report
-        (Pdb_ycsb.Runner.run ?clients ~latency:lat store spec ~records
+        (Pdb_ycsb.Runner.run ~clients ~latency:lat store spec ~records
            ~operations:ops ~value_bytes:value_size ~seed:42);
       L.print_summary ~indent:"           " lat)
     workloads;
@@ -84,14 +81,10 @@ let records_arg =
 let ops_arg =
   Arg.(value & opt int 10_000 & info [ "ops" ] ~doc:"Operations per workload.")
 
-let clients_doc =
-  "Foreground client lanes (round-robin, WAL group commit); 0 = the \
-   serial path, timed per phase as fig5.5 and fig5.6 record it."
-
 let cmd =
   Cmd.v (Cmd.info "ycsb" ~doc:"YCSB benchmark over the simulated stores")
     Term.(const run
-          $ Cli.term ~clients_default:0 ~clients_doc
+          $ Cli.term
           $ workloads_arg $ records_arg $ ops_arg)
 
 let () = exit (Cmd.eval cmd)

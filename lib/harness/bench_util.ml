@@ -9,11 +9,11 @@ module Rng = Pdb_util.Rng
 
 (* ---------- canonical workload phases (db_bench-style) ----------
 
-   Each phase draws one op stream and {!Phase.drive} runs it: serially
-   by default, on [~clients] foreground lanes (WAL group commit) for the
-   phases that take them.  The stream — and so the store's final state —
-   is the same either way, and with [?latency] each drawn op is one
-   latency observation.  An experiment that samples a phase as it runs
+   Each phase draws one op stream and {!Phase.drive} runs it on
+   [~clients] foreground lanes (one by default; writes group-commit).
+   The stream — and so the store's final state — is the same at any
+   client count, and with [?latency] each drawn op is one latency
+   observation.  An experiment that samples a phase as it runs
    drives the same draw in slices. *)
 
 let key_of i = Printf.sprintf "key%010d" i
@@ -47,9 +47,9 @@ let fill_random ?clients ?latency (store : Dyn.dyn) ~n ~value_bytes ~seed =
 
 (** [fill_seq store ~n ~value_bytes ~seed] inserts [n] keys in ascending
     order — LSM's trivial-move fast path, FLSM's worst case (§5.2). *)
-let fill_seq ?latency (store : Dyn.dyn) ~n ~value_bytes ~seed =
+let fill_seq ?clients ?latency (store : Dyn.dyn) ~n ~value_bytes ~seed =
   let rng = Rng.create seed in
-  Phase.drive ?latency store ~n
+  Phase.drive ?clients ?latency store ~n
     (each (fun i -> Phase.Put (key_of i, value_of rng value_bytes)))
 
 (** [read_random store ~n ~ops ~seed] issues [ops] point lookups over the
@@ -64,20 +64,20 @@ let read_random ?clients ?latency (store : Dyn.dyn) ~n ~ops ~seed =
     2,000 bare seeks first brings the table cache to steady state, as
     the paper's 10M-operation runs do implicitly; it is neither reported
     nor recorded into [?latency]. *)
-let seek_random ?latency (store : Dyn.dyn) ~n ~ops ~nexts ~seed =
+let seek_random ?clients ?latency (store : Dyn.dyn) ~n ~ops ~nexts ~seed =
   let wrng = Rng.create (seed + 11) in
   ignore
     (Phase.drive store ~n:2_000 (fun () ->
          Phase.Scan (key_of (Rng.int wrng n), 0)));
   let rng = Rng.create (seed + 2) in
-  Phase.drive ?latency store ~n:ops (fun () ->
+  Phase.drive ?clients ?latency store ~n:ops (fun () ->
       Phase.Scan (key_of (Rng.int rng n), nexts))
 
 (** [delete_random store ~n ~seed] deletes every key once, random order. *)
-let delete_random ?latency (store : Dyn.dyn) ~n ~seed =
+let delete_random ?clients ?latency (store : Dyn.dyn) ~n ~seed =
   let rng = Rng.create (seed + 3) in
   let order = shuffled rng n in
-  Phase.drive ?latency store ~n
+  Phase.drive ?clients ?latency store ~n
     (each ~order (fun i -> Phase.Delete (key_of i)))
 
 (** [mixed store ~n ~ops ~value_bytes ~seed] — 50% reads / 50%

@@ -818,7 +818,7 @@ let run_multithreaded ~n =
                   ~seed
               in
               store.Dyn.d_close ();
-              (clients, ((fill, read, mixed), Option.get fill.P.lanes)))
+              (clients, ((fill, read, mixed), fill.P.lanes)))
             client_counts
         in
         (name, per_clients))
@@ -926,11 +926,12 @@ let run_latency ~n =
   let stall_profile engine =
     let name = Stores.engine_name engine in
     let store = Stores.open_engine engine in
-    let clock = Env.clock store.Dyn.d_env in
     let draw =
       B.random_puts ~n:(chunks * per_chunk) ~value_bytes:value_1k ~seed
     in
     let prev_stall = ref 0.0 in
+    (* the time axis is the chunks' own elapsed time, summed *)
+    let t_ns = ref 0.0 in
     let sample_rows =
       List.init chunks (fun _ ->
           let lat = L.create () in
@@ -944,11 +945,8 @@ let run_latency ~n =
           let backlog = st.Pdb_kvs.Engine_stats.compaction_backlog_bytes in
           let stall_delta = stall -. !prev_stall in
           prev_stall := stall;
-          let t_ms =
-            Pdb_simio.Clock.elapsed_ns (Pdb_simio.Clock.snapshot clock)
-            /. 1e6
-          in
-          [ B.num 1 t_ms; B.num 1 phase.P.kops; B.int pending;
+          t_ns := !t_ns +. phase.P.elapsed_ns;
+          [ B.num 1 (!t_ns /. 1e6); B.num 1 phase.P.kops; B.int pending;
             B.num 2 (B.mb backlog); B.num 1 (stall_delta /. 1e6);
             B.num 1 (H.percentile (L.hist lat L.Write) 99.0 /. 1e3) ])
     in
@@ -1356,20 +1354,20 @@ let run_stability ~n =
       }
     in
     let store = Stores.open_engine ~tweak engine in
-    let clock = Env.clock store.Dyn.d_env in
     let draw = B.random_puts ~n:total ~value_bytes:value_1k ~seed in
     let lat = L.create () in
-    let kops =
+    let phases =
       Array.init windows (fun _ ->
-          (P.drive ~latency:lat store ~n:per_window draw).P.kops)
+          P.drive ~latency:lat store ~n:per_window draw)
     in
+    let kops = Array.map (fun p -> p.P.kops) phases in
     let st = store.Dyn.d_stats () in
     let stall_ns =
       st.Pdb_kvs.Engine_stats.stall_slowdown_ns
       +. st.Pdb_kvs.Engine_stats.stall_stop_ns
     in
     let elapsed_ns =
-      Pdb_simio.Clock.elapsed_ns (Pdb_simio.Clock.snapshot clock)
+      Array.fold_left (fun acc p -> acc +. p.P.elapsed_ns) 0.0 phases
     in
     store.Dyn.d_close ();
     let wf = float_of_int windows in

@@ -5,11 +5,9 @@
     percentile read/write latency per engine).
 
     Each drawn op of a {!Phase.drive} phase is one observation under its
-    kind.  Serially it is the clock-snapshot delta across the whole op
-    ({!timed}: elapsed simulated time including stalls and background
-    horizon movement); on client lanes it is the op's lane placement
-    from [Fg_lanes].  Both are purely observational: collecting latencies
-    never changes IO, clock charges or store bytes. *)
+    kind: its placement on its client's lane ([Fg_lanes]), arrival to
+    completion.  Collecting latencies is purely observational: it never
+    changes IO, clock charges or store bytes. *)
 
 module H = Pdb_util.Histogram
 
@@ -38,17 +36,6 @@ let record t kind ns = H.add (hist t kind) ns
 (** Kinds with display labels, in reporting order. *)
 let kinds =
   [ (Write, "write"); (Read, "read"); (Seek, "seek"); (Other, "other") ]
-
-module Clock = Pdb_simio.Clock
-
-(** [timed lat clock kind f x] is [f x], recording its modeled latency —
-    the simulated-clock elapsed delta across the call — into [lat] as one
-    [kind] observation. *)
-let timed lat clock kind f x =
-  let before = Clock.snapshot clock in
-  let r = f x in
-  record lat kind (Clock.elapsed_ns (Clock.diff (Clock.snapshot clock) before));
-  r
 
 (* --- reporting ------------------------------------------------------ *)
 

@@ -64,12 +64,15 @@ let measured clock f =
   let d = Clock.diff (Clock.snapshot clock) c0 in
   (d.Clock.cpu_ns, d.Clock.foreground_ns, d.Clock.stall_ns)
 
-(** [run store ~clients ops] executes [ops] (in order) as [clients]
-    round-robin client lanes.  With [?latency], each operation's modeled
-    lane latency (arrival to completion, stalls and group waits included)
-    is recorded under its op kind — recording never changes placement or
-    store state. *)
-let run ?latency (store : Store_intf.dyn) ~clients ops =
+(** [stream store ~clients ~n next] executes [n] ops pulled from [next]
+    (in order) as [clients] round-robin client lanes.  Ops are pulled as
+    the lanes reach them, never more than [clients] ahead of the op
+    executing: a commit window takes at most [clients] writes, and the
+    op that closes a window early is held for the next turn.  With
+    [?latency], each operation's modeled lane latency (arrival to
+    completion, stalls and group waits included) is recorded under its
+    op kind — recording never changes placement or store state. *)
+let stream ?latency (store : Store_intf.dyn) ~clients ~n next =
   let clients = max 1 clients in
   let clock = Pdb_simio.Env.clock store.Store_intf.d_env in
   let lanes = Fg.create ~clients in
@@ -81,37 +84,46 @@ let run ?latency (store : Store_intf.dyn) ~clients ops =
   let note kind ns =
     match latency with Some lat -> Latency.record lat kind ns | None -> ()
   in
-  let ops = Array.of_list ops in
-  let n = Array.length ops in
+  let held = ref None in
+  let pull () =
+    match !held with
+    | Some op ->
+      held := None;
+      op
+    | None -> next ()
+  in
+  (* ops taken so far: op [i] belongs to client [i mod clients] *)
   let i = ref 0 in
   while !i < n do
     let client = !i mod clients in
-    match ops.(!i) with
-    | Read f | Seek f | Other f ->
+    incr i;
+    match pull () with
+    | (Read f | Seek f | Other f) as op ->
       let kind =
-        match ops.(!i) with
+        match op with
         | Read _ -> Latency.Read
         | Seek _ -> Latency.Seek
         | _ -> Latency.Other
       in
       let cpu_ns, io_ns, stall_ns = measured clock (fun () -> f ()) in
-      note kind (Fg.place lanes ~client ~cpu_ns ~io_ns ~stall_ns);
-      incr i
-    | Write _ ->
+      note kind (Fg.place lanes ~client ~cpu_ns ~io_ns ~stall_ns)
+    | Write b ->
       (* the commit window: every client with a write pending at the
          head of the global order joins the group, at most one batch
          per client *)
       let rec collect k members batches =
         if !i < n && k < clients then
-          match ops.(!i) with
+          match next () with
           | Write b ->
             let c = !i mod clients in
             incr i;
             collect (k + 1) (c :: members) (b :: batches)
-          | Read _ | Seek _ | Other _ -> (members, batches)
+          | op ->
+            held := Some op;
+            (members, batches)
         else (members, batches)
       in
-      let members, batches = collect 0 [] [] in
+      let members, batches = collect 1 [ client ] [ b ] in
       let members = List.rev members and batches = List.rev batches in
       let cpu_ns, io_ns, stall_ns =
         measured clock (fun () -> store.Store_intf.d_write_group batches)
@@ -142,3 +154,13 @@ let run ?latency (store : Store_intf.dyn) ~clients ops =
     syncs_saved = stats.Engine_stats.group_syncs_saved - saved0;
     client_wait_ns;
   }
+
+(** [run store ~clients ops] is {!stream} over the list [ops]. *)
+let run ?latency store ~clients ops =
+  let rest = ref ops in
+  stream ?latency store ~clients ~n:(List.length ops) (fun () ->
+      match !rest with
+      | op :: tl ->
+        rest := tl;
+        op
+      | [] -> invalid_arg "Multi_client.run")

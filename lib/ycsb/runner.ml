@@ -49,11 +49,10 @@ let drive ?clients ?latency store phase ~n draw ~counts =
 
 (** [load ?clients ?latency store ~records ~value_bytes ~seed] is the
     YCSB load phase: insert [records] fresh records.  With [~clients:n]
-    the inserts interleave round-robin across [n] client lanes and commit
-    in groups; the values (and hence the store's final state) are the
-    same at any client count.  With [?latency], per-operation modeled
-    latencies are collected (clock-snapshot deltas on the serial path,
-    lane placement on the client path) without changing store state. *)
+    (default 1) the inserts interleave round-robin across [n] client
+    lanes and commit in groups; the values (and hence the store's final
+    state) are the same at any client count.  With [?latency], each op's
+    lane latency is collected without changing store state. *)
 let load ?clients ?latency (store : Dyn.dyn) ~records ~value_bytes ~seed =
   let rng = Pdb_util.Rng.create seed in
   let next = ref 0 in
@@ -67,8 +66,8 @@ let load ?clients ?latency (store : Dyn.dyn) ~records ~value_bytes ~seed =
 
 (** [run ?clients ?latency store spec ~records ~operations ~value_bytes
     ~seed] executes the transaction phase of [spec] against a store
-    already loaded with [records] records.  With [~clients:n] the ops
-    interleave round-robin across [n] client lanes (writes group-commit);
+    already loaded with [records] records.  With [~clients:n] (default 1)
+    the ops interleave round-robin across [n] client lanes (writes group-commit);
     the drawn op sequence — and the store's final state — is the same at
     any client count.  With [?latency], per-operation modeled latencies
     are collected without changing store state. *)

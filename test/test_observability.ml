@@ -27,11 +27,11 @@ let files_of env =
 (* ---------- latency determinism ---------- *)
 
 (* fill + read with a fixed seed, optionally collecting latency *)
-let run_workload ?clients ?latency env =
+let run_workload ~clients ?latency env =
   let store = Stores.open_engine ~env Stores.Pebblesdb in
   ignore
-    (B.fill_random ?clients ?latency store ~n:2_000 ~value_bytes:128 ~seed:5);
-  ignore (B.read_random ?clients ?latency store ~n:2_000 ~ops:1_000 ~seed:5);
+    (B.fill_random ~clients ?latency store ~n:2_000 ~value_bytes:128 ~seed:5);
+  ignore (B.read_random ~clients ?latency store ~n:2_000 ~ops:1_000 ~seed:5);
   store.Dyn.d_close ()
 
 let hist_fingerprint lat kind =
@@ -44,7 +44,7 @@ let test_latency_deterministic () =
     (fun clients ->
       let once () =
         let lat = L.create () in
-        run_workload ?clients ~latency:lat (Env.create ());
+        run_workload ~clients ~latency:lat (Env.create ());
         lat
       in
       let a = once () and b = once () in
@@ -52,10 +52,7 @@ let test_latency_deterministic () =
         (fun (kind, label) ->
           let ca, _, _, _, _ = hist_fingerprint a kind in
           Alcotest.(check bool)
-            (Printf.sprintf "%s histogram populated (%s)" label
-               (match clients with
-                | None -> "serial"
-                | Some c -> Printf.sprintf "%dc" c))
+            (Printf.sprintf "%s histogram populated (%dc)" label clients)
             true
             (* fill + read issues no seeks and no read-modify-writes *)
             (ca > 0 || kind = L.Seek || kind = L.Other);
@@ -64,16 +61,16 @@ let test_latency_deterministic () =
             true
             (hist_fingerprint a kind = hist_fingerprint b kind))
         L.kinds)
-    [ None; Some 1; Some 4; Some 8 ]
+    [ 1; 4; 8 ]
 
 let test_latency_observational () =
-  (* identical store bytes with latency collection on vs off, on both the
-     serial and the multi-client path *)
+  (* identical store bytes with latency collection on vs off, on one
+     client lane and on four *)
   List.iter
     (fun clients ->
       let env_off = Env.create () and env_on = Env.create () in
-      run_workload ?clients env_off;
-      run_workload ?clients ~latency:(L.create ()) env_on;
+      run_workload ~clients env_off;
+      run_workload ~clients ~latency:(L.create ()) env_on;
       let off = files_of env_off and on = files_of env_on in
       Alcotest.(check (list string)) "same file set" (List.map fst off)
         (List.map fst on);
@@ -84,34 +81,29 @@ let test_latency_observational () =
             true
             (String.equal b_off b_on))
         off on)
-    [ None; Some 4 ]
+    [ 1; 4 ]
 
-(* One observation per drawn op: a scan-only phase on a filled store
-   records each [Scan], its seek and its nexts, as one seek latency,
-   serially as on one client lane.  With no background work (seek
-   compaction off) the serial clock delta and the lane placement of an
-   op are the same time, so the two histograms agree. *)
-let test_scan_one_observation () =
-  let seek_hist clients =
-    let tweak o = { o with Pdb_kvs.Options.seek_based_compaction = false } in
-    let store = Stores.open_engine ~tweak Stores.Pebblesdb in
-    ignore (B.fill_random store ~n:2_000 ~value_bytes:128 ~seed:5);
-    let lat = L.create () in
-    let rng = Pdb_util.Rng.create 9 in
-    ignore
-      (Pdb_kvs.Phase.drive ?clients ~latency:lat store ~n:300 (fun () ->
-           Pdb_kvs.Phase.Scan (B.key_of (Pdb_util.Rng.int rng 2_000), 20)));
-    store.Dyn.d_close ();
-    let h = L.hist lat L.Seek in
-    (H.count h, H.mean h, H.percentile h 50.0, H.percentile h 99.0)
+(* One clock for one client: on one lane a phase lasts exactly as long
+   as its ops, back to back.  Each [Scan] — its seek and its nexts — is
+   one seek observation; with seek compaction off the scans start no
+   background work, so the background horizon does not bind and the
+   phase's elapsed time is the sum of its 300 seek latencies. *)
+let test_elapsed_is_latency_sum () =
+  let tweak o = { o with Pdb_kvs.Options.seek_based_compaction = false } in
+  let store = Stores.open_engine ~tweak Stores.Pebblesdb in
+  ignore (B.fill_random store ~n:2_000 ~value_bytes:128 ~seed:5);
+  let lat = L.create () in
+  let rng = Pdb_util.Rng.create 9 in
+  let p =
+    Pdb_kvs.Phase.drive ~latency:lat store ~n:300 (fun () ->
+        Pdb_kvs.Phase.Scan (B.key_of (Pdb_util.Rng.int rng 2_000), 20))
   in
-  let n, mean, p50, p99 = seek_hist None in
-  let n1, mean1, p50_1, p99_1 = seek_hist (Some 1) in
-  Alcotest.(check int) "one seek observation per scan" 300 n;
-  Alcotest.(check int) "count serial = 1 client" n n1;
-  Alcotest.(check (float 0.0)) "mean serial = 1 client" mean mean1;
-  Alcotest.(check (float 0.0)) "p50 serial = 1 client" p50 p50_1;
-  Alcotest.(check (float 0.0)) "p99 serial = 1 client" p99 p99_1
+  store.Dyn.d_close ();
+  let h = L.hist lat L.Seek in
+  let elapsed = p.Pdb_kvs.Phase.elapsed_ns in
+  Alcotest.(check int) "one seek observation per scan" 300 (H.count h);
+  Alcotest.(check (float (1e-9 *. elapsed)))
+    "phase elapsed = sum of seek latencies" elapsed (H.sum h)
 
 (* ---------- trace smoke ---------- *)
 
@@ -416,8 +408,8 @@ let () =
             test_latency_deterministic;
           Alcotest.test_case "byte-identical state on/off" `Quick
             test_latency_observational;
-          Alcotest.test_case "scan is one observation, serial = 1 client"
-            `Quick test_scan_one_observation;
+          Alcotest.test_case "phase elapsed = sum of per-op latencies"
+            `Quick test_elapsed_is_latency_sum;
         ] );
       ( "trace",
         [

@@ -116,7 +116,7 @@ let test_state_invariance engine () =
     in
     let p = B.fill_random ~clients store ~n ~value_bytes:128 ~seed:7 in
     store.Dyn.d_close ();
-    (files_of env, Option.get p.Pdb_kvs.Phase.lanes)
+    (files_of env, p.Pdb_kvs.Phase.lanes)
   in
   let f1, _ = run ~clients:1 in
   let f4, r4 = run ~clients:4 in

@@ -138,9 +138,9 @@ let test_workload_f_rmw () =
     (st.Pdb_kvs.Engine_stats.gets > 0 && st.Pdb_kvs.Engine_stats.puts > 0);
   store.Dyn.d_close ()
 
-(* Serial and client paths apply one drawn op stream: the same counts
-   and the same store files at any client count, and both engines end
-   with the same contents. *)
+(* The default client count and explicit ones apply one drawn op
+   stream: the same counts and the same store files at any client
+   count, and both engines end with the same contents. *)
 let test_serial_and_clients_same_ops () =
   let phases ?clients engine =
     let store =
