@@ -10,6 +10,7 @@
 
 module Dyn = Pdb_kvs.Store_intf
 module Clock = Pdb_simio.Clock
+module Wb = Pdb_kvs.Write_batch
 
 type config = {
   app_name : string;
@@ -43,6 +44,14 @@ let wrap config (store : Dyn.dyn) =
   (* the client blocks for the application's work on every call, so app
      latency adds to elapsed time rather than overlapping store IO *)
   let charge ns = Clock.stall clock ns in
+  (* a batch is one write request; HyperDex reads each key it puts *)
+  let before_write batch =
+    charge config.write_latency_ns;
+    if config.read_before_write then
+      Wb.iter batch (function
+        | Wb.Put (k, _) -> ignore (store.Dyn.d_get k)
+        | Wb.Delete _ -> ())
+  in
   {
     store with
     Dyn.d_name = config.app_name ^ "/" ^ store.Dyn.d_name;
@@ -61,8 +70,12 @@ let wrap config (store : Dyn.dyn) =
         store.Dyn.d_delete k);
     d_write =
       (fun batch ->
-        charge config.write_latency_ns;
+        before_write batch;
         store.Dyn.d_write batch);
+    d_write_group =
+      (fun batches ->
+        List.iter before_write batches;
+        store.Dyn.d_write_group batches);
     d_iterator =
       (fun () ->
         charge config.read_latency_ns;

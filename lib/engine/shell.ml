@@ -518,6 +518,23 @@ let stats t =
 
 (* ---------- writes ---------- *)
 
+(* [insert_ops t ~client seq ops] adds a batch's [ops] to the memtable,
+   the first at sequence number [seq]; a [client] batch's puts and
+   deletes count as the client's. *)
+let rec insert_ops t ~client seq = function
+  | [] -> ()
+  | op :: ops ->
+    charge_cpu t O.cpu_memtable_op_ns;
+    (match op with
+     | Wb.Put (k, v) ->
+       if client then Stats.incr t.counters Stats.puts;
+       t.shape.note_put t k;
+       Memtable.add t.mem ~seq ~kind:Ik.Value ~user_key:k ~value:v
+     | Wb.Delete k ->
+       if client then Stats.incr t.counters Stats.deletes;
+       Memtable.add t.mem ~seq ~kind:Ik.Deletion ~user_key:k ~value:"");
+    insert_ops t ~client (seq + 1) ops
+
 (* WAL group commit, the LevelDB writers-queue protocol: a solo write is a
    group of one.  The group's batches are framed as individual WAL records
    — so the log bytes are identical whether the group has one member or
@@ -578,22 +595,9 @@ let write_group t batches =
          let base_seq = t.last_seq + 1 in
          t.last_seq <- t.last_seq + count;
          pending := Wb.encode batch ~base_seq :: !pending;
-         let seq = ref base_seq in
          (* a bulk batch (a shard migration) moves data no client wrote *)
          let client = not (Wb.is_bulk batch) in
-         Wb.iter batch (fun op ->
-             charge_cpu t O.cpu_memtable_op_ns;
-             (match op with
-              | Wb.Put (k, v) ->
-                if client then Stats.incr t.counters Stats.puts;
-                t.shape.note_put t k;
-                Memtable.add t.mem ~seq:!seq ~kind:Ik.Value ~user_key:k
-                  ~value:v
-              | Wb.Delete k ->
-                if client then Stats.incr t.counters Stats.deletes;
-                Memtable.add t.mem ~seq:!seq ~kind:Ik.Deletion ~user_key:k
-                  ~value:"");
-             incr seq);
+         insert_ops t ~client base_seq (Wb.ops batch);
          if client then
            Stats.add t.counters Stats.user_bytes_written
              (Wb.payload_bytes batch);

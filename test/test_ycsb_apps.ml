@@ -216,6 +216,22 @@ let test_app_latency_charged () =
     (after -. before >= Pdb_apps.App_shim.mongodb.Pdb_apps.App_shim.write_latency_ns);
   store.Dyn.d_close ()
 
+(* A harness phase commits its puts as batches through client lanes:
+   the shim still charges each one the application's write latency and,
+   for HyperDex, its read-before-write. *)
+let test_app_shim_on_lanes () =
+  let store = small_store () in
+  let config = Pdb_apps.App_shim.hyperdex in
+  let app = Pdb_apps.App_shim.wrap config store in
+  let records = 200 in
+  let load = R.load app ~records ~value_bytes:64 ~seed:3 in
+  check Alcotest.int "one get per put" records
+    (store.Dyn.d_stats ()).Pdb_kvs.Engine_stats.gets;
+  Alcotest.(check bool) "every put pays the app latency" true
+    (load.R.run.P.elapsed_ns
+    >= float_of_int records *. config.Pdb_apps.App_shim.write_latency_ns);
+  store.Dyn.d_close ()
+
 (* ---------- harness ---------- *)
 
 let test_every_engine_opens_and_roundtrips () =
@@ -380,6 +396,8 @@ let () =
             test_mongodb_no_read_before_write;
           Alcotest.test_case "app latency charged" `Quick
             test_app_latency_charged;
+          Alcotest.test_case "app shim charges lane writes" `Quick
+            test_app_shim_on_lanes;
         ] );
       ( "harness",
         [
