@@ -67,9 +67,9 @@ let load ?clients ?latency (store : Dyn.dyn) ~records ~value_bytes ~seed =
 (** [run ?clients ?latency store spec ~records ~operations ~value_bytes
     ~seed] executes the transaction phase of [spec] against a store
     already loaded with [records] records.  With [~clients:n] (default 1)
-    the ops interleave round-robin across [n] client lanes (writes group-commit);
-    the drawn op sequence — and the store's final state — is the same at
-    any client count.  With [?latency], per-operation modeled latencies
+    the ops interleave round-robin across [n] client lanes (writes
+    group-commit); the drawn op sequence — and the store's final state —
+    is the same at any client count.  With [?latency], per-operation modeled latencies
     are collected without changing store state. *)
 let run ?clients ?latency (store : Dyn.dyn) (spec : Workload.spec) ~records
     ~operations ~value_bytes ~seed =
