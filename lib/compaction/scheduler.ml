@@ -134,7 +134,7 @@ let note_stall t ~slowdown_ns ~stop_ns =
   Stats.add_ns t.counters Stats.stall_stop_ns stop_ns;
   match tracer t with
   | Some tr ->
-    let now = Clock.elapsed_ns (Clock.snapshot t.clock) in
+    let now = Clock.now_ns t.clock in
     let total = slowdown_ns +. stop_ns in
     if slowdown_ns > 0.0 then
       Pdb_simio.Trace.span tr ~name:"stall:slowdown" ~cat:"stall"

@@ -35,13 +35,16 @@ module Sched = Pdb_simio.Sched
 type levels = {
   mutable l0 : Table.meta list; (* newest first *)
   levels : Guard.level array; (* slots 1 .. max_levels-1 *)
-  committed : (string, unit) Hashtbl.t array; (* guard keys per level *)
-  uncommitted : (string, unit) Hashtbl.t array;
+  uncommitted : (string, unit) Hashtbl.t array; (* pending guard keys *)
 }
 
 type t = levels S.t
 
 let level_bytes (t : t) level = Guard.bytes t.lv.levels.(level)
+
+(* [key] is a committed guard of [lvl] (the sentinel's "" included). *)
+let is_committed (lvl : Guard.level) key =
+  String.equal lvl.Guard.guards.(Guard.guard_index lvl key).Guard.gkey key
 
 (* ---------- guard selection (§3.2) ---------- *)
 
@@ -54,7 +57,7 @@ let note_guard_candidate (t : t) key =
   | Some l ->
     for level = l to S.last_level t do
       if
-        (not (Hashtbl.mem t.lv.committed.(level) key))
+        (not (is_committed t.lv.levels.(level) key))
         && not (Hashtbl.mem t.lv.uncommitted.(level) key)
       then Hashtbl.replace t.lv.uncommitted.(level) key ()
     done
@@ -106,11 +109,7 @@ let prepare_guard_commit t level =
     in
     if committable <> [] then begin
       Guard.commit_guards lvl committable;
-      List.iter
-        (fun k ->
-          Hashtbl.replace t.lv.committed.(level) k ();
-          Hashtbl.remove t.lv.uncommitted.(level) k)
-        committable;
+      List.iter (Hashtbl.remove t.lv.uncommitted.(level)) committable;
       Stats.add t.counters Stats.guards_committed (List.length committable)
     end;
     committable
@@ -604,14 +603,10 @@ let apply_edit lv (e : Manifest.edit) =
       else Guard.detach lv.levels.(level) [ number ])
     e.Manifest.deleted_files;
   List.iter
-    (fun (level, key) ->
-      Guard.delete_guard lv.levels.(level) key;
-      Hashtbl.remove lv.committed.(level) key)
+    (fun (level, key) -> Guard.delete_guard lv.levels.(level) key)
     e.Manifest.deleted_guards;
   List.iter
-    (fun (level, key) ->
-      Guard.commit_guards lv.levels.(level) [ key ];
-      Hashtbl.replace lv.committed.(level) key ())
+    (fun (level, key) -> Guard.commit_guards lv.levels.(level) [ key ])
     e.Manifest.added_guards;
   List.iter
     (fun (level, meta) ->
@@ -631,13 +626,13 @@ let recovered _opts lv =
      not committed it yet must carry it as uncommitted again. *)
   let last = Array.length lv.levels - 1 in
   for level = 1 to last - 1 do
-    Hashtbl.iter
-      (fun k () ->
+    Array.iter
+      (fun (g : Guard.guard) ->
         for deeper = level + 1 to last do
-          if not (Hashtbl.mem lv.committed.(deeper) k) then
-            Hashtbl.replace lv.uncommitted.(deeper) k ()
+          if not (is_committed lv.levels.(deeper) g.Guard.gkey) then
+            Hashtbl.replace lv.uncommitted.(deeper) g.Guard.gkey ()
         done)
-      lv.committed.(level)
+      lv.levels.(level).Guard.guards
   done
 
 (* The snapshot names every committed guard, then every table — L0 and
@@ -671,7 +666,6 @@ let candidates t level ~key ~lookup:_ =
 let guard_layout =
   {
     Pdb_sstable.Level_iter.tables = (fun (g : Guard.guard) -> g.Guard.tables);
-    starts_after = (fun g up -> String.compare g.Guard.gkey up > 0);
     locate = Guard.locate;
   }
 
@@ -707,15 +701,12 @@ let open_store ?block_cache (opts : O.t) ~env ~dir =
           "Pebbles_store.open_store: policy %s has no guard structure (use \
            the LSM engine)"
           (O.compaction_policy_name p)));
-  let per_level () =
-    Array.init opts.O.max_levels (fun _ -> Hashtbl.create 64)
-  in
   let lv =
     {
       l0 = [];
       levels = Array.init opts.O.max_levels (fun _ -> Guard.create_level ());
-      committed = per_level ();
-      uncommitted = per_level ();
+      uncommitted =
+        Array.init opts.O.max_levels (fun _ -> Hashtbl.create 64);
     }
   in
   S.open_store ~shape ~lv ?block_cache opts ~env ~dir
@@ -872,7 +863,7 @@ let check_invariants t =
         (fun (gu : Guard.guard) ->
           if
             gu.Guard.gkey <> ""
-            && (not (Hashtbl.mem t.lv.committed.(level + 1) gu.Guard.gkey))
+            && (not (is_committed t.lv.levels.(level + 1) gu.Guard.gkey))
             && not (Hashtbl.mem t.lv.uncommitted.(level + 1) gu.Guard.gkey)
           then failwith "flsm invariant: guard not selected in deeper level")
         g;
@@ -891,16 +882,10 @@ let check_invariants t =
             then failwith "flsm invariant: missing sstable file")
           gu.Guard.tables)
       g;
-    (* committed set matches structure *)
-    Array.iter
-      (fun (gu : Guard.guard) ->
-        if gu.Guard.gkey <> "" && not (Hashtbl.mem t.lv.committed.(level) gu.Guard.gkey)
-        then failwith "flsm invariant: structure guard missing from committed set")
-      g;
     (* no guard both committed and uncommitted *)
     Hashtbl.iter
       (fun k () ->
-        if Hashtbl.mem t.lv.committed.(level) k then
+        if is_committed lvl k then
           failwith "flsm invariant: guard both committed and uncommitted")
       t.lv.uncommitted.(level)
   done
@@ -938,9 +923,8 @@ let delete_empty_guards t =
     List.iter
       (fun key ->
         for level = 1 to S.last_level t do
-          if Hashtbl.mem t.lv.committed.(level) key then begin
+          if is_committed t.lv.levels.(level) key then begin
             Guard.delete_guard t.lv.levels.(level) key;
-            Hashtbl.remove t.lv.committed.(level) key;
             edit_entries := (level, key) :: !edit_entries
           end;
           (* forget any pending selection so the guard is not immediately

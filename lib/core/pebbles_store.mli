@@ -76,16 +76,17 @@ val flush : t -> unit
     almost all of the guard's sstables. *)
 val get : ?snapshot:int -> t -> string -> string option
 
-(** [iterator ?snapshot ?upper_bound t] is a database iterator over live
-    user keys.  An iterator stays valid until the next write — including
-    across other readers' seeks and the seek compactions they trigger:
-    superseded files are deleted only at mutating operations, and each
-    guarded level is walked as it stood at the iterator's own latest seek.
-    Writes invalidate it (no pinning).  Seeks feed the seek-triggered
-    compaction heuristic (§4.2) and run inside a parallel-probe session
-    (§4.2's parallel seeks, budgeted by the device).  [upper_bound] is an inclusive user-key bound: output is
-    clamped to it, and the seek filter may skip any sstable past it. *)
-val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Pdb_kvs.Iter.t
+(** [iterator ?snapshot t] is a database iterator over live user keys.
+    An iterator stays valid until the next write — including across other
+    readers' seeks and the seek compactions they trigger: superseded files
+    are deleted only at mutating operations, and each guarded level is
+    walked as it stood at the iterator's own latest seek.  Writes
+    invalidate it (no pinning).  Seeks feed the seek-triggered compaction
+    heuristic (§4.2) and run inside a parallel-probe session (§4.2's
+    parallel seeks, budgeted by the device); a seek positions one guard
+    per level and skips its sstables whose largest key sorts before the
+    target. *)
+val iterator : ?snapshot:int -> t -> Pdb_kvs.Iter.t
 
 (** [guard_view level ()] is a guarded level as a {!Pdb_sstable.Level_iter}
     view, one partition per guard: the level's guard array at the call,
@@ -127,8 +128,8 @@ val memory_bytes : t -> int
 val describe : t -> string
 
 (** Raise [Failure] on any violated structural invariant (guard ordering,
-    no straddlers, skip-list guard property, committed-set consistency,
-    file existence). *)
+    no straddlers, skip-list guard property, no guard both committed and
+    pending, file existence). *)
 val check_invariants : t -> unit
 
 val l0_table_count : t -> int

@@ -25,7 +25,6 @@ module Sched = Pdb_simio.Sched
 module Table = Pdb_sstable.Table
 module Table_cache = Pdb_sstable.Table_cache
 module Block_cache = Pdb_sstable.Block_cache
-module Seek_filter = Pdb_sstable.Seek_filter
 module Level_iter = Pdb_sstable.Level_iter
 module Wal = Pdb_wal.Wal
 module Manifest = Pdb_manifest.Manifest
@@ -173,8 +172,7 @@ let trace_instant t ?(args = []) ~name ~cat () =
   match Env.tracer t.env with
   | Some tr ->
     Pdb_simio.Trace.instant tr ~args ~name ~cat ~lane:"foreground"
-      ~ts_ns:(Clock.elapsed_ns (Clock.snapshot t.clock))
-      ()
+      ~ts_ns:(Clock.now_ns t.clock) ()
   | None -> ()
 
 (* ---------- flush (memtable -> level-0 sstable) ---------- *)
@@ -564,7 +562,7 @@ let write_group t batches =
        }
      in
      let entries = List.fold_left (fun acc b -> acc + Wb.count b) 0 group in
-     let now_ns = Clock.elapsed_ns (Clock.snapshot t.clock) in
+     let now_ns = Clock.now_ns t.clock in
      let v = Bp.throttle t.bp ~now_ns ~debt ~cost:entries in
      let total = Bp.total_ns v in
      if total > 0.0 then begin
@@ -723,23 +721,21 @@ let get ?snapshot t key =
     | Some (Ik.Value, v) -> Some v
     | Some (Ik.Deletion, _) | None -> None)
 
-(* [upper_user] is the iterator's inclusive user-key bound: it licenses the
-   seek filter to skip tables past it, and {!iterator} clamps the merged
-   output so skipped tables are unobservable. *)
-let internal_iterator ?upper_user t =
+let internal_iterator t =
   let on_table () =
     charge_cpu t O.cpu_per_sstable_ns;
     Stats.incr t.counters Stats.sstables_examined
   in
-  let filter =
-    Seek_filter.create ?upper_user ~filtering:t.opts.O.seek_filtering
-      ~on_check:(fun ~skipped ->
-        Stats.incr t.counters Stats.seek_bloom_checks;
-        if skipped then Stats.incr t.counters Stats.seek_bloom_skips)
-      ()
+  let on_check =
+    if t.opts.O.seek_filtering then
+      Some
+        (fun ~skipped ->
+          Stats.incr t.counters Stats.seek_bloom_checks;
+          if skipped then Stats.incr t.counters Stats.seek_bloom_skips)
+    else None
   in
   let level_iter view =
-    Level_iter.create ~filter ~probe:t.probe ~cache:t.table_cache
+    Level_iter.create ?on_check ~probe:t.probe ~cache:t.table_cache
       ~block_cache:t.block_cache ~hint:Device.Random_read ~on_table view
   in
   (* the pile as it stands now: its files outlive the iterator's validity
@@ -767,20 +763,8 @@ let note_seek t =
       | None -> ()
   end
 
-(* A database iterator with the engine's seek accounting; [up]
-   is the inclusive upper bound ([None] for none). *)
-type 'lv user_iter = { store : 'lv t; db : Iter.t; up : string option }
-
-(* the bound is semantic: output is clamped to keys <= the upper bound,
-   so tables the seek filter skipped as past-the-bound are unobservable *)
-let user_valid c =
-  c.db.Iter.valid ()
-  && match c.up with
-     | None -> true
-     | Some up -> String.compare (c.db.Iter.key ()) up <= 0
-
-let user_checked c =
-  if not (user_valid c) then invalid_arg "iterator: iterator is not valid"
+(* A database iterator with the engine's seek accounting. *)
+type 'lv user_iter = { store : 'lv t; db : Iter.t }
 
 let user_seek c k =
   note_seek c.store;
@@ -794,25 +778,16 @@ let user_next c =
   charge_cpu c.store O.cpu_per_op_ns;
   c.db.Iter.next ()
 
-let iterator ?snapshot ?upper_bound t =
+let iterator ?snapshot t =
   assert (not t.closed);
   let c =
-    {
-      store = t;
-      db =
-        Pdb_kvs.Db_iter.wrap ?snapshot
-          (internal_iterator ?upper_user:upper_bound t);
-      up = upper_bound;
-    }
+    { store = t; db = Pdb_kvs.Db_iter.wrap ?snapshot (internal_iterator t) }
   in
   {
+    c.db with
     Iter.seek = user_seek c;
     seek_to_first = (fun () -> user_seek_to_first c);
     next = (fun () -> user_next c);
-    valid = (fun () -> user_valid c);
-    key = (fun () -> user_checked c; c.db.Iter.key ());
-    value = (fun () -> user_checked c; c.db.Iter.value ());
-    value_slice = (fun f -> user_checked c; c.db.Iter.value_slice f);
   }
 
 (** Memtable plus block cache: the resident memory every engine has

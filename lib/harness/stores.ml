@@ -82,7 +82,7 @@ let engine_for_policy engine (p : O.compaction_policy) =
    replication layer need. *)
 
 (* What the two LSM-family engines (both over {!Pdb_engine.Shell}) share
-   beyond {!Dyn.S}: optional snapshot, bound and block-cache arguments,
+   beyond {!Dyn.S}: optional snapshot and block-cache arguments,
    snapshots, and a compaction scheduler. *)
 module type SHELL_ENGINE = sig
   type t
@@ -95,7 +95,7 @@ module type SHELL_ENGINE = sig
     t
 
   val get : ?snapshot:int -> t -> string -> string option
-  val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Pdb_kvs.Iter.t
+  val iterator : ?snapshot:int -> t -> Pdb_kvs.Iter.t
   val snapshot : t -> int
   val release_snapshot : t -> int -> unit
   val compaction_scheduler : t -> Pdb_compaction.Scheduler.t

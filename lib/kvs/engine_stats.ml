@@ -179,7 +179,8 @@ type t = {
   bloom_checks : int;
   bloom_negative : int;  (** tables skipped thanks to a filter *)
   seek_bloom_checks : int;
-      (** tables evaluated against the seek/scan range+prefix filter *)
+      (** tables a seek or scan positioned with seek filtering on, each
+          checked for [largest < target] *)
   seek_bloom_skips : int;
       (** tables skipped on the seek path: provably disjoint from the
           probe range, so no index probe or data-block read was issued *)

@@ -86,7 +86,7 @@ module Make (E : ENGINE) = struct
     mutable op_ack : float; (* latest WAL-ship finish inside current op *)
   }
 
-  let now_ns t = Clock.elapsed_ns (Clock.snapshot (Env.clock t.env))
+  let now_ns t = Clock.now_ns (Env.clock t.env)
 
   (* Charge the primary's foreground lane for the interval between now
      and the slowest backup's ack — the synchronous-replication wait

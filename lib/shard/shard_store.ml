@@ -361,9 +361,7 @@ module Make (E : ENGINE) = struct
   (* ---------- migration ---------- *)
 
   let tracer t = Env.tracer t.env
-  let now_ns t =
-    Pdb_simio.Clock.elapsed_ns
-      (Pdb_simio.Clock.snapshot (Env.clock t.env))
+  let now_ns t = Pdb_simio.Clock.now_ns (Env.clock t.env)
 
   let trace_instant t name =
     match tracer t with

@@ -229,8 +229,7 @@ let tick t op name =
        | Some tr ->
          Trace.instant tr ~name:("fault:" ^ label) ~cat:"fault"
            ~lane:"faults"
-           ~ts_ns:(Clock.elapsed_ns (Clock.snapshot t.clock))
-           ()
+           ~ts_ns:(Clock.now_ns t.clock) ()
        | None -> ());
       if t.atomic_depth > 0 then t.pending_crash <- Some label
       else raise (Injected_crash label)

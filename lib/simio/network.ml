@@ -54,7 +54,7 @@ let add_link t =
     the later of the link's frontier and the clock's current elapsed
     time — a busy link delays delivery, an idle link starts at once. *)
 let send t link ~bytes ~label =
-  let now = Clock.elapsed_ns (Clock.snapshot t.clock) in
+  let now = Clock.now_ns t.clock in
   let start = Float.max link.frontier_ns now in
   let dur = message_cost t.profile ~bytes in
   link.frontier_ns <- start +. dur;

@@ -12,9 +12,9 @@
 
     Positioning a partition opens each member table through the table
     cache, calls [on_table] (the engine's per-sstable charge) and positions
-    it.  With a {!Seek_filter} attached, members the filter proves
-    disjoint from the probe range are never opened, and a bounded scan
-    stops before any partition whose lower bound exceeds the bound.  With
+    it.  With an [on_check] callback (seek filtering on), a seek skips
+    every member whose largest key sorts before the target: it cannot
+    hold a key the seek can observe, so it is never opened.  With
     a {!Pdb_simio.Probe} context, a partition's positionings form one
     probe session (label ["guard"]; nested inside an engine seek session it
     folds into the outer one), each table measured so the independent
@@ -41,8 +41,6 @@ module Probe = Pdb_simio.Probe
 (** How a view reads its partitions of type ['p]. *)
 type 'p layout = {
   tables : 'p -> Table.meta list;  (** the members, newest first *)
-  starts_after : 'p -> string -> bool;
-      (** every key of the partition is past the given user key *)
   locate : 'p array -> string -> int;
       (** internal key -> the first partition a seek to it examines *)
 }
@@ -52,12 +50,7 @@ type 'p layout = {
     and later changes to its level leave them alone. *)
 type view = View : 'p layout * 'p array -> view
 
-let pile_layout =
-  {
-    tables = Fun.id;
-    starts_after = (fun _ _ -> false);
-    locate = (fun _ _ -> 0);
-  }
+let pile_layout = { tables = Fun.id; locate = (fun _ _ -> 0) }
 
 (** [pile tables] is one partition of possibly overlapping tables (L0, a
     tiered level), newest first. *)
@@ -73,8 +66,6 @@ let run_layout =
   in
   {
     tables = Fun.id;
-    starts_after =
-      (fun p up -> Ik.compare_user_key (first p).Table.smallest up > 0);
     locate =
       (fun parts target ->
         let lo = ref 0 and hi = ref (Array.length parts) in
@@ -93,7 +84,7 @@ let run (files : Table.meta array) =
   View (run_layout, Array.map (fun m -> [ m ]) files)
 
 type t = {
-  filter : Seek_filter.t;
+  on_check : (skipped:bool -> unit) option;  (** [Some] when filtering *)
   probe : Probe.ctx option;
   cache : Table_cache.t;
   block_cache : Block_cache.t;
@@ -134,9 +125,15 @@ let open_member t m =
   if t.seeking then Table.seek it t.target else Table.seek_to_first it;
   t.n <- t.n + 1
 
-let skip t m =
-  if t.seeking then Seek_filter.skip_seek t.filter m ~target:t.target
-  else Seek_filter.skip_first t.filter m
+(* Every member positioned while filtering is on counts one check, a
+   first-key positioning too, where nothing can be skipped. *)
+let skip t (m : Table.meta) =
+  match t.on_check with
+  | None -> false
+  | Some on_check ->
+    let skipped = t.seeking && Ik.compare m.Table.largest t.target < 0 in
+    on_check ~skipped;
+    skipped
 
 let rec position_members t = function
   | [] -> ()
@@ -172,16 +169,9 @@ let position t layout parts i =
   t.members <- [];
   pick t
 
-(* A bounded scan stops before a partition whose every key is past the
-   bound: its tables are never even examined. *)
-let past_upper t layout parts i =
-  match Seek_filter.upper_user t.filter with
-  | None -> false
-  | Some up -> i > 0 && layout.starts_after parts.(i) up
-
 (* Position partition [i], then walk successors until a key turns up. *)
 let rec start_in t layout parts i =
-  if i >= Array.length parts || past_upper t layout parts i then begin
+  if i >= Array.length parts then begin
     t.cur <- Array.length parts;
     t.n <- 0;
     t.best <- -1
@@ -223,11 +213,10 @@ let current t =
   if t.best < 0 then invalid_arg "Level_iter: iterator is not valid"
   else t.cursors.(t.best)
 
-let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
-    ~on_table view_of =
+let create ?on_check ?probe ~cache ~block_cache ~hint ~on_table view_of =
   let t =
     {
-      filter; probe; cache; block_cache; hint; on_table; view_of;
+      on_check; probe; cache; block_cache; hint; on_table; view_of;
       view = empty; cur = -1; cursors = [||]; n = 0; best = -1;
       seeking = false; target = ""; members = [];
       open_member = ignore; position_members = ignore;

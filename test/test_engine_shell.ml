@@ -20,7 +20,7 @@ module type ENGINE = sig
   val get : ?snapshot:int -> t -> string -> string option
   val flush : t -> unit
   val compact_all : t -> unit
-  val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Iter.t
+  val iterator : ?snapshot:int -> t -> Iter.t
   val stats : t -> Pdb_kvs.Engine_stats.t
   val compaction_scheduler : t -> Scheduler.t
   val close : t -> unit

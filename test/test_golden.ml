@@ -27,7 +27,7 @@ module type ENGINE = sig
   val write : t -> Wb.t -> unit
   val write_group : t -> Wb.t list -> unit
   val get : ?snapshot:int -> t -> string -> string option
-  val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Iter.t
+  val iterator : ?snapshot:int -> t -> Iter.t
   val snapshot : t -> int
   val release_snapshot : t -> int -> unit
   val compact_all : t -> unit

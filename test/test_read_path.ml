@@ -15,7 +15,7 @@ module Dyn = Pdb_kvs.Store_intf
 module T = Pdb_sstable.Table
 module TC = Pdb_sstable.Table_cache
 module BC = Pdb_sstable.Block_cache
-module SF = Pdb_sstable.Seek_filter
+module LI = Pdb_sstable.Level_iter
 module G = Pebblesdb.Guard
 module P = Pebblesdb.Pebbles_store
 module Stores = Pdb_harness.Stores
@@ -90,27 +90,47 @@ let test_probe_budget_determinism () =
 
 (* ---------- seek filter: boundary decisions ---------- *)
 
-let null_filter ?upper_user () =
-  SF.create ?upper_user ~filtering:true ~on_check:(fun ~skipped:_ -> ()) ()
+(* An [on_check] callback counting checks and skips. *)
+let counting_check () =
+  let checks = ref 0 and skips = ref 0 in
+  let on_check ~skipped =
+    incr checks;
+    if skipped then incr skips
+  in
+  (on_check, checks, skips)
+
+let iter_of ?on_check ?(on_table = fun () -> ()) env view =
+  let tc = TC.create env ~dir:"db" ~entries:100 in
+  let bc = BC.create ~capacity:(1 lsl 20) in
+  LI.create ?on_check ~cache:tc ~block_cache:bc ~hint:Device.Random_read
+    ~on_table (fun () -> view)
 
 let test_skip_seek_boundaries () =
   let env = Env.create () in
   let meta = build_table env ~number:1 [ ("g", "v"); ("k", "v") ] in
-  let f = null_filter () in
-  check Alcotest.bool "target inside range" false
-    (SF.skip_seek f meta ~target:(Ik.max_for_lookup "h"));
-  check Alcotest.bool "target exactly at largest" false
-    (SF.skip_seek f meta ~target:(Ik.max_for_lookup "k"));
-  check Alcotest.bool "target past largest" true
-    (SF.skip_seek f meta ~target:(Ik.max_for_lookup "k\x00"));
-  check Alcotest.bool "filtering off never skips" false
-    (SF.skip_seek SF.none meta ~target:(Ik.max_for_lookup "z"));
-  (* the upper-bound side, at its boundary *)
-  check Alcotest.bool "upper below smallest" true
-    (SF.skip_first (null_filter ~upper_user:"a" ()) meta);
-  check Alcotest.bool "upper exactly at smallest" false
-    (SF.skip_first (null_filter ~upper_user:"g" ()) meta);
-  check Alcotest.bool "no upper keeps" false (SF.skip_first f meta)
+  let on_check, checks, skips = counting_check () in
+  let opened = ref 0 in
+  let it =
+    iter_of ~on_check ~on_table:(fun () -> incr opened) env (LI.pile [ meta ])
+  in
+  let seek what k ~skipped ~key =
+    let checks0 = !checks and skips0 = !skips in
+    it.Iter.seek (Ik.max_for_lookup k);
+    check Alcotest.int (what ^ ": one check") (checks0 + 1) !checks;
+    check Alcotest.int (what ^ ": skip") (skips0 + Bool.to_int skipped) !skips;
+    check Alcotest.(option string) (what ^ ": key") key
+      (if it.Iter.valid () then Some (Ik.user_key (it.Iter.key ())) else None)
+  in
+  seek "target inside range" "h" ~skipped:false ~key:(Some "k");
+  seek "target exactly at largest" "k" ~skipped:false ~key:(Some "k");
+  seek "target past largest" "k\x00" ~skipped:true ~key:None;
+  check Alcotest.int "skipped member never opened" 2 !opened;
+  (* no callback: filtering off, the member is opened and never skipped *)
+  let opened = ref 0 in
+  let it0 = iter_of ~on_table:(fun () -> incr opened) env (LI.pile [ meta ]) in
+  it0.Iter.seek (Ik.max_for_lookup "z");
+  check Alcotest.bool "filtering off: past the end" false (it0.Iter.valid ());
+  check Alcotest.int "filtering off never skips" 1 !opened
 
 (* ---------- FLSM level iterator at guard boundaries ---------- *)
 
@@ -130,23 +150,8 @@ let make_level env specs =
     specs;
   level
 
-let counting_filter ?upper_user () =
-  let checks = ref 0 and skips = ref 0 in
-  let f =
-    SF.create ?upper_user ~filtering:true
-      ~on_check:(fun ~skipped ->
-        incr checks;
-        if skipped then incr skips)
-      ()
-  in
-  (f, checks, skips)
-
-let iter_of ?filter ?(on_table = fun () -> ()) env level =
-  let tc = TC.create env ~dir:"db" ~entries:100 in
-  let bc = BC.create ~capacity:(1 lsl 20) in
-  Pdb_sstable.Level_iter.create ?filter ~cache:tc ~block_cache:bc
-    ~hint:Device.Random_read ~on_table
-    (Pebblesdb.Pebbles_store.guard_view level)
+let guard_iter ?on_check ?on_table env level =
+  iter_of ?on_check ?on_table env (P.guard_view level ())
 
 let test_level_iter_skips_dead_member () =
   let env = Env.create () in
@@ -156,14 +161,14 @@ let test_level_iter_skips_dead_member () =
     make_level env
       [ (None, [ [ "a"; "c" ] ]); (Some "g", [ [ "g"; "m" ]; [ "h"; "k" ] ]) ]
   in
-  let f, checks, skips = counting_filter () in
-  let it = iter_of ~filter:f env level in
+  let on_check, checks, skips = counting_check () in
+  let it = guard_iter ~on_check env level in
   it.Iter.seek (Ik.max_for_lookup "l");
   check Alcotest.string "answer unchanged" "m" (Ik.user_key (it.Iter.key ()));
   check Alcotest.bool "member checked" true (!checks > 0);
   check Alcotest.int "dead member skipped" 1 !skips;
   (* same seek without filtering gives the same answer *)
-  let it0 = iter_of env level in
+  let it0 = guard_iter env level in
   it0.Iter.seek (Ik.max_for_lookup "l");
   check Alcotest.string "unfiltered agrees" "m" (Ik.user_key (it0.Iter.key ()))
 
@@ -173,8 +178,8 @@ let test_level_iter_boundary_seeks () =
     make_level env
       [ (None, [ [ "a"; "c" ] ]); (Some "g", [ [ "g"; "m" ]; [ "h"; "k" ] ]) ]
   in
-  let f, _, _ = counting_filter () in
-  let it = iter_of ~filter:f env level in
+  let on_check, _, _ = counting_check () in
+  let it = guard_iter ~on_check env level in
   (* exactly at a member's largest key: the member must survive *)
   it.Iter.seek (Ik.max_for_lookup "k");
   check Alcotest.string "largest-key boundary" "k" (Ik.user_key (it.Iter.key ()));
@@ -187,54 +192,38 @@ let test_level_iter_boundary_seeks () =
   check Alcotest.string "rolls over dead sentinel" "g"
     (Ik.user_key (it.Iter.key ()))
 
-let test_level_iter_upper_bound_stops () =
+(* A scan that exhausts a guard positions every member of the next one
+   from its first key: each counts one check, and none can be skipped. *)
+let test_level_iter_scan_rolls_into_next_guard () =
   let env = Env.create () in
   let level =
     make_level env
-      [ (None, [ [ "a"; "b" ] ]); (Some "m", [ [ "m"; "z" ] ]) ]
+      [
+        (None, [ [ "a"; "c" ] ]);
+        (Some "g", [ [ "g"; "m" ]; [ "h"; "k" ] ]);
+        (Some "p", [ [ "p"; "q" ] ]);
+      ]
   in
-  let f, _, _ = counting_filter ~upper_user:"c" () in
+  let on_check, checks, skips = counting_check () in
   let opened = ref 0 in
-  let it = iter_of ~filter:f ~on_table:(fun () -> incr opened) env level in
-  it.Iter.seek_to_first ();
-  check Alcotest.string "first" "a" (Ik.user_key (it.Iter.key ()));
+  let it = guard_iter ~on_check ~on_table:(fun () -> incr opened) env level in
+  it.Iter.seek (Ik.max_for_lookup "b");
+  check Alcotest.string "seek lands in the sentinel" "c"
+    (Ik.user_key (it.Iter.key ()));
+  check Alcotest.int "seek: one check" 1 !checks;
   it.Iter.next ();
-  check Alcotest.string "second" "b" (Ik.user_key (it.Iter.key ()));
-  it.Iter.next ();
-  check Alcotest.bool "stops at bound" false (it.Iter.valid ());
-  (* the guard past the bound is never entered: its table stays closed *)
-  check Alcotest.int "out-of-range guard never opened" 1 !opened
-
-(* ---------- engine iterator with an upper bound ---------- *)
-
-let test_engine_upper_bound () =
-  let env = Env.create () in
-  let opts = { (O.pebblesdb ()) with O.memtable_bytes = 8 * 1024 } in
-  let t = P.open_store opts ~env ~dir:"db" in
-  let key i = Printf.sprintf "k%03d" i in
-  for i = 0 to 99 do
-    P.put t (key i) (string_of_int i)
+  check Alcotest.string "rolled into guard g" "g" (Ik.user_key (it.Iter.key ()));
+  check Alcotest.int "guard g: one check per member" 3 !checks;
+  let keys = ref [] in
+  while it.Iter.valid () do
+    keys := Ik.user_key (it.Iter.key ()) :: !keys;
+    it.Iter.next ()
   done;
-  P.flush t;
-  let collect it =
-    it.Iter.seek_to_first ();
-    let acc = ref [] in
-    while it.Iter.valid () do
-      acc := it.Iter.key () :: !acc;
-      it.Iter.next ()
-    done;
-    List.rev !acc
-  in
-  let bounded = collect (P.iterator ~upper_bound:(key 49) t) in
-  let all = collect (P.iterator t) in
-  check Alcotest.int "all keys" 100 (List.length all);
-  check Alcotest.(list string) "bounded = prefix of unbounded"
-    (List.filteri (fun i _ -> i < 50) all)
-    bounded;
-  let it = P.iterator ~upper_bound:(key 49) t in
-  it.Iter.seek (key 60);
-  check Alcotest.bool "seek past bound is invalid" false (it.Iter.valid ());
-  P.close t
+  check Alcotest.(list string) "scan order" [ "g"; "h"; "k"; "m"; "p"; "q" ]
+    (List.rev !keys);
+  check Alcotest.int "guard p: one more check" 4 !checks;
+  check Alcotest.int "no skips" 0 !skips;
+  check Alcotest.int "every checked member opened" !checks !opened
 
 (* ---------- index summaries ---------- *)
 
@@ -368,7 +357,7 @@ module type CACHED_ENGINE = sig
 
   val put : t -> string -> string -> unit
   val flush : t -> unit
-  val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Iter.t
+  val iterator : ?snapshot:int -> t -> Iter.t
   val compact_all : t -> unit
   val close : t -> unit
 end
@@ -706,10 +695,8 @@ let () =
             test_level_iter_skips_dead_member;
           Alcotest.test_case "level iter boundary seeks" `Quick
             test_level_iter_boundary_seeks;
-          Alcotest.test_case "level iter upper bound" `Quick
-            test_level_iter_upper_bound_stops;
-          Alcotest.test_case "engine iterator upper bound" `Quick
-            test_engine_upper_bound;
+          Alcotest.test_case "level iter scan rolls into next guard" `Quick
+            test_level_iter_scan_rolls_into_next_guard;
         ] );
       ( "index-summary",
         [

@@ -266,7 +266,7 @@ module type ENGINE = sig
 
   val put : t -> string -> string -> unit
   val get : ?snapshot:int -> t -> string -> string option
-  val iterator : ?snapshot:int -> ?upper_bound:string -> t -> Iter.t
+  val iterator : ?snapshot:int -> t -> Iter.t
   val snapshot : t -> int
   val compact_all : t -> unit
   val close : t -> unit

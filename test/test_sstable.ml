@@ -834,7 +834,6 @@ let print_level spec =
 let partition_layout =
   {
     Level_iter.tables = Fun.id;
-    starts_after = (fun _ _ -> false);
     locate =
       (fun parts target ->
         let uk = Ik.user_key target in
@@ -949,8 +948,8 @@ let build_level env spec =
   in
   (Array.map (List.map fst) built, Array.map (List.map snd) built)
 
-(* Run [spec] on a level iterator (seek filter and probe context
-   attached, as in an engine) and on the model, comparing the entry after
+(* Run [spec] on a level iterator (seek filtering and probe context
+   on, as in an engine) and on the model, comparing the entry after
    every move, then the cache traffic: one table-cache lookup and
    [on_table] per positioned table, one block-cache lookup per block
    entered, a miss the first time each is seen. *)
@@ -963,17 +962,13 @@ let prop_level_iter_model =
       let tc = Table_cache.create env ~dir:"db" ~entries:1000 in
       let bc = Block_cache.create ~capacity:(1 lsl 24) in
       let on_table = ref 0 in
-      let filter =
-        Seek_filter.create ~filtering:true
-          ~on_check:(fun ~skipped:_ -> ())
-          ()
-      in
       let probe =
         Pdb_simio.Probe.create_ctx ~clock:(Pdb_simio.Env.clock env)
           ~budget:4 ~tracer:(fun () -> None) ()
       in
       let it =
-        Level_iter.create ~filter ~probe ~cache:tc ~block_cache:bc
+        Level_iter.create ~on_check:(fun ~skipped:_ -> ()) ~probe ~cache:tc
+          ~block_cache:bc
           ~hint:Pdb_simio.Device.Random_read
           ~on_table:(fun () -> incr on_table)
           (fun () -> Level_iter.View (partition_layout, metas))
