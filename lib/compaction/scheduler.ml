@@ -121,7 +121,7 @@ let drain t =
 
 (** [run_now t job] executes [job] immediately, bypassing the queue —
     used for memtable flushes, which gate the write that triggered
-    them. *)
+    them, and for PebblesDB's manual level-0 job in [compact_all]. *)
 let run_now t job = run_one t job
 
 (** [note_stall t ~slowdown_ns ~stop_ns] records write-stall time already

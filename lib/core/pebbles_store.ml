@@ -385,26 +385,22 @@ let guard_due ?cap t (g : Guard.guard) =
     (t.policy.Policy.guard_score
        { Policy.g_tables = List.length g.Guard.tables; g_cap = cap })
 
-let maybe_compact t =
-  (* Commit pending guards of still-empty levels up front: with no resident
-     sstables there is nothing to split, so the commit is pure metadata.
-     This is the cheap common case — guards are selected long before data
-     reaches deep levels. *)
-  let eager = ref [] in
+(* A flush commits the pending guards of still-empty levels in its own
+   version edit: with no resident sstables there is nothing to split, so
+   the commit is pure metadata.  This is the cheap common case — guards are
+   selected long before data reaches deep levels. *)
+let flush_edit t (e : Manifest.edit) =
   for level = 1 to S.last_level t do
     if
       Guard.table_count t.lv.levels.(level) = 0
       && Hashtbl.length t.lv.uncommitted.(level) > 0
-    then begin
-      let new_keys = prepare_guard_commit t level in
-      eager := List.map (fun k -> (level, k)) new_keys @ !eager
-    end
-  done;
-  if !eager <> [] then begin
-    let e = Manifest.empty_edit () in
-    e.Manifest.added_guards <- !eager;
-    Manifest.append t.manifest e
-  end;
+    then
+      e.Manifest.added_guards <-
+        List.map (fun k -> (level, k)) (prepare_guard_commit t level)
+        @ e.Manifest.added_guards
+  done
+
+let maybe_compact t =
   (* Round-based picking: reify every trigger firing on the current state
      as a job, enqueue the batch, drain it, re-examine.  A job
      re-validates its trigger when it runs (an earlier job in the batch
@@ -680,6 +676,7 @@ let shape =
     apply_edit;
     recovered;
     snapshot = snapshot_levels;
+    flush_edit;
     l0 = (fun lv -> lv.l0);
     add_l0 = (fun lv m -> lv.l0 <- m :: lv.l0);
     build_l0;

@@ -74,6 +74,8 @@ module Types = struct
         (** restore derived order and state once every edit is applied *)
     snapshot : 'lv -> Manifest.edit -> unit;
         (** describe the levels in the fresh MANIFEST's snapshot edit *)
+    flush_edit : 'lv t -> Manifest.edit -> unit;
+        (** add the level part of a flush's version edit *)
     l0 : 'lv -> Table.meta list;  (** level 0, newest first *)
     add_l0 : 'lv -> Table.meta -> unit;  (** install a flushed table *)
     build_l0 : 'lv t -> Memtable.t -> Table.meta option;
@@ -182,7 +184,7 @@ let flush t =
     let mem = t.mem in
     (* the flush is a background job: the scheduler runs it immediately
        (a full memtable gates the triggering write) and places its
-       device time on a worker lane *)
+       device time on the reserved flush lane *)
     let meta = ref None in
     Scheduler.run_now t.sched
       {
@@ -205,8 +207,8 @@ let flush t =
        Stats.incr t.counters Stats.flushes
      | None -> ());
     (* rotate WAL — crash-safe order: open the new log, commit the
-       manifest edit that names it (and the flushed table), and only then
-       retire the old log.  Deleting first would leave a window where the
+       manifest edit that names it (with the flushed table and the level
+       part the engine adds), and only then retire the old log.  Deleting first would leave a window where the
        memtable's data exists in no durable file the MANIFEST names. *)
     let old_log = t.wal_number in
     let new_log = new_file_number t in
@@ -220,6 +222,7 @@ let flush t =
     (match meta with
      | Some m -> e.Manifest.added_files <- [ (0, m) ]
      | None -> ());
+    t.shape.flush_edit t e;
     Manifest.append t.manifest e;
     Env.delete t.env (log_name t.dir old_log);
     trace_instant t ~name:"wal-rotate" ~cat:"wal"

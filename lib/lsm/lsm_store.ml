@@ -440,6 +440,7 @@ let shape =
     apply_edit;
     recovered = normalize_levels;
     snapshot = snapshot_files;
+    flush_edit = (fun _ _ -> ());
     l0 = (fun lv -> lv.levels.(0));
     add_l0 = (fun lv m -> lv.levels.(0) <- m :: lv.levels.(0));
     build_l0;

@@ -175,6 +175,93 @@ let test_crash_between_staged_blocks () =
   Alcotest.(check bool) "crashed between several blocks" true
     (sweep (first 1) 0 > 4)
 
+(* A PebblesDB flush commits its table, its new log and the guards of
+   still-empty levels in one MANIFEST record.  A crash right after that
+   record is appended (before its sync), right after its sync, and at the
+   next event (the old log's deletion) recovers to the oracle; a synced
+   record comes back whole, guards included. *)
+let test_crash_around_flush_record () =
+  let tweak (o : Pdb_kvs.Options.t) =
+    {
+      o with
+      Pdb_kvs.Options.memtable_bytes = 2048;
+      wal_sync_writes = true;
+      top_level_bits = 7;
+      bit_decrement = 1;
+      max_levels = 5;
+    }
+  in
+  let keyspace = 400 in
+  let trace =
+    List.init keyspace (fun i ->
+        let k = Torture.key (i * 7 mod keyspace) in
+        Torture.Put (k, Printf.sprintf "v%04d-%s" i k))
+  in
+  let crash_at n =
+    let env = Env.create () in
+    let plan = Env.Fault_plan.create ~seed:n ~crash_after:n () in
+    Env.set_fault_plan env plan;
+    let oracle = Hashtbl.create 64 in
+    let in_flight =
+      match Stores.open_engine ~tweak ~env Stores.Pebblesdb with
+      | db -> Torture.run_trace db oracle trace
+      | exception Env.Injected_crash _ -> None
+    in
+    let at = Option.value ~default:"" (Env.Fault_plan.fired_at plan) in
+    (env, plan, at, oracle, in_flight)
+  in
+  (* a foreground append or sync of the MANIFEST once the store is open:
+     a flush's record (the writer keeps the name the file was created
+     under, so the label ends in .tmp) *)
+  let flush_record plan at op =
+    (not (Env.Fault_plan.fired_in_background plan))
+    && String.starts_with ~prefix:(op ^ ":db/MANIFEST-") at
+  in
+  let recover n =
+    let env, _, at, oracle, in_flight = crash_at n in
+    Env.crash env;
+    let last =
+      match Pdb_manifest.Manifest.recover env ~dir:"db" with
+      | Some (_, edits) -> List.nth_opt (List.rev edits) 0
+      | None -> None
+    in
+    let db = Stores.open_engine ~tweak ~env Stores.Pebblesdb in
+    Alcotest.(check (list string)) (at ^ ": recovers to the oracle") []
+      (Torture.verify db oracle in_flight ~keyspace);
+    db.Pdb_kvs.Store_intf.d_close ();
+    last
+  in
+  (* walk the events of the first flushes, crashing around each record *)
+  let rec walk n ~records ~guarded =
+    let _, plan, at, _, _ = crash_at n in
+    if at = "" || records = 4 then (records, guarded)
+    else if flush_record plan at "append" then begin
+      ignore (recover n);
+      walk (n + 1) ~records ~guarded
+    end
+    else if flush_record plan at "sync" then begin
+      let guarded =
+        match recover n with
+        | Some e ->
+          Alcotest.(check bool) (at ^ ": the synced record names the log")
+            true (e.Pdb_manifest.Manifest.log_number <> None);
+          guarded || e.Pdb_manifest.Manifest.added_guards <> []
+        | None -> Alcotest.fail (at ^ ": no MANIFEST after a synced record")
+      in
+      ignore (recover (n + 1));
+      walk (n + 2) ~records:(records + 1) ~guarded
+    end
+    else walk (n + 1) ~records ~guarded
+  in
+  (* the open's own MANIFEST install ends with the CURRENT rename *)
+  let rec opened n =
+    let _, _, at, _, _ = crash_at n in
+    if at = "rename:db/CURRENT" then n else opened (n + 1)
+  in
+  let records, guarded = walk (opened 1 + 1) ~records:0 ~guarded:false in
+  Alcotest.(check int) "crashed around four flush records" 4 records;
+  Alcotest.(check bool) "a flush record carried guards" true guarded
+
 let test_recovery_report_surfaces () =
   (* an unsynced WAL tail lost to a crash shows up in the reopened
      engine's stats rather than vanishing silently *)
@@ -248,6 +335,8 @@ let () =
             test_background_crashes_covered;
           Alcotest.test_case "crash between staged blocks" `Quick
             test_crash_between_staged_blocks;
+          Alcotest.test_case "crash around a flush record" `Quick
+            test_crash_around_flush_record;
           Alcotest.test_case "recovery report surfaces" `Quick
             test_recovery_report_surfaces;
         ] );

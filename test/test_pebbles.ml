@@ -325,6 +325,123 @@ let test_crash_preserves_flushed_data () =
       (P.get db2 (key i))
   done
 
+(* test_compaction's tiny store: default guard bits, 2 KB memtable *)
+let fill_opts () =
+  {
+    (O.pebblesdb ()) with
+    O.memtable_bytes = 2 * 1024;
+    level_bytes_base = 8 * 1024;
+    sstable_target_bytes = 4 * 1024;
+    block_bytes = 512;
+    compaction_threads = 1;
+  }
+
+let fill_3000 env =
+  let db = P.open_store (fill_opts ()) ~env ~dir:"db" in
+  for i = 0 to 2999 do
+    P.put db (key (i * 7919 mod 3000)) (value i)
+  done;
+  db
+
+let manifest_edits env =
+  match Pdb_manifest.Manifest.recover env ~dir:"db" with
+  | Some (_, edits) -> edits
+  | None -> Alcotest.fail "no live MANIFEST"
+
+(* committed guards per level, as a sorted (level, key) list *)
+let committed_guards edits =
+  let module M = Pdb_manifest.Manifest in
+  let live = Hashtbl.create 64 in
+  List.iter
+    (fun (e : M.edit) ->
+      List.iter (Hashtbl.remove live) e.M.deleted_guards;
+      List.iter (fun g -> Hashtbl.replace live g ()) e.M.added_guards)
+    edits;
+  List.sort compare (Hashtbl.fold (fun g () acc -> g :: acc) live [])
+
+(* A flush commits the guards waiting on still-empty levels in its own
+   version edit: no MANIFEST record carries guards alone. *)
+let test_fill_writes_no_guard_only_record () =
+  let env = Env.create () in
+  let db = fill_3000 env in
+  let module M = Pdb_manifest.Manifest in
+  let edits = manifest_edits env in
+  let guard_only =
+    List.filter
+      (fun (e : M.edit) ->
+        e.M.added_guards <> [] && e.M.added_files = []
+        && e.M.deleted_files = [] && e.M.log_number = None)
+      edits
+  in
+  Alcotest.(check bool) "the fill committed guards" true
+    (committed_guards edits <> []);
+  check Alcotest.int "guard-only MANIFEST records" 0 (List.length guard_only);
+  P.close db
+
+(* Every guard the fill committed is in the MANIFEST, and a reopen brings
+   back exactly those guards at every level. *)
+let test_reopen_restores_committed_guards () =
+  let env = Env.create () in
+  let db = fill_3000 env in
+  let counts = P.guard_counts db in
+  let logged = committed_guards (manifest_edits env) in
+  let per_level guards =
+    Array.init (Array.length counts) (fun level ->
+        List.length (List.filter (fun (l, _) -> l = level) guards))
+  in
+  check Alcotest.(array int) "every committed guard is logged" counts
+    (per_level logged);
+  P.close db;
+  let db2 = P.open_store (fill_opts ()) ~env ~dir:"db" in
+  P.check_invariants db2;
+  check Alcotest.(array int) "guard counts restored" counts
+    (P.guard_counts db2);
+  (* the reopened store's fresh MANIFEST is one snapshot of its levels *)
+  check
+    Alcotest.(list (pair int string))
+    "committed guards restored" logged
+    (committed_guards (manifest_edits env));
+  P.close db2
+
+(* The put that fills the memtable pays, in the foreground, its own WAL
+   append and the flush's one MANIFEST record with its one sync. *)
+let test_flush_put_pays_one_sync () =
+  let env = Env.create () in
+  let db = P.open_store (fill_opts ()) ~env ~dir:"db" in
+  let clock = Env.clock env and device = Env.device env in
+  let file prefix =
+    List.find
+      (fun f -> String.starts_with ~prefix f && not (Filename.check_suffix f ".tmp"))
+      (Env.list env)
+  in
+  let manifest = file "db/MANIFEST-" in
+  let flushes () = (P.stats db).Pdb_kvs.Engine_stats.flushes in
+  let rec put_until_flush i =
+    let fg0 = clock.Pdb_simio.Clock.times.foreground_ns in
+    let m0 = Env.file_size env manifest in
+    let k = key i and v = value i in
+    P.put db k v;
+    if flushes () = 0 then put_until_flush (i + 1)
+    else begin
+      let b = Pdb_kvs.Write_batch.create () in
+      Pdb_kvs.Write_batch.put b k v;
+      let wal_bytes =
+        Pdb_wal.Wal.header_size
+        + String.length (Pdb_kvs.Write_batch.encode b ~base_seq:0)
+      in
+      let expected =
+        Pdb_simio.Device.write_cost device ~bytes:wal_bytes
+        +. Pdb_simio.Device.write_cost device
+             ~bytes:(Env.file_size env manifest - m0)
+        +. Pdb_simio.Device.sync_cost device
+      in
+      check (Alcotest.float 1e-6) "foreground device time" expected
+        (clock.Pdb_simio.Clock.times.foreground_ns -. fg0)
+    end
+  in
+  put_until_flush 0;
+  P.close db
+
 let test_empty_guards_harmless () =
   let env = Env.create () in
   let db = open_tiny env in
@@ -512,6 +629,12 @@ let () =
             test_reopen_recovers_guards_and_data;
           Alcotest.test_case "crash preserves flushed" `Quick
             test_crash_preserves_flushed_data;
+          Alcotest.test_case "no guard-only MANIFEST record" `Quick
+            test_fill_writes_no_guard_only_record;
+          Alcotest.test_case "reopen restores committed guards" `Quick
+            test_reopen_restores_committed_guards;
+          Alcotest.test_case "flush put pays one sync" `Quick
+            test_flush_put_pays_one_sync;
         ] );
       ( "properties",
         [
