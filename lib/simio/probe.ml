@@ -6,8 +6,10 @@
    float buffer the ctx owns and reuses, and the current lane's time is
    read from the clock in place. *)
 
-(* All-float, so stored flat: writing it boxes nothing. *)
-type stamp = { mutable start_elapsed : float }
+(* All-float, so stored flat: writing it boxes nothing.  The span starts
+   at [start_elapsed] on the timeline and lasts as long as the session's
+   own lane time moved from [start_lane]. *)
+type stamp = { mutable start_elapsed : float; mutable start_lane : float }
 
 type ctx = {
   clock : Clock.t;
@@ -24,7 +26,7 @@ type ctx = {
 
 let create_ctx ~clock ~budget ~tracer () =
   { clock; budget; tracer; active = false; label = "";
-    stamp = { start_elapsed = 0.0 }; costs = Array.make 16 0.0; n = 0;
+    stamp = { start_elapsed = 0.0; start_lane = 0.0 }; costs = Array.make 16 0.0; n = 0;
     loads = Array.make (max 1 budget) 0.0 }
 
 (* The current lane's device time, read in place: a float returned by a
@@ -110,18 +112,20 @@ let finish ctx =
     let lanes = ctx.budget in
     let total = total ctx.costs n in
     let overlapped = pack ~lanes ~total ctx.costs n ctx.loads in
-    (* snapshot the end time before refunding: the refund rewinds the
-       clock, so measuring afterwards under-reports (or negative-reports)
-       the session's duration *)
-    let end_elapsed = Clock.now_ns ctx.clock in
+    (* read the lane time before refunding: the refund rewinds the lane,
+       so measuring afterwards under-reports (or negative-reports) the
+       session's duration.  The lane, not [Clock.now_ns]: while CPU or
+       the background horizon binds the timeline, its delta is not the
+       session's device time *)
+    let end_lane = lane_time ctx.clock in
     if total > overlapped then
       (* pay the makespan plus a queueing share of the overlap *)
       Clock.refund ctx.clock (0.5 *. (total -. overlapped));
     match ctx.tracer () with
     | Some tr when total > 0.0 ->
-      let start = ctx.stamp.start_elapsed in
       Trace.span tr ~name:("probe:" ^ ctx.label) ~cat:"probe"
-        ~lane:"foreground" ~start_ns:start ~dur_ns:(end_elapsed -. start)
+        ~lane:"foreground" ~start_ns:ctx.stamp.start_elapsed
+        ~dur_ns:(end_lane -. ctx.stamp.start_lane)
         ~args:
           [
             ("tables", string_of_int n);
@@ -144,6 +148,7 @@ let with_session ctx ~label f =
     ctx.label <- label;
     ctx.n <- 0;
     ctx.stamp.start_elapsed <- Clock.now_ns ctx.clock;
+    ctx.stamp.start_lane <- lane_time ctx.clock;
     match f () with
     | r ->
       close ctx;

@@ -45,7 +45,8 @@ val create_ctx :
     the active one when nested) and applies the overlap refund when the
     outermost session closes.  With a tracer attached, sessions covering
     more than one probe emit a ["probe:<label>"] span carrying the
-    serial and overlapped costs. *)
+    serial and overlapped costs; the span lasts as long as the session's
+    lane time moved before the refund. *)
 val with_session : ctx -> label:string -> (unit -> 'a) -> 'a
 
 (** [measure ctx f x] runs [f x], recording its device-lane cost into the

@@ -254,6 +254,29 @@ let test_probe_span_timing () =
     "refund still applied" 1_500.0
     (Clock.elapsed_ns (Clock.snapshot clock))
 
+(* While modeled CPU binds the timeline, [Clock.now_ns] does not move
+   under the session's device time; the span still lasts that long. *)
+let test_probe_span_under_cpu () =
+  let clock = Clock.create () in
+  let tr = Trace.create () in
+  let ctx =
+    Pdb_simio.Probe.create_ctx ~clock ~budget:2
+      ~tracer:(fun () -> Some tr)
+      ()
+  in
+  Clock.advance_cpu clock 1_000_000.0;
+  Pdb_simio.Probe.with_session ctx ~label:"seek" (fun () ->
+      Pdb_simio.Probe.measure ctx (Clock.advance clock) 1_000.0;
+      Pdb_simio.Probe.measure ctx (Clock.advance clock) 1_000.0);
+  Alcotest.(check (float 1e-6))
+    "the timeline did not move" 1_000_000.0
+    (Clock.elapsed_ns (Clock.snapshot clock));
+  let ev =
+    List.find (fun e -> e.Trace.cat = "probe") (Trace.events tr)
+  in
+  Alcotest.(check (float 1e-6))
+    "probe span is the session's device time" 2_000.0 ev.Trace.dur_ns
+
 let test_trace_smoke () =
   let env = Env.create () in
   let tr = Trace.create () in
@@ -416,6 +439,8 @@ let () =
           Alcotest.test_case "json validator sanity" `Quick test_json_validator;
           Alcotest.test_case "probe span measured before refund" `Quick
             test_probe_span_timing;
+          Alcotest.test_case "probe span is device time under CPU" `Quick
+            test_probe_span_under_cpu;
           Alcotest.test_case "smoke: spans, bounds, json" `Quick
             test_trace_smoke;
         ] );

@@ -988,6 +988,7 @@ module Ref_probe = struct
   type session = {
     label : string;
     start_elapsed : float;
+    start_lane : float;
     mutable costs : float list;
   }
 
@@ -1043,14 +1044,14 @@ module Ref_probe = struct
     if n > 1 then begin
       let total = List.fold_left ( +. ) 0.0 s.costs in
       let overlapped = makespan ~lanes:ctx.budget s.costs in
-      let end_elapsed = now ctx in
+      let end_lane = lane_time ctx.clock in
       if total > overlapped then
         Clock.refund ctx.clock (0.5 *. (total -. overlapped));
       match ctx.tracer () with
       | Some tr when total > 0.0 ->
         Trace.span tr ~name:("probe:" ^ s.label) ~cat:"probe"
           ~lane:"foreground" ~start_ns:s.start_elapsed
-          ~dur_ns:(end_elapsed -. s.start_elapsed)
+          ~dur_ns:(end_lane -. s.start_lane)
           ~args:
             [
               ("tables", string_of_int n);
@@ -1066,7 +1067,14 @@ module Ref_probe = struct
     match ctx.active with
     | Some _ -> f ()
     | None ->
-      let s = { label; start_elapsed = now ctx; costs = [] } in
+      let s =
+        {
+          label;
+          start_elapsed = now ctx;
+          start_lane = lane_time ctx.clock;
+          costs = [];
+        }
+      in
       ctx.active <- Some s;
       Fun.protect
         ~finally:(fun () ->
