@@ -187,12 +187,12 @@ let pins =
   [
     ( "pebblesdb",
       "730c2df1fbcf40ba40838c977eef074c",
-      "0x1.129cbe2p+26 0x1.57e4ad4p+26 0x1.c6b565cp+25 0x0p+0 0x1.01bcb68p+26",
-      "2088673 1581137 7766 2054" );
+      "0x1.0ca8ff6p+26 0x1.57e4ad4p+26 0x1.c6b565cp+25 0x0p+0 0x1.01bcb68p+26",
+      "2088463 1580927 7736 2054" );
     ( "pebblesdb-1",
       "718c30ceefcd28a300f87d6f1310eae1",
-      "0x1.baec466p+25 0x1.d8488978p+28 0x1.02554d9p+28 0x0p+0 0x1.dc9465p+25",
-      "5095504 3910721 14947 5803" );
+      "0x1.b2fc9f2p+25 0x1.d8488988p+28 0x1.02554cbp+28 0x0p+0 0x1.dc9465p+25",
+      "5095367 3910584 14927 5803" );
     ( "leveled",
       "029684a69155dafab3b291e5ffe6b574",
       "0x1.b574ad4p+25 0x1.ed15ebp+25 0x1.8c6fe1p+25 0x0p+0 0x1.d43554p+25",
@@ -222,14 +222,14 @@ let test_pin name () =
 let scan_pins =
   [
     ( "pebblesdb",
-      "ffa5083de950aea8bbffd5827e8a3af2",
-      "0x1.a3a1c75cp+29 0x1.130b3bcp+25 0x1.7ed3f48p+24 0x0p+0 0x1.1f10c5p+27",
-      "926273 5293050 3730 12081",
+      "04ab8ebda76567ac425a14eb5c733ea9",
+      "0x1.a28a71bcp+29 0x1.130b3bcp+25 0x1.7ed3f48p+24 0x0p+0 0x1.1f10c5p+27",
+      "925965 5293050 3686 12081",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "pebblesdb-1",
-      "c3a0a085d48f985e69fb56af8fca8775",
-      "0x1.86915b2ep+29 0x1.3d03648p+27 0x1.56bdf14p+26 0x0p+0 0x1.0c361cp+27",
-      "1897752 5678772 6072 12305",
+      "a9f36c5c56b41fa6062320fc2ac0171f",
+      "0x1.85cc8d66p+29 0x1.3d03648p+27 0x1.56bdf3p+26 0x0p+0 0x1.0c361cp+27",
+      "1897535 5678772 6041 12305",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "leveled",
       "93d75d891ca9d11afaaa84fc5516ac45",
