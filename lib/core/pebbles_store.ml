@@ -391,10 +391,7 @@ let guard_due ?cap t (g : Guard.guard) =
    selected long before data reaches deep levels. *)
 let flush_edit t (e : Manifest.edit) =
   for level = 1 to S.last_level t do
-    if
-      Guard.table_count t.lv.levels.(level) = 0
-      && Hashtbl.length t.lv.uncommitted.(level) > 0
-    then
+    if Guard.table_count t.lv.levels.(level) = 0 then
       e.Manifest.added_guards <-
         List.map (fun k -> (level, k)) (prepare_guard_commit t level)
         @ e.Manifest.added_guards

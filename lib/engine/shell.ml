@@ -74,8 +74,7 @@ module Types = struct
         (** restore derived order and state once every edit is applied *)
     snapshot : 'lv -> Manifest.edit -> unit;
         (** describe the levels in the fresh MANIFEST's snapshot edit *)
-    flush_edit : 'lv t -> Manifest.edit -> unit;
-        (** add the level part of a flush's version edit *)
+    flush_edit : 'lv t -> Manifest.edit -> unit;  (** a flush's level part *)
     l0 : 'lv -> Table.meta list;  (** level 0, newest first *)
     add_l0 : 'lv -> Table.meta -> unit;  (** install a flushed table *)
     build_l0 : 'lv t -> Memtable.t -> Table.meta option;
@@ -206,10 +205,11 @@ let flush t =
        t.shape.add_l0 t.lv meta;
        Stats.incr t.counters Stats.flushes
      | None -> ());
-    (* rotate WAL — crash-safe order: open the new log, commit the
+    (* rotate WAL — crash-safe order: open the new log, commit the one
        manifest edit that names it (with the flushed table and the level
-       part the engine adds), and only then retire the old log.  Deleting first would leave a window where the
-       memtable's data exists in no durable file the MANIFEST names. *)
+       part), and only then retire the old log.  Deleting first would
+       leave a window where the memtable's data exists in no durable file
+       the MANIFEST names. *)
     let old_log = t.wal_number in
     let new_log = new_file_number t in
     t.wal <- Wal.Writer.create t.env (log_name t.dir new_log);

@@ -6,9 +6,7 @@
    float buffer the ctx owns and reuses, and the current lane's time is
    read from the clock in place. *)
 
-(* All-float, so stored flat: writing it boxes nothing.  The span starts
-   at [start_elapsed] on the timeline and lasts as long as the session's
-   own lane time moved from [start_lane]. *)
+(* All-float, so stored flat: writing it boxes nothing. *)
 type stamp = { mutable start_elapsed : float; mutable start_lane : float }
 
 type ctx = {
@@ -26,8 +24,8 @@ type ctx = {
 
 let create_ctx ~clock ~budget ~tracer () =
   { clock; budget; tracer; active = false; label = "";
-    stamp = { start_elapsed = 0.0; start_lane = 0.0 }; costs = Array.make 16 0.0; n = 0;
-    loads = Array.make (max 1 budget) 0.0 }
+    stamp = { start_elapsed = 0.0; start_lane = 0.0 };
+    costs = Array.make 16 0.0; n = 0; loads = Array.make (max 1 budget) 0.0 }
 
 (* The current lane's device time, read in place: a float returned by a
    function of another module would be boxed. *)
@@ -112,11 +110,9 @@ let finish ctx =
     let lanes = ctx.budget in
     let total = total ctx.costs n in
     let overlapped = pack ~lanes ~total ctx.costs n ctx.loads in
-    (* read the lane time before refunding: the refund rewinds the lane,
-       so measuring afterwards under-reports (or negative-reports) the
-       session's duration.  The lane, not [Clock.now_ns]: while CPU or
-       the background horizon binds the timeline, its delta is not the
-       session's device time *)
+    (* the span lasts the session's lane time, read before the refund
+       rewinds it; a [Clock.now_ns] delta would read the CPU term or the
+       background horizon whenever one of them binds *)
     let end_lane = lane_time ctx.clock in
     if total > overlapped then
       (* pay the makespan plus a queueing share of the overlap *)

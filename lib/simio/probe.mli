@@ -44,9 +44,8 @@ val create_ctx :
 (** [with_session ctx ~label f] runs [f] inside a probe session (reusing
     the active one when nested) and applies the overlap refund when the
     outermost session closes.  With a tracer attached, sessions covering
-    more than one probe emit a ["probe:<label>"] span carrying the
-    serial and overlapped costs; the span lasts as long as the session's
-    lane time moved before the refund. *)
+    more than one probe emit a ["probe:<label>"] span as long as their
+    pre-refund lane time, carrying the serial and overlapped costs. *)
 val with_session : ctx -> label:string -> (unit -> 'a) -> 'a
 
 (** [measure ctx f x] runs [f x], recording its device-lane cost into the
