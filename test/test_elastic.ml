@@ -588,6 +588,34 @@ let test_migration_is_not_user_payload engine () =
     (after.Stats.elastic_migrated_bytes > before.Stats.elastic_migrated_bytes);
   sh.Stores.s_dyn.Dyn.d_close ()
 
+(* A split's migration batches run as one round of jobs on the
+   destination, and each batch's commit is priced on L0 alone, so a
+   moving range many memtables long adds no write stall. *)
+let test_split_adds_no_stall () =
+  let sh =
+    Stores.open_sharded ~tweak:(manual_elastic ~shards:2)
+      ~env:(Env.create ()) Stores.Pebblesdb
+  in
+  let value = String.make 2048 'v' in
+  (* shard 0 holds [0, keyspace / 2); the split moves its upper half *)
+  for i = 0 to (keyspace / 2) - 1 do
+    sh.Stores.s_dyn.Dyn.d_put (key i) value
+  done;
+  let before = sh.Stores.s_dyn.Dyn.d_stats () in
+  Alcotest.(check bool) "split accepted" true
+    (sh.Stores.s_split ~shard:0 ~key:(key (keyspace / 4)));
+  let after = sh.Stores.s_dyn.Dyn.d_stats () in
+  let memtable_bytes = (manual_elastic (O.pebblesdb ())).O.memtable_bytes in
+  Alcotest.(check bool) "moved more than 8 memtables" true
+    (after.Stats.elastic_migrated_bytes - before.Stats.elastic_migrated_bytes
+    > 8 * memtable_bytes);
+  Alcotest.(check (float 0.0))
+    "no slowdown stall" before.Stats.stall_slowdown_ns
+    after.Stats.stall_slowdown_ns;
+  Alcotest.(check (float 0.0)) "no stop stall" before.Stats.stall_stop_ns
+    after.Stats.stall_stop_ns;
+  sh.Stores.s_dyn.Dyn.d_close ()
+
 let () =
   Alcotest.run "elastic"
     [
@@ -602,6 +630,8 @@ let () =
             (test_split_merge Stores.Btree);
           Alcotest.test_case "merge does not resurrect deletes" `Quick
             test_merge_no_resurrection;
+          Alcotest.test_case "pebblesdb split adds no stall" `Quick
+            test_split_adds_no_stall;
         ] );
       ( "fences",
         [

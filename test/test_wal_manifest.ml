@@ -386,6 +386,39 @@ let test_repair_crash_corrupt_current () =
   done;
   L.close db2
 
+(* The MANIFEST is written under a temporary name and renamed into
+   place; every later append and sync must name the installed file, so a
+   fault-plan label points at a file that exists.  Crash at each IO event
+   of a PebblesDB put trace in turn, after the store is open, until one
+   lands on a MANIFEST sync: the first flush's record. *)
+let test_manifest_labels_installed_name () =
+  let module P = Pebblesdb.Pebbles_store in
+  let opts =
+    {
+      (Pdb_kvs.Options.pebblesdb ()) with
+      Pdb_kvs.Options.memtable_bytes = 2048;
+    }
+  in
+  let label_at n =
+    let env = Env.create () in
+    let db = P.open_store opts ~env ~dir:"db" in
+    let plan = Env.Fault_plan.create ~seed:n ~crash_after:n () in
+    Env.set_fault_plan env plan;
+    (try
+       for i = 0 to 199 do
+         P.put db (Printf.sprintf "key%04d" i) (String.make 64 'v')
+       done
+     with Env.Injected_crash _ -> ());
+    Option.value ~default:"" (Env.Fault_plan.fired_at plan)
+  in
+  let rec first_manifest_sync n =
+    let at = label_at n in
+    if at = "" || String.starts_with ~prefix:"sync:db/MANIFEST-" at then at
+    else first_manifest_sync (n + 1)
+  in
+  check Alcotest.string "a flush's MANIFEST sync names the installed file"
+    "sync:db/MANIFEST-000002" (first_manifest_sync 1)
+
 let () =
   Alcotest.run "wal-manifest"
     [
@@ -413,6 +446,8 @@ let () =
           Alcotest.test_case "crash durability" `Quick
             test_manifest_survives_crash;
           Alcotest.test_case "missing" `Quick test_manifest_missing;
+          Alcotest.test_case "writer labels the installed name" `Quick
+            test_manifest_labels_installed_name;
         ] );
       ( "repair",
         [
