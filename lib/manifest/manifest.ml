@@ -153,11 +153,12 @@ let manifest_name ~dir n = Printf.sprintf "%s/MANIFEST-%06d" dir n
     which the store forgets which MANIFEST is live. *)
 let create env ~dir ~number ~edits =
   let name = manifest_name ~dir number in
-  let tmp = name ^ ".tmp" in
-  let log = Pdb_wal.Wal.Writer.create env tmp in
+  let file = Pdb_simio.Env.create_file env (name ^ ".tmp") in
+  let log = Pdb_wal.Wal.Writer.of_writer file ~existing_bytes:0 in
   List.iter (fun e -> Pdb_wal.Wal.Writer.add_record log (encode_edit e)) edits;
   Pdb_wal.Wal.Writer.sync log;
-  Pdb_simio.Env.rename env ~src:tmp ~dst:name;
+  (* later appends and syncs name the installed file *)
+  Pdb_simio.Env.rename_writer file ~dst:name;
   let cur_tmp = current_name ~dir ^ ".tmp" in
   let cur = Pdb_simio.Env.create_file env cur_tmp in
   Pdb_simio.Env.append cur (Filename.basename name);

@@ -93,7 +93,12 @@ type t = {
 
 (* [staged] counts bytes {!append_coalesced} has put in the file and not
    yet charged as a device write. *)
-type writer = { env : t; name : string; file : file; mutable staged : int }
+type writer = {
+  env : t;
+  mutable name : string;
+  file : file;
+  mutable staged : int;
+}
 
 let new_file ~ever_synced =
   { chunks = [||]; starts = [||]; n = 0; len = 0; synced = 0; ever_synced }
@@ -465,6 +470,12 @@ let rename t ~src ~dst =
   t.stats.syncs <- t.stats.syncs + 1;
   Clock.advance t.clock (Device.sync_cost t.device);
   tick t "rename:" dst
+
+(** [rename_writer w ~dst] renames [w]'s file as {!rename} does; [w]
+    keeps appending to it, and labels its IO events, under [dst]. *)
+let rename_writer w ~dst =
+  rename w.env ~src:w.name ~dst;
+  w.name <- dst
 
 let list t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
 

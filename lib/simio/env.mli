@@ -192,6 +192,10 @@ val delete : t -> string -> unit
     both the name and the data are durable afterwards. *)
 val rename : t -> src:string -> dst:string -> unit
 
+(** [rename_writer w ~dst] renames [w]'s file as {!rename} does; [w]
+    keeps appending to it, and labels its IO events, under [dst]. *)
+val rename_writer : writer -> dst:string -> unit
+
 (** All live file names (unordered). *)
 val list : t -> string list
 

@@ -211,8 +211,7 @@ let test_crash_around_flush_record () =
     (env, plan, at, oracle, in_flight)
   in
   (* a foreground append or sync of the MANIFEST once the store is open:
-     a flush's record (the writer keeps the name the file was created
-     under, so the label ends in .tmp) *)
+     a flush's record (the label names the installed MANIFEST) *)
   let flush_record plan at op =
     (not (Env.Fault_plan.fired_in_background plan))
     && String.starts_with ~prefix:(op ^ ":db/MANIFEST-") at
