@@ -218,15 +218,15 @@ let run (c : Cli.t) l0_slowdown l0_stop names num seed probe_budget
 let l0_slowdown_arg =
   Arg.(value & opt (some int) None
        & info [ "l0-slowdown" ] ~docv:"N"
-           ~doc:"Override the L0 slowdown threshold (debt points past \
+           ~doc:"Override the L0 slowdown threshold (L0 files past \
                  which the throttle engages).  The profile defaults never \
-                 fire at bench scale — compaction drains synchronously, so \
+                 fire at bench scale — compaction runs synchronously, so \
                  L0 stays at or below the compaction trigger.")
 
 let l0_stop_arg =
   Arg.(value & opt (some int) None
        & info [ "l0-stop" ] ~docv:"N"
-           ~doc:"Override the L0 stop threshold (debt points at which the \
+           ~doc:"Override the L0 stop threshold (L0 files at which the \
                  full per-entry penalty applies).")
 
 (* an unknown name is a usage error, reported before any benchmark runs *)

@@ -6,10 +6,11 @@
     writes and its key range, which decide the earlier jobs it waits for
     on the worker timelines), and {e how
     much} data it is expected to move.  The [run] closure performs the
-    actual state mutation when the scheduler drains the job; it captures
+    actual state mutation when the scheduler runs the job; it captures
     stable identifiers (level numbers, guard keys) rather than live
-    records, and re-resolves them at execution time so that jobs queued
-    behind a structure-changing job still apply to current state. *)
+    records, and re-resolves them at execution time so that jobs picked
+    in the same round as a structure-changing job still apply to current
+    state. *)
 
 type trigger =
   | Memtable_full  (** flush: the active memtable reached its budget *)
@@ -39,10 +40,11 @@ let trigger_name = function
 
 type t = {
   key : string;
-      (** identity for queue dedup, e.g. ["size:2"] or ["cap:3:user4821"];
-          one pending job per key *)
+      (** the job's name in traces, e.g. ["size:2"] or ["cap:3:user4821"] *)
   trigger : trigger;
-  estimated_bytes : int;  (** expected input volume, for backlog stats *)
+  estimated_bytes : int;
+      (** expected input volume, for the per-trigger tally and the round
+          peaks *)
   footprint : Pdb_simio.Sched.footprint;
   run : unit -> unit;
 }

@@ -1,9 +1,9 @@
 (** The shared background-work scheduler.
 
-    Stores no longer compact inline: [maybe_compact] {e submits}
-    {!Job.t}s here, and write-path back-pressure is decided from the
-    queue backlog.  Draining executes jobs FIFO — one at a time, so
-    store mutation order (and hence final state) never depends on the
+    Stores do not compact inline: [maybe_compact] picks a {e round} of
+    {!Job.t}s on the current state and hands it to {!run_round}, which
+    runs the jobs where they were picked, in pick order — one at a time,
+    so store mutation order (and hence final state) never depends on the
     worker count — while each job's measured background device time is
     placed on the {!Pdb_simio.Sched} worker timelines, where a job waits
     only for the earlier jobs that wrote a level it reads or writes over
@@ -21,11 +21,9 @@ type t = {
   clock : Clock.t;
   lanes : Sched.t;
   env : Pdb_simio.Env.t option;  (** for the environment's tracer, if any *)
-  queue : Job.t Queue.t;
-  keys : (string, unit) Hashtbl.t; (* pending-job identity, for dedup *)
   counters : Stats.counters;
-      (** jobs run, queue and backlog (gauges and peaks), stall time,
-          serialized jobs and the per-trigger tally *)
+      (** jobs run, round peaks, stall time, serialized jobs and the
+          per-trigger tally *)
   mutable observer : (Job.t -> unit) option;
 }
 
@@ -34,8 +32,6 @@ let create ?env ~clock ~workers () =
     clock;
     lanes = Sched.create ~clock ~workers ();
     env;
-    queue = Queue.create ();
-    keys = Hashtbl.create 16;
     counters = Stats.counters ();
     observer = None;
   }
@@ -43,37 +39,24 @@ let create ?env ~clock ~workers () =
 let tracer t =
   match t.env with None -> None | Some env -> Pdb_simio.Env.tracer env
 
-let pending t = Queue.length t.queue
-let backlog_bytes t = Stats.get t.counters Stats.compaction_backlog_bytes
 let counters t = t.counters
 let busy_ns t = Sched.busy_ns t.lanes
 let flush_busy_ns t = Sched.flush_busy_ns t.lanes
 
 let set_observer t f = t.observer <- Some f
 
-(** [submit t job] enqueues [job] unless one with the same key is already
-    pending; returns whether it was enqueued. *)
-let submit t (job : Job.t) =
-  if Hashtbl.mem t.keys job.key then false
-  else begin
-    Hashtbl.add t.keys job.key ();
-    Queue.push job t.queue;
-    let c = t.counters in
-    Stats.set c Stats.compaction_pending (pending t);
-    Stats.add c Stats.compaction_backlog_bytes job.estimated_bytes;
-    Stats.peak c Stats.compaction_queue_peak (pending t);
-    Stats.peak c Stats.compaction_backlog_peak_bytes (backlog_bytes t);
-    true
-  end
-
-let run_one t (job : Job.t) =
+(** [run t job] executes [job] now and places its background device
+    time on a lane — used directly for memtable flushes, which gate the
+    write that triggered them, and for the engines' manual jobs in
+    [compact_all]. *)
+let run t (job : Job.t) =
   let before = Clock.background_ns t.clock in
   Clock.with_background t.clock job.run;
   let duration_ns = Clock.background_ns t.clock -. before in
   (* zero-cost jobs (e.g. trivial pointer moves) occupy no lane time *)
   if duration_ns > 0.0 then begin
     (* flushes ride the reserved lane: memtable rotation must never wait
-       behind a deep compaction queue *)
+       behind a deep round of compactions *)
     let cls =
       match job.Job.trigger with
       | Job.Memtable_full -> `Flush
@@ -108,21 +91,16 @@ let run_one t (job : Job.t) =
     ~runs:1 ~bytes:job.estimated_bytes;
   match t.observer with Some f -> f job | None -> ()
 
-(** [drain t] executes every pending job, FIFO. *)
-let drain t =
-  while not (Queue.is_empty t.queue) do
-    let job = Queue.pop t.queue in
-    Hashtbl.remove t.keys job.Job.key;
-    Stats.set t.counters Stats.compaction_pending (pending t);
-    Stats.add t.counters Stats.compaction_backlog_bytes
-      (-job.Job.estimated_bytes);
-    run_one t job
-  done
-
-(** [run_now t job] executes [job] immediately, bypassing the queue —
-    used for memtable flushes, which gate the write that triggered
-    them, and for PebblesDB's manual level-0 job in [compact_all]. *)
-let run_now t job = run_one t job
+(** [run_round t jobs] runs one round of picked jobs, in pick order, and
+    records the round's size (jobs and estimated bytes) in the
+    [compaction_queue_peak] and [compaction_backlog_peak_bytes]
+    watermarks. *)
+let run_round t jobs =
+  let c = t.counters in
+  Stats.peak c Stats.compaction_queue_peak (List.length jobs);
+  Stats.peak c Stats.compaction_backlog_peak_bytes
+    (List.fold_left (fun acc (j : Job.t) -> acc + j.estimated_bytes) 0 jobs);
+  List.iter (run t) jobs
 
 (** [note_stall t ~slowdown_ns ~stop_ns] records write-stall time already
     charged to the clock, pre-split by threshold attribution.  A stall

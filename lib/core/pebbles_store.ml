@@ -399,21 +399,20 @@ let flush_edit t (e : Manifest.edit) =
 
 let maybe_compact t =
   (* Round-based picking: reify every trigger firing on the current state
-     as a job, enqueue the batch, drain it, re-examine.  A job
-     re-validates its trigger when it runs (an earlier job in the batch
-     may have restructured the tree), and a job that runs without
-     shrinking its measure is blocked for the rest of this invocation —
-     the same no-progress guards the old inline loop used. *)
+     as a job, run the round, re-examine.  A job re-validates its trigger
+     when it runs (an earlier job in the round may have restructured the
+     tree), and a job that runs without shrinking its measure is blocked
+     for the rest of this invocation — the same no-progress guards the
+     old inline loop used. *)
   let blocked = Hashtbl.create 8 in
   let continue_ = ref true in
   while !continue_ do
-    continue_ := false;
-    let submitted = ref false in
+    let round = ref [] in
     (* [enqueue key trigger ~estimated_bytes ~footprint ~measure run]:
        progress = [measure] strictly decreased across the job's run *)
     let enqueue key trigger ~estimated_bytes ~footprint ~measure run =
-      if not (Hashtbl.mem blocked key) then begin
-        let job =
+      if not (Hashtbl.mem blocked key) then
+        round :=
           {
             Job.key;
             trigger;
@@ -425,9 +424,7 @@ let maybe_compact t =
                 run ();
                 if measure () >= before then Hashtbl.replace blocked key ());
           }
-        in
-        if Scheduler.submit t.sched job then submitted := true
-      end
+          :: !round
     in
     (* L0 back-pressure *)
     if l0_due t then
@@ -511,10 +508,8 @@ let maybe_compact t =
               | Some _ | None -> ())
         end)
       t.lv.levels.(ll).Guard.guards;
-    if !submitted then begin
-      Scheduler.drain t.sched;
-      continue_ := true
-    end
+    Scheduler.run_round t.sched (List.rev !round);
+    continue_ := !round <> []
   done
 
 let run_seek_compaction t =
@@ -729,7 +724,7 @@ let iterator = S.iterator
 let compact_all t =
   S.flush t;
   if t.lv.l0 <> [] then
-    Scheduler.run_now t.sched
+    Scheduler.run t.sched
       {
         Job.key = "manual:l0";
         trigger = Job.Manual;

@@ -185,7 +185,7 @@ let flush t =
        (a full memtable gates the triggering write) and places its
        device time on the reserved flush lane *)
     let meta = ref None in
-    Scheduler.run_now t.sched
+    Scheduler.run t.sched
       {
         Job.key = "flush";
         trigger = Job.Memtable_full;
@@ -553,20 +553,13 @@ let write_group t batches =
    | [] -> ()
    | group ->
      (* write throttling: the shared controller prices the group against
-        compaction debt — L0 files not yet pushed down plus the
-        scheduler's pending backlog — and the group pays once (it enters
-        the device as one write, so penalizing every record would
+        the L0 files not yet pushed down, and the group pays once (it
+        enters the device as one write, so penalizing every record would
         overcharge the batch it rode in on) *)
-     let debt =
-       {
-         Bp.l0_files = List.length (t.shape.l0 t.lv);
-         pending_jobs = Scheduler.pending t.sched;
-         backlog_bytes = Scheduler.backlog_bytes t.sched;
-       }
-     in
+     let l0_files = List.length (t.shape.l0 t.lv) in
      let entries = List.fold_left (fun acc b -> acc + Wb.count b) 0 group in
      let now_ns = Clock.now_ns t.clock in
-     let v = Bp.throttle t.bp ~now_ns ~debt ~cost:entries in
+     let v = Bp.throttle t.bp ~now_ns ~l0_files ~cost:entries in
      let total = Bp.total_ns v in
      if total > 0.0 then begin
        Clock.stall t.clock total;
@@ -750,7 +743,7 @@ let internal_iterator t =
 
 (* Seek-triggered compaction (LevelDB's allowed_seeks budget, PebblesDB
    §4.2): a run of consecutive seeks hands the engine its chance to
-   compact; every job it actually submits is counted and drained. *)
+   compact; a job it picks is counted and run as a round of one. *)
 let note_seek t =
   Stats.incr t.counters Stats.seeks;
   charge_cpu t (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);
@@ -760,9 +753,8 @@ let note_seek t =
       match t.shape.seek_job t with
       | Some job ->
         t.consecutive_seeks <- 0;
-        if Scheduler.submit t.sched job then
-          Stats.incr t.counters Stats.seek_compactions;
-        Scheduler.drain t.sched
+        Stats.incr t.counters Stats.seek_compactions;
+        Scheduler.run_round t.sched [ job ]
       | None -> ()
   end
 

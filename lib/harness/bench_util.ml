@@ -229,8 +229,9 @@ module Json = struct
     close_out oc
 end
 
-(** One-line background-scheduler summary for a store: jobs drained, peak
-    queue depth and backlog, jobs delayed by their dependencies
+(** One-line background-scheduler summary for a store: jobs run, the
+    largest round (jobs and estimated bytes, printed as [queue] and
+    [backlog]), jobs delayed by their dependencies
     ("conflicts"), per-worker utilization
     (busy time over the background completion horizon), and stall-time
     attribution.  Empty for engines without scheduled background work. *)

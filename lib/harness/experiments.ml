@@ -881,7 +881,7 @@ module H = Pdb_util.Histogram
 (* Per-operation latency percentiles per engine (the paper reports average
    and 99th-percentile read/write latency, Fig 5.5), then a
    latency-under-load profile: the fill replayed in chunks, sampling
-   throughput, compaction backlog and stall time over simulated time —
+   throughput, stall time and write p99 over simulated time —
    the write-stall dynamics where LSM designs differ most (Luo & Carey). *)
 let run_latency ~n =
   let lat_row store_name label h =
@@ -941,13 +941,11 @@ let run_latency ~n =
             st.Pdb_kvs.Engine_stats.stall_slowdown_ns
             +. st.Pdb_kvs.Engine_stats.stall_stop_ns
           in
-          let pending = st.Pdb_kvs.Engine_stats.compaction_pending in
-          let backlog = st.Pdb_kvs.Engine_stats.compaction_backlog_bytes in
           let stall_delta = stall -. !prev_stall in
           prev_stall := stall;
           t_ns := !t_ns +. phase.P.elapsed_ns;
-          [ B.num 1 (!t_ns /. 1e6); B.num 1 phase.P.kops; B.int pending;
-            B.num 2 (B.mb backlog); B.num 1 (stall_delta /. 1e6);
+          [ B.num 1 (!t_ns /. 1e6); B.num 1 phase.P.kops;
+            B.num 1 (stall_delta /. 1e6);
             B.num 1 (H.percentile (L.hist lat L.Write) 99.0 /. 1e3) ])
     in
     store.Dyn.d_close ();
@@ -957,9 +955,7 @@ let run_latency ~n =
            "Stall profile — %s: chunked fill over simulated time (%d chunks x \
             %d ops)"
            name chunks per_chunk)
-      ~header:
-        [ "t (ms)"; "KOps/s"; "pending"; "backlog MB"; "stall ms";
-          "write p99 us" ]
+      ~header:[ "t (ms)"; "KOps/s"; "stall ms"; "write p99 us" ]
       sample_rows
   in
   B.concat
@@ -1337,7 +1333,7 @@ let run_stability ~n =
   let windows = max 2 (n / per_window) in
   let total = windows * per_window in
   let run_one (engine, policy) throttle =
-    (* The simulated scheduler drains synchronously, so L0 never exceeds
+    (* Compaction rounds run synchronously, so L0 never exceeds
        the compaction trigger and the engines' stock slowdown/stop
        thresholds (8/12 files, calibrated for asynchronous real systems)
        are unreachable — the seed recorded zero explicit stalls at bench

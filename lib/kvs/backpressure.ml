@@ -1,4 +1,4 @@
-(** Debt-keyed write throttling, shared by the LSM and FLSM engines.
+(** L0-keyed write throttling, shared by the LSM and FLSM engines.
 
     LevelDB-lineage stores pace foreground writes with a cliff: once L0
     accumulates [l0_slowdown] files every write pays a fixed penalty, and
@@ -11,11 +11,12 @@
     [Token_bucket] replaces the cliff with a smooth controller.  The
     writer owns a budget of [throttle_burst_entries] tokens (one token
     admits one entry).  The bucket refills on the simulated clock at a
-    rate keyed to {e compaction debt} — L0 files plus the scheduler's
-    backlog bytes, normalised to memtable units:
+    rate keyed to {e compaction debt}, the L0 files not yet pushed down
+    (compaction rounds run where they are picked, so no other debt is
+    outstanding when a client write commits):
 
     {v
-      debt      x = l0_files + backlog_bytes / memtable_bytes
+      debt      x = l0_files
       severity  sev(x) = max 0 ((x - l0_slowdown) / (l0_stop - l0_slowdown))
       delay/entry   d(x) = slowdown_stall_ns * sev(x)
       refill rate   1 / d(x) entries per ns     (unlimited when d = 0)
@@ -41,15 +42,6 @@
 
 module O = Options
 
-(** The back-pressure signal sampled at a commit: L0 files not yet pushed
-    down, jobs pending in the compaction queue, and their estimated
-    bytes. *)
-type debt = {
-  l0_files : int;
-  pending_jobs : int;
-  backlog_bytes : int;
-}
-
 (** Stall already split by threshold attribution; total is the time to
     charge the clock. *)
 type verdict = {
@@ -64,7 +56,6 @@ type t = {
   mode : O.throttle;
   slowdown_files : int;
   stop_files : int;
-  debt_unit_bytes : int;  (** backlog bytes worth one L0 file of debt *)
   mutable tokens : float;
   mutable last_refill_ns : float;
 }
@@ -77,7 +68,6 @@ let create (opts : O.t) =
     mode = opts.O.throttle;
     slowdown_files = opts.O.l0_slowdown;
     stop_files = opts.O.l0_stop;
-    debt_unit_bytes = max 1 opts.O.memtable_bytes;
     tokens = burst;
     last_refill_ns = 0.0;
   }
@@ -85,18 +75,15 @@ let create (opts : O.t) =
 let mode t = t.mode
 let tokens t = t.tokens
 
-let debt_points t d =
-  float_of_int d.l0_files
-  +. (float_of_int d.backlog_bytes /. float_of_int t.debt_unit_bytes)
-
-(** [delay_ns t debt] is the modeled per-entry admission delay at [debt]:
-    0 below the slowdown threshold, [slowdown_stall_ns] at the stop
-    threshold, ramping linearly between and beyond. *)
-let delay_ns t d =
+(** [delay_ns t ~l0_files] is the modeled per-entry admission delay at
+    [l0_files]: 0 below the slowdown threshold, [slowdown_stall_ns] at
+    the stop threshold, ramping linearly between and beyond. *)
+let delay_ns t ~l0_files =
   let s = float_of_int t.slowdown_files
   and p = float_of_int t.stop_files in
   let span = Float.max 1.0 (p -. s) in
-  O.slowdown_stall_ns *. Float.max 0.0 ((debt_points t d -. s) /. span)
+  O.slowdown_stall_ns
+  *. Float.max 0.0 ((float_of_int l0_files -. s) /. span)
 
 (* of each entry's delay, the first [slowdown_stall_ns] is slowdown
    territory; excess only exists past the stop threshold *)
@@ -109,23 +96,23 @@ let split ~per_entry_ns ~entries =
       stop_ns = entries *. (per_entry_ns -. O.slowdown_stall_ns);
     }
 
-(** [throttle t ~now_ns ~debt ~cost] decides the stall for a write group
-    of [cost] entries committing at simulated time [now_ns] under [debt].
-    The caller charges {!total_ns} of the verdict to its clock (and owes
-    the controller nothing else: token state is updated here). *)
-let throttle t ~now_ns ~debt ~cost =
+(** [throttle t ~now_ns ~l0_files ~cost] decides the stall for a write
+    group of [cost] entries committing at simulated time [now_ns] with
+    [l0_files] in L0.  The caller charges {!total_ns} of the verdict to
+    its clock (and owes the controller nothing else: token state is
+    updated here). *)
+let throttle t ~now_ns ~l0_files ~cost =
   match t.mode with
   | O.Unthrottled -> no_stall
   | O.Cliff ->
     (* seed model: fixed penalty per stalled group, binary attribution
-       from the file-count backlog at commit time *)
-    let points = debt.l0_files + debt.pending_jobs in
-    if points < t.slowdown_files then no_stall
-    else if points >= t.stop_files then
+       from the L0 file count at commit time *)
+    if l0_files < t.slowdown_files then no_stall
+    else if l0_files >= t.stop_files then
       { slowdown_ns = 0.0; stop_ns = O.slowdown_stall_ns }
     else { slowdown_ns = O.slowdown_stall_ns; stop_ns = 0.0 }
   | O.Token_bucket ->
-    let d = delay_ns t debt in
+    let d = delay_ns t ~l0_files in
     if d <= 0.0 then begin
       (* debt below the slowdown threshold: free admission, full bucket *)
       t.tokens <- burst;

@@ -70,8 +70,6 @@ let compaction_jobs = count "compaction_jobs" Sum
 let compaction_queue_peak = count "compaction_queue_peak" Max
 let compaction_backlog_peak_bytes = count "compaction_backlog_peak_bytes" Max
 let compaction_serialized_jobs = count "compaction_serialized_jobs" Sum
-let compaction_pending = count "compaction_pending" Now
-let compaction_backlog_bytes = count "compaction_backlog_bytes" Now
 let stall_slowdown_ns = ns "stall_slowdown_ns" Sum
 let stall_stop_ns = ns "stall_stop_ns" Sum
 let wal_records_recovered = count "wal_records_recovered" Sum
@@ -192,18 +190,16 @@ type t = {
   guards_committed : int;  (** FLSM only *)
   guards_empty : int;  (** FLSM only; counted when the view is built *)
   seek_compactions : int;
-      (** seek-triggered compaction jobs submitted (both LSM-family
+      (** seek-triggered compaction jobs run (both LSM-family
           engines); equals the scheduler's [seek]-trigger run count *)
   compaction_by_trigger : (string * (int * int)) list;
       (** per-trigger (runs, estimated bytes), summed across shards *)
-  compaction_jobs : int;  (** jobs drained by the scheduler *)
-  compaction_queue_peak : int;  (** max pending jobs observed *)
+  compaction_jobs : int;  (** jobs run by the scheduler *)
+  compaction_queue_peak : int;  (** most jobs picked in one round *)
   compaction_backlog_peak_bytes : int;
+      (** most estimated bytes picked in one round *)
   compaction_serialized_jobs : int;
       (** jobs delayed by an earlier job they depend on *)
-  compaction_pending : int;  (** jobs queued but not yet run *)
-  compaction_backlog_bytes : int;
-      (** estimated bytes across currently pending jobs *)
   stall_slowdown_ns : float;
   stall_stop_ns : float;
   worker_busy_ns : float array;
@@ -294,8 +290,6 @@ let view parts ~busy ~flush_busy ~cache:(hits, misses) =
     compaction_queue_peak = n compaction_queue_peak;
     compaction_backlog_peak_bytes = n compaction_backlog_peak_bytes;
     compaction_serialized_jobs = n compaction_serialized_jobs;
-    compaction_pending = n compaction_pending;
-    compaction_backlog_bytes = n compaction_backlog_bytes;
     stall_slowdown_ns = f stall_slowdown_ns;
     stall_stop_ns = f stall_stop_ns;
     worker_busy_ns = busy;

@@ -51,13 +51,13 @@ let compaction_policy_of_string = function
 
 let all_compaction_policies = [ Leveled; Tiered; Lazy_leveled; Flsm_guarded ]
 
-(** How foreground writes are throttled against compaction debt (see
+(** How foreground writes are throttled against the L0 file count (see
     [Pdb_kvs.Backpressure]).  [Cliff] is the seed LevelDB model: a fixed
     per-group penalty once L0 crosses [l0_slowdown], classified Stop past
     [l0_stop].  [Token_bucket] is the smooth controller: a write-rate
     budget refilled on the simulated clock whose rate degrades
-    continuously with compaction debt (L0 files + backlog bytes), so
-    latency ramps instead of jumping at the thresholds.  [Unthrottled]
+    continuously with the L0 file count, so latency ramps instead of
+    jumping at the thresholds.  [Unthrottled]
     disables write stalls entirely (measurement baseline only). *)
 type throttle =
   | Unthrottled

@@ -303,54 +303,46 @@ let level_footprint (t : t) level =
       key_hi = Some (largest ^ "\x00") (* inclusive -> exclusive bound *);
     }
 
-let submit_level_job (t : t) ~blocked level =
+let level_job (t : t) level =
   let trigger = if level = 0 then Job.L0_files else Job.Level_size in
-  ignore
-    (Scheduler.submit t.sched
-       {
-         Job.key = Printf.sprintf "%s:%d" (Job.trigger_name trigger) level;
-         trigger;
-         estimated_bytes = level_bytes t level;
-         footprint = level_footprint t level;
-         run =
-           (fun () ->
-             (* re-check: an earlier job in this round's queue may have
-                already relieved (or blocked) this level *)
-             if
-               (not (Hashtbl.mem blocked level))
-               && Policy.should_trigger (compaction_score t level)
-             then compact_level t level);
-       })
+  {
+    Job.key = Printf.sprintf "%s:%d" (Job.trigger_name trigger) level;
+    trigger;
+    estimated_bytes = level_bytes t level;
+    footprint = level_footprint t level;
+    run =
+      (fun () ->
+        (* re-check: an earlier job in this round may have already
+           relieved this level *)
+        if Policy.should_trigger (compaction_score t level) then
+          compact_level t level);
+  }
 
 let maybe_compact (t : t) =
-  (* Round-based: enqueue a job for every level over threshold, drain
-     the queue, re-examine.  A level whose job made no progress is
-     blocked for the rest of this invocation. *)
+  (* Round-based: pick a job for every level over threshold, run the
+     round, re-examine.  A level whose job made no progress is blocked
+     for the rest of this invocation. *)
   let blocked = Hashtbl.create 4 in
   let continue_ = ref true in
   while !continue_ do
-    continue_ := false;
-    let submitted = ref [] in
+    let picked = ref [] in
     for level = 0 to t.opts.O.max_levels - 2 do
       if
         (not (Hashtbl.mem blocked level))
         && Policy.should_trigger (compaction_score t level)
-      then begin
-        submit_level_job t ~blocked level;
-        submitted :=
+      then
+        picked :=
           (level, (List.length t.lv.levels.(level), level_bytes t level))
-          :: !submitted
-      end
+          :: !picked
     done;
-    if !submitted <> [] then begin
-      Scheduler.drain t.sched;
-      List.iter
-        (fun (level, before) ->
-          let now = (List.length t.lv.levels.(level), level_bytes t level) in
-          if now = before then Hashtbl.replace blocked level ())
-        !submitted;
-      continue_ := true
-    end
+    Scheduler.run_round t.sched
+      (List.rev_map (fun (level, _) -> level_job t level) !picked);
+    List.iter
+      (fun (level, before) ->
+        let now = (List.length t.lv.levels.(level), level_bytes t level) in
+        if now = before then Hashtbl.replace blocked level ())
+      !picked;
+    continue_ := !picked <> []
   done
 
 (* ---------- the level structure the shell drives ---------- *)
@@ -499,7 +491,7 @@ let compact_all (t : t) =
       let inputs_lo = t.lv.levels.(level) in
       let smallest, largest = input_user_range inputs_lo in
       let inputs_hi = overlapping_files t (level + 1) ~smallest ~largest in
-      Scheduler.run_now t.sched
+      Scheduler.run t.sched
         {
           Job.key = Printf.sprintf "manual:%d" level;
           trigger = Job.Manual;

@@ -25,8 +25,8 @@
     A migration is a fenced handoff: capture the source shard's sequence
     (writes are serial here, so capturing the sequence {e is} draining
     the moving range), copy the range at that fence into the destination
-    engine as [migrate:copy] jobs on the destination's compaction
-    scheduler (charged to its backlog, placed on its worker lanes),
+    engine as one round of [migrate:copy] jobs on the destination's
+    compaction scheduler (placed on its worker lanes),
     install the new topology durably ({!Shard_topology.install} — atomic
     rename, all-or-nothing under crashes), then retire the moved data
     from the source ([migrate:clean] jobs).  Because stale copies can
@@ -77,8 +77,8 @@ module type ENGINE = sig
   val iterator_at : t -> snapshot:int -> Iter.t
 
   (** The engine's background scheduler, when it has one — migration
-      jobs are submitted there so they show on the worker timelines and
-      count against the backpressure backlog. *)
+      jobs run there so they show on the worker timelines and in the
+      per-trigger tally. *)
   val scheduler : t -> Pdb_compaction.Scheduler.t option
 end
 
@@ -370,40 +370,36 @@ module Make (E : ENGINE) = struct
         ~ts_ns:(now_ns t) ()
     | None -> ()
 
-  (* Apply one migration write batch to [engine]: through its scheduler
-     when it has one — a [migrate:copy]/[migrate:clean] job with a
-     footprint spanning the moved range, so the work lands on the
-     engine's worker lanes, counts against its backlog (backpressure
-     debt) and shows up as [migrate:*] trace spans — or inline for the
-     page stores. *)
+  (* Apply migration write batches to [engine]: through its scheduler
+     when it has one — one round of [migrate:copy]/[migrate:clean] jobs,
+     a job per batch with a footprint spanning the moved range, so the
+     work lands on the engine's worker lanes and shows up as [migrate:*]
+     trace spans — or inline for the page stores. *)
   let submit_batches t ~engine ~trigger ~lo ~hi batches =
     match E.scheduler engine with
     | Some sched ->
-      List.iteri
-        (fun i batch ->
-          let bytes = Pdb_kvs.Write_batch.payload_bytes batch in
-          ignore
-            (Pdb_compaction.Scheduler.submit sched
-               {
-                 Pdb_compaction.Job.key =
-                   Printf.sprintf "%s:%d:%d"
-                     (Pdb_compaction.Job.trigger_name trigger)
-                     t.topo_version i;
-                 trigger;
-                 estimated_bytes = bytes;
-                 footprint =
-                   {
-                     (Pdb_simio.Sched.full_range ~level_lo:0
-                        ~level_hi:t.opts.O.max_levels)
-                     with
-                     Pdb_simio.Sched.key_lo =
-                       (match lo with None -> "" | Some l -> l);
-                     key_hi = hi;
-                   };
-                 run = (fun () -> E.write engine batch);
-               }))
-        batches;
-      Pdb_compaction.Scheduler.drain sched
+      Pdb_compaction.Scheduler.run_round sched
+        (List.mapi
+           (fun i batch ->
+             {
+               Pdb_compaction.Job.key =
+                 Printf.sprintf "%s:%d:%d"
+                   (Pdb_compaction.Job.trigger_name trigger)
+                   t.topo_version i;
+               trigger;
+               estimated_bytes = Pdb_kvs.Write_batch.payload_bytes batch;
+               footprint =
+                 {
+                   (Pdb_simio.Sched.full_range ~level_lo:0
+                      ~level_hi:t.opts.O.max_levels)
+                   with
+                   Pdb_simio.Sched.key_lo =
+                     (match lo with None -> "" | Some l -> l);
+                   key_hi = hi;
+                 };
+               run = (fun () -> E.write engine batch);
+             })
+           batches)
     | None -> List.iter (fun b -> E.write engine b) batches
 
   (* Copy [lo, hi) of [src] at pinned sequence [seq] into [dst], in

@@ -104,7 +104,7 @@ type placement = { lane : int; start_ns : float; finish_ns : float }
 (** Which lanes a job may occupy: [`Worker] work (compactions) uses the
     general lanes; [`Flush] work uses the reserved flush lane.  The
     reservation is one-way — compactions can never occupy the flush lane —
-    which is the fairness invariant: however deep the compaction queue
+    which is the fairness invariant: however much compaction work
     packs the worker lanes, a flush starts no later than the jobs it
     depends on allow. *)
 let lane_range t = function

@@ -6,8 +6,8 @@
    per commit group (the seed over-charged per batch), stalls that
    cross the Slowdown→Stop boundary must land in both counters, both
    engines must share one controller, and the reserved flush lane must
-   keep memtable rotation schedulable under a saturated compaction
-   queue. *)
+   keep memtable rotation schedulable under saturated compaction
+   lanes. *)
 
 module Fingerprint = Pdb_simio.Fingerprint
 module Bp = Pdb_kvs.Backpressure
@@ -22,26 +22,19 @@ module Stores = Pdb_harness.Stores
 module B = Pdb_harness.Bench_util
 
 let check = Alcotest.check
-let debt ?(l0 = 0) ?(pending = 0) ?(backlog = 0) () =
-  { Bp.l0_files = l0; pending_jobs = pending; backlog_bytes = backlog }
 
 (* ---------- controller units ---------- *)
 
 let test_delay_ramp () =
   let t = Bp.create { (O.hyperleveldb ()) with O.l0_slowdown = 8; l0_stop = 12 } in
-  let d l0 = Bp.delay_ns t (debt ~l0 ()) in
+  let d l0_files = Bp.delay_ns t ~l0_files in
   check (Alcotest.float 1e-6) "free below slowdown" 0.0 (d 7);
   check (Alcotest.float 1e-6) "zero at slowdown" 0.0 (d 8);
   check (Alcotest.float 1e-6) "full penalty at stop"
     O.slowdown_stall_ns (d 12);
   check (Alcotest.float 1e-6) "linear midpoint"
     (O.slowdown_stall_ns /. 2.0) (d 10);
-  Alcotest.(check bool) "keeps ramping past stop" true (d 16 > d 12);
-  (* backlog bytes count in memtable units alongside L0 files *)
-  let opts = O.hyperleveldb () in
-  check (Alcotest.float 1e-6) "backlog bytes = fractional L0 files"
-    (d 10)
-    (Bp.delay_ns t (debt ~l0:8 ~backlog:(2 * opts.O.memtable_bytes) ()))
+  Alcotest.(check bool) "keeps ramping past stop" true (d 16 > d 12)
 
 let test_boundary_split () =
   let opts = { (O.hyperleveldb ()) with O.throttle = O.Token_bucket;
@@ -49,12 +42,11 @@ let test_boundary_split () =
   let t = Bp.create opts in
   (* debt past the stop threshold: per-entry delay exceeds the slowdown
      penalty, so each stalled entry splits across both counters *)
-  let d16 = debt ~l0:16 () in
-  let per = Bp.delay_ns t d16 in
+  let per = Bp.delay_ns t ~l0_files:16 in
   Alcotest.(check bool) "past stop the delay exceeds the slowdown scale"
     true (per > O.slowdown_stall_ns);
   (* cost 38 against a full burst of 32: deficit 6 *)
-  let v = Bp.throttle t ~now_ns:0.0 ~debt:d16 ~cost:38 in
+  let v = Bp.throttle t ~now_ns:0.0 ~l0_files:16 ~cost:38 in
   let deficit = 6.0 in
   check (Alcotest.float 1e-3) "slowdown share caps at the seed penalty"
     (deficit *. O.slowdown_stall_ns) v.Bp.slowdown_ns;
@@ -67,15 +59,14 @@ let test_no_refill_over_stall () =
   let opts = { (O.hyperleveldb ()) with O.throttle = O.Token_bucket;
                l0_slowdown = 8; l0_stop = 12 } in
   let t = Bp.create opts in
-  let d = debt ~l0:12 () in
-  let per = Bp.delay_ns t d in
+  let per = Bp.delay_ns t ~l0_files:12 in
   (* cost 36 against a full burst of 32: deficit 4 *)
-  let v1 = Bp.throttle t ~now_ns:0.0 ~debt:d ~cost:36 in
+  let v1 = Bp.throttle t ~now_ns:0.0 ~l0_files:12 ~cost:36 in
   check (Alcotest.float 1e-3) "first group pays for the deficit"
     (4.0 *. per) (Bp.total_ns v1);
   (* the clock advanced exactly by the stall; the bucket earned nothing
      over it, so the next group pays full price *)
-  let v2 = Bp.throttle t ~now_ns:(Bp.total_ns v1) ~debt:d ~cost:36 in
+  let v2 = Bp.throttle t ~now_ns:(Bp.total_ns v1) ~l0_files:12 ~cost:36 in
   check (Alcotest.float 1e-3) "stall time earns no tokens"
     (36.0 *. per) (Bp.total_ns v2)
 
@@ -83,15 +74,15 @@ let test_cliff_charges_once_per_group () =
   let opts = { (O.hyperleveldb ()) with O.throttle = O.Cliff } in
   let t = Bp.create opts in
   let at points cost =
-    Bp.total_ns (Bp.throttle t ~now_ns:0.0 ~debt:(debt ~l0:points ()) ~cost)
+    Bp.total_ns (Bp.throttle t ~now_ns:0.0 ~l0_files:points ~cost)
   in
   check (Alcotest.float 1e-3) "below slowdown: free" 0.0 (at 7 64);
   (* the verdict is per *group*: a 64-entry group pays the same fixed
      penalty as a 1-entry group (the seed charged it per batch) *)
   check (Alcotest.float 1e-3) "group of 1" O.slowdown_stall_ns (at 8 1);
   check (Alcotest.float 1e-3) "group of 64" O.slowdown_stall_ns (at 8 64);
-  let v_slow = Bp.throttle t ~now_ns:0.0 ~debt:(debt ~l0:9 ()) ~cost:1 in
-  let v_stop = Bp.throttle t ~now_ns:0.0 ~debt:(debt ~l0:12 ()) ~cost:1 in
+  let v_slow = Bp.throttle t ~now_ns:0.0 ~l0_files:9 ~cost:1 in
+  let v_stop = Bp.throttle t ~now_ns:0.0 ~l0_files:12 ~cost:1 in
   Alcotest.(check bool) "slowdown attribution below stop" true
     (v_slow.Bp.slowdown_ns > 0.0 && v_slow.Bp.stop_ns = 0.0);
   Alcotest.(check bool) "stop attribution at stop" true
@@ -100,7 +91,7 @@ let test_cliff_charges_once_per_group () =
 (* ---------- one controller for both engines ---------- *)
 
 (* Both engines build their controller through Bp.create from the same
-   option fields; feed the two instances one mixed debt schedule and
+   option fields; feed the two instances one mixed L0 schedule and
    pin the verdict sequences equal, so the stall policies cannot
    drift. *)
 let test_engines_cannot_drift () =
@@ -110,15 +101,14 @@ let test_engines_cannot_drift () =
   and flsm = Bp.create (tweak (O.pebblesdb ())) in
   let now = ref 0.0 in
   List.iter
-    (fun (l0, backlog, cost) ->
-      let d = debt ~l0 ~backlog () in
-      let a = Bp.throttle lsm ~now_ns:!now ~debt:d ~cost in
-      let b = Bp.throttle flsm ~now_ns:!now ~debt:d ~cost in
+    (fun (l0_files, cost) ->
+      let a = Bp.throttle lsm ~now_ns:!now ~l0_files ~cost in
+      let b = Bp.throttle flsm ~now_ns:!now ~l0_files ~cost in
       check (Alcotest.float 1e-6) "same slowdown" a.Bp.slowdown_ns b.Bp.slowdown_ns;
       check (Alcotest.float 1e-6) "same stop" a.Bp.stop_ns b.Bp.stop_ns;
       now := !now +. Bp.total_ns a +. 1_000.0)
-    [ (0, 0, 8); (3, 0, 8); (3, 65536, 16); (5, 0, 4); (6, 131072, 32);
-      (1, 0, 8); (4, 0, 64); (0, 0, 8); (5, 32768, 16) ]
+    [ (0, 8); (3, 8); (3, 16); (5, 4); (6, 32); (1, 8); (4, 64); (0, 8);
+      (5, 16) ]
 
 let test_engine_group_charged_once () =
   (* l0_slowdown = 0 puts every commit at the cliff: a 3-batch group
@@ -154,7 +144,7 @@ let test_engine_group_charged_once () =
 
 let stall_fill engine ~throttle ~clients =
   (* thresholds under the L0 compaction trigger so stalls actually
-     fire at this scale (the synchronous drain keeps L0 <= 4) *)
+     fire at this scale (synchronous compaction keeps L0 <= 4) *)
   let tweak o = { o with O.throttle; l0_slowdown = 2; l0_stop = 4 } in
   let env = Env.create () in
   let store = Stores.open_engine ~tweak ~env engine in
@@ -195,7 +185,7 @@ let fp_level l = Sched.full_range ~level_lo:l ~level_hi:l
 let test_flush_lane_never_starved () =
   let clock = Clock.create () in
   let s = Sched.create ~clock ~workers:1 () in
-  (* saturate the single worker lane with a deep compaction queue *)
+  (* saturate the single worker lane with compaction work *)
   for _ = 1 to 4 do
     ignore (Sched.place_span s (fp_level 1) ~duration_ns:1_000.0)
   done;

@@ -1,6 +1,6 @@
 (* Tests for the compaction-job framework: scheduler semantics,
    worker-count invariance of store state, invariant preservation after
-   every drained job, and the guard-parallelism throughput claim (§4.3). *)
+   every job, and the guard-parallelism throughput claim (§4.3). *)
 
 module Fingerprint = Pdb_simio.Fingerprint
 module P = Pebblesdb.Pebbles_store
@@ -29,39 +29,43 @@ let tiny ?(threads = 1) base =
 
 (* ---------- scheduler unit tests ---------- *)
 
-let manual_job ?(key = "x") run =
+let manual_job ?(key = "x") ?(bytes = 10) run =
   {
     Job.key;
     trigger = Job.Manual;
-    estimated_bytes = 10;
+    estimated_bytes = bytes;
     footprint = Sched.full_range ~level_lo:0 ~level_hi:0;
     run;
   }
 
-let test_submit_dedup_and_fifo () =
+let test_run_round_order_and_peaks () =
   let clock = Clock.create () in
   let s = Scheduler.create ~clock ~workers:2 () in
   let order = ref [] in
-  Alcotest.(check bool) "first accepted" true
-    (Scheduler.submit s (manual_job ~key:"a" (fun () -> order := "a" :: !order)));
-  Alcotest.(check bool) "second accepted" true
-    (Scheduler.submit s (manual_job ~key:"b" (fun () -> order := "b" :: !order)));
-  Alcotest.(check bool) "duplicate key rejected" false
-    (Scheduler.submit s (manual_job ~key:"a" (fun () -> order := "dup" :: !order)));
-  check Alcotest.int "two pending" 2 (Scheduler.pending s);
-  Scheduler.drain s;
-  check Alcotest.(list string) "FIFO order" [ "a"; "b" ] (List.rev !order);
-  check Alcotest.int "queue empty" 0 (Scheduler.pending s);
-  Alcotest.(check bool) "key reusable after drain" true
-    (Scheduler.submit s (manual_job ~key:"a" (fun () -> ())));
-  Scheduler.drain s
+  let job key bytes =
+    manual_job ~key ~bytes (fun () -> order := key :: !order)
+  in
+  let peaks () =
+    let c = Scheduler.counters s in
+    Pdb_kvs.Engine_stats.
+      (get c compaction_queue_peak, get c compaction_backlog_peak_bytes)
+  in
+  Scheduler.run_round s [ job "c" 30; job "a" 10; job "b" 20 ];
+  check Alcotest.(list string) "pick order" [ "c"; "a"; "b" ] (List.rev !order);
+  check Alcotest.(pair int int) "round count and bytes" (3, 60) (peaks ());
+  Scheduler.run_round s [ job "d" 40 ];
+  check Alcotest.(pair int int) "peaks keep the larger round" (3, 60)
+    (peaks ());
+  Scheduler.run_round s [ job "e" 50; job "f" 25 ];
+  check Alcotest.(pair int int) "each peak is its own maximum" (3, 75)
+    (peaks ());
+  check Alcotest.int "every job counted" 6
+    Pdb_kvs.Engine_stats.(get (Scheduler.counters s) compaction_jobs)
 
-let test_drain_runs_on_background_lane () =
+let test_round_runs_on_background_lane () =
   let clock = Clock.create () in
   let s = Scheduler.create ~clock ~workers:1 () in
-  ignore
-    (Scheduler.submit s (manual_job (fun () -> Clock.advance clock 500.0)));
-  Scheduler.drain s;
+  Scheduler.run_round s [ manual_job (fun () -> Clock.advance clock 500.0) ];
   let snap = Clock.snapshot clock in
   check (Alcotest.float 0.001) "charged to background" 500.0
     snap.Clock.background_ns;
@@ -86,11 +90,8 @@ let serialized_jobs ~conflicting =
         };
     }
   in
-  ignore (Scheduler.submit s (job "a" "a" "m"));
-  ignore
-    (Scheduler.submit s
-       (if conflicting then job "b" "g" "z" else job "b" "m" "z"));
-  Scheduler.drain s;
+  let second = if conflicting then job "b" "g" "z" else job "b" "m" "z" in
+  Scheduler.run_round s [ job "a" "a" "m"; second ];
   Pdb_kvs.Engine_stats.(get (Scheduler.counters s) compaction_serialized_jobs)
 
 let test_serialized_jobs_counted () =
@@ -142,7 +143,7 @@ let test_lsm_worker_count_invariance () =
   let b = Fingerprint.text (lsm_workload ~threads:4 ~n:1500) in
   check Alcotest.string "1 vs 4 workers: byte-identical files" a b
 
-(* ---------- invariants after every drained job ---------- *)
+(* ---------- invariants after every job ---------- *)
 
 let test_pebbles_invariants_after_every_job () =
   let env = Env.create () in
@@ -244,9 +245,10 @@ let () =
     [
       ( "scheduler",
         [
-          Alcotest.test_case "dedup and FIFO" `Quick test_submit_dedup_and_fifo;
+          Alcotest.test_case "run_round order and peaks" `Quick
+            test_run_round_order_and_peaks;
           Alcotest.test_case "background lane + placement" `Quick
-            test_drain_runs_on_background_lane;
+            test_round_runs_on_background_lane;
           Alcotest.test_case "serialized jobs counted" `Quick
             test_serialized_jobs_counted;
         ] );
