@@ -274,7 +274,7 @@ let compact_level (t : t) level =
       e.Manifest.added_files <- [ (target, single) ];
       Manifest.append t.manifest e
     | _ ->
-      (* the caller (a scheduler-drained job) is already on the
+      (* the caller (a scheduler job) is already on the
          background lane *)
       let drop_tombstones = merges_target && target >= last_level t.opts in
       let outputs =

@@ -70,7 +70,7 @@ let advance t ns =
 (** [advance_cpu t ns] charges modeled CPU work (always foreground). *)
 let advance_cpu t ns = t.times.cpu_ns <- t.times.cpu_ns +. ns
 
-(** [stall t ns] records write-stall time (compaction-backlog
+(** [stall t ns] records write-stall time (L0
     slowdown/stop back-pressure). *)
 let stall t ns = t.times.stall_ns <- t.times.stall_ns +. ns
 
