@@ -397,120 +397,102 @@ let flush_edit t (e : Manifest.edit) =
         @ e.Manifest.added_guards
   done
 
-let maybe_compact t =
-  (* Round-based picking: reify every trigger firing on the current state
-     as a job, run the round, re-examine.  A job re-validates its trigger
-     when it runs (an earlier job in the round may have restructured the
-     tree), and a job that runs without shrinking its measure is blocked
-     for the rest of this invocation — the same no-progress guards the
-     old inline loop used. *)
-  let blocked = Hashtbl.create 8 in
-  let continue_ = ref true in
-  while !continue_ do
-    let round = ref [] in
-    (* [enqueue key trigger ~estimated_bytes ~footprint ~measure run]:
-       progress = [measure] strictly decreased across the job's run *)
-    let enqueue key trigger ~estimated_bytes ~footprint ~measure run =
-      if not (Hashtbl.mem blocked key) then
-        round :=
-          {
-            Job.key;
-            trigger;
-            estimated_bytes;
-            footprint;
-            run =
-              (fun () ->
-                let before = measure () in
-                run ();
-                if measure () >= before then Hashtbl.replace blocked key ());
-          }
-          :: !round
-    in
-    (* L0 back-pressure *)
-    if l0_due t then
-      enqueue "l0" Job.L0_files
-        ~estimated_bytes:(S.bytes_of t.lv.l0)
-        ~footprint:(merge_footprint t 0)
-        ~measure:(fun () -> List.length t.lv.l0)
-        (fun () -> if l0_due t then compact_level t 0);
-    (* level size triggers — measured in bytes: 25x-redirected rewrites
-       can leave the size unchanged, which must count as no progress *)
-    for level = 1 to S.last_level t - 1 do
-      if level_due t level then
-        enqueue
-          (Printf.sprintf "size:%d" level)
-          Job.Level_size
-          ~estimated_bytes:(level_bytes t level)
-          ~footprint:(merge_footprint t level)
-          ~measure:(fun () -> level_bytes t level)
-          (fun () -> if level_due t level then compact_level t level)
-    done;
-    (* per-guard caps: one job per full guard — FLSM's unit of compaction
-       concurrency *)
-    for level = 1 to S.last_level t - 1 do
-      Array.iter
-        (fun (g : Guard.guard) ->
-          if guard_due t g then begin
-            let gkey = g.Guard.gkey in
-            let tables_of () =
-              match find_guard t level gkey with
-              | Some g -> List.length g.Guard.tables
-              | None -> 0
-            in
-            enqueue
-              (Printf.sprintf "cap:%d:%s" level gkey)
-              Job.Guard_cap ~estimated_bytes:(guard_bytes g)
-              ~footprint:
-                (guard_footprint t level gkey (merge_footprint t level))
-              ~measure:tables_of
-              (fun () ->
-                match find_guard t level gkey with
-                | Some g when guard_due t g ->
-                  compact_level t ~only_guards:[ g ] level
-                | Some _ | None -> ())
-          end)
-        t.lv.levels.(level).Guard.guards
-    done;
-    (* last-level guard merges; committing pending guards first refines
-       the structure (boundary-cut fragments redistribute into their own
-       guards) and often removes the need to merge at all *)
-    commit_pending_with_edit t (S.last_level t);
-    let ll = S.last_level t in
-    let last_cap = max 2 t.opts.O.max_sstables_per_guard in
+(* The due compactions on the current state, in run order, each with the
+   measure the shell's round loop holds it to ({!S.run_rounds}: a job
+   that runs without shrinking its measure is blocked).  A job
+   re-validates its trigger when it runs: an earlier job in the round may
+   have restructured the tree. *)
+let pick t =
+  let round = ref [] in
+  let add key trigger ~estimated_bytes ~footprint ~measure run =
+    round :=
+      ({ Job.key; trigger; estimated_bytes; footprint; run }, measure)
+      :: !round
+  in
+  (* L0 back-pressure *)
+  if l0_due t then
+    add "l0" Job.L0_files
+      ~estimated_bytes:(S.bytes_of t.lv.l0)
+      ~footprint:(merge_footprint t 0)
+      ~measure:(fun () -> List.length t.lv.l0)
+      (fun () -> if l0_due t then compact_level t 0);
+  (* level size triggers — measured in bytes: 25x-redirected rewrites
+     can leave the size unchanged, which must count as no progress *)
+  for level = 1 to S.last_level t - 1 do
+    if level_due t level then
+      add
+        (Printf.sprintf "size:%d" level)
+        Job.Level_size
+        ~estimated_bytes:(level_bytes t level)
+        ~footprint:(merge_footprint t level)
+        ~measure:(fun () -> level_bytes t level)
+        (fun () -> if level_due t level then compact_level t level)
+  done;
+  (* per-guard caps: one job per full guard — FLSM's unit of compaction
+     concurrency *)
+  for level = 1 to S.last_level t - 1 do
     Array.iter
       (fun (g : Guard.guard) ->
-        if guard_due ~cap:last_cap t g then begin
+        if guard_due t g then begin
           let gkey = g.Guard.gkey in
           let tables_of () =
-            match find_guard t ll gkey with
+            match find_guard t level gkey with
             | Some g -> List.length g.Guard.tables
             | None -> 0
           in
-          enqueue
-            (Printf.sprintf "last:%s" gkey)
-            Job.Guard_merge ~estimated_bytes:(guard_bytes g)
-            ~footprint:
-              (guard_footprint t ll gkey
-                 (Sched.full_range ~level_lo:ll ~level_hi:ll))
+          add
+            (Printf.sprintf "cap:%d:%s" level gkey)
+            Job.Guard_cap ~estimated_bytes:(guard_bytes g)
+            ~footprint:(guard_footprint t level gkey (merge_footprint t level))
             ~measure:tables_of
             (fun () ->
-              match find_guard t ll gkey with
-              | Some g when guard_due ~cap:last_cap t g ->
-                let before = List.length g.Guard.tables in
-                compact_last_level_guard t g;
-                if tables_of () >= before then
-                  (* the tiered merge could not shrink the guard (an old
-                     run straddles a pending boundary): rewrite the whole
-                     guard, which dissolves every straddler *)
-                  (match find_guard t ll gkey with
-                   | Some g -> compact_last_level_guard ~force_full:true t g
-                   | None -> ())
+              match find_guard t level gkey with
+              | Some g when guard_due t g ->
+                compact_level t ~only_guards:[ g ] level
               | Some _ | None -> ())
         end)
-      t.lv.levels.(ll).Guard.guards;
-    Scheduler.run_round t.sched (List.rev !round);
-    continue_ := !round <> []
-  done
+      t.lv.levels.(level).Guard.guards
+  done;
+  (* last-level guard merges; committing pending guards first refines
+     the structure (boundary-cut fragments redistribute into their own
+     guards) and often removes the need to merge at all *)
+  commit_pending_with_edit t (S.last_level t);
+  let ll = S.last_level t in
+  let last_cap = max 2 t.opts.O.max_sstables_per_guard in
+  Array.iter
+    (fun (g : Guard.guard) ->
+      if guard_due ~cap:last_cap t g then begin
+        let gkey = g.Guard.gkey in
+        let tables_of () =
+          match find_guard t ll gkey with
+          | Some g -> List.length g.Guard.tables
+          | None -> 0
+        in
+        add
+          (Printf.sprintf "last:%s" gkey)
+          Job.Guard_merge ~estimated_bytes:(guard_bytes g)
+          ~footprint:
+            (guard_footprint t ll gkey
+               (Sched.full_range ~level_lo:ll ~level_hi:ll))
+          ~measure:tables_of
+          (fun () ->
+            match find_guard t ll gkey with
+            | Some g when guard_due ~cap:last_cap t g ->
+              let before = List.length g.Guard.tables in
+              compact_last_level_guard t g;
+              if tables_of () >= before then
+                (* the tiered merge could not shrink the guard (an old
+                   run straddles a pending boundary): rewrite the whole
+                   guard, which dissolves every straddler *)
+                (match find_guard t ll gkey with
+                 | Some g -> compact_last_level_guard ~force_full:true t g
+                 | None -> ())
+            | Some _ | None -> ())
+      end)
+    t.lv.levels.(ll).Guard.guards;
+  List.rev !round
+
+let maybe_compact t = S.run_rounds t pick
 
 let run_seek_compaction t =
   (* most fragmented guard across levels 1 .. last-1 *)

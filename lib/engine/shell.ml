@@ -167,6 +167,40 @@ let note_compaction t ~inputs ~outputs =
   Stats.add t.counters Stats.compaction_bytes_read (bytes_of inputs);
   Stats.add t.counters Stats.compaction_bytes_written (bytes_of outputs)
 
+(* ---------- compaction rounds ---------- *)
+
+(** [run_rounds t pick] runs compaction rounds until none is due: each
+    pass asks [pick t] for the due jobs on the current state, in run
+    order, and runs them through {!Scheduler.run_round}.  Each job comes
+    with a progress measure; a job whose measure is not smaller after its
+    run has its key blocked for the rest of the call, and a blocked key's
+    later picks are dropped, so a trigger the engine cannot relieve ends
+    the loop instead of repeating it. *)
+let run_rounds t pick =
+  let blocked = Hashtbl.create 8 in
+  let unblocked ((job : Job.t), measure) =
+    if Hashtbl.mem blocked job.Job.key then None
+    else
+      Some
+        {
+          job with
+          Job.run =
+            (fun () ->
+              let before = measure () in
+              job.Job.run ();
+              if measure () >= before then
+                Hashtbl.replace blocked job.Job.key ());
+        }
+  in
+  let rec loop () =
+    match List.filter_map unblocked (pick t) with
+    | [] -> ()
+    | round ->
+      Scheduler.run_round t.sched round;
+      loop ()
+  in
+  loop ()
+
 (* Foreground trace instants (WAL rotations, group commits), stamped at
    the clock's current modeled time; no-ops without an attached tracer. *)
 let trace_instant t ?(args = []) ~name ~cat () =
