@@ -398,7 +398,7 @@ let flush_edit t (e : Manifest.edit) =
   done
 
 (* The due compactions on the current state, in run order, each with the
-   measure the shell's round loop holds it to ({!S.run_rounds}: a job
+   measure the shell's round loop holds it to ({!S.maybe_compact}: a job
    that runs without shrinking its measure is blocked).  A job
    re-validates its trigger when it runs: an earlier job in the round may
    have restructured the tree. *)
@@ -491,8 +491,6 @@ let pick t =
       end)
     t.lv.levels.(ll).Guard.guards;
   List.rev !round
-
-let maybe_compact t = S.run_rounds t pick
 
 let run_seek_compaction t =
   (* most fragmented guard across levels 1 .. last-1 *)
@@ -655,7 +653,7 @@ let shape =
     add_l0 = (fun lv m -> lv.l0 <- m :: lv.l0);
     build_l0;
     note_put = note_guard_candidate;
-    maybe_compact;
+    pick;
     candidates;
     views;
     seek_job;
@@ -715,7 +713,7 @@ let compact_all t =
         footprint = Sched.full_range ~level_lo:0 ~level_hi:1;
         run = (fun () -> compact_level t 0);
       };
-  maybe_compact t;
+  S.maybe_compact t;
   S.gc_obsolete t
 
 (* PebblesDB keeps every sstable's bloom filter (and effectively its index)

@@ -80,7 +80,9 @@ module Types = struct
     build_l0 : 'lv t -> Memtable.t -> Table.meta option;
         (** write a memtable as one table (the engine's table builder) *)
     note_put : 'lv t -> string -> unit;  (** a user key enters the memtable *)
-    maybe_compact : 'lv t -> unit;
+    pick : 'lv t -> (Job.t * (unit -> int)) list;
+        (** the due compactions on the current state, in run order, each
+            with its progress measure (see {!maybe_compact}) *)
     candidates :
       'lv t -> int -> key:string -> lookup:string -> Table.meta list;
         (** the tables of level [>= 1] a get of user [key] probes, in
@@ -169,14 +171,16 @@ let note_compaction t ~inputs ~outputs =
 
 (* ---------- compaction rounds ---------- *)
 
-(** [run_rounds t pick] runs compaction rounds until none is due: each
-    pass asks [pick t] for the due jobs on the current state, in run
-    order, and runs them through {!Scheduler.run_round}.  Each job comes
-    with a progress measure; a job whose measure is not smaller after its
-    run has its key blocked for the rest of the call, and a blocked key's
-    later picks are dropped, so a trigger the engine cannot relieve ends
-    the loop instead of repeating it. *)
-let run_rounds t pick =
+(** [maybe_compact t] runs compaction rounds until none is due: each
+    pass asks the engine's {!shape.pick} for the due jobs on the current
+    state and runs them through {!Scheduler.run_round}.  A job whose
+    progress measure is not smaller after its run has its key blocked for
+    the rest of the call, and a blocked key's later picks are dropped, so
+    a trigger the engine cannot relieve ends the loop instead of
+    repeating it.  The rule is per job: a job that shrank its measure
+    stays unblocked even when a later job in the same round refilled
+    what it drained. *)
+let maybe_compact t =
   let blocked = Hashtbl.create 8 in
   let unblocked ((job : Job.t), measure) =
     if Hashtbl.mem blocked job.Job.key then None
@@ -193,7 +197,7 @@ let run_rounds t pick =
         }
   in
   let rec loop () =
-    match List.filter_map unblocked (pick t) with
+    match List.filter_map unblocked (t.shape.pick t) with
     | [] -> ()
     | round ->
       Scheduler.run_round t.sched round;
@@ -265,7 +269,7 @@ let flush t =
           ("old", string_of_int old_log); ("new", string_of_int new_log);
         ]
       ();
-    t.shape.maybe_compact t
+    maybe_compact t
   end
 
 (* ---------- compaction merge loop ---------- *)

@@ -318,32 +318,15 @@ let level_job (t : t) level =
           compact_level t level);
   }
 
-let maybe_compact (t : t) =
-  (* Round-based: pick a job for every level over threshold, run the
-     round, re-examine.  A level whose job made no progress is blocked
-     for the rest of this invocation. *)
-  let blocked = Hashtbl.create 4 in
-  let continue_ = ref true in
-  while !continue_ do
-    let picked = ref [] in
-    for level = 0 to t.opts.O.max_levels - 2 do
-      if
-        (not (Hashtbl.mem blocked level))
-        && Policy.should_trigger (compaction_score t level)
-      then
-        picked :=
-          (level, (List.length t.lv.levels.(level), level_bytes t level))
-          :: !picked
-    done;
-    Scheduler.run_round t.sched
-      (List.rev_map (fun (level, _) -> level_job t level) !picked);
-    List.iter
-      (fun (level, before) ->
-        let now = (List.length t.lv.levels.(level), level_bytes t level) in
-        if now = before then Hashtbl.replace blocked level ())
-      !picked;
-    continue_ := !picked <> []
-  done
+(* The due level compactions, top-down, each measured by its level's
+   bytes. *)
+let pick (t : t) =
+  List.filter_map
+    (fun level ->
+      if Policy.should_trigger (compaction_score t level) then
+        Some (level_job t level, fun () -> level_bytes t level)
+      else None)
+    (List.init (t.opts.O.max_levels - 1) Fun.id)
 
 (* ---------- the level structure the shell drives ---------- *)
 
@@ -437,7 +420,7 @@ let shape =
     add_l0 = (fun lv m -> lv.levels.(0) <- m :: lv.levels.(0));
     build_l0;
     note_put = (fun _ _ -> ());
-    maybe_compact;
+    pick;
     candidates;
     views;
     seek_job;
