@@ -1,6 +1,7 @@
 (** The shared background-work scheduler.
 
-    Stores do not compact inline: [maybe_compact] picks a {e round} of
+    Stores do not compact inline: the engine shell's round loop
+    ([Shell.maybe_compact]) asks the engine's pick for a {e round} of
     {!Job.t}s on the current state and hands it to {!run_round}, which
     runs the jobs where they were picked, in pick order — one at a time,
     so store mutation order (and hence final state) never depends on the

@@ -340,8 +340,8 @@ let guard_footprint t level gkey fp =
 
 let guard_bytes (g : Guard.guard) = S.bytes_of g.Guard.tables
 
-(* Jobs capture guard *keys*, not guard records: a preceding job in the
-   queue may have spliced the guard array (commit_guards recreates
+(* Jobs capture guard *keys*, not guard records: an earlier job in the
+   same round may have spliced the guard array (commit_guards recreates
    records), so the closure re-resolves at execution time. *)
 let find_guard t level gkey =
   Array.to_list t.lv.levels.(level).Guard.guards
@@ -540,7 +540,7 @@ let run_seek_compaction t =
 
 (* Seek-triggered maintenance (§4.2): compact the most fragmented guard and
    apply the aggressive level rule.  A rare whole-tree event, reified as a
-   single job and drained synchronously. *)
+   single job that the shell runs as a round of one. *)
 let seek_job t =
   Some
     {

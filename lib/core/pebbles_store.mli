@@ -41,8 +41,9 @@ val env : t -> Pdb_simio.Env.t
     at the read. *)
 val stats : t -> Pdb_kvs.Engine_stats.t
 
-(** The shared background-compaction scheduler: all non-manual compaction
-    is enqueued as {!Pdb_compaction.Job.t}s and drained through it. *)
+(** The shared background-compaction scheduler: every compaction runs
+    through it as a {!Pdb_compaction.Job.t}, the triggered ones in the
+    rounds the engine shell's loop asks this store's pick for. *)
 val compaction_scheduler : t -> Pdb_compaction.Scheduler.t
 
 (** The write-throttling controller pacing this store's foreground

@@ -6,7 +6,8 @@
     recovery, flush with WAL rotation, obsolete-file collection, group
     commit with its backpressure debt, the engine's counters, the
     memtable and level-0 halves of reads, the iterator wrapper with seek
-    accounting, and the snapshot-aware compaction merge loop.
+    accounting, the compaction round loop with its one no-progress rule,
+    and the snapshot-aware compaction merge loop.
 
     An engine supplies only its level structure: a value of its own type
     (['lv], carried in {!t.lv}) and a {!shape} record of the operations
@@ -92,7 +93,7 @@ module Types = struct
         (** the levels below 0, one {!Level_iter} each: the iterator calls
             its level's thunk for a view at every seek *)
     seek_job : 'lv t -> Job.t option;
-        (** the seek-triggered compaction to submit, if any is due *)
+        (** the seek-triggered compaction to run, if any is due *)
   }
 end
 
