@@ -347,6 +347,11 @@ let find_guard t level gkey =
   Array.to_list t.lv.levels.(level).Guard.guards
   |> List.find_opt (fun (g : Guard.guard) -> g.Guard.gkey = gkey)
 
+let guard_tables t level gkey =
+  match find_guard t level gkey with
+  | Some g -> List.length g.Guard.tables
+  | None -> 0
+
 (* ---------- policy consultation ---------- *)
 
 (* The FLSM triggers phrased as policy scores: L0 back-pressure and level
@@ -397,11 +402,9 @@ let flush_edit t (e : Manifest.edit) =
         @ e.Manifest.added_guards
   done
 
-(* The due compactions on the current state, in run order, each with the
-   measure the shell's round loop holds it to ({!S.maybe_compact}: a job
-   that runs without shrinking its measure is blocked).  A job
-   re-validates its trigger when it runs: an earlier job in the round may
-   have restructured the tree. *)
+(* The due compactions, each with its progress measure ({!S.maybe_compact}).
+   A job re-validates its trigger when it runs: an earlier job in the
+   round may have restructured the tree. *)
 let pick t =
   let round = ref [] in
   let add key trigger ~estimated_bytes ~footprint ~measure run =
@@ -435,16 +438,11 @@ let pick t =
       (fun (g : Guard.guard) ->
         if guard_due t g then begin
           let gkey = g.Guard.gkey in
-          let tables_of () =
-            match find_guard t level gkey with
-            | Some g -> List.length g.Guard.tables
-            | None -> 0
-          in
           add
             (Printf.sprintf "cap:%d:%s" level gkey)
             Job.Guard_cap ~estimated_bytes:(guard_bytes g)
             ~footprint:(guard_footprint t level gkey (merge_footprint t level))
-            ~measure:tables_of
+            ~measure:(fun () -> guard_tables t level gkey)
             (fun () ->
               match find_guard t level gkey with
               | Some g when guard_due t g ->
@@ -463,24 +461,19 @@ let pick t =
     (fun (g : Guard.guard) ->
       if guard_due ~cap:last_cap t g then begin
         let gkey = g.Guard.gkey in
-        let tables_of () =
-          match find_guard t ll gkey with
-          | Some g -> List.length g.Guard.tables
-          | None -> 0
-        in
         add
           (Printf.sprintf "last:%s" gkey)
           Job.Guard_merge ~estimated_bytes:(guard_bytes g)
           ~footprint:
             (guard_footprint t ll gkey
                (Sched.full_range ~level_lo:ll ~level_hi:ll))
-          ~measure:tables_of
+          ~measure:(fun () -> guard_tables t ll gkey)
           (fun () ->
             match find_guard t ll gkey with
             | Some g when guard_due ~cap:last_cap t g ->
               let before = List.length g.Guard.tables in
               compact_last_level_guard t g;
-              if tables_of () >= before then
+              if guard_tables t ll gkey >= before then
                 (* the tiered merge could not shrink the guard (an old
                    run straddles a pending boundary): rewrite the whole
                    guard, which dissolves every straddler *)

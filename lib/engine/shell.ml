@@ -172,15 +172,10 @@ let note_compaction t ~inputs ~outputs =
 
 (* ---------- compaction rounds ---------- *)
 
-(** [maybe_compact t] runs compaction rounds until none is due: each
-    pass asks the engine's {!shape.pick} for the due jobs on the current
-    state and runs them through {!Scheduler.run_round}.  A job whose
-    progress measure is not smaller after its run has its key blocked for
-    the rest of the call, and a blocked key's later picks are dropped, so
-    a trigger the engine cannot relieve ends the loop instead of
-    repeating it.  The rule is per job: a job that shrank its measure
-    stays unblocked even when a later job in the same round refilled
-    what it drained. *)
+(** [maybe_compact t] runs the rounds {!shape.pick} returns until one is
+    empty.  A job whose measure is not smaller after its own run has its
+    key blocked, and later picks of it dropped, for the rest of the call:
+    what other jobs of the round move does not count. *)
 let maybe_compact t =
   let blocked = Hashtbl.create 8 in
   let unblocked ((job : Job.t), measure) =
