@@ -245,18 +245,16 @@ let test_guard_parallelism_beats_leveled_scaling () =
 
 (* A write returns only once the compaction loop has nothing left due, so
    no level above the last may be over its trigger after any put.  A job
-   that shrank its level keeps its level unblocked even when a job below
-   refilled it in the same round; a whole-round rule blocked such a
-   level and left it due. *)
+   that shrank its level keeps the level unblocked even when the level
+   above refilled it in the same round; a whole-round rule would block
+   such a level and leave it due. *)
 let test_no_level_left_due base () =
   let env = Env.create () in
   let db = L.open_store (tiny base) ~env ~dir:"db" in
   let rng = Random.State.make [| 42 |] in
   let v = String.make 100 'v' in
   for i = 1 to 5000 do
-    L.put db
-      (Printf.sprintf "key%08d" (Random.State.int rng 100_000_000))
-      v;
+    L.put db (Printf.sprintf "key%08d" (Random.State.int rng 100_000_000)) v;
     for level = 0 to (L.options db).O.max_levels - 2 do
       if Policy.should_trigger (L.compaction_score db level) then
         Alcotest.failf "after put %d, level %d is still due" i level
@@ -290,7 +288,7 @@ let () =
           Alcotest.test_case "lsm invariants after every job" `Quick
             test_lsm_invariants_after_every_job;
         ] );
-      ( "no level left due after a write",
+      ( "no level due",
         [
           Alcotest.test_case "leveldb" `Quick
             (test_no_level_left_due (O.leveldb ()));
