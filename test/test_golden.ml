@@ -254,6 +254,122 @@ let test_scan_pin name () =
   Alcotest.(check string) (name ^ ": IO counts") want_io io;
   Alcotest.(check string) (name ^ ": entries") want_scanned scanned
 
+(* Shard pins: a seeded op sequence through the elastic shard store with
+   one forced split and one merge, then a reopen from the installed
+   topology.  The pin covers the migration path (fenced copy, install,
+   clean, donor retirement) and the wrapper write paths; the "file-ship"
+   subject replicates every shard by file shipping, so its primary
+   clock carries the ack waits. *)
+module Stores = Pdb_harness.Stores
+module Dyn = Pdb_kvs.Store_intf
+
+let shard_tweak ~repl (o : O.t) =
+  let o =
+    {
+      (tiny o) with
+      O.shards = 2;
+      shard_splits = [ "k00450" ];
+      elastic = true;
+      elastic_window_ops = max_int;
+    }
+  in
+  if repl then { o with O.replicas = 1; repl_strategy = O.File_shipping }
+  else o
+
+let shard_replay engine ~repl =
+  let env = Env.create () in
+  let rng = Random.State.make [| 20171030 |] in
+  let key () = Printf.sprintf "k%05d" (Random.State.int rng 900) in
+  let value i =
+    Printf.sprintf "m%06d-%s" i (String.make (Random.State.int rng 48) 'm')
+  in
+  let open_ () =
+    Stores.open_sharded ~tweak:(shard_tweak ~repl) ~env engine
+  in
+  let writes (d : Dyn.dyn) ~from ~n =
+    for i = from to from + n - 1 do
+      match i mod 13 with
+      | 0 -> d.Dyn.d_delete (key ())
+      | 4 ->
+        let b = Wb.create () in
+        for j = 0 to 3 do
+          Wb.put b (key ()) (value (i + j))
+        done;
+        Wb.delete b (key ());
+        d.Dyn.d_write b
+      | 9 ->
+        d.Dyn.d_write_group
+          (List.init 3 (fun j ->
+               let b = Wb.create () in
+               Wb.put b (key ()) (value (i + j));
+               b))
+      | _ -> d.Dyn.d_put (key ()) (value i)
+    done
+  in
+  let sh = open_ () in
+  let d = sh.Stores.s_dyn in
+  writes d ~from:0 ~n:2000;
+  if not (sh.Stores.s_split ~shard:0 ~key:"k00225") then
+    Alcotest.fail "split refused";
+  writes d ~from:2000 ~n:800;
+  for _ = 1 to 200 do
+    ignore (d.Dyn.d_get (key ()))
+  done;
+  let it = d.Dyn.d_iterator () in
+  it.Iter.seek (key ());
+  for _ = 1 to 50 do
+    if it.Iter.valid () then it.Iter.next ()
+  done;
+  if not (sh.Stores.s_merge ~at:0) then Alcotest.fail "merge refused";
+  writes d ~from:2800 ~n:600;
+  d.Dyn.d_compact_all ();
+  d.Dyn.d_check_invariants ();
+  d.Dyn.d_close ();
+  let d = (open_ ()).Stores.s_dyn in
+  writes d ~from:3400 ~n:400;
+  d.Dyn.d_check_invariants ();
+  d.Dyn.d_close ();
+  (Fingerprint.md5 env, clock_bits env, io_counts env)
+
+let shard_subjects =
+  [
+    ("pebblesdb", (Stores.Pebblesdb, false));
+    ("leveldb", (Stores.Leveldb, false));
+    ("kyotocabinet", (Stores.Btree, false));
+    ("file-ship", (Stores.Pebblesdb, true));
+  ]
+
+(* (subject, file-set MD5, clock bits, IO counts) *)
+let shard_pins =
+  [
+    ( "pebblesdb",
+      "c6b753ed1d3f77b34515056f83b0e73f",
+      "0x1.20dd5eep+25 0x1.ee8f8bp+24 0x1.373f02p+23 0x0p+0 0x1.256a42p+25",
+      "1055876 642325 4904 598" );
+    ( "leveldb",
+      "bb8e1aad224d8d7231db09b726112661",
+      "0x1.de9061p+24 0x1.99e2fa8p+24 0x1.8839c4p+23 0x0p+0 0x1.5c06bap+27",
+      "1109511 771041 4759 455" );
+    ( "kyotocabinet",
+      "183b4e47b2a010a0cd99f6678e542243",
+      "0x1.42596662p+30 0x0p+0 0x0p+0 0x0p+0 0x1.6cc653p+27",
+      "2070190 33021 11623 217" );
+    ( "file-ship",
+      "c6b753ed1d3f77b34515056f83b0e73f",
+      "0x1.5773c41acccc7p+29 0x1.156c4b000002p+25 0x1.987c7666666ep+23 0x0p+0 0x1.256a42p+25",
+      "1055876 642325 4904 598" );
+  ]
+
+let test_shard_pin name () =
+  let engine, repl = List.assoc name shard_subjects in
+  let md5, clock, io = shard_replay engine ~repl in
+  let _, want_md5, want_clock, want_io =
+    List.find (fun (n, _, _, _) -> String.equal n name) shard_pins
+  in
+  Alcotest.(check string) (name ^ ": file bytes") want_md5 md5;
+  Alcotest.(check string) (name ^ ": clock bits") want_clock clock;
+  Alcotest.(check string) (name ^ ": IO counts") want_io io
+
 let () =
   Alcotest.run "golden"
     [
@@ -265,4 +381,8 @@ let () =
         List.map
           (fun name -> Alcotest.test_case name `Quick (test_scan_pin name))
           [ "pebblesdb"; "pebblesdb-1"; "leveled"; "tiered" ] );
+      ( "shards",
+        List.map
+          (fun (name, _) -> Alcotest.test_case name `Quick (test_shard_pin name))
+          shard_subjects );
     ]
