@@ -48,6 +48,7 @@ module Dyn = Pdb_kvs.Store_intf
 module O = Pdb_kvs.Options
 module Stats = Pdb_kvs.Engine_stats
 module Iter = Pdb_kvs.Iter
+module Wb = Pdb_kvs.Write_batch
 module Env = Pdb_simio.Env
 
 (** What the shard store needs from an engine: the uniform store surface
@@ -88,6 +89,19 @@ let sample_cap = 64
 
 (* Entries per migration write batch — one scheduler job each. *)
 let migrate_batch_entries = 64
+
+(* [below hi k]: [k] lies under the exclusive upper bound [hi]. *)
+let below hi k = match hi with None -> true | Some h -> String.compare k h < 0
+
+(* [strictly_inside ~lo ~hi k]: [k] can split [lo, hi) — above its lower
+   bound (the first range's is [""]) and below its upper. *)
+let strictly_inside ~lo ~hi k =
+  (match lo with None -> k <> "" | Some l -> String.compare l k < 0)
+  && below hi k
+
+(* Every file whose name starts with [prefix], in [Env.list] order. *)
+let files_under env prefix =
+  List.filter (fun name -> String.starts_with ~prefix name) (Env.list env)
 
 module Make (E : ENGINE) = struct
   type slot = {
@@ -172,16 +186,13 @@ module Make (E : ENGINE) = struct
         splits = Shard_router.splits t.router;
       }
 
+  let shard_files env ~dir ~dir_id = files_under env (shard_dir dir dir_id ^ "/")
+
   (* Delete every file under [shards/<id>/] — migration garbage
      collection (retired donors, orphans from a crashed migration). *)
   let delete_shard_files env ~dir ~dir_id =
-    let prefix = shard_dir dir dir_id ^ "/" in
-    let plen = String.length prefix in
-    List.iter
-      (fun name ->
-        if String.length name > plen && String.sub name 0 plen = prefix then
-          Env.delete env name)
-      (List.sort compare (Env.list env))
+    List.iter (Env.delete env)
+      (List.sort compare (shard_files env ~dir ~dir_id))
 
   let open_store (opts : O.t) ~env ~dir =
     (* a crashed install can leave TOPOLOGY.tmp behind; never read it *)
@@ -211,24 +222,19 @@ module Make (E : ENGINE) = struct
        opening, so recovery state is exactly the installed topology *)
     (match topo with
      | Some _ ->
-       let live = Array.to_list dirs in
        let prefix = dir ^ "/shards/" in
        let plen = String.length prefix in
        let orphan = Hashtbl.create 4 in
        List.iter
          (fun name ->
-           if String.length name > plen && String.sub name 0 plen = prefix
-           then
-             match String.index_from_opt name plen '/' with
-             | Some slash ->
-               (match
-                  int_of_string_opt (String.sub name plen (slash - plen))
-                with
-                | Some id when not (List.mem id live) ->
-                  Hashtbl.replace orphan id ()
-                | _ -> ())
-             | None -> ())
-         (Env.list env);
+           match String.index_from_opt name plen '/' with
+           | Some slash -> (
+             match int_of_string_opt (String.sub name plen (slash - plen)) with
+             | Some id when not (Array.mem id dirs) ->
+               Hashtbl.replace orphan id ()
+             | _ -> ())
+           | None -> ())
+         (files_under env prefix);
        Hashtbl.iter
          (fun id () -> delete_shard_files env ~dir ~dir_id:id)
          orphan
@@ -370,12 +376,25 @@ module Make (E : ENGINE) = struct
         ~ts_ns:(now_ns t) ()
     | None -> ()
 
-  (* Apply migration write batches to [engine]: through its scheduler
-     when it has one — one round of [migrate:copy]/[migrate:clean] jobs,
-     a job per batch with a footprint spanning the moved range, so the
-     work lands on the engine's worker lanes and shows up as [migrate:*]
-     trace spans — or inline for the page stores. *)
-  let submit_batches t ~engine ~trigger ~lo ~hi batches =
+  (* Apply [items] to [engine] as bulk write batches of
+     [migrate_batch_entries] entries, [add] writing one item into a
+     batch: through the engine's scheduler when it has one — one round
+     of [migrate:copy]/[migrate:clean] jobs, a job per batch with a
+     footprint spanning the moved range, so the work lands on the
+     engine's worker lanes and shows up as [migrate:*] trace spans — or
+     inline for the page stores. *)
+  let submit_batches t ~engine ~trigger ~lo ~hi add items =
+    let batches = ref [] in
+    List.iteri
+      (fun i x ->
+        if i mod migrate_batch_entries = 0 then begin
+          let b = Wb.create () in
+          Wb.mark_bulk b;
+          batches := b :: !batches
+        end;
+        add (List.hd !batches) x)
+      items;
+    let batches = List.rev !batches in
     match E.scheduler engine with
     | Some sched ->
       Pdb_compaction.Scheduler.run_round sched
@@ -387,7 +406,7 @@ module Make (E : ENGINE) = struct
                    (Pdb_compaction.Job.trigger_name trigger)
                    t.topo_version i;
                trigger;
-               estimated_bytes = Pdb_kvs.Write_batch.payload_bytes batch;
+               estimated_bytes = Wb.payload_bytes batch;
                footprint =
                  {
                    (Pdb_simio.Sched.full_range ~level_lo:0
@@ -400,74 +419,18 @@ module Make (E : ENGINE) = struct
                run = (fun () -> E.write engine batch);
              })
            batches)
-    | None -> List.iter (fun b -> E.write engine b) batches
+    | None -> List.iter (E.write engine) batches
 
-  (* Copy [lo, hi) of [src] at pinned sequence [seq] into [dst], in
-     batches.  Returns the moved keys (for the clean step) and payload
-     bytes moved. *)
-  let copy_range t ~src ~seq ~dst ~lo ~hi =
-    let it = E.iterator_at src ~snapshot:seq in
+  (* Visit every entry of [engine] in [lo, hi) at pinned sequence [seq]. *)
+  let walk_range engine ~seq ~lo ~hi f =
+    let it = E.iterator_at engine ~snapshot:seq in
     (match lo with
      | None -> it.Iter.seek_to_first ()
      | Some l -> it.Iter.seek l);
-    let in_range k =
-      match hi with None -> true | Some h -> String.compare k h < 0
-    in
-    let batches = ref [] in
-    let batch = ref (Pdb_kvs.Write_batch.create ()) in
-    let keys = ref [] in
-    let bytes = ref 0 in
-    let flush_batch () =
-      if Pdb_kvs.Write_batch.count !batch > 0 then begin
-        Pdb_kvs.Write_batch.mark_bulk !batch;
-        batches := !batch :: !batches;
-        batch := Pdb_kvs.Write_batch.create ()
-      end
-    in
-    while it.Iter.valid () && in_range (it.Iter.key ()) do
-      let k = it.Iter.key () and v = it.Iter.value () in
-      Pdb_kvs.Write_batch.put !batch k v;
-      keys := k :: !keys;
-      bytes := !bytes + String.length k + String.length v;
-      if Pdb_kvs.Write_batch.count !batch >= migrate_batch_entries then
-        flush_batch ();
+    while it.Iter.valid () && below hi (it.Iter.key ()) do
+      f it;
       it.Iter.next ()
-    done;
-    flush_batch ();
-    Env.io_event t.env "migrate:copy";
-    submit_batches t ~engine:dst ~trigger:Pdb_compaction.Job.Migration_copy
-      ~lo ~hi (List.rev !batches);
-    (List.rev !keys, !bytes)
-
-  (* Retire the moved range from the source after the router install:
-     tombstone the moved keys ([migrate:clean] jobs), then flush and
-     compact the source so the dead bytes are physically reclaimed —
-     which is what makes the resident-bytes balance improve. *)
-  let clean_range t ~src ~lo ~hi keys =
-    if keys <> [] then begin
-      Env.io_event t.env "migrate:clean";
-      let batches = ref [] in
-      let batch = ref (Pdb_kvs.Write_batch.create ()) in
-      let flush_batch () =
-        if Pdb_kvs.Write_batch.count !batch > 0 then begin
-          Pdb_kvs.Write_batch.mark_bulk !batch;
-          batches := !batch :: !batches;
-          batch := Pdb_kvs.Write_batch.create ()
-        end
-      in
-      List.iter
-        (fun k ->
-          Pdb_kvs.Write_batch.delete !batch k;
-          if Pdb_kvs.Write_batch.count !batch >= migrate_batch_entries then
-            flush_batch ())
-        keys;
-      flush_batch ();
-      submit_batches t ~engine:src
-        ~trigger:Pdb_compaction.Job.Migration_clean ~lo ~hi
-        (List.rev !batches);
-      E.flush src;
-      E.compact_all src
-    end
+    done
 
   let array_insert arr i x =
     let n = Array.length arr in
@@ -484,138 +447,121 @@ module Make (E : ENGINE) = struct
 
   let list_remove l i = List.filteri (fun j _ -> j <> i) l
 
-  (** [split t ~shard ~key] carves shard [shard] in two at [key] (which
-      must lie strictly inside its range): fence, copy [key, hi) into a
-      fresh engine, install the new topology durably, then retire the
-      moved range from the source.  Returns false (and does nothing)
-      when [key] cannot split the shard. *)
-  let split t ~shard ~key =
-    let n = Array.length t.slots in
-    if t.in_migration || shard < 0 || shard >= n then false
-    else begin
-      let lo, hi = Shard_router.range_of_shard t.router shard in
-      let above_lo =
-        match lo with None -> key <> "" | Some l -> String.compare l key < 0
-      in
-      let below_hi =
-        match hi with None -> true | Some h -> String.compare key h < 0
-      in
-      if not (above_lo && below_hi) then false
-      else begin
-        t.in_migration <- true;
-        Fun.protect
-          ~finally:(fun () -> t.in_migration <- false)
-          (fun () ->
-            invalidate_transient t;
-            let src = t.slots.(shard) in
-            (* the fence: serial execution means no writes are in
-               flight, so the captured sequence *is* the drained state
-               of the moving range *)
-            Env.io_event t.env "migrate:fence";
-            trace_instant t "migrate:split";
-            let seq = E.snapshot src.engine in
-            let dst_id = t.next_dir in
-            t.next_dir <- t.next_dir + 1;
-            (* a crashed copy that never installed a topology can leave
-               files under a reusable dir id; never open a shard over
-               leftovers *)
-            delete_shard_files t.env ~dir:t.dir ~dir_id:dst_id;
-            let dst = new_slot t dst_id in
-            let keys, bytes =
-              copy_range t ~src:src.engine ~seq ~dst:dst.engine
-                ~lo:(Some key) ~hi
-            in
-            E.release_snapshot src.engine seq;
-            (* durable install: old topology until the rename lands,
-               new topology after — never a mix *)
-            Env.io_event t.env "migrate:install";
-            t.router <-
-              Shard_router.create
-                ~splits:(list_insert (Shard_router.splits t.router) shard key);
-            t.slots <- array_insert t.slots (shard + 1) dst;
-            t.topo_version <- t.topo_version + 1;
-            t.clip <- true;
-            install_topology t;
-            clean_range t ~src:src.engine ~lo:(Some key) ~hi keys;
-            Stats.incr t.counters Stats.elastic_splits;
-            Stats.add t.counters Stats.elastic_migrated_bytes bytes;
-            true)
-      end
-    end
-
-  (** [merge t ~at] folds shard [at + 1] (the donor) into shard [at]
-      (the survivor): fence, copy the donor's contents into the survivor,
-      install the topology without the donor, then retire the donor's
-      engine — immediately when nothing pins it, else when the last
-      fence releases. *)
-  let merge t ~at =
-    let n = Array.length t.slots in
-    if t.in_migration || at < 0 || at >= n - 1 then false
-    else begin
+  (* The one path a key range moves by, for both split and merge.
+     Fence [src] at its current sequence (writes are serial here, so
+     the captured sequence {e is} the drained state of the moving
+     range); [into ()] readies the destination engine and names the
+     split vector and slots that follow; copy [lo, hi) into it as one
+     round of [migrate:copy] jobs; install the new topology durably (the
+     old one until the rename lands, the new one after — never a mix);
+     then [retire keys] clears what the source no longer owns.  Returns
+     false, doing nothing, while another move is running. *)
+  let move_range t ~name ~counter ~src ~lo ~hi ~into ~retire =
+    (not t.in_migration)
+    && begin
       t.in_migration <- true;
       Fun.protect
         ~finally:(fun () -> t.in_migration <- false)
         (fun () ->
           invalidate_transient t;
-          let survivor = t.slots.(at) and donor = t.slots.(at + 1) in
           Env.io_event t.env "migrate:fence";
-          trace_instant t "migrate:merge";
-          let seq = E.snapshot donor.engine in
-          let d_lo, d_hi = Shard_router.range_of_shard t.router (at + 1) in
-          (* a crash between a past install and its clean can have left
-             the survivor stale bytes inside the donor's range (clipped,
-             so invisible — until the survivor legitimately owns the
-             range again).  Tombstone them *below* the incoming copies,
-             or a key deleted in the donor could resurrect. *)
-          (let sseq = E.snapshot survivor.engine in
-           let sit = E.iterator_at survivor.engine ~snapshot:sseq in
-           (match d_lo with
-            | None -> sit.Iter.seek_to_first ()
-            | Some l -> sit.Iter.seek l);
-           let stale = ref [] in
-           let in_range k =
-             match d_hi with
-             | None -> true
-             | Some h -> String.compare k h < 0
-           in
-           while sit.Iter.valid () && in_range (sit.Iter.key ()) do
-             stale := sit.Iter.key () :: !stale;
-             sit.Iter.next ()
-           done;
-           E.release_snapshot survivor.engine sseq;
-           if !stale <> [] then begin
-             let batch = Pdb_kvs.Write_batch.create () in
-             Pdb_kvs.Write_batch.mark_bulk batch;
-             List.iter
-               (fun k -> Pdb_kvs.Write_batch.delete batch k)
-               (List.rev !stale);
-             submit_batches t ~engine:survivor.engine
-               ~trigger:Pdb_compaction.Job.Migration_clean ~lo:d_lo ~hi:d_hi
-               [ batch ]
-           end);
-          let keys, bytes =
-            copy_range t ~src:donor.engine ~seq ~dst:survivor.engine
-              ~lo:d_lo ~hi:d_hi
-          in
-          ignore keys;
-          E.release_snapshot donor.engine seq;
+          trace_instant t name;
+          let seq = E.snapshot src in
+          let dst, splits, slots = into () in
+          let entries = ref [] in
+          walk_range src ~seq ~lo ~hi (fun it ->
+              entries := (it.Iter.key (), it.Iter.value ()) :: !entries);
+          let entries = List.rev !entries in
+          Env.io_event t.env "migrate:copy";
+          submit_batches t ~engine:dst
+            ~trigger:Pdb_compaction.Job.Migration_copy ~lo ~hi
+            (fun b (k, v) -> Wb.put b k v)
+            entries;
+          E.release_snapshot src seq;
           Env.io_event t.env "migrate:install";
-          t.router <-
-            Shard_router.create
-              ~splits:(list_remove (Shard_router.splits t.router) at);
-          t.slots <- array_remove t.slots (at + 1);
+          t.router <- Shard_router.create ~splits;
+          t.slots <- slots;
           t.topo_version <- t.topo_version + 1;
           t.clip <- true;
           install_topology t;
-          (* the donor leaves the topology whole: no tombstones — its
-             directory is deleted once no fence pins it *)
-          if slot_pinned t donor.dir_id then
-            t.retired <- donor :: t.retired
-          else drop_donor t donor;
-          Stats.incr t.counters Stats.elastic_merges;
-          Stats.add t.counters Stats.elastic_migrated_bytes bytes;
+          retire (List.map fst entries);
+          Stats.incr t.counters counter;
+          Stats.add t.counters Stats.elastic_migrated_bytes
+            (List.fold_left
+               (fun acc (k, v) -> acc + String.length k + String.length v)
+               0 entries);
           true)
     end
+
+  (** [split t ~shard ~key] carves shard [shard] in two at [key] (which
+      must lie strictly inside its range): move [key, hi) into a fresh
+      engine, then retire the moved range from the source — tombstone
+      the moved keys ([migrate:clean] jobs), then flush and compact the
+      source so the dead bytes are physically reclaimed, which is what
+      makes the resident-bytes balance improve.  Returns false (and does
+      nothing) when [key] cannot split the shard. *)
+  let split t ~shard ~key =
+    shard >= 0
+    && shard < Array.length t.slots
+    &&
+    let lo, hi = Shard_router.range_of_shard t.router shard in
+    let src = t.slots.(shard).engine in
+    strictly_inside ~lo ~hi key
+    && move_range t ~name:"migrate:split" ~counter:Stats.elastic_splits ~src
+         ~lo:(Some key) ~hi
+         ~into:(fun () ->
+           let dst_id = t.next_dir in
+           t.next_dir <- t.next_dir + 1;
+           (* a crashed copy that never installed a topology can leave
+              files under a reusable dir id; never open a shard over
+              leftovers *)
+           delete_shard_files t.env ~dir:t.dir ~dir_id:dst_id;
+           let dst = new_slot t dst_id in
+           ( dst.engine,
+             list_insert (Shard_router.splits t.router) shard key,
+             array_insert t.slots (shard + 1) dst ))
+         ~retire:(fun keys ->
+           if keys <> [] then begin
+             Env.io_event t.env "migrate:clean";
+             submit_batches t ~engine:src
+               ~trigger:Pdb_compaction.Job.Migration_clean ~lo:(Some key)
+               ~hi Wb.delete keys;
+             E.flush src;
+             E.compact_all src
+           end)
+
+  (** [merge t ~at] folds shard [at + 1] (the donor) into shard [at]
+      (the survivor): move the donor's range into the survivor, then
+      retire the donor's engine — whole, with no tombstones: immediately
+      when nothing pins it, else when the last fence releases. *)
+  let merge t ~at =
+    at >= 0
+    && at < Array.length t.slots - 1
+    &&
+    let survivor = t.slots.(at).engine and donor = t.slots.(at + 1) in
+    let lo, hi = Shard_router.range_of_shard t.router (at + 1) in
+    move_range t ~name:"migrate:merge" ~counter:Stats.elastic_merges
+      ~src:donor.engine ~lo ~hi
+      ~into:(fun () ->
+        (* a crash between a past install and its clean can have left
+           the survivor stale bytes inside the donor's range (clipped,
+           so invisible — until the survivor legitimately owns the range
+           again).  Tombstone them *below* the incoming copies, or a key
+           deleted in the donor could resurrect. *)
+        let seq = E.snapshot survivor in
+        let stale = ref [] in
+        walk_range survivor ~seq ~lo ~hi (fun it ->
+            stale := it.Iter.key () :: !stale);
+        E.release_snapshot survivor seq;
+        submit_batches t ~engine:survivor
+          ~trigger:Pdb_compaction.Job.Migration_clean ~lo ~hi Wb.delete
+          (List.rev !stale);
+        ( survivor,
+          list_remove (Shard_router.splits t.router) at,
+          array_remove t.slots (at + 1) ))
+      ~retire:(fun _ ->
+        if slot_pinned t donor.dir_id then t.retired <- donor :: t.retired
+        else drop_donor t donor)
 
   (* ---------- the elasticity controller ---------- *)
 
@@ -636,14 +582,7 @@ module Make (E : ENGINE) = struct
       if Array.length distinct < 2 then None
       else begin
         let candidate = keys.(n / 2) in
-        let ok k =
-          (match lo with
-           | None -> k <> ""
-           | Some l -> String.compare l k < 0)
-          && match hi with
-             | None -> true
-             | Some h -> String.compare k h < 0
-        in
+        let ok = strictly_inside ~lo ~hi in
         if ok candidate then Some candidate
         else
           (* scan the distinct samples above the failed median *)
@@ -710,71 +649,38 @@ module Make (E : ENGINE) = struct
 
   (* ---------- writes ---------- *)
 
-  let put t k v =
-    invalidate_transient t;
-    E.put (route t k) k v;
-    maybe_rebalance t
-
-  let delete t k =
-    invalidate_transient t;
-    E.delete (route t k) k;
-    maybe_rebalance t
-
-  (* Split one batch into per-shard sub-batches, preserving the in-batch
-     operation order within each shard.  Cross-shard atomicity matches
-     what a shard-per-process deployment gives: each shard's slice
-     commits atomically through that shard's WAL. *)
-  let split_batch t batch =
-    let n = Array.length t.slots in
-    let subs = Array.make n None in
-    let sub i =
-      match subs.(i) with
-      | Some b -> b
-      | None ->
-        let b = Pdb_kvs.Write_batch.create () in
-        subs.(i) <- Some b;
-        b
-    in
-    Pdb_kvs.Write_batch.iter batch (fun op ->
-        match op with
-        | Pdb_kvs.Write_batch.Put (k, v) ->
-          let i = shard_of_key t k in
-          note_op t i k;
-          Pdb_kvs.Write_batch.put (sub i) k v
-        | Pdb_kvs.Write_batch.Delete k ->
-          let i = shard_of_key t k in
-          note_op t i k;
-          Pdb_kvs.Write_batch.delete (sub i) k);
-    subs
-
-  let write t batch =
-    invalidate_transient t;
-    let subs = split_batch t batch in
-    Array.iteri
-      (fun i sub ->
-        match sub with
-        | None -> ()
-        | Some b -> E.write t.slots.(i).engine b)
-      subs;
-    maybe_rebalance t
-
-  (* Group commit fans out per shard: every member batch contributes its
-     shard's slice, and each shard runs one group commit over the slices
-     it received — one coalesced WAL append and one sync per *shard*, the
-     multi-instance shape of LevelDB's writers queue. *)
+  (* The one write path.  Each batch splits into per-shard sub-batches,
+     preserving the in-batch operation order within each shard;
+     cross-shard atomicity matches what a shard-per-process deployment
+     gives: each shard's slice commits atomically through that shard's
+     WAL.  Group commit fans out per shard: each shard runs one group
+     commit over the slices it received — one coalesced WAL append and
+     one sync per *shard*, the multi-instance shape of LevelDB's writers
+     queue.  [put], [delete] and [write] are its one-batch case, as in
+     every engine. *)
   let write_group t batches =
     invalidate_transient t;
     let n = Array.length t.slots in
     let per_shard = Array.make n [] in
     List.iter
       (fun batch ->
-        let subs = split_batch t batch in
-        Array.iteri
-          (fun i sub ->
-            match sub with
-            | None -> ()
-            | Some b -> per_shard.(i) <- b :: per_shard.(i))
-          subs)
+        let subs = Array.make n None in
+        Wb.iter batch (fun op ->
+            let k = match op with Wb.Put (k, _) | Wb.Delete k -> k in
+            let i = shard_of_key t k in
+            note_op t i k;
+            let sub =
+              match subs.(i) with
+              | Some b -> b
+              | None ->
+                let b = Wb.create () in
+                subs.(i) <- Some b;
+                per_shard.(i) <- b :: per_shard.(i);
+                b
+            in
+            match op with
+            | Wb.Put (k, v) -> Wb.put sub k v
+            | Wb.Delete k -> Wb.delete sub k))
       batches;
     Array.iteri
       (fun i subs ->
@@ -783,6 +689,18 @@ module Make (E : ENGINE) = struct
         | subs -> E.write_group t.slots.(i).engine subs)
       per_shard;
     maybe_rebalance t
+
+  let write t batch = write_group t [ batch ]
+
+  let put t k v =
+    let b = Wb.create () in
+    Wb.put b k v;
+    write t b
+
+  let delete t k =
+    let b = Wb.create () in
+    Wb.delete b k;
+    write t b
 
   let flush t =
     invalidate_transient t;
@@ -803,11 +721,6 @@ module Make (E : ENGINE) = struct
     match (lo, hi) with
     | None, None -> it
     | _ ->
-      let in_hi () =
-        match hi with
-        | None -> true
-        | Some h -> String.compare (it.Iter.key ()) h < 0
-      in
       {
         Iter.seek_to_first =
           (fun () ->
@@ -823,18 +736,25 @@ module Make (E : ENGINE) = struct
             in
             it.Iter.seek k);
         next = it.Iter.next;
-        valid = (fun () -> it.Iter.valid () && in_hi ());
+        valid = (fun () -> it.Iter.valid () && below hi (it.Iter.key ()));
         key = it.Iter.key;
         value = it.Iter.value;
         value_slice = it.Iter.value_slice;
       }
 
-  (* A back-to-back capture of every shard's current sequence — the
-     common fence all per-shard iterators read at.  The pins are HELD,
-     not released: releasing immediately would let a compaction landing
-     while the merged iterator is alive (e.g. a seek-triggered one) drop
-     versions the fence should see and GC sstable files the iterator
-     still reads.  Engines have no iterator close, so the pins live
+  (* A back-to-back capture of every shard's current sequence under the
+     current router: the fence of both [snapshot] and [capture_fence]. *)
+  let fence_now t =
+    {
+      f_router = t.router;
+      f_slots = Array.map (fun s -> (s.dir_id, E.snapshot s.engine)) t.slots;
+    }
+
+  (* The common fence all unfenced per-shard iterators read at.  The
+     pins are HELD, not released: releasing immediately would let a
+     compaction landing while the merged iterator is alive (e.g. a
+     seek-triggered one) drop versions the fence should see and GC
+     sstable files the iterator still reads.  Engines have no iterator close, so the pins live
      until the next write — which invalidates open iterators anyway.
      Quiescent reads reuse the cached fence: with no intervening write
      the shard sequences are unchanged, so iterator-heavy phases pin one
@@ -843,13 +763,7 @@ module Make (E : ENGINE) = struct
     match t.transient_fence with
     | Some f -> f
     | None ->
-      let f =
-        {
-          f_router = t.router;
-          f_slots =
-            Array.map (fun s -> (s.dir_id, E.snapshot s.engine)) t.slots;
-        }
-      in
+      let f = fence_now t in
       t.transient_fence <- Some f;
       f
 
@@ -875,13 +789,7 @@ module Make (E : ENGINE) = struct
   (* ---------- snapshots (pinned fences) ---------- *)
 
   let snapshot t =
-    let f =
-      {
-        f_router = t.router;
-        f_slots =
-          Array.map (fun s -> (s.dir_id, E.snapshot s.engine)) t.slots;
-      }
-    in
+    let f = fence_now t in
     let id = t.next_fence in
     t.next_fence <- id + 1;
     t.fences <- (id, f) :: t.fences;
@@ -912,14 +820,10 @@ module Make (E : ENGINE) = struct
      directory.  This — not the cumulative routed payload — is what a
      migration changes, so it is the basis of [shard_balance]. *)
   let resident_bytes t (s : slot) =
-    let prefix = shard_dir t.dir s.dir_id ^ "/" in
-    let plen = String.length prefix in
     List.fold_left
-      (fun acc name ->
-        if String.length name > plen && String.sub name 0 plen = prefix then
-          acc + Env.file_size t.env name
-        else acc)
-      0 (Env.list t.env)
+      (fun acc name -> acc + Env.file_size t.env name)
+      0
+      (shard_files t.env ~dir:t.dir ~dir_id:s.dir_id)
 
   let stats t =
     let cache = t.shared_cache in
