@@ -127,10 +127,6 @@ module Shell_engine (E : SHELL_ENGINE) = struct
   let get_at t ~snapshot k = E.get ~snapshot t k
   let iterator_at t ~snapshot = E.iterator ~snapshot t
   let scheduler t = Some (compaction_scheduler t)
-
-  let on_job_complete t f =
-    Pdb_compaction.Scheduler.set_observer (compaction_scheduler t) (fun _ ->
-        f ())
 end
 
 (* The page stores have no snapshots and no background scheduler: their
@@ -145,7 +141,6 @@ module Page_engine (P : Dyn.S) = struct
   let get_at t ~snapshot:_ k = get t k
   let iterator_at t ~snapshot:_ = iterator t
   let scheduler _ = None
-  let on_job_complete _ _ = ()
 end
 
 module Pebbles_engine = Shell_engine (Pebblesdb.Pebbles_store)
@@ -160,7 +155,7 @@ end)
 
 module Wt_engine = Page_engine (Pdb_btree.Wt_store)
 
-let engine_module : engine -> (module Pdb_repl.Repl_store.ENGINE) = function
+let engine_module : engine -> (module Shard.ENGINE) = function
   | Pebblesdb | Pebblesdb_one -> (module Pebbles_engine)
   | Hyperleveldb | Leveldb | Rocksdb -> (module Lsm_engine)
   | Btree -> (module Btree_engine)

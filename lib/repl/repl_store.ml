@@ -18,8 +18,7 @@
       live engine; instead the primary mirrors its file set byte-for-
       byte — WAL deltas at commit time (acked, so durability matches
       log shipping), and sstables + manifest edits as flush/compaction
-      installs them (piggybacked on the scheduler's job-completion
-      hook, unacked).  The backup spends no compaction CPU at all, but
+      installs them (an observer on the primary's scheduler, unacked).  The backup spends no compaction CPU at all, but
       the wire carries every byte of write amplification.
 
     Failover: {!Make.promote} turns backup [i] into a servable engine —
@@ -48,21 +47,14 @@ module Env = Pdb_simio.Env
 module Clock = Pdb_simio.Clock
 module Network = Pdb_simio.Network
 
-(** What replication needs from an engine: the shard-store surface plus
-    a completion hook on its background scheduler (file shipping mirrors
-    newly installed files as each flush/compaction job finishes; engines
-    without background jobs pass a no-op). *)
-module type ENGINE = sig
-  include Pdb_shard.Shard_store.ENGINE
-
-  val on_job_complete : t -> (unit -> unit) -> unit
-end
-
 (* Fixed per-message framing overhead (headers, lengths, checksums). *)
 let frame_bytes = 64
 let control_bytes = 16
 
-module Make (E : ENGINE) = struct
+(* Replication needs the shard-store surface: file shipping observes the
+   engine's scheduler, when it has one, to mirror newly installed files
+   as each flush/compaction job finishes. *)
+module Make (E : Pdb_shard.Shard_store.ENGINE) = struct
   type backup = {
     b_env : Env.t;
     b_link : Network.link;
@@ -137,10 +129,8 @@ module Make (E : ENGINE) = struct
           in
           match b.b_store with
           | Some store ->
-            let d = backup_fg_time b.b_env (fun () ->
-                match batches with
-                | [ one ] -> E.write store one
-                | group -> E.write_group store group)
+            let d =
+              backup_fg_time b.b_env (fun () -> E.write_group store batches)
             in
             let t_ack =
               deliver +. d +. (Network.profile t.net).Network.latency_ns
@@ -372,7 +362,10 @@ module Make (E : ENGINE) = struct
     if k > 0 && t.strategy = O.File_shipping then begin
       (* mirror installs as background jobs complete, and whatever
          opening itself created (fresh WAL, manifest) right away *)
-      E.on_job_complete primary (fun () -> ship_pass t);
+      Option.iter
+        (fun sched ->
+          Pdb_compaction.Scheduler.set_observer sched (fun _ -> ship_pass t))
+        (E.scheduler primary);
       ship_pass t
     end;
     t
@@ -392,37 +385,26 @@ module Make (E : ENGINE) = struct
   let env t = t.env
   let primary t = t.primary
 
-  let put t k v =
-    match t.strategy with
-    | O.Log_shipping ->
-      E.put t.primary k v;
-      let b = Wb.create () in
-      Wb.put b k v;
-      ship_batches t [ b ]
-    | O.File_shipping -> with_ack t (fun () -> E.put t.primary k v)
-
-  let delete t k =
-    match t.strategy with
-    | O.Log_shipping ->
-      E.delete t.primary k;
-      let b = Wb.create () in
-      Wb.delete b k;
-      ship_batches t [ b ]
-    | O.File_shipping -> with_ack t (fun () -> E.delete t.primary k)
-
-  let write t batch =
-    match t.strategy with
-    | O.Log_shipping ->
-      E.write t.primary batch;
-      ship_batches t [ batch ]
-    | O.File_shipping -> with_ack t (fun () -> E.write t.primary batch)
-
+  (* The one write path; [put], [delete] and [write] are its one-batch
+     case, as in every engine. *)
   let write_group t batches =
     match t.strategy with
     | O.Log_shipping ->
       E.write_group t.primary batches;
       ship_batches t batches
     | O.File_shipping -> with_ack t (fun () -> E.write_group t.primary batches)
+
+  let write t batch = write_group t [ batch ]
+
+  let put t k v =
+    let b = Wb.create () in
+    Wb.put b k v;
+    write t b
+
+  let delete t k =
+    let b = Wb.create () in
+    Wb.delete b k;
+    write t b
 
   let flush t =
     E.flush t.primary;
