@@ -421,16 +421,21 @@ module Make (E : ENGINE) = struct
            batches)
     | None -> List.iter (E.write engine) batches
 
-  (* Visit every entry of [engine] in [lo, hi) at pinned sequence [seq]. *)
-  let walk_range engine ~seq ~lo ~hi f =
+  (* [f] of every entry of [engine] in [lo, hi), in key order, read at
+     a sequence pinned for the walk. *)
+  let walk_range engine ~lo ~hi f =
+    let seq = E.snapshot engine in
     let it = E.iterator_at engine ~snapshot:seq in
     (match lo with
      | None -> it.Iter.seek_to_first ()
      | Some l -> it.Iter.seek l);
+    let acc = ref [] in
     while it.Iter.valid () && below hi (it.Iter.key ()) do
-      f it;
+      acc := f it :: !acc;
       it.Iter.next ()
-    done
+    done;
+    E.release_snapshot engine seq;
+    List.rev !acc
 
   let array_insert arr i x =
     let n = Array.length arr in
@@ -448,14 +453,14 @@ module Make (E : ENGINE) = struct
   let list_remove l i = List.filteri (fun j _ -> j <> i) l
 
   (* The one path a key range moves by, for both split and merge.
-     Fence [src] at its current sequence (writes are serial here, so
-     the captured sequence {e is} the drained state of the moving
-     range); [into ()] readies the destination engine and names the
-     split vector and slots that follow; copy [lo, hi) into it as one
-     round of [migrate:copy] jobs; install the new topology durably (the
-     old one until the rename lands, the new one after — never a mix);
-     then [retire keys] clears what the source no longer owns.  Returns
-     false, doing nothing, while another move is running. *)
+     [into ()] readies the destination engine and names the split
+     vector and slots that follow; copy [lo, hi) of [src] at its current
+     sequence — the fence: writes are serial here, so the captured
+     sequence {e is} the drained state of the moving range — into it as
+     one round of [migrate:copy] jobs; install the new topology durably
+     (the old one until the rename lands, the new one after — never a
+     mix); then [retire keys] clears what the source no longer owns.
+     Returns false, doing nothing, while another move is running. *)
   let move_range t ~name ~counter ~src ~lo ~hi ~into ~retire =
     (not t.in_migration)
     && begin
@@ -466,18 +471,16 @@ module Make (E : ENGINE) = struct
           invalidate_transient t;
           Env.io_event t.env "migrate:fence";
           trace_instant t name;
-          let seq = E.snapshot src in
           let dst, splits, slots = into () in
-          let entries = ref [] in
-          walk_range src ~seq ~lo ~hi (fun it ->
-              entries := (it.Iter.key (), it.Iter.value ()) :: !entries);
-          let entries = List.rev !entries in
+          let entries =
+            walk_range src ~lo ~hi (fun it ->
+                (it.Iter.key (), it.Iter.value ()))
+          in
           Env.io_event t.env "migrate:copy";
           submit_batches t ~engine:dst
             ~trigger:Pdb_compaction.Job.Migration_copy ~lo ~hi
             (fun b (k, v) -> Wb.put b k v)
             entries;
-          E.release_snapshot src seq;
           Env.io_event t.env "migrate:install";
           t.router <- Shard_router.create ~splits;
           t.slots <- slots;
@@ -548,14 +551,9 @@ module Make (E : ENGINE) = struct
            so invisible — until the survivor legitimately owns the range
            again).  Tombstone them *below* the incoming copies, or a key
            deleted in the donor could resurrect. *)
-        let seq = E.snapshot survivor in
-        let stale = ref [] in
-        walk_range survivor ~seq ~lo ~hi (fun it ->
-            stale := it.Iter.key () :: !stale);
-        E.release_snapshot survivor seq;
         submit_batches t ~engine:survivor
           ~trigger:Pdb_compaction.Job.Migration_clean ~lo ~hi Wb.delete
-          (List.rev !stale);
+          (walk_range survivor ~lo ~hi (fun it -> it.Iter.key ()));
         ( survivor,
           list_remove (Shard_router.splits t.router) at,
           array_remove t.slots (at + 1) ))
