@@ -236,16 +236,12 @@ module Make (E : Pdb_shard.Shard_store.ENGINE) = struct
      Runs after metadata shipping so CURRENT never points at a manifest
      the mirror no longer holds. *)
   let ship_deletions t b ~live =
-    let dead =
-      (Hashtbl.fold
-         (fun name _ acc ->
-           if Hashtbl.mem live name then acc else name :: acc)
-         b.b_shipped [])
-      @ Hashtbl.fold
-          (fun name _ acc ->
-            if Hashtbl.mem live name then acc else name :: acc)
-          b.b_other []
+    let dead_in tbl =
+      Hashtbl.fold
+        (fun name _ acc -> if Hashtbl.mem live name then acc else name :: acc)
+        tbl []
     in
+    let dead = dead_in b.b_shipped @ dead_in b.b_other in
     List.iter
       (fun name ->
         Env.io_event t.env ("repl:delete:" ^ name);

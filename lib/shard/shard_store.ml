@@ -366,14 +366,11 @@ module Make (E : ENGINE) = struct
 
   (* ---------- migration ---------- *)
 
-  let tracer t = Env.tracer t.env
-  let now_ns t = Pdb_simio.Clock.now_ns (Env.clock t.env)
-
   let trace_instant t name =
-    match tracer t with
+    match Env.tracer t.env with
     | Some tr ->
       Pdb_simio.Trace.instant tr ~name ~cat:"migration" ~lane:"router"
-        ~ts_ns:(now_ns t) ()
+        ~ts_ns:(Pdb_simio.Clock.now_ns (Env.clock t.env)) ()
     | None -> ()
 
   (* Apply [items] to [engine] as bulk write batches of
@@ -437,18 +434,8 @@ module Make (E : ENGINE) = struct
     E.release_snapshot engine seq;
     List.rev !acc
 
-  let array_insert arr i x =
-    let n = Array.length arr in
-    Array.init (n + 1) (fun j ->
-        if j < i then arr.(j) else if j = i then x else arr.(j - 1))
-
-  let array_remove arr i =
-    let n = Array.length arr in
-    Array.init (n - 1) (fun j -> if j < i then arr.(j) else arr.(j + 1))
-
   let list_insert l i x =
-    List.concat [ List.filteri (fun j _ -> j < i) l; [ x ];
-                  List.filteri (fun j _ -> j >= i) l ]
+    List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
 
   let list_remove l i = List.filteri (fun j _ -> j <> i) l
 
@@ -522,7 +509,8 @@ module Make (E : ENGINE) = struct
            let dst = new_slot t dst_id in
            ( dst.engine,
              list_insert (Shard_router.splits t.router) shard key,
-             array_insert t.slots (shard + 1) dst ))
+             Array.of_list
+               (list_insert (Array.to_list t.slots) (shard + 1) dst) ))
          ~retire:(fun keys ->
            if keys <> [] then begin
              Env.io_event t.env "migrate:clean";
@@ -556,7 +544,7 @@ module Make (E : ENGINE) = struct
           (walk_range survivor ~lo ~hi (fun it -> it.Iter.key ()));
         ( survivor,
           list_remove (Shard_router.splits t.router) at,
-          array_remove t.slots (at + 1) ))
+          Array.of_list (list_remove (Array.to_list t.slots) (at + 1)) ))
       ~retire:(fun _ ->
         if slot_pinned t donor.dir_id then t.retired <- donor :: t.retired
         else drop_donor t donor)
