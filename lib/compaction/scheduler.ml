@@ -26,6 +26,8 @@ type t = {
       (** jobs run, round peaks, stall time, serialized jobs and the
           per-trigger tally *)
   mutable observer : (Job.t -> unit) option;
+  mutable nested_ns : float;
+      (** background time of the jobs run inside the current one *)
 }
 
 let create ?env ~clock ~workers () =
@@ -35,6 +37,7 @@ let create ?env ~clock ~workers () =
     env;
     counters = Stats.counters ();
     observer = None;
+    nested_ns = 0.0;
   }
 
 let tracer t =
@@ -49,11 +52,19 @@ let set_observer t f = t.observer <- Some f
 (** [run t job] executes [job] now and places its background device
     time on a lane — used directly for memtable flushes, which gate the
     write that triggered them, and for the engines' manual jobs in
-    [compact_all]. *)
+    [compact_all].  A job placed from inside another (a migration
+    batch's write that flushes) is placed once: the enclosing job's
+    placed time is its {e exclusive} time, what it ran minus what the
+    jobs inside it ran, so summed lane busy time equals the clock's
+    background time. *)
 let run t (job : Job.t) =
+  let outer = t.nested_ns in
+  t.nested_ns <- 0.0;
   let before = Clock.background_ns t.clock in
   Clock.with_background t.clock job.run;
-  let duration_ns = Clock.background_ns t.clock -. before in
+  let total_ns = Clock.background_ns t.clock -. before in
+  let duration_ns = total_ns -. t.nested_ns in
+  t.nested_ns <- outer +. total_ns;
   (* zero-cost jobs (e.g. trivial pointer moves) occupy no lane time *)
   if duration_ns > 0.0 then begin
     (* flushes ride the reserved lane: memtable rotation must never wait

@@ -616,6 +616,37 @@ let test_split_adds_no_stall () =
     after.Stats.stall_stop_ns;
   sh.Stores.s_dyn.Dyn.d_close ()
 
+(* Every nanosecond of background work is placed on a lane once: a
+   migration batch's write can flush inside its job, and the job's
+   placed time is only what the flush did not already place, so a split
+   and a merge each add exactly as much lane time as background time. *)
+let test_migration_places_once engine () =
+  let env = Env.create () in
+  let sh =
+    Stores.open_sharded ~tweak:(manual_elastic ~shards:2) ~env engine
+  in
+  let d = sh.Stores.s_dyn in
+  let value = String.make 2048 'v' in
+  for i = 0 to (keyspace / 2) - 1 do
+    d.Dyn.d_put (key i) value
+  done;
+  let times () =
+    ( Pdb_simio.Clock.background_ns (Env.clock env),
+      Array.fold_left ( +. ) 0.0 (d.Dyn.d_stats ()).Stats.worker_busy_ns )
+  in
+  let check what f =
+    let bg0, lanes0 = times () in
+    Alcotest.(check bool) (what ^ " accepted") true (f ());
+    let bg1, lanes1 = times () in
+    Alcotest.(check bool) (what ^ " ran background work") true (bg1 > bg0);
+    Alcotest.(check (float 0.0))
+      (what ^ ": lane time added = background time added")
+      (bg1 -. bg0) (lanes1 -. lanes0)
+  in
+  check "split" (fun () -> sh.Stores.s_split ~shard:0 ~key:(key (keyspace / 4)));
+  check "merge" (fun () -> sh.Stores.s_merge ~at:0);
+  d.Dyn.d_close ()
+
 let () =
   Alcotest.run "elastic"
     [
@@ -676,6 +707,10 @@ let () =
             test_merge_keeps_donor_lane_time;
           Alcotest.test_case "pinned donor keeps counting" `Quick
             test_pinned_donor_keeps_counting;
+          Alcotest.test_case "pebblesdb migration placed once" `Quick
+            (test_migration_places_once Stores.Pebblesdb);
+          Alcotest.test_case "leveldb migration placed once" `Quick
+            (test_migration_places_once Stores.Leveldb);
           Alcotest.test_case "pebblesdb migration is not user payload" `Quick
             (test_migration_is_not_user_payload Stores.Pebblesdb);
           Alcotest.test_case "kyotocabinet-sim migration is not user payload"
