@@ -344,11 +344,11 @@ let shard_pins =
   [
     ( "pebblesdb",
       "c6b753ed1d3f77b34515056f83b0e73f",
-      "0x1.20dd5eep+25 0x1.ee8f8bp+24 0x1.373f02p+23 0x0p+0 0x1.256a42p+25",
+      "0x1.20dd5eep+25 0x1.ee8f8bp+24 0x1.30c24p+23 0x0p+0 0x1.256a42p+25",
       "1055876 642325 4904 598" );
     ( "leveldb",
       "bb8e1aad224d8d7231db09b726112661",
-      "0x1.de9061p+24 0x1.99e2fa8p+24 0x1.8839c4p+23 0x0p+0 0x1.5c06bap+27",
+      "0x1.de9061p+24 0x1.99e2fa8p+24 0x1.5c441dp+23 0x0p+0 0x1.5c06bap+27",
       "1109511 771041 4759 455" );
     ( "kyotocabinet",
       "183b4e47b2a010a0cd99f6678e542243",
@@ -356,7 +356,7 @@ let shard_pins =
       "2070190 33021 11623 217" );
     ( "file-ship",
       "c6b753ed1d3f77b34515056f83b0e73f",
-      "0x1.5773c41acccc7p+29 0x1.156c4b000002p+25 0x1.987c7666666ep+23 0x0p+0 0x1.256a42p+25",
+      "0x1.5773c41acccc9p+29 0x1.1789ce333335p+25 0x1.79b40933333ap+23 0x0p+0 0x1.256a42p+25",
       "1055876 642325 4904 598" );
   ]
 
