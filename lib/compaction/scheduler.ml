@@ -26,8 +26,9 @@ type t = {
       (** jobs run, round peaks, stall time, serialized jobs and the
           per-trigger tally *)
   mutable observer : (Job.t -> unit) option;
-  mutable nested_ns : float;
-      (** background time of the jobs run inside the current one *)
+  nested_ns : float array;
+      (** one cell: background time of the jobs run inside the current
+          one (an array, so updating it allocates nothing) *)
 }
 
 let create ?env ~clock ~workers () =
@@ -37,7 +38,7 @@ let create ?env ~clock ~workers () =
     env;
     counters = Stats.counters ();
     observer = None;
-    nested_ns = 0.0;
+    nested_ns = [| 0.0 |];
   }
 
 let tracer t =
@@ -58,13 +59,13 @@ let set_observer t f = t.observer <- Some f
     jobs inside it ran, so summed lane busy time equals the clock's
     background time. *)
 let run t (job : Job.t) =
-  let outer = t.nested_ns in
-  t.nested_ns <- 0.0;
+  let outer = t.nested_ns.(0) in
+  t.nested_ns.(0) <- 0.0;
   let before = Clock.background_ns t.clock in
   Clock.with_background t.clock job.run;
   let total_ns = Clock.background_ns t.clock -. before in
-  let duration_ns = total_ns -. t.nested_ns in
-  t.nested_ns <- outer +. total_ns;
+  let duration_ns = total_ns -. t.nested_ns.(0) in
+  t.nested_ns.(0) <- outer +. total_ns;
   (* zero-cost jobs (e.g. trivial pointer moves) occupy no lane time *)
   if duration_ns > 0.0 then begin
     (* flushes ride the reserved lane: memtable rotation must never wait
