@@ -9,6 +9,9 @@
     placed on the {!Pdb_simio.Sched} worker timelines, where a job waits
     only for the earlier jobs that wrote a level it reads or writes over
     overlapping keys, and overlaps every other.
+    A job is placed at its exclusive time: what it ran minus what the
+    jobs run inside it (a migration batch's flush) already placed, so
+    no background time is placed twice.
     Worker count therefore shapes only the modeled clock, which is the
     whole point: guard-parallel FLSM compaction (many small disjoint
     jobs) packs N lanes densely, leveled compaction (few wide jobs)
@@ -56,8 +59,7 @@ let set_observer t f = t.observer <- Some f
     [compact_all].  A job placed from inside another (a migration
     batch's write that flushes) is placed once: the enclosing job's
     placed time is its {e exclusive} time, what it ran minus what the
-    jobs inside it ran, so summed lane busy time equals the clock's
-    background time. *)
+    jobs inside it ran, so no background time is placed twice. *)
 let run t (job : Job.t) =
   let outer = t.nested_ns.(0) in
   t.nested_ns.(0) <- 0.0;

@@ -18,8 +18,9 @@
       live engine; instead the primary mirrors its file set byte-for-
       byte — WAL deltas at commit time (acked, so durability matches
       log shipping), and sstables + manifest edits as flush/compaction
-      installs them (an observer on the primary's scheduler, unacked).  The backup spends no compaction CPU at all, but
-      the wire carries every byte of write amplification.
+      installs them (an observer on the primary's scheduler, unacked).
+      The backup spends no compaction CPU at all, but the wire carries
+      every byte of write amplification.
 
     Failover: {!Make.promote} turns backup [i] into a servable engine —
     log shipping already has one; file shipping opens the mirrored

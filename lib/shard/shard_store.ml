@@ -22,14 +22,19 @@
     (never clock based), so they are identical at any compaction worker
     count.
 
-    A migration is a fenced handoff: capture the source shard's sequence
-    (writes are serial here, so capturing the sequence {e is} draining
-    the moving range), copy the range at that fence into the destination
-    engine as one round of [migrate:copy] jobs on the destination's
-    compaction scheduler (placed on its worker lanes),
-    install the new topology durably ({!Shard_topology.install} — atomic
-    rename, all-or-nothing under crashes), then retire the moved data
-    from the source ([migrate:clean] jobs).  Because stale copies can
+    A migration is a fenced handoff, and split and merge move their
+    range through one path ([move_range]): ready the destination, walk
+    the range at the source's current sequence (writes are serial here,
+    so capturing the sequence {e is} draining the moving range), copy it
+    into the destination as one round of 64-entry bulk [migrate:copy]
+    jobs on the destination's compaction scheduler (placed on its worker
+    lanes at their exclusive time, so a flush a batch runs is placed
+    once), and only then install the new topology — router, slots,
+    version and read clipping, made durable by {!Shard_topology.install}
+    (atomic rename, all-or-nothing under crashes) — and retire the moved
+    data from the source ([migrate:clean] jobs, or the donor whole).
+    Writes take one path too: [put], [delete] and [write] are the
+    one-batch case of [write_group].  Because stale copies can
     survive a crash between install and clean, every live read clips
     each shard to its routed range: gets route by key and per-shard
     iterators are range-clipped, so leftover bytes are unobservable.
@@ -79,7 +84,8 @@ module type ENGINE = sig
 
   (** The engine's background scheduler, when it has one — migration
       jobs run there so they show on the worker timelines and in the
-      per-trigger tally. *)
+      per-trigger tally, and file-shipping replication observes its
+      finished jobs. *)
   val scheduler : t -> Pdb_compaction.Scheduler.t option
 end
 
