@@ -192,7 +192,8 @@ module Make (E : ENGINE) = struct
         splits = Shard_router.splits t.router;
       }
 
-  let shard_files env ~dir ~dir_id = files_under env (shard_dir dir dir_id ^ "/")
+  let shard_files env ~dir ~dir_id =
+    files_under env (shard_dir dir dir_id ^ "/")
 
   (* Delete every file under [shards/<id>/] — migration garbage
      collection (retired donors, orphans from a crashed migration). *)
@@ -441,7 +442,8 @@ module Make (E : ENGINE) = struct
     List.rev !acc
 
   let list_insert l i x =
-    List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+    List.filteri (fun j _ -> j < i) l
+    @ (x :: List.filteri (fun j _ -> j >= i) l)
 
   let list_remove l i = List.filteri (fun j _ -> j <> i) l
 
@@ -746,11 +748,11 @@ module Make (E : ENGINE) = struct
      pins are HELD, not released: releasing immediately would let a
      compaction landing while the merged iterator is alive (e.g. a
      seek-triggered one) drop versions the fence should see and GC
-     sstable files the iterator still reads.  Engines have no iterator close, so the pins live
-     until the next write — which invalidates open iterators anyway.
-     Quiescent reads reuse the cached fence: with no intervening write
-     the shard sequences are unchanged, so iterator-heavy phases pin one
-     fence, not one per scan. *)
+     sstable files the iterator still reads.  Engines have no iterator
+     close, so the pins live until the next write — which invalidates
+     open iterators anyway.  Quiescent reads reuse the cached fence:
+     with no intervening write the shard sequences are unchanged, so
+     iterator-heavy phases pin one fence, not one per scan. *)
   let capture_fence t =
     match t.transient_fence with
     | Some f -> f

@@ -643,7 +643,8 @@ let test_migration_places_once engine () =
       (what ^ ": lane time added = background time added")
       (bg1 -. bg0) (lanes1 -. lanes0)
   in
-  check "split" (fun () -> sh.Stores.s_split ~shard:0 ~key:(key (keyspace / 4)));
+  check "split" (fun () ->
+      sh.Stores.s_split ~shard:0 ~key:(key (keyspace / 4)));
   check "merge" (fun () -> sh.Stores.s_merge ~at:0);
   d.Dyn.d_close ()
 
@@ -707,14 +708,14 @@ let () =
             test_merge_keeps_donor_lane_time;
           Alcotest.test_case "pinned donor keeps counting" `Quick
             test_pinned_donor_keeps_counting;
-          Alcotest.test_case "pebblesdb migration placed once" `Quick
-            (test_migration_places_once Stores.Pebblesdb);
-          Alcotest.test_case "leveldb migration placed once" `Quick
-            (test_migration_places_once Stores.Leveldb);
           Alcotest.test_case "pebblesdb migration is not user payload" `Quick
             (test_migration_is_not_user_payload Stores.Pebblesdb);
           Alcotest.test_case "kyotocabinet-sim migration is not user payload"
             `Quick
             (test_migration_is_not_user_payload Stores.Btree);
+          Alcotest.test_case "pebblesdb migration placed once" `Quick
+            (test_migration_places_once Stores.Pebblesdb);
+          Alcotest.test_case "leveldb migration placed once" `Quick
+            (test_migration_places_once Stores.Leveldb);
         ] );
     ]

@@ -383,6 +383,7 @@ let () =
           [ "pebblesdb"; "pebblesdb-1"; "leveled"; "tiered" ] );
       ( "shards",
         List.map
-          (fun (name, _) -> Alcotest.test_case name `Quick (test_shard_pin name))
+          (fun (name, _) ->
+            Alcotest.test_case name `Quick (test_shard_pin name))
           shard_subjects );
     ]
