@@ -425,8 +425,8 @@ module Make (E : ENGINE) = struct
            batches)
     | None -> List.iter (E.write engine) batches
 
-  (* [f] of every entry of [engine] in [lo, hi), in key order, read at
-     a sequence pinned for the walk. *)
+  (* [f it] at every entry of [engine] in [lo, hi), in key order, read
+     at a sequence pinned for the walk. *)
   let walk_range engine ~lo ~hi f =
     let seq = E.snapshot engine in
     let it = E.iterator_at engine ~snapshot:seq in
