@@ -328,38 +328,51 @@ let rec insert_into_parent t path sep_key new_page =
 
 (* [insert] and [remove] change the tree; [put] and [delete] also count
    a client's operation *)
+(* A write-through update writes its pages and then the header holding
+   the key count; like a checkpoint ({!flush_dirty}) it is atomic with
+   respect to injected crashes, so a crash never leaves pages and count
+   out of step. *)
+let write_through t f =
+  match t.mode with
+  | Write_through ->
+    Env.with_atomic t.env (fun () ->
+        f ();
+        write_header t)
+  | Buffered -> f ()
+
 let insert t key value =
   assert (not t.closed);
   Clock.advance_cpu t.clock
     (t.opts.O.op_overhead_write_ns +. O.cpu_per_op_ns);
-  let path = descend t t.root key [] in
-  let lid, leaf = leaf_of_path path in
-  let existed = List.mem_assoc key leaf.entries in
-  let entries =
-    (key, value)
-    :: List.filter (fun (k, _) -> not (String.equal k key)) leaf.entries
-  in
-  leaf.entries <- List.sort (fun (a, _) (b, _) -> String.compare a b) entries;
-  if not existed then t.count <- t.count + 1;
-  if
-    node_size (Leaf { entries = leaf.entries; next = leaf.next })
-    > t.split_bytes
-    && List.length leaf.entries > 1
-  then begin
-    let left, right = split_list leaf.entries in
-    let right_page =
-      alloc_page t (Leaf { entries = right; next = leaf.next })
-    in
-    leaf.entries <- left;
-    leaf.next <- right_page;
-    mark_dirty t lid;
-    let sep = fst (List.hd right) in
-    insert_into_parent t
-      (List.filteri (fun i _ -> i < List.length path - 1) path)
-      sep right_page
-  end
-  else mark_dirty t lid;
-  if t.mode = Write_through then write_header t
+  write_through t (fun () ->
+      let path = descend t t.root key [] in
+      let lid, leaf = leaf_of_path path in
+      let existed = List.mem_assoc key leaf.entries in
+      let entries =
+        (key, value)
+        :: List.filter (fun (k, _) -> not (String.equal k key)) leaf.entries
+      in
+      leaf.entries <-
+        List.sort (fun (a, _) (b, _) -> String.compare a b) entries;
+      if not existed then t.count <- t.count + 1;
+      if
+        node_size (Leaf { entries = leaf.entries; next = leaf.next })
+        > t.split_bytes
+        && List.length leaf.entries > 1
+      then begin
+        let left, right = split_list leaf.entries in
+        let right_page =
+          alloc_page t (Leaf { entries = right; next = leaf.next })
+        in
+        leaf.entries <- left;
+        leaf.next <- right_page;
+        mark_dirty t lid;
+        let sep = fst (List.hd right) in
+        insert_into_parent t
+          (List.filteri (fun i _ -> i < List.length path - 1) path)
+          sep right_page
+      end
+      else mark_dirty t lid)
 
 let get t key =
   assert (not t.closed);
@@ -376,12 +389,12 @@ let remove t key =
     (t.opts.O.op_overhead_write_ns +. O.cpu_per_op_ns);
   let path = descend t t.root key [] in
   let lid, leaf = leaf_of_path path in
-  if List.mem_assoc key leaf.entries then begin
-    leaf.entries <-
-      List.filter (fun (k, _) -> not (String.equal k key)) leaf.entries;
-    t.count <- t.count - 1;
-    mark_dirty t lid
-  end
+  if List.mem_assoc key leaf.entries then
+    write_through t (fun () ->
+        leaf.entries <-
+          List.filter (fun (k, _) -> not (String.equal k key)) leaf.entries;
+        t.count <- t.count - 1;
+        mark_dirty t lid)
 
 let put t key value =
   Stats.incr t.counters Stats.puts;
