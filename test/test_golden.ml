@@ -352,8 +352,8 @@ let shard_pins =
       "1109511 771041 4759 455" );
     ( "kyotocabinet",
       "183b4e47b2a010a0cd99f6678e542243",
-      "0x1.42596662p+30 0x0p+0 0x0p+0 0x0p+0 0x1.6cc653p+27",
-      "2070190 33021 11623 217" );
+      "0x1.4e41d1d2p+30 0x0p+0 0x0p+0 0x0p+0 0x1.6cc653p+27",
+      "2077498 33021 12232 217" );
     ( "file-ship",
       "c6b753ed1d3f77b34515056f83b0e73f",
       "0x1.5773c41acccc9p+29 0x1.1789ce333335p+25 0x1.79b40933333ap+23 0x0p+0 0x1.256a42p+25",
