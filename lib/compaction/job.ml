@@ -18,7 +18,7 @@ type trigger =
   | Level_size  (** a level exceeded its target size *)
   | Guard_cap  (** a guard holds too many sstables (FLSM per-guard cap) *)
   | Guard_merge  (** last-level guard rewrite to bound overlap *)
-  | Seek  (** read-triggered compaction (allowed-seeks exhausted) *)
+  | Seek  (** read-triggered: a seek pass's pick (allowed-seeks spent) *)
   | Manual  (** [compact_all] / explicit user request *)
   | Migration_copy
       (** shard elasticity: batches of a moving range written into the

@@ -16,7 +16,8 @@
       (§3.4's 25x heuristic);
     - reads consult one guard per level, filtered by per-sstable bloom
       filters (§4.1); seeks merge the guard's tables, with parallel seeks
-      on the last level and seek-triggered compaction (§4.2). *)
+      on the last level and seek-triggered compaction (§4.2), whose picks
+      run in the shell's one compaction loop beside the others. *)
 
 module S = Pdb_engine.Shell
 open S.Types
@@ -183,8 +184,8 @@ let run_partition_merge t ~inputs ~source_level ~target_level =
   |> List.map (fun ((attach_level, _), meta) -> (attach_level, meta))
 
 (* Compact [source_level] into [source_level + 1].  [only_guards] restricts
-   the source guards (seek-triggered compaction); default picks guards over
-   the sstable trigger, falling back to all non-empty guards. *)
+   the source guards (one guard's job); default picks guards over the
+   sstable trigger, falling back to all non-empty guards. *)
 let compact_level t ?only_guards source_level =
   let target_level = source_level + 1 in
   assert (target_level <= S.last_level t);
@@ -348,9 +349,9 @@ let find_guard t level gkey =
   |> List.find_opt (fun (g : Guard.guard) -> g.Guard.gkey = gkey)
 
 let guard_tables t level gkey =
-  match find_guard t level gkey with
-  | Some g -> List.length g.Guard.tables
-  | None -> 0
+  Option.fold ~none:0
+    ~some:(fun (g : Guard.guard) -> List.length g.Guard.tables)
+    (find_guard t level gkey)
 
 (* ---------- policy consultation ---------- *)
 
@@ -402,147 +403,129 @@ let flush_edit t (e : Manifest.edit) =
         @ e.Manifest.added_guards
   done
 
-(* The due compactions, each with its progress measure ({!S.maybe_compact}).
-   A job re-validates its trigger when it runs: an earlier job in the
-   round may have restructured the tree. *)
-let pick t =
+(* The guard of [levels] holding the most tables (the first on a tie),
+   with its level and table count. *)
+let fullest_guard t levels =
+  List.fold_left
+    (fun best level ->
+      Array.fold_left
+        (fun best (g : Guard.guard) ->
+          let n = List.length g.Guard.tables in
+          match best with
+          | Some (_, _, most) when most >= n -> best
+          | _ -> Some (level, g, n))
+        best t.lv.levels.(level).Guard.guards)
+    None levels
+
+(* Seek-triggered compaction (§4.2) merges the fullest guard when it holds
+   two tables or more, and applies the aggressive level rule: level i
+   within 25% of level i+1. *)
+let aggressive_due t level =
+  let here = level_bytes t level and below = level_bytes t (level + 1) in
+  here > 0 && below > 0
+  && float_of_int here >= O.aggressive_level_ratio *. float_of_int below
+
+(* The due compactions, each with its progress measure ({!S.maybe_compact});
+   a seek pass adds the seek picks after them.  The job builders serve
+   both: a job captures its victim's level and guard key, and runs only
+   if [due] still holds, since an earlier job in the round may have
+   restructured the tree. *)
+let pick ~seek t =
   let round = ref [] in
-  let add key trigger ~estimated_bytes ~footprint ~measure run =
+  let add key trigger ~bytes ~footprint ~measure run =
     round :=
-      ({ Job.key; trigger; estimated_bytes; footprint; run }, measure)
+      ({ Job.key; trigger; estimated_bytes = bytes; footprint; run }, measure)
       :: !round
+  in
+  let ll = S.last_level t in
+  (* [level] into the next level, measured in bytes: 25x-redirected
+     rewrites can leave the size unchanged, which must count as no
+     progress *)
+  let level_job key trigger ~due level =
+    add key trigger ~bytes:(level_bytes t level)
+      ~footprint:(merge_footprint t level)
+      ~measure:(fun () -> level_bytes t level)
+      (fun () -> if due t level then compact_level t level)
+  in
+  (* one guard of [level]: into the next level, or at the last level
+     merged in place *)
+  let guard_job key trigger ~due level (g : Guard.guard) =
+    let gkey = g.Guard.gkey in
+    add key trigger ~bytes:(guard_bytes g)
+      ~footprint:
+        (guard_footprint t level gkey
+           (if level = ll then Sched.full_range ~level_lo:ll ~level_hi:ll
+            else merge_footprint t level))
+      ~measure:(fun () -> guard_tables t level gkey)
+      (fun () ->
+        match find_guard t level gkey with
+        | Some g when due t g && level < ll ->
+          compact_level t ~only_guards:[ g ] level
+        | Some g when due t g ->
+          compact_last_level_guard t g;
+          if guard_tables t ll gkey >= List.length g.Guard.tables then
+            (* the tiered merge could not shrink the guard (an old run
+               straddles a pending boundary): rewrite the whole guard,
+               which dissolves every straddler *)
+            Option.iter
+              (compact_last_level_guard ~force_full:true t)
+              (find_guard t ll gkey)
+        | Some _ | None -> ())
   in
   (* L0 back-pressure *)
   if l0_due t then
-    add "l0" Job.L0_files
-      ~estimated_bytes:(S.bytes_of t.lv.l0)
+    add "l0" Job.L0_files ~bytes:(S.bytes_of t.lv.l0)
       ~footprint:(merge_footprint t 0)
       ~measure:(fun () -> List.length t.lv.l0)
       (fun () -> if l0_due t then compact_level t 0);
-  (* level size triggers — measured in bytes: 25x-redirected rewrites
-     can leave the size unchanged, which must count as no progress *)
-  for level = 1 to S.last_level t - 1 do
+  (* level size triggers *)
+  for level = 1 to ll - 1 do
     if level_due t level then
-      add
-        (Printf.sprintf "size:%d" level)
-        Job.Level_size
-        ~estimated_bytes:(level_bytes t level)
-        ~footprint:(merge_footprint t level)
-        ~measure:(fun () -> level_bytes t level)
-        (fun () -> if level_due t level then compact_level t level)
+      level_job (Printf.sprintf "size:%d" level) Job.Level_size ~due:level_due
+        level
   done;
   (* per-guard caps: one job per full guard — FLSM's unit of compaction
      concurrency *)
-  for level = 1 to S.last_level t - 1 do
+  for level = 1 to ll - 1 do
     Array.iter
       (fun (g : Guard.guard) ->
-        if guard_due t g then begin
-          let gkey = g.Guard.gkey in
-          add
-            (Printf.sprintf "cap:%d:%s" level gkey)
-            Job.Guard_cap ~estimated_bytes:(guard_bytes g)
-            ~footprint:(guard_footprint t level gkey (merge_footprint t level))
-            ~measure:(fun () -> guard_tables t level gkey)
-            (fun () ->
-              match find_guard t level gkey with
-              | Some g when guard_due t g ->
-                compact_level t ~only_guards:[ g ] level
-              | Some _ | None -> ())
-        end)
+        if guard_due t g then
+          guard_job
+            (Printf.sprintf "cap:%d:%s" level g.Guard.gkey)
+            Job.Guard_cap ~due:guard_due level g)
       t.lv.levels.(level).Guard.guards
   done;
   (* last-level guard merges; committing pending guards first refines
      the structure (boundary-cut fragments redistribute into their own
      guards) and often removes the need to merge at all *)
-  commit_pending_with_edit t (S.last_level t);
-  let ll = S.last_level t in
-  let last_cap = max 2 t.opts.O.max_sstables_per_guard in
+  commit_pending_with_edit t ll;
+  let last_due = guard_due ~cap:(max 2 t.opts.O.max_sstables_per_guard) in
   Array.iter
     (fun (g : Guard.guard) ->
-      if guard_due ~cap:last_cap t g then begin
-        let gkey = g.Guard.gkey in
-        add
-          (Printf.sprintf "last:%s" gkey)
-          Job.Guard_merge ~estimated_bytes:(guard_bytes g)
-          ~footprint:
-            (guard_footprint t ll gkey
-               (Sched.full_range ~level_lo:ll ~level_hi:ll))
-          ~measure:(fun () -> guard_tables t ll gkey)
-          (fun () ->
-            match find_guard t ll gkey with
-            | Some g when guard_due ~cap:last_cap t g ->
-              let before = List.length g.Guard.tables in
-              compact_last_level_guard t g;
-              if guard_tables t ll gkey >= before then
-                (* the tiered merge could not shrink the guard (an old
-                   run straddles a pending boundary): rewrite the whole
-                   guard, which dissolves every straddler *)
-                (match find_guard t ll gkey with
-                 | Some g -> compact_last_level_guard ~force_full:true t g
-                 | None -> ())
-            | Some _ | None -> ())
-      end)
+      if last_due t g then
+        guard_job ("last:" ^ g.Guard.gkey) Job.Guard_merge ~due:last_due ll g)
     t.lv.levels.(ll).Guard.guards;
+  (* seek picks: the fullest guard above the last level and at it, and
+     the first level the aggressive rule names *)
+  if seek then begin
+    let upper = List.init (ll - 1) (fun i -> i + 1) in
+    let fragmented = guard_due ~cap:2 in
+    List.iter
+      (fun levels ->
+        match fullest_guard t levels with
+        | Some (level, g, _) when fragmented t g ->
+          guard_job
+            (Printf.sprintf "seek:%d:%s" level g.Guard.gkey)
+            Job.Seek ~due:fragmented level g
+        | Some _ | None -> ())
+      [ upper; [ ll ] ];
+    Option.iter
+      (fun level ->
+        level_job (Printf.sprintf "seek:%d" level) Job.Seek
+          ~due:aggressive_due level)
+      (List.find_opt (aggressive_due t) upper)
+  end;
   List.rev !round
-
-let run_seek_compaction t =
-  (* most fragmented guard across levels 1 .. last-1 *)
-  let best = ref None in
-  for level = 1 to S.last_level t - 1 do
-    Array.iter
-      (fun g ->
-        let n = List.length g.Guard.tables in
-        if n >= 2 then
-          match !best with
-          | Some (_, _, bn) when bn >= n -> ()
-          | _ -> best := Some (level, g, n))
-      t.lv.levels.(level).Guard.guards
-  done;
-  (match !best with
-   | Some (level, g, _) -> compact_level t ~only_guards:[ g ] level
-   | None -> ());
-  (* fragmented last-level guards merge in place *)
-  commit_pending_with_edit t (S.last_level t);
-  let lvl = t.lv.levels.(S.last_level t) in
-  let worst = ref None in
-  Array.iter
-    (fun g ->
-      let n = List.length g.Guard.tables in
-      if n >= 2 then
-        match !worst with
-        | Some (_, bn) when bn >= n -> ()
-        | _ -> worst := Some (g, n))
-    lvl.Guard.guards;
-  (match !worst with
-   | Some (g, _) -> compact_last_level_guard t g
-   | None -> ());
-  (* aggressive level rule: level i within 25% of level i+1 *)
-  let continue = ref true in
-  for level = 1 to S.last_level t - 1 do
-    if !continue then begin
-      let here = level_bytes t level and below = level_bytes t (level + 1) in
-      if
-        here > 0 && below > 0
-        && float_of_int here >= O.aggressive_level_ratio *. float_of_int below
-      then begin
-        compact_level t level;
-        continue := false
-      end
-    end
-  done
-
-(* Seek-triggered maintenance (§4.2): compact the most fragmented guard and
-   apply the aggressive level rule.  A rare whole-tree event, reified as a
-   single job that the shell runs as a round of one. *)
-let seek_job t =
-  Some
-    {
-      Job.key = "seek";
-      trigger = Job.Seek;
-      estimated_bytes = 0;
-      footprint = Sched.full_range ~level_lo:1 ~level_hi:(S.last_level t);
-      run = (fun () -> run_seek_compaction t);
-    }
 
 (* ---------- the level structure the shell drives ---------- *)
 
@@ -649,7 +632,6 @@ let shape =
     pick;
     candidates;
     views;
-    seek_job;
   }
 
 (* ---------- open / close ---------- *)
@@ -913,11 +895,6 @@ let sstable_metas t =
       (List.init (S.last_level t) (fun i -> Guard.all_tables t.lv.levels.(i + 1)))
 
 let max_tables_in_any_guard t =
-  let worst = ref 0 in
-  for level = 1 to S.last_level t do
-    Array.iter
-      (fun (g : Guard.guard) ->
-        worst := max !worst (List.length g.Guard.tables))
-      t.lv.levels.(level).Guard.guards
-  done;
-  !worst
+  match fullest_guard t (List.init (S.last_level t) (fun i -> i + 1)) with
+  | Some (_, _, n) -> n
+  | None -> 0

@@ -81,9 +81,10 @@ module Types = struct
     build_l0 : 'lv t -> Memtable.t -> Table.meta option;
         (** write a memtable as one table (the engine's table builder) *)
     note_put : 'lv t -> string -> unit;  (** a user key enters the memtable *)
-    pick : 'lv t -> (Job.t * (unit -> int)) list;
+    pick : seek:bool -> 'lv t -> (Job.t * (unit -> int)) list;
         (** the due compactions on the current state, in run order, each
-            with its progress measure (see {!maybe_compact}) *)
+            with its progress measure (see {!maybe_compact}); with
+            [~seek] also the seek-triggered ones *)
     candidates :
       'lv t -> int -> key:string -> lookup:string -> Table.meta list;
         (** the tables of level [>= 1] a get of user [key] probes, in
@@ -92,8 +93,6 @@ module Types = struct
     views : 'lv t -> (unit -> Level_iter.view) list;
         (** the levels below 0, one {!Level_iter} each: the iterator calls
             its level's thunk for a view at every seek *)
-    seek_job : 'lv t -> Job.t option;
-        (** the seek-triggered compaction to run, if any is due *)
   }
 end
 
@@ -172,11 +171,12 @@ let note_compaction t ~inputs ~outputs =
 
 (* ---------- compaction rounds ---------- *)
 
-(** [maybe_compact t] runs the rounds {!shape.pick} returns until one is
-    empty.  A job whose measure is not smaller after its own run has its
-    key blocked, and later picks of it dropped, for the rest of the call:
-    what other jobs of the round move does not count. *)
-let maybe_compact t =
+(** [maybe_compact ?seek t] runs the rounds {!shape.pick} returns until
+    one is empty; with [~seek:true] the first round also holds the
+    seek-triggered picks.  A job whose measure is not smaller after its
+    own run has its key blocked, and later picks of it dropped, for the
+    rest of the call: what other jobs of the round move does not count. *)
+let maybe_compact ?(seek = false) t =
   let blocked = Hashtbl.create 8 in
   let unblocked ((job : Job.t), measure) =
     if Hashtbl.mem blocked job.Job.key then None
@@ -192,14 +192,14 @@ let maybe_compact t =
                 Hashtbl.replace blocked job.Job.key ());
         }
   in
-  let rec loop () =
-    match List.filter_map unblocked (t.shape.pick t) with
+  let rec loop ~seek =
+    match List.filter_map unblocked (t.shape.pick ~seek t) with
     | [] -> ()
     | round ->
       Scheduler.run_round t.sched round;
-      loop ()
+      loop ~seek:false
   in
-  loop ()
+  loop ~seek
 
 (* Foreground trace instants (WAL rotations, group commits), stamped at
    the clock's current modeled time; no-ops without an attached tracer. *)
@@ -776,20 +776,15 @@ let internal_iterator t =
     :: List.map level_iter ((fun () -> l0) :: t.shape.views t))
 
 (* Seek-triggered compaction (LevelDB's allowed_seeks budget, PebblesDB
-   §4.2): a run of consecutive seeks hands the engine its chance to
-   compact; a job it picks is counted and run as a round of one. *)
+   §4.2): each run of [seek_compaction_threshold] consecutive seeks opens
+   a compaction call whose first round holds the engine's seek picks. *)
 let note_seek t =
   Stats.incr t.counters Stats.seeks;
   charge_cpu t (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);
   if t.opts.O.seek_based_compaction then begin
-    t.consecutive_seeks <- t.consecutive_seeks + 1;
-    if t.consecutive_seeks >= O.seek_compaction_threshold then
-      match t.shape.seek_job t with
-      | Some job ->
-        t.consecutive_seeks <- 0;
-        Stats.incr t.counters Stats.seek_compactions;
-        Scheduler.run_round t.sched [ job ]
-      | None -> ()
+    t.consecutive_seeks <-
+      (t.consecutive_seeks + 1) mod O.seek_compaction_threshold;
+    if t.consecutive_seeks = 0 then maybe_compact ~seek:true t
   end
 
 (* A database iterator with the engine's seek accounting. *)

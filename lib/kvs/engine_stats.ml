@@ -65,7 +65,6 @@ let summary_misses = count "summary_misses" Sum
 let write_stalls = count "write_stalls" Sum
 let guards_committed = count "guards_committed" Sum
 let guards_empty = count "guards_empty" Now
-let seek_compactions = count "seek_compactions" Sum
 let compaction_jobs = count "compaction_jobs" Sum
 let compaction_queue_peak = count "compaction_queue_peak" Max
 let compaction_backlog_peak_bytes = count "compaction_backlog_peak_bytes" Max
@@ -190,8 +189,8 @@ type t = {
   guards_committed : int;  (** FLSM only *)
   guards_empty : int;  (** FLSM only; counted when the view is built *)
   seek_compactions : int;
-      (** seek-triggered compaction jobs run (both LSM-family
-          engines); equals the scheduler's [seek]-trigger run count *)
+      (** seek-triggered compaction jobs run (both LSM-family engines):
+          the [seek] runs of [compaction_by_trigger] *)
   compaction_by_trigger : (string * (int * int)) list;
       (** per-trigger (runs, estimated bytes), summed across shards *)
   compaction_jobs : int;  (** jobs run by the scheduler *)
@@ -284,7 +283,8 @@ let view parts ~busy ~flush_busy ~cache:(hits, misses) =
     write_stalls = n write_stalls;
     guards_committed = n guards_committed;
     guards_empty = n guards_empty;
-    seek_compactions = n seek_compactions;
+    seek_compactions =
+      Option.fold ~none:0 ~some:fst (List.assoc_opt "seek" c.by_trigger);
     compaction_by_trigger = c.by_trigger;
     compaction_jobs = n compaction_jobs;
     compaction_queue_peak = n compaction_queue_peak;

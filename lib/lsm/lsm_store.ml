@@ -303,30 +303,42 @@ let level_footprint (t : t) level =
       key_hi = Some (largest ^ "\x00") (* inclusive -> exclusive bound *);
     }
 
-let level_job (t : t) level =
-  let trigger = if level = 0 then Job.L0_files else Job.Level_size in
-  {
-    Job.key = Printf.sprintf "%s:%d" (Job.trigger_name trigger) level;
-    trigger;
-    estimated_bytes = level_bytes t level;
-    footprint = level_footprint t level;
-    run =
-      (fun () ->
-        (* re-check: an earlier job in this round may have already
-           relieved this level *)
-        if Policy.should_trigger (compaction_score t level) then
-          compact_level t level);
-  }
+let level_due (t : t) level = Policy.should_trigger (compaction_score t level)
 
-(* The due level compactions, top-down, each measured by its level's
-   bytes. *)
-let pick (t : t) =
-  List.filter_map
-    (fun level ->
-      if Policy.should_trigger (compaction_score t level) then
-        Some (level_job t level, fun () -> level_bytes t level)
-      else None)
-    (List.init (t.opts.O.max_levels - 1) Fun.id)
+(* LevelDB also compacts in response to repeated seeks (a file's
+   allowed_seeks budget); modeled here as draining a non-empty level 0
+   after a run of consecutive seeks, which is where seek cost
+   concentrates. *)
+let seek_due (t : t) level = t.lv.levels.(level) <> []
+
+(* [level]'s compaction into the next, measured by the level's bytes.
+   The job re-checks [due] when it runs: an earlier job in the round may
+   have already relieved the level. *)
+let level_job (t : t) ~trigger ~due level =
+  ( {
+      Job.key = Printf.sprintf "%s:%d" (Job.trigger_name trigger) level;
+      trigger;
+      estimated_bytes = level_bytes t level;
+      footprint = level_footprint t level;
+      run = (fun () -> if due t level then compact_level t level);
+    },
+    fun () -> level_bytes t level )
+
+(* The due level compactions, top-down; a seek pass adds the level-0
+   drain. *)
+let pick ~seek (t : t) =
+  let due =
+    List.filter_map
+      (fun level ->
+        if level_due t level then
+          let trigger = if level = 0 then Job.L0_files else Job.Level_size in
+          Some (level_job t ~trigger ~due:level_due level)
+        else None)
+      (List.init (t.opts.O.max_levels - 1) Fun.id)
+  in
+  if seek && seek_due t 0 then
+    due @ [ level_job t ~trigger:Job.Seek ~due:seek_due 0 ]
+  else due
 
 (* ---------- the level structure the shell drives ---------- *)
 
@@ -395,21 +407,6 @@ let views (t : t) =
         Some (fun () -> view))
     (List.init (t.opts.O.max_levels - 1) (fun i -> i + 1))
 
-(* LevelDB also compacts in response to repeated seeks (a file's
-   allowed_seeks budget); modeled here as draining level 0 after a run of
-   consecutive seeks, which is where seek cost concentrates. *)
-let seek_job (t : t) =
-  if t.lv.levels.(0) = [] then None
-  else
-    Some
-      {
-        Job.key = "seek:0";
-        trigger = Job.Seek;
-        estimated_bytes = level_bytes t 0;
-        footprint = level_footprint t 0;
-        run = (fun () -> compact_level t 0);
-      }
-
 let shape =
   {
     apply_edit;
@@ -423,7 +420,6 @@ let shape =
     pick;
     candidates;
     views;
-    seek_job;
   }
 
 (* ---------- open / close ---------- *)

@@ -247,14 +247,23 @@ let test_guard_parallelism_beats_leveled_scaling () =
    no level above the last may be over its trigger after any put.  A job
    that shrank its level keeps the level unblocked even when the level
    above refilled it in the same round; a whole-round rule would block
-   such a level and leave it due. *)
-let test_no_level_left_due base () =
+   such a level and leave it due.  With [~seeks] each put is followed by
+   that many seeks on a fresh iterator, enough to fire a seek compaction,
+   whose level-0 drain must not leave level 1 due either. *)
+let test_no_level_left_due ?(seeks = 0) base () =
   let env = Env.create () in
   let db = L.open_store (tiny base) ~env ~dir:"db" in
   let rng = Random.State.make [| 42 |] in
+  let key () = Printf.sprintf "key%08d" (Random.State.int rng 100_000_000) in
   let v = String.make 100 'v' in
   for i = 1 to 5000 do
-    L.put db (Printf.sprintf "key%08d" (Random.State.int rng 100_000_000)) v;
+    L.put db (key ()) v;
+    if seeks > 0 then begin
+      let it = L.iterator db in
+      for _ = 1 to seeks do
+        it.Pdb_kvs.Iter.seek (key ())
+      done
+    end;
     for level = 0 to (L.options db).O.max_levels - 2 do
       if Policy.should_trigger (L.compaction_score db level) then
         Alcotest.failf "after put %d, level %d is still due" i level
@@ -296,6 +305,10 @@ let () =
             (test_no_level_left_due (O.hyperleveldb ()));
           Alcotest.test_case "rocksdb" `Quick
             (test_no_level_left_due (O.rocksdb ()));
+          Alcotest.test_case "leveldb seeks" `Quick
+            (test_no_level_left_due ~seeks:11 (O.leveldb ()));
+          Alcotest.test_case "hyperleveldb seeks" `Quick
+            (test_no_level_left_due ~seeks:11 (O.hyperleveldb ()));
         ] );
       ( "throughput-model",
         [

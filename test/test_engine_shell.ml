@@ -1,7 +1,7 @@
 (* Contracts the two LSM-family engines share through their common shell:
    an iterator stays valid until the next write, even while other readers'
-   seeks fire seek compactions, every submitted seek compaction is
-   counted, and every seek pays for the tables it positions. *)
+   seeks fire seek compactions, a seek pass runs only the compactions it
+   finds, and every seek pays for the tables it positions. *)
 
 module P = Pebblesdb.Pebbles_store
 module L = Pdb_lsm.Lsm_store
@@ -97,8 +97,7 @@ let test_iterator_survives_other_seeks name () =
   E.close db
 
 (* Seek-heavy rounds, each after fresh writes so level 0 is populated
-   again: the engine counter must equal the scheduler's seek-trigger
-   runs. *)
+   again, fire seek compactions. *)
 let test_seek_compactions_counted name () =
   let (module E : ENGINE), opts = List.assoc name engines in
   let db = E.open_store opts ~env:(Env.create ()) ~dir:"db" in
@@ -112,11 +111,28 @@ let test_seek_compactions_counted name () =
   done;
   let counted = (E.stats db).Pdb_kvs.Engine_stats.seek_compactions in
   Alcotest.(check bool) "seek compactions counted" true (counted > 0);
-  Alcotest.(check int)
-    "counter = seek-trigger runs"
-    (seek_runs (E.compaction_scheduler db))
-    counted;
   E.close db
+
+(* A seek pass that finds nothing to compact runs no job: on a PebblesDB
+   store where no guard holds two tables, a full run of seeks leaves the
+   scheduler's job count where it was. *)
+let test_idle_seek_pass () =
+  let db =
+    P.open_store (tiny (O.pebblesdb ())) ~env:(Env.create ()) ~dir:"db"
+  in
+  let rng = Random.State.make [| 5 |] in
+  fill (module P) db rng ~from:0 ~n:300;
+  P.compact_all db;
+  Alcotest.(check bool) "no guard holds two tables" true
+    (P.max_tables_in_any_guard db < 2 && P.l0_table_count db = 0);
+  let jobs () = (P.stats db).Pdb_kvs.Engine_stats.compaction_jobs in
+  let before = jobs () in
+  let it = P.iterator db in
+  for _ = 1 to O.seek_compaction_threshold do
+    it.Iter.seek (key rng)
+  done;
+  Alcotest.(check int) "no compaction job" before (jobs ());
+  P.close db
 
 (* A table a flush or a compaction writes enters the table cache as it
    is written: the first get on it counts no table-cache miss and reads
@@ -345,7 +361,11 @@ let () =
           (fun (name, _) ->
             Alcotest.test_case (name ^ " counted") `Quick
               (test_seek_compactions_counted name))
-          engines );
+          engines
+        @ [
+            Alcotest.test_case "pebblesdb idle seek pass" `Quick
+              test_idle_seek_pass;
+          ] );
       ( "seek cost",
         List.map
           (fun (name, _) ->
