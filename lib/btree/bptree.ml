@@ -328,10 +328,8 @@ let rec insert_into_parent t path sep_key new_page =
 
 (* [insert] and [remove] change the tree; [put] and [delete] also count
    a client's operation *)
-(* A write-through update writes its pages and then the header holding
-   the key count; like a checkpoint ({!flush_dirty}) it is atomic with
-   respect to injected crashes, so a crash never leaves pages and count
-   out of step. *)
+(* A write-through update is atomic like a checkpoint ({!flush_dirty}):
+   its pages and the header holding the key count land together. *)
 let write_through t f =
   match t.mode with
   | Write_through ->
