@@ -187,7 +187,7 @@ let pins =
   [
     ( "pebblesdb",
       "730c2df1fbcf40ba40838c977eef074c",
-      "0x1.0ca8ff6p+26 0x1.57e4ad4p+26 0x1.c6b565cp+25 0x0p+0 0x1.01bcb68p+26",
+      "0x1.0ca8ff6p+26 0x1.57e4ad4p+26 0x1.ab3a448p+25 0x0p+0 0x1.01bcb68p+26",
       "2088463 1580927 7736 2054" );
     ( "pebblesdb-1",
       "718c30ceefcd28a300f87d6f1310eae1",
