@@ -222,9 +222,9 @@ let test_pin name () =
 let scan_pins =
   [
     ( "pebblesdb",
-      "04ab8ebda76567ac425a14eb5c733ea9",
-      "0x1.a28a71bcp+29 0x1.130b3bcp+25 0x1.7ed3f48p+24 0x0p+0 0x1.1f10c5p+27",
-      "925965 5293050 3686 12081",
+      "2cd8c1b9876685c7f67a60258d6aaeac",
+      "0x1.a1d4bbf8p+29 0x1.1504e5p+25 0x1.641719p+24 0x0p+0 0x1.1f32f3p+27",
+      "926015 5272806 3691 12045",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "pebblesdb-1",
       "a9f36c5c56b41fa6062320fc2ac0171f",
@@ -232,14 +232,14 @@ let scan_pins =
       "1897535 5678772 6041 12305",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "leveled",
-      "93d75d891ca9d11afaaa84fc5516ac45",
-      "0x1.49f7c31ep+29 0x1.74375b8p+24 0x1.3c5aea8p+24 0x0p+0 0x1.ba554ep+26",
-      "1164978 5381984 3416 9189",
+      "f6af74ba628062634530cbe1892335b1",
+      "0x1.2aae1528p+29 0x1.743626p+24 0x1.3c59b5p+24 0x0p+0 0x1.ba1f98p+26",
+      "1164978 4813202 3416 8089",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
     ( "tiered",
-      "bc82c8c93ad1bd92bed1e84f67a3a714",
-      "0x1.2291aea4p+30 0x1.0af4aap+23 0x1.dd8424p+22 0x0p+0 0x1.0a133cp+27",
-      "629072 9516648 3218 17408",
+      "36feafc211c45d53aca1ce06816d3415",
+      "0x1.1e34c382p+30 0x1.3a82ebp+23 0x1.1e5053p+23 0x0p+0 0x1.07da63p+27",
+      "731050 9485009 3223 17131",
       "74535 54e5ef760866f957b6afcd8addef6d0a" );
   ]
 
