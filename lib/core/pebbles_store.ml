@@ -425,11 +425,12 @@ let aggressive_due t level =
   here > 0 && below > 0
   && float_of_int here >= O.aggressive_level_ratio *. float_of_int below
 
-(* The due compactions, each with its progress measure ({!S.maybe_compact});
-   a seek pass adds the seek picks after them.  The job builders serve
-   both: a job captures its victim's level and guard key, and runs only
-   if [due] still holds, since an earlier job in the round may have
-   restructured the tree. *)
+(* The due compactions, each with its progress measure ({!S.maybe_compact}),
+   or with [~seek] the seek picks: the fullest guard above the last level
+   and at it, and the first level the aggressive rule names.  The job
+   builders serve both: a job captures its victim's level and guard key,
+   and runs only if [due] still holds, since an earlier job in the round
+   may have restructured the tree. *)
 let pick ~seek t =
   let round = ref [] in
   let add key trigger ~bytes ~footprint ~measure run =
@@ -472,41 +473,10 @@ let pick ~seek t =
               (find_guard t ll gkey)
         | Some _ | None -> ())
   in
-  (* L0 back-pressure *)
-  if l0_due t then
-    add "l0" Job.L0_files ~bytes:(S.bytes_of t.lv.l0)
-      ~footprint:(merge_footprint t 0)
-      ~measure:(fun () -> List.length t.lv.l0)
-      (fun () -> if l0_due t then compact_level t 0);
-  (* level size triggers *)
-  for level = 1 to ll - 1 do
-    if level_due t level then
-      level_job (Printf.sprintf "size:%d" level) Job.Level_size ~due:level_due
-        level
-  done;
-  (* per-guard caps: one job per full guard — FLSM's unit of compaction
-     concurrency *)
-  for level = 1 to ll - 1 do
-    Array.iter
-      (fun (g : Guard.guard) ->
-        if guard_due t g then
-          guard_job
-            (Printf.sprintf "cap:%d:%s" level g.Guard.gkey)
-            Job.Guard_cap ~due:guard_due level g)
-      t.lv.levels.(level).Guard.guards
-  done;
-  (* last-level guard merges; committing pending guards first refines
-     the structure (boundary-cut fragments redistribute into their own
-     guards) and often removes the need to merge at all *)
+  (* committing pending guards first refines the structure
+     (boundary-cut fragments redistribute into their own guards) and
+     often removes the need to merge a last-level guard at all *)
   commit_pending_with_edit t ll;
-  let last_due = guard_due ~cap:(max 2 t.opts.O.max_sstables_per_guard) in
-  Array.iter
-    (fun (g : Guard.guard) ->
-      if last_due t g then
-        guard_job ("last:" ^ g.Guard.gkey) Job.Guard_merge ~due:last_due ll g)
-    t.lv.levels.(ll).Guard.guards;
-  (* seek picks: the fullest guard above the last level and at it, and
-     the first level the aggressive rule names *)
   if seek then begin
     let upper = List.init (ll - 1) (fun i -> i + 1) in
     let fragmented = guard_due ~cap:2 in
@@ -524,6 +494,38 @@ let pick ~seek t =
         level_job (Printf.sprintf "seek:%d" level) Job.Seek
           ~due:aggressive_due level)
       (List.find_opt (aggressive_due t) upper)
+  end
+  else begin
+    (* L0 back-pressure *)
+    if l0_due t then
+      add "l0" Job.L0_files ~bytes:(S.bytes_of t.lv.l0)
+        ~footprint:(merge_footprint t 0)
+        ~measure:(fun () -> List.length t.lv.l0)
+        (fun () -> if l0_due t then compact_level t 0);
+    (* level size triggers *)
+    for level = 1 to ll - 1 do
+      if level_due t level then
+        level_job (Printf.sprintf "size:%d" level) Job.Level_size
+          ~due:level_due level
+    done;
+    (* per-guard caps: one job per full guard — FLSM's unit of
+       compaction concurrency *)
+    for level = 1 to ll - 1 do
+      Array.iter
+        (fun (g : Guard.guard) ->
+          if guard_due t g then
+            guard_job
+              (Printf.sprintf "cap:%d:%s" level g.Guard.gkey)
+              Job.Guard_cap ~due:guard_due level g)
+        t.lv.levels.(level).Guard.guards
+    done;
+    (* last-level guard merges *)
+    let last_due = guard_due ~cap:(max 2 t.opts.O.max_sstables_per_guard) in
+    Array.iter
+      (fun (g : Guard.guard) ->
+        if last_due t g then
+          guard_job ("last:" ^ g.Guard.gkey) Job.Guard_merge ~due:last_due ll g)
+      t.lv.levels.(ll).Guard.guards
   end;
   List.rev !round
 

@@ -82,8 +82,8 @@ val get : ?snapshot:int -> t -> string -> string option
     readers' seeks and the seek compactions they trigger: superseded files
     are deleted only at mutating operations, and each guarded level is
     walked as it stood at the iterator's own latest seek.  Writes
-    invalidate it (no pinning).  A run of consecutive seeks adds the seek
-    picks (§4.2) to a compaction round.  Seeks run inside a parallel-probe
+    invalidate it (no pinning).  A run of consecutive seeks runs the seek
+    picks (§4.2) as a compaction round.  Seeks run inside a parallel-probe
     session (§4.2's parallel seeks, budgeted by the device); a seek
     positions one guard per level and skips its sstables whose largest
     key sorts before the target. *)

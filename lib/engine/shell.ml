@@ -84,7 +84,7 @@ module Types = struct
     pick : seek:bool -> 'lv t -> (Job.t * (unit -> int)) list;
         (** the due compactions on the current state, in run order, each
             with its progress measure (see {!maybe_compact}); with
-            [~seek] also the seek-triggered ones *)
+            [~seek] the seek-triggered ones instead *)
     candidates :
       'lv t -> int -> key:string -> lookup:string -> Table.meta list;
         (** the tables of level [>= 1] a get of user [key] probes, in
@@ -172,10 +172,10 @@ let note_compaction t ~inputs ~outputs =
 (* ---------- compaction rounds ---------- *)
 
 (** [maybe_compact ?seek t] runs the rounds {!shape.pick} returns until
-    one is empty; with [~seek:true] the first round also holds the
-    seek-triggered picks.  A job whose measure is not smaller after its
-    own run has its key blocked, and later picks of it dropped, for the
-    rest of the call: what other jobs of the round move does not count. *)
+    one is empty; with [~seek:true] the first is the seek picks.  A job
+    whose measure is not smaller after its own run has its key blocked,
+    and later picks of it dropped, for the rest of the call: what other
+    jobs of the round move does not count. *)
 let maybe_compact ?(seek = false) t =
   let blocked = Hashtbl.create 8 in
   let unblocked ((job : Job.t), measure) =
@@ -777,7 +777,7 @@ let internal_iterator t =
 
 (* Seek-triggered compaction (LevelDB's allowed_seeks budget, PebblesDB
    §4.2): each run of [seek_compaction_threshold] consecutive seeks opens
-   a compaction call whose first round holds the engine's seek picks. *)
+   a compaction call whose first round is the engine's seek picks. *)
 let note_seek t =
   Stats.incr t.counters Stats.seeks;
   charge_cpu t (t.opts.O.op_overhead_read_ns +. O.cpu_per_op_ns);

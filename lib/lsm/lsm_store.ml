@@ -324,10 +324,13 @@ let level_job (t : t) ~trigger ~due level =
     },
     fun () -> level_bytes t level )
 
-(* The due level compactions, top-down; a seek pass adds the level-0
-   drain. *)
+(* The due level compactions, top-down; a seek pass's pick is the
+   level-0 drain alone. *)
 let pick ~seek (t : t) =
-  let due =
+  if seek then
+    if seek_due t 0 then [ level_job t ~trigger:Job.Seek ~due:seek_due 0 ]
+    else []
+  else
     List.filter_map
       (fun level ->
         if level_due t level then
@@ -335,10 +338,6 @@ let pick ~seek (t : t) =
           Some (level_job t ~trigger ~due:level_due level)
         else None)
       (List.init (t.opts.O.max_levels - 1) Fun.id)
-  in
-  if seek && seek_due t 0 then
-    due @ [ level_job t ~trigger:Job.Seek ~due:seek_due 0 ]
-  else due
 
 (* ---------- the level structure the shell drives ---------- *)
 
