@@ -349,9 +349,9 @@ let find_guard t level gkey =
   |> List.find_opt (fun (g : Guard.guard) -> g.Guard.gkey = gkey)
 
 let guard_tables t level gkey =
-  Option.fold ~none:0
-    ~some:(fun (g : Guard.guard) -> List.length g.Guard.tables)
-    (find_guard t level gkey)
+  match find_guard t level gkey with
+  | Some g -> List.length g.Guard.tables
+  | None -> 0
 
 (* ---------- policy consultation ---------- *)
 
@@ -426,11 +426,9 @@ let aggressive_due t level =
   && float_of_int here >= O.aggressive_level_ratio *. float_of_int below
 
 (* The due compactions, each with its progress measure ({!S.maybe_compact}),
-   or with [~seek] the seek picks: the fullest guard above the last level
-   and at it, and the first level the aggressive rule names.  The job
-   builders serve both: a job captures its victim's level and guard key,
-   and runs only if [due] still holds, since an earlier job in the round
-   may have restructured the tree. *)
+   or with [~seek] the seek picks.  A job captures its victim's level and
+   guard key, and runs only if [due] still holds: an earlier job in the
+   round may have restructured the tree. *)
 let pick ~seek t =
   let round = ref [] in
   let add key trigger ~bytes ~footprint ~measure run =
