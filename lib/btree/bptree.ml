@@ -326,8 +326,6 @@ let rec insert_into_parent t path sep_key new_page =
 
 (* ---------- operations ---------- *)
 
-(* [insert] and [remove] change the tree; [put] and [delete] also count
-   a client's operation *)
 (* A write-through update is atomic like a checkpoint ({!flush_dirty}):
    its pages and the header holding the key count land together. *)
 let write_through t f =
@@ -338,6 +336,8 @@ let write_through t f =
         write_header t)
   | Buffered -> f ()
 
+(* [insert] and [remove] change the tree; [put] and [delete] also count
+   a client's operation *)
 let insert t key value =
   assert (not t.closed);
   Clock.advance_cpu t.clock
