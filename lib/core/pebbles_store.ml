@@ -529,14 +529,6 @@ let pick ~seek t =
 
 (* ---------- the level structure the shell drives ---------- *)
 
-(* FLSM flush charges each entry's merge CPU before adding it. *)
-let build_l0 t mem =
-  let b = S.new_builder t in
-  Pdb_kvs.Memtable.iter mem (fun ikey value ->
-      Clock.advance t.clock O.cpu_per_merge_entry_ns;
-      Table.Builder.add b ikey value);
-  S.finish_table t b
-
 let apply_edit lv (e : Manifest.edit) =
   (* order matters: deletions, guard removals, guard additions, file adds *)
   List.iter
@@ -627,7 +619,6 @@ let shape =
     flush_edit;
     l0 = (fun lv -> lv.l0);
     add_l0 = (fun lv m -> lv.l0 <- m :: lv.l0);
-    build_l0;
     note_put = note_guard_candidate;
     pick;
     candidates;

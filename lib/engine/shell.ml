@@ -78,8 +78,6 @@ module Types = struct
     flush_edit : 'lv t -> Manifest.edit -> unit;  (** a flush's level part *)
     l0 : 'lv -> Table.meta list;  (** level 0, newest first *)
     add_l0 : 'lv -> Table.meta -> unit;  (** install a flushed table *)
-    build_l0 : 'lv t -> Memtable.t -> Table.meta option;
-        (** write a memtable as one table (the engine's table builder) *)
     note_put : 'lv t -> string -> unit;  (** a user key enters the memtable *)
     pick : seek:bool -> 'lv t -> (Job.t * (unit -> int)) list;
         (** the due compactions on the current state, in run order, each
@@ -135,6 +133,15 @@ let finish_table t b =
     Stats.incr t.counters Stats.sstables_built;
     Some meta
   | None -> None
+
+(** [build_l0 t mem] writes memtable [mem] as one table, charging each
+    entry's merge CPU, and finishes it through {!finish_table}. *)
+let build_l0 t mem =
+  let b = new_builder t in
+  Memtable.iter mem (fun ikey value ->
+      Clock.advance t.clock O.cpu_per_merge_entry_ns;
+      Table.Builder.add b ikey value);
+  finish_table t b
 
 (* ---------- obsolete-file garbage collection ---------- *)
 
@@ -231,7 +238,7 @@ let flush t =
             (Sched.full_range ~level_lo:0 ~level_hi:0) with
             Sched.read_hi = -1;
           };
-        run = (fun () -> meta := t.shape.build_l0 t mem);
+        run = (fun () -> meta := build_l0 t mem);
       };
     let meta = !meta in
     (match meta with

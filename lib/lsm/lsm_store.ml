@@ -341,14 +341,6 @@ let pick ~seek (t : t) =
 
 (* ---------- the level structure the shell drives ---------- *)
 
-(* LSM flush charges each entry's merge CPU after adding it. *)
-let build_l0 (t : t) mem =
-  let b = S.new_builder t in
-  Pdb_kvs.Memtable.iter mem (fun ikey value ->
-      Table.Builder.add b ikey value;
-      Clock.advance t.clock O.cpu_per_merge_entry_ns);
-  S.finish_table t b
-
 let apply_edit lv (e : Manifest.edit) =
   List.iter
     (fun (level, number) ->
@@ -414,7 +406,6 @@ let shape =
     flush_edit = (fun _ _ -> ());
     l0 = (fun lv -> lv.levels.(0));
     add_l0 = (fun lv m -> lv.levels.(0) <- m :: lv.levels.(0));
-    build_l0;
     note_put = (fun _ _ -> ());
     pick;
     candidates;
