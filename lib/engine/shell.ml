@@ -122,7 +122,7 @@ let new_builder t =
 (** [finish_table t b] finishes builder [b] and, when it wrote a table,
     makes the table ready to read as LevelDB's "verify that the table is
     usable" open does, with no device charge: its hot data blocks enter
-    the block cache (only a compaction marks any, see {!merge_tables})
+    the block cache (see {!build_l0} and {!merge_tables})
     and its open reader enters the table cache (DESIGN "New tables and
     the table cache").  Counts the table built. *)
 let finish_table t b =
@@ -135,11 +135,14 @@ let finish_table t b =
   | None -> None
 
 (** [build_l0 t mem] writes memtable [mem] as one table, charging each
-    entry's merge CPU, and finishes it through {!finish_table}. *)
+    entry's merge CPU, and finishes it through {!finish_table}.  A data
+    block holding an entry a get returned is hot (DESIGN "Compaction and
+    the block cache"): a flush nobody read admits nothing. *)
 let build_l0 t mem =
   let b = new_builder t in
-  Memtable.iter mem (fun ikey value ->
+  Memtable.iter mem (fun ikey value read ->
       Clock.advance t.clock O.cpu_per_merge_entry_ns;
+      if read then Table.Builder.mark_hot b;
       Table.Builder.add b ikey value);
   finish_table t b
 
@@ -419,7 +422,7 @@ let replay_wal env ~dir ~wal_number ~mem ~last_seq =
    MANIFEST no longer names. *)
 let relog_memtable wal mem =
   if not (Memtable.is_empty mem) then begin
-    Memtable.iter mem (fun ik v ->
+    Memtable.iter mem (fun ik v _ ->
         let b = Wb.create () in
         (match Ik.kind ik with
          | Ik.Value -> Wb.put b (Ik.user_key ik) v

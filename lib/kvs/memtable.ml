@@ -35,15 +35,20 @@ let add t ~seq ~kind ~user_key ~value =
 (** [get t lookup] is the freshest entry for [lookup]'s user key at or
     below internal key [lookup]: [Some (Some v)] for a live value,
     [Some None] for a tombstone, [None] when the memtable holds no such
-    version. *)
+    version.  The entry it returns is marked read (see {!iter}). *)
 let get t lookup =
-  match Pdb_skiplist.Skiplist.seek t.list lookup with
-  | Some (ikey, value)
-    when Internal_key.same_user_key ikey (String.length ikey) lookup
-    -> (match Internal_key.kind ikey with
-        | Internal_key.Value -> Some (Some value)
-        | Internal_key.Deletion -> Some None)
-  | Some _ | None -> None
+  let module S = Pdb_skiplist.Skiplist in
+  match S.seek_entry t.list lookup with
+  | Some e ->
+    let ikey = S.entry_key e in
+    if Internal_key.same_user_key ikey (String.length ikey) lookup then begin
+      S.mark e;
+      match Internal_key.kind ikey with
+      | Internal_key.Value -> Some (Some (S.entry_value e))
+      | Internal_key.Deletion -> Some None
+    end
+    else None
+  | None -> None
 
 let approximate_bytes t = t.bytes
 let entries t = t.entries
@@ -65,6 +70,7 @@ let iterator t =
     value_slice = Iter.whole value;
   }
 
-(** [iter t f] applies [f] to every (internal key, value) entry in order —
-    used by flush and by recovery's relog. *)
+(** [iter t f] applies [f ikey value read] to every entry in order, where
+    [read] is whether {!get} returned the entry — used by flush and by
+    recovery's relog. *)
 let iter t f = Pdb_skiplist.Skiplist.iter t.list f

@@ -18,7 +18,9 @@ val add :
     below internal key [lookup] ({!Internal_key.max_for_lookup} for the
     latest state, {!Internal_key.lookup_at} for a snapshot):
     [Some (Some v)] for a live value, [Some None] for a tombstone, [None]
-    when the memtable holds no such version. *)
+    when the memtable holds no such version.  The entry it returns, value
+    or tombstone, is marked read, with no allocation: a flush admits the
+    blocks holding read entries to the block cache. *)
 val get : t -> string -> string option option
 
 val approximate_bytes : t -> int
@@ -28,6 +30,7 @@ val is_empty : t -> bool
 (** [iterator t] ranges over encoded internal keys. *)
 val iterator : t -> Iter.t
 
-(** [iter t f] applies [f] to every (internal key, value) entry in order —
-    used by flush and by recovery's relog. *)
-val iter : t -> (string -> string -> unit) -> unit
+(** [iter t f] applies [f ikey value read] to every entry in order, where
+    [read] is whether {!get} returned the entry (an iterator marks
+    nothing) — used by flush and by recovery's relog. *)
+val iter : t -> (string -> string -> bool -> unit) -> unit

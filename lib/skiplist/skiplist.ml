@@ -9,12 +9,14 @@
     Keys are ordered by a user-supplied comparator.  Entries are
     append-only: a duplicate insert adds a new node (memtables rely on the
     internal-key comparator making duplicates distinct via sequence
-    numbers). *)
+    numbers).  Each entry carries one flag, clear at insert, that
+    {!mark} sets and {!iter} reports. *)
 
 type ('k, 'v) node = {
   key : 'k;
   value : 'v;
   forward : ('k, 'v) node option array;
+  mutable marked : bool;
 }
 
 type ('k, 'v) t = {
@@ -31,7 +33,7 @@ let max_height = 12
 let create ~compare dummy_key dummy_value =
   let head =
     { key = dummy_key; value = dummy_value;
-      forward = Array.make max_height None }
+      forward = Array.make max_height None; marked = false }
   in
   {
     compare;
@@ -78,7 +80,7 @@ let insert t key value =
     done;
     t.height <- h
   end;
-  let node = { key; value; forward = Array.make h None } in
+  let node = { key; value; forward = Array.make h None; marked = false } in
   for level = 0 to h - 1 do
     node.forward.(level) <- prev.(level).forward.(level);
     prev.(level).forward.(level) <- Some node
@@ -100,6 +102,18 @@ let seek t key =
   match first_from t key with
   | Some n -> Some (n.key, n.value)
   | None -> None
+
+type ('k, 'v) entry = ('k, 'v) node
+
+(** [seek_entry t key] is [seek t key] as the entry itself; it allocates
+    nothing. *)
+let seek_entry = first_from
+
+let entry_key (n : _ entry) = n.key
+let entry_value (n : _ entry) = n.value
+
+(** [mark e] sets [e]'s flag. *)
+let mark (n : _ entry) = n.marked <- true
 
 (** [find t key] is the value of the smallest entry >= [key] whose key
     compares equal to [key]. *)
@@ -125,11 +139,12 @@ let max_entry t =
   let last = descend t.head (t.height - 1) in
   if last == t.head then None else Some (last.key, last.value)
 
-(** [iter t f] applies [f] to every entry in key order. *)
+(** [iter t f] applies [f key value marked] to every entry in key order;
+    [marked] is whether {!mark} set the entry's flag. *)
 let iter t f =
   let rec go = function
     | Some n ->
-      f n.key n.value;
+      f n.key n.value n.marked;
       go n.forward.(0)
     | None -> ()
   in
@@ -137,7 +152,7 @@ let iter t f =
 
 let fold t f acc =
   let acc = ref acc in
-  iter t (fun k v -> acc := f !acc k v);
+  iter t (fun k v _ -> acc := f !acc k v);
   !acc
 
 let to_list t = List.rev (fold t (fun acc k v -> (k, v) :: acc) [])

@@ -7,7 +7,8 @@
 
     Entries are append-only: a duplicate insert adds a new node (memtables
     rely on the internal-key comparator making duplicates distinct via
-    sequence numbers). *)
+    sequence numbers).  Each entry carries one flag, clear at insert,
+    that {!mark} sets and {!iter} reports. *)
 
 type ('k, 'v) t
 
@@ -24,6 +25,19 @@ val insert : ('k, 'v) t -> 'k -> 'v -> unit
 (** [seek t key] is the first entry with key >= [key]. *)
 val seek : ('k, 'v) t -> 'k -> ('k * 'v) option
 
+(** An entry of the list. *)
+type ('k, 'v) entry
+
+(** [seek_entry t key] is the entry {!seek} returns; it allocates
+    nothing. *)
+val seek_entry : ('k, 'v) t -> 'k -> ('k, 'v) entry option
+
+val entry_key : ('k, 'v) entry -> 'k
+val entry_value : ('k, 'v) entry -> 'v
+
+(** [mark e] sets [e]'s flag; it allocates nothing. *)
+val mark : ('k, 'v) entry -> unit
+
 (** [find t key] is the first entry comparing equal to [key]. *)
 val find : ('k, 'v) t -> 'k -> 'v option
 
@@ -31,8 +45,9 @@ val mem : ('k, 'v) t -> 'k -> bool
 val min_entry : ('k, 'v) t -> ('k * 'v) option
 val max_entry : ('k, 'v) t -> ('k * 'v) option
 
-(** [iter t f] applies [f] to every entry in key order. *)
-val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
+(** [iter t f] applies [f key value marked] to every entry in key
+    order; [marked] is whether {!mark} set the entry's flag. *)
+val iter : ('k, 'v) t -> ('k -> 'v -> bool -> unit) -> unit
 
 val fold : ('k, 'v) t -> ('a -> 'k -> 'v -> 'a) -> 'a -> 'a
 val to_list : ('k, 'v) t -> ('k * 'v) list

@@ -49,7 +49,8 @@ module Builder : sig
 
   (** [mark_hot t] marks the data block the next entry lands in as hot:
       compaction calls it before adding an entry read from a block the
-      block cache held. *)
+      block cache held, and a flush before adding a memtable entry a get
+      returned. *)
   val mark_hot : t -> unit
 
   val estimated_size : t -> int

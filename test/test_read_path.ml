@@ -356,6 +356,8 @@ module type CACHED_ENGINE = sig
     ?block_cache:BC.t -> O.t -> env:Env.t -> dir:string -> t
 
   val put : t -> string -> string -> unit
+  val delete : t -> string -> unit
+  val get : ?snapshot:int -> t -> string -> string option
   val flush : t -> unit
   val iterator : ?snapshot:int -> t -> Iter.t
   val compact_all : t -> unit
@@ -370,12 +372,11 @@ let cache_engines =
   ]
 
 let cache_key i = Printf.sprintf "key%04d" i
+let cache_value k = Printf.sprintf "value-%04d-%s" k (String.make 80 'v')
 
-(* A store over [bc] holding keys 0-299 in three level-0 tables: no
-   compaction has run, and nothing has been read.  With two levels, a
-   full compaction is one merge of the three into level 1. *)
-let three_l0_tables (type a) (module E : CACHED_ENGINE with type t = a) opts
-    bc =
+(* An empty store over [bc] with 512-byte blocks and two levels, whose
+   memtable flushes only when asked. *)
+let cached_store (type a) (module E : CACHED_ENGINE with type t = a) opts bc =
   let env = Env.create () in
   let opts =
     {
@@ -386,12 +387,18 @@ let three_l0_tables (type a) (module E : CACHED_ENGINE with type t = a) opts
       max_levels = 2;
     }
   in
-  let db = E.open_store ~block_cache:bc opts ~env ~dir:"db" in
+  (env, E.open_store ~block_cache:bc opts ~env ~dir:"db")
+
+(* A store over [bc] holding keys 0-299 in three level-0 tables: no
+   compaction has run, and nothing has been read.  With two levels, a
+   full compaction is one merge of the three into level 1. *)
+let three_l0_tables (type a) (module E : CACHED_ENGINE with type t = a) opts
+    bc =
+  let env, db = cached_store (module E) opts bc in
   for t = 0 to 2 do
     for i = 0 to 99 do
       let k = (i * 3) + t in
-      E.put db (cache_key k)
-        (Printf.sprintf "value-%04d-%s" k (String.make 80 'v'))
+      E.put db (cache_key k) (cache_value k)
     done;
     E.flush db
   done;
@@ -565,6 +572,154 @@ let test_compaction_reads_ahead (module E : CACHED_ENGINE) opts () =
       E.close db)
     [ ("cold", 0, 0, 1); ("middle cached", 100, 200, 2) ]
 
+(* ---------- flushes and the block cache ---------- *)
+
+let put_range (type a) (module E : CACHED_ENGINE with type t = a) db lo hi =
+  for k = lo to hi - 1 do
+    E.put db (cache_key k) (cache_value k)
+  done
+
+let cache_state bc = (BC.used bc, BC.hits bc, BC.misses bc)
+
+(* (a) Keys read from the memtable and then flushed re-read with no
+   device read: the flush admitted the blocks holding them. *)
+let test_flush_keeps_read_keys (module E : CACHED_ENGINE) opts () =
+  let bc = BC.create ~capacity:(1 lsl 20) in
+  let env, db = cached_store (module E) opts bc in
+  put_range (module E) db 0 300;
+  let get_all () =
+    for k = 100 to 199 do
+      check Alcotest.(option string) "value" (Some (cache_value k))
+        (E.get db (cache_key k))
+    done
+  in
+  get_all ();
+  E.flush db;
+  check Alcotest.int "flushed to one table" 1 (List.length (tables env));
+  let ops = read_ops env in
+  get_all ();
+  check Alcotest.int "re-reading the flushed keys reads nothing" 0
+    (read_ops env - ops);
+  E.close db
+
+(* (b) A flush after no gets leaves the block cache as it was; the same
+   flush after one get admits that key's block. *)
+let test_flush_unread_admits_nothing (module E : CACHED_ENGINE) opts () =
+  let bc = BC.create ~capacity:(1 lsl 20) in
+  let _env, db = cached_store (module E) opts bc in
+  put_range (module E) db 0 100;
+  let before = cache_state bc in
+  E.flush db;
+  check Alcotest.(triple int int int) "an unread flush moves no counter"
+    before (cache_state bc);
+  put_range (module E) db 100 200;
+  ignore (E.get db (cache_key 150));
+  let used = BC.used bc in
+  E.flush db;
+  check Alcotest.bool "a flush after a get admits its block" true
+    (BC.used bc > used);
+  E.close db
+
+(* The last internal key of each data block of table [file], from its
+   index, read without a device charge. *)
+let block_ends env file =
+  let size = Env.file_size env file in
+  let footer = Env.peek env file ~pos:(size - T.footer_size) ~len:T.footer_size in
+  let field i = Pdb_util.Varint.get_fixed32 footer (4 * i) in
+  let index =
+    Pdb_sstable.Block.decode (Env.peek env file ~pos:(field 2) ~len:(field 3))
+  in
+  let ends = ref [] in
+  Pdb_sstable.Block.iter_index index (fun key len _ _ ->
+      ends := Bytes.sub_string key 0 len :: !ends);
+  List.rev !ends
+
+(* (c) A flush admits exactly the data blocks holding an entry a get
+   returned, a tombstone as well as a value. *)
+let test_flush_admits_read_blocks (module E : CACHED_ENGINE) opts () =
+  let bc = BC.create ~capacity:(1 lsl 20) in
+  let env, db = cached_store (module E) opts bc in
+  put_range (module E) db 0 300;
+  E.delete db (cache_key 250);
+  let read k = k mod 37 = 0 || k = 250 in
+  for k = 0 to 299 do
+    if read k then
+      check Alcotest.(option string) "value"
+        (if k = 250 then None else Some (cache_value k))
+        (E.get db (cache_key k))
+  done;
+  E.flush db;
+  let file = List.hd (tables env) in
+  let ends = block_ends env file in
+  let block_of ikey =
+    let rec go i = function
+      | last :: rest -> if Ik.compare ikey last <= 0 then i else go (i + 1) rest
+      | [] -> invalid_arg "block_of"
+    in
+    go 0 ends
+  in
+  let r = T.open_reader env ~dir:"db" (T.recover_meta env ~dir:"db"
+      ~number:(int_of_string (Filename.chop_suffix (Filename.basename file) ".sst")))
+  in
+  let it = T.iterator r ~cache:(BC.for_compaction bc) ~hint:Device.Sequential_read in
+  T.seek_to_first it;
+  (* (block, resident, a get returned this entry): the newest entry of
+     each user key read *)
+  let entries = ref [] and prev = ref "" in
+  while T.valid it do
+    let ikey = T.key it in
+    let uk = Ik.user_key ikey in
+    let returned =
+      uk <> !prev && read (int_of_string (String.sub uk 3 4))
+    in
+    prev := uk;
+    entries := (block_of ikey, T.resident it, returned) :: !entries;
+    T.next it
+  done;
+  let entries = List.rev !entries in
+  let hot =
+    List.filter_map (fun (b, _, returned) -> if returned then Some b else None)
+      entries
+  in
+  check Alcotest.bool "several blocks, some unread" true
+    (List.length ends > List.length (List.sort_uniq compare hot));
+  List.iter
+    (fun (b, resident, _) ->
+      check Alcotest.bool
+        (Printf.sprintf "block %d resident iff it holds a read entry" b)
+        (List.mem b hot) resident)
+    entries;
+  E.close db
+
+(* (d) A seeded op sequence writes the same files with gets interleaved
+   as without: reads move only the cache's contents and the clock. *)
+let test_flush_gets_keep_bytes (module E : CACHED_ENGINE) opts () =
+  let run ~gets =
+    let bc = BC.create ~capacity:(1 lsl 20) in
+    let env, db = cached_store (module E) opts bc in
+    let ops = Random.State.make [| 39 |] and reads = Random.State.make [| 7 |] in
+    let admitted = ref 0 in
+    for round = 1 to 6 do
+      for _ = 1 to 150 do
+        let k = Random.State.int ops 400 in
+        if Random.State.int ops 8 = 0 then E.delete db (cache_key k)
+        else E.put db (cache_key k) (cache_value (k + round));
+        if gets then ignore (E.get db (cache_key (Random.State.int reads 400)))
+      done;
+      let used = BC.used bc in
+      E.flush db;
+      if round = 1 then admitted := BC.used bc - used
+    done;
+    E.compact_all db;
+    E.close db;
+    (Fingerprint.files env, !admitted)
+  in
+  let cold, none = run ~gets:false and hot, admitted = run ~gets:true in
+  check Alcotest.int "no gets admit nothing" 0 none;
+  check Alcotest.bool "the first flush after gets admits blocks" true
+    (admitted > 0);
+  check Alcotest.(list (pair string string)) "files byte-identical" cold hot
+
 (* ---------- new tables: the builder's reader ---------- *)
 
 (* Over random tables — with a filter and with none; some keys in two
@@ -721,6 +876,21 @@ let () =
               Alcotest.test_case (name ^ " resident inputs read no data")
                 `Quick
                 (test_compaction_reads_resident_inputs e opts);
+            ])
+          cache_engines );
+      ( "flush cache",
+        List.concat_map
+          (fun (name, e, opts) ->
+            [
+              Alcotest.test_case (name ^ " read keys re-read cached") `Quick
+                (test_flush_keeps_read_keys e opts);
+              Alcotest.test_case (name ^ " unread flush admits nothing")
+                `Quick
+                (test_flush_unread_admits_nothing e opts);
+              Alcotest.test_case (name ^ " only read blocks admitted") `Quick
+                (test_flush_admits_read_blocks e opts);
+              Alcotest.test_case (name ^ " gets keep file bytes") `Quick
+                (test_flush_gets_keep_bytes e opts);
             ])
           cache_engines );
       ("new tables", [ prop_builder_reader ]);
