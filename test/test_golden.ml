@@ -187,24 +187,24 @@ let pins =
   [
     ( "pebblesdb",
       "730c2df1fbcf40ba40838c977eef074c",
-      "0x1.0ca8ff6p+26 0x1.57e4ad4p+26 0x1.ab3a448p+25 0x0p+0 0x1.01bcb68p+26",
-      "2088463 1580927 7736 2054" );
+      "0x1.0ca8ff6p+26 0x1.57e257cp+26 0x1.ab35998p+25 0x0p+0 0x1.01bcb68p+26",
+      "2088463 1579147 7736 2053" );
     ( "pebblesdb-1",
       "718c30ceefcd28a300f87d6f1310eae1",
-      "0x1.b2fc9f2p+25 0x1.d8488988p+28 0x1.02554cbp+28 0x0p+0 0x1.dc9465p+25",
-      "5095367 3910584 14927 5803" );
+      "0x1.b2fc9f2p+25 0x1.d84604a8p+28 0x1.0253ef18p+28 0x0p+0 0x1.dc9465p+25",
+      "5095367 3907948 14927 5797" );
     ( "leveled",
       "029684a69155dafab3b291e5ffe6b574",
-      "0x1.b574ad4p+25 0x1.ed15ebp+25 0x1.8c6fe1p+25 0x0p+0 0x1.d43554p+25",
-      "2806254 2320857 7073 1090" );
+      "0x1.b574ad4p+25 0x1.ecfb4ap+25 0x1.8c51fc4p+25 0x0p+0 0x1.d43554p+25",
+      "2806254 2302589 7073 1087" );
     ( "tiered",
       "4bd3b07684ba77081e17cc56f8e51024",
-      "0x1.11f8ffdp+26 0x1.a6fb008p+24 0x1.6e376p+24 0x0p+0 0x1.f3e90dp+25",
-      "1677328 1444828 6597 1000" );
+      "0x1.11f8ffdp+26 0x1.a703438p+24 0x1.6e3fa3p+24 0x0p+0 0x1.f3e90dp+25",
+      "1677328 1431058 6597 1006" );
     ( "lazy_leveled",
       "fb0f83d14eea42377e44d94f317f1229",
-      "0x1.11f96e1p+26 0x1.ad56888p+24 0x1.7492e8p+24 0x0p+0 0x1.f3e90dp+25",
-      "1678270 1445122 6605 1000" );
+      "0x1.11f96e1p+26 0x1.ad66c48p+24 0x1.74a324p+24 0x0p+0 0x1.f3e90dp+25",
+      "1678270 1432434 6605 1007" );
   ]
 
 let test_pin name () =
@@ -344,20 +344,20 @@ let shard_pins =
   [
     ( "pebblesdb",
       "c6b753ed1d3f77b34515056f83b0e73f",
-      "0x1.20dd5eep+25 0x1.ee8f8bp+24 0x1.30c24p+23 0x0p+0 0x1.256a42p+25",
-      "1055876 642325 4904 598" );
+      "0x1.20dd5eep+25 0x1.ee8744p+24 0x1.30c24p+23 0x0p+0 0x1.256a42p+25",
+      "1055876 638087 4904 598" );
     ( "leveldb",
       "bb8e1aad224d8d7231db09b726112661",
-      "0x1.de9061p+24 0x1.99e2fa8p+24 0x1.5c441dp+23 0x0p+0 0x1.5c06bap+27",
-      "1109511 771041 4759 455" );
+      "0x1.de9061p+24 0x1.998dce8p+24 0x1.5b99c5p+23 0x0p+0 0x1.5c06bap+27",
+      "1109511 739433 4759 451" );
     ( "kyotocabinet",
       "183b4e47b2a010a0cd99f6678e542243",
       "0x1.4e41d1d2p+30 0x0p+0 0x0p+0 0x0p+0 0x1.6cc653p+27",
       "2077498 33021 12232 217" );
     ( "file-ship",
       "c6b753ed1d3f77b34515056f83b0e73f",
-      "0x1.5773c41acccc9p+29 0x1.1789ce333335p+25 0x1.79b40933333ap+23 0x0p+0 0x1.256a42p+25",
-      "1055876 642325 4904 598" );
+      "0x1.5773c41acccc9p+29 0x1.1785aab33335p+25 0x1.79a37b33333ap+23 0x0p+0 0x1.256a42p+25",
+      "1055876 638087 4904 598" );
   ]
 
 let test_shard_pin name () =
