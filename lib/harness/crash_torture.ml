@@ -205,12 +205,17 @@ type result = {
 (* The sweep skeleton every torture shares.  At each of [max_points]
    points strided across [total_events], a fresh environment crashes at
    that IO event while [subject] drives the trace; [recovery] brings the
-   store back and it is verified against the oracle of acked ops.  Every
-   7th point (by index, not point: the stride can share a factor with 7,
-   which would starve the schedule) arms a second plan during recovery
-   itself and recovers again from that crash. *)
+   store back and it is verified against the oracle of acked ops.  Each
+   point lies at a seeded offset inside its stride window: a fixed stride
+   keeps every point on one phase of a periodic IO pattern, and with an
+   even stride over WiredTiger's append/sync pairs every crash landed on
+   a sync, which leaves nothing unsynced to tear.  Every 7th point (by
+   index, not point: the stride can share a factor with 7, which would
+   starve the schedule) arms a second plan during recovery itself and
+   recovers again from that crash. *)
 let sweep ~engine ~seed ~keyspace ~max_points ~total_events subject recovery =
   let stride = max 1 (total_events / max_points) in
+  let jitter = Rng.create seed in
   let crash_points = ref 0 in
   let double_crashes = ref 0 in
   let background_crashes = ref 0 in
@@ -219,7 +224,7 @@ let sweep ~engine ~seed ~keyspace ~max_points ~total_events subject recovery =
   let fail point msg = failures := (point, msg) :: !failures in
   let n = ref 1 in
   while !n <= total_events do
-    let point = !n in
+    let point = min total_events (!n + Rng.int jitter stride) in
     incr crash_points;
     let env = Env.create () in
     (* seed varies per point so the torn-write choices differ too *)
