@@ -38,7 +38,7 @@ let add t ~seq ~kind ~user_key ~value =
     version.  The entry it returns is marked read (see {!iter}). *)
 let get t lookup =
   let module S = Pdb_skiplist.Skiplist in
-  match S.seek_entry t.list lookup with
+  match S.seek t.list lookup with
   | Some e ->
     let ikey = S.entry_key e in
     if Internal_key.same_user_key ikey (String.length ikey) lookup then begin

@@ -96,18 +96,11 @@ let first_from t key =
   done;
   !node.forward.(0)
 
-(** [seek t key] is the first entry with key >= [key], or [None]; it
-    allocates only the result. *)
-let seek t key =
-  match first_from t key with
-  | Some n -> Some (n.key, n.value)
-  | None -> None
-
 type ('k, 'v) entry = ('k, 'v) node
 
-(** [seek_entry t key] is [seek t key] as the entry itself; it allocates
-    nothing. *)
-let seek_entry = first_from
+(** [seek t key] is the first entry with key >= [key], or [None]; it
+    allocates nothing. *)
+let seek = first_from
 
 let entry_key (n : _ entry) = n.key
 let entry_value (n : _ entry) = n.value
@@ -118,8 +111,8 @@ let mark (n : _ entry) = n.marked <- true
 (** [find t key] is the value of the smallest entry >= [key] whose key
     compares equal to [key]. *)
 let find t key =
-  match seek t key with
-  | Some (k, v) when t.compare k key = 0 -> Some v
+  match first_from t key with
+  | Some n when t.compare n.key key = 0 -> Some n.value
   | Some _ | None -> None
 
 let mem t key = Option.is_some (find t key)

@@ -22,15 +22,12 @@ val length : ('k, 'v) t -> int
 (** [insert t key value] adds an entry (duplicates kept). *)
 val insert : ('k, 'v) t -> 'k -> 'v -> unit
 
-(** [seek t key] is the first entry with key >= [key]. *)
-val seek : ('k, 'v) t -> 'k -> ('k * 'v) option
-
 (** An entry of the list. *)
 type ('k, 'v) entry
 
-(** [seek_entry t key] is the entry {!seek} returns; it allocates
+(** [seek t key] is the first entry with key >= [key]; it allocates
     nothing. *)
-val seek_entry : ('k, 'v) t -> 'k -> ('k, 'v) entry option
+val seek : ('k, 'v) t -> 'k -> ('k, 'v) entry option
 
 val entry_key : ('k, 'v) entry -> 'k
 val entry_value : ('k, 'v) entry -> 'v

@@ -105,19 +105,24 @@ let test_skiplist_order () =
 
 let test_skiplist_seek () =
   let sl = make_list () in
+  let seek k =
+    Option.map
+      (fun e -> (Skiplist.entry_key e, Skiplist.entry_value e))
+      (Skiplist.seek sl k)
+  in
   List.iter (fun k -> Skiplist.insert sl k k) [ "b"; "d"; "f" ];
   check
     Alcotest.(option (pair string string))
-    "seek between" (Some ("d", "d")) (Skiplist.seek sl "c");
+    "seek between" (Some ("d", "d")) (seek "c");
   check
     Alcotest.(option (pair string string))
-    "seek exact" (Some ("d", "d")) (Skiplist.seek sl "d");
+    "seek exact" (Some ("d", "d")) (seek "d");
   check
     Alcotest.(option (pair string string))
-    "seek past end" None (Skiplist.seek sl "g");
+    "seek past end" None (seek "g");
   check
     Alcotest.(option (pair string string))
-    "seek before start" (Some ("b", "b")) (Skiplist.seek sl "a")
+    "seek before start" (Some ("b", "b")) (seek "a")
 
 let test_skiplist_min_max () =
   let sl = make_list () in
