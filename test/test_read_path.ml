@@ -520,16 +520,17 @@ let test_compaction_reads_resident_inputs (module E : CACHED_ENGINE) opts () =
     (BC.hits bc, BC.misses bc);
   E.close db
 
-(* The bytes of [file]'s data blocks that [bc] does not hold, and how
-   many such blocks there are: the index's handles, read from the file
-   without a device charge. *)
-let uncached_data env bc file =
+(* The index block of table [file], read without a device charge. *)
+let table_index env file =
   let size = Env.file_size env file in
   let footer = Env.peek env file ~pos:(size - T.footer_size) ~len:T.footer_size in
   let field i = Pdb_util.Varint.get_fixed32 footer (4 * i) in
-  let index =
-    Pdb_sstable.Block.decode (Env.peek env file ~pos:(field 2) ~len:(field 3))
-  in
+  Pdb_sstable.Block.decode (Env.peek env file ~pos:(field 2) ~len:(field 3))
+
+(* The bytes of [file]'s data blocks that [bc] does not hold, and how
+   many such blocks there are: the index's handles. *)
+let uncached_data env bc file =
+  let index = table_index env file in
   let id = BC.intern (BC.for_compaction bc) file in
   let bytes = ref 0 and blocks = ref 0 in
   Pdb_sstable.Block.iter_index index (fun _ _ offset size ->
@@ -620,17 +621,10 @@ let test_flush_unread_admits_nothing (module E : CACHED_ENGINE) opts () =
     (BC.used bc > used);
   E.close db
 
-(* The last internal key of each data block of table [file], from its
-   index, read without a device charge. *)
+(* The last internal key of each data block of table [file]. *)
 let block_ends env file =
-  let size = Env.file_size env file in
-  let footer = Env.peek env file ~pos:(size - T.footer_size) ~len:T.footer_size in
-  let field i = Pdb_util.Varint.get_fixed32 footer (4 * i) in
-  let index =
-    Pdb_sstable.Block.decode (Env.peek env file ~pos:(field 2) ~len:(field 3))
-  in
   let ends = ref [] in
-  Pdb_sstable.Block.iter_index index (fun key len _ _ ->
+  Pdb_sstable.Block.iter_index (table_index env file) (fun key len _ _ ->
       ends := Bytes.sub_string key 0 len :: !ends);
   List.rev !ends
 
@@ -649,8 +643,7 @@ let test_flush_admits_read_blocks (module E : CACHED_ENGINE) opts () =
         (E.get db (cache_key k))
   done;
   E.flush db;
-  let file = List.hd (tables env) in
-  let ends = block_ends env file in
+  let ends = block_ends env (List.hd (tables env)) in
   let block_of ikey =
     let rec go i = function
       | last :: rest -> if Ik.compare ikey last <= 0 then i else go (i + 1) rest
@@ -658,10 +651,10 @@ let test_flush_admits_read_blocks (module E : CACHED_ENGINE) opts () =
     in
     go 0 ends
   in
-  let r = T.open_reader env ~dir:"db" (T.recover_meta env ~dir:"db"
-      ~number:(int_of_string (Filename.chop_suffix (Filename.basename file) ".sst")))
+  let it =
+    T.iterator (List.hd (live_readers env)) ~cache:(BC.for_compaction bc)
+      ~hint:Device.Sequential_read
   in
-  let it = T.iterator r ~cache:(BC.for_compaction bc) ~hint:Device.Sequential_read in
   T.seek_to_first it;
   (* (block, resident, a get returned this entry): the newest entry of
      each user key read *)
