@@ -62,13 +62,15 @@ module Fault_plan = struct
 end
 
 (* A file's bytes live in chunks that follow its appends: an append that
-   runs past the file's capacity adds one chunk holding exactly the bytes
+   runs past the file's capacity adds one chunk for exactly the bytes
    that do not fit.  Growing a file never copies what it already holds,
    its capacity equals its length (until a crash truncates the length; a
    later append fills the spare capacity first), and the bytes of one
-   append past the capacity lie in one chunk.  Chunk [i] starts at byte
-   [starts.(i)]; the first [n] slots of [chunks] and [starts] are in use,
-   and the arrays double when full. *)
+   append past the capacity lie in one chunk.  Chunk [i] holds the
+   file's bytes [starts.(i), starts.(i + 1)) from its offset 0; the
+   first [n] slots of [chunks] and [n + 1] of [starts] are in use, and
+   [starts.(n)] is the capacity.  A chunk taken from the pool (below)
+   may be longer than its bytes: that slack is never read. *)
 type file = {
   mutable chunks : Bytes.t array;
   mutable starts : int array;
@@ -80,8 +82,25 @@ type file = {
          as an empty file, a never-synced file vanishes at a crash *)
 }
 
+(* The chunks of deleted files, kept to hold later appends.  A chunk of
+   [L] bytes is filed in class [L / class_bytes]; [bins.(c)] holds class
+   [c]'s chunks and [pooled] their total length.  Only chunks between
+   [min_pooled] and [max_pooled] bytes are kept: shorter ones would
+   waste their slack, and a table's blocks are in range.
+   [bins] is allocated at the first chunk pooled. *)
+type pool = { mutable bins : Bytes.t list array; mutable pooled : int }
+
+let class_bytes = 32
+let min_pooled = 1024
+let max_pooled = 64 * 1024
+
+(* An append takes a chunk from its own class or the [window] classes
+   above it: less than 288 bytes of slack. *)
+let window = 8
+
 type t = {
   files : (string, file) Hashtbl.t;
+  pool : pool;
   stats : Io_stats.t;
   device : Device.t;
   clock : Clock.t;
@@ -100,11 +119,15 @@ type writer = {
   mutable staged : int;
 }
 
-let new_file ~ever_synced =
-  { chunks = [||]; starts = [||]; n = 0; len = 0; synced = 0; ever_synced }
+(* The [starts] of a file with no chunks; never written, since a file's
+   first chunk grows its arrays. *)
+let no_starts = [| 0 |]
 
-let capacity f =
-  if f.n = 0 then 0 else f.starts.(f.n - 1) + Bytes.length f.chunks.(f.n - 1)
+let new_file ~ever_synced =
+  { chunks = [||]; starts = no_starts; n = 0; len = 0; synced = 0;
+    ever_synced }
+
+let capacity f = f.starts.(f.n)
 
 (* The index of the chunk holding byte [p], which must be within
    capacity: the last chunk starting at or before [p]. *)
@@ -116,23 +139,64 @@ let chunk_index f p =
   done;
   !lo
 
-(* Grow [f] to hold at least [size] bytes, by one chunk of exactly the
+(* The first pooled chunk of classes [c, last], taken out of the pool,
+   else a fresh chunk of [n] bytes. *)
+let rec take_from pool n c last =
+  if c > last then Bytes.create n
+  else
+    match pool.bins.(c) with
+    | chunk :: rest ->
+      pool.bins.(c) <- rest;
+      pool.pooled <- pool.pooled - Bytes.length chunk;
+      chunk
+    | [] -> take_from pool n (c + 1) last
+
+(* A chunk of at least [n] bytes, else a fresh one of exactly [n]: the
+   first pooled chunk of [n]'s own class if it is long enough, or of
+   the [window] classes above it, so at most [(window + 1) *
+   class_bytes - 1] bytes longer. *)
+let take pool n =
+  if n < min_pooled || n > max_pooled || pool.pooled = 0 then Bytes.create n
+  else begin
+    let c = n / class_bytes in
+    let first =
+      match pool.bins.(c) with
+      | chunk :: _ when Bytes.length chunk >= n -> c
+      | _ -> c + 1
+    in
+    take_from pool n first (min (c + window) (Array.length pool.bins - 1))
+  end
+
+(* Pool [chunk] if it is in range and the pool stays within [limit]
+   bytes; otherwise leave it to the GC. *)
+let give pool ~limit chunk =
+  let len = Bytes.length chunk in
+  if len >= min_pooled && len <= max_pooled && pool.pooled + len <= limit
+  then begin
+    if pool.bins = [||] then
+      pool.bins <- Array.make ((max_pooled / class_bytes) + 1) [];
+    let c = len / class_bytes in
+    pool.bins.(c) <- chunk :: pool.bins.(c);
+    pool.pooled <- pool.pooled + len
+  end
+
+(* Grow [f] to hold at least [size] bytes, by one chunk for exactly the
    missing bytes. *)
-let reserve f size =
+let reserve pool f size =
   let cap = capacity f in
   if size > cap then begin
     if f.n = Array.length f.chunks then begin
-      let grow a empty =
-        let b = Array.make (max 4 (2 * f.n)) empty in
-        Array.blit a 0 b 0 f.n;
-        b
-      in
-      f.chunks <- grow f.chunks Bytes.empty;
-      f.starts <- grow f.starts 0
+      let slots = max 4 (2 * f.n) in
+      let chunks = Array.make slots Bytes.empty in
+      Array.blit f.chunks 0 chunks 0 f.n;
+      let starts = Array.make (slots + 1) 0 in
+      Array.blit f.starts 0 starts 0 (f.n + 1);
+      f.chunks <- chunks;
+      f.starts <- starts
     end;
-    f.chunks.(f.n) <- Bytes.create (size - cap);
-    f.starts.(f.n) <- cap;
-    f.n <- f.n + 1
+    f.chunks.(f.n) <- take pool (size - cap);
+    f.n <- f.n + 1;
+    f.starts.(f.n) <- size
   end
 
 (* [each_piece f pos n g src] calls [g src chunk off k done_] for the
@@ -146,9 +210,8 @@ let each_piece f pos n g src =
     let off = ref (pos - f.starts.(!i)) in
     let done_ = ref 0 in
     while !done_ < n do
-      let c = f.chunks.(!i) in
-      let k = min (n - !done_) (Bytes.length c - !off) in
-      g src c !off k !done_;
+      let k = min (n - !done_) (f.starts.(!i + 1) - f.starts.(!i) - !off) in
+      g src f.chunks.(!i) !off k !done_;
       done_ := !done_ + k;
       incr i;
       off := 0
@@ -164,8 +227,8 @@ let blit_out out c off k d = Bytes.blit c off out d k
 
 (* Write the [n] bytes [blit src] copies at [pos], growing [f] as
    needed; [len] is not updated. *)
-let write_pieces f pos n blit src =
-  reserve f (pos + n);
+let write_pieces t f pos n blit src =
+  reserve t.pool f (pos + n);
   each_piece f pos n blit src
 
 (* The bytes [pos, pos + n) of [f], which must be within [f.len]. *)
@@ -173,9 +236,8 @@ let sub_string f pos n =
   if n = 0 then ""
   else begin
     let i = chunk_index f pos in
-    let off = pos - f.starts.(i) in
-    if off + n <= Bytes.length f.chunks.(i) then
-      Bytes.sub_string f.chunks.(i) off n
+    if pos + n <= f.starts.(i + 1) then
+      Bytes.sub_string f.chunks.(i) (pos - f.starts.(i)) n
     else begin
       let out = Bytes.create n in
       each_piece f pos n blit_out out;
@@ -194,6 +256,7 @@ let set_byte f p b =
 let create () =
   {
     files = Hashtbl.create 64;
+    pool = { bins = [||]; pooled = 0 };
     stats = Io_stats.create ();
     device = Device.ssd ();
     clock = Clock.create ();
@@ -283,7 +346,7 @@ let create_file t name =
    of [w]'s file and count them written. *)
 let put_blit w n blit src =
   let f = w.file in
-  write_pieces f f.len n blit src;
+  write_pieces w.env f f.len n blit src;
   f.len <- f.len + n;
   w.env.stats.bytes_written <- w.env.stats.bytes_written + n
 
@@ -361,8 +424,8 @@ let write_at t name ~pos s =
       f
   in
   let n = String.length s in
-  if pos > f.len then write_pieces f f.len (pos - f.len) blit_zeroes ();
-  write_pieces f pos n blit_string s;
+  if pos > f.len then write_pieces t f f.len (pos - f.len) blit_zeroes ();
+  write_pieces t f pos n blit_string s;
   f.len <- max f.len (pos + n);
   f.synced <- f.len;
   f.ever_synced <- true;
@@ -420,15 +483,14 @@ let read t name ~pos ~len ~hint =
     the range lies inside one chunk, as every range one append wrote
     past the file's capacity does: it returns the chunk itself and the
     range's offset in it, else a copy and 0.  The chunk is handed out as
-    a string, so the caller must only view ranges that never change (see
-    the .mli). *)
+    a string, so the caller must only view ranges that never change, and
+    only until the file is deleted (see the .mli). *)
 let view f ~pos ~len =
   if len = 0 then ("", 0)
   else begin
     let i = chunk_index f pos in
-    let off = pos - f.starts.(i) in
-    if off + len <= Bytes.length f.chunks.(i) then
-      (Bytes.unsafe_to_string f.chunks.(i), off)
+    if pos + len <= f.starts.(i + 1) then
+      (Bytes.unsafe_to_string f.chunks.(i), pos - f.starts.(i))
     else (sub_string f pos len, 0)
   end
 
@@ -450,12 +512,37 @@ let read_all t name ~hint =
   let f = find t name in
   read t name ~pos:0 ~len:f.len ~hint
 
+(** Total bytes stored across all files — used for space-amplification
+    measurements (Figure 5.3). *)
+let total_file_bytes t =
+  Hashtbl.fold (fun _ f acc -> acc + f.len) t.files 0
+
+(* [delete] pools a file's chunks while the pool holds at most
+   1/[pool_share] of the live files' bytes, so a store that stops
+   writing keeps little of its last compaction's inputs. *)
+let pool_share = 8
+
+(** [delete t name] removes [name] and hands its chunks to the pool,
+    which later appends take them from.  The file record is emptied, so
+    a writer that outlives the file never writes into a pooled chunk;
+    the views already handed out must be dropped first (see the
+    .mli). *)
 let delete t name =
-  if Hashtbl.mem t.files name then begin
+  match Hashtbl.find_opt t.files name with
+  | None -> ()
+  | Some f ->
     Hashtbl.remove t.files name;
+    let limit = total_file_bytes t / pool_share in
+    for i = 0 to f.n - 1 do
+      give t.pool ~limit f.chunks.(i)
+    done;
+    f.chunks <- [||];
+    f.starts <- no_starts;
+    f.n <- 0;
+    f.len <- 0;
+    f.synced <- 0;
     t.stats.files_deleted <- t.stats.files_deleted + 1;
     tick t "delete:" name
-  end
 
 (** [rename t ~src ~dst] atomically renames a file.  Like ext4's
     replace-via-rename heuristic, the rename implies a flush: the file's
@@ -478,11 +565,6 @@ let rename_writer w ~dst =
   w.name <- dst
 
 let list t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
-
-(** Total bytes stored across all files — used for space-amplification
-    measurements (Figure 5.3). *)
-let total_file_bytes t =
-  Hashtbl.fold (fun _ f acc -> acc + f.len) t.files 0
 
 (* Flip a handful of random bits in bytes [lo, hi) of [f] — the garbage a
    torn page leaves behind. *)

@@ -138,16 +138,22 @@ val read : t -> string -> pos:int -> len:int -> hint:Device.read_hint -> string
     with the same bounds check, IO stats and clock charge, and returns
     [(src, off)]: the range is the [len] bytes of [src] at [off].  A
     file's chunks follow its appends: an append past the file's capacity
-    adds one chunk of exactly the bytes that do not fit, so the range one
-    such append wrote is a whole chunk, and capacity equals length until
-    a {!crash} truncates the file.  When the range lies inside one chunk,
+    adds one chunk for exactly the bytes that do not fit, so the range
+    one such append wrote is a whole chunk's bytes, and capacity equals
+    length until a {!crash} truncates the file.  The chunk is a fresh
+    one of exactly that length, or one a {!delete} pooled, which may be
+    up to 287 bytes longer.  When the range lies inside one chunk,
     [src] is that chunk itself, not a copy, so [src] outside the range
     may change later; a range across chunks comes back as a copy at
     [off = 0].
     Only view bytes that never change: a synced, finished file's
     contents.  Appends write only past the file's length, {!create_file}
-    starts fresh chunks, and {!crash} alters only unsynced tails; only
+    starts with no chunk, and {!crash} alters only unsynced tails; only
     {!write_at} overwrites bytes in place.
+    A view dies with its file: {!delete} hands the file's chunks to
+    later appends, so a view kept past the delete may come to hold
+    another file's bytes.  Drop every view of a file before deleting
+    it.
     @raise Invalid_argument on an out-of-bounds range.
     @raise Sys_error when the file does not exist. *)
 val read_view :
@@ -164,8 +170,9 @@ val peek : t -> string -> pos:int -> len:int -> string
 (** [peek_view t name ~pos ~len] is {!read_view} without the IO stats and
     clock charge, as {!peek} is {!read} without them: compaction uses it
     to cache blocks of a table it has just written and synced, whose
-    bytes are still in memory (the paper's page cache).  The same rule
-    holds: only view bytes that never change.
+    bytes are still in memory (the paper's page cache).  The same rules
+    hold: only view bytes that never change, and drop every view of a
+    file before deleting it.
     @raise Invalid_argument on an out-of-bounds range.
     @raise Sys_error when the file does not exist. *)
 val peek_view : t -> string -> pos:int -> len:int -> string * int
@@ -185,6 +192,15 @@ val prefetch :
   t -> string -> pos:int -> len:int -> hint:Device.read_hint -> unit
 
 val read_all : t -> string -> hint:Device.read_hint -> string
+
+(** [delete t name] removes [name], if it exists.  Its chunks go to a
+    pool of [t]'s, from which later appends to any file of [t] take
+    chunks, so the deleted bytes are written over: no view of the file
+    ({!read_view}, {!peek_view}) may outlive the delete.  The pool keeps
+    chunks of 1 KB to 64 KB, at most one eighth of the live files'
+    bytes ({!total_file_bytes}); the rest go to the GC.  A writer still
+    open on the file appends into chunks of its own, which no file
+    holds. *)
 val delete : t -> string -> unit
 
 (** [rename t ~src ~dst] atomically renames a file; the rename implies a

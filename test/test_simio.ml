@@ -374,52 +374,83 @@ let test_read_view_matches_read () =
     [ ("f", size - 2, 5); ("f", -1, 3); ("f", 0, size + 1); ("f", 10, -1);
       ("missing", 0, 1) ]
 
-(* The chunk model under random operation sequences on one file:
+(* The chunk model under random operation sequences on a few files:
    appends of sizes around a 4 KB block and past a 64 KB memtable,
    syncs, crashes under a seeded fault plan (torn and garbled tails),
-   appends after the truncation a crash leaves, and positioned writes
-   that overwrite or leave a zeroed gap.  After every operation the
-   file's size, random reads and their views match a flat model, which
-   applies {!Env.crash}'s torn-write rule with the plan's RNG.  While
-   the file was never truncated, the range each append wrote is one
-   chunk of its own: [read_view] returns it whole, at offset 0, and the
-   same string each time, so not a copy. *)
+   appends after the truncation a crash leaves, positioned writes that
+   overwrite or leave a zeroed gap, deletes, whose chunks later appends
+   reuse, and appends through the writer of a deleted file.  A missing
+   file is created again by its next append or positioned write; a
+   file a positioned write created is truncated by the next append's
+   {!Env.create_file}.  After
+   every operation each live file's size, random reads and their views
+   match a flat model, which applies {!Env.crash}'s torn-write rule
+   with the plan's RNG to each file in name order.  While a file was
+   never truncated, the range each append wrote is one chunk of its
+   own: [read_view] returns it at offset 0 and the same string each
+   time, so not a copy, and that chunk is at most [slack] bytes longer
+   than the range: none for a fresh chunk, less than 288 for one a
+   delete pooled, and only chunks of 1 KB to 64 KB are pooled. *)
 type chunk_op =
-  | Append of int
-  | Sync
+  | Append of int * int  (** file, bytes *)
+  | Sync of int
   | Crash of int  (** the fault plan's seed *)
-  | Write_at of int * int
-      (** at [where] past the end (overwriting [-where] bytes before it
-          when negative), [n] bytes *)
+  | Write_at of int * int * int
+      (** file; at [where] past the end (overwriting [-where] bytes
+          before it when negative), [n] bytes *)
+  | Delete of int
+  | Stale_append of int * int
+      (** through the writer of the file's last deleted incarnation *)
 
-let chunk_sizes = [ 0; 1; 100; 4095; 4096; 4097; 70_000 ]
+let chunk_sizes = [ 0; 1; 100; 4000; 4095; 4096; 4097; 70_000 ]
+let chunk_files = 3
+let chunk_file i = Printf.sprintf "f%d" i
+
+let slack len = if len >= 1024 && len <= 64 * 1024 then 287 else 0
 
 let gen_chunk_ops =
   let open QCheck.Gen in
   let size = oneofl chunk_sizes in
+  let file = int_bound (chunk_files - 1) in
   let op =
     frequency
       [
-        (6, map (fun n -> Append n) size);
-        (2, return Sync);
+        (6, map2 (fun i n -> Append (i, n)) file size);
+        (2, map (fun i -> Sync i) file);
         (1, map (fun seed -> Crash seed) (int_bound 1_000_000));
         ( 1,
-          map2
-            (fun where n -> Write_at (where, n))
+          map3
+            (fun i where n -> Write_at (i, where, n))
+            file
             (oneofl [ -5000; -1; 0; 1; 100; 5000 ])
             size );
+        (2, map (fun i -> Delete i) file);
+        (1, map2 (fun i n -> Stale_append (i, n)) file size);
       ]
   in
-  pair (int_bound 1_000_000) (list_size (int_range 1 24) op)
+  pair (int_bound 1_000_000) (list_size (int_range 1 40) op)
 
 let print_chunk_ops (seed, ops) =
   let op = function
-    | Append n -> Printf.sprintf "append %d" n
-    | Sync -> "sync"
+    | Append (i, n) -> Printf.sprintf "append f%d %d" i n
+    | Sync i -> Printf.sprintf "sync f%d" i
     | Crash seed -> Printf.sprintf "crash %d" seed
-    | Write_at (where, n) -> Printf.sprintf "write_at %+d %d" where n
+    | Write_at (i, where, n) -> Printf.sprintf "write_at f%d %+d %d" i where n
+    | Delete i -> Printf.sprintf "delete f%d" i
+    | Stale_append (i, n) -> Printf.sprintf "stale append f%d %d" i n
   in
   Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map op ops))
+
+(* One file of the random-ops property: its flat model, its writer, the
+   ranges appended while it was never truncated, and the writer of its
+   last deleted incarnation. *)
+type chunk_file = {
+  mutable model : flat option;  (** [None] while the file is missing *)
+  mutable writer : Env.writer option;
+  mutable whole : (int * int) list;
+  mutable truncated : bool;
+  mutable stale : Env.writer option;
+}
 
 let prop_chunks_match_flat =
   QCheck_alcotest.to_alcotest
@@ -431,58 +462,125 @@ let prop_chunks_match_flat =
            String.init n (fun _ -> Char.chr (Random.State.int rng 256))
          in
          let env = Env.create () in
-         let w = ref (Env.create_file env "f") in
-         let m = { data = Bytes.empty; len = 0; synced = 0; durable = false } in
-         (* ranges appended while the file was never truncated *)
-         let whole = ref [] and truncated = ref false in
-         let view pos len =
-           Env.read_view env "f" ~pos ~len ~hint:Device.Random_read
+         let files =
+           Array.init chunk_files (fun _ ->
+               { model = None; writer = None; whole = []; truncated = false;
+                 stale = None })
          in
-         let check_file step =
-           let what fmt = Printf.ksprintf (fun s -> step ^ ": " ^ s) fmt in
-           check Alcotest.int (what "size") m.len (Env.file_size env "f");
-           for _ = 1 to 4 do
-             let pos = Random.State.int rng (m.len + 1) in
-             let len = Random.State.int rng (min 80_000 (m.len - pos) + 1) in
-             let expect = Bytes.sub_string m.data pos len in
-             check Alcotest.string (what "read [%d,+%d)" pos len) expect
-               (Env.read env "f" ~pos ~len ~hint:Device.Random_read);
-             let src, off = view pos len in
-             check Alcotest.string (what "view [%d,+%d)" pos len) expect
-               (String.sub src off len)
-           done;
-           List.iter
-             (fun (pos, len) ->
+         let fresh () =
+           { data = Bytes.empty; len = 0; synced = 0; durable = false }
+         in
+         (* file [i]'s model and writer; without a writer, a truncating
+           {!Env.create_file} opens the file (a durable name stays
+           durable) *)
+         let opened i =
+           let f = files.(i) in
+           match f.model, f.writer with
+           | Some m, Some w -> (m, w)
+           | old, _ ->
+             let w = Env.create_file env (chunk_file i) in
+             let m = fresh () in
+             m.durable <- (match old with Some o -> o.durable | None -> false);
+             f.model <- Some m;
+             f.writer <- Some w;
+             f.whole <- [];
+             f.truncated <- false;
+             (m, w)
+         in
+         let check_file step i =
+           let name = chunk_file i in
+           let what fmt =
+             Printf.ksprintf (fun s -> step ^ ": " ^ name ^ " " ^ s) fmt
+           in
+           let view pos len =
+             Env.read_view env name ~pos ~len ~hint:Device.Random_read
+           in
+           match files.(i).model with
+           | None ->
+             check Alcotest.bool (what "missing") false (Env.exists env name)
+           | Some m ->
+             check Alcotest.int (what "size") m.len (Env.file_size env name);
+             for _ = 1 to 4 do
+               let pos = Random.State.int rng (m.len + 1) in
+               let len = Random.State.int rng (min 80_000 (m.len - pos) + 1) in
+               let expect = Bytes.sub_string m.data pos len in
+               check Alcotest.string (what "read [%d,+%d)" pos len) expect
+                 (Env.read env name ~pos ~len ~hint:Device.Random_read);
                let src, off = view pos len in
-               check Alcotest.(pair int int)
-                 (what "one chunk [%d,+%d)" pos len)
-                 (len, 0) (String.length src, off);
-               check Alcotest.bool (what "viewed [%d,+%d)" pos len) true
-                 (fst (view pos len) == src))
-             !whole
+               check Alcotest.string (what "view [%d,+%d)" pos len) expect
+                 (String.sub src off len)
+             done;
+             List.iter
+               (fun (pos, len) ->
+                 let src, off = view pos len in
+                 check Alcotest.int (what "chunk offset [%d,+%d)" pos len) 0
+                   off;
+                 let extra = String.length src - len in
+                 if extra < 0 || extra > slack len then
+                   Alcotest.failf "%s" (what "chunk of %d bytes for [%d,+%d)"
+                     (String.length src) pos len);
+                 check Alcotest.bool (what "viewed [%d,+%d)" pos len) true
+                   (fst (view pos len) == src);
+                 (* one byte more runs past the chunk's bytes, into its
+                    slack if it has any: a copy *)
+                 if pos + len < m.len then begin
+                   let src, off = view pos (len + 1) in
+                   check Alcotest.string (what "view [%d,+%d)" pos (len + 1))
+                     (Bytes.sub_string m.data pos (len + 1))
+                     (String.sub src off (len + 1))
+                 end)
+               files.(i).whole
          in
          List.iteri
-           (fun i op ->
-             let step = Printf.sprintf "op %d" i in
+           (fun k op ->
+             let step = Printf.sprintf "op %d" k in
              (match op with
-              | Append n ->
+              | Append (i, n) ->
+                let m, w = opened i in
                 let s = random_string n in
-                if n > 0 && not !truncated then whole := (m.len, n) :: !whole;
-                Env.append !w s;
+                if n > 0 && not files.(i).truncated then
+                  files.(i).whole <- (m.len, n) :: files.(i).whole;
+                Env.append w s;
                 flat_write m m.len s
-              | Sync ->
-                Env.sync !w;
+              | Sync i ->
+                let m, w = opened i in
+                Env.sync w;
                 m.synced <- m.len;
                 m.durable <- true
-              | Write_at (where, n) ->
+              | Write_at (i, where, n) ->
+                let f = files.(i) in
+                let m =
+                  match f.model with
+                  | Some m -> m
+                  | None ->
+                    (* a positioned write creates the file, with no
+                       writer *)
+                    let m = fresh () in
+                    f.model <- Some m;
+                    f.whole <- [];
+                    f.truncated <- false;
+                    m
+                in
                 let pos = max 0 (m.len + where) in
                 let s = random_string n in
-                if n > 0 && pos >= m.len && not !truncated then
-                  whole := (pos, n) :: !whole;
-                Env.write_at env "f" ~pos s;
+                if n > 0 && pos >= m.len && not f.truncated then
+                  f.whole <- (pos, n) :: f.whole;
+                Env.write_at env (chunk_file i) ~pos s;
                 flat_write m pos s;
                 m.synced <- m.len;
                 m.durable <- true
+              | Delete i ->
+                let f = files.(i) in
+                if f.model <> None then begin
+                  Env.delete env (chunk_file i);
+                  if f.writer <> None then f.stale <- f.writer;
+                  f.model <- None;
+                  f.writer <- None
+                end
+              | Stale_append (i, n) -> (
+                match files.(i).stale with
+                | Some w -> Env.append w (random_string n)
+                | None -> ())
               | Crash plan_seed ->
                 let garbage = 0.5 in
                 Env.set_fault_plan env
@@ -490,21 +588,46 @@ let prop_chunks_match_flat =
                      ~seed:plan_seed ~crash_after:max_int ());
                 Env.crash env;
                 let r = Pdb_util.Rng.create plan_seed in
-                whole := [];
-                if flat_crash m r ~block:4096 ~garbage then truncated := true
-                else begin
-                  check Alcotest.bool (step ^ ": vanished") false
-                    (Env.exists env "f");
-                  w := Env.create_file env "f";
-                  m.len <- 0;
-                  m.synced <- 0;
-                  truncated := false
-                end);
-             check_file step)
+                (* {!Env.crash} visits the files in name order *)
+                Array.iter
+                  (fun f ->
+                    match f.model with
+                    | None -> ()
+                    | Some m ->
+                      f.whole <- [];
+                      if flat_crash m r ~block:4096 ~garbage then
+                        f.truncated <- true
+                      else begin
+                        f.model <- None;
+                        f.writer <- None
+                      end)
+                  files);
+             for i = 0 to chunk_files - 1 do
+               check_file step i
+             done)
            ops;
-         check Alcotest.string "whole file" (Bytes.sub_string m.data 0 m.len)
-           (Env.read_all env "f" ~hint:Device.Sequential_read);
+         Array.iteri
+           (fun i f ->
+             match f.model with
+             | Some m ->
+               check Alcotest.string (chunk_file i ^ " whole file")
+                 (Bytes.sub_string m.data 0 m.len)
+                 (Env.read_all env (chunk_file i)
+                    ~hint:Device.Sequential_read)
+             | None -> ())
+           files;
          true))
+
+(* Words allocated so far, minor and direct major-heap, as the perf
+   benchmark counts them, and the direct major-heap words alone: a
+   chunk over 256 words skips the minor heap. *)
+let words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
 
 (* A file's chunks hold what was appended and little more: 64 appends of
    4,100 bytes (a 4 KB block and a bit) allocate within 2% of the bytes
@@ -514,10 +637,6 @@ let test_append_allocates_its_bytes () =
   let env = Env.create () in
   let w = Env.create_file env "f" in
   let block = String.make 4100 'b' in
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
   (* what reading the counters allocates *)
   let t0 = words () in
   let overhead = words () -. t0 in
@@ -533,6 +652,75 @@ let test_append_allocates_its_bytes () =
     Alcotest.failf "allocated %.0f bytes for %.0f appended (+%.1f%%)" bytes
       appended
       ((bytes /. appended -. 1.0) *. 100.0)
+
+(* A deleted file's chunks hold the next file's appends: with a live
+   file of 16 times the deleted bytes beside it, the same 64 appends of
+   4,100 bytes into a new file allocate no chunk (no direct major-heap
+   word) and, in all, under 2% of the bytes appended, where a file with
+   nothing to reuse allocates them all. *)
+let test_append_after_delete_allocates_nothing () =
+  let env = Env.create () in
+  let block = String.make 4100 'b' in
+  let fill name blocks =
+    let w = Env.create_file env name in
+    for _ = 1 to blocks do
+      Env.append w block
+    done
+  in
+  fill "live" (16 * 64);
+  fill "old" 64;
+  Env.delete env "old";
+  let t0 = words () in
+  let overhead = words () -. t0 in
+  let before = words () and major_before = major_words () in
+  fill "new" 64;
+  let major = major_words () -. major_before in
+  let bytes =
+    (words () -. before -. overhead) *. float_of_int (Sys.word_size / 8)
+  in
+  let appended = float_of_int (64 * String.length block) in
+  check (Alcotest.float 0.0) "direct major-heap words" 0.0 major;
+  if bytes > 0.02 *. appended then
+    Alcotest.failf "allocated %.0f bytes for %.0f appended (%.1f%%)" bytes
+      appended
+      (bytes /. appended *. 100.0);
+  check Alcotest.string "new file's bytes"
+    (String.concat "" (List.init 64 (fun _ -> block)))
+    (Env.read_all env "new" ~hint:Device.Sequential_read)
+
+(* The writer of a deleted file writes into no chunk the file held: a
+   crash leaves the file spare capacity past its synced length, the
+   delete pools its chunks, a new file takes them, and appends through
+   the old writer leave the new file's bytes, and its views, as they
+   were. *)
+let test_stale_writer_changes_no_file () =
+  let env = Env.create () in
+  let keep = Env.create_file env "live" in
+  Env.append keep (String.make (64 * 4096) 'k');
+  Env.sync keep;
+  let old = Env.create_file env "old" in
+  Env.append old (String.make 4096 'o');
+  Env.sync old;
+  Env.append old (String.make 4096 'u');
+  Env.crash env;
+  Env.delete env "old";
+  let w = Env.create_file env "new" in
+  let fresh = String.init 8192 (fun i -> Char.chr (i land 255)) in
+  Env.append w (String.sub fresh 0 4096);
+  Env.append w (String.sub fresh 4096 4096);
+  Env.sync w;
+  let src, off =
+    Env.read_view env "new" ~pos:4096 ~len:4096 ~hint:Device.Random_read
+  in
+  Env.append old (String.make 4096 'x');
+  Env.append old (String.make 10_000 'y');
+  Env.sync old;
+  check Alcotest.string "new file" fresh
+    (Env.read_all env "new" ~hint:Device.Sequential_read);
+  check Alcotest.string "view of the new file" (String.sub fresh 4096 4096)
+    (String.sub src off 4096);
+  check Alcotest.bool "old stays deleted" false (Env.exists env "old");
+  check Alcotest.int "live file" (64 * 4096) (Env.file_size env "live")
 
 let test_crash_drops_unsynced () =
   let env = Env.create () in
@@ -1247,6 +1435,10 @@ let () =
           prop_chunks_match_flat;
           Alcotest.test_case "appends allocate their bytes" `Quick
             test_append_allocates_its_bytes;
+          Alcotest.test_case "an append after a delete allocates nothing"
+            `Quick test_append_after_delete_allocates_nothing;
+          Alcotest.test_case "a deleted file's writer changes no file" `Quick
+            test_stale_writer_changes_no_file;
         ] );
       ( "crash",
         [
