@@ -47,20 +47,22 @@ let ops t = List.rev t.ops
 
 let iter t f = List.iter f (ops t)
 
+(* The bytes of [s] with its varint length prefix. *)
+let prefixed s = Pdb_util.Varint.uvarint_size (String.length s) + String.length s
+
+let op_size n = function
+  | Put (k, v) -> n + 1 + prefixed k + prefixed v
+  | Delete k -> n + 1 + prefixed k
+
+(** [encoded_size t] is [String.length (encode t ~base_seq)], without
+    encoding. *)
+let encoded_size t = List.fold_left op_size 12 t.ops
+
 (** [encode t ~base_seq] serialises the batch; operation [i] carries
     sequence number [base_seq + i]. *)
 let encode t ~base_seq =
   let module V = Pdb_util.Varint in
-  let prefixed s = V.uvarint_size (String.length s) + String.length s in
-  let size =
-    List.fold_left
-      (fun n op ->
-        match op with
-        | Put (k, v) -> n + 1 + prefixed k + prefixed v
-        | Delete k -> n + 1 + prefixed k)
-      12 t.ops
-  in
-  let b = Bytes.create size in
+  let b = Bytes.create (encoded_size t) in
   Bytes.set_int64_le b 0 (Int64.of_int base_seq);
   Bytes.set_int32_le b 8 (Int32.of_int t.count);
   let put_prefixed pos s =

@@ -35,6 +35,10 @@ val iter : t -> (op -> unit) -> unit
     sequence number [base_seq + i]. *)
 val encode : t -> base_seq:int -> string
 
+(** [encoded_size t] is the length of [encode t ~base_seq], for any
+    [base_seq], computed without encoding. *)
+val encoded_size : t -> int
+
 (** [decode s] recovers [(batch, base_seq)].
     @raise Invalid_argument on malformed input. *)
 val decode : string -> t * int

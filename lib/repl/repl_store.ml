@@ -117,7 +117,7 @@ module Make (E : Pdb_shard.Shard_store.ENGINE) = struct
       let payload =
         List.fold_left
           (fun acc b ->
-            acc + control_bytes + String.length (Wb.encode b ~base_seq:0))
+            acc + control_bytes + Wb.encoded_size b)
           0 batches
       in
       let ack = ref (now_ns t) in

@@ -129,8 +129,8 @@ let test_batch_empty () =
   let decoded, _ = Write_batch.decode (Write_batch.encode b ~base_seq:0) in
   check Alcotest.int "empty roundtrip" 0 (Write_batch.count decoded)
 
-(* [encode] against a [Buffer]-built reference of the same format, and
-   [decode] back: empty keys and values, and values long enough for two-
+(* [encode] against a [Buffer]-built reference of the same format, its
+   length against [encoded_size], and [decode] back: empty keys and values, and values long enough for two-
    and three-byte varint lengths. *)
 let reference_encode ops ~base_seq =
   let buf = Buffer.create 64 in
@@ -186,6 +186,7 @@ let prop_batch_encode =
       let encoded = Write_batch.encode b ~base_seq in
       let decoded, seq = Write_batch.decode encoded in
       encoded = reference_encode ops ~base_seq
+      && Write_batch.encoded_size b = String.length encoded
       && seq = base_seq
       && Write_batch.ops decoded = ops)
 
