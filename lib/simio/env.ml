@@ -80,6 +80,9 @@ type file = {
   mutable ever_synced : bool;
       (* distinct from [synced = 0]: a file synced while empty is durable
          as an empty file, a never-synced file vanishes at a crash *)
+  mutable gone : bool;
+      (* no longer in its env's [files]: its length does not count in
+         the env's [live], whatever a writer still appends to it *)
 }
 
 (* The chunks of deleted files, kept to hold later appends.  A chunk of
@@ -100,6 +103,7 @@ let window = 8
 
 type t = {
   files : (string, file) Hashtbl.t;
+  mutable live : int;  (* the [len] of every file in [files], summed *)
   pool : pool;
   stats : Io_stats.t;
   device : Device.t;
@@ -125,7 +129,7 @@ let no_starts = [| 0 |]
 
 let new_file ~ever_synced =
   { chunks = [||]; starts = no_starts; n = 0; len = 0; synced = 0;
-    ever_synced }
+    ever_synced; gone = false }
 
 let capacity f = f.starts.(f.n)
 
@@ -173,7 +177,7 @@ let give pool ~limit chunk =
   let len = Bytes.length chunk in
   if len >= min_pooled && len <= max_pooled && pool.pooled + len <= limit
   then begin
-    if pool.bins = [||] then
+    if Array.length pool.bins = 0 then
       pool.bins <- Array.make ((max_pooled / class_bytes) + 1) [];
     let c = len / class_bytes in
     pool.bins.(c) <- chunk :: pool.bins.(c);
@@ -245,6 +249,17 @@ let sub_string f pos n =
     end
   end
 
+(* Set [f]'s length to [len], keeping [t.live] the total of [t]'s
+   files. *)
+let set_len t f len =
+  if not f.gone then t.live <- t.live + len - f.len;
+  f.len <- len
+
+(* Note that [f] has left [t.files]. *)
+let forget t f =
+  t.live <- t.live - f.len;
+  f.gone <- true
+
 let get_byte f p =
   let i = chunk_index f p in
   Bytes.get f.chunks.(i) (p - f.starts.(i))
@@ -256,6 +271,7 @@ let set_byte f p b =
 let create () =
   {
     files = Hashtbl.create 64;
+    live = 0;
     pool = { bins = [||]; pooled = 0 };
     stats = Io_stats.create ();
     device = Device.ssd ();
@@ -333,7 +349,9 @@ let find t name =
 let create_file t name =
   let ever_synced =
     match Hashtbl.find_opt t.files name with
-    | Some f -> f.ever_synced
+    | Some f ->
+      forget t f;
+      f.ever_synced
     | None -> false
   in
   let file = new_file ~ever_synced in
@@ -347,7 +365,7 @@ let create_file t name =
 let put_blit w n blit src =
   let f = w.file in
   write_pieces w.env f f.len n blit src;
-  f.len <- f.len + n;
+  set_len w.env f (f.len + n);
   w.env.stats.bytes_written <- w.env.stats.bytes_written + n
 
 (* Charge one sequential device write of [n] bytes. *)
@@ -426,7 +444,7 @@ let write_at t name ~pos s =
   let n = String.length s in
   if pos > f.len then write_pieces t f f.len (pos - f.len) blit_zeroes ();
   write_pieces t f pos n blit_string s;
-  f.len <- max f.len (pos + n);
+  set_len t f (max f.len (pos + n));
   f.synced <- f.len;
   f.ever_synced <- true;
   t.stats.bytes_written <- t.stats.bytes_written + n;
@@ -512,11 +530,6 @@ let read_all t name ~hint =
   let f = find t name in
   read t name ~pos:0 ~len:f.len ~hint
 
-(** Total bytes stored across all files — used for space-amplification
-    measurements (Figure 5.3). *)
-let total_file_bytes t =
-  Hashtbl.fold (fun _ f acc -> acc + f.len) t.files 0
-
 (* [delete] pools a file's chunks while the pool holds at most
    1/[pool_share] of the live files' bytes, so a store that stops
    writing keeps little of its last compaction's inputs. *)
@@ -532,7 +545,8 @@ let delete t name =
   | None -> ()
   | Some f ->
     Hashtbl.remove t.files name;
-    let limit = total_file_bytes t / pool_share in
+    forget t f;
+    let limit = t.live / pool_share in
     for i = 0 to f.n - 1 do
       give t.pool ~limit f.chunks.(i)
     done;
@@ -551,6 +565,7 @@ let delete t name =
 let rename t ~src ~dst =
   let f = find t src in
   Hashtbl.remove t.files src;
+  Option.iter (forget t) (Hashtbl.find_opt t.files dst);
   Hashtbl.replace t.files dst f;
   f.synced <- f.len;
   f.ever_synced <- true;
@@ -565,6 +580,10 @@ let rename_writer w ~dst =
   w.name <- dst
 
 let list t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
+
+(** Total bytes stored across all files — used for space-amplification
+    measurements (Figure 5.3). *)
+let total_file_bytes t = t.live
 
 (* Flip a handful of random bits in bytes [lo, hi) of [f] — the garbage a
    torn page leaves behind. *)
@@ -601,7 +620,10 @@ let crash t =
             (Pdb_util.Rng.bool p.Fault_plan.rng, 0)
           | None -> (false, 0)
       in
-      if not keep_file then Hashtbl.remove t.files name
+      if not keep_file then begin
+        Hashtbl.remove t.files name;
+        forget t f
+      end
       else begin
         let unsynced = f.len - base in
         (match t.plan with
@@ -610,13 +632,13 @@ let crash t =
            let nblocks = (unsynced + block - 1) / block in
            let keep_blocks = Pdb_util.Rng.int p.Fault_plan.rng (nblocks + 1) in
            let keep = min unsynced (keep_blocks * block) in
-           f.len <- base + keep;
+           set_len t f (base + keep);
            if keep > 0 then begin
              p.Fault_plan.torn_files <- p.Fault_plan.torn_files + 1;
              if Pdb_util.Rng.float p.Fault_plan.rng < p.Fault_plan.garbage_tail_prob
              then garble p.Fault_plan.rng f (max base (f.len - block)) f.len
            end
-         | _ -> f.len <- base);
+         | _ -> set_len t f base);
         (* post-reboot, whatever persisted is by definition durable *)
         f.synced <- f.len;
         f.ever_synced <- true

@@ -385,7 +385,8 @@ let test_read_view_matches_read () =
    {!Env.create_file}.  After
    every operation each live file's size, random reads and their views
    match a flat model, which applies {!Env.crash}'s torn-write rule
-   with the plan's RNG to each file in name order.  While a file was
+   with the plan's RNG to each file in name order, and
+   {!Env.total_file_bytes} is the live models' total.  While a file was
    never truncated, the range each append wrote is one chunk of its
    own: [read_view] returns it at offset 0 and the same string each
    time, so not a copy, and that chunk is at most [slack] bytes longer
@@ -604,7 +605,13 @@ let prop_chunks_match_flat =
                   files);
              for i = 0 to chunk_files - 1 do
                check_file step i
-             done)
+             done;
+             check Alcotest.int (step ^ ": total bytes")
+               (Array.fold_left
+                  (fun n f ->
+                    match f.model with Some m -> n + m.len | None -> n)
+                  0 files)
+               (Env.total_file_bytes env))
            ops;
          Array.iteri
            (fun i f ->
@@ -874,13 +881,41 @@ let test_with_atomic_defers_crash () =
   check Alcotest.int "section committed as a unit" 11
     (Env.file_size env "pages")
 
+(* The total follows every way a file grows, shrinks or leaves: a
+   truncating create, a rename over another file, a positioned write, a
+   delete, appends through the writers of files that left, and a
+   crash. *)
 let test_total_file_bytes () =
   let env = Env.create () in
   let w1 = Env.create_file env "a" in
   Env.append w1 "12345";
   let w2 = Env.create_file env "b" in
   Env.append w2 "123";
-  check Alcotest.int "total" 8 (Env.total_file_bytes env)
+  check Alcotest.int "total" 8 (Env.total_file_bytes env);
+  let step what expect =
+    check Alcotest.int what expect (Env.total_file_bytes env)
+  in
+  let w3 = Env.create_file env "a" in
+  step "truncating create" 3;
+  Env.append w1 "gone";
+  step "append to the truncated file's old record" 3;
+  Env.append w3 "abcdef";
+  Env.sync w3;
+  Env.rename env ~src:"a" ~dst:"b";
+  step "rename over b" 6;
+  Env.append w2 "gone";
+  step "append to the replaced b" 6;
+  Env.write_at env "p" ~pos:10 "xy";
+  step "positioned write past the end" 18;
+  Env.delete env "p";
+  step "delete" 6;
+  Env.append w3 "12";
+  step "append to the renamed file" 8;
+  let w4 = Env.create_file env "c" in
+  Env.append w4 "never synced";
+  step "new file" 20;
+  Env.crash env;
+  step "crash: b cut to its synced 6, c gone" 6
 
 let test_clock_lanes () =
   let env = Env.create () in
