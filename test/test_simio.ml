@@ -405,7 +405,7 @@ type chunk_op =
 
 let chunk_sizes = [ 0; 1; 100; 4000; 4095; 4096; 4097; 70_000 ]
 let chunk_files = 3
-let chunk_file i = Printf.sprintf "f%d" i
+let chunk_name i = Printf.sprintf "f%d" i
 
 let slack len = if len >= 1024 && len <= 64 * 1024 then 287 else 0
 
@@ -445,7 +445,7 @@ let print_chunk_ops (seed, ops) =
 (* One file of the random-ops property: its flat model, its writer, the
    ranges appended while it was never truncated, and the writer of its
    last deleted incarnation. *)
-type chunk_file = {
+type chunk_model = {
   mutable model : flat option;  (** [None] while the file is missing *)
   mutable writer : Env.writer option;
   mutable whole : (int * int) list;
@@ -479,7 +479,7 @@ let prop_chunks_match_flat =
            match f.model, f.writer with
            | Some m, Some w -> (m, w)
            | old, _ ->
-             let w = Env.create_file env (chunk_file i) in
+             let w = Env.create_file env (chunk_name i) in
              let m = fresh () in
              m.durable <- (match old with Some o -> o.durable | None -> false);
              f.model <- Some m;
@@ -489,7 +489,7 @@ let prop_chunks_match_flat =
              (m, w)
          in
          let check_file step i =
-           let name = chunk_file i in
+           let name = chunk_name i in
            let what fmt =
              Printf.ksprintf (fun s -> step ^ ": " ^ name ^ " " ^ s) fmt
            in
@@ -566,14 +566,14 @@ let prop_chunks_match_flat =
                 let s = random_string n in
                 if n > 0 && pos >= m.len && not f.truncated then
                   f.whole <- (pos, n) :: f.whole;
-                Env.write_at env (chunk_file i) ~pos s;
+                Env.write_at env (chunk_name i) ~pos s;
                 flat_write m pos s;
                 m.synced <- m.len;
                 m.durable <- true
               | Delete i ->
                 let f = files.(i) in
                 if f.model <> None then begin
-                  Env.delete env (chunk_file i);
+                  Env.delete env (chunk_name i);
                   if f.writer <> None then f.stale <- f.writer;
                   f.model <- None;
                   f.writer <- None
@@ -617,9 +617,9 @@ let prop_chunks_match_flat =
            (fun i f ->
              match f.model with
              | Some m ->
-               check Alcotest.string (chunk_file i ^ " whole file")
+               check Alcotest.string (chunk_name i ^ " whole file")
                  (Bytes.sub_string m.data 0 m.len)
-                 (Env.read_all env (chunk_file i)
+                 (Env.read_all env (chunk_name i)
                     ~hint:Device.Sequential_read)
              | None -> ())
            files;
