@@ -380,18 +380,19 @@ let test_read_view_matches_read () =
    appends after the truncation a crash leaves, positioned writes that
    overwrite or leave a zeroed gap, deletes, whose chunks later appends
    reuse, and appends through the writer of a deleted file.  A missing
-   file is created again by its next append or positioned write; a
-   file a positioned write created is truncated by the next append's
-   {!Env.create_file}.  After
-   every operation each live file's size, random reads and their views
-   match a flat model, which applies {!Env.crash}'s torn-write rule
-   with the plan's RNG to each file in name order, and
-   {!Env.total_file_bytes} is the live models' total.  While a file was
-   never truncated, the range each append wrote is one chunk of its
-   own: [read_view] returns it at offset 0 and the same string each
-   time, so not a copy, and that chunk is at most [slack] bytes longer
-   than the range: none for a fresh chunk, less than 288 for one a
-   delete pooled, and only chunks of 1 KB to 64 KB are pooled. *)
+   file is created again by its next append or positioned write; a file
+   a positioned write created is truncated by the next append's
+   {!Env.create_file}.  After every operation each live file's size,
+   random reads and their views match a flat model, which applies
+   {!Env.crash}'s torn-write rule with the plan's RNG to each file in
+   name order, and {!Env.total_file_bytes} is the live models' total.
+   While a file was never truncated, the range each append wrote is one
+   chunk of its own: [read_view] returns it at offset 0 and the same
+   string each time, so not a copy, and that chunk is at most [slack]
+   bytes longer than the range: none for a fresh chunk, less than 288
+   for one a delete pooled, and only chunks of 1 KB to 64 KB are
+   pooled.  A view one byte longer runs past the chunk's bytes into its
+   slack, if any, so it must come back as a copy of the right bytes. *)
 type chunk_op =
   | Append of int * int  (** file, bytes *)
   | Sync of int
