@@ -253,11 +253,13 @@ let run_bechamel () =
   let table_build =
     let env = Pdb_simio.Env.create () in
     let keys = Array.init 64 (fun i -> ik i 1) in
+    (* one store's scratch, lent to every table it builds *)
+    let scratch = Pdb_sstable.Table.Builder.scratch () in
     Test.make ~name:"table.build (64 x 1 KB)"
       (Staged.stage (fun () ->
            let b =
-             Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:2
-               ~block_bytes:4096 ~bloom:true
+             Pdb_sstable.Table.Builder.create ~scratch env ~dir:"micro"
+               ~number:2 ~block_bytes:4096 ~bloom:true
            in
            Array.iter (fun k -> Pdb_sstable.Table.Builder.add b k value_1k) keys;
            ignore (Pdb_sstable.Table.Builder.finish b)))
@@ -310,30 +312,57 @@ let run_bechamel () =
     in
     let hint = Pdb_simio.Device.Sequential_read in
     let cache = Pdb_sstable.Block_cache.create ~capacity:(1 lsl 20) in
+    let scratch = Pdb_sstable.Table.Builder.scratch () in
     Test.make ~name:"compaction.merge (4 x 32 KB tables)"
       (Staged.stage (fun () ->
            let view = Pdb_sstable.Block_cache.for_compaction cache in
-           let merged =
-             Pdb_kvs.Merging_iter.create ~compare:Ik.compare
+           let tables =
+             Array.of_list
                (List.map
                   (fun m ->
-                    Pdb_sstable.Table.to_iter
-                      (Pdb_sstable.Table.iterator ~cache:view ~hint
-                         (Pdb_sstable.Table.open_reader ~hint env ~dir:"micro"
-                            m)))
+                    Pdb_sstable.Table.iterator ~cache:view ~hint
+                      (Pdb_sstable.Table.open_reader ~hint env ~dir:"micro" m))
                   inputs)
            in
+           let merge =
+             Pdb_kvs.Merging_iter.merge ~compare:Ik.compare
+               (Array.map Pdb_sstable.Table.to_iter tables)
+           in
+           let merged = Pdb_kvs.Merging_iter.to_iter merge in
            let b =
-             Pdb_sstable.Table.Builder.create env ~dir:"micro" ~number:20
-               ~block_bytes:4096 ~bloom:true
+             Pdb_sstable.Table.Builder.create ~scratch env ~dir:"micro"
+               ~number:20 ~block_bytes:4096 ~bloom:true
            in
            merged.Iter.seek_to_first ();
            while merged.Iter.valid () do
-             merged.Iter.value_slice
-               (Pdb_sstable.Table.Builder.add_slice b (merged.Iter.key ()));
+             Pdb_sstable.Table.Builder.add_current b (merged.Iter.key ())
+               tables.(Pdb_kvs.Merging_iter.current_index merge);
              merged.Iter.next ()
            done;
            ignore (Pdb_sstable.Table.Builder.finish b)))
+  in
+  (* a leveled install into a target level of 200 files: one level-1
+     input and the three target files it overlaps replaced by three
+     outputs, in place (the level bookkeeping alone; nothing is written) *)
+  let lsm_install =
+    let meta number lo hi =
+      {
+        Pdb_sstable.Table.number;
+        file_size = 32 * 1024;
+        entries = 32;
+        smallest = ik lo 1;
+        largest = ik hi 1;
+      }
+    in
+    let target = List.init 200 (fun i -> meta (100 + i) (10 * i) ((10 * i) + 9)) in
+    let levels = [| []; [ meta 1 1000 1029 ]; target; [] |] in
+    let inputs_lo = levels.(1) in
+    let inputs_hi = List.filteri (fun i _ -> i >= 100 && i < 103) target in
+    let outputs = List.init 3 (fun i -> meta (400 + i) (1000 + (10 * i)) (1009 + (10 * i))) in
+    Test.make ~name:"lsm.install (3 of 200 target files)"
+      (Staged.stage (fun () ->
+           Pdb_lsm.Lsm_store.install_levels (Array.copy levels) ~tiered:false
+             ~level:1 ~inputs_lo ~inputs_hi ~outputs))
   in
   (* one 4 KB block, sealed as a table seals one (at least [block_bytes]
      = 4096 bytes), appended after [offset] bytes of its own file and
@@ -465,7 +494,7 @@ let run_bechamel () =
     [ table_iterator; level_iter_empty; engine_scan; memtable_insert; bloom_check; skiplist_seek; guard_search; murmur;
       ikey_compare; block_seek; block_next; table_get; table_get_absent;
       shell_get; probe_session; wb_encode;
-      wal_add_records; table_build; table_scan; compaction_merge;
+      wal_add_records; table_build; table_scan; compaction_merge; lsm_install;
       block_load_first; block_load_far; env_append; crc_1k ]
   in
   (* time, minor-heap and direct major-heap allocation per run, each an

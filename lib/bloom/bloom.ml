@@ -37,8 +37,10 @@ let get_bit b i =
 (* The [k] probe positions of [key] are [(h1 + i * h2) mod nbits] for
    [i = 0 .. k-1]; [add] sets them and [mem] tests them in a loop, with
    no list of positions in between. *)
-let hash1 key = Pdb_util.Murmur3.hash32 ~seed:0xbc9f1d34 key
-let hash2 key = Pdb_util.Murmur3.hash32 ~seed:0x7a2d187e key
+let hash1_sub s pos len = Pdb_util.Murmur3.hash32_sub ~seed:0xbc9f1d34 s pos len
+let hash2_sub s pos len = Pdb_util.Murmur3.hash32_sub ~seed:0x7a2d187e s pos len
+let hash1 key = hash1_sub key 0 (String.length key)
+let hash2 key = hash2_sub key 0 (String.length key)
 let probe t h1 h2 i = ((h1 + (i * h2)) land max_int) mod t.nbits
 
 let set_probes t h1 h2 =
@@ -57,17 +59,24 @@ type pending = { mutable hashes : Bytes.t; mutable n : int }
 
 let pending () = { hashes = Bytes.create 512; n = 0 }
 
-(** [note p key] records [key] for the filter {!of_pending} builds. *)
-let note p key =
+(** [clear p] forgets every key noted in [p], keeping its storage. *)
+let clear p = p.n <- 0
+
+(** [note_sub p s pos len] records the [len] bytes of [s] at [pos] for
+    the filter {!of_pending} builds. *)
+let note_sub p s pos len =
   let at = 8 * p.n in
   if at + 8 > Bytes.length p.hashes then begin
     let grown = Bytes.create (2 * Bytes.length p.hashes) in
     Bytes.blit p.hashes 0 grown 0 at;
     p.hashes <- grown
   end;
-  Bytes.set_int32_ne p.hashes at (Int32.of_int (hash1 key));
-  Bytes.set_int32_ne p.hashes (at + 4) (Int32.of_int (hash2 key));
+  Bytes.set_int32_ne p.hashes at (Int32.of_int (hash1_sub s pos len));
+  Bytes.set_int32_ne p.hashes (at + 4) (Int32.of_int (hash2_sub s pos len));
   p.n <- p.n + 1
+
+(** [note p key] records [key] for the filter {!of_pending} builds. *)
+let note p key = note_sub p key 0 (String.length key)
 
 (** The fewest keys {!of_pending} sizes a filter for.  A filter of a few
     hundred bits leaves its false-positive rate to chance: over 400 random

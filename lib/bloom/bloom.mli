@@ -35,6 +35,14 @@ val pending : unit -> pending
 (** [note p key] records [key]; noting a key twice counts it twice. *)
 val note : pending -> string -> unit
 
+(** [note_sub p s pos len] is [note p (String.sub s pos len)], read in
+    place. *)
+val note_sub : pending -> string -> int -> int -> unit
+
+(** [clear p] forgets every key noted in [p], keeping its storage: a
+    table builder reuses one [pending] for table after table. *)
+val clear : pending -> unit
+
 (** The fewest keys {!of_pending} sizes a filter for (64): a filter of
     fewer bits answers well over 1% of absent keys by chance. *)
 val min_keys : int

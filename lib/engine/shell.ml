@@ -51,6 +51,7 @@ module Types = struct
     probe : Probe.ctx; (* parallel-probe budget sessions *)
     table_cache : Table_cache.t;
     block_cache : Block_cache.t;
+    scratch : Table.Builder.scratch; (* lent to each table built *)
     mutable mem : Memtable.t;
     mutable wal : Wal.Writer.t;
     mutable wal_number : int;
@@ -113,10 +114,12 @@ let user_range_overlap (m : Table.meta) key =
   Ik.compare_user_key m.Table.smallest key <= 0
   && Ik.compare_user_key m.Table.largest key >= 0
 
-(** [new_builder t] starts a table under the store's options; its bloom
+(** [new_builder t] starts a table under the store's options, in the
+    store's scratch (DESIGN "A store's table-builder scratch"); its bloom
     filter is sized to the keys it ends up holding. *)
 let new_builder t =
-  Table.Builder.create t.env ~dir:t.dir ~number:(new_file_number t)
+  Table.Builder.create ~scratch:t.scratch t.env ~dir:t.dir
+    ~number:(new_file_number t)
     ~block_bytes:t.opts.O.block_bytes ~bloom:t.opts.O.sstable_bloom
 
 (** [finish_table t b] finishes builder [b] and, when it wrote a table,
@@ -334,32 +337,31 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
         (finish_table t b);
       current := None
   in
-  (* the user key of the previous entry (copied out once per user key)
-     and that entry's seq; [None] before the first entry *)
-  let last_uk = ref None and last_seq = ref 0 in
+  (* the previous entry's internal key, its user key compared in place,
+     and that user key copied out once for [partition] and
+     [tombstone_ok] *)
+  let first = ref true and prev = ref "" and uk = ref "" in
   merged.Iter.seek_to_first ();
   while merged.Iter.valid () do
     let ikey = merged.Iter.key () in
-    let cur_seq = Ik.seq ikey in
     Clock.advance t.clock O.cpu_per_merge_entry_ns;
-    let uk, drop =
-      match !last_uk with
-      | Some prev when Ik.user_key_equal ikey prev ->
-        ( prev,
-          Snapshots.droppable t.snapshots ~prev_seq:(Some !last_seq)
-            ~last_seq:t.last_seq )
-      | _ ->
-        let uk = Ik.user_key ikey in
-        last_uk := Some uk;
-        ( uk,
-          Ik.kind ikey = Ik.Deletion
-          && tombstone_ok uk
-          && Snapshots.tombstone_droppable t.snapshots ~seq:cur_seq
-               ~last_seq:t.last_seq )
+    let drop =
+      if (not !first) && Ik.same_user_key ikey (String.length ikey) !prev
+      then
+        Snapshots.droppable t.snapshots ~prev_seq:(Ik.seq !prev)
+          ~last_seq:t.last_seq
+      else begin
+        uk := Ik.user_key ikey;
+        Ik.kind ikey = Ik.Deletion
+        && tombstone_ok !uk
+        && Snapshots.tombstone_droppable t.snapshots ~seq:(Ik.seq ikey)
+             ~last_seq:t.last_seq
+      end
     in
-    last_seq := cur_seq;
+    first := false;
+    prev := ikey;
     if not drop then begin
-      let part = partition uk in
+      let part = partition !uk in
       let b =
         match !current with
         | Some (p, b) when p = part -> b
@@ -369,10 +371,10 @@ let merge_tables t inputs ~tombstone_ok ~partition ~cutoff =
           current := Some (part, b);
           b
       in
-      if Table.resident tables.(Pdb_kvs.Merging_iter.current_index merge)
-      then Table.Builder.mark_hot b;
+      let input = tables.(Pdb_kvs.Merging_iter.current_index merge) in
+      if Table.resident input then Table.Builder.mark_hot b;
       (* the value goes from its input block straight into the output *)
-      merged.Iter.value_slice (Table.Builder.add_slice b ikey);
+      Table.Builder.add_current b ikey input;
       if Table.Builder.estimated_size b >= cutoff part then finish ()
     end;
     merged.Iter.next ()
@@ -506,6 +508,7 @@ let open_store ~shape ~lv ?block_cache (opts : O.t) ~env ~dir =
         (match block_cache with
          | Some cache -> cache (* shared with the caller's other shards *)
          | None -> Block_cache.create ~capacity:opts.O.block_cache_bytes);
+      scratch = Table.Builder.scratch ();
       mem;
       wal;
       wal_number = new_log;

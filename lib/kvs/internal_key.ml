@@ -86,6 +86,14 @@ let compare_user_key ikey uk =
   assert (n >= 0);
   compare_user ikey 0 n uk (String.length uk)
 
+(** [compare_user_keys a b] is [String.compare (user_key a) (user_key b)],
+    without the copies. *)
+let compare_user_keys a b =
+  let na = String.length a - trailer_size
+  and nb = String.length b - trailer_size in
+  assert (na >= 0 && nb >= 0);
+  compare_user a 0 na b nb
+
 (** [same_user_key a len b]: the internal key in the first [len] bytes of
     [a] has the user key of internal key [b]. *)
 let same_user_key a len b =

@@ -32,6 +32,10 @@ val user_key_equal : string -> string -> bool
     read in place. *)
 val compare_user_key : string -> string -> int
 
+(** [compare_user_keys a b] is [String.compare (user_key a) (user_key b)],
+    read in place. *)
+val compare_user_keys : string -> string -> int
+
 (** [same_user_key a len b]: the internal key held in the first [len]
     bytes of [a] has the user key of internal key [b]; read in place. *)
 val same_user_key : string -> int -> string -> bool

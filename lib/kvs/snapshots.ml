@@ -29,13 +29,11 @@ let smallest t ~default =
   List.fold_left min default t.live
 
 (** Compaction visibility rule.  [prev_seq] is the sequence of the
-    next-newer entry already seen for this user key ([None] for the first,
-    i.e. freshest, which is always kept).  The current entry is droppable
-    iff that newer entry is visible to every live snapshot. *)
-let droppable t ~prev_seq ~last_seq =
-  match prev_seq with
-  | None -> false
-  | Some p -> p <= smallest t ~default:last_seq
+    next-newer entry already seen for this user key (the first, i.e.
+    freshest, is always kept, so it is never asked about).  The current
+    entry is droppable iff that newer entry is visible to every live
+    snapshot. *)
+let droppable t ~prev_seq ~last_seq = prev_seq <= smallest t ~default:last_seq
 
 (** A bottom-level tombstone can be dropped entirely only when every live
     snapshot already sees it (older versions it hides are gone or about to

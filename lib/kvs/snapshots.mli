@@ -22,10 +22,10 @@ val is_empty : t -> bool
 val smallest : t -> default:int -> int
 
 (** Compaction visibility rule.  [prev_seq] is the sequence of the
-    next-newer entry already seen for this user key ([None] for the
-    freshest, which is always kept).  The current entry is droppable iff
-    that newer entry is visible to every live snapshot. *)
-val droppable : t -> prev_seq:int option -> last_seq:int -> bool
+    next-newer entry already seen for this user key (the freshest is
+    always kept, so it is never asked about).  The current entry is
+    droppable iff that newer entry is visible to every live snapshot. *)
+val droppable : t -> prev_seq:int -> last_seq:int -> bool
 
 (** A bottom-level tombstone can be dropped entirely only when every live
     snapshot already sees it. *)

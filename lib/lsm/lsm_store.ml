@@ -80,6 +80,43 @@ let sort_for_level ~policy ~opts level files =
     sort_newest_first files
   else sort_by_smallest files
 
+(* [splice files ~drop ~outputs] is [files] without the tables numbered
+   in [drop], with [outputs] merged in by smallest key, an output first on
+   a tie.  When [files] and [outputs] are each sorted by smallest key, that
+   is [sort_by_smallest (outputs @ kept)]; with no [outputs] it keeps the
+   order of [files], whatever it is.  The tail past the last change is
+   shared, not copied. *)
+let rec splice files ~drop ~outputs =
+  match (drop, outputs, files) with
+  | [], [], _ -> files
+  | _, _, [] -> outputs
+  | _, (o : Table.meta) :: os, (m : Table.meta) :: _
+    when Ik.compare o.Table.smallest m.Table.smallest <= 0 ->
+    o :: splice files ~drop ~outputs:os
+  | _, _, m :: rest ->
+    if List.mem m.Table.number drop then
+      splice rest
+        ~drop:(List.filter (fun n -> n <> m.Table.number) drop)
+        ~outputs
+    else m :: splice rest ~drop ~outputs
+
+let numbers = List.map (fun (m : Table.meta) -> m.Table.number)
+
+(** [install_levels levels ~tiered ~level ~inputs_lo ~inputs_hi ~outputs]
+    moves a compaction's result into [levels]: [inputs_lo] leave
+    [level], [inputs_hi] leave [level + 1] and [outputs] join it.  A
+    leveled target keeps its order by splicing the outputs in where the
+    tables they replace were; a [tiered] target is re-sorted newest
+    first. *)
+let install_levels levels ~tiered ~level ~inputs_lo ~inputs_hi ~outputs =
+  let target = level + 1 in
+  let drop = numbers inputs_hi in
+  levels.(level) <- splice levels.(level) ~drop:(numbers inputs_lo) ~outputs:[];
+  levels.(target) <-
+    (if tiered then
+       sort_newest_first (outputs @ splice levels.(target) ~drop ~outputs:[])
+     else splice levels.(target) ~drop ~outputs)
+
 (* ---------- compaction ---------- *)
 
 let level_bytes (t : t) level = S.bytes_of t.lv.levels.(level)
@@ -96,13 +133,20 @@ let level_state (t : t) level =
 
 let compaction_score (t : t) level = t.policy.Policy.score (level_state t level)
 
+(* The files of [level] whose user keys meet user keys [smallest ..
+   largest], compared in place. *)
 let overlapping_files (t : t) level ~smallest ~largest =
   List.filter
     (fun (m : Table.meta) ->
-      not
-        (String.compare (Ik.user_key m.Table.largest) smallest < 0
-         || String.compare (Ik.user_key m.Table.smallest) largest > 0))
+      Ik.compare_user_key m.Table.largest smallest >= 0
+      && Ik.compare_user_key m.Table.smallest largest <= 0)
     t.lv.levels.(level)
+
+(* Whether [m]'s user keys meet those of [other]'s range, compared in
+   place. *)
+let meets (m : Table.meta) (other : Table.meta) =
+  Ik.compare_user_keys m.Table.largest other.Table.smallest >= 0
+  && Ik.compare_user_keys m.Table.smallest other.Table.largest <= 0
 
 let pick_l0_closure (t : t) =
   (* the oldest L0 file plus every L0 file overlapping it (LevelDB's
@@ -111,8 +155,8 @@ let pick_l0_closure (t : t) =
   match List.rev t.lv.levels.(0) with
   | [] -> []
   | oldest :: _ ->
-    let lo = ref (Ik.user_key oldest.Table.smallest)
-    and hi = ref (Ik.user_key oldest.Table.largest) in
+    (* the range's bounds, as the internal keys whose user keys they are *)
+    let lo = ref oldest.Table.smallest and hi = ref oldest.Table.largest in
     (* grow the range transitively over overlapping files *)
     let changed = ref true in
     let selected = ref [ oldest ] in
@@ -125,15 +169,14 @@ let pick_l0_closure (t : t) =
               (List.exists
                  (fun (s : Table.meta) -> s.Table.number = m.Table.number)
                  !selected)
-            && not
-                 (String.compare (Ik.user_key m.Table.largest) !lo < 0
-                  || String.compare (Ik.user_key m.Table.smallest) !hi > 0)
+            && Ik.compare_user_keys m.Table.largest !lo >= 0
+            && Ik.compare_user_keys m.Table.smallest !hi <= 0
           then begin
             selected := m :: !selected;
-            if String.compare (Ik.user_key m.Table.smallest) !lo < 0 then
-              lo := Ik.user_key m.Table.smallest;
-            if String.compare (Ik.user_key m.Table.largest) !hi > 0 then
-              hi := Ik.user_key m.Table.largest;
+            if Ik.compare_user_keys m.Table.smallest !lo < 0 then
+              lo := m.Table.smallest;
+            if Ik.compare_user_keys m.Table.largest !hi > 0 then
+              hi := m.Table.largest;
             changed := true
           end)
         t.lv.levels.(0)
@@ -143,11 +186,10 @@ let pick_l0_closure (t : t) =
 let pick_round_robin (t : t) level =
   (* round-robin: first [compaction_pick_files] files after the pointer *)
   let files = t.lv.levels.(level) in
+  let pointer = t.lv.compact_pointer.(level) in
   let after =
     List.filter
-      (fun (m : Table.meta) ->
-        String.compare (Ik.user_key m.Table.largest) t.lv.compact_pointer.(level)
-        > 0)
+      (fun (m : Table.meta) -> Ik.compare_user_key m.Table.largest pointer > 0)
       files
   in
   let pool = if after = [] then files else after in
@@ -155,10 +197,7 @@ let pick_round_robin (t : t) level =
      it to [compaction_pick_files] would throw the fast path away *)
   match pool with
   | first :: _
-    when overlapping_files t (level + 1)
-           ~smallest:(Ik.user_key first.Table.smallest)
-           ~largest:(Ik.user_key first.Table.largest)
-         = [] ->
+    when not (List.exists (meets first) t.lv.levels.(level + 1)) ->
     [ first ]
   | _ -> List.filteri (fun i _ -> i < t.opts.O.compaction_pick_files) pool
 
@@ -173,22 +212,19 @@ let pick_inputs (t : t) level =
   | Policy.Oldest_overlap_closure -> pick_l0_closure t
   | Policy.Round_robin -> pick_round_robin t level
 
+(* The smallest and largest user keys of [inputs] ([""] for none),
+   compared in place and copied out once. *)
 let input_user_range inputs =
-  let smallest =
+  let extreme key better =
     List.fold_left
       (fun acc (m : Table.meta) ->
-        let s = Ik.user_key m.Table.smallest in
-        if acc = "" || String.compare s acc < 0 then s else acc)
+        let k = key m in
+        if acc = "" || better (Ik.compare_user_keys k acc) then k else acc)
       "" inputs
   in
-  let largest =
-    List.fold_left
-      (fun acc (m : Table.meta) ->
-        let l = Ik.user_key m.Table.largest in
-        if String.compare l acc > 0 then l else acc)
-      "" inputs
-  in
-  (smallest, largest)
+  let user_key k = if k = "" then "" else Ik.user_key k in
+  ( user_key (extreme (fun m -> m.Table.smallest) (fun c -> c < 0)),
+    user_key (extreme (fun m -> m.Table.largest) (fun c -> c > 0)) )
 
 (* Merge [inputs_lo] (level) and [inputs_hi] (level+1) into new tables for
    level+1.  Runs inside the background lane.
@@ -213,25 +249,14 @@ let run_merge (t : t) ~inputs_lo ~inputs_hi ~drop_tombstones ~single_output =
 
 let install_compaction (t : t) ~level ~inputs_lo ~inputs_hi ~outputs =
   let target = level + 1 in
-  (* update in-memory levels *)
-  let in_lo = List.map (fun (m : Table.meta) -> m.Table.number) inputs_lo in
-  let in_hi = List.map (fun (m : Table.meta) -> m.Table.number) inputs_hi in
-  let levels = t.lv.levels in
-  levels.(level) <-
-    List.filter
-      (fun (m : Table.meta) -> not (List.mem m.Table.number in_lo))
-      levels.(level);
-  levels.(target) <-
-    sort_for_level ~policy:t.policy ~opts:t.opts target
-      (outputs
-       @ List.filter
-           (fun (m : Table.meta) -> not (List.mem m.Table.number in_hi))
-           levels.(target));
+  install_levels t.lv.levels ~tiered:(tiered_level t target) ~level ~inputs_lo
+    ~inputs_hi ~outputs;
   (* manifest edit *)
   let e = Manifest.empty_edit () in
   e.Manifest.next_file_number <- Some t.next_file;
   e.Manifest.deleted_files <-
-    List.map (fun n -> (level, n)) in_lo @ List.map (fun n -> (target, n)) in_hi;
+    List.map (fun n -> (level, n)) (numbers inputs_lo)
+    @ List.map (fun n -> (target, n)) (numbers inputs_hi);
   e.Manifest.added_files <- List.map (fun m -> (target, m)) outputs;
   Manifest.append t.manifest e;
   S.retire t (inputs_lo @ inputs_hi);
@@ -261,14 +286,8 @@ let compact_level (t : t) level =
          beats FLSM (§5.2 "Sequential Writes").  Safe under tiering too:
          whole-level victims make the single run the entire source level,
          so it is newer than every run already resident in the target. *)
-      let levels = t.lv.levels in
-      levels.(level) <-
-        List.filter
-          (fun (m : Table.meta) -> m.Table.number <> single.Table.number)
-          levels.(level);
-      levels.(target) <-
-        sort_for_level ~policy:t.policy ~opts:t.opts target
-          (single :: levels.(target));
+      install_levels t.lv.levels ~tiered:(tiered_level t target) ~level
+        ~inputs_lo ~inputs_hi ~outputs:[ single ];
       let e = Manifest.empty_edit () in
       e.Manifest.deleted_files <- [ (level, single.Table.number) ];
       e.Manifest.added_files <- [ (target, single) ];

@@ -30,10 +30,9 @@ module Builder = struct
     done;
     !i
 
-  (** [add_slice t key src pos len] appends an entry whose value is the
-      [len] bytes of [src] at [pos]; keys must arrive in strictly
-      ascending order under the table's comparator. *)
-  let add_slice t key src pos len =
+  (* The header and key of an entry whose value, [len] bytes, the
+     caller appends next. *)
+  let add_key t key len =
     let shared =
       if t.counter < restart_interval then shared_prefix_len t.last_key key
       else begin
@@ -48,10 +47,24 @@ module Builder = struct
     Pdb_util.Varint.put_uvarint t.buf non_shared;
     Pdb_util.Varint.put_uvarint t.buf len;
     Buffer.add_substring t.buf key shared non_shared;
-    Buffer.add_substring t.buf src pos len;
     t.last_key <- key;
     t.counter <- t.counter + 1;
     t.entries <- t.entries + 1
+
+  (** [add_slice t key src pos len] appends an entry whose value is the
+      [len] bytes of [src] at [pos]; keys must arrive in strictly
+      ascending order under the table's comparator. *)
+  let add_slice t key src pos len =
+    add_key t key len;
+    Buffer.add_substring t.buf src pos len
+
+  (** [add_uvarints t key a b] appends an entry whose value is the
+      varints of [a] then [b]. *)
+  let add_uvarints t key a b =
+    add_key t key
+      (Pdb_util.Varint.uvarint_size a + Pdb_util.Varint.uvarint_size b);
+    Pdb_util.Varint.put_uvarint t.buf a;
+    Pdb_util.Varint.put_uvarint t.buf b
 
   (** [add t key value] appends an entry: [add_slice] over all of
       [value]. *)
@@ -317,6 +330,10 @@ let valid c = c.valid
 let key c = c.key
 let value c = String.sub c.block.data c.vpos c.vlen
 let value_slice c f = f c.block.data c.vpos c.vlen
+
+(** [add_current b key c] appends to [b] an entry of [key] whose value is
+    the one [c] rests on, copied from its block. *)
+let add_current b key c = Builder.add_slice b key c.block.data c.vpos c.vlen
 
 let check c =
   if not c.valid then invalid_arg "Block.iterator: iterator is not valid"

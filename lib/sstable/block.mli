@@ -21,6 +21,11 @@ module Builder : sig
   (** [add t key value] is [add_slice t key value 0 (String.length value)]. *)
   val add : t -> string -> string -> unit
 
+  (** [add_uvarints t key a b] appends an entry whose value is the
+      varints of [a] then [b] (an index entry's block handle), with no
+      value string in between. *)
+  val add_uvarints : t -> string -> int -> int -> unit
+
   val current_size_estimate : t -> int
   val is_empty : t -> bool
 
@@ -130,6 +135,10 @@ val value : cursor -> string
 (** [value_slice c f] calls [f src pos len] on the entry's value in
     place. *)
 val value_slice : cursor -> (string -> int -> int -> unit) -> unit
+
+(** [add_current b key c] is [Builder.add_slice b key] of the entry's
+    value in place: what [value_slice] hands over, with no closure. *)
+val add_current : Builder.t -> string -> cursor -> unit
 
 (** [release c] drops the block and both positions: [c] is invalid and
     its index position is past the end. *)

@@ -11,10 +11,6 @@
 
 type handle = { offset : int; size : int }
 
-let encode_handle buf h =
-  Pdb_util.Varint.put_uvarint buf h.offset;
-  Pdb_util.Varint.put_uvarint buf h.size
-
 let footer_size = 28
 let magic = 0x50454242 (* "PEBB" *)
 
@@ -82,45 +78,97 @@ let file_id r cache =
   end;
   r.file_id
 
+(* A table iterator: the table it reads and one block cursor holding both
+   its index position and its data position.  Past the last block the
+   cursor is released, so an exhausted iterator holds no block.  Through
+   a compaction view, [ahead_from, ahead_to) is the reader's byte range
+   the last readahead charged. *)
+type iter = {
+  mutable reader : reader;
+  cache : Block_cache.t;
+  hint : Pdb_simio.Device.read_hint;
+  pos : Block.cursor;
+  mutable resident : bool;
+      (* the block entered last was one a compaction view's cache held *)
+  mutable ahead_from : int;
+  mutable ahead_to : int;
+}
+
+let checked it =
+  if not (Block.valid it.pos) then
+    invalid_arg "Table.iterator: iterator is not valid"
+
 module Builder = struct
+  (* The buffers a table is built in: its open data block, its index
+     block, its filter's pending keys, and the filter and footer bytes on
+     their way into the file.  Each is emptied for the next table and
+     keeps its storage, so a store that lends one scratch to every table
+     it builds allocates none of them again.  [lent] marks a scratch an
+     unfinished builder holds. *)
+  type scratch = {
+    data : Block.Builder.t;
+    index_block : Block.Builder.t;
+    keys : Pdb_bloom.Bloom.pending;
+    tail : Buffer.t;
+    mutable lent : bool;
+  }
+
+  let scratch () =
+    {
+      data = Block.Builder.create ();
+      index_block = Block.Builder.create ();
+      keys = Pdb_bloom.Bloom.pending ();
+      tail = Buffer.create 256;
+      lent = false;
+    }
+
   type t = {
     env : Pdb_simio.Env.t;
     writer : Pdb_simio.Env.writer;
     file : string;
     number : int;
     block_bytes : int;
+    bloom : bool;
+    scratch : scratch;
     mutable offset : int;
-    data : Block.Builder.t;
     index : (string * handle) list ref; (* reversed *)
-    keys : Pdb_bloom.Bloom.pending option;
-        (* the filter's keys, noted until [finish] sizes it to them *)
-    mutable smallest : string option;
+    mutable smallest : string; (* meaningful once [entries > 0] *)
     mutable largest : string;
     mutable entries : int;
-    mutable last_user_key : string option;
     mutable open_hot : bool; (* the open data block is hot *)
     mutable hot : handle list; (* hot data blocks written, reversed *)
   }
 
-  (** [create env ~dir ~number ~block_bytes ~bloom] starts a new table
-      file.  [bloom = true] attaches a per-table filter, sized at [finish]
-      to the table's distinct user keys. *)
-  let create env ~dir ~number ~block_bytes ~bloom =
+  (** [create ?scratch env ~dir ~number ~block_bytes ~bloom] starts a new
+      table file in [scratch]'s buffers, or in fresh ones when [scratch]
+      is absent or lent to a builder not finished yet.  [bloom = true]
+      attaches a per-table filter, sized at [finish] to the table's
+      distinct user keys. *)
+  let create ?scratch:lend env ~dir ~number ~block_bytes ~bloom =
     let name = file_name ~dir number in
+    let s =
+      match lend with
+      | Some s when not s.lent ->
+        Block.Builder.reset s.data;
+        Block.Builder.reset s.index_block;
+        Pdb_bloom.Bloom.clear s.keys;
+        s
+      | Some _ | None -> scratch ()
+    in
+    s.lent <- true;
     {
       env;
       writer = Pdb_simio.Env.create_file env name;
       file = name;
       number;
       block_bytes;
+      bloom;
+      scratch = s;
       offset = 0;
-      data = Block.Builder.create ();
       index = ref [];
-      keys = (if bloom then Some (Pdb_bloom.Bloom.pending ()) else None);
-      smallest = None;
+      smallest = "";
       largest = "";
       entries = 0;
-      last_user_key = None;
       open_hot = false;
       hot = [];
     }
@@ -139,10 +187,21 @@ module Builder = struct
     Block.Builder.reset builder;
     h
 
+  (* Append [t]'s filter-and-footer buffer, emptied by [fill] first, and
+     return where it went. *)
+  let write_tail t fill =
+    let buf = t.scratch.tail in
+    Buffer.clear buf;
+    fill buf;
+    append t buf;
+    let h = { offset = t.offset; size = Buffer.length buf } in
+    t.offset <- t.offset + Buffer.length buf;
+    h
+
   let flush_data_block t =
-    if not (Block.Builder.is_empty t.data) then begin
+    if not (Block.Builder.is_empty t.scratch.data) then begin
       let last_key = t.largest in
-      let h = write_block t t.data in
+      let h = write_block t t.scratch.data in
       t.index := (last_key, h) :: !(t.index);
       if t.open_hot then begin
         t.hot <- h :: t.hot;
@@ -153,30 +212,45 @@ module Builder = struct
   (** [mark_hot t] marks the data block the next entry lands in as hot. *)
   let mark_hot t = t.open_hot <- true
 
+  (* Count entry [ikey], about to be added, and note its user key for the
+     filter unless the entry before it had the same one: compared in
+     place against [largest], the previous entry's key. *)
+  let note_entry t ikey =
+    let n = String.length ikey in
+    if t.bloom
+       && (t.entries = 0
+          || not (Pdb_kvs.Internal_key.same_user_key ikey n t.largest))
+    then
+      Pdb_bloom.Bloom.note_sub t.scratch.keys ikey 0
+        (n - Pdb_kvs.Internal_key.trailer_size);
+    if t.entries = 0 then t.smallest <- ikey;
+    t.largest <- ikey;
+    t.entries <- t.entries + 1
+
+  let end_entry t =
+    if Block.Builder.current_size_estimate t.scratch.data >= t.block_bytes
+    then flush_data_block t
+
   (** [add_slice t ikey src pos len] appends an entry whose value is the
       [len] bytes of [src] at [pos]; internal keys must arrive in
       ascending order. *)
   let add_slice t ikey src pos len =
-    if t.smallest = None then t.smallest <- Some ikey;
-    t.largest <- ikey;
-    t.entries <- t.entries + 1;
-    (match t.keys with
-     | Some keys ->
-       (* one filter probe key per distinct user key *)
-       let uk = Pdb_kvs.Internal_key.user_key ikey in
-       if t.last_user_key <> Some uk then begin
-         Pdb_bloom.Bloom.note keys uk;
-         t.last_user_key <- Some uk
-       end
-     | None -> ());
-    Block.Builder.add_slice t.data ikey src pos len;
-    if Block.Builder.current_size_estimate t.data >= t.block_bytes then
-      flush_data_block t
+    note_entry t ikey;
+    Block.Builder.add_slice t.scratch.data ikey src pos len;
+    end_entry t
 
   let add t ikey value = add_slice t ikey value 0 (String.length value)
 
+  (** [add_current t ikey it] appends an entry of [ikey] whose value is
+      the one [it] rests on, copied from its block. *)
+  let add_current t ikey it =
+    checked it;
+    note_entry t ikey;
+    Block.add_current t.scratch.data ikey it.pos;
+    end_entry t
+
   let estimated_size t =
-    t.offset + Block.Builder.current_size_estimate t.data
+    t.offset + Block.Builder.current_size_estimate t.scratch.data
 
   let entry_count t = t.entries
 
@@ -191,80 +265,79 @@ module Builder = struct
           ~size:h.size)
       (List.rev t.hot)
 
+  (* Write the filter, index and footer of non-empty [t], sync the file,
+     and open the table from what [t] holds (see {!finish}). *)
+  let complete t =
+    flush_data_block t;
+    (* filter block, sized to the keys noted *)
+    let filter =
+      if t.bloom then Some (Pdb_bloom.Bloom.of_pending t.scratch.keys) else None
+    in
+    let filter_handle =
+      match filter with
+      | Some f -> write_tail t (fun buf -> Pdb_bloom.Bloom.encode_to buf f)
+      | None -> { offset = 0; size = 0 }
+    in
+    (* index block *)
+    let index_block = t.scratch.index_block in
+    List.iter
+      (fun (last_key, (h : handle)) ->
+        Block.Builder.add_uvarints index_block last_key h.offset h.size)
+      (List.rev !(t.index));
+    let index_handle = write_block t index_block in
+    (* footer *)
+    let put = Pdb_util.Varint.put_fixed32 in
+    ignore
+      (write_tail t (fun buf ->
+           put buf filter_handle.offset;
+           put buf filter_handle.size;
+           put buf index_handle.offset;
+           put buf index_handle.size;
+           put buf t.entries;
+           put buf magic;
+           put buf 0));
+    Pdb_simio.Env.sync t.writer;
+    Pdb_simio.Env.close t.writer;
+    let meta =
+      {
+        number = t.number;
+        file_size = t.offset;
+        entries = t.entries;
+        smallest = t.smallest;
+        largest = t.largest;
+      }
+    in
+    let src, pos =
+      Pdb_simio.Env.peek_view t.env t.file ~pos:index_handle.offset
+        ~len:index_handle.size
+    in
+    let reader =
+      make_reader t.env t.file meta
+        ~index:(Block.decode_view src ~pos ~len:index_handle.size)
+        ~index_handle ~filter_handle
+        (match filter with Some f -> Loaded f | None -> No_filter)
+    in
+    (meta, reader)
+
   (** [finish t] writes filter, index and footer, syncs the file, and
       returns the table's metadata with the table opened from what [t]
       holds: the index as a view of the file (see
       {!Pdb_simio.Env.peek_view}), the filter it built and the footer's
       fields, with no device read and no clock charge, since the table
       was just written and synced and its bytes are in memory.  Empty
-      builders produce no file and return [None]. *)
+      builders produce no file and return [None].  Either way the
+      scratch goes back to its lender. *)
   let finish t =
-    if t.entries = 0 then begin
-      Pdb_simio.Env.close t.writer;
-      Pdb_simio.Env.delete t.env t.file;
-      None
-    end
-    else begin
-      flush_data_block t;
-      (* filter block, sized to the keys noted *)
-      let filter = Option.map Pdb_bloom.Bloom.of_pending t.keys in
-      let filter_handle =
-        match filter with
-        | Some f ->
-          let buf = Buffer.create (Pdb_bloom.Bloom.size_bytes f + 16) in
-          Pdb_bloom.Bloom.encode_to buf f;
-          append t buf;
-          let h = { offset = t.offset; size = Buffer.length buf } in
-          t.offset <- t.offset + Buffer.length buf;
-          h
-        | None -> { offset = 0; size = 0 }
-      in
-      (* index block *)
-      let index_builder = Block.Builder.create () in
-      List.iter
-        (fun (last_key, h) ->
-          let buf = Buffer.create 10 in
-          encode_handle buf h;
-          Block.Builder.add index_builder last_key (Buffer.contents buf))
-        (List.rev !(t.index));
-      let index_handle = write_block t index_builder in
-      (* footer *)
-      let buf = Buffer.create footer_size in
-      Pdb_util.Varint.put_fixed32 buf filter_handle.offset;
-      Pdb_util.Varint.put_fixed32 buf filter_handle.size;
-      Pdb_util.Varint.put_fixed32 buf index_handle.offset;
-      Pdb_util.Varint.put_fixed32 buf index_handle.size;
-      Pdb_util.Varint.put_fixed32 buf t.entries;
-      Pdb_util.Varint.put_fixed32 buf magic;
-      Pdb_util.Varint.put_fixed32 buf 0;
-      append t buf;
-      t.offset <- t.offset + footer_size;
-      Pdb_simio.Env.sync t.writer;
-      Pdb_simio.Env.close t.writer;
-      match t.smallest with
-      | None -> assert false
-      | Some smallest ->
-        let meta =
-          {
-            number = t.number;
-            file_size = t.offset;
-            entries = t.entries;
-            smallest;
-            largest = t.largest;
-          }
-        in
-        let src, pos =
-          Pdb_simio.Env.peek_view t.env t.file ~pos:index_handle.offset
-            ~len:index_handle.size
-        in
-        let reader =
-          make_reader t.env t.file meta
-            ~index:(Block.decode_view src ~pos ~len:index_handle.size)
-            ~index_handle ~filter_handle
-            (match filter with Some f -> Loaded f | None -> No_filter)
-        in
-        Some (meta, reader)
-    end
+    let result =
+      if t.entries = 0 then begin
+        Pdb_simio.Env.close t.writer;
+        Pdb_simio.Env.delete t.env t.file;
+        None
+      end
+      else Some (complete t)
+    in
+    t.scratch.lent <- false;
+    result
 end
 
 let load_block r ~cache ~hint ~offset ~size =
@@ -425,22 +498,6 @@ let get r ~cache ~hint lookup =
     else None
   end
 
-(* A table iterator: the table it reads and one block cursor holding both
-   its index position and its data position.  Past the last block the
-   cursor is released, so an exhausted iterator holds no block.  Through
-   a compaction view, [ahead_from, ahead_to) is the reader's byte range
-   the last readahead charged. *)
-type iter = {
-  mutable reader : reader;
-  cache : Block_cache.t;
-  hint : Pdb_simio.Device.read_hint;
-  pos : Block.cursor;
-  mutable resident : bool;
-      (* the block entered last was one a compaction view's cache held *)
-  mutable ahead_from : int;
-  mutable ahead_to : int;
-}
-
 let iterator r ~cache ~hint =
   {
     reader = r;
@@ -541,10 +598,6 @@ let next it =
 
 let valid it = Block.valid it.pos
 let resident it = it.resident
-
-let checked it =
-  if not (Block.valid it.pos) then
-    invalid_arg "Table.iterator: iterator is not valid"
 
 let key it =
   checked it;

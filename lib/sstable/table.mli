@@ -28,16 +28,32 @@ val file_name : dir:string -> int -> string
     index blocks); data blocks go through the shared block cache. *)
 type reader
 
+(** A cursor over one table; see {!iterator}. *)
+type iter
+
 module Builder : sig
   type t
 
-  (** [create env ~dir ~number ~block_bytes ~bloom] starts a new table
-      file.  [bloom = true] attaches a per-table filter, sized when
-      {!finish} writes it to {!Pdb_bloom.Bloom.bits_per_key} bits for each
-      distinct user key. *)
+  (** The buffers a table is built in: its data and index blocks, its
+      filter's pending keys, and the filter and footer bytes.  A store
+      owns one and lends it to each table it builds, so table after table
+      reuses the same storage.  It is never shared between stores: one
+      process opens many (shards, replicas, tests), and each builds on
+      its own. *)
+  type scratch
+
+  val scratch : unit -> scratch
+
+  (** [create ?scratch env ~dir ~number ~block_bytes ~bloom] starts a new
+      table file.  The builder borrows [scratch] until {!finish}; when
+      [scratch] is absent, or lent to a builder not finished yet, it
+      builds in fresh buffers of its own, so two builders open at once
+      never share one.  [bloom = true] attaches a per-table filter, sized
+      when {!finish} writes it to {!Pdb_bloom.Bloom.bits_per_key} bits
+      for each distinct user key. *)
   val create :
-    Pdb_simio.Env.t -> dir:string -> number:int -> block_bytes:int ->
-    bloom:bool -> t
+    ?scratch:scratch -> Pdb_simio.Env.t -> dir:string -> number:int ->
+    block_bytes:int -> bloom:bool -> t
 
   (** [add t ikey value] appends an entry; internal keys must arrive in
       ascending order. *)
@@ -46,6 +62,12 @@ module Builder : sig
   (** [add_slice t ikey src pos len] is [add] of the [len] bytes of [src]
       at [pos], without copying them out first. *)
   val add_slice : t -> string -> string -> int -> int -> unit
+
+  (** [add_current t ikey it] is [add_slice] of the value [it] rests on,
+      in its block: a compaction moves each value from its input block to
+      its output with no copy and no closure.
+      @raise Invalid_argument when [it] is not valid. *)
+  val add_current : t -> string -> iter -> unit
 
   (** [mark_hot t] marks the data block the next entry lands in as hot:
       compaction calls it before adding an entry read from a block the
@@ -62,7 +84,8 @@ module Builder : sig
       built and the footer's fields, with no device read and no clock
       charge.  The reader answers every query as {!open_reader} on the
       same file does.  An empty builder deletes its file and returns
-      [None]. *)
+      [None].  Either way the builder gives its scratch back: a finished
+      builder takes no more entries. *)
   val finish : t -> (meta * reader) option
 
   (** [admit_hot t cache] puts each hot data block of [t], once {!finish}
@@ -127,8 +150,6 @@ val get :
     from the index without decoding the index key, and a seek searches the
     index and the data block in place, so only the entry it lands on gets
     a fresh key.  Every step onto an entry allocates that entry's key. *)
-
-type iter
 
 (** [iterator r ~cache ~hint] is an unpositioned iterator over [r], whose
     data blocks are read through [cache] with [hint].  Through a

@@ -16,13 +16,13 @@ let fmix32 h =
 let c1 = 0xcc9e2d51
 let c2 = 0x1b873593
 
-(** [hash32 ?seed s] is the 32-bit MurmurHash3 of [s]. *)
-let hash32 ?(seed = 0) s =
-  let len = String.length s in
+(** [hash32_sub ~seed s pos len] is the 32-bit MurmurHash3 of the [len]
+    bytes of [s] at [pos], read in place. *)
+let hash32_sub ~seed s pos len =
   let nblocks = len / 4 in
   let h = ref (seed land 0xFFFFFFFF) in
   for i = 0 to nblocks - 1 do
-    let p = i * 4 in
+    let p = pos + (i * 4) in
     let k =
       Char.code s.[p]
       lor (Char.code s.[p + 1] lsl 8)
@@ -36,7 +36,7 @@ let hash32 ?(seed = 0) s =
     h := rotl32 !h 13;
     h := (!h * 5 + 0xe6546b64) land 0xFFFFFFFF
   done;
-  let tail = nblocks * 4 in
+  let tail = pos + (nblocks * 4) in
   let k = ref 0 in
   let rem = len land 3 in
   if rem >= 3 then k := !k lxor (Char.code s.[tail + 2] lsl 16);
@@ -50,6 +50,9 @@ let hash32 ?(seed = 0) s =
   end;
   h := !h lxor len;
   fmix32 !h
+
+(** [hash32 ?seed s] is the 32-bit MurmurHash3 of [s]. *)
+let hash32 ?(seed = 0) s = hash32_sub ~seed s 0 (String.length s)
 
 (** [trailing_ones n] counts consecutive set least-significant bits — the
     quantity PebblesDB's guard selector inspects. *)

@@ -361,6 +361,58 @@ let prop_recovery_equals_pre_close =
       let db2 = open_tiny env in
       Hashtbl.fold (fun k v acc -> acc && L.get db2 k = Some v) model true)
 
+(* After every install, in random fills under the leveled, tiered and
+   lazy-leveled policies (some holding snapshots, so one user key's
+   versions can straddle two tables), each leveled level is sorted by
+   smallest key, disjoint, and what [sort_by_smallest] makes of it:
+   splicing outputs in where their inputs were keeps the order a re-sort
+   gives.  A tiered level stays newest first. *)
+let prop_installs_keep_level_order =
+  let module Table = Pdb_sstable.Table in
+  let module Ik = Pdb_kvs.Internal_key in
+  qtest "every install keeps each level's order" ~count:20
+    QCheck.(
+      pair
+        (oneofl [ O.Leveled; O.Tiered; O.Lazy_leveled ])
+        (list_of_size Gen.(int_range 100 700)
+           (pair (int_bound 300) (int_bound 1000))))
+    (fun (policy, ops) ->
+      let env = Env.create () in
+      let opts =
+        { (tiny_opts ()) with O.compaction_policy = policy; max_levels = 4 }
+      in
+      let db = open_tiny ~opts env in
+      let numbers = List.map (fun (m : Table.meta) -> m.Table.number) in
+      let ok = ref true and installs = ref 0 in
+      let check_levels _job =
+        incr installs;
+        for level = 1 to opts.O.max_levels - 1 do
+          let files = L.level_tables db level in
+          let rec ordered = function
+            | (a : Table.meta) :: (b :: _ as rest) ->
+              (if L.tiered_level db level then a.Table.number > b.Table.number
+               else Ik.compare a.Table.largest b.Table.smallest < 0)
+              && ordered rest
+            | [ _ ] | [] -> true
+          in
+          if
+            not
+              (ordered files
+              && (L.tiered_level db level
+                 || numbers (L.sort_by_smallest files) = numbers files))
+          then ok := false
+        done
+      in
+      Pdb_compaction.Scheduler.set_observer (L.compaction_scheduler db)
+        check_levels;
+      List.iter
+        (fun (k, v) ->
+          if v mod 97 = 0 then ignore (L.snapshot db);
+          L.put db (key k) (value v))
+        ops;
+      L.compact_all db;
+      !installs > 0 && !ok)
+
 let () =
   Alcotest.run "lsm"
     [
@@ -414,5 +466,6 @@ let () =
           prop_model_random_ops;
           prop_iterator_matches_model;
           prop_recovery_equals_pre_close;
+          prop_installs_keep_level_order;
         ] );
     ]

@@ -763,6 +763,115 @@ let prop_table_roundtrip =
         in
         Iter.to_list it = entries)
 
+(* ---------- A store's builder scratch ---------- *)
+
+(* A table's entries from [(versions, vlen)] per user key: keys
+   ["<prefix>NNNN"] in order, each with one to three versions (newest
+   first), so the filter notes each user key once. *)
+let scratch_entries prefix spec =
+  List.concat
+    (List.mapi
+       (fun i (versions, vlen) ->
+         List.init (versions + 1) (fun v ->
+             ( ikey (Printf.sprintf "%s%04d" prefix i) (100 - v),
+               String.make vlen (Char.chr (97 + ((i + v) mod 26))) )))
+       spec)
+
+(* The file a builder from [create] makes of [entries], if any. *)
+let table_bytes env b entries ~number =
+  List.iter (fun (k, v) -> Table.Builder.add b k v) entries;
+  ignore (Table.Builder.finish b);
+  let name = Table.file_name ~dir:"db" number in
+  if Pdb_simio.Env.exists env name then
+    Some (Pdb_simio.Env.read_all env name ~hint:Pdb_simio.Device.Sequential_read)
+  else None
+
+let create ?scratch env ~number =
+  Table.Builder.create ?scratch env ~dir:"db" ~number ~block_bytes:128
+    ~bloom:true
+
+let built_alone entries ~number =
+  let env = Pdb_simio.Env.create () in
+  table_bytes env (create env ~number) entries ~number
+
+(* Two builders open at once on one store's scratch, fed interleaved
+   (the second builds in buffers of its own), then a third on the
+   scratch both gave back: every file, empty ones included, is the file
+   its table makes built alone. *)
+let prop_builders_share_no_scratch =
+  let spec = QCheck.(list_of_size Gen.(int_range 0 40) (pair (int_bound 2) (int_bound 90))) in
+  qtest ~count:60 "builders open at once = each table built alone"
+    QCheck.(quad spec spec (list bool) spec)
+    (fun (spec_a, spec_b, turns, spec_c) ->
+      let env = Pdb_simio.Env.create () in
+      let scratch = Table.Builder.scratch () in
+      let a = scratch_entries "a" spec_a
+      and b = scratch_entries "b" spec_b
+      and c = scratch_entries "c" spec_c in
+      let ba = create ~scratch env ~number:1
+      and bb = create ~scratch env ~number:2 in
+      let add builder (k, v) = Table.Builder.add builder k v in
+      let rec feed turns a b =
+        match (turns, a, b) with
+        | _, [], rest -> List.iter (add bb) rest
+        | _, rest, [] -> List.iter (add ba) rest
+        | true :: turns, e :: a, b | ([] as turns), e :: a, b ->
+          add ba e;
+          feed turns a b
+        | false :: turns, a, e :: b ->
+          add bb e;
+          feed turns a b
+      in
+      feed turns a b;
+      let file builder ~number =
+        table_bytes env builder [] ~number
+      in
+      let got_a = file ba ~number:1 and got_b = file bb ~number:2 in
+      let got_c = table_bytes env (create ~scratch env ~number:3) c ~number:3 in
+      got_a = built_alone a ~number:1
+      && got_b = built_alone b ~number:2
+      && got_c = built_alone c ~number:3)
+
+let major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* A store lends its scratch to each table it builds, so its second
+   table allocates no block buffer: in a file system with no deleted
+   chunk to reuse, building 64 x 1 KB entries allocates in direct
+   major-heap words (where a 4 KB buffer goes) what the file's chunks
+   hold and under 2% more, where a builder with no scratch allocates its
+   buffers too, 8 KB or more beyond the file. *)
+let test_second_table_allocates_no_buffer () =
+  let env = Pdb_simio.Env.create () in
+  let entries =
+    List.init 64 (fun i ->
+        (ikey (Printf.sprintf "key%05d" i) 1, String.make 1024 'v'))
+  in
+  let scratch = Table.Builder.scratch () in
+  (* the bytes allocated in direct major-heap words building table
+     [number], and its file's bytes *)
+  let build ?scratch number =
+    let before = major_words () in
+    let b =
+      Table.Builder.create ?scratch env ~dir:"db" ~number ~block_bytes:4096
+        ~bloom:true
+    in
+    List.iter (fun (k, v) -> Table.Builder.add b k v) entries;
+    let meta, _ = Option.get (Table.Builder.finish b) in
+    let words = major_words () -. before in
+    (words *. float_of_int (Sys.word_size / 8), float_of_int meta.Table.file_size)
+  in
+  ignore (build ~scratch 1);
+  let bytes, file = build ~scratch 2 in
+  if bytes > 1.02 *. file then
+    Alcotest.failf "second table allocated %.0f bytes for a %.0f-byte file"
+      bytes file;
+  let bytes, file = build 3 in
+  if bytes < file +. 8192.0 then
+    Alcotest.failf "a builder with no scratch allocated %.0f bytes for a \
+                    %.0f-byte file" bytes file
+
 (* ---------- Level_iter against a model ---------- *)
 
 (* A random level: [parts] partitions, many of them empty, each holding up
@@ -1124,6 +1233,9 @@ let () =
           Alcotest.test_case "coalesced writes" `Quick
             test_table_coalesced_writes;
           prop_table_roundtrip;
+          prop_builders_share_no_scratch;
+          Alcotest.test_case "second table allocates no buffer" `Quick
+            test_second_table_allocates_no_buffer;
         ] );
       ( "caches",
         [
