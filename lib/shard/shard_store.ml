@@ -307,6 +307,11 @@ module Make (E : ENGINE) = struct
     t.donor_busy <- Array.append t.donor_busy st.Stats.worker_busy_ns;
     t.donor_flush_busy <- t.donor_flush_busy +. st.Stats.flush_busy_ns;
     E.close s.engine;
+    (* the donor's blocks can never hit again, and would hold the shared
+       cache's capacity: evict them before their files go *)
+    List.iter
+      (fun file -> Pdb_sstable.Block_cache.evict_file t.shared_cache ~file)
+      (shard_files t.env ~dir:t.dir ~dir_id:s.dir_id);
     delete_shard_files t.env ~dir:t.dir ~dir_id:s.dir_id
 
   (* Close and GC retired engines no fence can reach any more.  Deleting

@@ -133,6 +133,15 @@ let evict_file t ~file =
     in
     List.iter (Pdb_util.Lru.remove t.lru) doomed
 
+(** [cached_files t] names each file with a block in [t], in no set
+    order. *)
+let cached_files t =
+  let held = Hashtbl.create 16 in
+  Pdb_util.Lru.fold t.lru (fun () k _ -> Hashtbl.replace held (k lsr 32) ()) ();
+  Hashtbl.fold
+    (fun name id acc -> if Hashtbl.mem held id then name :: acc else acc)
+    t.ids []
+
 let used t = Pdb_util.Lru.used t.lru
 let hits t = t.hits
 let misses t = t.misses

@@ -504,6 +504,46 @@ let test_merge_keeps_donor_counters () =
     (Stats.registry ());
   d.Dyn.d_close ()
 
+(* A merge deletes the donor's files, and their blocks leave the cache
+   the shards share: they could never hit again.  Every block cached
+   after the merge and 2,000 more writes belongs to a live file. *)
+module Pebbles_shards = Pdb_shard.Shard_store.Make (Stores.Pebbles_engine)
+
+let test_merged_donor_leaves_no_cached_block () =
+  let module S = Pebbles_shards in
+  let module Cache = Pdb_sstable.Block_cache in
+  let n = 6_000 in
+  let env = Env.create () in
+  let opts =
+    Stores.profile
+      ~tweak:(fun o ->
+        { (manual_elastic ~shards:2 o) with O.shard_splits = [ key (n / 2) ] })
+      Stores.Pebblesdb
+  in
+  let t = S.open_store opts ~env ~dir:"db" in
+  let rng = Pdb_util.Rng.create 1 in
+  for i = 0 to n - 1 do
+    S.put t (key i) (B.value_of rng 100)
+  done;
+  for i = 0 to n - 1 do
+    ignore (S.get t (key i))
+  done;
+  let cache = S.shared_block_cache t in
+  Alcotest.(check bool) "the donor has cached blocks" true
+    (List.exists
+       (String.starts_with ~prefix:"db/shards/1/")
+       (Cache.cached_files cache));
+  Alcotest.(check bool) "merge accepted" true (S.merge t ~at:0);
+  for i = 0 to 1_999 do
+    S.put t (key (i * 3)) (B.value_of rng 100)
+  done;
+  List.iter
+    (fun file ->
+      if not (Env.exists env file) then
+        Alcotest.failf "a block of deleted %s is still cached" file)
+    (Cache.cached_files cache);
+  S.close t
+
 (* A merge closes the donor's lanes, not the time they ran: neither the
    flush-lane time nor the summed worker-lane time falls across it. *)
 let test_merge_keeps_donor_lane_time () =
@@ -704,6 +744,8 @@ let () =
         [
           Alcotest.test_case "merge keeps the donor's counters" `Quick
             test_merge_keeps_donor_counters;
+          Alcotest.test_case "a merged donor leaves no cached block" `Quick
+            test_merged_donor_leaves_no_cached_block;
           Alcotest.test_case "merge keeps the donor's lane time" `Quick
             test_merge_keeps_donor_lane_time;
           Alcotest.test_case "pinned donor keeps counting" `Quick
