@@ -777,29 +777,35 @@ let scratch_entries prefix spec =
                String.make vlen (Char.chr (97 + ((i + v) mod 26))) )))
        spec)
 
-(* The file a builder from [create] makes of [entries], if any. *)
-let table_bytes env b entries ~number =
-  List.iter (fun (k, v) -> Table.Builder.add b k v) entries;
+let create ?scratch env ~number =
+  Table.Builder.create ?scratch env ~dir:"db" ~number ~block_bytes:128
+    ~bloom:true
+
+let fill b entries = List.iter (fun (k, v) -> Table.Builder.add b k v) entries
+
+(* Finish [b] and read back the file it wrote, if any. *)
+let finished_bytes env b ~number =
   ignore (Table.Builder.finish b);
   let name = Table.file_name ~dir:"db" number in
   if Pdb_simio.Env.exists env name then
     Some (Pdb_simio.Env.read_all env name ~hint:Pdb_simio.Device.Sequential_read)
   else None
 
-let create ?scratch env ~number =
-  Table.Builder.create ?scratch env ~dir:"db" ~number ~block_bytes:128
-    ~bloom:true
-
 let built_alone entries ~number =
   let env = Pdb_simio.Env.create () in
-  table_bytes env (create env ~number) entries ~number
+  let b = create env ~number in
+  fill b entries;
+  finished_bytes env b ~number
 
 (* Two builders open at once on one store's scratch, fed interleaved
    (the second builds in buffers of its own), then a third on the
    scratch both gave back: every file, empty ones included, is the file
    its table makes built alone. *)
 let prop_builders_share_no_scratch =
-  let spec = QCheck.(list_of_size Gen.(int_range 0 40) (pair (int_bound 2) (int_bound 90))) in
+  let spec =
+    QCheck.(
+      list_of_size Gen.(int_range 0 40) (pair (int_bound 2) (int_bound 90)))
+  in
   qtest ~count:60 "builders open at once = each table built alone"
     QCheck.(quad spec spec (list bool) spec)
     (fun (spec_a, spec_b, turns, spec_c) ->
@@ -808,13 +814,13 @@ let prop_builders_share_no_scratch =
       let a = scratch_entries "a" spec_a
       and b = scratch_entries "b" spec_b
       and c = scratch_entries "c" spec_c in
-      let ba = create ~scratch env ~number:1
-      and bb = create ~scratch env ~number:2 in
-      let add builder (k, v) = Table.Builder.add builder k v in
+      let ba = create ~scratch env ~number:1 in
+      let bb = create ~scratch env ~number:2 in
+      let add builder e = fill builder [ e ] in
       let rec feed turns a b =
         match (turns, a, b) with
-        | _, [], rest -> List.iter (add bb) rest
-        | _, rest, [] -> List.iter (add ba) rest
+        | _, [], rest -> fill bb rest
+        | _, rest, [] -> fill ba rest
         | true :: turns, e :: a, b | ([] as turns), e :: a, b ->
           add ba e;
           feed turns a b
@@ -823,11 +829,11 @@ let prop_builders_share_no_scratch =
           feed turns a b
       in
       feed turns a b;
-      let file builder ~number =
-        table_bytes env builder [] ~number
-      in
-      let got_a = file ba ~number:1 and got_b = file bb ~number:2 in
-      let got_c = table_bytes env (create ~scratch env ~number:3) c ~number:3 in
+      let got_a = finished_bytes env ba ~number:1 in
+      let got_b = finished_bytes env bb ~number:2 in
+      let bc = create ~scratch env ~number:3 in
+      fill bc c;
+      let got_c = finished_bytes env bc ~number:3 in
       got_a = built_alone a ~number:1
       && got_b = built_alone b ~number:2
       && got_c = built_alone c ~number:3)
@@ -857,7 +863,7 @@ let test_second_table_allocates_no_buffer () =
       Table.Builder.create ?scratch env ~dir:"db" ~number ~block_bytes:4096
         ~bloom:true
     in
-    List.iter (fun (k, v) -> Table.Builder.add b k v) entries;
+    fill b entries;
     let meta, _ = Option.get (Table.Builder.finish b) in
     let words = major_words () -. before in
     (words *. float_of_int (Sys.word_size / 8), float_of_int meta.Table.file_size)
