@@ -231,15 +231,12 @@ module Builder = struct
     if Block.Builder.current_size_estimate t.scratch.data >= t.block_bytes
     then flush_data_block t
 
-  (** [add_slice t ikey src pos len] appends an entry whose value is the
-      [len] bytes of [src] at [pos]; internal keys must arrive in
+  (** [add t ikey value] appends an entry; internal keys must arrive in
       ascending order. *)
-  let add_slice t ikey src pos len =
+  let add t ikey value =
     note_entry t ikey;
-    Block.Builder.add_slice t.scratch.data ikey src pos len;
+    Block.Builder.add t.scratch.data ikey value;
     end_entry t
-
-  let add t ikey value = add_slice t ikey value 0 (String.length value)
 
   (** [add_current t ikey it] appends an entry of [ikey] whose value is
       the one [it] rests on, copied from its block. *)

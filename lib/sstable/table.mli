@@ -59,11 +59,7 @@ module Builder : sig
       ascending order. *)
   val add : t -> string -> string -> unit
 
-  (** [add_slice t ikey src pos len] is [add] of the [len] bytes of [src]
-      at [pos], without copying them out first. *)
-  val add_slice : t -> string -> string -> int -> int -> unit
-
-  (** [add_current t ikey it] is [add_slice] of the value [it] rests on,
+  (** [add_current t ikey it] is [add] of the value [it] rests on, read
       in its block: a compaction moves each value from its input block to
       its output with no copy and no closure.
       @raise Invalid_argument when [it] is not valid. *)
