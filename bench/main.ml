@@ -107,6 +107,43 @@ let run_bechamel () =
       (Staged.stage (fun () ->
            ignore (Pebblesdb.Guard.guard_index level "g004242")))
   in
+  (* a flush's guard commit on a still-empty level: eight fresh keys,
+     each between two of the level's 400 guards *)
+  let guard_commit =
+    let level = Pebblesdb.Guard.create_level () in
+    Pebblesdb.Guard.commit_guards level
+      (List.init 400 (fun i -> Printf.sprintf "g%06d" (i * 16)));
+    let guards = level.Pebblesdb.Guard.guards in
+    let keys = List.init 8 (fun i -> Printf.sprintf "g%06d" ((i * 800) + 8)) in
+    Test.make ~name:"guard.commit (8 keys into 400 empty guards)"
+      (Staged.stage (fun () ->
+           level.Pebblesdb.Guard.guards <- guards;
+           Pebblesdb.Guard.commit_guards level keys))
+  in
+  (* the compaction pick of a store that has committed 400 guards over its
+     levels, all empty, with one flushed table in level 0: nothing due *)
+  let flsm_pick =
+    let module P = Pebblesdb.Pebbles_store in
+    let opts = Pdb_kvs.Options.pebblesdb () in
+    let db = P.open_store opts ~env:(Pdb_simio.Env.create ()) ~dir:"micro" in
+    let last = opts.Pdb_kvs.Options.max_levels - 1 in
+    let guards = ref 0 and i = ref 0 in
+    while !guards < 400 do
+      let key = Printf.sprintf "key%08d" !i in
+      incr i;
+      match Pebblesdb.Guard_selector.guard_level opts key with
+      | Some l when !guards + last - l + 1 <= 400 ->
+        guards := !guards + last - l + 1;
+        P.put db key "v"
+      | Some _ | None -> ()
+    done;
+    P.flush db;
+    if Array.fold_left ( + ) 0 (P.guard_counts db) <> 400
+       || P.due_compactions db <> 0
+    then failwith "micro: flsm.pick needs 400 guards and nothing due";
+    Test.make ~name:"flsm.pick (400 guards, none due)"
+      (Staged.stage (fun () -> ignore (P.due_compactions db)))
+  in
   let murmur =
     Test.make ~name:"murmur3+trailing_ones"
       (Staged.stage (fun () ->
@@ -224,31 +261,38 @@ let run_bechamel () =
       (Staged.stage (fun () ->
            Pdb_simio.Probe.with_session ctx ~label:"get" session))
   in
-  (* the write path: a 1 KB put's WAL payload, a four-put group commit
-     into a WAL that rotates every 64 KB as a memtable's log would, and a
-     table of 64 1 KB entries built from start to footer *)
+  (* the write path: a 1 KB put's WAL payload encoded into a store's
+     scratch, a four-put group commit into a WAL that rotates every 64 KB
+     as a memtable's log would, and a table of 64 1 KB entries built from
+     start to footer *)
   let value_1k = String.make 1024 'v' in
   let wb_encode =
     let b = Pdb_kvs.Write_batch.create () in
     Pdb_kvs.Write_batch.put b (Printf.sprintf "user%016d" 4242) value_1k;
+    let encoded = Pdb_kvs.Write_batch.scratch () in
     Test.make ~name:"wb.encode (1 KB put)"
       (Staged.stage (fun () ->
-           ignore (Pdb_kvs.Write_batch.encode b ~base_seq:4242)))
+           Pdb_kvs.Write_batch.clear encoded;
+           Pdb_kvs.Write_batch.encode_into encoded b ~base_seq:4242))
   in
   let wal_add_records =
     let env = Pdb_simio.Env.create () in
-    let records =
-      List.init 4 (fun i ->
-          let b = Pdb_kvs.Write_batch.create () in
-          Pdb_kvs.Write_batch.put b (Printf.sprintf "user%016d" i) value_1k;
-          Pdb_kvs.Write_batch.encode b ~base_seq:i)
-    in
-    let wal = ref (Pdb_wal.Wal.Writer.create env "micro.log") in
+    let encoded = Pdb_kvs.Write_batch.scratch () in
+    for i = 0 to 3 do
+      let b = Pdb_kvs.Write_batch.create () in
+      Pdb_kvs.Write_batch.put b (Printf.sprintf "user%016d" i) value_1k;
+      Pdb_kvs.Write_batch.encode_into encoded b ~base_seq:i
+    done;
+    (* one staging buffer for every log, as a store hands it on *)
+    let staging = Buffer.create 4096 in
+    let wal = ref (Pdb_wal.Wal.Writer.create ~staging env "micro.log") in
     Test.make ~name:"wal.add_records (4 x 1 KB)"
       (Staged.stage (fun () ->
            if Pdb_wal.Wal.Writer.size !wal >= 65536 then
-             wal := Pdb_wal.Wal.Writer.create env "micro.log";
-           Pdb_wal.Wal.Writer.add_records !wal records))
+             wal := Pdb_wal.Wal.Writer.create ~staging env "micro.log";
+           Pdb_wal.Wal.Writer.add_records !wal encoded.Pdb_kvs.Write_batch.bytes
+             ~ends:encoded.Pdb_kvs.Write_batch.ends
+             encoded.Pdb_kvs.Write_batch.records))
   in
   let table_build =
     let env = Pdb_simio.Env.create () in
@@ -493,7 +537,7 @@ let run_bechamel () =
   let tests =
     [ table_iterator; level_iter_empty; engine_scan; memtable_insert; bloom_check; skiplist_seek; guard_search; murmur;
       ikey_compare; block_seek; block_next; table_get; table_get_absent;
-      shell_get; probe_session; wb_encode;
+      guard_commit; flsm_pick; shell_get; probe_session; wb_encode;
       wal_add_records; table_build; table_scan; compaction_merge; lsm_install;
       block_load_first; block_load_far; env_append; crc_1k ]
   in
@@ -526,9 +570,9 @@ let run_bechamel () =
           (match (ns name, words name, major name) with
            | Some ns, Some words, Some major ->
              Printf.sprintf
-               "%-36s %12.1f ns/run %10.1f minor %8.1f major words/run" name ns
+               "%-46s %12.1f ns/run %10.1f minor %8.1f major words/run" name ns
                words major
-           | _ -> Printf.sprintf "%-36s (no estimate)" name))
+           | _ -> Printf.sprintf "%-46s (no estimate)" name))
       (List.of_seq (Hashtbl.to_seq_keys raw))
   in
   Pdb_harness.Bench_util.lines (List.concat_map benchmark tests)

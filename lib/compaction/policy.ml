@@ -40,12 +40,6 @@ type level_state = {
   file_trigger : int;  (** file/run count that warrants a merge *)
 }
 
-(** Snapshot of one FLSM guard, fed to [guard_score]. *)
-type guard_state = {
-  g_tables : int;  (** sstables resident in the guard *)
-  g_cap : int;  (** [max_sstables_per_guard] *)
-}
-
 (** What a triggered compaction consumes at the source level. *)
 type victims =
   | All_files  (** the whole level, merged wholesale (tiering) *)
@@ -63,7 +57,10 @@ type t = {
       (** [true]: outputs replace the overlapping target files (a merge
           rewrite); [false]: outputs stack beside the target's resident
           runs/fragments with no rewrite. *)
-  guard_score : guard_state -> float;
+  guard_due : tables:int -> cap:int -> bool;
+      (** whether an FLSM guard holding [tables] sstables is due for
+          compaction under a cap of [cap] tables; decided on the two ints
+          alone, so a pick asks it of every guard without allocating *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -76,6 +73,11 @@ type t = {
 let score_threshold = 0.999
 
 let should_trigger score = score > score_threshold
+
+(* [should_trigger] of the ratio [n / max 1 d], in integers:
+   [score_threshold] is 999/1000, and for any [n] and [d] of a store's
+   size the float ratio lies on the same side of it as the exact one. *)
+let ratio_due n d = 1000 * n > 999 * max 1 d
 
 (* ------------------------------------------------------------------ *)
 (* Score components                                                    *)
@@ -104,7 +106,7 @@ let leveled =
     victims =
       (fun s -> if s.level = 0 then Oldest_overlap_closure else Round_robin);
     output_merges_target = (fun ~target:_ ~last_level:_ -> true);
-    guard_score = (fun _ -> 0.0);
+    guard_due = (fun ~tables:_ ~cap:_ -> false);
   }
 
 (* Tiering triggers on run count alone (Dostoevsky's T): run sizes are
@@ -120,7 +122,7 @@ let tiered =
       (fun s -> if s.level = 0 then l0_score s else run_count_score s);
     victims = (fun _ -> All_files);
     output_merges_target = (fun ~target:_ ~last_level:_ -> false);
-    guard_score = (fun _ -> 0.0);
+    guard_due = (fun ~tables:_ ~cap:_ -> false);
   }
 
 let lazy_leveled =
@@ -134,7 +136,7 @@ let lazy_leveled =
       (fun s -> if s.level = 0 then l0_score s else run_count_score s);
     victims = (fun _ -> All_files);
     output_merges_target = (fun ~target ~last_level -> target >= last_level);
-    guard_score = (fun _ -> 0.0);
+    guard_due = (fun ~tables:_ ~cap:_ -> false);
   }
 
 let flsm_guarded =
@@ -147,8 +149,8 @@ let flsm_guarded =
     score = (fun s -> if s.level = 0 then l0_score s else size_score s);
     victims = (fun _ -> Guard_pick);
     output_merges_target = (fun ~target:_ ~last_level:_ -> false);
-    guard_score =
-      (fun g -> float_of_int g.g_tables /. float_of_int (max 1 g.g_cap));
+    (* a guard's score is its tables over its cap *)
+    guard_due = (fun ~tables ~cap -> ratio_due tables cap);
   }
 
 let of_policy = function

@@ -108,38 +108,57 @@ let detach level numbers =
 
 (** [commit_guards level keys] splices new guard [keys] into the level,
     redistributing each affected guard's tables (which, after straddler
-    removal, each fit wholly on one side of every new key). *)
+    removal, each fit wholly on one side of every new key).  One pass: a
+    key already committed is found by binary search, the sorted fresh
+    keys merge into the guard array, a guard no fresh key splits keeps
+    its record, and only a split guard's tables are placed again. *)
 let commit_guards level keys =
-  let keys =
-    List.sort_uniq String.compare
-      (List.filter
-         (fun k ->
-           k <> ""
-           && not
-                (Array.exists (fun g -> String.equal g.gkey k) level.guards))
-         keys)
+  let old = level.guards in
+  let fresh =
+    List.filter
+      (fun k -> k <> "" && not (String.equal old.(guard_index level k).gkey k))
+      keys
+    |> List.sort_uniq String.compare |> Array.of_list
   in
-  if keys <> [] then begin
-    let all_tables =
-      Array.to_list level.guards |> List.concat_map (fun g -> g.tables)
-    in
-    let merged_keys =
-      List.sort_uniq String.compare
-        (keys
-         @ (Array.to_list level.guards
-            |> List.filter_map (fun g ->
-                   if g.gkey = "" then None else Some g.gkey)))
-    in
-    let guards =
-      Array.of_list
-        (sentinel () :: List.map (fun k -> { gkey = k; tables = [] }) merged_keys)
-    in
-    (* reattach preserving newest-first order *)
-    List.iter
-      (fun m ->
-        if not (table_fits { guards } (prepend guards m) m) then
-          failwith "Guard.commit_guards: straddling table")
-      (List.rev all_tables);
+  let n = Array.length old and nf = Array.length fresh in
+  if nf > 0 then begin
+    let guards = Array.make (n + nf) old.(0) in
+    (* [below_next i k] : [k] sorts before old guard [i]'s successor *)
+    let below_next i k = i + 1 = n || String.compare k old.(i + 1).gkey < 0 in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      let g = old.(i) in
+      let first = i + !j in
+      guards.(first) <- g;
+      while !j < nf && below_next i fresh.(!j) do
+        guards.(i + !j + 1) <- { gkey = fresh.(!j); tables = [] };
+        incr j
+      done;
+      let last = i + !j in
+      if last > first && g.tables <> [] then begin
+        (* [g] is split into [first .. last]: each of its tables goes to
+           the part its smallest key falls in, oldest first so that every
+           part stays newest first, and must end before the next part *)
+        guards.(first) <- { g with tables = [] };
+        let place (m : Table.meta) =
+          let lo = ref first and hi = ref last in
+          while !lo < !hi do
+            let mid = (!lo + !hi + 1) / 2 in
+            if Ik.compare_user_key m.Table.smallest guards.(mid).gkey >= 0
+            then lo := mid
+            else hi := mid - 1
+          done;
+          let k = !lo in
+          (* the last part ends where [g] did, which [m] already fits *)
+          if
+            k < last
+            && Ik.compare_user_key m.Table.largest guards.(k + 1).gkey >= 0
+          then failwith "Guard.commit_guards: straddling table";
+          guards.(k) <- { (guards.(k)) with tables = m :: guards.(k).tables }
+        in
+        List.iter place (List.rev g.tables)
+      end
+    done;
     level.guards <- guards
   end
 

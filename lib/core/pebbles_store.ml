@@ -355,10 +355,10 @@ let guard_tables t level gkey =
 
 (* ---------- policy consultation ---------- *)
 
-(* The FLSM triggers phrased as policy scores: L0 back-pressure and level
-   size are the shared [level_state] scores, guard caps are
-   [guard_score].  One [Policy.should_trigger] threshold replaces the
-   inline comparisons. *)
+(* The FLSM triggers asked of the policy: L0 back-pressure and level size
+   are the shared [level_state] scores under the one
+   [Policy.should_trigger] threshold, and guard caps are
+   [Policy.guard_due]. *)
 let l0_due t =
   Policy.should_trigger
     (t.policy.Policy.score
@@ -387,9 +387,7 @@ let guard_due ?cap t (g : Guard.guard) =
   let cap =
     match cap with Some c -> c | None -> t.opts.O.max_sstables_per_guard
   in
-  Policy.should_trigger
-    (t.policy.Policy.guard_score
-       { Policy.g_tables = List.length g.Guard.tables; g_cap = cap })
+  t.policy.Policy.guard_due ~tables:(List.length g.Guard.tables) ~cap
 
 (* A flush commits the pending guards of still-empty levels in its own
    version edit: with no resident sstables there is nothing to split, so
@@ -875,6 +873,8 @@ let delete_empty_guards t =
 
 (* exposed for tests and experiments *)
 let l0_table_count t = List.length t.lv.l0
+
+let due_compactions t = List.length (pick ~seek:false t)
 
 let guard_counts t =
   Array.init t.opts.O.max_levels (fun level ->

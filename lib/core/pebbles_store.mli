@@ -135,6 +135,12 @@ val check_invariants : t -> unit
 
 val l0_table_count : t -> int
 
+(** [due_compactions t] is the number of compactions the store's pick
+    finds due now, running none: one pass of the round loop's pick, for
+    micro benchmarks.  Like a pick, it may commit the last level's
+    straddle-free pending guards. *)
+val due_compactions : t -> int
+
 (** Committed guards per level (index 0 unused). *)
 val guard_counts : t -> int array
 

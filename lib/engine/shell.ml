@@ -52,6 +52,8 @@ module Types = struct
     table_cache : Table_cache.t;
     block_cache : Block_cache.t;
     scratch : Table.Builder.scratch; (* lent to each table built *)
+    encoded : Wb.scratch; (* the group's batches not yet in the WAL *)
+    staging : Buffer.t; (* every WAL's staging buffer, in turn *)
     mutable mem : Memtable.t;
     mutable wal : Wal.Writer.t;
     mutable wal_number : int;
@@ -214,14 +216,12 @@ let maybe_compact ?(seek = false) t =
   in
   loop ~seek
 
-(* Foreground trace instants (WAL rotations, group commits), stamped at
-   the clock's current modeled time; no-ops without an attached tracer. *)
-let trace_instant t ?(args = []) ~name ~cat () =
-  match Env.tracer t.env with
-  | Some tr ->
-    Pdb_simio.Trace.instant tr ~args ~name ~cat ~lane:"foreground"
-      ~ts_ns:(Clock.now_ns t.clock) ()
-  | None -> ()
+(* A foreground trace instant (a WAL rotation, a group commit) on
+   tracer [tr], stamped at the clock's current modeled time.  Callers
+   build [args] only once they hold a tracer. *)
+let trace_instant t tr ~args ~name ~cat =
+  Pdb_simio.Trace.instant tr ~args ~name ~cat ~lane:"foreground"
+    ~ts_ns:(Clock.now_ns t.clock) ()
 
 (* ---------- flush (memtable -> level-0 sstable) ---------- *)
 
@@ -259,7 +259,8 @@ let flush t =
        the MANIFEST names. *)
     let old_log = t.wal_number in
     let new_log = new_file_number t in
-    t.wal <- Wal.Writer.create t.env (log_name t.dir new_log);
+    t.wal <-
+      Wal.Writer.create ~staging:t.staging t.env (log_name t.dir new_log);
     t.wal_number <- new_log;
     t.mem <- Memtable.create ();
     let e = Manifest.empty_edit () in
@@ -272,12 +273,14 @@ let flush t =
     t.shape.flush_edit t e;
     Manifest.append t.manifest e;
     Env.delete t.env (log_name t.dir old_log);
-    trace_instant t ~name:"wal-rotate" ~cat:"wal"
-      ~args:
-        [
-          ("old", string_of_int old_log); ("new", string_of_int new_log);
-        ]
-      ();
+    (match Env.tracer t.env with
+     | Some tr ->
+       trace_instant t tr ~name:"wal-rotate" ~cat:"wal"
+         ~args:
+           [
+             ("old", string_of_int old_log); ("new", string_of_int new_log);
+           ]
+     | None -> ());
     maybe_compact t
   end
 
@@ -470,7 +473,8 @@ let open_store ~shape ~lv ?block_cache (opts : O.t) ~env ~dir =
   incr next_file;
   let manifest_number = !next_file in
   incr next_file;
-  let wal = Wal.Writer.create env (log_name dir new_log) in
+  let staging = Buffer.create 4096 in
+  let wal = Wal.Writer.create ~staging env (log_name dir new_log) in
   relog_memtable wal mem;
   (* the snapshot is built from the recovered components, before the store
      record exists: it must be part of the fresh MANIFEST at creation, or
@@ -509,6 +513,8 @@ let open_store ~shape ~lv ?block_cache (opts : O.t) ~env ~dir =
          | Some cache -> cache (* shared with the caller's other shards *)
          | None -> Block_cache.create ~capacity:opts.O.block_cache_bytes);
       scratch = Table.Builder.scratch ();
+      encoded = Wb.scratch ();
+      staging;
       mem;
       wal;
       wal_number = new_log;
@@ -583,6 +589,49 @@ let rec insert_ops t ~client seq = function
        Memtable.add t.mem ~seq ~kind:Ik.Deletion ~user_key:k ~value:"");
     insert_ops t ~client (seq + 1) ops
 
+(* Append the group's records encoded so far to the WAL as one write. *)
+let append_encoded t =
+  let e = t.encoded in
+  if e.Wb.records > 0 then begin
+    Wal.Writer.add_records t.wal e.Wb.bytes ~ends:e.Wb.ends e.Wb.records;
+    Wb.clear e
+  end
+
+(* Commit [batches] one by one; [covered] counts the batches whose
+   durability rides on the end-of-group sync.  A mid-group flush retires
+   the log holding everything so far (the flushed sstable + manifest
+   install covers those records), so it resets the count: crediting
+   [n - 1] unconditionally would overcount elided syncs. *)
+let rec commit_batches t covered = function
+  | [] -> covered
+  | batch :: rest ->
+    let count = Wb.count batch in
+    let requests = if Wb.is_bulk batch then 1 else count in
+    charge_cpu t (t.opts.O.op_overhead_write_ns *. float_of_int requests);
+    charge_cpu t (O.cpu_per_op_ns *. float_of_int count);
+    let base_seq = t.last_seq + 1 in
+    t.last_seq <- t.last_seq + count;
+    Wb.encode_into t.encoded batch ~base_seq;
+    (* a bulk batch (a shard migration) moves data no client wrote *)
+    let client = not (Wb.is_bulk batch) in
+    insert_ops t ~client base_seq (Wb.ops batch);
+    if client then
+      Stats.add t.counters Stats.user_bytes_written (Wb.payload_bytes batch);
+    let covered =
+      if Memtable.approximate_bytes t.mem >= t.opts.O.memtable_bytes then begin
+        (* push this group's records into the log the flush is about to
+           retire before the rotation deletes it: every record a flushed
+           memtable depends on is in that log, never stranded in a
+           deleted file; and the scratch is empty before [flush], which
+           may re-enter the store *)
+        append_encoded t;
+        flush t;
+        0
+      end
+      else covered + 1
+    in
+    commit_batches t covered rest
+
 (* WAL group commit, the LevelDB writers-queue protocol: a solo write is a
    group of one.  The group's batches are framed as individual WAL records
    — so the log bytes are identical whether the group has one member or
@@ -591,7 +640,8 @@ let rec insert_ops t ~client seq = function
    commits or none of it does.  Sequence numbers, memtable inserts and
    flush triggers happen batch by batch in arrival order, exactly as on
    the serial write path, so store state is byte-identical across client
-   counts. *)
+   counts.  Each batch is encoded into the store's scratch ([t.encoded]),
+   which the WAL frames from in place. *)
 let write_group t batches =
   assert (not t.closed);
   gc_obsolete t;
@@ -614,59 +664,21 @@ let write_group t batches =
          ~stop_ns:v.Bp.stop_ns;
        Stats.incr t.counters Stats.write_stalls
      end;
-     let pending = ref [] in
-     (* batches whose durability rides on the end-of-group sync; a
-        mid-group flush retires the log holding everything so far (the
-        flushed sstable + manifest install covers those records), so it
-        resets the count — crediting [n - 1] unconditionally would
-        overcount elided syncs *)
-     let covered = ref 0 in
-     let append_pending () =
-       if !pending <> [] then begin
-         Wal.Writer.add_records t.wal (List.rev !pending);
-         pending := []
-       end
-     in
-     List.iter
-       (fun batch ->
-         let count = Wb.count batch in
-         let requests = if Wb.is_bulk batch then 1 else count in
-         charge_cpu t (t.opts.O.op_overhead_write_ns *. float_of_int requests);
-         charge_cpu t (O.cpu_per_op_ns *. float_of_int count);
-         let base_seq = t.last_seq + 1 in
-         t.last_seq <- t.last_seq + count;
-         pending := Wb.encode batch ~base_seq :: !pending;
-         (* a bulk batch (a shard migration) moves data no client wrote *)
-         let client = not (Wb.is_bulk batch) in
-         insert_ops t ~client base_seq (Wb.ops batch);
-         if client then
-           Stats.add t.counters Stats.user_bytes_written
-             (Wb.payload_bytes batch);
-         incr covered;
-         if Memtable.approximate_bytes t.mem >= t.opts.O.memtable_bytes
-         then begin
-           (* push this group's records into the log the flush is about
-              to retire before the rotation deletes it: every record a
-              flushed memtable depends on is in that log, never stranded
-              in a deleted file *)
-           append_pending ();
-           flush t;
-           covered := 0
-         end)
-       group;
-     append_pending ();
+     (* a group that raised part way may have left records behind *)
+     Wb.clear t.encoded;
+     let covered = commit_batches t 0 group in
+     append_encoded t;
      Stats.incr t.counters Stats.write_groups;
      Stats.add t.counters Stats.write_group_batches (List.length group);
      if t.opts.O.wal_sync_writes then begin
        Wal.Writer.sync t.wal;
-       Stats.add t.counters Stats.group_syncs_saved (max 0 (!covered - 1))
+       Stats.add t.counters Stats.group_syncs_saved (max 0 (covered - 1))
      end);
-  match batches with
-  | [] -> ()
-  | _ ->
-    trace_instant t ~name:"group-commit" ~cat:"wal"
+  match (batches, Env.tracer t.env) with
+  | [], _ | _, None -> ()
+  | _, Some tr ->
+    trace_instant t tr ~name:"group-commit" ~cat:"wal"
       ~args:[ ("batches", string_of_int (List.length batches)) ]
-      ()
 
 let write t batch = write_group t [ batch ]
 

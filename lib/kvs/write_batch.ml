@@ -58,27 +58,69 @@ let op_size n = function
     encoding. *)
 let encoded_size t = List.fold_left op_size 12 t.ops
 
-(** [encode t ~base_seq] serialises the batch; operation [i] carries
-    sequence number [base_seq + i]. *)
+let put_prefixed b pos s =
+  let pos = Pdb_util.Varint.set_uvarint b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let rec write_ops b stop = function
+  | [] -> ()
+  | op :: older ->
+    let start = stop - op_size 0 op in
+    (match op with
+     | Put (k, v) ->
+       Bytes.set b start '\001';
+       ignore (put_prefixed b (put_prefixed b (start + 1) k) v)
+     | Delete k ->
+       Bytes.set b start '\000';
+       ignore (put_prefixed b (start + 1) k));
+    write_ops b start older
+
+(* Write the batch's header at [pos] and its ops (kept newest first)
+   backwards from [stop], its end, so no reversed list is built. *)
+let write t b pos ~stop ~base_seq =
+  Bytes.set_int64_le b pos (Int64.of_int base_seq);
+  Bytes.set_int32_le b (pos + 8) (Int32.of_int t.count);
+  write_ops b stop t.ops
+
+(** A growable buffer of encoded batches, back to back from offset 0:
+    record [i] ends at [ends.(i)].  A store owns one and encodes each
+    write group's batches into it; it keeps its storage when cleared. *)
+type scratch = {
+  mutable bytes : Bytes.t;
+  mutable ends : int array;
+  mutable records : int;
+}
+
+let scratch () = { bytes = Bytes.empty; ends = Array.make 8 0; records = 0 }
+let clear s = s.records <- 0
+let scratch_length s = if s.records = 0 then 0 else s.ends.(s.records - 1)
+
+(** [encode_into s t ~base_seq] appends the batch's encoding to [s] as
+    its next record, growing [s] when it is full. *)
+let encode_into s t ~base_seq =
+  let pos = scratch_length s in
+  let stop = pos + encoded_size t in
+  if stop > Bytes.length s.bytes then begin
+    let bytes = Bytes.create (max stop (2 * Bytes.length s.bytes)) in
+    Bytes.blit s.bytes 0 bytes 0 pos;
+    s.bytes <- bytes
+  end;
+  if s.records = Array.length s.ends then begin
+    let ends = Array.make (2 * s.records) 0 in
+    Array.blit s.ends 0 ends 0 s.records;
+    s.ends <- ends
+  end;
+  write t s.bytes pos ~stop ~base_seq;
+  s.ends.(s.records) <- stop;
+  s.records <- s.records + 1
+
+(** [encode t ~base_seq] serialises the batch alone; operation [i]
+    carries sequence number [base_seq + i]. *)
 let encode t ~base_seq =
-  let module V = Pdb_util.Varint in
-  let b = Bytes.create (encoded_size t) in
-  Bytes.set_int64_le b 0 (Int64.of_int base_seq);
-  Bytes.set_int32_le b 8 (Int32.of_int t.count);
-  let put_prefixed pos s =
-    let pos = V.set_uvarint b pos (String.length s) in
-    Bytes.blit_string s 0 b pos (String.length s);
-    pos + String.length s
-  in
-  let set_op pos = function
-    | Put (k, v) ->
-      Bytes.set b pos '\001';
-      put_prefixed (put_prefixed (pos + 1) k) v
-    | Delete k ->
-      Bytes.set b pos '\000';
-      put_prefixed (pos + 1) k
-  in
-  ignore (List.fold_left set_op 12 (ops t));
+  let stop = encoded_size t in
+  let b = Bytes.create stop in
+  write t b 0 ~stop ~base_seq;
   Bytes.unsafe_to_string b
 
 (** [decode s] recovers [(batch, base_seq)].  Raises [Invalid_argument] on

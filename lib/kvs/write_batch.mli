@@ -31,8 +31,29 @@ val ops : t -> op list
 
 val iter : t -> (op -> unit) -> unit
 
-(** [encode t ~base_seq] serialises the batch; operation [i] carries
-    sequence number [base_seq + i]. *)
+(** A growable buffer of encoded batches, back to back from offset 0:
+    record [i] is [bytes] from [ends.(i - 1)] (0 for the first) to
+    [ends.(i)], for [i < records].  A store owns one and encodes each
+    write group's batches into it, so a batch's encoding is no string of
+    its own; clearing it keeps its storage. *)
+type scratch = private {
+  mutable bytes : Bytes.t;
+  mutable ends : int array;
+  mutable records : int;
+}
+
+val scratch : unit -> scratch
+
+(** [clear s] drops [s]'s records. *)
+val clear : scratch -> unit
+
+(** [encode_into s t ~base_seq] appends the encoding of [t] to [s] as
+    its next record (the bytes of [encode t ~base_seq]), growing [s]
+    when it is full. *)
+val encode_into : scratch -> t -> base_seq:int -> unit
+
+(** [encode t ~base_seq] serialises the batch alone; operation [i]
+    carries sequence number [base_seq + i]. *)
 val encode : t -> base_seq:int -> string
 
 (** [encoded_size t] is the length of [encode t ~base_seq], for any

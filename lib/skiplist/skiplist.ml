@@ -23,6 +23,9 @@ type ('k, 'v) t = {
   compare : 'k -> 'k -> int;
   rng : Pdb_util.Rng.t;
   mutable head : ('k, 'v) node; (* sentinel; key/value unused *)
+  prev : ('k, 'v) node array;
+      (* [insert]'s predecessors, one per list level, reused by every
+         insert; only the levels the insert sets are read *)
   mutable height : int;
   mutable length : int;
 }
@@ -39,6 +42,7 @@ let create ~compare dummy_key dummy_value =
     compare;
     rng = Pdb_util.Rng.create 0x5eed;
     head;
+    prev = Array.make max_height head;
     height = 1;
     length = 0;
   }
@@ -58,9 +62,10 @@ let rec last_below t key node level =
   | Some n when t.compare n.key key < 0 -> last_below t key n level
   | _ -> node
 
-(* Find, for each list level, the last node whose key is < [key]. *)
+(* Find, for each list level, the last node whose key is < [key], into
+   [t.prev]. *)
 let find_predecessors t key =
-  let prev = Array.make max_height t.head in
+  let prev = t.prev in
   let node = ref t.head in
   for level = t.height - 1 downto 0 do
     node := last_below t key !node level;

@@ -57,6 +57,11 @@ let update crc s pos len =
   done;
   !crc lxor 0xFFFFFFFF
 
+(** [update_bytes crc b pos len] is {!update} over [b]'s bytes, read in
+    place: the string view of [b] lives only for the call, which writes
+    nothing, so it never sees [b] change. *)
+let update_bytes crc b pos len = update crc (Bytes.unsafe_to_string b) pos len
+
 (** [string s] is the CRC-32C of the whole string. *)
 let string s = update 0 s 0 (String.length s)
 

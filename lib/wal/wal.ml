@@ -26,12 +26,12 @@ module Writer = struct
     writer : Pdb_simio.Env.writer;
     mutable block_offset : int;
     staging : Buffer.t;
-        (* the framed bytes of one append; cleared as each append starts *)
+        (* the framed bytes of one append, cleared as each append starts;
+           a store hands it on to its next log (see [create]) *)
   }
 
-  let create env name =
-    { writer = Pdb_simio.Env.create_file env name; block_offset = 0;
-      staging = Buffer.create 4096 }
+  let create ?(staging = Buffer.create 4096) env name =
+    { writer = Pdb_simio.Env.create_file env name; block_offset = 0; staging }
 
   let of_writer writer ~existing_bytes =
     { writer; block_offset = existing_bytes mod block_size;
@@ -42,23 +42,22 @@ module Writer = struct
   let type_crc =
     Array.init 5 (fun i -> Pdb_util.Crc32c.string (String.make 1 (Char.chr i)))
 
-  (* Frame the [len] bytes of [payload] at [pos] as one [rtype] fragment. *)
-  let emit t rtype payload pos len =
+  (* Frame the [len] bytes of [src] at [pos] as one [rtype] fragment. *)
+  let emit t rtype src pos len =
     let buf = t.staging in
     let tbyte = type_to_int rtype in
-    let crc = Pdb_util.Crc32c.update type_crc.(tbyte) payload pos len in
+    let crc = Pdb_util.Crc32c.update_bytes type_crc.(tbyte) src pos len in
     Pdb_util.Varint.put_fixed32 buf (Pdb_util.Crc32c.masked crc);
     Buffer.add_char buf (Char.chr (len land 0xff));
     Buffer.add_char buf (Char.chr ((len lsr 8) land 0xff));
     Buffer.add_char buf (Char.chr tbyte);
-    Buffer.add_substring buf payload pos len;
+    Buffer.add_subbytes buf src pos len;
     t.block_offset <- t.block_offset + header_size + len
 
-  (* Frame one logical record into the staging buffer, fragmenting across
-     block boundaries as needed. *)
-  let emit_record t payload =
-    let len = String.length payload in
-    let pos = ref 0 in
+  (* Frame the logical record [src.[start .. stop - 1]] into the staging
+     buffer, fragmenting across block boundaries as needed. *)
+  let emit_record t src start stop =
+    let pos = ref start in
     let first = ref true in
     let continue = ref true in
     while !continue do
@@ -72,8 +71,8 @@ module Writer = struct
       end
       else begin
         let avail = block_size - t.block_offset - header_size in
-        let fragment_len = min avail (len - !pos) in
-        let is_last = !pos + fragment_len = len in
+        let fragment_len = min avail (stop - !pos) in
+        let is_last = !pos + fragment_len = stop in
         let rtype =
           match (!first, is_last) with
           | true, true -> Full
@@ -81,7 +80,7 @@ module Writer = struct
           | false, true -> Last
           | false, false -> Middle
         in
-        emit t rtype payload !pos fragment_len;
+        emit t rtype src !pos fragment_len;
         if t.block_offset >= block_size then t.block_offset <- 0;
         pos := !pos + fragment_len;
         first := false;
@@ -89,19 +88,25 @@ module Writer = struct
       end
     done
 
-  (** [add_records t payloads] appends the records in order as one device
-      write — the group-commit leader's coalesced WAL append.  The file
-      bytes are exactly those of [List.iter (add_record t) payloads];
-      only the device-op accounting (one write instead of N) differs. *)
-  let add_records t payloads =
+  (** [add_records t src ~ends n] appends [src]'s first [n] records, back
+      to back from offset 0 with record [i] ending at [ends.(i)], in
+      order as one device write — the group-commit leader's coalesced WAL
+      append.  The file bytes are exactly those of adding each record
+      alone; only the device-op accounting (one write instead of N)
+      differs. *)
+  let add_records t src ~ends n =
     Buffer.clear t.staging;
-    List.iter (emit_record t) payloads;
-    (* an empty list stages nothing, and an empty append is no IO *)
+    for i = 0 to n - 1 do
+      emit_record t src (if i = 0 then 0 else ends.(i - 1)) ends.(i)
+    done;
+    (* no record stages nothing, and an empty append is no IO *)
     Pdb_simio.Env.append_buffer t.writer t.staging
 
   (** [add_record t payload] appends one logical record, fragmenting across
-      block boundaries as needed. *)
-  let add_record t payload = add_records t [ payload ]
+      block boundaries as needed.  The framer only reads [payload]. *)
+  let add_record t payload =
+    add_records t (Bytes.unsafe_of_string payload)
+      ~ends:[| String.length payload |] 1
 
   let sync t = Pdb_simio.Env.sync t.writer
   let close t = Pdb_simio.Env.close t.writer

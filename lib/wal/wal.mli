@@ -17,8 +17,12 @@ val type_of_int : int -> record_type option
 module Writer : sig
   type t
 
-  (** [create env name] starts a fresh log file. *)
-  val create : Pdb_simio.Env.t -> string -> t
+  (** [create ?staging env name] starts a fresh log file.  Its appends
+      are framed in [staging] (a fresh buffer when absent), which a store
+      hands from each log to the next, so the buffer keeps its grown
+      storage across rotations.  Two logs that both still append must
+      not share one. *)
+  val create : ?staging:Buffer.t -> Pdb_simio.Env.t -> string -> t
 
   (** [of_writer w ~existing_bytes] continues appending to an existing
       file, keeping block alignment. *)
@@ -28,11 +32,13 @@ module Writer : sig
       across block boundaries as needed. *)
   val add_record : t -> string -> unit
 
-  (** [add_records t payloads] appends the records in order as a single
-      device write — the group-commit leader's coalesced WAL append.
-      File bytes are exactly those of [List.iter (add_record t)
-      payloads]; only the device-op accounting differs. *)
-  val add_records : t -> string list -> unit
+  (** [add_records t src ~ends n] appends [src]'s first [n] records,
+      back to back from offset 0 with record [i] ending at [ends.(i)]
+      (a write-batch scratch), in order as a single device
+      write — the group-commit leader's coalesced WAL append.  File
+      bytes are exactly those of adding each record alone with
+      {!add_record}; only the device-op accounting differs. *)
+  val add_records : t -> Bytes.t -> ends:int array -> int -> unit
 
   val sync : t -> unit
   val close : t -> unit

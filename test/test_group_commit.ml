@@ -269,6 +269,123 @@ let test_wal_rejection engine () =
     (Some "keep-me") (store2.Dyn.d_get "a");
   store2.Dyn.d_close ()
 
+(* ---------- the write path's allocation and WAL bytes ---------- *)
+
+module P = Pebblesdb.Pebbles_store
+module Wb = Pdb_kvs.Write_batch
+
+let pebbles ~memtable_bytes env =
+  P.open_store
+    { (Pdb_kvs.Options.pebblesdb ()) with Pdb_kvs.Options.memtable_bytes }
+    ~env ~dir:"db"
+
+(* the store's one live log *)
+let live_log env =
+  let is_log n = Filename.check_suffix n ".log" in
+  match List.filter is_log (Env.list env) with
+  | [ log ] -> log
+  | logs -> Alcotest.failf "expected one live log, found %d" (List.length logs)
+
+(* Words allocated straight into the major heap: strings over 256 words
+   (a 4 KB value) skip the minor heap. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* Once a store's batch scratch and WAL staging buffer have grown, a put of
+   a 4 KB value allocates nothing in the major heap beyond the log chunk
+   its bytes land in: a copy of the value would be a second 4 KB string
+   there. *)
+let test_put_allocation () =
+  let env = Env.create () in
+  let db = pebbles ~memtable_bytes:(1 lsl 20) env in
+  let value = String.make 4096 'v' in
+  for i = 0 to 9 do
+    P.put db (Printf.sprintf "warm%04d" i) value
+  done;
+  (* a rotation: the next puts write a fresh log through the same buffers *)
+  P.flush db;
+  let log = live_log env in
+  let puts = 50 in
+  let keys = Array.init puts (Printf.sprintf "key%04d") in
+  let size0 = Env.file_size env log in
+  let flushes0 = (P.stats db).Pdb_kvs.Engine_stats.flushes in
+  let before = direct_major_words () in
+  Array.iter (fun k -> P.put db k value) keys;
+  let words = direct_major_words () -. before in
+  Alcotest.(check int) "no flush among the puts" flushes0
+    (P.stats db).Pdb_kvs.Engine_stats.flushes;
+  (* each put appends at most one fresh chunk: its bytes, a header word
+     and a word of padding *)
+  let chunk_words = ((Env.file_size env log - size0) / 8) + (2 * puts) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f direct major words within %d of log chunks" words
+       chunk_words)
+    true
+    (words <= float_of_int chunk_words);
+  P.close db
+
+let batch ops =
+  let b = Wb.create () in
+  List.iter
+    (function
+      | `Put (k, n) ->
+        Wb.put b k (String.init n (fun i -> Char.chr (i land 0xff)))
+      | `Del k -> Wb.delete b k)
+    ops;
+  b
+
+(* The log [batches] make when each is encoded and added alone, the first
+   at sequence number [seq]; empty batches write nothing. *)
+let reference_log ~seq batches =
+  let env = Env.create () in
+  let w = Wal.Writer.create env "ref.log" in
+  ignore
+    (List.fold_left
+       (fun seq b ->
+         if Wb.count b > 0 then
+           Wal.Writer.add_record w (Wb.encode b ~base_seq:seq);
+         seq + Wb.count b)
+       seq batches);
+  Env.read_all env "ref.log" ~hint:Pdb_simio.Device.Sequential_read
+
+let log_bytes env =
+  Env.read_all env (live_log env) ~hint:Pdb_simio.Device.Sequential_read
+
+(* A group's WAL bytes are its batches encoded and added one by one:
+   records that cross a 32 KB block, an empty batch, and a flush in the
+   middle of the group, after which the rest of the group starts the
+   fresh log. *)
+let test_group_log_bytes () =
+  let big = 40 * 1024 in
+  let env = Env.create () in
+  let db = pebbles ~memtable_bytes:(64 * 1024) env in
+  let group =
+    [ batch [ `Put ("a", 100) ];
+      batch [ `Put ("b", big) ];
+      batch [];
+      batch [ `Put ("c", 10); `Del "a"; `Put ("d", 3_000) ] ]
+  in
+  P.write_group db group;
+  Alcotest.(check bool) "group log = batches added alone" true
+    (String.equal (reference_log ~seq:1 group) (log_bytes env));
+  let env = Env.create () in
+  let db = pebbles ~memtable_bytes:(64 * 1024) env in
+  let before_flush = [ batch [ `Put ("a", big) ]; batch [ `Put ("b", big) ] ] in
+  let after_flush =
+    [ batch []; batch [ `Put ("c", 100); `Put ("d", 200) ];
+      batch [ `Put ("e", big) ]; batch [ `Del "a" ] ]
+  in
+  P.write_group db (before_flush @ after_flush);
+  Alcotest.(check int) "one flush inside the group" 1
+    (P.stats db).Pdb_kvs.Engine_stats.flushes;
+  Alcotest.(check bool) "fresh log = the batches after the flush" true
+    (String.equal (reference_log ~seq:3 after_flush) (log_bytes env));
+  Alcotest.(check (option int)) "a batch before the flush reads back"
+    (Some big) (Option.map String.length (P.get db "b"));
+  Alcotest.(check (option string)) "the group's last batch applied" None
+    (P.get db "a")
+
 (* ---------- block size-estimate (satellite) ---------- *)
 
 let test_block_estimate () =
@@ -311,6 +428,13 @@ let () =
             (test_wal_rejection Stores.Leveldb);
           Alcotest.test_case "pebblesdb WAL rejection counted" `Quick
             (test_wal_rejection Stores.Pebblesdb);
+        ] );
+      ( "write-path",
+        [
+          Alcotest.test_case "a put allocates only its log chunk" `Quick
+            test_put_allocation;
+          Alcotest.test_case "group log bytes = batches added alone" `Quick
+            test_group_log_bytes;
         ] );
       ( "block",
         [ Alcotest.test_case "size estimate exact" `Quick test_block_estimate ]

@@ -78,6 +78,143 @@ let prop_attach_detach_roundtrip =
       G.detach lvl (List.map (fun (m : Pdb_sstable.Table.meta) -> m.Pdb_sstable.Table.number) metas);
       before = List.length metas && G.table_count lvl = 0)
 
+(* ---------- guard commits against the rebuild they replaced ---------- *)
+
+(* The rebuild [commit_guards] used to run, kept as the oracle: dedupe
+   against the whole array, re-sort every key, and reattach every table of
+   the level, oldest first, to the guard owning its smallest key. *)
+let rebuild_commit (level : G.level) keys =
+  let keys =
+    List.sort_uniq String.compare
+      (List.filter
+         (fun k ->
+           k <> ""
+           && not
+                (Array.exists
+                   (fun g -> String.equal g.G.gkey k)
+                   level.G.guards))
+         keys)
+  in
+  if keys <> [] then begin
+    let all_tables =
+      Array.to_list level.G.guards |> List.concat_map (fun g -> g.G.tables)
+    in
+    let merged_keys =
+      List.sort_uniq String.compare
+        (keys
+         @ (Array.to_list level.G.guards
+            |> List.filter_map (fun g ->
+                   if g.G.gkey = "" then None else Some g.G.gkey)))
+    in
+    let guards =
+      Array.of_list
+        (G.sentinel ()
+        :: List.map (fun k -> { G.gkey = k; tables = [] }) merged_keys)
+    in
+    List.iter
+      (fun (m : Pdb_sstable.Table.meta) ->
+        let i =
+          G.guard_index { G.guards } (Ik.user_key m.Pdb_sstable.Table.smallest)
+        in
+        guards.(i) <- { (guards.(i)) with G.tables = m :: guards.(i).G.tables };
+        if not (G.table_fits { G.guards } i m) then
+          failwith "Guard.commit_guards: straddling table")
+      (List.rev all_tables);
+    level.G.guards <- guards
+  end
+
+(* a level's guard keys with each guard's table numbers, newest first *)
+let layout (level : G.level) =
+  Array.to_list level.G.guards
+  |> List.map (fun g ->
+         ( g.G.gkey,
+           List.map
+             (fun (m : Pdb_sstable.Table.meta) -> m.Pdb_sstable.Table.number)
+             g.G.tables ))
+
+let outcome commit level keys =
+  match commit level keys with
+  | () -> Ok (layout level)
+  | exception Failure msg -> Error msg
+
+(* Short keys over a small alphabet, so fresh keys collide with committed
+   ones, repeat, and fall inside the tables' ranges. *)
+let short_key =
+  QCheck.Gen.(string_size ~gen:(char_range 'a' 'd') (int_range 0 2))
+
+(* A level: committed guard keys, then tables drawn as key ranges (each
+   attached when it fits its guard, so several share a guard), and fresh
+   keys that mix "", repeats, committed keys and keys inside tables. *)
+let commit_case_gen =
+  QCheck.Gen.(
+    triple
+      (list_size (int_range 0 6) short_key)
+      (list_size (int_range 0 16) (pair short_key short_key))
+      (list_size (int_range 0 8)
+         (frequency [ (6, map (fun k -> `Key k) short_key); (1, return `Empty);
+                      (2, map (fun i -> `Committed i) nat) ])))
+
+let print_commit_case =
+  QCheck.Print.(
+    triple (list string) (list (pair string string))
+      (list (function
+         | `Key k -> k | `Empty -> "<empty>"
+         | `Committed i -> "committed#" ^ string_of_int i)))
+
+let build_level guard_keys ranges =
+  let level = G.create_level () in
+  rebuild_commit level guard_keys;
+  List.iteri
+    (fun number (a, b) ->
+      let m = meta ~number ~smallest:(min a b) ~largest:(max a b) in
+      if G.table_fits level (G.guard_index level (min a b)) m then
+        G.attach level m)
+    ranges;
+  level
+
+let prop_commit_matches_rebuild =
+  qtest ~count:1000 "commit_guards = rebuild oracle"
+    (QCheck.make ~print:print_commit_case commit_case_gen)
+    (fun (guard_keys, ranges, picks) ->
+      let level = build_level guard_keys ranges in
+      let committed = level.G.guards in
+      let keys =
+        List.map
+          (function
+            | `Key k -> k
+            | `Empty -> ""
+            | `Committed i -> committed.(i mod Array.length committed).G.gkey)
+          picks
+      in
+      (* both commit from the same guard array, which neither mutates *)
+      let ours = outcome G.commit_guards { G.guards = committed } keys in
+      let oracle = outcome rebuild_commit { G.guards = committed } keys in
+      ours = oracle)
+
+(* A table across a fresh key fails the commit and leaves the level as it
+   was; a guard of several tables splits with each side newest first. *)
+let test_commit_split_and_straddle () =
+  let level = G.create_level () in
+  G.commit_guards level [ "m" ];
+  List.iter (G.attach level)
+    [ meta ~number:1 ~smallest:"a" ~largest:"b";
+      meta ~number:2 ~smallest:"e" ~largest:"f";
+      meta ~number:3 ~smallest:"c" ~largest:"d";
+      meta ~number:4 ~smallest:"g" ~largest:"h" ];
+  G.commit_guards level [ "e"; "m"; ""; "e" ];
+  check
+    Alcotest.(list (pair string (list int)))
+    "split keeps newest first"
+    [ ("", [ 3; 1 ]); ("e", [ 4; 2 ]); ("m", []) ]
+    (layout level);
+  let before = layout level in
+  Alcotest.check_raises "straddler raises"
+    (Failure "Guard.commit_guards: straddling table") (fun () ->
+      G.commit_guards level [ "k"; "f" ]);
+  check
+    Alcotest.(list (pair string (list int)))
+    "level unchanged after the failed commit" before (layout level)
+
 let test_guard_range_boundaries () =
   let lvl = G.create_level () in
   G.commit_guards lvl [ "g"; "p" ];
@@ -152,6 +289,9 @@ let () =
           prop_attach_detach_roundtrip;
           Alcotest.test_case "range boundaries" `Quick
             test_guard_range_boundaries;
+          prop_commit_matches_rebuild;
+          Alcotest.test_case "commit splits and rejects straddlers" `Quick
+            test_commit_split_and_straddle;
         ] );
       ( "selector", [ prop_selector_respects_bit_budget ] );
       ( "env-write-at",

@@ -58,14 +58,31 @@ let test_scores () =
     (Policy.should_trigger (t.Policy.score (state ~files:4 ())));
   Alcotest.(check bool) "tiered last level never triggers" false
     (Policy.should_trigger (t.Policy.score (state ~level:6 ~files:40 ())));
-  (* flsm: the guard score is tables over cap *)
+  (* flsm: a guard is due at its cap of tables *)
   let f = Policy.flsm_guarded in
   Alcotest.(check bool) "guard under cap" false
-    (Policy.should_trigger
-       (f.Policy.guard_score { Policy.g_tables = 3; g_cap = 4 }));
+    (f.Policy.guard_due ~tables:3 ~cap:4);
   Alcotest.(check bool) "guard at cap" true
-    (Policy.should_trigger
-       (f.Policy.guard_score { Policy.g_tables = 4; g_cap = 4 }))
+    (f.Policy.guard_due ~tables:4 ~cap:4);
+  (* the integer rule is the float score's [should_trigger], everywhere *)
+  for cap = 0 to 1200 do
+    List.iter
+      (fun tables ->
+        let score =
+          float_of_int tables /. float_of_int (max 1 cap)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "guard %d of cap %d" tables cap)
+          (Policy.should_trigger score)
+          (f.Policy.guard_due ~tables ~cap))
+      [ 0; 1; cap - 1; cap; cap + 1; 999 * cap / 1000; (999 * cap / 1000) + 1 ]
+  done;
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (p.Policy.name ^ " has no guards to trigger")
+        false (p.Policy.guard_due ~tables:100 ~cap:1))
+    [ Policy.leveled; Policy.tiered; Policy.lazy_leveled ]
 
 let test_layouts () =
   let layout (p : Policy.t) level = p.Policy.layout ~level ~last_level:3 in

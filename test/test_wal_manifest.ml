@@ -211,8 +211,8 @@ let print_record_size = function
   | Fixed n -> Printf.sprintf "Fixed %d" n
   | Leave k -> Printf.sprintf "Leave %d" k
 
-(* Groups of records, each group one [add_records] call (one record
-   through [add_record]), against the reference framer. *)
+(* Groups of records, each group one [add_records] call over one buffer
+   (one record through [add_record]), against the reference framer. *)
 let prop_wal_matches_reference_framer =
   qtest ~count:100 "add_records bytes = reference framer"
     (QCheck.make
@@ -250,7 +250,17 @@ let prop_wal_matches_reference_framer =
           in
           (match payloads with
            | [ p ] -> Wal.Writer.add_record w p
-           | ps -> Wal.Writer.add_records w ps);
+           | ps ->
+             (* back to back from offset 0 in one buffer with spare bytes
+                past the last, as a write-batch scratch holds them *)
+             let src =
+               Bytes.of_string (String.concat "" ps ^ String.make 16 '\xff')
+             in
+             let ends = Array.of_list (List.map String.length ps) in
+             for i = 1 to Array.length ends - 1 do
+               ends.(i) <- ends.(i - 1) + ends.(i)
+             done;
+             Wal.Writer.add_records w src ~ends (List.length ps));
           all := List.rev_append payloads !all)
         groups;
       let bytes = Env.read_all env "log" ~hint:Pdb_simio.Device.Sequential_read in
